@@ -128,6 +128,11 @@ def cmd_build(args: argparse.Namespace) -> int:
         f"built in {stats.seconds_total:.2f}s "
         f"({stats.num_partitions} partitions, |L| = {stats.cover_size}, "
         f"backend = {stats.backend}, executor = {stats.executor}"
+        + (
+            f", partition limit = {stats.partition_limit}"
+            if stats.partition_limit is not None
+            else ""
+        )
         + (f", workers = {stats.workers}" if stats.executor != "serial" else "")
         + (f", join shards = {stats.join_shards}" if stats.join_shards > 1 else "")
         + ")"

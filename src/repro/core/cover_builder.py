@@ -31,7 +31,7 @@ from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence,
 
 from repro.core.center_graph import densest_subgraph, initial_density_upper_bound
 from repro.core.cover import TwoHopCover
-from repro.graph.closure import TransitiveClosure, transitive_closure
+from repro.graph.closure import TransitiveClosure, condensation_closure
 from repro.graph.condensation import Condensation
 from repro.graph.digraph import DiGraph
 
@@ -243,7 +243,7 @@ def build_cover(
             cover_factory=cover_factory,
         )
         return cover
-    dag_closure = transitive_closure(cond.dag)
+    dag_closure = condensation_closure(cond)
     comp_centers = []
     seen: Set[int] = set()
     for w in preselected_centers:

@@ -256,8 +256,10 @@ class HopiIndex:
                 computed with the recursive clustering variant.
             seed: partitioner seed.
             backend: label backend — ``"sets"`` (dict-of-sets over raw
-                node ids) or ``"arrays"`` (interned dense ids + sorted
-                arrays); identical answers, different representation.
+                node ids), ``"arrays"`` (interned dense ids + sorted
+                arrays) or ``"vector"`` (arrays whose labels seal into
+                contiguous CSR slabs for the batch probe kernels);
+                identical answers, different representation.
             workers: size of the worker pool covering partitions
                 concurrently (the paper's Section-4 parallel build);
                 ``None``/1 builds serially. Covers are bit-identical

@@ -16,10 +16,12 @@ Two partitioners are implemented:
   ``P5 .. P50`` rows use this partitioner with different node limits.
 
 * :func:`partition_by_closure_size` — the **new** (Section 4.3)
-  algorithm: while growing a partition it keeps recomputing the actual
-  transitive-closure size of the partition's element graph and only
-  "continues with the next partition when the transitive closure is as
-  large as the available memory". This yields partitions of balanced
+  algorithm: while growing a partition it tracks the exact
+  transitive-closure size of the partition's element graph (an
+  :class:`IncrementalClosureCounter`, updated per candidate document
+  rather than recomputed) and only "continues with the next partition
+  when the transitive closure is as large as the available memory".
+  This yields partitions of balanced
   closure size (the paper's argument for near-linear parallel speedup)
   and far fewer, larger partitions than conservative node counting.
   Table 2's ``N10 .. N100`` rows use this partitioner.
@@ -31,14 +33,14 @@ Both accept a custom edge-weight function so the Section 4.3 ``A*D`` /
 
 from __future__ import annotations
 
+import math
 import random
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.graph.closure import ClosureBudgetExceeded, transitive_closure_size
 from repro.graph.digraph import DiGraph
-from repro.xmlmodel.model import Collection, DocId, Link
+from repro.xmlmodel.model import Collection, DocId, ElementId, Link
 
 EdgeWeight = Callable[[DocId, DocId], float]
 
@@ -94,6 +96,148 @@ def link_count_edge_weight(collection: Collection) -> EdgeWeight:
         return float(counts.get((a, b), 0) + counts.get((b, a), 0))
 
     return weight
+
+
+def _bits(row: int) -> Iterator[int]:
+    """The positions of the set bits of ``row``, lowest first."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
+
+
+class IncrementalClosureCounter:
+    """Exact closure size of a partition that grows document by document.
+
+    Section 4.3 grows a partition "until the transitive closure is as
+    large as the available memory" — which needs the closure's *size*
+    after every candidate, not the closure. The counter keeps, for the
+    current member documents, one reflexive descendant row and one
+    reflexive ancestor row per element as Python-int bitsets over a
+    partition-local dense id space (bit ``i`` = the ``i``-th element
+    added), plus the running number of strict connections
+    :attr:`pairs`. Adding a document costs its own tree closure plus
+    one edge-insertion update per link, instead of a from-scratch
+    closure of the whole partition.
+
+    Rows are as wide as the partition's element count; a budget bounds
+    the number of set bits, not the width.
+    """
+
+    def __init__(self, collection: Collection) -> None:
+        self.collection = collection
+        #: strict connections ``(u, v), u != v`` among the members
+        self.pairs = 0
+        self._index: Dict[ElementId, int] = {}
+        self._desc: List[int] = []
+        self._anc: List[int] = []
+        # inter-document links by the documents they touch (both ends)
+        self._links: Dict[DocId, List[Link]] = {}
+        for link in collection.inter_links:
+            for eid in link:
+                self._links.setdefault(collection.doc(eid), []).append(link)
+
+    def clear(self) -> None:
+        """Forget every member (start the next partition)."""
+        self.pairs = 0
+        self._index.clear()
+        self._desc.clear()
+        self._anc.clear()
+
+    def try_add(self, doc_id: DocId, budget: float = math.inf) -> bool:
+        """Add a document if the members' closure then fits ``budget``.
+
+        Appends the document's tree closure, then inserts its
+        intra-document links and every inter-document link joining it
+        to a current member (either direction; cycles allowed). Stops
+        at the first moment :attr:`pairs` exceeds ``budget`` — the
+        count only grows, so the final size would exceed it too — and
+        rolls the counter back to its state before the call.
+
+        Returns:
+            True when the document was added; False when it was
+            rejected and rolled back.
+        """
+        doc = self.collection.documents[doc_id]
+        index, desc, anc = self._index, self._desc, self._anc
+        base = len(desc)
+        pairs_before = self.pairs
+        children = doc.children
+        # breadth-first ids: parents before children
+        order = [doc.root]
+        above = [0]  # per queued element, its parent's ancestor row
+        for i, v in enumerate(order, base):
+            index[v] = i
+            row = above[i - base] | 1 << i
+            anc.append(row)
+            kids = children[v]
+            if kids:
+                order.extend(kids)
+                above.extend([row] * len(kids))
+        desc.extend([0] * len(order))
+        pairs = pairs_before
+        for i in range(len(desc) - 1, base - 1, -1):  # children before parents
+            row = 1 << i
+            for child in children[order[i - base]]:
+                row |= desc[index[child]]
+            desc[i] = row
+            pairs += row.bit_count() - 1
+        self.pairs = pairs
+        # rows of earlier members overwritten by this call, oldest first
+        undo: List[Tuple[List[int], int, int]] = []
+        fits = pairs <= budget
+        if fits:
+            for u, v in (*doc.intra_links, *self._links.get(doc_id, ())):
+                # an inter-document link counts once both ends are members
+                if u in index and v in index and not self._insert_edge(
+                    index[u], index[v], budget, base, undo
+                ):
+                    fits = False
+                    break
+        if not fits:
+            for rows, i, old in reversed(undo):
+                rows[i] = old
+            del desc[base:], anc[base:]
+            for v in order:
+                del index[v]
+            self.pairs = pairs_before
+        return fits
+
+    def _insert_edge(
+        self,
+        u: int,
+        v: int,
+        budget: float,
+        base: int,
+        undo: List[Tuple[List[int], int, int]],
+    ) -> bool:
+        """Edge-insertion update for ``u -> v`` (local ids): every
+        ancestor of ``u`` gains every descendant of ``v`` and vice
+        versa. Overwritten rows below ``base`` are logged to ``undo``.
+        Returns False — leaving the rows half-updated, for the caller
+        to roll back — as soon as :attr:`pairs` exceeds ``budget``."""
+        desc, anc = self._desc, self._anc
+        if desc[u] >> v & 1:
+            return True
+        gained, gaining = desc[v], anc[u]
+        for a in _bits(gaining):
+            old = desc[a]
+            new = old | gained
+            if new != old:
+                if a < base:
+                    undo.append((desc, a, old))
+                desc[a] = new
+                self.pairs += (new ^ old).bit_count()
+                if self.pairs > budget:
+                    return False
+        for d in _bits(gained):
+            old = anc[d]
+            new = old | gaining
+            if new != old:
+                if d < base:
+                    undo.append((anc, d, old))
+                anc[d] = new
+        return True
 
 
 def _grow_partition(
@@ -190,20 +334,20 @@ def partition_by_closure_size(
 ) -> Partitioning:
     """The new closure-size-aware partitioner (Section 4.3).
 
-    While incrementally growing a partition, the transitive closure of
-    the partition's element-level graph is recomputed (with early abort
-    once it provably exceeds the budget) and the partition is closed as
-    soon as the budget is reached. "This allows much more connections to
-    be covered by the partition covers and reduces the number of
-    cross-partition links."
+    While incrementally growing a partition, the exact size of the
+    transitive closure of the partition's element-level graph is
+    maintained by an :class:`IncrementalClosureCounter` (a candidate is
+    abandoned as soon as it pushes the count over the budget) and the
+    partition is closed as soon as the budget is reached. "This allows
+    much more connections to be covered by the partition covers and
+    reduces the number of cross-partition links."
 
     Documents are atomic: when a *single* document's element-level
     closure already exceeds the budget, the partitioner cannot split it
     further, so it falls back gracefully — the document becomes a
     singleton partition, and a single :class:`UserWarning` summarising
     every such document is emitted so the over-budget partitions are
-    visible to the caller (each audit is budget-capped, and only
-    singleton partitions pay it).
+    visible to the caller.
 
     Args:
         collection: the collection to partition.
@@ -224,52 +368,27 @@ def partition_by_closure_size(
     order = sorted(unassigned)
     rng.shuffle(order)
 
+    counter = IncrementalClosureCounter(collection)
     partitions: List[List[DocId]] = []
     oversized: List[DocId] = []
     for doc in order:
         if doc not in unassigned:
             continue
-        current: List[DocId] = [doc]
+        counter.clear()
+        # A seed over budget on its own stays a singleton: closures only
+        # grow, so no candidate can fit next to it.
+        seed_fits = counter.try_add(doc, max_closure_connections)
+        if not seed_fits:
+            oversized.append(doc)
 
         def can_add(candidate: DocId) -> bool:
-            sub = collection.subcollection(current + [candidate])
-            graph = sub.element_graph()
-            try:
-                transitive_closure_size(
-                    graph, max_connections=max_closure_connections
-                )
-            except ClosureBudgetExceeded:
-                return False
-            current.append(candidate)
-            return True
+            return seed_fits and counter.try_add(
+                candidate, max_closure_connections
+            )
 
-        grown = _grow_partition(
-            doc_graph,
-            doc,
-            unassigned,
-            edge_weight,
-            can_add,
+        partitions.append(
+            _grow_partition(doc_graph, doc, unassigned, edge_weight, can_add)
         )
-        # _grow_partition tracked membership; `current` tracked closure
-        partitions.append(grown)
-        # Only a partition that stayed a singleton can be over budget
-        # on its own (growth proves multi-document partitions fit), so
-        # the audit for the fallback warning runs only on singletons —
-        # and O(1) bounds dodge the closure pass when they decide: a
-        # document with E elements has between E-1 (each non-root is
-        # reached by its parent) and E*(E-1) (complete) connections.
-        if len(grown) == 1:
-            elements = collection.documents[doc].num_elements
-            if elements - 1 > max_closure_connections:
-                oversized.append(doc)
-            elif elements * (elements - 1) > max_closure_connections:
-                try:
-                    transitive_closure_size(
-                        collection.subcollection(grown).element_graph(),
-                        max_connections=max_closure_connections,
-                    )
-                except ClosureBudgetExceeded:
-                    oversized.append(doc)
     if oversized:
         warnings.warn(
             f"{len(oversized)} document(s) have a transitive closure "
@@ -297,8 +416,11 @@ def partition_closure_sizes(
 ) -> List[int]:
     """Closure size per partition — measures the balance the new
     partitioner is claimed to achieve (parallel speedup argument)."""
+    counter = IncrementalClosureCounter(collection)
     sizes = []
     for docs in partitioning.partitions:
-        graph = collection.subcollection(docs).element_graph()
-        sizes.append(transitive_closure_size(graph))
+        counter.clear()
+        for doc in docs:
+            counter.try_add(doc)
+        sizes.append(counter.pairs)
     return sizes

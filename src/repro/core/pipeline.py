@@ -55,7 +55,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cover_builder import build_partition_cover
 from repro.core.join import (
@@ -375,7 +375,8 @@ class BuildPipeline:
             centers first (Section 4.2).
         psg_node_limit: threshold for the recursive PSG closure.
         seed: partitioner seed.
-        backend: label backend for the result (``sets`` / ``arrays``).
+        backend: label backend for the result (``sets`` / ``arrays`` /
+            ``vector``).
         workers: worker count for the pool executors; ``None``/1 means
             serial.
         executor: ``"serial"``, ``"process"``, ``"threads"`` or
@@ -438,6 +439,18 @@ class BuildPipeline:
         self._plain_factory, self._distance_factory = BACKENDS[backend]
 
     # -- phase 1 --------------------------------------------------------
+    @property
+    def effective_partition_limit(self) -> Optional[int]:
+        """The limit phase 1 partitions with: the explicit
+        ``partition_limit`` when given, else the partitioner's default
+        derived from the collection (``None``: ``single`` has none)."""
+        if self.partition_limit or self.partitioner == "single":
+            return self.partition_limit
+        elements = self.collection.num_elements
+        if self.partitioner == "node_weight":
+            return max(elements // 8, 1)
+        return max(elements * 20, 1000)
+
     def partition(self) -> Partitioning:
         """Split the document-level graph (always in the parent)."""
         collection = self.collection
@@ -446,12 +459,11 @@ class BuildPipeline:
             weight_fn = connection_edge_weight(collection, mode=self.edge_weight)
         if self.partitioner == "single":
             return single_document_partitioning(collection)
+        limit = self.effective_partition_limit
         if self.partitioner == "node_weight":
-            limit = self.partition_limit or max(collection.num_elements // 8, 1)
             return partition_by_node_weight(
                 collection, limit, edge_weight=weight_fn, seed=self.seed
             )
-        limit = self.partition_limit or max(collection.num_elements * 20, 1000)
         return partition_by_closure_size(
             collection, limit, edge_weight=weight_fn, seed=self.seed
         )
@@ -465,14 +477,39 @@ class BuildPipeline:
             for _, v in partitioning.cross_links:
                 pid = partitioning.part_of[collection.doc(v)]
                 cross_targets.setdefault(pid, []).append(v)
+        # inter-document links inside a partition, grouped in one scan
+        inner_links: List[List[Tuple[ElementId, ElementId]]] = [
+            [] for _ in partitioning.partitions
+        ]
+        for u, v in collection.inter_links:
+            pid = partitioning.part_of[collection.doc(u)]
+            if pid == partitioning.part_of[collection.doc(v)]:
+                inner_links[pid].append((u, v))
         tasks = []
         for pid, docs in enumerate(partitioning.partitions):
-            graph = collection.subcollection(docs).element_graph()
+            # The cover builder breaks ties by node and edge order, so
+            # this reproduces the order of
+            # ``collection.subcollection(docs).element_graph()``: documents
+            # in ``set(docs)`` order, successors in insertion order of
+            # tree edges, then intra-links, then the set of inner links.
+            documents = [collection.documents[d] for d in set(docs)]
+            nodes = tuple([e for doc in documents for e in doc.elements])
+            successors: Dict[ElementId, Set[ElementId]] = {}
+            for doc in documents:
+                for parent, kids in doc.children.items():
+                    if kids:
+                        successors[parent] = set(kids)
+                for u, v in doc.intra_links:
+                    successors.setdefault(u, set()).add(v)
+            for u, v in set(inner_links[pid]):
+                successors.setdefault(u, set()).add(v)
             tasks.append(
                 PartitionTask(
                     pid=pid,
-                    nodes=tuple(graph.nodes()),
-                    edges=tuple(graph.edges()),
+                    nodes=nodes,
+                    edges=tuple(
+                        [(u, v) for u in nodes for v in successors.get(u, ())]
+                    ),
                     preselected=tuple(sorted(cross_targets.get(pid, []))),
                     distance=self.distance,
                 )
@@ -603,7 +640,7 @@ class BuildPipeline:
         stats = BuildStats(
             strategy=self.strategy,
             partitioner=self.partitioner,
-            partition_limit=self.partition_limit,
+            partition_limit=self.effective_partition_limit,
             edge_weight=self.edge_weight,
             distance=self.distance,
             num_partitions=partitioning.num_partitions,

@@ -5,16 +5,19 @@ The transitive closure is both the *input* of the 2-hop cover computation
 compared against (Table 2's compression ratios divide the number of
 closure connections by the number of cover entries).
 
-Two engines are provided:
+Three engines are provided:
 
 * :func:`transitive_closure` — reachability sets via SCC condensation and
   set-union in reverse-topological order, optionally aborting when a
   connection budget is exceeded (this powers the closure-size-aware
   partitioner of Section 4.3).
+* :func:`condensation_closure` — the same union pass over a graph that
+  is already condensed, for callers that hold the
+  :class:`~repro.graph.condensation.Condensation` (the cover builder).
 * :func:`distance_closure` — per-source BFS producing shortest hop
   distances, the input of the distance-aware cover of Section 5.
 
-Both use the paper's *strict, reflexive-implicit* convention: the pair
+All use the paper's *strict, reflexive-implicit* convention: the pair
 ``(u, u)`` is never stored. Reflexive reachability is always true by
 definition, and the cover likewise keeps self-labels implicit. A node on
 a cycle does reach distinct members of its component, and those pairs
@@ -156,6 +159,40 @@ def transitive_closure(
                 reach[v] = targets
         else:
             reach[members[0]] = base
+    return TransitiveClosure(reach)
+
+
+def _reinserted(items: Set[int]) -> Set[int]:
+    """A copy of ``items`` filled one element at a time, in iteration
+    order.
+
+    Equal to ``items`` as a set, but not always in iteration order:
+    where two ids share a hash slot, the order follows insertion
+    history. The cover builder breaks ties by the iteration order of
+    closure rows, so :func:`condensation_closure` fills its sets the
+    way ``transitive_closure(cond.dag)`` does: successor sets and rows
+    pass through one such copy each.
+    """
+    return {item for item in items}
+
+
+def condensation_closure(cond: Condensation) -> TransitiveClosure:
+    """The strict transitive closure of ``cond.dag``, over component ids.
+
+    Component ids are already a reverse topological order, so the
+    reachability sets are unioned in one pass, sinks first, with no
+    second SCC computation. Key order and the iteration order of every
+    row equal those of ``transitive_closure(cond.dag)``.
+    """
+    comp_reach: list[Set[int]] = []
+    reach: Dict[Node, Set[Node]] = {}
+    for cid in range(len(cond)):
+        acc: Set[int] = set()
+        for succ in _reinserted(cond.dag.successors(cid)):
+            acc.add(succ)
+            acc.update(comp_reach[succ])
+        comp_reach.append(acc)
+        reach[cid] = _reinserted(acc)
     return TransitiveClosure(reach)
 
 

@@ -13,7 +13,8 @@ from repro.graph import (
     transitive_closure,
     transitive_closure_size,
 )
-from repro.graph.closure import ClosureBudgetExceeded
+from repro.graph.closure import ClosureBudgetExceeded, condensation_closure
+from repro.graph.condensation import Condensation
 
 
 def test_chain_closure():
@@ -108,6 +109,26 @@ def test_closure_matches_networkx_oracle(seed):
         expected = set(nx.descendants(nxg, v))
         assert c.reach[v] == expected, f"node {v} seed {seed}"
     assert transitive_closure_size(g) == c.num_connections
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_condensation_closure_is_the_dag_closure_in_the_same_order(seed):
+    """One SCC pass instead of two: closing ``cond.dag`` directly gives
+    the rows, the key order and the per-row iteration order of
+    ``transitive_closure(cond.dag)`` (the cover builder's tie-breaks
+    follow both orders)."""
+    rng = random.Random(seed)
+    n = 120
+    edges = [
+        (rng.randrange(n), rng.randrange(n))
+        for _ in range(rng.randrange(60, 400))
+    ]
+    cond = Condensation(DiGraph(edges))
+    direct = condensation_closure(cond)
+    twice = transitive_closure(cond.dag)
+    assert list(direct.reach) == list(twice.reach)
+    for cid, row in twice.reach.items():
+        assert list(direct.reach[cid]) == list(row), f"component {cid}"
 
 
 # ---------------------------------------------------------------------------

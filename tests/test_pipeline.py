@@ -225,6 +225,42 @@ def test_pipeline_phases_accounted():
     assert cover.size == stats.cover_size
 
 
+def test_stats_record_the_partition_limit_actually_used():
+    """Regression: a derived limit used to be recorded as ``None``."""
+    collection = random_collection(12)
+    elements = collection.num_elements
+    derived = HopiIndex.build(collection)
+    assert derived.stats.partition_limit == max(elements * 20, 1000)
+    derived = HopiIndex.build(collection, partitioner="node_weight")
+    assert derived.stats.partition_limit == max(elements // 8, 1)
+    explicit = HopiIndex.build(collection, partition_limit=77)
+    assert explicit.stats.partition_limit == 77
+    assert HopiIndex.build(collection, partitioner="single").stats.partition_limit is None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_partition_tasks_keep_subcollection_graph_order(seed):
+    """Tasks are assembled from one scan of the inter-links, in exactly
+    the node and edge order of ``subcollection(docs).element_graph()``
+    (the cover builder's tie-breaks follow it)."""
+    rng = random.Random(seed)
+    collection = random_collection(seed, n_docs=30)
+    elements = sorted(collection.elements)
+    for _ in range(12):  # back links: cycles inside and across documents
+        u, v = rng.sample(elements, 2)
+        collection.add_link(max(u, v), min(u, v))
+    for hub in rng.sample(elements, 4):  # many links out of one element
+        for target in rng.sample(elements, 12):
+            collection.add_link(hub, target)
+    pipeline = BuildPipeline(collection, partition_limit=collection.num_elements * 12)
+    partitioning = pipeline.partition()
+    assert any(len(docs) > 1 for docs in partitioning.partitions)
+    for task, docs in zip(pipeline.partition_tasks(partitioning), partitioning.partitions):
+        graph = collection.subcollection(docs).element_graph()
+        assert task.nodes == tuple(graph.nodes())
+        assert task.edges == tuple(graph.edges())
+
+
 def test_unpartitioned_ignores_workers():
     index = HopiIndex.build(
         random_collection(10, n_docs=3), strategy="unpartitioned", workers=4
