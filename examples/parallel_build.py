@@ -10,7 +10,7 @@ example builds the same synthetic collection three ways —
 3. phase by phase through :class:`repro.core.pipeline.BuildPipeline`,
 
 — verifies the covers are bit-identical, and prints the per-phase
-timing breakdown the ``BENCH_build.json`` trajectory tracks.
+timing breakdown (the phases ``perf/``'s ``build`` workload traces).
 
 Run:  python examples/parallel_build.py
 """

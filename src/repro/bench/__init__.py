@@ -1,17 +1,12 @@
-"""Benchmark harness: workloads, experiment runners, table renderers.
+"""Paper-table reproduction: workloads, experiment runners, table renderer.
 
 ``python -m repro.bench`` regenerates every table and in-text experiment
 of the paper's Section 7 at laptop scale and prints them side by side
-with the paper's reference values. The pytest-benchmark wrappers in
-``benchmarks/`` drive the same harness functions.
+with the paper's reference values. It measures nothing else and gates
+nothing: the benchmark of record is ``BENCHMARK.json`` + ``perf/``.
 """
 
-from repro.bench.workloads import bench_dblp, bench_inex, workload_scale
-from repro.bench.build_bench import (
-    emit_bench_build_entry,
-    run_build_benchmark,
-)
-from repro.bench.harness import (
+from repro.bench.paper import (
     BuildRow,
     MaintenanceRow,
     run_build,
@@ -20,18 +15,9 @@ from repro.bench.harness import (
     run_table2,
 )
 from repro.bench.reporting import format_table, print_table
-from repro.bench.service_load import (
-    emit_bench_service_entry,
-    run_service_benchmark,
-    service_query_mix,
-)
+from repro.bench.workloads import bench_dblp, bench_inex, workload_scale
 
 __all__ = [
-    "emit_bench_build_entry",
-    "run_build_benchmark",
-    "emit_bench_service_entry",
-    "run_service_benchmark",
-    "service_query_mix",
     "bench_dblp",
     "bench_inex",
     "workload_scale",

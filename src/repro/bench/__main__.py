@@ -1,18 +1,9 @@
-"""Regenerate the paper's experiments and the serving-tier benchmark.
+"""Regenerate the paper's Section-7 tables.
 
-``python -m repro.bench`` runs the Section-7 suite (the default);
-``query`` / ``service`` / ``build`` run the label-backend + planner
-workloads, the serving-tier load generator and the offline-build
-comparison; ``all`` runs everything. Every suite is declared as a
-:class:`~repro.bench.matrix.SuiteSpec` — axes expanded into cells, one
-shared runner, one reporting path — and every acceptance bar is a
-declarative :class:`~repro.bench.matrix.Gate`. **A failed gate exits
-non-zero**; trajectory entries still append to ``BENCH_query.json`` /
-``BENCH_service.json`` / ``BENCH_build.json`` in the exact pre-matrix
-shapes. ``--seed N`` threads one seed through every synthetic
-collection, workload and ingestion source; tables print at the
-configured scale (``REPRO_BENCH_SCALE``) next to the paper's reference
-values where applicable.
+``python -m repro.bench [--seed N]`` runs every paper experiment once
+at the configured scale (``REPRO_BENCH_SCALE``) and prints the tables
+next to the paper's reference values. There are no gates and nothing is
+recorded; performance is measured by ``perf/`` (see ``BENCHMARK.json``).
 """
 
 from __future__ import annotations
@@ -20,852 +11,46 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict
-from typing import Any, Dict, List
 
-from repro.bench.harness import (
+from repro.bench.paper import (
     PAPER_TABLE2,
-    descendant_step_workload,
-    emit_bench_query_entry,
-    measure_backend_cell,
-    measure_planner_cell,
     run_center_preselection_ablation,
     run_distance_overhead,
     run_edge_weight_ablation,
     run_insert_document_experiment,
     run_maintenance_experiment,
-    run_topk_benchmark,
     run_query_benchmark,
     run_table1,
     run_table2,
 )
-from repro.bench.build_bench import (
-    DEFAULT_WORKERS,
-    HEADLINE_BACKEND,
-    JOIN_HEADLINE,
-    bench_build_collections,
-    emit_bench_build_entry,
-    host_cpus,
-    measure_build_cell,
-    measure_rpc_loopback,
-)
-from repro.bench.matrix import (
-    Cell,
-    MatrixReport,
-    MatrixRunner,
-    SuiteSpec,
-    bound,
-    ceiling,
-    product,
-    truth,
-)
 from repro.bench.reporting import print_table
-from repro.bench.service_load import (
-    emit_bench_service_entry,
-    run_async_front_end_benchmark,
-    run_closed_loop,
-    run_cold_vs_cached,
-    run_hot_swap_under_load,
-    run_ingestion_benchmark,
-    run_open_loop,
-    run_sharded_benchmark,
-    run_write_path_benchmark,
-    service_query_mix,
-)
 from repro.bench.workloads import (
-    SELECTIVE_RARE_TAG,
     bench_dblp,
-    bench_dblp_selective,
     bench_inex,
     workload_scale,
+    workload_seed,
 )
 from repro.core.hopi import HopiIndex
 from repro.core.stats import entries_per_node
-from repro.service.service import QueryService
 
 
-def _recursive_index(collection, *, backend: str = "sets") -> HopiIndex:
-    return HopiIndex.build(
-        collection, strategy="recursive", partitioner="node_weight",
-        partition_limit=max(collection.num_elements // 16, 1),
-        backend=backend,
+def main() -> int:
+    parser = argparse.ArgumentParser(
+        prog="repro.bench",
+        description="Regenerate the paper's Section-7 tables at laptop "
+                    "scale (REPRO_BENCH_SCALE multiplies the sizes)",
     )
-
-
-# ---------------------------------------------------------------------------
-# query suite: workload x backend
-# ---------------------------------------------------------------------------
-
-def _query_setup() -> Dict[str, Any]:
-    dblp = bench_dblp()
-    selective = bench_dblp_selective()
-    sources, candidates = descendant_step_workload(dblp)
-    return {
-        "dblp": dblp,
-        "base": _recursive_index(dblp),
-        "sources": sources,
-        "candidates": candidates,
-        "selective": selective,
-        "selective_base": _recursive_index(selective),
-        "selective_path": f"//*//{SELECTIVE_RARE_TAG}",
-        "rows": {}, "answers": {},
-        "planner": {}, "planner_answers": {},
-        "topk": None,
-    }
-
-
-def _query_cell(ctx: Dict[str, Any], axes: Dict[str, Any]) -> Any:
-    backend = axes["backend"]
-    if axes["workload"] == "descendant-step":
-        row, answers = measure_backend_cell(
-            ctx["base"], ctx["dblp"], ctx["sources"], ctx["candidates"],
-            backend,
-        )
-        ctx["rows"][backend] = row
-        ctx["answers"][backend] = answers
-        return row
-    if axes["workload"] == "selective-tail":
-        row, answers = measure_planner_cell(
-            ctx["selective_base"], ctx["selective"],
-            ctx["selective_path"], backend,
-        )
-        ctx["planner"][backend] = row
-        ctx["planner_answers"][backend] = answers
-        return row
-    ctx["topk"] = run_topk_benchmark(ctx["dblp"], backend=backend)
-    return ctx["topk"]
-
-
-def _query_collect(ctx: Dict[str, Any], cells: List[Cell]) -> Dict[str, Any]:
-    entry = emit_bench_query_entry(
-        ctx["rows"], planner=ctx["planner"], topk=ctx["topk"]
+    parser.add_argument(
+        "--seed", type=int, default=None,
+        help="seed for the synthetic collections "
+             "(default: REPRO_BENCH_SEED or 2005)",
     )
-    # cross-backend identity, checked over the raw per-cell answers
-    # (post-append mutation: the underscore keys never reach the file)
-    answers = list(ctx["answers"].values())
-    entry["_backends_identical"] = all(a == answers[0] for a in answers[1:])
-    planner_answers = list(ctx["planner_answers"].values())
-    entry["_planner_backends_identical"] = all(
-        a == planner_answers[0] for a in planner_answers[1:]
-    )
-    return entry
-
-
-def _query_present(
-    ctx: Dict[str, Any], entry: Dict[str, Any], cells: List[Cell]
-) -> None:
-    print_table(
-        ["backend", "queries", "cands", "p50 ms", "p95 ms", "total s", "|L|"],
-        [
-            (
-                r.backend, r.queries, r.candidates, round(r.p50_ms, 3),
-                round(r.p95_ms, 3), round(r.total_seconds, 3), r.cover_entries,
-            )
-            for r in ctx["rows"].values()
-        ],
-        title=(
-            "Label backends, descendant-step workload "
-            f"(arrays vs sets: {entry.get('speedup_arrays_vs_sets', '-')}x; "
-            f"vector vs arrays: {entry.get('speedup_vector_vs_arrays', '-')}x; "
-            "appended to BENCH_query.json)"
-        ),
-    )
-    print_table(
-        ["backend", "path", "matches", "naive s", "planned s", "speedup"],
-        [
-            (
-                r.backend, r.path, r.matches, round(r.naive_seconds, 4),
-                round(r.planned_seconds, 4), r.speedup,
-            )
-            for r in ctx["planner"].values()
-        ],
-        title=(
-            "Selective-tail planner workload: planned (backward "
-            "ancestors-side probes) vs naive left-to-right "
-            f"(headline {entry.get('speedup_planned_vs_naive', '-')}x; "
-            "≥ 2x is the bar)"
-        ),
-    )
-    topk = ctx["topk"]
-    print_table(
-        ["backend", "path", "limit", "matches", "full s", "heap s", "speedup"],
-        [(
-            topk.backend, topk.path, topk.limit, topk.matches,
-            round(topk.full_seconds, 4), round(topk.heap_seconds, 4),
-            topk.speedup,
-        )],
-        title=(
-            "Ranked-topk workload: bounded heap vs full materialise-sort "
-            f"(headline {entry.get('speedup_heap_vs_full', '-')}x)"
-        ),
-    )
-
-
-def query_suite() -> SuiteSpec:
-    cells = product({
-        "workload": ["descendant-step", "selective-tail", "ranked-topk"],
-        "backend": ["sets", "arrays", "vector"],
-        # the planner comparison records sets+arrays (as always); the
-        # ranked-topk study is an arrays-only headline
-        }, where=lambda c: not (
-            (c["workload"] == "selective-tail" and c["backend"] == "vector")
-            or (c["workload"] == "ranked-topk" and c["backend"] != "arrays")
-        ),
-    )
-    return SuiteSpec(
-        name="query",
-        title=f"HOPI query benchmark (scale {workload_scale()}x)",
-        cells=cells,
-        setup=_query_setup,
-        run_cell=_query_cell,
-        collect=_query_collect,
-        present=_query_present,
-        gates=[
-            truth(
-                "backends-identical",
-                "all label backends answer the descendant-step workload "
-                "bit-for-bit identically",
-                lambda e: e["_backends_identical"],
-            ),
-            truth(
-                "planner-backends-identical",
-                "planner workload answers agree across backends",
-                lambda e: e["_planner_backends_identical"],
-            ),
-            bound(
-                "arrays-vs-sets",
-                "arrays backend ≥ 2x sets on descendant-step (ROADMAP bar)",
-                lambda e: e.get("speedup_arrays_vs_sets"), 2.0,
-                ci_minimum=0.8,
-            ),
-            bound(
-                "planned-vs-naive",
-                "planned order ≥ 2x naive on the selective tail "
-                "(ROADMAP bar)",
-                lambda e: e.get("speedup_planned_vs_naive"), 2.0,
-                ci_minimum=0.8,
-            ),
-            bound(
-                "heap-vs-full",
-                "bounded-heap top-k no slower than the full sort",
-                lambda e: e.get("speedup_heap_vs_full"), 1.0,
-                ci_minimum=0.25,
-            ),
-        ],
-    )
-
-
-# ---------------------------------------------------------------------------
-# service suite: one cell per serving segment (threads where applicable)
-# ---------------------------------------------------------------------------
-
-def _service_setup() -> Dict[str, Any]:
-    collection = bench_dblp()
-    index = _recursive_index(collection, backend="arrays")
-    return {
-        "collection": collection,
-        "index": index,
-        "paths": service_query_mix(collection),
-        "closed": [],
-    }
-
-
-def _service_cell(ctx: Dict[str, Any], axes: Dict[str, Any]) -> Any:
-    index, paths = ctx["index"], ctx["paths"]
-    segment = axes["segment"]
-    if segment == "cold-cache":
-        return run_cold_vs_cached(index, paths)
-    if segment == "closed-loop":
-        row = run_closed_loop(
-            QueryService(index.copy()), paths,
-            threads=axes["threads"], requests_per_thread=400,
-        )
-        ctx["closed"].append(row)
-        return row
-    if segment == "open-loop":
-        return run_open_loop(QueryService(index.copy()), paths)
-    if segment == "hot-swap":
-        return run_hot_swap_under_load(
-            QueryService(index.copy()), paths,
-            threads=4, requests_per_thread=400, updates=5,
-        )
-    if segment == "sharded":
-        return run_sharded_benchmark(
-            ctx["collection"], backend="arrays", index=index
-        )
-    if segment == "async-front-end":
-        return run_async_front_end_benchmark(index)
-    if segment == "write-path":
-        return run_write_path_benchmark(index, paths, backend="arrays")
-    if segment == "ingestion":
-        return run_ingestion_benchmark(backend="arrays")
-    raise KeyError(f"unknown service segment {segment!r}")
-
-
-def _service_collect(
-    ctx: Dict[str, Any], cells: List[Cell]
-) -> Dict[str, Any]:
-    by_segment: Dict[str, Any] = {}
-    for cell in cells:
-        by_segment.setdefault(cell.axes["segment"], cell.record)
-    closed = ctx["closed"]
-    by_threads = {row.threads: row for row in closed}
-    scaling = None
-    if 1 in by_threads and 4 in by_threads:
-        base = by_threads[1].throughput_rps
-        scaling = by_threads[4].throughput_rps / base if base > 0 else None
-    result = {
-        "collection": "DBLP",
-        "backend": "arrays",
-        "query_mix": list(ctx["paths"]),
-        "cold_vs_cached": by_segment["cold-cache"],
-        "closed_loop": [asdict(row) for row in closed],
-        "throughput_scaling_4v1": scaling,
-        "open_loop": asdict(by_segment["open-loop"]),
-        "hot_swap": asdict(by_segment["hot-swap"]),
-        "sharded": by_segment["sharded"],
-        "async_front_end": by_segment["async-front-end"],
-        "write_path": by_segment["write-path"],
-        "ingestion": by_segment["ingestion"],
-    }
-    return emit_bench_service_entry(result)
-
-
-def _service_present(
-    ctx: Dict[str, Any], result: Dict[str, Any], cells: List[Cell]
-) -> None:
-    cold = result["cold_vs_cached"]
-    print_table(
-        ["cold ms/q", "cached ms/q", "speedup"],
-        [(round(cold["cold_ms_per_query"], 3),
-          round(cold["cached_ms_per_query"], 4),
-          round(cold["speedup"], 1))],
-        title="Result cache: cold vs repeat evaluation",
-    )
-
-    print_table(
-        ["threads", "requests", "errors", "rps", "p50 ms", "p95 ms",
-         "p99 ms", "hit rate"],
-        [
-            (
-                row["threads"], row["requests"], row["errors"],
-                round(row["throughput_rps"]), round(row["p50_ms"], 3),
-                round(row["p95_ms"], 3), round(row["p99_ms"], 3),
-                round(row["hit_rate"], 3) if row["hit_rate"] is not None else "-",
-            )
-            for row in result["closed_loop"]
-        ],
-        title=(
-            "Closed-loop load "
-            f"(4-thread vs 1-thread throughput: "
-            f"{round(result['throughput_scaling_4v1'], 2)}x)"
-        ),
-    )
-
-    open_row = result["open_loop"]
-    print_table(
-        ["threads", "requests", "offered rps", "measured rps", "p50 ms",
-         "p95 ms", "p99 ms"],
-        [(open_row["threads"], open_row["requests"],
-          round(open_row["offered_rps"]), round(open_row["throughput_rps"]),
-          round(open_row["p50_ms"], 3), round(open_row["p95_ms"], 3),
-          round(open_row["p99_ms"], 3))],
-        title="Open-loop load (latency from scheduled arrival)",
-    )
-
-    swap = result["hot_swap"]
-    print_table(
-        ["updates", "requests", "errors", "torn", "epochs", "avg swap s"],
-        [(swap["updates"], swap["requests"], swap["errors"], swap["torn"],
-          len(swap["epochs_observed"]), round(swap["update_seconds_avg"], 4))],
-        title="Hot swap under sustained 4-thread querying "
-              "(errors and torn must be 0; appended to BENCH_service.json)",
-    )
-
-    sharded = result["sharded"]
-    print_table(
-        ["shards", "modeled rps", "p50 ms", "p99 ms", "busiest share",
-         "parity"],
-        [
-            (
-                row["shards"], round(row["modeled_rps"]),
-                round(row["p50_ms"], 3), round(row["p99_ms"], 3),
-                round(row["busiest_share"], 3),
-                "yes" if row["parity_ok"] else "NO",
-            )
-            for row in sharded["rows"]
-        ],
-        title=(
-            "Sharded scatter-gather serving "
-            f"(4-shard vs 1-shard: {round(sharded['speedup_4v1'], 2)}x, "
-            f"speedups {sharded['speedup_source']})"
-        ),
-    )
-    rswap = sharded["rolling_swap"]
-    kill = sharded["kill_one_shard"]
-    print_table(
-        ["updates", "requests", "errors", "torn", "kill reqs", "degraded",
-         "hung", "max s", "healthz"],
-        [(rswap["updates"], rswap["requests"], rswap["errors"],
-          rswap["torn"], kill["requests"], kill["degraded"], kill["hung"],
-          round(kill["max_seconds"], 3), kill["healthz_status"])],
-        title="Rolling per-shard swap + kill-one-shard failover "
-              "(errors, torn and hung must be 0)",
-    )
-
-    front = result["async_front_end"]
-    tail = front["tail"]
-    print_table(
-        ["clients", "requests", "errors", "p50 ms", "p95 ms", "p99 ms",
-         "p99/p50"],
-        [(tail["clients"], tail["requests"], tail["errors"],
-          round(tail["p50_ms"], 3), round(tail["p95_ms"], 3),
-          round(tail["p99_ms"], 3),
-          round(tail["ratio_p99_p50"], 1)
-          if tail["ratio_p99_p50"] is not None else "-")],
-        title="Async front end, cold-miss tail over HTTP "
-              "(ROADMAP gate: p99 within 100x of p50)",
-    )
-    overload = front["overload"]
-    print_table(
-        ["offered rps", "total", "ok", "shed", "degraded", "hung",
-         "unstructured"],
-        [(round(overload["offered_rps"]), overload["total"], overload["ok"],
-          overload["shed"], overload["degraded"], overload["hung"],
-          overload["unstructured"])],
-        title="Async front end, open-loop overload burst "
-              "(hung and unstructured must be 0; shed = structured 429s)",
-    )
-
-    wp = result["write_path"]
-    under = wp["updates_under_readers"]
-    print_table(
-        ["updates", "upd/s", "readers", "reads", "read errs", "read rps",
-         "read p95 ms"],
-        [(under["updates"],
-          round(under["updates_per_second"])
-          if under["updates_per_second"] is not None else "-",
-          under["reader_threads"], under["reader_requests"],
-          under["reader_errors"],
-          round(under["reader_throughput_rps"])
-          if under["reader_throughput_rps"] is not None else "-",
-          round(under["reader_p95_ms"], 3)
-          if under["reader_p95_ms"] is not None else "-")],
-        title="Write path: back-to-back updates under 4-thread querying",
-    )
-    sub = wp["publish_latency"]
-    print_table(
-        ["docs", "elements", "cow publish ms", "deep publish ms",
-         "deep/cow"],
-        [
-            (row["documents"], row["elements"],
-             round(row["cow_publish_seconds"] * 1000.0, 3),
-             round(row["deep_publish_seconds"] * 1000.0, 3),
-             round(row["deep_over_cow"], 2)
-             if row["deep_over_cow"] is not None else "-")
-            for row in sub["sizes"]
-        ],
-        title=(
-            "Write path: single-op publish latency vs collection size "
-            f"(COW exponent {round(sub['cow_scaling_exponent'], 2) if sub['cow_scaling_exponent'] is not None else '-'}, "
-            f"deep-copy exponent {round(sub['deep_scaling_exponent'], 2) if sub['deep_scaling_exponent'] is not None else '-'}; "
-            "COW must be sublinear)"
-        ),
-    )
-    print_table(
-        ["callers", "updates", "errors", "publishes", "upd/publish",
-         "upd/s", "commit p95 ms"],
-        [
-            (row["callers"], row["updates"], row["errors"],
-             row["publishes"],
-             round(row["updates_per_publish"], 2)
-             if row["updates_per_publish"] is not None else "-",
-             round(row["updates_per_second"])
-             if row["updates_per_second"] is not None else "-",
-             round(row["commit_p95_ms"], 3)
-             if row["commit_p95_ms"] is not None else "-")
-            for row in wp["group_commit"]
-        ],
-        title="Write path: group-commit sweep (concurrent update callers)",
-    )
-
-    ing = result["ingestion"]
-    crash = ing["crash_resume"]
-    diff = ing["differential"]
-    print_table(
-        ["source", "docs", "batches", "docs/s", "fresh p50 ms",
-         "fresh p99 ms", "readers", "read errs", "crash-parity",
-         "differential"],
-        [(ing["source"], ing["docs"], ing["batches"],
-          round(ing["docs_per_second"]),
-          round(ing["freshness_p50_ms"], 2),
-          round(ing["freshness_p99_ms"], 2),
-          ing["reader_threads"], ing["reader_errors"],
-          "yes" if crash["bit_identical"] else "NO",
-          "yes" if diff["all_identical"] else "NO")],
-        title="Streaming ingestion: group-commit pipeline under "
-              "4-thread querying (crash/resume bit-parity and the "
-              "streamed-vs-batch differential must hold)",
-    )
-
-
-def service_suite() -> SuiteSpec:
-    cells = (
-        [{"segment": "cold-cache"}]
-        + product({"segment": ["closed-loop"], "threads": [1, 4, 16]})
-        + [
-            {"segment": "open-loop"},
-            {"segment": "hot-swap"},
-            {"segment": "sharded"},
-            {"segment": "async-front-end"},
-            {"segment": "write-path"},
-            {"segment": "ingestion"},
-        ]
-    )
-    return SuiteSpec(
-        name="service",
-        title=f"HOPI serving-tier benchmark (scale {workload_scale()}x)",
-        cells=cells,
-        setup=_service_setup,
-        run_cell=_service_cell,
-        collect=_service_collect,
-        present=_service_present,
-        gates=[
-            bound(
-                "cached-vs-cold",
-                "result cache ≥ 10x cold evaluation (ROADMAP bar)",
-                lambda e: e["cold_vs_cached"]["speedup"], 10.0,
-                ci_minimum=1.5,
-            ),
-            bound(
-                "throughput-4v1",
-                "closed-loop throughput ≥ 2x at 4 threads vs 1 "
-                "(ROADMAP bar)",
-                lambda e: e["throughput_scaling_4v1"], 2.0,
-                ci_minimum=0.8,
-            ),
-            truth(
-                "hot-swap-clean",
-                "zero failed and zero torn requests under hot swap",
-                lambda e: e["hot_swap"]["errors"] == 0
-                and e["hot_swap"]["torn"] == 0,
-            ),
-            truth(
-                "sharded-parity",
-                "sharded answers identical to single-process serving",
-                lambda e: all(
-                    row["parity_ok"] for row in e["sharded"]["rows"]
-                ),
-            ),
-            truth(
-                "rolling-swap-clean",
-                "zero failed and zero torn requests under rolling "
-                "per-shard swaps",
-                lambda e: e["sharded"]["rolling_swap"]["errors"] == 0
-                and e["sharded"]["rolling_swap"]["torn"] == 0,
-            ),
-            truth(
-                "failover-structured",
-                "kill-one-shard: no hangs, every request degrades "
-                "structurally, healthz reports degraded",
-                lambda e: e["sharded"]["kill_one_shard"]["hung"] == 0
-                and e["sharded"]["kill_one_shard"]["degraded"]
-                == e["sharded"]["kill_one_shard"]["requests"]
-                and e["sharded"]["kill_one_shard"]["healthz_status"]
-                == "degraded",
-            ),
-            truth(
-                "async-tail-errors",
-                "cold-miss tail workload: zero failed requests",
-                lambda e: e["async_front_end"]["tail"]["errors"] == 0,
-            ),
-            ceiling(
-                "async-tail-p99-p50",
-                "cold-miss tail p99 within 100x of p50 (ROADMAP gate)",
-                lambda e: e["async_front_end"]["tail"]["ratio_p99_p50"],
-                100.0, ci_maximum=1000.0, unit="x",
-            ),
-            truth(
-                "overload-structured",
-                "overload burst: zero hangs, zero unstructured errors, "
-                "no statuses outside {200, 429, 503}",
-                lambda e: e["async_front_end"]["overload"]["hung"] == 0
-                and e["async_front_end"]["overload"]["unstructured"] == 0
-                and e["async_front_end"]["overload"]["unexpected"] == 0,
-            ),
-            truth(
-                "write-path-clean",
-                "zero reader errors under back-to-back updates and zero "
-                "failed updates in the group-commit sweep",
-                lambda e: e["write_path"]["updates_under_readers"][
-                    "reader_errors"
-                ] == 0
-                and all(
-                    row["errors"] == 0
-                    for row in e["write_path"]["group_commit"]
-                ),
-            ),
-            bound(
-                # the 3-point exponent fit is noise-dominated at these
-                # sub-millisecond publishes; the stable COW signal is the
-                # per-size deep/cow ratio at the largest collection
-                "cow-vs-deep",
-                "COW publish beats the legacy deep-copy shadow at the "
-                "largest sweep size",
-                lambda e: e["write_path"]["publish_latency"]["sizes"][-1][
-                    "deep_over_cow"
-                ],
-                1.2, ci_minimum=0.8, unit="x",
-            ),
-            truth(
-                "ingest-crash-resume",
-                "ingest killed mid-publish, recovered and resumed, is "
-                "bit-identical to an uninterrupted run",
-                lambda e: e["ingestion"]["crash_resume"]["crashed"]
-                and e["ingestion"]["crash_resume"]["bit_identical"],
-            ),
-            truth(
-                "ingest-differential",
-                "streamed index answers identical to a batch-built "
-                "index over the same final collection, on all backends",
-                lambda e: e["ingestion"]["differential"]["all_identical"],
-            ),
-            truth(
-                "ingest-reader-errors",
-                "zero reader errors while the ingest pipeline publishes",
-                lambda e: e["ingestion"]["reader_errors"] == 0,
-            ),
-            bound(
-                "ingest-throughput",
-                "sustained streaming ingestion under 4-thread querying",
-                lambda e: e["ingestion"]["docs_per_second"], 50.0,
-                ci_minimum=5.0, unit=" docs/s",
-            ),
-        ],
-    )
-
-
-# ---------------------------------------------------------------------------
-# build suite: collection x backend x executor
-# ---------------------------------------------------------------------------
-
-def _build_setup() -> Dict[str, Any]:
-    cpus = host_cpus()
-    return {
-        "collections": bench_build_collections(),
-        "cpus": cpus,
-        "measured": cpus >= 2,
-        "per_collection": {},
-        "rpc_reference": None,
-        "rpc_limit": 1,
-        "rpc_loopback": None,
-    }
-
-
-def _build_cell(ctx: Dict[str, Any], axes: Dict[str, Any]) -> Any:
-    if axes["executor"] == "rpc":
-        linked, _ = ctx["collections"][axes["collection"]]
-        ctx["rpc_loopback"] = measure_rpc_loopback(
-            linked,
-            partition_limit=ctx["rpc_limit"],
-            reference_entries=ctx["rpc_reference"],
-        )
-        return ctx["rpc_loopback"]
-    name, backend = axes["collection"], axes["backend"]
-    collection, limit = ctx["collections"][name]
-    cell = measure_build_cell(
-        name, collection, backend=backend, limit=limit,
-        workers=DEFAULT_WORKERS, repeats=3, measured=ctx["measured"],
-    )
-    info = ctx["per_collection"].setdefault(name, {
-        "documents": collection.num_documents,
-        "elements": collection.num_elements,
-        "links": collection.num_links,
-        "num_partitions": cell["num_partitions"],
-        "num_cross_links": cell["num_cross_links"],
-        "partition_limit": limit,
-        "backends": {},
-    })
-    info["backends"][backend] = cell["row"]
-    if name == JOIN_HEADLINE and backend == HEADLINE_BACKEND:
-        ctx["rpc_reference"] = cell["reference_entries"]
-        ctx["rpc_limit"] = limit
-    return cell["row"]
-
-
-def _build_collect(ctx: Dict[str, Any], cells: List[Cell]) -> Dict[str, Any]:
-    result: Dict[str, Any] = {
-        "workers": DEFAULT_WORKERS,
-        "host_cpus": ctx["cpus"],
-        "speedup_source": "measured" if ctx["measured"] else "modeled-single-cpu",
-        "collections": ctx["per_collection"],
-    }
-    headline = result["collections"]["INEX"]["backends"][HEADLINE_BACKEND]
-    result["speedup_workers4"] = headline["speedup"]
-    join_headline = result["collections"][JOIN_HEADLINE]["backends"][
-        HEADLINE_BACKEND
-    ]["join_parallel"]
-    result["join_ratio"] = join_headline["join_ratio"]
-    result["join_speedup"] = join_headline["join_speedup"]
-    result["rpc_loopback"] = ctx["rpc_loopback"]
-    result["covers_identical_all"] = all(
-        row["covers_identical"]
-        for coll in result["collections"].values()
-        for row in coll["backends"].values()
-    ) and ctx["rpc_loopback"]["covers_identical"]
-    return emit_bench_build_entry(result)
-
-
-def _build_present(
-    ctx: Dict[str, Any], result: Dict[str, Any], cells: List[Cell]
-) -> None:
-    rows = []
-    for name, coll in result["collections"].items():
-        for backend, row in coll["backends"].items():
-            rows.append(
-                (
-                    name, backend, coll["num_partitions"],
-                    coll["num_cross_links"],
-                    round(row["serial_seconds"], 3),
-                    round(row["parallel_seconds"], 3),
-                    row["speedup"],
-                    "yes" if row["covers_identical"] else "NO",
-                )
-            )
-    print_table(
-        ["collection", "backend", "parts", "cross", "serial s",
-         f"{result['workers']}w s", "speedup", "identical"],
-        rows,
-        title=(
-            "Offline build: serial vs parallel divide-and-conquer "
-            f"(host CPUs: {result['host_cpus']}, "
-            f"speedups {result['speedup_source']}; "
-            "appended to BENCH_build.json)"
-        ),
-    )
-
-    join_rows = []
-    for name, coll in result["collections"].items():
-        for backend, row in coll["backends"].items():
-            jp = row["join_parallel"]
-            join_rows.append(
-                (
-                    name, backend, jp["shards"],
-                    round(jp["serial_join_seconds"], 3),
-                    round(jp["parallel_join_seconds"], 3),
-                    jp["join_ratio"], jp["join_speedup"],
-                )
-            )
-    print_table(
-        ["collection", "backend", "shards", "serial join s",
-         "parallel join s", "ratio", "speedup"],
-        join_rows,
-        title=(
-            "Parallel join (sharded Ĥ distribution): headline "
-            f"{JOIN_HEADLINE}/arrays ratio "
-            f"{result['join_ratio']} (≤ 0.7 is the bar)"
-        ),
-    )
-
-    rpc = result["rpc_loopback"]
-    print_table(
-        ["workers", "collection", "total s", "join s", "identical"],
-        [(rpc["workers"], rpc["collection"],
-          round(rpc["seconds_total"], 3), round(rpc["seconds_join"], 3),
-          "yes" if rpc["covers_identical"] else "NO")],
-        title="RPC loopback distributed build (repro build-worker x2)",
-    )
-
-
-def build_suite() -> SuiteSpec:
-    cells = [
-        dict(cell, executor="process")
-        for cell in product({
-            "collection": ["INEX", "INEX-linked", "DBLP"],
-            "backend": ["sets", "arrays"],
-        })
-    ] + [
-        # the distributed executor: two `repro build-worker` daemons
-        # over the loopback, identity-checked against the headline cell
-        {"collection": JOIN_HEADLINE, "backend": HEADLINE_BACKEND,
-         "executor": "rpc"},
-    ]
-    return SuiteSpec(
-        name="build",
-        title=f"HOPI offline-build benchmark (scale {workload_scale()}x)",
-        cells=cells,
-        setup=_build_setup,
-        run_cell=_build_cell,
-        collect=_build_collect,
-        present=_build_present,
-        gates=[
-            truth(
-                "covers-identical",
-                "every parallel/distributed cover bit-identical to its "
-                "serial twin (ROADMAP bar)",
-                lambda e: e["covers_identical_all"],
-            ),
-            bound(
-                "build-speedup",
-                "divide-and-conquer ≥ 1.8x serial on INEX/arrays "
-                "(ROADMAP bar)",
-                lambda e: e["speedup_workers4"], 1.8,
-                ci_minimum=0.5,
-            ),
-            ceiling(
-                "join-ratio",
-                "sharded join ≤ 0.7x the serial join on the headline "
-                "collection (ROADMAP bar)",
-                lambda e: e["join_ratio"], 0.7, ci_maximum=5.0, unit="x",
-            ),
-        ],
-    )
-
-
-# ---------------------------------------------------------------------------
-# paper suite: the Section-7 experiments (tables only, no gates)
-# ---------------------------------------------------------------------------
-
-def _paper_setup() -> Dict[str, Any]:
-    return {"dblp": bench_dblp(), "inex": bench_inex(), "records": {}}
-
-
-def _paper_cell(ctx: Dict[str, Any], axes: Dict[str, Any]) -> Any:
-    dblp, inex = ctx["dblp"], ctx["inex"]
-    experiment = axes["experiment"]
-    if experiment == "table1":
-        record = run_table1()
-    elif experiment == "table2":
-        record = run_table2(dblp)
-    elif experiment == "inex-build":
-        record = HopiIndex.build(
-            inex, strategy="recursive", partitioner="closure"
-        )
-    elif experiment == "maintenance-dblp":
-        record = run_maintenance_experiment(dblp, name="DBLP")
-    elif experiment == "maintenance-inex":
-        record = run_maintenance_experiment(inex, name="INEX", sample_size=10)
-    elif experiment == "insert-document":
-        record = run_insert_document_experiment(dblp)
-    elif experiment == "distance-overhead":
-        record = run_distance_overhead(dblp)
-    elif experiment == "center-preselection":
-        record = run_center_preselection_ablation(dblp)
-    elif experiment == "edge-weights":
-        record = run_edge_weight_ablation(dblp)
-    elif experiment == "query-vs-bfs":
-        record = run_query_benchmark(dblp)
-    else:
-        raise KeyError(f"unknown paper experiment {experiment!r}")
-    ctx["records"][experiment] = record
-    return record
-
-
-def _paper_present(
-    ctx: Dict[str, Any], entry: Dict[str, Any], cells: List[Cell]
-) -> None:
-    records = ctx["records"]
-    inex = ctx["inex"]
+    args = parser.parse_args()
+    if args.seed is not None:
+        os.environ["REPRO_BENCH_SEED"] = str(args.seed)
+    print(f"HOPI experiment harness (scale {workload_scale()}x, "
+          f"seed {workload_seed()})\n")
+    dblp, inex = bench_dblp(), bench_inex()
 
     print_table(
         ["coll.", "# docs", "# els", "# links", "size MB", "els/doc",
@@ -876,7 +61,7 @@ def _paper_present(
                 round(r["size_mb"], 2), round(r["elements_per_doc"], 1),
                 round(r["paper_elements_per_doc"], 1),
             )
-            for r in records["table1"]
+            for r in run_table1()
         ],
         title="Table 1: collection features (scaled)",
     )
@@ -886,12 +71,12 @@ def _paper_present(
          "paper time s", "paper size", "paper compr."],
         [
             row.as_tuple() + PAPER_TABLE2.get(row.label, ("-", "-", "-"))
-            for row in records["table2"]
+            for row in run_table2(dblp)
         ],
         title="Table 2: index build time and size",
     )
 
-    index = records["inex-build"]
+    index = HopiIndex.build(inex, strategy="recursive", partitioner="closure")
     print_table(
         ["collection", "cover size", "entries/node", "paper entries/node"],
         [("INEX", index.cover.size,
@@ -918,14 +103,16 @@ def _paper_present(
                 paper,
             )
             for m, paper in (
-                (records["maintenance-dblp"], "60% sep.; 2s test; 13s delete"),
-                (records["maintenance-inex"], "100% separate (no links)"),
+                (run_maintenance_experiment(dblp, name="DBLP"),
+                 "60% sep.; 2s test; 13s delete"),
+                (run_maintenance_experiment(inex, name="INEX", sample_size=10),
+                 "100% separate (no links)"),
             )
         ],
         title="Section 7.3: index maintenance",
     )
 
-    ins = records["insert-document"]
+    ins = run_insert_document_experiment(dblp)
     print_table(
         ["inserts", "avg s", "max s"],
         [(int(ins["inserts"]), round(ins["avg_seconds"], 4),
@@ -933,7 +120,7 @@ def _paper_present(
         title="Section 6.1: document insertion",
     )
 
-    dist = records["distance-overhead"]
+    dist = run_distance_overhead(dblp)
     print_table(
         ["plain size", "distance size", "entry overhead", "byte overhead",
          "plain s", "distance s"],
@@ -943,7 +130,7 @@ def _paper_present(
         title="Section 5: distance-aware cover overhead",
     )
 
-    pre = records["center-preselection"]
+    pre = run_center_preselection_ablation(dblp)
     print_table(
         ["with preselection", "without", "entries saved"],
         [(pre["with_preselection"], pre["without_preselection"],
@@ -953,118 +140,18 @@ def _paper_present(
 
     print_table(
         ["edge weight", "time s", "size", "compr.", "parts"],
-        [row.as_tuple() for row in records["edge-weights"]],
+        [row.as_tuple() for row in run_edge_weight_ablation(dblp)],
         title="Section 4.3 ablation: edge weights",
     )
 
-    q = records["query-vs-bfs"]
+    q = run_query_benchmark(dblp)
     print_table(
         ["queries", "HOPI qps", "BFS qps", "speedup vs BFS"],
         [(int(q["queries"]), round(q["hopi_qps"]), round(q["bfs_qps"]),
           round(q["speedup_vs_bfs"], 1))],
         title="Query performance (E16; [26] covers this in depth)",
     )
-
-
-def paper_suite() -> SuiteSpec:
-    cells = product({
-        "experiment": [
-            "table1", "table2", "inex-build", "maintenance-dblp",
-            "maintenance-inex", "insert-document", "distance-overhead",
-            "center-preselection", "edge-weights", "query-vs-bfs",
-        ],
-    })
-    return SuiteSpec(
-        name="paper",
-        title=f"HOPI experiment harness (scale {workload_scale()}x)",
-        cells=cells,
-        setup=_paper_setup,
-        run_cell=_paper_cell,
-        present=_paper_present,
-    )
-
-
-# ---------------------------------------------------------------------------
-# runner plumbing + legacy entry points
-# ---------------------------------------------------------------------------
-
-#: CLI suite name -> the matrix suites it runs (``paper`` has always
-#: included the query workloads; ``all`` is everything)
-SUITE_SELECTIONS = {
-    "paper": ["paper", "query"],
-    "query": ["query"],
-    "service": ["service"],
-    "build": ["build"],
-    "all": ["paper", "query", "service", "build"],
-}
-
-
-def build_runner(*, verbose: bool = True) -> MatrixRunner:
-    return MatrixRunner(
-        [paper_suite(), query_suite(), service_suite(), build_suite()],
-        verbose=verbose,
-    )
-
-
-def _run_selection(selection: str, *, verbose: bool = True) -> MatrixReport:
-    return build_runner(verbose=verbose).run(SUITE_SELECTIONS[selection])
-
-
-def _raise_on_failure(report: MatrixReport) -> MatrixReport:
-    if not report.ok:
-        failed = ", ".join(
-            f"[{g.suite}] {g.name}: {g.detail}" for g in report.failed_gates
-        )
-        raise RuntimeError(f"benchmark gate(s) failed: {failed}")
-    return report
-
-
-def run_paper_suite() -> MatrixReport:
-    """The Section-7 experiments + query workloads (legacy entry point)."""
-    return _raise_on_failure(_run_selection("paper"))
-
-
-def run_query_suite() -> MatrixReport:
-    """The query benchmark (one BENCH_query.json entry)."""
-    return _raise_on_failure(_run_selection("query"))
-
-
-def run_service_suite() -> MatrixReport:
-    """The serving-tier benchmark (appended to BENCH_service.json)."""
-    return _raise_on_failure(_run_selection("service"))
-
-
-def run_build_suite() -> MatrixReport:
-    """The offline-build benchmark (appended to BENCH_build.json)."""
-    return _raise_on_failure(_run_selection("build"))
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.bench",
-        description="HOPI benchmarks: the paper's Section-7 suite and "
-                    "the serving-tier load generator, run through one "
-                    "workload-matrix runner (exits non-zero on any "
-                    "failed bar)",
-    )
-    parser.add_argument(
-        "suite", nargs="?", default="paper",
-        choices=list(SUITE_SELECTIONS),
-        help="which benchmark suite to run (default: paper; 'query' "
-             "runs just the label-backend + planner workloads and "
-             "appends to BENCH_query.json)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None,
-        help="seed for every synthetic collection/workload/ingestion "
-             "generator (default: REPRO_BENCH_SEED or 2005); recorded "
-             "in the matrix summary",
-    )
-    args = parser.parse_args()
-    if args.seed is not None:
-        os.environ["REPRO_BENCH_SEED"] = str(args.seed)
-    report = _run_selection(args.suite)
-    return 0 if report.ok else 1
+    return 0
 
 
 if __name__ == "__main__":

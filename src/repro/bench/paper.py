@@ -1,7 +1,7 @@
 """Experiment runners regenerating the paper's Section 7 results.
 
-Every runner returns structured rows so pytest-benchmark wrappers,
-``python -m repro.bench`` and EXPERIMENTS.md all consume the same code.
+Every runner returns structured rows; ``python -m repro.bench`` prints
+them next to the paper's reference values.
 
 Scaling note: the paper's partition limits are absolute (``Px`` = x*10^4
 elements against a 169k-element DBLP subset; ``Nx`` = x*10^5 closure
@@ -12,18 +12,15 @@ labels correspond to and report the concrete limits used.
 
 from __future__ import annotations
 
-import math
 import random
 import statistics
 import time
-from dataclasses import asdict, dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
-from repro.bench.trajectory import anchored_trajectory_path, append_trajectory
 from repro.bench.workloads import bench_dblp, bench_inex
 from repro.core.cover_builder import build_cover
-from repro.core.hopi import HopiIndex, convert_cover
+from repro.core.hopi import HopiIndex
 from repro.core.maintenance import (
     delete_document,
     document_separates,
@@ -113,7 +110,7 @@ def run_build(
         cover_size=stats.cover_size,
         compression=compression_ratio(closure_connections, stats.cover_size),
         num_partitions=stats.num_partitions,
-        partition_limit=build_kwargs.get("partition_limit"),
+        partition_limit=stats.partition_limit,
         parallel_makespan=stats.parallel_makespan,
     )
 
@@ -398,368 +395,6 @@ def run_edge_weight_ablation(collection: Collection) -> List[BuildRow]:
 # ---------------------------------------------------------------------------
 
 
-# ---------------------------------------------------------------------------
-# label-backend comparison (descendant-step workload) + BENCH trajectory
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class BackendQueryRow:
-    """Per-backend measurements of the descendant-step workload."""
-
-    backend: str
-    queries: int
-    candidates: int
-    p50_ms: float
-    p95_ms: float
-    total_seconds: float
-    cover_entries: int
-    stored_integers: int
-
-
-def descendant_step_workload(
-    collection: Collection, *, n_sources: int = 100, seed: int = 11
-) -> Tuple[List[int], List[int]]:
-    """The canonical descendant-step workload: ``(sources, candidates)``.
-
-    Sources are randomly sampled document roots; candidates are all
-    elements of the collection's most frequent tag — exactly the batch
-    shape the query engine produces for every ``//a//b`` step. Shared
-    by the harness and the pytest benchmarks so both always measure the
-    same workload.
-    """
-    tag_index = collection.tags()
-    _, candidates = max(tag_index.items(), key=lambda kv: (len(kv[1]), kv[0]))
-    rng = random.Random(seed)
-    roots = sorted(d.root for d in collection.documents.values())
-    sources = [rng.choice(roots) for _ in range(n_sources)]
-    return sources, sorted(candidates)
-
-
-def measure_backend_cell(
-    base: HopiIndex,
-    collection: Collection,
-    sources: Sequence[int],
-    candidates: Sequence[int],
-    backend: str,
-) -> Tuple[BackendQueryRow, List[List[bool]]]:
-    """One ``descendant-step x backend`` matrix cell.
-
-    The cover is converted (never rebuilt) from ``base`` so the
-    measurement isolates the representation; returns the timing row
-    plus the raw answers so the caller can cross-check backends
-    bit-for-bit (a perf win that changes answers is a bug, not a win).
-    """
-    cover = convert_cover(base.cover, backend)
-    index = HopiIndex(collection, cover)
-    # warm per-backend lazy state (the vector backend seals its CSR
-    # slabs on the first probe; billing the one-off seal to the
-    # first source would distort the latency percentiles)
-    index.connected_many(sources[0], candidates)
-    latencies: List[float] = []
-    got: List[List[bool]] = []
-    t_total = time.perf_counter()
-    for s in sources:
-        t0 = time.perf_counter()
-        got.append(index.connected_many(s, candidates))
-        latencies.append(time.perf_counter() - t0)
-    total = time.perf_counter() - t_total
-    latencies.sort()
-    n = len(latencies)
-    p50 = latencies[n // 2]
-    p95 = latencies[min(n - 1, max(0, math.ceil(n * 0.95) - 1))]  # nearest rank
-    row = BackendQueryRow(
-        backend=backend,
-        queries=len(sources),
-        candidates=len(candidates),
-        p50_ms=p50 * 1e3,
-        p95_ms=p95 * 1e3,
-        total_seconds=total,
-        cover_entries=cover.size,
-        stored_integers=cover.stored_integers(),
-    )
-    return row, got
-
-
-def run_backend_query_benchmark(
-    collection: Collection,
-    *,
-    backends: Sequence[str] = ("sets", "arrays"),
-    n_sources: int = 100,
-    seed: int = 11,
-) -> Dict[str, BackendQueryRow]:
-    """Compare label backends on the descendant-step workload.
-
-    The workload mirrors what the query engine does for every
-    ``//a//b`` step: one source element probed against the full
-    candidate list of the next element test (the most frequent tag in
-    the collection) via ``connected_many``. The covers are *identical*
-    across backends (one build, converted), so the measurement isolates
-    the representation. The matrix runner drives the same
-    :func:`measure_backend_cell` core one backend-cell at a time.
-    """
-    base = HopiIndex.build(
-        collection, strategy="recursive", partitioner="node_weight",
-        partition_limit=max(collection.num_elements // 16, 1),
-    )
-    sources, candidates = descendant_step_workload(
-        collection, n_sources=n_sources, seed=seed
-    )
-
-    results: Dict[str, BackendQueryRow] = {}
-    answers: Dict[str, List[List[bool]]] = {}
-    for backend in backends:
-        results[backend], answers[backend] = measure_backend_cell(
-            base, collection, sources, candidates, backend
-        )
-    # all backends must agree bit-for-bit (hard error: this guards the
-    # BENCH_query.json acceptance record even under python -O)
-    first = answers[backends[0]]
-    for backend in backends[1:]:
-        if answers[backend] != first:
-            raise RuntimeError(
-                f"backend {backend!r} answers diverge from {backends[0]!r}"
-            )
-    return results
-
-
-@dataclass
-class PlannerQueryRow:
-    """Planned vs naive evaluation of the selective-tail workload."""
-
-    backend: str
-    path: str
-    matches: int
-    naive_seconds: float
-    planned_seconds: float
-    speedup: float
-
-
-def run_planner_benchmark(
-    collection: Optional[Collection] = None,
-    *,
-    backends: Sequence[str] = ("sets", "arrays"),
-    path: Optional[str] = None,
-    repeats: int = 3,
-) -> Dict[str, PlannerQueryRow]:
-    """Selective-tail workload: planned join order vs naive left-to-right.
-
-    The query (default ``//*//erratum`` over
-    :func:`~repro.bench.workloads.bench_dblp_selective`) has an
-    unselective head and a rare tail. The naive order issues one
-    forward ``connected_many`` probe per head element; the
-    selectivity-driven planner seeds at the tail and resolves the join
-    with a handful of backward ``ancestors``-side probes. Results are
-    asserted identical (bindings *and* scores) before any timing is
-    recorded — a plan that changes answers is a bug, not a win.
-    """
-    from repro.bench.workloads import SELECTIVE_RARE_TAG, bench_dblp_selective
-    from repro.query.engine import QueryEngine
-
-    if collection is None:
-        collection = bench_dblp_selective()
-    if path is None:
-        path = f"//*//{SELECTIVE_RARE_TAG}"
-    base = HopiIndex.build(
-        collection, strategy="recursive", partitioner="node_weight",
-        partition_limit=max(collection.num_elements // 16, 1),
-    )
-
-    results: Dict[str, PlannerQueryRow] = {}
-    reference: Optional[List[Tuple[tuple, float]]] = None
-    for backend in backends:
-        results[backend], answers = measure_planner_cell(
-            base, collection, path, backend, repeats=repeats
-        )
-        if reference is None:
-            reference = answers
-        elif answers != reference:
-            raise RuntimeError(
-                f"backend {backend!r} answers diverge on the planner workload"
-            )
-    return results
-
-
-def measure_planner_cell(
-    base: HopiIndex,
-    collection: Collection,
-    path: str,
-    backend: str,
-    *,
-    repeats: int = 3,
-) -> Tuple[PlannerQueryRow, List[Tuple[tuple, float]]]:
-    """One ``selective-tail x backend`` matrix cell.
-
-    Times the naive and the planned join order over the same converted
-    cover; planned-vs-naive answer identity is a hard precondition
-    (checked here, before any timing is kept), and the returned answer
-    list lets the caller cross-check backends against each other.
-    """
-    from repro.query.engine import QueryEngine
-
-    index = HopiIndex(collection, convert_cover(base.cover, backend))
-    engine = QueryEngine(index, max_results=10**9)
-    timings: Dict[str, float] = {}
-    answers: Dict[str, List[Tuple[tuple, float]]] = {}
-    for order in ("naive", "selective"):
-        engine.evaluate(path, order=order)  # warm candidate memos
-        best = math.inf
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            rows = engine.evaluate(path, order=order)
-            best = min(best, time.perf_counter() - t0)
-        timings[order] = best
-        answers[order] = [(r.bindings, r.score) for r in rows]
-    if answers["naive"] != answers["selective"]:
-        raise RuntimeError(
-            f"planner changed answers on backend {backend!r}"
-        )
-    row = PlannerQueryRow(
-        backend=backend,
-        path=path,
-        matches=len(answers["naive"]),
-        naive_seconds=timings["naive"],
-        planned_seconds=timings["selective"],
-        speedup=round(
-            timings["naive"] / max(timings["selective"], 1e-9), 2
-        ),
-    )
-    return row, answers["naive"]
-
-
-@dataclass
-class TopKQueryRow:
-    """Bounded-heap vs full-materialise ranked evaluation."""
-
-    backend: str
-    path: str
-    limit: int
-    matches: int
-    full_seconds: float
-    heap_seconds: float
-    speedup: float
-
-
-def run_topk_benchmark(
-    collection: Optional[Collection] = None,
-    *,
-    backend: str = "arrays",
-    path: Optional[str] = None,
-    limit: int = 10,
-    repeats: int = 3,
-) -> TopKQueryRow:
-    """Ranked top-k workload: heap streaming vs full materialisation.
-
-    The query produces a *large* result set (default: a wildcard head
-    into the collection's most frequent tag) but only the top ``limit``
-    ranked results are wanted. The unlimited evaluation materialises
-    and sorts every match; appending ``limit N`` routes ``evaluate``
-    through the bounded heap. Answers are asserted identical (the heap
-    path is provably the same top window) before any timing is kept.
-    """
-    if collection is None:
-        collection = bench_dblp()
-    if path is None:
-        tag_index = collection.tags()
-        top_tag, _ = max(
-            tag_index.items(), key=lambda kv: (len(kv[1]), kv[0])
-        )
-        path = f"//*//{top_tag}"
-    index = HopiIndex.build(
-        collection, strategy="recursive", partitioner="node_weight",
-        partition_limit=max(collection.num_elements // 16, 1),
-        backend=backend,
-    )
-    from repro.query.engine import QueryEngine
-
-    engine = QueryEngine(index, max_results=10**9)
-    limited = f"{path} limit {limit}"
-
-    def best_of(fn) -> float:
-        best = math.inf
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    full = engine.evaluate(path)  # warm memos (and the reference answer)
-    heap = engine.evaluate(limited)
-    if [(r.bindings, r.score) for r in heap] != [
-        (r.bindings, r.score) for r in full[:limit]
-    ]:
-        raise RuntimeError(
-            f"heap top-k answers diverge from the full sort on {path!r}"
-        )
-    full_seconds = best_of(lambda: engine.evaluate(path))
-    heap_seconds = best_of(lambda: engine.evaluate(limited))
-    return TopKQueryRow(
-        backend=backend,
-        path=path,
-        limit=limit,
-        matches=len(full),
-        full_seconds=full_seconds,
-        heap_seconds=heap_seconds,
-        speedup=round(full_seconds / max(heap_seconds, 1e-9), 2),
-    )
-
-
-def default_trajectory_path() -> Path:
-    """The repo-root (or cwd) ``BENCH_query.json`` path."""
-    return anchored_trajectory_path("BENCH_query.json")
-
-
-def emit_bench_query_entry(
-    rows: Dict[str, BackendQueryRow],
-    *,
-    planner: Optional[Dict[str, PlannerQueryRow]] = None,
-    topk: Optional[TopKQueryRow] = None,
-    path: Union[str, Path, None] = None,
-    collection_name: str = "DBLP",
-    workload: str = "descendant-step",
-) -> Dict[str, object]:
-    """Append one trajectory entry to ``BENCH_query.json``.
-
-    The file holds a JSON list; each run appends, so future PRs can
-    diff latency and index size against history. ``planner`` adds the
-    selective-tail planned-vs-naive comparison
-    (:func:`run_planner_benchmark`); its headline
-    ``speedup_planned_vs_naive`` is the arrays-backend figure.
-    ``topk`` adds the ranked-topk heap-vs-full comparison
-    (:func:`run_topk_benchmark`) with headline
-    ``speedup_heap_vs_full``.
-    """
-    if path is None:
-        path = default_trajectory_path()
-    entry: Dict[str, object] = {
-        "collection": collection_name,
-        "workload": workload,
-        "backends": {name: asdict(row) for name, row in rows.items()},
-    }
-    if "sets" in rows and "arrays" in rows:
-        entry["speedup_arrays_vs_sets"] = round(
-            rows["sets"].total_seconds / max(rows["arrays"].total_seconds, 1e-9), 2
-        )
-    if "arrays" in rows and "vector" in rows:
-        entry["speedup_vector_vs_arrays"] = round(
-            rows["arrays"].total_seconds / max(rows["vector"].total_seconds, 1e-9),
-            2,
-        )
-    if planner:
-        entry["planner"] = {
-            "workload": "selective-tail",
-            "backends": {
-                name: asdict(row) for name, row in planner.items()
-            },
-        }
-        headline = planner.get("arrays") or next(iter(planner.values()))
-        entry["speedup_planned_vs_naive"] = headline.speedup
-    if topk is not None:
-        entry["topk"] = {"workload": "ranked-topk", **asdict(topk)}
-        entry["speedup_heap_vs_full"] = topk.speedup
-    return append_trajectory(path, entry)
-
-
 def run_query_benchmark(
     collection: Collection, *, n_queries: int = 500, seed: int = 11
 ) -> Dict[str, float]:
@@ -788,7 +423,8 @@ def run_query_benchmark(
     bfs_answers = [is_reachable(graph, u, v) for u, v in pairs]
     bfs_seconds = time.perf_counter() - t0
 
-    assert hopi_answers == closure_answers == bfs_answers
+    if not hopi_answers == closure_answers == bfs_answers:
+        raise RuntimeError("HOPI answers diverge from the closure/BFS oracles")
     return {
         "queries": float(n_queries),
         "hopi_seconds": hopi_seconds,

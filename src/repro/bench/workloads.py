@@ -1,28 +1,17 @@
-"""Benchmark workloads — scaled-down analogues of the paper's datasets.
+"""Paper-table workloads — scaled-down analogues of the paper's datasets.
 
 The paper's DBLP subset (6,210 docs / 168,991 elements / 25,368 links)
 and INEX (12,232 docs / 12.06M elements / no links) are reproduced in
 *structural profile* at a scale pure Python can sweep in minutes. The
 environment variable ``REPRO_BENCH_SCALE`` multiplies the default sizes
 (e.g. ``REPRO_BENCH_SCALE=4`` runs 4x larger collections).
-
-:func:`bench_inex_linked` adds the **join-heavy** variant: the same
-deep INEX-like trees, citation-linked the way the paper links hybrid
-web/intranet collections — deep elements referencing other documents'
-roots. Link targets at roots make every cross-partition link fan out
-to a whole document on the ``Lin`` side, so the cover join's
-distribution step (the phase the parallel join shards) dominates the
-join wall, mirroring the paper's "most of the time was spent joining
-the covers" observation.
 """
 
 from __future__ import annotations
 
 import os
-import random
 from functools import lru_cache
 
-from repro.bench.matrix import bench_seed
 from repro.xmlmodel.generator import dblp_like, inex_like
 from repro.xmlmodel.model import Collection
 
@@ -31,15 +20,6 @@ from repro.xmlmodel.model import Collection
 DEFAULT_DBLP_DOCS = 300
 DEFAULT_INEX_DOCS = 30
 DEFAULT_INEX_ELEMENTS_PER_DOC = 380
-#: mean outgoing citations per document of the linked-INEX variant
-DEFAULT_INEX_LINKED_CITES = 48
-#: bibliography elements carrying those citations, per document
-DEFAULT_INEX_LINKED_BIBS = 6
-#: one document in this many carries the rare tail tag of the
-#: selective-tail planner workload
-SELECTIVE_RARE_EVERY = 100
-#: the rare tag itself (absent from the generators' vocabularies)
-SELECTIVE_RARE_TAG = "erratum"
 
 
 def workload_scale() -> float:
@@ -48,14 +28,10 @@ def workload_scale() -> float:
 
 
 def workload_seed() -> int:
-    """The run's generator seed (``REPRO_BENCH_SEED``, default 2005).
-
-    One seed threads through every synthetic collection here and every
-    :mod:`repro.ingest.sources` generator, so a matrix run is
-    reproducible end to end — ``python -m repro.bench all --seed N``
-    sets it for the whole process.
-    """
-    return bench_seed()
+    """The run's generator seed (``REPRO_BENCH_SEED``, default 2005 —
+    the paper's year); ``python -m repro.bench --seed N`` sets it for
+    the whole process."""
+    return int(os.environ.get("REPRO_BENCH_SEED", "2005"))
 
 
 @lru_cache(maxsize=8)
@@ -80,83 +56,3 @@ def bench_inex(
         seed=seed,
         elements_per_doc=DEFAULT_INEX_ELEMENTS_PER_DOC,
     )
-
-
-@lru_cache(maxsize=8)
-def bench_dblp_selective(
-    scale: float | None = None, seed: int | None = None
-) -> Collection:
-    """The DBLP-like collection with a **rare tail tag** planted.
-
-    Every :data:`SELECTIVE_RARE_EVERY`-th document (at least two)
-    gains one ``erratum`` child under its root — a tag that appears
-    nowhere else, making ``//*//erratum`` the paper-motivated
-    selective-*tail* query: the head step matches every element, the
-    tail a handful. The left-to-right evaluator pays one forward probe
-    per head binding; the selectivity-driven planner seeds at the tail
-    and probes backward over the cover's ``ancestors`` side — the gap
-    between the two is what ``BENCH_query.json``'s planner entry
-    records.
-    """
-    scale = workload_scale() if scale is None else scale
-    seed = workload_seed() if seed is None else seed
-    collection = dblp_like(max(int(DEFAULT_DBLP_DOCS * scale), 10), seed=seed)
-    docs = sorted(collection.documents)
-    rare_docs = docs[:: SELECTIVE_RARE_EVERY] if len(docs) > 2 else docs[:2]
-    if len(rare_docs) < 2:
-        rare_docs = docs[:2]
-    for doc_id in rare_docs:
-        collection.add_child(collection.documents[doc_id].root,
-                             SELECTIVE_RARE_TAG)
-    return collection
-
-
-@lru_cache(maxsize=8)
-def bench_inex_linked(
-    scale: float | None = None, seed: int | None = None
-) -> Collection:
-    """Deep INEX-like trees plus citation-style links — join-heavy.
-
-    Every document (except the first) cites earlier documents from a
-    handful of deep "bibliography" elements into the cited documents'
-    *roots*, with a seeded RNG so the collection is identical across
-    runs — the profile of the paper's hybrid intranet collections,
-    where hub documents reference large parts of the corpus. Root
-    targets fan every cross-partition link out to a whole document on
-    the ``Lin`` side, and concentrating the link sources on a few deep
-    elements per document keeps the PSG small while its ``H̄`` reach
-    sets stay large — together they make the join's distribution step
-    dominate the join wall, the phase the parallel join shards ("most
-    of the time was spent joining the covers").
-    """
-    scale = workload_scale() if scale is None else scale
-    seed = workload_seed() if seed is None else seed
-    n_docs = max(int(DEFAULT_INEX_DOCS * scale), 4)
-    collection = inex_like(
-        n_docs,
-        seed=seed,
-        elements_per_doc=DEFAULT_INEX_ELEMENTS_PER_DOC,
-    )
-    rng = random.Random(seed)
-    docs = sorted(collection.documents)
-    elements_by_doc: dict = {d: [] for d in docs}
-    for eid in sorted(collection.elements):
-        elements_by_doc[collection.elements[eid].doc].append(eid)
-    cites = DEFAULT_INEX_LINKED_CITES
-    n_bib = DEFAULT_INEX_LINKED_BIBS
-    for i, doc in enumerate(docs):
-        if i == 0:
-            continue
-        members = elements_by_doc[doc]
-        # a few deep bibliography elements carry all of the doc's cites
-        step = max(len(members) // (n_bib + 1), 1)
-        bib = [
-            members[min((3 * len(members)) // 4 + k * step // 4,
-                        len(members) - 1)]
-            for k in range(n_bib)
-        ]
-        for _ in range(rng.randrange(cites // 2, 2 * cites)):
-            cited = docs[rng.randrange(0, i)]
-            target = collection.documents[cited].root
-            collection.add_link(rng.choice(bib), target)
-    return collection

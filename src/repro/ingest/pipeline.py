@@ -23,8 +23,7 @@ hrefs.
 Freshness lag is measured per document: the clock starts when the
 record leaves the source (discovery) and stops when its batch's new
 epoch is acknowledged (publish). The p50/p99 of those lags are the
-serving tier's ingestion-freshness figure in ``BENCH_service.json``
-and the ``/v1/metrics`` gauge.
+serving tier's ingestion-freshness figure in the ``/v1/metrics`` gauge.
 """
 
 from __future__ import annotations

@@ -16,8 +16,7 @@ Link endpoints:
   ``insert_document`` op itself);
 * inter-document links name a *previously streamed* document by id and
   always target its root — the hub-into-document profile of the
-  paper's hybrid collections (and of :func:`~repro.bench.workloads.
-  bench_inex_linked`). Targeting roots keeps resume trivial: a link
+  paper's hybrid collections. Targeting roots keeps resume trivial: a link
   target is resolvable from the recovered collection alone
   (``documents[doc_id].root``), with no side lookup table to persist.
 """

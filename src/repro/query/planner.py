@@ -34,8 +34,7 @@ from repro.query.plan import Limit, LogicalPlan, build_logical_plan
 
 #: Planner modes: ``"selective"`` starts at the lowest-cardinality step
 #: and grows greedily; ``"naive"`` reproduces the legacy left-to-right
-#: order (kept for differential tests and the BENCH_query planner
-#: comparison).
+#: order (kept as the reference for differential tests).
 PLANNER_MODES = ("selective", "naive")
 
 

@@ -33,8 +33,8 @@ index:
   bit-identical answers, MVCC-generation rolling hot-swap and an
   explicit degraded mode — ``repro serve --shards N``.
 
-``repro.bench.service_load`` drives this tier under closed- and
-open-loop load and records the ``BENCH_service.json`` trajectory.
+The ``read-cold``, ``read-hot`` and ``write-mixed`` workloads of
+``perf/`` (see ``BENCHMARK.json``) measure this tier over real HTTP.
 """
 
 from repro.service.api import ServiceAPI, error_payload

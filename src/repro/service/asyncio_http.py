@@ -2,8 +2,8 @@
 
 ``ThreadingHTTPServer`` spawns one thread per connection; under an
 open-loop burst of cold queries those threads convoy on the GIL and
-the accept queue, and tail latency explodes (the 25000x p99/p50 gap
-``BENCH_service.json`` recorded). This front end replaces the
+the accept queue, and tail latency explodes (a 25000x p99/p50 gap
+was measured on a cold-miss mix). This front end replaces the
 thread-per-connection model with:
 
 * **one event loop** owning every socket — accept, parse and response

@@ -18,8 +18,10 @@ The contract under test is the tentpole of the async front-end work:
 Timing-sensitive assertions use generous bounds when ``CI`` is set.
 """
 
+import contextlib
 import json
 import os
+import socketserver
 import threading
 import time
 import urllib.error
@@ -581,3 +583,85 @@ class TestTailLatency:
             f"p50={p50 * 1e3:.3f}ms p99={p99 * 1e3:.3f}ms "
             f"ratio={p99 / p50:.0f}x bound={TAIL_RATIO_BOUND:.0f}x"
         )
+
+
+# ---------------------------------------------------------------------------
+# the load generators themselves: a request must never leave the report
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def stub_server(respond):
+    """A throwaway TCP server: ``respond(sock)`` answers each connection
+    after its request head has arrived. Yields ``(host, port)``."""
+
+    class Handler(socketserver.BaseRequestHandler):
+        def handle(self):
+            head = b""
+            while b"\r\n\r\n" not in head:
+                head += self.request.recv(4096)
+            try:
+                respond(self.request)
+            except OSError:
+                pass  # the client gave up first
+
+    class Server(socketserver.ThreadingTCPServer):
+        daemon_threads = True
+        allow_reuse_address = True
+
+    with Server(("127.0.0.1", 0), Handler) as server:
+        thread = threading.Thread(
+            target=server.serve_forever, args=(0.02,), daemon=True
+        )
+        thread.start()
+        try:
+            yield server.server_address
+        finally:
+            server.shutdown()
+            thread.join(timeout=10)
+
+
+class TestLoadGenerators:
+    def test_malformed_retry_after_counts_as_unstructured(self):
+        """A shed whose Retry-After is not an integer used to raise in
+        the sender thread and drop out of the report altogether."""
+        body = b'{"error": {"code": "overloaded", "message": "busy"}}'
+
+        def respond(sock):
+            sock.sendall(
+                b"HTTP/1.1 429 Too Many Requests\r\nRetry-After: soon\r\n"
+                b"Content-Type: application/json\r\nContent-Length: "
+                + str(len(body)).encode() + b"\r\n\r\n" + body
+            )
+
+        with stub_server(respond) as (host, port):
+            report = harness.open_loop_burst(
+                host, port, ["/v1/query?path=//a"], rate=30.0, duration=0.1,
+                timeout=5.0,
+            )
+        assert report.summary() == {
+            "total": 3, "ok": 0, "shed": 3, "degraded": 0, "hung": 0,
+            "unstructured": 3, "unexpected": 0,
+        }
+
+    def test_sender_outliving_the_join_counts_as_hung(self, monkeypatch):
+        """A response trickling in under the per-read socket timeout
+        keeps its sender alive past the join; it used to be omitted."""
+        monkeypatch.setattr(harness, "JOIN_GRACE", 0.05)
+
+        def respond(sock):
+            sock.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 1000\r\n\r\n")
+            for _ in range(50):  # a 1 s drip, each read well inside 0.2 s
+                sock.sendall(b" ")
+                time.sleep(0.02)
+
+        with stub_server(respond) as (host, port):
+            report = harness.open_loop_burst(
+                host, port, ["/v1/stats"], rate=20.0, duration=0.1,
+                timeout=0.2,
+            )
+            convoy = harness.cold_miss_convoy(
+                host, port, "/v1/stats", n_clients=2, timeout=0.2,
+            )
+        assert (report.total, report.hung) == (2, 2)
+        assert [o.hung for o in convoy] == [True, True]

@@ -48,9 +48,8 @@ def test_readme_covers_the_essentials():
         "repro serve",
         "--workers",
         "ARCHITECTURE.md",
-        "BENCH_query.json",
-        "BENCH_service.json",
-        "BENCH_build.json",
+        "BENCHMARK.json",
+        "perf/README.md",
         "sets",
         "arrays",
     ):

@@ -19,8 +19,9 @@ import random
 
 import pytest
 
-from repro.core.hopi import HopiIndex
+from repro.core.hopi import BACKENDS, HopiIndex
 from repro.graph.closure import distance_closure, transitive_closure
+from repro.xmlmodel.generator import dblp_like
 from repro.xmlmodel.model import Collection
 
 TAGS = ("a", "b", "c")
@@ -127,6 +128,27 @@ def test_all_build_strategies_equivalent(strategy):
     )
     assert_equivalent(sets_index, arrays_index)
     assert sets_index.cover.size == arrays_index.cover.size
+
+
+def test_every_backend_answers_the_descendant_step_identically():
+    """One cover, converted (never rebuilt) into every label backend:
+    the batch shape the query engine issues for each ``//a//b`` step —
+    a document root probed against every element of the most frequent
+    tag — gets bit-identical answers whatever ``REPRO_BACKEND`` says."""
+    collection = dblp_like(30, seed=7)
+    base = HopiIndex.build(
+        collection, strategy="recursive", partitioner="node_weight",
+        partition_limit=max(collection.num_elements // 16, 1),
+    )
+    _, members = max(collection.tags().items(), key=lambda kv: (len(kv[1]), kv[0]))
+    candidates = sorted(members)
+    roots = sorted(d.root for d in collection.documents.values())
+    expected = [base.connected_many(root, candidates) for root in roots]
+    assert any(any(row) for row in expected)
+    for backend in BACKENDS:
+        index = base.with_backend(backend)
+        got = [index.connected_many(root, candidates) for root in roots]
+        assert got == expected, backend
 
 
 # ---------------------------------------------------------------------------

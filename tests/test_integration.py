@@ -6,6 +6,8 @@ families, checking exactness at every stage.
 """
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -132,8 +134,9 @@ def test_cross_strategy_equivalence():
 
 
 def test_harness_runners_smoke():
-    """The benchmark harness functions run end-to-end at tiny scale."""
-    from repro.bench.harness import (
+    """The paper-table runners run end-to-end at tiny scale."""
+    from repro.bench.paper import (
+        run_build,
         run_center_preselection_ablation,
         run_distance_overhead,
         run_edge_weight_ablation,
@@ -152,6 +155,10 @@ def test_harness_runners_smoke():
     for row in rows:
         assert row.cover_size > 0
         assert row.compression > 0
+    # the limit actually partitioned with, also when it was derived
+    assert rows[0].partition_limit == max(int(tiny.num_elements * 0.06), 1)
+    derived = run_build(tiny, "derived", partitioner="node_weight")
+    assert derived.partition_limit == max(tiny.num_elements // 8, 1)
 
     maint = run_maintenance_experiment(tiny, sample_size=6)
     assert 0.0 <= maint.separating_fraction <= 1.0
@@ -188,6 +195,25 @@ def test_reporting_table_format():
     assert len(lines) == 6  # title, rule, header, separator, 2 rows
 
 
+def test_paper_tables_cli_prints_every_table():
+    """``python -m repro.bench`` is a straight-line script: exit 0 and
+    one table per paper experiment."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.bench", "--seed", "7"],
+        env={**os.environ, "REPRO_BENCH_SCALE": "0.1", "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    for title in (
+        "Table 1:", "Table 2:", "Section 7.2:", "Section 7.3:",
+        "Section 6.1:", "Section 5:", "Section 4.2 ablation:",
+        "Section 4.3 ablation:", "Query performance",
+    ):
+        assert title in done.stdout, f"missing table {title!r}"
+    assert "seed 7" in done.stdout
+
+
 def test_workload_scale_env(monkeypatch):
     from repro.bench import workloads
 
@@ -195,3 +221,7 @@ def test_workload_scale_env(monkeypatch):
     assert workloads.workload_scale() == 2.5
     monkeypatch.delenv("REPRO_BENCH_SCALE")
     assert workloads.workload_scale() == 1.0
+    monkeypatch.delenv("REPRO_BENCH_SEED", raising=False)
+    assert workloads.workload_seed() == 2005
+    monkeypatch.setenv("REPRO_BENCH_SEED", "7")
+    assert workloads.workload_seed() == 7

@@ -15,6 +15,7 @@ import urllib.request
 
 import pytest
 
+import harness
 from repro.core.hopi import HopiIndex
 from repro.core.rpc import start_worker_thread
 from repro.service import (
@@ -206,16 +207,14 @@ def test_update_failure_is_all_or_nothing():
 
 
 def test_rolling_swap_never_tears():
-    """The bench harness's per-epoch oracle, against the router: every
-    concurrent response during rolling generation swaps must match the
-    offline replay of the epoch it claims to come from."""
-    from repro.bench.service_load import run_hot_swap_under_load
-
+    """The per-epoch oracle, against the router: every concurrent
+    response during rolling generation swaps must match the offline
+    replay of the epoch it claims to come from."""
     collection = dblp_like(12, seed=7)
     index = HopiIndex.build(collection, backend="arrays")
     with ShardRouter(index, 3, max_results=100) as router:
         paths = ["//article//author", "//article//cite//article"]
-        result = run_hot_swap_under_load(
+        result = harness.run_hot_swap_under_load(
             router, paths, threads=3, requests_per_thread=40, updates=3
         )
     assert result.errors == 0

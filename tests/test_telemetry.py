@@ -25,14 +25,6 @@ class TestPercentile:
         assert percentile(values, 0.99) == 99.0
         assert percentile(values, 1.0) == 100.0
 
-    def test_matches_bench_arithmetic(self):
-        # same nearest-rank convention as repro.bench.service_load
-        from repro.bench.service_load import percentile as bench_percentile
-
-        values = sorted([0.1, 0.5, 0.9, 2.0, 7.0, 13.0, 21.0])
-        for f in (0.5, 0.9, 0.95, 0.99):
-            assert percentile(values, f) == bench_percentile(values, f)
-
 
 class TestEndpointStats:
     def test_counts_and_classification(self):
