@@ -34,7 +34,6 @@ def main() -> None:
         strategy="recursive",
         partitioner="node-weight",   # CLI-style alias for "node_weight"
         partition_limit=limit,
-        backend="arrays",
     )
 
     # -- 2. the same build, partition covers in a 4-process pool --------
@@ -43,7 +42,6 @@ def main() -> None:
         strategy="recursive",
         partitioner="node-weight",
         partition_limit=limit,
-        backend="arrays",
         workers=4,                   # executor defaults to "process"
     )
 
@@ -69,7 +67,6 @@ def main() -> None:
         collection,
         partitioner="node_weight",
         partition_limit=limit,
-        backend="arrays",
         workers=2,
     )
     partitioning = pipeline.partition()
@@ -100,7 +97,6 @@ def main() -> None:
             strategy="recursive",
             partitioner="node-weight",
             partition_limit=limit,
-            backend="arrays",
             executor="rpc",
             rpc_workers=[addr_a, addr_b],
         )

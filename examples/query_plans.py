@@ -29,7 +29,7 @@ def main() -> None:
     docs = sorted(collection.documents)
     for doc_id in docs[::40]:  # a handful of rare 'erratum' elements
         collection.add_child(collection.documents[doc_id].root, "erratum")
-    index = HopiIndex.build(collection, backend="arrays")
+    index = HopiIndex.build(collection)
     engine = QueryEngine(index, max_results=10**9)
 
     print("== 1. explain(): the plan for a selective-tail query ==")

@@ -35,7 +35,7 @@ def show(label, response):
 def main():
     collection = dblp_like(24, seed=7)
     print(f"collection: {collection}")
-    index = HopiIndex.build(collection, backend="arrays")
+    index = HopiIndex.build(collection)
     print(f"index: {index}\n")
 
     # ---- 1. single-process baseline -----------------------------------

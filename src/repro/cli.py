@@ -26,7 +26,7 @@ Usage (also via ``python -m repro``)::
     # explain, connected, distance, update, stats) with concurrent
     # queries, result caching and zero-downtime update hot-swap;
     # un-versioned routes keep answering as deprecated aliases
-    python -m repro serve index.db --port 8080 --backend arrays
+    python -m repro serve index.db --port 8080
 
 Documents are identified by file stem; XLink ``href`` attributes resolve
 to links exactly as in :func:`repro.xmlmodel.parser.load_collection`.
@@ -39,7 +39,7 @@ import pathlib
 import sys
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.hopi import BACKENDS, HopiIndex
+from repro.core.hopi import HopiIndex
 from repro.query.engine import QueryEngine
 from repro.storage.db import SQLiteCoverStore, load_index, persist_index
 from repro.xmlmodel.export import export_collection
@@ -118,7 +118,6 @@ def cmd_build(args: argparse.Namespace) -> int:
         partition_limit=args.partition_limit,
         edge_weight=args.edge_weight,
         distance=args.distance,
-        backend=args.backend,
         executor=args.executor,
         join_shards=args.join_shards,
         **parse_workers(args.workers, args.executor),
@@ -127,7 +126,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     print(
         f"built in {stats.seconds_total:.2f}s "
         f"({stats.num_partitions} partitions, |L| = {stats.cover_size}, "
-        f"backend = {stats.backend}, executor = {stats.executor}"
+        f"executor = {stats.executor}"
         + (
             f", partition limit = {stats.partition_limit}"
             if stats.partition_limit is not None
@@ -185,7 +184,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
     from repro.query.pathexpr import parse_path
 
-    index = load_index(args.index, backend=args.backend)
+    index = load_index(args.index)
     engine = QueryEngine(
         index,
         max_results=args.max_results,
@@ -273,17 +272,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if durable_store.exists():
             # crash recovery: snapshot + replay of WAL records newer
             # than the snapshot epoch — args.index is only the seed
-            index = durable_store.recover(backend=args.backend)
+            index = durable_store.recover()
             print(
                 f"recovered epoch {index.epoch} from {args.store}",
                 flush=True,
             )
         else:
-            index = load_index(args.index, backend=args.backend)
+            index = load_index(args.index)
             durable_store.initialize(index)
             print(f"initialised durable store {args.store}", flush=True)
     else:
-        index = load_index(args.index, backend=args.backend)
+        index = load_index(args.index)
     workers = None
     if args.shard_workers:
         workers = [a.strip() for a in args.shard_workers.split(",") if a.strip()]
@@ -330,7 +329,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             host, port = await server.start(args.host, args.port)
             print(
                 f"serving {args.index} on http://{host}:{port} "
-                f"(backend={index.backend}, epoch={service.epoch}, {mode}, "
+                f"(epoch={service.epoch}, {mode}, "
                 f"async max_inflight={args.max_inflight} "
                 f"queue_depth={args.queue_depth})",
                 flush=True,
@@ -350,7 +349,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     host, port = server.server_address[:2]
     print(
         f"serving {args.index} on http://{host}:{port} "
-        f"(backend={index.backend}, epoch={service.epoch}, {mode})",
+        f"(epoch={service.epoch}, {mode})",
         flush=True,
     )
     try:
@@ -408,7 +407,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                     "streams in one store"
                 )
             cursor = checkpoint.cursor
-        index = store.recover(backend=args.backend)
+        index = store.recover()
         print(
             f"resuming: recovered epoch {index.epoch} "
             f"({index.collection.num_documents} documents), frontier at "
@@ -420,9 +419,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             raise SystemExit(
                 f"nothing to resume: {args.store} holds no durable store"
             )
-        index = HopiIndex.build(
-            Collection(), backend=args.backend or "arrays"
-        )
+        index = HopiIndex.build(Collection())
         store.initialize(index)
         print(f"initialised durable store {args.store}", flush=True)
 
@@ -477,11 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["links", "AxD", "A+D"])
     p.add_argument("--distance", action="store_true",
                    help="build a distance-aware cover (Section 5)")
-    p.add_argument("--backend", default="sets",
-                   choices=list(BACKENDS),
-                   help="label backend: dict-of-sets, interned dense ids "
-                        "with sorted arrays, or sealed CSR slabs with "
-                        "batch probe kernels (identical answers)")
     p.add_argument("--workers", default=None,
                    help="worker-pool size (build partition covers and "
                         "join shards concurrently; Section 4's parallel "
@@ -545,12 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="minimum ontology similarity for a ~tag step to "
                         "include a tag (the serving tier's knob, now "
                         "settable here too)")
-    p.add_argument("--backend", default=None,
-                   choices=list(BACKENDS),
-                   help="label backend to load the cover into; 'arrays' "
-                        "uses the batched descendant-step hot path and "
-                        "'vector' adds sealed-slab batch kernels "
-                        "(default: the backend the index was built with)")
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("connected", help="reachability test between elements")
@@ -579,11 +565,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8080,
                    help="listening port (0 picks an ephemeral port)")
-    p.add_argument("--backend", default=None,
-                   choices=list(BACKENDS),
-                   help="label backend to serve from (default: as built; "
-                        "'arrays' is the fast descendant-step path, "
-                        "'vector' its batch-kernel raw-speed variant)")
+    # accepted and ignored: there is one label representation, but
+    # perf/ still passes the flag and may not be edited in the PR that
+    # retired the option
+    p.add_argument("--backend", default=None, help=argparse.SUPPRESS)
     p.add_argument("--shards", type=int, default=None,
                    help="serve sharded: partition documents over N "
                         "shards behind a scatter-gather router "
@@ -662,8 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=2005,
                    help="seed for synthetic sources (default 2005); a "
                         "resume must pass the original seed")
-    p.add_argument("--backend", default=None, choices=list(BACKENDS),
-                   help="label backend for a fresh store (default arrays)")
     p.add_argument("--batch-docs", type=int, default=8,
                    help="documents per group-commit batch (default 8): "
                         "bigger amortises publishes, smaller cuts "

@@ -2,8 +2,9 @@
 
 Modules:
 
-* :mod:`repro.core.cover` — 2-hop cover data structures (reachability and
-  distance-aware) with forward and backward label indexes (Sections 3.1,
+* :mod:`repro.core.cover` — the 2-hop cover (reachability and
+  distance-aware): sorted id arrays with forward and backward label
+  indexes and a lazily built CSR seal for batch probes (Sections 3.1,
   3.4, 5.1).
 * :mod:`repro.core.center_graph` — center graphs and the linear-time
   densest-subgraph 2-approximation (Section 3.2).

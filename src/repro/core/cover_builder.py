@@ -27,19 +27,19 @@ and expands the component labels back to the original nodes.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.center_graph import densest_subgraph, initial_density_upper_bound
-from repro.core.cover import TwoHopCover
+from repro.core.cover import DistanceTwoHopCover, TwoHopCover
 from repro.graph.closure import TransitiveClosure, condensation_closure
 from repro.graph.condensation import Condensation
 from repro.graph.digraph import DiGraph
 
 Node = Hashable
 
-#: A cover backend constructor: ``factory(nodes) -> CoverProtocol``.
-#: ``TwoHopCover`` (sets) and ``ArrayTwoHopCover`` (dense arrays) both
-#: qualify; the builders never touch anything beyond the protocol.
+#: A cover constructor, ``factory(nodes) -> cover``: ``TwoHopCover``, a
+#: subclass, or anything with its ``add_lin`` / ``add_lout`` surface (the
+#: test oracle) — the builders touch no more.
 CoverFactory = Callable[[Iterable[Node]], "TwoHopCover"]
 
 
@@ -88,13 +88,20 @@ def _center_graph_adj(
     return adj
 
 
-def build_cover_for_closure(
+def greedy_center_assignments(
     closure: TransitiveClosure,
     *,
     preselected_centers: Iterable[Node] = (),
-    cover_factory: CoverFactory = TwoHopCover,
-) -> TwoHopCover:
-    """Compute a 2-hop cover for a materialised DAG closure.
+) -> Iterator[Tuple[Node, Set[Node], Set[Node]]]:
+    """The greedy 2-hop construction over a materialised DAG closure,
+    as a stream of ``(center, in_side, out_side)`` assignments.
+
+    Each assignment stands for the label entries ``center ∈ Lout(u)``
+    for every ``u`` of ``in_side`` and ``center ∈ Lin(v)`` for every
+    ``v`` of ``out_side``; together they cover every connection of the
+    closure. The construction consults only the closure — never a
+    cover — so callers are free to write the entries wherever (and
+    under whatever node names) they like.
 
     Args:
         closure: the (strict) transitive closure of a DAG. Passing a
@@ -103,12 +110,7 @@ def build_cover_for_closure(
         preselected_centers: nodes to use as center nodes *first*
             (Section 4.2; HOPI passes cross-partition link targets).
             Each covers every uncovered connection running through it.
-        cover_factory: backend constructor for the result cover.
-
-    Returns:
-        A reachability cover over the closure's nodes.
     """
-    cover = cover_factory(closure.reach.keys())
     uncovered = _UncoveredSet(closure)
 
     # ---- Section 4.2: preselected centers (link targets) first --------
@@ -126,10 +128,7 @@ def build_cover_for_closure(
             out_side.update(vs)
             for v in vs:
                 uncovered.remove(u, v)
-        for u in in_side:
-            cover.add_lout(u, w)
-        for v in out_side:
-            cover.add_lin(v, w)
+        yield w, in_side, out_side
 
     # ---- main greedy loop with the lazy priority queue -----------------
     # heap of (-density, tiebreak, node); stale entries are re-validated
@@ -163,10 +162,6 @@ def build_cover_for_closure(
             heapq.heappush(heap, (-density, tiebreak, w))
             continue
         for u in in_side:
-            cover.add_lout(u, w)
-        for v in out_side:
-            cover.add_lin(v, w)
-        for u in in_side:
             row = uncovered.fwd.get(u)
             if not row:
                 continue
@@ -174,37 +169,65 @@ def build_cover_for_closure(
                 uncovered.remove(u, v)
         tiebreak += 1
         heapq.heappush(heap, (-density, tiebreak, w))
+        yield w, in_side, out_side
+
+
+def build_cover_for_closure(
+    closure: TransitiveClosure,
+    *,
+    preselected_centers: Iterable[Node] = (),
+    cover_factory: CoverFactory = TwoHopCover,
+) -> TwoHopCover:
+    """Compute a 2-hop cover for a materialised DAG closure
+    (:func:`greedy_center_assignments` written into a fresh cover over
+    the closure's nodes).
+
+    Args:
+        closure: the (strict) transitive closure of a DAG.
+        preselected_centers: nodes to use as centers first (Section 4.2).
+        cover_factory: constructor for the result cover.
+    """
+    cover = cover_factory(closure.reach.keys())
+    for w, in_side, out_side in greedy_center_assignments(
+        closure, preselected_centers=preselected_centers
+    ):
+        for u in in_side:
+            cover.add_lout(u, w)
+        for v in out_side:
+            cover.add_lin(v, w)
     return cover
 
 
 def expand_component_cover(
-    comp_cover: TwoHopCover,
+    assignments: Iterable[Tuple[int, Set[int], Set[int]]],
     condensation: Condensation,
     *,
     cover_factory: CoverFactory = TwoHopCover,
 ) -> TwoHopCover:
-    """Translate a cover over SCC ids into a cover over original nodes.
+    """Write center assignments over SCC ids as a cover over the
+    original nodes.
 
-    Every member of a component inherits the component's labels with
-    centers mapped to the component representatives; members of
+    Every member of a component inherits the component's label entries
+    with centers mapped to the component representatives; members of
     non-trivial components additionally get their own representative as
     a center in both labels, which encodes the intra-component
     connections (all members of an SCC reach each other).
     """
     cover = cover_factory(condensation.component_of.keys())
-    rep = [members[0] for members in condensation.members]
-    for cid, members in enumerate(condensation.members):
-        lin = {rep[c] for c in comp_cover.lin_of(cid)}
-        lout = {rep[c] for c in comp_cover.lout_of(cid)}
-        nontrivial = len(members) > 1
-        for v in members:
-            for c in lin:
-                cover.add_lin(v, c)
-            for c in lout:
-                cover.add_lout(v, c)
-            if nontrivial:
-                cover.add_lin(v, rep[cid])
-                cover.add_lout(v, rep[cid])
+    members = condensation.members
+    for w, in_side, out_side in assignments:
+        center = members[w][0]
+        for cid in in_side:
+            for v in members[cid]:
+                cover.add_lout(v, center)
+        for cid in out_side:
+            for v in members[cid]:
+                cover.add_lin(v, center)
+    for component in members:
+        if len(component) > 1:
+            for v in component:
+                cover.add_lin(v, component[0])
+                cover.add_lout(v, component[0])
     return cover
 
 
@@ -218,9 +241,10 @@ def build_cover(
     """Compute a 2-hop cover of an arbitrary directed graph.
 
     The graph is SCC-condensed, the condensation DAG's closure is
-    covered with :func:`build_cover_for_closure`, and component labels
-    are expanded back to the original nodes. For graphs that are already
-    DAGs this adds only the id translation.
+    covered greedily, and the component-level assignments are written
+    straight into a cover over the original nodes
+    (:func:`expand_component_cover`). For graphs that are already DAGs
+    this adds only the id translation.
 
     Args:
         graph: any digraph (cycles allowed).
@@ -229,20 +253,16 @@ def build_cover(
             only its node-level reach sets are consulted for DAG inputs).
         preselected_centers: original-graph nodes to force as centers
             first (Section 4.2); mapped onto components internally.
-        cover_factory: backend constructor for the result cover (the
-            intermediate component-level cover always uses sets — it
-            lives only for the duration of the build).
+        cover_factory: constructor for the result cover.
     """
     cond = Condensation(graph)
     if cond.is_dag_input and closure is not None:
         # Fast path: ids coincide with components 1:1.
-        comp_closure = closure
-        cover = build_cover_for_closure(
-            comp_closure,
+        return build_cover_for_closure(
+            closure,
             preselected_centers=preselected_centers,
             cover_factory=cover_factory,
         )
-        return cover
     dag_closure = condensation_closure(cond)
     comp_centers = []
     seen: Set[int] = set()
@@ -251,21 +271,11 @@ def build_cover(
         if cid is not None and cid not in seen:
             seen.add(cid)
             comp_centers.append(cid)
-    comp_cover = build_cover_for_closure(
-        dag_closure, preselected_centers=comp_centers
+    return expand_component_cover(
+        greedy_center_assignments(dag_closure, preselected_centers=comp_centers),
+        cond,
+        cover_factory=cover_factory,
     )
-    if cond.is_dag_input:
-        # translate component ids straight back to the original nodes
-        cover = cover_factory(cond.component_of.keys())
-        rep = [members[0] for members in cond.members]
-        for cid, members in enumerate(cond.members):
-            v = members[0]
-            for c in comp_cover.lin_of(cid):
-                cover.add_lin(v, rep[c])
-            for c in comp_cover.lout_of(cid):
-                cover.add_lout(v, rep[c])
-        return cover
-    return expand_component_cover(comp_cover, cond, cover_factory=cover_factory)
 
 
 def build_partition_cover(
@@ -290,8 +300,8 @@ def build_partition_cover(
         preselected_centers: cross-partition link targets to force as
             centers first (Section 4.2).
         distance: build a distance-aware cover (Section 5).
-        cover_factory: backend constructor; defaults to the set backend
-            of the requested flavour. The greedy construction consults
+        cover_factory: cover constructor; defaults to the cover class of
+            the requested flavour. The greedy construction consults
             only the closure, so the resulting *entries* are identical
             for every factory.
 
@@ -305,7 +315,6 @@ def build_partition_cover(
     preselected = sorted(preselected_centers)
     if distance:
         from repro.core.distance import build_distance_cover
-        from repro.core.cover import DistanceTwoHopCover
 
         return build_distance_cover(
             graph,

@@ -185,8 +185,7 @@ def build_distance_cover(
             over; they may only cover shortest-path-consistent pairs).
         seed: RNG seed for edge sampling (deterministic by default).
         sample_budget: see :func:`estimate_center_graph_edges`.
-        cover_factory: distance-cover backend constructor
-            (``DistanceTwoHopCover`` or ``ArrayDistanceCover``).
+        cover_factory: distance-cover constructor.
 
     Returns:
         A distance cover whose ``distance`` matches BFS shortest

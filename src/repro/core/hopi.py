@@ -33,54 +33,16 @@ on the skeleton graph).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Set, Union
 
 from repro.core import maintenance as maint
-from repro.core.array_cover import ArrayDistanceCover, ArrayTwoHopCover
 from repro.core.cover import DistanceTwoHopCover, TwoHopCover
 from repro.core.stats import IndexSizeReport
-from repro.core.vector_cover import VectorDistanceCover, VectorTwoHopCover
 from repro.graph.closure import distance_closure, transitive_closure
 from repro.xmlmodel.model import Collection, DocId, ElementId
 
-Cover = Union[TwoHopCover, DistanceTwoHopCover, ArrayTwoHopCover, ArrayDistanceCover]
-
-#: label backends: name -> (reachability factory, distance factory)
-BACKENDS = {
-    "sets": (TwoHopCover, DistanceTwoHopCover),
-    "arrays": (ArrayTwoHopCover, ArrayDistanceCover),
-    "vector": (VectorTwoHopCover, VectorDistanceCover),
-}
-
-
-def backend_of(cover: Cover) -> str:
-    """The backend name a cover instance belongs to."""
-    # the vector covers subclass the array covers — test them first
-    if isinstance(cover, (VectorTwoHopCover, VectorDistanceCover)):
-        return "vector"
-    return "arrays" if isinstance(cover, (ArrayTwoHopCover, ArrayDistanceCover)) else "sets"
-
-
-def convert_cover(cover: Cover, backend: str) -> Cover:
-    """Re-represent a cover under another label backend (same semantics)."""
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; one of {tuple(BACKENDS)}")
-    if backend_of(cover) == backend:
-        return cover
-    plain_factory, distance_factory = BACKENDS[backend]
-    factory = distance_factory if cover.is_distance_aware else plain_factory
-    converter = getattr(factory, "from_cover", None)
-    if converter is not None:  # batch path (array backends)
-        return converter(cover)
-    fresh = factory(cover.nodes)
-    if cover.is_distance_aware:
-        for kind, node, center, dist in cover.entries():
-            (fresh.add_lin if kind == "in" else fresh.add_lout)(node, center, dist)
-    else:
-        for kind, node, center in cover.entries():
-            (fresh.add_lin if kind == "in" else fresh.add_lout)(node, center)
-    return fresh
+Cover = Union[TwoHopCover, DistanceTwoHopCover]
 
 
 @dataclass
@@ -97,7 +59,6 @@ class BuildStats:
     cover_size: int
     num_nodes: int
     seconds_total: float
-    backend: str = "sets"
     workers: int = 1
     executor: str = "serial"
     seconds_partitioning: float = 0.0
@@ -183,7 +144,7 @@ class HopiIndex:
         of O(index): the collection is forked lazily (documents are
         deep-copied only when a maintenance op touches them) and the
         cover shares unchanged label rows with the published epoch
-        (:meth:`~repro.core.cover.CoverProtocol.cow_copy`). Both sides
+        (``cover.cow_copy()``). Both sides
         stay safe to mutate — the first write to shared state on either
         side privatises it first. Like :meth:`copy`, the shadow starts
         with the same epoch and no change hooks.
@@ -194,21 +155,6 @@ class HopiIndex:
         dup.epoch = self.epoch
         dup._probe_costs = getattr(self, "_probe_costs", None)
         return dup
-
-    @property
-    def backend(self) -> str:
-        """The label backend the cover lives in (``sets`` or ``arrays``)."""
-        return backend_of(self.cover)
-
-    def with_backend(self, backend: str) -> "HopiIndex":
-        """Return an index whose cover uses ``backend`` (self if already)."""
-        converted = convert_cover(self.cover, backend)
-        if converted is self.cover:
-            return self
-        stats = replace(self.stats, backend=backend) if self.stats else None
-        twin = HopiIndex(self.collection, converted, stats=stats)
-        twin.epoch = self.epoch
-        return twin
 
     # ------------------------------------------------------------------
     # construction
@@ -226,7 +172,7 @@ class HopiIndex:
         preselect_centers: bool = True,
         psg_node_limit: Optional[int] = None,
         seed: int = 0,
-        backend: str = "sets",
+        backend: Optional[str] = None,
         workers: Optional[int] = None,
         executor: Optional[str] = None,
         rpc_workers: Optional[List[str]] = None,
@@ -255,11 +201,9 @@ class HopiIndex:
             psg_node_limit: threshold above which the PSG closure is
                 computed with the recursive clustering variant.
             seed: partitioner seed.
-            backend: label backend — ``"sets"`` (dict-of-sets over raw
-                node ids), ``"arrays"`` (interned dense ids + sorted
-                arrays) or ``"vector"`` (arrays whose labels seal into
-                contiguous CSR slabs for the batch probe kernels);
-                identical answers, different representation.
+            backend: accepted and ignored — there is one label
+                representation; ``perf/`` still passes the argument and
+                may not be edited in the PR that retired the option.
             workers: size of the worker pool covering partitions
                 concurrently (the paper's Section-4 parallel build);
                 ``None``/1 builds serially. Covers are bit-identical
@@ -276,8 +220,8 @@ class HopiIndex:
                 costs on the freshly built index and pin the measured
                 planner cost model (see
                 :func:`repro.query.cost.calibrate_probe_costs`);
-                False keeps the backend's static default table, so
-                plans stay deterministic across runs.
+                False keeps the static default model, so plans stay
+                deterministic across runs.
         """
         from repro.core.pipeline import BuildPipeline
 
@@ -291,7 +235,6 @@ class HopiIndex:
             preselect_centers=preselect_centers,
             psg_node_limit=psg_node_limit,
             seed=seed,
-            backend=backend,
             workers=workers,
             executor=executor,
             rpc_workers=rpc_workers,
@@ -318,35 +261,26 @@ class HopiIndex:
     def connected_many(self, u: ElementId, candidates) -> List[bool]:
         """Batched ``[connected(u, c) for c in candidates]``.
 
-        The descendant-step hot path of the query engine: the array
-        backend answers the whole batch from one descendant-set
-        materialisation over dense ids.
+        The descendant-step hot path of the query engine: the sealed
+        cover answers the whole batch from one descendant-set
+        materialisation over dense ids. A candidate *tuple* is
+        translated to internal ids once per seal (cached by identity);
+        any other sequence is translated on every call.
         """
         return self.cover.connected_many(u, candidates)
 
     def intersect_many(self, sources, candidates) -> List[List[int]]:
         """For each source, the sorted indices into ``candidates`` it
-        reaches — the block-probe API of the query executor.
-
-        The vector backend answers the whole block from one candidate
-        translation; other backends fall back to one
-        :meth:`connected_many` per source (identical answers).
-        """
-        batch = getattr(self.cover, "intersect_many", None)
-        if batch is not None:
-            return batch(sources, candidates)
-        out: List[List[int]] = []
-        for u in sources:
-            flags = self.cover.connected_many(u, candidates)
-            out.append([i for i, ok in enumerate(flags) if ok])
-        return out
+        reaches — the block-probe API of the query executor (one
+        candidate translation for the whole block)."""
+        return self.cover.intersect_many(sources, candidates)
 
     @property
     def probe_costs(self):
         """The per-direction probe cost model planners should use.
 
-        Defaults to the backend's static table
-        (:data:`repro.query.cost.DEFAULT_COST_MODELS`); an explicit
+        Defaults to the static
+        :data:`repro.query.cost.DEFAULT_COST_MODEL`; an explicit
         :meth:`calibrate_probe_costs` replaces it with measured
         constants. Not persisted — a loaded index starts from the
         defaults again.
@@ -354,9 +288,9 @@ class HopiIndex:
         model = getattr(self, "_probe_costs", None)
         if model is not None:
             return model
-        from repro.query.cost import default_cost_model
+        from repro.query.cost import DEFAULT_COST_MODEL
 
-        return default_cost_model(self.backend)
+        return DEFAULT_COST_MODEL
 
     def calibrate_probe_costs(self, **kwargs):
         """Micro-benchmark forward vs backward probes on this index and
@@ -456,7 +390,6 @@ class HopiIndex:
             self, with a fresh cover and fresh build stats.
         """
         build_kwargs.setdefault("distance", self.is_distance_aware)
-        build_kwargs.setdefault("backend", self.backend)
         fresh = HopiIndex.build(self.collection, **build_kwargs)
         self.cover = fresh.cover
         self.stats = fresh.stats

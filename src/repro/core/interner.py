@@ -72,6 +72,12 @@ class NodeInterner:
         """The id of ``label``, or ``None`` when it was never interned."""
         return self._id_of.get(label)
 
+    def translate(self, labels: Iterable[Label]) -> List[int]:
+        """The ids of ``labels`` in order, ``-1`` for never-interned
+        ones (the batch form of :meth:`get`)."""
+        get = self._id_of.get
+        return [get(label, -1) for label in labels]
+
     def label(self, iid: int) -> Label:
         """The label behind an internal id (raises IndexError if unknown)."""
         return self._labels[iid]

@@ -101,7 +101,7 @@ def join_covers_incremental(
     Args:
         partition_covers: one cover per partition (disjoint node sets).
         cross_links: the cross-partition links ``LP``.
-        cover_factory: backend constructor for the merged cover.
+        cover_factory: constructor for the merged cover.
 
     Returns:
         A 2-hop cover for the whole element-level graph.
@@ -133,7 +133,7 @@ def join_covers_recursive(
             its source-to-target closure is computed with the recursive
             clustering variant (the paper: "if the PSG is too large, we
             partition it"); otherwise directly.
-        cover_factory: backend constructor for the merged cover.
+        cover_factory: constructor for the merged cover.
 
     Returns:
         The union of the partition covers, ``H̄`` and ``Ĥ`` — a 2-hop
@@ -253,7 +253,6 @@ def _join_shard_worker(task: JoinShardTask) -> Tuple[int, bytes, float]:
     partition blob → shard cover → merged cover — is monotone, and no
     row is ever re-sorted outside the worker.
     """
-    from repro.core.array_cover import ArrayTwoHopCover
     from repro.storage.snapshot import snapshot_from_bytes, snapshot_to_bytes
 
     t0 = time.perf_counter()
@@ -278,7 +277,7 @@ def _join_shard_worker(task: JoinShardTask) -> Tuple[int, bytes, float]:
     for adds in (lout_adds, lin_adds):
         for centers in adds.values():
             labels.update(centers)
-    shard = ArrayTwoHopCover()
+    shard = TwoHopCover()
     shard.preintern_sorted(labels)
     for pid in sorted(covers):
         shard.absorb_disjoint(covers[pid])
@@ -313,7 +312,6 @@ def make_join_shard_tasks(
     phase-2 wire payloads a parallel executor already produced) when
     available. Empty shards are dropped.
     """
-    from repro.core.array_cover import ArrayTwoHopCover
     from repro.storage.snapshot import snapshot_to_bytes
 
     by_pid_sources: Dict[int, List[Tuple[ElementId, int, Tuple[ElementId, ...]]]] = {}
@@ -352,10 +350,7 @@ def make_join_shard_tasks(
 
     def blob_of(pid: int) -> bytes:
         if pid not in blob_cache:
-            cover = partition_covers[pid]
-            if not isinstance(cover, ArrayTwoHopCover):
-                cover = ArrayTwoHopCover.from_cover(cover)
-            blob_cache[pid] = snapshot_to_bytes(cover)
+            blob_cache[pid] = snapshot_to_bytes(partition_covers[pid])
         return blob_cache[pid]
 
     tasks: List[JoinShardTask] = []
@@ -389,8 +384,7 @@ def pack_universe(covers: Sequence[TwoHopCover]) -> bytes:
 
     labels: Set[ElementId] = set()
     for cover in covers:
-        interner = getattr(cover, "interner", None)
-        labels.update(interner if interner is not None else cover.nodes)
+        labels.update(cover.interner)
     if not all(isinstance(lab, int) for lab in labels):
         return b""
     return _array("q", sorted(labels)).tobytes()
@@ -427,7 +421,6 @@ def join_covers_recursive_parallel(
     stats = ParallelJoinStats(shards=max(join_shards, 1))
     cross = partitioning.cross_links
     merged = cover_factory()
-    preintern = getattr(merged, "preintern_sorted", None)
     shard_covers: List[TwoHopCover] = []
     sharded_pids: Set[int] = set()
     universe = b""
@@ -446,8 +439,7 @@ def join_covers_recursive_parallel(
         stats.seconds_psg = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        if preintern is not None:  # only the array assembly uses it
-            universe = pack_universe(partition_covers)
+        universe = pack_universe(partition_covers)
         tasks = make_join_shard_tasks(
             collection, partitioning, partition_covers,
             hbar_out, sources, targets, join_shards,
@@ -462,7 +454,7 @@ def join_covers_recursive_parallel(
         stats.seconds_distribute = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if shard_covers and universe and preintern is not None:
+    if shard_covers and universe:
         # share the workers' global id space: shard covers then absorb
         # with *no* id translation, untouched partitions via monotone
         # remaps — pure block copies either way
@@ -470,7 +462,7 @@ def join_covers_recursive_parallel(
 
         labels = _array("q")
         labels.frombytes(universe)
-        preintern(labels)
+        merged.preintern_sorted(labels)
     for cover in shard_covers:
         merged.absorb_disjoint(cover)
     for pid, cover in enumerate(partition_covers):

@@ -1,8 +1,8 @@
 """Batch intersection / membership kernels over contiguous label rows.
 
-The vector backend (:mod:`repro.core.vector_cover`) seals its label
-tables into contiguous CSR slabs and answers probes through the kernels
-here instead of the per-element python loops of the array backend. All
+The cover (:mod:`repro.core.cover`) seals its label tables into
+contiguous CSR slabs and answers probes through the kernels here
+instead of per-element python loops over its mutable rows. All
 kernels operate on **sorted, duplicate-free** integer sequences — an
 ``array('i')``, a ``memoryview`` slice of a CSR data slab, or a plain
 list — and every strategy returns the same answer (pinned by the
@@ -134,7 +134,7 @@ def intersect_bitset(
     """Intersect by testing ``a``'s values against a bitmask of ``b``.
 
     ``mask`` lets callers reuse a precomputed :func:`make_bitmask`
-    (the vector backend caches one per sealed dense row).
+    across probes of one row.
     """
     if mask is None:
         mask = make_bitmask(b)

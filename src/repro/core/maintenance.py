@@ -80,7 +80,8 @@ def _notify(on_change: Optional[ChangeHook], report: MaintenanceReport) -> Maint
 
 
 def _is_distance(cover: Cover) -> bool:
-    # protocol attribute, not isinstance: array-backed covers qualify too
+    # class attribute, not isinstance: subclasses and the test oracle
+    # go through the same algorithms
     return cover.is_distance_aware
 
 

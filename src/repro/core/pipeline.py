@@ -31,10 +31,9 @@ is that flow as an explicit three-phase orchestrator:
    assembles the merged cover from block copies, deterministically.
 
 Because the greedy cover construction consults only the partition
-closure — never the backend representation or the executor — the final
-cover's label entries are **bit-identical** across executors, worker
-counts and join shard counts, on both the ``sets`` and ``arrays``
-backends; the randomized suite in ``tests/test_pipeline.py`` pins that
+closure — never the executor — the final cover's label entries are
+**bit-identical** across executors, worker counts and join shard
+counts; the randomized suite in ``tests/test_pipeline.py`` pins that
 property.
 
 Most callers reach this module through the facade::
@@ -57,6 +56,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core.cover import DistanceTwoHopCover, TwoHopCover
 from repro.core.cover_builder import build_partition_cover
 from repro.core.join import (
     ParallelJoinStats,
@@ -151,26 +151,25 @@ def _partition_cover_worker(task: PartitionTask) -> Tuple[int, bytes, float]:
     """Process-pool entry point: build one partition cover, return it
     as a CSR snapshot blob.
 
-    Runs in a worker process. The cover is built with the set backend
-    (entries are factory-independent), converted to arrays via the
-    batched ``from_cover`` path and serialised with
-    :func:`snapshot_to_bytes` — one contiguous buffer crosses the
-    process boundary instead of a deep cover object graph.
+    Runs in a worker process. The partition's nodes are interned in
+    sorted order (label-sorted blobs are deterministic and absorb into
+    the parallel join's global id space through monotone remaps) and
+    the cover is serialised with :func:`snapshot_to_bytes` — one
+    contiguous buffer crosses the process boundary instead of a deep
+    cover object graph.
     """
-    from repro.core.array_cover import ArrayDistanceCover, ArrayTwoHopCover
     from repro.storage.snapshot import snapshot_to_bytes
 
+    cls = DistanceTwoHopCover if task.distance else TwoHopCover
     t0 = time.perf_counter()
     cover = build_partition_cover(
         task.nodes,
         task.edges,
         preselected_centers=task.preselected,
         distance=task.distance,
+        cover_factory=lambda nodes: cls(sorted(nodes)),
     )
-    arrays = (
-        ArrayDistanceCover if task.distance else ArrayTwoHopCover
-    ).from_cover(cover)
-    return task.pid, snapshot_to_bytes(arrays), time.perf_counter() - t0
+    return task.pid, snapshot_to_bytes(cover), time.perf_counter() - t0
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +181,12 @@ class SerialExecutor:
     """Run every partition build inline, in the calling process.
 
     The default — and the baseline the process executor is benchmarked
-    against. Covers are built directly in the target backend, with no
-    wire round-trip.
+    against. No wire round-trip.
     """
 
     name = "serial"
 
-    def run(self, tasks, *, cover_factory, to_backend) -> List[PartitionResult]:
+    def run(self, tasks) -> List[PartitionResult]:
         """Execute ``tasks`` in order; see :meth:`ProcessExecutor.run`."""
         results = []
         for task in tasks:
@@ -198,7 +196,6 @@ class SerialExecutor:
                 task.edges,
                 preselected_centers=task.preselected,
                 distance=task.distance,
-                cover_factory=cover_factory,
             )
             results.append(
                 PartitionResult(task.pid, cover, time.perf_counter() - t0)
@@ -216,22 +213,22 @@ class SerialExecutor:
         return [_join_shard_worker(task) for task in tasks]
 
 
-def decode_partition_results(wires, to_backend: str) -> List[PartitionResult]:
+def decode_partition_results(wires) -> List[PartitionResult]:
     """Decode ``(pid, blob, seconds)`` wire triples into ordered
-    :class:`PartitionResult`\\ s in the target backend.
+    :class:`PartitionResult`\\ s.
 
     The shared parent half of every blob-returning executor (process,
     threads, rpc) — one place to evolve if the wire shape changes. The
     blob is kept on the result for the parallel join to re-use.
     """
-    from repro.core.hopi import convert_cover
     from repro.storage.snapshot import snapshot_from_bytes
 
     results = []
     for pid, payload, seconds in wires:
-        cover = convert_cover(snapshot_from_bytes(payload), to_backend)
         results.append(
-            PartitionResult(pid, cover, seconds, len(payload), payload)
+            PartitionResult(
+                pid, snapshot_from_bytes(payload), seconds, len(payload), payload
+            )
         )
     results.sort(key=lambda r: r.pid)
     return results
@@ -254,20 +251,14 @@ class _PoolExecutor:
         with self.pool_factory(max_workers=max_workers) as pool:
             return list(pool.map(fn, tasks))
 
-    def run(self, tasks, *, cover_factory, to_backend) -> List[PartitionResult]:
-        """Execute ``tasks`` concurrently, preserving partition order.
-
-        Args:
-            tasks: the :class:`PartitionTask` list, one per partition.
-            cover_factory: backend constructor for the decoded covers.
-            to_backend: backend name matching ``cover_factory`` (used
-                to re-represent the decoded array cover).
-        """
+    def run(self, tasks) -> List[PartitionResult]:
+        """Execute ``tasks`` (one :class:`PartitionTask` per partition)
+        concurrently, preserving partition order."""
         tasks = list(tasks)
         if not tasks:
             return []
         return decode_partition_results(
-            self._map(_partition_cover_worker, tasks), to_backend
+            self._map(_partition_cover_worker, tasks)
         )
 
     def map_join(self, tasks) -> List[Tuple[int, Tuple, float]]:
@@ -281,9 +272,9 @@ class _PoolExecutor:
 class ProcessExecutor(_PoolExecutor):
     """Fan partition builds out over a ``multiprocessing`` pool.
 
-    Workers return CSR snapshot blobs; the parent decodes them and
-    re-represents each cover in the target backend. Partition covers
-    are independent (the paper: the builds "can be done concurrently"),
+    Workers return CSR snapshot blobs; the parent decodes them.
+    Partition covers are independent (the paper: the builds "can be
+    done concurrently"),
     so no coordination beyond the final collection of results is
     needed.
     """
@@ -375,8 +366,9 @@ class BuildPipeline:
             centers first (Section 4.2).
         psg_node_limit: threshold for the recursive PSG closure.
         seed: partitioner seed.
-        backend: label backend for the result (``sets`` / ``arrays`` /
-            ``vector``).
+        backend: accepted and ignored — there is one label
+            representation; ``perf/`` still passes the argument and may
+            not be edited in the PR that retired the option.
         workers: worker count for the pool executors; ``None``/1 means
             serial.
         executor: ``"serial"``, ``"process"``, ``"threads"`` or
@@ -402,14 +394,12 @@ class BuildPipeline:
         preselect_centers: bool = True,
         psg_node_limit: Optional[int] = None,
         seed: int = 0,
-        backend: str = "sets",
+        backend: Optional[str] = None,
         workers: Optional[int] = None,
         executor: Optional[str] = None,
         rpc_workers: Optional[Sequence[str]] = None,
         join_shards: Optional[int] = None,
     ) -> None:
-        from repro.core.hopi import BACKENDS
-
         if strategy not in _STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; one of {_STRATEGIES}")
         partitioner = normalize_partitioner(partitioner)
@@ -417,8 +407,6 @@ class BuildPipeline:
             raise ValueError(
                 f"unknown edge weight {edge_weight!r}; one of {_EDGE_WEIGHTS}"
             )
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; one of {tuple(BACKENDS)}")
         if join_shards is not None and join_shards < 1:
             raise ValueError("join_shards must be >= 1")
         self.collection = collection
@@ -430,13 +418,11 @@ class BuildPipeline:
         self.preselect_centers = preselect_centers
         self.psg_node_limit = psg_node_limit
         self.seed = seed
-        self.backend = backend
         self.executor = make_executor(executor, workers, rpc_workers=rpc_workers)
         self.workers = getattr(self.executor, "workers", 1)
         self.join_shards = (
             join_shards if join_shards is not None else self.workers
         )
-        self._plain_factory, self._distance_factory = BACKENDS[backend]
 
     # -- phase 1 --------------------------------------------------------
     @property
@@ -520,10 +506,7 @@ class BuildPipeline:
         self, tasks: Sequence[PartitionTask]
     ) -> List[PartitionResult]:
         """Run phase 2 through the configured executor."""
-        factory = self._distance_factory if self.distance else self._plain_factory
-        return self.executor.run(
-            tasks, cover_factory=factory, to_backend=self.backend
-        )
+        return self.executor.run(tasks)
 
     # -- phase 3 --------------------------------------------------------
     def join(self, partitioning: Partitioning, partition_covers: Sequence) -> object:
@@ -550,18 +533,14 @@ class BuildPipeline:
             # so distance builds use the incremental join to a fixpoint.
             return (
                 join_covers_incremental_distance(
-                    partition_covers,
-                    partitioning.cross_links,
-                    cover_factory=self._distance_factory,
+                    partition_covers, partitioning.cross_links
                 ),
                 None,
             )
         if self.strategy == "incremental":
             return (
                 join_covers_incremental(
-                    partition_covers,
-                    partitioning.cross_links,
-                    cover_factory=self._plain_factory,
+                    partition_covers, partitioning.cross_links
                 ),
                 None,
             )
@@ -573,7 +552,6 @@ class BuildPipeline:
                 executor=self.executor,
                 join_shards=self.join_shards,
                 psg_node_limit=self.psg_node_limit,
-                cover_factory=self._plain_factory,
                 partition_blobs=partition_blobs,
             )
         return (
@@ -582,7 +560,6 @@ class BuildPipeline:
                 partitioning,
                 partition_covers,
                 psg_node_limit=self.psg_node_limit,
-                cover_factory=self._plain_factory,
             ),
             None,
         )
@@ -598,11 +575,9 @@ class BuildPipeline:
         if self.strategy == "unpartitioned":
             graph = self.collection.element_graph()
             if self.distance:
-                cover = build_distance_cover(
-                    graph, cover_factory=self._distance_factory
-                )
+                cover = build_distance_cover(graph)
             else:
-                cover = build_cover(graph, cover_factory=self._plain_factory)
+                cover = build_cover(graph)
             stats = BuildStats(
                 strategy=self.strategy,
                 partitioner=None,
@@ -614,7 +589,6 @@ class BuildPipeline:
                 cover_size=cover.size,
                 num_nodes=len(cover.nodes),
                 seconds_total=time.perf_counter() - start,
-                backend=self.backend,
                 workers=1,
                 executor="serial",
             )
@@ -648,7 +622,6 @@ class BuildPipeline:
             cover_size=cover.size,
             num_nodes=len(cover.nodes),
             seconds_total=time.perf_counter() - start,
-            backend=self.backend,
             workers=self.workers,
             executor=self.executor.name,
             seconds_partitioning=seconds_partitioning,

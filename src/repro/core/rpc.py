@@ -397,13 +397,11 @@ class RpcExecutor:
         return results
 
     # -- the executor seam (see repro.core.pipeline) ---------------------
-    def run(self, tasks, *, cover_factory, to_backend) -> List[Any]:
+    def run(self, tasks) -> List[Any]:
         """Phase 2: build partition covers on the workers (ordered)."""
         from repro.core.pipeline import decode_partition_results
 
-        return decode_partition_results(
-            self._map(OP_COVER, list(tasks)), to_backend
-        )
+        return decode_partition_results(self._map(OP_COVER, list(tasks)))
 
     def map_join(self, tasks) -> List[Tuple[int, Tuple, float]]:
         """Phase 3: run join-shard tasks on the workers."""

@@ -1,21 +1,20 @@
-"""Backend-aware probe cost models for the physical planner.
+"""Probe cost models for the physical planner.
 
 The planner's direction decisions used to compare raw candidate-count
 estimates, implicitly assuming a forward ``descendants``-side probe and
-a backward ``ancestors``-side probe cost the same. They do not, and the
-gap is backend-dependent: the vector backend answers forward blocks
-with one amortised candidate translation plus C-level membership tests,
-while a backward probe still materialises an ancestor set per target.
-A :class:`ProbeCostModel` carries one relative unit cost per direction;
+a backward ``ancestors``-side probe cost the same. They do not: the
+sealed cover answers forward blocks with one amortised candidate
+translation plus C-level membership tests, while a backward probe still
+materialises an ancestor set per target. A :class:`ProbeCostModel`
+carries one relative unit cost per direction;
 :func:`repro.query.planner.plan_query` multiplies its candidate
-estimates by them, so a cheap-forward backend flips fewer joins
-backward than a backend where both directions cost alike.
+estimates by them, so cheap forward probes flip fewer joins backward
+than a model where both directions cost alike.
 
 Two sources of models:
 
-* :data:`DEFAULT_COST_MODELS` — static per-backend constants (what an
-  uncalibrated index reports). Deterministic, so plans never flicker
-  between runs.
+* :data:`DEFAULT_COST_MODEL` — the static constants an uncalibrated
+  index reports. Deterministic, so plans never flicker between runs.
 * :func:`calibrate_probe_costs` — a micro-benchmark run at build time
   (``HopiIndex.build(..., calibrate_costs=True)`` or
   ``index.calibrate_probe_costs()``) that measures both directions on
@@ -31,25 +30,22 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Dict
 
 
 @dataclass(frozen=True)
 class ProbeCostModel:
-    """Relative per-probe costs of one backend's two probe directions.
+    """Relative per-probe costs of the two probe directions.
 
     Attributes:
-        backend: the label backend the constants describe.
         forward: unit cost of one forward (``descendants``-side,
             ``connected_many``/``intersect_many``) probe.
         backward: unit cost of one backward (``ancestors``-side
             materialisation) probe.
-        source: ``"default"`` (static table), ``"calibrated"``
+        source: ``"default"`` (static constants), ``"calibrated"``
             (micro-bench), ``"neutral"`` (direction-blind legacy
             behaviour) or ``"synthetic"`` (tests).
     """
 
-    backend: str
     forward: float
     backward: float
     source: str = "default"
@@ -71,24 +67,14 @@ class ProbeCostModel:
 
 #: The direction-blind model: multiplies every estimate by 1, so every
 #: decision reduces to the legacy candidate-count comparison.
-NEUTRAL_COST_MODEL = ProbeCostModel("any", 1.0, 1.0, source="neutral")
+NEUTRAL_COST_MODEL = ProbeCostModel(1.0, 1.0, source="neutral")
 
-#: Static per-backend constants (relative units; only the ratio between
-#: directions matters). ``sets``/``arrays`` probe both directions with
-#: comparable per-element python loops — backward pays a little extra
-#: for the ancestor-set materialisation. ``vector`` answers forward
-#: probes through sealed-slab kernels (amortised translation + C
-#: membership), so its forward unit is far below its backward unit.
-DEFAULT_COST_MODELS: Dict[str, ProbeCostModel] = {
-    "sets": ProbeCostModel("sets", 1.0, 1.1),
-    "arrays": ProbeCostModel("arrays", 1.0, 1.3),
-    "vector": ProbeCostModel("vector", 0.35, 1.3),
-}
-
-
-def default_cost_model(backend: str) -> ProbeCostModel:
-    """The static cost model for ``backend`` (neutral when unknown)."""
-    return DEFAULT_COST_MODELS.get(backend, NEUTRAL_COST_MODEL)
+#: The static constants (relative units; only the ratio between
+#: directions matters): forward probes go through the sealed-slab
+#: kernels (amortised translation + C membership), so the forward unit
+#: is far below the backward unit, which pays a per-target ancestor-set
+#: materialisation.
+DEFAULT_COST_MODEL = ProbeCostModel(0.35, 1.3)
 
 
 def calibrate_probe_costs(
@@ -107,14 +93,15 @@ def calibrate_probe_costs(
     exact shapes the executor issues), and returns a model with
     ``forward`` normalised to 1.0. The measured ratio is clamped to
     ``[0.05, 20]`` so one noisy run can never produce a degenerate
-    planner. Falls back to the backend's static table on collections
-    too small to measure.
+    planner. Falls back to the static constants on collections too
+    small to measure.
     """
     elements = sorted(index.collection.elements)
     if len(elements) < 2:
-        return default_cost_model(index.backend)
+        return DEFAULT_COST_MODEL
     rng = random.Random(seed)
-    candidates = elements[:max_candidates]
+    # a tuple, like the engine's candidate memos: translated once per seal
+    candidates = tuple(elements[:max_candidates])
     cand_set = set(candidates)
     probes = [rng.choice(elements) for _ in range(samples)]
 
@@ -145,6 +132,4 @@ def calibrate_probe_costs(
     backward_seconds = time_best(backward_pass)
     ratio = backward_seconds / forward_seconds
     ratio = min(max(ratio, 0.05), 20.0)
-    return ProbeCostModel(
-        index.backend, 1.0, round(ratio, 3), source="calibrated"
-    )
+    return ProbeCostModel(1.0, round(ratio, 3), source="calibrated")

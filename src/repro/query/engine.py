@@ -89,7 +89,7 @@ class QueryEngine:
     can serve many threads at once — the service layer keeps a single
     engine per published index epoch and lets every reader share its
     tag index and candidate memos. Both methods also take an explicit
-    ``index`` so pooled engines (e.g. one per label backend over the
+    ``index`` so pooled engines (e.g. one per published epoch over the
     same collection) can share one engine's derived state.
 
     Args:
@@ -125,7 +125,7 @@ class QueryEngine:
         # compute the same value, so the races are benign under the GIL
         self._candidate_memo: Dict[StepKey, List[Tuple[ElementId, float]]] = {}
         self._candidate_map_memo: Dict[StepKey, Dict[ElementId, float]] = {}
-        self._candidate_elems_memo: Dict[StepKey, List[ElementId]] = {}
+        self._candidate_elems_memo: Dict[StepKey, Tuple[ElementId, ...]] = {}
         self._parent_map_memo: Dict[StepKey, Dict[ElementId, List[ElementId]]] = {}
         self._anchored_count_memo: Dict[StepKey, int] = {}
 
@@ -171,12 +171,17 @@ class QueryEngine:
         self._candidate_memo[key] = matches
         return matches
 
-    def _candidate_elems(self, step: Step) -> List[ElementId]:
-        """Just the elements of :meth:`_candidates` (probe batch shape)."""
+    def _candidate_elems(self, step: Step) -> Tuple[ElementId, ...]:
+        """Just the elements of :meth:`_candidates` (probe batch shape).
+
+        A memoised **tuple**: the cover caches a candidate sequence's
+        id translation by object identity only for tuples (immutable,
+        so identity implies equal content), and this one object is what
+        every probe of the step passes down."""
         key: StepKey = (step.tag, step.similar)
         memo = self._candidate_elems_memo.get(key)
         if memo is None:
-            memo = [e for e, _ in self._candidates(step)]
+            memo = tuple(e for e, _ in self._candidates(step))
             self._candidate_elems_memo[key] = memo
         return memo
 
@@ -285,7 +290,7 @@ class QueryEngine:
         """The index's per-direction probe cost model (what
         :func:`~repro.query.planner.plan_query` weighs direction and
         seed decisions with). Sourced from ``index.probe_costs`` —
-        static per-backend constants unless the index was calibrated."""
+        the static constants unless the index was calibrated."""
         return getattr(self.index, "probe_costs", None)
 
     def plan(
@@ -360,8 +365,8 @@ class QueryEngine:
                 :class:`~repro.query.plan.LogicalPlan` (cached lowering
                 reused).
             index: evaluate against this index instead of the engine's
-                own (must cover the same collection — e.g. another label
-                backend, or the published epoch of a service).
+                own (must cover the same collection — e.g. the
+                published epoch of a service).
             probe: substitute descendant-step probe (see :data:`Probe`);
                 lets a serving tier cache/coalesce probes across
                 concurrent queries.

@@ -29,7 +29,7 @@ epochs — the service layer's per-epoch probe cache plugs in underneath
 via the engine's ``probe`` hook. Probe *objects* may expose two
 optional batch hooks the executor feature-detects: ``probe.many`` lets
 descendant joins prefetch a whole block of frontier sources in one
-``intersect_many`` round-trip (the vector backend's bulk entry point),
+``intersect_many`` round-trip (the cover's bulk entry point),
 and ``probe.backward`` lets the serving tier cache ``ancestors``-side
 materialisations across queries; plain callables keep the legacy
 one-source-per-call behaviour (what the probe-counting tests rely on).
@@ -107,7 +107,7 @@ class ExecContext:
         (the serving tier's per-epoch cache answers hits and computes
         the misses in one ``intersect_many``); without a probe, calls
         ``index.intersect_many`` directly — one candidate translation
-        amortised across the block on the vector backend. A plain
+        amortised across the block. A plain
         callable probe without ``.many`` disables prefetching so every
         source still goes through the per-source hook (probe-counting
         tests and exotic probes keep their exact call pattern).

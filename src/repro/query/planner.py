@@ -190,7 +190,6 @@ class PhysicalPlan:
         if self.cost_model is not None:
             cm = self.cost_model
             payload["cost_model"] = {
-                "backend": cm.backend,
                 "forward": cm.forward,
                 "backward": cm.backward,
                 "source": cm.source,
@@ -227,7 +226,7 @@ class PhysicalPlan:
             cm = self.cost_model
             lines.append(
                 f"costs: forward x{cm.forward:g}, backward x{cm.backward:g} "
-                f"({cm.source} model, backend {cm.backend})"
+                f"({cm.source} model)"
             )
         window = []
         if expr.offset:
@@ -388,7 +387,7 @@ def plan_query(
             end.
         cost_model: override the per-direction probe cost model;
             defaults to the engine's (``engine.cost_model``, itself
-            sourced from the index backend). Direction and seed
+            sourced from the index). Direction and seed
             decisions weight candidate estimates by it; a neutral
             model reproduces the legacy count-only decisions exactly.
 

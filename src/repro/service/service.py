@@ -379,7 +379,6 @@ class QueryService:
         plan = prepared.bind(state.engine, directional=(mode == "count"))
         payload = plan.describe(mode)
         payload["text"] = plan.explain(mode)
-        payload["backend"] = state.index.backend
         self._count("explain")
         return state.epoch, payload
 
@@ -704,7 +703,6 @@ class QueryService:
             "epoch": state.epoch,
             "uptime_seconds": time.time() - self._started,
             "swaps": self._holder.swaps,
-            "backend": state.index.backend,
             "distance_aware": state.index.is_distance_aware,
             "documents": state.index.collection.num_documents,
             "elements": state.index.collection.num_elements,

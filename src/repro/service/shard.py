@@ -79,8 +79,7 @@ from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from repro.core.hopi import HopiIndex, backend_of, convert_cover
-from repro.core.cover import DistanceTwoHopCover, TwoHopCover
+from repro.core.hopi import HopiIndex
 from repro.core.rpc import (
     OP_SHARD,
     RpcWorkerError,
@@ -135,31 +134,19 @@ def assign_documents(
 
 
 def restrict_cover(cover, elements):
-    """Restrict ``cover`` to rows of ``elements``, keeping its backend.
+    """Restrict ``cover`` to rows of ``elements``.
 
     The restricted cover keeps every label entry whose *node* is a view
     element; label **centers** outside the view stay as inactive
-    interned ids (both the set backends' ``nodes`` gate and the CSR
-    snapshot's explicit ``active`` array preserve that distinction), so
+    interned ids (the cover's active universe and the CSR snapshot's
+    explicit ``active`` array preserve that distinction), so
     ``connected``/``distance``/``ancestors`` answer exactly for every
     pair of view elements — 2-hop witnesses need no row of their own.
     """
     elements = set(elements)
-    if cover.is_distance_aware:
-        fresh: Any = DistanceTwoHopCover(elements)
-        for kind, node, center, dist in cover.entries():
-            if node in elements:
-                (fresh.add_lin if kind == "in" else fresh.add_lout)(
-                    node, center, dist
-                )
-    else:
-        fresh = TwoHopCover(elements)
-        for kind, node, center in cover.entries():
-            if node in elements:
-                (fresh.add_lin if kind == "in" else fresh.add_lout)(
-                    node, center
-                )
-    return convert_cover(fresh, backend_of(cover))
+    return type(cover).from_entries(
+        elements, (row for row in cover.entries() if row[1] in elements)
+    )
 
 
 @dataclass(frozen=True)
@@ -377,11 +364,9 @@ class ShardRegistry:
         if "index" in request:  # in-process install: share the objects
             index = request["index"]
         else:  # wire install: CSR snapshot blob + pickled subcollection
-            cover = convert_cover(
-                snapshot_from_bytes(request["cover"]),
-                request.get("backend", "arrays"),
+            index = HopiIndex(
+                request["collection"], snapshot_from_bytes(request["cover"])
             )
-            index = HopiIndex(request["collection"], cover)
             index.epoch = generation
         service = ShardService(
             index,
@@ -534,15 +519,11 @@ class RpcShardClient:
 
     def install(self, view: ShardView, generation: int,
                 service_kwargs: Dict[str, Any]) -> None:
-        index = view.index.with_backend(
-            "arrays" if view.index.backend == "sets" else view.index.backend
-        )
         self.request({
             "op": "install",
             "generation": generation,
             "collection": view.index.collection,
-            "cover": snapshot_to_bytes(index.cover),
-            "backend": view.index.backend,
+            "cover": snapshot_to_bytes(view.index.cover),
             "owned_docs": view.owned_docs,
             "service": service_kwargs,
         })
@@ -873,7 +854,6 @@ class ShardRouter:
         plan = prepared.bind(state.engine, directional=(mode == "count"))
         payload = plan.describe(mode)
         payload["text"] = plan.explain(mode)
-        payload["backend"] = state.index.backend
         payload["shards"] = self.num_shards
         self._count("explain")
         return state.generation, payload
@@ -1006,7 +986,6 @@ class ShardRouter:
             "epoch": state.generation,
             "uptime_seconds": time.time() - self._started,
             "swaps": self._swaps,
-            "backend": state.index.backend,
             "distance_aware": state.index.is_distance_aware,
             "documents": state.index.collection.num_documents,
             "elements": state.index.collection.num_elements,

@@ -1,21 +1,21 @@
-"""Persistence backends for the HOPI index (Section 3.4).
+"""Persistence for the HOPI index (Section 3.4).
 
 The paper stores the 2-hop cover in two relational tables ``LIN(ID,
 INID)`` and ``LOUT(ID, OUTID)`` (plus a ``DIST`` column for
 distance-aware covers, Section 5.1), indexed forward *and* backward, and
 evaluates connection tests as one indexed join. This package reproduces
-that design and adds an array-native snapshot format behind one backend
+that design and adds an array-native snapshot format behind one store
 interface:
 
 * :mod:`repro.storage.base` — the :class:`CoverStore` contract every
-  backend implements;
+  store implements;
 * :mod:`repro.storage.schema` — DDL and the paper's query strings;
 * :mod:`repro.storage.db` — :class:`SQLiteCoverStore`, answering
   connection/distance/ancestor/descendant queries in SQL (batched
   ``executemany`` writes, WAL tuning on file databases), plus
   collection persistence for a fully self-contained index file;
 * :mod:`repro.storage.snapshot` — CSR-style binary snapshots that
-  round-trip array-backed covers without per-row Python overhead;
+  round-trip covers without per-row Python overhead;
 * :mod:`repro.storage.memstore` — an in-memory store with the same
   interface (the benchmark baseline for the SQL overhead).
 """

@@ -1,4 +1,4 @@
-"""The store interface shared by every persistence backend.
+"""The store interface shared by every cover store.
 
 Three implementations exist, one per storage representation:
 
@@ -7,9 +7,9 @@ Three implementations exist, one per storage representation:
 * :class:`repro.storage.db.SQLiteCoverStore` — the paper's relational
   LIN/LOUT layout with forward + backward indexes (Section 3.4);
 * :class:`repro.storage.snapshot.SnapshotCoverStore` — compact CSR
-  binary snapshots of array-backed covers.
+  binary snapshots.
 
-Adding a backend means implementing this ABC; everything above the
+Adding a store means implementing this ABC; everything above the
 storage layer (CLI, benchmarks, query engine) only sees ``CoverStore``.
 """
 
@@ -38,7 +38,7 @@ class CoverStore(ABC):
         """Reachability test ``u ->* v``."""
 
     def connected_many(self, u: int, candidates: Sequence[int]) -> List[bool]:
-        """Batched connection tests; backends override when they can do
+        """Batched connection tests; stores override when they can do
         better than one probe per candidate."""
         return [self.connected(u, c) for c in candidates]
 

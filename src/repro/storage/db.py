@@ -9,10 +9,11 @@ for tests and benchmarks.
 from __future__ import annotations
 
 import sqlite3
+from itertools import chain
 from typing import Dict, List, Optional, Set, Union
 
 from repro.core.cover import DistanceTwoHopCover, TwoHopCover
-from repro.core.hopi import HopiIndex, backend_of, convert_cover
+from repro.core.hopi import HopiIndex
 from repro.storage import schema
 from repro.storage.base import CoverStore
 from repro.xmlmodel.model import Collection
@@ -70,8 +71,7 @@ class SQLiteCoverStore(CoverStore):
     def save_cover(self, cover: Cover) -> None:
         """(Re)write the LIN/LOUT tables from an in-memory cover.
 
-        Works for any :class:`repro.core.cover.CoverProtocol` backend —
-        rows are streamed from ``cover.entries()`` in
+        Rows are streamed from ``cover.entries()`` in
         :data:`BATCH_ROWS`-sized ``executemany`` batches.
         """
         distance = cover.is_distance_aware
@@ -85,12 +85,6 @@ class SQLiteCoverStore(CoverStore):
         cur.execute(
             "INSERT OR REPLACE INTO META (KEY, VALUE) VALUES ('nodes', ?)",
             (",".join(str(n) for n in sorted(cover.nodes)),),
-        )
-        # remember which label backend the cover was built with, so
-        # loads (and CLI queries) default to the same representation
-        cur.execute(
-            "INSERT OR REPLACE INTO META (KEY, VALUE) VALUES ('backend', ?)",
-            (backend_of(cover),),
         )
         if distance:
             sql = {
@@ -109,26 +103,24 @@ class SQLiteCoverStore(CoverStore):
         self._conn.commit()
 
     def load_cover(self) -> Cover:
-        """Materialise the stored cover back into memory."""
-        cur = self._conn.cursor()
+        """Materialise the stored cover back into memory.
+
+        Rows stream out of the primary-key indexes already grouped by
+        node and sorted by center, straight into the cover's batch
+        constructor (a ``backend`` META row written by older versions
+        is ignored — there is one representation)."""
         distance = self._meta("distance") == "1"
         nodes_blob = self._meta("nodes") or ""
         nodes = [int(x) for x in nodes_blob.split(",") if x]
-        if distance:
-            dcov = DistanceTwoHopCover(nodes)
-            for node, center, dist in cur.execute("SELECT ID, INID, DIST FROM LIN"):
-                dcov.add_lin(node, center, dist)
-            for node, center, dist in cur.execute(
-                "SELECT ID, OUTID, DIST FROM LOUT"
-            ):
-                dcov.add_lout(node, center, dist)
-            return dcov
-        cov = TwoHopCover(nodes)
-        for node, center in cur.execute("SELECT ID, INID FROM LIN"):
-            cov.add_lin(node, center)
-        for node, center in cur.execute("SELECT ID, OUTID FROM LOUT"):
-            cov.add_lout(node, center)
-        return cov
+        dist = ", DIST" if distance else ""
+        rows = chain(
+            (("in",) + row for row in self._conn.execute(
+                f"SELECT ID, INID{dist} FROM LIN ORDER BY ID, INID")),
+            (("out",) + row for row in self._conn.execute(
+                f"SELECT ID, OUTID{dist} FROM LOUT ORDER BY ID, OUTID")),
+        )
+        factory = DistanceTwoHopCover if distance else TwoHopCover
+        return factory.from_entries(nodes, rows)
 
     def save_collection(self, collection: Collection) -> None:
         cur = self._conn.cursor()
@@ -310,17 +302,15 @@ def load_index(path: str, *, backend: Optional[str] = None) -> HopiIndex:
 
     Args:
         path: the database file.
-        backend: label backend for the loaded cover (``"sets"`` or
-            ``"arrays"``). ``None`` (default) restores the backend the
-            index was saved with.
+        backend: accepted and ignored — there is one label
+            representation; ``perf/`` still passes the argument and may
+            not be edited in the PR that retired the option.
     """
     with SQLiteCoverStore(path) as store:
         collection = store.load_collection()
         cover = store.load_cover()
-        if backend is None:
-            backend = store._meta("backend") or "sets"
         epoch = int(store._meta("epoch") or "0")
     cover.add_nodes(collection.elements)
-    index = HopiIndex(collection, convert_cover(cover, backend))
+    index = HopiIndex(collection, cover)
     index.epoch = epoch
     return index

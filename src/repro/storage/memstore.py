@@ -1,4 +1,4 @@
-"""In-memory cover store with the same interface as the SQL backend.
+"""In-memory cover store with the same interface as the SQL store.
 
 Used as the no-database baseline in the query-performance benchmark
 (E16): identical semantics, no SQL layer.
@@ -15,8 +15,8 @@ Cover = Union[TwoHopCover, DistanceTwoHopCover]
 
 
 class MemoryCoverStore(CoverStore):
-    """Wraps an in-memory cover (any backend) behind the
-    :class:`CoverStore` interface."""
+    """Wraps an in-memory cover behind the :class:`CoverStore`
+    interface."""
 
     def __init__(self, cover: Cover) -> None:
         self._cover = cover

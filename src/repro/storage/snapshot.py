@@ -1,9 +1,9 @@
-"""Compact CSR-style binary snapshots of array-backed covers.
+"""Compact CSR-style binary snapshots of covers.
 
 The SQLite store keeps one row per label entry — ideal for the paper's
 SQL query shapes, but (de)serialising a large cover costs one Python
-tuple per row. A snapshot instead writes the cover exactly as the
-array backend holds it in memory: a node-id table plus CSR blocks
+tuple per row. A snapshot instead writes the cover exactly as it
+seals in memory: a node-id table plus CSR blocks
 (``indptr`` offsets + one flat, sorted data array) for ``Lin``,
 ``Lout`` and both backward indexes. Save and load move whole blocks
 with ``array.tobytes`` / ``array.frombytes`` — zero per-row Python
@@ -44,13 +44,13 @@ from array import array
 from pathlib import Path
 from typing import BinaryIO, List, Optional, Set, Union
 
-from repro.core.array_cover import ArrayDistanceCover, ArrayTwoHopCover
+from repro.core.cover import DistanceTwoHopCover, TwoHopCover
 from repro.storage.base import CoverStore
 
 MAGIC = b"HOPICSR1"
 _FLAG_DISTANCE = 1
 
-ArrayCover = Union[ArrayTwoHopCover, ArrayDistanceCover]
+Cover = Union[TwoHopCover, DistanceTwoHopCover]
 
 
 def _write_array(fh: BinaryIO, arr: array) -> None:
@@ -79,12 +79,11 @@ def _read_array(fh: BinaryIO) -> array:
     return arr
 
 
-def dump_snapshot(fh: BinaryIO, cover: ArrayCover) -> None:
-    """Write the CSR encoding of an array-backed cover to a stream."""
-    if not isinstance(cover, (ArrayTwoHopCover, ArrayDistanceCover)):
+def dump_snapshot(fh: BinaryIO, cover: Cover) -> None:
+    """Write the CSR encoding of a cover to a stream."""
+    if not isinstance(cover, (TwoHopCover, DistanceTwoHopCover)):
         raise TypeError(
-            "snapshots hold array-backed covers; convert with "
-            "convert_cover(cover, 'arrays') first"
+            f"snapshots hold repro.core.cover covers, not {type(cover).__name__}"
         )
     payload = cover.to_csr()
     labels = payload["labels"]
@@ -104,8 +103,8 @@ def dump_snapshot(fh: BinaryIO, cover: ArrayCover) -> None:
         _write_array(fh, payload["lout_dist"])
 
 
-def read_snapshot(fh: BinaryIO, *, name: str = "<stream>") -> ArrayCover:
-    """Read one CSR encoding from a stream into an array-backed cover."""
+def read_snapshot(fh: BinaryIO, *, name: str = "<stream>") -> Cover:
+    """Read one CSR encoding from a stream into a cover."""
     magic = fh.read(len(MAGIC))
     if magic != MAGIC:
         raise ValueError(f"{name}: not a HOPI CSR snapshot")
@@ -126,20 +125,17 @@ def read_snapshot(fh: BinaryIO, *, name: str = "<stream>") -> ArrayCover:
         payload["distance"] = True
         payload["lin_dist"] = _read_array(fh)
         payload["lout_dist"] = _read_array(fh)
-        return ArrayDistanceCover.from_csr(payload)
+        return DistanceTwoHopCover.from_csr(payload)
     payload["distance"] = False
-    return ArrayTwoHopCover.from_csr(payload)
+    return TwoHopCover.from_csr(payload)
 
 
-def save_snapshot(path: Union[str, Path], cover: ArrayCover) -> int:
-    """Write an array-backed cover to ``path``; returns bytes written.
+def save_snapshot(path: Union[str, Path], cover: Cover) -> int:
+    """Write a cover to ``path``; returns bytes written.
 
-    Set-backed covers must be converted first
-    (:func:`repro.core.hopi.convert_cover`) — the snapshot is the
-    serialised form of the array representation. The encoding is fully
-    serialised *before* the target is opened, so a validation error
-    (wrong cover flavour, non-integer labels) never truncates an
-    existing snapshot file.
+    The encoding is fully serialised *before* the target is opened, so
+    a validation error (not a cover, non-integer labels) never truncates
+    an existing snapshot file.
     """
     data = snapshot_to_bytes(cover)
     path = Path(path)
@@ -147,13 +143,13 @@ def save_snapshot(path: Union[str, Path], cover: ArrayCover) -> int:
     return len(data)
 
 
-def load_snapshot(path: Union[str, Path]) -> ArrayCover:
-    """Load a snapshot back into an array-backed cover."""
+def load_snapshot(path: Union[str, Path]) -> Cover:
+    """Load a snapshot back into a cover."""
     with open(path, "rb") as fh:
         return read_snapshot(fh, name=str(path))
 
 
-def snapshot_to_bytes(cover: ArrayCover) -> bytes:
+def snapshot_to_bytes(cover: Cover) -> bytes:
     """The CSR encoding as one ``bytes`` blob.
 
     The parallel build pipeline's wire format: workers encode their
@@ -166,25 +162,25 @@ def snapshot_to_bytes(cover: ArrayCover) -> bytes:
     return buf.getvalue()
 
 
-def snapshot_from_bytes(data: bytes) -> ArrayCover:
-    """Decode a :func:`snapshot_to_bytes` blob back into an array cover."""
+def snapshot_from_bytes(data: bytes) -> Cover:
+    """Decode a :func:`snapshot_to_bytes` blob back into a cover."""
     return read_snapshot(io.BytesIO(data), name="<bytes>")
 
 
 def canonical_snapshot_bytes(cover) -> bytes:
     """A byte-deterministic snapshot encoding of any cover.
 
-    Plain snapshots serialise the array backend's interner order, which
-    depends on construction history (union order, maintenance, backend
-    conversions). Here the cover is re-represented with nodes interned
-    in sorted order and entries inserted in sorted order, so **any two
-    covers with equal node universes and label-entry sets encode to
-    identical bytes** — regardless of backend, executor, worker count
-    or join shard count. The equivalence test suite and the CI
-    rpc-smoke job rely on this to diff whole builds with one byte
-    comparison.
+    Plain snapshots serialise the cover's interner order, which depends
+    on construction history (union order, maintenance). Here the cover
+    is re-represented with nodes interned in sorted order and entries
+    inserted in sorted order, so **any two covers with equal node
+    universes and label-entry sets encode to identical bytes** —
+    regardless of executor, worker count or join shard count (and for
+    the test oracle too: only ``nodes`` / ``entries()`` are read). The
+    equivalence test suite and the CI rpc-smoke job rely on this to
+    diff whole builds with one byte comparison.
     """
-    factory = ArrayDistanceCover if cover.is_distance_aware else ArrayTwoHopCover
+    factory = DistanceTwoHopCover if cover.is_distance_aware else TwoHopCover
     fresh = factory(sorted(cover.nodes))
     if cover.is_distance_aware:
         for kind, node, center, dist in sorted(cover.entries()):
@@ -200,16 +196,16 @@ def canonical_snapshot_bytes(cover) -> bytes:
 class SnapshotCoverStore(CoverStore):
     """A :class:`CoverStore` over a CSR snapshot file.
 
-    Queries are answered by the materialised array cover (loaded lazily
-    on first use); :meth:`save_cover` rewrites the file.
+    Queries are answered by the materialised cover (loaded lazily on
+    first use); :meth:`save_cover` rewrites the file.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self._cover: Optional[ArrayCover] = None
+        self._cover: Optional[Cover] = None
         self._loaded_mtime_ns: Optional[int] = None
 
-    def _loaded(self) -> ArrayCover:
+    def _loaded(self) -> Cover:
         if self._cover is None:
             # stat *before* reading: if the file is rewritten while we
             # load, the recorded mtime predates the rewrite and the next
@@ -219,7 +215,7 @@ class SnapshotCoverStore(CoverStore):
             self._loaded_mtime_ns = mtime_ns
         return self._cover
 
-    def reload(self) -> ArrayCover:
+    def reload(self) -> Cover:
         """Drop the cached cover and re-read the file.
 
         The store half of the service layer's hot-reload path
@@ -245,16 +241,13 @@ class SnapshotCoverStore(CoverStore):
         return True
 
     def save_cover(self, cover) -> None:
-        from repro.core.hopi import convert_cover
-
-        converted = convert_cover(cover, "arrays")
-        save_snapshot(self.path, converted)
+        save_snapshot(self.path, cover)
         # cache a private copy: the caller may keep mutating its live
         # cover, and the store must keep answering from persisted state
-        self._cover = converted.copy()
+        self._cover = cover.copy()
         self._loaded_mtime_ns = self.path.stat().st_mtime_ns
 
-    def load_cover(self) -> ArrayCover:
+    def load_cover(self) -> Cover:
         return self._loaded()
 
     def connected(self, u: int, v: int) -> bool:

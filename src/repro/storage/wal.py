@@ -222,9 +222,11 @@ class DurableIndexStore:
         Returns the index at the highest durably-logged epoch. Records
         at or below the snapshot epoch (possible after a crash between
         checkpoint-rename and WAL reset) are skipped — replay is
-        idempotent.
+        idempotent. ``backend`` is accepted and ignored: there is one
+        label representation, but ``perf/`` still passes the argument
+        and may not be edited in the PR that retired the option.
         """
-        index = load_index(self.db_path, backend=backend)
+        index = load_index(self.db_path)
         for epoch, ops in self.wal.replay():
             if epoch <= index.epoch:
                 continue

@@ -44,7 +44,7 @@ TAIL_RATIO_BOUND = 1000.0 if IN_CI else 100.0
 
 def build_index(n_docs=12, seed=17):
     return HopiIndex.build(
-        dblp_like(n_docs, seed=seed), backend="arrays",
+        dblp_like(n_docs, seed=seed),
         strategy="recursive", partitioner="node_weight", partition_limit=60,
     )
 
@@ -546,9 +546,13 @@ class TestColdMissConvoy:
         assert all(o.status == 200 for o in outcomes)
         stats = service.stats()["result_cache"]
         # single flight: one compute; everyone else coalesced onto it
-        # or hit the cache right after it landed
-        assert stats["misses"] == 1
+        # or hit the cache right after it landed. A coalesced request
+        # looked the key up (and missed) before it joined the leader, so
+        # misses count the leader plus the coalesced — how many of the
+        # seven overlap the leader depends on how long the one cold
+        # evaluation takes (it now includes the cover's lazy seal)
         assert stats["coalesced"] + stats["hits"] == 7
+        assert stats["misses"] == 1 + stats["coalesced"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Backend-aware cost model: planner differentials and ranked top-k.
+"""The probe cost model: planner differentials and ranked top-k.
 
 The contract pinned here: a neutral model reproduces the legacy
 count-only planner decisions *exactly*; a skewed model flips direction
@@ -12,11 +12,10 @@ import pytest
 
 from repro.core.hopi import HopiIndex
 from repro.query.cost import (
-    DEFAULT_COST_MODELS,
+    DEFAULT_COST_MODEL,
     NEUTRAL_COST_MODEL,
     ProbeCostModel,
     calibrate_probe_costs,
-    default_cost_model,
 )
 from repro.query.engine import QueryEngine
 from repro.query.pathexpr import parse_path
@@ -26,7 +25,7 @@ from repro.xmlmodel.model import Collection
 
 #: Forward probes 3x cheaper than backward — enough skew to flip any
 #: near-equal decision.
-SYNTHETIC = ProbeCostModel("synthetic", 1.0, 3.0, source="synthetic")
+SYNTHETIC = ProbeCostModel(1.0, 3.0, source="synthetic")
 
 
 class FakeEngine:
@@ -61,20 +60,19 @@ def small_index():
 
 def test_neutral_and_default_models():
     assert NEUTRAL_COST_MODEL.neutral
-    assert default_cost_model("no-such-backend") is NEUTRAL_COST_MODEL
-    for backend, model in DEFAULT_COST_MODELS.items():
-        assert model.backend == backend
-        assert not model.neutral
-        assert model.unit("descendant", "backward") == model.backward
-        assert model.unit("descendant", "forward") == model.forward
-        # child joins follow parent pointers — direction-blind
-        assert model.unit("child", "backward") == 1.0
-        assert model.unit("child", "forward") == 1.0
+    model = DEFAULT_COST_MODEL
+    assert (model.forward, model.backward, model.source) == (0.35, 1.3, "default")
+    assert not model.neutral
+    assert model.unit("descendant", "backward") == model.backward
+    assert model.unit("descendant", "forward") == model.forward
+    # child joins follow parent pointers — direction-blind
+    assert model.unit("child", "backward") == 1.0
+    assert model.unit("child", "forward") == 1.0
 
 
 def test_engine_cost_model_comes_from_the_index(small_index):
     engine = QueryEngine(small_index)
-    assert engine.cost_model == default_cost_model(small_index.backend)
+    assert engine.cost_model is DEFAULT_COST_MODEL
     pinned = small_index.calibrate_probe_costs(samples=4, repeats=1)
     try:
         assert engine.cost_model is pinned
@@ -85,7 +83,6 @@ def test_engine_cost_model_comes_from_the_index(small_index):
 def test_calibration_is_normalised_and_clamped(small_index):
     model = calibrate_probe_costs(small_index, samples=4, repeats=1)
     assert model.source == "calibrated"
-    assert model.backend == small_index.backend
     assert model.forward == 1.0
     assert 0.05 <= model.backward <= 20.0
 
@@ -93,7 +90,7 @@ def test_calibration_is_normalised_and_clamped(small_index):
 def test_calibration_falls_back_on_tiny_collections():
     index = HopiIndex.build(Collection(), strategy="unpartitioned")
     model = calibrate_probe_costs(index)
-    assert model == default_cost_model(index.backend)
+    assert model is DEFAULT_COST_MODEL
 
 
 # ---------------------------------------------------------------------------
@@ -236,4 +233,6 @@ def test_execution_profiles_expose_short_circuits(small_index):
     assert "exec:  count via frontier-aggregation" in text
     described = engine.plan("//article//author").describe("exists")
     assert described["execution"]["strategy"] == "first-match"
-    assert described["cost_model"]["backend"] == small_index.backend
+    assert described["cost_model"] == {
+        "forward": 0.35, "backward": 1.3, "source": "default",
+    }

@@ -8,6 +8,7 @@ from repro.core.cover_builder import (
     build_cover,
     build_cover_for_closure,
     expand_component_cover,
+    greedy_center_assignments,
 )
 from repro.graph import Condensation, DiGraph, transitive_closure
 
@@ -130,9 +131,10 @@ def test_expand_component_cover_directly():
     g = DiGraph([(1, 2), (2, 1), (2, 3)])
     cond = Condensation(g)
     dag_closure = transitive_closure(cond.dag)
-    comp_cover = build_cover_for_closure(dag_closure)
-    cover = expand_component_cover(comp_cover, cond)
+    cover = expand_component_cover(greedy_center_assignments(dag_closure), cond)
     cover.verify_against(transitive_closure(g))
+    # the component-level cover says the same about the condensation DAG
+    build_cover_for_closure(dag_closure).verify_against(dag_closure)
 
 
 def test_build_cover_with_precomputed_closure_dag():

@@ -5,7 +5,9 @@ The COW invariants under test are the write path's correctness core:
 1. **Bit-identity.** An epoch produced by applying Section-6
    maintenance to a ``cow_copy()`` fork must serialise to exactly the
    same canonical snapshot bytes as one produced from a deep ``copy()``
-   — across every label backend and workload shape.
+   — whether the forked cover was sealed or not, on every workload
+   shape (the ``sets`` rows run the same scripts over the oracle,
+   whose fork *is* a deep copy: they pin the expected bytes).
 2. **No leakage.** Mutating a fork never changes the published
    original (and vice versa): shared rows are privatised on first
    write, whole-row replacements never alias, the collection's shared
@@ -19,7 +21,8 @@ import random
 
 import pytest
 
-from repro.core.hopi import BACKENDS, HopiIndex
+from cover_oracle import COVER_STATES, index_in_state
+from repro.core.hopi import HopiIndex
 from repro.core.ops import apply_update_op
 from repro.storage.snapshot import canonical_snapshot_bytes
 from repro.xmlmodel.generator import dblp_like, inex_like
@@ -30,11 +33,13 @@ WORKLOADS = {
 }
 
 
-def build(workload, backend, *, distance=False):
-    return HopiIndex.build(
-        WORKLOADS[workload](), backend=backend, distance=distance,
+def build(workload, state, *, distance=False):
+    """A fresh index in cover state ``state`` (see ``COVER_STATES``)."""
+    index = HopiIndex.build(
+        WORKLOADS[workload](), distance=distance,
         strategy="recursive", partitioner="node_weight", partition_limit=60,
     )
+    return index_in_state(index, state)
 
 
 def section6_ops(index):
@@ -62,10 +67,10 @@ def snap(index):
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@pytest.mark.parametrize("state", COVER_STATES)
 class TestBitIdentity:
-    def test_cow_epoch_matches_deep_copy_epoch(self, workload, backend):
-        index = build(workload, backend)
+    def test_cow_epoch_matches_deep_copy_epoch(self, workload, state):
+        index = build(workload, state)
         baseline = snap(index)
 
         deep = index.copy()
@@ -80,8 +85,8 @@ class TestBitIdentity:
         assert snap(index) == baseline
         cow.verify()  # BFS-closure oracle audit
 
-    def test_fork_isolation_both_directions(self, workload, backend):
-        index = build(workload, backend)
+    def test_fork_isolation_both_directions(self, workload, state):
+        index = build(workload, state)
         fork = index.cow_copy()
         baseline = snap(index)
         docs = sorted(index.collection.documents)
@@ -97,11 +102,11 @@ class TestBitIdentity:
         assert snap(fork) == fork_bytes
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@pytest.mark.parametrize("state", COVER_STATES)
 class TestChainedForks:
-    def test_fork_of_fork_privatises_at_every_depth(self, backend):
+    def test_fork_of_fork_privatises_at_every_depth(self, state):
         """The group-commit pattern: shadow → per-batch trial forks."""
-        index = build("dblp", backend)
+        index = build("dblp", state)
         baseline = snap(index)
         ops = section6_ops(index)
 
@@ -123,8 +128,8 @@ class TestChainedForks:
             apply_update_op(deep, op)
         assert snap(trial) == snap(deep)
 
-    def test_discarded_trial_rolls_back_alone(self, backend):
-        index = build("dblp", backend)
+    def test_discarded_trial_rolls_back_alone(self, state):
+        index = build("dblp", state)
         shadow = index.cow_copy()
         docs = sorted(shadow.collection.documents)
         root = shadow.collection.documents[docs[0]].root
@@ -139,9 +144,9 @@ class TestChainedForks:
         assert snap(shadow) == committed
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
-def test_distance_cover_cow_matches_deep_copy(backend):
-    index = build("dblp", backend, distance=True)
+@pytest.mark.parametrize("state", COVER_STATES)
+def test_distance_cover_cow_matches_deep_copy(state):
+    index = build("dblp", state, distance=True)
     baseline = snap(index)
     deep = index.copy()
     cow = index.cow_copy()
@@ -152,13 +157,13 @@ def test_distance_cover_cow_matches_deep_copy(backend):
     assert snap(index) == baseline
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
-def test_random_op_fuzz_never_leaks(backend):
+@pytest.mark.parametrize("state", COVER_STATES)
+def test_random_op_fuzz_never_leaks(state):
     """Property check: arbitrary interleavings of fork mutations keep
     the published epoch's bytes frozen and stay bit-identical to the
     deep-copy twin replaying the same sequence."""
     rng = random.Random(20260808)
-    index = build("dblp", backend)
+    index = build("dblp", state)
     baseline = snap(index)
     deep = index.copy()
     cow = index.cow_copy()

@@ -50,8 +50,6 @@ def test_readme_covers_the_essentials():
         "ARCHITECTURE.md",
         "BENCHMARK.json",
         "perf/README.md",
-        "sets",
-        "arrays",
     ):
         assert needle in text, f"README.md should mention {needle!r}"
 

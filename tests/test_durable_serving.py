@@ -25,7 +25,7 @@ INSERT = {
 
 
 def durable_index(root):
-    index = HopiIndex.build(dblp_like(8, seed=3), backend="arrays")
+    index = HopiIndex.build(dblp_like(8, seed=3))
     store = DurableIndexStore(str(root))
     store.initialize(index)
     return index, store
@@ -43,7 +43,7 @@ def test_shard_router_persists_updates_and_closes_store(tmp_path):
     assert store.wal._fh is None
 
     recovered_store = DurableIndexStore(str(tmp_path))
-    recovered = recovered_store.recover(backend="arrays")
+    recovered = recovered_store.recover()
     recovered_store.close()
     assert "fresh" in recovered.collection.documents
     assert canonical_snapshot_bytes(recovered.cover) == live
@@ -58,14 +58,14 @@ def test_query_service_close_closes_durable_store(tmp_path):
     assert store.wal._fh is None
 
     recovered_store = DurableIndexStore(str(tmp_path))
-    recovered = recovered_store.recover(backend="arrays")
+    recovered = recovered_store.recover()
     recovered_store.close()
     assert "fresh" in recovered.collection.documents
     assert canonical_snapshot_bytes(recovered.cover) == live
 
 
 def test_shard_router_and_single_service_recover_identically(tmp_path):
-    base = HopiIndex.build(dblp_like(8, seed=3), backend="arrays")
+    base = HopiIndex.build(dblp_like(8, seed=3))
 
     single_store = DurableIndexStore(str(tmp_path / "single"))
     single_store.initialize(base.copy())
@@ -83,8 +83,8 @@ def test_shard_router_and_single_service_recover_identically(tmp_path):
     b = DurableIndexStore(str(tmp_path / "sharded"))
     try:
         assert canonical_snapshot_bytes(
-            a.recover(backend="arrays").cover
-        ) == canonical_snapshot_bytes(b.recover(backend="arrays").cover)
+            a.recover().cover
+        ) == canonical_snapshot_bytes(b.recover().cover)
     finally:
         a.close()
         b.close()

@@ -1,33 +1,31 @@
-"""Randomized backend-equivalence suite.
+"""Randomized equivalence suite: the cover vs the oracle.
 
-The tested backend must be indistinguishable from the set backend at
-the query interface: on seeded random DAG and cyclic collections, both
-must return identical ``connected``, ``distance``, ``ancestors`` and
-``descendants`` answers — after the initial build and after arbitrary
-maintenance sequences (element/edge/document insertion, edge/document
-deletion). Two structurally identical collections are generated per
-seed (element-id allocation is deterministic) so each backend maintains
-its own collection/cover pair in lock-step.
-
-``REPRO_BACKEND`` selects the backend under test (default ``arrays``;
-CI runs the matrix a second time with ``REPRO_BACKEND=vector`` so the
-sealed-slab kernels face the same oracle).
+The cover (:mod:`repro.core.cover`) must be indistinguishable from the
+frozen ``Dict[Node, Set]`` oracle (``tests/cover_oracle.py``) at the
+query interface: on seeded random DAG and cyclic collections, both must
+return identical ``connected``, ``connected_many``, ``intersect_many``,
+``distance``, ``ancestors`` and ``descendants`` answers — after the
+initial build and after arbitrary maintenance sequences (element /
+edge / document insertion, edge / document deletion), which run the
+same Section-6 algorithms over each representation. Each side
+maintains its own collection/cover pair in lock-step (element-id
+allocation is deterministic), and the product side is additionally
+checked against a from-scratch closure, so the two cannot be
+identically wrong.
 """
 
-import os
 import random
 
 import pytest
 
-from repro.core.hopi import BACKENDS, HopiIndex
+import repro.core.cover as cover_module
+from cover_oracle import oracle_index
+from repro.core.hopi import HopiIndex
 from repro.graph.closure import distance_closure, transitive_closure
 from repro.xmlmodel.generator import dblp_like
 from repro.xmlmodel.model import Collection
 
 TAGS = ("a", "b", "c")
-
-#: The backend checked against the ``sets`` oracle.
-BACKEND = os.environ.get("REPRO_BACKEND", "arrays")
 
 
 def random_collection(seed: int, *, n_docs: int = 5, cyclic: bool = False) -> Collection:
@@ -58,37 +56,45 @@ def random_collection(seed: int, *, n_docs: int = 5, cyclic: bool = False) -> Co
 
 
 def assert_equivalent(sets_index: HopiIndex, arrays_index: HopiIndex) -> None:
-    """Both backends answer identically over the full node universe."""
+    """The oracle (``sets_index``) and the cover (``arrays_index``)
+    answer identically over the full node universe."""
     nodes = sorted(sets_index.collection.elements)
     assert sorted(arrays_index.collection.elements) == nodes
     assert set(sets_index.cover.nodes) == set(arrays_index.cover.nodes)
     distance = sets_index.is_distance_aware
-    for u in nodes:
+    frozen = tuple(nodes)
+    block = arrays_index.intersect_many(nodes, frozen)
+    for u, row in zip(nodes, block):
         assert sets_index.descendants(u) == arrays_index.descendants(u), u
         assert sets_index.ancestors(u) == arrays_index.ancestors(u), u
         expected = [sets_index.connected(u, v) for v in nodes]
+        # the sealed point probe, the sealed batch (list and tuple
+        # translation paths) and the block probe
         assert [arrays_index.connected(u, v) for v in nodes] == expected, u
         assert arrays_index.connected_many(u, nodes) == expected, u
-        assert sets_index.connected_many(u, nodes) == expected, u
+        assert arrays_index.connected_many(u, frozen) == expected, u
+        assert row == [i for i, ok in enumerate(expected) if ok], u
         if distance:
             for v in nodes:
                 assert sets_index.distance(u, v) == arrays_index.distance(u, v), (u, v)
+    # ... and the unsealed point probe (galloping over the mutable rows)
+    unsealed = arrays_index.cover.copy()
+    assert not unsealed.sealed
+    for u in nodes[:: max(len(nodes) // 8, 1)]:
+        assert [unsealed.connected(u, v) for v in nodes] == [
+            sets_index.connected(u, v) for v in nodes
+        ], u
 
 
-def build_pair(seed: int, *, cyclic: bool, distance: bool):
-    kwargs = dict(
-        strategy="recursive",
-        partitioner="node_weight",
-        partition_limit=8,
-        distance=distance,
-    )
-    sets_index = HopiIndex.build(
-        random_collection(seed, cyclic=cyclic), backend="sets", **kwargs
+def build_pair(seed: int, *, cyclic: bool, distance: bool, **kwargs):
+    """``(oracle index, cover index)`` over twin collections."""
+    kwargs = kwargs or dict(
+        strategy="recursive", partitioner="node_weight", partition_limit=8
     )
     arrays_index = HopiIndex.build(
-        random_collection(seed, cyclic=cyclic), backend=BACKEND, **kwargs
+        random_collection(seed, cyclic=cyclic), distance=distance, **kwargs
     )
-    return sets_index, arrays_index
+    return oracle_index(arrays_index), arrays_index
 
 
 # ---------------------------------------------------------------------------
@@ -120,35 +126,47 @@ def test_all_build_strategies_equivalent(strategy):
     kwargs = dict(strategy=strategy)
     if strategy != "unpartitioned":
         kwargs.update(partitioner="closure")
-    sets_index = HopiIndex.build(
-        random_collection(3), backend="sets", **kwargs
-    )
-    arrays_index = HopiIndex.build(
-        random_collection(3), backend=BACKEND, **kwargs
+    sets_index, arrays_index = build_pair(
+        3, cyclic=False, distance=False, **kwargs
     )
     assert_equivalent(sets_index, arrays_index)
     assert sets_index.cover.size == arrays_index.cover.size
+    arrays_index.verify()
 
 
-def test_every_backend_answers_the_descendant_step_identically():
-    """One cover, converted (never rebuilt) into every label backend:
-    the batch shape the query engine issues for each ``//a//b`` step —
-    a document root probed against every element of the most frequent
-    tag — gets bit-identical answers whatever ``REPRO_BACKEND`` says."""
+def test_every_backend_answers_the_descendant_step_identically(monkeypatch):
+    """The batch shape the query engine issues for each ``//a//b`` step
+    — a document root probed against every element of the most frequent
+    tag — gets bit-identical answers from everything that can answer
+    it: the oracle, the sealed cover (per-call list translation, cached
+    tuple translation, the block probe) and the portable kernels."""
     collection = dblp_like(30, seed=7)
-    base = HopiIndex.build(
+    index = HopiIndex.build(
         collection, strategy="recursive", partitioner="node_weight",
         partition_limit=max(collection.num_elements // 16, 1),
     )
     _, members = max(collection.tags().items(), key=lambda kv: (len(kv[1]), kv[0]))
     candidates = sorted(members)
     roots = sorted(d.root for d in collection.documents.values())
-    expected = [base.connected_many(root, candidates) for root in roots]
+    oracle = oracle_index(index)
+    expected = [oracle.connected_many(root, candidates) for root in roots]
     assert any(any(row) for row in expected)
-    for backend in BACKENDS:
-        index = base.with_backend(backend)
-        got = [index.connected_many(root, candidates) for root in roots]
-        assert got == expected, backend
+
+    def answers():
+        yield "list", [index.connected_many(r, candidates) for r in roots]
+        frozen = tuple(candidates)
+        yield "tuple", [index.connected_many(r, frozen) for r in roots]
+        yield "block", [
+            [i in hits for i in range(len(frozen))]
+            for hits in map(set, index.intersect_many(roots, frozen))
+        ]
+
+    for how, got in answers():
+        assert got == expected, how
+    monkeypatch.setattr(cover_module, "_np", None)
+    index.cover = index.cover.copy()  # reseal without numpy views
+    for how, got in answers():
+        assert got == expected, f"portable {how}"
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +239,7 @@ def _apply(index: HopiIndex, op) -> None:
 @pytest.mark.parametrize("cyclic", [False, True])
 def test_maintenance_equivalence(seed, cyclic):
     sets_index, arrays_index = build_pair(seed, cyclic=cyclic, distance=False)
+    assert sets_index.collection is not arrays_index.collection
     rng = random.Random(1000 + seed)
     ops = _maintenance_script(sets_index, rng, n_ops=8)
     for op in ops:
@@ -247,3 +266,27 @@ def test_maintenance_equivalence_distance(seed):
     arrays_index.cover.verify_against(
         oracle, nodes=arrays_index.collection.elements
     )
+
+
+# ---------------------------------------------------------------------------
+# the portable seal (what a host without numpy runs)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("distance", [False, True])
+def test_portable_seal_matches_the_oracle(monkeypatch, distance):
+    """With the cover module's numpy handle gone, the seal packs plain
+    ``array`` slabs and the probes take the id-list / set-membership
+    branches (``_desc_set``, ``_Slabs`` without ``np_data``) — the only
+    paths a numpy-less host (CI) has. Same answers as the oracle, after
+    the build and after every step of a maintenance script."""
+    monkeypatch.setattr(cover_module, "_np", None)
+    sets_index, arrays_index = build_pair(2, cyclic=not distance, distance=distance)
+    assert_equivalent(sets_index, arrays_index)
+    assert arrays_index.cover.sealed
+    assert arrays_index.cover._slabs.np_data is None
+    for op in _maintenance_script(sets_index, random.Random(77), n_ops=6):
+        _apply(sets_index, op)
+        _apply(arrays_index, op)
+        assert_equivalent(sets_index, arrays_index)
+    arrays_index.verify()

@@ -5,8 +5,8 @@ The contracts under test:
 * sources are **restartable**: ``stream(cursor)`` equals the tail of
   ``stream(0)``, for the same spec + seed, across calls;
 * the pipeline's streamed index answers **identically** to a
-  batch-built index over the same final collection, on every label
-  backend (the ingestion differential gate);
+  batch-built index over the same final collection — and to the
+  oracle's reading of it (the ingestion differential gate);
 * resume **dedupes** documents that already published (the WAL-ahead-
   of-frontier crash window) and converges to the uninterrupted result;
 * the frontier checkpoint round-trips atomically and refuses foreign
@@ -19,7 +19,8 @@ import json
 
 import pytest
 
-from repro.core.hopi import BACKENDS, HopiIndex
+from cover_oracle import oracle_index
+from repro.core.hopi import HopiIndex
 from repro.ingest import (
     DirectorySource,
     FrontierCheckpoint,
@@ -35,9 +36,9 @@ from repro.storage.wal import DurableIndexStore
 from repro.xmlmodel.model import Collection
 
 
-def empty_service(backend="arrays", **kwargs):
+def empty_service(**kwargs):
     return QueryService(
-        HopiIndex.build(Collection(), backend=backend), **kwargs
+        HopiIndex.build(Collection()), **kwargs
     )
 
 
@@ -127,14 +128,16 @@ def test_streamed_answers_match_batch_build(spec):
     assert service.index.collection.num_documents == reference.num_documents
     assert service.index.collection.num_elements == reference.num_elements
     paths = ["//article//cite", "//book//note", "//entry//title", "//title"]
-    for backend in BACKENDS:
-        batch = QueryEngine(HopiIndex.build(reference, backend=backend))
-        streamed = QueryEngine(service.index.with_backend(backend))
+    batch_index = HopiIndex.build(reference)
+    streamed = QueryEngine(service.index)
+    # the batch-built cover, and the oracle's reading of its entries
+    for how, index in (("cover", batch_index), ("oracle", oracle_index(batch_index))):
+        batch = QueryEngine(index)
         for path in paths:
             assert (
                 sorted(r.target for r in batch.evaluate(path))
                 == sorted(r.target for r in streamed.evaluate(path))
-            ), (spec, backend, path)
+            ), (spec, how, path)
 
 
 def test_pipeline_drops_dangling_doc_links(tmp_path):
@@ -211,7 +214,7 @@ def test_pipeline_records_freshness_lags():
 def test_pipeline_writes_frontier_after_each_batch(tmp_path):
     store_dir = str(tmp_path / "store")
     store = DurableIndexStore(store_dir)
-    index = HopiIndex.build(Collection(), backend="arrays")
+    index = HopiIndex.build(Collection())
     store.initialize(index)
     service = QueryService(index, durable_store=store)
     IngestPipeline(

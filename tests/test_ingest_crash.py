@@ -47,7 +47,7 @@ def spawn_ingest(store):
 
 def recovered_bytes(store):
     durable = DurableIndexStore(str(store))
-    index = durable.recover(backend="arrays")
+    index = durable.recover()
     durable.close()
     return canonical_snapshot_bytes(index.cover), index
 

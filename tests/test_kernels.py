@@ -114,7 +114,6 @@ def _assert_row_strategies_agree(cover, rng, samples=40):
 def test_cover_rows_after_build_and_maintenance(seed, cyclic):
     index = HopiIndex.build(
         random_collection(seed, cyclic=cyclic),
-        backend="vector",
         strategy="recursive",
         partitioner="node_weight",
         partition_limit=8,

@@ -2,11 +2,15 @@
 
 The pipeline's contract (module docstring of :mod:`repro.core.pipeline`)
 is that the final cover's label entries are **bit-identical** across
-executors and worker counts, on both label backends. This suite pins
-that on seeded random collections — after the build, and after a round
-of Section-6 maintenance applied in lock-step to a serially-built and a
+executors and worker counts. This suite pins that on seeded random
+collections — after the build, and after a round of Section-6
+maintenance applied in lock-step to a serially-built and a
 parallel-built index — plus the wire format round-trip and the executor
-plumbing itself.
+plumbing itself. The ``arrays`` rows compare and audit the built covers
+as they are; the ``sets`` rows first hand every built cover's entries
+to the oracle (``tests/cover_oracle.py``), so the comparison, the
+maintenance round and the BFS-closure audit all run on the reference
+semantics instead of the code that built them.
 """
 
 import random
@@ -14,6 +18,7 @@ import warnings
 
 import pytest
 
+from cover_oracle import index_in_state
 from repro.core.cover_builder import build_partition_cover
 from repro.core.hopi import HopiIndex
 from repro.core.pipeline import (
@@ -60,8 +65,13 @@ def entries_of(index: HopiIndex):
     return sorted(index.cover.entries())
 
 
+def build(collection: Collection, state: str, **kwargs) -> HopiIndex:
+    """``HopiIndex.build`` with the result put into cover ``state``."""
+    return index_in_state(HopiIndex.build(collection, **kwargs), state)
+
+
 def maintenance_round(index: HopiIndex, seed: int) -> None:
-    """One deterministic round of Section-6 ops (same for any backend)."""
+    """One deterministic round of Section-6 ops (same for any cover)."""
     rng = random.Random(seed)
     collection = index.collection
     elements = sorted(collection.elements)
@@ -73,24 +83,24 @@ def maintenance_round(index: HopiIndex, seed: int) -> None:
     index.delete_document(victim)
 
 
-@pytest.mark.parametrize("backend", ["sets", "arrays"])
+@pytest.mark.parametrize("state", ["sets", "arrays"])
 @pytest.mark.parametrize("strategy", ["recursive", "incremental"])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_serial_vs_process_identical(backend, strategy, seed):
+def test_serial_vs_process_identical(state, strategy, seed):
     collection = random_collection(seed)
-    serial = HopiIndex.build(
+    serial = build(
         collection,
+        state,
         strategy=strategy,
         partitioner="node_weight",
         partition_limit=12,
-        backend=backend,
     )
-    parallel = HopiIndex.build(
+    parallel = build(
         random_collection(seed),  # structurally identical twin
+        state,
         strategy=strategy,
         partitioner="node_weight",
         partition_limit=12,
-        backend=backend,
         workers=2,
     )
     assert parallel.stats.executor == "process"
@@ -101,20 +111,20 @@ def test_serial_vs_process_identical(backend, strategy, seed):
     parallel.verify()
 
 
-@pytest.mark.parametrize("backend", ["sets", "arrays"])
-def test_identical_after_maintenance(backend):
+@pytest.mark.parametrize("state", ["sets", "arrays"])
+def test_identical_after_maintenance(state):
     """Parallel-built indexes stay in lock-step through Section-6 ops."""
-    serial = HopiIndex.build(
+    serial = build(
         random_collection(3),
+        state,
         partitioner="node_weight",
         partition_limit=12,
-        backend=backend,
     )
-    parallel = HopiIndex.build(
+    parallel = build(
         random_collection(3),
+        state,
         partitioner="node_weight",
         partition_limit=12,
-        backend=backend,
         workers=2,
     )
     maintenance_round(serial, seed=7)
@@ -124,17 +134,16 @@ def test_identical_after_maintenance(backend):
     parallel.verify()
 
 
-@pytest.mark.parametrize("backend", ["sets", "arrays"])
-def test_distance_build_identical(backend):
+@pytest.mark.parametrize("state", ["sets", "arrays"])
+def test_distance_build_identical(state):
     collection = random_collection(4, n_docs=4)
-    serial = HopiIndex.build(
-        collection, distance=True, partitioner="node_weight",
-        partition_limit=12, backend=backend,
+    serial = build(
+        collection, state, distance=True, partitioner="node_weight",
+        partition_limit=12,
     )
-    parallel = HopiIndex.build(
-        random_collection(4, n_docs=4), distance=True,
-        partitioner="node_weight", partition_limit=12, backend=backend,
-        workers=2,
+    parallel = build(
+        random_collection(4, n_docs=4), state, distance=True,
+        partitioner="node_weight", partition_limit=12, workers=2,
     )
     assert entries_of(serial) == entries_of(parallel)
     parallel.verify()
@@ -147,10 +156,7 @@ def test_wire_roundtrip_preserves_cover():
     cover = build_partition_cover(
         tuple(graph.nodes()), tuple(graph.edges())
     )
-    from repro.core.array_cover import ArrayTwoHopCover
-
-    arrays = ArrayTwoHopCover.from_cover(cover)
-    blob = snapshot_to_bytes(arrays)
+    blob = snapshot_to_bytes(cover)
     assert isinstance(blob, bytes) and blob
     decoded = snapshot_from_bytes(blob)
     assert sorted(decoded.entries()) == sorted(cover.entries())
@@ -319,27 +325,27 @@ def build_kwargs_matrix(rpc_addresses):
     ]
 
 
-@pytest.mark.parametrize("backend", ["sets", "arrays"])
+@pytest.mark.parametrize("state", ["sets", "arrays"])
 @pytest.mark.parametrize("seed", [12, 13])
-def test_executor_and_shard_count_equivalence(backend, seed, rpc_loopback):
+def test_executor_and_shard_count_equivalence(state, seed, rpc_loopback):
     """Snapshots are byte-identical across {serial, threads, process,
-    rpc-loopback} × join shards {1, 2, 7} × both backends."""
-    build = dict(
-        strategy="recursive", partitioner="node_weight",
-        partition_limit=12, backend=backend,
+    rpc-loopback} × join shards {1, 2, 7}, as built and through the
+    oracle."""
+    options = dict(
+        strategy="recursive", partitioner="node_weight", partition_limit=12,
     )
-    baseline = HopiIndex.build(random_collection(seed, n_docs=5), **build)
+    baseline = build(random_collection(seed, n_docs=5), state, **options)
     baseline_blob = canonical_snapshot_bytes(baseline.cover)
     baseline.verify()
     for name, kwargs in build_kwargs_matrix(rpc_loopback):
         for shards in (1, 2, 7):
-            index = HopiIndex.build(
-                random_collection(seed, n_docs=5),
-                join_shards=shards, **build, **kwargs,
+            index = build(
+                random_collection(seed, n_docs=5), state,
+                join_shards=shards, **options, **kwargs,
             )
             blob = canonical_snapshot_bytes(index.cover)
             assert blob == baseline_blob, (
-                f"{name} × join_shards={shards} diverged on {backend}"
+                f"{name} × join_shards={shards} diverged on {state}"
             )
             assert index.stats.join_shards == shards
 

@@ -297,8 +297,9 @@ def reachability_paths(draw, max_steps=3):
 @given(collections(), reachability_paths(), st.integers(min_value=0, max_value=2))
 def test_planner_join_orders_sound(c, path, start_scaled):
     """Any legal zig-zag join order (any seed position) returns the
-    same result set and scores as the naive left-to-right order, on
-    both label backends."""
+    same result set and scores as the naive left-to-right order, over
+    the cover and over the oracle cover."""
+    from cover_oracle import oracle_index
     from repro.core.hopi import HopiIndex
     from repro.query import QueryEngine, QueryResult, parse_path, plan_query
     from repro.query.exec import ExecContext, run_bindings
@@ -306,8 +307,8 @@ def test_planner_join_orders_sound(c, path, start_scaled):
     expr = parse_path(path)
     start = start_scaled % len(expr.steps)
     baseline = None
-    for backend in ("sets", "arrays"):
-        index = HopiIndex.build(c, strategy="unpartitioned", backend=backend)
+    built = HopiIndex.build(c, strategy="unpartitioned")
+    for index in (oracle_index(built), built):
         engine = QueryEngine(index, max_results=10**9)
         naive = [
             (r.bindings, r.score)
@@ -324,4 +325,4 @@ def test_planner_join_orders_sound(c, path, start_scaled):
         if baseline is None:
             baseline = naive
         else:
-            assert naive == baseline  # backends agree too
+            assert naive == baseline  # cover and oracle agree too

@@ -301,17 +301,20 @@ def test_candidates_memoized_per_tag_and_invalidated_on_refresh():
 
 
 def test_evaluate_against_explicit_index():
-    """Pooled engines: one engine's tag index, another backend's cover."""
+    """Pooled engines: one engine's tag index, another index's cover
+    (here the oracle twin over the same collection)."""
+    from cover_oracle import oracle_index
+
     c = dblp_like(8, seed=5)
-    sets_index = HopiIndex.build(c, strategy="unpartitioned", backend="sets")
-    arrays_index = sets_index.with_backend("arrays")
-    engine = QueryEngine(sets_index, max_results=10**9)
+    index = HopiIndex.build(c, strategy="unpartitioned")
+    twin = oracle_index(index)
+    engine = QueryEngine(index, max_results=10**9)
     default = engine.evaluate("//article//cite")
-    explicit = engine.evaluate("//article//cite", index=arrays_index)
+    explicit = engine.evaluate("//article//cite", index=twin)
     assert [(r.bindings, r.score) for r in default] == [
         (r.bindings, r.score) for r in explicit
     ]
-    assert engine.count("//article//cite", index=arrays_index) == len(default)
+    assert engine.count("//article//cite", index=twin) == len(default)
 
 
 def test_evaluate_with_probe_substitute():

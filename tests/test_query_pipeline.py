@@ -5,8 +5,9 @@ operators pipeline to the pre-redesign evaluator:
 
 * a **differential suite** against a frozen copy of the legacy
   left-to-right evaluator (bit-identical bindings, scores *and*
-  ordering, on both label backends, with and without probe
-  substitution);
+  ordering, over the cover and over the oracle cover
+  (``tests/cover_oracle.py`` — the ``sets`` rows), with and without
+  probe substitution);
 * **planner soundness** — every legal zig-zag join order (each possible
   seed position) returns the same result set and scores;
 * behaviour of the new surface: predicates, expression windows,
@@ -16,6 +17,7 @@ operators pipeline to the pre-redesign evaluator:
 
 import pytest
 
+from cover_oracle import index_in_state
 from repro.core import HopiIndex
 from repro.query import (
     PreparedQuery,
@@ -151,15 +153,17 @@ LEGACY_PATHS = [
 
 
 @pytest.fixture(scope="module", params=["sets", "arrays"])
-def backend_engines(request):
-    """(engine, distance_engine) per label backend, on one collection."""
+def cover_engines(request):
+    """(engine, distance_engine) over the cover (``arrays``) and over
+    its oracle twin (``sets``), on one collection."""
     c = dblp_like(12, seed=31)
-    index = HopiIndex.build(
-        c, strategy="recursive", partitioner="closure",
-        backend=request.param,
+    index = index_in_state(
+        HopiIndex.build(c, strategy="recursive", partitioner="closure"),
+        request.param,
     )
-    dist = HopiIndex.build(
-        c, strategy="unpartitioned", distance=True, backend=request.param
+    dist = index_in_state(
+        HopiIndex.build(c, strategy="unpartitioned", distance=True),
+        request.param,
     )
     return (
         QueryEngine(index, max_results=10**9),
@@ -175,8 +179,8 @@ class TestDifferential:
     """New pipeline ≡ frozen legacy evaluator, bit for bit."""
 
     @pytest.mark.parametrize("path", LEGACY_PATHS)
-    def test_evaluate_matches_reference(self, backend_engines, path):
-        engine, dist_engine = backend_engines
+    def test_evaluate_matches_reference(self, cover_engines, path):
+        engine, dist_engine = cover_engines
         for eng in (engine, dist_engine):
             expected = as_pairs(reference_evaluate(eng, path))
             for order in ("naive", "selective"):
@@ -184,15 +188,15 @@ class TestDifferential:
                 assert got == expected, (path, order)
 
     @pytest.mark.parametrize("path", LEGACY_PATHS)
-    def test_count_matches_reference(self, backend_engines, path):
-        engine, dist_engine = backend_engines
+    def test_count_matches_reference(self, cover_engines, path):
+        engine, dist_engine = cover_engines
         for eng in (engine, dist_engine):
             expected = reference_count(eng, path)
             for order in ("naive", "selective"):
                 assert eng.count(path, order=order) == expected, (path, order)
 
-    def test_matches_reference_under_probe_substitution(self, backend_engines):
-        engine, _ = backend_engines
+    def test_matches_reference_under_probe_substitution(self, cover_engines):
+        engine, _ = cover_engines
         index = engine.index
         calls = []
 
@@ -210,8 +214,8 @@ class TestDifferential:
             )
         assert calls, "the probe substitute must actually be exercised"
 
-    def test_truncation_matches_reference(self, backend_engines):
-        engine, _ = backend_engines
+    def test_truncation_matches_reference(self, cover_engines):
+        engine, _ = cover_engines
         truncated = QueryEngine(engine.index, max_results=7)
         path = "//article//author"
         assert as_pairs(truncated.evaluate(path)) == as_pairs(
@@ -227,8 +231,8 @@ class TestPlannerSoundness:
         "path", ["//article//cite//author", "/article//cite/title",
                  "//*//cite//*", "//~article//author//*"]
     )
-    def test_every_seed_position_agrees(self, backend_engines, path):
-        engine, _ = backend_engines
+    def test_every_seed_position_agrees(self, cover_engines, path):
+        engine, _ = cover_engines
         expr = parse_path(path)
         baseline = as_pairs(engine.evaluate(path, order="naive"))
         for start in range(len(expr.steps)):
@@ -241,8 +245,8 @@ class TestPlannerSoundness:
             results.sort(key=lambda r: (-r.score, r.bindings))
             assert as_pairs(results) == baseline, (path, start)
 
-    def test_directional_counts_agree_both_ways(self, backend_engines):
-        engine, _ = backend_engines
+    def test_directional_counts_agree_both_ways(self, cover_engines):
+        engine, _ = cover_engines
         for path in ["//article//cite//author", "//*//author"]:
             expr = parse_path(path)
             forward = run_count(
@@ -255,8 +259,8 @@ class TestPlannerSoundness:
             )
             assert forward == backward == engine.count(path), path
 
-    def test_count_rejects_zigzag_plans(self, backend_engines):
-        engine, _ = backend_engines
+    def test_count_rejects_zigzag_plans(self, cover_engines):
+        engine, _ = cover_engines
         expr = parse_path("//article//cite//author")
         plan = plan_query(expr, engine, start=1)  # middle seed: mixed
         if len({op.direction for op in plan.ops[1:]}) > 1:
@@ -333,22 +337,22 @@ class TestPredicatesAndWindows:
         assert engine.exists("//book[author]")
         assert not engine.exists("//book[nonexistent]")
 
-    def test_window_slices_ranked_results(self, backend_engines):
-        engine, _ = backend_engines
+    def test_window_slices_ranked_results(self, cover_engines):
+        engine, _ = cover_engines
         full = engine.evaluate("//article//author")
         windowed = engine.evaluate("//article//author limit 5 offset 3")
         assert as_pairs(windowed) == as_pairs(full)[3:8]
         offset_only = engine.evaluate("//article//author offset 4")
         assert as_pairs(offset_only) == as_pairs(full)[4:]
 
-    def test_count_ignores_window(self, backend_engines):
-        engine, _ = backend_engines
+    def test_count_ignores_window(self, cover_engines):
+        engine, _ = cover_engines
         assert engine.count("//article//author limit 1") == engine.count(
             "//article//author"
         )
 
-    def test_stream_is_lazy_and_windowed(self, backend_engines):
-        engine, _ = backend_engines
+    def test_stream_is_lazy_and_windowed(self, cover_engines):
+        engine, _ = cover_engines
         full = engine.evaluate("//article//author")
         streamed = list(engine.stream("//article//author limit 4"))
         assert len(streamed) == 4
@@ -400,25 +404,25 @@ class TestPlanApi:
             "//a limit 5 offset 2"
         )
 
-    def test_prepared_query_binds_per_engine(self, backend_engines):
-        engine, _ = backend_engines
+    def test_prepared_query_binds_per_engine(self, cover_engines):
+        engine, _ = cover_engines
         prepared = engine.prepare("//article//author")
         assert prepared.key == "//article//author"
         plan = prepared.bind(engine)
         assert plan.key == prepared.key
         assert [op.position for op in plan.ops] in ([0, 1], [1, 0])
 
-    def test_explain_mentions_order_and_estimates(self, backend_engines):
-        engine, _ = backend_engines
+    def test_explain_mentions_order_and_estimates(self, cover_engines):
+        engine, _ = cover_engines
         text = engine.explain("//article//author")
         assert "order:" in text and "candidates" in text
         naive = engine.explain("//article//author", order="naive")
         assert "naive" in naive
 
-    def test_plan_describe_is_json_safe(self, backend_engines):
+    def test_plan_describe_is_json_safe(self, cover_engines):
         import json
 
-        engine, _ = backend_engines
+        engine, _ = cover_engines
         payload = engine.plan("//article[//cite]//author limit 2").describe()
         json.dumps(payload)
         assert payload["limit"] == 2

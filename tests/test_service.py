@@ -3,7 +3,7 @@
 The centrepiece is the torn-read property: N reader threads querying
 while a maintenance sequence hot-swaps the index must always observe
 answers consistent with exactly one epoch — verified against per-epoch
-oracles on both label backends.
+oracles, serving the cover and serving the oracle cover.
 """
 
 import json
@@ -23,15 +23,18 @@ from repro.service import (
     UpdateError,
     make_server,
 )
+from cover_oracle import index_in_state
 from repro.storage.snapshot import save_snapshot
 from repro.xmlmodel.generator import dblp_like
 
 
-def build_index(backend="arrays", n_docs=12, seed=17):
-    return HopiIndex.build(
-        dblp_like(n_docs, seed=seed), backend=backend,
+def build_index(state="arrays", n_docs=12, seed=17):
+    """A fresh index in cover ``state`` (``sets``: the oracle twin)."""
+    index = HopiIndex.build(
+        dblp_like(n_docs, seed=seed),
         strategy="recursive", partitioner="node_weight", partition_limit=60,
     )
+    return index_in_state(index, state)
 
 
 @pytest.fixture(scope="module")
@@ -421,16 +424,16 @@ class TestSnapshotReload:
 
 
 # ---------------------------------------------------------------------------
-# the torn-read property: concurrent readers + writer, both backends
+# the torn-read property: concurrent readers + writer, cover and oracle
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["sets", "arrays"])
-def test_concurrent_readers_never_observe_torn_epochs(backend):
+@pytest.mark.parametrize("state", ["sets", "arrays"])
+def test_concurrent_readers_never_observe_torn_epochs(state):
     """N reader threads during a maintenance sequence: every answer must
     equal the oracle of exactly the epoch it reports — fully pre- or
     fully post-swap, never a mix."""
-    index = build_index(backend)
+    index = build_index(state)
     paths = ["//article//author", "//article//cite", "//article//title"]
     collection = index.collection
     docs = sorted(collection.documents)
@@ -550,7 +553,7 @@ def test_concurrent_readers_never_observe_torn_epochs(backend):
     assert not errors
     assert not mismatches
     assert service.epoch == len(ops)
-    # final state agrees with the offline replay on both backends
+    # final state agrees with the offline replay
     final_engine = QueryEngine(service.index)
     for path in paths:
         assert signature(final_engine.evaluate(path)) == oracle[len(ops)][path]
@@ -732,7 +735,7 @@ def test_cli_serve_smoke(tmp_path):
     corpus = tmp_path / "corpus"
     db = tmp_path / "hopi.db"
     assert main(["generate", "dblp", "-n", "6", "-o", str(corpus)]) == 0
-    assert main(["build", str(corpus), "-o", str(db), "--backend", "arrays"]) == 0
+    assert main(["build", str(corpus), "-o", str(db)]) == 0
 
     import socket
 
@@ -818,7 +821,7 @@ class TestV1HTTP:
         status, data = get_json(f"{base}/v1/explain?path=//*//author")
         assert status == 200
         plan = data["plan"]
-        assert plan["backend"] == "arrays"
+        assert "backend" not in plan
         assert plan["mode"] == "selective"
         assert {s["step"] for s in plan["steps"]} == {"//*", "//author"}
         assert all(s["estimate"] > 0 for s in plan["steps"])

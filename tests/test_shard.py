@@ -16,6 +16,7 @@ import urllib.request
 import pytest
 
 import harness
+from cover_oracle import oracle_index
 from repro.core.hopi import HopiIndex
 from repro.core.rpc import start_worker_thread
 from repro.service import (
@@ -111,7 +112,7 @@ def assert_query_parity(single, router, paths):
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_local_router_is_bit_identical(kind, shards):
     collection = make_collection(kind)
-    index = HopiIndex.build(collection, backend="arrays")
+    index = HopiIndex.build(collection)
     single = QueryService(index.copy(), max_results=40)
     with ShardRouter(index.copy(), shards, max_results=40) as router:
         assert_query_parity(single, router, paths_for(kind))
@@ -120,7 +121,7 @@ def test_local_router_is_bit_identical(kind, shards):
 @pytest.mark.parametrize("kind", ["dblp", "inex"])
 def test_rpc_router_is_bit_identical(kind):
     collection = make_collection(kind)
-    index = HopiIndex.build(collection, backend="arrays")
+    index = HopiIndex.build(collection)
     single = QueryService(index.copy(), max_results=40)
     s1, a1 = start_worker_thread()
     s2, a2 = start_worker_thread()
@@ -139,7 +140,7 @@ def test_rpc_router_is_bit_identical(kind):
 @pytest.mark.parametrize("shards", [2, 4])
 def test_connected_and_distance_parity(shards):
     collection = dblp_like(16, seed=3)
-    index = HopiIndex.build(collection, backend="arrays", distance=True)
+    index = HopiIndex.build(collection, distance=True)
     single = QueryService(index.copy())
     rng = random.Random(9)
     elements = sorted(collection.elements)
@@ -154,9 +155,11 @@ def test_connected_and_distance_parity(shards):
 
 
 def test_sets_backend_router_parity():
+    """The sharded cover against an unsharded service that answers
+    from the oracle's reading of the same label entries."""
     collection = dblp_like(10, seed=5)
-    index = HopiIndex.build(collection, backend="sets")
-    single = QueryService(index.copy(), max_results=30)
+    index = HopiIndex.build(collection)
+    single = QueryService(oracle_index(index), max_results=30)
     with ShardRouter(index.copy(), 3, max_results=30) as router:
         assert_query_parity(single, router, DBLP_PATHS[:4])
 
@@ -178,7 +181,7 @@ UPDATE_OPS = [
 
 def test_update_parity_and_generations():
     collection = dblp_like(16, seed=3)
-    index = HopiIndex.build(collection, backend="arrays")
+    index = HopiIndex.build(collection)
     single = QueryService(index.copy(), max_results=40)
     with ShardRouter(index.copy(), 3, max_results=40) as router:
         ra = single.update([dict(op) for op in UPDATE_OPS])
@@ -191,7 +194,7 @@ def test_update_parity_and_generations():
 
 def test_update_failure_is_all_or_nothing():
     collection = dblp_like(8, seed=1)
-    index = HopiIndex.build(collection, backend="arrays")
+    index = HopiIndex.build(collection)
     with ShardRouter(index, 2) as router:
         before = router.epoch
         baseline = signature(router.query("//article//author"))
@@ -211,7 +214,7 @@ def test_rolling_swap_never_tears():
     response during rolling generation swaps must match the offline
     replay of the epoch it claims to come from."""
     collection = dblp_like(12, seed=7)
-    index = HopiIndex.build(collection, backend="arrays")
+    index = HopiIndex.build(collection)
     with ShardRouter(index, 3, max_results=100) as router:
         paths = ["//article//author", "//article//cite//article"]
         result = harness.run_hot_swap_under_load(
@@ -225,7 +228,7 @@ def test_rolling_swap_never_tears():
 
 def test_registry_keeps_last_two_generations():
     collection = dblp_like(8, seed=1)
-    index = HopiIndex.build(collection, backend="arrays")
+    index = HopiIndex.build(collection)
     registry = ShardRegistry()
     views = derive_shard_views(index, 1)
     for generation in (0, 1, 2):
@@ -254,7 +257,7 @@ def test_registry_keeps_last_two_generations():
 
 def test_dead_shard_degrades_instead_of_hanging():
     collection = dblp_like(10, seed=5)
-    index = HopiIndex.build(collection, backend="arrays")
+    index = HopiIndex.build(collection)
     s1, a1 = start_worker_thread()
     s2, a2 = start_worker_thread()
     router = ShardRouter(index, 2, workers=[a1, a2],
@@ -304,7 +307,7 @@ def _get(url):
 
 def test_healthz_single_process():
     collection = dblp_like(8, seed=1)
-    service = QueryService(HopiIndex.build(collection, backend="arrays"))
+    service = QueryService(HopiIndex.build(collection))
     server, base = _serve(service)
     try:
         status, payload = _get(f"{base}/v1/healthz")
@@ -321,7 +324,7 @@ def test_healthz_single_process():
 
 def test_http_parity_and_sharded_health():
     collection = dblp_like(12, seed=3)
-    index = HopiIndex.build(collection, backend="arrays")
+    index = HopiIndex.build(collection)
     single = QueryService(index.copy(), max_results=40)
     router = ShardRouter(index.copy(), 2, max_results=40)
     server_a, base_a = _serve(single)
@@ -353,7 +356,7 @@ def test_http_parity_and_sharded_health():
 
 def test_http_dead_shard_returns_structured_503():
     collection = dblp_like(8, seed=1)
-    index = HopiIndex.build(collection, backend="arrays")
+    index = HopiIndex.build(collection)
     s1, a1 = start_worker_thread()
     s2, a2 = start_worker_thread()
     router = ShardRouter(index, 2, workers=[a1, a2],
@@ -394,7 +397,7 @@ def test_shard_of_is_stable_and_total():
 
 def test_views_cover_ownership_disjointly():
     collection = dblp_like(16, seed=3)
-    index = HopiIndex.build(collection, backend="arrays")
+    index = HopiIndex.build(collection)
     views = derive_shard_views(index, 4)
     owned = [doc for view in views for doc in view.owned_docs]
     assert sorted(owned) == sorted(collection.documents)
@@ -409,7 +412,7 @@ def test_views_cover_ownership_disjointly():
 
 def test_restrict_cover_exact_on_view_pairs():
     collection = dblp_like(12, seed=3)
-    index = HopiIndex.build(collection, backend="arrays")
+    index = HopiIndex.build(collection)
     view = derive_shard_views(index, 3)[1]
     restricted = view.index
     rng = random.Random(4)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.array_cover import ArrayDistanceCover, ArrayTwoHopCover
-from repro.core.cover import TwoHopCover
+from cover_oracle import SetTwoHopCover
+from repro.core.cover import DistanceTwoHopCover, TwoHopCover
 from repro.core.hopi import HopiIndex
 from repro.storage import SnapshotCoverStore, load_snapshot, save_snapshot
 from repro.xmlmodel.generator import dblp_like
@@ -12,7 +12,7 @@ from repro.xmlmodel.generator import dblp_like
 @pytest.fixture(scope="module")
 def small_index():
     return HopiIndex.build(
-        dblp_like(20, seed=9), backend="arrays",
+        dblp_like(20, seed=9),
         strategy="recursive", partitioner="node_weight", partition_limit=40,
     )
 
@@ -22,7 +22,7 @@ def test_roundtrip_reachability(tmp_path, small_index):
     written = save_snapshot(path, small_index.cover)
     assert written == path.stat().st_size > 0
     loaded = load_snapshot(path)
-    assert isinstance(loaded, ArrayTwoHopCover)
+    assert isinstance(loaded, TwoHopCover)
     assert loaded.size == small_index.cover.size
     assert set(loaded.nodes) == set(small_index.cover.nodes)
     nodes = sorted(small_index.collection.elements)[:40]
@@ -34,13 +34,13 @@ def test_roundtrip_reachability(tmp_path, small_index):
 
 def test_roundtrip_distance(tmp_path):
     index = HopiIndex.build(
-        dblp_like(10, seed=9), backend="arrays", distance=True,
+        dblp_like(10, seed=9), distance=True,
         strategy="recursive", partitioner="node_weight", partition_limit=40,
     )
     path = tmp_path / "dist.snap"
     save_snapshot(path, index.cover)
     loaded = load_snapshot(path)
-    assert isinstance(loaded, ArrayDistanceCover)
+    assert isinstance(loaded, DistanceTwoHopCover)
     nodes = sorted(index.collection.elements)[:30]
     for u in nodes:
         for v in nodes:
@@ -64,7 +64,7 @@ def test_snapshot_store_queries(tmp_path, small_index):
 def test_snapshot_store_isolated_from_live_mutation(tmp_path):
     """After save_cover, the store answers from persisted state even if
     the caller keeps mutating its live cover."""
-    cover = ArrayTwoHopCover([1, 2, 5])
+    cover = TwoHopCover([1, 2, 5])
     cover.add_lout(1, 2)
     store = SnapshotCoverStore(tmp_path / "live.snap")
     store.save_cover(cover)
@@ -75,23 +75,18 @@ def test_snapshot_store_isolated_from_live_mutation(tmp_path):
     assert store.cover_size() == fresh.cover_size() == 1
 
 
-def test_snapshot_store_converts_set_covers(tmp_path):
-    cover = TwoHopCover([1, 2, 3])
-    cover.add_lout(1, 2)
-    cover.add_lin(3, 2)
-    store = SnapshotCoverStore(tmp_path / "sets.snap")
-    store.save_cover(cover)
-    assert store.connected(1, 3)
-    assert store.load_cover().size == cover.size
-
-
 def test_save_rejects_set_covers_directly(tmp_path):
+    """Snapshots are the serialised form of the one cover class; the
+    oracle (or anything else cover-shaped) is refused, by the store too."""
     with pytest.raises(TypeError):
-        save_snapshot(tmp_path / "bad.snap", TwoHopCover([1]))
+        save_snapshot(tmp_path / "bad.snap", SetTwoHopCover([1]))
+    with pytest.raises(TypeError):
+        SnapshotCoverStore(tmp_path / "bad.snap").save_cover(SetTwoHopCover([1]))
+    assert not (tmp_path / "bad.snap").exists()
 
 
 def test_save_rejects_non_integer_labels(tmp_path):
-    cover = ArrayTwoHopCover(["a", "b"])
+    cover = TwoHopCover(["a", "b"])
     cover.add_lout("a", "b")
     with pytest.raises(TypeError):
         save_snapshot(tmp_path / "bad.snap", cover)
@@ -151,18 +146,16 @@ def test_store_reload_if_changed(tmp_path, small_index):
 
 def test_failed_save_leaves_existing_snapshot_intact(tmp_path):
     """A validation error must not truncate a previously good snapshot."""
-    from repro.core.array_cover import ArrayTwoHopCover
-    from repro.core.cover import TwoHopCover
     from repro.storage.snapshot import load_snapshot
 
     path = tmp_path / "cover.snap"
-    good = ArrayTwoHopCover([1, 2, 3])
+    good = TwoHopCover([1, 2, 3])
     good.add_lout(1, 2)
     good.add_lin(3, 2)
     save_snapshot(path, good)
 
     with pytest.raises(TypeError):
-        save_snapshot(path, TwoHopCover([1, 2]))  # wrong flavour
+        save_snapshot(path, SetTwoHopCover([1, 2]))  # not the cover class
 
     reloaded = load_snapshot(path)
     assert sorted(reloaded.entries()) == sorted(good.entries())
@@ -170,10 +163,9 @@ def test_failed_save_leaves_existing_snapshot_intact(tmp_path):
 
 def test_snapshot_bytes_roundtrip_matches_file(tmp_path):
     """snapshot_to_bytes/from_bytes is the same encoding as the file."""
-    from repro.core.array_cover import ArrayTwoHopCover
     from repro.storage.snapshot import snapshot_from_bytes, snapshot_to_bytes
 
-    cover = ArrayTwoHopCover([1, 2, 3])
+    cover = TwoHopCover([1, 2, 3])
     cover.add_lout(1, 2)
     cover.add_lin(3, 2)
     blob = snapshot_to_bytes(cover)

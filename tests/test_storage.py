@@ -1,11 +1,13 @@
 """Tests for the SQLite-backed store (Section 3.4's database layout)."""
 
 import os
+import sqlite3
 
 import pytest
 
 from repro.core import HopiIndex
 from repro.core.cover import DistanceTwoHopCover, TwoHopCover
+from repro.storage.snapshot import canonical_snapshot_bytes
 from repro.storage import (
     MemoryCoverStore,
     SQLiteCoverStore,
@@ -55,8 +57,7 @@ def test_cover_size_and_roundtrip(store, chain_cover):
     assert store.cover_size() == 2
     loaded = store.load_cover()
     assert isinstance(loaded, TwoHopCover)
-    assert loaded.lin == chain_cover.lin
-    assert loaded.lout == chain_cover.lout
+    assert sorted(loaded.entries()) == sorted(chain_cover.entries())
     assert loaded.nodes == chain_cover.nodes
 
 
@@ -80,8 +81,8 @@ def test_distance_store_roundtrip():
     assert s.distance(2, 2) == 0
     loaded = s.load_cover()
     assert isinstance(loaded, DistanceTwoHopCover)
-    assert loaded.lout == cover.lout
-    assert loaded.lin == cover.lin
+    assert sorted(loaded.entries()) == sorted(cover.entries())
+    assert loaded.distance(1, 4) == 4
 
 
 def test_save_cover_overwrites(store):
@@ -204,18 +205,22 @@ def test_memory_store_keeps_default_journal():
 
 
 def test_save_cover_accepts_array_backend(tmp_path):
-    from repro.core.array_cover import ArrayTwoHopCover
+    """``save_cover`` only streams ``entries()``: the sealed array
+    cover and the oracle both persist, and both load as the cover."""
+    from cover_oracle import oracle_cover
 
-    cover = ArrayTwoHopCover([1, 2, 3])
+    cover = TwoHopCover([1, 2, 3])
     cover.add_lout(1, 2)
     cover.add_lin(3, 2)
-    store = SQLiteCoverStore(":memory:")
-    store.save_cover(cover)
-    assert store.cover_size() == 2
-    assert store.connected(1, 3)
-    loaded = store.load_cover()
-    assert isinstance(loaded, TwoHopCover)
-    assert loaded.connected(1, 3)
+    assert cover.connected_many(1, (2, 3)) == [True, True] and cover.sealed
+    for saved in (cover, oracle_cover(cover)):
+        store = SQLiteCoverStore(":memory:")
+        store.save_cover(saved)
+        assert store.cover_size() == 2
+        assert store.connected(1, 3)
+        loaded = store.load_cover()
+        assert type(loaded) is TwoHopCover
+        assert loaded.connected(1, 3)
 
 
 def test_save_cover_batches_large_covers():
@@ -235,19 +240,39 @@ def test_load_index_array_backend(tmp_path):
     index = HopiIndex.build(collection)
     path = os.path.join(tmp_path, "arr.db")
     persist_index(index, path).close()
-    loaded = load_index(path, backend="arrays")
-    assert loaded.backend == "arrays"
+    loaded = load_index(path, backend="arrays")  # accepted, ignored
+    assert type(loaded.cover) is TwoHopCover
+    assert canonical_snapshot_bytes(loaded.cover) == canonical_snapshot_bytes(
+        index.cover
+    )
     nodes = sorted(collection.elements)
     for u in nodes[:30]:
         assert loaded.descendants(u) == index.descendants(u)
+    assert loaded.connected_many(nodes[0], nodes) == index.connected_many(
+        nodes[0], nodes
+    )
 
 
 def test_load_index_restores_saved_backend(tmp_path):
+    """Old files still load — what restoring a file with a saved
+    backend means now: every index persisted before the ``backend``
+    option was retired carries a ``META.backend`` row (``sets`` for a
+    default build). New files do not write it; found in an old file it
+    is ignored, as is a ``backend=`` argument."""
     collection = dblp_like(6, seed=4)
-    for backend in ("sets", "arrays"):
-        index = HopiIndex.build(collection, backend=backend)
-        path = os.path.join(tmp_path, f"{backend}.db")
+    for distance in (False, True):
+        index = HopiIndex.build(collection, distance=distance)
+        path = os.path.join(tmp_path, f"old-{distance}.db")
         persist_index(index, path).close()
-        assert load_index(path).backend == backend
-        # explicit choice still overrides the stored default
-        assert load_index(path, backend="sets").backend == "sets"
+        with sqlite3.connect(path) as conn:
+            assert conn.execute(
+                "SELECT COUNT(*) FROM META WHERE KEY = 'backend'"
+            ).fetchone() == (0,)
+            conn.execute("INSERT INTO META (KEY, VALUE) VALUES ('backend', 'sets')")
+        for kwargs in ({}, {"backend": "sets"}, {"backend": "vector"}):
+            loaded = load_index(path, **kwargs)
+            assert type(loaded.cover) is type(index.cover)
+            assert canonical_snapshot_bytes(
+                loaded.cover
+            ) == canonical_snapshot_bytes(index.cover)
+        loaded.verify()
