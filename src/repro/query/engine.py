@@ -3,17 +3,18 @@
 The engine is a thin facade over the three-layer query stack::
 
     AST (pathexpr) → logical plan (plan) → physical plan (planner)
-                                         → streaming operators (exec)
+                                         → operators (exec)
 
-:meth:`QueryEngine.evaluate` parses, plans and runs the operator
-pipeline, then ranks: scores combine tag similarities multiplicatively
-and, when the index is distance-aware, each descendant hop is
-discounted by ``1 / (1 + distance)`` — "a path where an author element
-is found far away from a book element should be ranked lower"
-(Section 5.1). Scores are recomputed per result in canonical
+:meth:`QueryEngine.evaluate` parses, plans and runs the ranked top-k
+enumerator (:func:`repro.query.exec.run_ranked`): scores combine tag
+similarities multiplicatively and, when the index is distance-aware,
+each descendant hop is discounted by ``1 / (1 + distance)`` — "a path
+where an author element is found far away from a book element should
+be ranked lower" (Section 5.1). Scores are accumulated in canonical
 left-to-right association, so every join order the planner picks is
 **bit-identical** to the legacy left-to-right evaluator (pinned by the
-differential suite in ``tests/test_query_pipeline.py``).
+differential suite in ``tests/test_query_pipeline.py``), and only the
+bindings that can still reach the requested window are ever built.
 
 What the planner buys: a ``//*//rare_tag`` query no longer materialises
 one binding per element of the unselective head — the pipeline seeds at
@@ -26,13 +27,12 @@ materialising tuples), ``exists`` stops at the first match, and
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.hopi import HopiIndex
-from repro.query.exec import ExecContext, run_bindings, run_count
+from repro.query.exec import ExecContext, run_bindings, run_count, run_ranked
 from repro.query.ontology import TagOntology, default_ontology
 from repro.query.pathexpr import PathExpression, Step
 from repro.query.plan import LogicalPlan, build_logical_plan
@@ -143,7 +143,10 @@ class QueryEngine:
     # derived candidate state (shared by planner and operators)
     # ------------------------------------------------------------------
     def _candidates(self, step: Step) -> List[Tuple[ElementId, float]]:
-        """Elements matching a step's element test with their tag score.
+        """Elements matching a step's element test with their tag score,
+        in rank order ``(-score, element id)`` — every list the
+        operators derive from this one (probe answers, parent maps)
+        inherits the order the ranked enumerator walks in.
 
         Memoized per ``(tag, similar)``: a path like ``//a//b//a`` (or a
         workload of many queries sharing element tests) computes each
@@ -158,9 +161,12 @@ class QueryEngine:
             return memo
         if step.tag == "*":
             matches = [
-                (e, 1.0) for ids in self._tag_index.values() for e in ids
+                (e, 1.0) for e in sorted(
+                    e for ids in self._tag_index.values() for e in ids
+                )
             ]
         elif not step.similar:
+            # the tag index lists ids ascending
             matches = [(e, 1.0) for e in self._tag_index.get(step.tag, [])]
         else:
             matches = []
@@ -168,6 +174,7 @@ class QueryEngine:
                 step.tag, self._tag_index.keys(), threshold=self.similarity_threshold
             ):
                 matches.extend((e, score) for e in self._tag_index[tag])
+            matches.sort(key=lambda match: (-match[1], match[0]))
         self._candidate_memo[key] = matches
         return matches
 
@@ -377,34 +384,19 @@ class QueryEngine:
             ids for determinism), windowed by the expression's
             ``offset``/``limit``, truncated to ``max_results``.
         """
-        logical, plan, ctx, index = self._pipeline(path, index, probe, order)
-        expr = logical.expr
+        logical, plan, ctx, _ = self._pipeline(path, index, probe, order)
         window = logical.window
+        offset = 0 if window is None else window.offset
+        limit = self.max_results
         if window is not None and window.limit is not None:
-            # bounded-heap top-k: scores stream straight out of the
-            # pipeline into a heap of offset+limit entries, so a
-            # large match set with a small window never materialises
-            # the full ranked list. Identical to sort-then-slice:
-            # bindings are unique, so the (-score, bindings) tuple
-            # order is total.
-            k = window.offset + window.limit
-            top = heapq.nsmallest(
-                k,
-                (
-                    (-self._score_binding(index, expr, b), b)
-                    for b in run_bindings(plan, ctx)
-                ),
-            )
-            results = [QueryResult(b, -neg) for neg, b in top]
-            return results[window.offset:][: self.max_results]
-        results = [
-            QueryResult(b, self._score_binding(index, expr, b))
-            for b in run_bindings(plan, ctx)
+            limit = window.limit
+        # one ranked path: an unwindowed call is the window
+        # ``limit max_results`` (it was always truncated there)
+        top = run_ranked(plan, ctx, offset + limit)
+        return [
+            QueryResult(bindings, -neg)
+            for neg, bindings in top[offset:][: self.max_results]
         ]
-        results.sort(key=lambda r: (-r.score, r.bindings))
-        if window is not None:
-            results = results[window.offset:]
-        return results[: self.max_results]
 
     def stream(
         self,

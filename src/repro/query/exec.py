@@ -11,10 +11,10 @@ parent-pointer hop). Nothing is materialised between stages, so
 * an unranked ``stream`` stops as soon as its window is filled,
 * empty intermediate frontiers terminate the whole pipeline early,
 
-while the ranked ``evaluate`` path drains the stream and scores at the
-end (scores are order-independent products, recomputed in canonical
-left-to-right association so any join order is bit-identical to the
-legacy evaluator).
+while the ranked ``evaluate`` path does not run this pipeline at all:
+:func:`run_ranked` reduces the positions the plan reaches backward to
+sets, enumerates bindings left to right in rank order and prunes every
+partial whose score can no longer enter the top ``k``.
 
 :func:`run_count` is the aggregated counting path: the number of full
 bindings through an element depends only on that element, so a purely
@@ -38,7 +38,10 @@ one-source-per-call behaviour (what the probe-counting tests rely on).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from bisect import insort
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.query.pathexpr import Predicate, Step
 from repro.query.planner import PhysicalOp, PhysicalPlan
@@ -214,18 +217,53 @@ class ExecContext:
 # ---------------------------------------------------------------------------
 
 
-def _scan(ctx: ExecContext, plan: PhysicalPlan, position: int) -> Iterator[Binding]:
-    step = plan.expr.steps[position]
+def _gate(
+    ctx: ExecContext, plan: PhysicalPlan, position: int
+) -> Optional[Callable[[ElementId], bool]]:
+    """The admission test of one step position, or ``None`` when every
+    candidate passes: the absolute-path anchor and the context's
+    ``first_filter`` (position 0 only), then the position's
+    ``[predicate]`` filters."""
     filters = plan.filters_at(position)
-    anchored = position == 0 and step.axis == "child"
+    anchored = position == 0 and plan.expr.steps[0].axis == "child"
     first = ctx.first_filter if position == 0 else None
-    for element, _score in ctx.engine._candidates(step):
+    if not (filters or anchored or first):
+        return None
+
+    def admits(element: ElementId) -> bool:
         if anchored and not ctx.anchor_ok(element):
-            continue
+            return False
         if first is not None and not first(element):
-            continue
-        if ctx.filters_ok(element, filters):
-            yield (element,)
+            return False
+        return ctx.filters_ok(element, filters)
+
+    return admits
+
+
+def _scan(
+    ctx: ExecContext, plan: PhysicalPlan, position: int
+) -> Iterator[ElementId]:
+    """The admitted candidates of ``position``, in rank order."""
+    admits = _gate(ctx, plan, position)
+    for element, _score in ctx.engine._candidates(plan.expr.steps[position]):
+        if admits is None or admits(element):
+            yield element
+
+
+def _successors(
+    ctx: ExecContext, plan: PhysicalPlan, position: int, element: ElementId
+) -> Sequence[ElementId]:
+    """Candidates of ``position`` joined to ``element`` bound at
+    ``position - 1``, before admission and in rank order: its children
+    or the ``descendants``-side probe, never ``element`` itself."""
+    step = plan.expr.steps[position]
+    if step.axis == "child":
+        return ctx.engine._parent_map(step).get(element, ())
+    cand_elems = ctx.engine._candidate_elems(step)
+    return [
+        cand_elems[j] for j in ctx.forward_reach(element, step)
+        if cand_elems[j] != element
+    ]
 
 
 def _extend_forward(
@@ -234,74 +272,51 @@ def _extend_forward(
 ) -> Iterator[Binding]:
     """Append ``position`` to partials ending at ``position - 1``."""
     step = plan.expr.steps[position]
-    filters = plan.filters_at(position)
-    if step.axis == "child":
-        parent_map = ctx.engine._parent_map(step)
-        for partial in stream:
-            for element in parent_map.get(partial[-1], ()):
-                if ctx.filters_ok(element, filters):
-                    yield partial + (element,)
-    else:
-        cand_elems = ctx.engine._candidate_elems(step)
-        # pull partials in blocks so the whole block's sources go out
-        # as ONE batched probe (intersect_many / probe.many) instead of
-        # one round-trip per partial; within a block the per-source
-        # memo answers instantly. Block size bounds the laziness loss.
-        while True:
-            block = list(itertools.islice(stream, FORWARD_BLOCK))
-            if not block:
-                return
+    admits = _gate(ctx, plan, position)
+    probed = step.axis == "descendant"
+    # pull partials in blocks so the whole block's sources go out as
+    # ONE batched probe (intersect_many / probe.many) instead of one
+    # round-trip per partial; within a block the per-source memo
+    # answers instantly. Block size bounds the laziness loss.
+    while True:
+        block = list(itertools.islice(stream, FORWARD_BLOCK if probed else 1))
+        if not block:
+            return
+        if probed:
             ctx.prefetch_forward([p[-1] for p in block], step)
-            for partial in block:
-                prev = partial[-1]
-                for j in ctx.forward_reach(prev, step):
-                    element = cand_elems[j]
-                    if element == prev:
-                        continue
-                    if ctx.filters_ok(element, filters):
-                        yield partial + (element,)
+        for partial in block:
+            for element in _successors(ctx, plan, position, partial[-1]):
+                if admits is None or admits(element):
+                    yield partial + (element,)
+
+
+def _predecessors(
+    ctx: ExecContext, plan: PhysicalPlan, position: int, element: ElementId
+) -> Sequence[ElementId]:
+    """Candidates of ``position`` joined to ``element`` bound at
+    ``position + 1``, before admission: the parent (the edge axis
+    belongs to ``steps[position + 1]``) or the ``ancestors``-side
+    probe, never ``element`` itself."""
+    steps = plan.expr.steps
+    step = steps[position]
+    if steps[position + 1].axis == "child":
+        parent = ctx.elements[element].parent
+        if parent is None or parent not in ctx.engine._candidate_map(step):
+            return ()
+        return (parent,)
+    return [a for a in ctx.backward_reach(element, step) if a != element]
 
 
 def _extend_backward(
     ctx: ExecContext, plan: PhysicalPlan, stream: Iterator[Binding],
     position: int,
 ) -> Iterator[Binding]:
-    """Prepend ``position`` to partials starting at ``position + 1``.
-
-    The edge axis between the two positions belongs to
-    ``steps[position + 1]``; the element test and predicates come from
-    ``steps[position]``.
-    """
-    steps = plan.expr.steps
-    edge_axis = steps[position + 1].axis
-    step = steps[position]
-    filters = plan.filters_at(position)
-    anchored = position == 0 and step.axis == "child"
-    first = ctx.first_filter if position == 0 else None
-    if edge_axis == "child":
-        cmap = ctx.engine._candidate_map(step)
-        for partial in stream:
-            parent = ctx.elements[partial[0]].parent
-            if parent is None or parent not in cmap:
-                continue
-            if anchored and not ctx.anchor_ok(parent):
-                continue
-            if first is not None and not first(parent):
-                continue
-            if ctx.filters_ok(parent, filters):
-                yield (parent,) + partial
-    else:
-        for partial in stream:
-            head = partial[0]
-            for element in ctx.backward_reach(head, step):
-                if element == head:
-                    continue
-                if anchored and not ctx.anchor_ok(element):
-                    continue
-                if first is not None and not first(element):
-                    continue
-                if ctx.filters_ok(element, filters):
-                    yield (element,) + partial
+    """Prepend ``position`` to partials starting at ``position + 1``."""
+    admits = _gate(ctx, plan, position)
+    for partial in stream:
+        for element in _predecessors(ctx, plan, position, partial[0]):
+            if admits is None or admits(element):
+                yield (element,) + partial
 
 
 def run_bindings(plan: PhysicalPlan, ctx: ExecContext) -> Iterator[Binding]:
@@ -314,7 +329,9 @@ def run_bindings(plan: PhysicalPlan, ctx: ExecContext) -> Iterator[Binding]:
     elements), in pipeline order — ranking is the caller's concern.
     """
     ops: Sequence[PhysicalOp] = plan.ops
-    stream = _scan(ctx, plan, ops[0].position)
+    stream: Iterator[Binding] = (
+        (element,) for element in _scan(ctx, plan, ops[0].position)
+    )
     for op in ops[1:]:
         if op.direction == "forward":
             stream = _extend_forward(ctx, plan, stream, op.position)
@@ -324,9 +341,159 @@ def run_bindings(plan: PhysicalPlan, ctx: ExecContext) -> Iterator[Binding]:
 
 
 # ---------------------------------------------------------------------------
-# aggregated counting
+# ranked top-k enumeration
 # ---------------------------------------------------------------------------
 
+
+def _reduce(
+    ctx: ExecContext, plan: PhysicalPlan
+) -> Tuple[Iterable[ElementId], Dict[int, Dict[ElementId, List[ElementId]]]]:
+    """Semi-join reduction of the positions left of the plan's seed.
+
+    Walks from the seed down to position 0 over sets of elements, never
+    tuples: ``below[p][a]`` lists the admitted elements of position
+    ``p + 1`` that ``a`` (admitted at ``p``) joins to, in rank order,
+    and the returned heads are position 0's survivors in rank order.
+    Each element is admitted (anchor, ``first_filter``, predicates) at
+    most once per position. A plan seeded at 0 reduces nothing and its
+    heads stay a lazy scan.
+    """
+    steps = plan.expr.steps
+    seed = plan.ops[0].position
+    allowed: Iterable[ElementId] = _scan(ctx, plan, seed)
+    below: Dict[int, Dict[ElementId, List[ElementId]]] = {}
+    for position in range(seed - 1, -1, -1):
+        admits = _gate(ctx, plan, position)
+        joined: Dict[ElementId, List[ElementId]] = {}
+        rejected: Set[ElementId] = set()
+        # ``allowed`` is in rank order, so every list below is too
+        for element in allowed:
+            for candidate in _predecessors(ctx, plan, position, element):
+                successors = joined.get(candidate)
+                if successors is None:
+                    if candidate in rejected:
+                        continue
+                    if admits is not None and not admits(candidate):
+                        rejected.add(candidate)
+                        continue
+                    successors = joined[candidate] = []
+                successors.append(element)
+        below[position] = joined
+        step = steps[position]
+        if step.similar:
+            cmap = ctx.engine._candidate_map(step)
+            allowed = sorted(joined, key=lambda e: (-cmap[e], e))
+        else:
+            allowed = sorted(joined)
+    return allowed, below
+
+
+def run_ranked(
+    plan: PhysicalPlan, ctx: ExecContext, k: int
+) -> List[Tuple[float, Binding]]:
+    """The ``k`` best matches as sorted ``(-score, bindings)`` pairs.
+
+    Identical to scoring every binding of :func:`run_bindings` with the
+    engine's ``_score_binding`` and keeping the ``k`` smallest
+    ``(-score, bindings)``, for any seed position — but it builds only
+    the bindings that can still get there:
+
+    1. the positions the plan reaches *backward* from its seed are
+       reduced to sets (:func:`_reduce`), so the selective step prunes
+       the heads without one tuple being built;
+    2. bindings are enumerated depth-first, left to right, every list
+       in rank order ``(-tag score, element id)`` — the order the
+       engine keeps its candidate lists in — carrying the partial
+       score in the canonical left-to-right association; forward
+       probes still go out in ``FORWARD_BLOCK`` blocks;
+    3. once ``k`` results are held, a partial ``(s, prefix)`` whose
+       ``(-s, prefix)`` sorts after the k-th is dropped. Every
+       remaining factor (a tag score, ``1 / (1 + distance)``) lies in
+       ``(0, 1]`` and an IEEE product by such a factor never exceeds
+       its left operand, so ``s`` bounds the score of every extension,
+       and a prefix sorts before all its extensions.
+    """
+    if k <= 0:
+        return []
+    steps = plan.expr.steps
+    last = len(steps) - 1
+    seed = plan.ops[0].position
+    cmaps = [ctx.engine._candidate_map(step) for step in steps]
+    # the seed scan and the reduction admit their own elements
+    gates = {
+        position: _gate(ctx, plan, position)
+        for position in range(seed + 1, len(steps))
+    }
+    distance = ctx.index.distance if ctx.index.is_distance_aware else None
+    heads, below = _reduce(ctx, plan)
+    top: List[Tuple[float, Binding]] = []  # sorted once it holds k
+
+    def live(
+        position: int, elements: Iterable[ElementId],
+        prefix: Binding, score: float,
+    ) -> Iterator[Tuple[float, Binding]]:
+        """``(score, binding)`` of ``prefix`` extended by each of the
+        rank-ordered ``elements`` that can still enter the top ``k``."""
+        cmap = cmaps[position]
+        hop = None
+        if position and steps[position].axis == "descendant":
+            hop = distance
+        admits = gates.get(position)
+        for element in elements:
+            s = score * cmap[element] if position else cmap[element]
+            full = len(top) == k
+            if full and -s > top[-1][0]:
+                return  # rank order: no later element scores higher
+            if hop is not None:
+                s = s * (1.0 / (1.0 + hop(prefix[-1], element)))
+            binding = prefix + (element,)
+            if full and (-s, binding) > top[-1]:
+                continue
+            if admits is None or admits(element):
+                yield s, binding
+
+    def bind(
+        position: int, elements: Iterable[ElementId],
+        prefix: Binding, score: float,
+    ) -> None:
+        survivors = live(position, elements, prefix, score)
+        if position == last:
+            for s, binding in survivors:
+                if len(top) < k:
+                    top.append((-s, binding))
+                    if len(top) == k:
+                        top.sort()
+                else:
+                    insort(top, (-s, binding))
+                    top.pop()
+            return
+        following = steps[position + 1]
+        probed = position >= seed and following.axis == "descendant"
+        while True:
+            block = list(itertools.islice(survivors, FORWARD_BLOCK))
+            if not block:
+                return
+            if probed:
+                ctx.prefetch_forward([b[-1] for _, b in block], following)
+            for s, binding in block:
+                # the k-th may have moved while the block was worked
+                if len(top) == k and (-s, binding) > top[-1]:
+                    continue
+                if position < seed:
+                    joined = below[position][binding[-1]]
+                else:
+                    joined = _successors(ctx, plan, position + 1, binding[-1])
+                if joined:
+                    bind(position + 1, joined, binding, s)
+
+    bind(0, heads, (), 1.0)
+    top.sort()
+    return top
+
+
+# ---------------------------------------------------------------------------
+# aggregated counting
+# ---------------------------------------------------------------------------
 
 def run_count(plan: PhysicalPlan, ctx: ExecContext) -> int:
     """Total match count via frontier aggregation (no tuples).
@@ -336,6 +503,9 @@ def run_count(plan: PhysicalPlan, ctx: ExecContext) -> int:
     partial's open-end element, so the frontier aggregates to
     ``element → multiplicity`` — one integer per distinct endpoint
     instead of one tuple per match. Early-exits on an empty frontier.
+    A final descendant join that admits every candidate is counted,
+    not walked: each frontier element adds its multiplicity times the
+    size of its probe answer (less itself, when it is a candidate).
     """
     directions = {op.direction for op in plan.ops[1:]}
     if len(directions) > 1:
@@ -344,66 +514,32 @@ def run_count(plan: PhysicalPlan, ctx: ExecContext) -> int:
             f"(got mixed directions in {plan.ops!r})"
         )
     steps = plan.expr.steps
-    seed = plan.ops[0].position
     backward = directions == {"backward"}
-
-    frontier: Dict[ElementId, int] = {}
-    for binding in _scan(ctx, plan, seed):
-        frontier[binding[0]] = frontier.get(binding[0], 0) + 1
-
-    positions = [op.position for op in plan.ops[1:]]
-    for position in positions:
+    joined = _predecessors if backward else _successors
+    frontier: Dict[ElementId, int] = dict.fromkeys(
+        _scan(ctx, plan, plan.ops[0].position), 1
+    )
+    for op in plan.ops[1:]:
         if not frontier:
             break
+        position = op.position
         step = steps[position]
-        filters = plan.filters_at(position)
-        grown: Dict[ElementId, int] = {}
-        if backward:
-            edge_axis = steps[position + 1].axis
-            anchored = position == 0 and step.axis == "child"
-            first = ctx.first_filter if position == 0 else None
-            if edge_axis == "child":
-                cmap = ctx.engine._candidate_map(step)
-                for element, multiplicity in frontier.items():
-                    parent = ctx.elements[element].parent
-                    if parent is None or parent not in cmap:
-                        continue
-                    if anchored and not ctx.anchor_ok(parent):
-                        continue
-                    if first is not None and not first(parent):
-                        continue
-                    if ctx.filters_ok(parent, filters):
-                        grown[parent] = grown.get(parent, 0) + multiplicity
-            else:
-                for element, multiplicity in frontier.items():
-                    for ancestor in ctx.backward_reach(element, step):
-                        if ancestor == element:
-                            continue
-                        if anchored and not ctx.anchor_ok(ancestor):
-                            continue
-                        if first is not None and not first(ancestor):
-                            continue
-                        if ctx.filters_ok(ancestor, filters):
-                            grown[ancestor] = (
-                                grown.get(ancestor, 0) + multiplicity
-                            )
-        else:
-            if step.axis == "child":
-                parent_map = ctx.engine._parent_map(step)
-                for element, multiplicity in frontier.items():
-                    for child in parent_map.get(element, ()):
-                        if ctx.filters_ok(child, filters):
-                            grown[child] = grown.get(child, 0) + multiplicity
-            else:
-                cand_elems = ctx.engine._candidate_elems(step)
+        admits = _gate(ctx, plan, position)
+        if op.op == "descendant":
+            if not backward:
                 # the whole frontier is known up front: one batched probe
                 ctx.prefetch_forward(list(frontier), step)
-                for element, multiplicity in frontier.items():
-                    for j in ctx.forward_reach(element, step):
-                        target = cand_elems[j]
-                        if target == element:
-                            continue
-                        if ctx.filters_ok(target, filters):
-                            grown[target] = grown.get(target, 0) + multiplicity
+            if op is plan.ops[-1] and admits is None:
+                reach = ctx.backward_reach if backward else ctx.forward_reach
+                cmap = ctx.engine._candidate_map(step)
+                return sum(
+                    multiplicity * (len(reach(element, step)) - (element in cmap))
+                    for element, multiplicity in frontier.items()
+                )
+        grown: Dict[ElementId, int] = {}
+        for element, multiplicity in frontier.items():
+            for other in joined(ctx, plan, position, element):
+                if admits is None or admits(other):
+                    grown[other] = grown.get(other, 0) + multiplicity
         frontier = grown
     return sum(frontier.values())

@@ -27,6 +27,12 @@ least one match of the relative path ``p`` starting from them: a bare
 descendant. ``limit``/``offset`` window the *ranked* result list
 (offset skips, limit caps — applied in that order).
 
+Expressions arrive from outside the program (``/v1/query?path=``), and
+printing, hashing and evaluating one all recurse over its structure, so
+the parser refuses more than :data:`MAX_STEPS` steps in total
+(predicate paths included) or predicates nested deeper than
+:data:`MAX_PREDICATE_DEPTH`.
+
 ``str()`` of a parsed expression reproduces a canonical form that
 parses back to an equal expression (``parse_path(str(e)) == e``), which
 is what lets the service layer key its plan and result caches by the
@@ -37,10 +43,17 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 _TEST_RE = re.compile(r"(~?)([A-Za-z_][\w.\-]*|\*)")
 _WINDOW_RE = re.compile(r"\s+(limit|offset)\s+(\d+)")
+
+#: Steps one expression may hold, predicate paths included. The ranked
+#: enumerator and the predicate tests recurse once per step.
+MAX_STEPS = 64
+#: How deep ``[a[b[c]]]`` may nest: ``str()``, ``hash()`` and the
+#: parser itself recurse once per level.
+MAX_PREDICATE_DEPTH = 8
 
 
 class PathSyntaxError(ValueError):
@@ -124,12 +137,13 @@ class PathExpression:
 
 
 def _parse_step(
-    text: str, pos: int, *, first_in_predicate: bool = False
+    text: str, pos: int, depth: int, *, first_in_predicate: bool = False
 ) -> Tuple[Optional[Step], int]:
     """Parse one step at ``pos``; ``(None, pos)`` when none starts here.
 
-    Inside a predicate the first step may omit its axis (bare ``tag`` =
-    child, as in XPath).
+    ``depth`` counts the predicates enclosing the step. Inside a
+    predicate the first step may omit its axis (bare ``tag`` = child,
+    as in XPath).
     """
     if text.startswith("//", pos):
         axis, pos = "descendant", pos + 2
@@ -150,15 +164,21 @@ def _parse_step(
     pos = m.end()
     predicates: List[Predicate] = []
     while pos < len(text) and text[pos] == "[":
-        predicate, pos = _parse_predicate(text, pos)
+        predicate, pos = _parse_predicate(text, pos, depth + 1)
         predicates.append(predicate)
     return Step(axis, tag, bool(tilde), tuple(predicates)), pos
 
 
-def _parse_predicate(text: str, pos: int) -> Tuple[Predicate, int]:
-    """Parse ``[relpath]`` with ``pos`` at the opening bracket."""
+def _parse_predicate(text: str, pos: int, depth: int) -> Tuple[Predicate, int]:
+    """Parse ``[relpath]`` with ``pos`` at the opening bracket; the
+    predicate sits ``depth`` levels deep (1 = directly on a step)."""
+    if depth > MAX_PREDICATE_DEPTH:
+        raise PathSyntaxError(
+            f"predicates nested deeper than {MAX_PREDICATE_DEPTH} "
+            f"at offset {pos}"
+        )
     start, pos = pos, pos + 1
-    first, pos = _parse_step(text, pos, first_in_predicate=True)
+    first, pos = _parse_step(text, pos, depth, first_in_predicate=True)
     if first is None:
         raise PathSyntaxError(
             f"empty or malformed predicate at offset {start}: "
@@ -166,13 +186,21 @@ def _parse_predicate(text: str, pos: int) -> Tuple[Predicate, int]:
         )
     steps = [first]
     while pos < len(text) and text[pos] == "/":
-        step, pos = _parse_step(text, pos)
+        step, pos = _parse_step(text, pos, depth)
         steps.append(step)
     if pos >= len(text) or text[pos] != "]":
         raise PathSyntaxError(
             f"unterminated predicate at offset {start}: {text[start:]!r}"
         )
     return Predicate(tuple(steps)), pos + 1
+
+
+def _count_steps(steps: Sequence[Step]) -> int:
+    """Steps in a sequence plus those of every nested predicate."""
+    return sum(
+        1 + sum(_count_steps(p.steps) for p in step.predicates)
+        for step in steps
+    )
 
 
 def _parse_window(
@@ -202,8 +230,9 @@ def parse_path(text: str) -> PathExpression:
 
     Raises:
         PathSyntaxError: on empty input, trailing garbage, ``~*``, a
-            missing leading axis, an unterminated ``[predicate]``, or a
-            duplicate ``limit``/``offset`` clause.
+            missing leading axis, an unterminated ``[predicate]``, a
+            duplicate ``limit``/``offset`` clause, or an expression
+            over :data:`MAX_STEPS` / :data:`MAX_PREDICATE_DEPTH`.
     """
     text = text.strip()
     if not text:
@@ -211,13 +240,17 @@ def parse_path(text: str) -> PathExpression:
     steps: List[Step] = []
     pos = 0
     while pos < len(text):
-        step, pos = _parse_step(text, pos)
+        step, pos = _parse_step(text, pos, 0)
         if step is None:
             break
         steps.append(step)
     if not steps:
         raise PathSyntaxError(
             f"malformed path expression at offset 0: {text!r}"
+        )
+    if _count_steps(steps) > MAX_STEPS:
+        raise PathSyntaxError(
+            f"path expression has more than {MAX_STEPS} steps"
         )
     limit, offset, pos = _parse_window(text, pos)
     if pos != len(text):

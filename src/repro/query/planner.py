@@ -103,31 +103,38 @@ class PhysicalPlan:
 
         ``mode`` is one of ``"evaluate"``, ``"stream"``, ``"count"``,
         ``"exists"``. The profile makes the short-circuit paths
-        explicit: a limited ``evaluate`` streams scores into a bounded
-        heap instead of materialising and sorting the full result list;
-        ``count`` aggregates frontiers and never scores, ranks or
-        materialises tuples; ``exists`` stops the pipeline at the first
-        full binding.
+        explicit: ``evaluate`` always runs the one ranked top-k
+        enumerator — ``reduced`` lists the positions it narrows to sets
+        before any tuple exists (those the order reaches backward),
+        ``k`` is ``offset + limit`` with the engine's ``max_results``
+        standing in for a missing limit; ``count`` aggregates frontiers
+        and never scores, ranks or materialises tuples; ``exists``
+        stops the pipeline at the first full binding.
         """
         expr = self.expr
         if mode == "evaluate":
             if expr.limit is not None:
-                k = (expr.offset or 0) + expr.limit
-                return {
-                    "mode": mode,
-                    "strategy": f"heap-topk(k={k})",
-                    "skipped": ["full-list materialisation", "full sort"],
-                    "note": (
-                        f"scores stream into a bounded heap of {k} "
-                        "(offset + limit); only the top window is ever "
-                        "materialised as result objects"
-                    ),
-                }
+                k = str(expr.offset + expr.limit)
+            else:
+                k = f"{expr.offset}+max_results" if expr.offset else "max_results"
+            reduced = sorted(
+                op.position for op in self.ops if op.direction == "backward"
+            )
+            skipped = ["partials bounded out of the top k", "full sort"]
+            if reduced:
+                skipped.insert(0, "tuples at reduced positions")
             return {
                 "mode": mode,
-                "strategy": "materialise-sort",
-                "skipped": [],
-                "note": "full result list materialised, sorted, windowed",
+                "strategy": f"ranked-topk(k={k})",
+                "reduced": reduced,
+                "skipped": skipped,
+                "note": (
+                    "reduced positions shrink to sets by semi-join from "
+                    "the seed; bindings are then enumerated left to right "
+                    "in rank order and a partial is dropped once k "
+                    "results are held and its score bound sorts after "
+                    "the k-th"
+                ),
             }
         if mode == "stream":
             return {
@@ -146,7 +153,9 @@ class PhysicalPlan:
                 "skipped": ["scoring", "ranking", "tuple materialisation"],
                 "note": (
                     "directional plan aggregates element → multiplicity "
-                    "per frontier; no binding tuples are ever built"
+                    "per frontier; no binding tuples are ever built, and a "
+                    "final unfiltered descendant join adds probe-answer "
+                    "sizes instead of walking the answers"
                 ),
             }
         if mode == "exists":
@@ -239,8 +248,10 @@ class PhysicalPlan:
         )
         profile = self.execution_profile(mode)
         skipped = profile["skipped"]
+        reduced = profile.get("reduced")
         lines.append(
             f"exec:  {profile['mode']} via {profile['strategy']}"
+            + (f"; reduced: steps {reduced}" if reduced else "")
             + (f"; skipped: {', '.join(skipped)}" if skipped else "")
         )
         return "\n".join(lines)

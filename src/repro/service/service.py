@@ -634,12 +634,15 @@ class QueryService:
         whose maintenance feed has stalled.
         """
         state = self._holder.current
+        # read before the clock: a publish racing in between would
+        # otherwise make the age negative
+        published_at = self._published_at
         return {
             "status": "ok",
             "ready": True,
             "sharded": False,
             "epoch": state.epoch,
-            "epoch_age_seconds": time.time() - self._published_at,
+            "epoch_age_seconds": time.time() - published_at,
             "uptime_seconds": time.time() - self._started,
             "swaps": self._holder.swaps,
         }

@@ -1019,13 +1019,16 @@ class ShardRouter:
                 "epoch": payload.get("epoch"),
             })
         status = "ok" if not down else "degraded"
+        # read before the clock: a publish racing in between would
+        # otherwise make the age negative
+        published_at = self._published_at
         return {
             "status": status,
             "ready": not down,
             "sharded": True,
             "generation": state.generation,
             "epoch": state.generation,
-            "epoch_age_seconds": time.time() - self._published_at,
+            "epoch_age_seconds": time.time() - published_at,
             "uptime_seconds": time.time() - self._started,
             "swaps": self._swaps,
             "shards": shards,

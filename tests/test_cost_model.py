@@ -215,12 +215,17 @@ def test_execution_profiles_expose_short_circuits(small_index):
     engine = QueryEngine(small_index)
     limited = engine.plan("//article//author limit 5")
     profile = limited.execution_profile("evaluate")
-    assert profile["strategy"] == "heap-topk(k=5)"
+    assert profile["strategy"] == "ranked-topk(k=5)"
     assert "full sort" in profile["skipped"]
-    assert "heap-topk(k=5)" in limited.explain()
+    assert "ranked-topk(k=5)" in limited.explain()
 
+    # one strategy: an unwindowed evaluate is the same path, bounded by
+    # the engine's max_results
     plain = engine.plan("//article//author")
-    assert plain.execution_profile("evaluate")["strategy"] == "materialise-sort"
+    assert (
+        plain.execution_profile("evaluate")["strategy"]
+        == "ranked-topk(k=max_results)"
+    )
     count = plain.execution_profile("count")
     assert count["strategy"] == "frontier-aggregation"
     assert "scoring" in count["skipped"]

@@ -16,6 +16,8 @@ operators pipeline to the pre-redesign evaluator:
 """
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from cover_oracle import index_in_state
 from repro.core import HopiIndex
@@ -28,7 +30,15 @@ from repro.query import (
     plan_key,
     plan_query,
 )
-from repro.query.exec import ExecContext, run_bindings, run_count
+from repro.query.exec import (
+    FORWARD_BLOCK,
+    ExecContext,
+    run_bindings,
+    run_count,
+    run_ranked,
+)
+from repro.query.ontology import TagOntology
+from repro.query.pathexpr import PathExpression, Predicate, Step
 from repro.query.plan import (
     ChildJoin,
     DescendantJoin,
@@ -282,6 +292,188 @@ class TestPlannerSoundness:
 
 
 # ---------------------------------------------------------------------------
+# the ranked enumerator's pruning rule, where scores actually differ
+# ---------------------------------------------------------------------------
+
+
+def nesting_ontology():
+    """Two ``~tag`` tests spread over five tags that nest in each other.
+
+    ``~item`` scores are powers of two, so different paths tie exactly
+    — (article 0.5, citations 1.0) against (citations 1.0, cite 0.5) —
+    and the higher-scored head is walked first although it sorts
+    second. ``~part`` gives the best score to elements with larger ids
+    than the worst-scored ones, so rank order and id order disagree at
+    every level."""
+    ontology = TagOntology()
+    for tag, item, part in [("citations", 1.0, 1.0), ("article", 0.5, 0.5),
+                            ("cite", 0.5, 0.9), ("authors", 0.5, 0.35),
+                            ("author", 0.5, 0.8)]:
+        ontology.relate("item", tag, item)
+        ontology.relate("part", tag, part)
+    ontology.relate("paper", "article", 0.9)
+    return ontology
+
+
+@pytest.fixture(scope="module")
+def ranked_engine():
+    """A distance-aware index under :func:`nesting_ontology`, so
+    extension lists mix tag scores and hop discounts."""
+    index = HopiIndex.build(
+        dblp_like(7, seed=13), strategy="unpartitioned", distance=True
+    )
+    return QueryEngine(index, ontology=nesting_ontology(), max_results=10**9)
+
+
+_RANKED_TESTS = st.sampled_from(
+    ["article", "cite", "citations", "~item", "~part", "~paper", "*"]
+)
+
+
+@st.composite
+def ranked_steps(draw, predicates=True):
+    test = draw(_RANKED_TESTS)
+    filters = ()
+    if predicates and draw(st.integers(0, 3)) == 0:
+        filters = (Predicate((draw(ranked_steps(predicates=False)),)),)
+    return Step(
+        draw(st.sampled_from(["child", "descendant", "descendant"])),
+        test.lstrip("~"), test.startswith("~"), filters,
+    )
+
+
+@st.composite
+def ranked_queries(draw):
+    """(expression, max_results): windows include ``limit 0``, windows
+    past the end, and no window at all under a small ``max_results``."""
+    steps = tuple(draw(ranked_steps()) for _ in range(draw(st.integers(1, 3))))
+    limit = draw(st.one_of(st.none(), st.integers(0, 12), st.just(10**6)))
+    offset = draw(st.one_of(st.just(0), st.integers(0, 12), st.just(10**6)))
+    max_results = draw(st.sampled_from([3, 10, 10**9]))
+    return PathExpression(steps, limit=limit, offset=offset), max_results
+
+
+def reference_window(engine, expr, max_results, first_filter=None):
+    """The expected page, derived from ``reference_evaluate`` alone:
+    the legacy evaluator ranks the predicate-free, window-free path; a
+    predicate holds for the elements heading a legacy match of
+    ``//*`` + its relative path; then filter, window, truncate."""
+    bare = PathExpression(
+        tuple(Step(s.axis, s.tag, s.similar) for s in expr.steps)
+    )
+    keep = reference_evaluate(engine, bare)
+    for position, step in enumerate(expr.steps):
+        for predicate in step.predicates:
+            holders = {
+                r.bindings[0] for r in reference_evaluate(
+                    engine,
+                    PathExpression((Step("descendant", "*"),) + predicate.steps),
+                )
+            }
+            keep = [r for r in keep if r.bindings[position] in holders]
+    if first_filter is not None:
+        keep = [r for r in keep if first_filter(r.bindings[0])]
+    keep = keep[expr.offset:]
+    if expr.limit is not None:
+        keep = keep[: expr.limit]
+    return as_pairs(keep[:max_results])
+
+
+class TestRankedEnumeration:
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow,
+                               HealthCheck.function_scoped_fixture],
+    )
+    @given(ranked_queries())
+    # exact score ties found out of binding order (see nesting_ontology)
+    @example((parse_path("//~item/~item limit 1"), 10**9))
+    @example((parse_path("//~item/~item//* limit 4 offset 1"), 10**9))
+    def test_matches_reference_for_every_window_seed_and_filter(
+        self, ranked_engine, query
+    ):
+        expr, max_results = query
+        engine = QueryEngine(
+            ranked_engine.index, ontology=ranked_engine.ontology,
+            max_results=max_results,
+        )
+        expected = reference_window(ranked_engine, expr, max_results)
+        for order in ("naive", "selective"):
+            got = as_pairs(engine.evaluate(expr, order=order))
+            assert got == expected, (str(expr), order)
+
+        # every seed position, under a first_filter (run_ranked is what
+        # evaluate calls with k = offset + (limit or max_results))
+        def odd(e):
+            return e % 2 == 1
+
+        expected = reference_window(ranked_engine, expr, max_results, odd)
+        limit = max_results if expr.limit is None else expr.limit
+        for start in range(len(expr.steps)):
+            top = run_ranked(
+                plan_query(expr, engine, start=start),
+                ExecContext(engine, engine.index, first_filter=odd),
+                expr.offset + limit,
+            )
+            got = [(b, -neg) for neg, b in top[expr.offset:][:max_results]]
+            assert got == expected, (str(expr), start)
+
+    def test_reduced_heads_are_walked_in_rank_order(self):
+        """More reduced heads than one ``FORWARD_BLOCK``, best-scored
+        tag not first by id: the head loop's early exit is only sound
+        if the reduction hands its survivors over in rank order."""
+        index = HopiIndex.build(dblp_like(20, seed=13), strategy="unpartitioned")
+        engine = QueryEngine(
+            index, ontology=nesting_ontology(), max_results=10**9
+        )
+        for path in ["//~part/~part", "//~part//~part/~part"]:
+            expr = parse_path(path)
+            expected = as_pairs(reference_evaluate(engine, expr))
+            last = len(expr.steps) - 1
+            for k in (1, 3, 40):
+                top = run_ranked(
+                    plan_query(expr, engine, start=last),
+                    ExecContext(engine, index), k,
+                )
+                assert [(b, -neg) for neg, b in top] == expected[:k], (path, k)
+
+    def test_small_window_probes_blocks_not_every_source(self):
+        """The non-timing work guard: with early stop, a three-step
+        ``limit 25`` query probes at most two ``FORWARD_BLOCK``s of
+        distinct sources per step. Full enumeration probes every head
+        and every reachable middle element, so a silent fall-back to it
+        fails here."""
+        index = HopiIndex.build(dblp_like(60, seed=7), strategy="unpartitioned")
+        engine = QueryEngine(index)
+        path = "//citations//cite//article"
+
+        class CountingProbe:
+            def __init__(self):
+                self.sources = {}
+
+            def __call__(self, source, step_key, cand_elems):
+                return self.many([source], step_key, cand_elems)[source]
+
+            def many(self, sources, step_key, cand_elems):
+                self.sources.setdefault(step_key, set()).update(sources)
+                rows = index.intersect_many(list(sources), cand_elems)
+                return dict(zip(sources, rows))
+
+        probe = CountingProbe()
+        windowed = engine.evaluate(path + " limit 25", probe=probe, order="naive")
+        assert as_pairs(windowed) == as_pairs(
+            reference_evaluate(engine, path)[:25]
+        )
+        assert set(probe.sources) == {("cite", False), ("article", False)}
+        for step_key, sources in probe.sources.items():
+            assert len(sources) <= 2 * FORWARD_BLOCK, step_key
+        # ... which is a fraction of what enumerating everything probes
+        full = CountingProbe()
+        list(engine.stream(path, probe=full, order="naive"))
+        assert len(full.sources[("article", False)]) > 2 * FORWARD_BLOCK
+
+
+# ---------------------------------------------------------------------------
 # the new dialect: predicates and windows
 # ---------------------------------------------------------------------------
 
@@ -417,7 +609,12 @@ class TestPlanApi:
         text = engine.explain("//article//author")
         assert "order:" in text and "candidates" in text
         naive = engine.explain("//article//author", order="naive")
-        assert "naive" in naive
+        assert "naive" in naive and "reduced" not in naive
+        # one evaluate strategy, windowed or not; a backward-reached
+        # position is reported as reduced
+        assert "via ranked-topk(k=max_results)" in text
+        tail = engine.explain("//*//year limit 3 offset 2")
+        assert "via ranked-topk(k=5); reduced: steps [0]" in tail
 
     def test_plan_describe_is_json_safe(self, cover_engines):
         import json
@@ -428,6 +625,12 @@ class TestPlanApi:
         assert payload["limit"] == 2
         assert len(payload["steps"]) == 2
         assert payload["steps"][0]["predicates"] == 1
+        execution = payload["execution"]
+        assert execution["strategy"] == "ranked-topk(k=2)"
+        assert execution["reduced"] == [
+            op["position"] for op in payload["order"]
+            if op["direction"] == "backward"
+        ]
 
 
 # ---------------------------------------------------------------------------
