@@ -22,10 +22,10 @@ Usage (also via ``python -m repro``)::
     # incremental maintenance on the persisted index
     python -m repro delete-doc index.db dblp42
 
-    # serve the index over HTTP: the versioned /v1 API (query, count,
-    # explain, connected, distance, update, stats) with concurrent
-    # queries, result caching and zero-downtime update hot-swap;
-    # un-versioned routes keep answering as deprecated aliases
+    # serve the index over HTTP: the /v1 API (query, count, explain,
+    # connected, distance, update, stats, healthz, metrics) with
+    # concurrent queries, admission control, result caching and
+    # zero-downtime update hot-swap
     python -m repro serve index.db --port 8080
 
 Documents are identified by file stem; XLink ``href`` attributes resolve
@@ -260,7 +260,9 @@ def cmd_delete_doc(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import QueryService, ShardRouter, make_server
+    import asyncio
+
+    from repro.service import AsyncServiceServer, QueryService, ShardRouter
 
     durable_store = None
     if args.store:
@@ -311,60 +313,32 @@ def cmd_serve(args: argparse.Namespace) -> int:
             durable_store=durable_store,
         )
         mode = "unsharded"
-    if args.use_async:
-        from repro.service.asyncio_http import AsyncServiceServer
-
-        import asyncio
-
-        server = AsyncServiceServer(
-            service,
-            max_inflight=args.max_inflight,
-            queue_depth=args.queue_depth,
-            max_client_share=args.max_client_share,
-            verbose=args.verbose,
-            max_requests=args.max_requests,
-        )
-
-        async def _serve() -> None:
-            host, port = await server.start(args.host, args.port)
-            print(
-                f"serving {args.index} on http://{host}:{port} "
-                f"(epoch={service.epoch}, {mode}, "
-                f"async max_inflight={args.max_inflight} "
-                f"queue_depth={args.queue_depth})",
-                flush=True,
-            )
-            await server.wait_closed()
-
-        try:
-            asyncio.run(_serve())
-        except KeyboardInterrupt:  # pragma: no cover - interactive exit
-            pass
-        finally:
-            closer = getattr(service, "close", None)
-            if closer is not None:
-                closer()
-        return 0
-    server = make_server(service, args.host, args.port, verbose=args.verbose)
-    host, port = server.server_address[:2]
-    print(
-        f"serving {args.index} on http://{host}:{port} "
-        f"(epoch={service.epoch}, {mode})",
-        flush=True,
+    server = AsyncServiceServer(
+        service,
+        max_inflight=args.max_inflight,
+        queue_depth=args.queue_depth,
+        max_client_share=args.max_client_share,
+        verbose=args.verbose,
+        max_requests=args.max_requests,
     )
+
+    async def _serve() -> None:
+        host, port = await server.start(args.host, args.port)
+        print(
+            f"serving {args.index} on http://{host}:{port} "
+            f"(epoch={service.epoch}, {mode}, "
+            f"async max_inflight={args.max_inflight} "
+            f"queue_depth={args.queue_depth})",
+            flush=True,
+        )
+        await server.wait_closed()
+
     try:
-        if args.max_requests is not None:
-            for _ in range(args.max_requests):
-                server.handle_request()
-        else:
-            server.serve_forever()
+        asyncio.run(_serve())
     except KeyboardInterrupt:  # pragma: no cover - interactive exit
         pass
     finally:
-        server.server_close()
-        closer = getattr(service, "close", None)
-        if closer is not None:
-            closer()
+        service.close()
     return 0
 
 
@@ -554,12 +528,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve",
-        help="serve a persisted index over HTTP — the versioned /v1 "
-             "API (query count explain connected distance update "
-             "stats healthz metrics) plus deprecated un-versioned "
-             "aliases; --shards N serves sharded behind a "
-             "scatter-gather router; --async serves on the asyncio "
-             "front end with admission control",
+        help="serve a persisted index over HTTP — the /v1 API (query "
+             "count explain connected distance update stats healthz "
+             "metrics) on an asyncio front end with admission control; "
+             "--shards N serves sharded behind a scatter-gather router",
     )
     p.add_argument("index")
     p.add_argument("--host", default="127.0.0.1")
@@ -586,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe-cache", type=int, default=8192,
                    help="per-epoch descendant-probe LRU entries")
     p.add_argument("--max-requests", type=int, default=None,
-                   help="exit after accepting N connections (smoke tests/CI)")
+                   help="exit after answering N requests (smoke tests/CI)")
     p.add_argument("--store", default=None, metavar="DIR",
                    help="durable store directory (index.db + updates.wal): "
                         "update batches are WAL-logged before publishing "
@@ -596,22 +568,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-interval", type=int, default=64,
                    help="WAL records between snapshot checkpoints of the "
                         "durable store (default 64)")
-    p.add_argument("--async", dest="use_async", action="store_true",
-                   help="serve on the asyncio front end: bounded worker "
-                        "pool + admission control — overload answers a "
-                        "structured 429 instead of queueing unboundedly")
+    # accepted and ignored: the asyncio front end is the only one, but
+    # the benchmark harness under perf/ still passes the flag
+    p.add_argument("--async", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--max-inflight", type=int, default=8,
-                   help="async front end: worker threads evaluating "
-                        "requests concurrently (default 8)")
+                   help="worker threads evaluating requests concurrently "
+                        "(default 8)")
     p.add_argument("--queue-depth", type=int, default=64,
-                   help="async front end: admitted requests allowed to "
-                        "wait for a worker slot before new arrivals are "
-                        "shed with 429 (default 64)")
+                   help="admitted requests allowed to wait for a worker "
+                        "slot before new arrivals are shed with 429 "
+                        "(default 64)")
     p.add_argument("--max-client-share", type=float, default=0.5,
-                   help="async front end: fraction of the admission "
-                        "window one client key (X-Client-Id or peer "
-                        "address) may occupy before its requests are "
-                        "shed (default 0.5)")
+                   help="fraction of the admission window one client key "
+                        "(X-Client-Id or peer address) may occupy before "
+                        "its requests are shed (default 0.5)")
     p.add_argument("--verbose", action="store_true",
                    help="log one line per request")
     p.set_defaults(func=cmd_serve)

@@ -15,23 +15,21 @@ index:
   the published epoch; an atomic reference swap publishes the shadow
   with zero reader downtime and no torn answers;
 * :mod:`repro.service.api` — the transport-neutral ``/v1`` endpoint
-  core (routing, handlers, error mapping) shared by every front end,
-  so their responses are bit-identical by construction;
-* :mod:`repro.service.http` — a stdlib ``ThreadingHTTPServer`` front
-  end (``/query``, ``/count``, ``/connected``, ``/distance``,
-  ``/update``, ``/stats``, ``/healthz``, ``/metrics``), wired into the
-  CLI as ``repro serve``;
-* :mod:`repro.service.asyncio_http` — the asyncio front end with
-  admission control (bounded worker pool + pending queue, structured
-  429/503 shedding, per-endpoint deadlines) — ``repro serve --async``;
+  core (routing, handlers, error mapping; the endpoint table lives in
+  its docstring), callable without a socket;
+* :mod:`repro.service.asyncio_http` — the HTTP front end, wired into
+  the CLI as ``repro serve``: one event loop, a bounded worker pool and
+  admission control (structured 429/503 shedding, per-endpoint
+  deadlines);
 * :mod:`repro.service.telemetry` — counters, per-endpoint latency
   histograms and live gauges behind ``/v1/metrics``;
 * :mod:`repro.service.shard` — horizontally sharded serving: a
-  :class:`~repro.service.shard.ShardRouter` scatter-gathers every
-  ``/v1`` request over per-shard :class:`QueryService`\\ s (in-process
-  or on ``repro build-worker`` daemons via the rpc ``S`` frames) with
-  bit-identical answers, MVCC-generation rolling hot-swap and an
-  explicit degraded mode — ``repro serve --shards N``.
+  :class:`~repro.service.shard.ShardRouter` (a :class:`QueryService`
+  subclass) scatter-gathers every ``/v1`` request over per-shard
+  :class:`QueryService`\\ s (in-process or on ``repro build-worker``
+  daemons via the rpc ``S`` frames) with bit-identical answers,
+  MVCC-generation rolling hot-swap and an explicit degraded mode —
+  ``repro serve --shards N``.
 
 The ``read-cold``, ``read-hot`` and ``write-mixed`` workloads of
 ``perf/`` (see ``BENCHMARK.json``) measure this tier over real HTTP.
@@ -46,7 +44,6 @@ from repro.service.asyncio_http import (
 from repro.service.cache import LRUCache
 from repro.service.coalesce import CoalescingCache
 from repro.service.epoch import EpochHolder, EpochState
-from repro.service.http import ServiceHTTPServer, make_server
 from repro.service.telemetry import Telemetry
 from repro.service.service import QueryResponse, QueryService, UpdateError
 from repro.service.shard import (
@@ -66,10 +63,8 @@ __all__ = [
     "EpochHolder",
     "EpochState",
     "ServiceAPI",
-    "ServiceHTTPServer",
     "Telemetry",
     "error_payload",
-    "make_server",
     "start_in_thread",
     "QueryService",
     "QueryResponse",

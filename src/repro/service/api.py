@@ -1,22 +1,57 @@
-"""Transport-neutral ``/v1`` endpoint core shared by every front end.
+"""Transport-neutral ``/v1`` endpoint core behind the HTTP front end.
 
-The threaded (:mod:`repro.service.http`) and asyncio
-(:mod:`repro.service.asyncio_http`) front ends answer requests
-**bit-identically** because neither implements an endpoint itself:
-both hand ``(url path, query params, decoded JSON body)`` to one
-:class:`ServiceAPI` and write out whatever ``(status, payload)`` it
-returns. Everything observable — response fields, error codes and
-messages, pagination arithmetic, the legacy-alias flat shapes, the
-``deprecated`` marker — lives here, once. A front end owns only its
-transport: socket handling, HTTP parsing, concurrency, and admission
-control.
+The front end (:mod:`repro.service.asyncio_http`) implements no
+endpoint itself: it hands ``(url path, query params, decoded JSON
+body)`` to one :class:`ServiceAPI` and writes out whatever ``(status,
+payload)`` it returns. Everything observable — response fields, error
+codes and messages, pagination arithmetic — lives here, once, and is
+callable without a socket (the parity suite compares direct
+:meth:`ServiceAPI.dispatch` calls against HTTP). The front end owns
+only its transport: socket handling, HTTP parsing, concurrency, and
+admission control.
 
-Routing contract (see :mod:`repro.service.http` for the endpoint
-table): ``/v1/<name>`` for ``name`` in :data:`V1_ROUTES`, un-versioned
-``/<name>`` as deprecated aliases for :data:`LEGACY_ROUTES`. To add an
-endpoint, write a ``_handle_<name>`` method returning ``(status,
-payload)`` and list it in :data:`V1_ROUTES` — both front ends pick it
-up with no further wiring.
+The API (all JSON, every response tagged with the ``epoch`` that
+answered it):
+
+=============================  ============================================
+``GET /v1/query``              ``path`` (required), ``limit`` (≥ 1),
+                               ``offset`` (≥ 0) — ranked matches with
+                               pagination metadata (``total``,
+                               ``next_offset``, and ``truncated`` when
+                               the ranked list hit the service's
+                               ``max_results`` cap, in which case
+                               ``total`` is a lower bound — use
+                               ``/v1/count`` for the exact number)
+``GET /v1/count``              ``path`` — unranked total match count
+``GET /v1/explain``            ``path`` (+ optional ``mode`` —
+                               ``evaluate``/``stream``/``count``/
+                               ``exists``) — the physical plan that would
+                               run (estimates, join order/directions)
+``GET /v1/connected``          ``source``, ``target`` — reachability test
+``GET /v1/distance``           ``source``, ``target`` — shortest link
+                               distance
+``POST /v1/update``            body ``{"ops": [...]}`` — atomic
+                               maintenance batch + hot swap (see
+                               ``QueryService.update``)
+``GET /v1/stats``              service counters, cache stats, epoch
+``GET /v1/healthz``            liveness/readiness: epoch age, and —
+                               when serving sharded — per-shard
+                               reachability; 200 when ``status`` is
+                               ``ok``, 503 when ``degraded``
+``GET /v1/metrics``            ops telemetry: per-endpoint latency
+                               histograms, request/shed counters, cache
+                               hit rates, epoch age, admission gauges
+=============================  ============================================
+
+Errors are structured: ``{"error": {"code": "bad_request" |
+"not_found" | "internal", "message": "..."}}``; any path outside
+``/v1/<name>`` is a ``not_found``. A request a
+:class:`~repro.service.shard.ShardRouter` cannot answer because a shard
+is unreachable gets a **503** with ``"code": "shard_unavailable"``,
+``"degraded": true`` and ``"shards_down": [...]``.
+
+To add an endpoint, write a ``_handle_<name>(params, body)`` method
+returning ``(status, payload)`` and list it in :data:`V1_ROUTES`.
 
 ``dispatch`` also feeds the shared
 :class:`~repro.service.telemetry.Telemetry` instance (per-endpoint
@@ -40,41 +75,33 @@ V1_ROUTES = frozenset(
     {"query", "count", "explain", "connected", "distance", "update",
      "stats", "healthz", "metrics"}
 )
-#: endpoints also served un-versioned, as deprecated aliases
-LEGACY_ROUTES = frozenset(
-    {"query", "count", "connected", "distance", "update", "stats"}
-)
 #: control-plane endpoints: cheap, read-only, and required to stay
-#: responsive under overload — front ends with admission control must
-#: never queue or shed these
+#: responsive under overload — the front end's admission control never
+#: queues or sheds these
 CONTROL_ROUTES = frozenset({"healthz", "metrics"})
 
 
-def error_payload(code: str, message: str, *, v1: bool) -> Dict[str, Any]:
-    """The error body: structured ``{"error": {code, message}}`` on
-    /v1, the legacy flat ``{"error": message}`` on deprecated aliases."""
-    if v1:
-        return {"error": {"code": code, "message": message}}
-    return {"error": message, "deprecated": True}
+def error_payload(code: str, message: str) -> Dict[str, Any]:
+    """The structured error body ``{"error": {code, message}}``."""
+    return {"error": {"code": code, "message": message}}
 
 
-def route(path: str) -> Tuple[Optional[str], bool]:
-    """Resolve a URL path to ``(endpoint name, is_v1)``."""
+def route(path: str) -> Optional[str]:
+    """Resolve a URL path to its endpoint name (``None``: not found)."""
     if path.startswith("/v1/"):
         name = path[len("/v1/"):]
-        return (name if name in V1_ROUTES else None), True
-    name = path.lstrip("/")
-    return (name if name in LEGACY_ROUTES else None), False
+        if name in V1_ROUTES:
+            return name
+    return None
 
 
 class ServiceAPI:
     """Every ``/v1`` endpoint of one service, as plain method calls.
 
-    ``service`` is anything with the :class:`QueryService` surface
-    (including :class:`~repro.service.shard.ShardRouter`, which
-    duck-types it); ``telemetry`` is shared with the enclosing front
-    end so admission-control gauges and request histograms land in one
-    ``/v1/metrics`` payload.
+    ``service`` is a :class:`QueryService` (a
+    :class:`~repro.service.shard.ShardRouter` is one); ``telemetry`` is
+    shared with the enclosing front end so admission-control gauges and
+    request histograms land in one ``/v1/metrics`` payload.
     """
 
     def __init__(
@@ -124,24 +151,19 @@ class ServiceAPI:
         """Route one request and run its handler, mapping errors.
 
         Returns ``(status, payload)`` — the complete response in both
-        the success and every error case, so front ends only serialise.
-        Domain errors map to 400, a dead shard to a structured 503,
-        anything unexpected to 500; deprecated aliases get the
-        ``deprecated`` marker exactly as before the refactor.
+        the success and every error case, so the front end only
+        serialises.
+        Unknown paths map to 404, domain errors to 400, a dead shard to
+        a structured 503, anything unexpected to 500.
         """
-        name, v1 = route(url_path)
+        name = route(url_path)
         if name is None:
             return 404, error_payload(
-                "not_found", f"unknown endpoint {url_path!r}", v1=v1
+                "not_found", f"unknown endpoint {url_path!r}"
             )
-        if not v1:
-            self.service.note_legacy_hit(name)
         t0 = time.perf_counter()
         try:
-            handler = getattr(self, f"_handle_{name}")
-            status, payload = handler(params, body, v1)
-            if not v1:
-                payload["deprecated"] = True
+            status, payload = getattr(self, f"_handle_{name}")(params, body)
         except ShardUnavailableError as exc:
             # a dead/unreachable shard degrades the request explicitly
             # (structured 503) — the contract is "never a hang"
@@ -151,22 +173,20 @@ class ServiceAPI:
                 "shards_down": exc.shards,
             }
         except (UpdateError, PathSyntaxError, KeyError, TypeError, ValueError) as exc:
-            status, payload = 400, error_payload("bad_request", str(exc), v1=v1)
+            status, payload = 400, error_payload("bad_request", str(exc))
         except Exception as exc:  # pragma: no cover - defensive
             status, payload = 500, error_payload(
-                "internal", f"internal error: {exc}", v1=v1
+                "internal", f"internal error: {exc}"
             )
         self.telemetry.observe(name, time.perf_counter() - t0, status)
         return status, payload
 
     # -- endpoints -------------------------------------------------------
-    def _handle_query(self, params, body, v1) -> Tuple[int, Dict[str, Any]]:
+    def _handle_query(self, params, body) -> Tuple[int, Dict[str, Any]]:
         path = self._param(params, "path")
         limit = None
         if "limit" in params:
-            # /v1 requires a useful limit; the deprecated alias keeps
-            # the legacy contract where limit=0 returns an empty page
-            limit = self._int_param(params, "limit", minimum=1 if v1 else 0)
+            limit = self._int_param(params, "limit", minimum=1)
         offset = 0
         if "offset" in params:
             offset = self._int_param(params, "offset", minimum=0)
@@ -185,51 +205,47 @@ class ServiceAPI:
                     "bindings": list(r.bindings),
                 }
             )
-        payload: Dict[str, Any] = {
+        consumed = offset + len(results)
+        return 200, {
             "epoch": response.epoch,
             "path": response.path,
             "cached": response.cached,
             "seconds": response.seconds,
             "count": len(results),
             "results": results,
+            "total": response.total,
+            "limit": limit,
+            "offset": offset,
+            "next_offset": consumed if consumed < response.total else None,
+            "truncated": response.truncated,
         }
-        if v1:
-            consumed = offset + len(results)
-            payload.update(
-                total=response.total,
-                limit=limit,
-                offset=offset,
-                next_offset=consumed if consumed < response.total else None,
-                truncated=response.truncated,
-            )
-        return 200, payload
 
-    def _handle_count(self, params, body, v1) -> Tuple[int, Dict[str, Any]]:
+    def _handle_count(self, params, body) -> Tuple[int, Dict[str, Any]]:
         path = self._param(params, "path")
         epoch, n = self.service.count(path)
         return 200, {"epoch": epoch, "path": path, "count": n}
 
-    def _handle_explain(self, params, body, v1) -> Tuple[int, Dict[str, Any]]:
+    def _handle_explain(self, params, body) -> Tuple[int, Dict[str, Any]]:
         path = self._param(params, "path")
         mode = params.get("mode", ["evaluate"])[0]
         epoch, plan = self.service.explain(path, mode=mode)
         return 200, {"epoch": epoch, "plan": plan}
 
-    def _handle_connected(self, params, body, v1) -> Tuple[int, Dict[str, Any]]:
+    def _handle_connected(self, params, body) -> Tuple[int, Dict[str, Any]]:
         u = self._int_param(params, "source")
         v = self._int_param(params, "target")
         epoch, connected = self.service.connected(u, v)
         return 200, {"epoch": epoch, "source": u, "target": v,
                      "connected": connected}
 
-    def _handle_distance(self, params, body, v1) -> Tuple[int, Dict[str, Any]]:
+    def _handle_distance(self, params, body) -> Tuple[int, Dict[str, Any]]:
         u = self._int_param(params, "source")
         v = self._int_param(params, "target")
         epoch, dist = self.service.distance(u, v)
         return 200, {"epoch": epoch, "source": u, "target": v,
                      "distance": dist}
 
-    def _handle_update(self, params, body, v1) -> Tuple[int, Dict[str, Any]]:
+    def _handle_update(self, params, body) -> Tuple[int, Dict[str, Any]]:
         if body is None:
             raise UpdateError("/update requires a POST body")
         if isinstance(body, list):
@@ -246,49 +262,37 @@ class ServiceAPI:
         report = self.service.update(ops)
         return 200, report
 
-    def _handle_stats(self, params, body, v1) -> Tuple[int, Dict[str, Any]]:
+    def _handle_stats(self, params, body) -> Tuple[int, Dict[str, Any]]:
         return 200, self.service.stats()
 
-    def _handle_healthz(self, params, body, v1) -> Tuple[int, Dict[str, Any]]:
+    def _handle_healthz(self, params, body) -> Tuple[int, Dict[str, Any]]:
         payload = self.service.healthz()
         return (200 if payload.get("status") == "ok" else 503), payload
 
-    def _handle_metrics(self, params, body, v1) -> Tuple[int, Dict[str, Any]]:
+    def _handle_metrics(self, params, body) -> Tuple[int, Dict[str, Any]]:
         """Telemetry + cache hit rates + epoch age, in one payload.
 
-        Deliberately avoids :meth:`QueryService.healthz` /
-        :meth:`~repro.service.shard.ShardRouter.healthz` — on a sharded
-        router those scatter to every shard, and ``/v1/metrics`` must
+        Deliberately avoids :meth:`QueryService.healthz` — on a sharded
+        router it scatters to every shard, and ``/v1/metrics`` must
         stay cheap and responsive even when shards are down.
         """
         payload = self.telemetry.snapshot()
         service = self.service
-        payload["epoch"] = service.epoch
-        published_at = getattr(service, "_published_at", None)
-        payload["epoch_age_seconds"] = (
-            time.time() - published_at if published_at is not None else None
-        )
-        started = getattr(service, "_started", None)
-        payload["uptime_seconds"] = (
-            time.time() - started if started is not None else None
-        )
-        holder = getattr(service, "_holder", None)
-        payload["swaps"] = (
-            holder.swaps if holder is not None else getattr(service, "_swaps", None)
-        )
-        caches: Dict[str, Any] = {}
-        results = getattr(service, "_results", None)
-        if results is not None:
-            caches["result"] = results.stats()
-        plans = getattr(service, "_plans", None)
-        if plans is not None:
-            caches["plan"] = plans.stats()
-        if holder is not None:
-            caches["probe"] = holder.current.probes.stats()
-        payload["cache"] = caches
-        ingest_stats = getattr(service, "ingest_stats", None)
-        if ingest_stats is not None:
-            # the ingestion-freshness gauge (docs ingested, publish-lag
-            # percentiles) — present on QueryService, absent on routers
-            payload["ingest"] = ingest_stats()
+        state = service._holder.current
+        # read before the clock: a publish racing in between would
+        # otherwise make the age negative
+        published_at = service._published_at
+        now = time.time()
+        payload["epoch"] = state.epoch
+        payload["epoch_age_seconds"] = now - published_at
+        payload["uptime_seconds"] = now - service._started
+        payload["swaps"] = service._holder.swaps
+        payload["cache"] = {
+            "result": service._results.stats(),
+            "plan": service._plans.stats(),
+            "probe": state.probes.stats(),
+        }
+        # the ingestion-freshness gauge (docs ingested, publish-lag
+        # percentiles)
+        payload["ingest"] = service.ingest_stats()
         return 200, payload

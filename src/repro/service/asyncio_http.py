@@ -1,18 +1,17 @@
-"""Asyncio ``/v1`` front end with admission control and backpressure.
+"""The HTTP front end: asyncio, with admission control and backpressure.
 
-``ThreadingHTTPServer`` spawns one thread per connection; under an
-open-loop burst of cold queries those threads convoy on the GIL and
-the accept queue, and tail latency explodes (a 25000x p99/p50 gap
-was measured on a cold-miss mix). This front end replaces the
-thread-per-connection model with:
+A thread per connection convoys on the GIL and the accept queue under
+an open-loop burst of cold queries, and tail latency explodes (a
+25000x p99/p50 gap was measured on a cold-miss mix). This front end —
+the only one; ``repro serve`` runs it — is instead:
 
 * **one event loop** owning every socket — accept, parse and response
   writes never wait on query evaluation;
 * **a bounded worker pool** (``max_inflight`` threads) running the
   CPU-bound dispatch — the service's lock-free epoch-pinned read path,
   single-flight coalescing and hot-swap semantics are untouched
-  because the pool calls the exact same
-  :class:`~repro.service.api.ServiceAPI` the threaded front end uses;
+  because the pool only calls
+  :meth:`~repro.service.api.ServiceAPI.dispatch`;
 * **admission control**: at most ``max_inflight`` requests evaluate
   while at most ``queue_depth`` more wait for a pool slot; anything
   beyond that is *shed* immediately with a structured **429**
@@ -53,6 +52,11 @@ The shared :class:`~repro.service.telemetry.Telemetry` instance
 records every transition (``shed_queue_full`` / ``shed_timeout``
 counters, ``queue_depth`` / ``inflight`` gauges, per-endpoint latency
 histograms), all reported by ``/v1/metrics``.
+
+Malformed requests never reach the service: an invalid or negative
+``Content-Length``, an oversized body, a body that is not JSON, or a
+request line / header line over the stream limit (64 KiB) answers a
+structured 400; a truncated request closes the connection.
 """
 
 from __future__ import annotations
@@ -99,6 +103,8 @@ _REASONS = {
     503: "Service Unavailable",
 }
 
+#: the stream limit: a request line or header line longer than this
+#: answers 400
 _MAX_HEADER_LINE = 64 * 1024
 #: request bodies beyond this are rejected rather than buffered
 MAX_BODY_BYTES = 64 * 1024 * 1024
@@ -108,7 +114,7 @@ class AsyncServiceServer:
     """The asyncio front end of one :class:`QueryService` (or router).
 
     Construct, then either ``await start()`` inside a running loop or
-    use :func:`serve` / :func:`start_in_thread` from synchronous code.
+    use :func:`start_in_thread` from synchronous code.
 
     Args:
         service: the service (or :class:`~repro.service.shard.ShardRouter`)
@@ -124,7 +130,8 @@ class AsyncServiceServer:
             :data:`DEFAULT_TIMEOUTS`; ``None`` disables the deadline).
         telemetry: shared telemetry sink (one is created if omitted).
         max_requests: close the server after answering this many
-            requests (smoke tests/CI; ``None`` serves forever).
+            requests (smoke tests/CI; ``0`` closes at once, ``None``
+            serves forever).
     """
 
     def __init__(
@@ -190,10 +197,12 @@ class AsyncServiceServer:
         """Bind the listening socket; returns ``(host, port)``."""
         self._done = asyncio.Event()
         self._server = await asyncio.start_server(
-            self._handle_connection, host, port
+            self._handle_connection, host, port, limit=_MAX_HEADER_LINE
         )
         bound = self._server.sockets[0].getsockname()
         self.address = (bound[0], bound[1])
+        if self.max_requests is not None and self.max_requests <= 0:
+            self.shutdown()
         return self.address
 
     async def wait_closed(self) -> None:
@@ -220,7 +229,22 @@ class AsyncServiceServer:
     ) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except ValueError:
+                    # readline hit the stream limit: the head cannot be
+                    # parsed, so answer and drop the connection
+                    self._write_response(
+                        writer, 400,
+                        error_payload(
+                            "bad_request",
+                            "request line or header longer than "
+                            f"{_MAX_HEADER_LINE} bytes",
+                        ),
+                        keep_alive=False,
+                    )
+                    await _drain_quietly(writer)
+                    break
                 if request is None:
                     break
                 keep_alive = await self._answer(reader, writer, *request)
@@ -242,12 +266,15 @@ class AsyncServiceServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, Dict[str, str]]]:
-        """Parse one request head: ``(method, target, headers)``."""
+        """Parse one request head: ``(method, target, headers)``, or
+        ``None`` when the client closed or sent no request line.
+
+        Raises ``ValueError`` (from ``readline``) for a line longer
+        than the stream limit.
+        """
         try:
             line = await reader.readline()
         except (ConnectionError, OSError):  # pragma: no cover - races
-            return None
-        if not line or len(line) > _MAX_HEADER_LINE:
             return None
         parts = line.decode("latin-1").strip().split()
         if len(parts) < 2:
@@ -258,8 +285,6 @@ class AsyncServiceServer:
             header = await reader.readline()
             if header in (b"\r\n", b"\n", b""):
                 break
-            if len(header) > _MAX_HEADER_LINE:
-                return None
             key, _, value = header.decode("latin-1").partition(":")
             headers[key.strip().lower()] = value.strip()
         return method, target, headers
@@ -296,38 +321,47 @@ class AsyncServiceServer:
         headers: Dict[str, str],
     ) -> bool:
         """Dispatch one request; returns whether to keep the connection."""
-        url = urlparse(target)
-        v1 = url.path.startswith("/v1/")
         connection = headers.get("connection", "").lower()
         keep_alive = connection != "close"
+        try:
+            url = urlparse(target)
+        except ValueError:  # e.g. "//[" — an unterminated IPv6 netloc
+            self._write_response(
+                writer, 400,
+                error_payload("bad_request",
+                              f"malformed request target {target!r}"),
+                keep_alive=False,
+            )
+            return False
 
         if method not in ("GET", "POST"):
             self._write_response(
                 writer, 501,
                 error_payload("not_implemented",
-                              f"unsupported method {method!r}", v1=v1),
+                              f"unsupported method {method!r}"),
                 keep_alive=False,
             )
             return False
 
         body: Optional[Any] = None
         if method == "POST":
-            try:
-                length = int(headers.get("content-length", "0"))
-            except ValueError:
+            declared = headers.get("content-length", "0")
+            # digits only: int() would also take "-5", "+5" and "5_0";
+            # the body's framing is unknown, so the connection closes
+            if not (declared.isascii() and declared.isdigit()):
                 self._write_response(
                     writer, 400,
                     error_payload("bad_request",
-                                  "invalid Content-Length header", v1=v1),
-                    keep_alive=keep_alive,
+                                  "invalid Content-Length header"),
+                    keep_alive=False,
                 )
-                return keep_alive
+                return False
+            length = int(declared)
             if length > MAX_BODY_BYTES:
                 self._write_response(
                     writer, 400,
                     error_payload("bad_request",
-                                  f"request body too large ({length} bytes)",
-                                  v1=v1),
+                                  f"request body too large ({length} bytes)"),
                     keep_alive=False,
                 )
                 return False
@@ -339,12 +373,11 @@ class AsyncServiceServer:
                     return False
             try:
                 body = json.loads(raw.decode("utf-8")) if raw else {}
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 self._write_response(
                     writer, 400,
                     error_payload(
-                        "bad_request",
-                        f"request body is not valid JSON: {exc}", v1=v1,
+                        "bad_request", f"request body is not valid JSON: {exc}"
                     ),
                     keep_alive=keep_alive,
                 )
@@ -397,7 +430,7 @@ class AsyncServiceServer:
         ``retry_after_seconds`` hint mirrored into the ``Retry-After``
         header by the transport.
         """
-        name, v1 = route(url_path)
+        name = route(url_path)
         loop = asyncio.get_running_loop()
 
         if name in CONTROL_ROUTES:
@@ -566,32 +599,3 @@ def start_in_thread(
         raise RuntimeError("async server failed to start within 10s")
     return AsyncServerHandle(server, loop, thread, box["address"])
 
-
-def serve(
-    service: QueryService,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    **kwargs: Any,
-) -> Tuple[str, int]:
-    """Blocking entry point for ``repro serve --async``.
-
-    Binds, prints nothing (the CLI owns messaging), and serves until
-    KeyboardInterrupt or ``max_requests``. Returns the bound address
-    (useful when ``port=0``).
-    """
-    server = AsyncServiceServer(service, **kwargs)
-
-    async def _main() -> Tuple[str, int]:
-        address = await server.start(host, port)
-        try:
-            await server.wait_closed()
-        except asyncio.CancelledError:  # pragma: no cover - signal path
-            await server._teardown()
-            raise
-        return address
-
-    try:
-        return asyncio.run(_main())
-    except KeyboardInterrupt:  # pragma: no cover - interactive
-        return (host, port)

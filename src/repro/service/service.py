@@ -28,10 +28,21 @@ all-or-nothing — it runs against its own sub-fork, so a failing batch
 rolls back alone while its neighbours commit. Readers never wait and
 never observe a half-updated index.
 
-With a :class:`~repro.storage.wal.DurableIndexStore` attached, the
-drainer appends the applied wire-format ops to the update WAL (fsync)
-*before* publishing and checkpoints the snapshot on an interval, so a
-crashed server recovers its latest acknowledged epoch on restart.
+Every write publishes in three steps: **prepare** the new generation
+(:meth:`QueryService._make_state`), **log** it — with a
+:class:`~repro.storage.wal.DurableIndexStore` attached, the applied
+wire-format ops are appended to the update WAL (fsync) — then **flip**
+the published reference. A generation that cannot be prepared is never
+logged, and a logged one is published, so a crashed server recovers
+exactly its latest acknowledged epoch on restart. The snapshot is
+checkpointed on an interval after the flip.
+
+The sharded router (:class:`repro.service.shard.ShardRouter`) is a
+subclass: it overrides how a generation is prepared (derive the shard
+views and install them) and how it answers (:meth:`_evaluate`,
+:meth:`_count_matches`, ``connected``/``distance`` scatter to the
+shards), and inherits everything else — the caches, the write path and
+the durability protocol exist once.
 """
 
 from __future__ import annotations
@@ -45,13 +56,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.hopi import HopiIndex
 
 # the op vocabulary lives in the core layer so the WAL can replay it;
-# re-exported here because the shard router, the HTTP API, and older
-# callers import them from the service module
-from repro.core.ops import (  # noqa: F401  (re-exports)
-    UpdateError,
-    _apply_insert_document,
-    apply_update_op,
-)
+# UpdateError is re-exported because the HTTP API and callers import it
+# from the service package
+from repro.core.ops import UpdateError, apply_update_op
 from repro.query.engine import Probe, QueryEngine, QueryResult, StepKey
 from repro.query.ontology import TagOntology
 from repro.query.pathexpr import PathExpression
@@ -234,6 +241,8 @@ class QueryService:
         self._probe_cache_size = probe_cache_size
         self._plans = LRUCache(plan_cache_size)
         self._results = CoalescingCache(result_cache_size)
+        # the configuration above is set before the first _make_state:
+        # subclasses read it when they prepare a generation
         self._holder = EpochHolder(self._make_state(index.epoch, index))
         self._write_lock = threading.Lock()
         self._counter_lock = threading.Lock()
@@ -255,6 +264,8 @@ class QueryService:
     # epoch plumbing
     # ------------------------------------------------------------------
     def _make_state(self, epoch: int, index: HopiIndex) -> EpochState:
+        """Prepare (but do not publish) the generation ``epoch`` of
+        ``index``; raising here leaves the published state untouched."""
         engine = QueryEngine(
             index,
             ontology=self._ontology,
@@ -325,10 +336,7 @@ class QueryService:
         prepared = self._prepare(path)
         key = ("query", prepared.key, state.epoch)
         results, source = self._results.get_or_compute(
-            key,
-            lambda: state.engine.evaluate(
-                prepared, index=state.index, probe=self._probe_for(state)
-            ),
+            key, lambda: self._evaluate(state, prepared)
         )
         total = len(results)
         if offset:
@@ -354,13 +362,26 @@ class QueryService:
         prepared = self._prepare(path)
         key = ("count", prepared.key, state.epoch)
         n, _ = self._results.get_or_compute(
-            key,
-            lambda: state.engine.count(
-                prepared, index=state.index, probe=self._probe_for(state)
-            ),
+            key, lambda: self._count_matches(state, prepared)
         )
         self._count("count")
         return state.epoch, n
+
+    def _evaluate(
+        self, state: EpochState, prepared: PreparedQuery
+    ) -> List[QueryResult]:
+        """The full ranked result list of one generation (result-cache
+        miss path of :meth:`query`)."""
+        return state.engine.evaluate(
+            prepared, index=state.index, probe=self._probe_for(state)
+        )
+
+    def _count_matches(self, state: EpochState, prepared: PreparedQuery) -> int:
+        """The exact match count of one generation (result-cache miss
+        path of :meth:`count`)."""
+        return state.engine.count(
+            prepared, index=state.index, probe=self._probe_for(state)
+        )
 
     def explain(
         self, path: Union[str, PathExpression], *, mode: str = "evaluate"
@@ -382,11 +403,6 @@ class QueryService:
         self._count("explain")
         return state.epoch, payload
 
-    def note_legacy_hit(self, route: str) -> None:
-        """Record a request to a deprecated un-versioned route (the
-        ``legacy_hits`` counters in :meth:`stats`)."""
-        self._count(f"legacy:{route}")
-
     def connected(self, u: ElementId, v: ElementId) -> Tuple[int, bool]:
         """``(epoch, u ->* v)``."""
         state = self._holder.current
@@ -402,11 +418,10 @@ class QueryService:
     # ------------------------------------------------------------------
     # write path: group-commit over copy-on-write shadows
     # ------------------------------------------------------------------
-    def _publish(self, shadow: HopiIndex) -> EpochState:
-        state = self._make_state(shadow.epoch, shadow)
+    def _publish(self, state: EpochState) -> None:
+        """Flip the published reference to a prepared generation."""
         self._holder.publish(state)
         self._published_at = time.time()
-        return state
 
     def apply(self, mutator: Callable[[HopiIndex], Any]) -> Tuple[int, Any]:
         """Run an arbitrary maintenance function against a shadow and
@@ -432,7 +447,7 @@ class QueryService:
             result = mutator(shadow)
             if shadow.epoch <= current.epoch:
                 shadow.epoch = current.epoch + 1
-            self._publish(shadow)
+            self._publish(self._make_state(shadow.epoch, shadow))
             self._count("update")
             if self._durable is not None:
                 self._durable.fire("published")
@@ -508,9 +523,10 @@ class QueryService:
         Called with the writer lock held. Each batch runs against its
         own sub-fork of the accumulated shadow: success folds the fork
         in, failure discards it — per-batch rollback without touching
-        neighbours. With a durable store, the applied ops are WAL-logged
-        (fsync) *before* the publish, so an acknowledged epoch survives
-        a crash.
+        neighbours. The new generation is prepared first, then (with a
+        durable store) its ops are WAL-logged (fsync), then it is
+        published: a generation that fails to prepare is never logged,
+        and an acknowledged epoch survives a crash.
         """
         with self._pending_lock:
             batches, self._pending = self._pending, []
@@ -523,7 +539,7 @@ class QueryService:
         for batch in batches:
             trial = shadow.cow_copy()
             try:
-                reports = [self._apply_op(trial, op) for op in batch.ops]
+                reports = [apply_update_op(trial, op) for op in batch.ops]
             except UpdateError as exc:
                 batch.error = exc
             except (KeyError, ValueError, TypeError, AttributeError) as exc:
@@ -541,9 +557,10 @@ class QueryService:
             if committed:
                 if shadow.epoch <= current.epoch:
                     shadow.epoch = current.epoch + 1
+                state = self._make_state(shadow.epoch, shadow)
                 if self._durable is not None:
                     self._durable.log(shadow.epoch, logged_ops)
-                self._publish(shadow)
+                self._publish(state)
                 for batch in committed:
                     batch.epoch = shadow.epoch
                     self._count("update")
@@ -552,8 +569,9 @@ class QueryService:
                     if self._durable.checkpoint_due():
                         self._durable.checkpoint(shadow)
         except BaseException as exc:
-            # a crash hook (or store failure) fired mid-commit; the
-            # batches were not (durably) published — surface the fault
+            # preparing the generation failed (a shard install), or a
+            # crash hook / store failure fired mid-commit; the batches
+            # were not (durably) published — surface the fault
             # to every caller still waiting instead of hanging them
             delivered = False
             for batch in batches:
@@ -568,9 +586,6 @@ class QueryService:
         finally:
             for batch in batches:
                 batch.done.set()
-
-    def _apply_op(self, shadow: HopiIndex, op: Dict[str, Any]) -> Dict[str, Any]:
-        return apply_update_op(shadow, op)
 
     def reload_cover(self, snapshot) -> int:
         """Hot-swap the cover from a CSR snapshot, keeping the
@@ -612,7 +627,7 @@ class QueryService:
                 current.index.collection, cover, stats=current.index.stats
             )
             fresh.epoch = current.epoch + 1
-            self._publish(fresh)
+            self._publish(self._make_state(fresh.epoch, fresh))
             self._count("reload")
             if self._durable is not None:
                 # a wholesale cover swap is not expressible as wire ops
@@ -697,6 +712,12 @@ class QueryService:
         if self._durable is not None:
             self._durable.close()
 
+    def __enter__(self) -> "QueryService":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
     def stats(self) -> Dict[str, Any]:
         """A point-in-time snapshot for the ``/stats`` endpoint."""
         state = self._holder.current
@@ -712,9 +733,6 @@ class QueryService:
             "links": state.index.collection.num_links,
             "cover_entries": state.index.cover.size,
             "requests": counters,
-            "legacy_hits": sum(
-                n for name, n in counters.items() if name.startswith("legacy:")
-            ),
             "result_cache": self._results.stats(),
             "plan_cache": self._plans.stats(),
             "probe_cache": state.probes.stats(),

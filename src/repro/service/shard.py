@@ -48,17 +48,16 @@ Why the answers merge exactly
 Rolling hot-swap without torn reads
 -----------------------------------
 
-Updates are MVCC *generations*. The router keeps the authoritative
-full index; an update batch is applied to a deep-copied shadow
-(:func:`~repro.service.service.apply_update_op` — the same op
-vocabulary as single-process ``/update``), fresh views are derived,
-and generation ``g+1`` is installed shard by shard (**rolling**: one
-shard loading a new view never blocks the others). Shards keep the
-last two generations; the router flips its serving pointer only after
-every shard holds ``g+1``, and every scattered request carries the
-generation it must answer from — a request is therefore answered
-entirely from one generation by construction: zero torn reads, readers
-never block.
+Updates are MVCC *generations*. The router is a
+:class:`~repro.service.service.QueryService` over the authoritative
+full index, so it inherits the group-commit write path unchanged; only
+*preparing* generation ``g+1`` differs: fresh views are derived and
+installed shard by shard (**rolling**: one shard loading a new view
+never blocks the others). Shards keep the last two generations; the
+router logs and flips its serving pointer only after every shard holds
+``g+1``, and every scattered request carries the generation it must
+answer from — a request is therefore answered entirely from one
+generation by construction: zero torn reads, readers never block.
 
 Failover: a shard that drops its connection (or times out) raises
 :class:`ShardUnavailableError`, which the HTTP layer maps to a
@@ -77,7 +76,7 @@ from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.core.hopi import HopiIndex
 from repro.core.rpc import (
@@ -85,18 +84,12 @@ from repro.core.rpc import (
     RpcWorkerError,
     _WorkerConnection,
 )
-from repro.query.engine import QueryEngine, QueryResult
+from repro.query.engine import QueryResult
 from repro.query.exec import ExecContext, run_bindings
 from repro.query.pathexpr import PathExpression
 from repro.query.planner import PreparedQuery, plan_query
-from repro.service.cache import LRUCache
-from repro.service.coalesce import CoalescingCache
-from repro.service.service import (
-    QueryResponse,
-    QueryService,
-    UpdateError,
-    apply_update_op,
-)
+from repro.service.epoch import EpochState
+from repro.service.service import QueryService
 from repro.storage.snapshot import snapshot_from_bytes, snapshot_to_bytes
 from repro.xmlmodel.model import Collection, DocId, ElementId
 
@@ -540,28 +533,21 @@ class RpcShardClient:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _RouterState:
-    """One published generation: the full index + its tag."""
-
-    generation: int
-    index: HopiIndex
-    engine: QueryEngine
-
-
-class ShardRouter:
+class ShardRouter(QueryService):
     """Scatter-gather front end over per-shard :class:`ShardService`\\ s.
 
-    Duck-types the :class:`QueryService` surface the HTTP layer
-    dispatches to (``query``/``count``/``explain``/``connected``/
-    ``distance``/``update``/``stats``/``healthz``/``note_legacy_hit``
-    plus ``index``/``epoch``/``max_results``), so
-    :func:`repro.service.http.make_server` serves a router unchanged.
+    A :class:`QueryService` over the authoritative full index that
+    overrides only how a generation is *made* (:meth:`_make_state`
+    derives the shard views and installs them on every shard) and how
+    it *answers* (:meth:`_evaluate`, :meth:`_count_matches`,
+    :meth:`connected` and :meth:`distance` scatter to the shards).
+    Caches, the group-commit write path, durability, ``apply`` /
+    ``reload_cover`` and the epoch bookkeeping are inherited, so the
+    HTTP layer serves a router exactly like a plain service.
 
-    The router owns the authoritative full index (updates apply there,
-    views re-derive from it) and never answers result queries from it —
-    only ``explain`` (pure planning) and the unknown-element fallback
-    of ``connected``/``distance`` touch it directly.
+    The router never answers result queries from the full index — only
+    ``explain`` (pure planning, on the generation's engine) and the
+    unknown-element fallback of ``connected``/``distance`` touch it.
 
     Args:
         index: the full index; the router takes ownership.
@@ -571,11 +557,10 @@ class ShardRouter:
             worker ``i % len(workers)``.
         fanout_timeout: per-shard answer deadline of one scatter before
             the request degrades (seconds).
-        durable_store: optional
-            :class:`~repro.storage.wal.DurableIndexStore` — update
-            batches are WAL-logged against the authoritative full index
-            before the new generation rolls out, same protocol as the
-            single-process service.
+        connect_attempts: connect retries of an RPC shard client.
+        **kwargs: forwarded to :class:`QueryService` (``ontology``,
+            ``similarity_threshold``, ``max_results``, cache sizes,
+            ``durable_store``).
     """
 
     def __init__(
@@ -584,46 +569,21 @@ class ShardRouter:
         num_shards: int,
         *,
         workers: Optional[Sequence[str]] = None,
-        ontology=None,
-        similarity_threshold: float = 0.3,
-        max_results: int = 1000,
-        result_cache_size: int = 4096,
-        plan_cache_size: int = 1024,
-        probe_cache_size: int = 8192,
         fanout_timeout: float = 30.0,
         connect_attempts: int = 4,
-        durable_store=None,
+        **kwargs: Any,
     ) -> None:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         self.num_shards = num_shards
-        self._ontology = ontology
-        self._similarity_threshold = similarity_threshold
-        self._max_results = max_results
-        self._service_kwargs: Dict[str, Any] = {
-            "ontology": ontology,
-            "similarity_threshold": similarity_threshold,
-            "probe_cache_size": probe_cache_size,
-        }
         self._fanout_timeout = fanout_timeout
-        self._plans = LRUCache(plan_cache_size)
-        self._results = CoalescingCache(result_cache_size)
-        self._write_lock = threading.Lock()
-        self._counter_lock = threading.Lock()
-        self._counters: Dict[str, int] = {}
-        self._durable = durable_store
-        self._started = time.time()
-        self._published_at = self._started
-        self._swaps = 0
         self._fanout_seconds: "deque[float]" = deque(maxlen=512)
-        self._last_down: FrozenSet[int] = frozenset()
 
         if workers:
             self.executor = "rpc"
             addresses = [a.strip() for a in workers if a.strip()]
             if not addresses:
                 raise ValueError("workers must contain at least one host:port")
-            self._registry: Optional[ShardRegistry] = None
             self._clients: List[Any] = [
                 RpcShardClient(
                     shard,
@@ -635,38 +595,37 @@ class ShardRouter:
             ]
         else:
             self.executor = "local"
-            self._registry = ShardRegistry()
+            registry = ShardRegistry()
             self._clients = [
-                LocalShardClient(shard, self._registry)
+                LocalShardClient(shard, registry)
                 for shard in range(num_shards)
             ]
         self._pool = ThreadPoolExecutor(
             max_workers=max(4, 2 * num_shards),
             thread_name_prefix="shard-router",
         )
-        self._install_generation(index.epoch, index)
-        self._state = _RouterState(
-            generation=index.epoch,
-            index=index,
-            engine=self._make_engine(index),
-        )
+        # prepares generation 0, i.e. installs it on every shard
+        super().__init__(index, **kwargs)
 
-    # -- plumbing -------------------------------------------------------
-    def _make_engine(self, index: HopiIndex) -> QueryEngine:
-        return QueryEngine(
-            index,
-            ontology=self._ontology,
-            similarity_threshold=self._similarity_threshold,
-            max_results=self._max_results,
-        )
-
-    def _install_generation(self, generation: int, index: HopiIndex) -> None:
+    # -- how a generation is made --------------------------------------
+    def _make_state(self, epoch: int, index: HopiIndex) -> EpochState:
         """Derive views of ``index`` and install them shard by shard
-        (the rolling part of a rolling swap)."""
-        views = derive_shard_views(index, self.num_shards)
-        for view, client in zip(views, self._clients):
+        (the rolling part of a rolling swap); the returned state's
+        engine over the full index answers ``explain``.
+
+        Raises :class:`ShardUnavailableError` if any shard cannot take
+        the generation — the caller then neither logs nor publishes it.
+        """
+        service_kwargs = {
+            "ontology": self._ontology,
+            "similarity_threshold": self._similarity_threshold,
+            "probe_cache_size": self._probe_cache_size,
+        }
+        for view, client in zip(
+            derive_shard_views(index, self.num_shards), self._clients
+        ):
             try:
-                client.install(view, generation, self._service_kwargs)
+                client.install(view, epoch, service_kwargs)
             except ShardUnavailableError:
                 raise
             except (ConnectionError, OSError, EOFError) as exc:
@@ -674,31 +633,7 @@ class ShardRouter:
                     [client.shard_id],
                     f"shard {client.shard_id} install failed: {exc}",
                 ) from exc
-
-    def _count(self, name: str) -> None:
-        with self._counter_lock:
-            self._counters[name] = self._counters.get(name, 0) + 1
-
-    def _prepare(self, path: Union[str, PathExpression]) -> PreparedQuery:
-        if isinstance(path, PathExpression):
-            return PreparedQuery(path)
-        return self._plans.get_or_create(path, lambda: PreparedQuery(path))
-
-    @property
-    def epoch(self) -> int:
-        """The currently served generation (matches the epoch a
-        single-process service would report after the same updates)."""
-        return self._state.generation
-
-    @property
-    def max_results(self) -> int:
-        """The ranked-result truncation applied per query."""
-        return self._max_results
-
-    @property
-    def index(self) -> HopiIndex:
-        """The authoritative full index (treat as read-only)."""
-        return self._state.index
+        return super()._make_state(epoch, index)
 
     # -- scatter --------------------------------------------------------
     def _scatter(self, request: Dict[str, Any]) -> List[Any]:
@@ -726,12 +661,10 @@ class ShardRouter:
                 )
         self._fanout_seconds.append(time.perf_counter() - t0)
         if down:
-            self._last_down = frozenset(down)
             raise ShardUnavailableError(
                 sorted(down),
                 "; ".join(down[s] for s in sorted(down)),
             )
-        self._last_down = frozenset()
         return answers
 
     def _scatter_soft(self, request: Dict[str, Any]) -> List[Any]:
@@ -750,9 +683,9 @@ class ShardRouter:
                                 "error": str(exc)})
         return answers
 
-    # -- read path ------------------------------------------------------
-    def _merge_query(
-        self, state: _RouterState, prepared: PreparedQuery
+    # -- how a generation answers ---------------------------------------
+    def _evaluate(
+        self, state: EpochState, prepared: PreparedQuery
     ) -> List[QueryResult]:
         """Scatter one query, k-way-merge the owned streams.
 
@@ -772,7 +705,7 @@ class ShardRouter:
         prefix = w_offset + cap
         replies = self._scatter({
             "op": "query",
-            "generation": state.generation,
+            "generation": state.epoch,
             "path": prepared.key,
             "prefix": prefix,
         })
@@ -788,155 +721,40 @@ class ShardRouter:
         windowed = itertools.islice(merged, w_offset, w_offset + out_len)
         return [QueryResult(binding, -neg) for neg, binding in windowed]
 
-    def query(
-        self,
-        path: Union[str, PathExpression],
-        *,
-        limit: Optional[int] = None,
-        offset: int = 0,
-    ) -> QueryResponse:
-        """Scattered, merged, cached — same contract and bit-identical
-        payload as :meth:`QueryService.query`."""
-        if limit is not None and limit < 0:
-            raise ValueError(f"limit must be non-negative, got {limit}")
-        if offset < 0:
-            raise ValueError(f"offset must be non-negative, got {offset}")
-        t0 = time.perf_counter()
-        state = self._state  # pin one generation for the request
-        prepared = self._prepare(path)
-        key = ("query", prepared.key, state.generation)
-        results, source = self._results.get_or_compute(
-            key, lambda: self._merge_query(state, prepared)
-        )
-        total = len(results)
-        if offset:
-            results = results[offset:]
-        if limit is not None:
-            results = results[:limit]
-        self._count("query")
-        return QueryResponse(
-            epoch=state.generation,
-            path=prepared.key,
-            results=results,
-            source=source,
-            seconds=time.perf_counter() - t0,
-            collection=state.index.collection,
-            total=total,
-            offset=offset,
-            truncated=total >= self._max_results,
-        )
-
-    def count(self, path: Union[str, PathExpression]) -> Tuple[int, int]:
-        """``(generation, global count)`` — the sum of owned counts."""
-        state = self._state
-        prepared = self._prepare(path)
-        key = ("count", prepared.key, state.generation)
-
-        def compute() -> int:
-            replies = self._scatter({
-                "op": "count",
-                "generation": state.generation,
-                "path": prepared.key,
-            })
-            return sum(reply["count"] for reply in replies)
-
-        n, _ = self._results.get_or_compute(key, compute)
-        self._count("count")
-        return state.generation, n
-
-    def explain(
-        self, path: Union[str, PathExpression], *, mode: str = "evaluate"
-    ) -> Tuple[int, Dict[str, Any]]:
-        """Planning is pure — answered from the router's own engine
-        over the full index, annotated with the sharding layout."""
-        state = self._state
-        prepared = self._prepare(path)
-        plan = prepared.bind(state.engine, directional=(mode == "count"))
-        payload = plan.describe(mode)
-        payload["text"] = plan.explain(mode)
-        payload["shards"] = self.num_shards
-        self._count("explain")
-        return state.generation, payload
+    def _count_matches(self, state: EpochState, prepared: PreparedQuery) -> int:
+        """The global count: the sum of the shards' owned counts."""
+        replies = self._scatter({
+            "op": "count",
+            "generation": state.epoch,
+            "path": prepared.key,
+        })
+        return sum(reply["count"] for reply in replies)
 
     def connected(self, u: ElementId, v: ElementId) -> Tuple[int, bool]:
         """Scattered ``u ->* v``: the shard owning ``u``'s document is
         authoritative; unknown elements fall back to the full index so
         error behaviour matches single-process serving exactly."""
-        state = self._state
+        state = self._holder.current
         replies = self._scatter({
-            "op": "connected", "generation": state.generation, "u": u, "v": v,
+            "op": "connected", "generation": state.epoch, "u": u, "v": v,
         })
         self._count("connected")
         for reply in replies:
             if reply.get("owned"):
-                return state.generation, reply["connected"]
-        return state.generation, state.index.connected(u, v)
+                return state.epoch, reply["connected"]
+        return state.epoch, state.index.connected(u, v)
 
     def distance(self, u: ElementId, v: ElementId) -> Tuple[int, Optional[int]]:
         """Scattered shortest link distance (see :meth:`connected`)."""
-        state = self._state
+        state = self._holder.current
         replies = self._scatter({
-            "op": "distance", "generation": state.generation, "u": u, "v": v,
+            "op": "distance", "generation": state.epoch, "u": u, "v": v,
         })
         self._count("distance")
         for reply in replies:
             if reply.get("owned"):
-                return state.generation, reply["distance"]
-        return state.generation, state.index.distance(u, v)
-
-    def note_legacy_hit(self, route: str) -> None:
-        """Record a deprecated un-versioned route hit (stats parity)."""
-        self._count(f"legacy:{route}")
-
-    # -- write path: generations ---------------------------------------
-    def update(self, ops: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-        """Apply one ``/update`` batch as a new generation, rolling.
-
-        The batch is applied to a shadow of the authoritative full
-        index (all-or-nothing, same op vocabulary and failure contract
-        as single-process :meth:`QueryService.update`); fresh views are
-        installed **one shard at a time** — each shard keeps serving
-        its previous generation throughout — and only then does the
-        router flip its serving pointer. In-flight requests pinned to
-        the old generation keep answering from it: no torn reads, no
-        blocked readers.
-        """
-        ops = list(ops)
-        if not ops:
-            return {"epoch": self.epoch, "applied": 0, "reports": []}
-        with self._write_lock:
-            current = self._state
-            # COW fork: unchanged label rows and documents stay shared
-            # with the serving generation until an op dirties them
-            shadow = current.index.cow_copy()
-            try:
-                reports = [apply_update_op(shadow, op) for op in ops]
-            except UpdateError:
-                raise
-            except (KeyError, ValueError, TypeError, AttributeError) as exc:
-                raise UpdateError(f"update failed: {exc}") from exc
-            generation = max(shadow.epoch, current.generation + 1)
-            shadow.epoch = generation
-            if self._durable is not None:
-                self._durable.log(generation, ops)
-            self._install_generation(generation, shadow)
-            self._state = _RouterState(
-                generation=generation,
-                index=shadow,
-                engine=self._make_engine(shadow),
-            )
-            self._published_at = time.time()
-            self._swaps += 1
-            self._count("update")
-            if self._durable is not None:
-                self._durable.fire("published")
-                if self._durable.checkpoint_due():
-                    self._durable.checkpoint(shadow)
-            return {
-                "epoch": generation,
-                "applied": len(reports),
-                "reports": reports,
-            }
+                return state.epoch, reply["distance"]
+        return state.epoch, state.index.distance(u, v)
 
     # -- introspection --------------------------------------------------
     def _fanout_stats(self) -> Dict[str, Any]:
@@ -955,99 +773,71 @@ class ShardRouter:
         }
 
     def stats(self) -> Dict[str, Any]:
-        """Router stats + one row per shard (epoch, hit rate, ...)."""
-        state = self._state
-        with self._counter_lock:
-            counters = dict(self._counters)
+        """Service stats + the sharding layout and one row per shard
+        (epoch, hit rate, ...)."""
+        payload = super().stats()
         per_shard = self._scatter_soft({
-            "op": "stats", "generation": state.generation,
+            "op": "stats", "generation": payload["epoch"],
         })
         rows = []
-        for shard, (payload, client) in enumerate(zip(per_shard, self._clients)):
+        for shard, (reply, client) in enumerate(zip(per_shard, self._clients)):
             row: Dict[str, Any] = {"shard": shard, "address": client.address}
-            if payload.get("reachable") is False:
-                row.update(payload)
+            if reply.get("reachable") is False:
+                row.update(reply)
             else:
-                cache = payload.get("result_cache", {})
+                cache = reply.get("result_cache", {})
                 row.update({
                     "reachable": True,
-                    "epoch": payload.get("epoch"),
-                    "owned_documents": payload.get("owned_documents"),
-                    "elements": payload.get("elements"),
+                    "epoch": reply.get("epoch"),
+                    "owned_documents": reply.get("owned_documents"),
+                    "elements": reply.get("elements"),
                     "hit_rate": cache.get("hit_rate"),
-                    "requests": payload.get("requests", {}),
+                    "requests": reply.get("requests", {}),
                 })
             rows.append(row)
-        return {
-            "sharded": True,
-            "shards": self.num_shards,
-            "executor": self.executor,
-            "generation": state.generation,
-            "epoch": state.generation,
-            "uptime_seconds": time.time() - self._started,
-            "swaps": self._swaps,
-            "distance_aware": state.index.is_distance_aware,
-            "documents": state.index.collection.num_documents,
-            "elements": state.index.collection.num_elements,
-            "links": state.index.collection.num_links,
-            "requests": counters,
-            "legacy_hits": sum(
-                n for name, n in counters.items() if name.startswith("legacy:")
-            ),
-            "fan_out": self._fanout_stats(),
-            "result_cache": self._results.stats(),
-            "plan_cache": self._plans.stats(),
-            "per_shard": rows,
-        }
+        payload.update(
+            sharded=True,
+            shards=self.num_shards,
+            executor=self.executor,
+            generation=payload["epoch"],
+            fan_out=self._fanout_stats(),
+            per_shard=rows,
+        )
+        return payload
 
     def healthz(self) -> Dict[str, Any]:
-        """Liveness/readiness with live per-shard reachability."""
-        state = self._state
+        """Liveness/readiness with live per-shard reachability: any
+        unreachable shard makes the router ``degraded`` (HTTP 503)."""
+        payload = super().healthz()
         per_shard = self._scatter_soft({
-            "op": "healthz", "generation": state.generation,
+            "op": "healthz", "generation": payload["epoch"],
         })
         shards = []
         down = []
-        for shard, (payload, client) in enumerate(zip(per_shard, self._clients)):
-            reachable = payload.get("reachable", True) is not False
+        for shard, (reply, client) in enumerate(zip(per_shard, self._clients)):
+            reachable = reply.get("reachable", True) is not False
             if not reachable:
                 down.append(shard)
             shards.append({
                 "shard": shard,
                 "address": client.address,
                 "reachable": reachable,
-                "epoch": payload.get("epoch"),
+                "epoch": reply.get("epoch"),
             })
-        status = "ok" if not down else "degraded"
-        # read before the clock: a publish racing in between would
-        # otherwise make the age negative
-        published_at = self._published_at
-        return {
-            "status": status,
-            "ready": not down,
-            "sharded": True,
-            "generation": state.generation,
-            "epoch": state.generation,
-            "epoch_age_seconds": time.time() - published_at,
-            "uptime_seconds": time.time() - self._started,
-            "swaps": self._swaps,
-            "shards": shards,
-            "shards_down": down,
-        }
+        payload.update(
+            status="ok" if not down else "degraded",
+            ready=not down,
+            sharded=True,
+            generation=payload["epoch"],
+            shards=shards,
+            shards_down=down,
+        )
+        return payload
 
     def close(self) -> None:
-        """Tear down the fan-out pool, every shard connection, and the
-        durable store's file handles (the WAL stays crash-consistent
-        without this — every append fsyncs before its generation
-        publishes — but a graceful shutdown should not leak the fd)."""
+        """Tear down the fan-out pool and every shard connection, then
+        release the durable store (:meth:`QueryService.close`)."""
         self._pool.shutdown(wait=False)
         for client in self._clients:
             client.close()
-        if self._durable is not None:
-            self._durable.close()
-
-    def __enter__(self) -> "ShardRouter":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
+        super().close()

@@ -1,6 +1,6 @@
 """Ops-grade telemetry for the serving tier (the ``/v1/metrics`` feed).
 
-One :class:`Telemetry` instance rides along with each HTTP front end
+One :class:`Telemetry` instance rides along with the HTTP front end
 and aggregates everything an operator watches during an incident:
 
 * **counters** — monotone event counts (requests by endpoint and
@@ -16,8 +16,9 @@ and aggregates everything an operator watches during an incident:
 Everything is guarded by one lock and every operation is O(1) (the
 histograms are bounded deques; percentiles sort only at snapshot
 time), so instrumentation stays cheap enough for the request hot
-path. The module is transport-neutral: the threaded and asyncio front
-ends feed the same class, and :meth:`Telemetry.snapshot` is the
+path. The module is transport-neutral: the front end's admission
+control and :class:`repro.service.api.ServiceAPI` feed the same
+instance, and :meth:`Telemetry.snapshot` is the
 payload of ``/v1/metrics`` (minus the service-level cache/epoch
 fields, which :class:`repro.service.api.ServiceAPI` merges in).
 """

@@ -20,11 +20,12 @@ Test code reads as ``harness.open_loop_burst(...)``:
   latency measurement;
 * :func:`run_hot_swap_under_load` — readers at full speed while update
   batches hot-swap the index, every answer checked against an offline
-  per-epoch oracle (works on a ``QueryService`` or a ``ShardRouter``).
+  per-epoch oracle (works on a ``QueryService`` or a ``ShardRouter``);
+* :func:`raw_exchange` — raw bytes in, every response out, for
+  requests no HTTP client library will send (malformed heads).
 
 The HTTP generators are stdlib-only and transport-level: they speak
-plain HTTP to whichever front end is listening, so the same scenario
-runs against the threaded and asyncio servers unchanged.
+plain HTTP to whatever server is listening.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import http.client
 import itertools
 import json
 import random
+import re
 import socket
 import threading
 import time
@@ -309,8 +311,6 @@ def _one_request(
                 if isinstance(error, dict) and "code" in error:
                     structured = True
                     error_code = error["code"]
-                elif isinstance(error, str) and payload.get("deprecated"):
-                    structured = True  # legacy flat error shape
         except ValueError:
             structured = False
         return RequestOutcome(
@@ -338,6 +338,46 @@ def _one_request(
         )
     finally:
         conn.close()
+
+
+def raw_exchange(
+    host: str, port: int, data: bytes, *, timeout: float = 5.0
+) -> List[Tuple[int, Dict[str, Any]]]:
+    """Send ``data`` verbatim on a fresh connection, half-close it, and
+    read until the server closes.
+
+    Returns every response as ``(status, decoded JSON body)``; ``[]``
+    means the server closed (or reset) without answering. A server
+    that neither answers nor closes within ``timeout`` raises
+    ``socket.timeout`` — a hang; a response that is not
+    ``Content-Length``-framed JSON raises too.
+    """
+    chunks: List[bytes] = []
+    with socket.create_connection((host, port), timeout=timeout) as sock:
+        try:
+            sock.sendall(data)
+            sock.shutdown(socket.SHUT_WR)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the server answered and closed first; read what it sent
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break
+            if not chunk:
+                break
+            chunks.append(chunk)
+    raw = b"".join(chunks)
+    responses = []
+    while raw:
+        head, _, rest = raw.partition(b"\r\n\r\n")
+        status = int(head.split(b" ", 2)[1])
+        length = int(
+            re.search(rb"(?im)^content-length:\s*(\d+)", head).group(1)
+        )
+        responses.append((status, json.loads(rest[:length])))
+        raw = rest[length:]
+    return responses
 
 
 def open_loop_burst(

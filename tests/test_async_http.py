@@ -2,11 +2,12 @@
 
 The contract under test is the tentpole of the async front-end work:
 
-1. **Bit-identical responses.** The threaded and asyncio front ends
-   share one :class:`~repro.service.api.ServiceAPI`; the differential
-   suite here proves it observationally — every endpoint, success and
-   error, unsharded and sharded, field for field (volatile timing
-   fields normalised, never dropped).
+1. **Bit-identical responses.** The front end adds nothing to what
+   :class:`~repro.service.api.ServiceAPI` answers; the differential
+   suite here proves it observationally — direct ``dispatch`` calls
+   against HTTP, every endpoint, success and error, unsharded and
+   sharded, field for field (volatile timing fields normalised, never
+   dropped) — and pins the transport-only 400s.
 2. **Structured overload.** Open-loop bursts beyond capacity must
    produce *only* 200/429/503, every non-200 carrying the structured
    error body, with zero hung requests — including while a writer
@@ -25,13 +26,14 @@ import socketserver
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
 
 import harness
 from repro.core.hopi import HopiIndex
-from repro.service import QueryService, ShardRouter, make_server
+from repro.service import QueryService, ServiceAPI, ShardRouter
 from repro.service.asyncio_http import start_in_thread
 from repro.service.telemetry import percentile
 from repro.xmlmodel.generator import dblp_like
@@ -84,7 +86,7 @@ def fetch_full(base, path, *, body=None, raw_body=None, headers=None):
         return exc.code, json.loads(exc.read()), dict(exc.headers)
 
 
-#: timing fields that legitimately differ between two front ends
+#: timing fields that legitimately differ between two services
 #: answering the same request — normalised to a sentinel after a
 #: sanity check, so a *missing* field still fails parity
 VOLATILE_FIELDS = frozenset({
@@ -111,16 +113,21 @@ def normalize(payload):
 
 def parity_requests(service):
     """The differential request sequence: every endpoint, success and
-    error shapes, pagination arithmetic, legacy aliases, 404s.
+    error shapes, pagination arithmetic, un-versioned paths, 404s.
 
     Returns ``(label, path, kwargs)`` rows; the sequence is stateful
     (updates advance the epoch, caches warm deterministically), so it
     must be replayed in order against a fresh service on each side.
+    Rows with an ``expect`` of ``(status, error code)`` are rejected by
+    the HTTP transport before dispatch (bad JSON, bad
+    ``Content-Length``), so they have no dispatch twin; a ``raw`` row
+    is sent as verbatim bytes.
     """
     collection = service.index.collection
     docs = sorted(collection.documents)
     root0 = collection.documents[docs[0]].root
     root1 = collection.documents[docs[1]].root
+    bad_request = (400, "bad_request")
     return [
         ("query", "/v1/query?path=//article//author&limit=5", {}),
         ("query-cached", "/v1/query?path=//article//author&limit=5", {}),
@@ -146,66 +153,86 @@ def parity_requests(service):
                             "parent": root1, "tag": "note"}]}}),
         ("query-post-swap", "/v1/query?path=//article//note", {}),
         ("update-empty", "/v1/update", {"body": {"ops": []}}),
-        ("update-bad-json", "/v1/update", {"raw_body": b"{not json"}),
         ("update-bad-ops", "/v1/update", {"body": {"ops": "notalist"}}),
         ("update-bare-list", "/v1/update", {"body": []}),
-        ("legacy-query", "/query?path=//article//author&limit=2", {}),
-        ("legacy-query-limit0", "/query?path=//article//author&limit=0", {}),
-        ("legacy-count", "/count?path=//article//author", {}),
-        ("legacy-stats", "/stats", {}),
-        ("legacy-connected", f"/connected?source={root0}&target={root1}", {}),
-        ("legacy-distance", f"/distance?source={root0}&target={root1}", {}),
-        ("legacy-update", "/update", {"body": {"ops": []}}),
-        ("legacy-bad-json", "/update", {"raw_body": b"\xff\xfe"}),
+        ("update-bad-json", "/v1/update",
+         {"raw_body": b"{not json", "expect": bad_request}),
+        ("update-bad-length", "/v1/update",
+         {"raw": b"POST /v1/update HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+          "expect": bad_request}),
+        ("update-negative-length", "/v1/update",
+         {"raw": b"POST /v1/update HTTP/1.1\r\nContent-Length: -5\r\n\r\n"
+                 b'{"ops": []}',
+          "expect": bad_request}),
+        ("unversioned-query", "/query?path=//article//author&limit=2", {}),
+        ("unversioned-query-limit0", "/query?path=//article//author&limit=0", {}),
+        ("unversioned-count", "/count?path=//article//author", {}),
+        ("unversioned-stats", "/stats", {}),
+        ("unversioned-connected", f"/connected?source={root0}&target={root1}", {}),
+        ("unversioned-distance", f"/distance?source={root0}&target={root1}", {}),
+        ("unversioned-explain", "/explain?path=//article", {}),
+        ("unversioned-update", "/update", {"body": {"ops": []}}),
+        ("unversioned-bad-json", "/update",
+         {"raw_body": b"\xff\xfe", "expect": bad_request}),
         ("v1-404", "/v1/nope", {}),
-        ("legacy-404", "/nope", {}),
-        ("explain-legacy-404", "/explain?path=//article", {}),
+        ("root-404", "/nope", {}),
         ("metrics", "/v1/metrics", {}),
     ]
 
 
 def run_parity(make_service):
-    """Replay the differential sequence against both front ends.
+    """Replay the differential sequence: direct ``ServiceAPI.dispatch``
+    calls against the async HTTP front end.
 
-    ``make_service`` builds a *fresh* service per front end (same
-    index, same config) so cache state evolves identically; any
-    field-level divergence fails with the offending label.
+    ``make_service`` builds a *fresh* service per side (same index,
+    same config) so cache state evolves identically; any field-level
+    divergence fails with the offending label.
     """
-    threaded_service = make_service()
-    async_service = make_service()
-
-    server = make_server(threaded_service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    threaded_base = f"http://127.0.0.1:{server.server_address[1]}"
-
+    direct_service = make_service()
+    http_service = make_service()
+    api = ServiceAPI(direct_service)
     try:
-        with start_in_thread(async_service) as handle:
-            for label, path, kwargs in parity_requests(threaded_service):
-                status_t, payload_t = fetch(threaded_base, path, **kwargs)
-                status_a, payload_a = fetch(handle.base_url, path, **kwargs)
-                assert status_t == status_a, (
-                    f"{label}: status {status_t} (threaded) != "
-                    f"{status_a} (async)"
+        with start_in_thread(http_service) as handle:
+            host, port = handle.address
+            for label, path, kwargs in parity_requests(direct_service):
+                if "raw" in kwargs:
+                    [(status_h, payload_h)] = harness.raw_exchange(
+                        host, port, kwargs["raw"]
+                    )
+                else:
+                    status_h, payload_h = fetch(
+                        handle.base_url, path,
+                        body=kwargs.get("body"),
+                        raw_body=kwargs.get("raw_body"),
+                    )
+                if "expect" in kwargs:
+                    # rejected by the transport before any dispatch
+                    assert (status_h, payload_h["error"]["code"]) == (
+                        kwargs["expect"]
+                    ), (label, status_h, payload_h)
+                    continue
+                url = urllib.parse.urlparse(path)
+                status_d, payload_d = api.dispatch(
+                    url.path, urllib.parse.parse_qs(url.query),
+                    kwargs.get("body"),
                 )
+                assert status_d == status_h, (
+                    f"{label}: status {status_d} (dispatch) != "
+                    f"{status_h} (http)"
+                )
+                if status_h == 404:
+                    assert payload_h["error"]["code"] == "not_found", label
                 if label == "metrics":
-                    # gauges are front-end-specific by design (the
-                    # admission-control gauges only exist on async);
-                    # everything else must agree
-                    payload_t.pop("gauges")
-                    payload_a.pop("gauges")
-                assert normalize(payload_t) == normalize(payload_a), (
+                    # the admission-control gauges exist only behind
+                    # the front end; everything else must agree
+                    assert "inflight" in payload_h.pop("gauges")
+                    assert payload_d.pop("gauges") == {}
+                assert normalize(payload_d) == normalize(payload_h), (
                     f"{label}: payload divergence"
                 )
     finally:
-        server.shutdown()
-        server.server_close()
-        closer = getattr(threaded_service, "close", None)
-        if closer:
-            closer()
-        closer = getattr(async_service, "close", None)
-        if closer:
-            closer()
+        direct_service.close()
+        http_service.close()
 
 
 class TestDifferentialParity:

@@ -5,13 +5,14 @@ silently drop durability on the floor. These tests pin the repaired
 contract: a :class:`ShardRouter` given a durable store logs every
 acknowledged update to the WAL, checkpoints, and closes the store's
 file handles on ``close()`` — and a fresh process recovering from the
-same directory sees the updates. Same for :class:`QueryService`.
+same directory sees the updates. Same for :class:`QueryService`. A
+generation that fails to install on a shard is never logged.
 """
 
 import pytest
 
 from repro.core.hopi import HopiIndex
-from repro.service import QueryService, ShardRouter
+from repro.service import QueryService, ShardRouter, ShardUnavailableError
 from repro.storage.snapshot import canonical_snapshot_bytes
 from repro.storage.wal import DurableIndexStore
 from repro.xmlmodel.generator import dblp_like
@@ -88,3 +89,31 @@ def test_shard_router_and_single_service_recover_identically(tmp_path):
     finally:
         a.close()
         b.close()
+
+
+def test_failed_shard_install_is_never_logged(tmp_path):
+    """A batch whose generation cannot be installed on every shard
+    answers 503 and must leave no WAL record: the next acknowledged
+    batch takes the same epoch, and recovery returns what the live
+    router serves — not the refused batch."""
+    index, store = durable_index(tmp_path)
+    router = ShardRouter(index, 3, durable_store=store)
+
+    def refuse(*args, **kwargs):
+        raise ShardUnavailableError([1], "shard 1 refused the install")
+
+    router._clients[1].install = refuse
+    with pytest.raises(ShardUnavailableError):
+        router.update([dict(INSERT, doc_id="lost")])
+    del router._clients[1].install  # the shard is back
+    assert router.update([dict(INSERT, doc_id="kept")])["epoch"] == 1
+    live_docs = set(router.index.collection.documents)
+    live = canonical_snapshot_bytes(router.index.cover)
+    router.close()
+    assert "kept" in live_docs and "lost" not in live_docs
+
+    recovered_store = DurableIndexStore(str(tmp_path))
+    recovered = recovered_store.recover()
+    recovered_store.close()
+    assert set(recovered.collection.documents) == live_docs
+    assert canonical_snapshot_bytes(recovered.cover) == live

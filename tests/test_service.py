@@ -22,7 +22,7 @@ from repro.service import (
     QueryService,
     ServiceAPI,
     UpdateError,
-    make_server,
+    start_in_thread,
 )
 from cover_oracle import index_in_state
 from repro.storage.snapshot import save_snapshot
@@ -573,13 +573,8 @@ def test_concurrent_readers_never_observe_torn_epochs(state):
 @pytest.fixture()
 def http_service(arrays_index):
     service = QueryService(arrays_index.copy())
-    server = make_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    base = f"http://127.0.0.1:{server.server_address[1]}"
-    yield service, base
-    server.shutdown()
-    server.server_close()
+    with start_in_thread(service) as handle:
+        yield service, handle.base_url
 
 
 def get_json(url):
@@ -599,7 +594,7 @@ def post_json(url, payload):
 class TestHTTP:
     def test_query_endpoint(self, http_service):
         service, base = http_service
-        status, data = get_json(f"{base}/query?path=//article//author&limit=5")
+        status, data = get_json(f"{base}/v1/query?path=//article//author&limit=5")
         assert status == 200
         assert data["epoch"] == 0
         assert data["count"] == len(data["results"]) <= 5
@@ -608,15 +603,15 @@ class TestHTTP:
 
     def test_count_connected_stats(self, http_service):
         service, base = http_service
-        status, count = get_json(f"{base}/count?path=//article//author")
+        status, count = get_json(f"{base}/v1/count?path=//article//author")
         assert status == 200 and count["count"] > 0
         root = sorted(service.index.collection.documents)[0]
         eid = service.index.collection.documents[root].root
         status, conn = get_json(
-            f"{base}/connected?source={eid}&target={eid}"
+            f"{base}/v1/connected?source={eid}&target={eid}"
         )
         assert status == 200 and conn["connected"] is True
-        status, stats = get_json(f"{base}/stats")
+        status, stats = get_json(f"{base}/v1/stats")
         assert status == 200
         assert stats["requests"].get("count", 0) == 1
         assert stats["epoch"] == 0
@@ -626,11 +621,11 @@ class TestHTTP:
         root_doc = sorted(service.index.collection.documents)[0]
         root = service.index.collection.documents[root_doc].root
         status, report = post_json(
-            f"{base}/update",
+            f"{base}/v1/update",
             {"ops": [{"op": "insert_element", "parent": root, "tag": "httpnote"}]},
         )
         assert status == 200 and report["epoch"] == 1
-        status, data = get_json(f"{base}/query?path=//article//httpnote")
+        status, data = get_json(f"{base}/v1/query?path=//article//httpnote")
         assert status == 200 and data["epoch"] == 1
         # every article reaching the insertion point (via citation
         # links) matches; all matches target the one new element
@@ -640,11 +635,11 @@ class TestHTTP:
     def test_error_statuses(self, http_service):
         _, base = http_service
         for url in [
-            f"{base}/query?path=%%%bogus",
-            f"{base}/query",                      # missing path param
-            f"{base}/query?path=//article&limit=-1",
-            f"{base}/connected?source=x&target=1",
-            f"{base}/distance?source=0&target=1",  # not distance-aware
+            f"{base}/v1/query?path=%%%bogus",
+            f"{base}/v1/query",                      # missing path param
+            f"{base}/v1/query?path=//article&limit=-1",
+            f"{base}/v1/connected?source=x&target=1",
+            f"{base}/v1/distance?source=0&target=1",  # not distance-aware
         ]:
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(url)
@@ -654,12 +649,12 @@ class TestHTTP:
             urllib.request.urlopen(f"{base}/no-such-endpoint")
         assert err.value.code == 404
         with pytest.raises(urllib.error.HTTPError) as err:
-            post_json(f"{base}/update", {"ops": [{"op": "florble"}]})
+            post_json(f"{base}/v1/update", {"ops": [{"op": "florble"}]})
         assert err.value.code == 400
         # valid JSON but not an object/list must be a 400, not a 500
         for bad_body in ["a string", 42, {"ops": "not-a-list"}]:
             with pytest.raises(urllib.error.HTTPError) as err:
-                post_json(f"{base}/update", bad_body)
+                post_json(f"{base}/v1/update", bad_body)
             assert err.value.code == 400
 
     def test_malformed_update_is_400_and_epoch_unchanged(self, http_service):
@@ -671,7 +666,7 @@ class TestHTTP:
 
         # body that is not valid JSON at all
         req = urllib.request.Request(
-            f"{base}/update", data=b'{"ops": [not json',
+            f"{base}/v1/update", data=b'{"ops": [not json',
             method="POST", headers={"Content-Type": "application/json"},
         )
         with pytest.raises(urllib.error.HTTPError) as err:
@@ -695,11 +690,11 @@ class TestHTTP:
         ]
         for batch in bad_batches:
             with pytest.raises(urllib.error.HTTPError) as err:
-                post_json(f"{base}/update", batch)
+                post_json(f"{base}/v1/update", batch)
             assert err.value.code == 400, batch
             assert "error" in json.loads(err.value.read())
 
-        status, stats = get_json(f"{base}/stats")
+        status, stats = get_json(f"{base}/v1/stats")
         assert status == 200
         assert stats["epoch"] == epoch_before, "failed batch advanced the epoch"
         assert service.epoch == epoch_before
@@ -714,7 +709,7 @@ class TestHTTP:
             try:
                 for _ in range(10):
                     status, data = get_json(
-                        f"{base}/query?path=//article//cite&limit=3"
+                        f"{base}/v1/query?path=//article//cite&limit=3"
                     )
                     assert status == 200
             except BaseException as exc:  # noqa: BLE001
@@ -766,7 +761,7 @@ def test_cli_serve_smoke(tmp_path):
     while _time.time() - t0 < deadline:
         try:
             status, data = get_json(
-                f"http://127.0.0.1:{port}/query?path=//article//author&limit=2"
+                f"http://127.0.0.1:{port}/v1/query?path=//article//author&limit=2"
             )
             break
         except (urllib.error.URLError, ConnectionError):
@@ -779,13 +774,12 @@ def test_cli_serve_smoke(tmp_path):
 
 class TestV1HTTP:
     """The versioned surface: pagination, explain, structured errors,
-    deprecated legacy aliases."""
+    and nothing served outside ``/v1``."""
 
     def test_v1_query_pagination(self, http_service):
         _, base = http_service
         status, full = get_json(f"{base}/v1/query?path=//article//author")
         assert status == 200
-        assert "deprecated" not in full
         total = full["total"]
         assert total == full["count"] > 4
         assert full["next_offset"] is None
@@ -820,7 +814,7 @@ class TestV1HTTP:
         assert data["count"] == service.count("//article//author")[1]
         status, stats = get_json(f"{base}/v1/stats")
         assert status == 200
-        assert stats["legacy_hits"] == 0
+        assert stats["requests"] == {"count": 2}
 
     def test_v1_explain(self, http_service):
         _, base = http_service
@@ -853,10 +847,6 @@ class TestV1HTTP:
             urllib.request.urlopen(f"{base}/v1/no-such")
         assert err.value.code == 404
         assert json.loads(err.value.read())["error"]["code"] == "not_found"
-        # /explain is v1-only: the legacy alias must 404, not dispatch
-        with pytest.raises(urllib.error.HTTPError) as err:
-            urllib.request.urlopen(f"{base}/explain?path=//article")
-        assert err.value.code == 404
 
     def test_hostile_paths_are_bad_requests_not_internal_errors(
         self, arrays_index
@@ -881,35 +871,32 @@ class TestV1HTTP:
         )
         assert status == 200
 
-    def test_legacy_int_param_validation_is_400_not_500(self, http_service):
-        _, base = http_service
-        for query in ["limit=-1", "limit=abc", "offset=-2"]:
-            with pytest.raises(urllib.error.HTTPError) as err:
-                urllib.request.urlopen(f"{base}/query?path=//article&{query}")
-            assert err.value.code == 400, query
-            payload = json.loads(err.value.read())
-            assert isinstance(payload["error"], str)  # legacy flat shape
-        # the legacy limit=0 contract (empty 200 page) must survive —
-        # only /v1 rejects a zero limit
-        status, data = get_json(f"{base}/query?path=//article&limit=0")
-        assert status == 200 and data["results"] == []
-        assert data["deprecated"] is True
-
-    def test_legacy_aliases_deprecated_and_counted(self, http_service):
+    def test_unversioned_routes_are_not_found(self, http_service):
+        """Only ``/v1/<name>`` routes: the old un-versioned spellings
+        answer a structured 404, never reach the service, and a POST to
+        ``/update`` publishes nothing."""
         service, base = http_service
-        status, legacy = get_json(f"{base}/query?path=//article//author&limit=2")
-        assert status == 200 and legacy["deprecated"] is True
-        status, count = get_json(f"{base}/count?path=//article//author")
-        assert count["deprecated"] is True
-        status, v1 = get_json(f"{base}/v1/query?path=//article//author&limit=2")
-        assert "deprecated" not in v1
-        assert [r["element"] for r in v1["results"]] == [
-            r["element"] for r in legacy["results"]
-        ]
-        status, stats = get_json(f"{base}/v1/stats")
-        assert stats["legacy_hits"] == 2
-        assert stats["requests"]["legacy:query"] == 1
-        assert stats["requests"]["legacy:count"] == 1
+        root_doc = sorted(service.index.collection.documents)[0]
+        root = service.index.collection.documents[root_doc].root
+        requests = [
+            urllib.request.Request(f"{base}/{route}")
+            for route in ("query?path=//article//author&limit=2",
+                          "count?path=//article//author", "stats",
+                          f"connected?source={root}&target={root}",
+                          "explain?path=//article", "healthz")
+        ] + [urllib.request.Request(
+            f"{base}/update", method="POST",
+            data=json.dumps({"ops": [{"op": "insert_element",
+                                      "parent": root, "tag": "x"}]}).encode(),
+        )]
+        for request in requests:
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(request)
+            assert err.value.code == 404, request.full_url
+            error = json.loads(err.value.read())["error"]
+            assert error["code"] == "not_found", request.full_url
+        assert service.epoch == 0
+        assert service.stats()["requests"] == {}
 
     def test_v1_update_hot_swap_never_leaks_deleted_elements(self, http_service):
         """Satellite: a stale candidate memo must never leak deleted
@@ -953,13 +940,8 @@ class TestV1HTTP:
         _, exact = service.count("//article//author")
         assert exact > 3
 
-        server = make_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            base = f"http://127.0.0.1:{server.server_address[1]}"
-            status, data = get_json(f"{base}/v1/query?path=//article//author")
-            assert data["truncated"] is True and data["total"] == 3
-        finally:
-            server.shutdown()
-            server.server_close()
+        with start_in_thread(service) as handle:
+            status, data = get_json(
+                f"{handle.base_url}/v1/query?path=//article//author"
+            )
+        assert data["truncated"] is True and data["total"] == 3

@@ -10,7 +10,7 @@ and RPC shard executors, at 1/2/4 shards.
 
 import json
 import random
-import threading
+import urllib.error
 import urllib.request
 
 import pytest
@@ -23,8 +23,8 @@ from repro.service import (
     QueryService,
     ShardRouter,
     ShardUnavailableError,
-    make_server,
     shard_of,
+    start_in_thread,
 )
 from repro.service.shard import ShardRegistry, derive_shard_views, restrict_cover
 from repro.xmlmodel.generator import dblp_like, inex_like
@@ -289,14 +289,6 @@ def test_dead_shard_degrades_instead_of_hanging():
 # ---------------------------------------------------------------------------
 
 
-def _serve(service):
-    server = make_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    return server, f"http://{host}:{port}"
-
-
 def _get(url):
     try:
         with urllib.request.urlopen(url) as response:
@@ -308,18 +300,14 @@ def _get(url):
 def test_healthz_single_process():
     collection = dblp_like(8, seed=1)
     service = QueryService(HopiIndex.build(collection))
-    server, base = _serve(service)
-    try:
-        status, payload = _get(f"{base}/v1/healthz")
-        assert status == 200
-        assert payload["status"] == "ok"
-        assert payload["ready"] is True
-        assert payload["sharded"] is False
-        assert payload["epoch"] == 0
-        assert payload["epoch_age_seconds"] >= 0
-    finally:
-        server.shutdown()
-        server.server_close()
+    with start_in_thread(service) as handle:
+        status, payload = _get(f"{handle.base_url}/v1/healthz")
+    assert status == 200
+    assert payload["status"] == "ok"
+    assert payload["ready"] is True
+    assert payload["sharded"] is False
+    assert payload["epoch"] == 0
+    assert payload["epoch_age_seconds"] >= 0
 
 
 def test_http_parity_and_sharded_health():
@@ -327,9 +315,9 @@ def test_http_parity_and_sharded_health():
     index = HopiIndex.build(collection)
     single = QueryService(index.copy(), max_results=40)
     router = ShardRouter(index.copy(), 2, max_results=40)
-    server_a, base_a = _serve(single)
-    server_b, base_b = _serve(router)
-    try:
+    with router, start_in_thread(single) as handle_a, \
+            start_in_thread(router) as handle_b:
+        base_a, base_b = handle_a.base_url, handle_b.base_url
         for query in ("path=//article//author&limit=3&offset=1",
                       "path=//article//cite//article"):
             status_a, a = _get(f"{base_a}/v1/query?{query}")
@@ -347,11 +335,6 @@ def test_http_parity_and_sharded_health():
         assert stats["sharded"] is True
         assert len(stats["per_shard"]) == 2
         assert "fan_out" in stats
-    finally:
-        for server in (server_a, server_b):
-            server.shutdown()
-            server.server_close()
-        router.close()
 
 
 def test_http_dead_shard_returns_structured_503():
@@ -361,7 +344,8 @@ def test_http_dead_shard_returns_structured_503():
     s2, a2 = start_worker_thread()
     router = ShardRouter(index, 2, workers=[a1, a2],
                          fanout_timeout=5.0, connect_attempts=1)
-    server, base = _serve(router)
+    handle = start_in_thread(router)
+    base = handle.base_url
     try:
         s2.shutdown()
         s2.server_close()
@@ -375,8 +359,7 @@ def test_http_dead_shard_returns_structured_503():
         assert status == 503
         assert health["status"] == "degraded"
     finally:
-        server.shutdown()
-        server.server_close()
+        handle.close()
         router.close()
         s1.shutdown()
         s1.server_close()
