@@ -18,17 +18,22 @@ a from-scratch rebuild.
   ancestor elements drop all centers in ``V_di ∪ V_D``, labels of
   descendant elements drop all centers in ``V_di ∪ V_A``, and ``d_i``'s
   elements disappear. Otherwise the **general algorithm of Theorem 3**
-  partially recomputes the closure: starting from the surviving
-  ancestors of ``d_i``'s elements, the reachable region is re-covered
-  from scratch and spliced into the old cover (ancestors' ``Lout`` are
-  replaced; descendants' ``Lin`` drop ancestor-side centers and gain the
-  fresh ones).
+  partially recomputes the closure: the region reachable from the
+  surviving ancestors of ``d_i``'s elements is walked over the
+  collection's own tree edges and links (never the whole element
+  graph), cut into tree fragments — one per region element whose parent
+  lies outside the region — and re-covered by the partitioned
+  :class:`~repro.core.pipeline.BuildPipeline` with every fragment its
+  own partition (Section 6.1's "new partition" rule, applied to the
+  region). The fresh cover is spliced into the old one (ancestors'
+  ``Lout`` are replaced; descendants' ``Lin`` drop ancestor-side
+  centers and gain the fresh ones).
 
 * **Edge deletion**: same structure as general document deletion, with
-  a fast path — if the edge's endpoints remain connected after removal,
-  a reachability cover is unchanged (distance covers always take the
-  general path: a lost shortest path changes distances even when
-  connectivity survives).
+  a fast path — if the edge's endpoints remain connected after removal
+  (the same walk, stopping at the target), a reachability cover is
+  unchanged (distance covers always take the general path: a lost
+  shortest path changes distances even when connectivity survives).
 
 * **Modifications** (Section 6.3): drop and reinsert the document.
 """
@@ -37,19 +42,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Set, Tuple, Union
+from itertools import chain
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.core.cover import DistanceTwoHopCover, TwoHopCover
 from repro.core.cover_builder import build_cover
 from repro.core.distance import build_distance_cover
 from repro.core.join import insert_link, insert_link_distance
+from repro.core.pipeline import BuildPipeline
 from repro.graph.traversal import (
     ancestors as graph_ancestors,
     descendants as graph_descendants,
-    is_reachable,
     multi_source_reaches,
 )
-from repro.xmlmodel.model import Collection, DocId, ElementId
+from repro.xmlmodel.model import Collection, DocId, Document, Element, ElementId
 
 Cover = Union[TwoHopCover, DistanceTwoHopCover]
 
@@ -213,16 +219,27 @@ def document_separates(collection: Collection, doc_id: DocId) -> bool:
     descendant at once) void the precondition of Theorem 2, so the test
     conservatively returns False in that case.
     """
+    return _separation(collection, doc_id)[0]
+
+
+def _separation(
+    collection: Collection, doc_id: DocId
+) -> Tuple[bool, Set[DocId], Set[DocId]]:
+    """:func:`document_separates` plus the strict ancestor and
+    descendant documents it computed, which the Theorem-2 delete needs
+    next."""
     doc_graph = collection.document_graph()
     anc = graph_ancestors(doc_graph, doc_id, strict=True)
     desc = graph_descendants(doc_graph, doc_id, strict=True)
     if not anc or not desc:
-        return True  # vacuously separating (e.g. link-free collections)
-    if anc & desc:
-        return False  # document-level cycle through doc_id
-    return not multi_source_reaches(
-        doc_graph, anc, desc, forbidden={doc_id}
-    )
+        separates = True  # vacuously separating (e.g. link-free collections)
+    elif anc & desc:
+        separates = False  # document-level cycle through doc_id
+    else:
+        separates = not multi_source_reaches(
+            doc_graph, anc, desc, forbidden={doc_id}
+        )
+    return separates, anc, desc
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +248,13 @@ def document_separates(collection: Collection, doc_id: DocId) -> bool:
 
 
 def _delete_document_separating(
-    collection: Collection, cover: Cover, doc_id: DocId
+    collection: Collection,
+    cover: Cover,
+    doc_id: DocId,
+    anc_docs: Set[DocId],
+    desc_docs: Set[DocId],
 ) -> None:
     """Theorem 2: filter labels, no recomputation."""
-    doc_graph = collection.document_graph()
-    anc_docs = graph_ancestors(doc_graph, doc_id, strict=True)
-    desc_docs = graph_descendants(doc_graph, doc_id, strict=True)
     v_di: Set[ElementId] = set(collection.elements_of(doc_id))
     v_a: Set[ElementId] = set()
     for d in anc_docs:
@@ -333,20 +351,85 @@ def _splice_fresh_cover(
                     cover.add_lin(node, c)
 
 
+def _link_targets(collection: Collection) -> Dict[ElementId, List[ElementId]]:
+    """``source -> [targets]`` over every intra- and inter-document link."""
+    targets: Dict[ElementId, List[ElementId]] = {}
+    for u, v in collection.all_links():
+        targets.setdefault(u, []).append(v)
+    return targets
+
+
+def _reach(
+    collection: Collection,
+    links: Dict[ElementId, List[ElementId]],
+    seeds: Iterable[ElementId],
+    stop: Optional[ElementId] = None,
+) -> Set[ElementId]:
+    """Every element reachable from ``seeds`` (themselves included) over
+    tree edges and ``links`` — returned early, holding ``stop``, as soon
+    as ``stop`` is reached."""
+    elements, documents = collection.elements, collection.documents
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        x = stack.pop()
+        children = documents[elements[x].doc].children[x]
+        for y in chain(children, links.get(x, ())):
+            if y not in seen:
+                seen.add(y)
+                if y == stop:
+                    return seen
+                stack.append(y)
+    return seen
+
+
+def _region_fragments(
+    collection: Collection,
+    links: Dict[ElementId, List[ElementId]],
+    region: Set[ElementId],
+) -> Collection:
+    """The region — closed under reachability, so under tree children —
+    as a collection of tree fragments: one per region element whose
+    parent lies outside it, keeping global element ids. A link inside
+    one fragment becomes an intra-link, one between fragments an
+    inter-link. Fragment ids come from root ids and every set is filled
+    in sorted order, so the cover built on the result depends neither
+    on ``PYTHONHASHSEED`` nor on how the collection was loaded."""
+    elements = collection.elements
+    fragments = Collection()
+    for root in sorted(x for x in region if elements[x].parent not in region):
+        frag_id = f"@{root}"
+        source = collection.documents[elements[root].doc]
+        fragment = fragments.documents[frag_id] = Document(frag_id, root)
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            e = elements[x]
+            parent = None if x == root else e.parent
+            fragments.elements[x] = Element(x, e.tag, frag_id, parent)
+            for child in source.children[x]:
+                fragment.add_child(x, child)
+                stack.append(child)
+    for u in sorted(region):
+        for v in sorted(links.get(u, ())):
+            fragments.add_link(u, v)
+    return fragments
+
+
 def _rebuild_region(
-    collection: Collection, cover: Cover, seeds: Set[ElementId]
+    collection: Collection,
+    cover: Cover,
+    seeds: Set[ElementId],
+    links: Dict[ElementId, List[ElementId]],
 ) -> Tuple[Cover, int]:
-    """Re-cover the part of the new graph reachable from ``seeds``."""
-    graph = collection.element_graph()
-    region: Set[ElementId] = set()
-    for s in seeds:
-        if s in graph:
-            region |= graph_descendants(graph, s)
-    sub = graph.subgraph(region)
-    if _is_distance(cover):
-        fresh: Cover = build_distance_cover(sub, cover_factory=type(cover))
-    else:
-        fresh = build_cover(sub, cover_factory=type(cover))
+    """Re-cover the part of the new graph reachable from ``seeds``: walk
+    it, cut it into tree fragments, and build their cover with every
+    fragment its own partition."""
+    region = _reach(collection, links, seeds)
+    fragments = _region_fragments(collection, links, region)
+    fresh, _ = BuildPipeline(
+        fragments, partitioner="single", distance=_is_distance(cover)
+    ).run()
     return fresh, len(region)
 
 
@@ -367,9 +450,11 @@ def delete_document(
     """
     start = time.perf_counter()
     before = cover.size
-    separating = not force_general and document_separates(collection, doc_id)
+    separating = False
+    if not force_general:
+        separating, anc_docs, desc_docs = _separation(collection, doc_id)
     if separating:
-        _delete_document_separating(collection, cover, doc_id)
+        _delete_document_separating(collection, cover, doc_id, anc_docs, desc_docs)
         return _notify(
             on_change,
             MaintenanceReport(
@@ -386,7 +471,9 @@ def delete_document(
     collection.remove_document(doc_id)
     cover.remove_nodes(v_di)
     seeds = a_di - v_di
-    fresh, region_size = _rebuild_region(collection, cover, seeds)
+    fresh, region_size = _rebuild_region(
+        collection, cover, seeds, _link_targets(collection)
+    )
     _splice_fresh_cover(cover, fresh, a_di - v_di, d_di - v_di)
     return _notify(
         on_change,
@@ -431,8 +518,8 @@ def delete_edge(
             f"({u}, {v}) is not a link; only links (not tree edges) can be deleted"
         )
     collection.remove_link(u, v)
-    graph = collection.element_graph()
-    if not _is_distance(cover) and is_reachable(graph, u, v):
+    links = _link_targets(collection)
+    if not _is_distance(cover) and v in _reach(collection, links, (u,), stop=v):
         return _notify(
             on_change,
             MaintenanceReport(
@@ -444,7 +531,7 @@ def delete_edge(
         )
     a_e = cover.ancestors(u)  # includes u
     d_e = cover.descendants(v)  # includes v
-    fresh, region_size = _rebuild_region(collection, cover, a_e)
+    fresh, region_size = _rebuild_region(collection, cover, a_e, links)
     _splice_fresh_cover(cover, fresh, a_e, d_e)
     return _notify(
         on_change,

@@ -5,10 +5,19 @@ cover must represent exactly the connections (and distances) of the
 current element-level graph — verified against rebuilt oracles.
 """
 
-import pytest
+import os
+import subprocess
+import sys
+from collections import Counter
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core import maintenance
 from repro.core.cover_builder import build_cover
 from repro.core.distance import build_distance_cover
+from repro.core.hopi import HopiIndex
 from repro.core.maintenance import (
     delete_document,
     delete_edge,
@@ -18,7 +27,9 @@ from repro.core.maintenance import (
     insert_element,
     modify_document,
 )
+from repro.core.pipeline import BuildPipeline
 from repro.graph import distance_closure, transitive_closure
+from repro.graph.traversal import descendants as graph_descendants
 from repro.xmlmodel import Collection, dblp_like, inex_like, random_collection
 
 
@@ -408,3 +419,203 @@ def test_mixed_workload_on_dblp():
     u, v = sorted(c.inter_links)[0]
     delete_edge(c, cover, u, v)
     _verify(c, cover)
+
+
+# ---------------------------------------------------------------------------
+# the Theorem-3 region re-cover
+# ---------------------------------------------------------------------------
+
+REGION_SETTINGS = settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def linked_collections(draw, max_docs=4):
+    """Collections whose recovery regions cut documents into several
+    fragments: inter-links land on random elements (not only roots),
+    intra-links join random elements of one document, and the documents
+    form a chain that is closed into a document-level cycle half the
+    time."""
+    n_docs = draw(st.integers(min_value=2, max_value=max_docs))
+    c = Collection()
+    members = []
+    for i in range(n_docs):
+        elements = [c.new_document(f"doc{i}", "r").eid]
+        for _ in range(draw(st.integers(min_value=0, max_value=6))):
+            parent = draw(st.sampled_from(elements))
+            elements.append(c.add_child(parent, "e").eid)
+        members.append(elements)
+    for elements in members:
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            u, v = draw(st.sampled_from(elements)), draw(st.sampled_from(elements))
+            if u != v:
+                c.add_link(u, v)
+    doc_pairs = [(i, i + 1) for i in range(n_docs - 1)]
+    if draw(st.booleans()):
+        doc_pairs.append((n_docs - 1, 0))
+    doc_index = st.integers(min_value=0, max_value=n_docs - 1)
+    doc_pairs += draw(st.lists(st.tuples(doc_index, doc_index), max_size=n_docs))
+    for i, j in doc_pairs:
+        u, v = draw(st.sampled_from(members[i])), draw(st.sampled_from(members[j]))
+        if u != v:
+            c.add_link(u, v)
+    return c
+
+
+@REGION_SETTINGS
+@given(linked_collections(), st.data())
+def test_region_fragments_are_the_induced_subgraph(c, data):
+    seeds = data.draw(
+        st.lists(st.sampled_from(sorted(c.elements)), min_size=1, max_size=3)
+    )
+    links = maintenance._link_targets(c)
+    region = maintenance._reach(c, links, seeds)
+    graph = c.element_graph()
+    assert region == set().union(*(graph_descendants(graph, s) for s in seeds))
+
+    fragments = maintenance._region_fragments(c, links, region)
+    fragment_graph = fragments.element_graph()
+    expected = graph.subgraph(region)
+    assert set(fragment_graph.nodes()) == region
+    assert set(fragment_graph.edges()) == set(expected.edges())
+    owners = Counter(e for doc in fragments.documents.values() for e in doc.elements)
+    assert set(owners) == region and set(owners.values()) <= {1}
+    for frag_id, doc in fragments.documents.items():
+        assert frag_id == f"@{doc.root}"
+        assert c.elements[doc.root].parent not in region
+
+
+@REGION_SETTINGS
+@given(linked_collections(), st.booleans(), st.data())
+def test_general_deletes_keep_the_cover_exact(c, distance, data):
+    """``force_general`` and non-separating document deletes and link
+    deletes, interleaved, on both cover flavours: the cover is checked
+    against the closure after every op."""
+    cover = _fresh_cover(c, distance)
+    for _ in range(3):
+        links = sorted(c.all_links())
+        kind = data.draw(st.sampled_from(["force", "document", "edge"]))
+        if kind == "edge" and links:
+            u, v = data.draw(st.sampled_from(links))
+            delete_edge(c, cover, u, v)
+        elif kind != "edge" and len(c.documents) > 1:
+            doc_id = data.draw(st.sampled_from(sorted(c.documents)))
+            delete_document(c, cover, doc_id, force_general=kind == "force")
+        _verify(c, cover, distance)
+
+
+def test_region_link_between_fragments_of_one_document_is_an_inter_link():
+    c = Collection()
+    a = c.new_document("a", "r")
+    r = c.new_document("b", "r")
+    x = c.add_child(r.eid, "x")
+    y = c.add_child(r.eid, "y")
+    c.add_link(a.eid, x.eid)
+    c.add_link(a.eid, y.eid)
+    c.add_link(x.eid, y.eid)  # intra-link of b across its two fragments
+    links = maintenance._link_targets(c)
+    region = maintenance._reach(c, links, [x.eid])
+    assert region == {x.eid, y.eid}
+    fragments = maintenance._region_fragments(c, links, region)
+    assert sorted(fragments.documents) == [f"@{x.eid}", f"@{y.eid}"]
+    assert fragments.inter_links == {(x.eid, y.eid)}
+
+
+def _absorbing_link(c, avoid_doc):
+    """A link whose removal disconnects its endpoints (so a reachability
+    ``delete_edge`` re-covers), away from ``avoid_doc``."""
+    for u, v in sorted(c.inter_links):
+        if avoid_doc in (c.doc(u), c.doc(v)):
+            continue
+        probe = c.copy()
+        probe.remove_link(u, v)
+        if v not in graph_descendants(probe.element_graph(), u):
+            return u, v
+    raise AssertionError("no disconnecting link")
+
+
+@pytest.mark.parametrize("distance", [False, True])
+def test_theorem3_paths_build_no_whole_graph_and_no_flat_cover(monkeypatch, distance):
+    """The non-separating delete and the re-covering ``delete_edge`` walk
+    the collection and re-cover through the partitioned pipeline: no
+    ``Collection.element_graph`` and no flat builder call from the
+    maintenance module."""
+    c = dblp_like(20, seed=5)
+    cover = _fresh_cover(c, distance)
+    victim = next(d for d in sorted(c.documents) if not document_separates(c, d))
+    edge = _absorbing_link(c, victim)
+    calls = Counter()
+    for owner, name in [
+        (Collection, "element_graph"),
+        (maintenance, "build_cover"),
+        (maintenance, "build_distance_cover"),
+        (BuildPipeline, "run"),
+    ]:
+        real = getattr(owner, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    assert delete_document(c, cover, victim).separating is False
+    assert delete_edge(c, cover, *edge).separating is False
+    assert calls["element_graph"] == 0
+    assert calls["build_cover"] == calls["build_distance_cover"] == 0
+    assert calls["run"] == 2
+    monkeypatch.undo()
+    _verify(c, cover, distance)
+
+
+def test_maintained_cover_stays_near_rebuilt_size():
+    """Every non-separating document of a 40-document corpus deleted in
+    turn: the maintained cover stays within 10 % of a fresh build."""
+    c = dblp_like(40, seed=2)
+    index = HopiIndex.build(c)
+    deleted = 0
+    for doc_id in sorted(c.documents):
+        if not index.document_separates(doc_id):
+            assert index.delete_document(doc_id).separating is False
+            deleted += 1
+    assert deleted >= 10
+    index.verify()
+    assert index.cover.size <= 1.10 * HopiIndex.build(c).cover.size
+
+
+_DETERMINISM_SCRIPT = """
+import hashlib
+from repro.core.cover_builder import build_cover
+from repro.core.distance import build_distance_cover
+from repro.core.maintenance import delete_document, document_separates
+from repro.storage.snapshot import canonical_snapshot_bytes
+from repro.xmlmodel import random_collection
+
+for build in (build_cover, build_distance_cover):
+    c = random_collection(
+        n_docs=16, inter_links=48, max_elements_per_doc=12, seed=4
+    )
+    cover = build(c.element_graph())
+    victim = next(d for d in sorted(c.documents) if not document_separates(c, d))
+    assert delete_document(c, cover, victim).separating is False
+    print(victim, hashlib.sha256(canonical_snapshot_bytes(cover)).hexdigest())
+"""
+
+
+def test_region_recover_is_independent_of_the_hash_seed():
+    """WAL replay re-runs the re-cover in a fresh process, whose string
+    hashing differs: the result must not depend on it."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    outputs = []
+    for seed in ("0", "1"):
+        done = subprocess.run(
+            [sys.executable, "-c", _DETERMINISM_SCRIPT],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        outputs.append(done.stdout)
+    assert len(outputs[0].splitlines()) == 2
+    assert outputs[0] == outputs[1]
