@@ -7,8 +7,14 @@ paper's Theorems 2 and 3 establish and our property tests check against
 a from-scratch rebuild.
 
 * **Insertions** (Section 6.1): isolated nodes are trivial; a new edge
-  ``(u, v)`` is integrated with the link-insertion rule of Section 3.3
-  (``v`` becomes the center of every new connection); a new document is
+  ``(u, v)`` creates the connections ``a ⇝ u -> v ⇝ d``, and each edge
+  gets whichever of three sound rules adds the fewest label entries:
+  Section 3.3's rule (``v`` the center of every new connection), *push*
+  (every ancestor of ``u`` inherits ``{v} ∪ Lout(v)``) or *pull* (every
+  descendant of ``v`` inherits ``{u} ∪ Lin(u)``). A new leaf thus costs
+  its parent's ``Lin`` plus one entry, not one entry per ancestor. This
+  deliberately departs from the paper, which uses Section 3.3's rule
+  for every edge; the offline join still does. A new document is
   treated as a fresh partition — its cover is computed standalone,
   unioned in, and its incident links are integrated one at a time.
 
@@ -43,7 +49,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.core.cover import DistanceTwoHopCover, TwoHopCover
 from repro.core.cover_builder import build_cover
@@ -96,6 +102,92 @@ def _is_distance(cover: Cover) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _label_entries(cover: Cover, nodes: Iterable[ElementId]) -> int:
+    """``Σ |Lin(x)| + |Lout(x)|`` over ``nodes``."""
+    return sum(len(cover.lin_of(x)) + len(cover.lout_of(x)) for x in nodes)
+
+
+def _inherit(
+    nodes: Iterable[ElementId],
+    centers: Union[Set[ElementId], Mapping[ElementId, int]],
+    add: Callable[..., bool],
+    label_of: Callable[[ElementId], Mapping[ElementId, int]],
+    base: Optional[Mapping[ElementId, int]],
+) -> int:
+    """``add`` every center to the label of every node — at distance
+    ``base[node] + centers[center]`` on a distance cover, whose
+    ``base`` is not None — and return how many entries are new."""
+    ordered = sorted(centers)
+    added = 0
+    for x in sorted(nodes):
+        if base is None:
+            added += sum(add(x, c) for c in ordered)
+            continue
+        # a distance add also reports an improved entry: count new ones
+        known = label_of(x)
+        for c in ordered:
+            added += c != x and c not in known
+            add(x, c, base[x] + centers[c])
+    return added
+
+
+def _integrate_link(cover: Cover, u: ElementId, v: ElementId) -> int:
+    """Integrate the new edge ``u -> v`` with the cheapest sound rule;
+    returns the number of label entries added.
+
+    The new connections are ``a ⇝ u -> v ⇝ d`` for ``a`` in ``anc(u)``
+    and ``d`` in ``desc(v)``, both taken from the current cover. Each
+    rule covers all of them:
+
+    * **fig2** — Section 3.3's rule (:func:`~repro.core.join.insert_link`):
+      ``v`` joins every ``Lout(a)`` and ``Lin(d)``; costs
+      ``|anc(u)| + |desc(v)|``;
+    * **push** — ``Lout(a) ∪= {v} ∪ Lout(v)``: ``a`` reaches ``d``
+      through whichever center already witnesses ``v ⇝ d``; costs
+      ``|anc(u)| · (1 + |Lout(v)|)``;
+    * **pull** — ``Lin(d) ∪= {u} ∪ Lin(u)``, the mirror image; costs
+      ``|desc(v)| · (1 + |Lin(u)|)``.
+
+    The cheapest wins, ties in that order. On a distance cover push
+    and pull carry ``dist(a, u) + 1 + dout`` and ``din + 1 + dist(v, d)``.
+    A target with no descendants (a fresh leaf) takes pull without
+    computing ``anc(u)``: ``Lin(u) ⊆ anc(u) \\ {u}``, so its
+    ``1 + |Lin(u)|`` entries are never beaten. The choice reads label
+    sizes only and every loop runs sorted, so replaying the same ops on
+    a reloaded snapshot rebuilds the same cover.
+    """
+    cover.add_node(u)
+    cover.add_node(v)
+    distance = _is_distance(cover)
+    down = cover.descendants(v)
+    lin_u = cover.lin_of(u)
+    rule = "pull"
+    if len(down) > 1:
+        up = cover.ancestors(u)
+        lout_v = cover.lout_of(v)
+        costs = {
+            "fig2": len(up) + len(down),
+            "push": len(up) * (1 + len(lout_v)),
+            "pull": len(down) * (1 + len(lin_u)),
+        }
+        rule = min(costs, key=costs.__getitem__)
+    # distances are read before any label changes
+    if rule == "pull":
+        centers = {u: 0, **lin_u} if distance else lin_u | {u}
+        base = {d: cover.distance(v, d) + 1 for d in down} if distance else None
+        return _inherit(down, centers, cover.add_lin, cover.lin_of, base)
+    if rule == "push":
+        centers = {v: 0, **lout_v} if distance else lout_v | {v}
+        base = {a: cover.distance(a, u) + 1 for a in up} if distance else None
+        return _inherit(up, centers, cover.add_lout, cover.lout_of, base)
+    if not distance:
+        return insert_link(cover, u, v)
+    touched = up | down
+    before = _label_entries(cover, touched)
+    insert_link_distance(cover, u, v)
+    return _label_entries(cover, touched) - before
+
+
 def insert_element(
     collection: Collection,
     cover: Cover,
@@ -107,7 +199,8 @@ def insert_element(
     """Insert a new element under ``parent`` and its tree edge.
 
     The element is added to the collection, then the parent-child edge is
-    integrated like any other edge.
+    integrated like any other edge — for a fresh leaf that is the *pull*
+    rule, ``Lin(leaf) = {parent} ∪ Lin(parent)``.
     """
     element = collection.add_child(parent, tag)
     cover.add_node(element.eid)
@@ -131,27 +224,25 @@ def insert_edge(
     _already_in_collection: bool = False,
     on_change: Optional[ChangeHook] = None,
 ) -> MaintenanceReport:
-    """Insert the edge/link ``u -> v`` (Section 6.1, Figure 2).
+    """Insert the edge/link ``u -> v`` (Section 6.1).
 
-    On a *complete* cover a single integration pass is exact, including
-    for distance covers: any pair whose shortest path uses the new edge
-    decomposes as ``a ->* u -> v ->* d`` where the sub-distances are
-    unchanged by the insertion (a shortest path cannot traverse the new
-    edge twice).
+    The edge is integrated by :func:`_integrate_link`: Figure 2's rule,
+    *push* or *pull*, whichever adds the fewest label entries. On a
+    *complete* cover a single integration pass is exact under any of
+    them, including for distance covers: any pair whose shortest path
+    uses the new edge decomposes as ``a ->* u -> v ->* d`` where the
+    sub-distances are unchanged by the insertion (a shortest path cannot
+    traverse the new edge twice).
     """
     start = time.perf_counter()
     if not _already_in_collection:
         collection.add_link(u, v)
-    before = cover.size
-    if _is_distance(cover):
-        insert_link_distance(cover, u, v)
-    else:
-        insert_link(cover, u, v)
+    added = _integrate_link(cover, u, v)
     return _notify(
         on_change,
         MaintenanceReport(
             operation="insert_edge",
-            entries_delta=cover.size - before,
+            entries_delta=added,
             seconds=time.perf_counter() - start,
         ),
     )
@@ -176,29 +267,28 @@ def insert_document(
     ``add_link``) first, then calls this once.
     """
     start = time.perf_counter()
-    before = cover.size
     doc = collection.documents[doc_id]
     doc_graph = doc.element_graph()
     if _is_distance(cover):
         local: Cover = build_distance_cover(doc_graph, cover_factory=type(cover))
     else:
         local = build_cover(doc_graph, cover_factory=type(cover))
+    # the document's elements are new to the cover, so every local
+    # entry is a new one
     cover.union(local)
-    incident = [
+    added = local.size
+    incident = sorted(
         (u, v)
-        for (u, v) in sorted(collection.inter_links)
-        if collection.doc(u) == doc_id or collection.doc(v) == doc_id
-    ]
+        for (u, v) in collection.inter_links
+        if u in doc.elements or v in doc.elements
+    )
     for u, v in incident:
-        if _is_distance(cover):
-            insert_link_distance(cover, u, v)
-        else:
-            insert_link(cover, u, v)
+        added += _integrate_link(cover, u, v)
     return _notify(
         on_change,
         MaintenanceReport(
             operation="insert_document",
-            entries_delta=cover.size - before,
+            entries_delta=added,
             seconds=time.perf_counter() - start,
         ),
     )

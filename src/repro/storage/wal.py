@@ -8,7 +8,8 @@ module closes that gap with the classic write-ahead protocol:
    :mod:`repro.core.ops` dialect) are appended to ``updates.wal`` and
    fsynced;
 2. every ``checkpoint_interval`` records the full index is rewritten to
-   ``index.db`` (temp file + atomic rename) and the WAL is reset;
+   ``index.db`` (temp file + atomic rename + directory fsync) and the
+   WAL is reset;
 3. on restart, :meth:`DurableIndexStore.recover` loads the snapshot and
    replays only WAL records *newer than the snapshot epoch* — replay is
    idempotent because records carry the epoch they produced.
@@ -51,6 +52,15 @@ DEFAULT_CHECKPOINT_INTERVAL = 64
 
 class WALCrash(RuntimeError):
     """Raised by a crash hook to simulate dying at an injection point."""
+
+
+def _fsync_dir(path: str) -> None:
+    """Flush a directory's entries (a completed rename) to disk."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 class UpdateWAL:
@@ -199,7 +209,10 @@ class DurableIndexStore:
         The snapshot lands via temp-file + ``os.replace`` so a crash
         mid-write leaves the old snapshot intact; a crash *between* the
         rename and the WAL reset is harmless because replay skips
-        records at or below the snapshot epoch.
+        records at or below the snapshot epoch. The rename is made
+        durable by an fsync of the store directory before the reset:
+        otherwise a power loss could keep the reset but undo the
+        rename, losing every epoch since the old snapshot.
         """
         tmp = self.db_path + ".tmp"
         if os.path.exists(tmp):
@@ -207,6 +220,7 @@ class DurableIndexStore:
         store = persist_index(index, tmp)
         store.close()
         os.replace(tmp, self.db_path)
+        _fsync_dir(self.root)
         # WAL-journal side files of the temp database are stale now
         for suffix in ("-wal", "-shm"):
             leftover = tmp + suffix

@@ -585,11 +585,149 @@ def test_maintained_cover_stays_near_rebuilt_size():
     assert index.cover.size <= 1.10 * HopiIndex.build(c).cover.size
 
 
+# ---------------------------------------------------------------------------
+# the link-insertion rules
+# ---------------------------------------------------------------------------
+
+
+@REGION_SETTINGS
+@given(linked_collections(), st.booleans(), st.data())
+def test_mixed_inserts_and_deletes_keep_the_cover_exact(c, distance, data):
+    """Element, edge and document inserts interleaved with document and
+    link deletes, cycles included, on both cover flavours: every insert
+    picks its own rule, and the cover is checked against the closure
+    after every op."""
+    cover = _fresh_cover(c, distance)
+    for step in range(5):
+        elements = sorted(c.elements)
+        kind = data.draw(st.sampled_from(
+            ["element", "edge", "document", "delete_document", "delete_edge"]
+        ))
+        if kind == "element":
+            insert_element(c, cover, data.draw(st.sampled_from(elements)), "e")
+        elif kind == "edge":
+            u, v = data.draw(st.lists(st.sampled_from(elements), min_size=2, max_size=2))
+            if u != v:
+                insert_edge(c, cover, u, v)
+        elif kind == "document":
+            root = c.new_document(f"new{step}", "r")
+            child = c.add_child(root.eid, "e")
+            c.add_link(child.eid, data.draw(st.sampled_from(elements)))
+            c.add_link(data.draw(st.sampled_from(elements)), root.eid)
+            insert_document(c, cover, f"new{step}")
+        elif kind == "delete_document" and len(c.documents) > 1:
+            delete_document(c, cover, data.draw(st.sampled_from(sorted(c.documents))))
+        elif kind == "delete_edge" and c.num_links:
+            delete_edge(c, cover, *data.draw(st.sampled_from(sorted(c.all_links()))))
+        _verify(c, cover, distance)
+
+
+@pytest.mark.parametrize("distance", [False, True])
+def test_leaf_insert_pulls_the_parent_label_without_ancestors(monkeypatch, distance):
+    """A leaf under an element with many ancestors gets ``{parent} ∪
+    Lin(parent)`` — ``|Lin(parent)| + 1`` entries — and the insert
+    never enumerates the parent's ancestors."""
+    c = Collection()
+    previous = None
+    for i in range(60):  # a citation chain: doc i cites doc i + 1
+        root = c.new_document(f"d{i}", "r")
+        cite = c.add_child(root.eid, "cite")
+        if previous is not None:
+            c.add_link(previous, root.eid)
+        previous = cite.eid
+    parent = c.documents["d59"].root
+    cover = _fresh_cover(c, distance)
+    assert len(cover.ancestors(parent)) >= 50
+    lin_parent = cover.lin_of(parent)
+    before = cover.size
+    calls = Counter()
+    real = type(cover).ancestors
+
+    def counted(self, v):
+        calls["ancestors"] += 1
+        return real(self, v)
+
+    monkeypatch.setattr(type(cover), "ancestors", counted)
+    leaf = insert_element(c, cover, parent, "note")
+    monkeypatch.undo()
+    assert calls["ancestors"] == 0
+    assert cover.size - before == len(lin_parent) + 1
+    if distance:
+        pulled = {w: d + 1 for w, d in lin_parent.items()}
+        assert cover.lin_of(leaf) == {parent: 1, **pulled}
+    else:
+        assert cover.lin_of(leaf) == lin_parent | {parent}
+    _verify(c, cover, distance)
+
+
+@pytest.mark.parametrize("distance", [False, True])
+def test_insert_reports_count_entries_without_scanning_the_cover(monkeypatch, distance):
+    """``entries_delta`` of the three inserts comes from the link rule
+    (plus the local cover's size for a document), not from two reads of
+    the maintained cover's O(nodes) ``size``, and it is exact."""
+    c = dblp_like(12, seed=3)
+    cover = _fresh_cover(c, distance)
+    true_size = type(cover).size.fget
+    reads = Counter()
+
+    def counted(self):
+        reads[self is cover] += 1
+        return true_size(self)
+
+    monkeypatch.setattr(type(cover), "size", property(counted))
+    roots = sorted(doc.root for doc in c.documents.values())
+    reports = []
+
+    def leaf():
+        insert_element(c, cover, roots[3], "note", on_change=reports.append)
+
+    def link():
+        reports.append(insert_edge(c, cover, roots[9], roots[2]))
+
+    def document():
+        root = c.new_document("fresh", "article")
+        cite = c.add_child(c.add_child(root.eid, "citations").eid, "cite")
+        c.add_link(cite.eid, roots[5])
+        c.add_link(roots[7], root.eid)
+        reports.append(insert_document(c, cover, "fresh"))
+
+    for op in (leaf, link, document):
+        before = true_size(cover)
+        op()
+        assert reports[-1].entries_delta == true_size(cover) - before, op.__name__
+    assert reads[True] == 0
+    monkeypatch.undo()
+    _verify(c, cover, distance)
+
+
+def test_maintained_cover_stays_near_rebuilt_size_under_inserts(monkeypatch):
+    """The benchmark's update mix (40 read-write and 40 write-write
+    batches) on a 40-document corpus: the maintained cover stays within
+    10 % of a fresh build's (Figure 2's rule alone ends ~57 % above)."""
+    repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(repo_root)
+    from perf.ops import UpdateStream
+    from repro.core.ops import apply_update_op
+
+    c = dblp_like(40, seed=2)
+    index = HopiIndex.build(c)
+    stream = UpdateStream(2, c)
+    for batch in stream.rw_batches(40) + stream.ww_batches("a", 40):
+        for op in batch:
+            apply_update_op(index, op)
+    index.verify()
+    assert index.cover.size <= 1.10 * HopiIndex.build(index.collection).cover.size
+
+
 _DETERMINISM_SCRIPT = """
 import hashlib
+import random
 from repro.core.cover_builder import build_cover
 from repro.core.distance import build_distance_cover
-from repro.core.maintenance import delete_document, document_separates
+from repro.core.maintenance import (
+    delete_document, document_separates, insert_document, insert_edge,
+    insert_element,
+)
 from repro.storage.snapshot import canonical_snapshot_bytes
 from repro.xmlmodel import random_collection
 
@@ -600,13 +738,26 @@ for build in (build_cover, build_distance_cover):
     cover = build(c.element_graph())
     victim = next(d for d in sorted(c.documents) if not document_separates(c, d))
     assert delete_document(c, cover, victim).separating is False
+    rng = random.Random(7)
+    for i in range(12):
+        elements = sorted(c.elements)
+        insert_element(c, cover, rng.choice(elements), "note")
+        u, v = rng.sample(elements, 2)
+        insert_edge(c, cover, u, v)
+        if i % 4 == 0:
+            root = c.new_document(f"new{i}", "r")
+            child = c.add_child(root.eid, "cite")
+            c.add_link(child.eid, rng.choice(elements))
+            c.add_link(rng.choice(elements), root.eid)
+            insert_document(c, cover, f"new{i}")
     print(victim, hashlib.sha256(canonical_snapshot_bytes(cover)).hexdigest())
 """
 
 
 def test_region_recover_is_independent_of_the_hash_seed():
-    """WAL replay re-runs the re-cover in a fresh process, whose string
-    hashing differs: the result must not depend on it."""
+    """WAL replay re-runs the re-cover and the link-rule choice of every
+    insert in a fresh process, whose string hashing differs: the result
+    must not depend on it."""
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     outputs = []
     for seed in ("0", "1"):

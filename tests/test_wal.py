@@ -16,6 +16,7 @@ snapshot bytes equal a crash-free reference.
 
 import os
 import sqlite3
+from stat import S_ISDIR
 
 import pytest
 
@@ -219,6 +220,41 @@ class TestCheckpointPolicy:
         assert store.wal.record_count() == 1
         service.update(make_ops(index, "b"))  # hits the interval
         assert store.wal.record_count() == 0
+
+    def test_checkpoint_fsyncs_the_directory_between_rename_and_reset(
+        self, tmp_path, monkeypatch
+    ):
+        """Until the store directory is fsynced, a power loss may undo
+        the snapshot rename; the WAL reset must not be on disk before
+        it, or every epoch since the old snapshot is lost."""
+        index = build_index()
+        store = DurableIndexStore(str(tmp_path / "s"))
+        root_inode = os.stat(store.root).st_ino
+        events = []
+        real_replace, real_fsync, real_reset = os.replace, os.fsync, UpdateWAL.reset
+
+        def replace(src, dst):
+            real_replace(src, dst)
+            events.append(("replace", os.path.basename(dst)))
+
+        def fsync(fd):
+            real_fsync(fd)
+            stat = os.fstat(fd)
+            is_root = S_ISDIR(stat.st_mode) and stat.st_ino == root_inode
+            events.append(("fsync", "store dir" if is_root else "file"))
+
+        def reset(wal):
+            events.append(("reset", None))
+            real_reset(wal)
+
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(UpdateWAL, "reset", reset)
+        store.checkpoint(index)
+        renamed = events.index(("replace", "index.db"))
+        reset_at = events.index(("reset", None))
+        assert renamed < reset_at
+        assert ("fsync", "store dir") in events[renamed:reset_at], events
 
     def test_apply_forces_a_checkpoint(self, tmp_path):
         """Arbitrary mutators cannot be WAL-logged, so the durable
