@@ -1,9 +1,9 @@
 """Parallel divide-and-conquer index construction (Sections 4-5).
 
 The paper's scalability argument: partition the collection, build each
-partition's 2-hop cover *independently* ("this can even be done on
-different machines"), then join along the cross-partition links. This
-example builds the same synthetic collection three ways —
+partition's 2-hop cover *independently*, then join along the
+cross-partition links. This example builds the same synthetic
+collection three ways —
 
 1. serially through the facade (the baseline),
 2. with a 4-process pool (``workers=4``),
@@ -42,7 +42,7 @@ def main() -> None:
         strategy="recursive",
         partitioner="node-weight",
         partition_limit=limit,
-        workers=4,                   # executor defaults to "process"
+        workers=4,                   # more than one worker: process pool
     )
 
     assert sorted(serial.cover.entries()) == sorted(parallel.cover.entries())
@@ -61,8 +61,8 @@ def main() -> None:
 
     # -- 3. the orchestrator, phase by phase ----------------------------
     # BuildPipeline exposes each phase for callers that want to reuse a
-    # partitioning, ship tasks to their own executor, or inspect the
-    # compact picklable task objects the process pool consumes.
+    # partitioning or inspect the compact picklable task objects the
+    # process pool consumes.
     pipeline = BuildPipeline(
         collection,
         partitioner="node_weight",
@@ -81,38 +81,6 @@ def main() -> None:
     cover = pipeline.join(partitioning, [r.cover for r in results])
     assert sorted(cover.entries()) == sorted(serial.cover.entries())
     print(f"phase-by-phase cover identical again (|L| = {cover.size})")
-
-    # -- 4. distributed: RPC workers + sharded join ---------------------
-    # The paper: partition covers "can even be [built] on different
-    # machines". Two loopback `repro build-worker` daemons stand in for
-    # the build cluster here; the cross-link join is sharded over the
-    # same workers (join_shards defaults to the worker count).
-    from repro.core.rpc import start_worker_thread
-
-    server_a, addr_a = start_worker_thread()
-    server_b, addr_b = start_worker_thread()
-    try:
-        distributed = HopiIndex.build(
-            collection,
-            strategy="recursive",
-            partitioner="node-weight",
-            partition_limit=limit,
-            executor="rpc",
-            rpc_workers=[addr_a, addr_b],
-        )
-    finally:
-        for server in (server_a, server_b):
-            server.shutdown()
-            server.server_close()
-    assert sorted(distributed.cover.entries()) == sorted(
-        serial.cover.entries()
-    )
-    stats = distributed.stats
-    print(
-        f"\nrpc build over {addr_a} + {addr_b}: identical cover, "
-        f"join sharded {stats.join_shards} ways "
-        f"(join {stats.seconds_join:.2f}s)"
-    )
 
 
 if __name__ == "__main__":

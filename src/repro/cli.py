@@ -64,45 +64,15 @@ def _read_documents(paths: Sequence[str]) -> Dict[str, str]:
     return documents
 
 
-def _is_int(spec: str) -> bool:
+def positive_int(text: str) -> int:
+    """argparse ``type`` for sizes that must be at least 1."""
     try:
-        int(spec)
+        value = int(text)
     except ValueError:
-        return False
-    return True
-
-
-def parse_workers(
-    spec: Optional[str], executor: Optional[str]
-) -> Dict[str, object]:
-    """Interpret ``--workers``: a pool size, or rpc worker addresses.
-
-    ``--workers 4`` means a 4-worker pool; ``--workers host:port,...``
-    (with ``--executor rpc``, which it implies) names the build-worker
-    daemons to ship tasks to.
-    """
-    if spec is None or _is_int(spec):
-        if executor == "rpc":
-            raise SystemExit(
-                "--executor rpc needs worker addresses: "
-                "--workers host:port[,host:port...]"
-            )
-        return {
-            "workers": int(spec) if spec is not None else None,
-            "rpc_workers": None,
-        }
-    addresses = [a.strip() for a in spec.split(",") if a.strip()]
-    if not all(":" in a for a in addresses) or not addresses:
-        raise SystemExit(
-            f"--workers must be a count or host:port[,host:port...], "
-            f"got {spec!r}"
-        )
-    if executor not in (None, "rpc"):
-        raise SystemExit(
-            f"--workers with addresses implies --executor rpc, "
-            f"not {executor!r}"
-        )
-    return {"workers": None, "rpc_workers": addresses}
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -118,9 +88,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         partition_limit=args.partition_limit,
         edge_weight=args.edge_weight,
         distance=args.distance,
-        executor=args.executor,
-        join_shards=args.join_shards,
-        **parse_workers(args.workers, args.executor),
+        workers=args.workers,
     )
     stats = index.stats
     print(
@@ -133,32 +101,10 @@ def cmd_build(args: argparse.Namespace) -> int:
             else ""
         )
         + (f", workers = {stats.workers}" if stats.executor != "serial" else "")
-        + (f", join shards = {stats.join_shards}" if stats.join_shards > 1 else "")
         + ")"
     )
     persist_index(index, args.output).close()
     print(f"written to {args.output}")
-    return 0
-
-
-def cmd_build_worker(args: argparse.Namespace) -> int:
-    from repro.core.rpc import parse_address, serve_worker
-
-    host, port = parse_address(args.listen)
-    server = serve_worker(host, port)
-    bound_host, bound_port = server.server_address[:2]
-    print(
-        f"build worker listening on {bound_host}:{bound_port} "
-        f"(point `repro build --executor rpc --workers "
-        f"{bound_host}:{bound_port}` at it; Ctrl-C stops)",
-        flush=True,
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive exit
-        pass
-    finally:
-        server.server_close()
     return 0
 
 
@@ -262,7 +208,7 @@ def cmd_delete_doc(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.service import AsyncServiceServer, QueryService, ShardRouter
+    from repro.service import AsyncServiceServer, QueryService
 
     durable_store = None
     if args.store:
@@ -285,34 +231,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
             print(f"initialised durable store {args.store}", flush=True)
     else:
         index = load_index(args.index)
-    workers = None
-    if args.shard_workers:
-        workers = [a.strip() for a in args.shard_workers.split(",") if a.strip()]
-    if args.shards is not None or workers:
-        num_shards = args.shards if args.shards is not None else len(workers)
-        service = ShardRouter(
-            index,
-            num_shards,
-            workers=workers,
-            max_results=args.max_results,
-            similarity_threshold=args.similarity_threshold,
-            result_cache_size=args.result_cache,
-            probe_cache_size=args.probe_cache,
-            durable_store=durable_store,
-        )
-        mode = (
-            f"shards={num_shards} ({service.executor})"
-        )
-    else:
-        service = QueryService(
-            index,
-            max_results=args.max_results,
-            similarity_threshold=args.similarity_threshold,
-            result_cache_size=args.result_cache,
-            probe_cache_size=args.probe_cache,
-            durable_store=durable_store,
-        )
-        mode = "unsharded"
+    service = QueryService(
+        index,
+        max_results=args.max_results,
+        similarity_threshold=args.similarity_threshold,
+        result_cache_size=args.result_cache,
+        probe_cache_size=args.probe_cache,
+        durable_store=durable_store,
+    )
     server = AsyncServiceServer(
         service,
         max_inflight=args.max_inflight,
@@ -326,7 +252,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         host, port = await server.start(args.host, args.port)
         print(
             f"serving {args.index} on http://{host}:{port} "
-            f"(epoch={service.epoch}, {mode}, "
+            f"(epoch={service.epoch}, "
             f"async max_inflight={args.max_inflight} "
             f"queue_depth={args.queue_depth})",
             flush=True,
@@ -443,39 +369,16 @@ def build_parser() -> argparse.ArgumentParser:
                         "element-count budget) or closure-size (Section "
                         "4.3 closure-connection budget); 'single' puts "
                         "every document in its own partition")
-    p.add_argument("--partition-limit", type=int, default=None)
+    p.add_argument("--partition-limit", type=positive_int, default=None)
     p.add_argument("--edge-weight", default="links",
                    choices=["links", "AxD", "A+D"])
     p.add_argument("--distance", action="store_true",
                    help="build a distance-aware cover (Section 5)")
-    p.add_argument("--workers", default=None,
-                   help="worker-pool size (build partition covers and "
-                        "join shards concurrently; Section 4's parallel "
-                        "divide-and-conquer), or a host:port[,host:port"
-                        "...] list of `repro build-worker` daemons for "
-                        "--executor rpc; covers are bit-identical to a "
-                        "serial build either way")
-    p.add_argument("--executor", default=None,
-                   choices=["serial", "process", "threads", "rpc"],
-                   help="build executor (default: process when --workers "
-                        "is a count > 1, rpc when it is an address list, "
-                        "else serial)")
-    p.add_argument("--join-shards", type=int, default=None,
-                   help="shard the recursive join's distribution step "
-                        "(default: the worker count; 1 = serial join)")
+    p.add_argument("--workers", type=positive_int, default=None,
+                   help="process-pool size for the per-partition covers "
+                        "(default: build serially); covers are "
+                        "bit-identical to a serial build")
     p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser(
-        "build-worker",
-        help="run an RPC build worker daemon for `repro build "
-             "--executor rpc` (the paper's 'different machines' build)",
-    )
-    p.add_argument("--listen", default="127.0.0.1:9123",
-                   help="HOST:PORT to listen on (port 0 picks an "
-                        "ephemeral port; default 127.0.0.1:9123). Bind "
-                        "to loopback or a private build network only — "
-                        "workers execute tasks from anyone who connects")
-    p.set_defaults(func=cmd_build_worker)
 
     p = sub.add_parser("generate", help="write a synthetic XML collection")
     p.add_argument("family", choices=["dblp", "inex"])
@@ -530,8 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve a persisted index over HTTP — the /v1 API (query "
              "count explain connected distance update stats healthz "
-             "metrics) on an asyncio front end with admission control; "
-             "--shards N serves sharded behind a scatter-gather router",
+             "metrics) on an asyncio front end with admission control",
     )
     p.add_argument("index")
     p.add_argument("--host", default="127.0.0.1")
@@ -541,15 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     # perf/ still passes the flag and may not be edited in the PR that
     # retired the option
     p.add_argument("--backend", default=None, help=argparse.SUPPRESS)
-    p.add_argument("--shards", type=int, default=None,
-                   help="serve sharded: partition documents over N "
-                        "shards behind a scatter-gather router "
-                        "(answers bit-identical to unsharded serving)")
-    p.add_argument("--shard-workers", default=None,
-                   help="host:port[,host:port...] of `repro build-worker` "
-                        "daemons to host the shards (shard i lives on "
-                        "worker i %% len(workers)); default: all shards "
-                        "in-process")
     p.add_argument("--max-results", type=int, default=1000)
     p.add_argument("--similarity-threshold", type=float, default=0.3,
                    help="minimum ontology similarity for ~tag steps")

@@ -18,8 +18,7 @@ Modules:
 * :mod:`repro.core.join` — the original incremental and the new
   structurally recursive partition-cover joins (Sections 3.3, 4.1).
 * :mod:`repro.core.pipeline` — the divide-and-conquer build
-  orchestrator with pluggable serial / multiprocessing executors
-  (Section 4's parallel construction).
+  orchestrator, serial or over a process pool (Section 4).
 * :mod:`repro.core.distance` — distance-aware cover construction
   (Section 5).
 * :mod:`repro.core.maintenance` — incremental insertions and deletions

@@ -402,52 +402,17 @@ class _CoverBase:
             sorted_remove(self._owned(inv, center), node)
 
     # -- disjoint merge --------------------------------------------------
-    def preintern_sorted(self, labels: Iterable[Node]) -> None:
-        """Intern ``labels`` in sorted order ahead of a series of
-        :meth:`absorb_disjoint` calls.
-
-        With the whole label universe interned in sorted order up
-        front, the remap of every subsequently absorbed cover whose own
-        interner is label-sorted (snapshot blobs from the parallel
-        join's workers are) is *monotone* — rows keep their sortedness
-        under translation and the absorb degrades to pure block copies.
-        """
-        self._slabs = None
-        ordered = sorted(labels)
-        if len(self.interner) == 0:
-            self.interner = NodeInterner.from_labels(ordered)
-        else:  # pragma: no cover - incremental preintern
-            intern = self.interner.intern
-            for label in ordered:
-                intern(label)
-        grow = len(self.interner) - len(self._lin)
-        if grow > 0:
-            for table in self._tables():
-                table.extend([None] * grow)
-
     def absorb_disjoint(self, other) -> None:
         """:meth:`union`, optimised for node-disjoint covers.
 
-        Two fast paths, falling back to :meth:`union` (identical
-        result) when neither applies:
-
-        * **pure offset** — none of ``other``'s labels are interned
-          here yet (original partition covers joined into a fresh
-          merged cover): every internal id shifts by one constant, so
-          label rows and backward-index rows move as block copies with
-          sortedness preserved;
-        * **remap** (reachability covers only) — some labels overlap
-          as *centers* but the node universes are disjoint (the
-          parallel join's shard covers, whose Ĥ deltas reference
-          foreign link targets): ids are translated through a remap
-          table, rows re-sorted in C, and backward-index rows for
-          shared centers merged.
+        When none of ``other``'s labels are interned here yet (partition
+        covers joined into a fresh merged cover), every internal id
+        shifts by one constant, so label rows and backward-index rows
+        move as block copies with sortedness preserved. Anything else
+        takes :meth:`union` (identical result).
         """
         self._slabs = None
-        if type(other) is not type(self):
-            self.union(other)
-            return
-        fresh = not any(
+        fresh = type(other) is type(self) and not any(
             self.interner.get(lab) is not None for lab in other.interner
         )
         if fresh:
@@ -468,16 +433,11 @@ class _CoverBase:
                         )
             self._absorb_extra(other, offset)
             return
-        self._absorb_remap(other)
+        self.union(other)
 
     def _absorb_extra(self, other, offset: int) -> None:
         """Hook for subclass tables carrying non-id payloads (distances
         move verbatim — only id columns are offset-remapped)."""
-
-    def _absorb_remap(self, other) -> None:
-        """Overridden by the reachability cover; aligned-payload
-        flavours (distances) take the generic per-entry union."""
-        self.union(other)
 
     def _externalize(self, ids: Iterable[int]) -> Set[Node]:
         label = self.interner.label
@@ -942,104 +902,6 @@ class TwoHopCover(_CoverBase):
                 for ci in row:
                     yield ("out", node, label(ci))
 
-    def _absorb_remap(self, other: "TwoHopCover") -> None:
-        """Absorb a node-disjoint cover whose labels partially overlap
-        ours (as centers), translating ids through a remap table.
-
-        Node universes must be disjoint (checked; falls back to
-        :meth:`union`), so forward rows never collide — they are
-        remapped wholesale. Fresh labels are assigned ids in ``other``'s
-        id order, so the remap is *monotone on them*: a row touching no
-        pre-existing ("foreign") label stays sorted after translation
-        and needs no re-sort; only rows naming foreign centers — the
-        parallel join's Ĥ targets — pay a per-row C sort. Backward-index
-        rows *can* collide on shared centers and are merged (their
-        carriers are disjoint node sets).
-        """
-        if self.interner.same_mapping(other.interner):
-            self._absorb_identity(other)
-            return
-        intern = self.interner.intern
-        before = len(self.interner)
-        remap = [intern(lab) for lab in other.interner]
-        grow = len(self.interner) - len(self._lin)
-        if grow > 0:
-            for table in self._tables():
-                table.extend([None] * grow)
-        mapped_nodes = {remap[i] for i in other._nodes}
-        if not mapped_nodes.isdisjoint(self._nodes):
-            self.union(other)
-            return
-        self._nodes.update(mapped_nodes)
-        # a monotone remap preserves row sortedness outright (the
-        # :meth:`preintern_sorted` + label-sorted-blob fast path)
-        monotone = all(a < b for a, b in zip(remap, remap[1:]))
-        if monotone:
-            needs_sort = lambda row: False  # noqa: E731
-        else:
-            # only rows naming a pre-existing ("foreign") label can
-            # lose sortedness: fresh labels are assigned in id order
-            foreign = {i for i, m in enumerate(remap) if m < before}
-            needs_sort = lambda row: not foreign.isdisjoint(row)  # noqa: E731
-        for dst, src in ((self._lin, other._lin), (self._lout, other._lout)):
-            for i, row in enumerate(src):
-                if not row:
-                    continue
-                if needs_sort(row):
-                    dst[remap[i]] = array(
-                        ID_TYPECODE, sorted(remap[c] for c in row)
-                    )
-                else:
-                    dst[remap[i]] = array(
-                        ID_TYPECODE, [remap[c] for c in row]
-                    )
-        for dst, src in (
-            (self._inv_lin, other._inv_lin),
-            (self._inv_lout, other._inv_lout),
-        ):
-            for i, row in enumerate(src):
-                if not row:
-                    continue
-                ci = remap[i]
-                existing = dst[ci]
-                if existing:
-                    dst[ci] = array(
-                        ID_TYPECODE,
-                        sorted(set(existing).union(remap[c] for c in row)),
-                    )
-                elif needs_sort(row):
-                    dst[ci] = array(
-                        ID_TYPECODE, sorted(remap[c] for c in row)
-                    )
-                else:
-                    dst[ci] = array(ID_TYPECODE, [remap[c] for c in row])
-
-    def _absorb_identity(self, other: "TwoHopCover") -> None:
-        """Absorb a node-disjoint cover sharing this cover's exact
-        interner (the parallel join's global-id-space shard covers):
-        label rows move as plain slice copies, and only backward-index
-        rows colliding on shared centers pay a merge."""
-        if not other._nodes.isdisjoint(self._nodes):
-            self.union(other)
-            return
-        self._nodes |= other._nodes
-        for dst, src in (
-            (self._lin, other._lin),
-            (self._lout, other._lout),
-            (self._inv_lin, other._inv_lin),
-            (self._inv_lout, other._inv_lout),
-        ):
-            for i, row in enumerate(src):
-                if not row:
-                    continue
-                existing = dst[i]
-                if existing:
-                    dst[i] = array(
-                        ID_TYPECODE, sorted(set(existing).union(row))
-                    )
-                else:
-                    dst[i] = row[:]
-
     @classmethod
     def from_entries(
         cls, nodes: Iterable[Node], entries: Iterable[Tuple[str, Node, Node]]
@@ -1050,8 +912,7 @@ class TwoHopCover(_CoverBase):
         self-entries). Rows are grouped per node and sorted once
         instead of paying one sorted insert per entry."""
         # intern in sorted node order when possible: label-sorted
-        # interners make snapshot blobs deterministic and give the
-        # parallel join's global-id remaps their monotonicity
+        # interners make snapshot blobs deterministic
         try:
             ordered = sorted(nodes)
         except TypeError:  # mixed/unorderable node types

@@ -30,7 +30,7 @@ import heapq
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.center_graph import densest_subgraph, initial_density_upper_bound
-from repro.core.cover import DistanceTwoHopCover, TwoHopCover
+from repro.core.cover import TwoHopCover
 from repro.graph.closure import TransitiveClosure, condensation_closure
 from repro.graph.condensation import Condensation
 from repro.graph.digraph import DiGraph
@@ -284,7 +284,6 @@ def build_partition_cover(
     *,
     preselected_centers: Iterable[Node] = (),
     distance: bool = False,
-    cover_factory: Optional[CoverFactory] = None,
 ) -> TwoHopCover:
     """Build the 2-hop cover of one partition from its raw graph data.
 
@@ -300,13 +299,9 @@ def build_partition_cover(
         preselected_centers: cross-partition link targets to force as
             centers first (Section 4.2).
         distance: build a distance-aware cover (Section 5).
-        cover_factory: cover constructor; defaults to the cover class of
-            the requested flavour. The greedy construction consults
-            only the closure, so the resulting *entries* are identical
-            for every factory.
 
     Returns:
-        The partition's cover in the requested representation.
+        The partition's cover in the requested flavour.
     """
     graph = DiGraph()
     for v in nodes:
@@ -316,13 +311,5 @@ def build_partition_cover(
     if distance:
         from repro.core.distance import build_distance_cover
 
-        return build_distance_cover(
-            graph,
-            preselected_centers=preselected,
-            cover_factory=cover_factory or DistanceTwoHopCover,
-        )
-    return build_cover(
-        graph,
-        preselected_centers=preselected,
-        cover_factory=cover_factory or TwoHopCover,
-    )
+        return build_distance_cover(graph, preselected_centers=preselected)
+    return build_cover(graph, preselected_centers=preselected)

@@ -66,13 +66,6 @@ class BuildStats:
     seconds_join: float = 0.0
     partition_cover_seconds: List[float] = field(default_factory=list)
     partition_closure_connections: List[int] = field(default_factory=list)
-    #: parallel-join accounting (join_shards == 1 means the serial join
-    #: ran and the per-phase join fields stay zero)
-    join_shards: int = 1
-    seconds_join_union: float = 0.0
-    seconds_join_psg: float = 0.0
-    seconds_join_distribute: float = 0.0
-    join_shard_seconds: List[float] = field(default_factory=list)
 
     @property
     def parallel_makespan(self) -> float:
@@ -174,9 +167,6 @@ class HopiIndex:
         seed: int = 0,
         backend: Optional[str] = None,
         workers: Optional[int] = None,
-        executor: Optional[str] = None,
-        rpc_workers: Optional[List[str]] = None,
-        join_shards: Optional[int] = None,
         calibrate_costs: bool = False,
     ) -> "HopiIndex":
         """Build a HOPI index.
@@ -192,8 +182,8 @@ class HopiIndex:
                 (CLI aliases ``node-weight`` / ``closure-size`` accepted).
             partition_limit: max elements per partition
                 (``node_weight``) or max closure connections
-                (``closure``); sensible defaults are derived from the
-                collection when omitted.
+                (``closure``), at least 1; sensible defaults are derived
+                from the collection when omitted.
             edge_weight: ``"links"``, ``"AxD"`` or ``"A+D"``.
             distance: build a distance-aware cover (Section 5).
             preselect_centers: apply Section 4.2's center preselection
@@ -204,18 +194,9 @@ class HopiIndex:
             backend: accepted and ignored — there is one label
                 representation; ``perf/`` still passes the argument and
                 may not be edited in the PR that retired the option.
-            workers: size of the worker pool covering partitions
-                concurrently (the paper's Section-4 parallel build);
-                ``None``/1 builds serially. Covers are bit-identical
-                for every worker count.
-            executor: ``"serial"``, ``"process"``, ``"threads"`` or
-                ``"rpc"``; defaults to ``"process"`` when
-                ``workers > 1`` (``"rpc"`` when ``rpc_workers`` given).
-            rpc_workers: ``host:port`` addresses of ``repro
-                build-worker`` daemons for the rpc executor.
-            join_shards: shard count for the recursive join's parallel
-                distribution step (default: the worker count; 1 =
-                serial join). Covers are bit-identical for every value.
+            workers: size of the process pool covering partitions
+                concurrently; ``None``/1 builds serially. Covers are
+                bit-identical for every worker count.
             calibrate_costs: micro-benchmark forward vs backward probe
                 costs on the freshly built index and pin the measured
                 planner cost model (see
@@ -236,9 +217,6 @@ class HopiIndex:
             psg_node_limit=psg_node_limit,
             seed=seed,
             workers=workers,
-            executor=executor,
-            rpc_workers=rpc_workers,
-            join_shards=join_shards,
         )
         cover, stats = pipeline.run()
         index = cls(collection, cover, stats=stats)

@@ -86,15 +86,6 @@ class NodeInterner:
         """All labels in id order (index == internal id)."""
         return list(self._labels)
 
-    def same_mapping(self, other: "NodeInterner") -> bool:
-        """Do both interners assign identical ids to identical labels?
-
-        One C-level list comparison — the parallel join's assembly uses
-        it to recognise shard covers built in the shared global id
-        space, for which absorbing needs no id translation at all.
-        """
-        return self._labels == other._labels
-
     def __len__(self) -> int:
         return len(self._labels)
 

@@ -1,9 +1,9 @@
 """The ``/update`` wire-format operation vocabulary.
 
 Every writer that maintains a shadow :class:`~repro.core.hopi.HopiIndex`
-speaks the same op dialect: the service's group-commit publisher, the
-shard router's generation builder, and the durable update WAL's
-replay-on-restart (:mod:`repro.storage.wal`) all delegate to
+speaks the same op dialect: the service's group-commit publisher and
+the durable update WAL's replay-on-restart (:mod:`repro.storage.wal`)
+both delegate to
 :func:`apply_update_op`. Keeping it in the core layer (rather than the
 service, where it grew up) lets the storage layer replay logged ops
 without importing the serving tier.

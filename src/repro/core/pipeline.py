@@ -1,70 +1,51 @@
 """The divide-and-conquer build pipeline (Sections 4 and 5).
 
 The paper's central scalability argument is that 2-hop cover
-construction parallelises along partition boundaries: partition the
-document collection, build every partition's cover *independently*
-("this can even be done on different machines"), then connect the
+construction splits along partition boundaries: partition the document
+collection, build every partition's cover *independently* (which bounds
+the memory of each build by its partition's closure), then connect the
 partial covers along the cross-partition links. :class:`BuildPipeline`
 is that flow as an explicit three-phase orchestrator:
 
 1. **partition** — the document-level graph is split by one of the
    partitioners in :mod:`repro.core.partitioning` (always in the
    parent; it is cheap relative to covering);
-2. **partition covers** — each partition's element graph is shipped to
-   a pluggable executor as a compact :class:`PartitionTask` (node list
-   + edge list + preselected centers). The ``serial`` executor runs
-   the builds inline; ``process`` fans them out over
-   ``multiprocessing`` workers; ``threads`` over a
-   ``ThreadPoolExecutor`` (cheap to spawn, and the stepping stone to
-   per-interpreter GILs); ``rpc`` over remote worker daemons
-   (:mod:`repro.core.rpc` — the paper: "this can even be done on
-   different machines"). Every parallel executor's workers return the
-   cover as a CSR snapshot blob
-   (:func:`repro.storage.snapshot.snapshot_to_bytes` — the same
-   encoding used for on-disk snapshots doubles as the wire format);
+2. **partition covers** — each partition's element graph becomes a
+   compact :class:`PartitionTask` (node list + edge list + preselected
+   centers). The ``serial`` executor runs the builds inline;
+   ``process`` fans them out over ``multiprocessing`` workers, which
+   return each cover as a CSR snapshot blob
+   (:func:`repro.storage.snapshot.snapshot_to_bytes` — the on-disk
+   snapshot encoding doubles as the wire format). The worker count
+   alone picks the executor: more than one worker means ``process``;
 3. **join** — the parent merges the partition covers with the
-   strategy's join (:mod:`repro.core.join`). For the recursive
-   strategy the distribution step is itself sharded by partition over
-   the same executor (``join_shards``, default = worker count): after
-   the tiny PSG closure, each shard bakes its label deltas into its
-   own partition covers and returns them as snapshot blobs; the parent
-   assembles the merged cover from block copies, deterministically.
+   strategy's join (:mod:`repro.core.join`).
 
 Because the greedy cover construction consults only the partition
 closure — never the executor — the final cover's label entries are
-**bit-identical** across executors, worker counts and join shard
-counts; the randomized suite in ``tests/test_pipeline.py`` pins that
-property.
+**bit-identical** for every worker count; ``tests/test_pipeline.py``
+pins that property.
 
 Most callers reach this module through the facade::
 
     index = HopiIndex.build(collection, workers=4)      # process pool
-    index = HopiIndex.build(collection)                 # serial, as before
-    index = HopiIndex.build(                            # remote workers
-        collection, executor="rpc",
-        rpc_workers=["10.0.0.5:9123", "10.0.0.6:9123"],
-    )
+    index = HopiIndex.build(collection)                 # serial
 
-or the CLI: ``repro build docs/ -o index.db --workers 4`` /
-``--executor rpc --workers host:port,...``.
+or the CLI: ``repro build docs/ -o index.db --workers 4``.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.cover import DistanceTwoHopCover, TwoHopCover
 from repro.core.cover_builder import build_partition_cover
 from repro.core.join import (
-    ParallelJoinStats,
-    _join_shard_worker,
     join_covers_incremental,
     join_covers_incremental_distance,
     join_covers_recursive,
-    join_covers_recursive_parallel,
 )
 from repro.core.partitioning import (
     Partitioning,
@@ -91,9 +72,6 @@ PARTITIONER_ALIASES = {
     "closure-size": "closure",
 }
 
-#: executor names accepted by :class:`BuildPipeline` and the facade
-EXECUTORS = ("serial", "process", "threads", "rpc")
-
 
 def normalize_partitioner(name: str) -> str:
     """Resolve a partitioner name or CLI alias to its canonical form.
@@ -110,7 +88,7 @@ def normalize_partitioner(name: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the unit of work and its wire format
+# the unit of work
 # ---------------------------------------------------------------------------
 
 
@@ -133,42 +111,37 @@ class PartitionTask:
 
 @dataclass
 class PartitionResult:
-    """A built partition cover plus its in-worker accounting.
-
-    ``wire`` keeps the CSR blob a parallel executor's worker returned
-    (``None`` for inline builds): the parallel join re-uses it for its
-    shard tasks instead of re-encoding the cover.
-    """
+    """A built partition cover plus its in-worker build time."""
 
     pid: int
     cover: object
     seconds: float
-    wire_bytes: int = 0
-    wire: Optional[bytes] = None
+
+
+def _build_task(task: PartitionTask):
+    """Build ``task``'s cover in the calling process."""
+    return build_partition_cover(
+        task.nodes,
+        task.edges,
+        preselected_centers=task.preselected,
+        distance=task.distance,
+    )
 
 
 def _partition_cover_worker(task: PartitionTask) -> Tuple[int, bytes, float]:
     """Process-pool entry point: build one partition cover, return it
     as a CSR snapshot blob.
 
-    Runs in a worker process. The partition's nodes are interned in
-    sorted order (label-sorted blobs are deterministic and absorb into
-    the parallel join's global id space through monotone remaps) and
-    the cover is serialised with :func:`snapshot_to_bytes` — one
-    contiguous buffer crosses the process boundary instead of a deep
-    cover object graph.
+    Runs in a worker process. The cover is serialised with
+    :func:`snapshot_to_bytes` — one contiguous buffer crosses the
+    process boundary instead of a deep cover object graph — and the
+    blob keeps the interner order, so the decoded cover is the one the
+    serial executor builds.
     """
     from repro.storage.snapshot import snapshot_to_bytes
 
-    cls = DistanceTwoHopCover if task.distance else TwoHopCover
     t0 = time.perf_counter()
-    cover = build_partition_cover(
-        task.nodes,
-        task.edges,
-        preselected_centers=task.preselected,
-        distance=task.distance,
-        cover_factory=lambda nodes: cls(sorted(nodes)),
-    )
+    cover = _build_task(task)
     return task.pid, snapshot_to_bytes(cover), time.perf_counter() - t0
 
 
@@ -180,162 +153,62 @@ def _partition_cover_worker(task: PartitionTask) -> Tuple[int, bytes, float]:
 class SerialExecutor:
     """Run every partition build inline, in the calling process.
 
-    The default — and the baseline the process executor is benchmarked
+    The default, and the baseline the process executor is measured
     against. No wire round-trip.
     """
 
     name = "serial"
+    workers = 1
 
     def run(self, tasks) -> List[PartitionResult]:
         """Execute ``tasks`` in order; see :meth:`ProcessExecutor.run`."""
         results = []
         for task in tasks:
             t0 = time.perf_counter()
-            cover = build_partition_cover(
-                task.nodes,
-                task.edges,
-                preselected_centers=task.preselected,
-                distance=task.distance,
-            )
+            cover = _build_task(task)
             results.append(
                 PartitionResult(task.pid, cover, time.perf_counter() - t0)
             )
         return results
 
-    def map_join(self, tasks) -> List[Tuple[int, Tuple, float]]:
-        """Run join-shard tasks inline, in shard order.
 
-        Sharding with the serial executor is still meaningful: it is
-        the equivalence baseline of the parallel joins, and its clean
-        (untimesliced) per-shard timings feed the single-CPU LPT model
-        of the build benchmark.
-        """
-        return [_join_shard_worker(task) for task in tasks]
-
-
-def decode_partition_results(wires) -> List[PartitionResult]:
-    """Decode ``(pid, blob, seconds)`` wire triples into ordered
-    :class:`PartitionResult`\\ s.
-
-    The shared parent half of every blob-returning executor (process,
-    threads, rpc) — one place to evolve if the wire shape changes. The
-    blob is kept on the result for the parallel join to re-use.
-    """
-    from repro.storage.snapshot import snapshot_from_bytes
-
-    results = []
-    for pid, payload, seconds in wires:
-        results.append(
-            PartitionResult(
-                pid, snapshot_from_bytes(payload), seconds, len(payload), payload
-            )
-        )
-    results.sort(key=lambda r: r.pid)
-    return results
-
-
-class _PoolExecutor:
-    """Shared body of the ``concurrent.futures``-pool executors: ship
-    tasks to :attr:`pool_factory` workers, decode the blob results."""
-
-    #: ``ProcessPoolExecutor`` or ``ThreadPoolExecutor``
-    pool_factory = None
-
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
-
-    def _map(self, fn, tasks) -> list:
-        max_workers = min(self.workers, len(tasks))
-        with self.pool_factory(max_workers=max_workers) as pool:
-            return list(pool.map(fn, tasks))
-
-    def run(self, tasks) -> List[PartitionResult]:
-        """Execute ``tasks`` (one :class:`PartitionTask` per partition)
-        concurrently, preserving partition order."""
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        return decode_partition_results(
-            self._map(_partition_cover_worker, tasks)
-        )
-
-    def map_join(self, tasks) -> List[Tuple[int, Tuple, float]]:
-        """Run join-shard tasks over the pool."""
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        return self._map(_join_shard_worker, tasks)
-
-
-class ProcessExecutor(_PoolExecutor):
+class ProcessExecutor:
     """Fan partition builds out over a ``multiprocessing`` pool.
 
     Workers return CSR snapshot blobs; the parent decodes them.
     Partition covers are independent (the paper: the builds "can be
-    done concurrently"),
-    so no coordination beyond the final collection of results is
-    needed.
+    done concurrently"), so no coordination beyond the final collection
+    of results is needed.
     """
 
     name = "process"
-    pool_factory = ProcessPoolExecutor
+
+    def __init__(self, workers: int) -> None:
+        self.workers = workers
+
+    def run(self, tasks) -> List[PartitionResult]:
+        """Execute ``tasks`` (one :class:`PartitionTask` per partition)
+        concurrently; results come back in task order."""
+        from repro.storage.snapshot import snapshot_from_bytes
+
+        tasks = list(tasks)
+        if not tasks:
+            return []
+        with ProcessPoolExecutor(max_workers=min(self.workers, len(tasks))) as pool:
+            wires = list(pool.map(_partition_cover_worker, tasks))
+        return [
+            PartitionResult(pid, snapshot_from_bytes(blob), seconds)
+            for pid, blob, seconds in wires
+        ]
 
 
-class ThreadsExecutor(_PoolExecutor):
-    """Fan partition builds out over a ``ThreadPoolExecutor``.
-
-    Under today's GIL the pure-Python cover construction timeslices
-    rather than parallelises, but threads cost microseconds to spawn
-    (no interpreter fork, no pickled task channel), share the page
-    cache, and are the seam where per-interpreter-GIL workers will slot
-    in. The snapshot-encode/decode half of the work releases the GIL
-    in ``array``/``bytes`` block copies, so encode-heavy builds already
-    overlap. Workers run the exact blob path of the process executor,
-    so results are bit-identical to every other executor.
-    """
-
-    name = "threads"
-    pool_factory = ThreadPoolExecutor
-
-
-def make_executor(
-    executor: Optional[str],
-    workers: Optional[int],
-    *,
-    rpc_workers: Optional[Sequence[str]] = None,
-):
-    """Resolve an executor name + worker count to an executor instance.
-
-    ``None`` picks the natural default: ``rpc`` when worker addresses
-    were given, ``process`` when more than one worker was requested,
-    ``serial`` otherwise.
-    """
+def make_executor(workers: Optional[int]):
+    """The executor for a worker count: ``process`` when more than one
+    worker is asked for, ``serial`` otherwise."""
     workers = 1 if workers is None else workers
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if executor is None:
-        if rpc_workers:
-            executor = "rpc"
-        else:
-            executor = "process" if workers > 1 else "serial"
-    if executor not in EXECUTORS:
-        raise ValueError(f"unknown executor {executor!r}; one of {EXECUTORS}")
-    if executor == "rpc":
-        from repro.core.rpc import RpcExecutor
-
-        if not rpc_workers:
-            raise ValueError(
-                "executor 'rpc' needs worker addresses "
-                "(rpc_workers=[...] / --workers host:port,...)"
-            )
-        return RpcExecutor(rpc_workers)
-    if executor == "process":
-        return ProcessExecutor(workers)
-    if executor == "threads":
-        return ThreadsExecutor(workers)
-    return SerialExecutor()
+    return ProcessExecutor(workers) if workers > 1 else SerialExecutor()
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +222,7 @@ class BuildPipeline:
     The one place the full offline build flow lives;
     :meth:`repro.core.hopi.HopiIndex.build` is a thin wrapper around
     it. All knobs of the facade are accepted here with the same
-    semantics, plus the executor selection:
+    semantics:
 
     Args:
         collection: the XML collection to index.
@@ -359,7 +232,7 @@ class BuildPipeline:
             ``"closure"``/``"closure-size"`` or ``"single"``.
         partition_limit: max elements (node-weight) or closure
             connections (closure) per partition; defaults derived from
-            the collection when omitted.
+            the collection when omitted; must be >= 1.
         edge_weight: ``"links"``, ``"AxD"`` or ``"A+D"``.
         distance: build a distance-aware cover (Section 5).
         preselect_centers: force cross-partition link targets as
@@ -369,17 +242,8 @@ class BuildPipeline:
         backend: accepted and ignored — there is one label
             representation; ``perf/`` still passes the argument and may
             not be edited in the PR that retired the option.
-        workers: worker count for the pool executors; ``None``/1 means
-            serial.
-        executor: ``"serial"``, ``"process"``, ``"threads"`` or
-            ``"rpc"``; default derived from ``workers`` /
-            ``rpc_workers``.
-        rpc_workers: ``host:port`` addresses of ``repro build-worker``
-            daemons (required for — and implying — the rpc executor).
-        join_shards: shard count for the recursive join's parallel
-            distribution step; default = the executor's worker count,
-            ``1`` forces the serial join. Covers are identical for
-            every value.
+        workers: size of the process pool covering partitions;
+            ``None``/1 means serial.
     """
 
     def __init__(
@@ -396,9 +260,6 @@ class BuildPipeline:
         seed: int = 0,
         backend: Optional[str] = None,
         workers: Optional[int] = None,
-        executor: Optional[str] = None,
-        rpc_workers: Optional[Sequence[str]] = None,
-        join_shards: Optional[int] = None,
     ) -> None:
         if strategy not in _STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; one of {_STRATEGIES}")
@@ -407,8 +268,8 @@ class BuildPipeline:
             raise ValueError(
                 f"unknown edge weight {edge_weight!r}; one of {_EDGE_WEIGHTS}"
             )
-        if join_shards is not None and join_shards < 1:
-            raise ValueError("join_shards must be >= 1")
+        if partition_limit is not None and partition_limit < 1:
+            raise ValueError("partition_limit must be >= 1")
         self.collection = collection
         self.strategy = strategy
         self.partitioner = partitioner
@@ -418,11 +279,7 @@ class BuildPipeline:
         self.preselect_centers = preselect_centers
         self.psg_node_limit = psg_node_limit
         self.seed = seed
-        self.executor = make_executor(executor, workers, rpc_workers=rpc_workers)
-        self.workers = getattr(self.executor, "workers", 1)
-        self.join_shards = (
-            join_shards if join_shards is not None else self.workers
-        )
+        self.executor = make_executor(workers)
 
     # -- phase 1 --------------------------------------------------------
     @property
@@ -430,7 +287,7 @@ class BuildPipeline:
         """The limit phase 1 partitions with: the explicit
         ``partition_limit`` when given, else the partitioner's default
         derived from the collection (``None``: ``single`` has none)."""
-        if self.partition_limit or self.partitioner == "single":
+        if self.partition_limit is not None or self.partitioner == "single":
             return self.partition_limit
         elements = self.collection.num_elements
         if self.partitioner == "node_weight":
@@ -511,57 +368,22 @@ class BuildPipeline:
     # -- phase 3 --------------------------------------------------------
     def join(self, partitioning: Partitioning, partition_covers: Sequence) -> object:
         """Merge the partition covers along the cross-partition links."""
-        cover, _ = self._join_with_stats(partitioning, partition_covers)
-        return cover
-
-    def _join_with_stats(
-        self,
-        partitioning: Partitioning,
-        partition_covers: Sequence,
-        partition_blobs: Optional[Dict[int, bytes]] = None,
-    ) -> Tuple[object, Optional[ParallelJoinStats]]:
-        """Phase 3 plus its per-phase accounting.
-
-        The incremental and distance joins are inherently sequential
-        (every link insertion reads the cover the previous one wrote),
-        so only the recursive strategy's distribution step shards; for
-        it, ``join_shards == 1`` is the plain serial join.
-        """
         if self.distance:
             # Section 5 notes the build algorithms carry over; the
             # recursive join's H̄ has no distance analogue in the paper,
             # so distance builds use the incremental join to a fixpoint.
-            return (
-                join_covers_incremental_distance(
-                    partition_covers, partitioning.cross_links
-                ),
-                None,
+            return join_covers_incremental_distance(
+                partition_covers, partitioning.cross_links
             )
         if self.strategy == "incremental":
-            return (
-                join_covers_incremental(
-                    partition_covers, partitioning.cross_links
-                ),
-                None,
+            return join_covers_incremental(
+                partition_covers, partitioning.cross_links
             )
-        if self.join_shards > 1:
-            return join_covers_recursive_parallel(
-                self.collection,
-                partitioning,
-                partition_covers,
-                executor=self.executor,
-                join_shards=self.join_shards,
-                psg_node_limit=self.psg_node_limit,
-                partition_blobs=partition_blobs,
-            )
-        return (
-            join_covers_recursive(
-                self.collection,
-                partitioning,
-                partition_covers,
-                psg_node_limit=self.psg_node_limit,
-            ),
-            None,
+        return join_covers_recursive(
+            self.collection,
+            partitioning,
+            partition_covers,
+            psg_node_limit=self.psg_node_limit,
         )
 
     # -- the whole flow -------------------------------------------------
@@ -604,11 +426,7 @@ class BuildPipeline:
         seconds_partition_covers = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        cover, join_stats = self._join_with_stats(
-            partitioning,
-            [r.cover for r in results],
-            {r.pid: r.wire for r in results if r.wire is not None},
-        )
+        cover = self.join(partitioning, [r.cover for r in results])
         seconds_join = time.perf_counter() - t0
 
         stats = BuildStats(
@@ -622,17 +440,11 @@ class BuildPipeline:
             cover_size=cover.size,
             num_nodes=len(cover.nodes),
             seconds_total=time.perf_counter() - start,
-            workers=self.workers,
+            workers=self.executor.workers,
             executor=self.executor.name,
             seconds_partitioning=seconds_partitioning,
             seconds_partition_covers=seconds_partition_covers,
             seconds_join=seconds_join,
             partition_cover_seconds=[r.seconds for r in results],
         )
-        if join_stats is not None:
-            stats.join_shards = join_stats.shards
-            stats.seconds_join_union = join_stats.seconds_union
-            stats.seconds_join_psg = join_stats.seconds_psg
-            stats.seconds_join_distribute = join_stats.seconds_distribute
-            stats.join_shard_seconds = list(join_stats.shard_seconds)
         return cover, stats

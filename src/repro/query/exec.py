@@ -68,19 +68,12 @@ class ExecContext:
         probe: optional forward-probe substitute (the serving tier's
             per-epoch coalescing cache); ``None`` probes the index
             directly.
-        first_filter: optional predicate over the element bound at
-            step position 0. When given, only bindings whose *first*
-            element passes are produced — the shard serving tier uses
-            this to restrict a query to the tuples a shard owns
-            (ownership is decided by the first binding's document)
-            without post-filtering a full evaluation.
     """
 
-    def __init__(self, engine, index, probe=None, first_filter=None) -> None:
+    def __init__(self, engine, index, probe=None) -> None:
         self.engine = engine
         self.index = index
         self.probe = probe
-        self.first_filter = first_filter
         self.elements = engine.collection.elements
         self._forward: Dict[Tuple[ElementId, Tuple[str, bool]], List[int]] = {}
         self._backward: Dict[Tuple[ElementId, Tuple[str, bool]], List[ElementId]] = {}
@@ -221,19 +214,15 @@ def _gate(
     ctx: ExecContext, plan: PhysicalPlan, position: int
 ) -> Optional[Callable[[ElementId], bool]]:
     """The admission test of one step position, or ``None`` when every
-    candidate passes: the absolute-path anchor and the context's
-    ``first_filter`` (position 0 only), then the position's
-    ``[predicate]`` filters."""
+    candidate passes: the absolute-path anchor (position 0 only), then
+    the position's ``[predicate]`` filters."""
     filters = plan.filters_at(position)
     anchored = position == 0 and plan.expr.steps[0].axis == "child"
-    first = ctx.first_filter if position == 0 else None
-    if not (filters or anchored or first):
+    if not (filters or anchored):
         return None
 
     def admits(element: ElementId) -> bool:
         if anchored and not ctx.anchor_ok(element):
-            return False
-        if first is not None and not first(element):
             return False
         return ctx.filters_ok(element, filters)
 
@@ -354,9 +343,9 @@ def _reduce(
     tuples: ``below[p][a]`` lists the admitted elements of position
     ``p + 1`` that ``a`` (admitted at ``p``) joins to, in rank order,
     and the returned heads are position 0's survivors in rank order.
-    Each element is admitted (anchor, ``first_filter``, predicates) at
-    most once per position. A plan seeded at 0 reduces nothing and its
-    heads stay a lazy scan.
+    Each element is admitted (anchor, predicates) at most once per
+    position. A plan seeded at 0 reduces nothing and its heads stay a
+    lazy scan.
     """
     steps = plan.expr.steps
     seed = plan.ops[0].position

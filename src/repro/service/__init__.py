@@ -22,14 +22,7 @@ index:
   admission control (structured 429/503 shedding, per-endpoint
   deadlines);
 * :mod:`repro.service.telemetry` — counters, per-endpoint latency
-  histograms and live gauges behind ``/v1/metrics``;
-* :mod:`repro.service.shard` — horizontally sharded serving: a
-  :class:`~repro.service.shard.ShardRouter` (a :class:`QueryService`
-  subclass) scatter-gathers every ``/v1`` request over per-shard
-  :class:`QueryService`\\ s (in-process or on ``repro build-worker``
-  daemons via the rpc ``S`` frames) with bit-identical answers,
-  MVCC-generation rolling hot-swap and an explicit degraded mode —
-  ``repro serve --shards N``.
+  histograms and live gauges behind ``/v1/metrics``.
 
 The ``read-cold``, ``read-hot`` and ``write-mixed`` workloads of
 ``perf/`` (see ``BENCHMARK.json``) measure this tier over real HTTP.
@@ -46,14 +39,6 @@ from repro.service.coalesce import CoalescingCache
 from repro.service.epoch import EpochHolder, EpochState
 from repro.service.telemetry import Telemetry
 from repro.service.service import QueryResponse, QueryService, UpdateError
-from repro.service.shard import (
-    ShardRegistry,
-    ShardRouter,
-    ShardService,
-    ShardUnavailableError,
-    derive_shard_views,
-    shard_of,
-)
 
 __all__ = [
     "AsyncServerHandle",
@@ -69,10 +54,4 @@ __all__ = [
     "QueryService",
     "QueryResponse",
     "UpdateError",
-    "ShardRegistry",
-    "ShardRouter",
-    "ShardService",
-    "ShardUnavailableError",
-    "derive_shard_views",
-    "shard_of",
 ]

@@ -34,10 +34,8 @@ answered it):
                                maintenance batch + hot swap (see
                                ``QueryService.update``)
 ``GET /v1/stats``              service counters, cache stats, epoch
-``GET /v1/healthz``            liveness/readiness: epoch age, and —
-                               when serving sharded — per-shard
-                               reachability; 200 when ``status`` is
-                               ``ok``, 503 when ``degraded``
+``GET /v1/healthz``            liveness/readiness: epoch, epoch age,
+                               uptime and swap count
 ``GET /v1/metrics``            ops telemetry: per-endpoint latency
                                histograms, request/shed counters, cache
                                hit rates, epoch age, admission gauges
@@ -45,10 +43,7 @@ answered it):
 
 Errors are structured: ``{"error": {"code": "bad_request" |
 "not_found" | "internal", "message": "..."}}``; any path outside
-``/v1/<name>`` is a ``not_found``. A request a
-:class:`~repro.service.shard.ShardRouter` cannot answer because a shard
-is unreachable gets a **503** with ``"code": "shard_unavailable"``,
-``"degraded": true`` and ``"shards_down": [...]``.
+``/v1/<name>`` is a ``not_found``.
 
 To add an endpoint, write a ``_handle_<name>(params, body)`` method
 returning ``(status, payload)`` and list it in :data:`V1_ROUTES`.
@@ -67,7 +62,6 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.query.pathexpr import PathSyntaxError
 from repro.service.service import QueryService, UpdateError
-from repro.service.shard import ShardUnavailableError
 from repro.service.telemetry import Telemetry
 
 #: endpoints served under ``/v1/<name>``
@@ -98,9 +92,8 @@ def route(path: str) -> Optional[str]:
 class ServiceAPI:
     """Every ``/v1`` endpoint of one service, as plain method calls.
 
-    ``service`` is a :class:`QueryService` (a
-    :class:`~repro.service.shard.ShardRouter` is one); ``telemetry`` is
-    shared with the enclosing front end so admission-control gauges and
+    ``service`` is a :class:`QueryService`; ``telemetry`` is shared
+    with the enclosing front end so admission-control gauges and
     request histograms land in one ``/v1/metrics`` payload.
     """
 
@@ -153,8 +146,8 @@ class ServiceAPI:
         Returns ``(status, payload)`` — the complete response in both
         the success and every error case, so the front end only
         serialises.
-        Unknown paths map to 404, domain errors to 400, a dead shard to
-        a structured 503, anything unexpected to 500.
+        Unknown paths map to 404, domain errors to 400, anything
+        unexpected to 500.
         """
         name = route(url_path)
         if name is None:
@@ -164,14 +157,6 @@ class ServiceAPI:
         t0 = time.perf_counter()
         try:
             status, payload = getattr(self, f"_handle_{name}")(params, body)
-        except ShardUnavailableError as exc:
-            # a dead/unreachable shard degrades the request explicitly
-            # (structured 503) — the contract is "never a hang"
-            status, payload = 503, {
-                "error": {"code": "shard_unavailable", "message": str(exc)},
-                "degraded": True,
-                "shards_down": exc.shards,
-            }
         except (UpdateError, PathSyntaxError, KeyError, TypeError, ValueError) as exc:
             status, payload = 400, error_payload("bad_request", str(exc))
         except Exception as exc:  # pragma: no cover - defensive
@@ -266,15 +251,13 @@ class ServiceAPI:
         return 200, self.service.stats()
 
     def _handle_healthz(self, params, body) -> Tuple[int, Dict[str, Any]]:
-        payload = self.service.healthz()
-        return (200 if payload.get("status") == "ok" else 503), payload
+        return 200, self.service.healthz()
 
     def _handle_metrics(self, params, body) -> Tuple[int, Dict[str, Any]]:
         """Telemetry + cache hit rates + epoch age, in one payload.
 
-        Deliberately avoids :meth:`QueryService.healthz` — on a sharded
-        router it scatters to every shard, and ``/v1/metrics`` must
-        stay cheap and responsive even when shards are down.
+        Reads the service's published state directly, so
+        ``/v1/metrics`` stays cheap and responsive under overload.
         """
         payload = self.telemetry.snapshot()
         service = self.service

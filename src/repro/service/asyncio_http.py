@@ -31,8 +31,8 @@ the only one; ``repro serve`` runs it — is instead:
   and still warms the cache — only the response is given up on);
 * **control-plane exemption**: ``/v1/healthz`` and ``/v1/metrics``
   run on a dedicated two-thread pool with no admission gate, so
-  operators can always see queue depth, shed counts and per-shard
-  reachability — even mid-overload, even with a shard down.
+  operators can always see queue depth, shed counts and epoch age —
+  even mid-overload.
 
 Admission-control state machine (one request)::
 
@@ -111,14 +111,14 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 class AsyncServiceServer:
-    """The asyncio front end of one :class:`QueryService` (or router).
+    """The asyncio front end of one :class:`QueryService`.
 
     Construct, then either ``await start()`` inside a running loop or
     use :func:`start_in_thread` from synchronous code.
 
     Args:
-        service: the service (or :class:`~repro.service.shard.ShardRouter`)
-            to publish; shared with the endpoint core.
+        service: the service to publish; shared with the endpoint
+            core.
         max_inflight: worker threads evaluating requests concurrently.
         queue_depth: additional admitted requests allowed to wait for a
             worker slot before new arrivals are shed with 429.

@@ -36,13 +36,6 @@ the published reference. A generation that cannot be prepared is never
 logged, and a logged one is published, so a crashed server recovers
 exactly its latest acknowledged epoch on restart. The snapshot is
 checkpointed on an interval after the flip.
-
-The sharded router (:class:`repro.service.shard.ShardRouter`) is a
-subclass: it overrides how a generation is prepared (derive the shard
-views and install them) and how it answers (:meth:`_evaluate`,
-:meth:`_count_matches`, ``connected``/``distance`` scatter to the
-shards), and inherits everything else — the caches, the write path and
-the durability protocol exist once.
 """
 
 from __future__ import annotations
@@ -59,7 +52,7 @@ from repro.core.hopi import HopiIndex
 # UpdateError is re-exported because the HTTP API and callers import it
 # from the service package
 from repro.core.ops import UpdateError, apply_update_op
-from repro.query.engine import Probe, QueryEngine, QueryResult, StepKey
+from repro.query.engine import QueryEngine, QueryResult, StepKey
 from repro.query.ontology import TagOntology
 from repro.query.pathexpr import PathExpression
 from repro.query.planner import PreparedQuery
@@ -241,8 +234,6 @@ class QueryService:
         self._probe_cache_size = probe_cache_size
         self._plans = LRUCache(plan_cache_size)
         self._results = CoalescingCache(result_cache_size)
-        # the configuration above is set before the first _make_state:
-        # subclasses read it when they prepare a generation
         self._holder = EpochHolder(self._make_state(index.epoch, index))
         self._write_lock = threading.Lock()
         self._counter_lock = threading.Lock()
@@ -278,11 +269,6 @@ class QueryService:
             engine=engine,
             probes=CoalescingCache(self._probe_cache_size),
         )
-
-    def _probe_for(self, state: EpochState) -> Probe:
-        """The coalescing probe for one epoch (see :class:`_EpochProbe`
-        for the caching/batching contract)."""
-        return _EpochProbe(state)
 
     def _count(self, name: str) -> None:
         with self._counter_lock:
@@ -336,7 +322,10 @@ class QueryService:
         prepared = self._prepare(path)
         key = ("query", prepared.key, state.epoch)
         results, source = self._results.get_or_compute(
-            key, lambda: self._evaluate(state, prepared)
+            key,
+            lambda: state.engine.evaluate(
+                prepared, index=state.index, probe=_EpochProbe(state)
+            ),
         )
         total = len(results)
         if offset:
@@ -362,26 +351,13 @@ class QueryService:
         prepared = self._prepare(path)
         key = ("count", prepared.key, state.epoch)
         n, _ = self._results.get_or_compute(
-            key, lambda: self._count_matches(state, prepared)
+            key,
+            lambda: state.engine.count(
+                prepared, index=state.index, probe=_EpochProbe(state)
+            ),
         )
         self._count("count")
         return state.epoch, n
-
-    def _evaluate(
-        self, state: EpochState, prepared: PreparedQuery
-    ) -> List[QueryResult]:
-        """The full ranked result list of one generation (result-cache
-        miss path of :meth:`query`)."""
-        return state.engine.evaluate(
-            prepared, index=state.index, probe=self._probe_for(state)
-        )
-
-    def _count_matches(self, state: EpochState, prepared: PreparedQuery) -> int:
-        """The exact match count of one generation (result-cache miss
-        path of :meth:`count`)."""
-        return state.engine.count(
-            prepared, index=state.index, probe=self._probe_for(state)
-        )
 
     def explain(
         self, path: Union[str, PathExpression], *, mode: str = "evaluate"
@@ -569,8 +545,8 @@ class QueryService:
                     if self._durable.checkpoint_due():
                         self._durable.checkpoint(shadow)
         except BaseException as exc:
-            # preparing the generation failed (a shard install), or a
-            # crash hook / store failure fired mid-commit; the batches
+            # preparing the generation failed, or a crash hook / store
+            # failure fired mid-commit; the batches
             # were not (durably) published — surface the fault
             # to every caller still waiting instead of hanging them
             delivered = False
@@ -655,7 +631,6 @@ class QueryService:
         return {
             "status": "ok",
             "ready": True,
-            "sharded": False,
             "epoch": state.epoch,
             "epoch_age_seconds": time.time() - published_at,
             "uptime_seconds": time.time() - self._started,

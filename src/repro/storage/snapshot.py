@@ -28,7 +28,7 @@ Snapshots require integer node labels (element ids always are); covers
 over exotic hashables belong in the SQLite or memory stores.
 
 Beyond on-disk persistence the same encoding doubles as the **wire
-format of the parallel build pipeline** (:mod:`repro.core.pipeline`):
+format of the process-pool build** (:mod:`repro.core.pipeline`):
 :func:`snapshot_to_bytes` / :func:`snapshot_from_bytes` run the dump
 and load against an in-memory buffer, so a ``multiprocessing`` worker
 can return its partition cover to the parent as one compact, picklable
@@ -152,7 +152,7 @@ def load_snapshot(path: Union[str, Path]) -> Cover:
 def snapshot_to_bytes(cover: Cover) -> bytes:
     """The CSR encoding as one ``bytes`` blob.
 
-    The parallel build pipeline's wire format: workers encode their
+    The process-pool build's wire format: workers encode their
     partition cover with this and ship the blob through the process
     pool's pickle channel — one contiguous buffer instead of thousands
     of small array objects.
@@ -175,10 +175,10 @@ def canonical_snapshot_bytes(cover) -> bytes:
     is re-represented with nodes interned in sorted order and entries
     inserted in sorted order, so **any two covers with equal node
     universes and label-entry sets encode to identical bytes** —
-    regardless of executor, worker count or join shard count (and for
-    the test oracle too: only ``nodes`` / ``entries()`` are read). The
-    equivalence test suite and the CI rpc-smoke job rely on this to
-    diff whole builds with one byte comparison.
+    regardless of executor or worker count (and for the test oracle
+    too: only ``nodes`` / ``entries()`` are read). The equivalence test
+    suite and the CI parallel-build-smoke job rely on this to diff
+    whole builds with one byte comparison.
     """
     factory = DistanceTwoHopCover if cover.is_distance_aware else TwoHopCover
     fresh = factory(sorted(cover.nodes))

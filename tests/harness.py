@@ -6,10 +6,6 @@ Test code reads as ``harness.open_loop_burst(...)``:
   expressions; every request compiles and evaluates a plan the result
   cache has never seen (the convoy that produced the 25000x p99/p50
   gap the asyncio front end attacks);
-* :func:`slow_shard` / :func:`dead_shard` — context managers that
-  degrade one shard of a live :class:`~repro.service.shard.ShardRouter`
-  by wrapping its transport client (added latency, or hard
-  :class:`~repro.service.shard.ShardUnavailableError`);
 * :func:`open_loop_burst` — an open-loop load generator: requests fire
   on schedule *regardless of completions* (closed-loop clients
   self-throttle and can never observe queue collapse), every response
@@ -20,7 +16,7 @@ Test code reads as ``harness.open_loop_burst(...)``:
   latency measurement;
 * :func:`run_hot_swap_under_load` — readers at full speed while update
   batches hot-swap the index, every answer checked against an offline
-  per-epoch oracle (works on a ``QueryService`` or a ``ShardRouter``);
+  per-epoch oracle;
 * :func:`raw_exchange` — raw bytes in, every response out, for
   requests no HTTP client library will send (malformed heads).
 
@@ -38,11 +34,8 @@ import re
 import socket
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
-
-from repro.service.shard import ShardRouter, ShardUnavailableError
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: the dblp_like tag vocabulary (see ``repro.xmlmodel.generator``):
 #: children of ``article`` usable as existence predicates, and tags
@@ -88,81 +81,6 @@ def cold_miss_paths(n: int, *, seed: int = 0) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# shard degradation (wrap one transport client of a live router)
-# ---------------------------------------------------------------------------
-
-
-class _SlowClient:
-    """Delegating shard client that sleeps before every request."""
-
-    def __init__(self, inner: Any, delay: float) -> None:
-        self._inner = inner
-        self.delay = delay
-        self.shard_id = inner.shard_id
-        self.address = getattr(inner, "address", None)
-
-    def request(self, payload: Dict[str, Any]) -> Any:
-        time.sleep(self.delay)
-        return self._inner.request(payload)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._inner, name)
-
-
-class _DeadClient:
-    """Delegating shard client whose transport is hard down."""
-
-    def __init__(self, inner: Any) -> None:
-        self._inner = inner
-        self.shard_id = inner.shard_id
-        self.address = getattr(inner, "address", None)
-
-    def request(self, payload: Dict[str, Any]) -> Any:
-        raise ShardUnavailableError(
-            [self.shard_id],
-            f"shard {self.shard_id} killed by fault injection",
-        )
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._inner, name)
-
-
-@contextmanager
-def slow_shard(
-    router: ShardRouter, shard_id: int, delay: float
-) -> Iterator[None]:
-    """Add ``delay`` seconds to every request one shard answers.
-
-    The router's fan-out deadline still applies, so a slow-enough shard
-    turns into a structured degraded answer — exactly the production
-    failure mode (GC pause, overloaded worker) this simulates.
-    """
-    original = router._clients[shard_id]
-    router._clients[shard_id] = _SlowClient(original, delay)
-    try:
-        yield
-    finally:
-        router._clients[shard_id] = original
-
-
-@contextmanager
-def dead_shard(router: ShardRouter, shard_id: int) -> Iterator[None]:
-    """Make one shard hard-unreachable for the duration of the block.
-
-    Scatter requests that need the shard raise
-    :class:`ShardUnavailableError` (→ structured 503 with
-    ``shards_down``); soft-scatter probes (stats/healthz) report the
-    shard unreachable instead of failing.
-    """
-    original = router._clients[shard_id]
-    router._clients[shard_id] = _DeadClient(original)
-    try:
-        yield
-    finally:
-        router._clients[shard_id] = original
-
-
-# ---------------------------------------------------------------------------
 # HTTP load generation
 # ---------------------------------------------------------------------------
 
@@ -204,7 +122,7 @@ class BurstReport:
 
     @property
     def degraded(self) -> int:
-        """Requests answered 503 (deadline missed / shard down)."""
+        """Requests answered 503 (deadline missed)."""
         return self.count(503)
 
     @property
@@ -510,7 +428,7 @@ def closed_loop_clients(
 
 
 # ---------------------------------------------------------------------------
-# hot swap under load (in-process; a QueryService or a ShardRouter)
+# hot swap under load (in-process, on a QueryService)
 # ---------------------------------------------------------------------------
 
 

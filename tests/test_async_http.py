@@ -5,16 +5,13 @@ The contract under test is the tentpole of the async front-end work:
 1. **Bit-identical responses.** The front end adds nothing to what
    :class:`~repro.service.api.ServiceAPI` answers; the differential
    suite here proves it observationally — direct ``dispatch`` calls
-   against HTTP, every endpoint, success and error, unsharded and
-   sharded, field for field (volatile timing fields normalised, never
-   dropped) — and pins the transport-only 400s.
+   against HTTP, every endpoint, success and error, field for field
+   (volatile timing fields normalised, never dropped) — and pins the
+   transport-only 400s.
 2. **Structured overload.** Open-loop bursts beyond capacity must
    produce *only* 200/429/503, every non-200 carrying the structured
    error body, with zero hung requests — including while a writer
    hot-swaps epochs mid-burst.
-3. **Degraded, not dead.** With a shard killed under load, the data
-   plane answers structured 503s while ``/v1/metrics`` and
-   ``/v1/healthz`` stay responsive on the control pool.
 
 Timing-sensitive assertions use generous bounds when ``CI`` is set.
 """
@@ -33,7 +30,7 @@ import pytest
 
 import harness
 from repro.core.hopi import HopiIndex
-from repro.service import QueryService, ServiceAPI, ShardRouter
+from repro.service import QueryService, ServiceAPI
 from repro.service.asyncio_http import start_in_thread
 from repro.service.telemetry import percentile
 from repro.xmlmodel.generator import dblp_like
@@ -238,11 +235,6 @@ def run_parity(make_service):
 class TestDifferentialParity:
     def test_unsharded(self, base_index):
         run_parity(lambda: QueryService(base_index.copy()))
-
-    def test_sharded(self, base_index):
-        run_parity(
-            lambda: ShardRouter(base_index.copy(), 2, max_results=40)
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -477,81 +469,6 @@ class TestPerClientFairness:
                 assert status == 200, (client, payload)
             _, metrics = fetch(handle.base_url, "/v1/metrics")
             assert metrics["shed"]["client_cap"] == 0
-
-
-# ---------------------------------------------------------------------------
-# shard fault injection
-# ---------------------------------------------------------------------------
-
-
-class TestShardFaults:
-    def test_dead_shard_degrades_but_control_plane_lives(self, base_index):
-        """Kill one shard under load: the data plane answers structured
-        shard_unavailable 503s, and /v1/metrics + /v1/healthz stay
-        responsive throughout."""
-        router = ShardRouter(
-            base_index.copy(), 2, max_results=40, fanout_timeout=5.0
-        )
-        with router, start_in_thread(router, max_inflight=4) as handle:
-            host, port = handle.address
-            # baseline: healthy answers
-            status, _ = fetch(handle.base_url, "/v1/query?path=//article//author")
-            assert status == 200
-
-            with harness.dead_shard(router, 1):
-                report = harness.open_loop_burst(
-                    host, port,
-                    ["/v1/query?path=//article//author",
-                     "/v1/count?path=//article//cite"],
-                    rate=40.0, duration=0.5, timeout=15.0,
-                )
-                t0 = time.perf_counter()
-                status_m, metrics = fetch(handle.base_url, "/v1/metrics")
-                status_h, health = fetch(handle.base_url, "/v1/healthz")
-                control_elapsed = time.perf_counter() - t0
-
-            assert report.hung == 0, report.summary()
-            assert report.unstructured == 0, report.summary()
-            # every data-plane answer during the outage is a structured
-            # 503 naming the dead shard (cached responses may still be
-            # 200 — the outage only breaks scatters)
-            degraded = [o for o in report.outcomes if o.status == 503]
-            assert degraded, report.summary()
-            assert all(
-                o.error_code == "shard_unavailable" for o in degraded
-            )
-            assert status_m == 200
-            assert status_h == 503  # degraded, but *answered*
-            assert health["status"] == "degraded"
-            assert 1 in health.get("shards_down", [])
-            bound = 8.0 if IN_CI else 6.0
-            assert control_elapsed < bound, control_elapsed
-
-            # recovery: pulling the fault restores 200s
-            status, _ = fetch(
-                handle.base_url, "/v1/count?path=//article//author"
-            )
-            assert status == 200
-
-    def test_slow_shard_hits_fanout_deadline(self, base_index):
-        """A shard slower than the fan-out deadline turns into a
-        structured degraded answer, not a hang."""
-        router = ShardRouter(
-            base_index.copy(), 2, max_results=40, fanout_timeout=0.2
-        )
-        with router, start_in_thread(router, max_inflight=4) as handle:
-            with harness.slow_shard(router, 0, delay=2.0):
-                t0 = time.perf_counter()
-                status, payload = fetch(
-                    handle.base_url, "/v1/query?path=//article//cite"
-                )
-                elapsed = time.perf_counter() - t0
-            assert status == 503
-            assert payload["error"]["code"] == "shard_unavailable"
-            assert payload["degraded"] is True
-            assert 0 in payload["shards_down"]
-            bound = 10.0 if IN_CI else 3.0
-            assert elapsed < bound, elapsed
 
 
 # ---------------------------------------------------------------------------

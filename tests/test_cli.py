@@ -1,11 +1,12 @@
 """Tests for the command-line interface."""
 
+import argparse
 import os
 import pathlib
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 @pytest.fixture
@@ -64,11 +65,39 @@ def test_backend_flag_in_help(index_path, capsys):
 
 
 def test_serve_shard_flags_in_help(capsys):
-    with pytest.raises(SystemExit):
-        main(["serve", "--help"])
-    out = capsys.readouterr().out
-    assert "--shards" in out
-    assert "--shard-workers" in out
+    """Sharded serving, the build executors beyond the process pool and
+    the sharded join are gone: no help text names them, and the worker
+    daemon subcommand is no longer listed."""
+    texts = {}
+    for argv in (["--help"], ["build", "--help"], ["serve", "--help"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+        texts[argv[0]] = capsys.readouterr().out
+    for flag in ("--shards", "--shard-workers", "--executor", "--join-shards"):
+        assert not any(flag in text for text in texts.values()), flag
+    assert "worker" not in texts["--help"]
+    commands = next(
+        action.choices for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert set(commands) == {
+        "build", "generate", "query", "connected", "stats", "serve",
+        "delete-doc", "verify", "ingest",
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["--workers", "0"], ["--workers", "-3"], ["--workers", "two"],
+    ["--partition-limit", "0"], ["--partition-limit", "-5"],
+])
+def test_bad_build_sizes_are_usage_errors(corpus, tmp_path, capsys, argv):
+    """A bad pool size or partition limit is an argparse usage error
+    (exit 2), not a traceback from deep inside the build."""
+    with pytest.raises(SystemExit) as exc:
+        main(["build", str(corpus), "-o", str(tmp_path / "x.db")] + argv)
+    assert exc.value.code == 2
+    assert argv[0] in capsys.readouterr().err
+    assert not (tmp_path / "x.db").exists()
 
 
 def test_invalid_backend_rejected(corpus, index_path, tmp_path, capsys):

@@ -1,9 +1,8 @@
 """Fuzzing the HTTP request parser: malformed requests must never wedge
 the front end.
 
-The contract (``repro/service/asyncio_http.py``) mirrors the rpc
-worker's (``tests/test_rpc_fuzz.py``): any raw request — junk methods
-and targets, missing CRLFs, huge, negative or non-numeric
+The contract (``repro/service/asyncio_http.py``): any raw request —
+junk methods and targets, missing CRLFs, huge, negative or non-numeric
 ``Content-Length``, truncated bodies, lines over the stream limit —
 ends in a JSON response with the structured error shape or a clean
 close, **never** a hang and never an exception escaping the connection

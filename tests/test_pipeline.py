@@ -1,8 +1,8 @@
-"""The parallel build pipeline: serial vs process-pool equivalence.
+"""The build pipeline: serial vs process-pool equivalence.
 
 The pipeline's contract (module docstring of :mod:`repro.core.pipeline`)
-is that the final cover's label entries are **bit-identical** across
-executors and worker counts. This suite pins that on seeded random
+is that the final cover's label entries are **bit-identical** for every
+worker count. This suite pins that on seeded random
 collections — after the build, and after a round of Section-6
 maintenance applied in lock-step to a serially-built and a
 parallel-built index — plus the wire format round-trip and the executor
@@ -22,12 +22,10 @@ from cover_oracle import index_in_state
 from repro.core.cover_builder import build_partition_cover
 from repro.core.hopi import HopiIndex
 from repro.core.pipeline import (
-    EXECUTORS,
     BuildPipeline,
     PartitionTask,
     ProcessExecutor,
     SerialExecutor,
-    ThreadsExecutor,
     _partition_cover_worker,
     make_executor,
     normalize_partitioner,
@@ -182,25 +180,31 @@ def test_worker_function_is_self_contained():
 
 
 def test_executor_resolution():
-    assert isinstance(make_executor(None, None), SerialExecutor)
-    assert isinstance(make_executor(None, 1), SerialExecutor)
-    assert isinstance(make_executor(None, 4), ProcessExecutor)
-    assert isinstance(make_executor("serial", 4), SerialExecutor)
-    proc = make_executor("process", 1)
-    assert isinstance(proc, ProcessExecutor) and proc.workers == 1
-    thr = make_executor("threads", 3)
-    assert isinstance(thr, ThreadsExecutor) and thr.workers == 3
-    assert set(EXECUTORS) == {"serial", "process", "threads", "rpc"}
-    with pytest.raises(ValueError):
-        make_executor("fibers", 2)
-    with pytest.raises(ValueError):
-        make_executor(None, 0)
-    with pytest.raises(ValueError):
-        make_executor("rpc", None)  # rpc needs worker addresses
-    rpc = make_executor("rpc", None, rpc_workers=["127.0.0.1:9123"])
-    assert rpc.name == "rpc" and rpc.workers == 1
-    # addresses alone imply the rpc executor
-    assert make_executor(None, None, rpc_workers=["h:1", "h:2"]).name == "rpc"
+    """The worker count alone picks the executor."""
+    assert isinstance(make_executor(None), SerialExecutor)
+    assert isinstance(make_executor(1), SerialExecutor)
+    proc = make_executor(4)
+    assert isinstance(proc, ProcessExecutor) and proc.workers == 4
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            make_executor(bad)
+        with pytest.raises(ValueError):
+            BuildPipeline(random_collection(8, n_docs=3), workers=bad)
+
+
+@pytest.mark.parametrize("limit", [0, -5])
+def test_partition_limit_below_one_is_rejected(limit):
+    """Regression: ``partition_limit=0`` used to fall back to the
+    derived default silently (the limit was tested for truthiness), and
+    a negative one failed deep inside the partitioner."""
+    collection = random_collection(8, n_docs=3)
+    for partitioner in ("closure", "node_weight"):
+        with pytest.raises(ValueError, match="partition_limit"):
+            BuildPipeline(collection, partitioner=partitioner,
+                          partition_limit=limit)
+        with pytest.raises(ValueError, match="partition_limit"):
+            HopiIndex.build(collection, partitioner=partitioner,
+                            partition_limit=limit)
 
 
 def test_partitioner_aliases():
@@ -295,195 +299,43 @@ def test_closure_partitioner_oversized_doc_warns_not_fails():
 
 
 # ---------------------------------------------------------------------------
-# executor × join-shard equivalence (the PR-4 contract)
+# serial × process byte identity
 # ---------------------------------------------------------------------------
 
-
-@pytest.fixture(scope="module")
-def rpc_loopback():
-    """Two loopback `repro build-worker` daemons on ephemeral ports."""
-    from repro.core.rpc import start_worker_thread
-
-    servers, addresses = [], []
-    for _ in range(2):
-        server, address = start_worker_thread()
-        servers.append(server)
-        addresses.append(address)
-    yield addresses
-    for server in servers:
-        server.shutdown()
-        server.server_close()
-
-
-def build_kwargs_matrix(rpc_addresses):
-    """Every executor flavour the pipeline supports."""
-    return [
-        ("serial", dict(executor="serial")),
-        ("threads", dict(executor="threads", workers=2)),
-        ("process", dict(executor="process", workers=2)),
-        ("rpc-loopback", dict(executor="rpc", rpc_workers=list(rpc_addresses))),
-    ]
+#: build flavours of the identity matrix: the two partitioned joins and
+#: the distance-aware build
+FLAVOURS = {
+    "recursive": dict(strategy="recursive"),
+    "incremental": dict(strategy="incremental"),
+    "distance": dict(distance=True),
+}
 
 
 @pytest.mark.parametrize("state", ["sets", "arrays"])
+@pytest.mark.parametrize("flavour", sorted(FLAVOURS))
 @pytest.mark.parametrize("seed", [12, 13])
-def test_executor_and_shard_count_equivalence(state, seed, rpc_loopback):
-    """Snapshots are byte-identical across {serial, threads, process,
-    rpc-loopback} × join shards {1, 2, 7}, as built and through the
-    oracle."""
-    options = dict(
-        strategy="recursive", partitioner="node_weight", partition_limit=12,
-    )
+def test_serial_and_process_snapshots_identical(state, flavour, seed):
+    """Canonical snapshots are byte-identical for serial and process
+    builds with 2 and 3 workers, as built and after one round of
+    Section-6 maintenance, both as built and through the oracle."""
+    options = dict(partitioner="node_weight", partition_limit=12,
+                   **FLAVOURS[flavour])
     baseline = build(random_collection(seed, n_docs=5), state, **options)
     baseline_blob = canonical_snapshot_bytes(baseline.cover)
     baseline.verify()
-    for name, kwargs in build_kwargs_matrix(rpc_loopback):
-        for shards in (1, 2, 7):
-            index = build(
-                random_collection(seed, n_docs=5), state,
-                join_shards=shards, **options, **kwargs,
-            )
-            blob = canonical_snapshot_bytes(index.cover)
-            assert blob == baseline_blob, (
-                f"{name} × join_shards={shards} diverged on {state}"
-            )
-            assert index.stats.join_shards == shards
-
-
-def test_parallel_join_stats_recorded():
-    pipeline = BuildPipeline(
-        random_collection(14),
-        partitioner="node_weight",
-        partition_limit=12,
-        executor="threads",
-        workers=2,
-        join_shards=2,
-    )
-    cover, stats = pipeline.run()
-    assert stats.join_shards == 2
-    assert stats.executor == "threads"
-    # union + psg + distribute walls are inside the join wall
-    assert stats.seconds_join >= (
-        stats.seconds_join_union + stats.seconds_join_psg
-    )
-    assert stats.seconds_join >= stats.seconds_join_distribute
-    if stats.num_cross_links:
-        assert stats.join_shard_seconds  # at least one shard ran
-        assert len(stats.join_shard_seconds) <= 2
-    assert cover.size == stats.cover_size
-
-
-def test_join_shards_one_is_serial_join():
-    index = HopiIndex.build(
-        random_collection(15), partitioner="node_weight",
-        partition_limit=12, workers=2, join_shards=1,
-    )
-    assert index.stats.join_shards == 1
-    assert index.stats.join_shard_seconds == []
-    index.verify()
-
-
-# ---------------------------------------------------------------------------
-# rpc executor plumbing
-# ---------------------------------------------------------------------------
-
-
-def test_rpc_frame_roundtrip():
-    import io
-
-    from repro.core.rpc import OP_RESULT, recv_frame, send_frame
-
-    buf = io.BytesIO()
-    send_frame(buf, OP_RESULT, b"payload-bytes")
-    buf.seek(0)
-    opcode, payload = recv_frame(buf)
-    assert opcode == OP_RESULT and payload == b"payload-bytes"
-    with pytest.raises(EOFError):
-        recv_frame(io.BytesIO())  # clean EOF
-    with pytest.raises(ConnectionError):
-        recv_frame(io.BytesIO(b"R\x01"))  # truncated header
-
-
-def test_rpc_parse_address():
-    from repro.core.rpc import parse_address
-
-    assert parse_address("10.0.0.5:9123") == ("10.0.0.5", 9123)
-    assert parse_address("localhost:0") == ("localhost", 0)
-    for bad in ("nohost", ":80", "h:not-a-port"):
-        with pytest.raises(ValueError):
-            parse_address(bad)
-
-
-def test_rpc_executor_validation():
-    from repro.core.rpc import RpcExecutor
-
-    with pytest.raises(ValueError):
-        RpcExecutor([])
-    with pytest.raises(ValueError):
-        RpcExecutor(["no-port-here"])
-    ex = RpcExecutor([" 127.0.0.1:1 ", "127.0.0.1:2"])
-    assert ex.workers == 2 and ex.addresses == ["127.0.0.1:1", "127.0.0.1:2"]
-
-
-def test_rpc_worker_ping_and_task_error(rpc_loopback):
-    from repro.core.rpc import (
-        OP_COVER,
-        RpcExecutor,
-        RpcWorkerError,
-        _WorkerConnection,
-    )
-
-    executor = RpcExecutor(rpc_loopback)
-    assert executor.ping() == list(rpc_loopback)
-
-    # a task that raises inside the worker comes back as RpcWorkerError
-    # (and the daemon keeps serving afterwards)
-    conn = _WorkerConnection(rpc_loopback[0])
-    try:
-        with pytest.raises(RpcWorkerError) as err:
-            conn.call(OP_COVER, "not a PartitionTask")
-        assert "worker" in str(err.value)
-    finally:
-        conn.close()
-    assert executor.ping() == list(rpc_loopback)
-
-
-def test_rpc_failover_to_surviving_worker(rpc_loopback):
-    """A dead worker address is retired; the survivors run the build."""
-    import socket
-
-    from repro.core.rpc import RpcExecutor
-
-    # reserve-and-release a port so the first address refuses connections
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        dead = f"127.0.0.1:{s.getsockname()[1]}"
-    collection = random_collection(16, n_docs=5)
-    index = HopiIndex.build(
-        collection, partitioner="node_weight", partition_limit=12,
-        executor="rpc", rpc_workers=[dead, rpc_loopback[0]], join_shards=2,
-    )
-    serial = HopiIndex.build(
-        random_collection(16, n_docs=5), partitioner="node_weight",
-        partition_limit=12,
-    )
-    assert entries_of(index) == entries_of(serial)
-
-
-def test_rpc_all_workers_unreachable_fails_loudly():
-    import socket
-
-    from repro.core.rpc import RpcExecutor
-
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        dead = f"127.0.0.1:{s.getsockname()[1]}"
-    with pytest.raises(OSError):
-        HopiIndex.build(
-            random_collection(17, n_docs=4),
-            partitioner="node_weight", partition_limit=12,
-            executor="rpc", rpc_workers=[dead],
+    maintenance_round(baseline, seed=seed)
+    maintained_blob = canonical_snapshot_bytes(baseline.cover)
+    for workers in (2, 3):
+        index = build(
+            random_collection(seed, n_docs=5), state, workers=workers,
+            **options,
         )
+        assert index.stats.executor == "process"
+        assert index.stats.workers == workers
+        assert canonical_snapshot_bytes(index.cover) == baseline_blob, workers
+        maintenance_round(index, seed=seed)
+        assert canonical_snapshot_bytes(index.cover) == maintained_blob, workers
+    baseline.verify()
 
 
 def test_canonical_snapshot_bytes_is_order_insensitive():
@@ -500,46 +352,3 @@ def test_canonical_snapshot_bytes_is_order_insensitive():
     assert canonical_snapshot_bytes(a) == canonical_snapshot_bytes(b)
     b.add_lout(2, 3)
     assert canonical_snapshot_bytes(a) != canonical_snapshot_bytes(b)
-
-
-def test_rpc_failover_on_mid_task_disconnect(rpc_loopback):
-    """Regression: a worker that dies *mid-task* (clean FIN after
-    reading the request) used to kill its puller thread with an
-    uncaught EOFError and hang the build; it must be retired and its
-    task re-dealt to the survivors."""
-    import socket
-    import threading
-
-    from repro.core.rpc import recv_frame
-
-    # a fake worker that reads exactly one request frame, then hangs up
-    listener = socket.socket()
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(1)
-    flaky = f"127.0.0.1:{listener.getsockname()[1]}"
-
-    def fake_worker():
-        conn, _ = listener.accept()
-        rfile = conn.makefile("rb")
-        try:
-            recv_frame(rfile)
-        except (EOFError, ConnectionError):
-            pass
-        finally:
-            rfile.close()
-            conn.close()
-            listener.close()
-
-    thread = threading.Thread(target=fake_worker, daemon=True)
-    thread.start()
-    index = HopiIndex.build(
-        random_collection(18, n_docs=5), partitioner="node_weight",
-        partition_limit=12, executor="rpc",
-        rpc_workers=[flaky, rpc_loopback[0]], join_shards=2,
-    )
-    serial = HopiIndex.build(
-        random_collection(18, n_docs=5), partitioner="node_weight",
-        partition_limit=12,
-    )
-    assert entries_of(index) == entries_of(serial)
-    thread.join(timeout=5.0)

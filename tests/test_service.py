@@ -13,6 +13,7 @@ import urllib.request
 
 import pytest
 
+import harness
 from repro.core.hopi import HopiIndex
 from repro.query.engine import QueryEngine
 from repro.service import (
@@ -434,6 +435,21 @@ class TestSnapshotReload:
 # ---------------------------------------------------------------------------
 
 
+def test_hot_swap_under_load_never_tears():
+    """The harness's per-epoch oracle: every concurrent response during
+    hot swaps must match the offline replay of the epoch it claims to
+    come from."""
+    service = QueryService(HopiIndex.build(dblp_like(12, seed=7)), max_results=100)
+    paths = ["//article//author", "//article//cite//article"]
+    result = harness.run_hot_swap_under_load(
+        service, paths, threads=3, requests_per_thread=40, updates=3
+    )
+    assert result.errors == 0
+    assert result.torn == 0
+    assert result.updates == 3
+    assert len(set(result.epochs_observed)) > 1
+
+
 @pytest.mark.parametrize("state", ["sets", "arrays"])
 def test_concurrent_readers_never_observe_torn_epochs(state):
     """N reader threads during a maintenance sequence: every answer must
@@ -592,6 +608,16 @@ def post_json(url, payload):
 
 
 class TestHTTP:
+    def test_healthz_endpoint(self, http_service):
+        _, base = http_service
+        status, payload = get_json(f"{base}/v1/healthz")
+        assert status == 200
+        assert payload["status"] == "ok"
+        assert payload["ready"] is True
+        assert payload["epoch"] == 0
+        assert payload["epoch_age_seconds"] >= 0
+        assert "sharded" not in payload
+
     def test_query_endpoint(self, http_service):
         service, base = http_service
         status, data = get_json(f"{base}/v1/query?path=//article//author&limit=5")
