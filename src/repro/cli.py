@@ -199,8 +199,7 @@ def cmd_delete_doc(args: argparse.Namespace) -> int:
         f"in {report.seconds * 1000:.1f} ms"
     )
     with SQLiteCoverStore(args.index) as store:
-        store.save_collection(index.collection)
-        store.save_cover(index.cover)
+        store.write_index(index)
     print(f"updated {args.index}")
     return 0
 

@@ -95,6 +95,12 @@ class NodeInterner:
     def __iter__(self) -> Iterator[Label]:
         return iter(self._labels)
 
+    def extends(self, other: "NodeInterner") -> bool:
+        """Whether ids ``0 .. len(other) - 1`` carry ``other``'s labels
+        here too, i.e. this interner grew from ``other`` by appending."""
+        n = len(other._labels)
+        return len(self._labels) >= n and self._labels[:n] == other._labels
+
     def copy(self) -> "NodeInterner":
         """An independent interner with the same label <-> id mapping."""
         clone = NodeInterner()

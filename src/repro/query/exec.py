@@ -475,7 +475,13 @@ def run_ranked(
                 if joined:
                     bind(position + 1, joined, binding, s)
 
-    bind(0, heads, (), 1.0)
+    try:
+        bind(0, heads, (), 1.0)
+    finally:
+        # the recursive closure refers to itself, and through ctx to the
+        # whole epoch's index: break the cycle so the epoch is freed by
+        # reference counting, not by a later full GC pass
+        del bind
     top.sort()
     return top
 

@@ -411,8 +411,9 @@ class QueryService:
         swap is atomic.
 
         An arbitrary mutator is not expressible as wire-format ops, so
-        with a durable store attached this path forces a full snapshot
-        checkpoint instead of a WAL append.
+        with a durable store attached this path forces a checkpoint
+        (which writes only the rows the mutator changed) instead of a
+        WAL append.
 
         Returns:
             ``(new epoch, mutator's return value)``.
@@ -572,6 +573,9 @@ class QueryService:
         cover built elsewhere is loaded into a shadow generation and
         published atomically while readers keep answering on the old
         one. The snapshot must cover the current collection's elements.
+        A wholesale cover swap is not expressible as wire-format ops, so
+        with a durable store attached this forces a checkpoint; no label
+        row is shared with the previous cover, so it rewrites them all.
 
         Args:
             snapshot: a snapshot file path, or a

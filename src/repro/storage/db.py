@@ -9,8 +9,10 @@ for tests and benchmarks.
 from __future__ import annotations
 
 import sqlite3
-from itertools import chain
-from typing import Dict, List, Optional, Set, Union
+from array import array
+from itertools import chain, compress, count
+from operator import is_not
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.cover import DistanceTwoHopCover, TwoHopCover
 from repro.core.hopi import HopiIndex
@@ -24,6 +26,10 @@ Cover = Union[TwoHopCover, DistanceTwoHopCover]
 #: statement dispatch, small enough to bound peak row-buffer memory.
 BATCH_ROWS = 10_000
 
+_COLLECTION_TABLES = ("DOCUMENTS", "ELEMENTS", "LINKS")
+
+_META_UPSERT = "INSERT OR REPLACE INTO META (KEY, VALUE) VALUES (?, ?)"
+
 
 class SQLiteCoverStore(CoverStore):
     """A 2-hop cover stored in LIN/LOUT tables with forward + backward
@@ -32,7 +38,9 @@ class SQLiteCoverStore(CoverStore):
     File-backed databases are opened with ``journal_mode=WAL`` and
     ``synchronous=NORMAL`` — the standard bulk-write/point-read tuning
     (readers never block the writer, fsync only at checkpoints).
-    ``:memory:`` databases keep SQLite's defaults.
+    ``:memory:`` databases keep SQLite's defaults. The connection may be
+    used from any thread, one at a time: the durable store checkpoints
+    on whichever executor thread holds the service's write lock.
 
     Args:
         path: database file path, or ``":memory:"``.
@@ -40,7 +48,7 @@ class SQLiteCoverStore(CoverStore):
 
     def __init__(self, path: str = ":memory:") -> None:
         self.path = path
-        self._conn = sqlite3.connect(path)
+        self._conn = sqlite3.connect(path, check_same_thread=False)
         if path != ":memory:":
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
@@ -50,55 +58,21 @@ class SQLiteCoverStore(CoverStore):
     # ------------------------------------------------------------------
     # persistence
     # ------------------------------------------------------------------
-    def _insert_batched_keyed(
-        self, cur: sqlite3.Cursor, sql_by_key: Dict[str, str], keyed_rows
-    ) -> None:
-        """Stream ``(key, row)`` pairs into per-key ``executemany``
-        batches of :data:`BATCH_ROWS` — the single flush policy for all
-        bulk writes."""
-        batches: Dict[str, List[tuple]] = {key: [] for key in sql_by_key}
-        for key, row in keyed_rows:
-            batch = batches[key]
-            batch.append(row)
-            if len(batch) >= BATCH_ROWS:
-                cur.executemany(sql_by_key[key], batch)
-                batch.clear()
-        for key, batch in batches.items():
-            if batch:
-                cur.executemany(sql_by_key[key], batch)
-
-
     def save_cover(self, cover: Cover) -> None:
-        """(Re)write the LIN/LOUT tables from an in-memory cover.
+        """(Re)write the LIN/LOUT tables from any in-memory cover.
 
         Rows are streamed from ``cover.entries()`` in
         :data:`BATCH_ROWS`-sized ``executemany`` batches.
         """
-        distance = cover.is_distance_aware
         cur = self._conn.cursor()
         cur.execute("DELETE FROM LIN")
         cur.execute("DELETE FROM LOUT")
-        cur.execute(
-            "INSERT OR REPLACE INTO META (KEY, VALUE) VALUES ('distance', ?)",
-            ("1" if distance else "0",),
-        )
-        cur.execute(
-            "INSERT OR REPLACE INTO META (KEY, VALUE) VALUES ('nodes', ?)",
-            (",".join(str(n) for n in sorted(cover.nodes)),),
-        )
-        if distance:
-            sql = {
-                "in": "INSERT INTO LIN (ID, INID, DIST) VALUES (?, ?, ?)",
-                "out": "INSERT INTO LOUT (ID, OUTID, DIST) VALUES (?, ?, ?)",
-            }
-        else:
-            sql = {
-                "in": "INSERT INTO LIN (ID, INID) VALUES (?, ?)",
-                "out": "INSERT INTO LOUT (ID, OUTID) VALUES (?, ?)",
-            }
+        cur.executemany(_META_UPSERT, _cover_meta(cover))
         # one pass over entries(), dispatching rows into per-table batches
-        self._insert_batched_keyed(
-            cur, sql, ((kind, tuple(row)) for kind, *row in cover.entries())
+        _execute_batched(
+            cur,
+            _label_inserts(cover.is_distance_aware),
+            ((kind, tuple(row)) for kind, *row in cover.entries()),
         )
         self._conn.commit()
 
@@ -123,36 +97,12 @@ class SQLiteCoverStore(CoverStore):
         return factory.from_entries(nodes, rows)
 
     def save_collection(self, collection: Collection) -> None:
+        """(Re)write the DOCUMENTS/ELEMENTS/LINKS tables: the collection
+        half of :meth:`write_index` against an empty base."""
         cur = self._conn.cursor()
-        cur.execute("DELETE FROM DOCUMENTS")
-        cur.execute("DELETE FROM ELEMENTS")
-        cur.execute("DELETE FROM LINKS")
-        # executemany consumes generators lazily with one statement
-        # compile — no extra batching layer needed for single-table
-        # streams (save_cover needs the keyed variant because one
-        # entries() stream feeds two INSERT statements)
-        cur.executemany(
-            "INSERT INTO DOCUMENTS (DOC_ID, ROOT) VALUES (?, ?)",
-            ((d.doc_id, d.root) for d in collection.documents.values()),
-        )
-        cur.executemany(
-            "INSERT INTO ELEMENTS (EID, DOC_ID, TAG, PARENT, TEXT) "
-            "VALUES (?, ?, ?, ?, ?)",
-            (
-                (e.eid, e.doc, e.tag, e.parent, e.text)
-                for e in collection.elements.values()
-            ),
-        )
-        links = [
-            (u, v, "inter") for (u, v) in collection.inter_links
-        ] + [
-            (u, v, "intra")
-            for d in collection.documents.values()
-            for (u, v) in d.intra_links
-        ]
-        cur.executemany(
-            "INSERT INTO LINKS (SOURCE, TARGET, KIND) VALUES (?, ?, ?)", links
-        )
+        for table in _COLLECTION_TABLES:
+            cur.execute(f"DELETE FROM {table}")
+        _write_collection_delta(cur, collection, Collection())
         self._conn.commit()
 
     def load_collection(self) -> Collection:
@@ -190,6 +140,53 @@ class SQLiteCoverStore(CoverStore):
         ):
             collection.add_link(source, target)
         return collection
+
+    def write_index(
+        self, index: HopiIndex, base: Optional[HopiIndex] = None
+    ) -> Dict[str, int]:
+        """Bring the stored index to ``index`` in one transaction,
+        rewriting only what differs from ``base``.
+
+        ``base`` must be exactly what the file holds: a copy-on-write
+        fork (:meth:`HopiIndex.cow_copy`) of the index written last, so
+        that any later in-place change to that index privatised the rows
+        it touched. A label row whose array *is* the base's object is
+        therefore unchanged; every other row is compared with the
+        base's entry by entry. Documents, elements and links are diffed
+        by key and object identity (a forked collection privatises a
+        document before changing it); ``META`` ``nodes`` and ``epoch``
+        are rewritten. Without a base, or when the cover's interner
+        does not extend the base's, every table is cleared and the diff
+        runs against an empty index: a full rewrite is the empty-base
+        case of this writer. Any failure rolls the transaction back.
+
+        Returns:
+            SQL rows deleted or inserted, per table.
+        """
+        cover = index.cover
+        cur = self._conn.cursor()
+        try:
+            if (
+                base is None
+                or type(base.cover) is not type(cover)
+                or not cover.interner.extends(base.cover.interner)
+            ):
+                for table in _COLLECTION_TABLES + ("LIN", "LOUT"):
+                    cur.execute(f"DELETE FROM {table}")
+                base = HopiIndex(Collection(), type(cover)())
+            written = _write_collection_delta(
+                cur, index.collection, base.collection
+            )
+            written.update(_write_cover_delta(cur, cover, base.cover))
+            cur.executemany(
+                _META_UPSERT,
+                _cover_meta(cover) + [("epoch", str(index.epoch))],
+            )
+            self._conn.commit()
+        except BaseException:
+            self._conn.rollback()
+            raise
+        return written
 
     # ------------------------------------------------------------------
     # queries (the paper's SQL)
@@ -278,8 +275,176 @@ class SQLiteCoverStore(CoverStore):
         self.close()
 
 
+def _execute_batched(
+    cur: sqlite3.Cursor, sql_by_key: Dict[str, str], keyed_rows: Iterable
+) -> Dict[str, int]:
+    """Stream ``(key, row)`` pairs into per-key ``executemany`` batches
+    of :data:`BATCH_ROWS` — the single flush policy for all bulk writes.
+
+    Returns:
+        rows executed per key.
+    """
+    batches: Dict[str, List[tuple]] = {key: [] for key in sql_by_key}
+    executed = dict.fromkeys(sql_by_key, 0)
+    for key, row in keyed_rows:
+        batch = batches[key]
+        batch.append(row)
+        if len(batch) >= BATCH_ROWS:
+            cur.executemany(sql_by_key[key], batch)
+            executed[key] += len(batch)
+            batch.clear()
+    for key, batch in batches.items():
+        if batch:
+            cur.executemany(sql_by_key[key], batch)
+            executed[key] += len(batch)
+    return executed
+
+
+def _label_inserts(distance: bool) -> Dict[str, str]:
+    """LIN/LOUT ``INSERT`` statements keyed ``"in"`` / ``"out"``."""
+    dist, values = (", DIST", "?, ?, ?") if distance else ("", "?, ?")
+    return {
+        "in": f"INSERT INTO LIN (ID, INID{dist}) VALUES ({values})",
+        "out": f"INSERT INTO LOUT (ID, OUTID{dist}) VALUES ({values})",
+    }
+
+
+def _cover_meta(cover: Cover) -> List[Tuple[str, str]]:
+    """The ``META`` rows that describe ``cover``."""
+    return [
+        ("distance", "1" if cover.is_distance_aware else "0"),
+        ("nodes", ",".join(map(str, sorted(cover.nodes)))),
+    ]
+
+
+def _write_collection_delta(
+    cur: sqlite3.Cursor, new: Collection, old: Collection
+) -> Dict[str, int]:
+    """Delete the collection rows of ``old`` that ``new`` lacks, then
+    insert the rows of ``new`` that ``old`` lacks (all deletes first: a
+    link may change kind between the two). Inserts follow the
+    collection's own iteration order: against an empty base that fixes
+    the page layout, and so the file size, of a persisted build."""
+    old_roots = {key: d.root for key, d in old.documents.items()}
+    new_roots = {key: d.root for key, d in new.documents.items()}
+    dropped = [link for link in old.inter_links if link not in new.inter_links]
+    added = [
+        (u, v, "inter") for u, v in new.inter_links
+        if (u, v) not in old.inter_links
+    ]
+    for key, doc in old.documents.items():
+        if key not in new.documents:
+            dropped.extend(doc.intra_links)
+    for key, doc in new.documents.items():
+        before = old.documents.get(key)
+        if before is doc:
+            continue  # a forked document is privatised before it changes
+        links = before.intra_links if before is not None else set()
+        dropped.extend(link for link in links if link not in doc.intra_links)
+        added.extend(
+            (u, v, "intra") for u, v in doc.intra_links if (u, v) not in links
+        )
+    # Element objects are never changed in place, only added or removed
+    statements = (
+        ("DOCUMENTS", "DELETE FROM DOCUMENTS WHERE DOC_ID = ?", (
+            (key,) for key, r in old_roots.items() if new_roots.get(key) != r
+        )),
+        ("ELEMENTS", "DELETE FROM ELEMENTS WHERE EID = ?", (
+            (eid,) for eid, e in old.elements.items()
+            if new.elements.get(eid) is not e
+        )),
+        ("LINKS", "DELETE FROM LINKS WHERE SOURCE = ? AND TARGET = ?", dropped),
+        ("DOCUMENTS", "INSERT INTO DOCUMENTS (DOC_ID, ROOT) VALUES (?, ?)", (
+            (key, r) for key, r in new_roots.items() if old_roots.get(key) != r
+        )),
+        ("ELEMENTS", "INSERT INTO ELEMENTS (EID, DOC_ID, TAG, PARENT, TEXT) "
+            "VALUES (?, ?, ?, ?, ?)", (
+            (e.eid, e.doc, e.tag, e.parent, e.text)
+            for eid, e in new.elements.items() if old.elements.get(eid) is not e
+        )),
+        ("LINKS", "INSERT INTO LINKS (SOURCE, TARGET, KIND) VALUES (?, ?, ?)",
+            added),
+    )
+    written = dict.fromkeys(_COLLECTION_TABLES, 0)
+    for table, sql, rows in statements:
+        # executemany consumes the generators lazily and sums the
+        # changed rows into rowcount
+        cur.executemany(sql, rows)
+        written[table] += cur.rowcount
+    return written
+
+
+def _changed_ids(now: List[Optional[array]], was: List[Optional[array]]) -> Set[int]:
+    """Ids whose row in ``now`` is not the very object ``was`` holds."""
+    ids = set(compress(count(), map(is_not, now, was)))
+    ids.update(i for i in range(len(was), len(now)) if now[i] is not None)
+    return ids
+
+
+def _row_entries(tables: List[List[Optional[array]]], iid: int) -> Sequence:
+    """Row ``iid`` of aligned label tables: its center ids, or on a
+    distance cover its ``(center id, distance)`` pairs."""
+    row = tables[0][iid] if iid < len(tables[0]) else None
+    if not row:
+        return ()
+    return row if len(tables) == 1 else list(zip(row, tables[1][iid]))
+
+
+def _label_rows(new: Cover, old: Cover, inserting: bool) -> Iterator:
+    """Keyed ``("in" | "out", row)`` LIN/LOUT rows that take the stored
+    labels from ``old`` to ``new``: the entries ``new`` lacks (to
+    delete), or with ``inserting`` the entries ``old`` lacks (to
+    insert). Only label rows whose arrays (or distance arrays) are not
+    ``old``'s objects are compared, entry by entry: a maintained row
+    usually keeps most of its entries. A changed distance is both a
+    delete and an insert."""
+    label = new.interner.label
+    distance = new.is_distance_aware
+    for kind, attr in (("in", "_lin"), ("out", "_lout")):
+        names = (attr, attr + "_dist") if distance else (attr,)
+        now = [getattr(new, name) for name in names]
+        was = [getattr(old, name) for name in names]
+        for i in sorted(set().union(*map(_changed_ids, now, was))):
+            mine, theirs = _row_entries(was, i), _row_entries(now, i)
+            if inserting:
+                mine, theirs = theirs, mine
+            if not mine:
+                continue
+            node = label(i)
+            skip = set(theirs)
+            for e in mine:
+                if e in skip:
+                    continue
+                if not distance:
+                    yield kind, (node, label(e))
+                elif inserting:
+                    yield kind, (node, label(e[0]), e[1])
+                else:
+                    yield kind, (node, label(e[0]))
+
+
+def _write_cover_delta(cur: sqlite3.Cursor, new: Cover, old: Cover) -> Dict[str, int]:
+    """Bring the stored LIN/LOUT rows from ``old`` to ``new``: every
+    delete first (a changed distance reinserts the same key), each
+    stream in :data:`BATCH_ROWS` batches."""
+    deleted = _execute_batched(cur, {
+        "in": "DELETE FROM LIN WHERE ID = ? AND INID = ?",
+        "out": "DELETE FROM LOUT WHERE ID = ? AND OUTID = ?",
+    }, _label_rows(new, old, inserting=False))
+    inserted = _execute_batched(
+        cur,
+        _label_inserts(new.is_distance_aware),
+        _label_rows(new, old, inserting=True),
+    )
+    return {
+        "LIN": deleted["in"] + inserted["in"],
+        "LOUT": deleted["out"] + inserted["out"],
+    }
+
+
 def persist_index(index: HopiIndex, path: str) -> SQLiteCoverStore:
-    """Write a built index (cover + collection) to a database file.
+    """Write a built index (cover + collection) to a database file:
+    :meth:`SQLiteCoverStore.write_index` with no base.
 
     The index's epoch is stored alongside (META key ``epoch``), so a
     reload — and the update WAL's replay-on-restart, which skips logged
@@ -287,13 +452,7 @@ def persist_index(index: HopiIndex, path: str) -> SQLiteCoverStore:
     sequence instead of restarting from zero.
     """
     store = SQLiteCoverStore(path)
-    store.save_collection(index.collection)
-    store.save_cover(index.cover)
-    store._conn.execute(
-        "INSERT OR REPLACE INTO META (KEY, VALUE) VALUES ('epoch', ?)",
-        (str(index.epoch),),
-    )
-    store._conn.commit()
+    store.write_index(index)
     return store
 
 

@@ -7,12 +7,17 @@ module closes that gap with the classic write-ahead protocol:
 1. before an epoch is published, its wire-format ops (the
    :mod:`repro.core.ops` dialect) are appended to ``updates.wal`` and
    fsynced;
-2. every ``checkpoint_interval`` records the full index is rewritten to
-   ``index.db`` (temp file + atomic rename + directory fsync) and the
-   WAL is reset;
+2. every ``checkpoint_interval`` records the rows that changed since the
+   last checkpoint are written into ``index.db`` in place, in one
+   SQLite transaction committed with ``synchronous=FULL``; only then is
+   the WAL reset. The changed rows are found by copy-on-write identity
+   against a fork of the last checkpointed index (see
+   :meth:`~repro.storage.db.SQLiteCoverStore.write_index`);
 3. on restart, :meth:`DurableIndexStore.recover` loads the snapshot and
    replays only WAL records *newer than the snapshot epoch* — replay is
-   idempotent because records carry the epoch they produced.
+   idempotent because records carry the epoch they produced. The loaded
+   snapshot becomes the base, so the next checkpoint writes only the
+   replayed rows.
 
 Record format (binary, little-endian)::
 
@@ -39,14 +44,14 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.hopi import HopiIndex
 from repro.core.ops import apply_update_op
-from repro.storage.db import load_index, persist_index
+from repro.storage.db import SQLiteCoverStore, load_index
 
 MAGIC = b"HOPIWAL1"
 _HEADER = struct.Struct("<II")  # length, crc32
 
 #: records appended since the last checkpoint before the next publish
 #: forces one. Keeps replay cost (and WAL size) bounded without paying
-#: a full snapshot rewrite on every small update batch.
+#: a snapshot transaction on every small update batch.
 DEFAULT_CHECKPOINT_INTERVAL = 64
 
 
@@ -162,7 +167,10 @@ class DurableIndexStore:
 
     * ``"appended"``   — ops are in the WAL, epoch not yet published;
     * ``"published"``  — epoch visible to readers, checkpoint pending;
-    * ``"checkpointed"`` — snapshot rewritten, WAL about to reset.
+    * ``"checkpointed"`` — snapshot committed, WAL about to reset.
+
+    Checkpoints are serialised by the caller (the service's write lock);
+    the snapshot connection may move between threads.
     """
 
     def __init__(
@@ -180,6 +188,11 @@ class DurableIndexStore:
         self.crash_hook = crash_hook
         self.wal = UpdateWAL(self.wal_path)
         self._since_checkpoint = self.wal.record_count()
+        self._db: Optional[SQLiteCoverStore] = None
+        # exactly what index.db holds: a fork of the index checkpointed
+        # (or recovered) last; None until then, so the first checkpoint
+        # rewrites every row
+        self._base: Optional[HopiIndex] = None
 
     def fire(self, point: str) -> None:
         """Invoke the crash hook (if any) at a named injection point."""
@@ -187,12 +200,21 @@ class DurableIndexStore:
             self.crash_hook(point)
 
     def exists(self) -> bool:
-        """Whether a snapshot has been initialised under ``root``."""
-        return os.path.exists(self.db_path)
+        """Whether a snapshot has been initialised under ``root``.
 
-    def initialize(self, index: HopiIndex) -> None:
+        That is, ``index.db`` holds a committed ``epoch``: the first
+        checkpoint writes it in the same transaction as the rows, so a
+        crash inside that checkpoint leaves a file without one, and the
+        store is seeded again rather than recovered as empty.
+        """
+        if not os.path.exists(self.db_path):
+            return False
+        with SQLiteCoverStore(self.db_path) as db:
+            return db._meta("epoch") is not None
+
+    def initialize(self, index: HopiIndex) -> Dict[str, int]:
         """Seed the store from a freshly built (or loaded) index."""
-        self.checkpoint(index)
+        return self.checkpoint(index)
 
     def log(self, epoch: int, ops: List[Dict[str, Any]]) -> None:
         """Durably append one update batch *before* it is published."""
@@ -203,51 +225,62 @@ class DurableIndexStore:
     def checkpoint_due(self) -> bool:
         return self._since_checkpoint >= self.checkpoint_interval
 
-    def checkpoint(self, index: HopiIndex) -> None:
-        """Atomically rewrite the snapshot, then reset the WAL.
+    def checkpoint(self, index: HopiIndex) -> Dict[str, int]:
+        """Write what changed since the last checkpoint into the
+        snapshot, then reset the WAL.
 
-        The snapshot lands via temp-file + ``os.replace`` so a crash
-        mid-write leaves the old snapshot intact; a crash *between* the
-        rename and the WAL reset is harmless because replay skips
-        records at or below the snapshot epoch. The rename is made
-        durable by an fsync of the store directory before the reset:
-        otherwise a power loss could keep the reset but undo the
-        rename, losing every epoch since the old snapshot.
+        The delta against the base fork commits in one SQLite
+        transaction with ``synchronous=FULL``, so it is durable before
+        the reset: a crash inside the transaction leaves the old
+        snapshot and the WAL intact, and a crash between the commit and
+        the reset is harmless because replay skips records at or below
+        the snapshot epoch. The base then becomes a fork of ``index``.
+
+        Returns:
+            rows written per table (see
+            :meth:`~repro.storage.db.SQLiteCoverStore.write_index`).
         """
-        tmp = self.db_path + ".tmp"
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        store = persist_index(index, tmp)
-        store.close()
-        os.replace(tmp, self.db_path)
-        _fsync_dir(self.root)
-        # WAL-journal side files of the temp database are stale now
-        for suffix in ("-wal", "-shm"):
-            leftover = tmp + suffix
-            if os.path.exists(leftover):
-                os.remove(leftover)
+        if self._db is None:
+            self._db = SQLiteCoverStore(self.db_path)
+            self._db._conn.execute("PRAGMA synchronous=FULL")
+            _fsync_dir(self.root)  # a newly created index.db's entry
+        written = self._db.write_index(index, self._base)
+        self._base = index.cow_copy()
         self.fire("checkpointed")
         self.wal.reset()
         self._since_checkpoint = 0
+        return written
 
     def recover(self, *, backend: Optional[str] = None) -> HopiIndex:
-        """Load the snapshot and replay newer WAL records onto it.
+        """Load the snapshot and replay newer WAL records onto a fork.
 
         Returns the index at the highest durably-logged epoch. Records
         at or below the snapshot epoch (possible after a crash between
-        checkpoint-rename and WAL reset) are skipped — replay is
-        idempotent. ``backend`` is accepted and ignored: there is one
-        label representation, but ``perf/`` still passes the argument
-        and may not be edited in the PR that retired the option.
+        the checkpoint commit and the WAL reset) are skipped — replay is
+        idempotent. The loaded snapshot stays behind as the base, so
+        the next checkpoint writes only the replayed rows. ``backend``
+        is accepted and ignored: there is one label representation, but
+        the benchmark under ``perf/`` still passes the argument.
+
+        Raises:
+            FileNotFoundError: no snapshot was initialised (see
+                :meth:`exists`).
         """
-        index = load_index(self.db_path)
+        if not self.exists():
+            raise FileNotFoundError(f"no initialised snapshot at {self.db_path}")
+        base = load_index(self.db_path)
+        index = base.cow_copy()
         for epoch, ops in self.wal.replay():
             if epoch <= index.epoch:
                 continue
             for op in ops:
                 apply_update_op(index, op)
             index.epoch = epoch
+        self._base = base
         return index
 
     def close(self) -> None:
         self.wal.close()
+        if self._db is not None:
+            self._db.close()
+            self._db = None

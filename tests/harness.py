@@ -18,7 +18,10 @@ Test code reads as ``harness.open_loop_burst(...)``:
   batches hot-swap the index, every answer checked against an offline
   per-epoch oracle;
 * :func:`raw_exchange` — raw bytes in, every response out, for
-  requests no HTTP client library will send (malformed heads).
+  requests no HTTP client library will send (malformed heads);
+* :func:`stored_tables` / :func:`fresh_tables` — every row of an index
+  file, and of a from-scratch ``persist_index`` of a live index: the
+  oracle for snapshots maintained in place.
 
 The HTTP generators are stdlib-only and transport-level: they speak
 plain HTTP to whatever server is listening.
@@ -29,11 +32,14 @@ from __future__ import annotations
 import http.client
 import itertools
 import json
+import os
 import random
 import re
 import socket
+import sqlite3
 import threading
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -47,6 +53,29 @@ _LEAF_TAGS = (
     "author", "keyword", "cite", "booktitle", "publisher", "ee", "url",
     "title", "year", "pages",
 )
+
+
+def stored_tables(path: str) -> Dict[str, list]:
+    """Every row of an index file, table by table, in a canonical
+    order."""
+    with closing(sqlite3.connect(path)) as conn:
+        return {
+            table: sorted(conn.execute(f"SELECT * FROM {table}"))
+            for table in ("META", "DOCUMENTS", "ELEMENTS", "LINKS", "LIN", "LOUT")
+        }
+
+
+def fresh_tables(index, directory: str) -> Dict[str, list]:
+    """The rows ``persist_index`` writes for ``index`` into an empty
+    file (``fresh.db`` under ``directory``)."""
+    from repro.storage.db import persist_index
+
+    path = os.path.join(directory, "fresh.db")
+    for suffix in ("", "-wal", "-shm"):
+        if os.path.exists(path + suffix):
+            os.remove(path + suffix)
+    persist_index(index, path).close()
+    return stored_tables(path)
 
 
 def cold_miss_paths(n: int, *, seed: int = 0) -> List[str]:

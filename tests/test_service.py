@@ -6,10 +6,12 @@ answers consistent with exactly one epoch — verified against per-epoch
 oracles, serving the cover and serving the oracle cover.
 """
 
+import gc
 import json
 import threading
 import urllib.error
 import urllib.request
+import weakref
 
 import pytest
 
@@ -203,6 +205,23 @@ def test_epoch_must_advance(arrays_index):
     holder = service._holder
     with pytest.raises(ValueError):
         holder.publish(holder.current)
+
+
+def test_a_replaced_epoch_is_freed_by_reference_counting(arrays_index):
+    """A ranked query leaves no reference cycle through its epoch, so
+    a write that replaces the epoch frees the old index at once instead
+    of at the next full GC pass — under a write stream, that is what
+    bounds how many old generations stay resident."""
+    service = QueryService(arrays_index.copy())
+    replaced = weakref.ref(service.index)
+    service.query("//article//author")
+    gc.disable()
+    try:
+        root = min(d.root for d in service.index.collection.documents.values())
+        service.update([{"op": "insert_element", "parent": root, "tag": "note"}])
+        assert replaced() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -11,20 +11,26 @@ snapshot bytes equal a crash-free reference.
   exact published epoch;
 * killed after **checkpoint** (WAL reset pending): replay skips the
   already-checkpointed records — idempotent;
+* a checkpoint that fails inside its delta transaction rolls back: the
+  old snapshot and the WAL both stay; a failed first checkpoint leaves
+  no initialised store;
 * a torn tail (partial final record) is truncated, never parsed.
 """
 
 import os
 import sqlite3
-from stat import S_ISDIR
+from contextlib import closing
 
 import pytest
+from harness import fresh_tables, stored_tables
 
 from repro.core.cover import TwoHopCover
 from repro.core.hopi import HopiIndex
 from repro.core.ops import apply_update_op
 from repro.service.service import QueryService, UpdateError
-from repro.storage.snapshot import canonical_snapshot_bytes
+from repro.storage import db
+from repro.storage.db import load_index
+from repro.storage.snapshot import canonical_snapshot_bytes, save_snapshot
 from repro.storage.wal import DurableIndexStore, UpdateWAL, WALCrash
 from repro.xmlmodel.generator import dblp_like
 
@@ -161,6 +167,115 @@ class TestCrashRecovery:
         assert recovered.epoch == service.epoch
         assert snap(recovered) == snap(live)
 
+    def test_crash_at_checkpointed_after_a_delta(self, seeded):
+        """The first checkpoint rewrites every row; later ones write
+        deltas in place. A crash between a delta's commit and the WAL
+        reset recovers the live epoch."""
+        index, store = seeded
+        store.checkpoint_interval = 2
+        service = QueryService(index, durable_store=store)
+        for tag in ("one", "two", "three"):  # "two" checkpoints a delta
+            service.update(make_ops(index, tag))
+        store.crash_hook = CrashAt("checkpointed")
+        with pytest.raises(WALCrash):
+            service.update(make_ops(index, "four"))
+        store.crash_hook = None
+        assert load_index(store.db_path).epoch == service.epoch
+        assert store.wal.record_count() == 2  # the reset never ran
+
+        recovered = DurableIndexStore(store.root).recover()
+        assert recovered.epoch == service.epoch
+        assert snap(recovered) == snap(service.index)
+
+    def test_failure_inside_the_delta_keeps_snapshot_and_wal(
+        self, seeded, monkeypatch
+    ):
+        """A delta that fails after writing its rows but before the
+        commit rolls back: the old snapshot stays intact, the WAL is not
+        reset, recovery lands on the live epoch, and the next
+        checkpoint still writes a correct delta."""
+        index, store = seeded
+        store.checkpoint_interval = 2
+        service = QueryService(index, durable_store=store)
+        for tag in ("one", "two", "three"):
+            service.update(make_ops(index, tag))
+        before = stored_tables(store.db_path)
+        real = db._write_cover_delta
+
+        def failing(cur, new, old):
+            written = real(cur, new, old)  # every row statement ran
+            raise sqlite3.OperationalError(f"disk I/O error after {written}")
+
+        monkeypatch.setattr(db, "_write_cover_delta", failing)
+        with pytest.raises(sqlite3.OperationalError):
+            service.update(make_ops(index, "four"))
+        monkeypatch.undo()
+        assert stored_tables(store.db_path) == before
+        assert store.wal.record_count() == 2
+
+        recovered = DurableIndexStore(store.root).recover()
+        assert recovered.epoch == service.epoch
+        assert snap(recovered) == snap(service.index)
+        service.update(make_ops(index, "five"))  # retries the checkpoint
+        assert store.wal.record_count() == 0
+        assert stored_tables(store.db_path) == fresh_tables(service.index, store.root)
+
+    def test_failure_inside_the_first_checkpoint_leaves_no_store(
+        self, tmp_path, monkeypatch
+    ):
+        """``initialize`` creates ``index.db`` before it writes the seed
+        index. If that write fails, the file holds no committed epoch:
+        the store does not count as initialised, ``recover`` refuses
+        instead of serving an empty collection, and a rerun seeds it."""
+        index = build_index()
+        root = str(tmp_path / "store")
+
+        def failing(cur, new, old):
+            raise sqlite3.OperationalError("disk I/O error")
+
+        monkeypatch.setattr(db, "_write_cover_delta", failing)
+        with pytest.raises(sqlite3.OperationalError):
+            DurableIndexStore(root).initialize(index)
+        monkeypatch.undo()
+        store = DurableIndexStore(root)
+        assert os.path.exists(store.db_path) and not store.exists()
+        with pytest.raises(FileNotFoundError):
+            store.recover()
+
+        store.initialize(index)
+        assert store.exists()
+        assert stored_tables(store.db_path) == fresh_tables(index, root)
+        service = QueryService(index, durable_store=store)
+        service.update(make_ops(index, "after-seed"))
+        recovered = DurableIndexStore(root).recover()
+        assert recovered.epoch == service.epoch
+        assert snap(recovered) == snap(service.index)
+
+    @pytest.mark.parametrize("rewrite", ["reload_cover", "rebuild"])
+    def test_full_rewrite_after_deltas(self, seeded, tmp_path, rewrite):
+        """A wholesale cover swap shares no label row with the base, so
+        its checkpoint rewrites every row of a delta-maintained file."""
+        index, store = seeded
+        store.checkpoint_interval = 2
+        service = QueryService(index, durable_store=store)
+        for tag in ("a", "b", "c", "d", "e"):  # two deltas, one pending
+            service.update(make_ops(index, tag))
+        if rewrite == "reload_cover":
+            path = str(tmp_path / "cover.snap")
+            save_snapshot(
+                path,
+                service.index.copy().rebuild(strategy="unpartitioned").cover,
+            )
+            service.reload_cover(path)
+        else:
+            service.update([{"op": "rebuild"}])
+        assert stored_tables(store.db_path) == fresh_tables(service.index, store.root)
+        service.update(make_ops(index, "f"))
+
+        recovered = DurableIndexStore(store.root).recover()
+        assert recovered.epoch == service.epoch
+        assert snap(recovered) == snap(service.index)
+
     def test_multi_batch_recovery_parity(self, seeded):
         """Several batches, a failed one in the middle, then a crash:
         recovery converges to the exact canonical bytes of the live
@@ -221,40 +336,49 @@ class TestCheckpointPolicy:
         service.update(make_ops(index, "b"))  # hits the interval
         assert store.wal.record_count() == 0
 
-    def test_checkpoint_fsyncs_the_directory_between_rename_and_reset(
+    def test_checkpoint_commits_durably_before_the_wal_reset(
         self, tmp_path, monkeypatch
     ):
-        """Until the store directory is fsynced, a power loss may undo
-        the snapshot rename; the WAL reset must not be on disk before
-        it, or every epoch since the old snapshot is lost."""
+        """The WAL reset must not reach disk before the snapshot that
+        makes it redundant, or every epoch since the old snapshot is
+        lost. At reset time the delta is committed — visible to a fresh
+        connection — by a connection with ``synchronous=FULL``: in WAL
+        mode the store's default ``NORMAL`` does not survive a power
+        loss. Nothing replaces ``index.db`` underneath the open
+        connection, whose ``index.db-wal`` would replay onto the new
+        file."""
         index = build_index()
         store = DurableIndexStore(str(tmp_path / "s"))
-        root_inode = os.stat(store.root).st_ino
-        events = []
-        real_replace, real_fsync, real_reset = os.replace, os.fsync, UpdateWAL.reset
-
-        def replace(src, dst):
-            real_replace(src, dst)
-            events.append(("replace", os.path.basename(dst)))
-
-        def fsync(fd):
-            real_fsync(fd)
-            stat = os.fstat(fd)
-            is_root = S_ISDIR(stat.st_mode) and stat.st_ino == root_inode
-            events.append(("fsync", "store dir" if is_root else "file"))
+        store.initialize(index)
+        service = QueryService(index, durable_store=store)
+        service.update(make_ops(index, "delta"))
+        seen, replaced = [], []
+        real_reset, real_replace = UpdateWAL.reset, os.replace
 
         def reset(wal):
-            events.append(("reset", None))
+            conn = store._db._conn
+            (synchronous,) = conn.execute("PRAGMA synchronous").fetchone()
+            with closing(sqlite3.connect(store.db_path)) as reader:
+                (epoch,) = reader.execute(
+                    "SELECT VALUE FROM META WHERE KEY = 'epoch'"
+                ).fetchone()
+            seen.append((synchronous, int(epoch), conn.in_transaction))
             real_reset(wal)
 
-        monkeypatch.setattr(os, "replace", replace)
-        monkeypatch.setattr(os, "fsync", fsync)
+        def replace(src, dst):
+            replaced.append(os.path.basename(dst))
+            real_replace(src, dst)
+
         monkeypatch.setattr(UpdateWAL, "reset", reset)
-        store.checkpoint(index)
-        renamed = events.index(("replace", "index.db"))
-        reset_at = events.index(("reset", None))
-        assert renamed < reset_at
-        assert ("fsync", "store dir") in events[renamed:reset_at], events
+        monkeypatch.setattr(os, "replace", replace)
+        store.checkpoint(service.index)  # a delta
+        service.update([{"op": "rebuild"}])
+        store.checkpoint(service.index)  # every row rewritten
+        full = 2  # PRAGMA synchronous: 0 OFF, 1 NORMAL, 2 FULL
+        assert seen == [
+            (full, service.epoch - 1, False), (full, service.epoch, False),
+        ]
+        assert "index.db" not in replaced
 
     def test_apply_forces_a_checkpoint(self, tmp_path):
         """Arbitrary mutators cannot be WAL-logged, so the durable
