@@ -130,8 +130,9 @@ class QueryEngine:
         self._anchored_count_memo: Dict[StepKey, int] = {}
 
     def refresh(self) -> None:
-        """Rebuild the tag index (and drop every derived memo) after
-        collection maintenance."""
+        """Re-read the tag index from the collection (which keeps it up
+        to date, so this costs O(tags)) and drop every derived memo
+        after collection maintenance."""
         self._tag_index = self.collection.tags()
         self._candidate_memo = {}
         self._candidate_map_memo = {}

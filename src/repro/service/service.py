@@ -19,14 +19,15 @@ index:
 
 The write path (:meth:`QueryService.update`, :meth:`QueryService.apply`,
 :meth:`QueryService.reload_cover`) is a **group-commit loop over
-copy-on-write shadows**: concurrent ``/update`` batches queue on a
-pending list, one drainer forks the published index with
-:meth:`~repro.core.hopi.HopiIndex.cow_copy` (sharing unchanged label
-rows and documents instead of deep-copying them), applies every queued
-batch to that shadow, and publishes **once**. Each batch stays
-all-or-nothing — it runs against its own sub-fork, so a failing batch
-rolls back alone while its neighbours commit. Readers never wait and
-never observe a half-updated index.
+copy-on-write forks**: concurrent ``/update`` batches queue on a
+pending list, and one drainer applies each queued batch to its own
+:meth:`~repro.core.hopi.HopiIndex.cow_copy` fork (sharing unchanged
+label rows, documents and tag lists instead of deep-copying them) —
+the first batch's fork is of the published index, each later one of
+the last batch that succeeded — and publishes **once**. Each batch
+stays all-or-nothing: a failing batch's fork is dropped, so it rolls
+back alone while its neighbours commit. Readers never wait and never
+observe a half-updated index.
 
 Every write publishes in three steps: **prepare** the new generation
 (:meth:`QueryService._make_state`), **log** it — with a
@@ -451,10 +452,11 @@ class QueryService:
         * ``{"op": "rebuild", ...build kwargs...}``
 
         Concurrent callers group-commit: their batches queue, one
-        drainer applies all of them to a single copy-on-write shadow
-        and publishes once. Each batch remains all-or-nothing — a
-        failure raises :class:`UpdateError` *for that batch only* and
-        discards its sub-fork; sibling batches still commit.
+        drainer applies each to a copy-on-write fork of the index the
+        previous one left, and publishes once. Each batch remains
+        all-or-nothing — a failure raises :class:`UpdateError` *for
+        that batch only* and discards its fork; sibling batches still
+        commit.
 
         Returns:
             ``{"epoch": new epoch, "applied": n, "reports": [...]}``.
@@ -495,12 +497,15 @@ class QueryService:
                 self._write_lock.release()
 
     def _commit(self) -> None:
-        """Apply every queued batch to one COW shadow and publish once.
+        """Apply every queued batch on copy-on-write forks and publish
+        once.
 
-        Called with the writer lock held. Each batch runs against its
-        own sub-fork of the accumulated shadow: success folds the fork
-        in, failure discards it — per-batch rollback without touching
-        neighbours. The new generation is prepared first, then (with a
+        Called with the writer lock held. Each batch runs against one
+        fork of the accumulated shadow — the published index for the
+        first batch, the last successful batch's fork after that:
+        success makes the fork the shadow, failure discards it —
+        per-batch rollback without touching neighbours, at one fork per
+        batch. The new generation is prepared first, then (with a
         durable store) its ops are WAL-logged (fsync), then it is
         published: a generation that fails to prepare is never logged,
         and an acknowledged epoch survives a crash.
@@ -510,7 +515,9 @@ class QueryService:
         if not batches:
             return
         current = self._holder.current
-        shadow = current.index.cow_copy()
+        # the published index is never mutated, so the first trial can
+        # fork it directly
+        shadow = current.index
         committed: List[_PendingBatch] = []
         logged_ops: List[Dict[str, Any]] = []
         for batch in batches:

@@ -18,6 +18,7 @@ insertion order so that serialisation is deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -140,6 +141,13 @@ class Collection:
         # fork()); a shared document is deep-copied by _own_doc() before
         # its first in-place mutation. Empty outside forks.
         self._shared_docs: Set[DocId] = set()
+        # the tag index (tag -> sorted ids): None until the first tags()
+        # call builds it, then kept up to date by _allocate and
+        # remove_document. Lists in _shared_tags are also held by a fork
+        # sibling or by a dict tags() returned; _own_tag() copies one
+        # before its first in-place change.
+        self._tags: Optional[Dict[str, List[ElementId]]] = None
+        self._shared_tags: Set[str] = set()
 
     # ------------------------------------------------------------------
     # copy-on-write forking
@@ -147,13 +155,15 @@ class Collection:
     def fork(self) -> "Collection":
         """A copy-on-write fork of the collection.
 
-        Observationally identical to :meth:`copy` but O(documents)
-        instead of O(elements): ``Document`` and ``Element`` objects are
-        shared with the fork until a mutation touches them. ``Element``
-        objects are immutable after creation (maintenance only ever adds
-        or removes whole elements), so only documents need lazy
-        privatisation — both siblings mark every document shared and
-        deep-copy one on its first structural change.
+        Observationally identical to :meth:`copy`, but it creates no
+        ``Document`` or ``Element`` objects: it copies the element map
+        and the inter-link set (one C-level pass each, O(elements +
+        inter-links) pointer copies) and the document and tag maps
+        (O(documents + tags)). ``Element`` objects are immutable after
+        creation (maintenance only ever adds or removes whole elements),
+        so they are simply shared. Documents and per-tag id lists are
+        shared until a mutation touches them: both siblings mark every
+        one shared and copy it on its first in-place change.
         """
         clone = Collection.__new__(Collection)
         clone.documents = dict(self.documents)
@@ -163,6 +173,10 @@ class Collection:
         shared = set(self.documents)
         clone._shared_docs = set(shared)
         self._shared_docs = shared
+        clone._tags = None if self._tags is None else dict(self._tags)
+        shared_tags = set(self._tags or ())
+        clone._shared_tags = set(shared_tags)
+        self._shared_tags = shared_tags
         return clone
 
     def _own_doc(self, doc_id: DocId) -> Document:
@@ -178,6 +192,15 @@ class Collection:
             self._shared_docs.discard(doc_id)
         return doc
 
+    def _own_tag(self, tag: str) -> List[ElementId]:
+        """The tag index's list for ``tag``, copied first if still
+        shared with a fork sibling or a dict :meth:`tags` returned."""
+        ids = self._tags[tag]
+        if tag in self._shared_tags:
+            ids = self._tags[tag] = list(ids)
+            self._shared_tags.discard(tag)
+        return ids
+
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
@@ -185,6 +208,11 @@ class Collection:
         e = Element(self._next_id, tag, doc, parent)
         self._next_id += 1
         self.elements[e.eid] = e
+        if self._tags is not None:
+            if tag in self._tags:
+                insort(self._own_tag(tag), e.eid)
+            else:
+                self._tags[tag] = [e.eid]
         return e
 
     def new_document(self, doc_id: DocId, root_tag: str = "root") -> Element:
@@ -231,7 +259,12 @@ class Collection:
         self._shared_docs.discard(doc_id)
         removed = set(doc.elements)
         for e in removed:
-            del self.elements[e]
+            tag = self.elements.pop(e).tag
+            if self._tags is not None:
+                ids = self._own_tag(tag)
+                del ids[bisect_left(ids, e)]
+                if not ids:
+                    del self._tags[tag]
         self.inter_links = {
             (u, v)
             for (u, v) in self.inter_links
@@ -361,13 +394,24 @@ class Collection:
         return self.documents[doc_id].elements
 
     def tags(self) -> Dict[str, List[ElementId]]:
-        """Inverted tag index: tag name -> sorted element ids."""
-        index: Dict[str, List[ElementId]] = {}
-        for e in self.elements.values():
-            index.setdefault(e.tag, []).append(e.eid)
-        for ids in index.values():
-            ids.sort()
-        return index
+        """Inverted tag index: tag name -> sorted element ids.
+
+        The first call scans every element; later calls cost O(tags),
+        since the collection keeps the index up to date as elements
+        come and go. The returned dict is a snapshot that later
+        maintenance never changes (its lists are shared with the
+        collection until their first change, so callers must not
+        mutate them).
+        """
+        if self._tags is None:
+            index: Dict[str, List[ElementId]] = {}
+            for e in self.elements.values():
+                index.setdefault(e.tag, []).append(e.eid)
+            for ids in index.values():
+                ids.sort()
+            self._tags = index
+        self._shared_tags = set(self._tags)
+        return dict(self._tags)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

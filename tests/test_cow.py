@@ -12,8 +12,12 @@ The COW invariants under test are the write path's correctness core:
    original (and vice versa): shared rows are privatised on first
    write, whole-row replacements never alias, the collection's shared
    documents are owned before their first mutation.
-3. **Chained forks.** The group-commit drainer forks a fork per
-   sub-batch; privatisation must hold at every depth.
+3. **Chained forks.** The group-commit drainer forks the published
+   index for its first batch and the last successful batch's fork for
+   each later one; privatisation must hold at every depth.
+4. **The tag index.** The collection keeps ``tags()`` up to date and
+   shares its per-tag lists with forks; on every side it must equal a
+   deep copy's and a recount, and a dict it handed out never changes.
 """
 
 import pickle
@@ -142,6 +146,96 @@ class TestChainedForks:
         del trial  # batch failed: its fork is simply dropped
 
         assert snap(shadow) == committed
+
+
+def recount(collection):
+    """``tags()`` computed from scratch over ``collection.elements``."""
+    index = {}
+    for e in collection.elements.values():
+        index.setdefault(e.tag, []).append(e.eid)
+    return {tag: sorted(ids) for tag, ids in index.items()}
+
+
+def frozen_tags(collection):
+    """A deep copy of ``collection.tags()`` and the dict it returned."""
+    handed_out = collection.tags()
+    return handed_out, {tag: list(ids) for tag, ids in handed_out.items()}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+@pytest.mark.parametrize("state", COVER_STATES)
+def test_tag_index_forks_copy_on_write(workload, state):
+    """Shadow → trial forks keep ``tags()`` equal to a deep copy's and
+    to a recount, in both directions, and never change a dict that
+    ``tags()`` handed out before a mutation."""
+    index = build(workload, state)
+    published, published_frozen = frozen_tags(index.collection)
+    assert published == recount(index.collection)
+    ops = section6_ops(index)
+    docs = sorted(index.collection.documents)
+    lone = index.collection.documents[docs[5]].root
+
+    deep = index.copy()
+    shadow = index.cow_copy()
+    for op in ops[:3]:
+        apply_update_op(deep, op)
+        apply_update_op(shadow, op)
+    shadow_seen, shadow_frozen = frozen_tags(shadow.collection)
+    assert shadow_seen == deep.collection.tags() == recount(shadow.collection)
+
+    trial = shadow.cow_copy()
+    # the last element of a tag goes with its document: the key goes too
+    tail = ops[3:] + [
+        {"op": "insert_element", "parent": lone, "tag": "lone"},
+        {"op": "delete_document", "doc_id": docs[5]},
+    ]
+    for op in tail:
+        apply_update_op(deep, op)
+        apply_update_op(trial, op)
+    assert "lone" not in trial.collection.tags()
+    assert trial.collection.tags() == deep.collection.tags()
+    assert trial.collection.tags() == recount(trial.collection)
+
+    # nothing leaked up the chain, and nothing handed out moved
+    assert index.collection.tags() == published_frozen
+    assert published == published_frozen
+    assert shadow.collection.tags() == shadow_frozen
+    assert shadow_seen == shadow_frozen
+
+    # the other direction: mutating the parent leaves the fork alone
+    trial_seen, trial_frozen = frozen_tags(trial.collection)
+    shadow.insert_element(lone, "parent-side")
+    shadow.delete_document(docs[3])
+    assert shadow.collection.tags() == recount(shadow.collection)
+    assert trial.collection.tags() == trial_frozen
+    assert trial_seen == trial_frozen
+    assert index.collection.tags() == published_frozen
+
+    # lists the trial owns stay put in a dict it handed out, and in a
+    # fork taken after it changed them
+    new_root = trial.collection.documents["cow-doc"].root
+    trial.insert_element(new_root, "author")
+    child = trial.cow_copy()
+    _, child_frozen = frozen_tags(child.collection)
+    trial.insert_element(new_root, "author")
+    trial.delete_document("cow-doc")
+    assert trial.collection.tags() == recount(trial.collection)
+    assert trial_seen == trial_frozen
+    assert child.collection.tags() == child_frozen
+
+
+def test_tag_index_survives_a_load_index_round_trip(tmp_path):
+    """A maintained fork persists and reloads to the same tag index."""
+    from repro.storage.db import load_index, persist_index
+
+    index = build("dblp", "arrays")
+    index.collection.tags()
+    fork = index.cow_copy()
+    for op in section6_ops(index):
+        apply_update_op(fork, op)
+    persist_index(fork, str(tmp_path / "fork.db")).close()
+    reloaded = load_index(str(tmp_path / "fork.db")).collection
+    assert reloaded.tags() == fork.collection.tags() == recount(reloaded)
 
 
 @pytest.mark.parametrize("state", COVER_STATES)

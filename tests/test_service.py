@@ -9,6 +9,7 @@ oracles, serving the cover and serving the oracle cover.
 import gc
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 import weakref
@@ -28,7 +29,7 @@ from repro.service import (
     start_in_thread,
 )
 from cover_oracle import index_in_state
-from repro.storage.snapshot import save_snapshot
+from repro.storage.snapshot import canonical_snapshot_bytes, save_snapshot
 from repro.xmlmodel.generator import dblp_like
 
 
@@ -402,6 +403,85 @@ class TestServiceUpdates:
         assert report["epoch"] == 1
         assert report["reports"][0]["cover_size"] == service.index.cover.size
         service.index.verify()
+
+    def test_queued_batches_group_commit_with_one_fork_each(
+        self, arrays_index, monkeypatch
+    ):
+        """Three batches queued behind the write lock commit in one
+        publish; the failing middle one rolls back alone, each batch
+        costs one fork, and the replaced epoch is untouched."""
+        service = QueryService(arrays_index.copy())
+        published = service.index
+        collection = published.collection
+        roots = [collection.documents[d].root for d in sorted(collection.documents)]
+        tags_before = {t: list(ids) for t, ids in collection.tags().items()}
+        elements_before = dict(collection.elements)
+        cover_before = canonical_snapshot_bytes(published.cover)
+
+        forked = []
+        cow_copy = HopiIndex.cow_copy
+
+        def spy(index):
+            forked.append(index)
+            return cow_copy(index)
+
+        monkeypatch.setattr(HopiIndex, "cow_copy", spy)
+        publish = service._publish
+        published_epochs = []
+
+        def count_publish(state):
+            published_epochs.append(state.epoch)
+            publish(state)
+
+        service._publish = count_publish
+        batches = [
+            [{"op": "insert_element", "parent": roots[0], "tag": "first"}],
+            [{"op": "insert_element", "parent": roots[1], "tag": "doomed"},
+             {"op": "delete_document", "doc_id": "no-such-doc"}],
+            [{"op": "insert_element", "parent": roots[2], "tag": "third"}],
+        ]
+        outcomes = [None] * len(batches)
+
+        def submit(i):
+            try:
+                outcomes[i] = service.update(batches[i])
+            except UpdateError as exc:
+                outcomes[i] = exc
+
+        threads = []
+        with service._write_lock:
+            for i in range(len(batches)):
+                thread = threading.Thread(target=submit, args=(i,))
+                thread.start()
+                threads.append(thread)
+                # queue in order: the next batch starts once this one waits
+                while len(service._pending) <= i:
+                    assert thread.is_alive()
+                    time.sleep(0.001)
+        service._drain()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+
+        # one publish; each applied op bumps the epoch it lands in
+        assert published_epochs == [service.epoch] == [2]
+        assert outcomes[0]["epoch"] == outcomes[2]["epoch"] == 2
+        assert isinstance(outcomes[1], UpdateError)
+        assert len(forked) == len(batches)
+        assert forked[0] is published  # the first trial forks the epoch itself
+
+        live = service.index.collection
+        tags = live.tags()
+        assert "doomed" not in tags
+        assert all(e.tag != "doomed" for e in live.elements.values())
+        (first,) = tags["first"]
+        (third,) = tags["third"]
+        assert live.elements[first].parent == roots[0]
+        assert live.elements[third].parent == roots[2]
+
+        assert collection.tags() == tags_before
+        assert collection.elements == elements_before
+        assert canonical_snapshot_bytes(published.cover) == cover_before
 
 
 # ---------------------------------------------------------------------------
