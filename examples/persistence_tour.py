@@ -80,8 +80,7 @@ def main():
 
     # 5. persist the updated state back
     with SQLiteCoverStore(path) as s:
-        s.save_collection(reloaded.collection)
-        s.save_cover(reloaded.cover)
+        s.write_index(reloaded)
     print(f"updated state written back ({os.path.getsize(path):,} bytes)")
 
 

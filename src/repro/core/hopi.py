@@ -34,7 +34,7 @@ on the skeleton graph).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Set, Union
+from typing import List, Optional, Set, Union
 
 from repro.core import maintenance as maint
 from repro.core.cover import DistanceTwoHopCover, TwoHopCover
@@ -93,37 +93,19 @@ class HopiIndex:
         #: operation (and per rebuild). The service layer keys caches by
         #: it and uses it as the published version of a hot-swapped index.
         self.epoch = 0
-        self._change_hooks: List[Callable[["HopiIndex", Optional[maint.MaintenanceReport]], None]] = []
 
-    # ------------------------------------------------------------------
-    # change tracking
-    # ------------------------------------------------------------------
-    def add_change_hook(
-        self, hook: Callable[["HopiIndex", Optional[maint.MaintenanceReport]], None]
-    ) -> None:
-        """Register ``hook(index, report)`` to fire after every
-        maintenance operation and rebuild (``report`` is ``None`` for
-        rebuilds). Hooks run on the mutating thread, after the cover and
-        collection are consistent again and the epoch has been bumped."""
-        self._change_hooks.append(hook)
-
-    def remove_change_hook(self, hook) -> None:
-        """Unregister a hook added with :meth:`add_change_hook`."""
-        self._change_hooks.remove(hook)
-
-    def _bump_epoch_hook(self, report: Optional[maint.MaintenanceReport]) -> None:
+    def _bump_epoch(self, report: Optional[maint.MaintenanceReport] = None) -> None:
+        """The ``on_change`` hook every maintenance op fires once it
+        completes (``report`` is unused: the epoch is the whole record)."""
         self.epoch += 1
-        for hook in self._change_hooks:
-            hook(self, report)
 
     def copy(self) -> "HopiIndex":
         """A structurally independent copy (shadow) of the index.
 
         Collection and cover are deep-copied; maintenance on the copy
-        never touches the original — the basis of the service layer's
-        epoch-based hot-swap (writers mutate a shadow, readers keep the
-        published index). The copy starts with the same epoch and no
-        change hooks.
+        never touches the original. The service forks with
+        :meth:`cow_copy` instead; this is the reference the copy-on-write
+        tests compare it against. The copy starts with the same epoch.
         """
         dup = HopiIndex(self.collection.copy(), self.cover.copy(), stats=self.stats)
         dup.epoch = self.epoch
@@ -140,7 +122,7 @@ class HopiIndex:
         (``cover.cow_copy()``). Both sides
         stay safe to mutate — the first write to shared state on either
         side privatises it first. Like :meth:`copy`, the shadow starts
-        with the same epoch and no change hooks.
+        with the same epoch.
         """
         dup = HopiIndex(
             self.collection.fork(), self.cover.cow_copy(), stats=self.stats
@@ -318,19 +300,19 @@ class HopiIndex:
     def insert_element(self, parent: ElementId, tag: str) -> ElementId:
         """Insert a child element under ``parent`` (Section 6.1)."""
         return maint.insert_element(
-            self.collection, self.cover, parent, tag, on_change=self._bump_epoch_hook
+            self.collection, self.cover, parent, tag, on_change=self._bump_epoch
         )
 
     def insert_edge(self, u: ElementId, v: ElementId) -> maint.MaintenanceReport:
         """Insert the edge/link ``u -> v`` and repair the cover."""
         return maint.insert_edge(
-            self.collection, self.cover, u, v, on_change=self._bump_epoch_hook
+            self.collection, self.cover, u, v, on_change=self._bump_epoch
         )
 
     def insert_document(self, doc_id: DocId) -> maint.MaintenanceReport:
         """Integrate a document added to the collection (Section 6.1)."""
         return maint.insert_document(
-            self.collection, self.cover, doc_id, on_change=self._bump_epoch_hook
+            self.collection, self.cover, doc_id, on_change=self._bump_epoch
         )
 
     def delete_document(
@@ -342,13 +324,13 @@ class HopiIndex:
             self.cover,
             doc_id,
             force_general=force_general,
-            on_change=self._bump_epoch_hook,
+            on_change=self._bump_epoch,
         )
 
     def delete_edge(self, u: ElementId, v: ElementId) -> maint.MaintenanceReport:
         """Delete the edge/link ``u -> v`` and repair the cover."""
         return maint.delete_edge(
-            self.collection, self.cover, u, v, on_change=self._bump_epoch_hook
+            self.collection, self.cover, u, v, on_change=self._bump_epoch
         )
 
     def document_separates(self, doc_id: DocId) -> bool:
@@ -371,7 +353,7 @@ class HopiIndex:
         fresh = HopiIndex.build(self.collection, **build_kwargs)
         self.cover = fresh.cover
         self.stats = fresh.stats
-        self._bump_epoch_hook(None)
+        self._bump_epoch()
         return self
 
     # ------------------------------------------------------------------

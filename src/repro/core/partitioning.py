@@ -72,10 +72,6 @@ class Partitioning:
         """``m`` — how many partitions the collection was split into."""
         return len(self.partitions)
 
-    def partition_of_element(self, collection: Collection, eid: int) -> int:
-        """The index of the partition holding element ``eid``'s document."""
-        return self.part_of[collection.doc(eid)]
-
 
 def compute_cross_links(
     collection: Collection, part_of: Dict[DocId, int]
@@ -409,18 +405,3 @@ def single_document_partitioning(collection: Collection) -> Partitioning:
     partitions = [[d] for d in sorted(collection.documents)]
     part_of = {d: i for i, (d,) in enumerate(partitions)}
     return Partitioning(partitions, compute_cross_links(collection, part_of), part_of)
-
-
-def partition_closure_sizes(
-    collection: Collection, partitioning: Partitioning
-) -> List[int]:
-    """Closure size per partition — measures the balance the new
-    partitioner is claimed to achieve (parallel speedup argument)."""
-    counter = IncrementalClosureCounter(collection)
-    sizes = []
-    for docs in partitioning.partitions:
-        counter.clear()
-        for doc in docs:
-            counter.try_add(doc)
-        sizes.append(counter.pairs)
-    return sizes

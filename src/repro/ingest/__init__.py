@@ -22,7 +22,6 @@ from repro.ingest.sources import (
     DeepTreeSource,
     OntologyMixSource,
     ScaleFreeSource,
-    collection_from_source,
     make_source,
 )
 
@@ -35,6 +34,5 @@ __all__ = [
     "IngestSummary",
     "OntologyMixSource",
     "ScaleFreeSource",
-    "collection_from_source",
     "make_source",
 ]

@@ -320,34 +320,6 @@ class DirectorySource(Source):
             )
 
 
-def collection_from_source(source: Source):
-    """Batch-materialise a source into a fresh ``Collection``.
-
-    The reference half of the ingestion differential gate: streaming a
-    source through the pipeline and batch-building over this collection
-    must answer every query identically. Dangling inter-document links
-    are dropped, exactly as the pipeline drops them.
-    """
-    from repro.xmlmodel.model import Collection
-
-    collection = Collection()
-    for record in source.stream(0):
-        refs = {"root": collection.new_document(
-            record.doc_id, record.root_tag
-        ).eid}
-        for child in record.children:
-            refs[child["ref"]] = collection.add_child(
-                refs[child["parent"]], child["tag"]
-            ).eid
-        for source_ref, target_ref in record.local_links:
-            collection.add_link(refs[source_ref], refs[target_ref])
-        for source_ref, target_doc in record.doc_links:
-            target = collection.documents.get(target_doc)
-            if target is not None:
-                collection.add_link(refs[source_ref], target.root)
-    return collection
-
-
 def make_source(spec: str, *, seed: int = 2005) -> Source:
     """Build a source from its ``--source`` spec string.
 

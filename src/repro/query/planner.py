@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.query.cost import NEUTRAL_COST_MODEL, ProbeCostModel
 from repro.query.pathexpr import PathExpression, Predicate, parse_path
-from repro.query.plan import Limit, LogicalPlan, build_logical_plan
+from repro.query.plan import LogicalPlan, build_logical_plan
 
 #: Planner modes: ``"selective"`` starts at the lowest-cardinality step
 #: and grows greedily; ``"naive"`` reproduces the legacy left-to-right
@@ -91,11 +91,6 @@ class PhysicalPlan:
         """The logical :class:`~repro.query.plan.Filter` predicates
         guarding ``position`` (what the operators evaluate inline)."""
         return self.logical.filters_at(position)
-
-    @property
-    def window(self) -> Optional[Limit]:
-        """The logical :class:`~repro.query.plan.Limit` node, if any."""
-        return self.logical.window
 
     def execution_profile(self, mode: str = "evaluate") -> Dict[str, object]:
         """How an evaluation ``mode`` runs this plan — which operator

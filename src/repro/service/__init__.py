@@ -11,8 +11,8 @@ index:
   a parsed-plan cache, an LRU result cache keyed by ``(path, epoch)``,
   and in-flight coalescing of identical descendant probes;
 * :mod:`repro.service.epoch` — the RCU-style epoch protocol: writers
-  mutate a deep-copied *shadow* index while readers keep answering on
-  the published epoch; an atomic reference swap publishes the shadow
+  mutate a copy-on-write fork of the index while readers keep answering
+  on the published epoch; an atomic reference swap publishes the fork
   with zero reader downtime and no torn answers;
 * :mod:`repro.service.api` — the transport-neutral ``/v1`` endpoint
   core (routing, handlers, error mapping; the endpoint table lives in
@@ -29,11 +29,7 @@ The ``read-cold``, ``read-hot`` and ``write-mixed`` workloads of
 """
 
 from repro.service.api import ServiceAPI, error_payload
-from repro.service.asyncio_http import (
-    AsyncServerHandle,
-    AsyncServiceServer,
-    start_in_thread,
-)
+from repro.service.asyncio_http import AsyncServiceServer
 from repro.service.cache import LRUCache
 from repro.service.coalesce import CoalescingCache
 from repro.service.epoch import EpochHolder, EpochState
@@ -41,7 +37,6 @@ from repro.service.telemetry import Telemetry
 from repro.service.service import QueryResponse, QueryService, UpdateError
 
 __all__ = [
-    "AsyncServerHandle",
     "AsyncServiceServer",
     "LRUCache",
     "CoalescingCache",
@@ -50,7 +45,6 @@ __all__ = [
     "ServiceAPI",
     "Telemetry",
     "error_payload",
-    "start_in_thread",
     "QueryService",
     "QueryResponse",
     "UpdateError",

@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional, Tuple
@@ -113,8 +112,8 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 class AsyncServiceServer:
     """The asyncio front end of one :class:`QueryService`.
 
-    Construct, then either ``await start()`` inside a running loop or
-    use :func:`start_in_thread` from synchronous code.
+    Construct, then ``await start()`` inside a running loop
+    (``repro serve`` runs one under ``asyncio.run``).
 
     Args:
         service: the service to publish; shared with the endpoint
@@ -509,93 +508,3 @@ async def _drain_quietly(writer: asyncio.StreamWriter) -> None:
         await writer.drain()
     except (ConnectionError, OSError):  # pragma: no cover - client gone
         pass
-
-
-class AsyncServerHandle:
-    """A running async front end on a background event-loop thread.
-
-    Returned by :func:`start_in_thread`; used by tests and the bench
-    harness, which are synchronous. ``base_url`` points at the bound
-    ephemeral port; :meth:`close` stops the loop and joins the thread.
-    Usable as a context manager.
-    """
-
-    def __init__(
-        self,
-        server: AsyncServiceServer,
-        loop: asyncio.AbstractEventLoop,
-        thread: threading.Thread,
-        address: Tuple[str, int],
-    ) -> None:
-        self.server = server
-        self.loop = loop
-        self.thread = thread
-        self.address = address
-        self.base_url = f"http://{address[0]}:{address[1]}"
-
-    @property
-    def telemetry(self) -> Telemetry:
-        return self.server.telemetry
-
-    def close(self) -> None:
-        """Stop serving and join the event-loop thread."""
-        if self.thread.is_alive():
-            self.loop.call_soon_threadsafe(self.server.shutdown)
-        self.thread.join(timeout=10.0)
-
-    def __enter__(self) -> "AsyncServerHandle":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-
-def start_in_thread(
-    service: QueryService,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    **kwargs: Any,
-) -> AsyncServerHandle:
-    """Run an async front end on a daemon thread; returns its handle.
-
-    The event loop, socket and worker pools all live on the background
-    thread; the caller gets ``handle.base_url`` once the socket is
-    bound (or the startup exception re-raised, e.g. port in use).
-    ``kwargs`` forward to :class:`AsyncServiceServer`.
-    """
-    server = AsyncServiceServer(service, **kwargs)
-    started = threading.Event()
-    box: Dict[str, Any] = {}
-    loop = asyncio.new_event_loop()
-
-    def _run() -> None:
-        asyncio.set_event_loop(loop)
-
-        async def _main() -> None:
-            try:
-                box["address"] = await server.start(host, port)
-            except Exception as exc:  # pragma: no cover - bind races
-                box["error"] = exc
-                return
-            finally:
-                started.set()
-            await server.wait_closed()
-
-        try:
-            loop.run_until_complete(_main())
-        finally:
-            loop.close()
-
-    thread = threading.Thread(
-        target=_run, name="repro-async-server", daemon=True
-    )
-    thread.start()
-    started.wait(timeout=10.0)
-    if "error" in box:
-        thread.join(timeout=5.0)
-        raise box["error"]
-    if "address" not in box:
-        raise RuntimeError("async server failed to start within 10s")
-    return AsyncServerHandle(server, loop, thread, box["address"])
-

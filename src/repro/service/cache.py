@@ -123,11 +123,6 @@ class LRUCache:
                 self._inflight.pop(key, None)
             pending.event.set()
 
-    def clear(self) -> None:
-        """Drop every entry (hit/miss/eviction counters are kept)."""
-        with self._lock:
-            self._data.clear()
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._data)

@@ -2,12 +2,12 @@
 
 A *published* index never mutates. Readers take one reference to the
 current :class:`EpochState` at the start of a request and answer the
-whole request from it; writers deep-copy the published index into a
-*shadow* (:meth:`repro.core.hopi.HopiIndex.copy`), apply maintenance to
-the shadow (readers keep going on the old epoch — zero downtime), then
-publish the shadow with a single atomic reference assignment. A reader
-therefore always observes answers consistent with exactly one epoch:
-either entirely pre-swap or entirely post-swap, never a torn mix.
+whole request from it; the writer forks the published index
+copy-on-write (:meth:`repro.core.hopi.HopiIndex.cow_copy`), applies
+maintenance to the fork (readers keep going on the old epoch — zero
+downtime), then publishes it with a single atomic reference assignment.
+A reader therefore always observes answers consistent with exactly one
+epoch: either entirely pre-swap or entirely post-swap, never a torn mix.
 
 The atomicity of the swap is a plain attribute write — atomic under the
 GIL, and the only synchronisation readers ever need. Writers serialise

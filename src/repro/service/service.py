@@ -17,9 +17,8 @@ index:
    (``source × candidate-list``) across *different* queries coalesce
    and are answered once per epoch.
 
-The write path (:meth:`QueryService.update`, :meth:`QueryService.apply`,
-:meth:`QueryService.reload_cover`) is a **group-commit loop over
-copy-on-write forks**: concurrent ``/update`` batches queue on a
+The one write path, :meth:`QueryService.update`, is a **group-commit
+loop over copy-on-write forks**: concurrent ``/update`` batches queue on a
 pending list, and one drainer applies each queued batch to its own
 :meth:`~repro.core.hopi.HopiIndex.cow_copy` fork (sharing unchanged
 label rows, documents and tag lists instead of deep-copying them) —
@@ -60,7 +59,6 @@ from repro.query.planner import PreparedQuery
 from repro.service.cache import LRUCache
 from repro.service.coalesce import CoalescingCache
 from repro.service.epoch import EpochHolder, EpochState
-from repro.storage.snapshot import load_snapshot
 from repro.xmlmodel.model import ElementId
 
 _MISSING = object()
@@ -198,8 +196,8 @@ class QueryService:
     """A thread-safe serving tier over one :class:`HopiIndex`.
 
     The service takes ownership of ``index``: callers must not mutate
-    it afterwards (mutations go through :meth:`update` / :meth:`apply`,
-    which operate on shadows and hot-swap).
+    it afterwards (mutations go through :meth:`update`, which operates
+    on forks and hot-swaps).
 
     Args:
         index: the index to publish as epoch 0's generation.
@@ -213,8 +211,7 @@ class QueryService:
             :class:`~repro.storage.wal.DurableIndexStore` — when set,
             every committed ``/update`` batch is WAL-logged before its
             epoch publishes, and the snapshot is checkpointed on the
-            store's interval (or immediately after non-loggable writes
-            via :meth:`apply` / :meth:`reload_cover`).
+            store's interval.
     """
 
     def __init__(
@@ -400,42 +397,6 @@ class QueryService:
         self._holder.publish(state)
         self._published_at = time.time()
 
-    def apply(self, mutator: Callable[[HopiIndex], Any]) -> Tuple[int, Any]:
-        """Run an arbitrary maintenance function against a shadow and
-        hot-swap it in.
-
-        ``mutator`` receives a copy-on-write fork of the published index
-        (unchanged label rows and documents stay shared until first
-        write) and may call any of its Section-6 maintenance methods
-        (each bumps the shadow's epoch); if it mutates without bumping,
-        the epoch is advanced for it. Readers are never blocked; the
-        swap is atomic.
-
-        An arbitrary mutator is not expressible as wire-format ops, so
-        with a durable store attached this path forces a checkpoint
-        (which writes only the rows the mutator changed) instead of a
-        WAL append.
-
-        Returns:
-            ``(new epoch, mutator's return value)``.
-        """
-        with self._write_lock:
-            current = self._holder.current
-            shadow = current.index.cow_copy()
-            result = mutator(shadow)
-            if shadow.epoch <= current.epoch:
-                shadow.epoch = current.epoch + 1
-            self._publish(self._make_state(shadow.epoch, shadow))
-            self._count("update")
-            if self._durable is not None:
-                self._durable.fire("published")
-                self._durable.checkpoint(shadow)
-            epoch = shadow.epoch
-        # batches that queued while we held the lock would otherwise
-        # strand until the next writer arrives
-        self._drain()
-        return epoch, result
-
     def update(self, ops: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
         """Apply a batch of maintenance operations, all-or-nothing.
 
@@ -571,59 +532,6 @@ class QueryService:
             for batch in batches:
                 batch.done.set()
 
-    def reload_cover(self, snapshot) -> int:
-        """Hot-swap the cover from a CSR snapshot, keeping the
-        collection.
-
-        The zero-downtime reload path for offline rebuilds (Section 6:
-        "occasional rebuilds of the index may be considered"): a fresh
-        cover built elsewhere is loaded into a shadow generation and
-        published atomically while readers keep answering on the old
-        one. The snapshot must cover the current collection's elements.
-        A wholesale cover swap is not expressible as wire-format ops, so
-        with a durable store attached this forces a checkpoint; no label
-        row is shared with the previous cover, so it rewrites them all.
-
-        Args:
-            snapshot: a snapshot file path, or a
-                :class:`~repro.storage.snapshot.SnapshotCoverStore`
-                (re-read via its ``reload()``, so a polling maintenance
-                thread can share one store).
-
-        Returns:
-            The new epoch.
-        """
-        from repro.storage.snapshot import SnapshotCoverStore
-
-        with self._write_lock:
-            current = self._holder.current
-            if isinstance(snapshot, SnapshotCoverStore):
-                cover = snapshot.reload().copy()
-            else:
-                cover = load_snapshot(snapshot)
-            missing = [
-                e for e in current.index.collection.elements
-                if e not in cover.nodes
-            ]
-            if missing:
-                raise UpdateError(
-                    f"snapshot does not cover the collection: "
-                    f"{len(missing)} elements missing (e.g. {missing[:3]})"
-                )
-            fresh = HopiIndex(
-                current.index.collection, cover, stats=current.index.stats
-            )
-            fresh.epoch = current.epoch + 1
-            self._publish(self._make_state(fresh.epoch, fresh))
-            self._count("reload")
-            if self._durable is not None:
-                # a wholesale cover swap is not expressible as wire ops
-                self._durable.fire("published")
-                self._durable.checkpoint(fresh)
-            epoch = fresh.epoch
-        self._drain()
-        return epoch
-
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
@@ -697,12 +605,6 @@ class QueryService:
         """
         if self._durable is not None:
             self._durable.close()
-
-    def __enter__(self) -> "QueryService":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
     def stats(self) -> Dict[str, Any]:
         """A point-in-time snapshot for the ``/stats`` endpoint."""

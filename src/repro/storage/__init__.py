@@ -4,27 +4,21 @@ The paper stores the 2-hop cover in two relational tables ``LIN(ID,
 INID)`` and ``LOUT(ID, OUTID)`` (plus a ``DIST`` column for
 distance-aware covers, Section 5.1), indexed forward *and* backward, and
 evaluates connection tests as one indexed join. This package reproduces
-that design and adds an array-native snapshot format behind one store
-interface:
+that design next to an array-native snapshot format:
 
-* :mod:`repro.storage.base` — the :class:`CoverStore` contract every
-  store implements;
 * :mod:`repro.storage.schema` — DDL and the paper's query strings;
-* :mod:`repro.storage.db` — :class:`SQLiteCoverStore`, answering
-  connection/distance/ancestor/descendant queries in SQL (batched
-  ``executemany`` writes, WAL tuning on file databases), plus
-  collection persistence for a fully self-contained index file;
+* :mod:`repro.storage.db` — :class:`SQLiteCoverStore`, the one store:
+  it writes whole indexes (a delta against the last write, or a full
+  write), loads them back, and answers the paper's query shapes in SQL;
 * :mod:`repro.storage.snapshot` — CSR-style binary snapshots that
-  round-trip covers without per-row Python overhead;
-* :mod:`repro.storage.memstore` — an in-memory store with the same
-  interface (the benchmark baseline for the SQL overhead).
+  round-trip covers without per-row Python overhead (also the wire
+  format of the process-pool build);
+* :mod:`repro.storage.wal` — the update WAL and the crash-recoverable
+  :class:`~repro.storage.wal.DurableIndexStore` over ``index.db``.
 """
 
-from repro.storage.base import CoverStore
 from repro.storage.db import SQLiteCoverStore, load_index, persist_index
-from repro.storage.memstore import MemoryCoverStore
 from repro.storage.snapshot import (
-    SnapshotCoverStore,
     load_snapshot,
     save_snapshot,
     snapshot_from_bytes,
@@ -32,10 +26,7 @@ from repro.storage.snapshot import (
 )
 
 __all__ = [
-    "CoverStore",
     "SQLiteCoverStore",
-    "MemoryCoverStore",
-    "SnapshotCoverStore",
     "load_index",
     "persist_index",
     "load_snapshot",

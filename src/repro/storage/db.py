@@ -1,9 +1,9 @@
 """SQLite-backed HOPI store (Section 3.4 on SQLite instead of Oracle).
 
-:class:`SQLiteCoverStore` persists a 2-hop cover (and optionally the
-collection it indexes) into a single database file and answers queries
-with the paper's SQL statements. ``:memory:`` databases are supported
-for tests and benchmarks.
+:class:`SQLiteCoverStore` persists a HOPI index — its 2-hop cover and
+the collection it indexes — into a single database file and answers
+queries with the paper's SQL statements. ``:memory:`` databases are
+supported for tests.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 from repro.core.cover import DistanceTwoHopCover, TwoHopCover
 from repro.core.hopi import HopiIndex
 from repro.storage import schema
-from repro.storage.base import CoverStore
 from repro.xmlmodel.model import Collection
 
 Cover = Union[TwoHopCover, DistanceTwoHopCover]
@@ -31,7 +30,7 @@ _COLLECTION_TABLES = ("DOCUMENTS", "ELEMENTS", "LINKS")
 _META_UPSERT = "INSERT OR REPLACE INTO META (KEY, VALUE) VALUES (?, ?)"
 
 
-class SQLiteCoverStore(CoverStore):
+class SQLiteCoverStore:
     """A 2-hop cover stored in LIN/LOUT tables with forward + backward
     indexes.
 
@@ -95,15 +94,6 @@ class SQLiteCoverStore(CoverStore):
         )
         factory = DistanceTwoHopCover if distance else TwoHopCover
         return factory.from_entries(nodes, rows)
-
-    def save_collection(self, collection: Collection) -> None:
-        """(Re)write the DOCUMENTS/ELEMENTS/LINKS tables: the collection
-        half of :meth:`write_index` against an empty base."""
-        cur = self._conn.cursor()
-        for table in _COLLECTION_TABLES:
-            cur.execute(f"DELETE FROM {table}")
-        _write_collection_delta(cur, collection, Collection())
-        self._conn.commit()
 
     def load_collection(self) -> Collection:
         cur = self._conn.cursor()

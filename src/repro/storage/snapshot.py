@@ -25,7 +25,7 @@ Layout (all little-endian)::
         lout_dist  int32[]
 
 Snapshots require integer node labels (element ids always are); covers
-over exotic hashables belong in the SQLite or memory stores.
+over exotic hashables belong in the SQLite store.
 
 Beyond on-disk persistence the same encoding doubles as the **wire
 format of the process-pool build** (:mod:`repro.core.pipeline`):
@@ -42,10 +42,9 @@ import struct
 import sys
 from array import array
 from pathlib import Path
-from typing import BinaryIO, List, Optional, Set, Union
+from typing import BinaryIO, Union
 
 from repro.core.cover import DistanceTwoHopCover, TwoHopCover
-from repro.storage.base import CoverStore
 
 MAGIC = b"HOPICSR1"
 _FLAG_DISTANCE = 1
@@ -191,82 +190,3 @@ def canonical_snapshot_bytes(cover) -> bytes:
             add = fresh.add_lin if kind == "in" else fresh.add_lout
             add(node, center)
     return snapshot_to_bytes(fresh)
-
-
-class SnapshotCoverStore(CoverStore):
-    """A :class:`CoverStore` over a CSR snapshot file.
-
-    Queries are answered by the materialised cover (loaded lazily on
-    first use); :meth:`save_cover` rewrites the file.
-    """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self._cover: Optional[Cover] = None
-        self._loaded_mtime_ns: Optional[int] = None
-
-    def _loaded(self) -> Cover:
-        if self._cover is None:
-            # stat *before* reading: if the file is rewritten while we
-            # load, the recorded mtime predates the rewrite and the next
-            # reload_if_changed() picks the new version up (stale-safe)
-            mtime_ns = self.path.stat().st_mtime_ns
-            self._cover = load_snapshot(self.path)
-            self._loaded_mtime_ns = mtime_ns
-        return self._cover
-
-    def reload(self) -> Cover:
-        """Drop the cached cover and re-read the file.
-
-        The store half of the service layer's hot-reload path
-        (``QueryService.reload_cover`` accepts a store and calls this):
-        an index rebuilt offline (e.g. after cover-quality degradation,
-        Section 6's "occasional rebuilds") is picked up without
-        restarting the process — the service loads the fresh cover into
-        a shadow epoch and hot-swaps it under live queries.
-        """
-        self._cover = None
-        return self._loaded()
-
-    def reload_if_changed(self) -> bool:
-        """Reload when the file changed since it was last read.
-
-        Returns True when a fresh cover was loaded. Cheap enough to poll
-        from a maintenance thread (one ``stat`` per call).
-        """
-        mtime_ns = self.path.stat().st_mtime_ns
-        if self._cover is not None and mtime_ns == self._loaded_mtime_ns:
-            return False
-        self.reload()
-        return True
-
-    def save_cover(self, cover) -> None:
-        save_snapshot(self.path, cover)
-        # cache a private copy: the caller may keep mutating its live
-        # cover, and the store must keep answering from persisted state
-        self._cover = cover.copy()
-        self._loaded_mtime_ns = self.path.stat().st_mtime_ns
-
-    def load_cover(self) -> Cover:
-        return self._loaded()
-
-    def connected(self, u: int, v: int) -> bool:
-        return self._loaded().connected(u, v)
-
-    def connected_many(self, u: int, candidates) -> List[bool]:
-        return self._loaded().connected_many(u, candidates)
-
-    def distance(self, u: int, v: int) -> Optional[int]:
-        cover = self._loaded()
-        if not cover.is_distance_aware:
-            raise TypeError("store does not hold a distance-aware cover")
-        return cover.distance(u, v)
-
-    def descendants(self, u: int) -> Set[int]:
-        return self._loaded().descendants(u)
-
-    def ancestors(self, v: int) -> Set[int]:
-        return self._loaded().ancestors(v)
-
-    def cover_size(self) -> int:
-        return self._loaded().size

@@ -28,10 +28,7 @@ Record format (binary, little-endian)::
 A crash mid-append leaves a torn tail: a record whose length field,
 payload, or CRC is incomplete or corrupt. Replay stops at the first
 torn record and truncates the file back to the last good offset, so the
-next append continues from a clean boundary. Ops that cannot be
-serialised (arbitrary Python mutators via ``QueryService.apply``) are
-not loggable — callers must force a checkpoint instead, which this
-module supports via :meth:`DurableIndexStore.checkpoint`.
+next append continues from a clean boundary.
 """
 
 from __future__ import annotations

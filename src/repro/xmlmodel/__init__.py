@@ -15,11 +15,7 @@ from repro.xmlmodel.parser import (
     parse_document,
     serialize,
 )
-from repro.xmlmodel.generator import (
-    dblp_like,
-    inex_like,
-    random_collection,
-)
+from repro.xmlmodel.generator import dblp_like, inex_like
 from repro.xmlmodel.export import (
     collection_size_bytes,
     export_collection,
@@ -40,5 +36,4 @@ __all__ = [
     "serialize",
     "dblp_like",
     "inex_like",
-    "random_collection",
 ]

@@ -13,8 +13,9 @@ classical XPath-accelerator scheme):
   alongside.
 
 Tree labels answer *tree-only* axes in O(1); they are oblivious to
-intra- and inter-document links — that is HOPI's job. The query engine
-uses them to shortcut purely structural steps.
+intra- and inter-document links — that is HOPI's job. Nothing in the
+product uses them yet: they are the interval half of the planned
+"intervals for the tree, 2-hop labels over the link skeleton" cover.
 """
 
 from __future__ import annotations

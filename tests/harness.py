@@ -22,6 +22,8 @@ Test code reads as ``harness.open_loop_burst(...)``:
 * :func:`stored_tables` / :func:`fresh_tables` — every row of an index
   file, and of a from-scratch ``persist_index`` of a live index: the
   oracle for snapshots maintained in place.
+* :func:`start_in_thread` — the asyncio front end on a background
+  event-loop thread, for synchronous tests.
 
 The HTTP generators are stdlib-only and transport-level: they speak
 plain HTTP to whatever server is listening.
@@ -29,6 +31,7 @@ plain HTTP to whatever server is listening.
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import itertools
 import json
@@ -582,3 +585,91 @@ def run_hot_swap_under_load(
         torn=torn,
         epochs_observed=sorted({epoch for (_, epoch) in observed}),
     )
+
+
+class AsyncServerHandle:
+    """A running async front end on a background event-loop thread.
+
+    Returned by :func:`start_in_thread` for tests, which are
+    synchronous. ``base_url`` points at the bound ephemeral port;
+    :meth:`close` stops the loop and joins the thread. Usable as a
+    context manager.
+    """
+
+    def __init__(
+        self,
+        server,
+        loop: asyncio.AbstractEventLoop,
+        thread: threading.Thread,
+        address: Tuple[str, int],
+    ) -> None:
+        self.server = server
+        self.loop = loop
+        self.thread = thread
+        self.address = address
+        self.base_url = f"http://{address[0]}:{address[1]}"
+
+    def close(self) -> None:
+        """Stop serving and join the event-loop thread."""
+        if self.thread.is_alive():
+            self.loop.call_soon_threadsafe(self.server.shutdown)
+        self.thread.join(timeout=10.0)
+
+    def __enter__(self) -> "AsyncServerHandle":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
+
+
+def start_in_thread(
+    service,
+    *,
+    host: str = "127.0.0.1",
+    port: int = 0,
+    **kwargs: Any,
+) -> AsyncServerHandle:
+    """Run an async front end on a daemon thread; returns its handle.
+
+    The event loop, socket and worker pools all live on the background
+    thread; the caller gets ``handle.base_url`` once the socket is
+    bound (or the startup exception re-raised, e.g. port in use).
+    ``kwargs`` forward to
+    :class:`~repro.service.asyncio_http.AsyncServiceServer`.
+    """
+    from repro.service.asyncio_http import AsyncServiceServer
+
+    server = AsyncServiceServer(service, **kwargs)
+    started = threading.Event()
+    box: Dict[str, Any] = {}
+    loop = asyncio.new_event_loop()
+
+    def _run() -> None:
+        asyncio.set_event_loop(loop)
+
+        async def _main() -> None:
+            try:
+                box["address"] = await server.start(host, port)
+            except Exception as exc:  # pragma: no cover - bind races
+                box["error"] = exc
+                return
+            finally:
+                started.set()
+            await server.wait_closed()
+
+        try:
+            loop.run_until_complete(_main())
+        finally:
+            loop.close()
+
+    thread = threading.Thread(
+        target=_run, name="repro-async-server", daemon=True
+    )
+    thread.start()
+    started.wait(timeout=10.0)
+    if "error" in box:
+        thread.join(timeout=5.0)
+        raise box["error"]
+    if "address" not in box:
+        raise RuntimeError("async server failed to start within 10s")
+    return AsyncServerHandle(server, loop, thread, box["address"])

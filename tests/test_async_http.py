@@ -29,9 +29,9 @@ import urllib.request
 import pytest
 
 import harness
+from harness import start_in_thread
 from repro.core.hopi import HopiIndex
 from repro.service import QueryService, ServiceAPI
-from repro.service.asyncio_http import start_in_thread
 from repro.service.telemetry import percentile
 from repro.xmlmodel.generator import dblp_like
 

@@ -58,7 +58,7 @@ def roots(index):
 
 KINDS = (
     "insert_element", "insert_edge", "insert_document", "delete_sep",
-    "delete_nonsep", "delete_edge", "rebuild", "apply",
+    "delete_nonsep", "delete_edge", "rebuild",
 )
 
 #: ``(op kind, element/document pick, checkpoint after this step?)``
@@ -122,14 +122,6 @@ def test_delta_checkpoints_equal_a_fresh_write(distance, steps):
         service = QueryService(index, durable_store=store)
         try:
             for serial, (kind, pick, checkpoint) in enumerate(steps):
-                if kind == "apply":
-                    elements = sorted(service.index.collection.elements)
-                    parent = elements[pick % len(elements)]
-                    service.apply(
-                        lambda shadow: shadow.insert_element(parent, "applied")
-                    )  # forces a checkpoint
-                    assert_snapshot_is_fresh(store, service.index, directory)
-                    continue
                 try:
                     service.update([make_op(service.index, kind, pick, serial)])
                 except UpdateError:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from random_collections import random_collection
 from repro.graph.traversal import is_acyclic
 from repro.xmlmodel import (
     collection_size_bytes,
@@ -11,7 +12,6 @@ from repro.xmlmodel import (
     export_collection,
     inex_like,
     load_collection,
-    random_collection,
 )
 
 

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core import HopiIndex
 from repro.graph import transitive_closure
-from repro.xmlmodel import dblp_like, inex_like, random_collection
+from random_collections import random_collection
+from repro.xmlmodel import dblp_like, inex_like
 
 
 @pytest.fixture(scope="module")

@@ -15,8 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import harness
+from harness import start_in_thread
 from repro.core.hopi import HopiIndex
-from repro.service import QueryService, start_in_thread
+from repro.service import QueryService
 from repro.service.asyncio_http import MAX_BODY_BYTES
 from repro.xmlmodel.generator import dblp_like
 

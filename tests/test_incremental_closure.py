@@ -24,7 +24,6 @@ from repro.core.partitioning import (
     _grow_partition,
     link_count_edge_weight,
     partition_by_closure_size,
-    partition_closure_sizes,
 )
 from repro.core.skeleton import connection_edge_weight
 from repro.graph.closure import (
@@ -33,6 +32,7 @@ from repro.graph.closure import (
     transitive_closure_size,
 )
 from repro.xmlmodel import Collection, dblp_like, inex_like
+from test_partitioning import partition_closure_sizes
 
 SETTINGS = settings(
     max_examples=120,

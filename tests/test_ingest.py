@@ -25,7 +25,6 @@ from repro.ingest import (
     DirectorySource,
     FrontierCheckpoint,
     IngestPipeline,
-    collection_from_source,
     make_source,
 )
 from repro.query.engine import QueryEngine
@@ -44,6 +43,32 @@ def empty_service(**kwargs):
 
 def records(source, cursor=0):
     return list(source.stream(cursor))
+
+
+def collection_from_source(source):
+    """Batch-materialise a source into a fresh ``Collection``.
+
+    The reference half of the ingestion differential gate: streaming a
+    source through the pipeline and batch-building over this collection
+    must answer every query identically. Dangling inter-document links
+    are dropped, exactly as the pipeline drops them.
+    """
+    collection = Collection()
+    for record in source.stream(0):
+        refs = {"root": collection.new_document(
+            record.doc_id, record.root_tag
+        ).eid}
+        for child in record.children:
+            refs[child["ref"]] = collection.add_child(
+                refs[child["parent"]], child["tag"]
+            ).eid
+        for source_ref, target_ref in record.local_links:
+            collection.add_link(refs[source_ref], refs[target_ref])
+        for source_ref, target_doc in record.doc_links:
+            target = collection.documents.get(target_doc)
+            if target is not None:
+                collection.add_link(refs[source_ref], target.root)
+    return collection
 
 
 # ---------------------------------------------------------------------------

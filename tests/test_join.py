@@ -22,7 +22,8 @@ from repro.core.partitioning import (
     partition_by_node_weight,
 )
 from repro.graph import DiGraph, distance_closure, transitive_closure
-from repro.xmlmodel import dblp_like, random_collection
+from random_collections import random_collection
+from repro.xmlmodel import dblp_like
 
 
 def _partition_and_cover(collection, partitioning, distance=False):

@@ -30,7 +30,8 @@ from repro.core.maintenance import (
 from repro.core.pipeline import BuildPipeline
 from repro.graph import distance_closure, transitive_closure
 from repro.graph.traversal import descendants as graph_descendants
-from repro.xmlmodel import Collection, dblp_like, inex_like, random_collection
+from random_collections import random_collection
+from repro.xmlmodel import Collection, dblp_like, inex_like
 
 
 def _fresh_cover(collection, distance=False):
@@ -728,8 +729,8 @@ from repro.core.maintenance import (
     delete_document, document_separates, insert_document, insert_edge,
     insert_element,
 )
+from random_collections import random_collection
 from repro.storage.snapshot import canonical_snapshot_bytes
-from repro.xmlmodel import random_collection
 
 for build in (build_cover, build_distance_cover):
     c = random_collection(
@@ -758,12 +759,13 @@ def test_region_recover_is_independent_of_the_hash_seed():
     """WAL replay re-runs the re-cover and the link-rule choice of every
     insert in a fresh process, whose string hashing differs: the result
     must not depend on it."""
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(os.path.dirname(tests), "src"), tests])
     outputs = []
     for seed in ("0", "1"):
         done = subprocess.run(
             [sys.executable, "-c", _DETERMINISM_SCRIPT],
-            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr[-2000:]

@@ -2,17 +2,31 @@
 
 import pytest
 
+from random_collections import random_collection
 from repro.core.partitioning import (
+    IncrementalClosureCounter,
     Partitioning,
     compute_cross_links,
     link_count_edge_weight,
     partition_by_closure_size,
     partition_by_node_weight,
-    partition_closure_sizes,
     single_document_partitioning,
 )
 from repro.graph.closure import transitive_closure_size
-from repro.xmlmodel import dblp_like, random_collection
+from repro.xmlmodel import dblp_like
+
+
+def partition_closure_sizes(collection, partitioning):
+    """Closure size per partition — measures the balance the new
+    partitioner is claimed to achieve (parallel speedup argument)."""
+    counter = IncrementalClosureCounter(collection)
+    sizes = []
+    for docs in partitioning.partitions:
+        counter.clear()
+        for doc in docs:
+            counter.try_add(doc)
+        sizes.append(counter.pairs)
+    return sizes
 
 
 @pytest.fixture(scope="module")

@@ -17,6 +17,7 @@ import weakref
 import pytest
 
 import harness
+from harness import start_in_thread
 from repro.core.hopi import HopiIndex
 from repro.query.engine import QueryEngine
 from repro.service import (
@@ -26,10 +27,9 @@ from repro.service import (
     QueryService,
     ServiceAPI,
     UpdateError,
-    start_in_thread,
 )
 from cover_oracle import index_in_state
-from repro.storage.snapshot import canonical_snapshot_bytes, save_snapshot
+from repro.storage.snapshot import canonical_snapshot_bytes
 from repro.xmlmodel.generator import dblp_like
 
 
@@ -386,17 +386,6 @@ class TestServiceUpdates:
         with pytest.raises(ValueError, match="non-negative"):
             service.query("//article//author", limit=-1)
 
-    def test_apply_arbitrary_mutator(self, arrays_index):
-        service = QueryService(arrays_index.copy())
-        docs = sorted(service.index.collection.documents)
-
-        def mutator(shadow):
-            return shadow.delete_document(docs[1]).operation
-
-        epoch, op = service.apply(mutator)
-        assert (epoch, op) == (1, "delete_document")
-        assert docs[1] not in service.index.collection.documents
-
     def test_rebuild_op(self, arrays_index):
         service = QueryService(arrays_index.copy())
         report = service.update([{"op": "rebuild", "strategy": "unpartitioned"}])
@@ -482,51 +471,6 @@ class TestServiceUpdates:
         assert collection.tags() == tags_before
         assert collection.elements == elements_before
         assert canonical_snapshot_bytes(published.cover) == cover_before
-
-
-# ---------------------------------------------------------------------------
-# snapshot hot-reload
-# ---------------------------------------------------------------------------
-
-
-class TestSnapshotReload:
-    def test_reload_cover_hot_swaps(self, tmp_path, arrays_index):
-        service = QueryService(arrays_index.copy())
-        before = service.query("//article//author")
-        # an offline rebuild produces a (differently shaped) snapshot
-        rebuilt = arrays_index.copy().rebuild(strategy="unpartitioned")
-        snap = tmp_path / "rebuilt.snap"
-        save_snapshot(snap, rebuilt.cover)
-        epoch = service.reload_cover(snap)
-        assert epoch == 1
-        after = service.query("//article//author")
-        assert after.epoch == 1
-        assert signature(after.results) == signature(before.results)
-
-    def test_reload_cover_from_store(self, tmp_path, arrays_index):
-        """A polling maintenance thread shares one SnapshotCoverStore;
-        the service re-reads through its reload()."""
-        from repro.storage.snapshot import SnapshotCoverStore
-
-        service = QueryService(arrays_index.copy())
-        snap = tmp_path / "live.snap"
-        store = SnapshotCoverStore(snap)
-        store.save_cover(arrays_index.copy().rebuild(strategy="unpartitioned").cover)
-        epoch = service.reload_cover(store)
-        assert epoch == 1
-        response = service.query("//article//author")
-        assert response.epoch == 1 and response.results
-
-    def test_reload_rejects_noncovering_snapshot(self, tmp_path, arrays_index):
-        shrunk = arrays_index.copy()
-        doc = sorted(shrunk.collection.documents)[0]
-        shrunk.delete_document(doc)
-        snap = tmp_path / "shrunk.snap"
-        save_snapshot(snap, shrunk.cover)
-        service = QueryService(arrays_index.copy())
-        with pytest.raises(UpdateError):
-            service.reload_cover(snap)
-        assert service.epoch == 0
 
 
 # ---------------------------------------------------------------------------

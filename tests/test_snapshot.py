@@ -1,11 +1,11 @@
-"""Tests for the CSR snapshot format and its CoverStore."""
+"""Tests for the CSR snapshot format."""
 
 import pytest
 
 from cover_oracle import SetTwoHopCover
 from repro.core.cover import DistanceTwoHopCover, TwoHopCover
 from repro.core.hopi import HopiIndex
-from repro.storage import SnapshotCoverStore, load_snapshot, save_snapshot
+from repro.storage import load_snapshot, save_snapshot
 from repro.xmlmodel.generator import dblp_like
 
 
@@ -47,41 +47,24 @@ def test_roundtrip_distance(tmp_path):
             assert loaded.distance(u, v) == index.distance(u, v)
 
 
-def test_snapshot_store_queries(tmp_path, small_index):
-    path = tmp_path / "store.snap"
-    store = SnapshotCoverStore(path)
-    store.save_cover(small_index.cover)
-    assert store.cover_size() == small_index.cover.size
-    nodes = sorted(small_index.collection.elements)[:20]
-    for u in nodes:
-        assert store.descendants(u) == small_index.descendants(u)
-        for v in nodes:
-            assert store.connected(u, v) == small_index.connected(u, v)
-    with pytest.raises(TypeError):
-        store.distance(nodes[0], nodes[1])
-
-
 def test_snapshot_store_isolated_from_live_mutation(tmp_path):
-    """After save_cover, the store answers from persisted state even if
-    the caller keeps mutating its live cover."""
+    """A saved snapshot holds the cover as it was saved, even if the
+    caller keeps mutating its live cover."""
     cover = TwoHopCover([1, 2, 5])
     cover.add_lout(1, 2)
-    store = SnapshotCoverStore(tmp_path / "live.snap")
-    store.save_cover(cover)
+    save_snapshot(tmp_path / "live.snap", cover)
     cover.add_lout(1, 9)
     cover.add_lin(5, 9)
-    assert not store.connected(1, 5)
-    fresh = SnapshotCoverStore(tmp_path / "live.snap")
-    assert store.cover_size() == fresh.cover_size() == 1
+    stored = load_snapshot(tmp_path / "live.snap")
+    assert not stored.connected(1, 5)
+    assert stored.size == 1
 
 
 def test_save_rejects_set_covers_directly(tmp_path):
     """Snapshots are the serialised form of the one cover class; the
-    oracle (or anything else cover-shaped) is refused, by the store too."""
+    oracle (or anything else cover-shaped) is refused."""
     with pytest.raises(TypeError):
         save_snapshot(tmp_path / "bad.snap", SetTwoHopCover([1]))
-    with pytest.raises(TypeError):
-        SnapshotCoverStore(tmp_path / "bad.snap").save_cover(SetTwoHopCover([1]))
     assert not (tmp_path / "bad.snap").exists()
 
 
@@ -109,39 +92,6 @@ def test_load_rejects_truncated_snapshot(tmp_path, small_index):
         path.write_bytes(blob[:-cut])
         with pytest.raises(ValueError, match="truncated snapshot"):
             load_snapshot(path)
-
-
-def test_store_reload_picks_up_rewrites(tmp_path, small_index):
-    """The hot-reload path: an offline rebuild replaces the file; the
-    store re-reads it on reload() and serves the fresh cover."""
-    path = tmp_path / "live.snap"
-    store = SnapshotCoverStore(path)
-    store.save_cover(small_index.cover)
-    before = store.cover_size()
-
-    rebuilt = small_index.copy().rebuild(strategy="unpartitioned")
-    save_snapshot(path, rebuilt.cover)
-    assert store.cover_size() == before  # stale until told to reload
-    store.reload()
-    assert store.cover_size() == rebuilt.cover.size
-
-
-def test_store_reload_if_changed(tmp_path, small_index):
-    import os
-
-    path = tmp_path / "live.snap"
-    store = SnapshotCoverStore(path)
-    store.save_cover(small_index.cover)
-    assert store.reload_if_changed() is False
-
-    rebuilt = small_index.copy().rebuild(strategy="unpartitioned")
-    save_snapshot(path, rebuilt.cover)
-    # force a distinct mtime even on coarse-grained filesystems
-    stat = path.stat()
-    os.utime(path, (stat.st_atime, stat.st_mtime + 1))
-    assert store.reload_if_changed() is True
-    assert store.cover_size() == rebuilt.cover.size
-    assert store.reload_if_changed() is False
 
 
 def test_failed_save_leaves_existing_snapshot_intact(tmp_path):

@@ -8,13 +8,9 @@ import pytest
 from repro.core import HopiIndex
 from repro.core.cover import DistanceTwoHopCover, TwoHopCover
 from repro.storage.snapshot import canonical_snapshot_bytes
-from repro.storage import (
-    MemoryCoverStore,
-    SQLiteCoverStore,
-    load_index,
-    persist_index,
-)
-from repro.xmlmodel import dblp_like, random_collection
+from repro.storage import SQLiteCoverStore, load_index, persist_index
+from random_collections import random_collection
+from repro.xmlmodel import dblp_like
 
 
 @pytest.fixture
@@ -97,7 +93,7 @@ def test_save_cover_overwrites(store):
 def test_collection_roundtrip():
     original = dblp_like(10, seed=4)
     s = SQLiteCoverStore(":memory:")
-    s.save_collection(original)
+    s.write_index(HopiIndex(original, TwoHopCover()))
     loaded = s.load_collection()
     assert loaded.num_documents == original.num_documents
     assert loaded.num_elements == original.num_elements
@@ -116,7 +112,7 @@ def test_collection_roundtrip_intra_links():
         n_docs=3, intra_link_probability=0.8, inter_links=3, seed=6
     )
     s = SQLiteCoverStore(":memory:")
-    s.save_collection(original)
+    s.write_index(HopiIndex(original, TwoHopCover()))
     loaded = s.load_collection()
     for doc_id in original.documents:
         assert (
@@ -141,8 +137,7 @@ def test_sql_store_agrees_with_index_everywhere():
     collection = random_collection(n_docs=4, inter_links=5, seed=17)
     index = HopiIndex.build(collection, strategy="unpartitioned")
     store = SQLiteCoverStore(":memory:")
-    store.save_collection(collection)
-    store.save_cover(index.cover)
+    store.write_index(index)
     nodes = sorted(collection.elements)
     for u in nodes:
         for v in nodes:
@@ -156,26 +151,11 @@ def test_sql_distance_store_agrees_with_index():
     collection = random_collection(n_docs=3, inter_links=4, seed=23)
     index = HopiIndex.build(collection, strategy="unpartitioned", distance=True)
     store = SQLiteCoverStore(":memory:")
-    store.save_collection(collection)
-    store.save_cover(index.cover)
+    store.write_index(index)
     nodes = sorted(collection.elements)
     for u in nodes:
         for v in nodes:
             assert store.distance(u, v) == index.distance(u, v), (u, v)
-
-
-def test_memory_store_parity(chain_cover):
-    mem = MemoryCoverStore(chain_cover)
-    sql = SQLiteCoverStore(":memory:")
-    sql.save_cover(chain_cover)
-    for u in (1, 2, 3):
-        for v in (1, 2, 3):
-            assert mem.connected(u, v) == sql.connected(u, v)
-        assert mem.descendants(u) == sql.descendants(u)
-        assert mem.ancestors(u) == sql.ancestors(u)
-    assert mem.cover_size() == sql.cover_size()
-    with pytest.raises(TypeError):
-        mem.distance(1, 3)
 
 
 def test_context_manager(tmp_path):
