@@ -10,6 +10,15 @@ callable without a socket (the parity suite compares direct
 only its transport: socket handling, HTTP parsing, concurrency, and
 admission control.
 
+A ``/v1/query`` or ``/v1/count`` whose answer is already in the
+result cache has a second, byte-level rendering:
+:meth:`ServiceAPI.cached_body` returns the finished JSON body without
+evaluating anything, so the front end answers it on its event loop.
+Both renderings take their fields from the same three functions
+(``_result_rows``, ``_query_payload``, ``_count_payload``); a cached
+list's rows are encoded once per ``(plan key, epoch)`` and reused by
+every window.
+
 The API (all JSON, every response tagged with the ``epoch`` that
 answered it):
 
@@ -52,16 +61,21 @@ returning ``(status, payload)`` and list it in :data:`V1_ROUTES`.
 :class:`~repro.service.telemetry.Telemetry` instance (per-endpoint
 latency histograms + status counters), which the ``/v1/metrics``
 endpoint reports back out together with the service's cache hit rates
-and epoch age.
+and epoch age. :meth:`ServiceAPI.run` and :meth:`ServiceAPI.cached_body`
+do not: the front end records what it runs through them itself, once
+per request, with the status it answered.
 """
 
 from __future__ import annotations
 
+import json
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.query.engine import QueryResult
 from repro.query.pathexpr import PathSyntaxError
-from repro.service.service import QueryService, UpdateError
+from repro.service.cache import LRUCache
+from repro.service.service import QueryResponse, QueryService, UpdateError
 from repro.service.telemetry import Telemetry
 
 #: endpoints served under ``/v1/<name>``
@@ -89,12 +103,63 @@ def route(path: str) -> Optional[str]:
     return None
 
 
+def _result_rows(
+    results: Sequence[QueryResult], collection: Any
+) -> List[Dict[str, Any]]:
+    """Ranked matches as a ``/v1/query`` answer lists them."""
+    elements = collection.elements
+    rows = []
+    for r in results:
+        element = elements[r.target]
+        rows.append({
+            "score": r.score,
+            "element": r.target,
+            "doc": element.doc,
+            "tag": element.tag,
+            "text": element.text,
+            "bindings": list(r.bindings),
+        })
+    return rows
+
+
+def _query_payload(
+    response: QueryResponse,
+    limit: Optional[int],
+    offset: int,
+    count: int,
+    results: List[Any],
+) -> Dict[str, Any]:
+    """A ``/v1/query`` answer showing ``count`` rows from ``offset``."""
+    consumed = offset + count
+    return {
+        "epoch": response.epoch,
+        "path": response.path,
+        "cached": response.cached,
+        "seconds": response.seconds,
+        "count": count,
+        "results": results,
+        "total": response.total,
+        "limit": limit,
+        "offset": offset,
+        "next_offset": consumed if consumed < response.total else None,
+        "truncated": response.truncated,
+    }
+
+
+def _count_payload(path: str, epoch: int, n: int) -> Dict[str, Any]:
+    """A ``/v1/count`` answer; ``path`` is the raw request parameter."""
+    return {"epoch": epoch, "path": path, "count": n}
+
+
 class ServiceAPI:
     """Every ``/v1`` endpoint of one service, as plain method calls.
 
     ``service`` is a :class:`QueryService`; ``telemetry`` is shared
     with the enclosing front end so admission-control gauges and
     request histograms land in one ``/v1/metrics`` payload.
+    :meth:`dispatch` answers any request with a ``(status, payload)``
+    pair; :meth:`cached_body` answers a result-cache hit with finished
+    JSON bytes, from rows it encodes once per cached entry.
     """
 
     def __init__(
@@ -102,6 +167,8 @@ class ServiceAPI:
     ) -> None:
         self.service = service
         self.telemetry = telemetry if telemetry is not None else Telemetry()
+        # (plan key, epoch) -> (cached ranked list, its JSON rows or None)
+        self._rendered = LRUCache(service._results.cache.capacity)
 
     # -- parameter plumbing ---------------------------------------------
     def _param(self, params: Dict[str, list], name: str) -> str:
@@ -134,6 +201,16 @@ class ServiceAPI:
             )
         return value
 
+    def _window(self, params: Dict[str, list]) -> Tuple[Optional[int], int]:
+        """The validated ``(limit, offset)`` of a ``/v1/query``."""
+        limit = None
+        if "limit" in params:
+            limit = self._int_param(params, "limit", minimum=1)
+        offset = 0
+        if "offset" in params:
+            offset = self._int_param(params, "offset", minimum=0)
+        return limit, offset
+
     # -- dispatch --------------------------------------------------------
     def dispatch(
         self,
@@ -141,7 +218,8 @@ class ServiceAPI:
         params: Dict[str, list],
         body: Optional[Any],
     ) -> Tuple[int, Dict[str, Any]]:
-        """Route one request and run its handler, mapping errors.
+        """Route one request, run its handler and record it in the
+        telemetry.
 
         Returns ``(status, payload)`` — the complete response in both
         the success and every error case, so the front end only
@@ -150,10 +228,26 @@ class ServiceAPI:
         unexpected to 500.
         """
         name = route(url_path)
+        status, payload, seconds = self.run(name, url_path, params, body)
+        if name is not None:
+            self.telemetry.observe(name, seconds, status)
+        return status, payload
+
+    def run(
+        self,
+        name: Optional[str],
+        url_path: str,
+        params: Dict[str, list],
+        body: Optional[Any],
+    ) -> Tuple[int, Dict[str, Any], float]:
+        """:meth:`dispatch` without the telemetry, for a path already
+        routed to ``name``: ``(status, payload, handler seconds)``. The
+        front end's worker pool runs this and records the request
+        itself, so a request that misses its deadline is recorded once,
+        as the 503 it was answered with."""
         if name is None:
-            return 404, error_payload(
-                "not_found", f"unknown endpoint {url_path!r}"
-            )
+            message = f"unknown endpoint {url_path!r}"
+            return 404, error_payload("not_found", message), 0.0
         t0 = time.perf_counter()
         try:
             status, payload = getattr(self, f"_handle_{name}")(params, body)
@@ -163,52 +257,87 @@ class ServiceAPI:
             status, payload = 500, error_payload(
                 "internal", f"internal error: {exc}"
             )
-        self.telemetry.observe(name, time.perf_counter() - t0, status)
-        return status, payload
+        return status, payload, time.perf_counter() - t0
+
+    def cached_body(
+        self, url_path: str, params: Dict[str, list]
+    ) -> Optional[bytes]:
+        """The JSON body :meth:`dispatch` would answer a ``/v1/query``
+        or ``/v1/count`` with, if the result cache already holds it —
+        else ``None``, and the request takes the worker pool.
+
+        Byte for byte ``json.dumps`` of the dispatch payload (only
+        ``seconds`` differs), assembled from rows each encoded once per
+        cached entry. Never parses, evaluates or waits, so the front end
+        calls it on its event loop; a hit counts in the service exactly
+        as a dispatched hit does. Bad parameters are left to
+        :meth:`dispatch`, which owns the error answers.
+        """
+        name = route(url_path)
+        if name not in ("query", "count"):
+            return None
+        try:
+            path = self._param(params, "path")
+            if name == "count":
+                hit = self.service.cached_count(path)
+                if hit is None:
+                    return None
+                return json.dumps(_count_payload(path, *hit)).encode()
+            limit, offset = self._window(params)
+        except UpdateError:
+            return None
+        response = self.service.cached_query(path)
+        if response is None:
+            return None
+        end = response.total
+        if limit is not None:
+            end = min(end, offset + limit)
+        window = self._rendered_rows(response, offset, end)
+        text = json.dumps(
+            _query_payload(response, limit, offset, len(window), [])
+        ).encode()
+        # every field after "results" is a number, a bool or null, so
+        # the last '"results": [' is the key itself
+        cut = text.rindex(b'"results": [') + len(b'"results": [')
+        return b"".join((text[:cut], b", ".join(window), text[cut:]))
+
+    def _rendered_rows(
+        self, response: QueryResponse, start: int, end: int
+    ) -> List[bytes]:
+        """Rows ``start:end`` of a cached ranked list as JSON bytes.
+
+        A row is encoded the first time some window shows it and kept
+        with its ``(plan key, epoch)`` entry; the memo holds as many
+        entries as the result cache, whatever the windows.
+        """
+        key = (response.path, response.epoch)
+        entry = self._rendered.get(key)
+        if entry is None or entry[0] is not response.results:
+            entry = (response.results, [None] * response.total)
+            self._rendered.put(key, entry)
+        results, rows = entry
+        missing = [i for i in range(start, end) if rows[i] is None]
+        rendered = _result_rows(
+            [results[i] for i in missing], response.collection
+        )
+        for i, row in zip(missing, rendered):
+            rows[i] = json.dumps(row).encode()
+        return rows[start:end]
 
     # -- endpoints -------------------------------------------------------
     def _handle_query(self, params, body) -> Tuple[int, Dict[str, Any]]:
         path = self._param(params, "path")
-        limit = None
-        if "limit" in params:
-            limit = self._int_param(params, "limit", minimum=1)
-        offset = 0
-        if "offset" in params:
-            offset = self._int_param(params, "offset", minimum=0)
+        limit, offset = self._window(params)
         response = self.service.query(path, limit=limit, offset=offset)
         collection = response.collection  # same epoch as the results
-        results = []
-        for r in response.results:
-            element = collection.elements[r.target]
-            results.append(
-                {
-                    "score": r.score,
-                    "element": r.target,
-                    "doc": element.doc,
-                    "tag": element.tag,
-                    "text": element.text,
-                    "bindings": list(r.bindings),
-                }
-            )
-        consumed = offset + len(results)
-        return 200, {
-            "epoch": response.epoch,
-            "path": response.path,
-            "cached": response.cached,
-            "seconds": response.seconds,
-            "count": len(results),
-            "results": results,
-            "total": response.total,
-            "limit": limit,
-            "offset": offset,
-            "next_offset": consumed if consumed < response.total else None,
-            "truncated": response.truncated,
-        }
+        results = _result_rows(response.results, collection)
+        return 200, _query_payload(
+            response, limit, offset, len(results), results
+        )
 
     def _handle_count(self, params, body) -> Tuple[int, Dict[str, Any]]:
         path = self._param(params, "path")
-        epoch, n = self.service.count(path)
-        return 200, {"epoch": epoch, "path": path, "count": n}
+        return 200, _count_payload(path, *self.service.count(path))
 
     def _handle_explain(self, params, body) -> Tuple[int, Dict[str, Any]]:
         path = self._param(params, "path")

@@ -7,11 +7,16 @@ the only one; ``repro serve`` runs it — is instead:
 
 * **one event loop** owning every socket — accept, parse and response
   writes never wait on query evaluation;
-* **a bounded worker pool** (``max_inflight`` threads) running the
-  CPU-bound dispatch — the service's lock-free epoch-pinned read path,
+* **cache hits answered on the loop**: a ``GET /v1/query`` or
+  ``/v1/count`` whose answer the result cache already holds is written
+  straight from :meth:`~repro.service.api.ServiceAPI.cached_body`'s
+  pre-rendered bytes — it never parses, evaluates or waits, so it
+  needs neither admission nor a worker;
+* **a bounded worker pool** (``max_inflight`` threads) running
+  everything else — the service's lock-free epoch-pinned read path,
   single-flight coalescing and hot-swap semantics are untouched
   because the pool only calls
-  :meth:`~repro.service.api.ServiceAPI.dispatch`;
+  :meth:`~repro.service.api.ServiceAPI.run`;
 * **admission control**: at most ``max_inflight`` requests evaluate
   while at most ``queue_depth`` more wait for a pool slot; anything
   beyond that is *shed* immediately with a structured **429**
@@ -28,7 +33,8 @@ the only one; ``repro serve`` runs it — is instead:
 * **per-endpoint timeouts**: a request that exceeds its endpoint's
   deadline answers a structured **503** ``{"error": {"code":
   "overloaded"}}`` (the evaluation thread finishes in the background
-  and still warms the cache — only the response is given up on);
+  and still warms the cache — only the response is given up on, and
+  the 503 is the request's only telemetry record);
 * **control-plane exemption**: ``/v1/healthz`` and ``/v1/metrics``
   run on a dedicated two-thread pool with no admission gate, so
   operators can always see queue depth, shed counts and epoch age —
@@ -36,7 +42,10 @@ the only one; ``repro serve`` runs it — is instead:
 
 Admission-control state machine (one request)::
 
-    arrive ──► inflight < max_inflight + queue_depth? ──no──► SHED (429)
+    arrive ──► GET query/count with a result-cache hit? ──yes──► ANSWERED
+                    │ no                                 (on the loop)
+                    ▼
+               inflight < max_inflight + queue_depth? ──no──► SHED (429)
                     │ yes
                     ▼
                ADMITTED (inflight += 1; runs when a pool slot frees —
@@ -55,7 +64,7 @@ histograms), all reported by ``/v1/metrics``.
 
 Malformed requests never reach the service: an invalid or negative
 ``Content-Length``, an oversized body, a body that is not JSON, or a
-request line / header line over the stream limit (64 KiB) answers a
+request line / request head over the stream limit (64 KiB) answers a
 structured 400; a truncated request closes the connection.
 """
 
@@ -65,7 +74,7 @@ import asyncio
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlparse
 
 from repro.service.api import CONTROL_ROUTES, ServiceAPI, error_payload, route
@@ -102,8 +111,8 @@ _REASONS = {
     503: "Service Unavailable",
 }
 
-#: the stream limit: a request line or header line longer than this
-#: answers 400
+#: the stream limit: a request line, or a request head (request line
+#: plus headers), longer than this answers 400
 _MAX_HEADER_LINE = 64 * 1024
 #: request bodies beyond this are rejected rather than buffered
 MAX_BODY_BYTES = 64 * 1024 * 1024
@@ -231,13 +240,13 @@ class AsyncServiceServer:
                 try:
                     request = await self._read_request(reader)
                 except ValueError:
-                    # readline hit the stream limit: the head cannot be
+                    # the head is over the stream limit: it cannot be
                     # parsed, so answer and drop the connection
                     self._write_response(
                         writer, 400,
                         error_payload(
                             "bad_request",
-                            "request line or header longer than "
+                            "request head longer than "
                             f"{_MAX_HEADER_LINE} bytes",
                         ),
                         keep_alive=False,
@@ -268,8 +277,8 @@ class AsyncServiceServer:
         """Parse one request head: ``(method, target, headers)``, or
         ``None`` when the client closed or sent no request line.
 
-        Raises ``ValueError`` (from ``readline``) for a line longer
-        than the stream limit.
+        Raises ``ValueError`` for a head longer than the stream limit —
+        one line (from ``readline``) or all of them together.
         """
         try:
             line = await reader.readline()
@@ -280,10 +289,14 @@ class AsyncServiceServer:
             return None
         method, target = parts[0], parts[1]
         headers: Dict[str, str] = {}
+        size = len(line)
         while True:
             header = await reader.readline()
             if header in (b"\r\n", b"\n", b""):
                 break
+            size += len(header)
+            if size > _MAX_HEADER_LINE:
+                raise ValueError("request head over the stream limit")
             key, _, value = header.decode("latin-1").partition(":")
             headers[key.strip().lower()] = value.strip()
         return method, target, headers
@@ -292,12 +305,15 @@ class AsyncServiceServer:
         self,
         writer: asyncio.StreamWriter,
         status: int,
-        payload: Dict[str, Any],
+        payload: Union[Dict[str, Any], bytes],
         *,
         keep_alive: bool = True,
         extra_headers: Optional[Dict[str, str]] = None,
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        body = (
+            payload if isinstance(payload, bytes)
+            else json.dumps(payload).encode("utf-8")
+        )
         reason = _REASONS.get(status, "OK")
         lines = [
             f"HTTP/1.1 {status} {reason}",
@@ -383,20 +399,35 @@ class AsyncServiceServer:
                 return keep_alive
 
         params = parse_qs(url.query)
-        client = headers.get("x-client-id")
-        if not client:
-            peer = writer.get_extra_info("peername")
-            client = peer[0] if isinstance(peer, (tuple, list)) and peer else "?"
-        status, payload = await self._dispatch(url.path, params, body, client)
-        extra_headers = None
-        if isinstance(payload, dict):
+        name = route(url.path)
+        t0 = time.perf_counter()
+        cached = None
+        if method == "GET":
+            cached = self.api.cached_body(url.path, params)
+        if cached is not None:
+            # a result-cache hit, answered here on the loop: no
+            # admission, no worker, no re-encode
+            status = 200
+            self.telemetry.observe(name, time.perf_counter() - t0, status)
+            self._write_response(writer, status, cached, keep_alive=keep_alive)
+        else:
+            client = headers.get("x-client-id")
+            if not client:
+                peer = writer.get_extra_info("peername")
+                client = (
+                    peer[0] if isinstance(peer, (tuple, list)) and peer else "?"
+                )
+            status, payload = await self._dispatch(
+                name, url.path, params, body, client
+            )
             hint = payload.get("retry_after_seconds")
+            extra_headers = None
             if hint is not None:
                 extra_headers = {"Retry-After": str(hint)}
-        self._write_response(
-            writer, status, payload,
-            keep_alive=keep_alive, extra_headers=extra_headers,
-        )
+            self._write_response(
+                writer, status, payload,
+                keep_alive=keep_alive, extra_headers=extra_headers,
+            )
         await _drain_quietly(writer)
         if self.verbose:  # pragma: no cover - interactive logging
             print(f"{method} {target} -> {status}", flush=True)
@@ -415,6 +446,7 @@ class AsyncServiceServer:
 
     async def _dispatch(
         self,
+        name: Optional[str],
         url_path: str,
         params: Dict[str, list],
         body: Optional[Any],
@@ -427,9 +459,9 @@ class AsyncServiceServer:
         caller's fair share of it) is full and a structured 503 when
         its endpoint deadline passes. Shed responses carry a
         ``retry_after_seconds`` hint mirrored into the ``Retry-After``
-        header by the transport.
+        header by the transport. Each request is recorded in the
+        telemetry once, with the status it is answered with.
         """
-        name = route(url_path)
         loop = asyncio.get_running_loop()
 
         if name in CONTROL_ROUTES:
@@ -472,12 +504,12 @@ class AsyncServiceServer:
         self._per_client[client] = self._per_client.get(client, 0) + 1
         t0 = time.perf_counter()
         try:
+            # the worker does not record the request: if the deadline
+            # passes, the 503 below is its only record
             future = loop.run_in_executor(
-                self._pool, self.api.dispatch, url_path, params, body
+                self._pool, self.api.run, name, url_path, params, body
             )
-            if timeout is None:
-                return await future
-            return await asyncio.wait_for(future, timeout)
+            status, payload, seconds = await asyncio.wait_for(future, timeout)
         except asyncio.TimeoutError:
             self.telemetry.counter("shed_timeout")
             self.telemetry.observe(
@@ -501,6 +533,9 @@ class AsyncServiceServer:
                 self._per_client.pop(client, None)
             else:
                 self._per_client[client] = remaining
+        if name is not None:
+            self.telemetry.observe(name, seconds, status)
+        return status, payload
 
 
 async def _drain_quietly(writer: asyncio.StreamWriter) -> None:

@@ -1,8 +1,10 @@
 """A small thread-safe LRU cache with hit/miss accounting.
 
-Used twice by the service: for parsed query plans (path string →
-:class:`~repro.query.pathexpr.PathExpression`) and, composed with the
-in-flight coalescer, for ranked results keyed by ``(path, epoch)``.
+Used three times by the serving tier: for parsed query plans (path
+string → :class:`~repro.query.pathexpr.PathExpression`), composed with
+the in-flight coalescer for ranked results keyed by ``(path, epoch)``,
+and by :class:`~repro.service.api.ServiceAPI` for the pre-rendered JSON
+rows of those results.
 """
 
 from __future__ import annotations
@@ -48,10 +50,19 @@ class LRUCache:
 
     def get(self, key: Hashable, default: Any = None) -> Any:
         """The cached value (refreshing its recency), or ``default``."""
+        return self._get(key, default, count_miss=True)
+
+    def lookup(self, key: Hashable, default: Any = None) -> Any:
+        """Like :meth:`get`, but a miss leaves no trace: only a hit is
+        counted — for callers that fall back to :meth:`get` on a miss."""
+        return self._get(key, default, count_miss=False)
+
+    def _get(self, key: Hashable, default: Any, count_miss: bool) -> Any:
         with self._lock:
             value = self._data.get(key, _MISSING)
             if value is _MISSING:
-                self.misses += 1
+                if count_miss:
+                    self.misses += 1
                 return default
             self._data.move_to_end(key)
             self.hits += 1

@@ -17,6 +17,12 @@ index:
    (``source × candidate-list``) across *different* queries coalesce
    and are answered once per epoch.
 
+:meth:`QueryService.cached_query` / :meth:`QueryService.cached_count`
+are the non-blocking face of the first two: they only peek, so the
+HTTP front end answers a result-cache hit on its event loop and sends
+everything else to :meth:`QueryService.query` / :meth:`QueryService.count`
+on a worker.
+
 The one write path, :meth:`QueryService.update`, is a **group-commit
 loop over copy-on-write forks**: concurrent ``/update`` batches queue on a
 pending list, and one drainer applies each queued batch to its own
@@ -160,7 +166,8 @@ class QueryResponse:
         path: the canonical (normalised) path expression — the plan key.
         results: ranked matches, windowed by the request's
             ``offset``/``limit`` (shared cached list slice — do not
-            mutate).
+            mutate); from :meth:`QueryService.cached_query`, the whole
+            cached list itself.
         source: ``"hit"`` / ``"computed"`` / ``"coalesced"`` — how the
             result cache served this request.
         seconds: service-side latency of this request.
@@ -197,7 +204,9 @@ class QueryService:
 
     The service takes ownership of ``index``: callers must not mutate
     it afterwards (mutations go through :meth:`update`, which operates
-    on forks and hot-swaps).
+    on forks and hot-swaps). :meth:`query` and :meth:`count` may block
+    (evaluate, or wait on a coalesced evaluation);
+    :meth:`cached_query` and :meth:`cached_count` never do.
 
     Args:
         index: the index to publish as epoch 0's generation.
@@ -356,6 +365,60 @@ class QueryService:
         )
         self._count("count")
         return state.epoch, n
+
+    def cached_query(self, path: str) -> Optional[QueryResponse]:
+        """The pinned epoch's cached ranked list for ``path``, or
+        ``None``.
+
+        Peeks the plan and result caches and nothing else: it never
+        parses, evaluates or waits on an in-flight computation, so the
+        HTTP front end may call it on its event loop. A hit counts as
+        :meth:`query`'s hit does (one plan hit, one result hit, one
+        ``query`` request) and answers the whole list — ``total`` is
+        its length, the caller applies the window; a miss counts
+        nothing, because the caller falls back to :meth:`query`.
+        """
+        t0 = time.perf_counter()
+        hit = self._peek("query", path)
+        if hit is None:
+            return None
+        state, key, results = hit
+        total = len(results)
+        return QueryResponse(
+            epoch=state.epoch,
+            path=key,
+            results=results,
+            source="hit",
+            seconds=time.perf_counter() - t0,
+            collection=state.index.collection,
+            total=total,
+            truncated=total >= self._max_results,
+        )
+
+    def cached_count(self, path: str) -> Optional[Tuple[int, int]]:
+        """:meth:`count`'s ``(epoch, n)`` if the result cache already
+        holds it, else ``None`` — the :meth:`cached_query` contract."""
+        hit = self._peek("count", path)
+        return None if hit is None else (hit[0].epoch, hit[2])
+
+    def _peek(
+        self, kind: str, path: str
+    ) -> Optional[Tuple[EpochState, str, Any]]:
+        """``(pinned state, plan key, cached value)`` of a result-cache
+        hit, counted as the pool path counts one; ``None`` (uncounted)
+        otherwise."""
+        state = self._holder.current
+        prepared = self._plans.peek(path)
+        if prepared is None:
+            return None
+        value = self._results.cache.lookup(
+            (kind, prepared.key, state.epoch), _MISSING
+        )
+        if value is _MISSING:
+            return None
+        self._plans.lookup(path)
+        self._count(kind)
+        return state, prepared.key, value
 
     def explain(
         self, path: Union[str, PathExpression], *, mode: str = "evaluate"

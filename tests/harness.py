@@ -32,6 +32,7 @@ plain HTTP to whatever server is listening.
 from __future__ import annotations
 
 import asyncio
+import errno
 import http.client
 import itertools
 import json
@@ -307,8 +308,12 @@ def raw_exchange(
         try:
             sock.sendall(data)
             sock.shutdown(socket.SHUT_WR)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # the server answered and closed first; read what it sent
+        except OSError as exc:
+            # the server answered and closed first (a reset leaves the
+            # socket unconnected, so shutdown fails too); read what it
+            # sent
+            if exc.errno not in (errno.EPIPE, errno.ECONNRESET, errno.ENOTCONN):
+                raise
         while True:
             try:
                 chunk = sock.recv(65536)

@@ -19,6 +19,7 @@ Timing-sensitive assertions use generous bounds when ``CI`` is set.
 import contextlib
 import json
 import os
+import re
 import socketserver
 import threading
 import time
@@ -136,6 +137,11 @@ def parity_requests(service):
         ("query-bad-offset", "/v1/query?path=//article//author&offset=-1", {}),
         ("query-bad-path", "/v1/query?path=//article[", {}),
         ("count", "/v1/count?path=//article//author", {}),
+        ("count-cached", "/v1/count?path=//article//author", {}),
+        ("query-cached-window",
+         "/v1/query?path=//article//author&limit=2&offset=4", {}),
+        ("query-cached-past-end",
+         "/v1/query?path=//article//author&offset=100000", {}),
         ("count-bad-path", "/v1/count?path=%5B%5Bnope", {}),
         ("explain", "/v1/explain?path=//article//cite", {}),
         ("explain-mode", "/v1/explain?path=//article//cite&mode=count", {}),
@@ -235,6 +241,114 @@ def run_parity(make_service):
 class TestDifferentialParity:
     def test_unsharded(self, base_index):
         run_parity(lambda: QueryService(base_index.copy()))
+
+
+# ---------------------------------------------------------------------------
+# result-cache hits answered on the event loop from pre-rendered bytes
+# ---------------------------------------------------------------------------
+
+
+def without_seconds(raw):
+    """A JSON body with its one volatile field blanked."""
+    return re.sub(rb'"seconds": [^,]+,', b'"seconds": 0,', raw)
+
+
+def get_raw(base, path):
+    with urllib.request.urlopen(base + path, timeout=30) as resp:
+        return resp.status, resp.read()
+
+
+class TestCachedBytePath:
+    @pytest.mark.parametrize("query", [
+        "",                          # no limit: the whole list
+        "&limit=5",
+        "&limit=3&offset=2",
+        "&offset=7",
+        "&offset=100000",            # offset >= total
+        "&limit=4&offset=100000",
+    ])
+    def test_hit_body_is_json_of_the_dispatch_payload(self, base_index, query):
+        service = QueryService(base_index.copy())
+        api = ServiceAPI(service)
+        target = "/v1/query?path=//article//author" + query
+        url = urllib.parse.urlparse(target)
+        params = urllib.parse.parse_qs(url.query)
+        assert api.cached_body(url.path, params) is None  # cold
+        api.dispatch(url.path, params, None)
+        body = api.cached_body(url.path, params)
+        _, payload = api.dispatch(url.path, params, None)
+        assert payload["cached"] is True
+        assert without_seconds(body) == without_seconds(
+            json.dumps(payload).encode()
+        )
+
+    def test_truncated_list_and_count_render_like_dispatch(self, base_index):
+        service = QueryService(base_index.copy(), max_results=7)
+        api = ServiceAPI(service)
+        for target in [
+            "/v1/query?path=//article//author&limit=5&offset=4",
+            "/v1/query?path=//article//author",
+            # the count answer echoes the raw parameter, not the plan key
+            "/v1/count?path=//article//author%20%20limit%20%203",
+        ]:
+            url = urllib.parse.urlparse(target)
+            params = urllib.parse.parse_qs(url.query)
+            api.dispatch(url.path, params, None)
+            body = api.cached_body(url.path, params)
+            _, payload = api.dispatch(url.path, params, None)
+            assert without_seconds(body) == without_seconds(
+                json.dumps(payload).encode()
+            ), target
+        assert json.loads(body)["path"] == "//article//author  limit  3"
+        query = json.loads(api.cached_body(
+            "/v1/query", {"path": ["//article//author"]}
+        ))
+        assert query["truncated"] is True and query["total"] == 7
+
+    def test_hits_skip_the_worker_pool(self, base_index):
+        service = QueryService(base_index.copy())
+        with start_in_thread(service) as handle:
+            api = handle.server.api
+            ran = []
+            run = api.run
+            api.run = lambda *args: ran.append(args[1]) or run(*args)
+            target = "/v1/query?path=//article//cite&limit=4&offset=1"
+            status, first = get_raw(handle.base_url, target)
+            assert status == 200 and ran == ["/v1/query"]
+            status, again = get_raw(handle.base_url, target)
+            assert status == 200 and ran == ["/v1/query"]
+            assert json.loads(first)["cached"] is False
+            assert json.loads(again)["cached"] is True
+            tail = first.index(b'"count"')
+            assert again[again.index(b'"count"'):] == first[tail:]
+
+    def test_a_hit_after_a_publish_answers_the_new_epoch(self, base_index):
+        service = QueryService(base_index.copy())
+        root = service.index.collection.documents[
+            sorted(service.index.collection.documents)[0]
+        ].root
+        target = "/v1/query?path=//article//note"
+        with start_in_thread(service) as handle:
+            for _ in range(2):
+                status, payload = fetch(handle.base_url, target)
+                assert (status, payload["epoch"], payload["count"]) == (200, 0, 0)
+            assert payload["cached"] is True
+            status, report = fetch(
+                handle.base_url, "/v1/update",
+                body={"ops": [{"op": "insert_element", "parent": root,
+                               "tag": "note"}]},
+            )
+            assert status == 200 and report["epoch"] > 0
+            answers = []
+            for cached in (False, True):
+                status, payload = fetch(handle.base_url, target)
+                assert status == 200
+                assert (payload["epoch"], payload["cached"]) == (
+                    report["epoch"], cached
+                )
+                answers.append(payload["results"])
+            # the new note, reached from every article that links to it
+            assert answers[0] and answers[0] == answers[1]
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +483,23 @@ class TestOverload:
             )
             _, metrics = fetch(handle.base_url, "/v1/metrics")
             assert metrics["shed"]["timeout"] >= 1
+
+    def test_a_missed_deadline_is_recorded_once(self, base_index):
+        """The abandoned worker used to record a 200 when it finished,
+        on top of the 503 that was actually sent."""
+        service = SlowService(QueryService(base_index.copy()), delay=0.3)
+        with start_in_thread(
+            service, max_inflight=1, queue_depth=0,
+            timeouts={"query": 0.05},
+        ) as handle:
+            status, _ = fetch(handle.base_url, "/v1/query?path=//article//author")
+            assert status == 503
+            handle.server._pool.shutdown(wait=True)  # the worker finishes
+            assert service.stats()["requests"]["query"] == 1
+            _, metrics = fetch(handle.base_url, "/v1/metrics")
+        assert metrics["endpoints"]["query"]["count"] == 1
+        assert metrics["counters"]["responses_5xx"] == 1
+        assert "responses_2xx" not in metrics["counters"]
 
     def test_control_plane_bypasses_admission(self, base_index):
         """healthz/metrics answer even when the data plane is saturated

@@ -21,8 +21,10 @@ from repro.service import QueryService
 from repro.service.asyncio_http import MAX_BODY_BYTES
 from repro.xmlmodel.generator import dblp_like
 
-#: one past the front end's stream limit (64 KiB per line)
+#: one past the front end's stream limit (64 KiB per line and per head)
 OVER_LIMIT = 64 * 1024 + 1
+#: 4 000 header lines of 1 KB: each under the limit, the head far over
+MANY_HEADERS = [b"X-Pad-%d: " % i + b"p" * 1000 for i in range(4000)]
 
 
 @pytest.fixture(scope="module")
@@ -100,11 +102,15 @@ def raw_requests(draw):
         headers.append(b"Content-Length: " + length.encode("latin-1"))
     if draw(st.booleans()):
         headers.append(b"Connection: close")
-    over_limit = draw(st.sampled_from([None, None, None, "line", "header"]))
+    over_limit = draw(
+        st.sampled_from([None, None, None, "line", "header", "head"])
+    )
     if over_limit == "line":
         line = b"GET /" + b"a" * OVER_LIMIT + b" HTTP/1.1"
     elif over_limit == "header":
         headers.append(b"X-Big: " + b"b" * OVER_LIMIT)
+    elif over_limit == "head":
+        headers.extend(MANY_HEADERS)
     head = eol.join([line] + headers) + eol + eol
     return head + body
 
@@ -119,15 +125,20 @@ def test_malformed_requests_never_wedge_the_front_end(server, data):
     exchange(server, data)
 
 
-@pytest.mark.parametrize("where", ["line", "header"])
+@pytest.mark.parametrize("where", ["line", "header", "head"])
 def test_over_limit_head_answers_400(server, where):
     """``readline`` raises once a line passes the stream limit; that
-    used to escape the handler and drop the connection unanswered."""
+    used to escape the handler and drop the connection unanswered. A
+    head of many short lines used to be buffered whole and answered."""
     if where == "line":
         data = b"GET /" + b"a" * OVER_LIMIT + b" HTTP/1.1\r\n\r\n"
-    else:
+    elif where == "header":
         data = (b"GET /v1/stats HTTP/1.1\r\nX-Big: " + b"b" * OVER_LIMIT
                 + b"\r\n\r\n")
+    else:
+        data = b"\r\n".join(
+            [b"GET /v1/stats HTTP/1.1"] + MANY_HEADERS
+        ) + b"\r\n\r\n"
     [(status, payload)] = exchange(server, data)
     assert status == 400
     assert payload["error"]["code"] == "bad_request"
