@@ -1,18 +1,19 @@
 """Query plans tour: the AST → logical plan → operator pipeline.
 
 Builds a small citation-linked collection with a deliberately rare
-tag, then shows what the PR-5 query stack adds over plain evaluation:
+tag, then walks through what the query stack does with a path:
 
 1. ``explain()`` — the physical plan, with cardinality estimates and
    the join order/direction the selectivity planner chose;
-2. the planner win — ``//*//erratum`` evaluated naively (left-to-right
-   forward probes) vs planned (seeded at the rare tail, backward
+2. the planner win — ``//*//erratum`` seeded at the head (left-to-right
+   forward probes) vs as planned (seeded at the rare tail, backward
    ``ancestors``-side probes), with identical results;
-3. the new dialect — ``[predicate]`` existence filters and
+3. the dialect — ``[predicate]`` existence filters and
    ``limit``/``offset`` windows;
 4. ``PreparedQuery`` — parse once, bind per engine, the canonical plan
    key the serving tier caches by;
-5. early termination — ``exists()`` and a windowed ``stream()``.
+5. counting — ``count()`` runs a one-direction plan that aggregates
+   frontiers and never builds a binding tuple.
 
 Run: ``PYTHONPATH=src python examples/query_plans.py``
 """
@@ -20,7 +21,8 @@ Run: ``PYTHONPATH=src python examples/query_plans.py``
 import time
 
 from repro.core import HopiIndex
-from repro.query import QueryEngine
+from repro.query import PreparedQuery, QueryEngine, plan_query
+from repro.query.exec import ExecContext, run_ranked
 from repro.xmlmodel.generator import dblp_like
 
 
@@ -35,24 +37,25 @@ def main() -> None:
     print("== 1. explain(): the plan for a selective-tail query ==")
     print(engine.explain("//*//erratum"))
     print()
-    print("   …and the naive left-to-right order it replaced:")
-    print(engine.explain("//*//erratum", order="naive"))
+    print("   …and the left-to-right order it replaced (seed forced to 0):")
+    head_seeded = plan_query("//*//erratum", engine, start=0)
+    print(head_seeded.explain())
     print()
 
-    print("== 2. planned vs naive: same answers, different wall ==")
+    print("== 2. head-seeded vs planned: same answers, different wall ==")
     t0 = time.perf_counter()
-    naive = engine.evaluate("//*//erratum", order="naive")
-    naive_s = time.perf_counter() - t0
+    forward = run_ranked(head_seeded, ExecContext(engine, index), 10**9)
+    forward_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     planned = engine.evaluate("//*//erratum")
     planned_s = time.perf_counter() - t0
-    assert [(r.bindings, r.score) for r in naive] == [
+    assert [(b, -neg) for neg, b in forward] == [
         (r.bindings, r.score) for r in planned
     ]
     print(
-        f"   {len(planned)} matches; naive {naive_s * 1e3:.1f} ms, "
+        f"   {len(planned)} matches; head-seeded {forward_s * 1e3:.1f} ms, "
         f"planned {planned_s * 1e3:.1f} ms "
-        f"({naive_s / max(planned_s, 1e-9):.1f}x)"
+        f"({forward_s / max(planned_s, 1e-9):.1f}x)"
     )
     print()
 
@@ -65,19 +68,17 @@ def main() -> None:
     print()
 
     print("== 4. PreparedQuery: parse once, bind per engine/epoch ==")
-    prepared = engine.prepare("  //article//author   limit 5  ")
+    prepared = PreparedQuery("  //article//author   limit 5  ")
     print(f"   canonical plan key: {prepared.key!r}")
     plan = prepared.bind(engine)
     print(f"   bound order: {[(op.op, op.position, op.direction) for op in plan.ops]}")
     print()
 
-    print("== 5. early termination: exists() and stream() ==")
-    print(f"   exists //article//erratum: {engine.exists('//article//erratum')}")
-    print(f"   exists //article//nonexistent: "
-          f"{engine.exists('//article//nonexistent')}")
-    first_three = list(engine.stream("//article//author limit 3"))
-    print(f"   stream limit 3 pulled {len(first_three)} bindings "
-          "without draining the pipeline")
+    print("== 5. count(): frontier aggregation, no tuples ==")
+    print(engine.explain("//article//cite//author", mode="count"))
+    print(f"   count //article//erratum: {engine.count('//article//erratum')}")
+    print(f"   count //article//nonexistent: "
+          f"{engine.count('//article//nonexistent')}")
 
 
 if __name__ == "__main__":

@@ -64,15 +64,24 @@ def _read_documents(paths: Sequence[str]) -> Dict[str, str]:
     return documents
 
 
-def positive_int(text: str) -> int:
-    """argparse ``type`` for sizes that must be at least 1."""
+def _int_at_least(text: str, least: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
     return value
+
+
+def positive_int(text: str) -> int:
+    """argparse ``type`` for sizes that must be at least 1."""
+    return _int_at_least(text, 1)
+
+
+def non_negative_int(text: str) -> int:
+    """argparse ``type`` for counts that may be 0 (a result window)."""
+    return _int_at_least(text, 0)
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -135,7 +144,6 @@ def cmd_query(args: argparse.Namespace) -> int:
         index,
         max_results=args.max_results,
         similarity_threshold=args.similarity_threshold,
-        planner=args.planner,
     )
     expr = parse_path(args.path)
     # CLI window flags override the expression's own limit/offset; a
@@ -391,22 +399,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path",
                    help='e.g. "//article//author", "//~book//author", or '
                         '"//article[keywords]//cite limit 10 offset 20"')
-    p.add_argument("--limit", type=int, default=None,
+    p.add_argument("--limit", type=non_negative_int, default=None,
                    help="cap the ranked results printed (default: the "
                         "expression's own 'limit N', else 20)")
-    p.add_argument("--offset", type=int, default=None,
+    p.add_argument("--offset", type=non_negative_int, default=None,
                    help="skip the first N ranked results (default: the "
                         "expression's own 'offset N', else 0)")
     p.add_argument("--explain", action="store_true",
                    help="print the physical plan (estimates, join order, "
                         "probe directions) instead of evaluating")
-    p.add_argument("--planner", default="selective",
-                   choices=["selective", "naive"],
-                   help="join-ordering mode: selectivity-driven (may flip "
-                        "descendant joins to backward ancestors-side "
-                        "probes) or the naive left-to-right order; "
-                        "answers are identical")
-    p.add_argument("--max-results", type=int, default=1000,
+    p.add_argument("--max-results", type=positive_int, default=1000,
                    help="engine-level ranked-result truncation (the "
                         "serving tier's knob, now settable here too)")
     p.add_argument("--similarity-threshold", type=float, default=0.3,
@@ -442,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     # perf/ still passes the flag and may not be edited in the PR that
     # retired the option
     p.add_argument("--backend", default=None, help=argparse.SUPPRESS)
-    p.add_argument("--max-results", type=int, default=1000)
+    p.add_argument("--max-results", type=positive_int, default=1000)
     p.add_argument("--similarity-threshold", type=float, default=0.3,
                    help="minimum ontology similarity for ~tag steps")
     p.add_argument("--result-cache", type=int, default=4096,

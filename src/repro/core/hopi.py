@@ -109,7 +109,6 @@ class HopiIndex:
         """
         dup = HopiIndex(self.collection.copy(), self.cover.copy(), stats=self.stats)
         dup.epoch = self.epoch
-        dup._probe_costs = getattr(self, "_probe_costs", None)
         return dup
 
     def cow_copy(self) -> "HopiIndex":
@@ -128,7 +127,6 @@ class HopiIndex:
             self.collection.fork(), self.cover.cow_copy(), stats=self.stats
         )
         dup.epoch = self.epoch
-        dup._probe_costs = getattr(self, "_probe_costs", None)
         return dup
 
     # ------------------------------------------------------------------
@@ -149,7 +147,6 @@ class HopiIndex:
         seed: int = 0,
         backend: Optional[str] = None,
         workers: Optional[int] = None,
-        calibrate_costs: bool = False,
     ) -> "HopiIndex":
         """Build a HOPI index.
 
@@ -179,12 +176,6 @@ class HopiIndex:
             workers: size of the process pool covering partitions
                 concurrently; ``None``/1 builds serially. Covers are
                 bit-identical for every worker count.
-            calibrate_costs: micro-benchmark forward vs backward probe
-                costs on the freshly built index and pin the measured
-                planner cost model (see
-                :func:`repro.query.cost.calibrate_probe_costs`);
-                False keeps the static default model, so plans stay
-                deterministic across runs.
         """
         from repro.core.pipeline import BuildPipeline
 
@@ -201,10 +192,7 @@ class HopiIndex:
             workers=workers,
         )
         cover, stats = pipeline.run()
-        index = cls(collection, cover, stats=stats)
-        if calibrate_costs:
-            index.calibrate_probe_costs()
-        return index
+        return cls(collection, cover, stats=stats)
 
     # ------------------------------------------------------------------
     # queries
@@ -234,32 +222,6 @@ class HopiIndex:
         reaches — the block-probe API of the query executor (one
         candidate translation for the whole block)."""
         return self.cover.intersect_many(sources, candidates)
-
-    @property
-    def probe_costs(self):
-        """The per-direction probe cost model planners should use.
-
-        Defaults to the static
-        :data:`repro.query.cost.DEFAULT_COST_MODEL`; an explicit
-        :meth:`calibrate_probe_costs` replaces it with measured
-        constants. Not persisted — a loaded index starts from the
-        defaults again.
-        """
-        model = getattr(self, "_probe_costs", None)
-        if model is not None:
-            return model
-        from repro.query.cost import DEFAULT_COST_MODEL
-
-        return DEFAULT_COST_MODEL
-
-    def calibrate_probe_costs(self, **kwargs):
-        """Micro-benchmark forward vs backward probes on this index and
-        pin the measured :class:`~repro.query.cost.ProbeCostModel`
-        (see :func:`repro.query.cost.calibrate_probe_costs`)."""
-        from repro.query.cost import calibrate_probe_costs
-
-        self._probe_costs = calibrate_probe_costs(self, **kwargs)
-        return self._probe_costs
 
     def distance(self, u: ElementId, v: ElementId) -> Optional[int]:
         """Shortest link distance, or None when unreachable.

@@ -13,12 +13,14 @@ three-layer query stack:
 * :mod:`repro.query.plan` — logical plans (Scan, ChildJoin,
   DescendantJoin, Filter, Rank, Limit) and the canonical plan key;
 * :mod:`repro.query.planner` — the selectivity-driven physical planner
-  (cardinality estimates, zig-zag join ordering, backward
-  ``ancestors``-side probes) and :class:`PreparedQuery`;
-* :mod:`repro.query.exec` — generator-based physical operators that
-  stream bindings and terminate early for ``count``/``exists``/limits;
+  (cardinality estimates weighted by two probe-cost constants, zig-zag
+  join ordering, backward ``ancestors``-side probes) and
+  :class:`PreparedQuery`;
+* :mod:`repro.query.exec` — the two evaluators: the ranked top-k
+  enumerator behind ``evaluate`` and the frontier count behind
+  ``count``;
 * :mod:`repro.query.engine` — the :class:`QueryEngine` facade tying the
-  layers together (plus ranking and distance-aware scoring);
+  layers together (one evaluation path per endpoint);
 * :mod:`repro.query.ontology` — a miniature tag ontology with
   similarity scores.
 """

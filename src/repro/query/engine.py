@@ -5,36 +5,36 @@ The engine is a thin facade over the three-layer query stack::
     AST (pathexpr) → logical plan (plan) → physical plan (planner)
                                          → operators (exec)
 
-:meth:`QueryEngine.evaluate` parses, plans and runs the ranked top-k
-enumerator (:func:`repro.query.exec.run_ranked`): scores combine tag
-similarities multiplicatively and, when the index is distance-aware,
-each descendant hop is discounted by ``1 / (1 + distance)`` — "a path
-where an author element is found far away from a book element should
-be ranked lower" (Section 5.1). Scores are accumulated in canonical
+Each endpoint has one evaluation path. :meth:`QueryEngine.evaluate`
+parses, plans and runs the ranked top-k enumerator
+(:func:`repro.query.exec.run_ranked`): scores combine tag similarities
+multiplicatively and, when the index is distance-aware, each
+descendant hop is discounted by ``1 / (1 + distance)`` — "a path where
+an author element is found far away from a book element should be
+ranked lower" (Section 5.1). Scores are accumulated in canonical
 left-to-right association, so every join order the planner picks is
 **bit-identical** to the legacy left-to-right evaluator (pinned by the
 differential suite in ``tests/test_query_pipeline.py``), and only the
 bindings that can still reach the requested window are ever built.
+:meth:`QueryEngine.count` runs the frontier aggregation
+(:func:`repro.query.exec.run_count`) over a directional plan and never
+materialises a tuple.
 
 What the planner buys: a ``//*//rare_tag`` query no longer materialises
-one binding per element of the unselective head — the pipeline seeds at
+one binding per element of the unselective head — the plan seeds at
 the rare tail and probes *backward* over the cover's ``ancestors``
-side. ``count`` aggregates ``element → multiplicity`` frontiers (never
-materialising tuples), ``exists`` stops at the first match, and
-``stream`` yields unranked results lazily, honouring the expression's
-``limit`` without draining the pipeline.
+side.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.hopi import HopiIndex
-from repro.query.exec import ExecContext, run_bindings, run_count, run_ranked
+from repro.query.exec import ExecContext, run_count, run_ranked
 from repro.query.ontology import TagOntology, default_ontology
-from repro.query.pathexpr import PathExpression, Step
+from repro.query.pathexpr import Step
 from repro.query.plan import LogicalPlan, build_logical_plan
 from repro.query.planner import PhysicalPlan, PreparedQuery, plan_query
 from repro.xmlmodel.model import ElementId
@@ -98,11 +98,8 @@ class QueryEngine:
         similarity_threshold: minimum ontology similarity for a tag to
             join a ``~tag`` candidate list.
         max_results: ranked-result truncation per query (applied after
-            the expression's own ``offset``/``limit`` window).
-        planner: default join-ordering mode — ``"selective"``
-            (cardinality-driven, may flip descendant joins backward)
-            or ``"naive"`` (legacy left-to-right). Either mode returns
-            bit-identical results.
+            the expression's own ``offset``/``limit`` window), at
+            least 1.
     """
 
     def __init__(
@@ -112,14 +109,14 @@ class QueryEngine:
         ontology: Optional[TagOntology] = None,
         similarity_threshold: float = 0.3,
         max_results: int = 1000,
-        planner: str = "selective",
     ) -> None:
+        if max_results < 1:
+            raise ValueError(f"max_results must be >= 1, got {max_results}")
         self.index = index
         self.collection = index.collection
         self.ontology = ontology or default_ontology()
         self.similarity_threshold = similarity_threshold
         self.max_results = max_results
-        self.planner = planner
         self._tag_index: Dict[str, List[ElementId]] = self.collection.tags()
         # per-(tag, similar) memos; concurrent fills of the same key
         # compute the same value, so the races are benign under the GIL
@@ -128,17 +125,6 @@ class QueryEngine:
         self._candidate_elems_memo: Dict[StepKey, Tuple[ElementId, ...]] = {}
         self._parent_map_memo: Dict[StepKey, Dict[ElementId, List[ElementId]]] = {}
         self._anchored_count_memo: Dict[StepKey, int] = {}
-
-    def refresh(self) -> None:
-        """Re-read the tag index from the collection (which keeps it up
-        to date, so this costs O(tags)) and drop every derived memo
-        after collection maintenance."""
-        self._tag_index = self.collection.tags()
-        self._candidate_memo = {}
-        self._candidate_map_memo = {}
-        self._candidate_elems_memo = {}
-        self._parent_map_memo = {}
-        self._anchored_count_memo = {}
 
     # ------------------------------------------------------------------
     # derived candidate state (shared by planner and operators)
@@ -151,7 +137,9 @@ class QueryEngine:
 
         Memoized per ``(tag, similar)``: a path like ``//a//b//a`` (or a
         workload of many queries sharing element tests) computes each
-        candidate list once per :meth:`refresh` generation. Callers must
+        candidate list once per engine — and the service builds one
+        engine per published epoch, so no memo outlives the collection
+        state it was computed from. Callers must
         not mutate the returned list. ``[predicate]`` filters are *not*
         applied here — they are per-element and evaluated lazily by the
         operators, so the memo stays shareable across queries.
@@ -232,17 +220,8 @@ class QueryEngine:
         return memo
 
     # ------------------------------------------------------------------
-    # probes and scoring
+    # probes
     # ------------------------------------------------------------------
-    def _hop_score(self, index: HopiIndex, u: ElementId, v: ElementId) -> float:
-        """Distance discount of a descendant hop (1.0 without distances)."""
-        if not index.is_distance_aware:
-            return 1.0
-        dist = index.distance(u, v)
-        if dist is None:  # pragma: no cover - guarded by connected()
-            return 0.0
-        return 1.0 / (1.0 + dist)
-
     def _reachable(
         self,
         index: HopiIndex,
@@ -257,25 +236,6 @@ class QueryEngine:
         flags = index.connected_many(source, cand_elems)
         return [i for i, ok in enumerate(flags) if ok]
 
-    def _score_binding(
-        self, index: HopiIndex, expr: PathExpression, bindings: Tuple[ElementId, ...]
-    ) -> float:
-        """The canonical score of one full binding.
-
-        Computed in left-to-right association — ``((t0·t1)·h1)·t2…`` —
-        exactly as the legacy evaluator accumulated it, so a result's
-        score is bit-identical no matter which join order produced the
-        binding. Predicates contribute no score.
-        """
-        steps = expr.steps
-        score = self._candidate_map(steps[0])[bindings[0]]
-        for i in range(1, len(steps)):
-            step = steps[i]
-            score = score * self._candidate_map(step)[bindings[i]]
-            if step.axis == "descendant":
-                score = score * self._hop_score(index, bindings[i - 1], bindings[i])
-        return score
-
     # ------------------------------------------------------------------
     # planning API
     # ------------------------------------------------------------------
@@ -288,51 +248,20 @@ class QueryEngine:
             return path
         return build_logical_plan(path)
 
-    def prepare(self, path: "str | PathExpression") -> PreparedQuery:
-        """Parse and lower once; re-plan cheaply per epoch via
-        :meth:`PreparedQuery.bind`."""
-        return PreparedQuery(path)
-
-    @property
-    def cost_model(self):
-        """The index's per-direction probe cost model (what
-        :func:`~repro.query.planner.plan_query` weighs direction and
-        seed decisions with). Sourced from ``index.probe_costs`` —
-        the static constants unless the index was calibrated."""
-        return getattr(self.index, "probe_costs", None)
-
-    def plan(
-        self,
-        path: Query,
-        *,
-        order: Optional[str] = None,
-        directional: bool = False,
-    ) -> PhysicalPlan:
+    def plan(self, path: Query, *, directional: bool = False) -> PhysicalPlan:
         """The physical plan :meth:`evaluate` would run for ``path``
         (``directional=True`` shows the endpoint-seeded plan
         :meth:`count` would run instead)."""
-        return plan_query(
-            self._lower(path), self, order=order or self.planner,
-            directional=directional,
-        )
+        return plan_query(self._lower(path), self, directional=directional)
 
-    def explain(
-        self,
-        path: Query,
-        *,
-        order: Optional[str] = None,
-        mode: str = "evaluate",
-    ) -> str:
+    def explain(self, path: Query, *, mode: str = "evaluate") -> str:
         """Human-readable plan rendering (``repro query --explain``).
 
-        ``mode`` selects which execution profile the ``exec:`` line
-        describes (``"evaluate"``, ``"stream"``, ``"count"``,
-        ``"exists"``); ``count`` renders the directional plan that the
-        counting path actually runs.
+        ``mode`` is the endpoint whose plan and execution profile the
+        rendering shows: ``"evaluate"`` or ``"count"`` (the directional
+        plan the counting path runs).
         """
-        return self.plan(
-            path, order=order, directional=(mode == "count"),
-        ).explain(mode)
+        return self.plan(path, directional=(mode == "count")).explain(mode)
 
     # ------------------------------------------------------------------
     # evaluation API
@@ -342,20 +271,14 @@ class QueryEngine:
         path: Query,
         index: Optional[HopiIndex],
         probe: Optional[Probe],
-        order: Optional[str],
         *,
         directional: bool = False,
-    ) -> Tuple[LogicalPlan, PhysicalPlan, ExecContext, HopiIndex]:
+    ) -> Tuple[LogicalPlan, PhysicalPlan, ExecContext]:
         """The shared entry-point preamble: lower, plan, build the
-        execution context. Every public evaluation method goes through
-        this, so planning defaults can never silently diverge."""
-        index = index or self.index
+        execution context."""
         logical = self._lower(path)
-        plan = plan_query(
-            logical, self, order=order or self.planner,
-            directional=directional,
-        )
-        return logical, plan, ExecContext(self, index, probe), index
+        plan = plan_query(logical, self, directional=directional)
+        return logical, plan, ExecContext(self, index or self.index, probe)
 
     def evaluate(
         self,
@@ -363,7 +286,6 @@ class QueryEngine:
         *,
         index: Optional[HopiIndex] = None,
         probe: Optional[Probe] = None,
-        order: Optional[str] = None,
     ) -> List[QueryResult]:
         """Evaluate a path expression, returning ranked results.
 
@@ -378,14 +300,13 @@ class QueryEngine:
             probe: substitute descendant-step probe (see :data:`Probe`);
                 lets a serving tier cache/coalesce probes across
                 concurrent queries.
-            order: override the engine's planner mode for this call.
 
         Returns:
             Results sorted by descending score (ties broken by element
             ids for determinism), windowed by the expression's
             ``offset``/``limit``, truncated to ``max_results``.
         """
-        logical, plan, ctx, _ = self._pipeline(path, index, probe, order)
+        logical, plan, ctx = self._pipeline(path, index, probe)
         window = logical.window
         offset = 0 if window is None else window.offset
         limit = self.max_results
@@ -399,56 +320,12 @@ class QueryEngine:
             for neg, bindings in top[offset:][: self.max_results]
         ]
 
-    def stream(
-        self,
-        path: Query,
-        *,
-        index: Optional[HopiIndex] = None,
-        probe: Optional[Probe] = None,
-        order: Optional[str] = None,
-    ) -> Iterator[QueryResult]:
-        """Yield matches lazily, **unranked** (pipeline order).
-
-        The expression's ``limit`` caps the stream — the pipeline stops
-        as soon as it is filled, the early-termination path for "give
-        me any N matches". ``offset`` is **ignored** here: windows are
-        defined over the *ranked* list (see :mod:`repro.query.pathexpr`)
-        and the pipeline order is planner-dependent, so skipping the
-        first N streamed matches would discard an arbitrary subset that
-        corresponds to no meaningful page — use :meth:`evaluate` for
-        ranked pagination.
-        """
-        logical, plan, ctx, index = self._pipeline(path, index, probe, order)
-        expr = logical.expr
-        bindings = run_bindings(plan, ctx)
-        window = logical.window
-        stop = None if window is None else window.limit
-        for b in itertools.islice(bindings, stop):
-            yield QueryResult(b, self._score_binding(index, expr, b))
-
-    def exists(
-        self,
-        path: Query,
-        *,
-        index: Optional[HopiIndex] = None,
-        probe: Optional[Probe] = None,
-        order: Optional[str] = None,
-    ) -> bool:
-        """True iff the expression has at least one match.
-
-        Consumes exactly one binding from the pipeline (the window is
-        ignored — existence is a property of the match set).
-        """
-        _, plan, ctx, _ = self._pipeline(path, index, probe, order)
-        return next(iter(run_bindings(plan, ctx)), None) is not None
-
     def count(
         self,
         path: Query,
         *,
         index: Optional[HopiIndex] = None,
         probe: Optional[Probe] = None,
-        order: Optional[str] = None,
     ) -> int:
         """The total number of matches, without ranking.
 
@@ -458,11 +335,9 @@ class QueryEngine:
         only on that element, so partial results aggregate to
         ``element -> count`` — one integer per distinct frontier
         element. The planner restricts counting plans to a pure
-        direction (forward or backward, whichever end is more
-        selective); the expression's ``offset``/``limit`` window is
+        direction (forward or backward, whichever end the modeled probe
+        cost favours); the expression's ``offset``/``limit`` window is
         ignored — the count is a property of the match set.
         """
-        _, plan, ctx, _ = self._pipeline(
-            path, index, probe, order, directional=True
-        )
+        _, plan, ctx = self._pipeline(path, index, probe, directional=True)
         return run_count(plan, ctx)

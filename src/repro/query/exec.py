@@ -1,26 +1,19 @@
-"""Pipelined physical operators executing a :class:`PhysicalPlan`.
+"""Physical operators executing a :class:`PhysicalPlan`.
 
-Operators are generators: a scan seeds partial bindings (tuples
-covering a contiguous range of step positions) and each join stage
-extends them one adjacent position at a time — forward joins append
-via ``descendants``-side probes (or children of the bound parent),
-backward joins prepend via the cover's ``ancestors`` side (or one
-parent-pointer hop). Nothing is materialised between stages, so
+Two evaluators, one per endpoint:
 
-* ``exists`` stops at the **first** full binding,
-* an unranked ``stream`` stops as soon as its window is filled,
-* empty intermediate frontiers terminate the whole pipeline early,
-
-while the ranked ``evaluate`` path does not run this pipeline at all:
-:func:`run_ranked` reduces the positions the plan reaches backward to
-sets, enumerates bindings left to right in rank order and prunes every
-partial whose score can no longer enter the top ``k``.
-
-:func:`run_count` is the aggregated counting path: the number of full
-bindings through an element depends only on that element, so a purely
-forward (or purely backward) plan aggregates ``element → multiplicity``
-per frontier instead of materialising tuples — the reason
-:func:`~repro.query.planner.plan_query` plans counts ``directional``.
+* :func:`run_ranked` (``evaluate``) reduces the positions the plan
+  reaches backward from its seed to sets (the cover's ``ancestors``
+  side, or one parent-pointer hop), enumerates bindings left to right
+  in rank order — forward joins probe the ``descendants`` side in
+  ``FORWARD_BLOCK`` blocks — and prunes every partial whose score can
+  no longer enter the top ``k``;
+* :func:`run_count` (``count``) is the aggregated counting path: the
+  number of full bindings through an element depends only on that
+  element, so a purely forward (or purely backward) plan aggregates
+  ``element → multiplicity`` per frontier instead of materialising
+  tuples — the reason :func:`~repro.query.planner.plan_query` plans
+  counts ``directional``. An empty frontier ends it early.
 
 All per-execution memo state (forward probe answers, ``ancestors``
 materialisations, predicate verdicts) lives in one :class:`ExecContext`
@@ -44,16 +37,15 @@ from typing import (
 )
 
 from repro.query.pathexpr import Predicate, Step
-from repro.query.planner import PhysicalOp, PhysicalPlan
+from repro.query.planner import PhysicalPlan
 from repro.xmlmodel.model import ElementId
 
 Binding = Tuple[ElementId, ...]
 
-#: Descendant-join block size: how many partial bindings a forward
-#: stage pulls from its upstream before issuing one batched
-#: ``intersect_many`` prefetch for their sources. Bounds the laziness
-#: loss of batching — ``exists`` pulls at most one block through a
-#: descendant stage before its first answer.
+#: Descendant-join block size: how many partial bindings the ranked
+#: enumerator pulls before issuing one batched ``intersect_many``
+#: prefetch for their sources. Bounds the work a small window wastes:
+#: a block is probed whole even when its first partials fill the top k.
 FORWARD_BLOCK = 32
 
 
@@ -206,7 +198,7 @@ class ExecContext:
 
 
 # ---------------------------------------------------------------------------
-# binding pipeline
+# admission and joins shared by both evaluators
 # ---------------------------------------------------------------------------
 
 
@@ -255,30 +247,6 @@ def _successors(
     ]
 
 
-def _extend_forward(
-    ctx: ExecContext, plan: PhysicalPlan, stream: Iterator[Binding],
-    position: int,
-) -> Iterator[Binding]:
-    """Append ``position`` to partials ending at ``position - 1``."""
-    step = plan.expr.steps[position]
-    admits = _gate(ctx, plan, position)
-    probed = step.axis == "descendant"
-    # pull partials in blocks so the whole block's sources go out as
-    # ONE batched probe (intersect_many / probe.many) instead of one
-    # round-trip per partial; within a block the per-source memo
-    # answers instantly. Block size bounds the laziness loss.
-    while True:
-        block = list(itertools.islice(stream, FORWARD_BLOCK if probed else 1))
-        if not block:
-            return
-        if probed:
-            ctx.prefetch_forward([p[-1] for p in block], step)
-        for partial in block:
-            for element in _successors(ctx, plan, position, partial[-1]):
-                if admits is None or admits(element):
-                    yield partial + (element,)
-
-
 def _predecessors(
     ctx: ExecContext, plan: PhysicalPlan, position: int, element: ElementId
 ) -> Sequence[ElementId]:
@@ -294,39 +262,6 @@ def _predecessors(
             return ()
         return (parent,)
     return [a for a in ctx.backward_reach(element, step) if a != element]
-
-
-def _extend_backward(
-    ctx: ExecContext, plan: PhysicalPlan, stream: Iterator[Binding],
-    position: int,
-) -> Iterator[Binding]:
-    """Prepend ``position`` to partials starting at ``position + 1``."""
-    admits = _gate(ctx, plan, position)
-    for partial in stream:
-        for element in _predecessors(ctx, plan, position, partial[0]):
-            if admits is None or admits(element):
-                yield (element,) + partial
-
-
-def run_bindings(plan: PhysicalPlan, ctx: ExecContext) -> Iterator[Binding]:
-    """Stream full binding tuples (step order) for ``plan``.
-
-    The stream is lazy end-to-end: consuming one binding pulls exactly
-    the work it needs through every stage, which is what makes
-    ``exists``/``limit`` early termination real rather than cosmetic.
-    Binding tuples are unique (each stage extends with distinct
-    elements), in pipeline order — ranking is the caller's concern.
-    """
-    ops: Sequence[PhysicalOp] = plan.ops
-    stream: Iterator[Binding] = (
-        (element,) for element in _scan(ctx, plan, ops[0].position)
-    )
-    for op in ops[1:]:
-        if op.direction == "forward":
-            stream = _extend_forward(ctx, plan, stream, op.position)
-        else:
-            stream = _extend_backward(ctx, plan, stream, op.position)
-    return stream
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +317,13 @@ def run_ranked(
 ) -> List[Tuple[float, Binding]]:
     """The ``k`` best matches as sorted ``(-score, bindings)`` pairs.
 
-    Identical to scoring every binding of :func:`run_bindings` with the
-    engine's ``_score_binding`` and keeping the ``k`` smallest
-    ``(-score, bindings)``, for any seed position — but it builds only
-    the bindings that can still get there:
+    Identical to scoring every full binding in the canonical
+    left-to-right association — ``((t0·t1)·h1)·t2…`` of tag scores
+    ``t`` and, on a distance-aware index, descendant-hop discounts
+    ``h = 1 / (1 + distance)`` — and keeping the ``k`` smallest
+    ``(-score, bindings)``, for any seed position (pinned against the
+    frozen legacy evaluator in the tests) — but it builds only the
+    bindings that can still get there:
 
     1. the positions the plan reaches *backward* from its seed are
        reduced to sets (:func:`_reduce`), so the selective step prunes

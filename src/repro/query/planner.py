@@ -7,15 +7,25 @@ pruned them. HOPI's connection tests are symmetric probes (the 2-hop
 cover answers ``u →* v`` from either endpoint: ``descendants(u)`` or
 ``ancestors(v)``), which makes step reordering sound — so the planner
 estimates each step's candidate cardinality from the engine's tag
-index and evaluates outward from the most selective step, flipping
-descendant joins to **backward probes over the cover's ``ancestors``
-side** when the selective step sits to their right.
+index and evaluates outward from the step where the modeled probe cost
+is lowest, flipping descendant joins to **backward probes over the
+cover's ``ancestors`` side** when the selective step sits to their
+right.
+
+The two directions do not cost the same: the sealed cover answers a
+forward block with one amortised candidate translation plus C-level
+membership tests, while a backward probe materialises an ancestor set
+per target. Each descendant join's candidate estimate is weighted by
+:data:`FORWARD_COST` or :data:`BACKWARD_COST`; child joins follow
+parent pointers and weigh 1. The weights only ever move the plan,
+never the answers.
 
 Join orders are restricted to *contiguous* prefixes growing around the
-start step (a zig-zag order): every join still connects a bound
+seed step (a zig-zag order): every join still connects a bound
 position to an adjacent unbound one, so no cross-product is ever
-formed and any start yields the same result set (pinned by the
-planner-soundness property tests).
+formed and any seed yields the same result set (pinned by the
+planner-soundness property tests; ``plan_query(start=)`` forces the
+seed for them).
 
 :class:`PreparedQuery` is the parse-once handle: the AST and canonical
 plan key are computed once, while the physical plan is re-derived per
@@ -26,16 +36,17 @@ service layer binds one prepared query per published epoch).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.query.cost import NEUTRAL_COST_MODEL, ProbeCostModel
 from repro.query.pathexpr import PathExpression, Predicate, parse_path
 from repro.query.plan import LogicalPlan, build_logical_plan
 
-#: Planner modes: ``"selective"`` starts at the lowest-cardinality step
-#: and grows greedily; ``"naive"`` reproduces the legacy left-to-right
-#: order (kept as the reference for differential tests).
-PLANNER_MODES = ("selective", "naive")
+#: Relative unit cost of one forward (``descendants``-side,
+#: ``connected_many`` / ``intersect_many``) descendant probe.
+FORWARD_COST = 0.35
+#: Relative unit cost of one backward (``ancestors``-side
+#: materialisation) descendant probe.
+BACKWARD_COST = 1.3
 
 
 @dataclass(frozen=True)
@@ -66,16 +77,11 @@ class PhysicalPlan:
         ops: pipeline stages, one per step, scan first.
         estimates: per-position candidate-cardinality estimates the
             order was chosen from.
-        mode: the planner mode that produced the order.
-        cost_model: the per-direction probe cost model the order was
-            weighed with (None = direction-blind legacy behaviour).
     """
 
     logical: LogicalPlan
     ops: Tuple[PhysicalOp, ...]
     estimates: Tuple[int, ...]
-    mode: str
-    cost_model: Optional[ProbeCostModel] = None
 
     @property
     def expr(self) -> PathExpression:
@@ -93,18 +99,16 @@ class PhysicalPlan:
         return self.logical.filters_at(position)
 
     def execution_profile(self, mode: str = "evaluate") -> Dict[str, object]:
-        """How an evaluation ``mode`` runs this plan — which operator
-        work is short-circuited or skipped entirely.
+        """How an endpoint ``mode`` runs this plan — which operator
+        work is skipped entirely.
 
-        ``mode`` is one of ``"evaluate"``, ``"stream"``, ``"count"``,
-        ``"exists"``. The profile makes the short-circuit paths
-        explicit: ``evaluate`` always runs the one ranked top-k
-        enumerator — ``reduced`` lists the positions it narrows to sets
-        before any tuple exists (those the order reaches backward),
-        ``k`` is ``offset + limit`` with the engine's ``max_results``
-        standing in for a missing limit; ``count`` aggregates frontiers
-        and never scores, ranks or materialises tuples; ``exists``
-        stops the pipeline at the first full binding.
+        ``mode`` is ``"evaluate"`` or ``"count"``. ``evaluate`` runs
+        the ranked top-k enumerator — ``reduced`` lists the positions
+        it narrows to sets before any tuple exists (those the order
+        reaches backward), ``k`` is ``offset + limit`` with the
+        engine's ``max_results`` standing in for a missing limit;
+        ``count`` aggregates frontiers and never scores, ranks or
+        materialises tuples.
         """
         expr = self.expr
         if mode == "evaluate":
@@ -131,16 +135,6 @@ class PhysicalPlan:
                     "the k-th"
                 ),
             }
-        if mode == "stream":
-            return {
-                "mode": mode,
-                "strategy": "lazy-stream",
-                "skipped": ["ranking"],
-                "note": (
-                    "unranked pipeline order; the expression limit stops "
-                    "the pipeline as soon as it is filled"
-                ),
-            }
         if mode == "count":
             return {
                 "mode": mode,
@@ -153,25 +147,15 @@ class PhysicalPlan:
                     "sizes instead of walking the answers"
                 ),
             }
-        if mode == "exists":
-            return {
-                "mode": mode,
-                "strategy": "first-match",
-                "skipped": ["scoring", "ranking",
-                            "every binding after the first"],
-                "note": "pipeline stops at the first full binding",
-            }
         raise ValueError(
-            f"unknown execution mode {mode!r}; one of "
-            "('evaluate', 'stream', 'count', 'exists')"
+            f"unknown execution mode {mode!r}; one of ('evaluate', 'count')"
         )
 
     def describe(self, mode: str = "evaluate") -> Dict[str, object]:
         """A JSON-safe description (the ``/v1/explain`` payload)."""
         expr = self.expr
-        payload: Dict[str, object] = {
+        return {
             "path": str(expr),
-            "mode": self.mode,
             "steps": [
                 {
                     "position": i,
@@ -191,19 +175,11 @@ class PhysicalPlan:
             "offset": expr.offset,
             "execution": self.execution_profile(mode),
         }
-        if self.cost_model is not None:
-            cm = self.cost_model
-            payload["cost_model"] = {
-                "forward": cm.forward,
-                "backward": cm.backward,
-                "source": cm.source,
-            }
-        return payload
 
     def explain(self, mode: str = "evaluate") -> str:
         """A human-readable rendering (``repro query --explain``)."""
         expr = self.expr
-        lines = [f"query: {expr}", f"mode:  {self.mode}", "order:"]
+        lines = [f"query: {expr}", "order:"]
         arrows = {"seed": "·", "forward": "→", "backward": "←"}
         for rank, op in enumerate(self.ops, 1):
             step = expr.steps[op.position]
@@ -226,12 +202,6 @@ class PhysicalPlan:
                 f"{step}  — {detail}, ~{self.estimates[op.position]} "
                 f"candidates{predicates}"
             )
-        if self.cost_model is not None and not self.cost_model.neutral:
-            cm = self.cost_model
-            lines.append(
-                f"costs: forward x{cm.forward:g}, backward x{cm.backward:g} "
-                f"({cm.source} model)"
-            )
         window = []
         if expr.offset:
             window.append(f"offset {expr.offset}")
@@ -242,12 +212,11 @@ class PhysicalPlan:
             + (f"; window: {' '.join(window)}" if window else "")
         )
         profile = self.execution_profile(mode)
-        skipped = profile["skipped"]
         reduced = profile.get("reduced")
         lines.append(
             f"exec:  {profile['mode']} via {profile['strategy']}"
             + (f"; reduced: steps {reduced}" if reduced else "")
-            + (f"; skipped: {', '.join(skipped)}" if skipped else "")
+            + f"; skipped: {', '.join(profile['skipped'])}"
         )
         return "\n".join(lines)
 
@@ -268,109 +237,63 @@ def estimate_cardinalities(expr: PathExpression, engine) -> Tuple[int, ...]:
 
 
 def order_steps(
-    expr: PathExpression,
-    estimates: Tuple[int, ...],
-    *,
-    start: int,
-    cost_model: Optional[ProbeCostModel] = None,
-) -> Tuple[PhysicalOp, ...]:
-    """The greedy zig-zag order seeded at ``start``.
+    expr: PathExpression, estimates: Tuple[int, ...], *, start: int
+) -> Tuple[Tuple[PhysicalOp, ...], float]:
+    """The greedy zig-zag order seeded at ``start`` and its modeled
+    total probe cost.
 
     Grows the bound range one adjacent position at a time, always
-    taking the side with the smaller *weighted* candidate estimate:
-    each side's estimate is multiplied by the cost model's per-probe
-    unit for the direction that side would be joined in (ties extend
-    forward, matching the legacy bias). With a neutral (or absent)
-    model every weight is 1.0 and the order reduces exactly to the
-    legacy count-only comparison.
+    taking the side with the smaller *weighted* candidate estimate
+    (ties extend forward, matching the legacy bias). Each join stage is
+    charged for its *frontier*: extending forward from ``hi`` issues
+    one probe per candidate bound at ``hi`` (``estimates[hi]`` times
+    the forward unit), extending backward from ``lo`` charges
+    ``estimates[lo]`` times the backward unit; the seed contributes its
+    scan cardinality.
     """
     n = len(expr.steps)
     if not 0 <= start < n:
         raise ValueError(f"start must be a step position in [0, {n}), got {start}")
-    cm = cost_model or NEUTRAL_COST_MODEL
+
+    def unit(position: int, cost: float) -> float:
+        # descendant joins probe the cover; child joins follow parent
+        # pointers, whichever the direction
+        return cost if expr.steps[position].axis == "descendant" else 1.0
+
     ops = [PhysicalOp("scan", start, "seed")]
-    lo = hi = start
-    while lo > 0 or hi < n - 1:
-        left = (
-            estimates[lo - 1] * cm.unit(expr.steps[lo].axis, "backward")
-            if lo > 0 else None
-        )
-        right = (
-            estimates[hi + 1] * cm.unit(expr.steps[hi + 1].axis, "forward")
-            if hi < n - 1 else None
-        )
-        if right is not None and (left is None or right <= left):
-            hi += 1
-            axis = expr.steps[hi].axis
-            ops.append(PhysicalOp(
-                "child" if axis == "child" else "descendant", hi, "forward"
-            ))
-        else:
-            # the edge between lo-1 and lo belongs to steps[lo]
-            axis = expr.steps[lo].axis
-            lo -= 1
-            ops.append(PhysicalOp(
-                "child" if axis == "child" else "descendant", lo, "backward"
-            ))
-    return tuple(ops)
-
-
-def plan_cost(
-    expr: PathExpression,
-    estimates: Tuple[int, ...],
-    cost_model: ProbeCostModel,
-    *,
-    start: int,
-) -> float:
-    """The modeled total probe cost of the greedy order seeded at
-    ``start``.
-
-    Simulates the same growth :func:`order_steps` performs and charges
-    each join stage for its *frontier*: extending forward from ``hi``
-    to ``hi + 1`` issues one probe per candidate currently bound at
-    ``hi`` (so ``estimates[hi] × unit(axis, "forward")``), and
-    extending backward from ``lo`` to ``lo - 1`` charges
-    ``estimates[lo] × unit(axis, "backward")``. The seed itself
-    contributes its scan cardinality. With a neutral model the
-    directional endpoint comparison preserves the legacy rule (a
-    two-step total is twice its endpoint estimate, so the cheaper
-    endpoint still wins) — the planner uses the legacy rules directly
-    in that case and only consults this function for skewed models.
-    """
-    n = len(expr.steps)
-    cm = cost_model
     total = float(estimates[start])
     lo = hi = start
     while lo > 0 or hi < n - 1:
+        # the edge between lo-1 and lo belongs to steps[lo]
         left = (
-            estimates[lo - 1] * cm.unit(expr.steps[lo].axis, "backward")
-            if lo > 0 else None
+            estimates[lo - 1] * unit(lo, BACKWARD_COST) if lo > 0 else None
         )
         right = (
-            estimates[hi + 1] * cm.unit(expr.steps[hi + 1].axis, "forward")
+            estimates[hi + 1] * unit(hi + 1, FORWARD_COST)
             if hi < n - 1 else None
         )
         if right is not None and (left is None or right <= left):
-            total += estimates[hi] * cm.unit(
-                expr.steps[hi + 1].axis, "forward"
-            )
+            total += estimates[hi] * unit(hi + 1, FORWARD_COST)
             hi += 1
+            position, direction = hi, "forward"
+            axis = expr.steps[hi].axis
         else:
-            total += estimates[lo] * cm.unit(
-                expr.steps[lo].axis, "backward"
-            )
+            total += estimates[lo] * unit(lo, BACKWARD_COST)
+            axis = expr.steps[lo].axis
             lo -= 1
-    return total
+            position, direction = lo, "backward"
+        ops.append(PhysicalOp(
+            "child" if axis == "child" else "descendant", position, direction
+        ))
+    return tuple(ops), total
 
 
 def plan_query(
     path: "str | PathExpression | LogicalPlan",
     engine,
     *,
-    order: str = "selective",
     start: Optional[int] = None,
     directional: bool = False,
-    cost_model: Optional[ProbeCostModel] = None,
 ) -> PhysicalPlan:
     """Choose a physical join order for ``path`` against ``engine``.
 
@@ -382,65 +305,35 @@ def plan_query(
         engine: the :class:`~repro.query.engine.QueryEngine` whose tag
             index supplies cardinality estimates (and whose candidate
             memos the operators will read).
-        order: ``"selective"`` (default) or ``"naive"``
-            (legacy left-to-right; see :data:`PLANNER_MODES`).
-        start: force the seed position (testing hook; implies the
-            greedy zig-zag growth around it).
+        start: force the seed position (the soundness tests' hook;
+            implies the greedy zig-zag growth around it).
         directional: restrict the seed to an endpoint (position 0 or
             the last step), so execution runs purely forward or purely
             backward — required by the aggregated counting path, whose
             per-element multiplicity map only exists at a chain's open
             end.
-        cost_model: override the per-direction probe cost model;
-            defaults to the engine's (``engine.cost_model``, itself
-            sourced from the index). Direction and seed
-            decisions weight candidate estimates by it; a neutral
-            model reproduces the legacy count-only decisions exactly.
 
     Returns:
-        The chosen :class:`PhysicalPlan`.
+        The :class:`PhysicalPlan` seeded where the modeled total probe
+        cost is lowest (ties go to the leftmost seed).
     """
     logical = path if isinstance(path, LogicalPlan) else build_logical_plan(path)
     expr = logical.expr
     estimates = estimate_cardinalities(expr, engine)
     n = len(expr.steps)
-    cm = cost_model or getattr(engine, "cost_model", None) or NEUTRAL_COST_MODEL
-    mode = order
     if start is not None:
-        mode = f"forced[{start}]"
-        seed = start
-    elif order == "naive":
-        seed = 0
-    elif order == "selective":
-        if directional:
-            if cm.neutral:
-                seed = 0 if estimates[0] <= estimates[n - 1] else n - 1
-            else:
-                fwd = plan_cost(expr, estimates, cm, start=0)
-                bwd = plan_cost(expr, estimates, cm, start=n - 1)
-                seed = 0 if fwd <= bwd else n - 1
-        elif cm.neutral:
-            seed = min(range(n), key=lambda i: (estimates[i], i))
-        else:
-            seed = min(
-                range(n),
-                key=lambda i: (plan_cost(expr, estimates, cm, start=i), i),
-            )
+        seeds: Sequence[int] = (start,)
+    elif directional:
+        seeds = (0, n - 1)
     else:
-        raise ValueError(
-            f"unknown planner mode {order!r}; one of {PLANNER_MODES}"
-        )
+        seeds = range(n)
+    orders = {seed: order_steps(expr, estimates, start=seed) for seed in seeds}
+    seed = min(orders, key=lambda s: (orders[s][1], s))
     if directional and seed not in (0, n - 1):
         raise ValueError(
             f"directional plans must seed at an endpoint, got {seed}"
         )
-    return PhysicalPlan(
-        logical,
-        order_steps(expr, estimates, start=seed, cost_model=cm),
-        estimates,
-        mode,
-        cost_model=None if cm is NEUTRAL_COST_MODEL else cm,
-    )
+    return PhysicalPlan(logical, orders[seed][0], estimates)
 
 
 class PreparedQuery:
@@ -462,17 +355,10 @@ class PreparedQuery:
         self.logical: LogicalPlan = build_logical_plan(self.expr)
         self.key: str = self.logical.key
 
-    def bind(
-        self, engine, *, order: Optional[str] = None,
-        directional: bool = False,
-    ) -> PhysicalPlan:
+    def bind(self, engine, *, directional: bool = False) -> PhysicalPlan:
         """Plan against one engine's current cardinalities (the cached
         logical plan is reused — no re-parse, no re-lowering)."""
-        return plan_query(
-            self.logical, engine,
-            order=order or getattr(engine, "planner", "selective"),
-            directional=directional,
-        )
+        return plan_query(self.logical, engine, directional=directional)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"PreparedQuery({self.key!r})"

@@ -33,9 +33,9 @@ answered it):
                                ``/v1/count`` for the exact number)
 ``GET /v1/count``              ``path`` — unranked total match count
 ``GET /v1/explain``            ``path`` (+ optional ``mode`` —
-                               ``evaluate``/``stream``/``count``/
-                               ``exists``) — the physical plan that would
-                               run (estimates, join order/directions)
+                               ``evaluate`` or ``count``) — the
+                               physical plan that endpoint would run
+                               (estimates, join order/directions)
 ``GET /v1/connected``          ``source``, ``target`` — reachability test
 ``GET /v1/distance``           ``source``, ``target`` — shortest link
                                distance

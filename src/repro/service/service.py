@@ -427,10 +427,9 @@ class QueryService:
         endpoint: the physical plan the current epoch's engine would
         run, as a JSON-safe dict plus its human-readable rendering.
 
-        ``mode`` selects which execution profile the payload carries
-        (``"evaluate"``, ``"stream"``, ``"count"``, ``"exists"``);
-        ``count`` describes the directional plan the counting path
-        actually runs.
+        ``mode`` is the endpoint whose plan the payload describes:
+        ``"evaluate"`` or ``"count"`` (the directional plan the counting
+        path runs); any other value raises ``ValueError`` (a 400).
         """
         state = self._holder.current
         prepared = self._prepare(path)

@@ -149,6 +149,42 @@ def test_query_limit(index_path, capsys):
     assert len(out.strip().splitlines()) <= 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--limit", "8", "--offset", "-3"], ["--limit", "-2"],
+    ["--offset", "x"], ["--max-results", "-1"], ["--max-results", "0"],
+])
+def test_bad_query_windows_are_usage_errors(index_path, capsys, argv):
+    """A negative window or a non-positive ``--max-results`` is an
+    argparse usage error (exit 2), never a page that is no ranked page:
+    a slice by a negative offset or cap would print the tail of a page,
+    no matches, or every answer but its last row."""
+    with pytest.raises(SystemExit) as exc:
+        main(["query", str(index_path), "//article//author"] + argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert argv[-2] in captured.err
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_serve_max_results_must_be_positive(index_path, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", str(index_path), "--max-results", value,
+              "--port", "0", "--max-requests", "0"])
+    assert exc.value.code == 2
+    assert "--max-results" in capsys.readouterr().err
+
+
+def test_query_window_flags_page_the_ranking(index_path, capsys):
+    main(["query", str(index_path), "//article//author", "--limit", "0"])
+    assert capsys.readouterr().out == ""
+    main(["query", str(index_path), "//article//author", "--limit", "8"])
+    top = capsys.readouterr().out.splitlines()
+    main(["query", str(index_path), "//article//author",
+          "--limit", "5", "--offset", "3"])
+    assert capsys.readouterr().out.splitlines() == top[3:8]
+
+
 def test_connected_exit_codes(index_path, capsys):
     # element 0 is the first article root; its title is element 1
     assert main(["connected", str(index_path), "0", "1"]) == 0

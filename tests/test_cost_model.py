@@ -1,39 +1,31 @@
-"""The probe cost model: planner differentials and ranked top-k.
+"""The probe-cost constants: planner decisions and ranked top-k.
 
-The contract pinned here: a neutral model reproduces the legacy
-count-only planner decisions *exactly*; a skewed model flips direction
-and seed choices on near-equal estimates (and ``explain()`` shows the
-flip plus the model that caused it); the bounded-heap ranked path is
-answer-identical to full materialisation; calibration always yields a
-sane, clamped model.
+The contract pinned here: the two constants flip direction and seed
+choices on near-equal estimates (and ``explain()`` shows the flip);
+every plan the planner makes on a fixed corpus is the one it made
+before the cost model collapsed to two constants; any seed the costs
+may pick returns the same answers; the bounded ranked path is
+answer-identical to full materialisation.
 """
 
 import pytest
 
 from repro.core.hopi import HopiIndex
-from repro.query.cost import (
-    DEFAULT_COST_MODEL,
-    NEUTRAL_COST_MODEL,
-    ProbeCostModel,
-    calibrate_probe_costs,
-)
 from repro.query.engine import QueryEngine
+from repro.query.exec import ExecContext, run_ranked
 from repro.query.pathexpr import parse_path
-from repro.query.planner import order_steps, plan_cost, plan_query
+from repro.query.planner import (
+    BACKWARD_COST,
+    FORWARD_COST,
+    order_steps,
+    plan_query,
+)
 from repro.xmlmodel.generator import dblp_like
-from repro.xmlmodel.model import Collection
-
-#: Forward probes 3x cheaper than backward — enough skew to flip any
-#: near-equal decision.
-SYNTHETIC = ProbeCostModel(1.0, 3.0, source="synthetic")
 
 
 class FakeEngine:
     """Just enough engine for :func:`plan_query`: cardinalities come
     from a tag → count table instead of a tag index."""
-
-    planner = "selective"
-    cost_model = None
 
     def __init__(self, counts):
         self._counts = counts
@@ -54,136 +46,250 @@ def small_index():
 
 
 # ---------------------------------------------------------------------------
-# model basics
+# the constants
 # ---------------------------------------------------------------------------
 
 
 def test_neutral_and_default_models():
-    assert NEUTRAL_COST_MODEL.neutral
-    model = DEFAULT_COST_MODEL
-    assert (model.forward, model.backward, model.source) == (0.35, 1.3, "default")
-    assert not model.neutral
-    assert model.unit("descendant", "backward") == model.backward
-    assert model.unit("descendant", "forward") == model.forward
-    # child joins follow parent pointers — direction-blind
-    assert model.unit("child", "backward") == 1.0
-    assert model.unit("child", "forward") == 1.0
-
-
-def test_engine_cost_model_comes_from_the_index(small_index):
-    engine = QueryEngine(small_index)
-    assert engine.cost_model is DEFAULT_COST_MODEL
-    pinned = small_index.calibrate_probe_costs(samples=4, repeats=1)
-    try:
-        assert engine.cost_model is pinned
-    finally:
-        small_index._probe_costs = None
-
-
-def test_calibration_is_normalised_and_clamped(small_index):
-    model = calibrate_probe_costs(small_index, samples=4, repeats=1)
-    assert model.source == "calibrated"
-    assert model.forward == 1.0
-    assert 0.05 <= model.backward <= 20.0
-
-
-def test_calibration_falls_back_on_tiny_collections():
-    index = HopiIndex.build(Collection(), strategy="unpartitioned")
-    model = calibrate_probe_costs(index)
-    assert model is DEFAULT_COST_MODEL
-
-
-# ---------------------------------------------------------------------------
-# planner differentials
-# ---------------------------------------------------------------------------
+    """The default (only) costs weigh descendant joins by direction;
+    child joins follow parent pointers and stay direction-neutral."""
+    assert (FORWARD_COST, BACKWARD_COST) == (0.35, 1.3)
+    _, forward = order_steps(parse_path("//a//b"), (100, 95), start=0)
+    _, backward = order_steps(parse_path("//a//b"), (100, 95), start=1)
+    assert forward == pytest.approx(100 + 100 * FORWARD_COST)
+    assert backward == pytest.approx(95 + 95 * BACKWARD_COST)
+    _, down = order_steps(parse_path("//a/b"), (100, 95), start=0)
+    _, up = order_steps(parse_path("//a/b"), (100, 95), start=1)
+    assert (down, up) == (200.0, 190.0)
 
 
 def test_neutral_model_reduces_to_legacy_order():
-    expr = parse_path("//a//b//c")
-    estimates = (40, 7, 25)
-    for start in range(3):
-        legacy = order_steps(expr, estimates, start=start)
-        neutral = order_steps(
-            expr, estimates, start=start, cost_model=NEUTRAL_COST_MODEL
-        )
-        assert neutral == legacy
-    # neutral two-step plan costs preserve the legacy endpoint order:
-    # total(start) = 2 * estimate(start), so the cheaper endpoint wins
-    two = parse_path("//a//b")
-    assert plan_cost(two, (100, 95), NEUTRAL_COST_MODEL, start=0) == 200.0
-    assert plan_cost(two, (100, 95), NEUTRAL_COST_MODEL, start=1) == 190.0
+    """Where every join is a child join the weights are all 1, and the
+    order is the legacy count-only one: extend towards the smaller
+    neighbouring estimate, ties forward."""
+
+    def legacy(estimates, start):
+        order, lo, hi = [start], start, start
+        while lo > 0 or hi < len(estimates) - 1:
+            if hi < len(estimates) - 1 and (
+                lo == 0 or estimates[hi + 1] <= estimates[lo - 1]
+            ):
+                hi += 1
+                order.append(hi)
+            else:
+                lo -= 1
+                order.append(lo)
+        return order
+
+    expr = parse_path("/a/b/c/d")
+    for estimates in [(40, 7, 25, 3), (5, 5, 5, 5), (1, 9, 9, 2)]:
+        for start in range(4):
+            ops, _ = order_steps(expr, estimates, start=start)
+            assert [op.position for op in ops] == legacy(estimates, start)
+            assert all(op.op != "descendant" for op in ops)
+
+
+# ---------------------------------------------------------------------------
+# planner decisions
+# ---------------------------------------------------------------------------
 
 
 def test_cost_model_flips_the_directional_seed():
-    """est = (100, 95): the count-only rule seeds at the cheaper tail
-    and runs backward; with backward probes 3x dearer the modeled cost
-    of the backward plan (95 + 95*3 frontier probes) dwarfs the forward
-    plan (100 + 100*1), so the seed flips to position 0."""
-    engine = FakeEngine({"a": 100, "b": 95})
-    neutral = plan_query(
-        "//a//b", engine, directional=True, cost_model=NEUTRAL_COST_MODEL
-    )
-    assert neutral.ops[0].position == 1
-    assert neutral.ops[1].direction == "backward"
-    assert neutral.cost_model is None
-
-    skewed = plan_query(
-        "//a//b", engine, directional=True, cost_model=SYNTHETIC
-    )
-    assert skewed.ops[0].position == 0
-    assert skewed.ops[1].direction == "forward"
-    assert skewed.cost_model is SYNTHETIC
-
-    expr = parse_path("//a//b")
-    assert plan_cost(expr, (100, 95), SYNTHETIC, start=0) == 200.0
-    assert plan_cost(expr, (100, 95), SYNTHETIC, start=1) == 380.0
+    """est = (100, 95): a count-only rule would seed at the cheaper
+    tail and run backward; with backward probes dearer the modeled
+    cost of the backward plan (95 + 95 backward probes) exceeds the
+    forward plan (100 + 100 forward probes), so the seed is position
+    0."""
+    plan = plan_query("//a//b", FakeEngine({"a": 100, "b": 95}),
+                      directional=True)
+    assert plan.ops[0].position == 0
+    assert plan.ops[1].direction == "forward"
+    # a tail rare enough still wins the seed and runs backward
+    rare = plan_query("//a//b", FakeEngine({"a": 100, "b": 20}),
+                      directional=True)
+    assert [op.direction for op in rare.ops] == ["seed", "backward"]
 
 
 def test_cost_model_flip_is_visible_in_explain():
     engine = FakeEngine({"a": 100, "b": 95})
-    neutral = plan_query(
-        "//a//b", engine, directional=True, cost_model=NEUTRAL_COST_MODEL
+    text = plan_query("//a//b", engine, directional=True).explain()
+    assert "forward probe: descendants side" in text
+    assert "backward probe" not in text
+    rare = plan_query(
+        "//a//b", FakeEngine({"a": 100, "b": 20}), directional=True
     ).explain()
-    skewed = plan_query(
-        "//a//b", engine, directional=True, cost_model=SYNTHETIC
-    ).explain()
-    assert "backward probe: ancestors side" in neutral
-    assert "costs:" not in neutral
-    assert "forward probe: descendants side" in skewed
-    assert "backward probe" not in skewed
-    assert "costs: forward x1, backward x3" in skewed
-    assert "synthetic model" in skewed
+    assert "backward probe: ancestors side" in rare
 
 
 def test_cost_model_moves_the_selective_seed():
-    """Non-directional: the count-only rule seeds at the global minimum
-    (the middle step); a skewed model seeds where the modeled total is
-    lowest even though its scan is bigger."""
-    engine = FakeEngine({"a": 50, "b": 45, "c": 48})
-    neutral = plan_query("//a//b//c", engine, cost_model=NEUTRAL_COST_MODEL)
-    assert neutral.ops[0].position == 1
-    skewed = plan_query("//a//b//c", engine, cost_model=SYNTHETIC)
-    # seed 0 runs purely forward: 50 + 50*1 + 45*1 = 145; every other
-    # seed pays at least one 3x backward stage
-    assert skewed.ops[0].position == 0
-    assert all(op.direction != "backward" for op in skewed.ops)
+    """Non-directional: a count-only rule would seed at the global
+    minimum (the middle step); the costs seed where the modeled total
+    is lowest even though its scan is bigger."""
+    plan = plan_query("//a//b//c", FakeEngine({"a": 50, "b": 45, "c": 48}))
+    # seed 0 runs purely forward: 50 + (50 + 45) * 0.35; every other
+    # seed pays at least one backward stage
+    assert plan.ops[0].position == 0
+    assert all(op.direction != "backward" for op in plan.ops)
 
 
 def test_cost_aware_plans_return_identical_answers(small_index):
+    """Whichever seed the costs pick, the ranked answer is the same."""
     engine = QueryEngine(small_index, max_results=10**9)
     for path in ("//article//author", "//*//cite", "//article//*//author"):
-        baseline = plan_query(path, engine, cost_model=NEUTRAL_COST_MODEL)
-        skewed = plan_query(path, engine, cost_model=SYNTHETIC)
-        a = [(r.bindings, r.score) for r in engine.evaluate(path)]
-        # evaluate() replans with the engine's own model; run both
-        # explicit plans through the executor via forced starts
-        for plan in (baseline, skewed):
-            forced = plan_query(
-                path, engine, start=plan.ops[0].position,
-                cost_model=plan.cost_model,
+        expr = parse_path(path)
+        expected = [(r.bindings, r.score) for r in engine.evaluate(path)]
+        assert expected == sorted(expected, key=lambda x: (-x[1], x[0]))
+        for start in range(len(expr.steps)):
+            top = run_ranked(
+                plan_query(expr, engine, start=start),
+                ExecContext(engine, small_index), 10**9,
             )
-            assert forced.ops == plan.ops
-        assert a == sorted(a, key=lambda x: (-x[1], x[0]))
+            assert [(b, -neg) for neg, b in top] == expected, (path, start)
+
+
+#: ``(evaluate, count)`` plans as ``op:position:direction`` sequences,
+#: recorded before the probe cost model collapsed to two constants, on
+#: :func:`frozen_plan_engine`'s corpus: every ``read-cold`` shape class
+#: of the benchmark (two-step cheap / mid / heavy, selective tail,
+#: three-step, predicate, ``~tag``, count) plus shapes whose seed or
+#: directions the costs decide (a middle seed, mixed directions, child
+#: steps).
+FROZEN_PLANS = {
+    "//title//cite": (
+        "scan:0:seed descendant:1:forward",
+        "scan:0:seed descendant:1:forward",
+    ),
+    "//year//article": (
+        "scan:0:seed descendant:1:forward",
+        "scan:0:seed descendant:1:forward",
+    ),
+    "//metadata//ee": (
+        "scan:0:seed descendant:1:forward",
+        "scan:0:seed descendant:1:forward",
+    ),
+    "//article//pages": (
+        "scan:0:seed descendant:1:forward",
+        "scan:0:seed descendant:1:forward",
+    ),
+    "//citations//title": (
+        "scan:0:seed descendant:1:forward",
+        "scan:0:seed descendant:1:forward",
+    ),
+    "//article//url": (
+        "scan:0:seed descendant:1:forward",
+        "scan:0:seed descendant:1:forward",
+    ),
+    "//citations//year": (
+        "scan:0:seed descendant:1:forward",
+        "scan:0:seed descendant:1:forward",
+    ),
+    "//article//year": (
+        "scan:0:seed descendant:1:forward",
+        "scan:0:seed descendant:1:forward",
+    ),
+    "//article//author": (
+        "scan:0:seed descendant:1:forward",
+        "scan:0:seed descendant:1:forward",
+    ),
+    "//cite//title": (
+        "scan:1:seed descendant:0:backward",
+        "scan:1:seed descendant:0:backward",
+    ),
+    "//citations//author": (
+        "scan:0:seed descendant:1:forward",
+        "scan:0:seed descendant:1:forward",
+    ),
+    "//*//erratum": (
+        "scan:1:seed descendant:0:backward",
+        "scan:1:seed descendant:0:backward",
+    ),
+    "//article//erratum": (
+        "scan:1:seed descendant:0:backward",
+        "scan:1:seed descendant:0:backward",
+    ),
+    "//cite//erratum": (
+        "scan:1:seed descendant:0:backward",
+        "scan:1:seed descendant:0:backward",
+    ),
+    "//citations//cite//article": (
+        "scan:0:seed descendant:1:forward descendant:2:forward",
+        "scan:0:seed descendant:1:forward descendant:2:forward",
+    ),
+    "//article//cite//title": (
+        "scan:0:seed descendant:1:forward descendant:2:forward",
+        "scan:0:seed descendant:1:forward descendant:2:forward",
+    ),
+    "//citations//article//author": (
+        "scan:0:seed descendant:1:forward descendant:2:forward",
+        "scan:0:seed descendant:1:forward descendant:2:forward",
+    ),
+    "//article[//erratum]//author": (
+        "scan:0:seed descendant:1:forward",
+        "scan:0:seed descendant:1:forward",
+    ),
+    "//article[citations]//keyword": (
+        "scan:0:seed descendant:1:forward",
+        "scan:0:seed descendant:1:forward",
+    ),
+    "//citations[cite]//title": (
+        "scan:0:seed descendant:1:forward",
+        "scan:0:seed descendant:1:forward",
+    ),
+    "//~article//author": (
+        "scan:0:seed descendant:1:forward",
+        "scan:0:seed descendant:1:forward",
+    ),
+    "//~paper//title": (
+        "scan:0:seed descendant:1:forward",
+        "scan:0:seed descendant:1:forward",
+    ),
+    "//citations//keyword": (
+        "scan:0:seed descendant:1:forward",
+        "scan:0:seed descendant:1:forward",
+    ),
+    "//*//cite//title": (
+        "scan:2:seed descendant:1:backward descendant:0:backward",
+        "scan:2:seed descendant:1:backward descendant:0:backward",
+    ),
+    "//*//citations//*": (
+        "scan:1:seed descendant:2:forward descendant:0:backward",
+        "scan:0:seed descendant:1:forward descendant:2:forward",
+    ),
+    "//cite//*//erratum": (
+        "scan:0:seed descendant:1:forward descendant:2:forward",
+        "scan:0:seed descendant:1:forward descendant:2:forward",
+    ),
+    "//citations/cite//erratum": (
+        "scan:0:seed child:1:forward descendant:2:forward",
+        "scan:0:seed child:1:forward descendant:2:forward",
+    ),
+    "/article//cite/title": (
+        "scan:0:seed descendant:1:forward child:2:forward",
+        "scan:0:seed descendant:1:forward child:2:forward",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def frozen_plan_engine():
+    """``dblp_like(60)`` with a rare ``erratum`` child on every 20th
+    root — the benchmark corpus's shape at test size."""
+    collection = dblp_like(60, seed=2005)
+    for doc_id in list(collection.documents)[::20]:
+        collection.add_child(collection.documents[doc_id].root, "erratum")
+    return QueryEngine(HopiIndex.build(collection))
+
+
+@pytest.mark.parametrize("path", sorted(FROZEN_PLANS))
+def test_plans_are_frozen(frozen_plan_engine, path):
+    def ops(plan):
+        return " ".join(
+            f"{op.op}:{op.position}:{op.direction}" for op in plan.ops
+        )
+
+    evaluate, count = FROZEN_PLANS[path]
+    assert ops(frozen_plan_engine.plan(path)) == evaluate
+    assert ops(frozen_plan_engine.plan(path, directional=True)) == count
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +335,15 @@ def test_execution_profiles_expose_short_circuits(small_index):
     count = plain.execution_profile("count")
     assert count["strategy"] == "frontier-aggregation"
     assert "scoring" in count["skipped"]
-    assert plain.execution_profile("exists")["strategy"] == "first-match"
-    assert plain.execution_profile("stream")["strategy"] == "lazy-stream"
-    with pytest.raises(ValueError, match="unknown execution mode"):
-        plain.execution_profile("sideways")
+    # one evaluator per endpoint: no other execution profile exists
+    for mode in ("exists", "stream", "sideways"):
+        with pytest.raises(ValueError, match="'evaluate', 'count'"):
+            plain.execution_profile(mode)
+        with pytest.raises(ValueError, match="unknown execution mode"):
+            engine.explain("//article//author", mode=mode)
 
     text = engine.explain("//article//author", mode="count")
     assert "exec:  count via frontier-aggregation" in text
-    described = engine.plan("//article//author").describe("exists")
-    assert described["execution"]["strategy"] == "first-match"
-    assert described["cost_model"] == {
-        "forward": 0.35, "backward": 1.3, "source": "default",
-    }
+    described = engine.plan("//article//author").describe("count")
+    assert described["execution"]["strategy"] == "frontier-aggregation"
+    assert "cost_model" not in described and "mode" not in described

@@ -208,15 +208,22 @@ def test_count_and_max_results(bib_index):
     assert full.count("//book//author") == 2
 
 
+@pytest.mark.parametrize("max_results", [0, -1])
+def test_engine_rejects_non_positive_max_results(bib_index, max_results):
+    _, index, _ = bib_index
+    with pytest.raises(ValueError, match="max_results"):
+        QueryEngine(index, max_results=max_results)
+
+
 def test_refresh_after_maintenance():
+    """An engine answers for the collection state it was built on; the
+    engine built after maintenance (one per epoch) sees the change."""
     c = dblp_like(6, seed=2)
     index = HopiIndex.build(c, strategy="unpartitioned")
-    engine = QueryEngine(index)
-    before = engine.count("//article//author")
+    before = QueryEngine(index).count("//article//author")
     doc = sorted(c.documents)[0]
     index.delete_document(doc)
-    engine.refresh()
-    after = engine.count("//article//author")
+    after = QueryEngine(index).count("//article//author")
     assert after < before
 
 
@@ -294,8 +301,8 @@ def test_candidates_memoized_per_tag_and_invalidated_on_refresh():
     again = engine._candidates(expr.steps[2])
     assert first is again  # same (tag, similar) key -> same memo entry
     index.delete_document(sorted(c.documents)[0])
-    engine.refresh()
-    fresh = engine._candidates(expr.steps[1])
+    # the next epoch's engine starts from empty memos
+    fresh = QueryEngine(index)._candidates(expr.steps[1])
     assert fresh is not first
     assert len(fresh) < len(first)
 

@@ -9,9 +9,11 @@ operators pipeline to the pre-redesign evaluator:
   (``tests/cover_oracle.py`` — the ``sets`` rows), with and without
   probe substitution);
 * **planner soundness** — every legal zig-zag join order (each possible
-  seed position) returns the same result set and scores;
+  seed position, forced with ``plan_query(start=)`` and run through
+  ``run_ranked`` / ``run_count``) returns the same result set and
+  scores;
 * behaviour of the new surface: predicates, expression windows,
-  ``exists``/``stream`` early termination, ``explain`` and
+  early termination of small windows, ``explain`` and
   :class:`PreparedQuery`.
 """
 
@@ -33,7 +35,6 @@ from repro.query import (
 from repro.query.exec import (
     FORWARD_BLOCK,
     ExecContext,
-    run_bindings,
     run_count,
     run_ranked,
 )
@@ -54,6 +55,13 @@ from repro.xmlmodel import Collection, dblp_like
 # the frozen legacy evaluator (verbatim semantics of the pre-redesign
 # QueryEngine.evaluate/count; supports the legacy dialect only)
 # ---------------------------------------------------------------------------
+
+
+def hop_score(index, u, v):
+    """Distance discount of a descendant hop (1.0 without distances)."""
+    if not index.is_distance_aware:
+        return 1.0
+    return 1.0 / (1.0 + index.distance(u, v))
 
 
 def reference_evaluate(engine, path, *, index=None, probe=None):
@@ -97,7 +105,7 @@ def reference_evaluate(engine, path, *, index=None, probe=None):
                     e, tag_score = candidates[i]
                     if e == prev:
                         continue
-                    hop = engine._hop_score(index, prev, e)
+                    hop = hop_score(index, prev, e)
                     grown.append((bindings + (e,), score * tag_score * hop))
         partial = grown
         if not partial:
@@ -185,6 +193,26 @@ def as_pairs(results):
     return [(r.bindings, r.score) for r in results]
 
 
+def ranked_at(engine, expr, start, k=10**9, probe=None):
+    """``(bindings, score)`` of the ``k`` best matches, planned with
+    the seed forced to ``start`` and run through ``run_ranked``."""
+    expr = parse_path(expr) if isinstance(expr, str) else expr
+    top = run_ranked(
+        plan_query(expr, engine, start=start),
+        ExecContext(engine, engine.index, probe), k,
+    )
+    return [(b, -neg) for neg, b in top]
+
+
+def count_at(engine, expr, start):
+    """``run_count`` over the plan seeded at ``start`` (an endpoint)."""
+    expr = parse_path(expr) if isinstance(expr, str) else expr
+    return run_count(
+        plan_query(expr, engine, start=start),
+        ExecContext(engine, engine.index),
+    )
+
+
 class TestDifferential:
     """New pipeline ≡ frozen legacy evaluator, bit for bit."""
 
@@ -193,17 +221,19 @@ class TestDifferential:
         engine, dist_engine = cover_engines
         for eng in (engine, dist_engine):
             expected = as_pairs(reference_evaluate(eng, path))
-            for order in ("naive", "selective"):
-                got = as_pairs(eng.evaluate(path, order=order))
-                assert got == expected, (path, order)
+            assert as_pairs(eng.evaluate(path)) == expected, path
+            # the legacy left-to-right order is the plan seeded at 0
+            assert ranked_at(eng, path, 0) == expected, path
 
     @pytest.mark.parametrize("path", LEGACY_PATHS)
     def test_count_matches_reference(self, cover_engines, path):
         engine, dist_engine = cover_engines
+        last = len(parse_path(path).steps) - 1
         for eng in (engine, dist_engine):
             expected = reference_count(eng, path)
-            for order in ("naive", "selective"):
-                assert eng.count(path, order=order) == expected, (path, order)
+            assert eng.count(path) == expected, path
+            for start in {0, last}:
+                assert count_at(eng, path, start) == expected, (path, start)
 
     def test_matches_reference_under_probe_substitution(self, cover_engines):
         engine, _ = cover_engines
@@ -242,18 +272,16 @@ class TestPlannerSoundness:
                  "//*//cite//*", "//~article//author//*"]
     )
     def test_every_seed_position_agrees(self, cover_engines, path):
-        engine, _ = cover_engines
+        engine, dist_engine = cover_engines
         expr = parse_path(path)
-        baseline = as_pairs(engine.evaluate(path, order="naive"))
-        for start in range(len(expr.steps)):
-            plan = plan_query(expr, engine, start=start)
-            ctx = ExecContext(engine, engine.index)
-            results = [
-                QueryResult(b, engine._score_binding(engine.index, expr, b))
-                for b in run_bindings(plan, ctx)
-            ]
-            results.sort(key=lambda r: (-r.score, r.bindings))
-            assert as_pairs(results) == baseline, (path, start)
+        for eng in (engine, dist_engine):
+            baseline = as_pairs(reference_evaluate(eng, path))
+            for start in range(len(expr.steps)):
+                assert ranked_at(eng, expr, start) == baseline, (path, start)
+                for k in (1, 5):
+                    assert ranked_at(eng, expr, start, k) == baseline[:k], (
+                        path, start, k,
+                    )
 
     def test_directional_counts_agree_both_ways(self, cover_engines):
         engine, _ = cover_engines
@@ -396,9 +424,7 @@ class TestRankedEnumeration:
             max_results=max_results,
         )
         expected = reference_window(ranked_engine, expr, max_results)
-        for order in ("naive", "selective"):
-            got = as_pairs(engine.evaluate(expr, order=order))
-            assert got == expected, (str(expr), order)
+        assert as_pairs(engine.evaluate(expr)) == expected, str(expr)
 
         # every seed position (run_ranked is what evaluate calls with
         # k = offset + (limit or max_results))
@@ -454,16 +480,14 @@ class TestRankedEnumeration:
                 return dict(zip(sources, rows))
 
         probe = CountingProbe()
-        windowed = engine.evaluate(path + " limit 25", probe=probe, order="naive")
-        assert as_pairs(windowed) == as_pairs(
-            reference_evaluate(engine, path)[:25]
-        )
+        windowed = ranked_at(engine, path, 0, 25, probe)
+        assert windowed == as_pairs(reference_evaluate(engine, path)[:25])
         assert set(probe.sources) == {("cite", False), ("article", False)}
         for step_key, sources in probe.sources.items():
             assert len(sources) <= 2 * FORWARD_BLOCK, step_key
         # ... which is a fraction of what enumerating everything probes
         full = CountingProbe()
-        list(engine.stream(path, probe=full, order="naive"))
+        ranked_at(engine, path, 0, probe=full)
         assert len(full.sources[("article", False)]) > 2 * FORWARD_BLOCK
 
 
@@ -520,8 +544,8 @@ class TestPredicatesAndWindows:
         engine, _ = pred_fixture
         for path in ["//book[author]", "//book[//remark]", "//bib[book]//title"]:
             assert engine.count(path) == len(engine.evaluate(path)), path
-        assert engine.exists("//book[author]")
-        assert not engine.exists("//book[nonexistent]")
+        assert engine.count("//book[author]") == 1
+        assert engine.count("//book[nonexistent]") == 0
 
     def test_window_slices_ranked_results(self, cover_engines):
         engine, _ = cover_engines
@@ -536,33 +560,6 @@ class TestPredicatesAndWindows:
         assert engine.count("//article//author limit 1") == engine.count(
             "//article//author"
         )
-
-    def test_stream_is_lazy_and_windowed(self, cover_engines):
-        engine, _ = cover_engines
-        full = engine.evaluate("//article//author")
-        streamed = list(engine.stream("//article//author limit 4"))
-        assert len(streamed) == 4
-        expected = {(r.bindings, r.score) for r in full}
-        assert all((r.bindings, r.score) in expected for r in streamed)
-
-    def test_stream_terminates_early(self):
-        """A limited stream must not probe every head element."""
-        c = dblp_like(10, seed=5)
-        index = HopiIndex.build(c, strategy="unpartitioned")
-        engine = QueryEngine(index)
-        probes = []
-
-        def probe(source, step_key, cand_elems):
-            probes.append(source)
-            flags = index.connected_many(source, cand_elems)
-            return [i for i, ok in enumerate(flags) if ok]
-
-        list(engine.stream("//article//cite limit 1", probe=probe,
-                           order="naive"))
-        limited = len(probes)
-        probes.clear()
-        list(engine.stream("//article//cite", probe=probe, order="naive"))
-        assert limited < len(probes)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +589,7 @@ class TestPlanApi:
 
     def test_prepared_query_binds_per_engine(self, cover_engines):
         engine, _ = cover_engines
-        prepared = engine.prepare("//article//author")
+        prepared = PreparedQuery("//article//author")
         assert prepared.key == "//article//author"
         plan = prepared.bind(engine)
         assert plan.key == prepared.key
@@ -602,8 +599,8 @@ class TestPlanApi:
         engine, _ = cover_engines
         text = engine.explain("//article//author")
         assert "order:" in text and "candidates" in text
-        naive = engine.explain("//article//author", order="naive")
-        assert "naive" in naive and "reduced" not in naive
+        forward = plan_query("//article//author", engine, start=0).explain()
+        assert "reduced" not in forward
         # one evaluate strategy, windowed or not; a backward-reached
         # position is reported as reduced
         assert "via ranked-topk(k=max_results)" in text
@@ -634,23 +631,28 @@ class TestPlanApi:
 
 class TestRefresh:
     def test_all_memos_invalidated(self):
+        """The service builds one engine per published epoch, so a
+        maintenance batch leaves every memo behind with the old
+        engine."""
+        from repro.service import QueryService
+
         c = dblp_like(6, seed=2)
-        index = HopiIndex.build(c, strategy="unpartitioned")
-        engine = QueryEngine(index)
+        service = QueryService(HopiIndex.build(c, strategy="unpartitioned"))
         expr = parse_path("//article//author")
         step = expr.steps[1]
-        engine.evaluate(expr)
-        engine.plan(expr)
+        engine = service._holder.current.engine
+        service.query("//article//author")
         before_map = engine._candidate_map(step)
         before_parents = engine._parent_map(step)
         doc = sorted(c.documents)[0]
         deleted = set(c.documents[doc].elements)
-        index.delete_document(doc)
-        engine.refresh()
-        assert engine._candidate_map(step) is not before_map
-        assert engine._parent_map(step) is not before_parents
-        after = engine.evaluate(expr)
+        service.update([{"op": "delete_document", "doc_id": doc}])
+        fresh = service._holder.current.engine
+        assert fresh is not engine
+        assert fresh._candidate_map(step) is not before_map
+        assert fresh._parent_map(step) is not before_parents
+        after = service.query("//article//author").results
         assert after and not any(
             e in deleted for r in after for e in r.bindings
         )
-        assert engine.count(expr) == len(after)
+        assert service.count("//article//author")[1] == len(after)

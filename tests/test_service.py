@@ -891,11 +891,35 @@ class TestV1HTTP:
         assert status == 200
         plan = data["plan"]
         assert "backend" not in plan
-        assert plan["mode"] == "selective"
+        assert plan["execution"]["mode"] == "evaluate"
         assert {s["step"] for s in plan["steps"]} == {"//*", "//author"}
         assert all(s["estimate"] > 0 for s in plan["steps"])
         assert [op["op"] for op in plan["order"]] == ["scan", "descendant"]
         assert "order:" in plan["text"]
+
+    def test_v1_explain_modes(self, http_service):
+        """``mode=count`` shows the one-direction plan the counting path
+        runs; any mode but ``evaluate`` / ``count`` — the retired
+        ``stream`` / ``exists`` too — is a structured 400 naming both."""
+        _, base = http_service
+        status, data = get_json(
+            f"{base}/v1/explain?path=//*//cite//title&mode=count"
+        )
+        assert status == 200
+        plan = data["plan"]
+        assert plan["execution"]["strategy"] == "frontier-aggregation"
+        assert len({op["direction"] for op in plan["order"][1:]}) == 1
+        assert plan["text"].splitlines()[-1].startswith("exec:  count")
+        for mode in ("stream", "exists", "naive"):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(
+                    f"{base}/v1/explain?path=//article//author&mode={mode}"
+                )
+            assert err.value.code == 400, mode
+            error = json.loads(err.value.read())["error"]
+            assert error["code"] == "bad_request", mode
+            assert "'evaluate'" in error["message"], mode
+            assert "'count'" in error["message"], mode
 
     def test_v1_structured_errors(self, http_service):
         _, base = http_service
