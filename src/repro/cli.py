@@ -35,9 +35,10 @@ to links exactly as in :func:`repro.xmlmodel.parser.load_collection`.
 from __future__ import annotations
 
 import argparse
+import os
 import pathlib
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NoReturn, Optional, Sequence
 
 from repro.core.hopi import HopiIndex
 from repro.query.engine import QueryEngine
@@ -82,6 +83,20 @@ def positive_int(text: str) -> int:
 def non_negative_int(text: str) -> int:
     """argparse ``type`` for counts that may be 0 (a result window)."""
     return _int_at_least(text, 0)
+
+
+def _usage_error(message: str) -> NoReturn:
+    """Exit 2 with ``message``, the way argparse reports bad usage."""
+    print(f"repro: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _existing(path: str) -> str:
+    """``path`` when an index file is there, else a usage error: opening
+    a missing path would create an empty database and answer from it."""
+    if not os.path.isfile(path):
+        _usage_error(f"no index database at {path}")
+    return path
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -139,7 +154,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
     from repro.query.pathexpr import parse_path
 
-    index = load_index(args.index)
+    index = load_index(_existing(args.index))
     engine = QueryEngine(
         index,
         max_results=args.max_results,
@@ -170,16 +185,21 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_connected(args: argparse.Namespace) -> int:
-    with SQLiteCoverStore(args.index) as store:
+    with SQLiteCoverStore(_existing(args.index)) as store:
+        if args.distance:
+            try:
+                distance = store.distance(args.source, args.target)
+            except TypeError:
+                _usage_error(f"index {args.index} was built without --distance")
         result = store.connected(args.source, args.target)
         print("connected" if result else "not connected")
         if args.distance:
-            print(f"distance: {store.distance(args.source, args.target)}")
+            print(f"distance: {distance}")
     return 0 if result else 1
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    index = load_index(args.index)
+    index = load_index(_existing(args.index))
     collection = index.collection
     report = index.size_report(with_closure=args.closure)
     print(f"documents:        {collection.num_documents}")
@@ -197,7 +217,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_delete_doc(args: argparse.Namespace) -> int:
-    index = load_index(args.index)
+    index = load_index(_existing(args.index))
     if args.doc_id not in index.collection.documents:
         raise SystemExit(f"no document {args.doc_id!r} in the index")
     report = index.delete_document(args.doc_id)
@@ -221,6 +241,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.store:
         from repro.storage.wal import DurableIndexStore
 
+        if not os.path.exists(os.path.join(args.store, "index.db")):
+            _existing(args.index)  # the store is seeded from it
         durable_store = DurableIndexStore(
             args.store, checkpoint_interval=args.checkpoint_interval
         )
@@ -233,11 +255,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 flush=True,
             )
         else:
-            index = load_index(args.index)
+            index = load_index(_existing(args.index))
             durable_store.initialize(index)
             print(f"initialised durable store {args.store}", flush=True)
     else:
-        index = load_index(args.index)
+        index = load_index(_existing(args.index))
     service = QueryService(
         index,
         max_results=args.max_results,
@@ -276,7 +298,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    index = load_index(args.index)
+    index = load_index(_existing(args.index))
     index.verify()
     print("cover verified against a fresh transitive-closure oracle ✓")
     return 0

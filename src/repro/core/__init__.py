@@ -28,7 +28,7 @@ Modules:
 """
 
 from repro.core.cover import DistanceTwoHopCover, TwoHopCover
-from repro.core.cover_builder import build_cover, build_cover_for_closure
+from repro.core.cover_builder import build_cover
 from repro.core.distance import build_distance_cover
 from repro.core.hopi import BuildStats, HopiIndex
 from repro.core.partitioning import Partitioning, partition_by_closure_size, partition_by_node_weight
@@ -40,7 +40,6 @@ __all__ = [
     "DistanceTwoHopCover",
     "TwoHopCover",
     "build_cover",
-    "build_cover_for_closure",
     "build_distance_cover",
     "BuildStats",
     "HopiIndex",

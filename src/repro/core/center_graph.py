@@ -11,7 +11,9 @@ standard factor-2 approximation).
 
 The densest subgraph is computed by the classical linear-time peeling
 algorithm: iteratively remove a minimum-degree node; the density of the
-best intermediate graph 2-approximates the optimum.
+best intermediate graph 2-approximates the optimum. A center graph is
+passed around as its edge adjacency (in-side node -> out-side nodes),
+which :mod:`repro.core.cover_builder` computes per candidate center.
 """
 
 from __future__ import annotations
@@ -19,36 +21,6 @@ from __future__ import annotations
 from typing import Dict, List, Set, Tuple
 
 Node = object  # nodes are opaque hashables here
-
-
-class CenterGraph:
-    """A bipartite center graph as adjacency from in-side to out-side."""
-
-    __slots__ = ("center", "adj")
-
-    def __init__(self, center: Node, adj: Dict[Node, Set[Node]]) -> None:
-        self.center = center
-        # drop isolated in-side nodes ("all isolated nodes are removed")
-        self.adj = {u: set(vs) for u, vs in adj.items() if vs}
-
-    @property
-    def num_edges(self) -> int:
-        """Uncovered connections running through the center."""
-        return sum(len(vs) for vs in self.adj.values())
-
-    @property
-    def num_nodes(self) -> int:
-        """Bipartite node count: |in side| + |out side|."""
-        out_side: Set[Node] = set()
-        for vs in self.adj.values():
-            out_side.update(vs)
-        return len(self.adj) + len(out_side)
-
-    @property
-    def density(self) -> float:
-        """Average degree ``|E| / |V|`` of the whole center graph."""
-        n = self.num_nodes
-        return (self.num_edges / n) if n else 0.0
 
 
 def densest_subgraph(

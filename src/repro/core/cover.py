@@ -21,12 +21,14 @@ This is the one label representation of the system:
   backward database indexes) are maintained incrementally as sorted id
   rows too — these mutable rows are what builds, joins and Section-6
   maintenance write;
+* ``connected()`` is one galloping intersection of ``Lout(u)`` with
+  ``Lin(v)`` over the mutable rows (:func:`galloping_intersects`);
 * the first batch probe after any mutation **seals** the cover: the four
   label tables are packed into contiguous CSR slabs (:class:`_Slabs`)
-  and ``connected`` / ``connected_many`` / ``intersect_many`` answer
-  through :mod:`repro.core.kernels` until the next mutation drops the
-  slabs again. Sealing is O(cover size), so write-heavy phases never
-  pay it — an unsealed ``connected()`` gallops over the mutable rows;
+  and ``connected_many`` / ``intersect_many`` answer from them — numpy
+  ``searchsorted`` when numpy imports, set membership otherwise — until
+  the next mutation drops the slabs again. Sealing is O(cover size), so
+  write-heavy phases never pay it;
 * :meth:`to_csr`/:meth:`from_csr` convert labels to/from the CSR layout
   (``indptr`` + flat data arrays) so snapshots round-trip through
   ``array.tobytes`` without per-row Python overhead.
@@ -52,10 +54,9 @@ from typing import (
     Tuple,
 )
 
-from repro.core import kernels
 from repro.core.interner import NodeInterner
 
-try:  # feature-detected, mirrors repro.core.kernels
+try:  # feature-detected: the batch probes fall back to set membership
     import numpy as _np
 except ImportError:  # pragma: no cover - numpy present in the dev image
     _np = None
@@ -849,10 +850,8 @@ class TwoHopCover(_CoverBase):
     def connected(self, u: Node, v: Node) -> bool:
         """``u ->* v``? Implements ``(Lout(u) ∪ {u}) ∩ (Lin(v) ∪ {v})``:
         the paper's main SQL query plus the "simple additional queries"
-        that compensate for self-entries not being stored. Sealed, the
-        row slices are intersected by a density-chosen kernel; unsealed,
-        by a galloping merge over the mutable rows (so write-heavy
-        phases never force a reseal per probe)."""
+        that compensate for self-entries not being stored, as one
+        galloping intersection over the label rows."""
         get = self.interner.get
         ui, vi = get(u), get(v)
         if ui is None or vi is None:
@@ -862,22 +861,13 @@ class TwoHopCover(_CoverBase):
             return False
         if ui == vi:
             return True
-        slabs = self._slabs
-        if slabs is None:
-            lout = self._row(self._lout, ui) or ()
-            lin = self._row(self._lin, vi) or ()
-        else:
-            lout = slabs.row("lout", ui)
-            lin = slabs.row("lin", vi)
-        if len(lout) and sorted_contains(lout, vi):
+        lout = self._row(self._lout, ui) or ()
+        lin = self._row(self._lin, vi) or ()
+        if lout and sorted_contains(lout, vi):
             return True
-        if len(lin) and sorted_contains(lin, ui):
+        if lin and sorted_contains(lin, ui):
             return True
-        if not len(lout) or not len(lin):
-            return False
-        if slabs is None:
-            return galloping_intersects(lout, lin)
-        return kernels.intersects_any(lout, lin, span=len(self.interner))
+        return galloping_intersects(lout, lin)
 
     # ------------------------------------------------------------------
     # statistics & persistence
@@ -1239,16 +1229,6 @@ class DistanceTwoHopCover(_CoverBase):
                 dists = self._lout_dist[ni]
                 for ci, d in zip(row, dists):
                     yield ("out", node, label(ci), d)
-
-    def to_reachability(self) -> TwoHopCover:
-        """Forget distances."""
-        cover = TwoHopCover(self.nodes)
-        for kind, node, center, _ in self.entries():
-            if kind == "in":
-                cover.add_lin(node, center)
-            else:
-                cover.add_lout(node, center)
-        return cover
 
     @classmethod
     def from_entries(

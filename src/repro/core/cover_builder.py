@@ -27,7 +27,7 @@ and expands the component labels back to the original nodes.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from repro.core.center_graph import densest_subgraph, initial_density_upper_bound
 from repro.core.cover import TwoHopCover
@@ -172,32 +172,6 @@ def greedy_center_assignments(
         yield w, in_side, out_side
 
 
-def build_cover_for_closure(
-    closure: TransitiveClosure,
-    *,
-    preselected_centers: Iterable[Node] = (),
-    cover_factory: CoverFactory = TwoHopCover,
-) -> TwoHopCover:
-    """Compute a 2-hop cover for a materialised DAG closure
-    (:func:`greedy_center_assignments` written into a fresh cover over
-    the closure's nodes).
-
-    Args:
-        closure: the (strict) transitive closure of a DAG.
-        preselected_centers: nodes to use as centers first (Section 4.2).
-        cover_factory: constructor for the result cover.
-    """
-    cover = cover_factory(closure.reach.keys())
-    for w, in_side, out_side in greedy_center_assignments(
-        closure, preselected_centers=preselected_centers
-    ):
-        for u in in_side:
-            cover.add_lout(u, w)
-        for v in out_side:
-            cover.add_lin(v, w)
-    return cover
-
-
 def expand_component_cover(
     assignments: Iterable[Tuple[int, Set[int], Set[int]]],
     condensation: Condensation,
@@ -234,7 +208,6 @@ def expand_component_cover(
 def build_cover(
     graph: DiGraph,
     *,
-    closure: Optional[TransitiveClosure] = None,
     preselected_centers: Iterable[Node] = (),
     cover_factory: CoverFactory = TwoHopCover,
 ) -> TwoHopCover:
@@ -248,21 +221,11 @@ def build_cover(
 
     Args:
         graph: any digraph (cycles allowed).
-        closure: optional precomputed closure *of the original graph*
-            (used to skip recomputation when the caller already has it —
-            only its node-level reach sets are consulted for DAG inputs).
         preselected_centers: original-graph nodes to force as centers
             first (Section 4.2); mapped onto components internally.
         cover_factory: constructor for the result cover.
     """
     cond = Condensation(graph)
-    if cond.is_dag_input and closure is not None:
-        # Fast path: ids coincide with components 1:1.
-        return build_cover_for_closure(
-            closure,
-            preselected_centers=preselected_centers,
-            cover_factory=cover_factory,
-        )
     dag_closure = condensation_closure(cond)
     comp_centers = []
     seen: Set[int] = set()

@@ -94,11 +94,6 @@ class HopiIndex:
         #: it and uses it as the published version of a hot-swapped index.
         self.epoch = 0
 
-    def _bump_epoch(self, report: Optional[maint.MaintenanceReport] = None) -> None:
-        """The ``on_change`` hook every maintenance op fires once it
-        completes (``report`` is unused: the epoch is the whole record)."""
-        self.epoch += 1
-
     def copy(self) -> "HopiIndex":
         """A structurally independent copy (shadow) of the index.
 
@@ -143,7 +138,6 @@ class HopiIndex:
         edge_weight: str = "links",
         distance: bool = False,
         preselect_centers: bool = True,
-        psg_node_limit: Optional[int] = None,
         seed: int = 0,
         backend: Optional[str] = None,
         workers: Optional[int] = None,
@@ -167,8 +161,6 @@ class HopiIndex:
             distance: build a distance-aware cover (Section 5).
             preselect_centers: apply Section 4.2's center preselection
                 (cross-partition link targets become centers first).
-            psg_node_limit: threshold above which the PSG closure is
-                computed with the recursive clustering variant.
             seed: partitioner seed.
             backend: accepted and ignored — there is one label
                 representation; ``perf/`` still passes the argument and
@@ -187,7 +179,6 @@ class HopiIndex:
             edge_weight=edge_weight,
             distance=distance,
             preselect_centers=preselect_centers,
-            psg_node_limit=psg_node_limit,
             seed=seed,
             workers=workers,
         )
@@ -257,43 +248,42 @@ class HopiIndex:
         )
 
     # ------------------------------------------------------------------
-    # maintenance passthroughs (Section 6)
+    # maintenance passthroughs (Section 6): each bumps the epoch once
+    # the operation returns, never when it raises
     # ------------------------------------------------------------------
     def insert_element(self, parent: ElementId, tag: str) -> ElementId:
         """Insert a child element under ``parent`` (Section 6.1)."""
-        return maint.insert_element(
-            self.collection, self.cover, parent, tag, on_change=self._bump_epoch
-        )
+        eid = maint.insert_element(self.collection, self.cover, parent, tag)
+        self.epoch += 1
+        return eid
 
     def insert_edge(self, u: ElementId, v: ElementId) -> maint.MaintenanceReport:
         """Insert the edge/link ``u -> v`` and repair the cover."""
-        return maint.insert_edge(
-            self.collection, self.cover, u, v, on_change=self._bump_epoch
-        )
+        report = maint.insert_edge(self.collection, self.cover, u, v)
+        self.epoch += 1
+        return report
 
     def insert_document(self, doc_id: DocId) -> maint.MaintenanceReport:
         """Integrate a document added to the collection (Section 6.1)."""
-        return maint.insert_document(
-            self.collection, self.cover, doc_id, on_change=self._bump_epoch
-        )
+        report = maint.insert_document(self.collection, self.cover, doc_id)
+        self.epoch += 1
+        return report
 
     def delete_document(
         self, doc_id: DocId, *, force_general: bool = False
     ) -> maint.MaintenanceReport:
         """Delete a document via the Theorem-2/3 paths (Section 6.2)."""
-        return maint.delete_document(
-            self.collection,
-            self.cover,
-            doc_id,
-            force_general=force_general,
-            on_change=self._bump_epoch,
+        report = maint.delete_document(
+            self.collection, self.cover, doc_id, force_general=force_general
         )
+        self.epoch += 1
+        return report
 
     def delete_edge(self, u: ElementId, v: ElementId) -> maint.MaintenanceReport:
         """Delete the edge/link ``u -> v`` and repair the cover."""
-        return maint.delete_edge(
-            self.collection, self.cover, u, v, on_change=self._bump_epoch
-        )
+        report = maint.delete_edge(self.collection, self.cover, u, v)
+        self.epoch += 1
+        return report
 
     def document_separates(self, doc_id: DocId) -> bool:
         """Theorem-2 test: does the document's deletion stay local?"""
@@ -315,7 +305,7 @@ class HopiIndex:
         fresh = HopiIndex.build(self.collection, **build_kwargs)
         self.cover = fresh.cover
         self.stats = fresh.stats
-        self._bump_epoch()
+        self.epoch += 1
         return self
 
     # ------------------------------------------------------------------

@@ -22,21 +22,16 @@ must be connected into one cover for the whole element-level graph.
   source ``s`` receives ``H̄out(s)`` into ``Lout(a)``, and every
   partition-descendant ``d`` of a link target ``t`` receives ``t`` into
   ``Lin(d)``. The final cover is the union of the partition covers,
-  ``H̄`` and ``Ĥ``. When the PSG itself is too large its closure is
-  computed with the recursive clustering variant.
+  ``H̄`` and ``Ĥ``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional, Sequence, Set
+from typing import Callable, Dict, Iterable, Sequence, Set
 
 from repro.core.cover import DistanceTwoHopCover, TwoHopCover
 from repro.core.partitioning import Partitioning
-from repro.core.skeleton import (
-    build_psg,
-    psg_source_target_closure,
-    psg_source_target_closure_partitioned,
-)
+from repro.core.skeleton import build_psg, psg_source_target_closure
 from repro.xmlmodel.model import Collection, ElementId, Link
 
 
@@ -106,7 +101,6 @@ def join_covers_recursive(
     partitioning: Partitioning,
     partition_covers: Sequence[TwoHopCover],
     *,
-    psg_node_limit: Optional[int] = None,
     cover_factory: Callable[..., TwoHopCover] = TwoHopCover,
 ) -> TwoHopCover:
     """The new structurally recursive join (Section 4.1, Corollary 1).
@@ -116,10 +110,6 @@ def join_covers_recursive(
         partitioning: the partitioning whose covers are joined.
         partition_covers: one cover per partition, aligned with
             ``partitioning.partitions``.
-        psg_node_limit: when set and the PSG exceeds this many nodes,
-            its source-to-target closure is computed with the recursive
-            clustering variant (the paper: "if the PSG is too large, we
-            partition it"); otherwise directly.
         cover_factory: constructor for the merged cover.
 
     Returns:
@@ -136,12 +126,7 @@ def join_covers_recursive(
     sources: Set[ElementId] = {u for (u, _) in cross}
     targets: Set[ElementId] = {v for (_, v) in cross}
     hbar_out = _psg_closure(
-        collection,
-        partitioning,
-        partition_covers,
-        sources,
-        targets,
-        psg_node_limit=psg_node_limit,
+        collection, partitioning, partition_covers, sources, targets
     )
 
     # Ĥ: distribute H̄ to partition-level ancestors of sources and
@@ -168,8 +153,6 @@ def _psg_closure(
     partition_covers: Sequence[TwoHopCover],
     sources: Set[ElementId],
     targets: Set[ElementId],
-    *,
-    psg_node_limit: Optional[int] = None,
 ) -> Dict[ElementId, Set[ElementId]]:
     """Build the PSG and compute ``H̄out`` for the link sources.
 
@@ -181,10 +164,6 @@ def _psg_closure(
         return partition_covers[pid].descendants(element)
 
     psg = build_psg(collection, partitioning, partition_descendants)
-    if psg_node_limit is not None and len(psg) > psg_node_limit:
-        return psg_source_target_closure_partitioned(
-            psg, targets, node_limit=psg_node_limit
-        )
     return psg_source_target_closure(psg, targets, sources=sources)
 
 

@@ -41,7 +41,8 @@ a from-scratch rebuild.
   unchanged (distance covers always take the general path: a lost
   shortest path changes distances even when connectivity survives).
 
-* **Modifications** (Section 6.3): drop and reinsert the document.
+A modification (Section 6.3) is :func:`delete_document` followed by
+:func:`insert_document` of the new version.
 """
 
 from __future__ import annotations
@@ -75,20 +76,6 @@ class MaintenanceReport:
     entries_delta: int = 0
     recovered_region_size: int = 0
     seconds: float = 0.0
-
-
-#: Signature of the ``on_change`` hook every maintenance op accepts:
-#: called exactly once per completed operation, with its report, before
-#: the op returns. :class:`repro.core.hopi.HopiIndex` threads its epoch
-#: counter through this, and the service layer uses the epoch to
-#: invalidate caches and publish hot-swapped indexes.
-ChangeHook = Callable[[MaintenanceReport], None]
-
-
-def _notify(on_change: Optional[ChangeHook], report: MaintenanceReport) -> MaintenanceReport:
-    if on_change is not None:
-        on_change(report)
-    return report
 
 
 def _is_distance(cover: Cover) -> bool:
@@ -193,8 +180,6 @@ def insert_element(
     cover: Cover,
     parent: ElementId,
     tag: str,
-    *,
-    on_change: Optional[ChangeHook] = None,
 ) -> ElementId:
     """Insert a new element under ``parent`` and its tree edge.
 
@@ -204,14 +189,7 @@ def insert_element(
     """
     element = collection.add_child(parent, tag)
     cover.add_node(element.eid)
-    insert_edge(
-        collection,
-        cover,
-        parent,
-        element.eid,
-        _already_in_collection=True,
-        on_change=on_change,
-    )
+    insert_edge(collection, cover, parent, element.eid, _already_in_collection=True)
     return element.eid
 
 
@@ -222,7 +200,6 @@ def insert_edge(
     v: ElementId,
     *,
     _already_in_collection: bool = False,
-    on_change: Optional[ChangeHook] = None,
 ) -> MaintenanceReport:
     """Insert the edge/link ``u -> v`` (Section 6.1).
 
@@ -238,13 +215,10 @@ def insert_edge(
     if not _already_in_collection:
         collection.add_link(u, v)
     added = _integrate_link(cover, u, v)
-    return _notify(
-        on_change,
-        MaintenanceReport(
-            operation="insert_edge",
-            entries_delta=added,
-            seconds=time.perf_counter() - start,
-        ),
+    return MaintenanceReport(
+        operation="insert_edge",
+        entries_delta=added,
+        seconds=time.perf_counter() - start,
     )
 
 
@@ -252,8 +226,6 @@ def insert_document(
     collection: Collection,
     cover: Cover,
     doc_id: DocId,
-    *,
-    on_change: Optional[ChangeHook] = None,
 ) -> MaintenanceReport:
     """Integrate a document already present in the collection.
 
@@ -284,13 +256,10 @@ def insert_document(
     )
     for u, v in incident:
         added += _integrate_link(cover, u, v)
-    return _notify(
-        on_change,
-        MaintenanceReport(
-            operation="insert_document",
-            entries_delta=added,
-            seconds=time.perf_counter() - start,
-        ),
+    return MaintenanceReport(
+        operation="insert_document",
+        entries_delta=added,
+        seconds=time.perf_counter() - start,
     )
 
 
@@ -529,7 +498,6 @@ def delete_document(
     doc_id: DocId,
     *,
     force_general: bool = False,
-    on_change: Optional[ChangeHook] = None,
 ) -> MaintenanceReport:
     """Delete a document and update the cover incrementally (Section 6.2).
 
@@ -545,14 +513,11 @@ def delete_document(
         separating, anc_docs, desc_docs = _separation(collection, doc_id)
     if separating:
         _delete_document_separating(collection, cover, doc_id, anc_docs, desc_docs)
-        return _notify(
-            on_change,
-            MaintenanceReport(
-                operation="delete_document",
-                separating=True,
-                entries_delta=cover.size - before,
-                seconds=time.perf_counter() - start,
-            ),
+        return MaintenanceReport(
+            operation="delete_document",
+            separating=True,
+            entries_delta=cover.size - before,
+            seconds=time.perf_counter() - start,
         )
     # ---- Theorem 3: partial recomputation -----------------------------
     v_di: Set[ElementId] = set(collection.elements_of(doc_id))
@@ -565,15 +530,12 @@ def delete_document(
         collection, cover, seeds, _link_targets(collection)
     )
     _splice_fresh_cover(cover, fresh, a_di - v_di, d_di - v_di)
-    return _notify(
-        on_change,
-        MaintenanceReport(
-            operation="delete_document",
-            separating=False,
-            entries_delta=cover.size - before,
-            recovered_region_size=region_size,
-            seconds=time.perf_counter() - start,
-        ),
+    return MaintenanceReport(
+        operation="delete_document",
+        separating=False,
+        entries_delta=cover.size - before,
+        recovered_region_size=region_size,
+        seconds=time.perf_counter() - start,
     )
 
 
@@ -582,8 +544,6 @@ def delete_edge(
     cover: Cover,
     u: ElementId,
     v: ElementId,
-    *,
-    on_change: Optional[ChangeHook] = None,
 ) -> MaintenanceReport:
     """Delete the edge/link ``u -> v`` ("a similar algorithm can be
     applied for deleting a single edge", Section 6.2).
@@ -610,63 +570,20 @@ def delete_edge(
     collection.remove_link(u, v)
     links = _link_targets(collection)
     if not _is_distance(cover) and v in _reach(collection, links, (u,), stop=v):
-        return _notify(
-            on_change,
-            MaintenanceReport(
-                operation="delete_edge",
-                separating=True,  # "separating" here: removal was absorbed
-                entries_delta=0,
-                seconds=time.perf_counter() - start,
-            ),
+        return MaintenanceReport(
+            operation="delete_edge",
+            separating=True,  # "separating" here: removal was absorbed
+            entries_delta=0,
+            seconds=time.perf_counter() - start,
         )
     a_e = cover.ancestors(u)  # includes u
     d_e = cover.descendants(v)  # includes v
     fresh, region_size = _rebuild_region(collection, cover, a_e, links)
     _splice_fresh_cover(cover, fresh, a_e, d_e)
-    return _notify(
-        on_change,
-        MaintenanceReport(
-            operation="delete_edge",
-            separating=False,
-            entries_delta=cover.size - before,
-            recovered_region_size=region_size,
-            seconds=time.perf_counter() - start,
-        ),
-    )
-
-
-def modify_document(
-    collection: Collection,
-    cover: Cover,
-    doc_id: DocId,
-    rebuild: Callable[[Collection], None],
-    *,
-    on_change: Optional[ChangeHook] = None,
-) -> MaintenanceReport:
-    """Modify a document (Section 6.3): drop it and reinsert the new
-    version.
-
-    The hook fires once for the whole modification, not for the inner
-    delete/insert pair — a modification is one logical change.
-
-    Args:
-        collection: the collection.
-        cover: the cover kept in sync.
-        doc_id: the document to replace.
-        rebuild: callback that recreates the document (and its links)
-            in the collection under the same id.
-    """
-    start = time.perf_counter()
-    before = cover.size
-    delete_document(collection, cover, doc_id)
-    rebuild(collection)
-    report = insert_document(collection, cover, doc_id)
-    return _notify(
-        on_change,
-        MaintenanceReport(
-            operation="modify_document",
-            entries_delta=cover.size - before,
-            recovered_region_size=report.recovered_region_size,
-            seconds=time.perf_counter() - start,
-        ),
+    return MaintenanceReport(
+        operation="delete_edge",
+        separating=False,
+        entries_delta=cover.size - before,
+        recovered_region_size=region_size,
+        seconds=time.perf_counter() - start,
     )

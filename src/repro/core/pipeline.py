@@ -237,7 +237,6 @@ class BuildPipeline:
         distance: build a distance-aware cover (Section 5).
         preselect_centers: force cross-partition link targets as
             centers first (Section 4.2).
-        psg_node_limit: threshold for the recursive PSG closure.
         seed: partitioner seed.
         backend: accepted and ignored — there is one label
             representation; ``perf/`` still passes the argument and may
@@ -256,7 +255,6 @@ class BuildPipeline:
         edge_weight: str = "links",
         distance: bool = False,
         preselect_centers: bool = True,
-        psg_node_limit: Optional[int] = None,
         seed: int = 0,
         backend: Optional[str] = None,
         workers: Optional[int] = None,
@@ -277,7 +275,6 @@ class BuildPipeline:
         self.edge_weight = edge_weight
         self.distance = distance
         self.preselect_centers = preselect_centers
-        self.psg_node_limit = psg_node_limit
         self.seed = seed
         self.executor = make_executor(workers)
 
@@ -380,10 +377,7 @@ class BuildPipeline:
                 partition_covers, partitioning.cross_links
             )
         return join_covers_recursive(
-            self.collection,
-            partitioning,
-            partition_covers,
-            psg_node_limit=self.psg_node_limit,
+            self.collection, partitioning, partition_covers
         )
 
     # -- the whole flow -------------------------------------------------

@@ -173,9 +173,6 @@ def connection_edge_weight(
 # partition-level skeleton graph (Definition 1)
 # ---------------------------------------------------------------------------
 
-ReachabilityFn = Callable[[int, ElementId, ElementId], bool]
-
-
 def build_psg(
     collection: Collection,
     partitioning: Partitioning,
@@ -264,96 +261,4 @@ def psg_source_target_closure(
     for s in wanted:
         reached = descendants(psg, s, strict=True)
         result[s] = {t for t in reached if t in targets}
-    return result
-
-
-def psg_source_target_closure_partitioned(
-    psg: DiGraph,
-    targets: Set[ElementId],
-    *,
-    node_limit: int,
-) -> Dict[ElementId, Set[ElementId]]:
-    """Recursive variant of :func:`psg_source_target_closure` for PSGs
-    that are "too large" (Section 4.1).
-
-    The PSG is clustered into chunks of at most ``node_limit`` nodes by
-    undirected growth that prefers to keep cross-links (source -> target
-    edges) inside a cluster, so cluster boundaries fall on
-    target -> source edges as the paper requires. Per cluster, local
-    source-to-target reachability is computed in isolation; the cluster
-    covers are then connected by propagating, for every cross-cluster
-    edge ``(t, s)``, ``H̄out(s)`` into ``H̄out(a)`` for each ancestor
-    ``a`` of ``t`` — iterated to a fixpoint because the cluster graph
-    may be cyclic. Boundary edges that are *not* target -> source
-    (possible when a source links into several clusters; the paper
-    resolves this by "moving nodes between partitions") are handled by
-    the same propagation rule with the target itself added.
-
-    The result is exact; it equals :func:`psg_source_target_closure`.
-    """
-    if len(psg) <= node_limit:
-        return psg_source_target_closure(psg, targets)
-
-    # --- cluster the PSG -------------------------------------------------
-    cluster_of: Dict[ElementId, int] = {}
-    clusters: List[Set[ElementId]] = []
-    for start in sorted(psg.nodes(), key=repr):
-        if start in cluster_of:
-            continue
-        cid = len(clusters)
-        members: Set[ElementId] = set()
-        # grow preferring forward cross-link edges (keep s with its t)
-        frontier = [start]
-        while frontier and len(members) < node_limit:
-            v = frontier.pop()
-            if v in cluster_of or v in members:
-                continue
-            members.add(v)
-            # successors first (s -> t edges), then predecessors
-            for w in sorted(psg.successors(v), key=repr):
-                if w not in cluster_of and w not in members:
-                    frontier.append(w)
-            for w in sorted(psg.predecessors(v), key=repr):
-                if w not in cluster_of and w not in members:
-                    frontier.append(w)
-        for v in members:
-            cluster_of[v] = cid
-        clusters.append(members)
-
-    # --- local covers ----------------------------------------------------
-    result: Dict[ElementId, Set[ElementId]] = {}
-    for members in clusters:
-        local = psg.subgraph(members)
-        for s in members:
-            reached = descendants(local, s, strict=True)
-            result[s] = {t for t in reached if t in targets}
-
-    # --- connect cluster covers to a fixpoint ------------------------------
-    from repro.graph.traversal import ancestors as _ancestors
-
-    boundary: List[Tuple[ElementId, ElementId]] = [
-        (u, v) for (u, v) in psg.edges() if cluster_of[u] != cluster_of[v]
-    ]
-    # in-cluster ancestor sets, computed once per boundary-edge tail
-    local_graphs = [psg.subgraph(members) for members in clusters]
-    local_ancestors: Dict[ElementId, Set[ElementId]] = {}
-    for u, _ in boundary:
-        if u not in local_ancestors:
-            local_ancestors[u] = _ancestors(
-                local_graphs[cluster_of[u]], u, strict=False
-            )
-    changed = True
-    while changed:
-        changed = False
-        for u, v in boundary:
-            # everything v reaches (plus v if it is a target) flows to u
-            # and to u's in-cluster ancestors.
-            gained = set(result[v])
-            if v in targets:
-                gained.add(v)
-            for a in local_ancestors[u]:
-                extra = gained - {a}
-                if not extra <= result[a]:
-                    result[a] |= extra
-                    changed = True
     return result

@@ -46,14 +46,6 @@ class IndexSizeReport:
         return 4 * self.cover_size
 
     @property
-    def closure_stored_integers(self) -> Optional[int]:
-        """Ints a materialised closure would need (2 per connection,
-        doubled by the backward index); None without a closure run."""
-        if self.closure_connections is None:
-            return None
-        return 4 * self.closure_connections
-
-    @property
     def compression(self) -> Optional[float]:
         """Closure ints / cover ints — Table 2's compression column."""
         if self.closure_connections is None:

@@ -15,10 +15,7 @@ from repro.graph.traversal import (
     bfs_distances,
     bfs_order,
     descendants,
-    dfs_postorder,
-    is_acyclic,
     is_reachable,
-    topological_order,
 )
 from repro.graph.condensation import Condensation, strongly_connected_components
 from repro.graph.closure import (
@@ -35,10 +32,7 @@ __all__ = [
     "bfs_distances",
     "bfs_order",
     "descendants",
-    "dfs_postorder",
-    "is_acyclic",
     "is_reachable",
-    "topological_order",
     "Condensation",
     "strongly_connected_components",
     "DistanceClosure",

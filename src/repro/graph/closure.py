@@ -263,10 +263,6 @@ class DistanceClosure:
     def num_connections(self) -> int:
         return sum(len(t) for t in self.dist.values())
 
-    def to_reachability(self) -> TransitiveClosure:
-        """Forget distances, keeping the reachability sets."""
-        return TransitiveClosure({u: set(t) for u, t in self.dist.items()})
-
 
 def distance_closure(graph: DiGraph) -> DistanceClosure:
     """All-pairs shortest hop distances via one BFS per node.

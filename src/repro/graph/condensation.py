@@ -99,19 +99,10 @@ class Condensation:
             cu, cv = self.component_of[u], self.component_of[v]
             if cu != cv:
                 self.dag.add_edge(cu, cv)
-        self._nontrivial = any(len(c) > 1 for c in comps)
-
-    @property
-    def is_dag_input(self) -> bool:
-        """True iff the original graph was already acyclic (all SCCs trivial)."""
-        return not self._nontrivial
 
     def representative(self, v: Node) -> Node:
         """A canonical member of ``v``'s component (first discovered)."""
         return self.members[self.component_of[v]][0]
-
-    def component_size(self, v: Node) -> int:
-        return len(self.members[self.component_of[v]])
 
     def __len__(self) -> int:
         return len(self.members)

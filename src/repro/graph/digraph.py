@@ -54,35 +54,6 @@ class DiGraph:
         for u, v in edges:
             self.add_edge(u, v)
 
-    def remove_edge(self, u: Node, v: Node) -> None:
-        """Remove the edge ``u -> v``.
-
-        Raises:
-            KeyError: if the edge is not present.
-        """
-        try:
-            self._succ[u].remove(v)
-            self._pred[v].remove(u)
-        except KeyError:
-            raise KeyError(f"edge ({u!r}, {v!r}) not in graph") from None
-
-    def remove_node(self, v: Node) -> None:
-        """Remove a node and all incident edges.
-
-        Raises:
-            KeyError: if the node is not present.
-        """
-        if v not in self._succ:
-            raise KeyError(f"node {v!r} not in graph")
-        for w in self._succ.pop(v):
-            self._pred[w].discard(v)
-        for u in self._pred.pop(v):
-            self._succ[u].discard(v)
-
-    def remove_nodes(self, nodes: Iterable[Node]) -> None:
-        for v in nodes:
-            self.remove_node(v)
-
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
@@ -115,12 +86,6 @@ class DiGraph:
         """The set of direct predecessors of ``v`` (do not mutate)."""
         return self._pred[v]
 
-    def out_degree(self, v: Node) -> int:
-        return len(self._succ[v])
-
-    def in_degree(self, v: Node) -> int:
-        return len(self._pred[v])
-
     def num_edges(self) -> int:
         return sum(len(t) for t in self._succ.values())
 
@@ -131,13 +96,6 @@ class DiGraph:
         g = DiGraph()
         g._succ = {v: set(t) for v, t in self._succ.items()}
         g._pred = {v: set(t) for v, t in self._pred.items()}
-        return g
-
-    def reversed(self) -> "DiGraph":
-        """A new graph with every edge direction flipped."""
-        g = DiGraph()
-        g._succ = {v: set(t) for v, t in self._pred.items()}
-        g._pred = {v: set(t) for v, t in self._succ.items()}
         return g
 
     def subgraph(self, nodes: Iterable[Node]) -> "DiGraph":

@@ -2,9 +2,8 @@
 
 These are the building blocks of everything HOPI does: ancestor and
 descendant sets (Section 3.2's ``Cin``/``Cout``), BFS distances for the
-distance-aware cover (Section 5), the bounded BFS used by the skeleton-
-graph weight estimation (Section 4.3), and topological order for the
-set-union transitive-closure engine.
+distance-aware cover (Section 5), and the bounded BFS used by the skeleton-
+graph weight estimation (Section 4.3).
 """
 
 from __future__ import annotations
@@ -148,54 +147,3 @@ def multi_source_reaches(
             seen.add(w)
             queue.append(w)
     return False
-
-
-def dfs_postorder(graph: DiGraph, source: Node) -> List[Node]:
-    """Iterative depth-first postorder of the nodes reachable from source."""
-    post: List[Node] = []
-    seen: Set[Node] = {source}
-    # stack entries: (node, iterator over successors)
-    stack = [(source, iter(sorted(graph.successors(source), key=repr)))]
-    while stack:
-        v, it = stack[-1]
-        advanced = False
-        for w in it:
-            if w not in seen:
-                seen.add(w)
-                stack.append((w, iter(sorted(graph.successors(w), key=repr))))
-                advanced = True
-                break
-        if not advanced:
-            post.append(v)
-            stack.pop()
-    return post
-
-
-def topological_order(graph: DiGraph) -> List[Node]:
-    """Kahn topological order of a DAG.
-
-    Raises:
-        ValueError: if the graph contains a cycle.
-    """
-    indeg = {v: graph.in_degree(v) for v in graph}
-    queue: deque[Node] = deque(v for v, d in indeg.items() if d == 0)
-    order: List[Node] = []
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for w in graph.successors(v):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if len(order) != len(graph):
-        raise ValueError("graph has a cycle; no topological order exists")
-    return order
-
-
-def is_acyclic(graph: DiGraph) -> bool:
-    """True iff the graph is a DAG."""
-    try:
-        topological_order(graph)
-    except ValueError:
-        return False
-    return True

@@ -29,7 +29,7 @@ serving tier's ingestion-freshness figure in the ``/v1/metrics`` gauge.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.ingest.frontier import FrontierCheckpoint
@@ -66,11 +66,6 @@ class IngestSummary:
     cursor: int = 0
     resumed_from: int = 0
     freshness_lags: List[float] = field(default_factory=list, repr=False)
-
-    def as_record(self) -> Dict[str, Any]:
-        record = asdict(self)
-        record.pop("freshness_lags")
-        return record
 
 
 class IngestPipeline:

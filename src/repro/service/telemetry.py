@@ -127,16 +127,6 @@ class Telemetry:
         with self._lock:
             return dict(self._counters)
 
-    def shed_total(self) -> int:
-        """Requests refused by admission control (queue-full,
-        per-client cap, or timeout)."""
-        with self._lock:
-            return (
-                self._counters.get("shed_queue_full", 0)
-                + self._counters.get("shed_client_cap", 0)
-                + self._counters.get("shed_timeout", 0)
-            )
-
     def snapshot(self) -> Dict[str, Any]:
         """The ``/v1/metrics`` core payload.
 

@@ -8,6 +8,8 @@ supported for tests.
 
 from __future__ import annotations
 
+import errno
+import os
 import sqlite3
 from array import array
 from itertools import chain, compress, count
@@ -454,7 +456,13 @@ def load_index(path: str, *, backend: Optional[str] = None) -> HopiIndex:
         backend: accepted and ignored — there is one label
             representation; ``perf/`` still passes the argument and may
             not be edited in the PR that retired the option.
+
+    Raises:
+        FileNotFoundError: no file at ``path`` (opening one would
+            create an empty database and load it as an empty index).
     """
+    if not os.path.isfile(path):
+        raise FileNotFoundError(errno.ENOENT, "no index database", path)
     with SQLiteCoverStore(path) as store:
         collection = store.load_collection()
         cover = store.load_cover()

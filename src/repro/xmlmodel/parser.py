@@ -52,9 +52,6 @@ class ParsedElement:
             yield node
             stack.extend(reversed(node.children))
 
-    def find_all(self, tag: str) -> List["ParsedElement"]:
-        return [n for n in self.iter() if n.tag == tag]
-
     @property
     def num_elements(self) -> int:
         return sum(1 for _ in self.iter())

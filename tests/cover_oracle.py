@@ -586,17 +586,6 @@ class SetDistanceCover:
             for c, d in centers.items():
                 yield ("out", node, c, d)
 
-    def to_reachability(self) -> SetTwoHopCover:
-        """Forget distances."""
-        cover = SetTwoHopCover(self.nodes)
-        for node, entries in self.lin.items():
-            for c in entries:
-                cover.add_lin(node, c)
-        for node, entries in self.lout.items():
-            for c in entries:
-                cover.add_lout(node, c)
-        return cover
-
     def verify_against(self, dclosure, nodes: Optional[Iterable[Node]] = None) -> None:
         """Assert distances match a :class:`DistanceClosure` exactly."""
         universe = list(nodes) if nodes is not None else list(self.nodes)

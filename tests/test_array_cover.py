@@ -200,15 +200,6 @@ def test_distance_self_hop_disjuncts():
     assert cover2.distance(1, 2) == 7
 
 
-def test_distance_to_reachability():
-    cover = DistanceTwoHopCover([1, 2, 3])
-    cover.add_lout(1, 2, 2)
-    cover.add_lin(3, 2, 1)
-    reach = cover.to_reachability()
-    assert reach.connected(1, 3)
-    assert reach.size == cover.size
-
-
 # ---------------------------------------------------------------------------
 # CSR round-trips
 # ---------------------------------------------------------------------------

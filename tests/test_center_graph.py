@@ -1,30 +1,11 @@
-"""Tests for center graphs and the densest-subgraph 2-approximation."""
+"""Tests for the densest-subgraph 2-approximation on center graphs."""
 
 import itertools
 import random
 
 import pytest
 
-from repro.core.center_graph import (
-    CenterGraph,
-    densest_subgraph,
-    initial_density_upper_bound,
-)
-
-
-def test_center_graph_drops_isolated_nodes():
-    cg = CenterGraph("w", {1: {10}, 2: set()})
-    assert 2 not in cg.adj
-    assert cg.num_edges == 1
-    assert cg.num_nodes == 2
-
-
-def test_center_graph_density():
-    cg = CenterGraph("w", {1: {10, 11}, 2: {10}})
-    # nodes: {1, 2} in-side, {10, 11} out-side; 3 edges
-    assert cg.num_nodes == 4
-    assert cg.density == pytest.approx(3 / 4)
-    assert CenterGraph("w", {}).density == 0.0
+from repro.core.center_graph import densest_subgraph, initial_density_upper_bound
 
 
 def test_densest_empty():

@@ -231,3 +231,48 @@ def test_build_from_single_files(tmp_path):
     db = tmp_path / "f.db"
     assert main(["build", str(f1), str(f2), "-o", str(db)]) == 0
     assert main(["verify", str(db)]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["query", "{db}", "//article//author"],
+    ["connected", "{db}", "0", "1"],
+    ["stats", "{db}"],
+    ["verify", "{db}"],
+    ["delete-doc", "{db}", "dblp3"],
+    ["serve", "{db}", "--port", "0", "--max-requests", "0"],
+    ["serve", "{db}", "--store", "{store}", "--port", "0", "--max-requests", "0"],
+])
+def test_missing_index_is_a_usage_error(tmp_path, capsys, argv):
+    """A read command given a path with no index exits 2 naming the
+    path, prints no answer and creates no file there (opening it would
+    create an empty database and answer from that)."""
+    db, store = tmp_path / "nope.db", tmp_path / "store"
+    argv = [a.format(db=db, store=store) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(db) in captured.err
+    assert not db.exists()
+    assert not store.exists()
+
+
+def test_load_index_refuses_a_missing_file(tmp_path):
+    from repro.storage import load_index
+
+    with pytest.raises(FileNotFoundError):
+        load_index(str(tmp_path / "nope.db"))
+    assert not (tmp_path / "nope.db").exists()
+
+
+def test_connected_distance_needs_a_distance_index(index_path, capsys):
+    """``--distance`` on a reachability-only index is a usage error
+    raised before any answer is printed, not a traceback after one."""
+    with pytest.raises(SystemExit) as exc:
+        main(["connected", str(index_path), "0", "1", "--distance"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "built without --distance" in captured.err
+    assert main(["connected", str(index_path), "0", "1"]) == 0

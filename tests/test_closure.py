@@ -8,7 +8,6 @@ import pytest
 from repro.graph import (
     DiGraph,
     DistanceClosure,
-    TransitiveClosure,
     distance_closure,
     transitive_closure,
     transitive_closure_size,
@@ -166,14 +165,6 @@ def test_distance_ancestors_view():
     d = distance_closure(g)
     assert d.ancestors_of(3) == {1: 2, 2: 1}
     assert d.ancestors_of(1) == {}
-
-
-def test_distance_to_reachability():
-    g = DiGraph([(1, 2), (2, 3)])
-    d = distance_closure(g)
-    c = d.to_reachability()
-    assert isinstance(c, TransitiveClosure)
-    assert c.reach[1] == {2, 3}
 
 
 def test_distance_connections_iterator():

@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 from repro.graph import Condensation, DiGraph, strongly_connected_components
-from repro.graph.traversal import is_acyclic
+from acyclic import is_acyclic
 
 
 def _scc_sets(components):
@@ -69,11 +69,10 @@ def test_condensation_representative_and_sizes():
     g = DiGraph([(1, 2), (2, 1), (3, 1)])
     cond = Condensation(g)
     assert cond.representative(1) == cond.representative(2)
-    assert cond.component_size(1) == 2
-    assert cond.component_size(3) == 1
-    assert not cond.is_dag_input
-    dag_cond = Condensation(DiGraph([(1, 2)]))
-    assert dag_cond.is_dag_input
+    assert len(cond.members[cond.component_of[1]]) == 2
+    assert len(cond.members[cond.component_of[3]]) == 1
+    assert len(cond) == 2
+    assert len(Condensation(DiGraph([(1, 2)]))) == 2
 
 
 def test_deep_cycle_no_recursion_limit():

@@ -193,12 +193,6 @@ def test_distance_union_keeps_min():
     assert a.lout_of(1)[2] == 2
 
 
-def test_distance_to_reachability(chain_distance_cover):
-    plain = chain_distance_cover.to_reachability()
-    assert plain.connected(1, 3)
-    assert not plain.connected(3, 1)
-
-
 def test_distance_stored_integers(chain_distance_cover):
     assert chain_distance_cover.stored_integers() == 12
     assert chain_distance_cover.stored_integers(with_backward_index=False) == 6

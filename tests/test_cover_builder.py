@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.cover_builder import (
     build_cover,
-    build_cover_for_closure,
     expand_component_cover,
     greedy_center_assignments,
 )
@@ -80,7 +79,7 @@ def test_two_sccs_bridge():
 def test_preselected_centers_still_correct():
     g = DiGraph([(1, 2), (2, 3), (2, 4), (5, 2)])
     closure = transitive_closure(g)
-    cover = build_cover_for_closure(closure, preselected_centers=[2])
+    cover = build_cover(g, preselected_centers=[2])
     cover.verify_against(closure)
     # the preselected node must appear as a center
     centers = {c for _, _, c in cover.entries()}
@@ -90,7 +89,7 @@ def test_preselected_centers_still_correct():
 def test_preselected_unknown_node_ignored():
     g = DiGraph([(1, 2)])
     closure = transitive_closure(g)
-    cover = build_cover_for_closure(closure, preselected_centers=[99])
+    cover = build_cover(g, preselected_centers=[99])
     cover.verify_against(closure)
 
 
@@ -134,14 +133,7 @@ def test_expand_component_cover_directly():
     cover = expand_component_cover(greedy_center_assignments(dag_closure), cond)
     cover.verify_against(transitive_closure(g))
     # the component-level cover says the same about the condensation DAG
-    build_cover_for_closure(dag_closure).verify_against(dag_closure)
-
-
-def test_build_cover_with_precomputed_closure_dag():
-    g = DiGraph([(1, 2), (2, 3)])
-    closure = transitive_closure(g)
-    cover = build_cover(g, closure=closure)
-    cover.verify_against(closure)
+    build_cover(cond.dag).verify_against(dag_closure)
 
 
 def test_builder_deterministic():

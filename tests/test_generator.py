@@ -5,7 +5,7 @@ import random
 import pytest
 
 from random_collections import random_collection
-from repro.graph.traversal import is_acyclic
+from acyclic import is_acyclic
 from repro.xmlmodel import (
     collection_size_bytes,
     dblp_like,

@@ -25,8 +25,7 @@ ALL_BUILDS = [
          partition_limit=4000, edge_weight="A+D"),
     dict(strategy="recursive", partitioner="node_weight",
          partition_limit=100, preselect_centers=False),
-    dict(strategy="recursive", partitioner="node_weight",
-         partition_limit=100, psg_node_limit=4),
+    dict(strategy="incremental", partitioner="single"),
 ]
 
 
@@ -139,6 +138,34 @@ def test_facade_maintenance_roundtrip():
     index.verify()
     eid = index.insert_element(root.eid, "x")
     assert index.connected(root.eid, eid)
+    index.verify()
+
+
+def test_every_maintenance_op_bumps_the_epoch_once():
+    """One epoch per completed operation, none for one that raises: the
+    service keys its caches and publishes by this counter."""
+    c = random_collection(n_docs=5, inter_links=6, seed=21)
+    index = HopiIndex.build(c, strategy="recursive", partitioner="single")
+    docs = sorted(c.documents)
+    root = c.documents[docs[0]].root
+    eid = index.insert_element(root, "x")
+    assert index.epoch == 1
+    other = c.documents[docs[2]].root
+    index.insert_edge(eid, other)
+    assert index.epoch == 2
+    index.delete_edge(eid, other)
+    assert index.epoch == 3
+    extra = c.new_document("extra", "r")
+    c.add_link(extra.eid, root)
+    index.insert_document("extra")
+    assert index.epoch == 4
+    index.delete_document(docs[1])
+    assert index.epoch == 5
+    with pytest.raises(KeyError):
+        index.delete_edge(root, eid)  # a tree edge, not a link
+    assert index.epoch == 5
+    index.rebuild()
+    assert index.epoch == 6
     index.verify()
 
 

@@ -121,15 +121,6 @@ def test_joins_agree_with_oracle_random(seed):
     rec.verify_against(oracle)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_recursive_join_with_psg_limit(seed):
-    c = random_collection(n_docs=8, inter_links=14, seed=100 + seed)
-    partitioning = partition_by_node_weight(c, 12, seed=seed)
-    covers = _partition_and_cover(c, partitioning)
-    joined = join_covers_recursive(c, partitioning, covers, psg_node_limit=3)
-    joined.verify_against(transitive_closure(c.element_graph()))
-
-
 def test_recursive_join_on_dblp():
     c = dblp_like(30, seed=4)
     partitioning = partition_by_node_weight(c, 120, seed=0)

@@ -25,7 +25,6 @@ from repro.core.maintenance import (
     insert_document,
     insert_edge,
     insert_element,
-    modify_document,
 )
 from repro.core.pipeline import BuildPipeline
 from repro.graph import distance_closure, transitive_closure
@@ -377,6 +376,8 @@ def test_delete_intra_document_link():
 
 
 def test_modify_document(chain3):
+    """Section 6.3: a modification deletes the document and inserts its
+    new version."""
     cover = _fresh_cover(chain3)
     r1 = chain3.documents["d1"].root
 
@@ -391,8 +392,9 @@ def test_modify_document(chain3):
         ]
         collection.add_link(s1, root.eid)
 
-    report = modify_document(chain3, cover, "d2", rebuild)
-    assert report.operation == "modify_document"
+    delete_document(chain3, cover, "d2")
+    rebuild(chain3)
+    insert_document(chain3, cover, "d2")
     _verify(chain3, cover)
     r3 = chain3.documents["d3"].root
     assert not cover.connected(r1, r3)  # the restructure cut the chain
@@ -680,7 +682,12 @@ def test_insert_reports_count_entries_without_scanning_the_cover(monkeypatch, di
     reports = []
 
     def leaf():
-        insert_element(c, cover, roots[3], "note", on_change=reports.append)
+        # insert_element's own steps, keeping the edge's report
+        eid = c.add_child(roots[3], "note").eid
+        cover.add_node(eid)
+        reports.append(
+            insert_edge(c, cover, roots[3], eid, _already_in_collection=True)
+        )
 
     def link():
         reports.append(insert_edge(c, cover, roots[9], roots[2]))

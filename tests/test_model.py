@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.graph.traversal import is_acyclic
+from acyclic import is_acyclic
 from repro.xmlmodel import Collection
 
 

@@ -122,7 +122,7 @@ def test_serialize_pretty_roundtrip():
 def test_iter_and_find_all():
     root = parse_document("<a><b/><c><b/></c></a>")
     assert root.num_elements == 4
-    assert len(root.find_all("b")) == 2
+    assert [n.tag for n in root.iter()] == ["a", "b", "c", "b"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,19 @@
-"""Tests for the generic (non-XML) reachability index — the paper's
-future-work application of transitive-closure compression."""
+"""2-hop covers over arbitrary digraphs — the paper's future-work
+application of transitive-closure compression beyond XML (Section 8).
+
+The same builders and link rule HOPI uses run on any
+:class:`~repro.graph.digraph.DiGraph`: ``build_cover`` /
+``build_distance_cover`` index it, and ``insert_link`` /
+``insert_link_distance`` integrate a new edge.
+"""
 
 import random
 
 import pytest
 
-from repro.graph import DiGraph
-from repro.graph.reachability import ReachabilityIndex
+from repro.core import build_cover, build_distance_cover
+from repro.core.join import insert_link, insert_link_distance
+from repro.graph import DiGraph, distance_closure, transitive_closure
 
 
 @pytest.fixture
@@ -23,90 +30,70 @@ def call_graph():
     )
 
 
+def _add_edge(graph, cover, u, v):
+    graph.add_edge(u, v)
+    if cover.is_distance_aware:
+        insert_link_distance(cover, u, v)
+    else:
+        insert_link(cover, u, v)
+
+
+def _verify(graph, cover):
+    if cover.is_distance_aware:
+        cover.verify_against(distance_closure(graph))
+    else:
+        cover.verify_against(transitive_closure(graph))
+
+
 def test_reachable(call_graph):
-    index = ReachabilityIndex(call_graph)
-    assert index.reachable("main", "lex")
-    assert index.reachable("main", "error")
-    assert not index.reachable("lex", "main")
-    assert index.reachable("write", "write")
-    index.verify()
+    cover = build_cover(call_graph)
+    assert cover.connected("main", "lex")
+    assert cover.connected("main", "error")
+    assert not cover.connected("lex", "main")
+    assert cover.connected("write", "write")
+    _verify(call_graph, cover)
 
 
 def test_descendants_ancestors(call_graph):
-    index = ReachabilityIndex(call_graph)
-    assert index.descendants("parse") == {"parse", "lex", "error"}
-    assert index.ancestors("error") == {"error", "parse", "emit", "main"}
+    cover = build_cover(call_graph)
+    assert cover.descendants("parse") == {"parse", "lex", "error"}
+    assert cover.ancestors("error") == {"error", "parse", "emit", "main"}
 
 
 def test_distance_mode(call_graph):
-    index = ReachabilityIndex(call_graph, distance=True)
-    assert index.distance("main", "lex") == 2
-    assert index.distance("main", "error") == 2
-    assert index.distance("lex", "main") is None
-    index.verify()
-
-
-def test_distance_requires_flag(call_graph):
-    index = ReachabilityIndex(call_graph)
-    with pytest.raises(TypeError):
-        index.distance("main", "lex")
+    cover = build_distance_cover(call_graph)
+    assert cover.distance("main", "lex") == 2
+    assert cover.distance("main", "error") == 2
+    assert cover.distance("lex", "main") is None
+    _verify(call_graph, cover)
 
 
 def test_add_edge_and_node(call_graph):
-    index = ReachabilityIndex(call_graph)
-    index.add_node("optimize")
-    assert not index.reachable("emit", "optimize")
-    index.add_edge("emit", "optimize")
-    assert index.reachable("main", "optimize")
-    index.verify()
+    cover = build_cover(call_graph)
+    call_graph.add_node("optimize")
+    cover.add_node("optimize")
+    assert not cover.connected("emit", "optimize")
+    assert cover.connected("optimize", "optimize")
+    _add_edge(call_graph, cover, "emit", "optimize")
+    assert cover.connected("main", "optimize")
+    _verify(call_graph, cover)
 
 
 def test_add_edge_distance(call_graph):
-    index = ReachabilityIndex(call_graph, distance=True)
-    index.add_edge("main", "error")  # shortcut
-    assert index.distance("main", "error") == 1
-    index.verify()
-
-
-def test_remove_edge_absorbed(call_graph):
-    index = ReachabilityIndex(call_graph)
-    # error still reachable from main via emit after dropping parse->error
-    index.remove_edge("parse", "error")
-    assert index.reachable("main", "error")
-    index.verify()
-
-
-def test_remove_edge_disconnecting(call_graph):
-    index = ReachabilityIndex(call_graph)
-    index.remove_edge("parse", "lex")
-    assert not index.reachable("main", "lex")
-    index.verify()
-
-
-def test_remove_edge_distance(call_graph):
-    index = ReachabilityIndex(call_graph, distance=True)
-    index.add_edge("main", "error")
-    index.remove_edge("main", "error")
-    assert index.distance("main", "error") == 2
-    index.verify()
-
-
-def test_remove_node(call_graph):
-    index = ReachabilityIndex(call_graph)
-    index.remove_node("parse")
-    assert not index.reachable("main", "lex")
-    assert index.reachable("main", "error")  # via emit
-    index.verify()
+    cover = build_distance_cover(call_graph)
+    _add_edge(call_graph, cover, "main", "error")  # shortcut
+    assert cover.distance("main", "error") == 1
+    _verify(call_graph, cover)
 
 
 def test_cyclic_graph():
     g = DiGraph([(1, 2), (2, 3), (3, 1), (3, 4)])
-    index = ReachabilityIndex(g)
-    assert index.reachable(1, 1)
-    assert index.reachable(2, 1)
-    index.verify()
-    index.add_edge(4, 5)
-    index.verify()
+    cover = build_cover(g)
+    assert cover.connected(1, 1)
+    assert cover.connected(2, 1)
+    _verify(g, cover)
+    _add_edge(g, cover, 4, 5)
+    _verify(g, cover)
 
 
 def test_size_compresses_dense_closure():
@@ -115,49 +102,39 @@ def test_size_compresses_dense_closure():
     edges = [(f"a{i}", "mid") for i in range(k)] + [
         ("mid", f"b{i}") for i in range(k)
     ]
-    index = ReachabilityIndex(DiGraph(edges))
-    assert index.size <= 3 * k  # vs k*k closure connections
+    assert build_cover(DiGraph(edges)).size <= 3 * k  # vs k*k connections
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_random_maintenance_session(seed):
+    """Random edge insertions, cycles included, keep the cover exact."""
     rng = random.Random(seed)
     g = DiGraph()
     for v in range(12):
         g.add_node(v)
-    index = ReachabilityIndex(g)
-    edges = set()
+    cover = build_cover(g)
     for step in range(25):
         u, v = rng.randrange(12), rng.randrange(12)
-        if u == v:
+        if u == v or g.has_edge(u, v):
             continue
-        if (u, v) in edges and rng.random() < 0.5:
-            index.remove_edge(u, v)
-            edges.discard((u, v))
-        elif (u, v) not in edges:
-            index.add_edge(u, v)
-            edges.add((u, v))
+        _add_edge(g, cover, u, v)
         if step % 8 == 0:
-            index.verify()
-    index.verify()
+            _verify(g, cover)
+    _verify(g, cover)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_random_maintenance_session_distance(seed):
+    """Random edge insertions keep every shortest distance exact: a new
+    edge is integrated in one pass of the distance link rule."""
     rng = random.Random(100 + seed)
     g = DiGraph()
     for v in range(8):
         g.add_node(v)
-    index = ReachabilityIndex(g, distance=True)
-    edges = set()
-    for step in range(15):
+    cover = build_distance_cover(g)
+    for _ in range(15):
         u, v = rng.randrange(8), rng.randrange(8)
-        if u == v:
+        if u == v or g.has_edge(u, v):
             continue
-        if (u, v) in edges:
-            index.remove_edge(u, v)
-            edges.discard((u, v))
-        else:
-            index.add_edge(u, v)
-            edges.add((u, v))
-        index.verify()
+        _add_edge(g, cover, u, v)
+        _verify(g, cover)

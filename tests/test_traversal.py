@@ -2,16 +2,14 @@
 
 import pytest
 
+from acyclic import is_acyclic
 from repro.graph import (
     DiGraph,
     ancestors,
     bfs_distances,
     bfs_order,
     descendants,
-    dfs_postorder,
-    is_acyclic,
     is_reachable,
-    topological_order,
 )
 from repro.graph.traversal import multi_source_reaches
 
@@ -101,26 +99,6 @@ def test_multi_source_skips_missing_sources():
     assert multi_source_reaches(g, [99, 1], {2})
 
 
-def test_dfs_postorder_parent_after_children(diamond):
-    post = dfs_postorder(diamond, 1)
-    assert post[-1] == 1
-    assert post.index(5) < post.index(4)
-    assert set(post) == {1, 2, 3, 4, 5}
-
-
-def test_topological_order(diamond):
-    order = topological_order(diamond)
-    pos = {v: i for i, v in enumerate(order)}
-    for u, v in diamond.edges():
-        assert pos[u] < pos[v]
-
-
-def test_topological_order_cycle_raises():
-    g = DiGraph([(1, 2), (2, 1)])
-    with pytest.raises(ValueError):
-        topological_order(g)
-
-
 def test_is_acyclic(diamond):
     assert is_acyclic(diamond)
     diamond.add_edge(5, 1)
@@ -131,6 +109,7 @@ def test_deep_chain_no_recursion_limit():
     n = 50_000
     g = DiGraph((i, i + 1) for i in range(n))
     assert bfs_distances(g, 0)[n] == n
-    post = dfs_postorder(g, 0)
-    assert post[0] == n
-    assert post[-1] == 0
+    assert len(descendants(g, 0)) == n + 1
+    assert ancestors(g, n, strict=True) == set(range(n))
+    assert is_reachable(g, 0, n)
+    assert is_acyclic(g)
