@@ -10,7 +10,8 @@ collection three ways —
 3. phase by phase through :class:`repro.core.pipeline.BuildPipeline`,
 
 — verifies the covers are bit-identical, and prints the per-phase
-timing breakdown (the phases ``perf/``'s ``build`` workload traces).
+timing breakdown. All three name ``strategy="recursive"``: the default,
+``"pll"``, labels the whole graph in one pass and ignores ``workers``.
 
 Run:  python examples/parallel_build.py
 """
@@ -65,6 +66,7 @@ def main() -> None:
     # process pool consumes.
     pipeline = BuildPipeline(
         collection,
+        strategy="recursive",
         partitioner="node_weight",
         partition_limit=limit,
         workers=2,

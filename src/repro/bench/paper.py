@@ -99,7 +99,9 @@ def run_build(
     closure_connections: Optional[int] = None,
     **build_kwargs,
 ) -> BuildRow:
-    """Run one index build and produce a Table-2 row."""
+    """Run one index build and produce a Table-2 row (the paper's
+    ``"recursive"`` strategy unless ``build_kwargs`` names another)."""
+    build_kwargs.setdefault("strategy", "recursive")
     if closure_connections is None:
         closure_connections = transitive_closure_size(collection.element_graph())
     index = HopiIndex.build(collection, **build_kwargs)

@@ -3,11 +3,11 @@
 Usage (also via ``python -m repro``)::
 
     # index a directory of XML files into a self-contained database
-    python -m repro build docs/*.xml -o index.db --strategy recursive
+    python -m repro build docs/*.xml -o index.db
 
-    # same, but cover partitions concurrently in a 4-process pool
-    python -m repro build docs/*.xml -o index.db --workers 4 \\
-        --partitioner node-weight
+    # the paper's partitioned build, partitions covered in a 4-process pool
+    python -m repro build docs/*.xml -o index.db --strategy recursive \\
+        --workers 4 --partitioner node-weight
 
     # generate a synthetic benchmark collection as XML files
     python -m repro generate dblp -n 100 -o corpus/
@@ -389,8 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="index XML files into a database")
     p.add_argument("inputs", nargs="+", help="XML files or directories")
     p.add_argument("-o", "--output", required=True, help="index database path")
-    p.add_argument("--strategy", default="recursive",
-                   choices=["unpartitioned", "incremental", "recursive"])
+    p.add_argument("--strategy", default="pll",
+                   choices=["pll", "unpartitioned", "incremental", "recursive"],
+                   help="pll (default): one pruned landmark labelling pass "
+                        "over the whole element graph; the other three are "
+                        "the paper's greedy builds, and only incremental "
+                        "and recursive use the partition options below")
     p.add_argument("--partitioner", default="closure",
                    choices=["node_weight", "node-weight", "closure",
                             "closure-size", "single"],
@@ -405,8 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="build a distance-aware cover (Section 5)")
     p.add_argument("--workers", type=positive_int, default=None,
                    help="process-pool size for the per-partition covers "
-                        "(default: build serially); covers are "
-                        "bit-identical to a serial build")
+                        "of incremental / recursive builds (default: "
+                        "build serially); covers are bit-identical to a "
+                        "serial build")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("generate", help="write a synthetic XML collection")

@@ -384,10 +384,15 @@ class _CoverBase:
         self._nodes.add(self._intern(v))
 
     def add_nodes(self, nodes: Iterable[Node]) -> None:
-        """Register every node of ``nodes`` in the universe."""
+        """Register every node of ``nodes`` in the universe (the tables
+        grow once, not once per new id)."""
         self._slabs = None
-        for v in nodes:
-            self._nodes.add(self._intern(v))
+        intern = self.interner.intern
+        self._nodes.update([intern(v) for v in nodes])
+        grow = len(self.interner) - len(self._lin)
+        if grow > 0:
+            for table in self._tables():
+                table.extend([None] * grow)
 
     # -- backward indexes -----------------------------------------------
     def _inv_add(self, inv: List[Optional[array]], center: int, node: int) -> None:
@@ -911,9 +916,16 @@ class TwoHopCover(_CoverBase):
         lin_rows: Dict[int, List[int]] = {}
         lout_rows: Dict[int, List[int]] = {}
         intern = new._intern
+        ids = {label: iid for iid, label in enumerate(new.interner)}
         for kind, node, center in entries:
             rows = lin_rows if kind == "in" else lout_rows
-            rows.setdefault(intern(node), []).append(intern(center))
+            ni = ids.get(node)
+            if ni is None:
+                ni = ids[node] = intern(node)
+            ci = ids.get(center)
+            if ci is None:
+                ci = ids[center] = intern(center)
+            rows.setdefault(ni, []).append(ci)
         new._nodes.update(lin_rows, lout_rows)
         inv_lin_rows: Dict[int, List[int]] = {}
         inv_lout_rows: Dict[int, List[int]] = {}
@@ -1250,9 +1262,16 @@ class DistanceTwoHopCover(_CoverBase):
         lin_rows: Dict[int, List[Tuple[int, int]]] = {}
         lout_rows: Dict[int, List[Tuple[int, int]]] = {}
         intern = new._intern
+        ids = {label: iid for iid, label in enumerate(new.interner)}
         for kind, node, center, dist in entries:
             rows = lin_rows if kind == "in" else lout_rows
-            rows.setdefault(intern(node), []).append((intern(center), dist))
+            ni = ids.get(node)
+            if ni is None:
+                ni = ids[node] = intern(node)
+            ci = ids.get(center)
+            if ci is None:
+                ci = ids[center] = intern(center)
+            rows.setdefault(ni, []).append((ci, dist))
         new._nodes.update(lin_rows, lout_rows)
         for rows, table, dists, inv in (
             (lin_rows, new._lin, new._lin_dist, new._inv_lin),

@@ -1,24 +1,29 @@
 """The HOPI index facade.
 
-:class:`HopiIndex` ties the whole pipeline together: partition the
-document-level graph, cover every partition, join the covers, and answer
-reachability / distance / ancestor / descendant queries, with
-incremental maintenance keeping the index in sync with collection
-updates.
+:class:`HopiIndex` ties the whole pipeline together: build a 2-hop cover
+of the element graph, and answer reachability / distance / ancestor /
+descendant queries, with incremental maintenance keeping the index in
+sync with collection updates.
 
 Build strategies (``HopiIndex.build``):
 
 ========================  =====================================================
 ``strategy``              meaning
 ========================  =====================================================
-``"unpartitioned"``       one global cover (Section 7.2's 45h/80GB baseline —
-                          best compression, worst build cost)
+``"pll"`` (default)       one pruned-landmark-labelling pass over the whole
+                          element graph (Akiba et al., SIGMOD 2013) — an
+                          extension of the paper, and the product path
+``"unpartitioned"``       one global greedy cover (Section 7.2's 45h/80GB
+                          baseline — best compression, worst build cost)
 ``"incremental"``         divide-and-conquer with the *original* link-at-a-time
                           cover join (Section 3.3; Table 2's "baseline" row)
 ``"recursive"``           divide-and-conquer with the *new* structurally
                           recursive PSG join (Section 4.1; the paper's
                           contribution, Table 2's P/N rows)
 ========================  =====================================================
+
+The other three are the paper's reproduction; the partition options
+below apply to ``"incremental"`` and ``"recursive"`` only.
 
 Partitioners (``partitioner``): ``"node_weight"`` (original, Section 3.3
 — Table 2's ``Px`` rows with ``partition_limit`` = max elements),
@@ -132,7 +137,7 @@ class HopiIndex:
         cls,
         collection: Collection,
         *,
-        strategy: str = "recursive",
+        strategy: str = "pll",
         partitioner: str = "closure",
         partition_limit: Optional[int] = None,
         edge_weight: str = "links",
@@ -149,8 +154,10 @@ class HopiIndex:
 
         Args:
             collection: the XML collection to index.
-            strategy: ``"unpartitioned"``, ``"incremental"`` or
-                ``"recursive"`` (see module docstring).
+            strategy: ``"pll"`` (the default), ``"unpartitioned"``,
+                ``"incremental"`` or ``"recursive"`` (see module
+                docstring). The partition options below apply to the
+                last two only.
             partitioner: ``"node_weight"``, ``"closure"`` or ``"single"``
                 (CLI aliases ``node-weight`` / ``closure-size`` accepted).
             partition_limit: max elements per partition
@@ -295,8 +302,8 @@ class HopiIndex:
         Section 6: "over time, the space efficiency of the 2-hop cover
         that HOPI maintains may degrade. Then occasional rebuilds of the
         index may be considered, using the efficient algorithm presented
-        in Section 4." Build options default to the Section-4 algorithm;
-        pass the same kwargs as :meth:`build` to override.
+        in Section 4." Build options default to :meth:`build`'s (the
+        product's ``"pll"``); pass the same kwargs to override.
 
         Returns:
             self, with a fresh cover and fresh build stats.

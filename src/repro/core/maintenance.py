@@ -482,12 +482,15 @@ def _rebuild_region(
     links: Dict[ElementId, List[ElementId]],
 ) -> Tuple[Cover, int]:
     """Re-cover the part of the new graph reachable from ``seeds``: walk
-    it, cut it into tree fragments, and build their cover with every
-    fragment its own partition."""
+    it, cut it into tree fragments, and build their cover with the
+    paper's recursive join, every fragment its own partition."""
     region = _reach(collection, links, seeds)
     fragments = _region_fragments(collection, links, region)
     fresh, _ = BuildPipeline(
-        fragments, partitioner="single", distance=_is_distance(cover)
+        fragments,
+        strategy="recursive",
+        partitioner="single",
+        distance=_is_distance(cover),
     ).run()
     return fresh, len(region)
 

@@ -1,4 +1,14 @@
-"""The divide-and-conquer build pipeline (Sections 4 and 5).
+"""The build pipeline: the product's whole-graph labelling and the
+paper's divide-and-conquer build (Sections 4 and 5).
+
+The product default, ``strategy="pll"``, is an extension of the paper:
+the collection is one partition with no cross links, its element graph
+is labelled by pruned landmark labelling
+(:func:`repro.core.cover_builder.build_pll_cover`), and the join hands
+that lone cover back as is. ``"unpartitioned"`` takes the same path with
+the greedy builder. The partitioner, partition limit, edge weight,
+center preselection and worker count apply to the paper strategies
+(``"incremental"``, ``"recursive"``) only.
 
 The paper's central scalability argument is that 2-hop cover
 construction splits along partition boundaries: partition the document
@@ -28,10 +38,11 @@ pins that property.
 
 Most callers reach this module through the facade::
 
-    index = HopiIndex.build(collection, workers=4)      # process pool
-    index = HopiIndex.build(collection)                 # serial
+    index = HopiIndex.build(collection)                 # PLL
+    index = HopiIndex.build(collection, strategy="recursive", workers=4)
 
-or the CLI: ``repro build docs/ -o index.db --workers 4``.
+or the CLI: ``repro build docs/ -o index.db [--strategy recursive
+--workers 4]``.
 """
 
 from __future__ import annotations
@@ -39,9 +50,10 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.cover_builder import build_partition_cover
+from repro.core.cover_builder import build_partition_cover, build_pll_cover
 from repro.core.join import (
     join_covers_incremental,
     join_covers_incremental_distance,
@@ -61,7 +73,9 @@ from repro.xmlmodel.model import Collection, ElementId
 # module-level import here would make package initialisation order
 # sensitive to which side is imported first.
 
-_STRATEGIES = ("unpartitioned", "incremental", "recursive")
+_STRATEGIES = ("pll", "unpartitioned", "incremental", "recursive")
+#: strategies that cover the whole collection as one partition
+_WHOLE_GRAPH = ("pll", "unpartitioned")
 _PARTITIONERS = ("node_weight", "closure", "single")
 _EDGE_WEIGHTS = ("links", "AxD", "A+D")
 
@@ -97,9 +111,10 @@ class PartitionTask:
     """One partition's cover build, as plain picklable data.
 
     Holds exactly what :func:`repro.core.cover_builder.
-    build_partition_cover` needs — the element-graph node and edge
-    lists plus the preselected centers — so the same task object can be
-    executed inline or shipped to a worker process.
+    build_partition_cover` (or, with ``pll``, ``build_pll_cover``) needs
+    — the element-graph node and edge lists plus the preselected
+    centers — so the same task object can be executed inline or shipped
+    to a worker process.
     """
 
     pid: int
@@ -107,6 +122,7 @@ class PartitionTask:
     edges: Tuple[Tuple[ElementId, ElementId], ...]
     preselected: Tuple[ElementId, ...]
     distance: bool
+    pll: bool = False
 
 
 @dataclass
@@ -120,6 +136,8 @@ class PartitionResult:
 
 def _build_task(task: PartitionTask):
     """Build ``task``'s cover in the calling process."""
+    if task.pll:
+        return build_pll_cover(task.nodes, task.edges, distance=task.distance)
     return build_partition_cover(
         task.nodes,
         task.edges,
@@ -219,6 +237,10 @@ def make_executor(workers: Optional[int]):
 class BuildPipeline:
     """Partition → per-partition cover → cross-link join, end to end.
 
+    Every strategy takes the same three phases; the whole-graph ones
+    (``"pll"``, ``"unpartitioned"``) have one partition and nothing to
+    join.
+
     The one place the full offline build flow lives;
     :meth:`repro.core.hopi.HopiIndex.build` is a thin wrapper around
     it. All knobs of the facade are accepted here with the same
@@ -226,8 +248,9 @@ class BuildPipeline:
 
     Args:
         collection: the XML collection to index.
-        strategy: ``"unpartitioned"``, ``"incremental"`` or
-            ``"recursive"`` (see :mod:`repro.core.hopi`).
+        strategy: ``"pll"`` (the default), ``"unpartitioned"``,
+            ``"incremental"`` or ``"recursive"`` (see
+            :mod:`repro.core.hopi`).
         partitioner: ``"node_weight"``/``"node-weight"``,
             ``"closure"``/``"closure-size"`` or ``"single"``.
         partition_limit: max elements (node-weight) or closure
@@ -243,13 +266,17 @@ class BuildPipeline:
             not be edited in the PR that retired the option.
         workers: size of the process pool covering partitions;
             ``None``/1 means serial.
+
+    ``partitioner``, ``partition_limit``, ``edge_weight``,
+    ``preselect_centers`` and ``workers`` are validated always but used
+    by the paper strategies only.
     """
 
     def __init__(
         self,
         collection: Collection,
         *,
-        strategy: str = "recursive",
+        strategy: str = "pll",
         partitioner: str = "closure",
         partition_limit: Optional[int] = None,
         edge_weight: str = "links",
@@ -276,14 +303,19 @@ class BuildPipeline:
         self.distance = distance
         self.preselect_centers = preselect_centers
         self.seed = seed
-        self.executor = make_executor(workers)
+        self.whole_graph = strategy in _WHOLE_GRAPH
+        executor = make_executor(workers)  # validates workers for any strategy
+        self.executor = SerialExecutor() if self.whole_graph else executor
 
     # -- phase 1 --------------------------------------------------------
     @property
     def effective_partition_limit(self) -> Optional[int]:
         """The limit phase 1 partitions with: the explicit
         ``partition_limit`` when given, else the partitioner's default
-        derived from the collection (``None``: ``single`` has none)."""
+        derived from the collection (``None``: ``single`` and the
+        whole-graph strategies have none)."""
+        if self.whole_graph:
+            return None
         if self.partition_limit is not None or self.partitioner == "single":
             return self.partition_limit
         elements = self.collection.num_elements
@@ -292,8 +324,11 @@ class BuildPipeline:
         return max(elements * 20, 1000)
 
     def partition(self) -> Partitioning:
-        """Split the document-level graph (always in the parent)."""
+        """Split the document-level graph (always in the parent); the
+        whole-graph strategies get one partition and no cross links."""
         collection = self.collection
+        if self.whole_graph:
+            return Partitioning([sorted(collection.documents)])
         weight_fn = None
         if self.edge_weight in ("AxD", "A+D") and collection.inter_links:
             weight_fn = connection_edge_weight(collection, mode=self.edge_weight)
@@ -312,6 +347,25 @@ class BuildPipeline:
     def partition_tasks(self, partitioning: Partitioning) -> List[PartitionTask]:
         """Extract each partition's element graph into a compact task."""
         collection = self.collection
+        if self.whole_graph:
+            # nodes and edges in ``collection.element_graph()`` order, so
+            # the greedy builder breaks ties as on that graph
+            edges = chain(
+                chain.from_iterable(
+                    doc.graph_edges() for doc in collection.documents.values()
+                ),
+                collection.inter_links,
+            )
+            return [
+                PartitionTask(
+                    pid=0,
+                    nodes=tuple(collection.elements),
+                    edges=tuple(edges),
+                    preselected=(),
+                    distance=self.distance,
+                    pll=self.strategy == "pll",
+                )
+            ]
         cross_targets: Dict[int, List[ElementId]] = {}
         if self.preselect_centers:
             for _, v in partitioning.cross_links:
@@ -364,7 +418,11 @@ class BuildPipeline:
 
     # -- phase 3 --------------------------------------------------------
     def join(self, partitioning: Partitioning, partition_covers: Sequence) -> object:
-        """Merge the partition covers along the cross-partition links."""
+        """Merge the partition covers along the cross-partition links (a
+        whole-graph strategy's lone cover is returned as is)."""
+        if self.whole_graph:
+            (cover,) = partition_covers
+            return cover
         if self.distance:
             # Section 5 notes the build algorithms carry over; the
             # recursive join's H̄ has no distance analogue in the paper,
@@ -384,36 +442,11 @@ class BuildPipeline:
     def run(self):
         """Execute all phases; returns ``(cover, BuildStats)``."""
         from repro.core.hopi import BuildStats
-        from repro.core.cover_builder import build_cover
-        from repro.core.distance import build_distance_cover
 
         start = time.perf_counter()
-        if self.strategy == "unpartitioned":
-            graph = self.collection.element_graph()
-            if self.distance:
-                cover = build_distance_cover(graph)
-            else:
-                cover = build_cover(graph)
-            stats = BuildStats(
-                strategy=self.strategy,
-                partitioner=None,
-                partition_limit=None,
-                edge_weight=self.edge_weight,
-                distance=self.distance,
-                num_partitions=1,
-                num_cross_links=0,
-                cover_size=cover.size,
-                num_nodes=len(cover.nodes),
-                seconds_total=time.perf_counter() - start,
-                workers=1,
-                executor="serial",
-            )
-            return cover, stats
-
-        t0 = time.perf_counter()
         partitioning = self.partition()
         tasks = self.partition_tasks(partitioning)
-        seconds_partitioning = time.perf_counter() - t0
+        seconds_partitioning = time.perf_counter() - start
 
         t0 = time.perf_counter()
         results = self.build_partition_covers(tasks)
@@ -425,7 +458,7 @@ class BuildPipeline:
 
         stats = BuildStats(
             strategy=self.strategy,
-            partitioner=self.partitioner,
+            partitioner=None if self.whole_graph else self.partitioner,
             partition_limit=self.effective_partition_limit,
             edge_weight=self.edge_weight,
             distance=self.distance,

@@ -215,7 +215,9 @@ def test_partitioner_aliases():
     with pytest.raises(ValueError):
         normalize_partitioner("metis")
     collection = random_collection(8, n_docs=3)
-    via_alias = HopiIndex.build(collection, partitioner="closure-size")
+    via_alias = HopiIndex.build(
+        collection, strategy="recursive", partitioner="closure-size"
+    )
     assert via_alias.stats.partitioner == "closure"
 
 
@@ -223,6 +225,7 @@ def test_pipeline_phases_accounted():
     """Phase timings and per-partition seconds land in BuildStats."""
     pipeline = BuildPipeline(
         random_collection(9),
+        strategy="recursive",
         partitioner="node_weight",
         partition_limit=12,
         workers=2,
@@ -239,13 +242,15 @@ def test_stats_record_the_partition_limit_actually_used():
     """Regression: a derived limit used to be recorded as ``None``."""
     collection = random_collection(12)
     elements = collection.num_elements
-    derived = HopiIndex.build(collection)
+    paper = dict(strategy="recursive")
+    derived = HopiIndex.build(collection, **paper)
     assert derived.stats.partition_limit == max(elements * 20, 1000)
-    derived = HopiIndex.build(collection, partitioner="node_weight")
+    derived = HopiIndex.build(collection, partitioner="node_weight", **paper)
     assert derived.stats.partition_limit == max(elements // 8, 1)
-    explicit = HopiIndex.build(collection, partition_limit=77)
+    explicit = HopiIndex.build(collection, partition_limit=77, **paper)
     assert explicit.stats.partition_limit == 77
-    assert HopiIndex.build(collection, partitioner="single").stats.partition_limit is None
+    single = HopiIndex.build(collection, partitioner="single", **paper)
+    assert single.stats.partition_limit is None
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -262,7 +267,10 @@ def test_partition_tasks_keep_subcollection_graph_order(seed):
     for hub in rng.sample(elements, 4):  # many links out of one element
         for target in rng.sample(elements, 12):
             collection.add_link(hub, target)
-    pipeline = BuildPipeline(collection, partition_limit=collection.num_elements * 12)
+    pipeline = BuildPipeline(
+        collection, strategy="recursive",
+        partition_limit=collection.num_elements * 12,
+    )
     partitioning = pipeline.partition()
     assert any(len(docs) > 1 for docs in partitioning.partitions)
     for task, docs in zip(pipeline.partition_tasks(partitioning), partitioning.partitions):
@@ -293,7 +301,8 @@ def test_closure_partitioner_oversized_doc_warns_not_fails():
     assert partitioning.num_partitions == len(collection.documents)
     # over-budget documents become singletons; the index still builds
     index = HopiIndex.build(
-        collection, partitioner="closure", partition_limit=1
+        collection, strategy="recursive", partitioner="closure",
+        partition_limit=1,
     )
     index.verify()
 
@@ -307,7 +316,7 @@ def test_closure_partitioner_oversized_doc_warns_not_fails():
 FLAVOURS = {
     "recursive": dict(strategy="recursive"),
     "incremental": dict(strategy="incremental"),
-    "distance": dict(distance=True),
+    "distance": dict(strategy="recursive", distance=True),
 }
 
 

@@ -1,0 +1,151 @@
+"""The product builder: pruned landmark labelling over the whole graph.
+
+PLL must answer exactly what the closures answer (cycles included, both
+flavours), exactly what the paper's greedy pipeline answers, and give
+the same bytes in every process.
+"""
+
+import os
+import subprocess
+import sys
+from itertools import product
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from random_collections import random_collection
+from repro.core.cover_builder import build_cover, build_pll_cover
+from repro.core.distance import build_distance_cover
+from repro.core.hopi import HopiIndex
+from repro.core.pipeline import BuildPipeline
+from repro.graph import DiGraph, distance_closure, transitive_closure
+
+SETTINGS = settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def graphs(draw, max_nodes=16):
+    """Node and edge lists of an arbitrary digraph: cycles, self-loops
+    and repeated edges allowed."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    node = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    return list(range(n)), edges
+
+
+def _digraph(nodes, edges):
+    g = DiGraph()
+    for v in nodes:
+        g.add_node(v)
+    g.add_edges((u, v) for u, v in edges if u != v)
+    return g
+
+
+@SETTINGS
+@given(graphs())
+def test_pll_cover_equals_the_closure(graph):
+    nodes, edges = graph
+    cover = build_pll_cover(nodes, edges)
+    cover.verify_against(transitive_closure(_digraph(nodes, edges)))
+    assert all(node != center for _, node, center in cover.entries())
+
+
+@SETTINGS
+@given(graphs(max_nodes=12))
+def test_pll_distance_cover_equals_bfs(graph):
+    nodes, edges = graph
+    cover = build_pll_cover(nodes, edges, distance=True)
+    cover.verify_against(distance_closure(_digraph(nodes, edges)))
+    assert all(node != center for _, node, center, _ in cover.entries())
+
+
+def test_pll_labels_do_not_depend_on_edge_order():
+    nodes = list(range(8))
+    edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (1, 5), (6, 7)]
+    for distance in (False, True):
+        forward = build_pll_cover(nodes, edges, distance=distance)
+        backward = build_pll_cover(nodes[::-1], edges[::-1], distance=distance)
+        assert sorted(forward.entries()) == sorted(backward.entries())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pll_answers_as_the_paper_pipeline(seed):
+    """Differential: on small random collections (document-level cycles
+    included) the product build and ``strategy="recursive"`` answer
+    ``connected`` and ``distance`` identically on every pair."""
+    c = random_collection(n_docs=5, inter_links=8, seed=seed)
+    pairs = list(product(sorted(c.elements), repeat=2))
+    for distance in (False, True):
+        pll = HopiIndex.build(c, distance=distance)
+        paper = HopiIndex.build(c, strategy="recursive", distance=distance)
+        answer = "distance" if distance else "connected"
+        assert [getattr(pll, answer)(u, v) for u, v in pairs] == [
+            getattr(paper, answer)(u, v) for u, v in pairs
+        ]
+
+
+def test_pll_is_one_partition_with_nothing_to_join():
+    c = random_collection(n_docs=6, inter_links=10, seed=3)
+    pipeline = BuildPipeline(c, workers=4, partitioner="node_weight")
+    partitioning = pipeline.partition()
+    assert partitioning.num_partitions == 1
+    assert partitioning.cross_links == []
+    (task,) = pipeline.partition_tasks(partitioning)
+    assert task.pll and task.preselected == ()
+    (result,) = pipeline.build_partition_covers([task])
+    assert pipeline.join(partitioning, [result.cover]) is result.cover
+    cover, stats = pipeline.run()
+    assert sorted(cover.entries()) == sorted(result.cover.entries())
+    assert (stats.strategy, stats.partitioner, stats.partition_limit) == (
+        "pll", None, None
+    )
+    assert (stats.executor, stats.workers, stats.num_partitions) == ("serial", 1, 1)
+
+
+@pytest.mark.parametrize("distance", [False, True])
+def test_unpartitioned_builds_the_greedy_cover_of_the_element_graph(distance):
+    """The whole-collection task keeps ``element_graph()``'s node and
+    edge order, so the greedy build is the one on that graph."""
+    c = random_collection(n_docs=5, inter_links=8, seed=11)
+    cover, stats = BuildPipeline(
+        c, strategy="unpartitioned", distance=distance
+    ).run()
+    build = build_distance_cover if distance else build_cover
+    assert sorted(cover.entries()) == sorted(build(c.element_graph()).entries())
+    assert stats.num_partitions == 1
+
+
+_HASH_SEED_SCRIPT = """
+import hashlib
+from repro.core.hopi import HopiIndex
+from repro.storage.snapshot import canonical_snapshot_bytes
+from repro.xmlmodel.generator import dblp_like
+
+c = dblp_like(30, seed=5)
+for distance in (False, True):
+    cover = HopiIndex.build(c, distance=distance).cover
+    print(hashlib.sha256(canonical_snapshot_bytes(cover)).hexdigest())
+"""
+
+
+def test_pll_build_is_independent_of_the_hash_seed():
+    """Document ids are strings, so anything that walks them in set
+    order differs between processes: the built cover must not."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    outputs = []
+    for seed in ("0", "1"):
+        done = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_SCRIPT],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        outputs.append(done.stdout)
+    assert len(outputs[0].splitlines()) == 2
+    assert outputs[0] == outputs[1]
