@@ -3,11 +3,7 @@
 Usage (also via ``python -m repro``)::
 
     # index a directory of XML files into a self-contained database
-    python -m repro build docs/*.xml -o index.db
-
-    # the paper's partitioned build, partitions covered in a 4-process pool
-    python -m repro build docs/*.xml -o index.db --strategy recursive \\
-        --workers 4 --partitioner node-weight
+    python -m repro build docs/*.xml -o index.db [--distance]
 
     # generate a synthetic benchmark collection as XML files
     python -m repro generate dblp -n 100 -o corpus/
@@ -105,28 +101,9 @@ def cmd_build(args: argparse.Namespace) -> int:
         f"loaded {collection.num_documents} documents, "
         f"{collection.num_elements} elements, {collection.num_links} links"
     )
-    index = HopiIndex.build(
-        collection,
-        strategy=args.strategy,
-        partitioner=args.partitioner,
-        partition_limit=args.partition_limit,
-        edge_weight=args.edge_weight,
-        distance=args.distance,
-        workers=args.workers,
-    )
+    index = HopiIndex.build(collection, distance=args.distance)
     stats = index.stats
-    print(
-        f"built in {stats.seconds_total:.2f}s "
-        f"({stats.num_partitions} partitions, |L| = {stats.cover_size}, "
-        f"executor = {stats.executor}"
-        + (
-            f", partition limit = {stats.partition_limit}"
-            if stats.partition_limit is not None
-            else ""
-        )
-        + (f", workers = {stats.workers}" if stats.executor != "serial" else "")
-        + ")"
-    )
+    print(f"built in {stats.seconds_total:.2f}s (|L| = {stats.cover_size})")
     persist_index(index, args.output).close()
     print(f"written to {args.output}")
     return 0
@@ -389,29 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="index XML files into a database")
     p.add_argument("inputs", nargs="+", help="XML files or directories")
     p.add_argument("-o", "--output", required=True, help="index database path")
-    p.add_argument("--strategy", default="pll",
-                   choices=["pll", "unpartitioned", "incremental", "recursive"],
-                   help="pll (default): one pruned landmark labelling pass "
-                        "over the whole element graph; the other three are "
-                        "the paper's greedy builds, and only incremental "
-                        "and recursive use the partition options below")
-    p.add_argument("--partitioner", default="closure",
-                   choices=["node_weight", "node-weight", "closure",
-                            "closure-size", "single"],
-                   help="document partitioner: node-weight (Section 3.3 "
-                        "element-count budget) or closure-size (Section "
-                        "4.3 closure-connection budget); 'single' puts "
-                        "every document in its own partition")
-    p.add_argument("--partition-limit", type=positive_int, default=None)
-    p.add_argument("--edge-weight", default="links",
-                   choices=["links", "AxD", "A+D"])
     p.add_argument("--distance", action="store_true",
                    help="build a distance-aware cover (Section 5)")
-    p.add_argument("--workers", type=positive_int, default=None,
-                   help="process-pool size for the per-partition covers "
-                        "of incremental / recursive builds (default: "
-                        "build serially); covers are bit-identical to a "
-                        "serial build")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("generate", help="write a synthetic XML collection")

@@ -17,8 +17,9 @@ Modules:
   skeleton graph with anc/desc weight estimation (Sections 4.1, 4.3).
 * :mod:`repro.core.join` — the original incremental and the new
   structurally recursive partition-cover joins (Sections 3.3, 4.1).
-* :mod:`repro.core.pipeline` — the divide-and-conquer build
-  orchestrator, serial or over a process pool (Section 4).
+* :mod:`repro.core.pipeline` — the build orchestrator: the product's
+  whole-graph labelling and the paper's divide-and-conquer build
+  (Section 4).
 * :mod:`repro.core.distance` — distance-aware cover construction
   (Section 5).
 * :mod:`repro.core.maintenance` — incremental insertions and deletions

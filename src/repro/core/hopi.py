@@ -64,13 +64,10 @@ class BuildStats:
     cover_size: int
     num_nodes: int
     seconds_total: float
-    workers: int = 1
-    executor: str = "serial"
     seconds_partitioning: float = 0.0
     seconds_partition_covers: float = 0.0
     seconds_join: float = 0.0
     partition_cover_seconds: List[float] = field(default_factory=list)
-    partition_closure_connections: List[int] = field(default_factory=list)
 
     @property
     def parallel_makespan(self) -> float:
@@ -158,8 +155,7 @@ class HopiIndex:
                 ``"incremental"`` or ``"recursive"`` (see module
                 docstring). The partition options below apply to the
                 last two only.
-            partitioner: ``"node_weight"``, ``"closure"`` or ``"single"``
-                (CLI aliases ``node-weight`` / ``closure-size`` accepted).
+            partitioner: ``"node_weight"``, ``"closure"`` or ``"single"``.
             partition_limit: max elements per partition
                 (``node_weight``) or max closure connections
                 (``closure``), at least 1; sensible defaults are derived
@@ -172,9 +168,9 @@ class HopiIndex:
             backend: accepted and ignored — there is one label
                 representation; ``perf/`` still passes the argument and
                 may not be edited in the PR that retired the option.
-            workers: size of the process pool covering partitions
-                concurrently; ``None``/1 builds serially. Covers are
-                bit-identical for every worker count.
+            workers: accepted and ignored — partition covers are built
+                one after another; the benchmark under ``perf/`` still
+                passes the argument.
         """
         from repro.core.pipeline import BuildPipeline
 
@@ -187,7 +183,6 @@ class HopiIndex:
             distance=distance,
             preselect_centers=preselect_centers,
             seed=seed,
-            workers=workers,
         )
         cover, stats = pipeline.run()
         return cls(collection, cover, stats=stats)
@@ -296,20 +291,22 @@ class HopiIndex:
         """Theorem-2 test: does the document's deletion stay local?"""
         return maint.document_separates(self.collection, doc_id)
 
-    def rebuild(self, **build_kwargs) -> "HopiIndex":
+    def rebuild(self) -> "HopiIndex":
         """Rebuild the cover from scratch, in place.
 
         Section 6: "over time, the space efficiency of the 2-hop cover
         that HOPI maintains may degrade. Then occasional rebuilds of the
         index may be considered, using the efficient algorithm presented
-        in Section 4." Build options default to :meth:`build`'s (the
-        product's ``"pll"``); pass the same kwargs to override.
+        in Section 4." The rebuild is the product build (:meth:`build`'s
+        defaults) with the index's distance flag; it takes no options,
+        so a logged ``rebuild`` op replays to the same cover.
 
         Returns:
             self, with a fresh cover and fresh build stats.
         """
-        build_kwargs.setdefault("distance", self.is_distance_aware)
-        fresh = HopiIndex.build(self.collection, **build_kwargs)
+        fresh = HopiIndex.build(
+            self.collection, distance=self.is_distance_aware
+        )
         self.cover = fresh.cover
         self.stats = fresh.stats
         self.epoch += 1

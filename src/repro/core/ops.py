@@ -53,8 +53,10 @@ def apply_update_op(shadow: HopiIndex, op: Dict[str, Any]) -> Dict[str, Any]:
     if kind == "insert_document":
         return _apply_insert_document(shadow, op)
     if kind == "rebuild":
-        kwargs = {k: v for k, v in op.items() if k != "op"}
-        shadow.rebuild(**kwargs)
+        extra = sorted(k for k in op if k != "op")
+        if extra:
+            raise UpdateError(f"'rebuild' takes no options, got {extra}")
+        shadow.rebuild()
         return {"op": kind, "cover_size": shadow.cover.size}
     raise UpdateError(f"unknown operation {kind!r}")
 

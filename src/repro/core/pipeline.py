@@ -6,9 +6,9 @@ the collection is one partition with no cross links, its element graph
 is labelled by pruned landmark labelling
 (:func:`repro.core.cover_builder.build_pll_cover`), and the join hands
 that lone cover back as is. ``"unpartitioned"`` takes the same path with
-the greedy builder. The partitioner, partition limit, edge weight,
-center preselection and worker count apply to the paper strategies
-(``"incremental"``, ``"recursive"``) only.
+the greedy builder. The partitioner, partition limit, edge weight and
+center preselection apply to the paper strategies (``"incremental"``,
+``"recursive"``) only.
 
 The paper's central scalability argument is that 2-hop cover
 construction splits along partition boundaries: partition the document
@@ -18,37 +18,26 @@ partial covers along the cross-partition links. :class:`BuildPipeline`
 is that flow as an explicit three-phase orchestrator:
 
 1. **partition** — the document-level graph is split by one of the
-   partitioners in :mod:`repro.core.partitioning` (always in the
-   parent; it is cheap relative to covering);
+   partitioners in :mod:`repro.core.partitioning`;
 2. **partition covers** — each partition's element graph becomes a
    compact :class:`PartitionTask` (node list + edge list + preselected
-   centers). The ``serial`` executor runs the builds inline;
-   ``process`` fans them out over ``multiprocessing`` workers, which
-   return each cover as a CSR snapshot blob
-   (:func:`repro.storage.snapshot.snapshot_to_bytes` — the on-disk
-   snapshot encoding doubles as the wire format). The worker count
-   alone picks the executor: more than one worker means ``process``;
-3. **join** — the parent merges the partition covers with the
-   strategy's join (:mod:`repro.core.join`).
-
-Because the greedy cover construction consults only the partition
-closure — never the executor — the final cover's label entries are
-**bit-identical** for every worker count; ``tests/test_pipeline.py``
-pins that property.
+   centers), and the tasks are built one after another;
+3. **join** — the partition covers are merged with the strategy's join
+   (:mod:`repro.core.join`).
 
 Most callers reach this module through the facade::
 
     index = HopiIndex.build(collection)                 # PLL
-    index = HopiIndex.build(collection, strategy="recursive", workers=4)
+    index = HopiIndex.build(collection, strategy="recursive")
 
-or the CLI: ``repro build docs/ -o index.db [--strategy recursive
---workers 4]``.
+``repro build docs/ -o index.db`` runs the default; the paper's
+strategies are library arguments (``python -m repro.bench`` prints
+their tables).
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -68,38 +57,11 @@ from repro.core.partitioning import (
 from repro.core.skeleton import connection_edge_weight
 from repro.xmlmodel.model import Collection, ElementId
 
-# NOTE: repro.storage.snapshot (the wire format) is imported lazily in
-# the worker / decode paths — storage already imports repro.core, and a
-# module-level import here would make package initialisation order
-# sensitive to which side is imported first.
-
 _STRATEGIES = ("pll", "unpartitioned", "incremental", "recursive")
 #: strategies that cover the whole collection as one partition
 _WHOLE_GRAPH = ("pll", "unpartitioned")
 _PARTITIONERS = ("node_weight", "closure", "single")
 _EDGE_WEIGHTS = ("links", "AxD", "A+D")
-
-#: CLI-friendly partitioner spellings accepted everywhere a partitioner
-#: name is (``repro build --partitioner node-weight|closure-size``).
-PARTITIONER_ALIASES = {
-    "node-weight": "node_weight",
-    "closure-size": "closure",
-}
-
-
-def normalize_partitioner(name: str) -> str:
-    """Resolve a partitioner name or CLI alias to its canonical form.
-
-    Raises:
-        ValueError: for names that are neither canonical nor aliased.
-    """
-    canonical = PARTITIONER_ALIASES.get(name, name)
-    if canonical not in _PARTITIONERS:
-        raise ValueError(
-            f"unknown partitioner {name!r}; one of {_PARTITIONERS}"
-        )
-    return canonical
-
 
 # ---------------------------------------------------------------------------
 # the unit of work
@@ -108,13 +70,12 @@ def normalize_partitioner(name: str) -> str:
 
 @dataclass(frozen=True)
 class PartitionTask:
-    """One partition's cover build, as plain picklable data.
+    """One partition's cover build, as plain data.
 
     Holds exactly what :func:`repro.core.cover_builder.
     build_partition_cover` (or, with ``pll``, ``build_pll_cover``) needs
     — the element-graph node and edge lists plus the preselected
-    centers — so the same task object can be executed inline or shipped
-    to a worker process.
+    centers.
     """
 
     pid: int
@@ -127,106 +88,11 @@ class PartitionTask:
 
 @dataclass
 class PartitionResult:
-    """A built partition cover plus its in-worker build time."""
+    """A built partition cover plus its build time."""
 
     pid: int
     cover: object
     seconds: float
-
-
-def _build_task(task: PartitionTask):
-    """Build ``task``'s cover in the calling process."""
-    if task.pll:
-        return build_pll_cover(task.nodes, task.edges, distance=task.distance)
-    return build_partition_cover(
-        task.nodes,
-        task.edges,
-        preselected_centers=task.preselected,
-        distance=task.distance,
-    )
-
-
-def _partition_cover_worker(task: PartitionTask) -> Tuple[int, bytes, float]:
-    """Process-pool entry point: build one partition cover, return it
-    as a CSR snapshot blob.
-
-    Runs in a worker process. The cover is serialised with
-    :func:`snapshot_to_bytes` — one contiguous buffer crosses the
-    process boundary instead of a deep cover object graph — and the
-    blob keeps the interner order, so the decoded cover is the one the
-    serial executor builds.
-    """
-    from repro.storage.snapshot import snapshot_to_bytes
-
-    t0 = time.perf_counter()
-    cover = _build_task(task)
-    return task.pid, snapshot_to_bytes(cover), time.perf_counter() - t0
-
-
-# ---------------------------------------------------------------------------
-# executors
-# ---------------------------------------------------------------------------
-
-
-class SerialExecutor:
-    """Run every partition build inline, in the calling process.
-
-    The default, and the baseline the process executor is measured
-    against. No wire round-trip.
-    """
-
-    name = "serial"
-    workers = 1
-
-    def run(self, tasks) -> List[PartitionResult]:
-        """Execute ``tasks`` in order; see :meth:`ProcessExecutor.run`."""
-        results = []
-        for task in tasks:
-            t0 = time.perf_counter()
-            cover = _build_task(task)
-            results.append(
-                PartitionResult(task.pid, cover, time.perf_counter() - t0)
-            )
-        return results
-
-
-class ProcessExecutor:
-    """Fan partition builds out over a ``multiprocessing`` pool.
-
-    Workers return CSR snapshot blobs; the parent decodes them.
-    Partition covers are independent (the paper: the builds "can be
-    done concurrently"), so no coordination beyond the final collection
-    of results is needed.
-    """
-
-    name = "process"
-
-    def __init__(self, workers: int) -> None:
-        self.workers = workers
-
-    def run(self, tasks) -> List[PartitionResult]:
-        """Execute ``tasks`` (one :class:`PartitionTask` per partition)
-        concurrently; results come back in task order."""
-        from repro.storage.snapshot import snapshot_from_bytes
-
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        with ProcessPoolExecutor(max_workers=min(self.workers, len(tasks))) as pool:
-            wires = list(pool.map(_partition_cover_worker, tasks))
-        return [
-            PartitionResult(pid, snapshot_from_bytes(blob), seconds)
-            for pid, blob, seconds in wires
-        ]
-
-
-def make_executor(workers: Optional[int]):
-    """The executor for a worker count: ``process`` when more than one
-    worker is asked for, ``serial`` otherwise."""
-    workers = 1 if workers is None else workers
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    return ProcessExecutor(workers) if workers > 1 else SerialExecutor()
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +117,7 @@ class BuildPipeline:
         strategy: ``"pll"`` (the default), ``"unpartitioned"``,
             ``"incremental"`` or ``"recursive"`` (see
             :mod:`repro.core.hopi`).
-        partitioner: ``"node_weight"``/``"node-weight"``,
-            ``"closure"``/``"closure-size"`` or ``"single"``.
+        partitioner: ``"node_weight"``, ``"closure"`` or ``"single"``.
         partition_limit: max elements (node-weight) or closure
             connections (closure) per partition; defaults derived from
             the collection when omitted; must be >= 1.
@@ -264,12 +129,10 @@ class BuildPipeline:
         backend: accepted and ignored — there is one label
             representation; ``perf/`` still passes the argument and may
             not be edited in the PR that retired the option.
-        workers: size of the process pool covering partitions;
-            ``None``/1 means serial.
 
-    ``partitioner``, ``partition_limit``, ``edge_weight``,
-    ``preselect_centers`` and ``workers`` are validated always but used
-    by the paper strategies only.
+    ``partitioner``, ``partition_limit``, ``edge_weight`` and
+    ``preselect_centers`` are validated always but used by the paper
+    strategies only.
     """
 
     def __init__(
@@ -284,11 +147,13 @@ class BuildPipeline:
         preselect_centers: bool = True,
         seed: int = 0,
         backend: Optional[str] = None,
-        workers: Optional[int] = None,
     ) -> None:
         if strategy not in _STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; one of {_STRATEGIES}")
-        partitioner = normalize_partitioner(partitioner)
+        if partitioner not in _PARTITIONERS:
+            raise ValueError(
+                f"unknown partitioner {partitioner!r}; one of {_PARTITIONERS}"
+            )
         if edge_weight not in _EDGE_WEIGHTS:
             raise ValueError(
                 f"unknown edge weight {edge_weight!r}; one of {_EDGE_WEIGHTS}"
@@ -304,8 +169,6 @@ class BuildPipeline:
         self.preselect_centers = preselect_centers
         self.seed = seed
         self.whole_graph = strategy in _WHOLE_GRAPH
-        executor = make_executor(workers)  # validates workers for any strategy
-        self.executor = SerialExecutor() if self.whole_graph else executor
 
     # -- phase 1 --------------------------------------------------------
     @property
@@ -324,8 +187,8 @@ class BuildPipeline:
         return max(elements * 20, 1000)
 
     def partition(self) -> Partitioning:
-        """Split the document-level graph (always in the parent); the
-        whole-graph strategies get one partition and no cross links."""
+        """Split the document-level graph; the whole-graph strategies
+        get one partition and no cross links."""
         collection = self.collection
         if self.whole_graph:
             return Partitioning([sorted(collection.documents)])
@@ -413,8 +276,25 @@ class BuildPipeline:
     def build_partition_covers(
         self, tasks: Sequence[PartitionTask]
     ) -> List[PartitionResult]:
-        """Run phase 2 through the configured executor."""
-        return self.executor.run(tasks)
+        """Build every task's cover, in task order."""
+        results = []
+        for task in tasks:
+            t0 = time.perf_counter()
+            if task.pll:
+                cover = build_pll_cover(
+                    task.nodes, task.edges, distance=task.distance
+                )
+            else:
+                cover = build_partition_cover(
+                    task.nodes,
+                    task.edges,
+                    preselected_centers=task.preselected,
+                    distance=task.distance,
+                )
+            results.append(
+                PartitionResult(task.pid, cover, time.perf_counter() - t0)
+            )
+        return results
 
     # -- phase 3 --------------------------------------------------------
     def join(self, partitioning: Partitioning, partition_covers: Sequence) -> object:
@@ -467,8 +347,6 @@ class BuildPipeline:
             cover_size=cover.size,
             num_nodes=len(cover.nodes),
             seconds_total=time.perf_counter() - start,
-            workers=self.executor.workers,
-            executor=self.executor.name,
             seconds_partitioning=seconds_partitioning,
             seconds_partition_covers=seconds_partition_covers,
             seconds_join=seconds_join,

@@ -472,7 +472,7 @@ class QueryService:
         * ``{"op": "insert_document", "doc_id": d, "root_tag": t,
           "children": [{"ref": r, "parent": ref-or-id, "tag": t}, ...],
           "links": [[ref-or-id, ref-or-id], ...]}``
-        * ``{"op": "rebuild", ...build kwargs...}``
+        * ``{"op": "rebuild"}`` (no other keys: the product build)
 
         Concurrent callers group-commit: their batches queue, one
         drainer applies each to a copy-on-write fork of the index the

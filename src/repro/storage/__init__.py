@@ -11,8 +11,7 @@ that design next to an array-native snapshot format:
   it writes whole indexes (a delta against the last write, or a full
   write), loads them back, and answers the paper's query shapes in SQL;
 * :mod:`repro.storage.snapshot` — CSR-style binary snapshots that
-  round-trip covers without per-row Python overhead (also the wire
-  format of the process-pool build);
+  round-trip covers without per-row Python overhead;
 * :mod:`repro.storage.wal` — the update WAL and the crash-recoverable
   :class:`~repro.storage.wal.DurableIndexStore` over ``index.db``.
 """
@@ -21,7 +20,6 @@ from repro.storage.db import SQLiteCoverStore, load_index, persist_index
 from repro.storage.snapshot import (
     load_snapshot,
     save_snapshot,
-    snapshot_from_bytes,
     snapshot_to_bytes,
 )
 
@@ -31,6 +29,5 @@ __all__ = [
     "persist_index",
     "load_snapshot",
     "save_snapshot",
-    "snapshot_from_bytes",
     "snapshot_to_bytes",
 ]

@@ -26,13 +26,6 @@ Layout (all little-endian)::
 
 Snapshots require integer node labels (element ids always are); covers
 over exotic hashables belong in the SQLite store.
-
-Beyond on-disk persistence the same encoding doubles as the **wire
-format of the process-pool build** (:mod:`repro.core.pipeline`):
-:func:`snapshot_to_bytes` / :func:`snapshot_from_bytes` run the dump
-and load against an in-memory buffer, so a ``multiprocessing`` worker
-can return its partition cover to the parent as one compact, picklable
-``bytes`` blob instead of a deep object graph.
 """
 
 from __future__ import annotations
@@ -149,21 +142,11 @@ def load_snapshot(path: Union[str, Path]) -> Cover:
 
 
 def snapshot_to_bytes(cover: Cover) -> bytes:
-    """The CSR encoding as one ``bytes`` blob.
-
-    The process-pool build's wire format: workers encode their
-    partition cover with this and ship the blob through the process
-    pool's pickle channel — one contiguous buffer instead of thousands
-    of small array objects.
-    """
+    """The CSR encoding as one ``bytes`` blob (what
+    :func:`save_snapshot` writes)."""
     buf = io.BytesIO()
     dump_snapshot(buf, cover)
     return buf.getvalue()
-
-
-def snapshot_from_bytes(data: bytes) -> Cover:
-    """Decode a :func:`snapshot_to_bytes` blob back into a cover."""
-    return read_snapshot(io.BytesIO(data), name="<bytes>")
 
 
 def canonical_snapshot_bytes(cover) -> bytes:
@@ -174,10 +157,9 @@ def canonical_snapshot_bytes(cover) -> bytes:
     is re-represented with nodes interned in sorted order and entries
     inserted in sorted order, so **any two covers with equal node
     universes and label-entry sets encode to identical bytes** —
-    regardless of executor or worker count (and for the test oracle
-    too: only ``nodes`` / ``entries()`` are read). The equivalence test
-    suite and the CI parallel-build-smoke job rely on this to diff
-    whole builds with one byte comparison.
+    regardless of how they were built (and for the test oracle too:
+    only ``nodes`` / ``entries()`` are read). The test suites rely on
+    this to diff whole covers with one byte comparison.
     """
     factory = DistanceTwoHopCover if cover.is_distance_aware else TwoHopCover
     fresh = factory(sorted(cover.nodes))

@@ -9,6 +9,16 @@ import pytest
 from repro.cli import build_parser, main
 
 
+#: ``repro build`` options that are gone, each with a value it once took
+REMOVED_BUILD_FLAGS = {
+    "--strategy": "recursive",
+    "--partitioner": "node_weight",
+    "--partition-limit": "80",
+    "--edge-weight": "AxD",
+    "--workers": "2",
+}
+
+
 @pytest.fixture
 def corpus(tmp_path):
     out = tmp_path / "corpus"
@@ -40,14 +50,18 @@ def test_build_creates_database(index_path):
     assert index_path.stat().st_size > 0
 
 
-def test_build_options(corpus, tmp_path):
-    db = tmp_path / "opt.db"
-    assert main([
-        "build", str(corpus), "-o", str(db),
-        "--strategy", "incremental", "--partitioner", "node_weight",
-        "--partition-limit", "80", "--edge-weight", "AxD",
-    ]) == 0
-    assert db.exists()
+def test_build_options():
+    """``repro build`` takes inputs, ``-o`` and ``--distance``, nothing
+    else: the paper's strategies are library arguments."""
+    commands = next(
+        action.choices for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    options = {
+        action.dest for action in commands["build"]._actions
+        if action.dest != "help"
+    }
+    assert options == {"inputs", "output", "distance"}
 
 
 def test_backend_flag_in_help(index_path, capsys):
@@ -65,15 +79,16 @@ def test_backend_flag_in_help(index_path, capsys):
 
 
 def test_serve_shard_flags_in_help(capsys):
-    """Sharded serving, the build executors beyond the process pool and
-    the sharded join are gone: no help text names them, and the worker
-    daemon subcommand is no longer listed."""
+    """Sharded serving, the build executors, the paper's build options
+    and the sharded join are gone: no help text names them, and the
+    worker daemon subcommand is no longer listed."""
     texts = {}
     for argv in (["--help"], ["build", "--help"], ["serve", "--help"]):
         with pytest.raises(SystemExit):
             main(argv)
         texts[argv[0]] = capsys.readouterr().out
-    for flag in ("--shards", "--shard-workers", "--executor", "--join-shards"):
+    for flag in ("--shards", "--shard-workers", "--executor", "--join-shards",
+                 *REMOVED_BUILD_FLAGS):
         assert not any(flag in text for text in texts.values()), flag
     assert "worker" not in texts["--help"]
     commands = next(
@@ -86,13 +101,27 @@ def test_serve_shard_flags_in_help(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "argv", [list(item) for item in REMOVED_BUILD_FLAGS.items()],
+    ids=list(REMOVED_BUILD_FLAGS),
+)
+def test_removed_build_flags_are_usage_errors(corpus, tmp_path, capsys, argv):
+    """The paper's build options and the pool size are argparse usage
+    errors (exit 2) that create no database."""
+    with pytest.raises(SystemExit) as exc:
+        main(["build", str(corpus), "-o", str(tmp_path / "x.db")] + argv)
+    assert exc.value.code == 2
+    assert argv[0] in capsys.readouterr().err
+    assert not (tmp_path / "x.db").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["--workers", "0"], ["--workers", "-3"], ["--workers", "two"],
     ["--partition-limit", "0"], ["--partition-limit", "-5"],
 ])
 def test_bad_build_sizes_are_usage_errors(corpus, tmp_path, capsys, argv):
-    """A bad pool size or partition limit is an argparse usage error
-    (exit 2), not a traceback from deep inside the build."""
+    """A pool size or partition limit, good or bad, is an argparse usage
+    error (exit 2), not a traceback from deep inside the build."""
     with pytest.raises(SystemExit) as exc:
         main(["build", str(corpus), "-o", str(tmp_path / "x.db")] + argv)
     assert exc.value.code == 2

@@ -46,7 +46,8 @@ def test_readme_covers_the_essentials():
         "repro build",
         "repro query",
         "repro serve",
-        "--workers",
+        "python -m repro.bench",
+        "strategy=",
         "ARCHITECTURE.md",
         "BENCHMARK.json",
         "perf/README.md",
@@ -57,7 +58,8 @@ def test_readme_covers_the_essentials():
 def test_architecture_documents_the_build_pipeline():
     text = (REPO_ROOT / "ARCHITECTURE.md").read_text(encoding="utf-8")
     assert "Offline build pipeline" in text
-    for needle in ("serial", "process", "snapshot", "--workers"):
+    for needle in ("BuildPipeline", "strategy=\"pll\"", "PartitionTask",
+                   "parallel_makespan"):
         assert needle in text, f"ARCHITECTURE.md should mention {needle!r}"
 
 
@@ -72,5 +74,5 @@ def test_every_module_imports_with_a_docstring():
 def test_examples_are_linked_and_exist():
     examples = sorted((REPO_ROOT / "examples").glob("*.py"))
     assert examples, "examples/ should not be empty"
-    names = {p.name for p in examples}
-    assert "parallel_build.py" in names
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    assert "examples/quickstart.py" in readme

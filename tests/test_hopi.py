@@ -53,8 +53,9 @@ def test_distance_builds_correct(kwargs):
 def test_build_rejects_unknown_options(dblp):
     with pytest.raises(ValueError):
         HopiIndex.build(dblp, strategy="bogus")
-    with pytest.raises(ValueError):
-        HopiIndex.build(dblp, partitioner="bogus")
+    for partitioner in ("bogus", "node-weight", "closure-size"):
+        with pytest.raises(ValueError, match="unknown partitioner"):
+            HopiIndex.build(dblp, partitioner=partitioner)
     with pytest.raises(ValueError):
         HopiIndex.build(dblp, edge_weight="bogus")
 

@@ -1,16 +1,13 @@
-"""The build pipeline: serial vs process-pool equivalence.
+"""The build pipeline's paper strategies (Sections 4 and 5).
 
-The pipeline's contract (module docstring of :mod:`repro.core.pipeline`)
-is that the final cover's label entries are **bit-identical** for every
-worker count. This suite pins that on seeded random
-collections — after the build, and after a round of Section-6
-maintenance applied in lock-step to a serially-built and a
-parallel-built index — plus the wire format round-trip and the executor
-plumbing itself. The ``arrays`` rows compare and audit the built covers
-as they are; the ``sets`` rows first hand every built cover's entries
-to the oracle (``tests/cover_oracle.py``), so the comparison, the
-maintenance round and the BFS-closure audit all run on the reference
-semantics instead of the code that built them.
+Partitioned builds are audited against a BFS closure on seeded random
+collections, as built and after a round of Section-6 maintenance; the
+phase plumbing, option validation and partition-task extraction are
+pinned too. The ``arrays`` rows audit the built covers as they are; the
+``sets`` rows first hand every built cover's entries to the oracle
+(``tests/cover_oracle.py``), so the maintenance round and the
+BFS-closure audit run on the reference semantics instead of the code
+that built them.
 """
 
 import random
@@ -19,22 +16,9 @@ import warnings
 import pytest
 
 from cover_oracle import index_in_state
-from repro.core.cover_builder import build_partition_cover
 from repro.core.hopi import HopiIndex
-from repro.core.pipeline import (
-    BuildPipeline,
-    PartitionTask,
-    ProcessExecutor,
-    SerialExecutor,
-    _partition_cover_worker,
-    make_executor,
-    normalize_partitioner,
-)
-from repro.storage.snapshot import (
-    canonical_snapshot_bytes,
-    snapshot_from_bytes,
-    snapshot_to_bytes,
-)
+from repro.core.pipeline import BuildPipeline
+from repro.storage.snapshot import canonical_snapshot_bytes
 from repro.xmlmodel.model import Collection
 
 TAGS = ("a", "b", "c")
@@ -59,10 +43,6 @@ def random_collection(seed: int, *, n_docs: int = 6) -> Collection:
     return collection
 
 
-def entries_of(index: HopiIndex):
-    return sorted(index.cover.entries())
-
-
 def build(collection: Collection, state: str, **kwargs) -> HopiIndex:
     """``HopiIndex.build`` with the result put into cover ``state``."""
     return index_in_state(HopiIndex.build(collection, **kwargs), state)
@@ -81,117 +61,6 @@ def maintenance_round(index: HopiIndex, seed: int) -> None:
     index.delete_document(victim)
 
 
-@pytest.mark.parametrize("state", ["sets", "arrays"])
-@pytest.mark.parametrize("strategy", ["recursive", "incremental"])
-@pytest.mark.parametrize("seed", [0, 1])
-def test_serial_vs_process_identical(state, strategy, seed):
-    collection = random_collection(seed)
-    serial = build(
-        collection,
-        state,
-        strategy=strategy,
-        partitioner="node_weight",
-        partition_limit=12,
-    )
-    parallel = build(
-        random_collection(seed),  # structurally identical twin
-        state,
-        strategy=strategy,
-        partitioner="node_weight",
-        partition_limit=12,
-        workers=2,
-    )
-    assert parallel.stats.executor == "process"
-    assert parallel.stats.workers == 2
-    assert parallel.stats.num_partitions == serial.stats.num_partitions
-    assert entries_of(serial) == entries_of(parallel)
-    serial.verify()
-    parallel.verify()
-
-
-@pytest.mark.parametrize("state", ["sets", "arrays"])
-def test_identical_after_maintenance(state):
-    """Parallel-built indexes stay in lock-step through Section-6 ops."""
-    serial = build(
-        random_collection(3),
-        state,
-        partitioner="node_weight",
-        partition_limit=12,
-    )
-    parallel = build(
-        random_collection(3),
-        state,
-        partitioner="node_weight",
-        partition_limit=12,
-        workers=2,
-    )
-    maintenance_round(serial, seed=7)
-    maintenance_round(parallel, seed=7)
-    assert entries_of(serial) == entries_of(parallel)
-    serial.verify()
-    parallel.verify()
-
-
-@pytest.mark.parametrize("state", ["sets", "arrays"])
-def test_distance_build_identical(state):
-    collection = random_collection(4, n_docs=4)
-    serial = build(
-        collection, state, distance=True, partitioner="node_weight",
-        partition_limit=12,
-    )
-    parallel = build(
-        random_collection(4, n_docs=4), state, distance=True,
-        partitioner="node_weight", partition_limit=12, workers=2,
-    )
-    assert entries_of(serial) == entries_of(parallel)
-    parallel.verify()
-
-
-def test_wire_roundtrip_preserves_cover():
-    """The CSR blob is a lossless encoding of a partition cover."""
-    collection = random_collection(5)
-    graph = collection.element_graph()
-    cover = build_partition_cover(
-        tuple(graph.nodes()), tuple(graph.edges())
-    )
-    blob = snapshot_to_bytes(cover)
-    assert isinstance(blob, bytes) and blob
-    decoded = snapshot_from_bytes(blob)
-    assert sorted(decoded.entries()) == sorted(cover.entries())
-    assert set(decoded.nodes) == set(cover.nodes)
-
-
-def test_worker_function_is_self_contained():
-    """The process-pool entry point works on a bare task tuple."""
-    collection = random_collection(6, n_docs=3)
-    graph = collection.element_graph()
-    task = PartitionTask(
-        pid=9,
-        nodes=tuple(graph.nodes()),
-        edges=tuple(graph.edges()),
-        preselected=(),
-        distance=False,
-    )
-    pid, payload, seconds = _partition_cover_worker(task)
-    assert pid == 9 and seconds >= 0
-    decoded = snapshot_from_bytes(payload)
-    direct = build_partition_cover(task.nodes, task.edges)
-    assert sorted(decoded.entries()) == sorted(direct.entries())
-
-
-def test_executor_resolution():
-    """The worker count alone picks the executor."""
-    assert isinstance(make_executor(None), SerialExecutor)
-    assert isinstance(make_executor(1), SerialExecutor)
-    proc = make_executor(4)
-    assert isinstance(proc, ProcessExecutor) and proc.workers == 4
-    for bad in (0, -3):
-        with pytest.raises(ValueError):
-            make_executor(bad)
-        with pytest.raises(ValueError):
-            BuildPipeline(random_collection(8, n_docs=3), workers=bad)
-
-
 @pytest.mark.parametrize("limit", [0, -5])
 def test_partition_limit_below_one_is_rejected(limit):
     """Regression: ``partition_limit=0`` used to fall back to the
@@ -207,20 +76,6 @@ def test_partition_limit_below_one_is_rejected(limit):
                             partition_limit=limit)
 
 
-def test_partitioner_aliases():
-    assert normalize_partitioner("node-weight") == "node_weight"
-    assert normalize_partitioner("closure-size") == "closure"
-    assert normalize_partitioner("closure") == "closure"
-    assert normalize_partitioner("single") == "single"
-    with pytest.raises(ValueError):
-        normalize_partitioner("metis")
-    collection = random_collection(8, n_docs=3)
-    via_alias = HopiIndex.build(
-        collection, strategy="recursive", partitioner="closure-size"
-    )
-    assert via_alias.stats.partitioner == "closure"
-
-
 def test_pipeline_phases_accounted():
     """Phase timings and per-partition seconds land in BuildStats."""
     pipeline = BuildPipeline(
@@ -228,13 +83,11 @@ def test_pipeline_phases_accounted():
         strategy="recursive",
         partitioner="node_weight",
         partition_limit=12,
-        workers=2,
     )
     cover, stats = pipeline.run()
     assert stats.num_partitions >= 2
     assert len(stats.partition_cover_seconds) == stats.num_partitions
     assert stats.seconds_total >= stats.seconds_join
-    assert stats.executor == "process"
     assert cover.size == stats.cover_size
 
 
@@ -279,15 +132,6 @@ def test_partition_tasks_keep_subcollection_graph_order(seed):
         assert task.edges == tuple(graph.edges())
 
 
-def test_unpartitioned_ignores_workers():
-    index = HopiIndex.build(
-        random_collection(10, n_docs=3), strategy="unpartitioned", workers=4
-    )
-    assert index.stats.executor == "serial"
-    assert index.stats.workers == 1
-    index.verify()
-
-
 def test_closure_partitioner_oversized_doc_warns_not_fails():
     """Regression: a single document whose closure exceeds the budget
     must degrade to a warned-about singleton partition, not an error."""
@@ -308,10 +152,10 @@ def test_closure_partitioner_oversized_doc_warns_not_fails():
 
 
 # ---------------------------------------------------------------------------
-# serial × process byte identity
+# partitioned builds through maintenance
 # ---------------------------------------------------------------------------
 
-#: build flavours of the identity matrix: the two partitioned joins and
+#: build flavours of the audit matrix: the two partitioned joins and
 #: the distance-aware build
 FLAVOURS = {
     "recursive": dict(strategy="recursive"),
@@ -323,28 +167,18 @@ FLAVOURS = {
 @pytest.mark.parametrize("state", ["sets", "arrays"])
 @pytest.mark.parametrize("flavour", sorted(FLAVOURS))
 @pytest.mark.parametrize("seed", [12, 13])
-def test_serial_and_process_snapshots_identical(state, flavour, seed):
-    """Canonical snapshots are byte-identical for serial and process
-    builds with 2 and 3 workers, as built and after one round of
-    Section-6 maintenance, both as built and through the oracle."""
-    options = dict(partitioner="node_weight", partition_limit=12,
-                   **FLAVOURS[flavour])
-    baseline = build(random_collection(seed, n_docs=5), state, **options)
-    baseline_blob = canonical_snapshot_bytes(baseline.cover)
-    baseline.verify()
-    maintenance_round(baseline, seed=seed)
-    maintained_blob = canonical_snapshot_bytes(baseline.cover)
-    for workers in (2, 3):
-        index = build(
-            random_collection(seed, n_docs=5), state, workers=workers,
-            **options,
-        )
-        assert index.stats.executor == "process"
-        assert index.stats.workers == workers
-        assert canonical_snapshot_bytes(index.cover) == baseline_blob, workers
-        maintenance_round(index, seed=seed)
-        assert canonical_snapshot_bytes(index.cover) == maintained_blob, workers
-    baseline.verify()
+def test_partitioned_build_verifies_through_maintenance(state, flavour, seed):
+    """A partitioned build answers like the BFS closure as built and
+    after one round of Section-6 maintenance, both as built and through
+    the oracle."""
+    index = build(
+        random_collection(seed, n_docs=5), state,
+        partitioner="node_weight", partition_limit=12, **FLAVOURS[flavour],
+    )
+    assert index.stats.num_partitions >= 2
+    index.verify()
+    maintenance_round(index, seed=seed)
+    index.verify()
 
 
 def test_canonical_snapshot_bytes_is_order_insensitive():

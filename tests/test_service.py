@@ -388,10 +388,35 @@ class TestServiceUpdates:
 
     def test_rebuild_op(self, arrays_index):
         service = QueryService(arrays_index.copy())
-        report = service.update([{"op": "rebuild", "strategy": "unpartitioned"}])
+        report = service.update([{"op": "rebuild"}])
         assert report["epoch"] == 1
         assert report["reports"][0]["cover_size"] == service.index.cover.size
+        assert service.index.stats.strategy == "pll"
         service.index.verify()
+
+    @pytest.mark.parametrize("options", [
+        {"strategy": "recursive", "partitioner": "node_weight",
+         "partition_limit": 10, "workers": 8},
+        {"workers": 8},
+        {"distance": True},
+    ])
+    def test_rebuild_op_takes_no_build_options(
+        self, arrays_index, monkeypatch, options
+    ):
+        """A ``rebuild`` op carrying build options is a 400: it must not
+        swap the served cover for another build, nor start processes."""
+        import multiprocessing.process
+
+        def no_spawn(process):
+            raise AssertionError(f"rebuild op spawned {process!r}")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_spawn)
+        service = QueryService(arrays_index.copy())
+        stats = service.index.stats
+        with pytest.raises(UpdateError, match="takes no options"):
+            service.update([{"op": "rebuild", **options}])
+        assert service.epoch == 0
+        assert service.index.stats is stats
 
     def test_queued_batches_group_commit_with_one_fork_each(
         self, arrays_index, monkeypatch

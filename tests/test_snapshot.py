@@ -112,8 +112,8 @@ def test_failed_save_leaves_existing_snapshot_intact(tmp_path):
 
 
 def test_snapshot_bytes_roundtrip_matches_file(tmp_path):
-    """snapshot_to_bytes/from_bytes is the same encoding as the file."""
-    from repro.storage.snapshot import snapshot_from_bytes, snapshot_to_bytes
+    """snapshot_to_bytes is the same encoding as the file."""
+    from repro.storage.snapshot import snapshot_to_bytes
 
     cover = TwoHopCover([1, 2, 3])
     cover.add_lout(1, 2)
@@ -122,4 +122,4 @@ def test_snapshot_bytes_roundtrip_matches_file(tmp_path):
     path = tmp_path / "cover.snap"
     assert save_snapshot(path, cover) == len(blob)
     assert path.read_bytes() == blob
-    assert sorted(snapshot_from_bytes(blob).entries()) == sorted(cover.entries())
+    assert sorted(load_snapshot(path).entries()) == sorted(cover.entries())

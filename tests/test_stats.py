@@ -64,6 +64,7 @@ def test_cover_degradation_and_rebuild():
 def test_rebuild_preserves_distance_flag():
     c = dblp_like(8, seed=3)
     index = HopiIndex.build(c, strategy="unpartitioned", distance=True)
-    index.rebuild(strategy="unpartitioned")
+    index.rebuild()
     assert index.is_distance_aware
+    assert index.stats.strategy == "pll"
     index.verify()

@@ -251,27 +251,32 @@ class TestCrashRecovery:
         assert recovered.epoch == service.epoch
         assert snap(recovered) == snap(service.index)
 
-    @pytest.mark.parametrize(
-        "rebuild",
-        [{"op": "rebuild"}, {"op": "rebuild", "strategy": "unpartitioned"}],
-        ids=["rebuild", "rebuild-unpartitioned"],
-    )
-    def test_full_rewrite_after_deltas(self, seeded, rebuild):
+    def test_full_rewrite_after_deltas(self, seeded):
         """A rebuild shares no label row with the base, so its
-        checkpoint rewrites every row of a delta-maintained file —
-        also when the fresh cover is shaped differently."""
+        checkpoint rewrites every row of a delta-maintained file — here
+        the fresh PLL cover is also shaped differently from the greedy
+        ``recursive`` base."""
         index, store = seeded
         store.checkpoint_interval = 2
         service = QueryService(index, durable_store=store)
         for tag in ("a", "b", "c", "d", "e"):  # two deltas, one pending
             service.update(make_ops(index, tag))
-        service.update([rebuild])
+        service.update([{"op": "rebuild"}])
         assert stored_tables(store.db_path) == fresh_tables(service.index, store.root)
         service.update(make_ops(index, "f"))
 
         recovered = DurableIndexStore(store.root).recover()
         assert recovered.epoch == service.epoch
         assert snap(recovered) == snap(service.index)
+
+    def test_rebuild_with_build_options_refuses_to_replay(self, seeded):
+        """A logged ``rebuild`` that names build options (older servers
+        accepted them) is refused on replay rather than replayed as a
+        different build than the one acknowledged."""
+        _, store = seeded
+        store.wal.append(1, [{"op": "rebuild", "strategy": "recursive"}])
+        with pytest.raises(UpdateError, match="takes no options"):
+            DurableIndexStore(store.root).recover()
 
     def test_multi_batch_recovery_parity(self, seeded):
         """Several batches, a failed one in the middle, then a crash:
