@@ -253,7 +253,9 @@ def run_maintenance_experiment(
     testing takes ~2 s and the separating delete ~13 s; non-separating
     deletes can cost more than a rebuild. Every deletion here runs on a
     fresh copy of the index (cheap at bench scale) so the samples are
-    independent.
+    independent. The non-separating column times Theorem 3 as the
+    product runs it: the region is re-labelled by pruned landmark
+    labelling, not by the paper's partitioned join.
     """
     rng = random.Random(seed)
     docs = sorted(collection.documents)

@@ -407,6 +407,18 @@ class _CoverBase:
         if row is not None and sorted_contains(row, node):
             sorted_remove(self._owned(inv, center), node)
 
+    def _inv_update(
+        self, inv: List[Optional[array]], node: int, old: array, new: array
+    ) -> None:
+        """Move ``node`` in the backward index ``inv`` from the centers of
+        its ``old`` label row to those of its ``new`` one, touching only
+        the centers that differ."""
+        old_ids, new_ids = set(old), set(new)
+        for ci in old_ids - new_ids:
+            self._inv_discard(inv, ci, node)
+        for ci in new_ids - old_ids:
+            self._inv_add(inv, ci, node)
+
     # -- disjoint merge --------------------------------------------------
     def absorb_disjoint(self, other) -> None:
         """:meth:`union`, optimised for node-disjoint covers.
@@ -778,16 +790,16 @@ class TwoHopCover(_CoverBase):
         node: Node,
         centers: Iterable[Node],
     ) -> None:
-        self._slabs = None
         ni = self._intern(node)
-        old = table[ni]
-        if old:
-            for ci in old:
-                self._inv_discard(inv, ci, ni)
-        new_ids = sorted({self._intern(c) for c in centers if c != node})
-        table[ni] = array(ID_TYPECODE, new_ids) if new_ids else None
-        for ci in new_ids:
-            self._inv_add(inv, ci, ni)
+        row = array(
+            ID_TYPECODE, sorted({self._intern(c) for c in centers if c != node})
+        )
+        old = table[ni] or array(ID_TYPECODE)
+        if row == old:
+            return  # the row stays the object a COW sibling may share
+        self._slabs = None
+        table[ni] = row or None
+        self._inv_update(inv, ni, old, row)
 
     def set_lin(self, node: Node, centers: Iterable[Node]) -> None:
         """Replace ``Lin(node)`` wholesale (used by Theorems 2 and 3)."""
@@ -1082,23 +1094,20 @@ class DistanceTwoHopCover(_CoverBase):
         node: Node,
         entries: Mapping[Node, int],
     ) -> None:
-        self._slabs = None
         ni = self._intern(node)
-        old = table[ni]
-        if old:
-            for ci in old:
-                self._inv_discard(inv, ci, ni)
         pairs = sorted(
             (self._intern(c), d) for c, d in entries.items() if c != node
         )
-        if pairs:
-            table[ni] = array(ID_TYPECODE, (p[0] for p in pairs))
-            dists[ni] = array(ID_TYPECODE, (p[1] for p in pairs))
-            for ci, _ in pairs:
-                self._inv_add(inv, ci, ni)
-        else:
-            table[ni] = None
-            dists[ni] = None
+        row = array(ID_TYPECODE, (p[0] for p in pairs))
+        row_dists = array(ID_TYPECODE, (p[1] for p in pairs))
+        old = table[ni] or array(ID_TYPECODE)
+        if row == old and row_dists == (dists[ni] or array(ID_TYPECODE)):
+            return  # the rows stay the objects a COW sibling may share
+        self._slabs = None
+        dists[ni] = row_dists or None
+        if row != old:
+            table[ni] = row or None
+            self._inv_update(inv, ni, old, row)
 
     def set_lin(self, node: Node, entries: Mapping[Node, int]) -> None:
         """Replace ``Lin(node)`` wholesale (used by Theorems 2 and 3)."""

@@ -256,11 +256,13 @@ def build_pll_cover(
     edges: Sequence[Tuple[Node, Node]],
     *,
     distance: bool = False,
+    order: Optional[Sequence[Node]] = None,
 ):
     """Pruned landmark labelling of an arbitrary digraph (cycles allowed).
 
     Vertices are taken by ``(out + 1) * (in + 1)`` descending, ties
-    broken by node id. For each vertex ``w`` a forward BFS adds ``w`` to
+    broken by node id, unless ``order`` lists them (every vertex once,
+    first labelled first). For each vertex ``w`` a forward BFS adds ``w`` to
     ``Lin(v)`` of every ``v`` it reaches, then a backward BFS adds ``w``
     to ``Lout(u)`` of every ``u`` that reaches it. A vertex whose
     connection to ``w`` the labels written so far already answer (for
@@ -272,6 +274,8 @@ def build_pll_cover(
         nodes: every vertex (isolated ones included).
         edges: the directed edges; duplicates and self-loops are ignored.
         distance: build a :class:`DistanceTwoHopCover` instead.
+        order: the vertex order, when a caller labels a subgraph in its
+            host graph's order (the Theorem-3 region re-label).
 
     Returns:
         The cover, written once through ``from_entries`` (self entries
@@ -286,10 +290,13 @@ def build_pll_cover(
             ui, vi = index[u], index[v]
             succ[ui].append(vi)
             pred[vi].append(ui)
-    order = sorted(
-        range(n),
-        key=lambda i: (-(len(succ[i]) + 1) * (len(pred[i]) + 1), nodes[i]),
-    )
+    if order is None:
+        ranked = sorted(
+            range(n),
+            key=lambda i: (-(len(succ[i]) + 1) * (len(pred[i]) + 1), nodes[i]),
+        )
+    else:
+        ranked = [index[v] for v in order]
     # labels as lazily created lists of dense ids; for distance, an
     # aligned list of distances per label
     lin: List[Optional[List[int]]] = [None] * n
@@ -298,7 +305,7 @@ def build_pll_cover(
     lout_dist: List[Optional[List[int]]] = [None] * n
     seen = [-1] * n
     stamp = 0
-    for w in order:
+    for w in ranked:
         for adjacency, own, own_dist, far, far_dist in (
             (succ, lout, lout_dist, lin, lin_dist),   # forward: into Lin
             (pred, lin, lin_dist, lout, lout_dist),   # backward: into Lout

@@ -27,13 +27,15 @@ a from-scratch rebuild.
   partially recomputes the closure: the region reachable from the
   surviving ancestors of ``d_i``'s elements is walked over the
   collection's own tree edges and links (never the whole element
-  graph), cut into tree fragments — one per region element whose parent
-  lies outside the region — and re-covered by the partitioned
-  :class:`~repro.core.pipeline.BuildPipeline` with every fragment its
-  own partition (Section 6.1's "new partition" rule, applied to the
-  region). The fresh cover is spliced into the old one (ancestors'
-  ``Lout`` are replaced; descendants' ``Lin`` drop ancestor-side
-  centers and gain the fresh ones).
+  graph) and re-labelled by pruned landmark labelling
+  (:func:`~repro.core.cover_builder.build_pll_cover`) in the whole
+  graph's vertex order — the order a fresh build of the new graph would
+  take — where the paper re-covers it by its partitioned join. The
+  fresh labels are spliced in: every region node's ``Lout`` is replaced
+  (the region is closed under reachability, so the fresh labels cover
+  every connection out of it); ``Lin`` labels gain the fresh centers,
+  and those of surviving descendants first drop the ancestors. Only
+  rows that change are rewritten.
 
 * **Edge deletion**: same structure as general document deletion, with
   a fast path — if the edge's endpoints remain connected after removal
@@ -53,16 +55,15 @@ from itertools import chain
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.core.cover import DistanceTwoHopCover, TwoHopCover
-from repro.core.cover_builder import build_cover
+from repro.core.cover_builder import build_cover, build_pll_cover
 from repro.core.distance import build_distance_cover
 from repro.core.join import insert_link, insert_link_distance
-from repro.core.pipeline import BuildPipeline
 from repro.graph.traversal import (
     ancestors as graph_ancestors,
     descendants as graph_descendants,
     multi_source_reaches,
 )
-from repro.xmlmodel.model import Collection, DocId, Document, Element, ElementId
+from repro.xmlmodel.model import Collection, DocId, ElementId
 
 Cover = Union[TwoHopCover, DistanceTwoHopCover]
 
@@ -353,61 +354,34 @@ def _cover_descendants_of_set(cover: Cover, nodes: Set[ElementId]) -> Set[Elemen
 def _splice_fresh_cover(
     cover: Cover,
     fresh: Cover,
-    affected_out: Set[ElementId],
-    affected_in: Set[ElementId],
+    region: Set[ElementId],
+    seeds: Set[ElementId],
+    descendants: Set[ElementId],
 ) -> None:
     """Theorem 3's label surgery.
 
-    ``L' := L ∪ L̂`` except: for every surviving ancestor ``a`` the out
-    label is **replaced** by the fresh one; for every surviving
-    descendant ``d`` the in label drops ancestor-side centers and gains
-    the fresh ones.
+    ``L' := L ∪ L̂`` except: every ``region`` node's out label is
+    **replaced** by the fresh one — the region is closed under
+    reachability, so every connection out of it is one ``fresh``
+    covers — and every surviving descendant's in label drops the
+    ancestor ``seeds`` before it gains the fresh centers. Rows that
+    come out equal are left alone.
     """
     distance = _is_distance(cover)
-    for a in affected_out:
-        if a not in cover.nodes:
-            continue
+    for x in region:
+        cover.set_lout(x, fresh.lout_of(x))
+    for x in region | descendants:
+        lin = cover.lin_of(x)
+        drop = seeds if x in descendants else ()
         if distance:
-            cover.set_lout(a, dict(fresh.lout_of(a)))
-        else:
-            cover.set_lout(a, set(fresh.lout_of(a)))
-    for d in affected_in:
-        if d not in cover.nodes:
-            continue
-        if distance:
-            kept = {
-                c: dist
-                for c, dist in cover.lin_of(d).items()
-                if c not in affected_out
-            }
-            for c, dist in fresh.lin_of(d).items():
+            kept = {c: dist for c, dist in lin.items() if c not in drop}
+            for c, dist in fresh.lin_of(x).items():
                 if c not in kept or dist < kept[c]:
                     kept[c] = dist
-            cover.set_lin(d, kept)
         else:
-            kept = {c for c in cover.lin_of(d) if c not in affected_out}
-            kept |= set(fresh.lin_of(d))
-            cover.set_lin(d, kept)
-    # remaining fresh labels (nodes in the recomputed region that are
-    # neither ancestors nor descendants) are unioned in — sound because
-    # every fresh entry witnesses a real path in the new graph.
-    for node in fresh.nodes:
-        if node in affected_out and node in affected_in:
-            continue
-        if node not in affected_out:
-            if distance:
-                for c, dist in fresh.lout_of(node).items():
-                    cover.add_lout(node, c, dist)
-            else:
-                for c in fresh.lout_of(node):
-                    cover.add_lout(node, c)
-        if node not in affected_in:
-            if distance:
-                for c, dist in fresh.lin_of(node).items():
-                    cover.add_lin(node, c, dist)
-            else:
-                for c in fresh.lin_of(node):
-                    cover.add_lin(node, c)
+            kept = {c for c in lin if c not in drop}
+            kept.update(fresh.lin_of(x))
+        cover.set_lin(x, kept)
 
 
 def _link_targets(collection: Collection) -> Dict[ElementId, List[ElementId]]:
@@ -442,57 +416,44 @@ def _reach(
     return seen
 
 
-def _region_fragments(
-    collection: Collection,
-    links: Dict[ElementId, List[ElementId]],
-    region: Set[ElementId],
-) -> Collection:
-    """The region — closed under reachability, so under tree children —
-    as a collection of tree fragments: one per region element whose
-    parent lies outside it, keeping global element ids. A link inside
-    one fragment becomes an intra-link, one between fragments an
-    inter-link. Fragment ids come from root ids and every set is filled
-    in sorted order, so the cover built on the result depends neither
-    on ``PYTHONHASHSEED`` nor on how the collection was loaded."""
-    elements = collection.elements
-    fragments = Collection()
-    for root in sorted(x for x in region if elements[x].parent not in region):
-        frag_id = f"@{root}"
-        source = collection.documents[elements[root].doc]
-        fragment = fragments.documents[frag_id] = Document(frag_id, root)
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            e = elements[x]
-            parent = None if x == root else e.parent
-            fragments.elements[x] = Element(x, e.tag, frag_id, parent)
-            for child in source.children[x]:
-                fragment.add_child(x, child)
-                stack.append(child)
-    for u in sorted(region):
-        for v in sorted(links.get(u, ())):
-            fragments.add_link(u, v)
-    return fragments
-
-
 def _rebuild_region(
     collection: Collection,
     cover: Cover,
     seeds: Set[ElementId],
+    descendants: Set[ElementId],
     links: Dict[ElementId, List[ElementId]],
-) -> Tuple[Cover, int]:
-    """Re-cover the part of the new graph reachable from ``seeds``: walk
-    it, cut it into tree fragments, and build their cover with the
-    paper's recursive join, every fragment its own partition."""
+) -> int:
+    """Re-label the part of the new graph reachable from ``seeds`` by
+    pruned landmark labelling, splice the labels in, and return the
+    region's size.
+
+    The vertex order is the whole graph's, restricted to the region:
+    ``(out + 1) * (in + 1)`` descending, with a region node's in-degree
+    counting links from outside the region, ties broken by id. A region
+    ordered by its own degrees drifts away from a fresh build's labels."""
     region = _reach(collection, links, seeds)
-    fragments = _region_fragments(collection, links, region)
-    fresh, _ = BuildPipeline(
-        fragments,
-        strategy="recursive",
-        partitioner="single",
+    elements, documents = collection.elements, collection.documents
+    succ: Dict[ElementId, Set[ElementId]] = {}
+    pred: Dict[ElementId, Set[ElementId]] = {}
+    for x in region:
+        e = elements[x]
+        succ[x] = set(chain(documents[e.doc].children[x], links.get(x, ()))) - {x}
+        pred[x] = set() if e.parent is None else {e.parent}
+    for u, targets in links.items():
+        for v in targets:
+            if v in pred and v != u:
+                pred[v].add(u)
+    order = sorted(
+        region, key=lambda x: (-(len(succ[x]) + 1) * (len(pred[x]) + 1), x)
+    )
+    fresh = build_pll_cover(
+        sorted(region),
+        [(x, y) for x in order for y in succ[x]],
         distance=_is_distance(cover),
-    ).run()
-    return fresh, len(region)
+        order=order,
+    )
+    _splice_fresh_cover(cover, fresh, region, seeds, descendants)
+    return len(region)
 
 
 def delete_document(
@@ -529,10 +490,9 @@ def delete_document(
     collection.remove_document(doc_id)
     cover.remove_nodes(v_di)
     seeds = a_di - v_di
-    fresh, region_size = _rebuild_region(
-        collection, cover, seeds, _link_targets(collection)
+    region_size = _rebuild_region(
+        collection, cover, seeds, d_di - v_di, _link_targets(collection)
     )
-    _splice_fresh_cover(cover, fresh, a_di - v_di, d_di - v_di)
     return MaintenanceReport(
         operation="delete_document",
         separating=False,
@@ -581,8 +541,7 @@ def delete_edge(
         )
     a_e = cover.ancestors(u)  # includes u
     d_e = cover.descendants(v)  # includes v
-    fresh, region_size = _rebuild_region(collection, cover, a_e, links)
-    _splice_fresh_cover(cover, fresh, a_e, d_e)
+    region_size = _rebuild_region(collection, cover, a_e, d_e, links)
     return MaintenanceReport(
         operation="delete_edge",
         separating=False,

@@ -305,3 +305,26 @@ def test_forked_array_cover_survives_pickle():
     before = snap(fork)
     revived.add_lin(next(iter(revived.nodes)), next(iter(revived.nodes)))
     assert snap(fork) == before
+
+
+@pytest.mark.parametrize("distance", [False, True])
+def test_rewriting_an_unchanged_label_keeps_the_shared_row(distance):
+    """``set_lin`` / ``set_lout`` with the centers a row already holds
+    change nothing: the fork's row stays the very object the parent
+    holds (so a delta checkpoint skips it) and the bytes are equal."""
+    index = build("dblp", "arrays", distance=distance)
+    cover = index.cover
+    baseline = snap(index)
+    fork = index.cow_copy()
+    tables = ["_lin", "_lout"] + (["_lin_dist", "_lout_dist"] if distance else [])
+    labelled = [
+        x for x in sorted(cover.nodes) if cover.lin_of(x) and cover.lout_of(x)
+    ]
+    assert labelled
+    for x in labelled:
+        fork.cover.set_lin(x, cover.lin_of(x))
+        fork.cover.set_lout(x, cover.lout_of(x))
+        iid = cover.interner.get(x)
+        for name in tables:
+            assert getattr(fork.cover, name)[iid] is getattr(cover, name)[iid]
+    assert snap(fork) == snap(index) == baseline

@@ -425,7 +425,7 @@ def test_mixed_workload_on_dblp():
 
 
 # ---------------------------------------------------------------------------
-# the Theorem-3 region re-cover
+# the Theorem-3 region re-label
 # ---------------------------------------------------------------------------
 
 REGION_SETTINGS = settings(
@@ -470,25 +470,13 @@ def linked_collections(draw, max_docs=4):
 
 @REGION_SETTINGS
 @given(linked_collections(), st.data())
-def test_region_fragments_are_the_induced_subgraph(c, data):
+def test_region_is_the_union_of_the_seeds_descendants(c, data):
     seeds = data.draw(
         st.lists(st.sampled_from(sorted(c.elements)), min_size=1, max_size=3)
     )
-    links = maintenance._link_targets(c)
-    region = maintenance._reach(c, links, seeds)
+    region = maintenance._reach(c, maintenance._link_targets(c), seeds)
     graph = c.element_graph()
     assert region == set().union(*(graph_descendants(graph, s) for s in seeds))
-
-    fragments = maintenance._region_fragments(c, links, region)
-    fragment_graph = fragments.element_graph()
-    expected = graph.subgraph(region)
-    assert set(fragment_graph.nodes()) == region
-    assert set(fragment_graph.edges()) == set(expected.edges())
-    owners = Counter(e for doc in fragments.documents.values() for e in doc.elements)
-    assert set(owners) == region and set(owners.values()) <= {1}
-    for frag_id, doc in fragments.documents.items():
-        assert frag_id == f"@{doc.root}"
-        assert c.elements[doc.root].parent not in region
 
 
 @REGION_SETTINGS
@@ -510,23 +498,6 @@ def test_general_deletes_keep_the_cover_exact(c, distance, data):
         _verify(c, cover, distance)
 
 
-def test_region_link_between_fragments_of_one_document_is_an_inter_link():
-    c = Collection()
-    a = c.new_document("a", "r")
-    r = c.new_document("b", "r")
-    x = c.add_child(r.eid, "x")
-    y = c.add_child(r.eid, "y")
-    c.add_link(a.eid, x.eid)
-    c.add_link(a.eid, y.eid)
-    c.add_link(x.eid, y.eid)  # intra-link of b across its two fragments
-    links = maintenance._link_targets(c)
-    region = maintenance._reach(c, links, [x.eid])
-    assert region == {x.eid, y.eid}
-    fragments = maintenance._region_fragments(c, links, region)
-    assert sorted(fragments.documents) == [f"@{x.eid}", f"@{y.eid}"]
-    assert fragments.inter_links == {(x.eid, y.eid)}
-
-
 def _absorbing_link(c, avoid_doc):
     """A link whose removal disconnects its endpoints (so a reachability
     ``delete_edge`` re-covers), away from ``avoid_doc``."""
@@ -543,32 +514,39 @@ def _absorbing_link(c, avoid_doc):
 @pytest.mark.parametrize("distance", [False, True])
 def test_theorem3_paths_build_no_whole_graph_and_no_flat_cover(monkeypatch, distance):
     """The non-separating delete and the re-covering ``delete_edge`` walk
-    the collection and re-cover through the partitioned pipeline: no
-    ``Collection.element_graph`` and no flat builder call from the
-    maintenance module."""
+    the collection and re-label only the region by PLL: no
+    ``Collection.element_graph``, no flat builder and no paper pipeline
+    call from the maintenance module."""
     c = dblp_like(20, seed=5)
     cover = _fresh_cover(c, distance)
     victim = next(d for d in sorted(c.documents) if not document_separates(c, d))
     edge = _absorbing_link(c, victim)
+    elements = c.num_elements
     calls = Counter()
+    pll_nodes = []
     for owner, name in [
         (Collection, "element_graph"),
         (maintenance, "build_cover"),
         (maintenance, "build_distance_cover"),
+        (maintenance, "build_pll_cover"),
         (BuildPipeline, "run"),
     ]:
         real = getattr(owner, name)
 
         def counted(*args, _real=real, _name=name, **kwargs):
             calls[_name] += 1
+            if _name == "build_pll_cover":
+                pll_nodes.append(len(args[0]))
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
-    assert delete_document(c, cover, victim).separating is False
-    assert delete_edge(c, cover, *edge).separating is False
-    assert calls["element_graph"] == 0
+    reports = [delete_document(c, cover, victim), delete_edge(c, cover, *edge)]
+    assert [r.separating for r in reports] == [False, False]
+    assert calls["element_graph"] == calls["run"] == 0
     assert calls["build_cover"] == calls["build_distance_cover"] == 0
-    assert calls["run"] == 2
+    assert calls["build_pll_cover"] == 2
+    assert pll_nodes == [r.recovered_region_size for r in reports]
+    assert max(pll_nodes) < elements
     monkeypatch.undo()
     _verify(c, cover, distance)
 
@@ -586,6 +564,20 @@ def test_maintained_cover_stays_near_rebuilt_size():
     assert deleted >= 10
     index.verify()
     assert index.cover.size <= 1.10 * HopiIndex.build(c).cover.size
+
+
+def test_region_relabel_in_the_whole_graph_order_keeps_a_fresh_build_size():
+    """The same deletes on a PLL-built index: re-labelling each region in
+    the whole graph's vertex order keeps the maintained cover within 2 %
+    of a fresh build (a region ordered by its own degrees ends ~11 %
+    above, the paper's recursive join of the region ~4 %)."""
+    c = dblp_like(40, seed=2)
+    index = HopiIndex.build(c)
+    for doc_id in sorted(c.documents):
+        if not index.document_separates(doc_id):
+            assert index.delete_document(doc_id).separating is False
+    index.verify()
+    assert index.cover.size <= 1.02 * HopiIndex.build(c).cover.size
 
 
 # ---------------------------------------------------------------------------
