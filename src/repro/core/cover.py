@@ -698,11 +698,33 @@ class _CoverBase:
     @classmethod
     def from_csr(cls, payload: Mapping[str, object]):
         """Rebuild a cover from a :meth:`to_csr` payload (block copies)."""
+        tables = {
+            name: cls._unpack_table(*payload[name])
+            for name in ("lin", "lout", "inv_lin", "inv_lout")
+        }
+        if cls.is_distance_aware:
+            for name in ("lin", "lout"):
+                tables[f"{name}_dist"] = cls._unpack_table(
+                    payload[name][0], payload[f"{name}_dist"]
+                )
+        return cls._from_tables(payload["labels"], payload["active"], **tables)
+
+    @classmethod
+    def _from_tables(
+        cls,
+        labels: Iterable[Node],
+        active: Iterable[int],
+        **tables: List[Optional[array]],
+    ):
+        """A cover over the distinct ``labels`` (interned in order) with
+        universe ``active`` (ids), handed its finished per-node tables:
+        one keyword per :attr:`_TABLE_NAMES` entry, without the leading
+        underscore, each a list of sorted rows (``None`` when empty)."""
         new = cls()
-        new.interner = NodeInterner.from_labels(payload["labels"])
-        new._nodes = set(payload["active"])
-        for name in ("lin", "lout", "inv_lin", "inv_lout"):
-            setattr(new, f"_{name}", cls._unpack_table(*payload[name]))
+        new.interner = NodeInterner.from_labels(labels)
+        new._nodes = set(active)
+        for name in cls._TABLE_NAMES:
+            setattr(new, name, tables[name[1:]])
         return new
 
 
@@ -1258,18 +1280,19 @@ class DistanceTwoHopCover(_CoverBase):
         entries: Iterable[Tuple[str, Node, Node, int]],
     ) -> "DistanceTwoHopCover":
         """Batch constructor: a cover over ``nodes`` holding ``entries``
-        (``(kind, node, center, dist)`` rows in any order, at most one
-        per ``(kind, node, center)``; no self-entries). Rows are grouped
-        per node and sorted once — O(k log k) per label instead of
-        O(k^2) repeated sorted inserts."""
+        (``(kind, node, center, dist)`` rows in any order; no
+        self-entries). A repeated ``(kind, node, center)`` keeps its
+        minimum distance, as :meth:`add_lin` does. Rows are grouped per
+        node and sorted once — O(k log k) per label instead of O(k^2)
+        repeated sorted inserts."""
         # sorted interning: see TwoHopCover.from_entries
         try:
             ordered = sorted(nodes)
         except TypeError:  # mixed/unorderable node types
             ordered = nodes
         new = cls(ordered)
-        lin_rows: Dict[int, List[Tuple[int, int]]] = {}
-        lout_rows: Dict[int, List[Tuple[int, int]]] = {}
+        lin_rows: Dict[int, Dict[int, int]] = {}
+        lout_rows: Dict[int, Dict[int, int]] = {}
         intern = new._intern
         ids = {label: iid for iid, label in enumerate(new.interner)}
         for kind, node, center, dist in entries:
@@ -1280,15 +1303,17 @@ class DistanceTwoHopCover(_CoverBase):
             ci = ids.get(center)
             if ci is None:
                 ci = ids[center] = intern(center)
-            rows.setdefault(ni, []).append((ci, dist))
+            row = rows.setdefault(ni, {})
+            if dist < row.get(ci, dist + 1):
+                row[ci] = dist
         new._nodes.update(lin_rows, lout_rows)
         for rows, table, dists, inv in (
             (lin_rows, new._lin, new._lin_dist, new._inv_lin),
             (lout_rows, new._lout, new._lout_dist, new._inv_lout),
         ):
             inv_rows: Dict[int, List[int]] = {}
-            for ni, pairs in rows.items():
-                pairs.sort()
+            for ni, row in rows.items():
+                pairs = sorted(row.items())
                 table[ni] = array(ID_TYPECODE, (p[0] for p in pairs))
                 dists[ni] = array(ID_TYPECODE, (p[1] for p in pairs))
                 for ci, _ in pairs:
@@ -1304,18 +1329,6 @@ class DistanceTwoHopCover(_CoverBase):
         payload["lin_dist"] = self._pack_table(self._lin_dist)[1]
         payload["lout_dist"] = self._pack_table(self._lout_dist)[1]
         return payload
-
-    @classmethod
-    def from_csr(cls, payload: Mapping[str, object]) -> "DistanceTwoHopCover":
-        """Rebuild a cover from a :meth:`to_csr` payload (block copies)."""
-        new = super().from_csr(payload)
-        for name in ("lin", "lout"):
-            indptr = payload[name][0]
-            setattr(
-                new, f"_{name}_dist",
-                cls._unpack_table(indptr, payload[f"{name}_dist"]),
-            )
-        return new
 
     def verify_against(self, dclosure, nodes: Optional[Iterable[Node]] = None) -> None:
         """Assert distances match a :class:`DistanceClosure` exactly."""

@@ -33,14 +33,15 @@ the differential oracle.
 
 from __future__ import annotations
 
+import gc
 import heapq
-from itertools import chain
+from array import array
 from typing import (
     Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
 )
 
 from repro.core.center_graph import densest_subgraph, initial_density_upper_bound
-from repro.core.cover import DistanceTwoHopCover, TwoHopCover
+from repro.core.cover import ID_TYPECODE, DistanceTwoHopCover, TwoHopCover
 from repro.graph.closure import TransitiveClosure, condensation_closure
 from repro.graph.condensation import Condensation
 from repro.graph.digraph import DiGraph
@@ -260,127 +261,194 @@ def build_pll_cover(
 ):
     """Pruned landmark labelling of an arbitrary digraph (cycles allowed).
 
-    Vertices are taken by ``(out + 1) * (in + 1)`` descending, ties
-    broken by node id, unless ``order`` lists them (every vertex once,
-    first labelled first). For each vertex ``w`` a forward BFS adds ``w`` to
-    ``Lin(v)`` of every ``v`` it reaches, then a backward BFS adds ``w``
-    to ``Lout(u)`` of every ``u`` that reaches it. A vertex whose
-    connection to ``w`` the labels written so far already answer (for
-    distance: at a labelled distance no longer than its BFS depth) is
-    skipped and not expanded. For a fixed order the labels do not depend
-    on the order in which edges are listed.
+    The labelling runs in the cover's own id space: ``nodes`` are
+    de-duplicated and interned in sorted order, and a vertex's BFS index
+    is its interner id. Vertices are taken by ``(out + 1) * (in + 1)``
+    descending, ties broken by node id, unless ``order`` lists them
+    (every vertex once, first labelled first). For each vertex ``w`` a
+    forward BFS adds ``w`` to ``Lin(v)`` of every ``v`` it reaches, then
+    a backward BFS adds ``w`` to ``Lout(u)`` of every ``u`` that reaches
+    it. A vertex whose connection to ``w`` the labels written so far
+    already answer (for distance: at a labelled distance no longer than
+    its BFS depth) is skipped and not expanded. The vertices one BFS
+    labels, sorted, are ``w``'s row of the backward index, so the cover
+    is handed over as finished tables. For a fixed order the labels do
+    not depend on the order in which edges are listed.
 
     Args:
-        nodes: every vertex (isolated ones included).
+        nodes: every vertex (isolated ones included; duplicates are
+            ignored).
         edges: the directed edges; duplicates and self-loops are ignored.
         distance: build a :class:`DistanceTwoHopCover` instead.
         order: the vertex order, when a caller labels a subgraph in its
             host graph's order (the Theorem-3 region re-label).
 
     Returns:
-        The cover, written once through ``from_entries`` (self entries
-        are never stored).
+        The cover, table for table what ``from_entries`` builds from its
+        entries (self entries are never stored).
     """
-    n = len(nodes)
-    index = {v: i for i, v in enumerate(nodes)}
-    succ: List[List[int]] = [[] for _ in range(n)]
-    pred: List[List[int]] = [[] for _ in range(n)]
+    # the labelling's tens of thousands of lists die with the call and
+    # form no cycles: a collector pass over them (on a 20k-element tree,
+    # one over the whole heap) is pure waste
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        labels, tables = _pll_tables(nodes, edges, distance, order)
+    finally:
+        if enabled:
+            gc.enable()
+    factory = DistanceTwoHopCover if distance else TwoHopCover
+    return factory._from_tables(labels, range(len(labels)), **tables)
+
+
+def _pll_tables(
+    nodes: Sequence[Node],
+    edges: Sequence[Tuple[Node, Node]],
+    distance: bool,
+    order: Optional[Sequence[Node]],
+) -> Tuple[List[Node], Dict[str, List[Optional[array]]]]:
+    """The labelling of :func:`build_pll_cover`: the interned labels and
+    the finished tables, keyed as :meth:`_CoverBase._from_tables` takes
+    them."""
+    labels = sorted(set(nodes))
+    n = len(labels)
+    index = {v: i for i, v in enumerate(labels)}
+    # adjacency lists only where there are edges: most vertices of a
+    # tree have no successor
+    succ: List[Sequence[int]] = [()] * n
+    pred: List[Sequence[int]] = [()] * n
     for u, v in dict.fromkeys(edges):
         if u != v:
             ui, vi = index[u], index[v]
-            succ[ui].append(vi)
-            pred[vi].append(ui)
+            if succ[ui]:
+                succ[ui].append(vi)
+            else:
+                succ[ui] = [vi]
+            if pred[vi]:
+                pred[vi].append(ui)
+            else:
+                pred[vi] = [ui]
     if order is None:
-        ranked = sorted(
-            range(n),
-            key=lambda i: (-(len(succ[i]) + 1) * (len(pred[i]) + 1), nodes[i]),
-        )
+        # ids follow node order, so the stable sort breaks ties by id
+        weight = [-(len(s) + 1) * (len(p) + 1) for s, p in zip(succ, pred)]
+        ranked = sorted(range(n), key=weight.__getitem__)
     else:
         ranked = [index[v] for v in order]
-    # labels as lazily created lists of dense ids; for distance, an
-    # aligned list of distances per label
-    lin: List[Optional[List[int]]] = [None] * n
-    lout: List[Optional[List[int]]] = [None] * n
-    lin_dist: List[Optional[List[int]]] = [None] * n
-    lout_dist: List[Optional[List[int]]] = [None] * n
+    # label rows as lazily created lists (of center ids, or for distance
+    # of (center id, distance) pairs), each turned into an array at the end
+    lin: List[Optional[list]] = [None] * n
+    lout: List[Optional[list]] = [None] * n
+    inv_lin: List[Optional[array]] = [None] * n
+    inv_lout: List[Optional[array]] = [None] * n
     seen = [-1] * n
     stamp = 0
     for w in ranked:
-        for adjacency, own, own_dist, far, far_dist in (
-            (succ, lout, lout_dist, lin, lin_dist),   # forward: into Lin
-            (pred, lin, lin_dist, lout, lout_dist),   # backward: into Lout
+        for adjacency, own, far, inv in (
+            (succ, lout, lin, inv_lin),   # forward: into Lin
+            (pred, lin, lout, inv_lout),  # backward: into Lout
         ):
+            if not adjacency[w]:
+                continue
             stamp += 1
             seen[w] = stamp
-            # the centers w's label connects it with (distance: and how far)
             label = own[w]
-            hops = None
-            if label:
-                hops = dict(zip(label, own_dist[w])) if distance else set(label)
             frontier = [w]
+            visited: List[int] = []
             depth = 0
-            while frontier:
-                depth += 1
-                reached = []
-                for v in frontier:
-                    for x in adjacency[v]:
-                        if seen[x] == stamp:
-                            continue
-                        seen[x] = stamp
+            if not label:
+                # nothing labelled connects w yet: every vertex reached
+                # is labelled
+                while frontier:
+                    depth += 1
+                    entry = (w, depth) if distance else w
+                    reached = []
+                    for v in frontier:
+                        for x in adjacency[v]:
+                            if seen[x] != stamp:
+                                seen[x] = stamp
+                                reached.append(x)
+                    for x in reached:
                         row = far[x]
-                        if hops is not None and (
-                            _labelled_within(hops, x, row, far_dist[x], depth)
-                            if distance
-                            else x in hops or (row and not hops.isdisjoint(row))
-                        ):
-                            continue
                         if row is None:
-                            far[x] = [w]
-                            if distance:
-                                far_dist[x] = [depth]
+                            far[x] = [entry]
                         else:
-                            row.append(w)
-                            if distance:
-                                far_dist[x].append(depth)
-                        reached.append(x)
-                frontier = reached
-
-    def entries(kind, table, dists):
+                            row.append(entry)
+                    visited += reached
+                    frontier = reached
+            elif distance:
+                # the centers w's label reaches, and how far
+                hops = dict(label)
+                while frontier:
+                    depth += 1
+                    entry = (w, depth)
+                    reached = []
+                    for v in frontier:
+                        for x in adjacency[v]:
+                            if seen[x] == stamp:
+                                continue
+                            seen[x] = stamp
+                            d = hops.get(x)
+                            if d is not None and d <= depth:
+                                continue
+                            row = far[x]
+                            if row is None:
+                                far[x] = [entry]
+                            elif _shares_center_within(hops, row, depth):
+                                continue
+                            else:
+                                row.append(entry)
+                            reached.append(x)
+                    visited += reached
+                    frontier = reached
+            else:
+                hops = set(label)
+                while frontier:
+                    reached = []
+                    for v in frontier:
+                        for x in adjacency[v]:
+                            if seen[x] == stamp:
+                                continue
+                            seen[x] = stamp
+                            if x in hops:
+                                continue
+                            row = far[x]
+                            if row is None:
+                                far[x] = [w]
+                            elif hops.isdisjoint(row):
+                                row.append(w)
+                            else:
+                                continue
+                            reached.append(x)
+                    visited += reached
+                    frontier = reached
+            if visited:
+                visited.sort()
+                inv[w] = array(ID_TYPECODE, visited)
+    tables = {"lin": lin, "lout": lout, "inv_lin": inv_lin, "inv_lout": inv_lout}
+    for name, table in (("lin", lin), ("lout", lout)):
+        if distance:
+            dists = tables[name + "_dist"] = [None] * n
         for x, row in enumerate(table):
             if row:
-                node = nodes[x]
+                row.sort()
                 if distance:
-                    for c, d in zip(row, dists[x]):
-                        yield (kind, node, nodes[c], d)
+                    table[x] = array(ID_TYPECODE, [c for c, _ in row])
+                    dists[x] = array(ID_TYPECODE, [d for _, d in row])
                 else:
-                    for c in row:
-                        yield (kind, node, nodes[c])
-
-    factory = DistanceTwoHopCover if distance else TwoHopCover
-    return factory.from_entries(
-        nodes,
-        chain(entries("in", lin, lin_dist), entries("out", lout, lout_dist)),
-    )
+                    table[x] = array(ID_TYPECODE, row)
+    return labels, tables
 
 
-def _labelled_within(
-    hop: Dict[int, int],
-    x: int,
-    row: Optional[List[int]],
-    dists: Optional[List[int]],
-    depth: int,
+def _shares_center_within(
+    hops: Dict[int, int], row: List[Tuple[int, int]], depth: int
 ) -> bool:
-    """Whether the labels already give the BFS root and ``x`` a distance
-    of at most ``depth``: through ``x`` itself as a center of the root's
-    label, or through a center both labels share."""
-    d = hop.get(x)
-    if d is not None and d <= depth:
-        return True
-    if row:
-        for c, dc in zip(row, dists):
-            d = hop.get(c)
-            if d is not None and d + dc <= depth:
-                return True
+    """Whether a center of ``row`` (``(center, distance)`` pairs) is in
+    the BFS root's label ``hops`` at a total distance of at most
+    ``depth``."""
+    for c, dc in row:
+        d = hops.get(c)
+        if d is not None and d + dc <= depth:
+            return True
     return False
 
 

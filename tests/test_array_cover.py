@@ -252,6 +252,40 @@ def test_from_cover_preserves_entries():
     assert 7 in late.nodes and 8 not in late.nodes
 
 
+def _tables(cover):
+    """Everything a cover holds: interner, universe and every table."""
+    return (
+        cover.interner.labels(),
+        cover._nodes,
+        {name: getattr(cover, name) for name in cover._TABLE_NAMES},
+    )
+
+
+@pytest.mark.parametrize("distance", [False, True])
+def test_from_entries_equals_one_add_at_a_time_on_repeated_entries(distance):
+    """A repeated ``(kind, node, center)`` is one entry, at its minimum
+    distance, in the batch constructor as in ``add_lin`` / ``add_lout``."""
+    nodes = [3, 1, 2, 1]
+    if distance:
+        cls = DistanceTwoHopCover
+        entries = [("in", 2, 1, 3), ("in", 2, 1, 1), ("out", 1, 3, 2),
+                   ("out", 1, 3, 4), ("in", 2, 3, 2)]
+    else:
+        cls = TwoHopCover
+        entries = [("in", 2, 1), ("in", 2, 1), ("out", 1, 3), ("out", 1, 3),
+                   ("in", 2, 3)]
+    batch = cls.from_entries(nodes, entries)
+    one_by_one = cls(sorted(nodes))
+    for kind, *entry in entries:
+        (one_by_one.add_lin if kind == "in" else one_by_one.add_lout)(*entry)
+    assert _tables(batch) == _tables(one_by_one)
+    assert batch.size == 3
+    assert list(batch._inv_lin[0]) == [1]
+    if distance:
+        assert batch.lin_of(2) == {1: 1, 3: 2}
+        assert batch.lout_of(1) == {3: 2}
+
+
 # ---------------------------------------------------------------------------
 # the seal lifecycle
 # ---------------------------------------------------------------------------

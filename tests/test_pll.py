@@ -5,6 +5,7 @@ flavours), exactly what the paper's greedy pipeline answers, and give
 the same bytes in every process.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -20,6 +21,8 @@ from repro.core.distance import build_distance_cover
 from repro.core.hopi import HopiIndex
 from repro.core.pipeline import BuildPipeline
 from repro.graph import DiGraph, distance_closure, transitive_closure
+from repro.storage.snapshot import snapshot_to_bytes
+from repro.xmlmodel.generator import dblp_like, inex_like
 
 SETTINGS = settings(
     max_examples=200,
@@ -36,6 +39,20 @@ def graphs(draw, max_nodes=16):
     node = st.integers(min_value=0, max_value=n - 1)
     edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
     return list(range(n)), edges
+
+
+@st.composite
+def labelled_graphs(draw, max_nodes=16):
+    """A digraph over non-contiguous node ids, listed shuffled and with
+    repeats, and sometimes a vertex order to label it in."""
+    ids = draw(st.lists(st.integers(0, 999), min_size=1,
+                        max_size=max_nodes, unique=True))
+    node = st.sampled_from(ids)
+    edges = draw(st.lists(st.tuples(node, node), max_size=3 * len(ids)))
+    repeats = draw(st.lists(node, max_size=4))
+    nodes = draw(st.permutations(ids + repeats))
+    order = draw(st.none() | st.permutations(ids))
+    return nodes, edges, order
 
 
 def _digraph(nodes, edges):
@@ -62,6 +79,46 @@ def test_pll_distance_cover_equals_bfs(graph):
     cover = build_pll_cover(nodes, edges, distance=True)
     cover.verify_against(distance_closure(_digraph(nodes, edges)))
     assert all(node != center for _, node, center, _ in cover.entries())
+
+
+@SETTINGS
+@given(labelled_graphs(), st.booleans())
+def test_pll_writes_the_tables_from_entries_builds(graph, distance):
+    """The builder hands over finished tables: they equal, table for
+    table, the batch constructor's from the same entries, and every row
+    is sorted and duplicate-free."""
+    nodes, edges, order = graph
+    cover = build_pll_cover(nodes, edges, distance=distance, order=order)
+    batch = type(cover).from_entries(nodes, cover.entries())
+    assert cover.interner.labels() == batch.interner.labels() == sorted(set(nodes))
+    assert cover._nodes == batch._nodes
+    for name in cover._TABLE_NAMES:
+        table = getattr(cover, name)
+        assert table == getattr(batch, name), name
+        assert len(table) == len(set(nodes))
+        for row in table:
+            assert row is None or len(row) > 0
+        if not name.endswith("_dist"):
+            for row in filter(None, table):
+                assert list(row) == sorted(set(row))
+
+
+#: sha256 of ``snapshot_to_bytes`` of the product build's cover, pinned
+#: so that any change to what PLL writes is a visible test edit
+PINNED_BUILD_SHA256 = {
+    ("dblp", False): "f0b0a66566af2db45914d9f4b4ea94938644107e310493527bcf6920dd610ceb",
+    ("dblp", True): "47b83f8a3fe7f2948cdd7d7b72aced15ec3bdf173050307b129272a51dd8ecb6",
+    ("inex", False): "7dcd2a7d9556c301b2d7ae55c7c75c5189e4de496553a6489eaa7e3345d8aba8",
+    ("inex", True): "a77500b500df143b5e25fe07ca3521de46a0a64de777ddb58968b7811ca6b720",
+}
+
+
+@pytest.mark.parametrize("corpus, distance", sorted(PINNED_BUILD_SHA256))
+def test_pll_build_bytes_are_pinned(corpus, distance):
+    c = dblp_like(40, seed=2) if corpus == "dblp" else inex_like(6, seed=3)
+    cover = HopiIndex.build(c, distance=distance).cover
+    digest = hashlib.sha256(snapshot_to_bytes(cover)).hexdigest()
+    assert digest == PINNED_BUILD_SHA256[corpus, distance]
 
 
 def test_pll_labels_do_not_depend_on_edge_order():
