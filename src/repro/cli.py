@@ -81,6 +81,17 @@ def non_negative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
+def unit_share(text: str) -> float:
+    """argparse ``type`` for a fraction in ``(0, 1]``."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
+    return value
+
+
 def _usage_error(message: str) -> NoReturn:
     """Exit 2 with ``message``, the way argparse reports bad usage."""
     print(f"repro: error: {message}", file=sys.stderr)
@@ -430,9 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-results", type=positive_int, default=1000)
     p.add_argument("--similarity-threshold", type=float, default=0.3,
                    help="minimum ontology similarity for ~tag steps")
-    p.add_argument("--result-cache", type=int, default=4096,
+    p.add_argument("--result-cache", type=positive_int, default=4096,
                    help="entries in the (path, epoch) result LRU")
-    p.add_argument("--probe-cache", type=int, default=8192,
+    p.add_argument("--probe-cache", type=positive_int, default=8192,
                    help="per-epoch descendant-probe LRU entries")
     p.add_argument("--max-requests", type=int, default=None,
                    help="exit after answering N requests (smoke tests/CI)")
@@ -448,14 +459,14 @@ def build_parser() -> argparse.ArgumentParser:
     # accepted and ignored: the asyncio front end is the only one, but
     # the benchmark harness under perf/ still passes the flag
     p.add_argument("--async", action="store_true", help=argparse.SUPPRESS)
-    p.add_argument("--max-inflight", type=int, default=8,
+    p.add_argument("--max-inflight", type=positive_int, default=8,
                    help="worker threads evaluating requests concurrently "
                         "(default 8)")
-    p.add_argument("--queue-depth", type=int, default=64,
+    p.add_argument("--queue-depth", type=non_negative_int, default=64,
                    help="admitted requests allowed to wait for a worker "
                         "slot before new arrivals are shed with 429 "
                         "(default 64)")
-    p.add_argument("--max-client-share", type=float, default=0.5,
+    p.add_argument("--max-client-share", type=unit_share, default=0.5,
                    help="fraction of the admission window one client key "
                         "(X-Client-Id or peer address) may occupy before "
                         "its requests are shed (default 0.5)")

@@ -4,7 +4,7 @@ Modules:
 
 * :mod:`repro.core.cover` — the 2-hop cover (reachability and
   distance-aware): sorted id arrays with forward and backward label
-  indexes and a lazily built CSR seal for batch probes (Sections 3.1,
+  indexes, read in place by point and batch probes (Sections 3.1,
   3.4, 5.1).
 * :mod:`repro.core.center_graph` — center graphs and the linear-time
   densest-subgraph 2-approximation (Section 3.2).

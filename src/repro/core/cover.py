@@ -1,4 +1,4 @@
-"""The 2-hop cover: sorted id arrays with a lazily built CSR seal.
+"""The 2-hop cover: sorted id arrays, probed where they are kept.
 
 A 2-hop cover assigns each node ``v`` a label ``L(v) = (Lin(v), Lout(v))``
 such that ``u ->* v`` iff ``(Lout(u) ∪ {u}) ∩ (Lin(v) ∪ {v}) ≠ ∅``
@@ -23,12 +23,11 @@ This is the one label representation of the system:
   maintenance write;
 * ``connected()`` is one galloping intersection of ``Lout(u)`` with
   ``Lin(v)`` over the mutable rows (:func:`galloping_intersects`);
-* the first batch probe after any mutation **seals** the cover: the four
-  label tables are packed into contiguous CSR slabs (:class:`_Slabs`)
-  and ``connected_many`` / ``intersect_many`` answer from them — numpy
-  ``searchsorted`` when numpy imports, set membership otherwise — until
-  the next mutation drops the slabs again. Sealing is O(cover size), so
-  write-heavy phases never pay it;
+* ``connected_many`` / ``intersect_many`` build a source's descendant
+  ids once from the same rows and test the whole batch by sorted-array
+  membership — numpy ``searchsorted`` when numpy imports, set
+  membership otherwise. What they memoise lives in a
+  :class:`_ProbeCache` that the next mutation drops;
 * :meth:`to_csr`/:meth:`from_csr` convert labels to/from the CSR layout
   (``indptr`` + flat data arrays) so snapshots round-trip through
   ``array.tobytes`` without per-row Python overhead.
@@ -67,10 +66,10 @@ Node = Hashable
 ID_TYPECODE = "i"
 OFFSET_TYPECODE = "q"
 
-#: How many distinct candidate-tuple translations to keep per seal.
+#: How many distinct candidate-tuple translations to keep per generation.
 _CAND_CACHE_LIMIT = 16
 
-#: How many per-source descendant materialisations to keep per seal.
+#: How many per-source descendant materialisations to keep per generation.
 _DESC_CACHE_LIMIT = 1024
 
 
@@ -180,64 +179,28 @@ class _NodeSetView:
         return f"_NodeSetView({set(self)!r})"
 
 
-class _Slabs:
-    """One sealed generation: CSR slabs over the four label tables.
+class _ProbeCache:
+    """What the batch probes memoise for one generation of the tables.
 
-    Immutable once built — the owning cover drops the whole object on
-    its next mutation, which is what makes the two caches sound.
+    The owning cover drops the whole object on its next mutation,
+    which is what makes the caches sound; nothing in it is a view of a
+    label row, so the rows stay resizable while it lives.
 
     Attributes:
-        indptr: table name → ``array('q')`` row offsets.
-        data: table name → flat ``array('i')`` row data.
-        views: table name → ``memoryview`` of ``data`` (cheap slicing).
-        np_data: table name → int32 numpy view, or None without numpy.
-        active: sorted ``array('i')`` of active node ids.
-        active_np: numpy view of ``active`` (None without numpy).
-        desc_cache: source id → materialised descendant array.
-        cand_cache: ``id(candidates)`` → ``(candidates, ids, active
-            flags)`` for candidate *tuples*; the strong reference in
-            slot 0 keeps ``id()`` unambiguous.
+        desc: source id → sorted numpy array of its descendant ids.
+        cand: ``id(candidates)`` → ``(candidates, ids, active flags)``
+            for candidate *tuples*; the strong reference in slot 0
+            keeps ``id()`` unambiguous.
+        active: sorted numpy array of the active node ids, built on
+            first use (numpy only).
     """
 
-    __slots__ = ("indptr", "data", "views", "np_data", "active", "active_np",
-                 "desc_cache", "cand_cache")
+    __slots__ = ("desc", "cand", "active")
 
-    def __init__(self, cover: "_CoverBase") -> None:
-        self.indptr: Dict[str, array] = {}
-        self.data: Dict[str, array] = {}
-        self.views: Dict[str, memoryview] = {}
-        self.np_data: Optional[Dict[str, object]] = (
-            {} if _np is not None else None
-        )
-        self.desc_cache: Dict[int, object] = {}
-        self.cand_cache: Dict[int, Tuple[object, object, object]] = {}
-        for name in ("lin", "lout", "inv_lin", "inv_lout"):
-            indptr, data = cover._pack_table(getattr(cover, f"_{name}"))
-            self.indptr[name] = indptr
-            self.data[name] = data
-            self.views[name] = memoryview(data)
-            if self.np_data is not None:
-                self.np_data[name] = _np.frombuffer(data, dtype=_np.intc)
-        self.active = array(ID_TYPECODE, sorted(cover._nodes))
-        self.active_np = (
-            _np.frombuffer(self.active, dtype=_np.intc)
-            if _np is not None and len(self.active)
-            else (_np.empty(0, dtype=_np.intc) if _np is not None else None)
-        )
-
-    def row(self, name: str, iid: int) -> memoryview:
-        """The sealed row of ``name`` for internal id ``iid``."""
-        indptr = self.indptr[name]
-        if iid + 1 >= len(indptr):
-            return self.views[name][0:0]
-        return self.views[name][indptr[iid]:indptr[iid + 1]]
-
-    def np_row(self, name: str, iid: int):
-        """The numpy row slice (requires numpy; zero-copy)."""
-        indptr = self.indptr[name]
-        if iid + 1 >= len(indptr):
-            return self.np_data[name][0:0]
-        return self.np_data[name][indptr[iid]:indptr[iid + 1]]
+    def __init__(self) -> None:
+        self.desc: Dict[int, object] = {}
+        self.cand: Dict[int, Tuple[object, object, object]] = {}
+        self.active = None
 
 
 def _in_sorted_np(values, universe):
@@ -258,8 +221,8 @@ class _CoverBase:
 
     Label tables are lists indexed by internal id (``None`` = empty) so
     the dense ids double as direct offsets — no hashing on hot paths.
-    Every mutator sets ``self._slabs = None`` first: the sealed slabs
-    (and the per-seal caches they carry) describe exactly one immutable
+    Every mutator sets ``self._probe_cache = None`` first: the batch
+    probes' memo (:class:`_ProbeCache`) describes exactly one immutable
     generation of the tables.
     """
 
@@ -277,9 +240,9 @@ class _CoverBase:
         # mapping id(table) -> iids whose rows this instance privately
         # owns (all other rows may be shared with the fork sibling)
         self._cow: Optional[Dict[int, Set[int]]] = None
-        # the sealed CSR generation; None until the first batch probe
+        # the batch probes' memo; None until the first batch probe
         # after a mutation
-        self._slabs: Optional[_Slabs] = None
+        self._probe_cache: Optional[_ProbeCache] = None
         self.add_nodes(nodes)
 
     # -- copy-on-write plumbing -----------------------------------------
@@ -309,7 +272,8 @@ class _CoverBase:
         row copies. Outer tables and the interner are copied at pointer
         level; the sorted ``array('i')`` rows stay shared until either
         side mutates them (the first in-place change privatises the
-        row). The fork starts unsealed; ``self`` keeps its seal."""
+        row). The fork starts with no probe cache; ``self`` keeps its
+        own."""
         clone = type(self)()
         clone.interner = self.interner.copy()
         clone._nodes = set(self._nodes)
@@ -321,8 +285,8 @@ class _CoverBase:
 
     def copy(self):
         """A structurally independent deep copy of the cover
-        (subclasses clone as their own type; the copy starts
-        unsealed)."""
+        (subclasses clone as their own type; the copy starts with no
+        probe cache)."""
         clone = type(self)()
         clone.interner = self.interner.copy()
         clone._nodes = set(self._nodes)
@@ -334,27 +298,13 @@ class _CoverBase:
 
     def __getstate__(self) -> Dict[str, object]:
         # pickling deep-copies every row, so the unpickled instance owns
-        # all of them; the id()-keyed ownership map would be stale. The
-        # slabs hold memoryviews (unpicklable) and are rebuilt on demand:
-        # the copy starts unsealed
+        # all of them; the id()-keyed ownership map would be stale, and
+        # so would the probe cache's id()-keyed translations: the copy
+        # starts without one
         state = self.__dict__.copy()
         state["_cow"] = None
-        state["_slabs"] = None
+        state["_probe_cache"] = None
         return state
-
-    # -- seal lifecycle -------------------------------------------------
-    def _seal(self) -> _Slabs:
-        """Pack the label tables into CSR slabs (idempotent until the
-        next mutation)."""
-        slabs = self._slabs
-        if slabs is None:
-            slabs = self._slabs = _Slabs(self)
-        return slabs
-
-    @property
-    def sealed(self) -> bool:
-        """Whether the current generation's slabs are built."""
-        return self._slabs is not None
 
     # -- id plumbing ----------------------------------------------------
     def _tables(self) -> Tuple[List[Optional[array]], ...]:
@@ -380,13 +330,13 @@ class _CoverBase:
 
     def add_node(self, v: Node) -> None:
         """Register ``v`` in the node universe (idempotent)."""
-        self._slabs = None
+        self._probe_cache = None
         self._nodes.add(self._intern(v))
 
     def add_nodes(self, nodes: Iterable[Node]) -> None:
         """Register every node of ``nodes`` in the universe (the tables
         grow once, not once per new id)."""
-        self._slabs = None
+        self._probe_cache = None
         intern = self.interner.intern
         self._nodes.update([intern(v) for v in nodes])
         grow = len(self.interner) - len(self._lin)
@@ -429,7 +379,7 @@ class _CoverBase:
         move as block copies with sortedness preserved. Anything else
         takes :meth:`union` (identical result).
         """
-        self._slabs = None
+        self._probe_cache = None
         fresh = type(other) is type(self) and not any(
             self.interner.get(lab) is not None for lab in other.interner
         )
@@ -520,8 +470,15 @@ class _CoverBase:
             return set()
         return self._externalize(self._ancestor_ids(vi))
 
-    # -- sealed batch probes ----------------------------------------------
-    def _translate(self, slabs: _Slabs, candidates: Sequence[Node]):
+    # -- batch probes ----------------------------------------------------
+    def _probes(self) -> _ProbeCache:
+        """This generation's probe cache (created on first use)."""
+        cache = self._probe_cache
+        if cache is None:
+            cache = self._probe_cache = _ProbeCache()
+        return cache
+
+    def _translate(self, cache: _ProbeCache, candidates: Sequence[Node]):
         """``(ids, active_flags)`` for a candidate sequence.
 
         ``ids`` is the internal-id translation (-1 for labels the
@@ -529,103 +486,83 @@ class _CoverBase:
         ``id ∈ active universe`` half of the membership test (None on
         the portable path, whose descendant sets are already restricted
         to the active universe). A **tuple** is immutable, so its
-        translation is cached per seal by object identity — the query
-        engine memoises one candidate tuple per step key, so repeated
-        probes (and every source of an ``intersect_many`` block)
-        translate once. Any other sequence may have been mutated in
-        place since the last call and is translated every time.
+        translation is cached per generation by object identity — the
+        query engine memoises one candidate tuple per step key, so
+        repeated probes (and every source of an ``intersect_many``
+        block) translate once. Any other sequence may have been mutated
+        in place since the last call and is translated every time.
         """
         cacheable = type(candidates) is tuple
         if cacheable:
-            entry = slabs.cand_cache.get(id(candidates))
+            entry = cache.cand.get(id(candidates))
             if entry is not None and entry[0] is candidates:
                 return entry[1], entry[2]
         ids = self.interner.translate(candidates)
         active_flags = None
         if _np is not None:
             ids = _np.array(ids, dtype=_np.int64)
-            active_flags = _in_sorted_np(ids, slabs.active_np)
+            if cache.active is None:
+                cache.active = _np.array(sorted(self._nodes), dtype=_np.intc)
+            active_flags = _in_sorted_np(ids, cache.active)
         if cacheable:
-            if len(slabs.cand_cache) >= _CAND_CACHE_LIMIT:
-                slabs.cand_cache.clear()
-            slabs.cand_cache[id(candidates)] = (candidates, ids, active_flags)
+            if len(cache.cand) >= _CAND_CACHE_LIMIT:
+                cache.cand.clear()
+            cache.cand[id(candidates)] = (candidates, ids, active_flags)
         return ids, active_flags
 
-    def _desc_sorted_np(self, slabs: _Slabs, ui: int):
+    def _desc_sorted_np(self, cache: _ProbeCache, ui: int):
         """Sorted numpy array of ``ui``'s descendant ids (incl. self).
 
-        May contain duplicates — the only consumers do sorted-array
-        membership (``searchsorted``), which is duplicate-oblivious, so
-        one in-place sort replaces ``np.unique``'s sort-plus-dedupe.
-        Cached per seal, so a hot source pays the concatenation once
-        per epoch.
+        ``{ui}``, ``inv_lin[ui]``, ``Lout(ui)`` and the ``inv_lin`` rows
+        of its centers are appended to one private ``array('i')`` that
+        numpy sorts in place. numpy never gets a view of a label row: an
+        array exporting its buffer cannot resize, and the next mutator
+        would fail on it. Duplicates stay — the only consumers do
+        sorted-array membership (``searchsorted``), which is
+        duplicate-oblivious. Cached per generation, so a hot source pays
+        the concatenation once per epoch.
         """
-        cache = slabs.desc_cache
-        cached = cache.get(ui)
-        if cached is not None:
-            return cached
-        inv_indptr = slabs.indptr["inv_lin"]
-        inv_data = slabs.np_data["inv_lin"]
-        inv_n = len(inv_indptr)
-        parts = [_np.array([ui], dtype=_np.intc)]
-        if ui + 1 < inv_n:
-            inv_row = inv_data[inv_indptr[ui]:inv_indptr[ui + 1]]
-            if inv_row.size:
-                parts.append(inv_row)
-        lout_row = slabs.np_row("lout", ui)
-        if lout_row.size:
-            parts.append(lout_row)
-            for c in lout_row.tolist():
-                if c + 1 < inv_n:
-                    row = inv_data[inv_indptr[c]:inv_indptr[c + 1]]
-                    if row.size:
-                        parts.append(row)
-        if len(parts) == 1:
-            desc = parts[0]
-        else:
-            desc = _np.concatenate(parts)
-            desc.sort()
-        if len(cache) >= _DESC_CACHE_LIMIT:
-            cache.clear()
-        cache[ui] = desc
+        desc = cache.desc.get(ui)
+        if desc is not None:
+            return desc
+        buf = array(ID_TYPECODE, (ui,))
+        inv = self._inv_lin
+        row = self._row(inv, ui)
+        if row:
+            buf += row
+        lout = self._row(self._lout, ui)
+        if lout:
+            buf += lout
+            for c in lout:
+                row = inv[c]
+                if row:
+                    buf += row
+        desc = _np.frombuffer(buf, dtype=_np.intc)
+        desc.sort()
+        if len(cache.desc) >= _DESC_CACHE_LIMIT:
+            cache.desc.clear()
+        cache.desc[ui] = desc
         return desc
 
-    def _desc_set(self, slabs: _Slabs, ui: int) -> Set[int]:
-        """Descendant ids of ``ui`` as a set, from the sealed slabs
-        (portable path), restricted to the active universe."""
-        result = {ui}
-        inv_row = slabs.row("inv_lin", ui)
-        if len(inv_row):
-            result.update(inv_row)
-        lout_row = slabs.row("lout", ui)
-        if len(lout_row):
-            result.update(lout_row)
-            for c in lout_row:
-                row = slabs.row("inv_lin", c)
-                if len(row):
-                    result.update(row)
-        # labels may reference centers outside the active universe;
-        # connected() rejects them, so the batch must too
-        result.intersection_update(self._nodes)
-        return result
-
     def connected_many(self, u: Node, candidates: Sequence[Node]) -> List[bool]:
-        """Batched ``[connected(u, c) for c in candidates]`` over the
-        sealed slabs: the descendant id set is materialised once and the
-        whole batch tested by sorted-array membership (numpy
+        """Batched ``[connected(u, c) for c in candidates]``: the
+        descendant id set is materialised once from the label rows and
+        the whole batch tested by sorted-array membership (numpy
         ``searchsorted`` when available, C-level set membership
         otherwise) — the hot path behind the query engine's descendant
         steps."""
         ui = self.interner.get(u)
         if ui is None or ui not in self._nodes:
             return [False] * len(candidates)
-        slabs = self._seal()
-        ids, active_flags = self._translate(slabs, candidates)
+        cache = self._probes()
+        ids, active_flags = self._translate(cache, candidates)
         if _np is not None:
-            flags = _in_sorted_np(ids, self._desc_sorted_np(slabs, ui))
+            flags = _in_sorted_np(ids, self._desc_sorted_np(cache, ui))
             _np.logical_and(flags, active_flags, out=flags)
             return flags.tolist()
-        desc = self._desc_set(slabs, ui)
+        # labels may reference centers outside the active universe;
+        # connected() rejects them, so the batch must too
+        desc = self._descendant_ids(ui) & self._nodes
         return [i in desc for i in ids]
 
     def intersect_many(
@@ -637,8 +574,8 @@ class _CoverBase:
         enumerate(connected_many(s, candidates)) if ok] for s in
         sources]`` with the candidate translation amortised across the
         whole batch."""
-        slabs = self._seal()
-        ids, active_flags = self._translate(slabs, candidates)
+        cache = self._probes()
+        ids, active_flags = self._translate(cache, candidates)
         out: List[List[int]] = []
         get = self.interner.get
         nodes = self._nodes
@@ -647,11 +584,11 @@ class _CoverBase:
             if ui is None or ui not in nodes:
                 out.append([])
             elif _np is not None:
-                flags = _in_sorted_np(ids, self._desc_sorted_np(slabs, ui))
+                flags = _in_sorted_np(ids, self._desc_sorted_np(cache, ui))
                 _np.logical_and(flags, active_flags, out=flags)
                 out.append(_np.flatnonzero(flags).tolist())
             else:
-                desc = self._desc_set(slabs, ui)
+                desc = self._descendant_ids(ui) & nodes
                 out.append([j for j, i in enumerate(ids) if i in desc])
         return out
 
@@ -748,7 +685,7 @@ class TwoHopCover(_CoverBase):
         """
         if node == center:
             return False
-        self._slabs = None
+        self._probe_cache = None
         ni = self._intern(node)
         ci = self._intern(center)
         self._nodes.add(ni)
@@ -769,7 +706,7 @@ class TwoHopCover(_CoverBase):
         """
         if node == center:
             return False
-        self._slabs = None
+        self._probe_cache = None
         ni = self._intern(node)
         ci = self._intern(center)
         self._nodes.add(ni)
@@ -790,7 +727,7 @@ class TwoHopCover(_CoverBase):
             return
         row = self._row(self._lin, ni)
         if row is not None and sorted_contains(row, ci):
-            self._slabs = None
+            self._probe_cache = None
             sorted_remove(self._owned(self._lin, ni), ci)
             self._inv_discard(self._inv_lin, ci, ni)
 
@@ -801,7 +738,7 @@ class TwoHopCover(_CoverBase):
             return
         row = self._row(self._lout, ni)
         if row is not None and sorted_contains(row, ci):
-            self._slabs = None
+            self._probe_cache = None
             sorted_remove(self._owned(self._lout, ni), ci)
             self._inv_discard(self._inv_lout, ci, ni)
 
@@ -819,7 +756,7 @@ class TwoHopCover(_CoverBase):
         old = table[ni] or array(ID_TYPECODE)
         if row == old:
             return  # the row stays the object a COW sibling may share
-        self._slabs = None
+        self._probe_cache = None
         table[ni] = row or None
         self._inv_update(inv, ni, old, row)
 
@@ -834,7 +771,7 @@ class TwoHopCover(_CoverBase):
     def remove_nodes(self, removed: Set[Node]) -> None:
         """Drop nodes from the universe, their labels, and every label
         entry that uses them as a center (document deletion support)."""
-        self._slabs = None
+        self._probe_cache = None
         removed_ids = []
         for v in removed:
             iid = self.interner.get(v)
@@ -1006,9 +943,9 @@ class DistanceTwoHopCover(_CoverBase):
     common centers. Each label is a pair of aligned arrays — sorted
     center ids plus their distances — so the min-plus intersection runs
     as one galloping merge; entries keep the minimum on duplicate
-    insertion. ``distance()`` / ``connected()`` always read the mutable
-    rows (the slabs carry ids only); the batch reachability probes go
-    through the seal like the reachability cover's.
+    insertion. ``distance()`` / ``connected()`` merge the distance rows;
+    the batch reachability probes read the id rows only, exactly as
+    the reachability cover's do.
     """
 
     is_distance_aware = True
@@ -1046,7 +983,7 @@ class DistanceTwoHopCover(_CoverBase):
     ) -> bool:
         if node == center:
             return False
-        self._slabs = None
+        self._probe_cache = None
         ni = self._intern(node)
         ci = self._intern(center)
         self._nodes.add(ni)
@@ -1095,7 +1032,7 @@ class DistanceTwoHopCover(_CoverBase):
             return
         i = bisect_left(centers, ci)
         if i < len(centers) and centers[i] == ci:
-            self._slabs = None
+            self._probe_cache = None
             del self._owned(table, ni)[i]
             del self._owned(dists, ni)[i]
             self._inv_discard(inv, ci, ni)
@@ -1125,7 +1062,7 @@ class DistanceTwoHopCover(_CoverBase):
         old = table[ni] or array(ID_TYPECODE)
         if row == old and row_dists == (dists[ni] or array(ID_TYPECODE)):
             return  # the rows stay the objects a COW sibling may share
-        self._slabs = None
+        self._probe_cache = None
         dists[ni] = row_dists or None
         if row != old:
             table[ni] = row or None
@@ -1141,7 +1078,7 @@ class DistanceTwoHopCover(_CoverBase):
 
     def remove_nodes(self, removed: Set[Node]) -> None:
         """Drop nodes from the universe, their labels, and every label entry using them as a center."""
-        self._slabs = None
+        self._probe_cache = None
         removed_ids = []
         for v in removed:
             iid = self.interner.get(v)

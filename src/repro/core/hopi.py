@@ -202,10 +202,10 @@ class HopiIndex:
     def connected_many(self, u: ElementId, candidates) -> List[bool]:
         """Batched ``[connected(u, c) for c in candidates]``.
 
-        The descendant-step hot path of the query engine: the sealed
-        cover answers the whole batch from one descendant-set
-        materialisation over dense ids. A candidate *tuple* is
-        translated to internal ids once per seal (cached by identity);
+        The descendant-step hot path of the query engine: the cover
+        answers the whole batch from one descendant-set materialisation
+        over its label rows. A candidate *tuple* is translated to
+        internal ids once until the next mutation (cached by identity);
         any other sequence is translated on every call.
         """
         return self.cover.connected_many(u, candidates)

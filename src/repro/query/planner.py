@@ -12,7 +12,7 @@ is lowest, flipping descendant joins to **backward probes over the
 cover's ``ancestors`` side** when the selective step sits to their
 right.
 
-The two directions do not cost the same: the sealed cover answers a
+The two directions do not cost the same: the cover answers a
 forward block with one amortised candidate translation plus C-level
 membership tests, while a backward probe materialises an ancestor set
 per target. Each descendant join's candidate estimate is weighted by

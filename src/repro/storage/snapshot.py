@@ -2,8 +2,8 @@
 
 The SQLite store keeps one row per label entry — ideal for the paper's
 SQL query shapes, but (de)serialising a large cover costs one Python
-tuple per row. A snapshot instead writes the cover exactly as it
-seals in memory: a node-id table plus CSR blocks
+tuple per row. A snapshot instead writes the cover's tables as
+packed blocks: a node-id table plus CSR blocks
 (``indptr`` offsets + one flat, sorted data array) for ``Lin``,
 ``Lout`` and both backward indexes. Save and load move whole blocks
 with ``array.tobytes`` / ``array.frombytes`` — zero per-row Python

@@ -4,9 +4,9 @@ This is the reference implementation of the label semantics
 (Sections 3.1, 3.4 and 5.1 of the paper) that
 :mod:`repro.core.cover` must be indistinguishable from: the same
 classes that used to ship as the ``sets`` representation, moved here
-when the array cover with its lazy CSR seal became the only
-representation under ``src/``. Labels are plain sets / dicts over raw
-node ids — no interning, no sorted arrays, no seal, no kernels, no
+when the array cover became the only representation under ``src/``.
+Labels are plain sets / dicts over raw node ids — no interning, no
+sorted arrays, no probe caches, no kernels, no
 copy-on-write — so it shares no probe or mutation code with the product
 class. It keeps the full mutator and query surface, which lets the
 Section-6 maintenance algorithms (which construct ``type(cover)``) run
@@ -53,19 +53,23 @@ def oracle_index(index):
 
 #: What a test matrix can put behind a :class:`HopiIndex`, under the
 #: ids its rows have always carried: ``sets`` — the oracle; ``arrays`` —
-#: the cover with no seal built (mutable rows, galloping ``connected``);
-#: ``vector`` — the same cover sealed before the test body runs, so
-#: forks, copies, pickles and mutations start from a sealed parent.
+#: the cover with no batch probe run yet (galloping ``connected``);
+#: ``vector`` — the same cover with its batch-probe caches populated by a
+#: ``connected_many`` before the test body runs, so forks, copies,
+#: pickles and mutations start from a parent that holds them.
 COVER_STATES = ("arrays", "sets", "vector")
 
 
 def index_in_state(index, state: str):
-    """``index`` (freshly built, hence unsealed) put into ``state``."""
-    assert not index.cover.sealed
+    """``index`` (freshly built, hence with no probe cache) put into
+    ``state``."""
+    assert index.cover._probe_cache is None
     if state == "sets":
         return oracle_index(index)
     if state == "vector":
-        index.cover._seal()
+        elements = tuple(sorted(index.collection.elements))
+        index.connected_many(elements[0], elements)
+        assert index.cover._probe_cache is not None
     return index
 
 

@@ -3,10 +3,10 @@
 Label semantics are exercised by ``test_cover.py`` and, against the
 oracle, by the randomized equivalence suite (``test_equivalence.py``);
 this file covers the representation: sorted-array primitives, galloping
-merges, CSR round-trips, the batch constructor, and the sealed
-``connected_many`` / ``intersect_many`` hot path with its seal
-lifecycle (invalidate on mutation, pickle/deepcopy unsealed, tuple-only
-identity cache).
+merges, CSR round-trips, the batch constructor, and the
+``connected_many`` / ``intersect_many`` hot path with its probe-cache
+lifecycle (dropped on mutation, absent from pickles, deep copies and
+forks, tuple-only identity cache).
 """
 
 import copy
@@ -287,66 +287,95 @@ def test_from_entries_equals_one_add_at_a_time_on_repeated_entries(distance):
 
 
 # ---------------------------------------------------------------------------
-# the seal lifecycle
+# the probe-cache lifecycle
 # ---------------------------------------------------------------------------
 
 
-def _sealed_index():
+def _probed_index():
     collection = dblp_like(12, seed=3)
     index = HopiIndex.build(collection)
     roots = sorted(d.root for d in collection.documents.values())
     authors = sorted(collection.tags()["author"])
     index.connected_many(roots[0], authors)
-    assert index.cover.sealed
+    assert index.cover._probe_cache is not None
     return index, roots, authors
 
 
-def test_every_mutator_drops_the_seal():
-    cover = TwoHopCover(range(5))
-    cover.add_lout(0, 1)
-    cover.add_lin(2, 1)
-    other = TwoHopCover([9])
+def _probe_answers(cover):
+    """Every node's batch answers over the whole universe (the tuple
+    path through ``connected_many``, the list path through the block)."""
+    everyone = tuple(sorted(cover.nodes))
+    return (
+        [cover.connected_many(u, everyone) for u in everyone],
+        cover.intersect_many(everyone, list(everyone)),
+    )
+
+
+def _point_answers(cover):
+    everyone = sorted(cover.nodes)
+    rows = [[cover.connected(u, v) for v in everyone] for u in everyone]
+    return rows, [[j for j, ok in enumerate(row) if ok] for row in rows]
+
+
+@pytest.mark.parametrize(
+    "flavour", ["TwoHopCover", "DistanceTwoHopCover", "cow_copy"]
+)
+def test_every_mutator_drops_the_probe_caches(flavour):
+    """Each mutator drops the batch probes' caches and can still resize
+    every row the probe just read (no buffer view of a label row
+    outlives a probe); the next probe answers like ``connected()``."""
+    cls = DistanceTwoHopCover if flavour == "DistanceTwoHopCover" else TwoHopCover
+    d = (1,) if cls.is_distance_aware else ()
+    cover = cls(range(5))
+    cover.add_lout(0, 1, *d)
+    cover.add_lin(2, 1, *d)
+    parent = None
+    if flavour == "cow_copy":
+        parent, cover = cover, cover.cow_copy()
+        parent_answers = _probe_answers(parent)
     mutations = [
         lambda: cover.add_node(6),
         lambda: cover.add_nodes([7]),
-        lambda: cover.add_lin(3, 1),
-        lambda: cover.add_lout(4, 1),
+        lambda: cover.add_lin(3, 1, *d),
+        lambda: cover.add_lout(4, 1, *d),
+        lambda: cover.add_lout(0, 2, *d),
         lambda: cover.discard_lin(3, 1),
         lambda: cover.discard_lout(4, 1),
-        lambda: cover.set_lin(3, {0}),
-        lambda: cover.set_lout(3, {1}),
+        lambda: cover.discard_lout(0, 2),
+        lambda: cover.set_lin(3, {0: 1}),
+        lambda: cover.set_lout(3, {1: 1}),
         lambda: cover.remove_nodes({4}),
-        lambda: cover.union(other),
-        lambda: cover.absorb_disjoint(TwoHopCover([11])),
+        lambda: cover.union(cls([9])),
+        lambda: cover.absorb_disjoint(cls([11])),
     ]
     for mutate in mutations:
-        cover.connected_many(0, (1, 2))
-        assert cover.sealed
+        _probe_answers(cover)
+        assert cover._probe_cache is not None
         mutate()
-        assert not cover.sealed
-        everyone = sorted(cover.nodes)
-        assert cover.connected_many(0, everyone) == [
-            cover.connected(0, v) for v in everyone
-        ]
-    # a no-op discard changes nothing and may keep the seal
+        assert cover._probe_cache is None
+        assert _probe_answers(cover) == _point_answers(cover)
+    # a no-op discard changes nothing and may keep the caches
     cover.connected_many(0, (1, 2))
     cover.discard_lin(0, 4)
     assert cover.connected_many(0, (1, 2)) == [True, True]
+    if parent is not None:
+        assert _probe_answers(parent) == parent_answers
 
 
 def test_sealed_cover_pickles_and_deepcopies_unsealed():
-    """A sealed cover holds memoryviews; its copies must not."""
-    index, roots, authors = _sealed_index()
+    """A cover's probe cache is keyed by ``id()``; its copies start
+    without one."""
+    index, roots, authors = _probed_index()
     expected = [index.connected_many(r, authors) for r in roots]
     blob = canonical_snapshot_bytes(index.cover)
     for clone in (
         pickle.loads(pickle.dumps(index.cover)),
         copy.deepcopy(index.cover),
     ):
-        assert not clone.sealed
+        assert clone._probe_cache is None
         assert canonical_snapshot_bytes(clone) == blob
         assert [clone.connected_many(r, authors) for r in roots] == expected
-    assert index.cover.sealed  # the original keeps serving from its seal
+    assert index.cover._probe_cache is not None  # the original keeps its own
     assert pickle.loads(pickle.dumps(index)).connected_many(
         roots[0], authors
     ) == expected[0]
@@ -355,7 +384,7 @@ def test_sealed_cover_pickles_and_deepcopies_unsealed():
 def test_a_mutated_candidate_list_is_translated_again():
     """Only tuples are cached by identity: a list changed in place
     between two calls must be answered for what it holds *now*."""
-    index, roots, authors = _sealed_index()
+    index, roots, authors = _probed_index()
     oracle = lambda cands: [index.connected(roots[0], c) for c in cands]  # noqa: E731
     cands = list(authors)
     assert index.connected_many(roots[0], cands) == oracle(cands)
@@ -367,20 +396,21 @@ def test_a_mutated_candidate_list_is_translated_again():
         [i for i, c in enumerate(cands) if index.connected(r, c)]
         for r in roots[:3]
     ]
-    # a tuple is translated once per seal and answers identically
+    # a tuple is translated once per generation and answers identically
     frozen = tuple(cands)
     assert index.connected_many(roots[0], frozen) == oracle(cands)
-    assert id(frozen) in index.cover._slabs.cand_cache
-    assert id(cands) not in index.cover._slabs.cand_cache
+    assert id(frozen) in index.cover._probe_cache.cand
+    assert id(cands) not in index.cover._probe_cache.cand
     assert index.connected_many(roots[0], frozen) == oracle(cands)
 
 
 def test_a_fork_starts_unsealed_and_the_parent_keeps_its_seal():
-    index, roots, authors = _sealed_index()
+    index, roots, authors = _probed_index()
     expected = index.connected_many(roots[0], authors)
+    parent_cache = index.cover._probe_cache
     fork = index.cow_copy()
-    assert index.cover.sealed and not fork.cover.sealed
+    assert fork.cover._probe_cache is None
     fork.insert_element(roots[0], "author")
-    assert index.cover.sealed
+    assert index.cover._probe_cache is parent_cache
     assert index.connected_many(roots[0], authors) == expected
     assert fork.connected_many(roots[0], authors) == expected

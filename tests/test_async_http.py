@@ -625,7 +625,7 @@ class TestColdMissConvoy:
         # looked the key up (and missed) before it joined the leader, so
         # misses count the leader plus the coalesced — how many of the
         # seven overlap the leader depends on how long the one cold
-        # evaluation takes (it now includes the cover's lazy seal)
+        # evaluation takes
         assert stats["coalesced"] + stats["hits"] == 7
         assert stats["misses"] == 1 + stats["coalesced"]
 

@@ -129,6 +129,25 @@ def test_bad_build_sizes_are_usage_errors(corpus, tmp_path, capsys, argv):
     assert not (tmp_path / "x.db").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--max-inflight", "0"], ["--queue-depth", "-1"],
+    ["--max-client-share", "0"], ["--max-client-share", "1.5"],
+    ["--max-client-share", "half"], ["--result-cache", "0"],
+    ["--probe-cache", "-5"],
+])
+def test_bad_serve_sizes_are_usage_errors(index_path, tmp_path, capsys, argv):
+    """A bad admission or cache size is an argparse usage error (exit 2)
+    raised before ``--store`` creates anything."""
+    store = tmp_path / "state"
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", str(index_path), "--port", "0", "--store", str(store)]
+             + argv)
+    assert exc.value.code == 2
+    assert argv[0] in capsys.readouterr().err
+    assert not (store / "index.db").exists()
+    assert not (store / "updates.wal").exists()
+
+
 def test_invalid_backend_rejected(corpus, index_path, tmp_path, capsys):
     """``build`` / ``query`` / ``ingest`` take no ``--backend`` at all."""
     for argv in (

@@ -5,7 +5,7 @@ The COW invariants under test are the write path's correctness core:
 1. **Bit-identity.** An epoch produced by applying Section-6
    maintenance to a ``cow_copy()`` fork must serialise to exactly the
    same canonical snapshot bytes as one produced from a deep ``copy()``
-   — whether the forked cover was sealed or not, on every workload
+   — whether the forked cover held batch-probe caches or not, on every workload
    shape (the ``sets`` rows run the same scripts over the oracle,
    whose fork *is* a deep copy: they pin the expected bytes).
 2. **No leakage.** Mutating a fork never changes the published

@@ -68,8 +68,8 @@ def assert_equivalent(sets_index: HopiIndex, arrays_index: HopiIndex) -> None:
         assert sets_index.descendants(u) == arrays_index.descendants(u), u
         assert sets_index.ancestors(u) == arrays_index.ancestors(u), u
         expected = [sets_index.connected(u, v) for v in nodes]
-        # the sealed point probe, the sealed batch (list and tuple
-        # translation paths) and the block probe
+        # the point probe, the batch probe (list and tuple translation
+        # paths) and the block probe
         assert [arrays_index.connected(u, v) for v in nodes] == expected, u
         assert arrays_index.connected_many(u, nodes) == expected, u
         assert arrays_index.connected_many(u, frozen) == expected, u
@@ -77,11 +77,11 @@ def assert_equivalent(sets_index: HopiIndex, arrays_index: HopiIndex) -> None:
         if distance:
             for v in nodes:
                 assert sets_index.distance(u, v) == arrays_index.distance(u, v), (u, v)
-    # ... and the unsealed point probe (galloping over the mutable rows)
-    unsealed = arrays_index.cover.copy()
-    assert not unsealed.sealed
+    # ... and the point probe of a copy that never ran a batch probe
+    fresh = arrays_index.cover.copy()
+    assert fresh._probe_cache is None
     for u in nodes[:: max(len(nodes) // 8, 1)]:
-        assert [unsealed.connected(u, v) for v in nodes] == [
+        assert [fresh.connected(u, v) for v in nodes] == [
             sets_index.connected(u, v) for v in nodes
         ], u
 
@@ -138,7 +138,7 @@ def test_every_backend_answers_the_descendant_step_identically(monkeypatch):
     """The batch shape the query engine issues for each ``//a//b`` step
     — a document root probed against every element of the most frequent
     tag — gets bit-identical answers from everything that can answer
-    it: the oracle, the sealed cover (per-call list translation, cached
+    it: the oracle, the cover (per-call list translation, cached
     tuple translation, the block probe) and the portable kernels."""
     collection = dblp_like(30, seed=7)
     index = HopiIndex.build(
@@ -164,7 +164,7 @@ def test_every_backend_answers_the_descendant_step_identically(monkeypatch):
     for how, got in answers():
         assert got == expected, how
     monkeypatch.setattr(cover_module, "_np", None)
-    index.cover = index.cover.copy()  # reseal without numpy views
+    index.cover = index.cover.copy()  # drop the numpy-built caches
     for how, got in answers():
         assert got == expected, f"portable {how}"
 
@@ -269,22 +269,24 @@ def test_maintenance_equivalence_distance(seed):
 
 
 # ---------------------------------------------------------------------------
-# the portable seal (what a host without numpy runs)
+# the portable batch probes (what a host without numpy runs)
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("distance", [False, True])
 def test_portable_seal_matches_the_oracle(monkeypatch, distance):
-    """With the cover module's numpy handle gone, the seal packs plain
-    ``array`` slabs and the probes take the id-list / set-membership
-    branches (``_desc_set``, ``_Slabs`` without ``np_data``) — the only
-    paths a numpy-less host (CI) has. Same answers as the oracle, after
-    the build and after every step of a maintenance script."""
+    """With the cover module's numpy handle gone, the batch probes take
+    the id-list / set-membership branches (the descendant walk restricted
+    to the active universe; no numpy arrays in the probe cache) — the
+    only paths a host without numpy has. Same answers as the oracle,
+    after the build and after every step of a maintenance script."""
     monkeypatch.setattr(cover_module, "_np", None)
     sets_index, arrays_index = build_pair(2, cyclic=not distance, distance=distance)
     assert_equivalent(sets_index, arrays_index)
-    assert arrays_index.cover.sealed
-    assert arrays_index.cover._slabs.np_data is None
+    cache = arrays_index.cover._probe_cache
+    assert cache is not None
+    assert cache.active is None and not cache.desc
+    assert all(isinstance(ids, list) for _, ids, _ in cache.cand.values())
     for op in _maintenance_script(sets_index, random.Random(77), n_ops=6):
         _apply(sets_index, op)
         _apply(arrays_index, op)

@@ -185,14 +185,16 @@ def test_memory_store_keeps_default_journal():
 
 
 def test_save_cover_accepts_array_backend(tmp_path):
-    """``save_cover`` only streams ``entries()``: the sealed array
-    cover and the oracle both persist, and both load as the cover."""
+    """``save_cover`` only streams ``entries()``: the array cover with
+    its batch-probe caches populated and the oracle both persist, and
+    both load as the cover."""
     from cover_oracle import oracle_cover
 
     cover = TwoHopCover([1, 2, 3])
     cover.add_lout(1, 2)
     cover.add_lin(3, 2)
-    assert cover.connected_many(1, (2, 3)) == [True, True] and cover.sealed
+    assert cover.connected_many(1, (2, 3)) == [True, True]
+    assert cover._probe_cache is not None
     for saved in (cover, oracle_cover(cover)):
         store = SQLiteCoverStore(":memory:")
         store.save_cover(saved)
