@@ -37,14 +37,16 @@ import gc
 import heapq
 from array import array
 from typing import (
-    Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+    Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence,
+    Set, Tuple,
 )
 
 from repro.core.center_graph import densest_subgraph, initial_density_upper_bound
 from repro.core.cover import ID_TYPECODE, DistanceTwoHopCover, TwoHopCover
 from repro.graph.closure import TransitiveClosure, condensation_closure
-from repro.graph.condensation import Condensation
+from repro.graph.condensation import Condensation, tarjan_components
 from repro.graph.digraph import DiGraph
+from repro.xmlmodel.model import Collection
 
 Node = Hashable
 
@@ -257,15 +259,20 @@ def build_pll_cover(
     edges: Sequence[Tuple[Node, Node]],
     *,
     distance: bool = False,
+    multiplier: Optional[Mapping[Node, int]] = None,
     order: Optional[Sequence[Node]] = None,
 ):
     """Pruned landmark labelling of an arbitrary digraph (cycles allowed).
 
     The labelling runs in the cover's own id space: ``nodes`` are
     de-duplicated and interned in sorted order, and a vertex's BFS index
-    is its interner id. Vertices are taken by ``(out + 1) * (in + 1)``
-    descending, ties broken by node id, unless ``order`` lists them
-    (every vertex once, first labelled first). For each vertex ``w`` a
+    is its interner id. Vertices are taken by
+    ``(out + 1) * (in + 1) * multiplier[v]`` descending (a vertex the
+    sparse ``multiplier`` does not list counts 1), ties broken by node
+    id, unless ``order`` lists them (every vertex once, first labelled
+    first). The pruning is sound in any order; the product passes
+    :func:`reach_multiplier`, which ranks the elements that reach
+    across documents first. For each vertex ``w`` a
     forward BFS adds ``w`` to ``Lin(v)`` of every ``v`` it reaches, then
     a backward BFS adds ``w`` to ``Lout(u)`` of every ``u`` that reaches
     it. A vertex whose connection to ``w`` the labels written so far
@@ -280,6 +287,7 @@ def build_pll_cover(
             ignored).
         edges: the directed edges; duplicates and self-loops are ignored.
         distance: build a :class:`DistanceTwoHopCover` instead.
+        multiplier: a rank factor per vertex, above 1 where listed.
         order: the vertex order, when a caller labels a subgraph in its
             host graph's order (the Theorem-3 region re-label).
 
@@ -293,7 +301,7 @@ def build_pll_cover(
     enabled = gc.isenabled()
     gc.disable()
     try:
-        labels, tables = _pll_tables(nodes, edges, distance, order)
+        labels, tables = _pll_tables(nodes, edges, distance, multiplier, order)
     finally:
         if enabled:
             gc.enable()
@@ -305,6 +313,7 @@ def _pll_tables(
     nodes: Sequence[Node],
     edges: Sequence[Tuple[Node, Node]],
     distance: bool,
+    multiplier: Optional[Mapping[Node, int]],
     order: Optional[Sequence[Node]],
 ) -> Tuple[List[Node], Dict[str, List[Optional[array]]]]:
     """The labelling of :func:`build_pll_cover`: the interned labels and
@@ -331,6 +340,8 @@ def _pll_tables(
     if order is None:
         # ids follow node order, so the stable sort breaks ties by id
         weight = [-(len(s) + 1) * (len(p) + 1) for s, p in zip(succ, pred)]
+        for v, factor in (multiplier or {}).items():
+            weight[index[v]] *= factor
         ranked = sorted(range(n), key=weight.__getitem__)
     else:
         ranked = [index[v] for v in order]
@@ -450,6 +461,123 @@ def _shares_center_within(
         if d is not None and d + dc <= depth:
             return True
     return False
+
+
+def reach_multiplier(
+    collection: Collection, within: Optional[Set[Node]] = None
+) -> Dict[Node, int]:
+    """The product's PLL rank factor ``(A + 1) * (D + 1)`` of every
+    element where it is above 1 — the elements whose reach crosses
+    documents.
+
+    * ``D(x)``, non-zero only on ancestors-or-self of an inter-document
+      link source, counts the elements of *other* documents reachable
+      through the links that leave ``x``'s subtree;
+    * ``A(t)``, non-zero only on link targets, counts the link-source
+      ancestors-or-self, in other documents, that reach ``t``.
+
+    Reach is taken on the document graph, exactly per component of its
+    condensation: a document reached by a link reaches all its
+    elements, and a component is counted once however many links reach
+    it. Each component owns a run of bits as long as its weight (its
+    elements for ``D``, its link-source ancestors-or-self for ``A``), so
+    the weight of a union of reach sets is one ``bit_count()``. A
+    link-free collection gets an empty map, so :func:`build_pll_cover`
+    keeps its degree order there.
+
+    Args:
+        within: only the elements of this set, which is closed under
+            reachability (a Theorem-3 region). Each gets the factor the
+            whole collection gives it; the document graph, ~20x smaller
+            than the element graph, is still taken whole.
+    """
+    elements = collection.elements
+    if within is None:
+        within = elements.keys()
+    down: Dict[Hashable, Set[Hashable]] = {}
+    links = []  # those into ``within``, which holds every link out of it
+    # the ancestors-or-self of link sources, and how many per document
+    marked: Set[Node] = set()
+    weight: Dict[Hashable, int] = {}
+    for u, v in collection.inter_links:
+        du, dv = elements[u].doc, elements[v].doc
+        if v in within:
+            links.append((u, du, v, dv))
+        if du in down:
+            down[du].add(dv)
+        else:
+            down[du] = {dv}
+        x = u
+        while x is not None and x not in marked:
+            marked.add(x)
+            weight[du] = weight.get(du, 0) + 1
+            x = elements[x].parent
+    if not links:
+        return {}
+    sizes = {doc: len(d.elements) for doc, d in collection.documents.items()}
+    comps = tarjan_components(down, lambda doc: down.get(doc, ()))
+    comp_of = {doc: cid for cid, members in enumerate(comps) for doc in members}
+    # D: what each component reaches, sinks first
+    reach = []
+    offset = 0
+    for cid, members in enumerate(comps):
+        size = 0
+        for d in members:
+            size += sizes[d]
+        mask = ((1 << size) - 1) << offset
+        offset += size
+        for d in members:
+            for e in down.get(d, ()):
+                if comp_of[e] != cid:
+                    mask |= reach[comp_of[e]]
+        reach.append(mask)
+    # A: what reaches each component, sources first
+    reached = [0] * len(comps)
+    offset = 0
+    for cid in range(len(comps) - 1, -1, -1):
+        size = 0
+        for d in comps[cid]:
+            size += weight.get(d, 0)
+        mask = reached[cid] = reached[cid] | ((1 << size) - 1) << offset
+        offset += size
+        for d in comps[cid]:
+            for e in down.get(d, ()):
+                if comp_of[e] != cid:
+                    reached[comp_of[e]] |= mask
+    out: Dict[Node, int] = {}
+    into: Dict[Node, int] = {}
+    # the elements whose union holds their own document, through a
+    # cycle of the document graph
+    out_cyclic: Set[Node] = set()
+    into_cyclic: Set[Node] = set()
+    for u, du, v, dv in links:
+        c = comp_of[dv]
+        cycle = comp_of[du] == c
+        mask = reach[c]
+        x = u
+        # the links out of x's subtree, accumulated up its ancestors
+        while x is not None and x in within:
+            old = out.get(x, 0)
+            union = old | mask
+            if union == old and (not cycle or x in out_cyclic):
+                break  # and so does every ancestor's
+            out[x] = union
+            if cycle:
+                out_cyclic.add(x)
+            x = elements[x].parent
+        into[v] = into.get(v, 0) | reached[comp_of[du]]
+        if cycle:
+            into_cyclic.add(v)
+    factor: Dict[Node, int] = {}
+    for x, mask in out.items():
+        d = mask.bit_count() - (sizes[elements[x].doc] if x in out_cyclic else 0)
+        if d:
+            factor[x] = d + 1
+    for t, mask in into.items():
+        a = mask.bit_count() - (weight[elements[t].doc] if t in into_cyclic else 0)
+        if a:
+            factor[t] = factor.get(t, 1) * (a + 1)
+    return factor
 
 
 def build_partition_cover(

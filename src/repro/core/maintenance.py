@@ -15,8 +15,9 @@ a from-scratch rebuild.
   its parent's ``Lin`` plus one entry, not one entry per ancestor. This
   deliberately departs from the paper, which uses Section 3.3's rule
   for every edge; the offline join still does. A new document is
-  treated as a fresh partition — its cover is computed standalone,
-  unioned in, and its incident links are integrated one at a time.
+  treated as a fresh partition — its cover is computed standalone by
+  pruned landmark labelling, unioned in, and its incident links are
+  integrated one at a time.
 
 * **Deletions** (Section 6.2): deleting a document ``d_i`` takes the
   **fast path of Theorem 2** when ``d_i`` *separates* the document-level
@@ -55,8 +56,7 @@ from itertools import chain
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.core.cover import DistanceTwoHopCover, TwoHopCover
-from repro.core.cover_builder import build_cover, build_pll_cover
-from repro.core.distance import build_distance_cover
+from repro.core.cover_builder import build_pll_cover, reach_multiplier
 from repro.core.join import insert_link, insert_link_distance
 from repro.graph.traversal import (
     ancestors as graph_ancestors,
@@ -233,19 +233,20 @@ def insert_document(
     "A new document with outgoing and incoming links can be inserted by
     considering the document as a new partition, computing the 2–hop
     cover for this partition and applying the algorithm for merging
-    partitions" — the document's standalone cover is unioned in and each
-    incident inter-document link is integrated with the link rule.
+    partitions" — the document's standalone cover, built by
+    :func:`~repro.core.cover_builder.build_pll_cover` on its own graph
+    (which has no inter-document links, so the product's rank rule is
+    its degree order), is unioned in and each incident inter-document
+    link is integrated with the link rule.
 
     The caller builds the document (``new_document`` / ``add_child`` /
     ``add_link``) first, then calls this once.
     """
     start = time.perf_counter()
     doc = collection.documents[doc_id]
-    doc_graph = doc.element_graph()
-    if _is_distance(cover):
-        local: Cover = build_distance_cover(doc_graph, cover_factory=type(cover))
-    else:
-        local = build_cover(doc_graph, cover_factory=type(cover))
+    local = build_pll_cover(
+        doc.elements, list(doc.graph_edges()), distance=_is_distance(cover)
+    )
     # the document's elements are new to the cover, so every local
     # entry is a new one
     cover.union(local)
@@ -427,11 +428,16 @@ def _rebuild_region(
     pruned landmark labelling, splice the labels in, and return the
     region's size.
 
-    The vertex order is the whole graph's, restricted to the region:
-    ``(out + 1) * (in + 1)`` descending, with a region node's in-degree
-    counting links from outside the region, ties broken by id. A region
-    ordered by its own degrees drifts away from a fresh build's labels."""
+    The vertex order is the one a fresh build of the new graph takes,
+    restricted to the region: ``(out + 1) * (in + 1)`` times
+    :func:`~repro.core.cover_builder.reach_multiplier` descending, with
+    a region node's in-degree counting links from outside the region,
+    ties broken by id. The multiplier is recomputed from the current
+    collection, element by element for the region's elements only. A
+    region ordered by its own degrees drifts away from a fresh build's
+    labels."""
     region = _reach(collection, links, seeds)
+    multiplier = reach_multiplier(collection, region)
     elements, documents = collection.elements, collection.documents
     succ: Dict[ElementId, Set[ElementId]] = {}
     pred: Dict[ElementId, Set[ElementId]] = {}
@@ -444,7 +450,10 @@ def _rebuild_region(
             if v in pred and v != u:
                 pred[v].add(u)
     order = sorted(
-        region, key=lambda x: (-(len(succ[x]) + 1) * (len(pred[x]) + 1), x)
+        region,
+        key=lambda x: (
+            -(len(succ[x]) + 1) * (len(pred[x]) + 1) * multiplier.get(x, 1), x
+        ),
     )
     fresh = build_pll_cover(
         sorted(region),

@@ -42,7 +42,9 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.cover_builder import build_partition_cover, build_pll_cover
+from repro.core.cover_builder import (
+    build_partition_cover, build_pll_cover, reach_multiplier,
+)
 from repro.core.join import (
     join_covers_incremental,
     join_covers_incremental_distance,
@@ -282,7 +284,8 @@ class BuildPipeline:
             t0 = time.perf_counter()
             if task.pll:
                 cover = build_pll_cover(
-                    task.nodes, task.edges, distance=task.distance
+                    task.nodes, task.edges, distance=task.distance,
+                    multiplier=reach_multiplier(self.collection),
                 )
             else:
                 cover = build_partition_cover(

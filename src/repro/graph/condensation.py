@@ -12,7 +12,7 @@ paths far deeper than CPython's recursion limit.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Callable, Dict, Iterable, List, Set
 
 from repro.graph.digraph import DiGraph, Node
 
@@ -26,6 +26,15 @@ def strongly_connected_components(graph: DiGraph) -> List[List[Node]]:
         condensation (every edge goes from a later component to an
         earlier one in the returned list).
     """
+    return tarjan_components(graph, graph.successors)
+
+
+def tarjan_components(
+    nodes: Iterable[Node], successors: Callable[[Node], Iterable[Node]]
+) -> List[List[Node]]:
+    """:func:`strongly_connected_components` of the graph reachable from
+    ``nodes`` along ``successors``, for graphs held as something other
+    than a :class:`DiGraph`."""
     index: Dict[Node, int] = {}
     lowlink: Dict[Node, int] = {}
     on_stack: Set[Node] = set()
@@ -33,11 +42,11 @@ def strongly_connected_components(graph: DiGraph) -> List[List[Node]]:
     components: List[List[Node]] = []
     counter = 0
 
-    for root in graph:
+    for root in nodes:
         if root in index:
             continue
         # Each work item is (node, iterator over its successors).
-        work = [(root, iter(graph.successors(root)))]
+        work = [(root, iter(successors(root)))]
         index[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
@@ -51,7 +60,7 @@ def strongly_connected_components(graph: DiGraph) -> List[List[Node]]:
                     counter += 1
                     stack.append(w)
                     on_stack.add(w)
-                    work.append((w, iter(graph.successors(w))))
+                    work.append((w, iter(successors(w))))
                     advanced = True
                     break
                 if w in on_stack:

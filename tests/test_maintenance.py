@@ -14,7 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import maintenance
+from repro.core import cover_builder, maintenance
+from repro.core import distance as distance_builder
 from repro.core.cover_builder import build_cover
 from repro.core.distance import build_distance_cover
 from repro.core.hopi import HopiIndex
@@ -526,8 +527,8 @@ def test_theorem3_paths_build_no_whole_graph_and_no_flat_cover(monkeypatch, dist
     pll_nodes = []
     for owner, name in [
         (Collection, "element_graph"),
-        (maintenance, "build_cover"),
-        (maintenance, "build_distance_cover"),
+        (cover_builder, "build_cover"),
+        (distance_builder, "build_distance_cover"),
         (maintenance, "build_pll_cover"),
         (BuildPipeline, "run"),
     ]:
@@ -733,13 +734,48 @@ def test_maintained_cover_stays_near_rebuilt_size_under_inserts(greedy_maintaine
     assert greedy_maintained.cover.size <= 1.10 * fresh.cover.size
 
 
+@pytest.fixture(scope="module")
+def pll_maintained():
+    return _maintained_under_inserts("pll")
+
+
 def test_maintained_pll_cover_is_no_larger_than_the_maintained_greedy_one(
-    greedy_maintained,
+    greedy_maintained, pll_maintained,
 ):
     """The product path: the same update mix on a PLL-started index
     ends no larger than on a greedy-started one."""
-    pll = _maintained_under_inserts("pll")
-    assert pll.cover.size <= greedy_maintained.cover.size
+    assert pll_maintained.cover.size <= greedy_maintained.cover.size
+
+
+def test_maintained_pll_cover_stays_near_a_fresh_pll_build(pll_maintained):
+    """The product path drifts little: after the update mix the
+    maintained cover is at most 15 % above a fresh build of the end
+    state (1.13x; 1.23x while a new document was labelled greedily
+    and the build ordered vertices by degree alone)."""
+    fresh = HopiIndex.build(pll_maintained.collection)
+    assert pll_maintained.cover.size <= 1.15 * fresh.cover.size
+
+
+@pytest.mark.parametrize("distance", [False, True])
+def test_insert_document_labels_the_document_by_pll(monkeypatch, distance):
+    """A new document's own cover is the product's PLL labelling: the
+    greedy builders are never called."""
+    c = dblp_like(8, seed=4)
+    cover = _fresh_cover(c, distance)
+
+    def greedy(*args, **kwargs):
+        raise AssertionError("a greedy builder was called")
+
+    monkeypatch.setattr(cover_builder, "build_cover", greedy)
+    monkeypatch.setattr(distance_builder, "build_distance_cover", greedy)
+    root = c.new_document("fresh", "article")
+    cite = c.add_child(c.add_child(root.eid, "citations").eid, "cite")
+    c.add_child(root.eid, "title")
+    c.add_link(cite.eid, c.documents["dblp2"].root)
+    c.add_link(c.documents["dblp5"].root, root.eid)
+    insert_document(c, cover, "fresh")
+    monkeypatch.undo()
+    _verify(c, cover, distance)
 
 
 _DETERMINISM_SCRIPT = """

@@ -15,14 +15,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import acyclic
 from random_collections import random_collection
-from repro.core.cover_builder import build_cover, build_pll_cover
+from repro.core.cover_builder import build_cover, build_pll_cover, reach_multiplier
 from repro.core.distance import build_distance_cover
 from repro.core.hopi import HopiIndex
+from repro.core.maintenance import _link_targets, _reach, _rebuild_region
 from repro.core.pipeline import BuildPipeline
 from repro.graph import DiGraph, distance_closure, transitive_closure
+from repro.graph.traversal import ancestors as graph_ancestors
+from repro.graph.traversal import descendants as graph_descendants
 from repro.storage.snapshot import snapshot_to_bytes
 from repro.xmlmodel.generator import dblp_like, inex_like
+from repro.xmlmodel.model import Collection
 
 SETTINGS = settings(
     max_examples=200,
@@ -106,8 +111,8 @@ def test_pll_writes_the_tables_from_entries_builds(graph, distance):
 #: sha256 of ``snapshot_to_bytes`` of the product build's cover, pinned
 #: so that any change to what PLL writes is a visible test edit
 PINNED_BUILD_SHA256 = {
-    ("dblp", False): "f0b0a66566af2db45914d9f4b4ea94938644107e310493527bcf6920dd610ceb",
-    ("dblp", True): "47b83f8a3fe7f2948cdd7d7b72aced15ec3bdf173050307b129272a51dd8ecb6",
+    ("dblp", False): "be36e95fd47400643b1a0092298c2552e35e73fac0828a4f3e2567d0ac4a5fd6",
+    ("dblp", True): "df21a52ac4fb9dddb1dd9e0d06cecabdc4d38ccbf1f41de52e46e71454753261",
     ("inex", False): "7dcd2a7d9556c301b2d7ae55c7c75c5189e4de496553a6489eaa7e3345d8aba8",
     ("inex", True): "a77500b500df143b5e25fe07ca3521de46a0a64de777ddb58968b7811ca6b720",
 }
@@ -119,6 +124,97 @@ def test_pll_build_bytes_are_pinned(corpus, distance):
     cover = HopiIndex.build(c, distance=distance).cover
     digest = hashlib.sha256(snapshot_to_bytes(cover)).hexdigest()
     assert digest == PINNED_BUILD_SHA256[corpus, distance]
+
+
+def _reference_multiplier(c):
+    """``(A + 1) * (D + 1)`` straight from its definition: document
+    reach by one search per document, subtrees and ancestor chains
+    walked element by element."""
+    graph = c.document_graph()
+    below = {d: graph_descendants(graph, d) for d in c.documents}
+    above = {d: graph_ancestors(graph, d) for d in c.documents}
+    marked = set()  # ancestors-or-self of an inter-document link source
+    for u, _ in c.inter_links:
+        while u is not None:
+            marked.add(u)
+            u = c.elements[u].parent
+    expected = {}
+    for x, element in c.elements.items():
+        subtree, stack = set(), [x]
+        while stack:
+            subtree.add(stack[-1])
+            stack += c.documents[element.doc].children[stack.pop()]
+        reached = set()
+        for u, v in c.inter_links:
+            if u in subtree:
+                reached |= below[c.doc(v)]
+        reaching = set()
+        for u, v in c.inter_links:
+            if v == x:
+                reaching |= above[c.doc(u)]
+        d = sum(len(c.elements_of(e)) for e in reached - {element.doc})
+        a = sum(c.doc(s) in reaching - {element.doc} for s in marked)
+        if (a + 1) * (d + 1) > 1:
+            expected[x] = (a + 1) * (d + 1)
+    return expected
+
+
+def _reordered(c, rng):
+    """The same collection, its documents, elements and inter-document
+    links inserted in another order."""
+    other = Collection()
+    docs = list(c.documents)
+    rng.shuffle(docs)
+    for doc_id in docs:
+        other.documents[doc_id] = c.documents[doc_id]
+    eids = list(c.elements)
+    rng.shuffle(eids)
+    for eid in eids:
+        other.elements[eid] = c.elements[eid]
+    links = sorted(c.inter_links)
+    rng.shuffle(links)
+    for link in links:
+        other.inter_links.add(link)
+    other._next_id = c._next_id
+    return other
+
+
+@settings(SETTINGS, max_examples=60)
+@given(st.integers(2, 7), st.integers(0, 14), st.randoms(use_true_random=False),
+       st.booleans())
+def test_reach_multiplier_is_its_definition_in_any_insertion_order(
+    n_docs, links, rng, distance
+):
+    """On random collections with document-level cycles the multiplier
+    is its definition, whatever order documents and links were added
+    in, also restricted to a region closed under reachability, and the
+    build it orders answers like breadth-first search."""
+    c = random_collection(n_docs=n_docs, inter_links=links, rng=rng)
+    expected = _reference_multiplier(c)
+    assert reach_multiplier(c) == expected
+    assert reach_multiplier(_reordered(c, rng)) == expected
+    region = _reach(c, _link_targets(c), rng.sample(sorted(c.elements), 2))
+    assert reach_multiplier(c, region) == {
+        x: factor for x, factor in expected.items() if x in region
+    }
+    cover = HopiIndex.build(c, distance=distance).cover
+    closure = distance_closure if distance else transitive_closure
+    cover.verify_against(closure(c.element_graph()))
+
+
+@pytest.mark.parametrize("distance", [False, True])
+def test_a_region_of_every_element_relabels_to_the_fresh_build(distance):
+    """One rank rule: the Theorem-3 re-label of a region holding every
+    element writes exactly the product build's labels, whatever cover
+    it starts from."""
+    c = random_collection(n_docs=12, inter_links=30, seed=8)
+    assert not acyclic.is_acyclic(c.document_graph())
+    for corpus in (c, dblp_like(30, seed=5)):
+        cover = HopiIndex.build(corpus, strategy="recursive", distance=distance).cover
+        everything = set(corpus.elements)
+        _rebuild_region(corpus, cover, everything, everything, _link_targets(corpus))
+        fresh = HopiIndex.build(corpus, distance=distance).cover
+        assert sorted(cover.entries()) == sorted(fresh.entries())
 
 
 def test_pll_labels_do_not_depend_on_edge_order():
@@ -179,30 +275,36 @@ def test_unpartitioned_builds_the_greedy_cover_of_the_element_graph(distance):
 
 _HASH_SEED_SCRIPT = """
 import hashlib
+from acyclic import is_acyclic
+from random_collections import random_collection
 from repro.core.hopi import HopiIndex
-from repro.storage.snapshot import canonical_snapshot_bytes
+from repro.storage.snapshot import snapshot_to_bytes
 from repro.xmlmodel.generator import dblp_like
 
-c = dblp_like(30, seed=5)
-for distance in (False, True):
-    cover = HopiIndex.build(c, distance=distance).cover
-    print(hashlib.sha256(canonical_snapshot_bytes(cover)).hexdigest())
+cyclic = random_collection(n_docs=14, inter_links=40, seed=6)
+assert not is_acyclic(cyclic.document_graph())
+for c in (dblp_like(30, seed=5), cyclic):
+    for distance in (False, True):
+        cover = HopiIndex.build(c, distance=distance).cover
+        print(hashlib.sha256(snapshot_to_bytes(cover)).hexdigest())
 """
 
 
 def test_pll_build_is_independent_of_the_hash_seed():
     """Document ids are strings, so anything that walks them in set
-    order differs between processes: the built cover must not."""
+    order (the document graph's components, for the vertex order)
+    differs between processes: the built cover must not, on a
+    collection with document-level cycles too."""
     tests = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.join(os.path.dirname(tests), "src")
+    path = os.pathsep.join([os.path.join(os.path.dirname(tests), "src"), tests])
     outputs = []
     for seed in ("0", "1"):
         done = subprocess.run(
             [sys.executable, "-c", _HASH_SEED_SCRIPT],
-            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr[-2000:]
         outputs.append(done.stdout)
-    assert len(outputs[0].splitlines()) == 2
+    assert len(outputs[0].splitlines()) == 4
     assert outputs[0] == outputs[1]
