@@ -10,7 +10,8 @@ Public entry points:
 * :mod:`repro.xmlmodel` — collections, the XML parser, generators;
 * :class:`repro.query.QueryEngine` — ``//``-path expressions with
   ``~tag`` similarity and distance ranking;
-* :mod:`repro.storage` — the SQLite LIN/LOUT persistence layer;
+* :mod:`repro.storage` — the SQLite index file (the collection; the
+  cover is rebuilt on load), snapshots and the update WAL;
 * ``python -m repro`` — the command-line interface.
 """
 

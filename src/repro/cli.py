@@ -173,16 +173,13 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_connected(args: argparse.Namespace) -> int:
-    with SQLiteCoverStore(_existing(args.index)) as store:
-        if args.distance:
-            try:
-                distance = store.distance(args.source, args.target)
-            except TypeError:
-                _usage_error(f"index {args.index} was built without --distance")
-        result = store.connected(args.source, args.target)
-        print("connected" if result else "not connected")
-        if args.distance:
-            print(f"distance: {distance}")
+    index = load_index(_existing(args.index))
+    if args.distance and not index.is_distance_aware:
+        _usage_error(f"index {args.index} was built without --distance")
+    result = index.connected(args.source, args.target)
+    print("connected" if result else "not connected")
+    if args.distance:
+        print(f"distance: {index.distance(args.source, args.target)}")
     return 0 if result else 1
 
 

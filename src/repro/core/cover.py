@@ -874,8 +874,7 @@ class TwoHopCover(_CoverBase):
     ) -> "TwoHopCover":
         """Batch constructor: a cover over ``nodes`` holding ``entries``
         (``(kind, node, center)`` rows in any order, e.g. another
-        cover's :meth:`entries` or a store's LIN/LOUT rows; no
-        self-entries). Rows are grouped per node and sorted once
+        cover's :meth:`entries`; no self-entries). Rows are grouped per node and sorted once
         instead of paying one sorted insert per entry."""
         # intern in sorted node order when possible: label-sorted
         # interners make snapshot blobs deterministic

@@ -1,19 +1,20 @@
-"""Persistence for the HOPI index (Section 3.4).
+"""Persistence for the HOPI index.
 
-The paper stores the 2-hop cover in two relational tables ``LIN(ID,
-INID)`` and ``LOUT(ID, OUTID)`` (plus a ``DIST`` column for
-distance-aware covers, Section 5.1), indexed forward *and* backward, and
-evaluates connection tests as one indexed join. This package reproduces
-that design next to an array-native snapshot format:
+The paper (Section 3.4) stores the 2-hop cover in two relational tables
+``LIN(ID, INID)`` and ``LOUT(ID, OUTID)``, indexed forward and
+backward. Here the cover built by pruned landmark labelling is derived
+state — deterministic, and about as fast to rebuild as to read back —
+so an index file holds only the collection:
 
-* :mod:`repro.storage.schema` — DDL and the paper's query strings;
+* :mod:`repro.storage.schema` — the file's DDL;
 * :mod:`repro.storage.db` — :class:`SQLiteCoverStore`, the one store:
-  it writes whole indexes (a delta against the last write, or a full
-  write), loads them back, and answers the paper's query shapes in SQL;
+  it writes an index's collection (a delta against the last write, or a
+  full write) and loads it back, rebuilding the cover;
 * :mod:`repro.storage.snapshot` — CSR-style binary snapshots that
   round-trip covers without per-row Python overhead;
 * :mod:`repro.storage.wal` — the update WAL and the crash-recoverable
-  :class:`~repro.storage.wal.DurableIndexStore` over ``index.db``.
+  :class:`~repro.storage.wal.DurableIndexStore` over ``index.db`` and a
+  snapshot of its maintained cover.
 """
 
 from repro.storage.db import SQLiteCoverStore, load_index, persist_index

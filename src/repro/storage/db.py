@@ -1,9 +1,14 @@
-"""SQLite-backed HOPI store (Section 3.4 on SQLite instead of Oracle).
+"""SQLite-backed HOPI store: the collection, not the labels.
 
-:class:`SQLiteCoverStore` persists a HOPI index — its 2-hop cover and
-the collection it indexes — into a single database file and answers
-queries with the paper's SQL statements. ``:memory:`` databases are
-supported for tests.
+:class:`SQLiteCoverStore` writes the collection a HOPI index covers
+(documents, elements, links), its epoch and its distance flag into one
+database file. The 2-hop cover is derived state: the product build
+(pruned landmark labelling) is deterministic and takes about as long
+as reading stored labels back, so :func:`load_index` rebuilds it from
+the loaded collection. A reload therefore drops whatever labels
+maintenance had grown beyond a fresh build's; the durable store
+(:mod:`repro.storage.wal`) keeps its maintained cover in a snapshot
+beside the file. ``:memory:`` databases are supported for tests.
 """
 
 from __future__ import annotations
@@ -11,10 +16,7 @@ from __future__ import annotations
 import errno
 import os
 import sqlite3
-from array import array
-from itertools import chain, compress, count
-from operator import is_not
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.cover import DistanceTwoHopCover, TwoHopCover
 from repro.core.hopi import HopiIndex
@@ -23,25 +25,23 @@ from repro.xmlmodel.model import Collection
 
 Cover = Union[TwoHopCover, DistanceTwoHopCover]
 
-#: rows per ``executemany`` flush — large enough to amortise the SQL
-#: statement dispatch, small enough to bound peak row-buffer memory.
-BATCH_ROWS = 10_000
-
 _COLLECTION_TABLES = ("DOCUMENTS", "ELEMENTS", "LINKS")
 
 _META_UPSERT = "INSERT OR REPLACE INTO META (KEY, VALUE) VALUES (?, ?)"
 
 
 class SQLiteCoverStore:
-    """A 2-hop cover stored in LIN/LOUT tables with forward + backward
-    indexes.
+    """An index file: the collection a HOPI index covers, its epoch and
+    its distance flag, but not its 2-hop cover.
 
-    File-backed databases are opened with ``journal_mode=WAL`` and
-    ``synchronous=NORMAL`` — the standard bulk-write/point-read tuning
-    (readers never block the writer, fsync only at checkpoints).
-    ``:memory:`` databases keep SQLite's defaults. The connection may be
-    used from any thread, one at a time: the durable store checkpoints
-    on whichever executor thread holds the service's write lock.
+    The labels are derived state: :func:`load_index` rebuilds them by
+    the product build. File-backed databases are opened with
+    ``journal_mode=WAL`` and ``synchronous=NORMAL`` — the standard
+    bulk-write/point-read tuning (readers never block the writer, fsync
+    only at checkpoints). ``:memory:`` databases keep SQLite's defaults.
+    The connection may be used from any thread, one at a time: the
+    durable store checkpoints on whichever executor thread holds the
+    service's write lock.
 
     Args:
         path: database file path, or ``":memory:"``.
@@ -55,47 +55,6 @@ class SQLiteCoverStore:
             self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.executescript(schema.SCHEMA)
         self._conn.commit()
-
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
-    def save_cover(self, cover: Cover) -> None:
-        """(Re)write the LIN/LOUT tables from any in-memory cover.
-
-        Rows are streamed from ``cover.entries()`` in
-        :data:`BATCH_ROWS`-sized ``executemany`` batches.
-        """
-        cur = self._conn.cursor()
-        cur.execute("DELETE FROM LIN")
-        cur.execute("DELETE FROM LOUT")
-        cur.executemany(_META_UPSERT, _cover_meta(cover))
-        # one pass over entries(), dispatching rows into per-table batches
-        _execute_batched(
-            cur,
-            _label_inserts(cover.is_distance_aware),
-            ((kind, tuple(row)) for kind, *row in cover.entries()),
-        )
-        self._conn.commit()
-
-    def load_cover(self) -> Cover:
-        """Materialise the stored cover back into memory.
-
-        Rows stream out of the primary-key indexes already grouped by
-        node and sorted by center, straight into the cover's batch
-        constructor (a ``backend`` META row written by older versions
-        is ignored — there is one representation)."""
-        distance = self._meta("distance") == "1"
-        nodes_blob = self._meta("nodes") or ""
-        nodes = [int(x) for x in nodes_blob.split(",") if x]
-        dist = ", DIST" if distance else ""
-        rows = chain(
-            (("in",) + row for row in self._conn.execute(
-                f"SELECT ID, INID{dist} FROM LIN ORDER BY ID, INID")),
-            (("out",) + row for row in self._conn.execute(
-                f"SELECT ID, OUTID{dist} FROM LOUT ORDER BY ID, OUTID")),
-        )
-        factory = DistanceTwoHopCover if distance else TwoHopCover
-        return factory.from_entries(nodes, rows)
 
     def load_collection(self) -> Collection:
         cur = self._conn.cursor()
@@ -125,8 +84,10 @@ class SQLiteCoverStore:
             if element.eid != eid:
                 raise ValueError("corrupt store: non-contiguous element ids")
             element.text = text
+        # ids are never reused: deleted elements may sit above the
+        # highest stored one
         max_eid = max((e[0] for e in elements), default=-1)
-        collection._next_id = max_eid + 1
+        collection._next_id = max(max_eid + 1, int(self._meta("next_id") or 0))
         for source, target, _kind in cur.execute(
             "SELECT SOURCE, TARGET, KIND FROM LINKS"
         ):
@@ -134,128 +95,81 @@ class SQLiteCoverStore:
         return collection
 
     def write_index(
-        self, index: HopiIndex, base: Optional[HopiIndex] = None
+        self, index: HopiIndex, base: Optional[Collection] = None
     ) -> Dict[str, int]:
-        """Bring the stored index to ``index`` in one transaction,
-        rewriting only what differs from ``base``.
+        """Bring the stored collection to ``index``'s in one
+        transaction, rewriting only what differs from ``base``.
 
         ``base`` must be exactly what the file holds: a copy-on-write
-        fork (:meth:`HopiIndex.cow_copy`) of the index written last, so
-        that any later in-place change to that index privatised the rows
-        it touched. A label row whose array *is* the base's object is
-        therefore unchanged; every other row is compared with the
-        base's entry by entry. Documents, elements and links are diffed
-        by key and object identity (a forked collection privatises a
-        document before changing it); ``META`` ``nodes`` and ``epoch``
-        are rewritten. Without a base, or when the cover's interner
-        does not extend the base's, every table is cleared and the diff
-        runs against an empty index: a full rewrite is the empty-base
-        case of this writer. Any failure rolls the transaction back.
+        fork (:meth:`Collection.fork`) of the collection written last,
+        so that any later in-place change to that collection privatised
+        the documents it touched. Documents, elements and links are
+        diffed by key and object identity; ``META`` ``distance``,
+        ``epoch`` and ``next_id`` are rewritten. Without a base every table is cleared,
+        what older files hold beside the collection (label tables,
+        their indexes, the ``nodes`` META key) is dropped, and the diff
+        runs against an empty collection: a full rewrite is the
+        empty-base case of this writer. Any failure rolls the
+        transaction back.
 
         Returns:
-            SQL rows deleted or inserted, per table.
+            SQL rows deleted or inserted, per collection table.
         """
-        cover = index.cover
         cur = self._conn.cursor()
+        stale = []
         try:
-            if (
-                base is None
-                or type(base.cover) is not type(cover)
-                or not cover.interner.extends(base.cover.interner)
-            ):
-                for table in _COLLECTION_TABLES + ("LIN", "LOUT"):
+            if base is None:
+                for table in ("META",) + _COLLECTION_TABLES:
                     cur.execute(f"DELETE FROM {table}")
-                base = HopiIndex(Collection(), type(cover)())
-            written = _write_collection_delta(
-                cur, index.collection, base.collection
-            )
-            written.update(_write_cover_delta(cur, cover, base.cover))
-            cur.executemany(
-                _META_UPSERT,
-                _cover_meta(cover) + [("epoch", str(index.epoch))],
-            )
+                stale = self._stale_objects()
+                for kind, name in stale:
+                    cur.execute(f"DROP {kind} {name}")
+                base = Collection()
+            written = _write_collection_delta(cur, index.collection, base)
+            cur.executemany(_META_UPSERT, [
+                ("distance", "1" if index.is_distance_aware else "0"),
+                ("epoch", str(index.epoch)),
+                ("next_id", str(index.collection._next_id)),
+            ])
             self._conn.commit()
         except BaseException:
             self._conn.rollback()
             raise
+        if stale:
+            self._conn.execute("VACUUM")  # return the dropped pages
         return written
 
-    # ------------------------------------------------------------------
-    # queries (the paper's SQL)
-    # ------------------------------------------------------------------
+    def load_index(self, cover: Optional[Cover] = None) -> HopiIndex:
+        """The stored collection at the stored epoch, covered by
+        ``cover`` or, without one, by :meth:`HopiIndex.build` with the
+        stored distance flag. Label tables an older file holds are not
+        read."""
+        collection = self.load_collection()
+        if cover is None:
+            distance = self._meta("distance") == "1"
+            index = HopiIndex.build(collection, distance=distance)
+        else:
+            index = HopiIndex(collection, cover)
+        index.epoch = int(self._meta("epoch") or "0")
+        return index
+
+    def stale(self) -> bool:
+        """Whether the file holds what an older version wrote beside
+        the collection; the next full :meth:`write_index` drops it."""
+        return bool(self._stale_objects()) or self._meta("nodes") is not None
+
+    def _stale_objects(self) -> List[Tuple[str, str]]:
+        """``(type, name)`` of the older tables and indexes present."""
+        return self._conn.execute(
+            "SELECT type, name FROM sqlite_master WHERE name IN "
+            f"({', '.join('?' * len(schema.STALE))})", schema.STALE,
+        ).fetchall()
+
     def _meta(self, key: str) -> Optional[str]:
         row = self._conn.execute(
             "SELECT VALUE FROM META WHERE KEY = ?", (key,)
         ).fetchone()
         return row[0] if row else None
-
-    def _node_known(self, v: int) -> bool:
-        row = self._conn.execute(
-            "SELECT 1 FROM ELEMENTS WHERE EID = ? LIMIT 1", (v,)
-        ).fetchone()
-        if row:
-            return True
-        # fall back to label presence when no collection is stored
-        for q in (
-            "SELECT 1 FROM LIN WHERE ID = ? LIMIT 1",
-            "SELECT 1 FROM LOUT WHERE ID = ? LIMIT 1",
-            "SELECT 1 FROM LIN WHERE INID = ? LIMIT 1",
-            "SELECT 1 FROM LOUT WHERE OUTID = ? LIMIT 1",
-        ):
-            if self._conn.execute(q, (v,)).fetchone():
-                return True
-        nodes_blob = self._meta("nodes") or ""
-        return str(v) in nodes_blob.split(",") if nodes_blob else False
-
-    def connected(self, u: int, v: int) -> bool:
-        if u == v:
-            return self._node_known(u)
-        cur = self._conn.cursor()
-        if cur.execute(schema.SELF_OUT_QUERY, (u, v)).fetchone():
-            return True
-        if cur.execute(schema.SELF_IN_QUERY, (v, u)).fetchone():
-            return True
-        (count,) = cur.execute(schema.CONNECTION_QUERY, (u, v)).fetchone()
-        return count > 0
-
-    def distance(self, u: int, v: int) -> Optional[int]:
-        if self._meta("distance") != "1":
-            raise TypeError("store does not hold a distance-aware cover")
-        if u == v:
-            return 0 if self._node_known(u) else None
-        cur = self._conn.cursor()
-        best: Optional[int] = None
-        (d,) = cur.execute(schema.SELF_OUT_DISTANCE_QUERY, (u, v)).fetchone()
-        if d is not None:
-            best = d
-        (d,) = cur.execute(schema.SELF_IN_DISTANCE_QUERY, (v, u)).fetchone()
-        if d is not None and (best is None or d < best):
-            best = d
-        (d,) = cur.execute(schema.DISTANCE_QUERY, (u, v)).fetchone()
-        if d is not None and (best is None or d < best):
-            best = d
-        return best
-
-    def descendants(self, u: int) -> Set[int]:
-        result = {
-            row[0]
-            for row in self._conn.execute(schema.DESCENDANTS_QUERY, (u, u, u))
-        }
-        result.add(u)
-        return result
-
-    def ancestors(self, v: int) -> Set[int]:
-        result = {
-            row[0]
-            for row in self._conn.execute(schema.ANCESTORS_QUERY, (v, v, v))
-        }
-        result.add(v)
-        return result
-
-    def cover_size(self) -> int:
-        (n_in,) = self._conn.execute("SELECT COUNT(*) FROM LIN").fetchone()
-        (n_out,) = self._conn.execute("SELECT COUNT(*) FROM LOUT").fetchone()
-        return n_in + n_out
 
     def close(self) -> None:
         self._conn.close()
@@ -265,48 +179,6 @@ class SQLiteCoverStore:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def _execute_batched(
-    cur: sqlite3.Cursor, sql_by_key: Dict[str, str], keyed_rows: Iterable
-) -> Dict[str, int]:
-    """Stream ``(key, row)`` pairs into per-key ``executemany`` batches
-    of :data:`BATCH_ROWS` — the single flush policy for all bulk writes.
-
-    Returns:
-        rows executed per key.
-    """
-    batches: Dict[str, List[tuple]] = {key: [] for key in sql_by_key}
-    executed = dict.fromkeys(sql_by_key, 0)
-    for key, row in keyed_rows:
-        batch = batches[key]
-        batch.append(row)
-        if len(batch) >= BATCH_ROWS:
-            cur.executemany(sql_by_key[key], batch)
-            executed[key] += len(batch)
-            batch.clear()
-    for key, batch in batches.items():
-        if batch:
-            cur.executemany(sql_by_key[key], batch)
-            executed[key] += len(batch)
-    return executed
-
-
-def _label_inserts(distance: bool) -> Dict[str, str]:
-    """LIN/LOUT ``INSERT`` statements keyed ``"in"`` / ``"out"``."""
-    dist, values = (", DIST", "?, ?, ?") if distance else ("", "?, ?")
-    return {
-        "in": f"INSERT INTO LIN (ID, INID{dist}) VALUES ({values})",
-        "out": f"INSERT INTO LOUT (ID, OUTID{dist}) VALUES ({values})",
-    }
-
-
-def _cover_meta(cover: Cover) -> List[Tuple[str, str]]:
-    """The ``META`` rows that describe ``cover``."""
-    return [
-        ("distance", "1" if cover.is_distance_aware else "0"),
-        ("nodes", ",".join(map(str, sorted(cover.nodes)))),
-    ]
 
 
 def _write_collection_delta(
@@ -366,76 +238,8 @@ def _write_collection_delta(
     return written
 
 
-def _changed_ids(now: List[Optional[array]], was: List[Optional[array]]) -> Set[int]:
-    """Ids whose row in ``now`` is not the very object ``was`` holds."""
-    ids = set(compress(count(), map(is_not, now, was)))
-    ids.update(i for i in range(len(was), len(now)) if now[i] is not None)
-    return ids
-
-
-def _row_entries(tables: List[List[Optional[array]]], iid: int) -> Sequence:
-    """Row ``iid`` of aligned label tables: its center ids, or on a
-    distance cover its ``(center id, distance)`` pairs."""
-    row = tables[0][iid] if iid < len(tables[0]) else None
-    if not row:
-        return ()
-    return row if len(tables) == 1 else list(zip(row, tables[1][iid]))
-
-
-def _label_rows(new: Cover, old: Cover, inserting: bool) -> Iterator:
-    """Keyed ``("in" | "out", row)`` LIN/LOUT rows that take the stored
-    labels from ``old`` to ``new``: the entries ``new`` lacks (to
-    delete), or with ``inserting`` the entries ``old`` lacks (to
-    insert). Only label rows whose arrays (or distance arrays) are not
-    ``old``'s objects are compared, entry by entry: a maintained row
-    usually keeps most of its entries. A changed distance is both a
-    delete and an insert."""
-    label = new.interner.label
-    distance = new.is_distance_aware
-    for kind, attr in (("in", "_lin"), ("out", "_lout")):
-        names = (attr, attr + "_dist") if distance else (attr,)
-        now = [getattr(new, name) for name in names]
-        was = [getattr(old, name) for name in names]
-        for i in sorted(set().union(*map(_changed_ids, now, was))):
-            mine, theirs = _row_entries(was, i), _row_entries(now, i)
-            if inserting:
-                mine, theirs = theirs, mine
-            if not mine:
-                continue
-            node = label(i)
-            skip = set(theirs)
-            for e in mine:
-                if e in skip:
-                    continue
-                if not distance:
-                    yield kind, (node, label(e))
-                elif inserting:
-                    yield kind, (node, label(e[0]), e[1])
-                else:
-                    yield kind, (node, label(e[0]))
-
-
-def _write_cover_delta(cur: sqlite3.Cursor, new: Cover, old: Cover) -> Dict[str, int]:
-    """Bring the stored LIN/LOUT rows from ``old`` to ``new``: every
-    delete first (a changed distance reinserts the same key), each
-    stream in :data:`BATCH_ROWS` batches."""
-    deleted = _execute_batched(cur, {
-        "in": "DELETE FROM LIN WHERE ID = ? AND INID = ?",
-        "out": "DELETE FROM LOUT WHERE ID = ? AND OUTID = ?",
-    }, _label_rows(new, old, inserting=False))
-    inserted = _execute_batched(
-        cur,
-        _label_inserts(new.is_distance_aware),
-        _label_rows(new, old, inserting=True),
-    )
-    return {
-        "LIN": deleted["in"] + inserted["in"],
-        "LOUT": deleted["out"] + inserted["out"],
-    }
-
-
 def persist_index(index: HopiIndex, path: str) -> SQLiteCoverStore:
-    """Write a built index (cover + collection) to a database file:
+    """Write a built index's collection to a database file:
     :meth:`SQLiteCoverStore.write_index` with no base.
 
     The index's epoch is stored alongside (META key ``epoch``), so a
@@ -449,7 +253,11 @@ def persist_index(index: HopiIndex, path: str) -> SQLiteCoverStore:
 
 
 def load_index(path: str, *, backend: Optional[str] = None) -> HopiIndex:
-    """Load a previously persisted index back into memory.
+    """Load a previously persisted index back into memory: the stored
+    collection, covered by :meth:`HopiIndex.build` with the stored
+    distance flag, at the stored epoch. A file that also holds label
+    tables (written before the cover became derived) loads the same
+    way; its labels are not read.
 
     Args:
         path: the database file.
@@ -464,10 +272,4 @@ def load_index(path: str, *, backend: Optional[str] = None) -> HopiIndex:
     if not os.path.isfile(path):
         raise FileNotFoundError(errno.ENOENT, "no index database", path)
     with SQLiteCoverStore(path) as store:
-        collection = store.load_collection()
-        cover = store.load_cover()
-        epoch = int(store._meta("epoch") or "0")
-    cover.add_nodes(collection.elements)
-    index = HopiIndex(collection, cover)
-    index.epoch = epoch
-    return index
+        return store.load_index()

@@ -1,19 +1,21 @@
-"""DDL and query strings for the database-backed HOPI index (Section 3.4).
+"""DDL of the HOPI index file.
 
-Mirrors the paper's layout:
+The file holds the collection, not the 2-hop cover: the labels are
+derived state that a load rebuilds (see :mod:`repro.storage.db`).
 
-* ``LIN(ID, INID, DIST)`` — one row per ``Lin`` entry; ``DIST`` is NULL
-  for reachability covers (Section 5.1 adds it for distance covers).
-* ``LOUT(ID, OUTID, DIST)`` — one row per ``Lout`` entry.
-* a **forward** index on ``(ID, INID)`` / ``(ID, OUTID)`` — realised as
-  the tables' primary keys with ``WITHOUT ROWID``, SQLite's equivalent
-  of Oracle's index-organized tables the paper uses;
-* a **backward** index on ``(INID, ID)`` / ``(OUTID, ID)`` — "the
-  additional backward index doubles the disk space needed".
+* ``META(KEY, VALUE)`` — ``distance`` (``"1"`` for a distance-aware
+  index, Section 5), ``epoch`` (the last published epoch the file
+  holds, which the update WAL's replay resumes from) and ``next_id``
+  (the next element id to allocate: ids of deleted elements are never
+  reused, so replayed ops name the same elements);
+* ``DOCUMENTS(DOC_ID, ROOT)``, ``ELEMENTS(EID, DOC_ID, TAG, PARENT,
+  TEXT)`` and ``LINKS(SOURCE, TARGET, KIND)`` — the collection, keyed
+  the way every load and delete reads it.
 
-Collection tables (``DOCUMENTS``, ``ELEMENTS``, ``LINKS``) make an index
-file self-contained; ``META`` records whether the cover is
-distance-aware.
+Files written before the cover became derived also hold the paper's
+Section-3.4 ``LIN`` / ``LOUT`` label tables, their backward indexes,
+two element indexes and a ``nodes`` META key. A load ignores them; the
+first full write drops them (:data:`STALE`).
 """
 
 SCHEMA = """
@@ -21,23 +23,6 @@ CREATE TABLE IF NOT EXISTS META (
     KEY   TEXT PRIMARY KEY,
     VALUE TEXT NOT NULL
 );
-
-CREATE TABLE IF NOT EXISTS LIN (
-    ID    INTEGER NOT NULL,
-    INID  INTEGER NOT NULL,
-    DIST  INTEGER,
-    PRIMARY KEY (ID, INID)
-) WITHOUT ROWID;
-
-CREATE TABLE IF NOT EXISTS LOUT (
-    ID     INTEGER NOT NULL,
-    OUTID  INTEGER NOT NULL,
-    DIST   INTEGER,
-    PRIMARY KEY (ID, OUTID)
-) WITHOUT ROWID;
-
-CREATE INDEX IF NOT EXISTS LIN_BACKWARD  ON LIN  (INID, ID);
-CREATE INDEX IF NOT EXISTS LOUT_BACKWARD ON LOUT (OUTID, ID);
 
 CREATE TABLE IF NOT EXISTS DOCUMENTS (
     DOC_ID TEXT PRIMARY KEY,
@@ -52,9 +37,6 @@ CREATE TABLE IF NOT EXISTS ELEMENTS (
     TEXT   TEXT NOT NULL DEFAULT ''
 );
 
-CREATE INDEX IF NOT EXISTS ELEMENTS_BY_DOC ON ELEMENTS (DOC_ID);
-CREATE INDEX IF NOT EXISTS ELEMENTS_BY_TAG ON ELEMENTS (TAG);
-
 CREATE TABLE IF NOT EXISTS LINKS (
     SOURCE INTEGER NOT NULL,
     TARGET INTEGER NOT NULL,
@@ -63,50 +45,6 @@ CREATE TABLE IF NOT EXISTS LINKS (
 ) WITHOUT ROWID;
 """
 
-#: The paper's connection test (Section 3.4): intersect Lout(u) with
-#: Lin(v) by an indexed join. A non-zero count means connected.
-CONNECTION_QUERY = """
-SELECT COUNT(*) FROM LIN, LOUT
-WHERE LOUT.ID = ? AND LIN.ID = ?
-  AND LOUT.OUTID = LIN.INID
-"""
-
-#: The "simple additional queries" compensating for self-entries not
-#: being stored: u ∈ Lin(v)?  /  v ∈ Lout(u)?
-SELF_IN_QUERY = "SELECT 1 FROM LIN WHERE ID = ? AND INID = ? LIMIT 1"
-SELF_OUT_QUERY = "SELECT 1 FROM LOUT WHERE ID = ? AND OUTID = ? LIMIT 1"
-
-#: The paper's distance query (Section 5.1).
-DISTANCE_QUERY = """
-SELECT MIN(LOUT.DIST + LIN.DIST) AS B
-FROM LIN, LOUT
-WHERE LOUT.ID = ? AND LIN.ID = ?
-  AND LOUT.OUTID = LIN.INID
-"""
-
-#: Self-entry variants of the distance query: center = v (din = 0) and
-#: center = u (dout = 0).
-SELF_OUT_DISTANCE_QUERY = "SELECT MIN(DIST) FROM LOUT WHERE ID = ? AND OUTID = ?"
-SELF_IN_DISTANCE_QUERY = "SELECT MIN(DIST) FROM LIN WHERE ID = ? AND INID = ?"
-
-#: Descendant enumeration via the backward index (all four disjuncts of
-#: the label semantics; see TwoHopCover.descendants).
-DESCENDANTS_QUERY = """
-SELECT LIN.ID FROM LIN WHERE LIN.INID = ?
-UNION
-SELECT LOUT.OUTID FROM LOUT WHERE LOUT.ID = ?
-UNION
-SELECT LIN.ID
-FROM LOUT JOIN LIN ON LIN.INID = LOUT.OUTID
-WHERE LOUT.ID = ?
-"""
-
-ANCESTORS_QUERY = """
-SELECT LOUT.ID FROM LOUT WHERE LOUT.OUTID = ?
-UNION
-SELECT LIN.INID FROM LIN WHERE LIN.ID = ?
-UNION
-SELECT LOUT.ID
-FROM LIN JOIN LOUT ON LOUT.OUTID = LIN.INID
-WHERE LIN.ID = ?
-"""
+#: what older files hold beside the collection; a full write drops
+#: them (dropping a label table drops its backward index)
+STALE = ("LIN", "LOUT", "ELEMENTS_BY_DOC", "ELEMENTS_BY_TAG")

@@ -1,11 +1,8 @@
 """Compact CSR-style binary snapshots of covers.
 
-The SQLite store keeps one row per label entry — ideal for the paper's
-SQL query shapes, but (de)serialising a large cover costs one Python
-tuple per row. A snapshot instead writes the cover's tables as
-packed blocks: a node-id table plus CSR blocks
-(``indptr`` offsets + one flat, sorted data array) for ``Lin``,
-``Lout`` and both backward indexes. Save and load move whole blocks
+A snapshot writes a cover's tables as packed blocks: a node-id table
+plus CSR blocks (``indptr`` offsets + one flat, sorted data array) for
+``Lin``, ``Lout`` and both backward indexes. Save and load move whole blocks
 with ``array.tobytes`` / ``array.frombytes`` — zero per-row Python
 work, and the loaded cover needs no index rebuilding.
 
@@ -24,8 +21,9 @@ Layout (all little-endian)::
         lin_dist   int32[]  (distance covers only, aligned with lin_dat)
         lout_dist  int32[]
 
-Snapshots require integer node labels (element ids always are); covers
-over exotic hashables belong in the SQLite store.
+Snapshots require integer node labels (element ids always are). The
+durable store (:mod:`repro.storage.wal`) keeps its cover in one; an
+index file holds no labels.
 """
 
 from __future__ import annotations

@@ -7,17 +7,28 @@ module closes that gap with the classic write-ahead protocol:
 1. before an epoch is published, its wire-format ops (the
    :mod:`repro.core.ops` dialect) are appended to ``updates.wal`` and
    fsynced;
-2. every ``checkpoint_interval`` records the rows that changed since the
-   last checkpoint are written into ``index.db`` in place, in one
-   SQLite transaction committed with ``synchronous=FULL``; only then is
-   the WAL reset. The changed rows are found by copy-on-write identity
-   against a fork of the last checkpointed index (see
-   :meth:`~repro.storage.db.SQLiteCoverStore.write_index`);
-3. on restart, :meth:`DurableIndexStore.recover` loads the snapshot and
-   replays only WAL records *newer than the snapshot epoch* — replay is
-   idempotent because records carry the epoch they produced. The loaded
-   snapshot becomes the base, so the next checkpoint writes only the
-   replayed rows.
+2. every ``checkpoint_interval`` records the collection rows that
+   changed since the last checkpoint are written into ``index.db`` in
+   place, in one SQLite transaction committed with
+   ``synchronous=FULL``. The changed rows are found by copy-on-write
+   identity against a fork of the last checkpointed collection (see
+   :meth:`~repro.storage.db.SQLiteCoverStore.write_index`). The live
+   cover is then written whole to ``cover.snap``, a CSR snapshot
+   (:mod:`repro.storage.snapshot`) tagged with the epoch, fsynced and
+   renamed into place; only then is the WAL reset;
+3. on restart, :meth:`DurableIndexStore.recover` loads the collection
+   from ``index.db`` and its cover from ``cover.snap`` when the two
+   carry the same epoch, else (a crash between the two writes, or a
+   store an older version wrote) by the product build. It then replays
+   only WAL records *newer than the snapshot epoch* — replay is
+   idempotent because records carry the epoch they produced. A fork of
+   the loaded collection becomes the base, so the next checkpoint
+   writes only the replayed rows.
+
+``index.db`` alone is a plain index file: :func:`~repro.storage.db.load_index`
+rebuilds its cover. ``cover.snap`` keeps the cover maintenance grew, so
+a restart serves the very cover the crashed process published, not a
+fresh build of the same collection.
 
 Record format (binary, little-endian)::
 
@@ -41,10 +52,13 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.hopi import HopiIndex
 from repro.core.ops import apply_update_op
-from repro.storage.db import SQLiteCoverStore, load_index
+from repro.storage.db import Cover, SQLiteCoverStore
+from repro.storage.snapshot import dump_snapshot, read_snapshot
+from repro.xmlmodel.model import Collection
 
 MAGIC = b"HOPIWAL1"
 _HEADER = struct.Struct("<II")  # length, crc32
+_COVER_EPOCH = struct.Struct("<q")  # cover.snap's header
 
 #: records appended since the last checkpoint before the next publish
 #: forces one. Keeps replay cost (and WAL size) bounded without paying
@@ -151,7 +165,8 @@ class DurableIndexStore:
 
     Layout under ``root``::
 
-        index.db      SQLite snapshot (collection + cover + epoch META)
+        index.db      SQLite snapshot (collection + epoch META)
+        cover.snap    the cover at that epoch (epoch + CSR snapshot)
         updates.wal   ops logged since that snapshot
 
     The serving tier calls :meth:`log` before each publish and
@@ -181,15 +196,16 @@ class DurableIndexStore:
         os.makedirs(root, exist_ok=True)
         self.db_path = os.path.join(root, "index.db")
         self.wal_path = os.path.join(root, "updates.wal")
+        self.cover_path = os.path.join(root, "cover.snap")
         self.checkpoint_interval = checkpoint_interval
         self.crash_hook = crash_hook
         self.wal = UpdateWAL(self.wal_path)
         self._since_checkpoint = self.wal.record_count()
         self._db: Optional[SQLiteCoverStore] = None
-        # exactly what index.db holds: a fork of the index checkpointed
-        # (or recovered) last; None until then, so the first checkpoint
-        # rewrites every row
-        self._base: Optional[HopiIndex] = None
+        # exactly what index.db holds: a fork of the collection
+        # checkpointed (or recovered) last; None until then, so the
+        # first checkpoint rewrites every row
+        self._base: Optional[Collection] = None
 
     def fire(self, point: str) -> None:
         """Invoke the crash hook (if any) at a named injection point."""
@@ -222,42 +238,77 @@ class DurableIndexStore:
     def checkpoint_due(self) -> bool:
         return self._since_checkpoint >= self.checkpoint_interval
 
+    def _open(self) -> SQLiteCoverStore:
+        """The snapshot connection, opened on first use."""
+        if self._db is None:
+            self._db = SQLiteCoverStore(self.db_path)
+            self._db._conn.execute("PRAGMA synchronous=FULL")
+            _fsync_dir(self.root)  # a newly created index.db's entry
+        return self._db
+
     def checkpoint(self, index: HopiIndex) -> Dict[str, int]:
         """Write what changed since the last checkpoint into the
         snapshot, then reset the WAL.
 
-        The delta against the base fork commits in one SQLite
-        transaction with ``synchronous=FULL``, so it is durable before
-        the reset: a crash inside the transaction leaves the old
+        The collection delta against the base fork commits in one
+        SQLite transaction with ``synchronous=FULL``, so it is durable
+        before the reset: a crash inside the transaction leaves the old
         snapshot and the WAL intact, and a crash between the commit and
         the reset is harmless because replay skips records at or below
-        the snapshot epoch. The base then becomes a fork of ``index``.
+        the snapshot epoch. The base then becomes a fork of ``index``'s
+        collection, and the cover is written to ``cover.snap``.
 
         Returns:
             rows written per table (see
             :meth:`~repro.storage.db.SQLiteCoverStore.write_index`).
         """
-        if self._db is None:
-            self._db = SQLiteCoverStore(self.db_path)
-            self._db._conn.execute("PRAGMA synchronous=FULL")
-            _fsync_dir(self.root)  # a newly created index.db's entry
-        written = self._db.write_index(index, self._base)
-        self._base = index.cow_copy()
+        written = self._open().write_index(index, self._base)
+        self._base = index.collection.fork()
+        self._save_cover(index.cover, index.epoch)
         self.fire("checkpointed")
         self.wal.reset()
         self._since_checkpoint = 0
         return written
 
-    def recover(self, *, backend: Optional[str] = None) -> HopiIndex:
-        """Load the snapshot and replay newer WAL records onto a fork.
+    def _save_cover(self, cover: Cover, epoch: int) -> None:
+        """Replace ``cover.snap``: written beside it and fsynced first,
+        so a crash leaves the old file or the new one, never a torn one."""
+        tmp = self.cover_path + ".tmp"
+        with open(tmp, "wb") as fh:
+            fh.write(_COVER_EPOCH.pack(epoch))
+            dump_snapshot(fh, cover)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, self.cover_path)
 
-        Returns the index at the highest durably-logged epoch. Records
-        at or below the snapshot epoch (possible after a crash between
-        the checkpoint commit and the WAL reset) are skipped — replay is
-        idempotent. The loaded snapshot stays behind as the base, so
-        the next checkpoint writes only the replayed rows. ``backend``
-        is accepted and ignored: there is one label representation, but
-        the benchmark under ``perf/`` still passes the argument.
+    def _load_cover(self, epoch: int) -> Optional[Cover]:
+        """``cover.snap``'s cover if it was written at ``epoch``."""
+        try:
+            with open(self.cover_path, "rb") as fh:
+                header = fh.read(_COVER_EPOCH.size)
+                if header != _COVER_EPOCH.pack(epoch):
+                    return None
+                return read_snapshot(fh, name=self.cover_path)
+        except FileNotFoundError:
+            return None
+
+    def recover(self, *, backend: Optional[str] = None) -> HopiIndex:
+        """Load the snapshot and replay newer WAL records onto it.
+
+        Returns the index at the highest durably-logged epoch: the
+        checkpointed collection and cover with the tail replayed
+        through :func:`~repro.core.ops.apply_update_op`. Without a
+        ``cover.snap`` of the checkpointed epoch the cover is the
+        product build of the checkpointed collection. Records at or
+        below the snapshot epoch (possible after a crash between the
+        checkpoint commit and the WAL reset) are skipped — replay is
+        idempotent. A fork of the loaded collection stays behind as the
+        base, so the next checkpoint writes only the replayed rows;
+        from a file an older version wrote (label tables beside the
+        collection) the next checkpoint rewrites every row instead.
+        ``backend`` is accepted and ignored: there is one label
+        representation, but the benchmark under ``perf/`` still passes
+        the argument.
 
         Raises:
             FileNotFoundError: no snapshot was initialised (see
@@ -265,8 +316,9 @@ class DurableIndexStore:
         """
         if not self.exists():
             raise FileNotFoundError(f"no initialised snapshot at {self.db_path}")
-        base = load_index(self.db_path)
-        index = base.cow_copy()
+        db = self._open()
+        index = db.load_index(self._load_cover(int(db._meta("epoch"))))
+        base = None if db.stale() else index.collection.fork()
         for epoch, ops in self.wal.replay():
             if epoch <= index.epoch:
                 continue

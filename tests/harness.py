@@ -65,7 +65,7 @@ def stored_tables(path: str) -> Dict[str, list]:
     with closing(sqlite3.connect(path)) as conn:
         return {
             table: sorted(conn.execute(f"SELECT * FROM {table}"))
-            for table in ("META", "DOCUMENTS", "ELEMENTS", "LINKS", "LIN", "LOUT")
+            for table in ("META", "DOCUMENTS", "ELEMENTS", "LINKS")
         }
 
 

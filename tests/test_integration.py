@@ -15,7 +15,7 @@ from repro.core import HopiIndex
 from repro.graph import transitive_closure
 from repro.graph.traversal import is_reachable
 from repro.query import QueryEngine
-from repro.storage import SQLiteCoverStore, load_index, persist_index
+from repro.storage import load_index, persist_index
 from repro.xmlmodel import (
     dblp_like,
     export_collection,
@@ -104,12 +104,11 @@ def test_distance_pipeline_with_storage(tmp_path):
     index = HopiIndex.build(collection, strategy="unpartitioned", distance=True)
     index.verify()
     path = os.path.join(tmp_path, "dist.db")
-    store = persist_index(index, path)
-    (u, v) = sorted(collection.inter_links)[0]
-    assert store.distance(u, v) == index.distance(u, v) == 1
-    store.close()
+    persist_index(index, path).close()
     reloaded = load_index(path)
     assert reloaded.is_distance_aware
+    (u, v) = sorted(collection.inter_links)[0]
+    assert reloaded.distance(u, v) == index.distance(u, v) == 1
     reloaded.verify()
 
 

@@ -26,7 +26,6 @@ CORPUS_DIRS = ("src", "perf", "examples")
 #: listed class covers its methods)
 ALLOWED = {
     "TreeLabeling": "held for ROADMAP item 2 (interval labels for tree edges)",
-    "SQLiteCoverStore.save_cover": "held for ROADMAP item 5 (the Section-3.4 store)",
     "canonical_snapshot_bytes": "byte-identity oracle of the pipeline, copy-on-write, WAL and ingest tests",
     "DiGraph.has_edge": "edge membership the graph, skeleton and model tests assert with",
 }

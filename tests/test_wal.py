@@ -14,6 +14,9 @@ snapshot bytes equal a crash-free reference.
 * a checkpoint that fails inside its delta transaction rolls back: the
   old snapshot and the WAL both stay; a failed first checkpoint leaves
   no initialised store;
+* without a ``cover.snap`` of the checkpointed epoch (a crash before it
+  was replaced) recovery builds the checkpointed collection and replays
+  the tail on it;
 * a torn tail (partial final record) is truncated, never parsed.
 """
 
@@ -200,13 +203,13 @@ class TestCrashRecovery:
         for tag in ("one", "two", "three"):
             service.update(make_ops(index, tag))
         before = stored_tables(store.db_path)
-        real = db._write_cover_delta
+        real = db._write_collection_delta
 
         def failing(cur, new, old):
             written = real(cur, new, old)  # every row statement ran
             raise sqlite3.OperationalError(f"disk I/O error after {written}")
 
-        monkeypatch.setattr(db, "_write_cover_delta", failing)
+        monkeypatch.setattr(db, "_write_collection_delta", failing)
         with pytest.raises(sqlite3.OperationalError):
             service.update(make_ops(index, "four"))
         monkeypatch.undo()
@@ -233,7 +236,7 @@ class TestCrashRecovery:
         def failing(cur, new, old):
             raise sqlite3.OperationalError("disk I/O error")
 
-        monkeypatch.setattr(db, "_write_cover_delta", failing)
+        monkeypatch.setattr(db, "_write_collection_delta", failing)
         with pytest.raises(sqlite3.OperationalError):
             DurableIndexStore(root).initialize(index)
         monkeypatch.undo()
@@ -264,6 +267,78 @@ class TestCrashRecovery:
         service.update([{"op": "rebuild"}])
         assert stored_tables(store.db_path) == fresh_tables(service.index, store.root)
         service.update(make_ops(index, "f"))
+
+        recovered = DurableIndexStore(store.root).recover()
+        assert recovered.epoch == service.epoch
+        assert snap(recovered) == snap(service.index)
+
+    def test_crash_before_the_cover_snapshot_rebuilds_the_cover(
+        self, seeded, monkeypatch
+    ):
+        """A crash after a checkpoint's collection delta commits but
+        before ``cover.snap`` is replaced leaves a cover of an older
+        epoch beside it: recovery covers the checkpointed collection by
+        the product build instead."""
+        index, store = seeded
+        store.checkpoint_interval = 2
+        service = QueryService(index, durable_store=store)
+        service.update(make_ops(index, "one"))
+
+        def crash(cover, epoch):
+            raise WALCrash("cover")
+
+        monkeypatch.setattr(store, "_save_cover", crash)
+        with pytest.raises(WALCrash):
+            service.update(make_ops(index, "two"))  # the checkpoint
+        monkeypatch.undo()
+        assert load_index(store.db_path).epoch == service.epoch
+
+        recovered = DurableIndexStore(store.root).recover()
+        assert recovered.epoch == service.epoch
+        assert snap(recovered) == snap(HopiIndex.build(service.index.collection))
+        recovered.verify()
+
+    def test_without_a_cover_snapshot_the_tail_replays_on_a_fresh_build(
+        self, seeded
+    ):
+        """No ``cover.snap`` (a store an older version wrote): the
+        recovered cover is the product build of the checkpointed
+        collection with the WAL tail replayed on it."""
+        index, store = seeded
+        store.checkpoint_interval = 2
+        service = QueryService(index, durable_store=store)
+        for tag in ("one", "two"):  # "two" checkpoints
+            service.update(make_ops(index, tag))
+        checkpointed = service.index
+        tail = [make_ops(index, tag) for tag in ("three", "four")]
+        for ops in tail:
+            service.update(ops)
+        os.remove(store.cover_path)
+
+        recovered = DurableIndexStore(store.root).recover()
+        reference = HopiIndex.build(checkpointed.collection)
+        for ops in tail:
+            for op in ops:
+                apply_update_op(reference, op)
+        assert recovered.epoch == service.epoch
+        assert snap(recovered) == snap(reference)
+        recovered.verify()
+
+    def test_ids_freed_by_a_checkpointed_delete_are_not_reused(self, seeded):
+        """Deleting the document with the highest ids, checkpointing,
+        then inserting: the live index allocates past the deleted ids,
+        and a logged op naming the new element must find it after
+        recovery too."""
+        index, store = seeded
+        store.checkpoint_interval = 1
+        service = QueryService(index, durable_store=store)
+        documents = index.collection.documents
+        last = max(documents, key=lambda d: documents[d].root)
+        service.update([{"op": "delete_document", "doc_id": last}])
+        store.checkpoint_interval = 100
+        service.update(make_ops(index, "after-delete"))
+        new = max(service.index.collection.elements)
+        service.update([{"op": "insert_element", "parent": new, "tag": "child"}])
 
         recovered = DurableIndexStore(store.root).recover()
         assert recovered.epoch == service.epoch
