@@ -644,21 +644,23 @@ class _CoverBase:
                 tables[f"{name}_dist"] = cls._unpack_table(
                     payload[name][0], payload[f"{name}_dist"]
                 )
-        return cls._from_tables(payload["labels"], payload["active"], **tables)
+        return cls._from_tables(
+            NodeInterner.from_labels(payload["labels"]), payload["active"], **tables
+        )
 
     @classmethod
     def _from_tables(
         cls,
-        labels: Iterable[Node],
+        interner: NodeInterner,
         active: Iterable[int],
         **tables: List[Optional[array]],
     ):
-        """A cover over the distinct ``labels`` (interned in order) with
-        universe ``active`` (ids), handed its finished per-node tables:
-        one keyword per :attr:`_TABLE_NAMES` entry, without the leading
-        underscore, each a list of sorted rows (``None`` when empty)."""
+        """A cover over ``interner``'s labels with universe ``active``
+        (ids), handed its finished per-node tables: one keyword per
+        :attr:`_TABLE_NAMES` entry, without the leading underscore, each
+        a list of sorted rows (``None`` when empty)."""
         new = cls()
-        new.interner = NodeInterner.from_labels(labels)
+        new.interner = interner
         new._nodes = set(active)
         for name in cls._TABLE_NAMES:
             setattr(new, name, tables[name[1:]])

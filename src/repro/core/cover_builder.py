@@ -23,26 +23,31 @@ covers are joined.
 condenses strongly connected components, covers the condensation DAG,
 and expands the component labels back to the original nodes.
 
-:func:`build_pll_cover` is the product builder, and an extension of the
-paper: pruned landmark labelling (Akiba, Iwata & Yoshida, SIGMOD 2013)
-writes a 2-hop cover in the same ``Lin`` / ``Lout`` form from one pruned
-breadth-first search pair per vertex, with no closure, no partitions
-and no join. The greedy builder above stays as the reproduction and as
+:func:`build_pll_cover` is the product's labelling, and an extension of
+the paper: pruned landmark labelling (Akiba, Iwata & Yoshida, SIGMOD
+2013) writes a 2-hop cover in the same ``Lin`` / ``Lout`` form from one
+pruned breadth-first search pair per vertex, with no closure, no
+partitions and no join. :func:`build_collection_pll_cover`, the product
+build, runs it on a collection's element graph read straight from the
+documents. The greedy builder above stays as the reproduction and as
 the differential oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import gc
 import heapq
 from array import array
+from itertools import chain
 from typing import (
     Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence,
-    Set, Tuple,
+    Set, Tuple, Union,
 )
 
 from repro.core.center_graph import densest_subgraph, initial_density_upper_bound
 from repro.core.cover import ID_TYPECODE, DistanceTwoHopCover, TwoHopCover
+from repro.core.interner import NodeInterner
 from repro.graph.closure import TransitiveClosure, condensation_closure
 from repro.graph.condensation import Condensation, tarjan_components
 from repro.graph.digraph import DiGraph
@@ -254,9 +259,29 @@ def build_cover(
     )
 
 
+def _collector_paused(build):
+    """Run ``build`` with the cyclic collector off. A PLL build's tens
+    of thousands of adjacency and label lists form no cycles, and most
+    die with the call: a collector pass over them (on a 20k-element
+    tree, one over the whole heap) is pure waste."""
+
+    @functools.wraps(build)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
+@_collector_paused
 def build_pll_cover(
     nodes: Sequence[Node],
-    edges: Sequence[Tuple[Node, Node]],
+    edges: Union[Iterable[Tuple[Node, Node]], Mapping[Node, Iterable[Node]]],
     *,
     distance: bool = False,
     multiplier: Optional[Mapping[Node, int]] = None,
@@ -277,7 +302,8 @@ def build_pll_cover(
     a backward BFS adds ``w`` to ``Lout(u)`` of every ``u`` that reaches
     it. A vertex whose connection to ``w`` the labels written so far
     already answer (for distance: at a labelled distance no longer than
-    its BFS depth) is skipped and not expanded. The vertices one BFS
+    its BFS depth) is skipped and not expanded; a BFS whose every first
+    step is skipped so is never launched. The vertices one BFS
     labels, sorted, are ``w``'s row of the backward index, so the cover
     is handed over as finished tables. For a fixed order the labels do
     not depend on the order in which edges are listed.
@@ -285,7 +311,9 @@ def build_pll_cover(
     Args:
         nodes: every vertex (isolated ones included; duplicates are
             ignored).
-        edges: the directed edges; duplicates and self-loops are ignored.
+        edges: the directed edges as ``(u, v)`` pairs, duplicates
+            ignored, or as a mapping ``u -> successors`` whose rows are
+            duplicate-free; self-loops are ignored either way.
         distance: build a :class:`DistanceTwoHopCover` instead.
         multiplier: a rank factor per vertex, above 1 where listed.
         order: the vertex order, when a caller labels a subgraph in its
@@ -295,51 +323,92 @@ def build_pll_cover(
         The cover, table for table what ``from_entries`` builds from its
         entries (self entries are never stored).
     """
-    # the labelling's tens of thousands of lists die with the call and
-    # form no cycles: a collector pass over them (on a 20k-element tree,
-    # one over the whole heap) is pure waste
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        labels, tables = _pll_tables(nodes, edges, distance, multiplier, order)
-    finally:
-        if enabled:
-            gc.enable()
-    factory = DistanceTwoHopCover if distance else TwoHopCover
-    return factory._from_tables(labels, range(len(labels)), **tables)
+    labels = sorted(set(nodes))
+    index = {v: i for i, v in enumerate(labels)}
+    succ: List[Sequence[int]] = [()] * len(labels)
+    pred: List[Sequence[int]] = [()] * len(labels)
+    if isinstance(edges, Mapping):
+        for u, targets in edges.items():
+            ui = index[u]
+            row = [index[v] for v in targets if v != u]
+            if row:
+                succ[ui] = row
+                for vi in row:
+                    _append(pred, vi, ui)
+    else:
+        for u, v in dict.fromkeys(edges):
+            if u != v:
+                ui, vi = index[u], index[v]
+                _append(succ, ui, vi)
+                _append(pred, vi, ui)
+    cover, _ = _pll_cover(labels, index, succ, pred, distance, multiplier, order)
+    return cover
 
 
-def _pll_tables(
-    nodes: Sequence[Node],
-    edges: Sequence[Tuple[Node, Node]],
+@_collector_paused
+def build_collection_pll_cover(
+    collection: Collection, *, distance: bool = False
+) -> Tuple[TwoHopCover, int]:
+    """The product build: the cover
+    ``build_pll_cover(nodes, element-graph edges, distance=distance,
+    multiplier=reach_multiplier(collection))`` builds, byte for byte,
+    and its number of label entries.
+
+    The element graph is read straight from each document's
+    ``children`` and ``intra_links`` and the collection's
+    ``inter_links``: no edge tuples. An intra-link parallel to a tree
+    edge and a self-loop are dropped, as the edge-list form drops them.
+    """
+    elements = collection.elements
+    labels = sorted(elements)
+    index = {v: i for i, v in enumerate(labels)}
+    succ: List[Sequence[int]] = [()] * len(labels)
+    pred: List[Sequence[int]] = [()] * len(labels)
+    intra = []
+    for doc in collection.documents.values():
+        for parent, kids in doc.children.items():
+            if kids:
+                p = index[parent]
+                row = succ[p] = [index[k] for k in kids]
+                for k in row:
+                    pred[k] = [p]
+        intra.append(doc.intra_links)
+    for u, v in chain(chain.from_iterable(intra), collection.inter_links):
+        if u != v and elements[v].parent != u:
+            ui, vi = index[u], index[v]
+            _append(succ, ui, vi)
+            _append(pred, vi, ui)
+    return _pll_cover(
+        labels, index, succ, pred, distance, reach_multiplier(collection), None
+    )
+
+
+def _append(rows: List[Sequence[int]], i: int, x: int) -> None:
+    """Append ``x`` to ``rows[i]``, a list created on first use: most
+    vertices of a tree have no successor."""
+    if rows[i]:
+        rows[i].append(x)
+    else:
+        rows[i] = [x]
+
+
+def _pll_cover(
+    labels: List[Node],
+    index: Dict[Node, int],
+    succ: List[Sequence[int]],
+    pred: List[Sequence[int]],
     distance: bool,
     multiplier: Optional[Mapping[Node, int]],
     order: Optional[Sequence[Node]],
-) -> Tuple[List[Node], Dict[str, List[Optional[array]]]]:
-    """The labelling of :func:`build_pll_cover`: the interned labels and
-    the finished tables, keyed as :meth:`_CoverBase._from_tables` takes
-    them."""
-    labels = sorted(set(nodes))
+) -> Tuple[TwoHopCover, int]:
+    """The labelling of :func:`build_pll_cover` over the graph ``succ``
+    / ``pred`` (rows of interned ids, free of duplicates and
+    self-loops) on ``labels`` and their ids ``index``: the cover, handed
+    its finished tables, and its number of label entries."""
     n = len(labels)
-    index = {v: i for i, v in enumerate(labels)}
-    # adjacency lists only where there are edges: most vertices of a
-    # tree have no successor
-    succ: List[Sequence[int]] = [()] * n
-    pred: List[Sequence[int]] = [()] * n
-    for u, v in dict.fromkeys(edges):
-        if u != v:
-            ui, vi = index[u], index[v]
-            if succ[ui]:
-                succ[ui].append(vi)
-            else:
-                succ[ui] = [vi]
-            if pred[vi]:
-                pred[vi].append(ui)
-            else:
-                pred[vi] = [ui]
     if order is None:
         # ids follow node order, so the stable sort breaks ties by id
-        weight = [-(len(s) + 1) * (len(p) + 1) for s, p in zip(succ, pred)]
+        weight = [-(s + 1) * (p + 1) for s, p in zip(map(len, succ), map(len, pred))]
         for v, factor in (multiplier or {}).items():
             weight[index[v]] *= factor
         ranked = sorted(range(n), key=weight.__getitem__)
@@ -353,20 +422,49 @@ def _pll_tables(
     inv_lout: List[Optional[array]] = [None] * n
     seen = [-1] * n
     stamp = 0
+    entries = 0
+    directions = (
+        (succ, lout, lin, inv_lin),   # forward: into Lin
+        (pred, lin, lout, inv_lout),  # backward: into Lout
+    )
     for w in ranked:
-        for adjacency, own, far, inv in (
-            (succ, lout, lin, inv_lin),   # forward: into Lin
-            (pred, lin, lout, inv_lout),  # backward: into Lout
-        ):
-            if not adjacency[w]:
+        for adjacency, own, far, inv in directions:
+            first = adjacency[w]
+            if not first:
                 continue
+            label = own[w]
+            # a BFS whose every first step the prune below skips labels
+            # nothing: test the first steps before launching it
+            if not label:
+                hops = None
+            elif distance:
+                # a row holds a center once, at a distance of at least 1
+                for x in first:
+                    if (x, 1) in label:
+                        continue
+                    row = far[x]
+                    if row is None or not _shares_center_within(dict(label), row, 1):
+                        break
+                else:
+                    continue
+                # the centers w's label reaches, and how far
+                hops = dict(label)
+            else:
+                for x in first:
+                    if x in label:
+                        continue
+                    row = far[x]
+                    if row is None or set(label).isdisjoint(row):
+                        break
+                else:
+                    continue
+                hops = set(label)
             stamp += 1
             seen[w] = stamp
-            label = own[w]
             frontier = [w]
             visited: List[int] = []
             depth = 0
-            if not label:
+            if hops is None:
                 # nothing labelled connects w yet: every vertex reached
                 # is labelled
                 while frontier:
@@ -387,8 +485,6 @@ def _pll_tables(
                     visited += reached
                     frontier = reached
             elif distance:
-                # the centers w's label reaches, and how far
-                hops = dict(label)
                 while frontier:
                     depth += 1
                     entry = (w, depth)
@@ -412,7 +508,6 @@ def _pll_tables(
                     visited += reached
                     frontier = reached
             else:
-                hops = set(label)
                 while frontier:
                     reached = []
                     for v in frontier:
@@ -432,9 +527,10 @@ def _pll_tables(
                             reached.append(x)
                     visited += reached
                     frontier = reached
-            if visited:
-                visited.sort()
-                inv[w] = array(ID_TYPECODE, visited)
+            # not empty: the first step that let the BFS launch is labelled
+            entries += len(visited)
+            visited.sort()
+            inv[w] = array(ID_TYPECODE, visited)
     tables = {"lin": lin, "lout": lout, "inv_lin": inv_lin, "inv_lout": inv_lout}
     for name, table in (("lin", lin), ("lout", lout)):
         if distance:
@@ -447,7 +543,9 @@ def _pll_tables(
                     dists[x] = array(ID_TYPECODE, [d for _, d in row])
                 else:
                     table[x] = array(ID_TYPECODE, row)
-    return labels, tables
+    factory = DistanceTwoHopCover if distance else TwoHopCover
+    cover = factory._from_tables(NodeInterner._adopt(labels, index), range(n), **tables)
+    return cover, entries
 
 
 def _shares_center_within(

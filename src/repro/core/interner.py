@@ -57,6 +57,15 @@ class NodeInterner:
             raise ValueError("labels must be distinct")
         return interner
 
+    @classmethod
+    def _adopt(cls, labels: List[Label], id_of: Dict[Label, int]) -> "NodeInterner":
+        """An interner over distinct ``labels`` in id order whose id map
+        ``id_of`` the caller has already built (the PLL builder labels
+        in the interner's id space)."""
+        interner = cls()
+        interner._labels, interner._id_of = labels, id_of
+        return interner
+
     def intern(self, label: Label) -> int:
         """Return the id of ``label``, assigning the next free id if new."""
         iid = self._id_of.get(label)

@@ -455,12 +455,7 @@ def _rebuild_region(
             -(len(succ[x]) + 1) * (len(pred[x]) + 1) * multiplier.get(x, 1), x
         ),
     )
-    fresh = build_pll_cover(
-        sorted(region),
-        [(x, y) for x in order for y in succ[x]],
-        distance=_is_distance(cover),
-        order=order,
-    )
+    fresh = build_pll_cover(region, succ, distance=_is_distance(cover), order=order)
     _splice_fresh_cover(cover, fresh, region, seeds, descendants)
     return len(region)
 

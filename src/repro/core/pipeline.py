@@ -3,9 +3,9 @@ paper's divide-and-conquer build (Sections 4 and 5).
 
 The product default, ``strategy="pll"``, is an extension of the paper:
 the collection is one partition with no cross links, its element graph
-is labelled by pruned landmark labelling
-(:func:`repro.core.cover_builder.build_pll_cover`), and the join hands
-that lone cover back as is. ``"unpartitioned"`` takes the same path with
+is read straight from the documents and labelled by pruned landmark
+labelling (:func:`repro.core.cover_builder.build_collection_pll_cover`),
+and the join hands that lone cover back as is. ``"unpartitioned"`` takes the same path with
 the greedy builder. The partitioner, partition limit, edge weight and
 center preselection apply to the paper strategies (``"incremental"``,
 ``"recursive"``) only.
@@ -42,9 +42,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.cover_builder import (
-    build_partition_cover, build_pll_cover, reach_multiplier,
-)
+from repro.core.cover_builder import build_collection_pll_cover, build_partition_cover
 from repro.core.join import (
     join_covers_incremental,
     join_covers_incremental_distance,
@@ -75,9 +73,10 @@ class PartitionTask:
     """One partition's cover build, as plain data.
 
     Holds exactly what :func:`repro.core.cover_builder.
-    build_partition_cover` (or, with ``pll``, ``build_pll_cover``) needs
-    — the element-graph node and edge lists plus the preselected
-    centers.
+    build_partition_cover` needs — the element-graph node and edge lists
+    plus the preselected centers. A ``pll`` task holds no graph:
+    :func:`repro.core.cover_builder.build_collection_pll_cover` reads
+    the element graph straight from the collection.
     """
 
     pid: int
@@ -95,6 +94,8 @@ class PartitionResult:
     pid: int
     cover: object
     seconds: float
+    #: the cover's label entries, when the builder counted them (PLL)
+    entries: Optional[int] = None
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +211,16 @@ class BuildPipeline:
 
     # -- phase 2 --------------------------------------------------------
     def partition_tasks(self, partitioning: Partitioning) -> List[PartitionTask]:
-        """Extract each partition's element graph into a compact task."""
+        """Extract each partition's element graph into a compact task
+        (PLL's lone task holds none: its builder reads the collection)."""
         collection = self.collection
+        if self.strategy == "pll":
+            return [
+                PartitionTask(
+                    pid=0, nodes=(), edges=(), preselected=(),
+                    distance=self.distance, pll=True,
+                )
+            ]
         if self.whole_graph:
             # nodes and edges in ``collection.element_graph()`` order, so
             # the greedy builder breaks ties as on that graph
@@ -228,7 +237,6 @@ class BuildPipeline:
                     edges=tuple(edges),
                     preselected=(),
                     distance=self.distance,
-                    pll=self.strategy == "pll",
                 )
             ]
         cross_targets: Dict[int, List[ElementId]] = {}
@@ -282,10 +290,10 @@ class BuildPipeline:
         results = []
         for task in tasks:
             t0 = time.perf_counter()
+            entries = None
             if task.pll:
-                cover = build_pll_cover(
-                    task.nodes, task.edges, distance=task.distance,
-                    multiplier=reach_multiplier(self.collection),
+                cover, entries = build_collection_pll_cover(
+                    self.collection, distance=task.distance
                 )
             else:
                 cover = build_partition_cover(
@@ -295,7 +303,7 @@ class BuildPipeline:
                     distance=task.distance,
                 )
             results.append(
-                PartitionResult(task.pid, cover, time.perf_counter() - t0)
+                PartitionResult(task.pid, cover, time.perf_counter() - t0, entries)
             )
         return results
 
@@ -338,6 +346,8 @@ class BuildPipeline:
         t0 = time.perf_counter()
         cover = self.join(partitioning, [r.cover for r in results])
         seconds_join = time.perf_counter() - t0
+        # PLL counted its entries; a joined cover is summed row by row
+        cover_size = results[0].entries if self.strategy == "pll" else cover.size
 
         stats = BuildStats(
             strategy=self.strategy,
@@ -347,7 +357,7 @@ class BuildPipeline:
             distance=self.distance,
             num_partitions=partitioning.num_partitions,
             num_cross_links=len(partitioning.cross_links),
-            cover_size=cover.size,
+            cover_size=cover_size,
             num_nodes=len(cover.nodes),
             seconds_total=time.perf_counter() - start,
             seconds_partitioning=seconds_partitioning,

@@ -115,15 +115,57 @@ PINNED_BUILD_SHA256 = {
     ("dblp", True): "df21a52ac4fb9dddb1dd9e0d06cecabdc4d38ccbf1f41de52e46e71454753261",
     ("inex", False): "7dcd2a7d9556c301b2d7ae55c7c75c5189e4de496553a6489eaa7e3345d8aba8",
     ("inex", True): "a77500b500df143b5e25fe07ca3521de46a0a64de777ddb58968b7811ca6b720",
+    ("cyclic", False): "eb6b5ab4183335ab575d6e6d037e8fe4c5ec6e6a723fb8151ee085680b377797",
+    ("cyclic", True): "9ad77d9ed2439120252477559e6945a1fae081646b9b10ea086967774cd960f9",
+}
+
+PINNED_CORPORA = {
+    "dblp": lambda: dblp_like(40, seed=2),
+    "inex": lambda: inex_like(6, seed=3),
+    # document-level cycles and intra-document links
+    "cyclic": lambda: random_collection(n_docs=14, inter_links=40, seed=6),
 }
 
 
 @pytest.mark.parametrize("corpus, distance", sorted(PINNED_BUILD_SHA256))
 def test_pll_build_bytes_are_pinned(corpus, distance):
-    c = dblp_like(40, seed=2) if corpus == "dblp" else inex_like(6, seed=3)
+    c = PINNED_CORPORA[corpus]()
+    if corpus == "cyclic":
+        assert not acyclic.is_acyclic(c.document_graph())
+        assert any(doc.intra_links for doc in c.documents.values())
     cover = HopiIndex.build(c, distance=distance).cover
     digest = hashlib.sha256(snapshot_to_bytes(cover)).hexdigest()
     assert digest == PINNED_BUILD_SHA256[corpus, distance]
+
+
+@settings(SETTINGS, max_examples=40)
+@given(st.integers(3, 7), st.integers(0, 14), st.randoms(use_true_random=False),
+       st.booleans())
+def test_the_product_build_is_the_edge_list_build(n_docs, links, rng, distance):
+    """The product build reads the element graph straight from the
+    collection. It writes the bytes ``build_pll_cover`` writes from the
+    element graph's edge list, and counts its entries, on collections
+    with an intra-link parallel to a tree edge, a self-loop intra-link,
+    a document-level cycle and the id gaps a deleted document leaves."""
+    c = random_collection(n_docs=n_docs, inter_links=links, rng=rng)
+    c.remove_document(rng.choice(sorted(c.documents)))
+    x = rng.choice(sorted(c.elements))
+    c.add_link(x, c.add_child(x, "a").eid)
+    c.add_link(x, x)
+    a, b = rng.sample(sorted(c.documents), 2)
+    c.add_link(rng.choice(sorted(c.elements_of(a))), rng.choice(sorted(c.elements_of(b))))
+    c.add_link(rng.choice(sorted(c.elements_of(b))), rng.choice(sorted(c.elements_of(a))))
+    assert not acyclic.is_acyclic(c.document_graph())
+    assert len(c.elements) < c._next_id
+    edges = list(c.inter_links)
+    for doc in c.documents.values():
+        edges += doc.graph_edges()
+    expected = build_pll_cover(
+        list(c.elements), edges, distance=distance, multiplier=reach_multiplier(c)
+    )
+    index = HopiIndex.build(c, distance=distance)
+    assert snapshot_to_bytes(index.cover) == snapshot_to_bytes(expected)
+    assert index.stats.cover_size == expected.size
 
 
 def _reference_multiplier(c):
