@@ -72,6 +72,9 @@ _CAND_CACHE_LIMIT = 16
 #: How many per-source descendant materialisations to keep per generation.
 _DESC_CACHE_LIMIT = 1024
 
+#: the empty label row (read only)
+_NO_ROW = array(ID_TYPECODE)
+
 
 # ---------------------------------------------------------------------------
 # sorted-array primitives
@@ -334,15 +337,20 @@ class _CoverBase:
         self._nodes.add(self._intern(v))
 
     def add_nodes(self, nodes: Iterable[Node]) -> None:
-        """Register every node of ``nodes`` in the universe (the tables
-        grow once, not once per new id)."""
+        """Register every node of ``nodes`` in the universe."""
         self._probe_cache = None
+        self._nodes.update(self._intern_all(nodes))
+
+    def _intern_all(self, labels: Iterable[Node]) -> List[int]:
+        """The ids of ``labels``, interning new ones (the tables grow
+        once, not once per new id)."""
         intern = self.interner.intern
-        self._nodes.update([intern(v) for v in nodes])
+        ids = [intern(v) for v in labels]
         grow = len(self.interner) - len(self._lin)
         if grow > 0:
             for table in self._tables():
                 table.extend([None] * grow)
+        return ids
 
     # -- backward indexes -----------------------------------------------
     def _inv_add(self, inv: List[Optional[array]], center: int, node: int) -> None:
@@ -368,6 +376,71 @@ class _CoverBase:
             self._inv_discard(inv, ci, node)
         for ci in new_ids - old_ids:
             self._inv_add(inv, ci, node)
+
+    # -- deletion (Section 6.2) ------------------------------------------
+    def discard_lin(self, node: Node, center: Node) -> None:
+        """Remove ``center`` from ``Lin(node)`` if present."""
+        self._discard(False, node, center)
+
+    def discard_lout(self, node: Node, center: Node) -> None:
+        """Remove ``center`` from ``Lout(node)`` if present."""
+        self._discard(True, node, center)
+
+    def _discard(self, out: bool, node: Node, center: Node) -> None:
+        ni, ci = self.interner.get(node), self.interner.get(center)
+        if ni is not None and ci is not None and self._drop_center(out, ni, ci):
+            self._probe_cache = None
+            self._inv_discard(self._inv_lout if out else self._inv_lin, ci, ni)
+
+    def remove_nodes(self, removed: Set[Node]) -> None:
+        """Drop nodes from the universe, their labels, and every label
+        entry that uses them as a center (document deletion support)."""
+        self._probe_cache = None
+        get = self.interner.get
+        ids = [iid for iid in map(get, removed) if iid is not None]
+        self._nodes.difference_update(ids)
+        for iid in ids:
+            self._write_row(False, iid, ())
+            self._write_row(True, iid, ())
+        for iid in ids:
+            for out, inv in ((False, self._inv_lin), (True, self._inv_lout)):
+                for ni in inv[iid] or ():
+                    self._drop_center(out, ni, iid)
+                inv[iid] = None
+
+    def splice_region(self, fresh, seeds: Set[Node], descendants: Set[Node]) -> int:
+        """Theorem 3's label surgery; returns the change in entries.
+
+        ``fresh`` is the cover the re-labelled region got on its own
+        (same flavour, its universe the region). Every region node's
+        ``Lout`` is **replaced** by the fresh one — the region is closed
+        under reachability, so every connection out of it is one
+        ``fresh`` covers — and the ``Lin`` of every region node and
+        surviving ``descendants`` node gains the fresh centers, a
+        descendant's after dropping the ancestor ``seeds`` (on a
+        distance cover the shorter distance wins). It all runs on
+        interned ids: ``fresh``'s ids map to this cover's through one
+        translation list. Rows that come out equal stay the objects a
+        COW sibling may share.
+        """
+        self._probe_cache = None
+        to_host = self._intern_all(fresh.interner)
+        get = self.interner.get
+        drop = {get(x) for x in seeds}
+        below = {get(x) for x in descendants}
+        lout, fresh_lout, fresh_lin = self._lout, fresh._lout, fresh._lin
+        write, translated, merge = self._write_row, fresh._translated, self._merge_lin
+        delta = 0
+        gained = {}  # host id -> the fresh Lin row, where there is one
+        for i, h in enumerate(to_host):
+            if fresh_lout[i] or lout[h]:
+                delta += write(True, h, translated(True, i, to_host))
+            if fresh_lin[i]:
+                gained[h] = translated(False, i, to_host)
+        keep = frozenset()
+        for h in below.union(gained):
+            delta += merge(h, drop if h in below else keep, gained.get(h, ()))
+        return delta
 
     # -- disjoint merge --------------------------------------------------
     def absorb_disjoint(self, other) -> None:
@@ -722,84 +795,63 @@ class TwoHopCover(_CoverBase):
         self._inv_add(self._inv_lout, ci, ni)
         return True
 
-    def discard_lin(self, node: Node, center: Node) -> None:
-        """Remove ``center`` from ``Lin(node)`` if present."""
-        ni, ci = self.interner.get(node), self.interner.get(center)
-        if ni is None or ci is None:
-            return
-        row = self._row(self._lin, ni)
-        if row is not None and sorted_contains(row, ci):
-            self._probe_cache = None
-            sorted_remove(self._owned(self._lin, ni), ci)
-            self._inv_discard(self._inv_lin, ci, ni)
-
-    def discard_lout(self, node: Node, center: Node) -> None:
-        """Remove ``center`` from ``Lout(node)`` if present."""
-        ni, ci = self.interner.get(node), self.interner.get(center)
-        if ni is None or ci is None:
-            return
-        row = self._row(self._lout, ni)
-        if row is not None and sorted_contains(row, ci):
-            self._probe_cache = None
-            sorted_remove(self._owned(self._lout, ni), ci)
-            self._inv_discard(self._inv_lout, ci, ni)
-
-    def _set_label(
-        self,
-        table: List[Optional[array]],
-        inv: List[Optional[array]],
-        node: Node,
-        centers: Iterable[Node],
-    ) -> None:
-        ni = self._intern(node)
-        row = array(
-            ID_TYPECODE, sorted({self._intern(c) for c in centers if c != node})
-        )
-        old = table[ni] or array(ID_TYPECODE)
-        if row == old:
-            return  # the row stays the object a COW sibling may share
-        self._probe_cache = None
-        table[ni] = row or None
-        self._inv_update(inv, ni, old, row)
-
     def set_lin(self, node: Node, centers: Iterable[Node]) -> None:
-        """Replace ``Lin(node)`` wholesale (used by Theorems 2 and 3)."""
-        self._set_label(self._lin, self._inv_lin, node, centers)
+        """Replace ``Lin(node)`` wholesale."""
+        self._set_label(False, node, centers)
 
     def set_lout(self, node: Node, centers: Iterable[Node]) -> None:
-        """Replace ``Lout(node)`` wholesale (used by Theorems 2 and 3)."""
-        self._set_label(self._lout, self._inv_lout, node, centers)
+        """Replace ``Lout(node)`` wholesale."""
+        self._set_label(True, node, centers)
 
-    def remove_nodes(self, removed: Set[Node]) -> None:
-        """Drop nodes from the universe, their labels, and every label
-        entry that uses them as a center (document deletion support)."""
+    def _set_label(self, out: bool, node: Node, centers: Iterable[Node]) -> None:
         self._probe_cache = None
-        removed_ids = []
-        for v in removed:
-            iid = self.interner.get(v)
-            if iid is not None:
-                removed_ids.append(iid)
-                self._nodes.discard(iid)
-        label = self.interner.label
-        for iid in removed_ids:
-            # _set_label nulls the table slot itself on an empty label
-            self.set_lin(label(iid), ())
-            self.set_lout(label(iid), ())
-        for iid in removed_ids:
-            inv_row = self._row(self._inv_lin, iid)
-            if inv_row:
-                for ni in list(inv_row):
-                    row = self._lin[ni]
-                    if row is not None and sorted_contains(row, iid):
-                        sorted_remove(self._owned(self._lin, ni), iid)
-            inv_row = self._row(self._inv_lout, iid)
-            if inv_row:
-                for ni in list(inv_row):
-                    row = self._lout[ni]
-                    if row is not None and sorted_contains(row, iid):
-                        sorted_remove(self._owned(self._lout, ni), iid)
-            self._inv_lin[iid] = None
-            self._inv_lout[iid] = None
+        ni = self._intern(node)
+        self._write_row(out, ni, {self._intern(c) for c in centers if c != node})
+
+    # -- id-level row hooks of remove_nodes / splice_region --------------
+    def _write_row(self, out: bool, ni: int, centers: Iterable[int]) -> int:
+        """Make ``Lout(ni)`` (``out``) or ``Lin(ni)`` the sorted row of
+        the distinct ids ``centers``, the backward index in step, and
+        return the change in entries. An equal row is left alone: it
+        stays the object a COW sibling may share. The caller drops the
+        probe cache."""
+        table, inv = (self._lout, self._inv_lout) if out else (self._lin, self._inv_lin)
+        row = array(ID_TYPECODE, sorted(centers))
+        old = table[ni] or _NO_ROW
+        if row == old:
+            return 0
+        table[ni] = row or None
+        self._inv_update(inv, ni, old, row)
+        return len(row) - len(old)
+
+    def _drop_center(self, out: bool, ni: int, ci: int) -> bool:
+        """Remove ``ci`` from a label row of ``ni`` if it is there; True
+        when it was. The backward index is the caller's."""
+        table = self._lout if out else self._lin
+        row = table[ni]
+        if row is None or not sorted_contains(row, ci):
+            return False
+        sorted_remove(self._owned(table, ni), ci)
+        return True
+
+    def _translated(self, out: bool, i: int, to_host: List[int]) -> Sequence[int]:
+        """Row ``i`` of ``Lout`` / ``Lin`` with its ids mapped by
+        ``to_host``."""
+        row = (self._lout if out else self._lin)[i]
+        return list(map(to_host.__getitem__, row)) if row else ()
+
+    def _merge_lin(self, ni: int, drop, gained: Sequence[int]) -> int:
+        """``Lin(ni) := Lin(ni) \\ drop ∪ gained``; the entry change."""
+        old = self._lin[ni] or _NO_ROW
+        if drop.isdisjoint(old):
+            merged = set(old)
+            merged.update(gained)
+            if len(merged) == len(old):
+                return 0  # every gained center is already there
+        else:
+            merged = set(old).difference(drop)
+            merged.update(gained)
+        return self._write_row(False, ni, merged)
 
     def union(self, other) -> None:
         """Component-wise union with any reachability cover."""
@@ -1017,96 +1069,85 @@ class DistanceTwoHopCover(_CoverBase):
             self._lout, self._lout_dist, self._inv_lout, node, center, dist
         )
 
-    def _discard(
-        self,
-        table: List[Optional[array]],
-        dists: List[Optional[array]],
-        inv: List[Optional[array]],
-        node: Node,
-        center: Node,
-    ) -> None:
-        ni, ci = self.interner.get(node), self.interner.get(center)
-        if ni is None or ci is None:
-            return
-        centers = self._row(table, ni)
-        if centers is None:
-            return
-        i = bisect_left(centers, ci)
-        if i < len(centers) and centers[i] == ci:
-            self._probe_cache = None
-            del self._owned(table, ni)[i]
-            del self._owned(dists, ni)[i]
-            self._inv_discard(inv, ci, ni)
+    def set_lin(self, node: Node, entries: Mapping[Node, int]) -> None:
+        """Replace ``Lin(node)`` wholesale."""
+        self._set_label(False, node, entries)
 
-    def discard_lin(self, node: Node, center: Node) -> None:
-        """Remove ``center`` from ``Lin(node)`` if present."""
-        self._discard(self._lin, self._lin_dist, self._inv_lin, node, center)
+    def set_lout(self, node: Node, entries: Mapping[Node, int]) -> None:
+        """Replace ``Lout(node)`` wholesale."""
+        self._set_label(True, node, entries)
 
-    def discard_lout(self, node: Node, center: Node) -> None:
-        """Remove ``center`` from ``Lout(node)`` if present."""
-        self._discard(self._lout, self._lout_dist, self._inv_lout, node, center)
-
-    def _set_label(
-        self,
-        table: List[Optional[array]],
-        dists: List[Optional[array]],
-        inv: List[Optional[array]],
-        node: Node,
-        entries: Mapping[Node, int],
-    ) -> None:
-        ni = self._intern(node)
-        pairs = sorted(
-            (self._intern(c), d) for c, d in entries.items() if c != node
-        )
-        row = array(ID_TYPECODE, (p[0] for p in pairs))
-        row_dists = array(ID_TYPECODE, (p[1] for p in pairs))
-        old = table[ni] or array(ID_TYPECODE)
-        if row == old and row_dists == (dists[ni] or array(ID_TYPECODE)):
-            return  # the rows stay the objects a COW sibling may share
+    def _set_label(self, out: bool, node: Node, entries: Mapping[Node, int]) -> None:
         self._probe_cache = None
-        dists[ni] = row_dists or None
+        ni = self._intern(node)
+        intern = self._intern
+        self._write_row(
+            out, ni, [(intern(c), d) for c, d in entries.items() if c != node]
+        )
+
+    # -- id-level row hooks of remove_nodes / splice_region --------------
+    def _side(self, out: bool):
+        """``(centers, distances, backward index)`` of ``Lout`` / ``Lin``."""
+        if out:
+            return self._lout, self._lout_dist, self._inv_lout
+        return self._lin, self._lin_dist, self._inv_lin
+
+    def _write_row(
+        self, out: bool, ni: int, entries: Iterable[Tuple[int, int]]
+    ) -> int:
+        """Make a label row of ``ni`` the ``(center id, distance)``
+        ``entries`` (distinct centers), sorted; see
+        :meth:`TwoHopCover._write_row`. Equal rows — ids and distances
+        — are left alone."""
+        table, dists, inv = self._side(out)
+        pairs = sorted(entries)
+        row = array(ID_TYPECODE, [c for c, _ in pairs])
+        row_dists = array(ID_TYPECODE, [d for _, d in pairs])
+        old, old_dists = table[ni] or _NO_ROW, dists[ni] or _NO_ROW
+        if row == old and row_dists == old_dists:
+            return 0
+        if row_dists != old_dists:
+            dists[ni] = row_dists or None
         if row != old:
             table[ni] = row or None
             self._inv_update(inv, ni, old, row)
+        return len(row) - len(old)
 
-    def set_lin(self, node: Node, entries: Mapping[Node, int]) -> None:
-        """Replace ``Lin(node)`` wholesale (used by Theorems 2 and 3)."""
-        self._set_label(self._lin, self._lin_dist, self._inv_lin, node, entries)
+    def _drop_center(self, out: bool, ni: int, ci: int) -> bool:
+        """Remove ``ci`` and its distance from a label row of ``ni`` if
+        it is there; see :meth:`TwoHopCover._drop_center`."""
+        table, dists, _ = self._side(out)
+        row = table[ni]
+        i = bisect_left(row, ci) if row is not None else 0
+        if row is None or i == len(row) or row[i] != ci:
+            return False
+        del self._owned(table, ni)[i]
+        del self._owned(dists, ni)[i]
+        return True
 
-    def set_lout(self, node: Node, entries: Mapping[Node, int]) -> None:
-        """Replace ``Lout(node)`` wholesale (used by Theorems 2 and 3)."""
-        self._set_label(self._lout, self._lout_dist, self._inv_lout, node, entries)
+    def _translated(
+        self, out: bool, i: int, to_host: List[int]
+    ) -> Sequence[Tuple[int, int]]:
+        """Row ``i`` of ``Lout`` / ``Lin`` as ``(center, distance)``
+        pairs, the ids mapped by ``to_host``."""
+        table, dists, _ = self._side(out)
+        row = table[i]
+        return list(zip(map(to_host.__getitem__, row), dists[i])) if row else ()
 
-    def remove_nodes(self, removed: Set[Node]) -> None:
-        """Drop nodes from the universe, their labels, and every label entry using them as a center."""
-        self._probe_cache = None
-        removed_ids = []
-        for v in removed:
-            iid = self.interner.get(v)
-            if iid is not None:
-                removed_ids.append(iid)
-                self._nodes.discard(iid)
-        label = self.interner.label
-        for iid in removed_ids:
-            self.set_lin(label(iid), {})
-            self.set_lout(label(iid), {})
-        for iid in removed_ids:
-            inv_row = self._row(self._inv_lin, iid)
-            if inv_row:
-                for ni in list(inv_row):
-                    self._discard(
-                        self._lin, self._lin_dist, self._inv_lin,
-                        label(ni), label(iid),
-                    )
-            inv_row = self._row(self._inv_lout, iid)
-            if inv_row:
-                for ni in list(inv_row):
-                    self._discard(
-                        self._lout, self._lout_dist, self._inv_lout,
-                        label(ni), label(iid),
-                    )
-            self._inv_lin[iid] = None
-            self._inv_lout[iid] = None
+    def _merge_lin(self, ni: int, drop, gained: Sequence[Tuple[int, int]]) -> int:
+        """``Lin(ni) := Lin(ni) \\ drop ∪ gained``, the shorter distance
+        winning; the entry change."""
+        old = self._lin[ni]
+        if not gained and (not old or drop.isdisjoint(old)):
+            return 0
+        kept = (
+            {c: d for c, d in zip(old, self._lin_dist[ni]) if c not in drop}
+            if old else {}
+        )
+        for c, d in gained:
+            if d < kept.get(c, d + 1):
+                kept[c] = d
+        return self._write_row(False, ni, kept.items())
 
     def union(self, other) -> None:
         """Component-wise union with any distance cover (min distances win)."""

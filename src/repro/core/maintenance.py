@@ -32,11 +32,13 @@ a from-scratch rebuild.
   (:func:`~repro.core.cover_builder.build_pll_cover`) in the whole
   graph's vertex order — the order a fresh build of the new graph would
   take — where the paper re-covers it by its partitioned join. The
-  fresh labels are spliced in: every region node's ``Lout`` is replaced
-  (the region is closed under reachability, so the fresh labels cover
-  every connection out of it); ``Lin`` labels gain the fresh centers,
-  and those of surviving descendants first drop the ancestors. Only
-  rows that change are rewritten.
+  cover splices the fresh labels in on interned ids
+  (``splice_region``): every region node's ``Lout`` is replaced (the
+  region is closed under reachability, so the fresh labels cover every
+  connection out of it); ``Lin`` labels gain the fresh centers, and
+  those of surviving descendants first drop the ancestors. Only rows
+  that change are rewritten. Every delete reports its entry delta from
+  the rows it touched, never from a scan of the whole cover.
 
 * **Edge deletion**: same structure as general document deletion, with
   a fast path — if the edge's endpoints remain connected after removal
@@ -314,8 +316,9 @@ def _delete_document_separating(
     doc_id: DocId,
     anc_docs: Set[DocId],
     desc_docs: Set[DocId],
-) -> None:
-    """Theorem 2: filter labels, no recomputation."""
+) -> int:
+    """Theorem 2: filter labels, no recomputation; returns the change
+    in entries."""
     v_di: Set[ElementId] = set(collection.elements_of(doc_id))
     v_a: Set[ElementId] = set()
     for d in anc_docs:
@@ -324,18 +327,39 @@ def _delete_document_separating(
     for d in desc_docs:
         v_d |= collection.elements_of(d)
 
+    filtered = 0
     # for all a in VA: Lout(a) \= (Vdi ∪ VD) — walk the backward index
     for center in v_di | v_d:
         for node in list(cover.nodes_with_lout_center(center)):
             if node in v_a:
                 cover.discard_lout(node, center)
+                filtered += 1
     # for all d in VD: Lin(d) \= (Vdi ∪ VA)
     for center in v_di | v_a:
         for node in list(cover.nodes_with_lin_center(center)):
             if node in v_d:
                 cover.discard_lin(node, center)
+                filtered += 1
+    removed = _entries_naming(cover, v_di)
     cover.remove_nodes(v_di)
     collection.remove_document(doc_id)
+    return -(filtered + removed)
+
+
+def _entries_naming(cover: Cover, nodes: Set[ElementId]) -> int:
+    """How many entries ``cover.remove_nodes(nodes)`` drops: the nodes'
+    own labels and every entry with one of them as its center, an entry
+    that is both counted once."""
+    own = inner = 0
+    for x in nodes:
+        for label in (cover.lin_of(x), cover.lout_of(x)):
+            own += len(label)
+            inner += sum(c in nodes for c in label)
+    named = sum(
+        len(cover.nodes_with_lin_center(c)) + len(cover.nodes_with_lout_center(c))
+        for c in nodes
+    )
+    return own + named - inner
 
 
 def _cover_ancestors_of_set(cover: Cover, nodes: Set[ElementId]) -> Set[ElementId]:
@@ -350,39 +374,6 @@ def _cover_descendants_of_set(cover: Cover, nodes: Set[ElementId]) -> Set[Elemen
     for v in nodes:
         result |= cover.descendants(v)
     return result
-
-
-def _splice_fresh_cover(
-    cover: Cover,
-    fresh: Cover,
-    region: Set[ElementId],
-    seeds: Set[ElementId],
-    descendants: Set[ElementId],
-) -> None:
-    """Theorem 3's label surgery.
-
-    ``L' := L ∪ L̂`` except: every ``region`` node's out label is
-    **replaced** by the fresh one — the region is closed under
-    reachability, so every connection out of it is one ``fresh``
-    covers — and every surviving descendant's in label drops the
-    ancestor ``seeds`` before it gains the fresh centers. Rows that
-    come out equal are left alone.
-    """
-    distance = _is_distance(cover)
-    for x in region:
-        cover.set_lout(x, fresh.lout_of(x))
-    for x in region | descendants:
-        lin = cover.lin_of(x)
-        drop = seeds if x in descendants else ()
-        if distance:
-            kept = {c: dist for c, dist in lin.items() if c not in drop}
-            for c, dist in fresh.lin_of(x).items():
-                if c not in kept or dist < kept[c]:
-                    kept[c] = dist
-        else:
-            kept = {c for c in lin if c not in drop}
-            kept.update(fresh.lin_of(x))
-        cover.set_lin(x, kept)
 
 
 def _link_targets(collection: Collection) -> Dict[ElementId, List[ElementId]]:
@@ -423,10 +414,11 @@ def _rebuild_region(
     seeds: Set[ElementId],
     descendants: Set[ElementId],
     links: Dict[ElementId, List[ElementId]],
-) -> int:
+) -> Tuple[int, int]:
     """Re-label the part of the new graph reachable from ``seeds`` by
-    pruned landmark labelling, splice the labels in, and return the
-    region's size.
+    pruned landmark labelling, splice the labels in
+    (the cover's ``splice_region``), and return
+    the region's size and the change in entries.
 
     The vertex order is the one a fresh build of the new graph takes,
     restricted to the region: ``(out + 1) * (in + 1)`` times
@@ -439,25 +431,31 @@ def _rebuild_region(
     region = _reach(collection, links, seeds)
     multiplier = reach_multiplier(collection, region)
     elements, documents = collection.elements, collection.documents
-    succ: Dict[ElementId, Set[ElementId]] = {}
-    pred: Dict[ElementId, Set[ElementId]] = {}
+    # successor rows free of self-loops and of links parallel to a tree
+    # edge, as build_pll_cover's mapping form wants them (a row without
+    # links is the document's own children list, only read)
+    succ: Dict[ElementId, List[ElementId]] = {}
+    indegree: Dict[ElementId, int] = {}
     for x in region:
         e = elements[x]
-        succ[x] = set(chain(documents[e.doc].children[x], links.get(x, ()))) - {x}
-        pred[x] = set() if e.parent is None else {e.parent}
+        row = documents[e.doc].children[x]
+        targets = links.get(x)
+        if targets:
+            row = row + [v for v in targets if v != x and elements[v].parent != x]
+        succ[x] = row
+        indegree[x] = e.parent is not None
     for u, targets in links.items():
         for v in targets:
-            if v in pred and v != u:
-                pred[v].add(u)
-    order = sorted(
-        region,
-        key=lambda x: (
-            -(len(succ[x]) + 1) * (len(pred[x]) + 1) * multiplier.get(x, 1), x
-        ),
-    )
+            if v in indegree and v != u and elements[v].parent != u:
+                indegree[v] += 1
+    weight = {
+        x: -(len(row) + 1) * (indegree[x] + 1) * multiplier.get(x, 1)
+        for x, row in succ.items()
+    }
+    # a stable sort of the sorted ids breaks weight ties by id
+    order = sorted(sorted(region), key=weight.__getitem__)
     fresh = build_pll_cover(region, succ, distance=_is_distance(cover), order=order)
-    _splice_fresh_cover(cover, fresh, region, seeds, descendants)
-    return len(region)
+    return len(region), cover.splice_region(fresh, seeds, descendants)
 
 
 def delete_document(
@@ -475,32 +473,33 @@ def delete_document(
     benchmark uses to quantify the fast path's benefit).
     """
     start = time.perf_counter()
-    before = cover.size
     separating = False
     if not force_general:
         separating, anc_docs, desc_docs = _separation(collection, doc_id)
     if separating:
-        _delete_document_separating(collection, cover, doc_id, anc_docs, desc_docs)
+        delta = _delete_document_separating(
+            collection, cover, doc_id, anc_docs, desc_docs
+        )
         return MaintenanceReport(
             operation="delete_document",
             separating=True,
-            entries_delta=cover.size - before,
+            entries_delta=delta,
             seconds=time.perf_counter() - start,
         )
     # ---- Theorem 3: partial recomputation -----------------------------
     v_di: Set[ElementId] = set(collection.elements_of(doc_id))
     a_di = _cover_ancestors_of_set(cover, v_di)
     d_di = _cover_descendants_of_set(cover, v_di)
+    removed = _entries_naming(cover, v_di)
     collection.remove_document(doc_id)
     cover.remove_nodes(v_di)
-    seeds = a_di - v_di
-    region_size = _rebuild_region(
-        collection, cover, seeds, d_di - v_di, _link_targets(collection)
+    region_size, spliced = _rebuild_region(
+        collection, cover, a_di - v_di, d_di - v_di, _link_targets(collection)
     )
     return MaintenanceReport(
         operation="delete_document",
         separating=False,
-        entries_delta=cover.size - before,
+        entries_delta=spliced - removed,
         recovered_region_size=region_size,
         seconds=time.perf_counter() - start,
     )
@@ -522,7 +521,6 @@ def delete_edge(
     grown longer.
     """
     start = time.perf_counter()
-    before = cover.size
     sdoc = collection.doc(u)
     is_intra = sdoc == collection.doc(v)
     exists = (
@@ -545,11 +543,11 @@ def delete_edge(
         )
     a_e = cover.ancestors(u)  # includes u
     d_e = cover.descendants(v)  # includes v
-    region_size = _rebuild_region(collection, cover, a_e, d_e, links)
+    region_size, delta = _rebuild_region(collection, cover, a_e, d_e, links)
     return MaintenanceReport(
         operation="delete_edge",
         separating=False,
-        entries_delta=cover.size - before,
+        entries_delta=delta,
         recovered_region_size=region_size,
         seconds=time.perf_counter() - start,
     )

@@ -73,6 +73,46 @@ def index_in_state(index, state: str):
     return index
 
 
+def _splice_region(cover, fresh, seeds, descendants) -> int:
+    """Theorem 3's label surgery, node by node — the reference for the
+    cover's ``splice_region``, which runs on interned ids. The loops
+    are ``maintenance._splice_fresh_cover`` as it stood before that
+    (``_is_distance(cover)`` read as the attribute it returned); the
+    region is ``fresh``'s universe. Returns the change in entries of
+    the rows it may touch.
+
+    ``L' := L ∪ L̂`` except: every ``region`` node's out label is
+    **replaced** by the fresh one — the region is closed under
+    reachability, so every connection out of it is one ``fresh``
+    covers — and every surviving descendant's in label drops the
+    ancestor ``seeds`` before it gains the fresh centers. Rows that
+    come out equal are left alone.
+    """
+    region = set(fresh.nodes)
+
+    def entries():
+        return sum(len(cover.lin_of(x)) + len(cover.lout_of(x))
+                   for x in region | descendants)
+
+    before = entries()
+    distance = cover.is_distance_aware
+    for x in region:
+        cover.set_lout(x, fresh.lout_of(x))
+    for x in region | descendants:
+        lin = cover.lin_of(x)
+        drop = seeds if x in descendants else ()
+        if distance:
+            kept = {c: dist for c, dist in lin.items() if c not in drop}
+            for c, dist in fresh.lin_of(x).items():
+                if c not in kept or dist < kept[c]:
+                    kept[c] = dist
+        else:
+            kept = {c for c in lin if c not in drop}
+            kept.update(fresh.lin_of(x))
+        cover.set_lin(x, kept)
+    return entries() - before
+
+
 class SetTwoHopCover:
     """A reachability 2-hop cover with forward and backward label indexes.
 
@@ -194,6 +234,9 @@ class SetTwoHopCover:
 
     #: the oracle has no cheaper merge for node-disjoint covers
     absorb_disjoint = union
+
+    #: Theorem 3's splice, node by node
+    splice_region = _splice_region
 
     def copy(self) -> "SetTwoHopCover":
         """A structurally independent deep copy of the cover."""
@@ -432,6 +475,9 @@ class SetDistanceCover:
 
     #: the oracle has no cheaper merge for node-disjoint covers
     absorb_disjoint = union
+
+    #: Theorem 3's splice, node by node
+    splice_region = _splice_region
 
     def copy(self) -> "SetDistanceCover":
         """A structurally independent deep copy of the cover."""

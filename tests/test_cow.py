@@ -328,3 +328,32 @@ def test_rewriting_an_unchanged_label_keeps_the_shared_row(distance):
         for name in tables:
             assert getattr(fork.cover, name)[iid] is getattr(cover, name)[iid]
     assert snap(fork) == snap(index) == baseline
+
+
+@pytest.mark.parametrize("distance", [False, True])
+def test_a_theorem3_splice_keeps_every_unchanged_row_shared(distance):
+    """A non-separating document delete on a fork of the product build:
+    the splice rewrites whole label rows, and every ``Lin`` / ``Lout``
+    row (and distance row) that comes out equal is still the very
+    object the parent holds, while the parent's bytes do not move."""
+    index = HopiIndex.build(dblp_like(20, seed=5), distance=distance)
+    cover = index.cover
+    baseline = snap(index)
+    victim = next(
+        d for d in sorted(index.collection.documents)
+        if not index.document_separates(d)
+    )
+    fork = index.cow_copy()
+    report = fork.delete_document(victim)
+    assert report.separating is False and report.recovered_region_size > 0
+    tables = ["_lin", "_lout"] + (["_lin_dist", "_lout_dist"] if distance else [])
+    shared = changed = 0
+    for name in tables:
+        for before, after in zip(getattr(cover, name), getattr(fork.cover, name)):
+            if before is not None and before == after:
+                assert after is before, name
+                shared += 1
+            elif before != after:
+                changed += 1
+    assert shared > changed > 0
+    assert snap(index) == baseline

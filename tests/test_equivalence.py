@@ -17,11 +17,16 @@ identically wrong.
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import random_collections
 import repro.core.cover as cover_module
 from cover_oracle import oracle_index
 from repro.core.hopi import HopiIndex
 from repro.graph.closure import distance_closure, transitive_closure
+from repro.graph.traversal import descendants as graph_descendants
+from repro.storage.snapshot import canonical_snapshot_bytes
 from repro.xmlmodel.generator import dblp_like
 from repro.xmlmodel.model import Collection
 
@@ -292,3 +297,81 @@ def test_portable_seal_matches_the_oracle(monkeypatch, distance):
         _apply(arrays_index, op)
         assert_equivalent(sets_index, arrays_index)
     arrays_index.verify()
+
+
+# ---------------------------------------------------------------------------
+# the Theorem-3 splice: interned ids against the oracle's node-level loops
+# ---------------------------------------------------------------------------
+
+
+def _disconnecting_link(collection):
+    """A link whose removal disconnects its endpoints (so even a
+    reachability ``delete_edge`` re-labels a region), or None."""
+    links = sorted(collection.inter_links) + sorted(
+        link for d in collection.documents.values() for link in d.intra_links
+    )
+    for u, v in links:
+        probe = collection.copy()
+        probe.remove_link(u, v)
+        if v not in graph_descendants(probe.element_graph(), u):
+            return u, v
+    return None
+
+
+def _assert_probes_answer_like_bfs(index):
+    """``connected_many`` and ``intersect_many`` (through whatever the
+    probe cache holds) against a BFS of the current element graph."""
+    graph = index.collection.element_graph()
+    nodes = tuple(sorted(index.collection.elements))
+    block = index.intersect_many(nodes, nodes)
+    for u, row in zip(nodes, block):
+        reach = graph_descendants(graph, u)
+        expected = [v in reach for v in nodes]
+        assert index.connected_many(u, nodes) == expected, u
+        assert row == [i for i, ok in enumerate(expected) if ok], u
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(3, 6), st.integers(2, 12), st.randoms(use_true_random=False),
+       st.booleans(), st.booleans())
+def test_the_id_splice_is_the_node_splice(n_docs, links, rng, distance, force_general):
+    """A Theorem-3 document delete and a re-covering ``delete_edge`` on a
+    ``cow_copy()`` fork whose batch-probe cache is warm: the fork ends
+    entry for entry where the frozen oracle ends with its node-level
+    splice, the parent's bytes never move, and the batch probes answer
+    like BFS after each op. The collections have document-level cycles,
+    intra-links (one parallel to a tree edge, one self-loop) and the id
+    gaps a deleted document leaves."""
+    c = random_collections.random_collection(n_docs=n_docs, inter_links=links, rng=rng)
+    c.remove_document(rng.choice(sorted(c.documents)))
+    x = rng.choice(sorted(c.elements))
+    c.add_link(x, c.add_child(x, "a").eid)
+    c.add_link(x, x)
+    a, b = rng.sample(sorted(c.documents), 2)
+    c.add_link(rng.choice(sorted(c.elements_of(a))), rng.choice(sorted(c.elements_of(b))))
+    c.add_link(rng.choice(sorted(c.elements_of(b))), rng.choice(sorted(c.elements_of(a))))
+    parent = HopiIndex.build(c, distance=distance)
+    nodes = tuple(sorted(c.elements))
+    parent.connected_many(nodes[0], nodes)
+    assert parent.cover._probe_cache is not None
+    baseline = canonical_snapshot_bytes(parent.cover)
+    fork, oracle = parent.cow_copy(), oracle_index(parent)
+    docs = sorted(c.documents)
+    general = [d for d in docs if not fork.document_separates(d)]
+    force_general = force_general or not general
+    victim = rng.choice(docs if force_general else general)
+
+    def apply(op):
+        _assert_probes_answer_like_bfs(fork)  # warms the fork's cache
+        assert fork.cover._probe_cache is not None
+        report, expected = op(fork), op(oracle)
+        assert report.separating is expected.separating is False
+        assert report.entries_delta == expected.entries_delta
+        assert sorted(fork.cover.entries()) == sorted(oracle.cover.entries())
+        assert canonical_snapshot_bytes(parent.cover) == baseline
+        _assert_probes_answer_like_bfs(fork)
+
+    apply(lambda index: index.delete_document(victim, force_general=force_general))
+    edge = _disconnecting_link(fork.collection)
+    if edge is not None:
+        apply(lambda index: index.delete_edge(*edge))

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cover_oracle import oracle_cover
 from repro.core import cover_builder, maintenance
 from repro.core import distance as distance_builder
 from repro.core.cover_builder import build_cover
@@ -696,6 +697,66 @@ def test_insert_reports_count_entries_without_scanning_the_cover(monkeypatch, di
         before = true_size(cover)
         op()
         assert reports[-1].entries_delta == true_size(cover) - before, op.__name__
+    assert reads[True] == 0
+    monkeypatch.undo()
+    _verify(c, cover, distance)
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+@pytest.mark.parametrize("distance", [False, True])
+def test_delete_reports_count_entries_without_scanning_the_cover(
+    monkeypatch, distance, oracle
+):
+    """``entries_delta`` of both theorems' document deletes and of both
+    ``delete_edge`` outcomes comes from what the op touched (the
+    Theorem-2 filter, the removed nodes' entries, the splice), not from
+    two reads of the maintained cover's O(nodes) ``size``, and it is
+    exact — also on the frozen oracle, whose splice is node-level."""
+    c = dblp_like(20, seed=5)
+    cover = _fresh_cover(c, distance)
+    if oracle:
+        cover = oracle_cover(cover)
+    true_size = type(cover).size.fget
+    reads = Counter()
+
+    def counted(self):
+        reads[self is cover] += 1
+        return true_size(self)
+
+    monkeypatch.setattr(type(cover), "size", property(counted))
+
+    # each op prepares what it needs and returns the delete to measure
+    def document(separates, **kwargs):
+        victim = next(
+            d for d in sorted(c.documents) if document_separates(c, d) == separates
+        )
+        return lambda: delete_document(c, cover, victim, **kwargs)
+
+    def absorbed():
+        # a shortcut past a tree edge: its removal loses no connection
+        root = c.documents[sorted(c.documents)[-1]].root
+        child = c.documents[c.doc(root)].children[root][0]
+        grandchild = insert_element(c, cover, child, "note")
+        insert_edge(c, cover, root, grandchild)
+        return lambda: delete_edge(c, cover, root, grandchild)
+
+    def recovering():
+        edge = _absorbing_link(c, avoid_doc=None)
+        return lambda: delete_edge(c, cover, *edge)
+
+    ops = {
+        "separating": (lambda: document(True), True),
+        "non-separating": (lambda: document(False), False),
+        "force_general": (lambda: document(True, force_general=True), False),
+        "absorbed edge": (absorbed, not distance),
+        "re-covering edge": (recovering, False),
+    }
+    for name, (prepare, fast_path) in ops.items():
+        delete = prepare()
+        before = true_size(cover)
+        report = delete()
+        assert report.separating == fast_path, name
+        assert report.entries_delta == true_size(cover) - before, name
     assert reads[True] == 0
     monkeypatch.undo()
     _verify(c, cover, distance)

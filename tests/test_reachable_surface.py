@@ -28,6 +28,12 @@ ALLOWED = {
     "TreeLabeling": "held for ROADMAP item 2 (interval labels for tree edges)",
     "canonical_snapshot_bytes": "byte-identity oracle of the pipeline, copy-on-write, WAL and ingest tests",
     "DiGraph.has_edge": "edge membership the graph, skeleton and model tests assert with",
+    # Theorem 3 splices whole rows on interned ids (splice_region); the
+    # node-level row writers stay the mutator the frozen oracle shares
+    "TwoHopCover.set_lin": "node-level row writer the cover and copy-on-write tests drive",
+    "TwoHopCover.set_lout": "node-level row writer the cover and copy-on-write tests drive",
+    "DistanceTwoHopCover.set_lin": "node-level row writer the cover and copy-on-write tests drive",
+    "DistanceTwoHopCover.set_lout": "node-level row writer the cover and copy-on-write tests drive",
 }
 
 
