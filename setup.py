@@ -1,8 +1,8 @@
 """Legacy setup shim.
 
-The execution environment has no ``wheel`` package and no network access,
-so PEP 660 editable installs fail; this shim lets ``pip install -e .``
-fall back to ``setup.py develop``. All metadata lives in pyproject.toml.
+PEP 660 editable installs (``pip install -e .``) need the ``wheel``
+package; where it is missing, ``python setup.py develop`` installs the
+package editable through this shim. All metadata lives in pyproject.toml.
 """
 
 from setuptools import setup

@@ -23,10 +23,11 @@ This is the one label representation of the system:
   maintenance write;
 * ``connected()`` is one galloping intersection of ``Lout(u)`` with
   ``Lin(v)`` over the mutable rows (:func:`galloping_intersects`);
-* ``connected_many`` / ``intersect_many`` build a source's descendant
-  ids once from the same rows and test the whole batch by sorted-array
-  membership — numpy ``searchsorted`` when numpy imports, set
-  membership otherwise. What they memoise lives in a
+* ``connected_many`` / ``intersect_many`` are Section 3.4's
+  ``LOUT ⋈ LIN`` join on the center, batched: the candidates are
+  grouped by center once (``center → indices j`` with the center in
+  ``Lin(c_j) ∪ {c_j}``), and a source reaches the union of the groups
+  of ``{u} ∪ Lout(u)``. What they memoise lives in a
   :class:`_ProbeCache` that the next mutation drops;
 * :meth:`to_csr`/:meth:`from_csr` convert labels to/from the CSR layout
   (``indptr`` + flat data arrays) so snapshots round-trip through
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from itertools import chain
 from typing import (
     Dict,
     Hashable,
@@ -55,22 +57,14 @@ from typing import (
 
 from repro.core.interner import NodeInterner
 
-try:  # feature-detected: the batch probes fall back to set membership
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy present in the dev image
-    _np = None
-
 Node = Hashable
 
 #: typecodes: int32 label/center data, int64 CSR offsets
 ID_TYPECODE = "i"
 OFFSET_TYPECODE = "q"
 
-#: How many distinct candidate-tuple translations to keep per generation.
+#: How many distinct candidate-tuple center maps to keep per generation.
 _CAND_CACHE_LIMIT = 16
-
-#: How many per-source descendant materialisations to keep per generation.
-_DESC_CACHE_LIMIT = 1024
 
 #: the empty label row (read only)
 _NO_ROW = array(ID_TYPECODE)
@@ -190,33 +184,16 @@ class _ProbeCache:
     label row, so the rows stay resizable while it lives.
 
     Attributes:
-        desc: source id → sorted numpy array of its descendant ids.
-        cand: ``id(candidates)`` → ``(candidates, ids, active flags)``
-            for candidate *tuples*; the strong reference in slot 0
-            keeps ``id()`` unambiguous.
-        active: sorted numpy array of the active node ids, built on
-            first use (numpy only).
+        cand: ``id(candidates)`` → ``(candidates, center map)`` for
+            candidate *tuples*, the map as :meth:`_CoverBase._center_map`
+            builds it; the strong reference in slot 0 keeps ``id()``
+            unambiguous.
     """
 
-    __slots__ = ("desc", "cand", "active")
+    __slots__ = ("cand",)
 
     def __init__(self) -> None:
-        self.desc: Dict[int, object] = {}
-        self.cand: Dict[int, Tuple[object, object, object]] = {}
-        self.active = None
-
-
-def _in_sorted_np(values, universe):
-    """Vectorised membership of ``values`` in a sorted numpy array.
-
-    Negative sentinels (unknown labels) always map to False.
-    """
-    n = universe.size
-    if n == 0:
-        return _np.zeros(values.size, dtype=bool)
-    idx = _np.searchsorted(universe, values)
-    idx[idx == n] = 0
-    return universe[idx] == values
+        self.cand: Dict[int, Tuple[tuple, Dict[int, List[int]]]] = {}
 
 
 class _CoverBase:
@@ -544,99 +521,74 @@ class _CoverBase:
         return self._externalize(self._ancestor_ids(vi))
 
     # -- batch probes ----------------------------------------------------
-    def _probes(self) -> _ProbeCache:
-        """This generation's probe cache (created on first use)."""
-        cache = self._probe_cache
-        if cache is None:
-            cache = self._probe_cache = _ProbeCache()
-        return cache
+    def _center_map(self, candidates: Sequence[Node]) -> Dict[int, List[int]]:
+        """The ``LIN`` side of the join: ``center id → ascending indices
+        j`` of the ``candidates`` whose ``Lin(c_j) ∪ {c_j}`` holds the
+        center.
 
-    def _translate(self, cache: _ProbeCache, candidates: Sequence[Node]):
-        """``(ids, active_flags)`` for a candidate sequence.
-
-        ``ids`` is the internal-id translation (-1 for labels the
-        interner has never seen); ``active_flags`` pre-answers the
-        ``id ∈ active universe`` half of the membership test (None on
-        the portable path, whose descendant sets are already restricted
-        to the active universe). A **tuple** is immutable, so its
-        translation is cached per generation by object identity — the
-        query engine memoises one candidate tuple per step key, so
-        repeated probes (and every source of an ``intersect_many``
-        block) translate once. Any other sequence may have been mutated
-        in place since the last call and is translated every time.
+        Only active candidates take part, so a never-interned label and
+        a removed node are reached by nothing, as in :meth:`connected`.
+        A **tuple** is immutable, so its map is cached per generation by
+        object identity — the query engine memoises one candidate tuple
+        per step key, so repeated probes (and every source of an
+        ``intersect_many`` block) map it once. Any other sequence may
+        have been mutated in place since the last call and is mapped
+        every time.
         """
+        if self._probe_cache is None:
+            self._probe_cache = _ProbeCache()
+        cache = self._probe_cache.cand
         cacheable = type(candidates) is tuple
         if cacheable:
-            entry = cache.cand.get(id(candidates))
+            entry = cache.get(id(candidates))
             if entry is not None and entry[0] is candidates:
-                return entry[1], entry[2]
-        ids = self.interner.translate(candidates)
-        active_flags = None
-        if _np is not None:
-            ids = _np.array(ids, dtype=_np.int64)
-            if cache.active is None:
-                cache.active = _np.array(sorted(self._nodes), dtype=_np.intc)
-            active_flags = _in_sorted_np(ids, cache.active)
+                return entry[1]
+        groups: Dict[int, List[int]] = {}
+        get = groups.get
+        nodes, lin = self._nodes, self._lin
+        for j, i in enumerate(self.interner.translate(candidates)):
+            if i not in nodes:
+                continue
+            for w in lin[i] or ():
+                hits = get(w)
+                if hits is None:
+                    groups[w] = [j]
+                else:
+                    hits.append(j)
+            hits = get(i)
+            if hits is None:
+                groups[i] = [j]
+            elif hits[-1] != j:  # unless a self-entry in Lin(c_j) put j there
+                hits.append(j)
         if cacheable:
-            if len(cache.cand) >= _CAND_CACHE_LIMIT:
-                cache.cand.clear()
-            cache.cand[id(candidates)] = (candidates, ids, active_flags)
-        return ids, active_flags
+            if len(cache) >= _CAND_CACHE_LIMIT:
+                cache.clear()
+            cache[id(candidates)] = (candidates, groups)
+        return groups
 
-    def _desc_sorted_np(self, cache: _ProbeCache, ui: int):
-        """Sorted numpy array of ``ui``'s descendant ids (incl. self).
-
-        ``{ui}``, ``inv_lin[ui]``, ``Lout(ui)`` and the ``inv_lin`` rows
-        of its centers are appended to one private ``array('i')`` that
-        numpy sorts in place. numpy never gets a view of a label row: an
-        array exporting its buffer cannot resize, and the next mutator
-        would fail on it. Duplicates stay — the only consumers do
-        sorted-array membership (``searchsorted``), which is
-        duplicate-oblivious. Cached per generation, so a hot source pays
-        the concatenation once per epoch.
-        """
-        desc = cache.desc.get(ui)
-        if desc is not None:
-            return desc
-        buf = array(ID_TYPECODE, (ui,))
-        inv = self._inv_lin
-        row = self._row(inv, ui)
-        if row:
-            buf += row
-        lout = self._row(self._lout, ui)
-        if lout:
-            buf += lout
-            for c in lout:
-                row = inv[c]
-                if row:
-                    buf += row
-        desc = _np.frombuffer(buf, dtype=_np.intc)
-        desc.sort()
-        if len(cache.desc) >= _DESC_CACHE_LIMIT:
-            cache.desc.clear()
-        cache.desc[ui] = desc
-        return desc
+    def _reached(self, groups: Dict[int, List[int]], ui: int) -> List[int]:
+        """The ``LOUT`` side: the sorted candidate indices the active
+        source ``ui`` reaches, the union of the groups of
+        ``{ui} ∪ Lout(ui)``. A fresh list; the groups stay cached."""
+        found = [
+            hits for hits in map(groups.get, chain((ui,), self._lout[ui] or ()))
+            if hits
+        ]
+        if len(found) == 1:
+            return found[0][:]
+        return sorted(set().union(*found)) if found else []
 
     def connected_many(self, u: Node, candidates: Sequence[Node]) -> List[bool]:
-        """Batched ``[connected(u, c) for c in candidates]``: the
-        descendant id set is materialised once from the label rows and
-        the whole batch tested by sorted-array membership (numpy
-        ``searchsorted`` when available, C-level set membership
-        otherwise) — the hot path behind the query engine's descendant
-        steps."""
+        """Batched ``[connected(u, c) for c in candidates]``: one lookup
+        in the candidates' center map per entry of ``{u} ∪ Lout(u)`` —
+        the hot path behind the query engine's descendant steps."""
+        flags = [False] * len(candidates)
         ui = self.interner.get(u)
         if ui is None or ui not in self._nodes:
-            return [False] * len(candidates)
-        cache = self._probes()
-        ids, active_flags = self._translate(cache, candidates)
-        if _np is not None:
-            flags = _in_sorted_np(ids, self._desc_sorted_np(cache, ui))
-            _np.logical_and(flags, active_flags, out=flags)
-            return flags.tolist()
-        # labels may reference centers outside the active universe;
-        # connected() rejects them, so the batch must too
-        desc = self._descendant_ids(ui) & self._nodes
-        return [i in desc for i in ids]
+            return flags
+        for j in self._reached(self._center_map(candidates), ui):
+            flags[j] = True
+        return flags
 
     def intersect_many(
         self, sources: Sequence[Node], candidates: Sequence[Node]
@@ -645,24 +597,17 @@ class _CoverBase:
         it reaches — the batch probe behind the query executor's block
         joins. Equivalent to ``[[i for i, ok in
         enumerate(connected_many(s, candidates)) if ok] for s in
-        sources]`` with the candidate translation amortised across the
+        sources]`` with the candidates grouped by center once for the
         whole batch."""
-        cache = self._probes()
-        ids, active_flags = self._translate(cache, candidates)
-        out: List[List[int]] = []
+        groups = self._center_map(candidates)
         get = self.interner.get
         nodes = self._nodes
+        out: List[List[int]] = []
         for u in sources:
             ui = get(u)
-            if ui is None or ui not in nodes:
-                out.append([])
-            elif _np is not None:
-                flags = _in_sorted_np(ids, self._desc_sorted_np(cache, ui))
-                _np.logical_and(flags, active_flags, out=flags)
-                out.append(_np.flatnonzero(flags).tolist())
-            else:
-                desc = self._descendant_ids(ui) & nodes
-                out.append([j for j, i in enumerate(ids) if i in desc])
+            out.append(
+                self._reached(groups, ui) if ui is not None and ui in nodes else []
+            )
         return out
 
     # -- statistics ------------------------------------------------------

@@ -203,17 +203,18 @@ class HopiIndex:
         """Batched ``[connected(u, c) for c in candidates]``.
 
         The descendant-step hot path of the query engine: the cover
-        answers the whole batch from one descendant-set materialisation
-        over its label rows. A candidate *tuple* is translated to
-        internal ids once until the next mutation (cached by identity);
-        any other sequence is translated on every call.
+        groups the candidates by the centers of their ``Lin`` rows and
+        answers with one lookup per entry of ``{u} ∪ Lout(u)`` (the
+        ``LOUT ⋈ LIN`` join). A candidate *tuple* is grouped once until
+        the next mutation (cached by identity); any other sequence is
+        grouped on every call.
         """
         return self.cover.connected_many(u, candidates)
 
     def intersect_many(self, sources, candidates) -> List[List[int]]:
         """For each source, the sorted indices into ``candidates`` it
-        reaches — the block-probe API of the query executor (one
-        candidate translation for the whole block)."""
+        reaches — the block-probe API of the query executor (the
+        candidates are grouped by center once for the whole block)."""
         return self.cover.intersect_many(sources, candidates)
 
     def distance(self, u: ElementId, v: ElementId) -> Optional[int]:

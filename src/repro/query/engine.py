@@ -171,7 +171,7 @@ class QueryEngine:
         """Just the elements of :meth:`_candidates` (probe batch shape).
 
         A memoised **tuple**: the cover caches a candidate sequence's
-        id translation by object identity only for tuples (immutable,
+        center map by object identity only for tuples (immutable,
         so identity implies equal content), and this one object is what
         every probe of the step passes down."""
         key: StepKey = (step.tag, step.similar)

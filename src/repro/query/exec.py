@@ -94,8 +94,8 @@ class ExecContext:
         Routes through ``probe.many`` when the probe object exposes it
         (the serving tier's per-epoch cache answers hits and computes
         the misses in one ``intersect_many``); without a probe, calls
-        ``index.intersect_many`` directly — one candidate translation
-        amortised across the block. A plain
+        ``index.intersect_many`` directly — the candidates are grouped
+        by center once for the whole block. A plain
         callable probe without ``.many`` disables prefetching so every
         source still goes through the per-source hook (probe-counting
         tests and exotic probes keep their exact call pattern).

@@ -13,9 +13,9 @@ cover's ``ancestors`` side** when the selective step sits to their
 right.
 
 The two directions do not cost the same: the cover answers a
-forward block with one amortised candidate translation plus C-level
-membership tests, while a backward probe materialises an ancestor set
-per target. Each descendant join's candidate estimate is weighted by
+forward block with one center map of the candidates plus one lookup
+per ``Lout`` entry of each source, while a backward probe materialises
+an ancestor set per target. Each descendant join's candidate estimate is weighted by
 :data:`FORWARD_COST` or :data:`BACKWARD_COST`; child joins follow
 parent pointers and weigh 1. The weights only ever move the plan,
 never the answers.

@@ -96,7 +96,7 @@ class _EpochProbe:
     * :meth:`many` answers a whole frontier block — cached sources
       straight from the LRU, the misses computed in **one**
       ``index.intersect_many`` round-trip and written back, so a block
-      costs one candidate translation instead of one per source.
+      groups its candidates by center once instead of once per source.
     * :meth:`backward` caches ``ancestors``-side materialisations under
       ``("bwd", target, step_key)`` in the same per-epoch cache.
       Backward probes used to bypass the probe cache entirely (every

@@ -362,6 +362,21 @@ def test_every_mutator_drops_the_probe_caches(flavour):
         assert _probe_answers(parent) == parent_answers
 
 
+@pytest.mark.parametrize("cls", [TwoHopCover, DistanceTwoHopCover])
+def test_a_stored_self_entry_is_reached_once(cls):
+    """``from_entries`` keeps a self-entry ``1 ∈ Lin(1)`` (no build
+    writes one: the self-hop is implicit). The center map must still
+    list each candidate index once per center, so a source reaching
+    ``1`` gets each of its indices once."""
+    d = (0,) if cls.is_distance_aware else ()
+    cover = cls.from_entries([0, 1, 2], [("in", 1, 1, *d), ("in", 1, 0, *d)])
+    candidates = (1, 2, 1)
+    expected = [[j for j, c in enumerate(candidates) if cover.connected(u, c)]
+                for u in (0, 1, 2)]
+    assert cover.intersect_many([0, 1, 2], candidates) == expected
+    assert expected == [[0, 2], [0, 2], [1]]
+
+
 def test_sealed_cover_pickles_and_deepcopies_unsealed():
     """A cover's probe cache is keyed by ``id()``; its copies start
     without one."""

@@ -21,7 +21,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import random_collections
-import repro.core.cover as cover_module
 from cover_oracle import oracle_index
 from repro.core.hopi import HopiIndex
 from repro.graph.closure import distance_closure, transitive_closure
@@ -139,12 +138,12 @@ def test_all_build_strategies_equivalent(strategy):
     arrays_index.verify()
 
 
-def test_every_backend_answers_the_descendant_step_identically(monkeypatch):
+def test_every_backend_answers_the_descendant_step_identically():
     """The batch shape the query engine issues for each ``//a//b`` step
     — a document root probed against every element of the most frequent
     tag — gets bit-identical answers from everything that can answer
-    it: the oracle, the cover (per-call list translation, cached
-    tuple translation, the block probe) and the portable kernels."""
+    it: the oracle and the cover (a list mapped per call, a tuple's
+    cached center map, the block probe)."""
     collection = dblp_like(30, seed=7)
     index = HopiIndex.build(
         collection, strategy="recursive", partitioner="node_weight",
@@ -168,10 +167,6 @@ def test_every_backend_answers_the_descendant_step_identically(monkeypatch):
 
     for how, got in answers():
         assert got == expected, how
-    monkeypatch.setattr(cover_module, "_np", None)
-    index.cover = index.cover.copy()  # drop the numpy-built caches
-    for how, got in answers():
-        assert got == expected, f"portable {how}"
 
 
 # ---------------------------------------------------------------------------
@@ -274,29 +269,112 @@ def test_maintenance_equivalence_distance(seed):
 
 
 # ---------------------------------------------------------------------------
-# the portable batch probes (what a host without numpy runs)
+# the batch probes: one pure-Python center join
 # ---------------------------------------------------------------------------
 
 
+def _assert_center_maps(cover) -> None:
+    """The probe cache holds one thing: per candidate tuple, ``center →
+    ascending indices j`` of the active candidates whose ``Lin(c_j) ∪
+    {c_j}`` holds the center — recomputed here from the public labels."""
+    cache = cover._probe_cache
+    assert cache is not None and type(cache).__slots__ == ("cand",)
+    assert cache.cand
+    label = cover.interner.label
+    for key, (candidates, groups) in cache.cand.items():
+        assert type(candidates) is tuple and key == id(candidates)
+        expected = {}
+        for j, c in enumerate(candidates):
+            if c in cover.nodes:
+                for w in sorted(set(cover.lin_of(c)) | {c}):
+                    expected.setdefault(w, []).append(j)
+        assert {label(w): hits for w, hits in groups.items()} == expected
+
+
 @pytest.mark.parametrize("distance", [False, True])
-def test_portable_seal_matches_the_oracle(monkeypatch, distance):
-    """With the cover module's numpy handle gone, the batch probes take
-    the id-list / set-membership branches (the descendant walk restricted
-    to the active universe; no numpy arrays in the probe cache) — the
-    only paths a host without numpy has. Same answers as the oracle,
-    after the build and after every step of a maintenance script."""
-    monkeypatch.setattr(cover_module, "_np", None)
+def test_portable_seal_matches_the_oracle(distance):
+    """The batch probes have one kernel everywhere, the center join
+    in pure Python: the same answers as the oracle after the build and
+    after every step of a maintenance script, with the probe cache
+    holding exactly the center maps of the candidate tuples probed."""
     sets_index, arrays_index = build_pair(2, cyclic=not distance, distance=distance)
     assert_equivalent(sets_index, arrays_index)
-    cache = arrays_index.cover._probe_cache
-    assert cache is not None
-    assert cache.active is None and not cache.desc
-    assert all(isinstance(ids, list) for _, ids, _ in cache.cand.values())
+    _assert_center_maps(arrays_index.cover)
     for op in _maintenance_script(sets_index, random.Random(77), n_ops=6):
         _apply(sets_index, op)
         _apply(arrays_index, op)
         assert_equivalent(sets_index, arrays_index)
+        _assert_center_maps(arrays_index.cover)
     arrays_index.verify()
+
+
+def _batch_answers(index, sources, candidates):
+    """``connected_many`` per source and ``intersect_many`` over the
+    block, both checked against a per-pair ``connected`` loop."""
+    expected = [[index.connected(u, c) for c in candidates] for u in sources]
+    assert [index.connected_many(u, candidates) for u in sources] == expected
+    assert index.intersect_many(sources, candidates) == [
+        [j for j, ok in enumerate(row) if ok] for row in expected
+    ]
+    return expected
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(3, 6), st.integers(2, 10), st.randoms(use_true_random=False),
+       st.booleans())
+def test_batch_probes_are_the_point_probe(n_docs, links, rng, distance):
+    """``connected_many`` and ``intersect_many`` answer like ``connected``
+    pair by pair, for candidate tuples and lists with duplicates, labels
+    the cover never interned and nodes it removed, and for sources
+    outside the cover: after the build, then on a ``cow_copy()`` fork
+    whose caches were warm through a Theorem-3 delete and inserts. The
+    parent answers as it did before the fork."""
+    c = random_collections.random_collection(n_docs=n_docs, inter_links=links, rng=rng)
+    gone = sorted(c.elements_of(rng.choice(sorted(c.documents))))
+    c.remove_document(c.elements[gone[0]].doc)
+    parent = HopiIndex.build(c, distance=distance)
+    ghosts = [-1, max(c.elements) + 1000, "ghost"] + gone
+    pool = sorted(c.elements) + ghosts
+
+    listed = rng.choices(pool, k=rng.randrange(1, 2 * len(pool)))
+    frozen = tuple(listed)
+    sources = rng.sample(pool, min(len(pool), 12)) + ghosts[:2]
+    before = _batch_answers(parent, sources, frozen)
+    assert _batch_answers(parent, sources, listed) == before
+    fork = parent.cow_copy()
+    docs = sorted(c.documents)
+    general = [d for d in docs if not fork.document_separates(d)]
+    victim = rng.choice(general or docs)
+    anchor = rng.choice(sorted(set(c.elements) - c.elements_of(victim)))
+
+    def delete_document(index):
+        report = index.delete_document(victim, force_general=not general)
+        assert report.separating is False  # Theorem 3, not Theorem 2
+
+    def insert_document(index):
+        root = index.collection.new_document("new", "r")
+        child = index.collection.add_child(root.eid, "a")
+        index.collection.add_link(child.eid, anchor)
+        index.collection.add_link(anchor, root.eid)
+        index.insert_document("new")
+
+    mutations = [
+        delete_document,
+        insert_document,
+        lambda index: index.insert_element(anchor, "b"),
+        lambda index: index.insert_edge(anchor, rng.choice(sorted(index.collection.elements))),
+    ]
+    for mutate in mutations:
+        _batch_answers(fork, sources, frozen)  # warms the fork's cache
+        assert fork.cover._probe_cache is not None
+        mutate(fork)
+        assert fork.cover._probe_cache is None
+        fresh = sorted(fork.collection.elements)
+        more_sources, more = fresh[:: max(len(fresh) // 10, 1)], tuple(fresh) + frozen
+        for candidates in (frozen, listed, more, list(more)):
+            _batch_answers(fork, sources + more_sources, candidates)
+        assert _batch_answers(parent, sources, frozen) == before
+        assert _batch_answers(parent, sources, listed) == before
 
 
 # ---------------------------------------------------------------------------
