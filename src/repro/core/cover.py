@@ -23,11 +23,11 @@ This is the one label representation of the system:
   maintenance write;
 * ``connected()`` is one galloping intersection of ``Lout(u)`` with
   ``Lin(v)`` over the mutable rows (:func:`galloping_intersects`);
-* ``connected_many`` / ``intersect_many`` are Section 3.4's
-  ``LOUT ⋈ LIN`` join on the center, batched: the candidates are
-  grouped by center once (``center → indices j`` with the center in
-  ``Lin(c_j) ∪ {c_j}``), and a source reaches the union of the groups
-  of ``{u} ∪ Lout(u)``. What they memoise lives in a
+* ``intersect_many`` is Section 3.4's ``LOUT ⋈ LIN`` join on the
+  center, batched (``connected_many`` is its one-source flag view):
+  the candidates are grouped by center once (``center → indices j``
+  with the center in ``Lin(c_j) ∪ {c_j}``), and a source reaches the
+  union of the groups of ``{u} ∪ Lout(u)``. What it memoises lives in a
   :class:`_ProbeCache` that the next mutation drops;
 * :meth:`to_csr`/:meth:`from_csr` convert labels to/from the CSR layout
   (``indptr`` + flat data arrays) so snapshots round-trip through
@@ -579,14 +579,10 @@ class _CoverBase:
         return sorted(set().union(*found)) if found else []
 
     def connected_many(self, u: Node, candidates: Sequence[Node]) -> List[bool]:
-        """Batched ``[connected(u, c) for c in candidates]``: one lookup
-        in the candidates' center map per entry of ``{u} ∪ Lout(u)`` —
-        the hot path behind the query engine's descendant steps."""
+        """Batched ``[connected(u, c) for c in candidates]``: the flags
+        of the one-source block :meth:`intersect_many` ``([u], ...)``."""
         flags = [False] * len(candidates)
-        ui = self.interner.get(u)
-        if ui is None or ui not in self._nodes:
-            return flags
-        for j in self._reached(self._center_map(candidates), ui):
+        for j in self.intersect_many((u,), candidates)[0]:
             flags[j] = True
         return flags
 
@@ -594,11 +590,9 @@ class _CoverBase:
         self, sources: Sequence[Node], candidates: Sequence[Node]
     ) -> List[List[int]]:
         """For each source, the sorted **indices** into ``candidates``
-        it reaches — the batch probe behind the query executor's block
-        joins. Equivalent to ``[[i for i, ok in
-        enumerate(connected_many(s, candidates)) if ok] for s in
-        sources]`` with the candidates grouped by center once for the
-        whole batch."""
+        it reaches — the one batch probe kernel, behind every forward
+        probe of the query executor: the candidates are grouped by
+        center once for the whole batch."""
         groups = self._center_map(candidates)
         get = self.interner.get
         nodes = self._nodes

@@ -200,21 +200,20 @@ class HopiIndex:
         return self.cover.connected(u, v)
 
     def connected_many(self, u: ElementId, candidates) -> List[bool]:
-        """Batched ``[connected(u, c) for c in candidates]``.
-
-        The descendant-step hot path of the query engine: the cover
-        groups the candidates by the centers of their ``Lin`` rows and
-        answers with one lookup per entry of ``{u} ∪ Lout(u)`` (the
-        ``LOUT ⋈ LIN`` join). A candidate *tuple* is grouped once until
-        the next mutation (cached by identity); any other sequence is
-        grouped on every call.
-        """
+        """Batched ``[connected(u, c) for c in candidates]``: the flag
+        view of a one-source :meth:`intersect_many` block (the query
+        engine only sends blocks)."""
         return self.cover.connected_many(u, candidates)
 
     def intersect_many(self, sources, candidates) -> List[List[int]]:
         """For each source, the sorted indices into ``candidates`` it
-        reaches — the block-probe API of the query executor (the
-        candidates are grouped by center once for the whole block)."""
+        reaches — the query executor's one forward probe, Section 3.4's
+        ``LOUT ⋈ LIN`` join. The cover groups the candidates by the
+        centers of their ``Lin`` rows once for the whole block and
+        answers each source with one lookup per entry of
+        ``{u} ∪ Lout(u)``. A candidate *tuple* is grouped once until the
+        next mutation (cached by identity); any other sequence is
+        grouped on every call."""
         return self.cover.intersect_many(sources, candidates)
 
     def distance(self, u: ElementId, v: ElementId) -> Optional[int]:

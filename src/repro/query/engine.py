@@ -29,7 +29,7 @@ side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.core.hopi import HopiIndex
 from repro.query.exec import ExecContext, run_count, run_ranked
@@ -50,17 +50,23 @@ Query = "str | PathExpression | LogicalPlan | PreparedQuery"
 #: caching sound.
 StepKey = Tuple[str, bool]
 
-#: A descendant-step probe: ``probe(source, step_key, candidates)``
-#: returns the indices into ``candidates`` reachable from ``source``.
-#: The default computes via ``index.connected_many``; the service layer
-#: substitutes a per-epoch, cross-thread coalescing cache. A probe
-#: *object* may additionally expose two optional hooks the executor
-#: feature-detects: ``probe.many(sources, step_key, candidates)``
-#: returning ``{source: [indices]}`` for a whole frontier block (backed
-#: by ``index.intersect_many``), and ``probe.backward(target, step_key,
-#: compute)`` caching backward (``ancestors``-side) materialisations —
-#: plain callables keep the legacy one-source-per-call behaviour.
-Probe = Callable[[ElementId, StepKey, Sequence[ElementId]], List[int]]
+class Probe(Protocol):
+    """A descendant-step probe substitute (the ``probe=`` argument of
+    :meth:`QueryEngine.evaluate` / :meth:`QueryEngine.count`).
+
+    ``many(sources, step_key, candidates)`` answers a frontier block:
+    ``{source: sorted indices into candidates it reaches}`` for every
+    source, as ``index.intersect_many`` computes them. It is the only
+    forward shape the executor sends. A probe may also define
+    ``backward(target, step_key, compute)``, which returns the
+    ``ancestors``-side materialisation ``compute()`` would — the
+    service layer's per-epoch probe cache implements both.
+    """
+
+    def many(
+        self, sources: Sequence[ElementId], step_key: StepKey,
+        candidates: Sequence[ElementId],
+    ) -> Dict[ElementId, List[int]]: ...
 
 
 @dataclass(frozen=True)
@@ -220,23 +226,6 @@ class QueryEngine:
         return memo
 
     # ------------------------------------------------------------------
-    # probes
-    # ------------------------------------------------------------------
-    def _reachable(
-        self,
-        index: HopiIndex,
-        probe: Optional[Probe],
-        source: ElementId,
-        step_key: StepKey,
-        cand_elems: Sequence[ElementId],
-    ) -> List[int]:
-        """Indices of ``cand_elems`` reachable from ``source``."""
-        if probe is not None:
-            return probe(source, step_key, cand_elems)
-        flags = index.connected_many(source, cand_elems)
-        return [i for i, ok in enumerate(flags) if ok]
-
-    # ------------------------------------------------------------------
     # planning API
     # ------------------------------------------------------------------
     def _lower(self, path: Query) -> LogicalPlan:
@@ -297,9 +286,8 @@ class QueryEngine:
             index: evaluate against this index instead of the engine's
                 own (must cover the same collection — e.g. the
                 published epoch of a service).
-            probe: substitute descendant-step probe (see :data:`Probe`);
-                lets a serving tier cache/coalesce probes across
-                concurrent queries.
+            probe: substitute descendant-step probe (see :class:`Probe`);
+                lets a serving tier cache probes across queries.
 
         Returns:
             Results sorted by descending score (ties broken by element

@@ -18,14 +18,15 @@ Two evaluators, one per endpoint:
 All per-execution memo state (forward probe answers, ``ancestors``
 materialisations, predicate verdicts) lives in one :class:`ExecContext`
 so a single query never repeats a probe, while nothing leaks across
-epochs — the service layer's per-epoch probe cache plugs in underneath
-via the engine's ``probe`` hook. Probe *objects* may expose two
-optional batch hooks the executor feature-detects: ``probe.many`` lets
-descendant joins prefetch a whole block of frontier sources in one
-``intersect_many`` round-trip (the cover's bulk entry point),
-and ``probe.backward`` lets the serving tier cache ``ancestors``-side
-materialisations across queries; plain callables keep the legacy
-one-source-per-call behaviour (what the probe-counting tests rely on).
+epochs. Every forward probe is a frontier block — Section 3.4's
+``LOUT ⋈ LIN`` join of a set of sources against a step's whole
+candidate list: descendant joins send ``FORWARD_BLOCK`` sources at a
+time, counting sends the whole frontier, and a ``[//tag]`` predicate
+check sends its one source. A block goes to ``index.intersect_many``,
+or to the engine's ``probe`` substitute (see
+:class:`~repro.query.engine.Probe`): its ``many`` answers blocks, and
+its optional ``backward`` lets the serving tier cache ``ancestors``-side
+materialisations across queries.
 """
 
 from __future__ import annotations
@@ -57,9 +58,8 @@ class ExecContext:
             (supplies candidate lists/maps and the parent maps).
         index: the HOPI index to probe (an explicit epoch's index when
             the service layer runs the pipeline).
-        probe: optional forward-probe substitute (the serving tier's
-            per-epoch coalescing cache); ``None`` probes the index
-            directly.
+        probe: optional probe substitute (the serving tier's per-epoch
+            probe cache); ``None`` probes the index directly.
     """
 
     def __init__(self, engine, index, probe=None) -> None:
@@ -74,31 +74,23 @@ class ExecContext:
     # -- probes ---------------------------------------------------------
     def forward_reach(self, source: ElementId, step: Step) -> List[int]:
         """Indices into ``step``'s candidate list reachable from
-        ``source`` (one batched probe per distinct source, memoized)."""
-        key = (step.tag, step.similar)
-        cached = self._forward.get((source, key))
+        ``source``, memoized; a miss is probed as a block of one."""
+        key = (source, (step.tag, step.similar))
+        cached = self._forward.get(key)
         if cached is None:
-            cand_elems = self.engine._candidate_elems(step)
-            cached = self.engine._reachable(
-                self.index, self.probe, source, key, cand_elems
-            )
-            self._forward[(source, key)] = cached
+            self.prefetch_forward((source,), step)
+            cached = self._forward[key]
         return cached
 
     def prefetch_forward(
         self, sources: Sequence[ElementId], step: Step
     ) -> None:
         """Fill the forward memo for a whole block of sources in one
-        batched probe.
-
-        Routes through ``probe.many`` when the probe object exposes it
+        batched probe: ``probe.many`` when a probe substitute is set
         (the serving tier's per-epoch cache answers hits and computes
-        the misses in one ``intersect_many``); without a probe, calls
-        ``index.intersect_many`` directly — the candidates are grouped
-        by center once for the whole block. A plain
-        callable probe without ``.many`` disables prefetching so every
-        source still goes through the per-source hook (probe-counting
-        tests and exotic probes keep their exact call pattern).
+        the misses in one ``intersect_many``), else
+        ``index.intersect_many`` directly — either way the candidates
+        are grouped by center once for the whole block.
         """
         key = (step.tag, step.similar)
         missing = [
@@ -109,10 +101,7 @@ class ExecContext:
             return
         cand_elems = self.engine._candidate_elems(step)
         if self.probe is not None:
-            many = getattr(self.probe, "many", None)
-            if many is None:
-                return
-            answers: Dict[ElementId, List[int]] = many(
+            answers: Dict[ElementId, List[int]] = self.probe.many(
                 missing, key, cand_elems
             )
         else:

@@ -41,8 +41,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.query.pathexpr import PathExpression, Predicate, parse_path
 from repro.query.plan import LogicalPlan, build_logical_plan
 
-#: Relative unit cost of one forward (``descendants``-side,
-#: ``connected_many`` / ``intersect_many``) descendant probe.
+#: Relative unit cost of one forward (``descendants``-side, one source
+#: of an ``intersect_many`` block) descendant probe.
 FORWARD_COST = 0.35
 #: Relative unit cost of one backward (``ancestors``-side
 #: materialisation) descendant probe.

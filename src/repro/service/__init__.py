@@ -8,8 +8,11 @@ index:
 
 * :class:`repro.service.service.QueryService` — one published
   :class:`~repro.core.hopi.HopiIndex` serving many reader threads, with
-  a parsed-plan cache, an LRU result cache keyed by ``(path, epoch)``,
-  and in-flight coalescing of identical descendant probes;
+  a parsed-plan cache, a result cache keyed by ``(plan key, epoch)``
+  and a per-epoch probe cache that answers frontier blocks;
+* :mod:`repro.service.cache` — the one cache class behind all of them,
+  an LRU with single-flight computation (concurrent misses on one key
+  compute it once);
 * :mod:`repro.service.epoch` — the RCU-style epoch protocol: writers
   mutate a copy-on-write fork of the index while readers keep answering
   on the published epoch; an atomic reference swap publishes the fork
@@ -31,7 +34,6 @@ The ``read-cold``, ``read-hot`` and ``write-mixed`` workloads of
 from repro.service.api import ServiceAPI, error_payload
 from repro.service.asyncio_http import AsyncServiceServer
 from repro.service.cache import LRUCache
-from repro.service.coalesce import CoalescingCache
 from repro.service.epoch import EpochHolder, EpochState
 from repro.service.telemetry import Telemetry
 from repro.service.service import QueryResponse, QueryService, UpdateError
@@ -39,7 +41,6 @@ from repro.service.service import QueryResponse, QueryService, UpdateError
 __all__ = [
     "AsyncServiceServer",
     "LRUCache",
-    "CoalescingCache",
     "EpochHolder",
     "EpochState",
     "ServiceAPI",

@@ -168,7 +168,7 @@ class ServiceAPI:
         self.service = service
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         # (plan key, epoch) -> (cached ranked list, its JSON rows or None)
-        self._rendered = LRUCache(service._results.cache.capacity)
+        self._rendered = LRUCache(service._results.capacity)
 
     # -- parameter plumbing ---------------------------------------------
     def _param(self, params: Dict[str, list], name: str) -> str:

@@ -1,38 +1,36 @@
-"""A small thread-safe LRU cache with hit/miss accounting.
+"""A small thread-safe LRU cache with single-flight computation.
 
-Used three times by the serving tier: for parsed query plans (path
-string → :class:`~repro.query.pathexpr.PathExpression`), composed with
-the in-flight coalescer for ranked results keyed by ``(path, epoch)``,
-and by :class:`~repro.service.api.ServiceAPI` for the pre-rendered JSON
-rows of those results.
+The serving tier's one cache class. It holds the parsed query plans
+(path string → :class:`~repro.query.planner.PreparedQuery`), the ranked
+results keyed by ``(kind, plan key, epoch)``, each epoch's descendant
+probes, and (in :class:`~repro.service.api.ServiceAPI`) the pre-rendered
+JSON rows of cached results.
+
+When many clients ask for the same cold key at the same moment,
+computing it once and handing the answer to every waiter beats
+computing it N times — under the GIL the duplicates would not even
+overlap, they would serialise. :meth:`LRUCache.get_or_compute` is that
+"singleflight": the first caller computes, later callers with the same
+key wait and receive the same value (or the same exception).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from concurrent.futures import Future
 from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 _MISSING = object()
-
-
-class _InFlight:
-    """One in-flight ``get_or_create`` factory: event plus outcome."""
-
-    __slots__ = ("event", "value", "error")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.value: Any = _MISSING
-        self.error: Optional[BaseException] = None
 
 
 class LRUCache:
     """Bounded mapping with least-recently-used eviction.
 
     All operations take an internal lock, so the cache is safe to share
-    between reader threads; ``hits``/``misses``/``evictions`` are
-    monotone counters for the ``/stats`` endpoint.
+    between reader threads; ``hits``/``misses``/``evictions`` and
+    ``coalesced`` (lookups answered by waiting on another thread's
+    computation) are monotone counters for the ``/stats`` endpoint.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -41,12 +39,13 @@ class LRUCache:
         self.capacity = capacity
         self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
-        # in-flight get_or_create factories, keyed like the cache
+        # in-flight get_or_compute leaders, keyed like the cache
         self._flight_lock = threading.Lock()
-        self._inflight: Dict[Hashable, "_InFlight"] = {}
+        self._inflight: Dict[Hashable, Future] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.coalesced = 0
 
     def get(self, key: Hashable, default: Any = None) -> Any:
         """The cached value (refreshing its recency), or ``default``."""
@@ -84,55 +83,51 @@ class LRUCache:
                 self._data.popitem(last=False)
                 self.evictions += 1
 
-    def get_or_create(self, key: Hashable, factory: Callable[[], Any]) -> Any:
-        """Cached value, or ``factory()`` computed once and returned.
+    def get_or_compute(
+        self, key: Hashable, compute: Callable[[], Any]
+    ) -> Tuple[Any, str]:
+        """The cached value for ``key``, computing it at most once.
 
-        The factory runs outside the main lock (it may be slow), but
-        concurrent callers that miss on the same key elect a single
-        leader: only the leader runs ``factory()``, the rest block on
-        its completion and share the value (or its exception) — the
-        same single-flight semantics as
-        :meth:`repro.service.coalesce.CoalescingCache.get_or_compute`,
-        without the source/counter bookkeeping. Two threads can
-        therefore never race their ``put``\\ s for one key.
+        ``compute()`` runs outside the main lock (it may be slow), but
+        concurrent callers that miss on the same key elect one leader to
+        run it; the rest block and share its result (or its exception,
+        which is not cached). Returns ``(value, source)`` with
+        ``source`` one of ``"hit"`` (already cached), ``"computed"``
+        (this thread ran ``compute``) or ``"coalesced"`` (another thread
+        was already running it).
         """
         value = self.get(key, _MISSING)
         if value is not _MISSING:
-            return value
+            return value, "hit"
 
         with self._flight_lock:
             # re-check: the leader caches before releasing its waiters,
             # so a hit here is final
             value = self.peek(key, _MISSING)
             if value is not _MISSING:
-                return value
+                return value, "hit"
             pending = self._inflight.get(key)
-            if pending is None:
-                pending = _InFlight()
-                self._inflight[key] = pending
-                leader = True
+            leader = pending is None
+            if leader:
+                pending = self._inflight[key] = Future()
             else:
-                leader = False
+                self.coalesced += 1
 
         if not leader:
-            pending.event.wait()
-            if pending.error is not None:
-                raise pending.error
-            return pending.value
+            return pending.result(), "coalesced"
 
         try:
-            value = factory()
+            value = compute()
         except BaseException as exc:
-            pending.error = exc
+            pending.set_exception(exc)
             raise
         else:
-            pending.value = value
             self.put(key, value)
-            return value
+            pending.set_result(value)
+            return value, "computed"
         finally:
             with self._flight_lock:
                 self._inflight.pop(key, None)
-            pending.event.set()
 
     def __len__(self) -> int:
         with self._lock:
@@ -149,7 +144,10 @@ class LRUCache:
         return self.hits / total if total else None
 
     def stats(self) -> Dict[str, object]:
-        """Occupancy and hit/miss/eviction counters for ``/stats``."""
+        """Occupancy, hit/miss/eviction and coalesced / in-flight
+        counters for ``/stats``."""
+        with self._flight_lock:
+            inflight = len(self._inflight)
         return {
             "size": len(self),
             "capacity": self.capacity,
@@ -157,4 +155,6 @@ class LRUCache:
             "misses": self.misses,
             "evictions": self.evictions,
             "hit_rate": self.hit_rate,
+            "coalesced": self.coalesced,
+            "inflight": inflight,
         }

@@ -23,7 +23,7 @@ from typing import Optional
 
 from repro.core.hopi import HopiIndex
 from repro.query.engine import QueryEngine
-from repro.service.coalesce import CoalescingCache
+from repro.service.cache import LRUCache
 
 
 @dataclass(frozen=True)
@@ -38,15 +38,16 @@ class EpochState:
         index: the (immutable-by-contract) index of this generation.
         engine: the shared, re-entrant query engine bound to this
             generation's collection; all reader threads use it.
-        probes: the per-epoch descendant-probe cache with in-flight
-            coalescing. Keyed by ``(source, step_key)``; never shared
-            across epochs, so stale answers cannot leak through a swap.
+        probes: the per-epoch descendant-probe cache. Keyed by
+            ``(source, step_key)`` (forward) and ``("bwd", target,
+            step_key)`` (backward); never shared across epochs, so
+            stale answers cannot leak through a swap.
     """
 
     epoch: int
     index: HopiIndex
     engine: QueryEngine
-    probes: CoalescingCache
+    probes: LRUCache
 
 
 class EpochHolder:

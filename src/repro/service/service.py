@@ -13,9 +13,11 @@ index:
    single-flight coalescing — concurrent identical cold queries
    evaluate once, and every spelling of a query (whitespace, clause
    order) shares one entry;
-3. a per-epoch **probe cache** — identical descendant-step probes
-   (``source × candidate-list``) across *different* queries coalesce
-   and are answered once per epoch.
+3. a per-epoch **probe cache** — descendant-step probes
+   (``source × candidate-list``, forward in frontier blocks, and
+   backward) are answered once per epoch across *different* queries.
+
+All three are one class, :class:`~repro.service.cache.LRUCache`.
 
 :meth:`QueryService.cached_query` / :meth:`QueryService.cached_count`
 are the non-blocking face of the first two: they only peek, so the
@@ -63,7 +65,6 @@ from repro.query.ontology import TagOntology
 from repro.query.pathexpr import PathExpression
 from repro.query.planner import PreparedQuery
 from repro.service.cache import LRUCache
-from repro.service.coalesce import CoalescingCache
 from repro.service.epoch import EpochHolder, EpochState
 from repro.xmlmodel.model import ElementId
 
@@ -87,22 +88,16 @@ class _PendingBatch:
 
 
 class _EpochProbe:
-    """The coalescing descendant-probe of one epoch.
-
-    Callable with the plain :data:`~repro.query.engine.Probe` shape
-    (one forward probe per source, single-flight coalesced), plus the
-    two optional batch hooks the executor feature-detects:
+    """The descendant probe of one epoch (a
+    :class:`~repro.query.engine.Probe`).
 
     * :meth:`many` answers a whole frontier block — cached sources
-      straight from the LRU, the misses computed in **one**
-      ``index.intersect_many`` round-trip and written back, so a block
-      groups its candidates by center once instead of once per source.
+      straight from the epoch's probe cache, the misses computed in
+      **one** ``index.intersect_many`` round-trip and written back, so
+      a block groups its candidates by center once.
     * :meth:`backward` caches ``ancestors``-side materialisations under
-      ``("bwd", target, step_key)`` in the same per-epoch cache.
-      Backward probes used to bypass the probe cache entirely (every
-      backward-planned query re-materialised the same ancestor
-      intersections); now a second backward-heavy query over the same
-      epoch hits.
+      ``("bwd", target, step_key)`` in the same cache, single-flight:
+      concurrent misses on one target compute it once.
 
     Keyed by ``(source, step_key)`` / ``("bwd", target, step_key)`` —
     sound because within an epoch the engine's memoized candidate list
@@ -114,19 +109,6 @@ class _EpochProbe:
     def __init__(self, state: EpochState) -> None:
         self._state = state
 
-    def __call__(
-        self, source: ElementId, step_key: StepKey,
-        cand_elems: Sequence[ElementId],
-    ) -> List[int]:
-        state = self._state
-
-        def compute() -> List[int]:
-            flags = state.index.connected_many(source, cand_elems)
-            return [i for i, ok in enumerate(flags) if ok]
-
-        reach, _ = state.probes.get_or_compute((source, step_key), compute)
-        return reach
-
     def many(
         self, sources: Sequence[ElementId], step_key: StepKey,
         cand_elems: Sequence[ElementId],
@@ -135,7 +117,7 @@ class _EpochProbe:
         answers: Dict[ElementId, List[int]] = {}
         missing: List[ElementId] = []
         for source in sources:
-            cached = state.probes.cache.get((source, step_key), _MISSING)
+            cached = state.probes.get((source, step_key), _MISSING)
             if cached is _MISSING:
                 missing.append(source)
             else:
@@ -143,7 +125,7 @@ class _EpochProbe:
         if missing:
             rows = state.index.intersect_many(missing, cand_elems)
             for source, row in zip(missing, rows):
-                state.probes.cache.put((source, step_key), row)
+                state.probes.put((source, step_key), row)
                 answers[source] = row
         return answers
 
@@ -240,7 +222,7 @@ class QueryService:
         self._max_results = max_results
         self._probe_cache_size = probe_cache_size
         self._plans = LRUCache(plan_cache_size)
-        self._results = CoalescingCache(result_cache_size)
+        self._results = LRUCache(result_cache_size)
         self._holder = EpochHolder(self._make_state(index.epoch, index))
         self._write_lock = threading.Lock()
         self._counter_lock = threading.Lock()
@@ -274,7 +256,7 @@ class QueryService:
             epoch=epoch,
             index=index,
             engine=engine,
-            probes=CoalescingCache(self._probe_cache_size),
+            probes=LRUCache(self._probe_cache_size),
         )
 
     def _count(self, name: str) -> None:
@@ -303,7 +285,7 @@ class QueryService:
         """Parse + lower once per distinct query text (plan cache)."""
         if isinstance(path, PathExpression):
             return PreparedQuery(path)
-        return self._plans.get_or_create(path, lambda: PreparedQuery(path))
+        return self._plans.get_or_compute(path, lambda: PreparedQuery(path))[0]
 
     def query(
         self,
@@ -411,7 +393,7 @@ class QueryService:
         prepared = self._plans.peek(path)
         if prepared is None:
             return None
-        value = self._results.cache.lookup(
+        value = self._results.lookup(
             (kind, prepared.key, state.epoch), _MISSING
         )
         if value is _MISSING:

@@ -325,20 +325,27 @@ def test_evaluate_against_explicit_index():
 
 
 def test_evaluate_with_probe_substitute():
-    """A substitute probe sees (source, step_key, candidates) and its
-    answer is trusted — the serving tier's coalescing hook."""
+    """A substitute probe sees (sources, step_key, candidates) blocks
+    and its answer is trusted — the serving tier's caching hook. It
+    needs only ``many``, also for a descendant predicate."""
     c = dblp_like(6, seed=5)
     index = HopiIndex.build(c, strategy="unpartitioned")
     engine = QueryEngine(index, max_results=10**9)
     seen = []
 
-    def probe(source, step_key, cand_elems):
-        seen.append((source, step_key))
-        flags = index.connected_many(source, cand_elems)
-        return [i for i, ok in enumerate(flags) if ok]
+    class BlockProbe:
+        def many(self, sources, step_key, cand_elems):
+            seen.extend((source, step_key) for source in sources)
+            return dict(zip(sources, index.intersect_many(sources, cand_elems)))
 
+    probe = BlockProbe()
     with_probe = engine.evaluate("//article//cite", probe=probe)
     assert seen and all(key == ("cite", False) for _, key in seen)
     assert [r.bindings for r in with_probe] == [
         r.bindings for r in engine.evaluate("//article//cite")
     ]
+    path = "//article[//cite]//author"
+    expected = [(r.bindings, r.score) for r in engine.evaluate(path)]
+    assert expected
+    assert [(r.bindings, r.score) for r in engine.evaluate(path, probe=probe)] == expected
+    assert engine.count(path, probe=probe) == engine.count(path)

@@ -64,6 +64,14 @@ def hop_score(index, u, v):
     return 1.0 / (1.0 + index.distance(u, v))
 
 
+def reached(index, probe, source, step_key, cand_elems):
+    """Indices of ``cand_elems`` reachable from ``source``: a one-source
+    block, through the probe substitute when there is one."""
+    if probe is not None:
+        return probe.many([source], step_key, cand_elems)[source]
+    return index.intersect_many([source], cand_elems)[0]
+
+
 def reference_evaluate(engine, path, *, index=None, probe=None):
     """The legacy left-to-right evaluator, kept as the oracle."""
     index = index or engine.index
@@ -97,9 +105,7 @@ def reference_evaluate(engine, path, *, index=None, probe=None):
                 prev = bindings[-1]
                 reach = reach_cache.get(prev)
                 if reach is None:
-                    reach = engine._reachable(
-                        index, probe, prev, step_key, cand_elems
-                    )
+                    reach = reached(index, probe, prev, step_key, cand_elems)
                     reach_cache[prev] = reach
                 for i in reach:
                     e, tag_score = candidates[i]
@@ -141,9 +147,7 @@ def reference_count(engine, path, *, index=None, probe=None):
             step_key = (step.tag, step.similar)
             cand_elems = [e for e, _ in candidates]
             for prev, multiplicity in tails.items():
-                for i in engine._reachable(
-                    index, probe, prev, step_key, cand_elems
-                ):
+                for i in reached(index, probe, prev, step_key, cand_elems):
                     e = cand_elems[i]
                     if e == prev:
                         continue
@@ -236,15 +240,21 @@ class TestDifferential:
                 assert count_at(eng, path, start) == expected, (path, start)
 
     def test_matches_reference_under_probe_substitution(self, cover_engines):
+        """A probe object with only ``many`` answers every path as the
+        engine answers it without a probe: the legacy dialect against
+        the frozen evaluator, descendant predicates (whose ``[//tag]``
+        checks probe one source at a time) against the probe-less run."""
         engine, _ = cover_engines
         index = engine.index
         calls = []
 
-        def probe(source, step_key, cand_elems):
-            calls.append((source, step_key))
-            flags = index.connected_many(source, cand_elems)
-            return [i for i, ok in enumerate(flags) if ok]
+        class BlockProbe:
+            def many(self, sources, step_key, cand_elems):
+                calls.append((tuple(sources), step_key))
+                rows = index.intersect_many(sources, cand_elems)
+                return dict(zip(sources, rows))
 
+        probe = BlockProbe()
         for path in ["//article//cite", "//*//author", "//article//cite//author"]:
             expected = as_pairs(reference_evaluate(engine, path, probe=probe))
             got = as_pairs(engine.evaluate(path, probe=probe))
@@ -253,6 +263,13 @@ class TestDifferential:
                 engine, path, probe=probe
             )
         assert calls, "the probe substitute must actually be exercised"
+        calls.clear()
+        for path in ["//article[//cite]//author", "//article[//cite]"]:
+            expected = as_pairs(engine.evaluate(path))
+            assert expected, path
+            assert as_pairs(engine.evaluate(path, probe=probe)) == expected, path
+            assert engine.count(path, probe=probe) == engine.count(path), path
+        assert any(key == ("cite", False) for _, key in calls), calls
 
     def test_truncation_matches_reference(self, cover_engines):
         engine, _ = cover_engines
@@ -470,9 +487,6 @@ class TestRankedEnumeration:
         class CountingProbe:
             def __init__(self):
                 self.sources = {}
-
-            def __call__(self, source, step_key, cand_elems):
-                return self.many([source], step_key, cand_elems)[source]
 
             def many(self, sources, step_key, cand_elems):
                 self.sources.setdefault(step_key, set()).update(sources)

@@ -21,7 +21,6 @@ from harness import start_in_thread
 from repro.core.hopi import HopiIndex
 from repro.query.engine import QueryEngine
 from repro.service import (
-    CoalescingCache,
     EpochHolder,
     LRUCache,
     QueryService,
@@ -75,60 +74,6 @@ class TestLRUCache:
         assert "a" in cache and "c" in cache
         assert cache.evictions == 1
 
-    def test_get_or_create(self):
-        cache = LRUCache(2)
-        calls = []
-        assert cache.get_or_create("k", lambda: calls.append(1) or 42) == 42
-        assert cache.get_or_create("k", lambda: calls.append(1) or 43) == 42
-        assert len(calls) == 1
-
-    def test_get_or_create_concurrent_misses_compute_once(self):
-        """Regression: two threads missing concurrently used to both
-        run the factory, with the second ``put`` silently overwriting
-        the first — get_or_create now has single-flight semantics."""
-        cache = LRUCache(4)
-        barrier = threading.Barrier(2)
-        follower_started = threading.Event()
-        calls = []
-        results = []
-
-        def factory():
-            calls.append(threading.get_ident())
-            # hold the leader until the second thread has entered
-            # get_or_create, forcing the miss windows to overlap
-            follower_started.wait(timeout=5.0)
-            return object()
-
-        def leader():
-            barrier.wait()
-            results.append(cache.get_or_create("k", factory))
-
-        def follower():
-            barrier.wait()
-            follower_started.set()
-            results.append(cache.get_or_create("k", factory))
-
-        threads = [
-            threading.Thread(target=leader),
-            threading.Thread(target=follower),
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10.0)
-        assert len(calls) == 1, "factory must run exactly once"
-        assert len(results) == 2 and results[0] is results[1]
-        assert cache.get("k") is results[0]
-
-    def test_get_or_create_factory_error_not_cached(self):
-        cache = LRUCache(2)
-        with pytest.raises(RuntimeError):
-            cache.get_or_create("k", lambda: (_ for _ in ()).throw(
-                RuntimeError("boom")
-            ))
-        # the failure is not cached and does not wedge the key
-        assert cache.get_or_create("k", lambda: 7) == 7
-
     def test_peek_does_not_count(self):
         cache = LRUCache(2)
         cache.put("a", 1)
@@ -147,18 +92,30 @@ class TestLRUCache:
 
 
 class TestCoalescingCache:
+    """``LRUCache.get_or_compute``: the single-flight path every
+    serving cache (plan, result, probe, rendered rows) goes through."""
+
+    @staticmethod
+    def wait_for(condition):
+        deadline = time.monotonic() + 5.0
+        while not condition():
+            assert time.monotonic() < deadline, "timed out"
+            time.sleep(0.001)
+
     def test_concurrent_identical_computations_run_once(self):
-        cache = CoalescingCache(8)
-        gate = threading.Event()
+        cache = LRUCache(8)
         computed = []
         sources = []
         lock = threading.Lock()
 
         def compute():
-            gate.wait(timeout=5)
+            # hold the leader until the seven others wait on it, so the
+            # miss windows overlap deterministically
+            self.wait_for(lambda: cache.coalesced == 7)
+            assert cache.stats()["inflight"] == 1
             with lock:
                 computed.append(1)
-            return "value"
+            return object()
 
         def request():
             value, source = cache.get_or_compute("key", compute)
@@ -168,32 +125,48 @@ class TestCoalescingCache:
         threads = [threading.Thread(target=request) for _ in range(8)]
         for t in threads:
             t.start()
-        # let every thread reach wait-or-compute, then open the gate
-        deadline = threading.Event()
-        deadline.wait(0.05)
-        gate.set()
         for t in threads:
-            t.join()
+            t.join(timeout=10.0)
+        assert len(computed) == 1, "compute must run exactly once"
+        values = {id(v) for v, _ in sources}
+        assert len(sources) == 8 and len(values) == 1
+        kinds = sorted(s for _, s in sources)
+        assert kinds == ["coalesced"] * 7 + ["computed"]
+        # late callers hit the cache and never recompute
+        value, source = cache.get_or_compute("key", compute)
+        assert source == "hit" and value is sources[0][0]
         assert len(computed) == 1
-        values = {v for v, _ in sources}
-        assert values == {"value"}
-        kinds = [s for _, s in sources]
-        assert kinds.count("computed") == 1
-        assert cache.coalesced == kinds.count("coalesced")
-        # late caller hits the cache
-        assert cache.get_or_compute("key", compute)[1] == "hit"
+        assert cache.get("key") is value
+        stats = cache.stats()
+        assert (stats["coalesced"], stats["inflight"]) == (7, 0)
+        assert (stats["hits"], stats["misses"]) == (2, 8)
 
     def test_error_propagates_to_waiters_and_is_not_cached(self):
-        cache = CoalescingCache(8)
+        cache = LRUCache(8)
+        errors = []
 
         def boom():
+            self.wait_for(lambda: cache.coalesced == 1)
             raise RuntimeError("compute failed")
 
-        with pytest.raises(RuntimeError):
-            cache.get_or_compute("key", boom)
-        # the failure is not cached: the next call recomputes
+        def request():
+            try:
+                cache.get_or_compute("key", boom)
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=request) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10.0)
+        # the leader raised, and the waiter got the same exception
+        assert len(errors) == 2 and errors[0] is errors[1]
+        assert "key" not in cache and cache.stats()["inflight"] == 0
+        # the failure is not cached and does not wedge the key
         value, source = cache.get_or_compute("key", lambda: 7)
         assert (value, source) == (7, "computed")
+        assert cache.get_or_compute("key", lambda: 8) == (7, "hit")
 
 
 # ---------------------------------------------------------------------------
