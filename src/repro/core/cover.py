@@ -31,7 +31,12 @@ This is the one label representation of the system:
   :class:`_ProbeCache` that the next mutation drops;
 * :meth:`to_csr`/:meth:`from_csr` convert labels to/from the CSR layout
   (``indptr`` + flat data arrays) so snapshots round-trip through
-  ``array.tobytes`` without per-row Python overhead.
+  ``array.tobytes`` without per-row Python overhead;
+* one **rank** per interned id (an ``array('q')`` beside the tables,
+  0 where none is stored) is the vertex order every PLL labelling of
+  this cover follows: the build stores its sort key, inserts store one
+  for their new vertices, and a Theorem-3 region re-label sorts by it
+  (:meth:`ranks`).
 
 The ``Dict[Node, Set]`` implementation of the same semantics lives in
 ``tests/cover_oracle.py`` as the frozen differential oracle.
@@ -43,6 +48,7 @@ from array import array
 from bisect import bisect_left
 from itertools import chain
 from typing import (
+    Callable,
     Dict,
     Hashable,
     Iterable,
@@ -59,9 +65,21 @@ from repro.core.interner import NodeInterner
 
 Node = Hashable
 
-#: typecodes: int32 label/center data, int64 CSR offsets
+#: typecodes: int32 label/center data, int64 CSR offsets and ranks
 ID_TYPECODE = "i"
 OFFSET_TYPECODE = "q"
+RANK_TYPECODE = "q"
+
+#: the largest storable rank; a larger key is stored as this
+RANK_MAX = 2**63 - 1
+
+
+def rank_array(keys: Sequence[int]) -> array:
+    """The rank table holding ``keys``, each clamped to :data:`RANK_MAX`."""
+    try:
+        return array(RANK_TYPECODE, keys)
+    except OverflowError:
+        return array(RANK_TYPECODE, [min(k, RANK_MAX) for k in keys])
 
 #: How many distinct candidate-tuple center maps to keep per generation.
 _CAND_CACHE_LIMIT = 16
@@ -223,6 +241,9 @@ class _CoverBase:
         # the batch probes' memo; None until the first batch probe
         # after a mutation
         self._probe_cache: Optional[_ProbeCache] = None
+        # rank per interned id, 0 = none stored; may be shorter than
+        # the interner (the ids past its end have none)
+        self._rank = array(RANK_TYPECODE)
         self.add_nodes(nodes)
 
     # -- copy-on-write plumbing -----------------------------------------
@@ -257,6 +278,7 @@ class _CoverBase:
         clone = type(self)()
         clone.interner = self.interner.copy()
         clone._nodes = set(self._nodes)
+        clone._rank = self._rank[:]
         for name in self._TABLE_NAMES:
             setattr(clone, name, list(getattr(self, name)))
         self._cow = {id(t): set() for t in self._tables()}
@@ -270,6 +292,7 @@ class _CoverBase:
         clone = type(self)()
         clone.interner = self.interner.copy()
         clone._nodes = set(self._nodes)
+        clone._rank = self._rank[:]
         for name in self._TABLE_NAMES:
             setattr(
                 clone, name, [a[:] if a else None for a in getattr(self, name)]
@@ -328,6 +351,36 @@ class _CoverBase:
             for table in self._tables():
                 table.extend([None] * grow)
         return ids
+
+    # -- the stored vertex order ----------------------------------------
+    def ranks(
+        self,
+        nodes: Sequence[Node],
+        keys: Optional[Callable[[List[Node]], Sequence[int]]] = None,
+    ) -> List[int]:
+        """The stored rank of each of ``nodes`` (0 where none is).
+
+        With ``keys``, the nodes without one first get their key from
+        ``keys(missing)`` (aligned with ``missing``, each at least 1)
+        and keep it: the one way a rank is stored after the build. A
+        PLL labelling takes a higher rank first, equal ranks by node id.
+        """
+        rank = self._rank
+        ids = self.interner.translate(nodes)
+        if keys is not None and -1 in ids:
+            ids = self._intern_all(nodes)
+        n = len(rank)
+        out = [rank[i] if 0 <= i < n else 0 for i in ids]
+        if keys is None or 0 not in out:
+            return out
+        grow = len(self.interner) - n
+        if grow > 0:
+            rank.frombytes(bytes(grow * rank.itemsize))
+        blank = [j for j, r in enumerate(out) if not r]
+        fresh = rank_array(keys([nodes[j] for j in blank]))
+        for j, key in zip(blank, fresh):
+            out[j] = rank[ids[j]] = key
+        return out
 
     # -- backward indexes -----------------------------------------------
     def _inv_add(self, inv: List[Optional[array]], center: int, node: int) -> None:
@@ -634,11 +687,13 @@ class _CoverBase:
         return table
 
     def to_csr(self) -> Dict[str, object]:
-        """CSR snapshot payload (see :mod:`repro.storage.snapshot`)."""
+        """CSR snapshot payload (see :mod:`repro.storage.snapshot`);
+        ``rank`` is the rank table, which is not CSR."""
         payload: Dict[str, object] = {
             "distance": self.is_distance_aware,
             "labels": self.interner.labels(),
             "active": array(ID_TYPECODE, sorted(self._nodes)),
+            "rank": self._rank[:],
         }
         for name in ("lin", "lout", "inv_lin", "inv_lout"):
             payload[name] = self._pack_table(getattr(self, f"_{name}"))
@@ -646,7 +701,8 @@ class _CoverBase:
 
     @classmethod
     def from_csr(cls, payload: Mapping[str, object]):
-        """Rebuild a cover from a :meth:`to_csr` payload (block copies)."""
+        """Rebuild a cover from a :meth:`to_csr` payload (block copies);
+        one without a ``rank`` stores no ranks."""
         tables = {
             name: cls._unpack_table(*payload[name])
             for name in ("lin", "lout", "inv_lin", "inv_lout")
@@ -656,9 +712,11 @@ class _CoverBase:
                 tables[f"{name}_dist"] = cls._unpack_table(
                     payload[name][0], payload[f"{name}_dist"]
                 )
-        return cls._from_tables(
+        cover = cls._from_tables(
             NodeInterner.from_labels(payload["labels"]), payload["active"], **tables
         )
+        cover._rank = array(RANK_TYPECODE, payload.get("rank", ()))
+        return cover
 
     @classmethod
     def _from_tables(

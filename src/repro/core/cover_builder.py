@@ -46,7 +46,9 @@ from typing import (
 )
 
 from repro.core.center_graph import densest_subgraph, initial_density_upper_bound
-from repro.core.cover import ID_TYPECODE, DistanceTwoHopCover, TwoHopCover
+from repro.core.cover import (
+    ID_TYPECODE, RANK_TYPECODE, DistanceTwoHopCover, TwoHopCover, rank_array,
+)
 from repro.core.interner import NodeInterner
 from repro.graph.closure import TransitiveClosure, condensation_closure
 from repro.graph.condensation import Condensation, tarjan_components
@@ -306,7 +308,10 @@ def build_pll_cover(
     step is skipped so is never launched. The vertices one BFS
     labels, sorted, are ``w``'s row of the backward index, so the cover
     is handed over as finished tables. For a fixed order the labels do
-    not depend on the order in which edges are listed.
+    not depend on the order in which edges are listed. Without
+    ``order``, each vertex's key ``(out + 1) * (in + 1) * multiplier``
+    is stored as its rank (:meth:`~repro.core.cover.TwoHopCover.ranks`),
+    the order later maintenance keeps.
 
     Args:
         nodes: every vertex (isolated ones included; duplicates are
@@ -352,7 +357,7 @@ def build_collection_pll_cover(
     """The product build: the cover
     ``build_pll_cover(nodes, element-graph edges, distance=distance,
     multiplier=reach_multiplier(collection))`` builds, byte for byte,
-    and its number of label entries.
+    ranks included, and its number of label entries.
 
     The element graph is read straight from each document's
     ``children`` and ``intra_links`` and the collection's
@@ -404,16 +409,20 @@ def _pll_cover(
     """The labelling of :func:`build_pll_cover` over the graph ``succ``
     / ``pred`` (rows of interned ids, free of duplicates and
     self-loops) on ``labels`` and their ids ``index``: the cover, handed
-    its finished tables, and its number of label entries."""
+    its finished tables (and without ``order`` its ranks), and its
+    number of label entries."""
     n = len(labels)
     if order is None:
-        # ids follow node order, so the stable sort breaks ties by id
-        weight = [-(s + 1) * (p + 1) for s, p in zip(map(len, succ), map(len, pred))]
+        key = [(s + 1) * (p + 1) for s, p in zip(map(len, succ), map(len, pred))]
         for v, factor in (multiplier or {}).items():
-            weight[index[v]] *= factor
-        ranked = sorted(range(n), key=weight.__getitem__)
+            key[index[v]] *= factor
+        # ids follow node order, and a reversed sort is stable too: ties
+        # go by id
+        ranked = sorted(range(n), key=key.__getitem__, reverse=True)
+        rank = rank_array(key)
     else:
         ranked = [index[v] for v in order]
+        rank = array(RANK_TYPECODE)  # the caller's order has no keys to store
     # label rows as lazily created lists (of center ids, or for distance
     # of (center id, distance) pairs), each turned into an array at the end
     lin: List[Optional[list]] = [None] * n
@@ -545,6 +554,7 @@ def _pll_cover(
                     table[x] = array(ID_TYPECODE, row)
     factory = DistanceTwoHopCover if distance else TwoHopCover
     cover = factory._from_tables(NodeInterner._adopt(labels, index), range(n), **tables)
+    cover._rank = rank
     return cover, entries
 
 

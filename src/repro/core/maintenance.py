@@ -17,7 +17,8 @@ a from-scratch rebuild.
   for every edge; the offline join still does. A new document is
   treated as a fresh partition — its cover is computed standalone by
   pruned landmark labelling, unioned in, and its incident links are
-  integrated one at a time.
+  integrated one at a time. New vertices store the rank key they were
+  labelled by: their degrees in their own document's graph.
 
 * **Deletions** (Section 6.2): deleting a document ``d_i`` takes the
   **fast path of Theorem 2** when ``d_i`` *separates* the document-level
@@ -27,18 +28,23 @@ a from-scratch rebuild.
   elements disappear. Otherwise the **general algorithm of Theorem 3**
   partially recomputes the closure: the region reachable from the
   surviving ancestors of ``d_i``'s elements is walked over the
-  collection's own tree edges and links (never the whole element
-  graph) and re-labelled by pruned landmark labelling
-  (:func:`~repro.core.cover_builder.build_pll_cover`) in the whole
-  graph's vertex order — the order a fresh build of the new graph would
-  take — where the paper re-covers it by its partitioned join. The
-  cover splices the fresh labels in on interned ids
-  (``splice_region``): every region node's ``Lout`` is replaced (the
-  region is closed under reachability, so the fresh labels cover every
-  connection out of it); ``Lin`` labels gain the fresh centers, and
+  collection's own tree edges and its kept link map (never the whole
+  element graph) and re-labelled by pruned landmark labelling
+  (:func:`~repro.core.cover_builder.build_pll_cover`) in the cover's
+  stored vertex order (:meth:`~repro.core.cover.TwoHopCover.ranks`:
+  the build's, with inserted vertices placed among it) where the paper
+  re-covers it by its partitioned join. The cover splices the fresh
+  labels in on interned ids (``splice_region``): every region node's
+  ``Lout`` is replaced (the region is closed under reachability, so the
+  fresh labels cover every connection out of it); ``Lin`` labels gain the fresh centers, and
   those of surviving descendants first drop the ancestors. Only rows
   that change are rewritten. Every delete reports its entry delta from
-  the rows it touched, never from a scan of the whole cover.
+  the rows it touched, never from a scan of the whole cover, and reads
+  the link map and the document-level graph the collection keeps
+  (:meth:`~repro.xmlmodel.model.Collection.link_targets`,
+  :meth:`~repro.xmlmodel.model.Collection.document_links`): the
+  separator test, the walk and the re-label cost what the victim's
+  neighbourhood and its region cost, not the collection.
 
 * **Edge deletion**: same structure as general document deletion, with
   a fast path — if the edge's endpoints remain connected after removal
@@ -55,7 +61,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union,
+)
 
 from repro.core.cover import DistanceTwoHopCover, TwoHopCover
 from repro.core.cover_builder import build_pll_cover, reach_multiplier
@@ -188,10 +196,12 @@ def insert_element(
 
     The element is added to the collection, then the parent-child edge is
     integrated like any other edge — for a fresh leaf that is the *pull*
-    rule, ``Lin(leaf) = {parent} ∪ Lin(parent)``.
+    rule, ``Lin(leaf) = {parent} ∪ Lin(parent)``. The leaf stores the
+    rank key of its degrees in its document, ``(0 + 1) * (1 + 1)``.
     """
     element = collection.add_child(parent, tag)
     cover.add_node(element.eid)
+    cover.ranks((element.eid,), lambda missing: [2])
     insert_edge(collection, cover, parent, element.eid, _already_in_collection=True)
     return element.eid
 
@@ -239,7 +249,9 @@ def insert_document(
     :func:`~repro.core.cover_builder.build_pll_cover` on its own graph
     (which has no inter-document links, so the product's rank rule is
     its degree order), is unioned in and each incident inter-document
-    link is integrated with the link rule.
+    link is integrated with the link rule. The document's elements
+    keep the ranks the local labelling stored, the key of their degrees
+    in the document's own graph.
 
     The caller builds the document (``new_document`` / ``add_child`` /
     ``add_link``) first, then calls this once.
@@ -252,13 +264,9 @@ def insert_document(
     # the document's elements are new to the cover, so every local
     # entry is a new one
     cover.union(local)
+    cover.ranks(sorted(doc.elements), local.ranks)
     added = local.size
-    incident = sorted(
-        (u, v)
-        for (u, v) in collection.inter_links
-        if u in doc.elements or v in doc.elements
-    )
-    for u, v in incident:
+    for u, v in collection.incident_inter_links(doc_id):
         added += _integrate_link(cover, u, v)
     return MaintenanceReport(
         operation="insert_document",
@@ -290,8 +298,8 @@ def _separation(
 ) -> Tuple[bool, Set[DocId], Set[DocId]]:
     """:func:`document_separates` plus the strict ancestor and
     descendant documents it computed, which the Theorem-2 delete needs
-    next."""
-    doc_graph = collection.document_graph()
+    next. It walks the document-level graph the collection keeps."""
+    doc_graph = collection.document_links()
     anc = graph_ancestors(doc_graph, doc_id, strict=True)
     desc = graph_descendants(doc_graph, doc_id, strict=True)
     if not anc or not desc:
@@ -376,24 +384,16 @@ def _cover_descendants_of_set(cover: Cover, nodes: Set[ElementId]) -> Set[Elemen
     return result
 
 
-def _link_targets(collection: Collection) -> Dict[ElementId, List[ElementId]]:
-    """``source -> [targets]`` over every intra- and inter-document link."""
-    targets: Dict[ElementId, List[ElementId]] = {}
-    for u, v in collection.all_links():
-        targets.setdefault(u, []).append(v)
-    return targets
-
-
 def _reach(
     collection: Collection,
-    links: Dict[ElementId, List[ElementId]],
     seeds: Iterable[ElementId],
     stop: Optional[ElementId] = None,
 ) -> Set[ElementId]:
     """Every element reachable from ``seeds`` (themselves included) over
-    tree edges and ``links`` — returned early, holding ``stop``, as soon
-    as ``stop`` is reached."""
+    tree edges and the collection's link map — returned early, holding
+    ``stop``, as soon as ``stop`` is reached."""
     elements, documents = collection.elements, collection.documents
+    links = collection.link_targets()
     seen = set(seeds)
     stack = list(seen)
     while stack:
@@ -413,49 +413,67 @@ def _rebuild_region(
     cover: Cover,
     seeds: Set[ElementId],
     descendants: Set[ElementId],
-    links: Dict[ElementId, List[ElementId]],
 ) -> Tuple[int, int]:
     """Re-label the part of the new graph reachable from ``seeds`` by
     pruned landmark labelling, splice the labels in
     (the cover's ``splice_region``), and return
     the region's size and the change in entries.
 
-    The vertex order is the one a fresh build of the new graph takes,
-    restricted to the region: ``(out + 1) * (in + 1)`` times
-    :func:`~repro.core.cover_builder.reach_multiplier` descending, with
-    a region node's in-degree counting links from outside the region,
-    ties broken by id. The multiplier is recomputed from the current
-    collection, element by element for the region's elements only. A
-    region ordered by its own degrees drifts away from a fresh build's
-    labels."""
-    region = _reach(collection, links, seeds)
-    multiplier = reach_multiplier(collection, region)
+    The vertex order is the cover's stored one, restricted to the
+    region: higher rank first, ties broken by id — on a PLL-built cover
+    the order its build took, with the vertices inserted since placed
+    by the keys they stored. A region node without a stored rank (a
+    cover built greedily or by the paper's pipeline, or read from a
+    snapshot that holds none) first gets the key a fresh build would
+    give it now (:func:`_build_keys`) and keeps it. Nothing here reads
+    more of the collection than the region and its link map rows."""
+    region = _reach(collection, seeds)
     elements, documents = collection.elements, collection.documents
+    links = collection.link_targets()
     # successor rows free of self-loops and of links parallel to a tree
     # edge, as build_pll_cover's mapping form wants them (a row without
     # links is the document's own children list, only read)
     succ: Dict[ElementId, List[ElementId]] = {}
-    indegree: Dict[ElementId, int] = {}
     for x in region:
-        e = elements[x]
-        row = documents[e.doc].children[x]
+        row = documents[elements[x].doc].children[x]
         targets = links.get(x)
         if targets:
             row = row + [v for v in targets if v != x and elements[v].parent != x]
         succ[x] = row
-        indegree[x] = e.parent is not None
-    for u, targets in links.items():
+    nodes = sorted(region)
+    rank = cover.ranks(
+        nodes, lambda missing: _build_keys(collection, region, succ, missing)
+    )
+    # a stable sort (reversed too) of the sorted ids breaks rank ties by id
+    ranked = sorted(range(len(nodes)), key=rank.__getitem__, reverse=True)
+    order = [nodes[i] for i in ranked]
+    fresh = build_pll_cover(nodes, succ, distance=_is_distance(cover), order=order)
+    return len(region), cover.splice_region(fresh, seeds, descendants)
+
+
+def _build_keys(
+    collection: Collection,
+    region: Set[ElementId],
+    succ: Mapping[ElementId, Sequence[ElementId]],
+    missing: Sequence[ElementId],
+) -> List[int]:
+    """The rank key a fresh build of the current graph gives each of
+    ``missing`` (region nodes), in that order: ``(out + 1) * (in + 1)``
+    times :func:`~repro.core.cover_builder.reach_multiplier`, an
+    in-degree counting links from outside the region. It costs a pass
+    over every link and the document graph, paid once per id: the key
+    is stored."""
+    elements = collection.elements
+    multiplier = reach_multiplier(collection, region)
+    indegree = {x: int(elements[x].parent is not None) for x in missing}
+    for u, targets in collection.link_targets().items():
         for v in targets:
             if v in indegree and v != u and elements[v].parent != u:
                 indegree[v] += 1
-    weight = {
-        x: -(len(row) + 1) * (indegree[x] + 1) * multiplier.get(x, 1)
-        for x, row in succ.items()
-    }
-    # a stable sort of the sorted ids breaks weight ties by id
-    order = sorted(sorted(region), key=weight.__getitem__)
-    fresh = build_pll_cover(region, succ, distance=_is_distance(cover), order=order)
-    return len(region), cover.splice_region(fresh, seeds, descendants)
+    return [
+        (len(succ[x]) + 1) * (indegree[x] + 1) * multiplier.get(x, 1)
+        for x in missing
+    ]
 
 
 def delete_document(
@@ -494,7 +512,7 @@ def delete_document(
     collection.remove_document(doc_id)
     cover.remove_nodes(v_di)
     region_size, spliced = _rebuild_region(
-        collection, cover, a_di - v_di, d_di - v_di, _link_targets(collection)
+        collection, cover, a_di - v_di, d_di - v_di
     )
     return MaintenanceReport(
         operation="delete_document",
@@ -533,8 +551,7 @@ def delete_edge(
             f"({u}, {v}) is not a link; only links (not tree edges) can be deleted"
         )
     collection.remove_link(u, v)
-    links = _link_targets(collection)
-    if not _is_distance(cover) and v in _reach(collection, links, (u,), stop=v):
+    if not _is_distance(cover) and v in _reach(collection, (u,), stop=v):
         return MaintenanceReport(
             operation="delete_edge",
             separating=True,  # "separating" here: removal was absorbed
@@ -543,7 +560,7 @@ def delete_edge(
         )
     a_e = cover.ancestors(u)  # includes u
     d_e = cover.descendants(v)  # includes v
-    region_size, delta = _rebuild_region(collection, cover, a_e, d_e, links)
+    region_size, delta = _rebuild_region(collection, cover, a_e, d_e)
     return MaintenanceReport(
         operation="delete_edge",
         separating=False,

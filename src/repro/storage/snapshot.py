@@ -20,10 +20,17 @@ Layout (all little-endian)::
         ilout_ptr / ilout_dat
         lin_dist   int32[]  (distance covers only, aligned with lin_dat)
         lout_dist  int32[]
+    optionally one more section (:func:`dump_ranked_snapshot`):
+        rank       int64[]  the stored vertex rank per internal id, 0 = none;
+                            may be shorter than nodes (the rest have none)
 
 Snapshots require integer node labels (element ids always are). The
-durable store (:mod:`repro.storage.wal`) keeps its cover in one; an
-index file holds no labels.
+durable store (:mod:`repro.storage.wal`) keeps its cover in one with
+the rank section, so maintenance after a restart labels in the order
+it would have used before; :func:`save_snapshot` and
+:func:`snapshot_to_bytes` write none (their bytes are the labels
+alone), and a snapshot without one loads as a cover that stores no
+ranks. An index file holds no labels.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import struct
 import sys
 from array import array
 from pathlib import Path
-from typing import BinaryIO, Union
+from typing import BinaryIO, Optional, Union
 
 from repro.core.cover import DistanceTwoHopCover, TwoHopCover
 
@@ -51,8 +58,12 @@ def _write_array(fh: BinaryIO, arr: array) -> None:
     fh.write(arr.tobytes())
 
 
-def _read_array(fh: BinaryIO) -> array:
+def _read_array(fh: BinaryIO, *, optional: bool = False) -> Optional[array]:
+    """The next section; with ``optional``, None at the end of the
+    stream instead of an error."""
     header = fh.read(9)
+    if optional and not header:
+        return None
     if len(header) != 9:
         raise ValueError("truncated snapshot: section header missing")
     typecode, length = struct.unpack("<cQ", header)
@@ -71,6 +82,19 @@ def _read_array(fh: BinaryIO) -> array:
 
 def dump_snapshot(fh: BinaryIO, cover: Cover) -> None:
     """Write the CSR encoding of a cover to a stream."""
+    _dump_payload(fh, _payload(cover))
+
+
+def dump_ranked_snapshot(fh: BinaryIO, cover: Cover) -> None:
+    """:func:`dump_snapshot` followed by the rank section: the cover
+    whole, as the durable store's ``cover.snap`` keeps it."""
+    payload = _payload(cover)
+    _dump_payload(fh, payload)
+    _write_array(fh, payload["rank"])
+
+
+def _payload(cover: Cover) -> dict:
+    """``cover.to_csr()``, checked to be writable."""
     if not isinstance(cover, (TwoHopCover, DistanceTwoHopCover)):
         raise TypeError(
             f"snapshots hold repro.core.cover covers, not {type(cover).__name__}"
@@ -79,6 +103,12 @@ def dump_snapshot(fh: BinaryIO, cover: Cover) -> None:
     labels = payload["labels"]
     if not all(isinstance(x, int) for x in labels):
         raise TypeError("snapshot node labels must be integers (element ids)")
+    return payload
+
+
+def _dump_payload(fh: BinaryIO, payload: dict) -> None:
+    """Write every section of a checked payload but the rank section."""
+    labels = payload["labels"]
     flags = _FLAG_DISTANCE if payload["distance"] else 0
     fh.write(MAGIC)
     fh.write(struct.pack("<I", flags))
@@ -94,7 +124,8 @@ def dump_snapshot(fh: BinaryIO, cover: Cover) -> None:
 
 
 def read_snapshot(fh: BinaryIO, *, name: str = "<stream>") -> Cover:
-    """Read one CSR encoding from a stream into a cover."""
+    """Read one CSR encoding from a stream into a cover: the rest of
+    the stream, whose last section may be the rank section."""
     magic = fh.read(len(MAGIC))
     if magic != MAGIC:
         raise ValueError(f"{name}: not a HOPI CSR snapshot")
@@ -111,13 +142,15 @@ def read_snapshot(fh: BinaryIO, *, name: str = "<stream>") -> Cover:
         "active": active,
         **blocks,
     }
-    if flags & _FLAG_DISTANCE:
-        payload["distance"] = True
+    payload["distance"] = bool(flags & _FLAG_DISTANCE)
+    if payload["distance"]:
         payload["lin_dist"] = _read_array(fh)
         payload["lout_dist"] = _read_array(fh)
-        return DistanceTwoHopCover.from_csr(payload)
-    payload["distance"] = False
-    return TwoHopCover.from_csr(payload)
+    rank = _read_array(fh, optional=True)
+    if rank is not None:
+        payload["rank"] = rank
+    factory = DistanceTwoHopCover if payload["distance"] else TwoHopCover
+    return factory.from_csr(payload)
 
 
 def save_snapshot(path: Union[str, Path], cover: Cover) -> int:

@@ -14,8 +14,9 @@ module closes that gap with the classic write-ahead protocol:
    identity against a fork of the last checkpointed collection (see
    :meth:`~repro.storage.db.SQLiteCoverStore.write_index`). The live
    cover is then written whole to ``cover.snap``, a CSR snapshot
-   (:mod:`repro.storage.snapshot`) tagged with the epoch, fsynced and
-   renamed into place; only then is the WAL reset;
+   (:mod:`repro.storage.snapshot`) tagged with the epoch and followed
+   by the cover's stored vertex ranks, fsynced and renamed into place;
+   only then is the WAL reset;
 3. on restart, :meth:`DurableIndexStore.recover` loads the collection
    from ``index.db`` and its cover from ``cover.snap`` when the two
    carry the same epoch, else (a crash between the two writes, or a
@@ -53,7 +54,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 from repro.core.hopi import HopiIndex
 from repro.core.ops import apply_update_op
 from repro.storage.db import Cover, SQLiteCoverStore
-from repro.storage.snapshot import dump_snapshot, read_snapshot
+from repro.storage.snapshot import dump_ranked_snapshot, read_snapshot
 from repro.xmlmodel.model import Collection
 
 MAGIC = b"HOPIWAL1"
@@ -276,7 +277,7 @@ class DurableIndexStore:
         tmp = self.cover_path + ".tmp"
         with open(tmp, "wb") as fh:
             fh.write(_COVER_EPOCH.pack(epoch))
-            dump_snapshot(fh, cover)
+            dump_ranked_snapshot(fh, cover)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.cover_path)

@@ -8,7 +8,9 @@
 * :class:`Collection` — a set of documents plus the set ``L`` of
   inter-document links; exposes the element-level graph ``G_E(X)``, the
   document mapping function ``doc``, and the weighted document-level
-  graph ``G_D(X)``.
+  graph ``G_D(X)``. It keeps the link map (source -> targets) and the
+  document-level adjacency with link counts current as links and
+  documents come and go, so maintenance never rebuilds them.
 
 The model deliberately ignores element order (the paper's rationale: on
 schema-less heterogeneous collections nobody queries "the second author
@@ -124,6 +126,35 @@ class Document:
         return counts
 
 
+class DocumentLinks:
+    """The document-level graph ``G_D(X)`` as a collection keeps it:
+    ``out[d][e]`` (and ``into[e][d]``) is the number of links from
+    document ``d`` to ``e``, and every document has a row in both.
+
+    It reads like a :class:`~repro.graph.digraph.DiGraph`
+    (``successors``, ``predecessors``, ``in``), so the traversals of
+    :mod:`repro.graph.traversal` walk it. A live view, read only: later
+    changes to the collection show through.
+    """
+
+    __slots__ = ("out", "into")
+
+    def __init__(
+        self, out: Dict[DocId, Dict[DocId, int]], into: Dict[DocId, Dict[DocId, int]]
+    ) -> None:
+        self.out = out
+        self.into = into
+
+    def __contains__(self, doc_id: DocId) -> bool:
+        return doc_id in self.out
+
+    def successors(self, doc_id: DocId) -> Iterable[DocId]:
+        return self.out[doc_id].keys()
+
+    def predecessors(self, doc_id: DocId) -> Iterable[DocId]:
+        return self.into[doc_id].keys()
+
+
 class Collection:
     """A collection ``X = (D, L)`` of XML documents with links.
 
@@ -148,6 +179,18 @@ class Collection:
         # before its first in-place change.
         self._tags: Optional[Dict[str, List[ElementId]]] = None
         self._shared_tags: Set[str] = set()
+        # the link index: None until the first link_targets() /
+        # document_links() / remove_document() call builds it, then
+        # kept current by add_link, remove_link, new_document and
+        # remove_document. _link_map rows are tuples, replaced on
+        # change, so a fork shares them as they are; the document rows
+        # of _doc_out / _doc_in (document -> {document: links}) are
+        # dicts changed in place, so those of the documents in
+        # _shared_adj are copied by _own_adj() before their first change.
+        self._link_map: Optional[Dict[ElementId, Tuple[ElementId, ...]]] = None
+        self._doc_out: Dict[DocId, Dict[DocId, int]] = {}
+        self._doc_in: Dict[DocId, Dict[DocId, int]] = {}
+        self._shared_adj: Set[DocId] = set()
 
     # ------------------------------------------------------------------
     # copy-on-write forking
@@ -161,9 +204,11 @@ class Collection:
         inter-links) pointer copies) and the document and tag maps
         (O(documents + tags)). ``Element`` objects are immutable after
         creation (maintenance only ever adds or removes whole elements),
-        so they are simply shared. Documents and per-tag id lists are
-        shared until a mutation touches them: both siblings mark every
-        one shared and copy it on its first in-place change.
+        so they are simply shared. Documents, per-tag id lists and the
+        link index's document rows are shared until a mutation touches
+        them: both siblings mark every one shared and copy it on its
+        first in-place change. The link map's rows are immutable and
+        shared as they are.
         """
         clone = Collection.__new__(Collection)
         clone.documents = dict(self.documents)
@@ -177,6 +222,12 @@ class Collection:
         shared_tags = set(self._tags or ())
         clone._shared_tags = set(shared_tags)
         self._shared_tags = shared_tags
+        clone._link_map = None if self._link_map is None else dict(self._link_map)
+        clone._doc_out = dict(self._doc_out)
+        clone._doc_in = dict(self._doc_in)
+        shared_adj = set(self._doc_out)
+        clone._shared_adj = set(shared_adj)
+        self._shared_adj = shared_adj
         return clone
 
     def _own_doc(self, doc_id: DocId) -> Document:
@@ -201,6 +252,15 @@ class Collection:
             self._shared_tags.discard(tag)
         return ids
 
+    def _own_adj(self, doc_id: DocId) -> Tuple[Dict[DocId, int], Dict[DocId, int]]:
+        """The link index's ``(out, in)`` rows of ``doc_id``, copied
+        first if still shared with a fork sibling."""
+        if doc_id in self._shared_adj:
+            self._doc_out[doc_id] = dict(self._doc_out[doc_id])
+            self._doc_in[doc_id] = dict(self._doc_in[doc_id])
+            self._shared_adj.discard(doc_id)
+        return self._doc_out[doc_id], self._doc_in[doc_id]
+
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
@@ -221,6 +281,9 @@ class Collection:
             raise ValueError(f"document {doc_id!r} already exists")
         root = self._allocate(root_tag, doc_id, None)
         self.documents[doc_id] = Document(doc_id, root.eid)
+        if self._link_map is not None:
+            self._doc_out[doc_id] = {}
+            self._doc_in[doc_id] = {}
         return root
 
     def add_child(self, parent: ElementId, tag: str) -> Element:
@@ -234,27 +297,48 @@ class Collection:
         """Add a link; classified as intra- or inter-document automatically."""
         sdoc = self.elements[source].doc
         tdoc = self.elements[target].doc
+        link = (source, target)
         if sdoc == tdoc:
+            if link in self.documents[sdoc].intra_links:
+                return
             self._own_doc(sdoc).add_intra_link(source, target)
+        elif link in self.inter_links:
+            return
         else:
-            self.inter_links.add((source, target))
+            self.inter_links.add(link)
+            if self._link_map is not None:
+                self._count_doc_link(sdoc, tdoc, 1)
+        if self._link_map is not None:
+            self._link_map[source] = self._link_map.get(source, ()) + (target,)
 
     def remove_link(self, source: ElementId, target: ElementId) -> None:
         sdoc = self.elements[source].doc
         tdoc = self.elements[target].doc
+        link = (source, target)
         if sdoc == tdoc:
-            doc = self.documents[sdoc]
-            if (source, target) in doc.intra_links:
-                self._own_doc(sdoc).intra_links.discard((source, target))
+            if link not in self.documents[sdoc].intra_links:
+                return
+            self._own_doc(sdoc).intra_links.discard(link)
+        elif link not in self.inter_links:
+            return
         else:
-            self.inter_links.discard((source, target))
+            self.inter_links.discard(link)
+            if self._link_map is not None:
+                self._count_doc_link(sdoc, tdoc, -1)
+        if self._link_map is not None:
+            self._drop_targets(source, {target})
 
     def remove_document(self, doc_id: DocId) -> Set[ElementId]:
         """Remove a document, its elements, and all incident inter-links.
 
+        The inter-links dropped are the victim's own, found through the
+        link index (:meth:`incident_inter_links`), not by a pass over
+        every link.
+
         Returns:
             The set of element ids that were removed.
         """
+        incident = self.incident_inter_links(doc_id)
         doc = self.documents.pop(doc_id)
         self._shared_docs.discard(doc_id)
         removed = set(doc.elements)
@@ -265,12 +349,86 @@ class Collection:
                 del ids[bisect_left(ids, e)]
                 if not ids:
                     del self._tags[tag]
-        self.inter_links = {
-            (u, v)
-            for (u, v) in self.inter_links
-            if u not in removed and v not in removed
-        }
+        self.inter_links.difference_update(incident)
+        links = self._link_map
+        for e in removed:
+            links.pop(e, None)
+        for u in {u for u, _ in incident if u not in removed}:
+            self._drop_targets(u, removed)
+        for other in self._doc_out.pop(doc_id):
+            del self._own_adj(other)[1][doc_id]
+        for other in self._doc_in.pop(doc_id):
+            del self._own_adj(other)[0][doc_id]
+        self._shared_adj.discard(doc_id)
         return removed
+
+    # -- the link index ---------------------------------------------------
+    def _link_index(self) -> Dict[ElementId, Tuple[ElementId, ...]]:
+        """The link map, built on first use (the one pass over every
+        link), with the document rows beside it."""
+        if self._link_map is None:
+            targets: Dict[ElementId, List[ElementId]] = {}
+            for u, v in self.all_links():
+                targets.setdefault(u, []).append(v)
+            self._link_map = {u: tuple(vs) for u, vs in targets.items()}
+            self._doc_out = {d: {} for d in self.documents}
+            self._doc_in = {d: {} for d in self.documents}
+            self._shared_adj = set()
+            for u, v in self.inter_links:
+                self._count_doc_link(self.elements[u].doc, self.elements[v].doc, 1)
+        return self._link_map
+
+    def _count_doc_link(self, sdoc: DocId, tdoc: DocId, step: int) -> None:
+        """Add ``step`` to the links counted from ``sdoc`` to ``tdoc``;
+        a pair whose count drops to 0 leaves the adjacency."""
+        out, into = self._own_adj(sdoc)[0], self._own_adj(tdoc)[1]
+        for row, key in ((out, tdoc), (into, sdoc)):
+            count = row.get(key, 0) + step
+            if count:
+                row[key] = count
+            else:
+                del row[key]
+
+    def _drop_targets(self, source: ElementId, gone: Set[ElementId]) -> None:
+        """Take the targets in ``gone`` out of ``source``'s link map row."""
+        kept = tuple(v for v in self._link_map.get(source, ()) if v not in gone)
+        if kept:
+            self._link_map[source] = kept
+        else:
+            self._link_map.pop(source, None)
+
+    def link_targets(self) -> Dict[ElementId, Tuple[ElementId, ...]]:
+        """``source -> (targets, ...)`` over every intra- and
+        inter-document link (a source without links has no row).
+
+        The collection keeps this map current; it is a live view, read
+        only, that later changes to the collection show through.
+        """
+        return self._link_index()
+
+    def document_links(self) -> DocumentLinks:
+        """The document-level graph ``G_D(X)`` with its link counts, as
+        the collection keeps it (:meth:`document_graph` builds a fresh
+        :class:`~repro.graph.digraph.DiGraph` instead)."""
+        self._link_index()
+        return DocumentLinks(self._doc_out, self._doc_in)
+
+    def incident_inter_links(self, doc_id: DocId) -> List[Link]:
+        """The inter-document links out of and into ``doc_id``, sorted:
+        its own elements' link map rows, and those of the documents the
+        kept adjacency says link into it."""
+        links = self._link_index()
+        documents, elements = self.documents, self.elements
+        incident = []
+        for u in documents[doc_id].elements:
+            incident += ((u, v) for v in links.get(u, ()) if elements[v].doc != doc_id)
+        for other in self._doc_in[doc_id]:
+            for u in documents[other].elements:
+                incident += (
+                    (u, v) for v in links.get(u, ()) if elements[v].doc == doc_id
+                )
+        incident.sort()
+        return incident
 
     # ------------------------------------------------------------------
     # the formal model's derived objects

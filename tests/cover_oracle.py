@@ -27,7 +27,8 @@ Node = Hashable
 
 
 def oracle_cover(cover):
-    """The oracle twin of any cover: same universe, same label entries."""
+    """The oracle twin of any cover: same universe, same label entries,
+    same stored ranks."""
     if cover.is_distance_aware:
         twin = SetDistanceCover(cover.nodes)
         for kind, node, center, dist in cover.entries():
@@ -36,6 +37,8 @@ def oracle_cover(cover):
         twin = SetTwoHopCover(cover.nodes)
         for kind, node, center in cover.entries():
             (twin.add_lin if kind == "in" else twin.add_lout)(node, center)
+    nodes = list(cover.nodes)
+    twin.rank = {v: r for v, r in zip(nodes, cover.ranks(nodes)) if r}
     return twin
 
 
@@ -113,6 +116,17 @@ def _splice_region(cover, fresh, seeds, descendants) -> int:
     return entries() - before
 
 
+def _ranks(cover, nodes, keys=None) -> List[int]:
+    """The stored rank of each of ``nodes`` (0 where none is); with
+    ``keys``, the nodes without one first get ``keys(missing)``'s
+    (aligned with ``missing``) and keep it."""
+    if keys is not None:
+        missing = [v for v in nodes if v not in cover.rank]
+        if missing:
+            cover.rank.update(zip(missing, keys(missing)))
+    return [cover.rank.get(v, 0) for v in nodes]
+
+
 class SetTwoHopCover:
     """A reachability 2-hop cover with forward and backward label indexes.
 
@@ -130,6 +144,7 @@ class SetTwoHopCover:
         # backward indexes: center -> set of nodes whose Lin/Lout holds it
         self._inv_lin: Dict[Node, Set[Node]] = {}
         self._inv_lout: Dict[Node, Set[Node]] = {}
+        self.rank: Dict[Node, int] = {}
 
     # ------------------------------------------------------------------
     # label mutation
@@ -245,10 +260,14 @@ class SetTwoHopCover:
         clone.lout = {v: set(c) for v, c in self.lout.items()}
         clone._inv_lin = {v: set(c) for v, c in self._inv_lin.items()}
         clone._inv_lout = {v: set(c) for v, c in self._inv_lout.items()}
+        clone.rank = dict(self.rank)
         return clone
 
     #: a fork of the oracle is simply a deep copy
     cow_copy = copy
+
+    #: the stored vertex order
+    ranks = _ranks
 
     # ------------------------------------------------------------------
     # queries (Section 3.4 semantics)
@@ -394,6 +413,7 @@ class SetDistanceCover:
         self.lout: Dict[Node, Dict[Node, int]] = {}
         self._inv_lin: Dict[Node, Set[Node]] = {}
         self._inv_lout: Dict[Node, Set[Node]] = {}
+        self.rank: Dict[Node, int] = {}
 
     # ------------------------------------------------------------------
     # label mutation
@@ -486,10 +506,14 @@ class SetDistanceCover:
         clone.lout = {v: dict(c) for v, c in self.lout.items()}
         clone._inv_lin = {v: set(c) for v, c in self._inv_lin.items()}
         clone._inv_lout = {v: set(c) for v, c in self._inv_lout.items()}
+        clone.rank = dict(self.rank)
         return clone
 
     #: a fork of the oracle is simply a deep copy
     cow_copy = copy
+
+    #: the stored vertex order
+    ranks = _ranks
 
     def discard_lin(self, node: Node, center: Node) -> None:
         """Remove ``center`` from ``Lin(node)`` if present."""

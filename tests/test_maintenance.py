@@ -476,7 +476,7 @@ def test_region_is_the_union_of_the_seeds_descendants(c, data):
     seeds = data.draw(
         st.lists(st.sampled_from(sorted(c.elements)), min_size=1, max_size=3)
     )
-    region = maintenance._reach(c, maintenance._link_targets(c), seeds)
+    region = maintenance._reach(c, seeds)
     graph = c.element_graph()
     assert region == set().union(*(graph_descendants(graph, s) for s in seeds))
 
@@ -874,20 +874,49 @@ for build in (build_cover, build_distance_cover):
 """
 
 
-def test_region_recover_is_independent_of_the_hash_seed():
-    """WAL replay re-runs the re-cover and the link-rule choice of every
-    insert in a fresh process, whose string hashing differs: the result
-    must not depend on it."""
+def _under_two_hash_seeds(script):
+    """``script``'s stdout in two fresh processes, ``PYTHONHASHSEED`` 0
+    and 1."""
     tests = os.path.dirname(os.path.abspath(__file__))
     path = os.pathsep.join([os.path.join(os.path.dirname(tests), "src"), tests])
     outputs = []
     for seed in ("0", "1"):
         done = subprocess.run(
-            [sys.executable, "-c", _DETERMINISM_SCRIPT],
+            [sys.executable, "-c", script],
             env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr[-2000:]
         outputs.append(done.stdout)
+    return outputs
+
+
+def test_region_recover_is_independent_of_the_hash_seed():
+    """WAL replay re-runs the re-cover and the link-rule choice of every
+    insert in a fresh process, whose string hashing differs: the result
+    must not depend on it."""
+    outputs = _under_two_hash_seeds(_DETERMINISM_SCRIPT)
+    assert len(outputs[0].splitlines()) == 2
+    assert outputs[0] == outputs[1]
+
+
+def test_pll_region_recover_is_independent_of_the_hash_seed():
+    """The same ops on PLL-built covers, whose re-labels follow the
+    stored ranks (inserted vertices' included) and read the document
+    graph the collection keeps: the result, ranks included, must not
+    depend on string hashing either."""
+    script = _DETERMINISM_SCRIPT.replace(
+        "for build in (build_cover, build_distance_cover):",
+        "from repro.core.hopi import HopiIndex\n"
+        "for distance in (False, True):",
+    ).replace(
+        "    cover = build(c.element_graph())",
+        "    cover = HopiIndex.build(c, distance=distance).cover",
+    ).replace(
+        "    print(victim, ",
+        "    print(victim, cover.ranks(sorted(c.elements)), ",
+    )
+    assert "HopiIndex.build" in script and "cover.ranks" in script
+    outputs = _under_two_hash_seeds(script)
     assert len(outputs[0].splitlines()) == 2
     assert outputs[0] == outputs[1]

@@ -1,8 +1,11 @@
 """Tests for the XML collection data model (Section 2 of the paper)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acyclic import is_acyclic
+from random_collections import random_collection
 from repro.xmlmodel import Collection
 
 
@@ -186,3 +189,73 @@ def test_document_tree_is_acyclic_graph():
     g = c.documents["d"].element_graph()
     assert not is_acyclic(g)
     assert g.has_edge(y.eid, x.eid)
+
+
+# ---------------------------------------------------------------------------
+# the link index the collection keeps
+# ---------------------------------------------------------------------------
+
+
+def _kept(c):
+    """The kept link map and document graph, as plain sorted values."""
+    links = {u: sorted(vs) for u, vs in c.link_targets().items()}
+    doc_graph = c.document_links()
+    return links, {d: dict(r) for d, r in doc_graph.out.items()}, {
+        d: dict(r) for d, r in doc_graph.into.items()
+    }
+
+
+def _recounted(c):
+    """The same three from scratch: every link, every inter-link."""
+    links = {}
+    for u, v in c.all_links():
+        links.setdefault(u, []).append(v)
+    out = {d: {} for d in c.documents}
+    into = {d: {} for d in c.documents}
+    for u, v in c.inter_links:
+        du, dv = c.doc(u), c.doc(v)
+        out[du][dv] = out[du].get(dv, 0) + 1
+        into[dv][du] = into[dv].get(du, 0) + 1
+    return {u: sorted(vs) for u, vs in links.items()}, out, into
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.booleans(), st.data())
+def test_the_kept_link_index_is_a_recount_and_forks_do_not_leak(seed, built, data):
+    """Random ``add_link`` / ``remove_link`` / ``new_document`` /
+    ``remove_document`` / ``fork`` sequences on a family of forks (the
+    index built before the first fork or only later): after every step
+    each collection's kept link map and document graph equal a recount
+    of its links, and a step on one collection never shows in any
+    other."""
+    family = [random_collection(n_docs=4, inter_links=6, seed=seed)]
+    if built:
+        family[0].link_targets()
+    for step in range(12):
+        c = data.draw(st.sampled_from(family))
+        others = [(o, _kept(o)) for o in family if o is not c]
+        kind = data.draw(st.sampled_from(
+            ["add_link", "remove_link", "new_document", "remove_document", "fork"]
+        ))
+        elements = sorted(c.elements)
+        links = sorted(c.all_links())
+        if kind == "add_link":
+            c.add_link(data.draw(st.sampled_from(elements)),
+                       data.draw(st.sampled_from(elements)))
+        elif kind == "remove_link" and links:
+            c.remove_link(*data.draw(st.sampled_from(links)))
+        elif kind == "new_document":
+            root = c.new_document(f"new{step}", "r")
+            child = c.add_child(root.eid, "a")
+            c.add_link(child.eid, data.draw(st.sampled_from(elements)))
+            c.add_link(data.draw(st.sampled_from(elements)), root.eid)
+        elif kind == "remove_document" and len(c.documents) > 1:
+            doc_id = data.draw(st.sampled_from(sorted(c.documents)))
+            removed = c.remove_document(doc_id)
+            assert not any(u in removed or v in removed for u, v in c.all_links())
+        elif kind == "fork":
+            family.append(c.fork())
+        for o in family:
+            assert _kept(o) == _recounted(o)
+        for o, before in others:
+            assert _kept(o) == before

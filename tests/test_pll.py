@@ -20,7 +20,7 @@ from random_collections import random_collection
 from repro.core.cover_builder import build_cover, build_pll_cover, reach_multiplier
 from repro.core.distance import build_distance_cover
 from repro.core.hopi import HopiIndex
-from repro.core.maintenance import _link_targets, _reach, _rebuild_region
+from repro.core.maintenance import _reach, _rebuild_region
 from repro.core.pipeline import BuildPipeline
 from repro.graph import DiGraph, distance_closure, transitive_closure
 from repro.graph.traversal import ancestors as graph_ancestors
@@ -235,7 +235,7 @@ def test_reach_multiplier_is_its_definition_in_any_insertion_order(
     expected = _reference_multiplier(c)
     assert reach_multiplier(c) == expected
     assert reach_multiplier(_reordered(c, rng)) == expected
-    region = _reach(c, _link_targets(c), rng.sample(sorted(c.elements), 2))
+    region = _reach(c, rng.sample(sorted(c.elements), 2))
     assert reach_multiplier(c, region) == {
         x: factor for x, factor in expected.items() if x in region
     }
@@ -254,7 +254,7 @@ def test_a_region_of_every_element_relabels_to_the_fresh_build(distance):
     for corpus in (c, dblp_like(30, seed=5)):
         cover = HopiIndex.build(corpus, strategy="recursive", distance=distance).cover
         everything = set(corpus.elements)
-        _rebuild_region(corpus, cover, everything, everything, _link_targets(corpus))
+        _rebuild_region(corpus, cover, everything, everything)
         fresh = HopiIndex.build(corpus, distance=distance).cover
         assert sorted(cover.entries()) == sorted(fresh.entries())
 
