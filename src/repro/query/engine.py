@@ -106,7 +106,16 @@ class QueryEngine:
         max_results: ranked-result truncation per query (applied after
             the expression's own ``offset``/``limit`` window), at
             least 1.
+        previous: the engine of the generation this index was forked
+            from; its candidate memos are adopted where they still hold
+            (see :meth:`_adopt`).
     """
+
+    #: the per-step-key memos, all derived from one candidate list
+    _MEMOS = (
+        "_candidate_memo", "_candidate_map_memo", "_candidate_elems_memo",
+        "_parent_map_memo", "_anchored_count_memo",
+    )
 
     def __init__(
         self,
@@ -115,6 +124,7 @@ class QueryEngine:
         ontology: Optional[TagOntology] = None,
         similarity_threshold: float = 0.3,
         max_results: int = 1000,
+        previous: Optional["QueryEngine"] = None,
     ) -> None:
         if max_results < 1:
             raise ValueError(f"max_results must be >= 1, got {max_results}")
@@ -131,6 +141,51 @@ class QueryEngine:
         self._candidate_elems_memo: Dict[StepKey, Tuple[ElementId, ...]] = {}
         self._parent_map_memo: Dict[StepKey, Dict[ElementId, List[ElementId]]] = {}
         self._anchored_count_memo: Dict[StepKey, int] = {}
+        if previous is not None:
+            self._adopt(previous)
+
+    def _adopt(self, previous: "QueryEngine") -> None:
+        """Take over ``previous``'s memos for every step key whose
+        candidates cannot have changed.
+
+        :meth:`Collection.tags() <repro.xmlmodel.model.Collection.tags>`
+        hands out lists that later maintenance never mutates in place
+        (a change copies the list first), so a tag list that is the
+        same *object* in both tag indexes holds the same ids; and an
+        element's tag and parent never change, so every memo derived
+        from those ids — candidates, elements, map, parent map,
+        anchored count — still holds. A ``(tag, False)`` key is adopted
+        when its tag's list is the same object; ``*`` and ``~tag`` keys
+        read several lists and the tag set, so only when every list is
+        the same object and no tag came or went. Empty candidate lists
+        are not carried over (they cost nothing to recompute, and this
+        keeps what is carried bounded by the collection's tags). Nothing
+        is adopted across a different ontology or threshold.
+        """
+        if (
+            previous.ontology is not self.ontology
+            or previous.similarity_threshold != self.similarity_threshold
+        ):
+            return
+        old, new = previous._tag_index, self._tag_index
+        unchanged = old.keys() == new.keys() and all(
+            ids is old[tag] for tag, ids in new.items()
+        )
+        # one atomic C-level copy each: readers of the previous epoch
+        # may still be filling these dicts
+        theirs = {name: getattr(previous, name).copy() for name in self._MEMOS}
+        kept = [
+            key for key, candidates in theirs["_candidate_memo"].items()
+            if candidates and (
+                unchanged if key[0] == "*" or key[1]
+                else new.get(key[0]) is old.get(key[0])
+            )
+        ]
+        for name, memo in theirs.items():
+            mine = getattr(self, name)
+            for key in kept:
+                if key in memo:
+                    mine[key] = memo[key]
 
     # ------------------------------------------------------------------
     # derived candidate state (shared by planner and operators)
@@ -237,6 +292,13 @@ class QueryEngine:
             return path
         return build_logical_plan(path)
 
+    def context(
+        self, index: Optional[HopiIndex] = None, probe: Optional[Probe] = None
+    ) -> ExecContext:
+        """A fresh execution context over ``index`` (default: the
+        engine's own), probing through ``probe`` when one is given."""
+        return ExecContext(self, index or self.index, probe)
+
     def plan(self, path: Query, *, directional: bool = False) -> PhysicalPlan:
         """The physical plan :meth:`evaluate` would run for ``path``
         (``directional=True`` shows the endpoint-seeded plan
@@ -263,11 +325,13 @@ class QueryEngine:
         *,
         directional: bool = False,
     ) -> Tuple[LogicalPlan, PhysicalPlan, ExecContext]:
-        """The shared entry-point preamble: lower, plan, build the
-        execution context."""
+        """The shared entry-point preamble: lower, build the execution
+        context, plan in it (the window term's sample lands in its
+        memo)."""
         logical = self._lower(path)
-        plan = plan_query(logical, self, directional=directional)
-        return logical, plan, ExecContext(self, index or self.index, probe)
+        ctx = self.context(index, probe)
+        plan = plan_query(logical, self, directional=directional, ctx=ctx)
+        return logical, plan, ctx
 
     def evaluate(
         self,

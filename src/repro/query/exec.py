@@ -38,16 +38,10 @@ from typing import (
 )
 
 from repro.query.pathexpr import Predicate, Step
-from repro.query.planner import PhysicalPlan
+from repro.query.planner import FORWARD_BLOCK, PhysicalPlan
 from repro.xmlmodel.model import ElementId
 
 Binding = Tuple[ElementId, ...]
-
-#: Descendant-join block size: how many partial bindings the ranked
-#: enumerator pulls before issuing one batched ``intersect_many``
-#: prefetch for their sources. Bounds the work a small window wastes:
-#: a block is probed whole even when its first partials fill the top k.
-FORWARD_BLOCK = 32
 
 
 class ExecContext:
@@ -140,6 +134,24 @@ class ExecContext:
             cached = backward(target, step_key, compute) if backward else compute()
             self._backward[key] = cached
         return cached
+
+    def sample_first_join(self, plan: PhysicalPlan) -> Tuple[int, int]:
+        """``(heads, hits)`` for the planner's window term: the first
+        ``FORWARD_BLOCK`` admitted heads of a plan seeded at 0, in rank
+        order, and how many admitted candidates of step 1 they join to.
+        The block is probed as :func:`run_ranked` probes its first
+        one, so a run in this context finds the answers memoised."""
+        heads = list(itertools.islice(_scan(self, plan, 0), FORWARD_BLOCK))
+        step = plan.expr.steps[1]
+        if step.axis == "descendant":
+            self.prefetch_forward(heads, step)
+        admits = _gate(self, plan, 1)
+        hits = sum(
+            1 for head in heads
+            for element in _successors(self, plan, 1, head)
+            if admits is None or admits(element)
+        )
+        return len(heads), hits
 
     # -- filters --------------------------------------------------------
     def anchor_ok(self, element: ElementId) -> bool:
@@ -327,7 +339,9 @@ def run_ranked(
        remaining factor (a tag score, ``1 / (1 + distance)``) lies in
        ``(0, 1]`` and an IEEE product by such a factor never exceeds
        its left operand, so ``s`` bounds the score of every extension,
-       and a prefix sorts before all its extensions.
+       and a prefix sorts before all its extensions. A head is its own
+       binding and its score is its tag score, so heads in rank order
+       rise in ``(-s, binding)``: the first head dropped ends the walk.
     """
     if k <= 0:
         return []
@@ -364,6 +378,8 @@ def run_ranked(
                 s = s * (1.0 / (1.0 + hop(prefix[-1], element)))
             binding = prefix + (element,)
             if full and (-s, binding) > top[-1]:
+                if not position:
+                    return  # heads: (-score, id) rises, so all sort after
                 continue
             if admits is None or admits(element):
                 yield s, binding

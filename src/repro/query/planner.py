@@ -20,6 +20,25 @@ an ancestor set per target. Each descendant join's candidate estimate is weighte
 parent pointers and weigh 1. The weights only ever move the plan,
 never the answers.
 
+**The window term.** A ranked plan seeded at step 0 runs purely
+forward and walks its heads lazily, in rank order, one
+:data:`FORWARD_BLOCK` at a time: once ``k = offset + limit`` results
+are held it probes no further head, while a later seed first reduces
+every candidate of its scan backward. So when a windowed ranked plan
+of two steps would seed later, but seed 0's cost scaled down to one
+block could still beat it, the planner probes one block of seed 0's
+admitted heads through the join (the engine's execution context does
+it, so the run that follows finds those answers in its forward memo
+or the service's probe cache) and charges seed 0 only for the heads
+the observed fan-out says fill ``k``, rounded up to whole blocks. A
+sample with no hits leaves the cost as it was. The term only applies
+where the enumerator can stop: no descendant-hop discounts (a
+distance-aware index) and no ``~tag`` at step 1, whose scores could
+let a later head still beat the k-th. Longer chains keep the plain
+cost, because the first join's fan-out says nothing about how many
+results a head yields after the later joins. Count plans and
+limit-free plans never sample.
+
 Join orders are restricted to *contiguous* prefixes growing around the
 seed step (a zig-zag order): every join still connects a bound
 position to an adjacent unbound one, so no cross-product is ever
@@ -35,6 +54,7 @@ service layer binds one prepared query per published epoch).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -47,6 +67,12 @@ FORWARD_COST = 0.35
 #: Relative unit cost of one backward (``ancestors``-side
 #: materialisation) descendant probe.
 BACKWARD_COST = 1.3
+#: Descendant-join block size: how many partial bindings the ranked
+#: enumerator pulls before issuing one batched ``intersect_many``
+#: prefetch for their sources, and the sample the window term probes.
+#: Bounds the work a small window wastes: a block is probed whole even
+#: when its first partials fill the top k.
+FORWARD_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -77,11 +103,19 @@ class PhysicalPlan:
         ops: pipeline stages, one per step, scan first.
         estimates: per-position candidate-cardinality estimates the
             order was chosen from.
+        k: the ranked window ``offset + limit`` the seed was chosen
+            for; ``None`` for a limit-free or a counting plan.
+        sampled: ``(heads, hits)`` of the window term's sample — one
+            block of seed 0's admitted heads and the admitted
+            candidates of step 1 they join to — or ``None`` when the
+            planner took no sample.
     """
 
     logical: LogicalPlan
     ops: Tuple[PhysicalOp, ...]
     estimates: Tuple[int, ...]
+    k: Optional[int] = None
+    sampled: Optional[Tuple[int, int]] = None
 
     @property
     def expr(self) -> PathExpression:
@@ -173,7 +207,21 @@ class PhysicalPlan:
             ],
             "limit": expr.limit,
             "offset": expr.offset,
+            "seeding": self.seeding(),
             "execution": self.execution_profile(mode),
+        }
+
+    def seeding(self) -> Dict[str, object]:
+        """The window term's inputs: ``k`` and the sampled fan-out
+        (hits per sampled head), or ``"not sampled"``."""
+        if self.sampled is None:
+            return {"k": self.k, "fan_out": "not sampled"}
+        heads, hits = self.sampled
+        return {
+            "k": self.k,
+            "fan_out": hits / heads if heads else 0.0,
+            "sampled_heads": heads,
+            "sampled_hits": hits,
         }
 
     def explain(self, mode: str = "evaluate") -> str:
@@ -211,6 +259,12 @@ class PhysicalPlan:
             "rank:  score desc, bindings asc"
             + (f"; window: {' '.join(window)}" if window else "")
         )
+        if self.k is not None:
+            fan_out = self.seeding()["fan_out"]
+            if self.sampled is not None:
+                heads, hits = self.sampled
+                fan_out = f"{fan_out:.2f} ({hits} hits from {heads} heads)"
+            lines.append(f"seed:  window k={self.k}; fan-out {fan_out}")
         profile = self.execution_profile(mode)
         reduced = profile.get("reduced")
         lines.append(
@@ -288,12 +342,25 @@ def order_steps(
     return tuple(ops), total
 
 
+def _window_cost(
+    cost: float, estimate: int, k: int, sampled: Tuple[int, int]
+) -> float:
+    """Seed 0's modeled cost when it stops at ``k`` results: its full
+    cost scaled to the heads the sampled fan-out says fill ``k``,
+    rounded up to whole blocks (a block is probed whole)."""
+    heads, hits = sampled
+    needed = math.ceil(k * heads / hits)
+    walked = min(estimate, math.ceil(needed / FORWARD_BLOCK) * FORWARD_BLOCK)
+    return cost * walked / estimate
+
+
 def plan_query(
     path: "str | PathExpression | LogicalPlan",
     engine,
     *,
     start: Optional[int] = None,
     directional: bool = False,
+    ctx=None,
 ) -> PhysicalPlan:
     """Choose a physical join order for ``path`` against ``engine``.
 
@@ -312,10 +379,15 @@ def plan_query(
             backward — required by the aggregated counting path, whose
             per-element multiplicity map only exists at a chain's open
             end.
+        ctx: the :class:`~repro.query.exec.ExecContext` the plan will
+            run in; the window term's sample probes through it, so the
+            run reuses those answers. ``None`` samples through a fresh
+            ``engine.context()``.
 
     Returns:
         The :class:`PhysicalPlan` seeded where the modeled total probe
-        cost is lowest (ties go to the leftmost seed).
+        cost is lowest (ties go to the leftmost seed), with the window
+        term applied to seed 0 (see the module docstring).
     """
     logical = path if isinstance(path, LogicalPlan) else build_logical_plan(path)
     expr = logical.expr
@@ -328,12 +400,32 @@ def plan_query(
     else:
         seeds = range(n)
     orders = {seed: order_steps(expr, estimates, start=seed) for seed in seeds}
-    seed = min(orders, key=lambda s: (orders[s][1], s))
+    costs = {seed: cost for seed, (_, cost) in orders.items()}
+    k = None
+    if not directional and expr.limit is not None:
+        k = expr.offset + expr.limit
+    sampled = None
+    seed = min(costs, key=lambda s: (costs[s], s))
+    if (
+        start is None and k and seed != 0 and n == 2
+        and not expr.steps[1].similar
+        and costs[0] * min(estimates[0], FORWARD_BLOCK) / estimates[0]
+        < costs[seed]
+    ):
+        if ctx is None:
+            ctx = engine.context()
+        if not ctx.index.is_distance_aware:
+            sampled = ctx.sample_first_join(
+                PhysicalPlan(logical, orders[0][0], estimates)
+            )
+            if sampled[1]:
+                costs[0] = _window_cost(costs[0], estimates[0], k, sampled)
+                seed = min(costs, key=lambda s: (costs[s], s))
     if directional and seed not in (0, n - 1):
         raise ValueError(
             f"directional plans must seed at an endpoint, got {seed}"
         )
-    return PhysicalPlan(logical, orders[seed][0], estimates)
+    return PhysicalPlan(logical, orders[seed][0], estimates, k, sampled)
 
 
 class PreparedQuery:
@@ -355,10 +447,15 @@ class PreparedQuery:
         self.logical: LogicalPlan = build_logical_plan(self.expr)
         self.key: str = self.logical.key
 
-    def bind(self, engine, *, directional: bool = False) -> PhysicalPlan:
+    def bind(
+        self, engine, *, directional: bool = False, ctx=None
+    ) -> PhysicalPlan:
         """Plan against one engine's current cardinalities (the cached
-        logical plan is reused — no re-parse, no re-lowering)."""
-        return plan_query(self.logical, engine, directional=directional)
+        logical plan is reused — no re-parse, no re-lowering); ``ctx``
+        is :func:`plan_query`'s."""
+        return plan_query(
+            self.logical, engine, directional=directional, ctx=ctx
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"PreparedQuery({self.key!r})"

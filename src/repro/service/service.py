@@ -61,7 +61,7 @@ from repro.core.hopi import HopiIndex
 # from the service package
 from repro.core.ops import UpdateError, apply_update_op
 from repro.query.engine import QueryEngine, QueryResult, StepKey
-from repro.query.ontology import TagOntology
+from repro.query.ontology import TagOntology, default_ontology
 from repro.query.pathexpr import PathExpression
 from repro.query.planner import PreparedQuery
 from repro.service.cache import LRUCache
@@ -217,7 +217,9 @@ class QueryService:
         plan_cache_size: int = 1024,
         durable_store: Optional[Any] = None,
     ) -> None:
-        self._ontology = ontology
+        # one ontology object for every epoch's engine, so each can
+        # adopt the previous one's ~tag memos
+        self._ontology = ontology or default_ontology()
         self._similarity_threshold = similarity_threshold
         self._max_results = max_results
         self._probe_cache_size = probe_cache_size
@@ -243,14 +245,23 @@ class QueryService:
     # ------------------------------------------------------------------
     # epoch plumbing
     # ------------------------------------------------------------------
-    def _make_state(self, epoch: int, index: HopiIndex) -> EpochState:
+    def _make_state(
+        self, epoch: int, index: HopiIndex,
+        previous: Optional[EpochState] = None,
+    ) -> EpochState:
         """Prepare (but do not publish) the generation ``epoch`` of
-        ``index``; raising here leaves the published state untouched."""
+        ``index``; raising here leaves the published state untouched.
+
+        With ``previous`` (the generation ``index`` was forked from),
+        the new engine adopts its candidate memos wherever the tag
+        lists are unchanged, so the first reads of the new epoch do
+        not recompute them."""
         engine = QueryEngine(
             index,
             ontology=self._ontology,
             similarity_threshold=self._similarity_threshold,
             max_results=self._max_results,
+            previous=None if previous is None else previous.engine,
         )
         return EpochState(
             epoch=epoch,
@@ -415,7 +426,12 @@ class QueryService:
         """
         state = self._holder.current
         prepared = self._prepare(path)
-        plan = prepared.bind(state.engine, directional=(mode == "count"))
+        # the window term's sample probes through the epoch's cache,
+        # where the query that follows finds it
+        plan = prepared.bind(
+            state.engine, directional=(mode == "count"),
+            ctx=state.engine.context(state.index, _EpochProbe(state)),
+        )
         payload = plan.describe(mode)
         payload["text"] = plan.explain(mode)
         self._count("explain")
@@ -546,7 +562,7 @@ class QueryService:
             if committed:
                 if shadow.epoch <= current.epoch:
                     shadow.epoch = current.epoch + 1
-                state = self._make_state(shadow.epoch, shadow)
+                state = self._make_state(shadow.epoch, shadow, current)
                 if self._durable is not None:
                     self._durable.log(shadow.epoch, logged_ops)
                 self._publish(state)

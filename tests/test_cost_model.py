@@ -3,9 +3,11 @@
 The contract pinned here: the two constants flip direction and seed
 choices on near-equal estimates (and ``explain()`` shows the flip);
 every plan the planner makes on a fixed corpus is the one it made
-before the cost model collapsed to two constants; any seed the costs
-may pick returns the same answers; the bounded ranked path is
-answer-identical to full materialisation.
+before the cost model collapsed to two constants; the window term
+seeds a small-window two-step at its head only after sampling it, and
+never touches a counting plan; any seed the costs may pick returns the
+same answers; the bounded ranked path is answer-identical to full
+materialisation.
 """
 
 import pytest
@@ -16,7 +18,9 @@ from repro.query.exec import ExecContext, run_ranked
 from repro.query.pathexpr import parse_path
 from repro.query.planner import (
     BACKWARD_COST,
+    FORWARD_BLOCK,
     FORWARD_COST,
+    _window_cost,
     order_steps,
     plan_query,
 )
@@ -280,16 +284,127 @@ def frozen_plan_engine():
     return QueryEngine(HopiIndex.build(collection))
 
 
+def ops(plan):
+    return " ".join(f"{op.op}:{op.position}:{op.direction}" for op in plan.ops)
+
+
 @pytest.mark.parametrize("path", sorted(FROZEN_PLANS))
 def test_plans_are_frozen(frozen_plan_engine, path):
-    def ops(plan):
-        return " ".join(
-            f"{op.op}:{op.position}:{op.direction}" for op in plan.ops
-        )
-
     evaluate, count = FROZEN_PLANS[path]
     assert ops(frozen_plan_engine.plan(path)) == evaluate
     assert ops(frozen_plan_engine.plan(path, directional=True)) == count
+
+
+# ---------------------------------------------------------------------------
+# the window term
+# ---------------------------------------------------------------------------
+
+#: ranked plans with a window on :func:`frozen_plan_engine`'s corpus:
+#: ``//cite//title`` fills ten results from its first block of heads,
+#: so it seeds at 0; a two-errata tail stays cheaper than any block.
+WINDOWED_PLANS = {
+    "//cite//title limit 10": "scan:0:seed descendant:1:forward",
+    "//*//erratum limit 30": "scan:1:seed descendant:0:backward",
+    "//cite//erratum limit 30": "scan:1:seed descendant:0:backward",
+}
+
+
+@pytest.mark.parametrize("path", sorted(WINDOWED_PLANS))
+def test_windowed_plans(frozen_plan_engine, path):
+    plan = frozen_plan_engine.plan(path)
+    assert ops(plan) == WINDOWED_PLANS[path]
+    # seed 0 is sampled only where one block of it could beat the seed
+    # the plain costs pick
+    sampled = plan.ops[0].position == 0
+    assert (plan.sampled is not None) == sampled
+    if sampled:
+        heads, hits = plan.sampled
+        assert heads == FORWARD_BLOCK and hits > 0
+    # the counting plan of the same query is the frozen one
+    frozen = FROZEN_PLANS[path.split(" limit")[0]][1]
+    assert ops(frozen_plan_engine.plan(path, directional=True)) == frozen
+
+
+@pytest.mark.parametrize("window", [" limit 1", " limit 10 offset 3", " limit 30"])
+def test_directional_plans_ignore_the_window(frozen_plan_engine, window):
+    for path, (_, count) in FROZEN_PLANS.items():
+        plan = frozen_plan_engine.plan(path + window, directional=True)
+        assert ops(plan) == count, path
+        assert plan.k is None and plan.sampled is None
+
+
+def test_window_term_probes_its_sample_once(frozen_plan_engine):
+    """The run reuses the sampled block: no source is sent twice, and a
+    ten-result window probes just that block."""
+    engine = frozen_plan_engine
+    index = engine.index
+
+    class CountingProbe:
+        def __init__(self):
+            self.sent = []
+
+        def many(self, sources, step_key, cand_elems):
+            self.sent.extend((s, step_key) for s in sources)
+            rows = index.intersect_many(list(sources), cand_elems)
+            return dict(zip(sources, rows))
+
+    probe = CountingProbe()
+    path = "//cite//title limit 10"
+    got = engine.evaluate(path, probe=probe)
+    assert len(probe.sent) == len(set(probe.sent)) == FORWARD_BLOCK
+    # the planner samples through the run's context, whose memo the
+    # run then reads
+    probe = CountingProbe()
+    ctx = engine.context(probe=probe)
+    plan = plan_query(parse_path(path), engine, ctx=ctx)
+    assert len(probe.sent) == FORWARD_BLOCK
+    assert run_ranked(plan, ctx, 10) == run_ranked(
+        plan, engine.context(), 10
+    )
+    assert len(probe.sent) == FORWARD_BLOCK
+    backward = run_ranked(
+        plan_query(parse_path(path), engine, start=1),
+        ExecContext(engine, index), 10,
+    )
+    assert [(r.bindings, r.score) for r in got] == [
+        (b, -neg) for neg, b in backward
+    ]
+
+
+@pytest.mark.parametrize("distance", [False, True])
+def test_windowed_top_k_is_the_same_for_every_seed(distance):
+    """Whatever seed the window term picks, every forced seed returns
+    the same window; on a distance-aware index (whose hop discounts
+    keep the enumerator from stopping early) nothing is sampled."""
+    # a distance-aware index never samples, so a smaller corpus will do
+    collection = dblp_like(20 if distance else 60, seed=2005)
+    for doc_id in list(collection.documents)[::20]:
+        collection.add_child(collection.documents[doc_id].root, "erratum")
+    index = HopiIndex.build(collection, distance=distance)
+    engine = QueryEngine(index, max_results=10**9)
+    flipped = []
+    for path in ("//cite//title", "//*//cite", "//*//author",
+                 "//article//author", "//cite//erratum", "//*//erratum"):
+        expr = parse_path(path)
+        unwindowed = engine.plan(expr).ops[0].position
+        for limit, offset in ((1, 0), (5, 0), (10, 3), (100, 0), (300, 7)):
+            windowed = parse_path(f"{path} limit {limit} offset {offset}")
+            plan = engine.plan(windowed)
+            if distance:
+                assert plan.sampled is None
+            if plan.ops[0].position != unwindowed:
+                flipped.append((path, limit))
+            got = [(r.bindings, r.score) for r in engine.evaluate(windowed)]
+            for start in range(2):
+                top = run_ranked(
+                    plan_query(windowed, engine, start=start),
+                    ExecContext(engine, index), offset + limit,
+                )
+                assert got == [(b, -neg) for neg, b in top[offset:]], (
+                    path, limit, offset, start,
+                )
+    # the window term moved some seed here, or nothing above tested it
+    assert bool(flipped) != distance, flipped
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +459,54 @@ def test_execution_profiles_expose_short_circuits(small_index):
 
     text = engine.explain("//article//author", mode="count")
     assert "exec:  count via frontier-aggregation" in text
+    assert "seed:" not in text
     described = engine.plan("//article//author").describe("count")
     assert described["execution"]["strategy"] == "frontier-aggregation"
     assert "cost_model" not in described and "mode" not in described
+
+
+def test_describe_reports_the_window_term(frozen_plan_engine):
+    engine = frozen_plan_engine
+    sampled = engine.plan("//cite//title limit 10")
+    heads, hits = sampled.sampled
+    assert sampled.describe()["seeding"] == {
+        "k": 10, "fan_out": hits / heads,
+        "sampled_heads": heads, "sampled_hits": hits,
+    }
+    assert (
+        f"seed:  window k=10; fan-out {hits / heads:.2f} "
+        f"({hits} hits from {heads} heads)"
+    ) in sampled.explain()
+    tail = engine.plan("//*//erratum limit 20 offset 10")
+    assert tail.describe()["seeding"] == {"k": 30, "fan_out": "not sampled"}
+    assert "seed:  window k=30; fan-out not sampled" in tail.explain()
+    counting = engine.plan("//cite//title limit 10", directional=True)
+    assert counting.describe("count")["seeding"] == {
+        "k": None, "fan_out": "not sampled",
+    }
+    assert engine.plan("//cite//title").describe()["seeding"]["k"] is None
+
+
+def test_a_sample_without_hits_keeps_the_plain_cost(frozen_plan_engine):
+    """A ``[predicate]`` on step 1 gates the sampled hits as it gates
+    the run: no title has an erratum below it, so the sample finds
+    nothing and the plain costs' backward plan stands."""
+    plan = frozen_plan_engine.plan("//cite//title[//erratum] limit 10")
+    assert plan.sampled == (FORWARD_BLOCK, 0)
+    assert ops(plan) == "scan:1:seed descendant:0:backward"
+
+
+def test_the_window_cost_counts_whole_blocks():
+    """Seed 0 is charged for the heads that fill ``k`` at the sampled
+    fan-out, rounded up to whole blocks and capped at its estimate."""
+    cost = 1000 * (1 + FORWARD_COST)
+    # two hits a head: five heads fill k = 10, and a block is probed whole
+    assert _window_cost(cost, 1000, 10, (32, 64)) == pytest.approx(
+        cost * FORWARD_BLOCK / 1000
+    )
+    # one hit in 32 heads: 160 heads, five whole blocks
+    assert _window_cost(cost, 1000, 5, (32, 1)) == pytest.approx(
+        cost * 5 * FORWARD_BLOCK / 1000
+    )
+    # never more than the whole scan
+    assert _window_cost(cost, 100, 50, (32, 1)) == pytest.approx(cost)

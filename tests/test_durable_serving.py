@@ -53,7 +53,7 @@ def test_failed_prepare_is_never_logged(tmp_path):
     service = QueryService(index, durable_store=store)
     prepare = service._make_state
 
-    def refuse_once(epoch, index):
+    def refuse_once(epoch, index, previous=None):
         service._make_state = prepare
         raise RuntimeError("generation refused")
 

@@ -259,3 +259,46 @@ def test_the_kept_link_index_is_a_recount_and_forks_do_not_leak(seed, built, dat
             assert _kept(o) == _recounted(o)
         for o, before in others:
             assert _kept(o) == before
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.data())
+def test_handed_out_tag_lists_are_never_mutated(seed, data):
+    """A list that ``tags()`` handed out keeps its contents through any
+    later ``add_child`` (of a known or a new tag), ``new_document``,
+    ``remove_document``, ``fork`` and further ``tags()`` calls on its
+    collection or on any fork: the query engine takes an unchanged
+    list *object* to mean unchanged candidates. Each collection's
+    ``tags()`` ends as a recount of its elements."""
+    family = [random_collection(n_docs=4, inter_links=4, seed=seed)]
+    handed = []  # (list object, its contents when handed out)
+    for step in range(14):
+        c = data.draw(st.sampled_from(family))
+        kind = data.draw(st.sampled_from(
+            ["tags", "add_child", "new_tag", "new_document",
+             "remove_document", "fork"]
+        ))
+        if kind == "tags":
+            handed.extend((ids, list(ids)) for ids in c.tags().values())
+        elif kind in ("add_child", "new_tag"):
+            parent = data.draw(st.sampled_from(sorted(c.elements)))
+            tag = f"t{step}" if kind == "new_tag" else data.draw(
+                st.sampled_from(sorted({e.tag for e in c.elements.values()}))
+            )
+            c.add_child(parent, tag)
+        elif kind == "new_document":
+            root = c.new_document(f"new{step}", "r")
+            c.add_child(root.eid, "a")
+        elif kind == "remove_document" and len(c.documents) > 1:
+            c.remove_document(data.draw(st.sampled_from(sorted(c.documents))))
+        elif kind == "fork":
+            family.append(c.fork())
+        for ids, contents in handed:
+            assert ids == contents
+    # checked once at the end: a tags() call marks every list shared,
+    # which would hide a copy the steps above failed to make
+    for o in family:
+        recount = {}
+        for e in sorted(o.elements):
+            recount.setdefault(o.elements[e].tag, []).append(e)
+        assert o.tags() == recount

@@ -294,12 +294,18 @@ def reachability_paths(draw, max_steps=3):
 
 
 @SETTINGS
-@given(collections(), reachability_paths(), st.integers(min_value=0, max_value=2))
-def test_planner_join_orders_sound(c, path, start_scaled):
+@given(
+    collections(), reachability_paths(), st.integers(min_value=0, max_value=2),
+    st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=4),
+)
+def test_planner_join_orders_sound(c, path, start_scaled, limit, offset):
     """Any legal zig-zag join order (any seed position) returns the
     same ranked result set and scores as the left-to-right order
     (the plan seeded at 0), over the cover and over the oracle cover;
-    both endpoint seeds count the same matches."""
+    both endpoint seeds count the same matches. Under a ``limit`` /
+    ``offset`` window every seed returns the same top k, the window of
+    the full list, and so does ``evaluate`` (whose planner may sample
+    seed 0 for a window)."""
     from cover_oracle import oracle_index
     from repro.core.hopi import HopiIndex
     from repro.query import QueryEngine, parse_path, plan_query
@@ -330,6 +336,18 @@ def test_planner_join_orders_sound(c, path, start_scaled):
         assert ranked(start) == forward
         assert [(r.bindings, r.score) for r in engine.evaluate(expr)] == forward
         assert engine.count(expr) == counted(0) == counted(last) == len(forward)
+        windowed = parse_path(f"{path} limit {limit} offset {offset}")
+        for seed in range(last + 1):
+            top = run_ranked(
+                plan_query(windowed, engine, start=seed),
+                ExecContext(engine, index), offset + limit,
+            )
+            assert [(b, -neg) for neg, b in top[offset:]] == (
+                forward[offset:offset + limit]
+            ), seed
+        assert [
+            (r.bindings, r.score) for r in engine.evaluate(windowed)
+        ] == forward[offset:offset + limit]
         if baseline is None:
             baseline = forward
         else:

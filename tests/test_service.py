@@ -257,14 +257,18 @@ class TestServiceReads:
         What is pinned is reuse, not volume: the windowed second run
         may stop early and issue fewer probes than the first run
         missed, so it must add no miss and answer from the cache — not
-        repeat the first run's probe count."""
+        repeat the first run's probe count. The window is an offset:
+        a ``limit`` would let the planner's window term seed this
+        query at its head and probe forward instead."""
         service = QueryService(arrays_index.copy())
         # ``//*//cite`` seeds at the selective tail and extends backward
         service.query("//*//cite")
         first = service.stats()["probe_cache"]
         assert first["misses"] > 0 and first["hits"] == 0
         # a window clause changes the result-cache key, not the probes
-        service.query("//*//cite limit 5")
+        assert service.explain("//*//cite offset 1")[1]["order"][1][
+            "direction"] == "backward"
+        service.query("//*//cite offset 1")
         second = service.stats()["probe_cache"]
         assert second["hits"] > 0
         assert second["misses"] == first["misses"]
