@@ -21,7 +21,10 @@ covers are joined.
 
 :func:`build_cover` is the public entry point for arbitrary digraphs: it
 condenses strongly connected components, covers the condensation DAG,
-and expands the component labels back to the original nodes.
+and expands the component labels back to the original nodes. The
+paper's pipeline (:mod:`repro.core.pipeline`) runs it on each
+partition's element graph, with the partition's cross-link targets
+preselected; ties go by node order, which that graph fixes.
 
 :func:`build_pll_cover` is the product's labelling, and an extension of
 the paper: pruned landmark labelling (Akiba, Iwata & Yoshida, SIGMOD
@@ -687,39 +690,3 @@ def reach_multiplier(
             factor[t] = factor.get(t, 1) * (a + 1)
     return factor
 
-
-def build_partition_cover(
-    nodes: Sequence[Node],
-    edges: Sequence[Tuple[Node, Node]],
-    *,
-    preselected_centers: Iterable[Node] = (),
-    distance: bool = False,
-) -> TwoHopCover:
-    """Build the 2-hop cover of one partition from its raw graph data.
-
-    The unit of work of the divide-and-conquer build: the partition's
-    element graph arrives as plain node and edge lists (compact and
-    picklable, so :mod:`repro.core.pipeline` can ship the same task to
-    a ``multiprocessing`` worker or run it inline), the graph is
-    reassembled, and the usual builder runs on it.
-
-    Args:
-        nodes: every element of the partition (isolated ones included).
-        edges: the element-level edges with both endpoints inside.
-        preselected_centers: cross-partition link targets to force as
-            centers first (Section 4.2).
-        distance: build a distance-aware cover (Section 5).
-
-    Returns:
-        The partition's cover in the requested flavour.
-    """
-    graph = DiGraph()
-    for v in nodes:
-        graph.add_node(v)
-    graph.add_edges(edges)
-    preselected = sorted(preselected_centers)
-    if distance:
-        from repro.core.distance import build_distance_cover
-
-        return build_distance_cover(graph, preselected_centers=preselected)
-    return build_cover(graph, preselected_centers=preselected)

@@ -147,7 +147,10 @@ class HopiIndex:
         """Build a HOPI index.
 
         A thin wrapper over :class:`repro.core.pipeline.BuildPipeline`,
-        which owns the partition → per-partition cover → join flow.
+        which owns the partition → per-partition cover → join flow. The
+        paper strategies cover each partition with the greedy builder,
+        from the element graph of the partition's subcollection; every
+        strategy writes the same cover in every process.
 
         Args:
             collection: the XML collection to index.

@@ -5,10 +5,10 @@ The product default, ``strategy="pll"``, is an extension of the paper:
 the collection is one partition with no cross links, its element graph
 is read straight from the documents and labelled by pruned landmark
 labelling (:func:`repro.core.cover_builder.build_collection_pll_cover`),
-and the join hands that lone cover back as is. ``"unpartitioned"`` takes the same path with
-the greedy builder. The partitioner, partition limit, edge weight and
-center preselection apply to the paper strategies (``"incremental"``,
-``"recursive"``) only.
+and the join hands that lone cover back as is. ``"unpartitioned"`` is
+the same one partition, covered by the greedy builder. The partitioner,
+partition limit, edge weight and center preselection apply to the paper
+strategies (``"incremental"``, ``"recursive"``) only.
 
 The paper's central scalability argument is that 2-hop cover
 construction splits along partition boundaries: partition the document
@@ -19,9 +19,11 @@ is that flow as an explicit three-phase orchestrator:
 
 1. **partition** — the document-level graph is split by one of the
    partitioners in :mod:`repro.core.partitioning`;
-2. **partition covers** — each partition's element graph becomes a
-   compact :class:`PartitionTask` (node list + edge list + preselected
-   centers), and the tasks are built one after another;
+2. **partition covers** — each partition is a :class:`PartitionTask`
+   (its documents and preselected centers) and is covered, one after
+   another, from its subcollection's element graph by the greedy
+   builder (:func:`repro.core.cover_builder.build_cover` or
+   :func:`repro.core.distance.build_distance_cover`);
 3. **join** — the partition covers are merged with the strategy's join
    (:mod:`repro.core.join`).
 
@@ -39,10 +41,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.core.cover_builder import build_collection_pll_cover, build_partition_cover
+from repro.core.cover_builder import build_collection_pll_cover, build_cover
+from repro.core.distance import build_distance_cover
 from repro.core.join import (
     join_covers_incremental,
     join_covers_incremental_distance,
@@ -55,7 +57,7 @@ from repro.core.partitioning import (
     single_document_partitioning,
 )
 from repro.core.skeleton import connection_edge_weight
-from repro.xmlmodel.model import Collection, ElementId
+from repro.xmlmodel.model import Collection, DocId, ElementId
 
 _STRATEGIES = ("pll", "unpartitioned", "incremental", "recursive")
 #: strategies that cover the whole collection as one partition
@@ -64,34 +66,23 @@ _PARTITIONERS = ("node_weight", "closure", "single")
 _EDGE_WEIGHTS = ("links", "AxD", "A+D")
 
 # ---------------------------------------------------------------------------
-# the unit of work
+# one partition
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class PartitionTask:
-    """One partition's cover build, as plain data.
+    """One partition's cover build: its documents and the centers to
+    preselect (Section 4.2)."""
 
-    Holds exactly what :func:`repro.core.cover_builder.
-    build_partition_cover` needs — the element-graph node and edge lists
-    plus the preselected centers. A ``pll`` task holds no graph:
-    :func:`repro.core.cover_builder.build_collection_pll_cover` reads
-    the element graph straight from the collection.
-    """
-
-    pid: int
-    nodes: Tuple[ElementId, ...]
-    edges: Tuple[Tuple[ElementId, ElementId], ...]
+    docs: Tuple[DocId, ...]
     preselected: Tuple[ElementId, ...]
-    distance: bool
-    pll: bool = False
 
 
 @dataclass
 class PartitionResult:
     """A built partition cover plus its build time."""
 
-    pid: int
     cover: object
     seconds: float
     #: the cover's label entries, when the builder counted them (PLL)
@@ -191,10 +182,11 @@ class BuildPipeline:
 
     def partition(self) -> Partitioning:
         """Split the document-level graph; the whole-graph strategies
-        get one partition and no cross links."""
+        get one partition, in collection order (so its graph is
+        ``element_graph()``), and no cross links."""
         collection = self.collection
         if self.whole_graph:
-            return Partitioning([sorted(collection.documents)])
+            return Partitioning([list(collection.documents)])
         weight_fn = None
         if self.edge_weight in ("AxD", "A+D") and collection.inter_links:
             weight_fn = connection_edge_weight(collection, mode=self.edge_weight)
@@ -211,100 +203,37 @@ class BuildPipeline:
 
     # -- phase 2 --------------------------------------------------------
     def partition_tasks(self, partitioning: Partitioning) -> List[PartitionTask]:
-        """Extract each partition's element graph into a compact task
-        (PLL's lone task holds none: its builder reads the collection)."""
+        """Each partition's documents and preselected centers: the
+        targets of the cross-partition links into it, sorted."""
         collection = self.collection
-        if self.strategy == "pll":
-            return [
-                PartitionTask(
-                    pid=0, nodes=(), edges=(), preselected=(),
-                    distance=self.distance, pll=True,
-                )
-            ]
-        if self.whole_graph:
-            # nodes and edges in ``collection.element_graph()`` order, so
-            # the greedy builder breaks ties as on that graph
-            edges = chain(
-                chain.from_iterable(
-                    doc.graph_edges() for doc in collection.documents.values()
-                ),
-                collection.inter_links,
-            )
-            return [
-                PartitionTask(
-                    pid=0,
-                    nodes=tuple(collection.elements),
-                    edges=tuple(edges),
-                    preselected=(),
-                    distance=self.distance,
-                )
-            ]
-        cross_targets: Dict[int, List[ElementId]] = {}
+        targets: List[List[ElementId]] = [[] for _ in partitioning.partitions]
         if self.preselect_centers:
             for _, v in partitioning.cross_links:
-                pid = partitioning.part_of[collection.doc(v)]
-                cross_targets.setdefault(pid, []).append(v)
-        # inter-document links inside a partition, grouped in one scan
-        inner_links: List[List[Tuple[ElementId, ElementId]]] = [
-            [] for _ in partitioning.partitions
+                targets[partitioning.part_of[collection.doc(v)]].append(v)
+        return [
+            PartitionTask(tuple(docs), tuple(sorted(centers)))
+            for docs, centers in zip(partitioning.partitions, targets)
         ]
-        for u, v in collection.inter_links:
-            pid = partitioning.part_of[collection.doc(u)]
-            if pid == partitioning.part_of[collection.doc(v)]:
-                inner_links[pid].append((u, v))
-        tasks = []
-        for pid, docs in enumerate(partitioning.partitions):
-            # The cover builder breaks ties by node and edge order, so
-            # this reproduces the order of
-            # ``collection.subcollection(docs).element_graph()``: documents
-            # in ``set(docs)`` order, successors in insertion order of
-            # tree edges, then intra-links, then the set of inner links.
-            documents = [collection.documents[d] for d in set(docs)]
-            nodes = tuple([e for doc in documents for e in doc.elements])
-            successors: Dict[ElementId, Set[ElementId]] = {}
-            for doc in documents:
-                for parent, kids in doc.children.items():
-                    if kids:
-                        successors[parent] = set(kids)
-                for u, v in doc.intra_links:
-                    successors.setdefault(u, set()).add(v)
-            for u, v in set(inner_links[pid]):
-                successors.setdefault(u, set()).add(v)
-            tasks.append(
-                PartitionTask(
-                    pid=pid,
-                    nodes=nodes,
-                    edges=tuple(
-                        [(u, v) for u in nodes for v in successors.get(u, ())]
-                    ),
-                    preselected=tuple(sorted(cross_targets.get(pid, []))),
-                    distance=self.distance,
-                )
-            )
-        return tasks
 
     def build_partition_covers(
         self, tasks: Sequence[PartitionTask]
     ) -> List[PartitionResult]:
-        """Build every task's cover, in task order."""
+        """Build every task's cover, in task order: PLL over the whole
+        collection, else the greedy builder over the partition's
+        element graph."""
+        build = build_distance_cover if self.distance else build_cover
         results = []
         for task in tasks:
             t0 = time.perf_counter()
             entries = None
-            if task.pll:
+            if self.strategy == "pll":
                 cover, entries = build_collection_pll_cover(
-                    self.collection, distance=task.distance
+                    self.collection, distance=self.distance
                 )
             else:
-                cover = build_partition_cover(
-                    task.nodes,
-                    task.edges,
-                    preselected_centers=task.preselected,
-                    distance=task.distance,
-                )
-            results.append(
-                PartitionResult(task.pid, cover, time.perf_counter() - t0, entries)
-            )
+                graph = self.collection.subcollection(task.docs).element_graph()
+                cover = build(graph, preselected_centers=task.preselected)
+            results.append(PartitionResult(cover, time.perf_counter() - t0, entries))
         return results
 
     # -- phase 3 --------------------------------------------------------

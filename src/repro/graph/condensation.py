@@ -109,9 +109,5 @@ class Condensation:
             if cu != cv:
                 self.dag.add_edge(cu, cv)
 
-    def representative(self, v: Node) -> Node:
-        """A canonical member of ``v``'s component (first discovered)."""
-        return self.members[self.component_of[v]][0]
-
     def __len__(self) -> int:
         return len(self.members)

@@ -28,7 +28,7 @@ three-layer query stack:
 from repro.query.engine import QueryEngine, QueryResult
 from repro.query.ontology import TagOntology, default_ontology
 from repro.query.pathexpr import PathExpression, Predicate, Step, parse_path
-from repro.query.plan import LogicalPlan, build_logical_plan, plan_key
+from repro.query.plan import LogicalPlan, build_logical_plan
 from repro.query.planner import PhysicalPlan, PreparedQuery, plan_query
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "parse_path",
     "LogicalPlan",
     "build_logical_plan",
-    "plan_key",
     "PhysicalPlan",
     "PreparedQuery",
     "plan_query",

@@ -23,9 +23,9 @@ and *direction* per join (forward via ``descendants``, backward via the
 cover's ``ancestors`` side); :mod:`repro.query.exec` then streams
 bindings through generator operators.
 
-:func:`plan_key` is the canonical cache key shared by the service
-layer's plan and result caches: two spellings of the same query (extra
-whitespace, ``offset``/``limit`` order) map to one key.
+:attr:`LogicalPlan.key` is the canonical cache key shared by the
+service layer's plan and result caches: two spellings of the same query
+(extra whitespace, ``offset``/``limit`` order) map to one key.
 """
 
 from __future__ import annotations
@@ -114,7 +114,10 @@ class LogicalPlan:
 
     @property
     def key(self) -> str:
-        """The canonical plan key (see :func:`plan_key`)."""
+        """The canonical cache key of the query. Parsing normalises
+        whitespace and clause order, so every spelling of the same query
+        shares one key: the service keys its plan cache and its
+        ``(key, epoch)`` result cache by it."""
         return str(self.expr)
 
     def filters_at(self, position: int) -> Tuple[Predicate, ...]:
@@ -130,17 +133,6 @@ class LogicalPlan:
         """The trailing :class:`Limit` node, or ``None``."""
         last = self.nodes[-1]
         return last if isinstance(last, Limit) else None
-
-
-def plan_key(path: "str | PathExpression") -> str:
-    """The canonical cache key of a query.
-
-    Parsing normalises whitespace and clause order, so every spelling
-    of the same query shares one key — the service layer keys both its
-    plan cache and its ``(key, epoch)`` result cache by this.
-    """
-    expr = parse_path(path) if isinstance(path, str) else path
-    return str(expr)
 
 
 def build_logical_plan(path: "str | PathExpression") -> LogicalPlan:

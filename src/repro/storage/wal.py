@@ -67,10 +67,6 @@ _COVER_EPOCH = struct.Struct("<q")  # cover.snap's header
 DEFAULT_CHECKPOINT_INTERVAL = 64
 
 
-class WALCrash(RuntimeError):
-    """Raised by a crash hook to simulate dying at an injection point."""
-
-
 def _fsync_dir(path: str) -> None:
     """Flush a directory's entries (a completed rename) to disk."""
     fd = os.open(path, os.O_RDONLY)
@@ -174,7 +170,7 @@ class DurableIndexStore:
     :meth:`checkpoint` when the interval is exceeded (or when an update
     is not expressible as wire-format ops). ``crash_hook`` is a test
     seam: it is invoked with the injection-point name at each durability
-    transition and may raise :class:`WALCrash` to simulate dying there.
+    transition and may raise to simulate dying there.
 
     Injection points:
 

@@ -489,18 +489,26 @@ class Collection:
         Documents are shared by reference (they are not copied); only
         inter-links with both endpoints inside are kept. Element ids are
         preserved, so covers computed on partitions can be unioned.
+        Documents keep the order of ``doc_ids`` (repeats dropped), so the
+        element graph, and a greedy cover of it, is the same in every
+        process: document ids are strings, whose set order is not.
         """
-        keep = set(doc_ids)
+        keep = dict.fromkeys(doc_ids)
         sub = Collection()
         for doc_id in keep:
             doc = self.documents[doc_id]
             sub.documents[doc_id] = doc
             for e in doc.elements:
                 sub.elements[e] = self.elements[e]
+        # the kept documents' link map rows: a partition's cost, not the
+        # collection's
+        links, elements = self._link_index(), self.elements
         sub.inter_links = {
             (u, v)
-            for (u, v) in self.inter_links
-            if self.doc(u) in keep and self.doc(v) in keep
+            for doc_id in keep
+            for u in self.documents[doc_id].elements
+            for v in links.get(u, ())
+            if elements[v].doc != doc_id and elements[v].doc in keep
         }
         sub._next_id = self._next_id
         return sub

@@ -68,7 +68,7 @@ def test_condensation_dag_structure():
 def test_condensation_representative_and_sizes():
     g = DiGraph([(1, 2), (2, 1), (3, 1)])
     cond = Condensation(g)
-    assert cond.representative(1) == cond.representative(2)
+    assert cond.component_of[1] == cond.component_of[2]
     assert len(cond.members[cond.component_of[1]]) == 2
     assert len(cond.members[cond.component_of[3]]) == 1
     assert len(cond) == 2

@@ -2,14 +2,16 @@
 
 Partitioned builds are audited against a BFS closure on seeded random
 collections, as built and after a round of Section-6 maintenance; the
-phase plumbing, option validation and partition-task extraction are
-pinned too. The ``arrays`` rows audit the built covers as they are; the
+phase plumbing, option validation and partition tasks are checked, and
+the paper builds' covers are pinned byte for byte. The ``arrays`` rows
+audit the built covers as they are; the
 ``sets`` rows first hand every built cover's entries to the oracle
 (``tests/cover_oracle.py``), so the maintenance round and the
 BFS-closure audit run on the reference semantics instead of the code
 that built them.
 """
 
+import hashlib
 import random
 import warnings
 
@@ -19,6 +21,7 @@ from cover_oracle import index_in_state
 from repro.core.hopi import HopiIndex
 from repro.core.pipeline import BuildPipeline
 from repro.storage.snapshot import canonical_snapshot_bytes
+from repro.xmlmodel.generator import dblp_like, inex_like
 from repro.xmlmodel.model import Collection
 
 TAGS = ("a", "b", "c")
@@ -106,30 +109,76 @@ def test_stats_record_the_partition_limit_actually_used():
     assert single.stats.partition_limit is None
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_partition_tasks_keep_subcollection_graph_order(seed):
-    """Tasks are assembled from one scan of the inter-links, in exactly
-    the node and edge order of ``subcollection(docs).element_graph()``
-    (the cover builder's tie-breaks follow it)."""
-    rng = random.Random(seed)
-    collection = random_collection(seed, n_docs=30)
-    elements = sorted(collection.elements)
-    for _ in range(12):  # back links: cycles inside and across documents
-        u, v = rng.sample(elements, 2)
-        collection.add_link(max(u, v), min(u, v))
-    for hub in rng.sample(elements, 4):  # many links out of one element
-        for target in rng.sample(elements, 12):
-            collection.add_link(hub, target)
-    pipeline = BuildPipeline(
-        collection, strategy="recursive",
-        partition_limit=collection.num_elements * 12,
-    )
+#: the paper builds pinned below, by name
+PAPER_BUILDS = {
+    "recursive": dict(strategy="recursive"),
+    "recursive-node_weight": dict(strategy="recursive", partitioner="node_weight"),
+    "recursive-single": dict(strategy="recursive", partitioner="single"),
+    "recursive-node_weight-AxD": dict(
+        strategy="recursive", partitioner="node_weight", edge_weight="AxD"
+    ),
+    "incremental": dict(strategy="incremental"),
+    "unpartitioned": dict(strategy="unpartitioned"),
+}
+
+PAPER_CORPORA = {
+    "dblp": lambda: dblp_like(14, seed=7),
+    # link-free: every partitioner gives one partition per document
+    "inex": lambda: inex_like(3, seed=7),
+}
+
+#: sha256 of ``canonical_snapshot_bytes`` of each paper build's cover,
+#: pinned so that any change to what the greedy partition covers and
+#: the joins write is a visible test edit; the test process's hash
+#: seed must not matter
+PINNED_PAPER_SHA256 = {
+    ("dblp", "recursive", False): "e276a677086ff8690d957a4ef3fb919e9251eb427d2fbe488a3cbebea40abbdd",
+    ("dblp", "recursive", True): "7972c7eb5a98f1624518d694ad1069d72b4f7bc50299fe3a818bf7d00f58f252",
+    ("dblp", "recursive-node_weight", False): "736de6d00556893a833699ce5c0ea43ff59f74233b121ae18e746c934bc557c6",
+    ("dblp", "recursive-node_weight", True): "f64d200e6b21afd9e3e4650742409f92720c4dfaf27b827a50cb6dfd173d31bd",
+    ("dblp", "recursive-single", False): "5b2ad37f70a4c90aba7e1de94f236983616baa15021ce4f420f995803ba46aa2",
+    ("dblp", "recursive-single", True): "9b5ae6d7498973c169d3d00794993c8c2cf07e65da20686bfbf283469927adbd",
+    ("dblp", "recursive-node_weight-AxD", False): "935588d24c87ddd3c10d32110e29a95b6f3cbab8ac2099442eb40a04e2517436",
+    ("dblp", "recursive-node_weight-AxD", True): "1f7e485a4d1e4a824fbf2849ab93d95ca4c293a398e1f820314847f7343cfeea",
+    ("dblp", "incremental", False): "aa89e517a78a0e2d9216736305d7dd7fa124515ccfec0388525af757570c913f",
+    ("dblp", "incremental", True): "7972c7eb5a98f1624518d694ad1069d72b4f7bc50299fe3a818bf7d00f58f252",
+    ("dblp", "unpartitioned", False): "c66e7ede6a98dddeec8270420c9735e36d9e8037c0db90ac8c843f770a37ad70",
+    ("dblp", "unpartitioned", True): "20aa65c899d57a3129210f7cfb70d4313a9f9303cff43fb094f9e0f7d066e834",
+    ("inex", "recursive", False): "8b00694907cbfd0f197a4a7ce1a169a7e0f47269c04c33d82357a3c6b000535b",
+    ("inex", "recursive", True): "acbc3c5efbe0b871b672fcd1e0a67870b25037718941e253e942bbec8fcf302b",
+    ("inex", "unpartitioned", False): "8b00694907cbfd0f197a4a7ce1a169a7e0f47269c04c33d82357a3c6b000535b",
+    ("inex", "unpartitioned", True): "acbc3c5efbe0b871b672fcd1e0a67870b25037718941e253e942bbec8fcf302b",
+}
+
+
+@pytest.fixture(scope="module")
+def paper_corpora():
+    return {name: make() for name, make in PAPER_CORPORA.items()}
+
+
+@pytest.mark.parametrize("corpus, build, distance", sorted(PINNED_PAPER_SHA256))
+def test_paper_build_bytes_are_pinned(paper_corpora, corpus, build, distance):
+    cover = HopiIndex.build(
+        paper_corpora[corpus], distance=distance, **PAPER_BUILDS[build]
+    ).cover
+    digest = hashlib.sha256(canonical_snapshot_bytes(cover)).hexdigest()
+    assert digest == PINNED_PAPER_SHA256[corpus, build, distance]
+
+
+def test_a_partition_task_is_its_documents_and_preselected_centers():
+    """Each partition is covered from its subcollection's element graph,
+    with the targets of the cross links into it as centers."""
+    collection = random_collection(3, n_docs=8)
+    pipeline = BuildPipeline(collection, strategy="recursive", partitioner="single")
     partitioning = pipeline.partition()
-    assert any(len(docs) > 1 for docs in partitioning.partitions)
-    for task, docs in zip(pipeline.partition_tasks(partitioning), partitioning.partitions):
-        graph = collection.subcollection(docs).element_graph()
-        assert task.nodes == tuple(graph.nodes())
-        assert task.edges == tuple(graph.edges())
+    tasks = pipeline.partition_tasks(partitioning)
+    assert [list(t.docs) for t in tasks] == partitioning.partitions
+    for pid, task in enumerate(tasks):
+        assert task.preselected == tuple(sorted(
+            v for _, v in partitioning.cross_links
+            if partitioning.part_of[collection.doc(v)] == pid
+        ))
+    assert any(task.preselected for task in tasks)
 
 
 def test_closure_partitioner_oversized_doc_warns_not_fails():

@@ -291,7 +291,7 @@ def test_pll_is_one_partition_with_nothing_to_join():
     assert partitioning.num_partitions == 1
     assert partitioning.cross_links == []
     (task,) = pipeline.partition_tasks(partitioning)
-    assert task.pll and task.preselected == ()
+    assert sorted(task.docs) == sorted(c.documents) and task.preselected == ()
     (result,) = pipeline.build_partition_covers([task])
     assert pipeline.join(partitioning, [result.cover]) is result.cover
     cover, stats = pipeline.run()
@@ -304,15 +304,18 @@ def test_pll_is_one_partition_with_nothing_to_join():
 
 @pytest.mark.parametrize("distance", [False, True])
 def test_unpartitioned_builds_the_greedy_cover_of_the_element_graph(distance):
-    """The whole-collection task keeps ``element_graph()``'s node and
-    edge order, so the greedy build is the one on that graph."""
-    c = random_collection(n_docs=5, inter_links=8, seed=11)
-    cover, stats = BuildPipeline(
-        c, strategy="unpartitioned", distance=distance
-    ).run()
+    """The one partition lists the documents in collection order, so its
+    graph is ``element_graph()`` and the greedy build the one on it."""
     build = build_distance_cover if distance else build_cover
-    assert sorted(cover.entries()) == sorted(build(c.element_graph()).entries())
-    assert stats.num_partitions == 1
+    for c in (
+        random_collection(n_docs=5, inter_links=8, seed=11),
+        random_collection(n_docs=14, inter_links=40, seed=6),
+    ):
+        cover, stats = BuildPipeline(
+            c, strategy="unpartitioned", distance=distance
+        ).run()
+        assert sorted(cover.entries()) == sorted(build(c.element_graph()).entries())
+        assert stats.num_partitions == 1
 
 
 _HASH_SEED_SCRIPT = """
@@ -332,21 +335,75 @@ for c in (dblp_like(30, seed=5), cyclic):
 """
 
 
+_PAPER_HASH_SEED_SCRIPT = """
+import hashlib
+from random_collections import random_collection
+from repro.core.hopi import HopiIndex
+from repro.storage.snapshot import canonical_snapshot_bytes
+from repro.xmlmodel.generator import dblp_like
+
+def show(c, distance=False, **options):
+    cover = HopiIndex.build(c, distance=distance, **options).cover
+    print(hashlib.sha256(canonical_snapshot_bytes(cover)).hexdigest())
+
+show(dblp_like(25, seed=7), strategy="recursive", partitioner="node_weight",
+     edge_weight="AxD")
+cyclic = random_collection(n_docs=10, inter_links=24, seed=6)
+for options in (
+    dict(strategy="recursive"),
+    dict(strategy="recursive", partitioner="node_weight"),
+    dict(strategy="recursive", partitioner="single"),
+    dict(strategy="recursive", partitioner="node_weight", edge_weight="AxD"),
+    dict(strategy="incremental"),
+    dict(strategy="unpartitioned"),
+):
+    for distance in (False, True):
+        show(cyclic, distance, **options)
+"""
+
+
+def _stdout_under_hash_seeds(script, seeds):
+    """``script``'s output under each ``PYTHONHASHSEED``, the processes
+    run side by side."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(os.path.dirname(tests), "src"), tests])
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for seed in seeds
+    ]
+    outputs = []
+    try:
+        for run in runs:
+            stdout, stderr = run.communicate(timeout=120)
+            assert run.returncode == 0, stderr[-2000:]
+            outputs.append(stdout)
+    finally:
+        for run in runs:
+            if run.poll() is None:
+                run.kill()
+                run.communicate()
+    return outputs
+
+
 def test_pll_build_is_independent_of_the_hash_seed():
     """Document ids are strings, so anything that walks them in set
     order (the document graph's components, for the vertex order)
     differs between processes: the built cover must not, on a
     collection with document-level cycles too."""
-    tests = os.path.dirname(os.path.abspath(__file__))
-    path = os.pathsep.join([os.path.join(os.path.dirname(tests), "src"), tests])
-    outputs = []
-    for seed in ("0", "1"):
-        done = subprocess.run(
-            [sys.executable, "-c", _HASH_SEED_SCRIPT],
-            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
-            capture_output=True, text=True, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr[-2000:]
-        outputs.append(done.stdout)
+    outputs = _stdout_under_hash_seeds(_HASH_SEED_SCRIPT, ("0", "1"))
     assert len(outputs[0].splitlines()) == 4
+    assert outputs[0] == outputs[1]
+
+
+def test_paper_builds_are_independent_of_the_hash_seed():
+    """The greedy builder breaks ties by node order, so a partition's
+    element graph must list its documents in an order no hash seed
+    changes. Seeds 0 and 3 order these builds' documents differently as
+    sets of string ids, enough to change greedy covers."""
+    outputs = _stdout_under_hash_seeds(_PAPER_HASH_SEED_SCRIPT, ("0", "3"))
+    assert len(outputs[0].splitlines()) == 13
     assert outputs[0] == outputs[1]

@@ -29,7 +29,6 @@ from repro.query import (
     QueryResult,
     build_logical_plan,
     parse_path,
-    plan_key,
     plan_query,
 )
 from repro.query.exec import (
@@ -596,6 +595,9 @@ class TestPlanApi:
         assert type(plan.nodes[1]) is ChildJoin
 
     def test_plan_key_canonicalises(self):
+        def plan_key(path):
+            return build_logical_plan(path).key
+
         assert plan_key("  //book//author  ") == "//book//author"
         assert plan_key("//a offset 2 limit 5") == plan_key(
             "//a limit 5 offset 2"

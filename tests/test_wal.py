@@ -34,8 +34,12 @@ from repro.service.service import QueryService, UpdateError
 from repro.storage import db
 from repro.storage.db import load_index
 from repro.storage.snapshot import canonical_snapshot_bytes
-from repro.storage.wal import DurableIndexStore, UpdateWAL, WALCrash
+from repro.storage.wal import DurableIndexStore, UpdateWAL
 from repro.xmlmodel.generator import dblp_like
+
+
+class WALCrash(RuntimeError):
+    """Raised by a crash hook to simulate dying at an injection point."""
 
 
 def build_index():
