@@ -28,7 +28,9 @@ This is the one label representation of the system:
   the candidates are grouped by center once (``center → indices j``
   with the center in ``Lin(c_j) ∪ {c_j}``), and a source reaches the
   union of the groups of ``{u} ∪ Lout(u)``. What it memoises lives in a
-  :class:`_ProbeCache` that the next mutation drops;
+  :class:`_ProbeCache` that the next mutation drops; a :meth:`cow_copy`
+  fork inherits its parent's center maps and reuses each one whose
+  candidates' ``Lin`` rows are still the same objects;
 * :meth:`to_csr`/:meth:`from_csr` convert labels to/from the CSR layout
   (``indptr`` + flat data arrays) so snapshots round-trip through
   ``array.tobytes`` without per-row Python overhead;
@@ -47,6 +49,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from itertools import chain
+from operator import is_
 from typing import (
     Callable,
     Dict,
@@ -194,6 +197,16 @@ class _NodeSetView:
         return f"_NodeSetView({set(self)!r})"
 
 
+#: A center map with what it was built from: ``(candidates, center map,
+#: active candidate ids, their Lin rows, inactive candidate ids)``. The
+#: rows are ``None`` when a candidate label was never interned (such a
+#: map is not inherited); the strong reference in slot 0 keeps an
+#: ``id()`` key unambiguous.
+_CandEntry = Tuple[
+    tuple, Dict[int, List[int]], List[int], Optional[tuple], Set[int]
+]
+
+
 class _ProbeCache:
     """What the batch probes memoise for one generation of the tables.
 
@@ -202,16 +215,16 @@ class _ProbeCache:
     label row, so the rows stay resizable while it lives.
 
     Attributes:
-        cand: ``id(candidates)`` → ``(candidates, center map)`` for
-            candidate *tuples*, the map as :meth:`_CoverBase._center_map`
-            builds it; the strong reference in slot 0 keeps ``id()``
-            unambiguous.
+        cand: ``id(candidates)`` → :data:`_CandEntry` for candidate
+            *tuples*, the map as :meth:`_CoverBase._center_map` builds
+            it. A :meth:`_CoverBase.cow_copy` fork inherits these
+            entries.
     """
 
     __slots__ = ("cand",)
 
     def __init__(self) -> None:
-        self.cand: Dict[int, Tuple[tuple, Dict[int, List[int]]]] = {}
+        self.cand: Dict[int, _CandEntry] = {}
 
 
 class _CoverBase:
@@ -221,7 +234,9 @@ class _CoverBase:
     the dense ids double as direct offsets — no hashing on hot paths.
     Every mutator sets ``self._probe_cache = None`` first: the batch
     probes' memo (:class:`_ProbeCache`) describes exactly one immutable
-    generation of the tables.
+    generation of the tables. What a :meth:`cow_copy` fork inherits
+    (``_inherited``) outlives its mutations: :meth:`_center_map` checks
+    each entry against the current rows before reusing it.
     """
 
     #: per-node tables mirrored by :meth:`cow_copy` (subclasses extend)
@@ -241,6 +256,8 @@ class _CoverBase:
         # the batch probes' memo; None until the first batch probe
         # after a mutation
         self._probe_cache: Optional[_ProbeCache] = None
+        # the center maps inherited at cow_copy(), checked before reuse
+        self._inherited: Dict[int, _CandEntry] = {}
         # rank per interned id, 0 = none stored; may be shorter than
         # the interner (the ids past its end have none)
         self._rank = array(RANK_TYPECODE)
@@ -274,7 +291,15 @@ class _CoverBase:
         level; the sorted ``array('i')`` rows stay shared until either
         side mutates them (the first in-place change privatises the
         row). The fork starts with no probe cache; ``self`` keeps its
-        own."""
+        own.
+
+        The fork inherits the center maps ``self`` built or reused in
+        its own generation or, when it probed no tuple since its own
+        fork, what ``self`` inherited: never both, so a fork holds one
+        generation's maps at most, and a tuple a generation does not
+        probe is not carried past the fork after it. In the first case
+        ``self`` lets go of what it inherited, which no fork can take
+        any more. Maps over a never-interned label are not carried."""
         clone = type(self)()
         clone.interner = self.interner.copy()
         clone._nodes = set(self._nodes)
@@ -283,12 +308,22 @@ class _CoverBase:
             setattr(clone, name, list(getattr(self, name)))
         self._cow = {id(t): set() for t in self._tables()}
         clone._cow = {id(t): set() for t in clone._tables()}
+        cache = self._probe_cache
+        # dict.copy() first: readers may add to a published cover's cache
+        if cache is not None and cache.cand:
+            carried = cache.cand.copy()
+            self._inherited = {}
+        else:
+            carried = self._inherited.copy()
+        clone._inherited = {
+            key: entry for key, entry in carried.items() if entry[3] is not None
+        }
         return clone
 
     def copy(self):
         """A structurally independent deep copy of the cover
         (subclasses clone as their own type; the copy starts with no
-        probe cache)."""
+        probe cache and inherits no center maps)."""
         clone = type(self)()
         clone.interner = self.interner.copy()
         clone._nodes = set(self._nodes)
@@ -303,10 +338,11 @@ class _CoverBase:
         # pickling deep-copies every row, so the unpickled instance owns
         # all of them; the id()-keyed ownership map would be stale, and
         # so would the probe cache's id()-keyed translations: the copy
-        # starts without one
+        # starts without one, and inherits nothing
         state = self.__dict__.copy()
         state["_cow"] = None
         state["_probe_cache"] = None
+        state["_inherited"] = {}
         return state
 
     # -- id plumbing ----------------------------------------------------
@@ -587,19 +623,43 @@ class _CoverBase:
         ``intersect_many`` block) map it once. Any other sequence may
         have been mutated in place since the last call and is mapped
         every time.
+
+        A map inherited through :meth:`cow_copy` is reused when every
+        candidate active then is active now with the very ``Lin`` row
+        object it had, and no inactive one became active (maps over a
+        never-interned label are not inherited: interning one would
+        change its id). That is sound because of the copy-on-write
+        invariant: a row shared at fork time is never changed in place
+        — whichever side changes it copies it first (:meth:`_owned`)
+        and every other writer assigns a fresh row — so the same row
+        object means the same centers, and interned ids never change.
         """
         if self._probe_cache is None:
             self._probe_cache = _ProbeCache()
         cache = self._probe_cache.cand
         cacheable = type(candidates) is tuple
+        nodes, lin = self._nodes, self._lin
         if cacheable:
-            entry = cache.get(id(candidates))
+            key = id(candidates)
+            entry = cache.get(key)
             if entry is not None and entry[0] is candidates:
                 return entry[1]
+            entry = self._inherited.get(key)
+            if entry is not None and entry[0] is candidates:
+                if (
+                    nodes.issuperset(entry[2])
+                    and nodes.isdisjoint(entry[4])
+                    and all(map(is_, map(lin.__getitem__, entry[2]), entry[3]))
+                ):
+                    self._keep(cache, entry)
+                    return entry[1]
+                # all but dead (a replaced row is never put back): let go
+                # of the old map and rows now, not when this cover dies
+                self._inherited.pop(key, None)
         groups: Dict[int, List[int]] = {}
         get = groups.get
-        nodes, lin = self._nodes, self._lin
-        for j, i in enumerate(self.interner.translate(candidates)):
+        ids = self.interner.translate(candidates)
+        for j, i in enumerate(ids):
             if i not in nodes:
                 continue
             for w in lin[i] or ():
@@ -614,10 +674,19 @@ class _CoverBase:
             elif hits[-1] != j:  # unless a self-entry in Lin(c_j) put j there
                 hits.append(j)
         if cacheable:
-            if len(cache) >= _CAND_CACHE_LIMIT:
-                cache.clear()
-            cache[id(candidates)] = (candidates, groups)
+            active = list(filter(nodes.__contains__, ids))
+            inactive = set(ids).difference(nodes)
+            rows = None if -1 in inactive else tuple(map(lin.__getitem__, active))
+            self._keep(cache, (candidates, groups, active, rows, inactive))
         return groups
+
+    @staticmethod
+    def _keep(cache: Dict[int, _CandEntry], entry: _CandEntry) -> None:
+        """Cache ``entry`` under its tuple's ``id()``, at most
+        :data:`_CAND_CACHE_LIMIT` of them."""
+        if len(cache) >= _CAND_CACHE_LIMIT:
+            cache.clear()
+        cache[id(entry[0])] = entry
 
     def _reached(self, groups: Dict[int, List[int]], ui: int) -> List[int]:
         """The ``LOUT`` side: the sorted candidate indices the active
@@ -899,12 +968,6 @@ class TwoHopCover(_CoverBase):
     # ------------------------------------------------------------------
     # statistics & persistence
     # ------------------------------------------------------------------
-    def stored_integers(self, *, with_backward_index: bool = True) -> int:
-        """Database ints per Section 3.4: 2 per entry, doubled by the
-        backward index."""
-        per = 4 if with_backward_index else 2
-        return per * self.size
-
     def entries(self) -> Iterator[Tuple[str, Node, Node]]:
         """All label entries as ``(kind, node, center)``."""
         label = self.interner.label
@@ -1227,12 +1290,6 @@ class DistanceTwoHopCover(_CoverBase):
     # ------------------------------------------------------------------
     # statistics & persistence
     # ------------------------------------------------------------------
-    def stored_integers(self, *, with_backward_index: bool = True) -> int:
-        """3 ints per entry (id, center, dist), doubled by the backward
-        index."""
-        per = 6 if with_backward_index else 3
-        return per * self.size
-
     def entries(self) -> Iterator[Tuple[str, Node, Node, int]]:
         """All label entries as ``(kind, node, center, dist)``."""
         label = self.interner.label

@@ -214,9 +214,10 @@ class HopiIndex:
         ``LOUT ⋈ LIN`` join. The cover groups the candidates by the
         centers of their ``Lin`` rows once for the whole block and
         answers each source with one lookup per entry of
-        ``{u} ∪ Lout(u)``. A candidate *tuple* is grouped once until the
-        next mutation (cached by identity); any other sequence is
-        grouped on every call."""
+        ``{u} ∪ Lout(u)``. A candidate *tuple* is grouped once (cached
+        by identity), and a :meth:`cow_copy` fork reuses the grouping
+        while the candidates' ``Lin`` rows are the objects it was built
+        from; any other sequence is grouped on every call."""
         return self.cover.intersect_many(sources, candidates)
 
     def distance(self, u: ElementId, v: ElementId) -> Optional[int]:

@@ -91,16 +91,6 @@ class TransitiveClosure:
     def num_nodes(self) -> int:
         return len(self.reach)
 
-    def stored_integers(self, *, with_backward_index: bool = True) -> int:
-        """Integers needed to store the closure as a database table.
-
-        The paper's accounting (Section 7.2): two integers per connection
-        in the forward table, doubled when a backward index for ancestor
-        queries is added (344,992,370 connections -> 1,379,969,480 ints).
-        """
-        per = 4 if with_backward_index else 2
-        return per * self.num_connections
-
 
 def transitive_closure(
     graph: DiGraph,

@@ -98,19 +98,5 @@ class DiGraph:
         g._pred = {v: set(t) for v, t in self._pred.items()}
         return g
 
-    def subgraph(self, nodes: Iterable[Node]) -> "DiGraph":
-        """The induced subgraph on ``nodes`` (edges with both ends inside)."""
-        keep = set(nodes)
-        g = DiGraph()
-        for v in keep:
-            if v not in self._succ:
-                raise KeyError(f"node {v!r} not in graph")
-            g.add_node(v)
-        for v in keep:
-            for w in self._succ[v]:
-                if w in keep:
-                    g.add_edge(v, w)
-        return g
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"DiGraph(|V|={len(self)}, |E|={self.num_edges()})"

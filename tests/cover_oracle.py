@@ -360,12 +360,6 @@ class SetTwoHopCover:
             len(c) for c in self.lout.values()
         )
 
-    def stored_integers(self, *, with_backward_index: bool = True) -> int:
-        """Database ints per Section 3.4: 2 per entry, doubled by the
-        backward index."""
-        per = 4 if with_backward_index else 2
-        return per * self.size
-
     def entries(self) -> Iterator[Tuple[str, Node, Node]]:
         """All label entries as ``(kind, node, center)`` with kind in
         {"in", "out"} — the row set of the LIN/LOUT tables."""
@@ -644,11 +638,6 @@ class SetDistanceCover:
         return sum(len(c) for c in self.lin.values()) + sum(
             len(c) for c in self.lout.values()
         )
-
-    def stored_integers(self, *, with_backward_index: bool = True) -> int:
-        """3 ints per entry (id, center, dist), doubled by the backward index."""
-        per = 6 if with_backward_index else 3
-        return per * self.size
 
     def entries(self) -> Iterator[Tuple[str, Node, Node, int]]:
         """All label entries as ``(kind, node, center, dist)`` with kind

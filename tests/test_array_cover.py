@@ -103,7 +103,6 @@ def test_basic_label_semantics():
     assert cover.lout_of(1) == {2, 3}
     assert cover.nodes_with_lout_center(2) == {1}
     assert cover.size == 3
-    assert cover.stored_integers() == 12
 
 
 def test_self_entries_are_dropped():

@@ -65,8 +65,6 @@ def test_connections_iterator_and_counts():
     assert set(c.connections()) == {(1, 2), (1, 3), (2, 3)}
     assert c.num_connections == 3
     assert c.num_nodes == 3
-    assert c.stored_integers() == 12
-    assert c.stored_integers(with_backward_index=False) == 6
 
 
 def test_budget_exceeded():

@@ -46,8 +46,6 @@ def test_self_entries_dropped():
 
 def test_size_counts_both_sides(chain_cover):
     assert chain_cover.size == 2
-    assert chain_cover.stored_integers() == 8
-    assert chain_cover.stored_integers(with_backward_index=False) == 4
 
 
 def test_entries_iterator(chain_cover):
@@ -191,11 +189,6 @@ def test_distance_union_keeps_min():
     b.add_lout(1, 2, 2)
     a.union(b)
     assert a.lout_of(1)[2] == 2
-
-
-def test_distance_stored_integers(chain_distance_cover):
-    assert chain_distance_cover.stored_integers() == 12
-    assert chain_distance_cover.stored_integers(with_backward_index=False) == 6
 
 
 def test_distance_verify_against():

@@ -1,7 +1,5 @@
 """Unit tests for the directed-graph substrate."""
 
-import pytest
-
 from repro.graph import DiGraph
 
 
@@ -57,22 +55,6 @@ def test_copy_is_independent():
     assert 3 not in g
     assert g.num_edges() == 1
     assert h.num_edges() == 2
-
-
-def test_subgraph_induced():
-    g = DiGraph([(1, 2), (2, 3), (3, 4), (1, 4)])
-    s = g.subgraph([1, 2, 4])
-    assert set(s.nodes()) == {1, 2, 4}
-    assert s.has_edge(1, 2)
-    assert s.has_edge(1, 4)
-    assert not s.has_edge(3, 4)
-    assert s.num_edges() == 2
-
-
-def test_subgraph_missing_node_raises():
-    g = DiGraph([(1, 2)])
-    with pytest.raises(KeyError):
-        g.subgraph([1, 99])
 
 
 def test_hashable_nonint_nodes():

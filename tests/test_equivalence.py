@@ -14,7 +14,9 @@ checked against a from-scratch closure, so the two cannot be
 identically wrong.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 
 import random_collections
 from cover_oracle import oracle_index
+from repro.core.cover import DistanceTwoHopCover, TwoHopCover
 from repro.core.hopi import HopiIndex
 from repro.graph.closure import distance_closure, transitive_closure
 from repro.graph.traversal import descendants as graph_descendants
@@ -273,22 +276,43 @@ def test_maintenance_equivalence_distance(seed):
 # ---------------------------------------------------------------------------
 
 
+def _assert_groups(cover, candidates, groups) -> None:
+    """``groups`` is ``center → ascending indices j`` of the active
+    candidates whose ``Lin(c_j) ∪ {c_j}`` holds the center, recomputed
+    here from the public labels."""
+    expected = {}
+    for j, c in enumerate(candidates):
+        if c in cover.nodes:
+            for w in sorted(set(cover.lin_of(c)) | {c}):
+                expected.setdefault(w, []).append(j)
+    label = cover.interner.label
+    assert {label(w): hits for w, hits in groups.items()} == expected
+
+
 def _assert_center_maps(cover) -> None:
-    """The probe cache holds one thing: per candidate tuple, ``center →
-    ascending indices j`` of the active candidates whose ``Lin(c_j) ∪
-    {c_j}`` holds the center — recomputed here from the public labels."""
+    """The probe cache holds one thing: per candidate tuple, its center
+    map with what it was built from — the active candidates' ids, their
+    ``Lin`` rows (the very objects; ``None`` for the lot when a label
+    was never interned) and the inactive ids. Every inherited map that
+    ``_center_map`` accepts is recomputed too."""
     cache = cover._probe_cache
     assert cache is not None and type(cache).__slots__ == ("cand",)
     assert cache.cand
-    label = cover.interner.label
-    for key, (candidates, groups) in cache.cand.items():
+    nodes = cover._nodes
+    for key, (candidates, groups, active, rows, inactive) in list(cache.cand.items()):
         assert type(candidates) is tuple and key == id(candidates)
-        expected = {}
-        for j, c in enumerate(candidates):
-            if c in cover.nodes:
-                for w in sorted(set(cover.lin_of(c)) | {c}):
-                    expected.setdefault(w, []).append(j)
-        assert {label(w): hits for w, hits in groups.items()} == expected
+        ids = cover.interner.translate(candidates)
+        assert active == [i for i in ids if i in nodes]
+        assert inactive == set(ids) - nodes
+        if -1 in ids:
+            assert rows is None
+        else:
+            assert len(rows) == len(active)
+            assert all(row is cover._lin[i] for i, row in zip(active, rows))
+        _assert_groups(cover, candidates, groups)
+    for candidates, groups, *_ in list(cover._inherited.values()):
+        if cover._center_map(candidates) is groups:
+            _assert_groups(cover, candidates, groups)
 
 
 @pytest.mark.parametrize("distance", [False, True])
@@ -306,6 +330,151 @@ def test_portable_seal_matches_the_oracle(distance):
         assert_equivalent(sets_index, arrays_index)
         _assert_center_maps(arrays_index.cover)
     arrays_index.verify()
+
+
+def _fork_ops(index):
+    """``(name, op)`` for every maintenance op a write batch can run on
+    ``index``'s ``dblp_like`` collection: each op takes the index to
+    mutate. The separating delete takes a document whose root has an
+    empty ``Lin``, so its root only changes activity."""
+    collection = index.collection
+    docs = collection.documents
+    roots = {d: docs[d].root for d in sorted(docs)}
+    separating = next(
+        d for d in roots
+        if index.document_separates(d) and not index.cover.lin_of(roots[d])
+    )
+    general = next(d for d in roots if not index.document_separates(d))
+    author = min(collection.tags()["author"])
+    cite = max(collection.tags()["cite"])
+    u, v = min(collection.inter_links)
+
+    def insert_document(index):
+        root = index.collection.new_document("fresh", "article")
+        child = index.collection.add_child(root.eid, "cite")
+        index.collection.add_link(child.eid, roots[general])
+        index.collection.add_link(cite, root.eid)
+        index.insert_document("fresh")
+
+    def delete(doc, separates):
+        def op(index):
+            assert index.delete_document(doc).separating is separates
+        return op
+
+    return [
+        ("insert_element", lambda index: index.insert_element(author, "author")),
+        ("insert_element_new_tag", lambda index: index.insert_element(author, "fresh")),
+        ("insert_document", insert_document),
+        ("insert_edge", lambda index: index.insert_edge(cite, roots[general])),
+        ("delete_edge", lambda index: index.delete_edge(u, v)),
+        ("delete_separating", delete(separating, True)),
+        ("delete_theorem3", delete(general, False)),
+        ("rebuild", lambda index: index.rebuild()),
+    ]
+
+
+@pytest.mark.parametrize("distance", [False, True])
+def test_a_fork_reuses_a_center_map_exactly_when_its_rows_are_unchanged(distance):
+    """A published cover's center maps through ``cow_copy`` and every
+    maintenance op: behind a rolled-back trial, then on the second fork
+    of a chain of two trials (the first never probed), then one epoch
+    later. Each fork answers ``intersect_many`` over the parent's
+    tuples like a ``copy()`` that inherited nothing, and reuses a map
+    (the same ``groups`` object) exactly when every candidate kept its
+    activity and, if active, the very ``Lin`` row object it had — and
+    the tuple held no never-interned label, and the cover was not
+    rebuilt. A map that fails the check is dropped from what the fork
+    inherited, and a parent that probed lets go of what it inherited
+    once it is forked."""
+    collection = dblp_like(12, seed=3)
+    published = HopiIndex.build(collection, distance=distance)
+    tags = collection.tags()
+    ghost = max(collection.elements) + 1  # the id the next insert takes
+    roots = tuple(sorted(d.root for d in collection.documents.values()))
+    lone = tuple(r for r in roots if not published.cover.lin_of(r))
+    tuples = [tuple(sorted(tags[t])) for t in ("author", "cite", "title", "article")]
+    tuples += [roots, lone, tuple(sorted(collection.elements)), roots + (ghost,)]
+
+    def probe(index):
+        sources = sorted(index.collection.elements)[::2] + [ghost, "nowhere"]
+        return [index.intersect_many(sources, t) for t in tuples]
+
+    before = probe(published)
+    seen = set()
+
+    def check(fork, base, name, inherits=True):
+        fresh = HopiIndex(fork.collection, fork.cover.copy())
+        assert fresh.cover._inherited == {}
+        assert probe(fork) == probe(fresh), name
+        was, now = base.cover, fork.cover
+        for t in tuples:
+            ids = was.interner.translate(t)
+            moved = any((i in was._nodes) != (i in now._nodes) for i in ids)
+            rows = any(now._lin[i] is not was._lin[i] for i in ids if i in was._nodes)
+            ghosts = -1 in ids
+            reused = now._probe_cache.cand[id(t)][1] is was._probe_cache.cand[id(t)][1]
+            assert reused == (inherits and not (moved or rows or ghosts)), (name, t[:4])
+            assert (id(t) in now._inherited) == reused, (name, t[:4])
+            if inherits and [moved, rows, ghosts].count(True) <= 1:
+                seen.add("rows" if rows else "activity" if moved
+                         else "ghost" if ghosts else "reused")
+        _assert_center_maps(now)
+
+    for name, op in _fork_ops(published):
+        junk = published.cow_copy()
+        op(junk)
+        probe(junk)  # a failed batch's trial, discarded
+        first = published.cow_copy()
+        op(first)
+        second = first.cow_copy()
+        check(second, published, name, inherits=name != "rebuild")
+        assert first.cover._inherited or name == "rebuild"  # never probed
+        later = second.cow_copy()
+        assert second.cover._inherited == {}
+        check(later, second, name + " +1 epoch")
+        assert probe(published) == before, name
+    assert seen == {"rows", "activity", "ghost", "reused"}
+
+
+class _Label:
+    """A node label that can be weakly referenced: an equal twin of an
+    interned label finds its id, so a tuple of twins lives only as long
+    as whatever holds the tuple."""
+
+    __slots__ = ("value", "__weakref__")
+
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        return hash(self.value)
+
+    def __eq__(self, other):
+        return isinstance(other, _Label) and other.value == self.value
+
+
+@pytest.mark.parametrize("cls", [TwoHopCover, DistanceTwoHopCover])
+def test_a_tuple_no_generation_probes_dies_two_forks_later(cls):
+    """The carry is never cumulative: a fork inherits what its parent
+    probed, so a tuple probed in one generation only is not kept alive
+    by the fork of the fork once the generations between are gone. A
+    fork of a parent that probed nothing still carries it one step."""
+    d = (1,) if cls.is_distance_aware else ()
+    gen0 = cls([_Label(i) for i in range(5)])
+    gen0.add_lout(_Label(0), _Label(1), *d)
+    gen0.add_lin(_Label(2), _Label(1), *d)
+    probed = (_Label(1), _Label(2))
+    alive = weakref.ref(probed[0])
+    assert gen0.connected_many(_Label(0), probed) == [True, True]
+    idle = gen0.cow_copy().cow_copy()  # the middle fork probed nothing
+    assert [e[0] for e in idle._inherited.values()] == [probed]
+    gen1 = gen0.cow_copy()
+    assert gen1.connected_many(_Label(0), (_Label(3),)) == [False]
+    gen2 = gen1.cow_copy()
+    del gen0, gen1, idle, probed
+    gc.collect()
+    assert alive() is None
+    assert gen2.connected_many(_Label(0), (_Label(2),)) == [True]
 
 
 def _batch_answers(index, sources, candidates):

@@ -29,7 +29,6 @@ ALLOWED = {
     "TreeLabeling": "held for ROADMAP item 2 (interval labels for tree edges)",
     "canonical_snapshot_bytes": "byte-identity oracle of the pipeline, copy-on-write, WAL and ingest tests",
     "DiGraph.has_edge": "edge membership the graph, skeleton and model tests assert with",
-    "DiGraph.subgraph": "induced subgraph only the digraph tests call; to go with them when the graph helpers are pruned",
     "TransitiveClosure.connections": "pair view of the closure the closure tests assert with",
     "DistanceClosure.connections": "pair view of the closure the closure tests assert with",
     "TwoHopCover.from_entries": "batch constructor the PLL and array-cover tests compare built tables with",
