@@ -1,4 +1,4 @@
-"""Query plans tour: the AST → logical plan → operator pipeline.
+"""Query plans tour: the AST → physical plan → operator pipeline.
 
 Builds a small citation-linked collection with a deliberately rare
 tag, then walks through what the query stack does with a path:

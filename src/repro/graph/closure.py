@@ -27,7 +27,7 @@ a cycle does reach distinct members of its component, and those pairs
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Dict, Optional, Set
 
 from repro.graph.condensation import Condensation
 from repro.graph.digraph import DiGraph, Node
@@ -77,11 +77,6 @@ class TransitiveClosure:
                     coreach[v2].add(u)
             self._coreach = coreach
         return self._coreach[v]
-
-    def connections(self) -> Iterator[Tuple[Node, Node]]:
-        for u, targets in self.reach.items():
-            for v in targets:
-                yield (u, v)
 
     @property
     def num_connections(self) -> int:
@@ -243,11 +238,6 @@ class DistanceClosure:
                     codist[w][u] = d
             self._codist = codist
         return self._codist[v]
-
-    def connections(self) -> Iterator[Tuple[Node, Node, int]]:
-        for u, targets in self.dist.items():
-            for v, d in targets.items():
-                yield (u, v, d)
 
     @property
     def num_connections(self) -> int:

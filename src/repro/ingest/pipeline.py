@@ -36,7 +36,11 @@ from repro.ingest.frontier import FrontierCheckpoint
 from repro.ingest.sources import DocRecord, Source
 
 
-def _percentile(sorted_values: List[float], fraction: float) -> float:
+def freshness_percentile(sorted_values: List[float], fraction: float) -> float:
+    """The nearest-rank ``fraction`` percentile of ascending lags, at
+    index ``round(fraction * (n - 1))``; 0.0 when there are none. The
+    ingest summary and the ``/v1/metrics`` freshness gauge both read
+    their p50/p99 through it."""
     if not sorted_values:
         return 0.0
     index = min(
@@ -216,6 +220,6 @@ class IngestPipeline:
         )
         lags.sort()
         summary.freshness_lags = lags
-        summary.freshness_p50_ms = _percentile(lags, 0.50) * 1e3
-        summary.freshness_p99_ms = _percentile(lags, 0.99) * 1e3
+        summary.freshness_p50_ms = freshness_percentile(lags, 0.50) * 1e3
+        summary.freshness_p99_ms = freshness_percentile(lags, 0.99) * 1e3
         return summary

@@ -4,18 +4,16 @@ The paper motivates HOPI with XPath ``//`` (descendant-or-self) steps
 over link-rich collections and with the XXL search engine's ranked
 queries like ``//~book//author`` (Section 5.1), where ``~`` requests
 ontology-based tag similarity and results are ranked by a combination of
-tag similarity and link distance. This package is an explicit
-three-layer query stack:
+tag similarity and link distance. This package plans straight from
+the parsed expression:
 
 * :mod:`repro.query.pathexpr` — the AST: a parser for the path dialect
   (``/child``, ``//descendant``, ``*`` wildcards, ``~tag`` similarity,
   ``[predicate]`` existence filters, ``limit``/``offset`` windows);
-* :mod:`repro.query.plan` — logical plans (Scan, ChildJoin,
-  DescendantJoin, Filter, Rank, Limit) and the canonical plan key;
 * :mod:`repro.query.planner` — the selectivity-driven physical planner
   (cardinality estimates weighted by two probe-cost constants, zig-zag
-  join ordering, backward ``ancestors``-side probes) and
-  :class:`PreparedQuery`;
+  join ordering, backward ``ancestors``-side probes), the canonical
+  plan key and :class:`PreparedQuery`;
 * :mod:`repro.query.exec` — the two evaluators: the ranked top-k
   enumerator behind ``evaluate`` and the frontier count behind
   ``count``;
@@ -28,7 +26,6 @@ three-layer query stack:
 from repro.query.engine import QueryEngine, QueryResult
 from repro.query.ontology import TagOntology, default_ontology
 from repro.query.pathexpr import PathExpression, Predicate, Step, parse_path
-from repro.query.plan import LogicalPlan, build_logical_plan
 from repro.query.planner import PhysicalPlan, PreparedQuery, plan_query
 
 __all__ = [
@@ -40,8 +37,6 @@ __all__ = [
     "Predicate",
     "Step",
     "parse_path",
-    "LogicalPlan",
-    "build_logical_plan",
     "PhysicalPlan",
     "PreparedQuery",
     "plan_query",

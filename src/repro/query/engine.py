@@ -1,9 +1,8 @@
 """Evaluating path expressions with the HOPI index.
 
-The engine is a thin facade over the three-layer query stack::
+The engine is a thin facade over the query stack::
 
-    AST (pathexpr) → logical plan (plan) → physical plan (planner)
-                                         → operators (exec)
+    AST (pathexpr) → physical plan (planner) → operators (exec)
 
 Each endpoint has one evaluation path. :meth:`QueryEngine.evaluate`
 parses, plans and runs the ranked top-k enumerator
@@ -34,15 +33,14 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 from repro.core.hopi import HopiIndex
 from repro.query.exec import ExecContext, run_count, run_ranked
 from repro.query.ontology import TagOntology, default_ontology
-from repro.query.pathexpr import Step
-from repro.query.plan import LogicalPlan, build_logical_plan
+from repro.query.pathexpr import PathExpression, Step, parse_path
 from repro.query.planner import PhysicalPlan, PreparedQuery, plan_query
 from repro.xmlmodel.model import ElementId
 
 #: Anything the engine's entry points accept as a query: raw text, a
-#: parsed expression, a lowered logical plan, or a prepared query
-#: (whose cached lowering is reused — the service layer's hot path).
-Query = "str | PathExpression | LogicalPlan | PreparedQuery"
+#: parsed expression, or a prepared query (whose parsed expression is
+#: reused — the service layer's hot path).
+Query = "str | PathExpression | PreparedQuery"
 
 #: Identity of a step's candidate list: ``(tag, similar)``. Two steps
 #: with the same key select the same candidates (wildcards use ``"*"``),
@@ -283,14 +281,12 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # planning API
     # ------------------------------------------------------------------
-    def _lower(self, path: Query) -> LogicalPlan:
-        """Normalise any accepted query form to its logical plan,
-        reusing cached lowerings where they exist."""
+    def _lower(self, path: Query) -> PathExpression:
+        """The parsed expression of any accepted query form: parse a
+        string, unwrap a prepared query."""
         if isinstance(path, PreparedQuery):
-            return path.logical
-        if isinstance(path, LogicalPlan):
-            return path
-        return build_logical_plan(path)
+            return path.expr
+        return parse_path(path) if isinstance(path, str) else path
 
     def context(
         self, index: Optional[HopiIndex] = None, probe: Optional[Probe] = None
@@ -324,14 +320,15 @@ class QueryEngine:
         probe: Optional[Probe],
         *,
         directional: bool = False,
-    ) -> Tuple[LogicalPlan, PhysicalPlan, ExecContext]:
-        """The shared entry-point preamble: lower, build the execution
+    ) -> Tuple[PhysicalPlan, ExecContext]:
+        """The shared entry-point preamble: parse, build the execution
         context, plan in it (the window term's sample lands in its
         memo)."""
-        logical = self._lower(path)
         ctx = self.context(index, probe)
-        plan = plan_query(logical, self, directional=directional, ctx=ctx)
-        return logical, plan, ctx
+        plan = plan_query(
+            self._lower(path), self, directional=directional, ctx=ctx
+        )
+        return plan, ctx
 
     def evaluate(
         self,
@@ -344,9 +341,8 @@ class QueryEngine:
 
         Args:
             path: a path string (parsed on the fly), a pre-parsed
-                :class:`PathExpression`, or a :class:`PreparedQuery` /
-                :class:`~repro.query.plan.LogicalPlan` (cached lowering
-                reused).
+                :class:`PathExpression`, or a :class:`PreparedQuery`
+                (its parsed expression reused).
             index: evaluate against this index instead of the engine's
                 own (must cover the same collection — e.g. the
                 published epoch of a service).
@@ -358,12 +354,11 @@ class QueryEngine:
             ids for determinism), windowed by the expression's
             ``offset``/``limit``, truncated to ``max_results``.
         """
-        logical, plan, ctx = self._pipeline(path, index, probe)
-        window = logical.window
-        offset = 0 if window is None else window.offset
+        plan, ctx = self._pipeline(path, index, probe)
+        offset = plan.expr.offset
         limit = self.max_results
-        if window is not None and window.limit is not None:
-            limit = window.limit
+        if plan.expr.limit is not None:
+            limit = plan.expr.limit
         # one ranked path: an unwindowed call is the window
         # ``limit max_results`` (it was always truncated there)
         top = run_ranked(plan, ctx, offset + limit)
@@ -391,5 +386,5 @@ class QueryEngine:
         cost favours); the expression's ``offset``/``limit`` window is
         ignored — the count is a property of the match set.
         """
-        _, plan, ctx = self._pipeline(path, index, probe, directional=True)
+        plan, ctx = self._pipeline(path, index, probe, directional=True)
         return run_count(plan, ctx)

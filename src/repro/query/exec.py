@@ -209,7 +209,7 @@ def _gate(
     """The admission test of one step position, or ``None`` when every
     candidate passes: the absolute-path anchor (position 0 only), then
     the position's ``[predicate]`` filters."""
-    filters = plan.filters_at(position)
+    filters = plan.expr.steps[position].predicates
     anchored = position == 0 and plan.expr.steps[0].axis == "child"
     if not (filters or anchored):
         return None

@@ -47,8 +47,8 @@ planner-soundness property tests; ``plan_query(start=)`` forces the
 seed for them).
 
 :class:`PreparedQuery` is the parse-once handle: the AST and canonical
-plan key are computed once, while the physical plan is re-derived per
-engine binding (cardinalities move with every epoch's tag index — the
+plan key are computed once, while the physical plan is planned from
+the AST per engine binding (cardinalities move with every epoch's tag index — the
 service layer binds one prepared query per published epoch).
 """
 
@@ -58,8 +58,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.query.pathexpr import PathExpression, Predicate, parse_path
-from repro.query.plan import LogicalPlan, build_logical_plan
+from repro.query.pathexpr import PathExpression, parse_path
 
 #: Relative unit cost of one forward (``descendants``-side, one source
 #: of an ``intersect_many`` block) descendant probe.
@@ -96,10 +95,12 @@ class PhysicalOp:
 
 @dataclass(frozen=True)
 class PhysicalPlan:
-    """An executable join order over a :class:`LogicalPlan`.
+    """An executable join order over a parsed path expression.
 
     Attributes:
-        logical: the logical plan this orders.
+        expr: the planned expression; the operators read each step's
+            axis and ``[predicate]`` filters from it, the engine its
+            ``offset``/``limit`` window.
         ops: pipeline stages, one per step, scan first.
         estimates: per-position candidate-cardinality estimates the
             order was chosen from.
@@ -111,26 +112,19 @@ class PhysicalPlan:
             planner took no sample.
     """
 
-    logical: LogicalPlan
+    expr: PathExpression
     ops: Tuple[PhysicalOp, ...]
     estimates: Tuple[int, ...]
     k: Optional[int] = None
     sampled: Optional[Tuple[int, int]] = None
 
     @property
-    def expr(self) -> PathExpression:
-        """The planned expression."""
-        return self.logical.expr
-
-    @property
     def key(self) -> str:
-        """The canonical plan key (shared with the logical plan)."""
-        return self.logical.key
-
-    def filters_at(self, position: int) -> Tuple[Predicate, ...]:
-        """The logical :class:`~repro.query.plan.Filter` predicates
-        guarding ``position`` (what the operators evaluate inline)."""
-        return self.logical.filters_at(position)
+        """The canonical cache key of the query. Parsing normalises
+        whitespace and clause order, so every spelling of the same query
+        shares one key: the service keys its plan cache and its
+        ``(key, epoch)`` result cache by it."""
+        return str(self.expr)
 
     def execution_profile(self, mode: str = "evaluate") -> Dict[str, object]:
         """How an endpoint ``mode`` runs this plan — which operator
@@ -355,7 +349,7 @@ def _window_cost(
 
 
 def plan_query(
-    path: "str | PathExpression | LogicalPlan",
+    path: "str | PathExpression",
     engine,
     *,
     start: Optional[int] = None,
@@ -365,10 +359,9 @@ def plan_query(
     """Choose a physical join order for ``path`` against ``engine``.
 
     Args:
-        path: the query — a string, a parsed expression, or an
-            already-lowered :class:`LogicalPlan` (what
-            :class:`PreparedQuery` passes, so the hot path never
-            re-lowers).
+        path: the query — a string (parsed here) or a parsed
+            expression (what :class:`PreparedQuery` passes, so the hot
+            path never re-parses).
         engine: the :class:`~repro.query.engine.QueryEngine` whose tag
             index supplies cardinality estimates (and whose candidate
             memos the operators will read).
@@ -389,8 +382,7 @@ def plan_query(
         cost is lowest (ties go to the leftmost seed), with the window
         term applied to seed 0 (see the module docstring).
     """
-    logical = path if isinstance(path, LogicalPlan) else build_logical_plan(path)
-    expr = logical.expr
+    expr = parse_path(path) if isinstance(path, str) else path
     estimates = estimate_cardinalities(expr, engine)
     n = len(expr.steps)
     if start is not None:
@@ -416,7 +408,7 @@ def plan_query(
             ctx = engine.context()
         if not ctx.index.is_distance_aware:
             sampled = ctx.sample_first_join(
-                PhysicalPlan(logical, orders[0][0], estimates)
+                PhysicalPlan(expr, orders[0][0], estimates)
             )
             if sampled[1]:
                 costs[0] = _window_cost(costs[0], estimates[0], k, sampled)
@@ -425,11 +417,11 @@ def plan_query(
         raise ValueError(
             f"directional plans must seed at an endpoint, got {seed}"
         )
-    return PhysicalPlan(logical, orders[seed][0], estimates, k, sampled)
+    return PhysicalPlan(expr, orders[seed][0], estimates, k, sampled)
 
 
 class PreparedQuery:
-    """A query parsed and lowered once, plannable per engine/epoch.
+    """A query parsed once, plannable per engine/epoch.
 
     The AST and the canonical plan key are immutable; the *physical*
     plan depends on an engine's tag-index cardinalities, so it is
@@ -438,24 +430,20 @@ class PreparedQuery:
 
     Attributes:
         expr: the parsed expression.
-        logical: the lowered logical plan.
         key: the canonical plan key (cache key for plans and results).
     """
 
     def __init__(self, path: "str | PathExpression") -> None:
         self.expr = parse_path(path) if isinstance(path, str) else path
-        self.logical: LogicalPlan = build_logical_plan(self.expr)
-        self.key: str = self.logical.key
+        self.key: str = str(self.expr)
 
     def bind(
         self, engine, *, directional: bool = False, ctx=None
     ) -> PhysicalPlan:
-        """Plan against one engine's current cardinalities (the cached
-        logical plan is reused — no re-parse, no re-lowering); ``ctx``
-        is :func:`plan_query`'s."""
-        return plan_query(
-            self.logical, engine, directional=directional, ctx=ctx
-        )
+        """Plan against one engine's current cardinalities (the parsed
+        expression is reused — no re-parse); ``ctx`` is
+        :func:`plan_query`'s."""
+        return plan_query(self.expr, engine, directional=directional, ctx=ctx)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"PreparedQuery({self.key!r})"

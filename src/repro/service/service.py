@@ -5,7 +5,7 @@ The read path is lock-free: a request pins the current
 and answers entirely from it. Three layers keep repeated work off the
 index:
 
-1. a **plan cache** (query text → parsed-and-lowered
+1. a **plan cache** (query text → parsed
    :class:`~repro.query.planner.PreparedQuery`; epoch-independent —
    the physical join order is re-derived per epoch, since cardinality
    estimates move with the tag index);
@@ -60,6 +60,7 @@ from repro.core.hopi import HopiIndex
 # UpdateError is re-exported because the HTTP API and callers import it
 # from the service package
 from repro.core.ops import UpdateError, apply_update_op
+from repro.ingest.pipeline import freshness_percentile
 from repro.query.engine import QueryEngine, QueryResult, StepKey
 from repro.query.ontology import TagOntology, default_ontology
 from repro.query.pathexpr import PathExpression
@@ -293,7 +294,7 @@ class QueryService:
     # read path
     # ------------------------------------------------------------------
     def _prepare(self, path: Union[str, PathExpression]) -> PreparedQuery:
-        """Parse + lower once per distinct query text (plan cache)."""
+        """Parse once per distinct query text (plan cache)."""
         if isinstance(path, PathExpression):
             return PreparedQuery(path)
         return self._plans.get_or_compute(path, lambda: PreparedQuery(path))[0]
@@ -640,13 +641,8 @@ class QueryService:
             lags = sorted(self._ingest_lags)
 
         def at(fraction: float) -> Optional[float]:
-            if not lags:
-                return None
-            index = min(
-                len(lags) - 1,
-                max(0, int(round(fraction * (len(lags) - 1)))),
-            )
-            return lags[index] * 1e3
+            return freshness_percentile(lags, fraction) * 1e3 if lags else None
+
         return {
             "docs_total": docs,
             "batches_total": batches,

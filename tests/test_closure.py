@@ -62,7 +62,8 @@ def test_ancestors_view():
 def test_connections_iterator_and_counts():
     g = DiGraph([(1, 2), (2, 3)])
     c = transitive_closure(g)
-    assert set(c.connections()) == {(1, 2), (1, 3), (2, 3)}
+    pairs = {(u, v) for u, targets in c.reach.items() for v in targets}
+    assert pairs == {(1, 2), (1, 3), (2, 3)}
     assert c.num_connections == 3
     assert c.num_nodes == 3
 
@@ -168,7 +169,11 @@ def test_distance_ancestors_view():
 def test_distance_connections_iterator():
     g = DiGraph([(1, 2), (2, 3)])
     d = distance_closure(g)
-    assert set(d.connections()) == {(1, 2, 1), (1, 3, 2), (2, 3, 1)}
+    triples = {
+        (u, v, hops) for u, targets in d.dist.items()
+        for v, hops in targets.items()
+    }
+    assert triples == {(1, 2, 1), (1, 3, 2), (2, 3, 1)}
     assert d.num_connections == 3
 
 

@@ -304,3 +304,18 @@ def test_ingest_stats_gauge_in_metrics():
     assert gauge["last_batch_age_seconds"] >= 0.0
     assert gauge["freshness_p50_ms"] >= 0.0
     assert gauge["freshness_p99_ms"] >= gauge["freshness_p50_ms"]
+
+
+def test_metrics_freshness_equals_the_run_summary():
+    """Under the gauge's 512-sample window, ``/v1/metrics`` and the run's
+    ``IngestSummary`` read the same lags through one percentile rule,
+    so their p50/p99 are equal, not only ordered."""
+    service = empty_service()
+    summary = IngestPipeline(
+        service, make_source("scale-free:30", seed=5), batch_docs=4
+    ).run()
+    assert summary.docs == 30
+    _, payload = ServiceAPI(service).dispatch("/v1/metrics", {}, None)
+    gauge = payload["ingest"]
+    assert gauge["freshness_p50_ms"] == summary.freshness_p50_ms
+    assert gauge["freshness_p99_ms"] == summary.freshness_p99_ms

@@ -1,7 +1,7 @@
 """The query-stack redesign's safety net.
 
-Three families of checks pin the AST → logical plan → physical
-operators pipeline to the pre-redesign evaluator:
+Three families of checks pin the AST → physical plan → operators
+pipeline to the pre-redesign evaluator:
 
 * a **differential suite** against a frozen copy of the legacy
   left-to-right evaluator (bit-identical bindings, scores *and*
@@ -27,7 +27,6 @@ from repro.query import (
     PreparedQuery,
     QueryEngine,
     QueryResult,
-    build_logical_plan,
     parse_path,
     plan_query,
 )
@@ -39,14 +38,6 @@ from repro.query.exec import (
 )
 from repro.query.ontology import TagOntology
 from repro.query.pathexpr import PathExpression, Predicate, Step
-from repro.query.plan import (
-    ChildJoin,
-    DescendantJoin,
-    Filter,
-    Limit,
-    Rank,
-    Scan,
-)
 from repro.xmlmodel import Collection, dblp_like
 
 
@@ -581,22 +572,9 @@ class TestPredicatesAndWindows:
 
 
 class TestPlanApi:
-    def test_logical_plan_shape(self):
-        plan = build_logical_plan("/bib//book[author]//title limit 3 offset 1")
-        kinds = [type(n) for n in plan.nodes]
-        assert kinds == [Scan, DescendantJoin, Filter, DescendantJoin,
-                         Rank, Limit]
-        scan = plan.nodes[0]
-        assert scan.anchored and scan.position == 0
-        assert plan.nodes[-1] == Limit(3, 1)
-
-    def test_child_join_node(self):
-        plan = build_logical_plan("//book/title")
-        assert type(plan.nodes[1]) is ChildJoin
-
     def test_plan_key_canonicalises(self):
         def plan_key(path):
-            return build_logical_plan(path).key
+            return PreparedQuery(path).key
 
         assert plan_key("  //book//author  ") == "//book//author"
         assert plan_key("//a offset 2 limit 5") == plan_key(
