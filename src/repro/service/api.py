@@ -10,14 +10,16 @@ callable without a socket (the parity suite compares direct
 only its transport: socket handling, HTTP parsing, concurrency, and
 admission control.
 
-A ``/v1/query`` or ``/v1/count`` whose answer is already in the
-result cache has a second, byte-level rendering:
-:meth:`ServiceAPI.cached_body` returns the finished JSON body without
-evaluating anything, so the front end answers it on its event loop.
-Both renderings take their fields from the same three functions
-(``_result_rows``, ``_query_payload``, ``_count_payload``); a cached
-list's rows are encoded once per ``(plan key, epoch)`` and reused by
-every window.
+:meth:`ServiceAPI.answer_now` gives the front end the finished
+``(status, JSON body)`` of every GET whose cost is bounded, so it is
+answered on the event loop: a point read or health check
+(:data:`POINT_ROUTES` — two label rows, or one read of the epoch
+holder), whose handler runs there, error answers included; and a
+``/v1/query`` or ``/v1/count`` whose answer is already in the result
+cache. The cached rendering takes its fields from the same three
+functions as the handlers (``_result_rows``, ``_query_payload``,
+``_count_payload``); a cached list's rows are encoded once per
+``(plan key, epoch)`` and reused by every window.
 
 The API (all JSON, every response tagged with the ``epoch`` that
 answered it):
@@ -61,7 +63,7 @@ returning ``(status, payload)`` and list it in :data:`V1_ROUTES`.
 :class:`~repro.service.telemetry.Telemetry` instance (per-endpoint
 latency histograms + status counters), which the ``/v1/metrics``
 endpoint reports back out together with the service's cache hit rates
-and epoch age. :meth:`ServiceAPI.run` and :meth:`ServiceAPI.cached_body`
+and epoch age. :meth:`ServiceAPI.run` and :meth:`ServiceAPI.answer_now`
 do not: the front end records what it runs through them itself, once
 per request, with the status it answered.
 """
@@ -83,10 +85,16 @@ V1_ROUTES = frozenset(
     {"query", "count", "explain", "connected", "distance", "update",
      "stats", "healthz", "metrics"}
 )
-#: control-plane endpoints: cheap, read-only, and required to stay
-#: responsive under overload — the front end's admission control never
-#: queues or sheds these
-CONTROL_ROUTES = frozenset({"healthz", "metrics"})
+#: GET endpoints whose every answer costs a few label rows
+#: (``connected`` gallops over two, ``distance`` merges two) or one read
+#: of the epoch holder (``healthz``): :meth:`ServiceAPI.answer_now` runs
+#: them on the front end's event loop, with no admission or deadline
+POINT_ROUTES = frozenset({"connected", "distance", "healthz"})
+#: control-plane endpoints: read-only and required to stay responsive
+#: under overload, but too dear for the event loop (``metrics`` sorts
+#: every latency window) — the front end runs them on a pool of their
+#: own that admission control never queues or sheds
+CONTROL_ROUTES = frozenset({"metrics"})
 
 
 def error_payload(code: str, message: str) -> Dict[str, Any]:
@@ -158,8 +166,9 @@ class ServiceAPI:
     with the enclosing front end so admission-control gauges and
     request histograms land in one ``/v1/metrics`` payload.
     :meth:`dispatch` answers any request with a ``(status, payload)``
-    pair; :meth:`cached_body` answers a result-cache hit with finished
-    JSON bytes, from rows it encodes once per cached entry.
+    pair; :meth:`answer_now` answers a point read, a health check or a
+    result-cache hit with finished JSON bytes, the last from rows it
+    encodes once per cached entry.
     """
 
     def __init__(
@@ -242,9 +251,10 @@ class ServiceAPI:
     ) -> Tuple[int, Dict[str, Any], float]:
         """:meth:`dispatch` without the telemetry, for a path already
         routed to ``name``: ``(status, payload, handler seconds)``. The
-        front end's worker pool runs this and records the request
-        itself, so a request that misses its deadline is recorded once,
-        as the 503 it was answered with."""
+        front end's worker pool (and :meth:`answer_now`, on the loop)
+        runs this and the front end records the request itself, so a
+        request that misses its deadline is recorded once, as the 503 it
+        was answered with."""
         if name is None:
             message = f"unknown endpoint {url_path!r}"
             return 404, error_payload("not_found", message), 0.0
@@ -259,21 +269,27 @@ class ServiceAPI:
             )
         return status, payload, time.perf_counter() - t0
 
-    def cached_body(
+    def answer_now(
         self, url_path: str, params: Dict[str, list]
-    ) -> Optional[bytes]:
-        """The JSON body :meth:`dispatch` would answer a ``/v1/query``
-        or ``/v1/count`` with, if the result cache already holds it —
-        else ``None``, and the request takes the worker pool.
+    ) -> Optional[Tuple[int, bytes]]:
+        """``(status, JSON body)`` of a GET whose cost is bounded, else
+        ``None``, and the request takes the worker pool. The front end
+        calls it on its event loop.
 
-        Byte for byte ``json.dumps`` of the dispatch payload (only
+        A :data:`POINT_ROUTES` request runs its handler here, so every
+        answer, an error too, is ``json.dumps`` of :meth:`dispatch`'s
+        payload. A ``/v1/query`` or ``/v1/count`` is answered only if
+        the result cache already holds it, with no parse, evaluation or
+        wait: byte for byte ``json.dumps`` of the dispatch payload (only
         ``seconds`` differs), assembled from rows each encoded once per
-        cached entry. Never parses, evaluates or waits, so the front end
-        calls it on its event loop; a hit counts in the service exactly
-        as a dispatched hit does. Bad parameters are left to
-        :meth:`dispatch`, which owns the error answers.
+        cached entry. Such a hit counts in the service exactly as a
+        dispatched hit does; bad parameters and misses are left to
+        :meth:`dispatch`, which owns those answers.
         """
         name = route(url_path)
+        if name in POINT_ROUTES:
+            status, payload, _ = self.run(name, url_path, params, None)
+            return status, json.dumps(payload).encode()
         if name not in ("query", "count"):
             return None
         try:
@@ -282,7 +298,7 @@ class ServiceAPI:
                 hit = self.service.cached_count(path)
                 if hit is None:
                     return None
-                return json.dumps(_count_payload(path, *hit)).encode()
+                return 200, json.dumps(_count_payload(path, *hit)).encode()
             limit, offset = self._window(params)
         except UpdateError:
             return None
@@ -299,7 +315,7 @@ class ServiceAPI:
         # every field after "results" is a number, a bool or null, so
         # the last '"results": [' is the key itself
         cut = text.rindex(b'"results": [') + len(b'"results": [')
-        return b"".join((text[:cut], b", ".join(window), text[cut:]))
+        return 200, b"".join((text[:cut], b", ".join(window), text[cut:]))
 
     def _rendered_rows(
         self, response: QueryResponse, start: int, end: int

@@ -7,11 +7,13 @@ the only one; ``repro serve`` runs it — is instead:
 
 * **one event loop** owning every socket — accept, parse and response
   writes never wait on query evaluation;
-* **cache hits answered on the loop**: a ``GET /v1/query`` or
-  ``/v1/count`` whose answer the result cache already holds is written
-  straight from :meth:`~repro.service.api.ServiceAPI.cached_body`'s
-  pre-rendered bytes — it never parses, evaluates or waits, so it
-  needs neither admission nor a worker;
+* **bounded reads answered on the loop**: a ``GET /v1/connected``,
+  ``/v1/distance`` or ``/v1/healthz`` (a few label rows, or one read of
+  the epoch holder), and a ``GET /v1/query`` or ``/v1/count`` whose
+  answer the result cache already holds, are written straight from
+  :meth:`~repro.service.api.ServiceAPI.answer_now`'s bytes — none
+  parses, evaluates or waits, so none needs admission, a worker or a
+  deadline;
 * **a bounded worker pool** (``max_inflight`` threads) running
   everything else — the service's lock-free epoch-pinned read path,
   single-flight coalescing and hot-swap semantics are untouched
@@ -35,15 +37,16 @@ the only one; ``repro serve`` runs it — is instead:
   "overloaded"}}`` (the evaluation thread finishes in the background
   and still warms the cache — only the response is given up on, and
   the 503 is the request's only telemetry record);
-* **control-plane exemption**: ``/v1/healthz`` and ``/v1/metrics``
-  run on a dedicated two-thread pool with no admission gate, so
-  operators can always see queue depth, shed counts and epoch age —
-  even mid-overload.
+* **control-plane exemption**: ``/v1/metrics`` runs on a dedicated
+  two-thread pool with no admission gate, and ``/v1/healthz`` on the
+  loop, so operators can always see queue depth, shed counts and epoch
+  age — even mid-overload.
 
 Admission-control state machine (one request)::
 
-    arrive ──► GET query/count with a result-cache hit? ──yes──► ANSWERED
-                    │ no                                 (on the loop)
+    arrive ──► a GET result-cache hit, or a point read /
+               health check? ──yes──► ANSWERED (on the loop)
+                    │ no
                     ▼
                inflight < max_inflight + queue_depth? ──no──► SHED (429)
                     │ yes
@@ -95,8 +98,6 @@ DEFAULT_TIMEOUTS: Dict[str, float] = {
     "query": 30.0,
     "count": 30.0,
     "explain": 15.0,
-    "connected": 15.0,
-    "distance": 15.0,
     "update": 120.0,
     "stats": 15.0,
 }
@@ -185,8 +186,8 @@ class AsyncServiceServer:
         self._pool = ThreadPoolExecutor(
             max_workers=max_inflight, thread_name_prefix="repro-async-worker"
         )
-        # control plane: tiny, un-gated, so healthz/metrics stay live
-        # even when every worker slot and queue slot is busy
+        # control plane: tiny, un-gated, so /v1/metrics stays live even
+        # when every worker slot and queue slot is busy
         self._control_pool = ThreadPoolExecutor(
             max_workers=2, thread_name_prefix="repro-async-control"
         )
@@ -401,15 +402,13 @@ class AsyncServiceServer:
         params = parse_qs(url.query)
         name = route(url.path)
         t0 = time.perf_counter()
-        cached = None
-        if method == "GET":
-            cached = self.api.cached_body(url.path, params)
-        if cached is not None:
-            # a result-cache hit, answered here on the loop: no
-            # admission, no worker, no re-encode
-            status = 200
+        now = self.api.answer_now(url.path, params) if method == "GET" else None
+        if now is not None:
+            # a point read, health check or result-cache hit, answered
+            # here on the loop: no admission, no worker, no deadline
+            status, answer = now
             self.telemetry.observe(name, time.perf_counter() - t0, status)
-            self._write_response(writer, status, cached, keep_alive=keep_alive)
+            self._write_response(writer, status, answer, keep_alive=keep_alive)
         else:
             client = headers.get("x-client-id")
             if not client:
@@ -454,10 +453,10 @@ class AsyncServiceServer:
     ) -> Tuple[int, Dict[str, Any]]:
         """Admission-control one request, then run the shared core.
 
-        Control-plane endpoints bypass the gate entirely; everything
-        else is shed with a structured 429 when the queue (or the
-        caller's fair share of it) is full and a structured 503 when
-        its endpoint deadline passes. Shed responses carry a
+        Control-plane endpoints (``/v1/metrics``) bypass the gate
+        entirely; everything else is shed with a structured 429 when
+        the queue (or the caller's fair share of it) is full and a
+        structured 503 when its endpoint deadline passes. Shed responses carry a
         ``retry_after_seconds`` hint mirrored into the ``Retry-After``
         header by the transport. Each request is recorded in the
         telemetry once, with the status it is answered with.

@@ -25,6 +25,7 @@ fields, which :class:`repro.service.api.ServiceAPI` merges in).
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Union
@@ -34,14 +35,14 @@ DEFAULT_WINDOW = 2048
 
 
 def percentile(sorted_values: Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile of an ascending sequence (0 < f <= 1)."""
+    """Nearest-rank percentile of an ascending sequence (0 < f <= 1):
+    the smallest value with at least ``fraction`` of the sample at or
+    below it, the ``ceil(f·n)``-th — ``perf/measure.percentile``'s rule.
+    ``0.0`` for an empty sequence."""
     if not sorted_values:
         return 0.0
-    rank = max(
-        0,
-        min(len(sorted_values) - 1, int(fraction * len(sorted_values) + 0.5) - 1),
-    )
-    return sorted_values[rank]
+    rank = max(1, math.ceil(fraction * len(sorted_values)))
+    return sorted_values[rank - 1]
 
 
 class EndpointStats:

@@ -273,10 +273,11 @@ class TestCachedBytePath:
         target = "/v1/query?path=//article//author" + query
         url = urllib.parse.urlparse(target)
         params = urllib.parse.parse_qs(url.query)
-        assert api.cached_body(url.path, params) is None  # cold
+        assert api.answer_now(url.path, params) is None  # cold
         api.dispatch(url.path, params, None)
-        body = api.cached_body(url.path, params)
+        status, body = api.answer_now(url.path, params)
         _, payload = api.dispatch(url.path, params, None)
+        assert status == 200
         assert payload["cached"] is True
         assert without_seconds(body) == without_seconds(
             json.dumps(payload).encode()
@@ -294,16 +295,37 @@ class TestCachedBytePath:
             url = urllib.parse.urlparse(target)
             params = urllib.parse.parse_qs(url.query)
             api.dispatch(url.path, params, None)
-            body = api.cached_body(url.path, params)
+            status, body = api.answer_now(url.path, params)
             _, payload = api.dispatch(url.path, params, None)
+            assert status == 200, target
             assert without_seconds(body) == without_seconds(
                 json.dumps(payload).encode()
             ), target
         assert json.loads(body)["path"] == "//article//author  limit  3"
-        query = json.loads(api.cached_body(
+        query = json.loads(api.answer_now(
             "/v1/query", {"path": ["//article//author"]}
-        ))
+        )[1])
         assert query["truncated"] is True and query["total"] == 7
+
+    @pytest.mark.parametrize("query", [
+        "connected?source={0}&target={1}",
+        "connected?source={1}&target={0}",
+        "connected?source={0}",              # missing target
+        "connected?source=x&target=1",       # not an integer
+        "distance?source={0}&target={1}",    # not distance-aware
+        "distance?target=1",
+    ])
+    def test_point_reads_are_the_dispatch_bytes(self, base_index, query):
+        """A point read answers on the loop with ``json.dumps`` of the
+        dispatch payload, its error answers included."""
+        service = QueryService(base_index.copy())
+        api = ServiceAPI(service)
+        url = urllib.parse.urlparse("/v1/" + query.format(0, 1))
+        params = urllib.parse.parse_qs(url.query)
+        status, payload = api.dispatch(url.path, params, None)
+        assert api.answer_now(url.path, params) == (
+            status, json.dumps(payload).encode()
+        )
 
     def test_hits_skip_the_worker_pool(self, base_index):
         service = QueryService(base_index.copy())
@@ -502,8 +524,10 @@ class TestOverload:
         assert "responses_2xx" not in metrics["counters"]
 
     def test_control_plane_bypasses_admission(self, base_index):
-        """healthz/metrics answer even when the data plane is saturated
-        — they ride a dedicated pool with no admission gate."""
+        """healthz, point reads and metrics answer even when the data
+        plane is saturated: healthz, connected and distance on the event
+        loop, metrics on a dedicated pool, none through the admission
+        gate — so none is shed, and each is counted once."""
         service = SlowService(QueryService(base_index.copy()), delay=0.5)
         with start_in_thread(
             service, max_inflight=1, queue_depth=0
@@ -517,13 +541,29 @@ class TestOverload:
             time.sleep(0.05)
             t0 = time.perf_counter()
             status_h, health = fetch(handle.base_url, "/v1/healthz")
+            status_c, connected = fetch(
+                handle.base_url, "/v1/connected?source=0&target=1"
+            )
+            status_d, distance = fetch(
+                handle.base_url, "/v1/distance?source=0&target=1"
+            )
             status_m, metrics = fetch(handle.base_url, "/v1/metrics")
             elapsed = time.perf_counter() - t0
             blocker.join(timeout=10)
 
             assert status_h == 200 and health["status"] == "ok"
+            # the only worker is busy and no queue slot exists, so an
+            # admitted request would have been a 429
+            assert status_c == 200 and connected["connected"] is True
+            # the plain index's structured 400, not a shed
+            assert status_d == 400, distance
+            assert distance["error"]["code"] == "bad_request"
+            assert "distance=True" in distance["error"]["message"]
             assert status_m == 200
             assert metrics["gauges"]["inflight"] >= 1  # saw the busy worker
+            assert metrics["shed"]["total"] == 0
+            for name in ("healthz", "connected", "distance"):
+                assert metrics["endpoints"][name]["count"] == 1, name
             bound = 2.0 if IN_CI else 0.4
             assert elapsed < bound, elapsed
 

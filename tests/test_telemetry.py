@@ -25,6 +25,19 @@ class TestPercentile:
         assert percentile(values, 0.99) == 99.0
         assert percentile(values, 1.0) == 100.0
 
+    def test_is_the_nearest_rank_definition(self):
+        """The smallest observed value with at least p of the sample at
+        or below it, for n = 1…300 at p50/p95/p99."""
+        for n in range(1, 301):
+            values = [0.5 * i for i in range(1, n + 1)]  # distinct, ascending
+            for num, den in ((1, 2), (19, 20), (99, 100)):
+                # the k-th smallest of n distinct values has k at or
+                # below it: the first k with k/n >= num/den, exactly
+                want = next(
+                    v for k, v in enumerate(values, 1) if k * den >= num * n
+                )
+                assert percentile(values, num / den) == want, (n, num, den)
+
 
 class TestEndpointStats:
     def test_counts_and_classification(self):
