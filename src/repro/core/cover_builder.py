@@ -32,8 +32,13 @@ the paper: pruned landmark labelling (Akiba, Iwata & Yoshida, SIGMOD
 pruned breadth-first search pair per vertex, with no closure, no
 partitions and no join. :func:`build_collection_pll_cover`, the product
 build, runs it on a collection's element graph read straight from the
-documents. The greedy builder above stays as the reproduction and as
-the differential oracle.
+documents. A link-free document (no intra-document link, no element
+an inter-document link endpoint) is a tree component of that graph,
+and one closed-form pass writes its labels instead of searches: PLL
+labels are canonical, a pair being covered by the highest-ranked
+vertex on its path, and a tree path is unique, so the pass writes
+exactly the entries the searches would. The greedy builder above stays
+as the reproduction and as the differential oracle.
 """
 
 from __future__ import annotations
@@ -366,6 +371,12 @@ def build_collection_pll_cover(
     ``children`` and ``intra_links`` and the collection's
     ``inter_links``: no edge tuples. An intra-link parallel to a tree
     edge and a self-loop are dropped, as the edge-list form drops them.
+
+    A link-free document is a component of that graph, and a tree, so
+    its labels are written in closed form (:func:`_label_trees`) and
+    searched by no BFS. PLL labels are canonical: a pair is covered by
+    the highest-ranked vertex on its path, and in a tree that path is
+    unique, so the closed form and the searches write the same entries.
     """
     elements = collection.elements
     labels = sorted(elements)
@@ -378,26 +389,42 @@ def build_collection_pll_cover(
             if kids:
                 p = index[parent]
                 row = succ[p] = [index[k] for k in kids]
+                up = (p,)
                 for k in row:
-                    pred[k] = [p]
+                    pred[k] = up
         intra.append(doc.intra_links)
     for u, v in chain(chain.from_iterable(intra), collection.inter_links):
         if u != v and elements[v].parent != u:
             ui, vi = index[u], index[v]
             _append(succ, ui, vi)
             _append(pred, vi, ui)
+    linked = set()
+    for u, v in collection.inter_links:
+        linked.add(elements[u].doc)
+        linked.add(elements[v].doc)
+    free = [
+        doc for doc_id, doc in collection.documents.items()
+        if not doc.intra_links and doc_id not in linked
+    ]
+    if len(free) == len(collection.documents):
+        trees: Sequence[int] = range(len(labels))
+    else:
+        trees = sorted(index[e] for doc in free for e in doc.elements)
     return _pll_cover(
-        labels, index, succ, pred, distance, reach_multiplier(collection), None
+        labels, index, succ, pred, distance, reach_multiplier(collection), None,
+        trees,
     )
 
 
 def _append(rows: List[Sequence[int]], i: int, x: int) -> None:
-    """Append ``x`` to ``rows[i]``, a list created on first use: most
-    vertices of a tree have no successor."""
-    if rows[i]:
-        rows[i].append(x)
+    """Append ``x`` to ``rows[i]``. A tuple row (the empty one, or a
+    tree edge's parent, shared by siblings) becomes a list first: most
+    vertices of a tree have no successor and one predecessor."""
+    row = rows[i]
+    if type(row) is list:
+        row.append(x)
     else:
-        rows[i] = [x]
+        rows[i] = [*row, x]
 
 
 def _pll_cover(
@@ -408,33 +435,46 @@ def _pll_cover(
     distance: bool,
     multiplier: Optional[Mapping[Node, int]],
     order: Optional[Sequence[Node]],
+    trees: Sequence[int] = (),
 ) -> Tuple[TwoHopCover, int]:
     """The labelling of :func:`build_pll_cover` over the graph ``succ``
     / ``pred`` (rows of interned ids, free of duplicates and
     self-loops) on ``labels`` and their ids ``index``: the cover, handed
     its finished tables (and without ``order`` its ranks), and its
-    number of label entries."""
+    number of label entries. ``trees`` (ascending ids, without
+    ``order``) are the vertices of components that are trees of unit
+    multiplier whose parents' ids are below their children's:
+    :func:`_label_trees` labels them and the searches skip them."""
     n = len(labels)
-    if order is None:
-        key = [(s + 1) * (p + 1) for s, p in zip(map(len, succ), map(len, pred))]
-        for v, factor in (multiplier or {}).items():
-            key[index[v]] *= factor
-        # ids follow node order, and a reversed sort is stable too: ties
-        # go by id
-        ranked = sorted(range(n), key=key.__getitem__, reverse=True)
-        rank = rank_array(key)
-    else:
-        ranked = [index[v] for v in order]
-        rank = array(RANK_TYPECODE)  # the caller's order has no keys to store
     # label rows as lazily created lists (of center ids, or for distance
-    # of (center id, distance) pairs), each turned into an array at the end
+    # of (center id, distance) pairs), each turned into an array at the
+    # end; the tree pass writes finished arrays
     lin: List[Optional[list]] = [None] * n
     lout: List[Optional[list]] = [None] * n
     inv_lin: List[Optional[array]] = [None] * n
     inv_lout: List[Optional[array]] = [None] * n
+    tables = {"lin": lin, "lout": lout, "inv_lin": inv_lin, "inv_lout": inv_lout}
+    if distance:
+        tables["lin_dist"] = [None] * n
+        tables["lout_dist"] = [None] * n
+    entries = 0
+    searched: Sequence[int] = range(n)
+    if order is None:
+        key = [(s + 1) * (p + 1) for s, p in zip(map(len, succ), map(len, pred))]
+        for v, factor in (multiplier or {}).items():
+            key[index[v]] *= factor
+        if trees:
+            entries = _label_trees(trees, pred, key, tables)
+            searched = sorted(set(searched).difference(trees)) if len(trees) < n else ()
+        # ids follow node order, and a reversed sort is stable too: ties
+        # go by id
+        ranked = sorted(searched, key=key.__getitem__, reverse=True)
+        rank = rank_array(key)
+    else:
+        ranked = [index[v] for v in order]
+        rank = array(RANK_TYPECODE)  # the caller's order has no keys to store
     seen = [-1] * n
     stamp = 0
-    entries = 0
     directions = (
         (succ, lout, lin, inv_lin),   # forward: into Lin
         (pred, lin, lout, inv_lout),  # backward: into Lout
@@ -543,11 +583,11 @@ def _pll_cover(
             entries += len(visited)
             visited.sort()
             inv[w] = array(ID_TYPECODE, visited)
-    tables = {"lin": lin, "lout": lout, "inv_lin": inv_lin, "inv_lout": inv_lout}
     for name, table in (("lin", lin), ("lout", lout)):
         if distance:
-            dists = tables[name + "_dist"] = [None] * n
-        for x, row in enumerate(table):
+            dists = tables[name + "_dist"]
+        for x in searched:
+            row = table[x]
             if row:
                 row.sort()
                 if distance:
@@ -559,6 +599,96 @@ def _pll_cover(
     cover = factory._from_tables(NodeInterner._adopt(labels, index), range(n), **tables)
     cover._rank = rank
     return cover, entries
+
+
+def _label_trees(
+    trees: Sequence[int],
+    pred: List[Sequence[int]],
+    key: List[int],
+    tables: Dict[str, List[Optional[array]]],
+) -> int:
+    """Write the PLL labels of the tree vertices ``trees`` (ascending
+    ids) into ``tables`` as finished arrays, and return their number of
+    entries.
+
+    A parent's id is below its children's (a collection numbers
+    elements as it creates them), so an ancestor ``a`` of ``x``
+    outranks it iff ``key[a] >= key[x]`` (ties go to the lower id).
+    ``Lin(x)`` is then the chain of ancestors that outrank every vertex
+    below them on the way to ``x``: ``Lin(p) + [p]`` when the parent
+    ``p`` outranks ``x``, else the prefix of ``Lin(p)`` that outranks
+    ``x``. And ``x`` joins ``Lout(u)`` of every ancestor ``u`` below
+    the nearest one that outranks it. Parents are visited first, so
+    every row comes out sorted; each is its own array. A distance is a
+    depth difference."""
+    lin, lout = tables["lin"], tables["lout"]
+    inv_lin, inv_lout = tables["inv_lin"], tables["inv_lout"]
+    # Lin(p) + [p], made for p's first child that p outranks and copied
+    # for the others; p is a center from then on
+    grown: List[Optional[array]] = [None] * len(key)
+    centers = []
+    sources = []  # the vertices with a Lout row
+    for x in trees:
+        above = pred[x]
+        if not above:
+            continue
+        p = above[0]
+        kx = key[x]
+        if key[p] >= kx:
+            row = grown[p]
+            if row is None:
+                head = lin[p]
+                tail = array(ID_TYPECODE, (p,))
+                row = lin[x] = grown[p] = head + tail if head else tail
+                inv_lin[p] = []
+                centers.append(p)
+            else:
+                lin[x] = row[:]
+        else:
+            head = lin[p]
+            j = len(head) if head else 0
+            while j and key[head[j - 1]] < kx:
+                j -= 1
+            if j:
+                row = lin[x] = head[:j]
+                stop = row[-1]
+            else:
+                row = ()
+                stop = -1
+            walked = []
+            u = p
+            while u != stop:
+                walked.append(u)
+                if lout[u] is None:
+                    lout[u] = [x]
+                    sources.append(u)
+                else:
+                    lout[u].append(x)
+                above = pred[u]
+                u = above[0] if above else -1
+            walked.reverse()
+            inv_lout[x] = array(ID_TYPECODE, walked)
+        for c in row:
+            inv_lin[c].append(x)
+    entries = 0
+    for c in centers:
+        entries += len(inv_lin[c])
+        inv_lin[c] = array(ID_TYPECODE, inv_lin[c])
+    for u in sources:
+        entries += len(lout[u])
+        lout[u] = array(ID_TYPECODE, lout[u])
+    if "lin_dist" in tables:
+        depth = [0] * len(key)
+        for x in trees:
+            if pred[x]:
+                depth[x] = depth[pred[x][0]] + 1
+        for table, dists in ((lin, tables["lin_dist"]), (lout, tables["lout_dist"])):
+            for x in trees:
+                row = table[x]
+                if row:
+                    d = depth[x]
+                    dists[x] = array(ID_TYPECODE, [abs(d - depth[c]) for c in row])
+    return entries
 
 
 def _shares_center_within(

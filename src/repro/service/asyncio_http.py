@@ -13,7 +13,7 @@ the only one; ``repro serve`` runs it — is instead:
   answer the result cache already holds, are written straight from
   :meth:`~repro.service.api.ServiceAPI.answer_now`'s bytes — none
   parses, evaluates or waits, so none needs admission, a worker or a
-  deadline;
+  deadline; nor does the structured 404 of a path no endpoint serves;
 * **a bounded worker pool** (``max_inflight`` threads) running
   everything else — the service's lock-free epoch-pinned read path,
   single-flight coalescing and hot-swap semantics are untouched
@@ -44,7 +44,10 @@ the only one; ``repro serve`` runs it — is instead:
 
 Admission-control state machine (one request)::
 
-    arrive ──► a GET result-cache hit, or a point read /
+    arrive ──► unknown route? ──yes──► NOT FOUND (404 on the loop;
+                    │ no                   no telemetry record)
+                    ▼
+               a GET result-cache hit, or a point read /
                health check? ──yes──► ANSWERED (on the loop)
                     │ no
                     ▼
@@ -401,14 +404,18 @@ class AsyncServiceServer:
 
         params = parse_qs(url.query)
         name = route(url.path)
+        extra_headers = None
         t0 = time.perf_counter()
         now = self.api.answer_now(url.path, params) if method == "GET" else None
-        if now is not None:
+        if name is None:
+            # an unknown route: its 404 needs no service, so no
+            # admission, no worker and, as in dispatch, no telemetry
+            status, payload, _ = self.api.run(name, url.path, params, body)
+        elif now is not None:
             # a point read, health check or result-cache hit, answered
             # here on the loop: no admission, no worker, no deadline
-            status, answer = now
+            status, payload = now
             self.telemetry.observe(name, time.perf_counter() - t0, status)
-            self._write_response(writer, status, answer, keep_alive=keep_alive)
         else:
             client = headers.get("x-client-id")
             if not client:
@@ -420,13 +427,12 @@ class AsyncServiceServer:
                 name, url.path, params, body, client
             )
             hint = payload.get("retry_after_seconds")
-            extra_headers = None
             if hint is not None:
                 extra_headers = {"Retry-After": str(hint)}
-            self._write_response(
-                writer, status, payload,
-                keep_alive=keep_alive, extra_headers=extra_headers,
-            )
+        self._write_response(
+            writer, status, payload,
+            keep_alive=keep_alive, extra_headers=extra_headers,
+        )
         await _drain_quietly(writer)
         if self.verbose:  # pragma: no cover - interactive logging
             print(f"{method} {target} -> {status}", flush=True)
@@ -445,7 +451,7 @@ class AsyncServiceServer:
 
     async def _dispatch(
         self,
-        name: Optional[str],
+        name: str,
         url_path: str,
         params: Dict[str, list],
         body: Optional[Any],
@@ -470,7 +476,7 @@ class AsyncServiceServer:
 
         if self._inflight >= self.max_inflight + self.queue_depth:
             self.telemetry.counter("shed_queue_full")
-            self.telemetry.observe(name or "unknown", 0.0, 429)
+            self.telemetry.observe(name, 0.0, 429)
             return 429, {
                 "error": {
                     "code": "overloaded",
@@ -485,7 +491,7 @@ class AsyncServiceServer:
 
         if self._per_client.get(client, 0) >= self.client_cap:
             self.telemetry.counter("shed_client_cap")
-            self.telemetry.observe(name or "unknown", 0.0, 429)
+            self.telemetry.observe(name, 0.0, 429)
             return 429, {
                 "error": {
                     "code": "overloaded",
@@ -498,7 +504,7 @@ class AsyncServiceServer:
                 "retry_after_seconds": self._retry_after(),
             }
 
-        timeout = self.timeouts.get(name) if name is not None else 15.0
+        timeout = self.timeouts.get(name)
         self._inflight += 1
         self._per_client[client] = self._per_client.get(client, 0) + 1
         t0 = time.perf_counter()
@@ -511,9 +517,7 @@ class AsyncServiceServer:
             status, payload, seconds = await asyncio.wait_for(future, timeout)
         except asyncio.TimeoutError:
             self.telemetry.counter("shed_timeout")
-            self.telemetry.observe(
-                name or "unknown", time.perf_counter() - t0, 503
-            )
+            self.telemetry.observe(name, time.perf_counter() - t0, 503)
             return 503, {
                 "error": {
                     "code": "overloaded",
@@ -532,8 +536,7 @@ class AsyncServiceServer:
                 self._per_client.pop(client, None)
             else:
                 self._per_client[client] = remaining
-        if name is not None:
-            self.telemetry.observe(name, seconds, status)
+        self.telemetry.observe(name, seconds, status)
         return status, payload
 
 

@@ -524,10 +524,12 @@ class TestOverload:
         assert "responses_2xx" not in metrics["counters"]
 
     def test_control_plane_bypasses_admission(self, base_index):
-        """healthz, point reads and metrics answer even when the data
-        plane is saturated: healthz, connected and distance on the event
-        loop, metrics on a dedicated pool, none through the admission
-        gate — so none is shed, and each is counted once."""
+        """healthz, point reads, unknown routes and metrics answer even
+        when the data plane is saturated: healthz, connected, distance
+        and the unknown route's 404 on the event loop, metrics on a
+        dedicated pool, none through the admission gate — so none is
+        shed, each route is counted once and the unknown one not at
+        all."""
         service = SlowService(QueryService(base_index.copy()), delay=0.5)
         with start_in_thread(
             service, max_inflight=1, queue_depth=0
@@ -547,6 +549,7 @@ class TestOverload:
             status_d, distance = fetch(
                 handle.base_url, "/v1/distance?source=0&target=1"
             )
+            status_n, nope = fetch(handle.base_url, "/v1/nope")
             status_m, metrics = fetch(handle.base_url, "/v1/metrics")
             elapsed = time.perf_counter() - t0
             blocker.join(timeout=10)
@@ -559,11 +562,14 @@ class TestOverload:
             assert status_d == 400, distance
             assert distance["error"]["code"] == "bad_request"
             assert "distance=True" in distance["error"]["message"]
+            # the structured 404, not a shed
+            assert status_n == 404 and nope["error"]["code"] == "not_found"
             assert status_m == 200
             assert metrics["gauges"]["inflight"] >= 1  # saw the busy worker
             assert metrics["shed"]["total"] == 0
             for name in ("healthz", "connected", "distance"):
                 assert metrics["endpoints"][name]["count"] == 1, name
+            assert "unknown" not in metrics["endpoints"]
             bound = 2.0 if IN_CI else 0.4
             assert elapsed < bound, elapsed
 

@@ -117,13 +117,38 @@ PINNED_BUILD_SHA256 = {
     ("inex", True): "a77500b500df143b5e25fe07ca3521de46a0a64de777ddb58968b7811ca6b720",
     ("cyclic", False): "eb6b5ab4183335ab575d6e6d037e8fe4c5ec6e6a723fb8151ee085680b377797",
     ("cyclic", True): "9ad77d9ed2439120252477559e6945a1fae081646b9b10ea086967774cd960f9",
+    ("mixed", False): "51d3dc002d48cfb4e02c5f4a3d0620678e6c3cbf4a22d56997a559661146cea1",
+    ("mixed", True): "b802b4912b8f1e4b1bcec44e1dd34ba27b444a27002d3feff64999bd00ea5b70",
 }
+
+
+def _link_free(c):
+    """The documents with no intra-link and no inter-link endpoint."""
+    ends = {c.doc(x) for link in c.inter_links for x in link}
+    return {d for d, doc in c.documents.items() if not doc.intra_links and d not in ends}
+
+
+def _mixed():
+    """Citation-linked documents, then three link-free article trees."""
+    c = dblp_like(12, seed=5)
+    trees = inex_like(3, seed=5)
+    eids = {}
+    for eid in sorted(trees.elements):
+        e = trees.elements[eid]
+        if e.parent is None:
+            eids[eid] = c.new_document(e.doc, e.tag).eid
+        else:
+            eids[eid] = c.add_child(eids[e.parent], e.tag).eid
+    return c
+
 
 PINNED_CORPORA = {
     "dblp": lambda: dblp_like(40, seed=2),
     "inex": lambda: inex_like(6, seed=3),
     # document-level cycles and intra-document links
     "cyclic": lambda: random_collection(n_docs=14, inter_links=40, seed=6),
+    # link-free documents labelled in closed form next to linked ones
+    "mixed": _mixed,
 }
 
 
@@ -133,9 +158,19 @@ def test_pll_build_bytes_are_pinned(corpus, distance):
     if corpus == "cyclic":
         assert not acyclic.is_acyclic(c.document_graph())
         assert any(doc.intra_links for doc in c.documents.values())
+    if corpus == "mixed":
+        assert _link_free(c) == {"inex0", "inex1", "inex2"}
     cover = HopiIndex.build(c, distance=distance).cover
     digest = hashlib.sha256(snapshot_to_bytes(cover)).hexdigest()
     assert digest == PINNED_BUILD_SHA256[corpus, distance]
+
+
+def _tree_document(c, doc_id, parents):
+    """A link-free document whose element ``i`` hangs under element
+    ``parents[i]`` (the root's entry is ``None``)."""
+    eids = [c.new_document(doc_id, "t").eid]
+    for parent in parents[1:]:
+        eids.append(c.add_child(eids[parent], "t").eid)
 
 
 @settings(SETTINGS, max_examples=40)
@@ -143,20 +178,34 @@ def test_pll_build_bytes_are_pinned(corpus, distance):
        st.booleans())
 def test_the_product_build_is_the_edge_list_build(n_docs, links, rng, distance):
     """The product build reads the element graph straight from the
-    collection. It writes the bytes ``build_pll_cover`` writes from the
-    element graph's edge list, and counts its entries, on collections
-    with an intra-link parallel to a tree edge, a self-loop intra-link,
-    a document-level cycle and the id gaps a deleted document leaves."""
+    collection, and labels link-free documents in closed form. It
+    writes the bytes, ranks and tables ``build_pll_cover`` writes from
+    the element graph's edge list, each row its own array, and counts
+    its entries, on collections with an intra-link parallel to a tree
+    edge, a self-loop intra-link, a document-level cycle, the id gaps a
+    deleted document leaves, and link-free documents next to linked
+    ones: a chain, a star, equal keys among siblings and two levels
+    apart, and a document grown interleaved with a linked one."""
     c = random_collection(n_docs=n_docs, inter_links=links, rng=rng)
     c.remove_document(rng.choice(sorted(c.documents)))
     x = rng.choice(sorted(c.elements))
     c.add_link(x, c.add_child(x, "a").eid)
     c.add_link(x, x)
     a, b = rng.sample(sorted(c.documents), 2)
+    _tree_document(c, "chain", [None] + list(range(59)))
+    _tree_document(c, "star", [None] + [0] * 9)
+    # siblings 1 and 2 tie, and so does 1 with its grandchild 7
+    _tree_document(c, "equal", [None, 0, 0, 1, 1, 2, 2, 3, 7, 7])
+    mine, theirs = [c.new_document("interleaved", "t").eid], [c.documents[a].root]
+    for _ in range(12):
+        mine.append(c.add_child(rng.choice(mine), "t").eid)
+        theirs.append(c.add_child(rng.choice(theirs), "a").eid)
     c.add_link(rng.choice(sorted(c.elements_of(a))), rng.choice(sorted(c.elements_of(b))))
     c.add_link(rng.choice(sorted(c.elements_of(b))), rng.choice(sorted(c.elements_of(a))))
     assert not acyclic.is_acyclic(c.document_graph())
     assert len(c.elements) < c._next_id
+    free = _link_free(c)
+    assert {"chain", "star", "equal", "interleaved"} <= free < set(c.documents)
     edges = list(c.inter_links)
     for doc in c.documents.values():
         edges += doc.graph_edges()
@@ -164,8 +213,16 @@ def test_the_product_build_is_the_edge_list_build(n_docs, links, rng, distance):
         list(c.elements), edges, distance=distance, multiplier=reach_multiplier(c)
     )
     index = HopiIndex.build(c, distance=distance)
-    assert snapshot_to_bytes(index.cover) == snapshot_to_bytes(expected)
+    cover = index.cover
+    assert snapshot_to_bytes(cover) == snapshot_to_bytes(expected)
     assert index.stats.cover_size == expected.size
+    nodes = sorted(c.elements)
+    assert cover.ranks(nodes) == expected.ranks(nodes)
+    rows = []
+    for name in cover._TABLE_NAMES:
+        assert getattr(cover, name) == getattr(expected, name), name
+        rows += filter(None, getattr(cover, name))
+    assert len(set(map(id, rows))) == len(rows)
 
 
 def _reference_multiplier(c):
