@@ -313,11 +313,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                 "--store at a fresh directory"
             )
         if checkpoint is not None:
-            if checkpoint.source != source.spec or checkpoint.seed != args.seed:
+            # the frontier records the source's own seed (0 for dir:)
+            if (checkpoint.source, checkpoint.seed) != (source.spec, source.seed):
                 raise SystemExit(
                     f"frontier checkpoint was written by source "
                     f"{checkpoint.source!r} seed {checkpoint.seed}, not "
-                    f"{source.spec!r} seed {args.seed}; refusing to mix "
+                    f"{source.spec!r} seed {source.seed}; refusing to mix "
                     "streams in one store"
                 )
             cursor = checkpoint.cursor
@@ -503,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed for synthetic sources (default 2005); a "
                         "resume must pass the original seed")
     p.add_argument("--batch-docs", type=int, default=8,
-                   help="documents per group-commit batch (default 8): "
+                   help="documents per update batch (default 8): "
                         "bigger amortises publishes, smaller cuts "
                         "freshness lag")
     p.add_argument("--max-docs", type=int, default=None,

@@ -1,12 +1,11 @@
 """The ``/update`` wire-format operation vocabulary.
 
 Every writer that maintains a shadow :class:`~repro.core.hopi.HopiIndex`
-speaks the same op dialect: the service's group-commit publisher and
-the durable update WAL's replay-on-restart (:mod:`repro.storage.wal`)
-both delegate to
-:func:`apply_update_op`. Keeping it in the core layer (rather than the
-service, where it grew up) lets the storage layer replay logged ops
-without importing the serving tier.
+speaks the same op dialect: the service's writer and the durable
+update WAL's replay-on-restart (:mod:`repro.storage.wal`) both
+delegate to :func:`apply_update_op`. Keeping it in the core layer
+(rather than the service, where it grew up) lets the storage layer
+replay logged ops without importing the serving tier.
 
 Ops are plain JSON-able dicts with an ``"op"`` discriminator — the
 contract that makes them durable: a logged op replays to the exact same

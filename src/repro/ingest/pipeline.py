@@ -1,11 +1,11 @@
-"""The ingestion pipeline: stream -> batch -> group-commit -> checkpoint.
+"""The ingestion pipeline: stream -> batch -> update -> checkpoint.
 
 :class:`IngestPipeline` pulls :class:`~repro.ingest.sources.DocRecord`
 items off a source, turns each into one self-contained
 ``insert_document`` wire op (the document's links ride in the same op,
 so a document is either fully published or not at all), batches ops
 and pushes each batch through
-:meth:`~repro.service.service.QueryService.update` — the group-commit
+:meth:`~repro.service.service.QueryService.update` — the one-writer
 COW write path, WAL-logged when the service has a durable store. After
 every acknowledged batch the frontier checkpoint advances (see
 :mod:`repro.ingest.frontier` for the crash-window analysis).
@@ -22,8 +22,9 @@ hrefs.
 
 Freshness lag is measured per document: the clock starts when the
 record leaves the source (discovery) and stops when its batch's new
-epoch is acknowledged (publish). The p50/p99 of those lags are the
-serving tier's ingestion-freshness figure in the ``/v1/metrics`` gauge.
+epoch is acknowledged (publish). The p50/p99 of those lags (nearest
+rank, :func:`repro.service.telemetry.percentile`) are the serving
+tier's ingestion-freshness figure in the ``/v1/metrics`` gauge.
 """
 
 from __future__ import annotations
@@ -34,20 +35,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.ingest.frontier import FrontierCheckpoint
 from repro.ingest.sources import DocRecord, Source
-
-
-def freshness_percentile(sorted_values: List[float], fraction: float) -> float:
-    """The nearest-rank ``fraction`` percentile of ascending lags, at
-    index ``round(fraction * (n - 1))``; 0.0 when there are none. The
-    ingest summary and the ``/v1/metrics`` freshness gauge both read
-    their p50/p99 through it."""
-    if not sorted_values:
-        return 0.0
-    index = min(
-        len(sorted_values) - 1,
-        max(0, int(round(fraction * (len(sorted_values) - 1)))),
-    )
-    return sorted_values[index]
+from repro.service.telemetry import percentile
 
 
 @dataclass
@@ -83,9 +71,8 @@ class IngestPipeline:
             ``record_ingest``, per-batch freshness samples are pushed
             to it so ``/v1/metrics`` can report the gauge.
         source: the document stream.
-        batch_docs: documents per ``update`` batch (the group-commit
-            knob: bigger batches amortise publishes, smaller ones cut
-            freshness lag).
+        batch_docs: documents per ``update`` batch (bigger batches
+            amortise publishes, smaller ones cut freshness lag).
         store_dir: directory of the durable store; when set, the
             frontier checkpoint is written here after every
             acknowledged batch.
@@ -147,7 +134,7 @@ class IngestPipeline:
         """
         summary = IngestSummary(
             source=self.source.spec,
-            seed=getattr(self.source, "seed", 0),
+            seed=self.source.seed,
             epoch=getattr(self.service, "epoch", 0),
             cursor=self.cursor,
             resumed_from=self.cursor,
@@ -180,7 +167,7 @@ class IngestPipeline:
             if self.store_dir is not None:
                 FrontierCheckpoint(
                     source=self.source.spec,
-                    seed=getattr(self.source, "seed", 0),
+                    seed=self.source.seed,
                     cursor=position,
                     epoch=summary.epoch,
                     docs=summary.docs + summary.skipped,
@@ -220,6 +207,6 @@ class IngestPipeline:
         )
         lags.sort()
         summary.freshness_lags = lags
-        summary.freshness_p50_ms = freshness_percentile(lags, 0.50) * 1e3
-        summary.freshness_p99_ms = freshness_percentile(lags, 0.99) * 1e3
+        summary.freshness_p50_ms = percentile(lags, 0.50) * 1e3
+        summary.freshness_p99_ms = percentile(lags, 0.99) * 1e3
         return summary

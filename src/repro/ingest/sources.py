@@ -64,6 +64,8 @@ class Source:
     spec: str = ""
     #: total documents the stream will yield, when known up front
     total: Optional[int] = None
+    #: the seed of a synthetic stream; 0 for an unseeded one (``dir:``)
+    seed: int = 0
 
     def stream(self, cursor: int = 0) -> Iterator[DocRecord]:
         raise NotImplementedError

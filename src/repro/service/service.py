@@ -25,16 +25,13 @@ HTTP front end answers a result-cache hit on its event loop and sends
 everything else to :meth:`QueryService.query` / :meth:`QueryService.count`
 on a worker.
 
-The one write path, :meth:`QueryService.update`, is a **group-commit
-loop over copy-on-write forks**: concurrent ``/update`` batches queue on a
-pending list, and one drainer applies each queued batch to its own
-:meth:`~repro.core.hopi.HopiIndex.cow_copy` fork (sharing unchanged
-label rows, documents and tag lists instead of deep-copying them) —
-the first batch's fork is of the published index, each later one of
-the last batch that succeeded — and publishes **once**. Each batch
-stays all-or-nothing: a failing batch's fork is dropped, so it rolls
-back alone while its neighbours commit. Readers never wait and never
-observe a half-updated index.
+The one write path, :meth:`QueryService.update`, takes **one writer at
+a time** under a blocking lock: it applies the batch to a
+:meth:`~repro.core.hopi.HopiIndex.cow_copy` fork of the published index
+(sharing unchanged label rows, documents and tag lists instead of
+deep-copying them) and publishes the fork as the batch's own epoch. A
+batch is all-or-nothing: a failing batch's fork is dropped. Readers
+never wait and never observe a half-updated index.
 
 Every write publishes in three steps: **prepare** the new generation
 (:meth:`QueryService._make_state`), **log** it — with a
@@ -51,7 +48,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.hopi import HopiIndex
@@ -60,32 +57,16 @@ from repro.core.hopi import HopiIndex
 # UpdateError is re-exported because the HTTP API and callers import it
 # from the service package
 from repro.core.ops import UpdateError, apply_update_op
-from repro.ingest.pipeline import freshness_percentile
 from repro.query.engine import QueryEngine, QueryResult, StepKey
 from repro.query.ontology import TagOntology, default_ontology
 from repro.query.pathexpr import PathExpression
 from repro.query.planner import PreparedQuery
 from repro.service.cache import LRUCache
 from repro.service.epoch import EpochHolder, EpochState
+from repro.service.telemetry import percentile
 from repro.xmlmodel.model import ElementId
 
 _MISSING = object()
-
-
-@dataclass
-class _PendingBatch:
-    """One queued ``/update`` batch awaiting the group-commit drainer.
-
-    The submitting thread blocks on ``done``; the drainer fills either
-    ``reports`` (batch committed in the published epoch) or ``error``
-    (batch rolled back — its sub-fork was discarded) before setting it.
-    """
-
-    ops: List[Dict[str, Any]]
-    done: threading.Event = field(default_factory=threading.Event)
-    reports: Optional[List[Dict[str, Any]]] = None
-    error: Optional[BaseException] = None
-    epoch: int = -1
 
 
 class _EpochProbe:
@@ -230,8 +211,6 @@ class QueryService:
         self._write_lock = threading.Lock()
         self._counter_lock = threading.Lock()
         self._counters: Dict[str, int] = {}
-        self._pending: List[_PendingBatch] = []
-        self._pending_lock = threading.Lock()
         self._durable = durable_store
         self._started = time.time()
         self._published_at = self._started
@@ -451,7 +430,7 @@ class QueryService:
         return state.epoch, state.index.distance(u, v)
 
     # ------------------------------------------------------------------
-    # write path: group-commit over copy-on-write shadows
+    # write path: one writer at a time over copy-on-write forks
     # ------------------------------------------------------------------
     def _publish(self, state: EpochState) -> None:
         """Flip the published reference to a prepared generation."""
@@ -473,12 +452,12 @@ class QueryService:
           "links": [[ref-or-id, ref-or-id], ...]}``
         * ``{"op": "rebuild"}`` (no other keys: the product build)
 
-        Concurrent callers group-commit: their batches queue, one
-        drainer applies each to a copy-on-write fork of the index the
-        previous one left, and publishes once. Each batch remains
-        all-or-nothing — a failure raises :class:`UpdateError` *for
-        that batch only* and discards its fork; sibling batches still
-        commit.
+        Everything runs under the write lock, one batch at a time: fork
+        the published index, apply the ops, prepare the new generation,
+        log it (with a durable store), publish it, and checkpoint when
+        one is due. A failing op raises :class:`UpdateError` and drops
+        the fork, so nothing of the batch is published or logged; a
+        batch that does publish gets its own epoch.
 
         Returns:
             ``{"epoch": new epoch, "applied": n, "reports": [...]}``.
@@ -486,112 +465,32 @@ class QueryService:
         ops = list(ops)
         if not ops:
             return {"epoch": self.epoch, "applied": 0, "reports": []}
-        batch = _PendingBatch(ops=ops)
-        with self._pending_lock:
-            self._pending.append(batch)
-        self._drain()
-        batch.done.wait()
-        if batch.error is not None:
-            raise batch.error
-        return {
-            "epoch": batch.epoch,
-            "applied": len(batch.reports),
-            "reports": batch.reports,
-        }
-
-    def _drain(self) -> None:
-        """Commit queued batches until the pending list is empty.
-
-        The writer lock is taken non-blocking: if another thread holds
-        it, it is mid-:meth:`_commit` and will re-enter this loop after
-        releasing, so our batch cannot strand — every path that
-        releases the lock re-checks the queue afterwards.
-        """
-        while True:
-            with self._pending_lock:
-                if not self._pending:
-                    return
-            if not self._write_lock.acquire(blocking=False):
-                return
+        with self._write_lock:
+            current = self._holder.current
+            # the published index is never mutated, so it can be forked
+            shadow = current.index.cow_copy()
             try:
-                self._commit()
-            finally:
-                self._write_lock.release()
-
-    def _commit(self) -> None:
-        """Apply every queued batch on copy-on-write forks and publish
-        once.
-
-        Called with the writer lock held. Each batch runs against one
-        fork of the accumulated shadow — the published index for the
-        first batch, the last successful batch's fork after that:
-        success makes the fork the shadow, failure discards it —
-        per-batch rollback without touching neighbours, at one fork per
-        batch. The new generation is prepared first, then (with a
-        durable store) its ops are WAL-logged (fsync), then it is
-        published: a generation that fails to prepare is never logged,
-        and an acknowledged epoch survives a crash.
-        """
-        with self._pending_lock:
-            batches, self._pending = self._pending, []
-        if not batches:
-            return
-        current = self._holder.current
-        # the published index is never mutated, so the first trial can
-        # fork it directly
-        shadow = current.index
-        committed: List[_PendingBatch] = []
-        logged_ops: List[Dict[str, Any]] = []
-        for batch in batches:
-            trial = shadow.cow_copy()
-            try:
-                reports = [apply_update_op(trial, op) for op in batch.ops]
-            except UpdateError as exc:
-                batch.error = exc
+                reports = [apply_update_op(shadow, op) for op in ops]
+            except UpdateError:
+                raise
             except (KeyError, ValueError, TypeError, AttributeError) as exc:
                 # malformed op shapes (wrong types, missing fields,
-                # children that are not objects, ...) fail this batch
-                # as a 400 — its sub-fork is discarded
-                batch.error = UpdateError(f"update failed: {exc}")
-                batch.error.__cause__ = exc
-            else:
-                shadow = trial
-                batch.reports = reports
-                logged_ops.extend(batch.ops)
-                committed.append(batch)
-        try:
-            if committed:
-                if shadow.epoch <= current.epoch:
-                    shadow.epoch = current.epoch + 1
-                state = self._make_state(shadow.epoch, shadow, current)
-                if self._durable is not None:
-                    self._durable.log(shadow.epoch, logged_ops)
-                self._publish(state)
-                for batch in committed:
-                    batch.epoch = shadow.epoch
-                    self._count("update")
-                if self._durable is not None:
-                    self._durable.fire("published")
-                    if self._durable.checkpoint_due():
-                        self._durable.checkpoint(shadow)
-        except BaseException as exc:
-            # preparing the generation failed, or a crash hook / store
-            # failure fired mid-commit; the batches
-            # were not (durably) published — surface the fault
-            # to every caller still waiting instead of hanging them
-            delivered = False
-            for batch in batches:
-                if batch.error is None and batch.epoch < 0:
-                    batch.error = exc
-                    delivered = True
-            if not delivered:
-                # the epoch already published (e.g. the crash hook fired
-                # at the checkpoint boundary) — no waiter can carry the
-                # fault, so it surfaces from the drainer itself
-                raise
-        finally:
-            for batch in batches:
-                batch.done.set()
+                # children that are not objects, ...) are a 400
+                raise UpdateError(f"update failed: {exc}") from exc
+            if shadow.epoch <= current.epoch:
+                shadow.epoch = current.epoch + 1
+            state = self._make_state(shadow.epoch, shadow, current)
+            if self._durable is not None:
+                self._durable.log(shadow.epoch, ops)
+            self._publish(state)
+            self._count("update")
+            if self._durable is not None:
+                self._durable.fire("published")
+                if self._durable.checkpoint_due():
+                    self._durable.checkpoint(shadow)
+        return {
+            "epoch": shadow.epoch, "applied": len(reports), "reports": reports,
+        }
 
     # ------------------------------------------------------------------
     # introspection
@@ -641,7 +540,7 @@ class QueryService:
             lags = sorted(self._ingest_lags)
 
         def at(fraction: float) -> Optional[float]:
-            return freshness_percentile(lags, fraction) * 1e3 if lags else None
+            return percentile(lags, fraction) * 1e3 if lags else None
 
         return {
             "docs_total": docs,

@@ -12,9 +12,9 @@ The COW invariants under test are the write path's correctness core:
    original (and vice versa): shared rows are privatised on first
    write, whole-row replacements never alias, the collection's shared
    documents are owned before their first mutation.
-3. **Chained forks.** The group-commit drainer forks the published
-   index for its first batch and the last successful batch's fork for
-   each later one; privatisation must hold at every depth.
+3. **Chained forks.** Every published epoch is a fork of the one
+   before it, so the writer forks a fork of a fork; privatisation must
+   hold at every depth.
 4. **The tag index.** The collection keeps ``tags()`` up to date and
    shares its per-tag lists with forks; on every side it must equal a
    deep copy's and a recount, and a dict it handed out never changes.
@@ -109,7 +109,7 @@ class TestBitIdentity:
 @pytest.mark.parametrize("state", COVER_STATES)
 class TestChainedForks:
     def test_fork_of_fork_privatises_at_every_depth(self, state):
-        """The group-commit pattern: shadow → per-batch trial forks."""
+        """The write path over epochs: each epoch forks the last one."""
         index = build("dblp", state)
         baseline = snap(index)
         ops = section6_ops(index)

@@ -15,6 +15,7 @@ The contracts under test:
 """
 
 import dataclasses
+import itertools
 import json
 
 import pytest
@@ -23,10 +24,12 @@ from cover_oracle import oracle_index
 from repro.core.hopi import HopiIndex
 from repro.ingest import (
     DirectorySource,
+    DocRecord,
     FrontierCheckpoint,
     IngestPipeline,
     make_source,
 )
+from repro.ingest.sources import Source
 from repro.query.engine import QueryEngine
 from repro.service.api import ServiceAPI
 from repro.service.service import QueryService
@@ -232,6 +235,26 @@ def test_pipeline_records_freshness_lags():
     assert summary.freshness_p50_ms >= 0.0
     assert summary.freshness_p99_ms >= summary.freshness_p50_ms
     assert summary.docs == 10
+
+    # a clock that ticks once per read: four documents discovered at
+    # t = 1..4 and acknowledged in one batch at t = 5 lag 4, 3, 2, 1 s;
+    # the nearest-rank p50 is the 2nd of the sorted four, p99 the 4th
+    class FourLinkFree(Source):
+        spec, total = "four", 4
+
+        def stream(self, cursor=0):
+            for i in range(cursor, 4):
+                yield DocRecord(doc_id=f"d{i}", root_tag="doc")
+
+    ticks = itertools.count()
+    summary = IngestPipeline(
+        empty_service(), FourLinkFree(), batch_docs=4,
+        clock=lambda: float(next(ticks)),
+    ).run()
+    assert summary.batches == 1
+    assert summary.freshness_lags == [1.0, 2.0, 3.0, 4.0]
+    assert summary.freshness_p50_ms == 2000.0
+    assert summary.freshness_p99_ms == 4000.0
 
 
 def test_pipeline_writes_frontier_after_each_batch(tmp_path):

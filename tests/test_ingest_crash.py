@@ -105,6 +105,25 @@ def test_resume_requires_matching_source(tmp_path):
                                                    "--resume"])
 
 
+def test_directory_ingest_resumes_with_default_flags(tmp_path):
+    """A ``dir:`` source has no seed: its frontier records 0, and a
+    resume with the default ``--seed`` must compare that same value
+    instead of refusing the store it wrote itself."""
+    corpus = tmp_path / "corpus"
+    assert main(["generate", "dblp", "-n", "6", "-o", str(corpus),
+                 "--seed", "7"]) == 0
+    names = sorted(p.stem for p in corpus.glob("*.xml"))
+    assert len(names) == 6
+    store = tmp_path / "store"
+    ingest = ["ingest", "--source", f"dir:{corpus}", "--store", str(store)]
+    assert main(ingest + ["--max-docs", "3"]) == 0
+    _, partial = recovered_bytes(store)
+    assert partial.collection.num_documents == 3
+    assert main(ingest + ["--resume"]) == 0
+    _, index = recovered_bytes(store)
+    assert sorted(index.collection.documents) == names
+
+
 def test_rerun_without_resume_is_rejected(tmp_path):
     store = tmp_path / "store"
     assert main(ingest_argv(store, "--max-docs", "8")) == 0

@@ -20,6 +20,7 @@ import harness
 from harness import start_in_thread
 from repro.core.hopi import HopiIndex
 from repro.query.engine import QueryEngine
+from repro.service import service as service_module
 from repro.service import (
     EpochHolder,
     LRUCache,
@@ -395,12 +396,13 @@ class TestServiceUpdates:
         assert service.epoch == 0
         assert service.index.stats is stats
 
-    def test_queued_batches_group_commit_with_one_fork_each(
+    def test_racing_batches_publish_one_epoch_each(
         self, arrays_index, monkeypatch
     ):
-        """Three batches queued behind the write lock commit in one
-        publish; the failing middle one rolls back alone, each batch
-        costs one fork, and the replaced epoch is untouched."""
+        """Three batches race for the write lock: the failing one leaves
+        nothing behind, each successful one forks the epoch published
+        before it once and publishes its own, strictly increasing epoch,
+        and the replaced epoch is untouched."""
         service = QueryService(arrays_index.copy())
         published = service.index
         collection = published.collection
@@ -418,13 +420,13 @@ class TestServiceUpdates:
 
         monkeypatch.setattr(HopiIndex, "cow_copy", spy)
         publish = service._publish
-        published_epochs = []
+        published_indexes = [published]
 
-        def count_publish(state):
-            published_epochs.append(state.epoch)
+        def record_publish(state):
+            published_indexes.append(state.index)
             publish(state)
 
-        service._publish = count_publish
+        service._publish = record_publish
         batches = [
             [{"op": "insert_element", "parent": roots[0], "tag": "first"}],
             [{"op": "insert_element", "parent": roots[1], "tag": "doomed"},
@@ -439,32 +441,36 @@ class TestServiceUpdates:
             except UpdateError as exc:
                 outcomes[i] = exc
 
-        threads = []
+        threads = [
+            threading.Thread(target=submit, args=(i,), daemon=True)
+            for i in range(len(batches))
+        ]
         with service._write_lock:
-            for i in range(len(batches)):
-                thread = threading.Thread(target=submit, args=(i,))
+            for thread in threads:
                 thread.start()
-                threads.append(thread)
-                # queue in order: the next batch starts once this one waits
-                while len(service._pending) <= i:
-                    assert thread.is_alive()
-                    time.sleep(0.001)
-        service._drain()
         for thread in threads:
             thread.join(timeout=30)
             assert not thread.is_alive()
 
-        # one publish; each applied op bumps the epoch it lands in
-        assert published_epochs == [service.epoch] == [2]
-        assert outcomes[0]["epoch"] == outcomes[2]["epoch"] == 2
         assert isinstance(outcomes[1], UpdateError)
+        epochs = [outcomes[0]["epoch"], outcomes[2]["epoch"]]
+        # one insert each: the two successful batches publish epochs 1, 2
+        assert sorted(epochs) == [1, 2] == [
+            index.epoch for index in published_indexes[1:]
+        ]
+        assert service.epoch == 2
+        # every batch forks the epoch published when it took the lock
         assert len(forked) == len(batches)
-        assert forked[0] is published  # the first trial forks the epoch itself
+        assert forked[0] is published
+        assert all(
+            any(f is index for index in published_indexes) for f in forked
+        )
 
         live = service.index.collection
         tags = live.tags()
         assert "doomed" not in tags
         assert all(e.tag != "doomed" for e in live.elements.values())
+        assert live.num_elements == len(elements_before) + 2
         (first,) = tags["first"]
         (third,) = tags["third"]
         assert live.elements[first].parent == roots[0]
@@ -473,6 +479,80 @@ class TestServiceUpdates:
         assert collection.tags() == tags_before
         assert collection.elements == elements_before
         assert canonical_snapshot_bytes(published.cover) == cover_before
+
+    def test_an_acknowledgement_never_waits_for_another_writer(
+        self, arrays_index, monkeypatch
+    ):
+        """Writer B queues while writer A holds the lock; once A's ops
+        finish, A's ``update`` returns even though B's commit is still
+        blocked — A does not commit B's batch on its way out."""
+        service = QueryService(arrays_index.copy())
+        root = service.index.collection.documents[
+            sorted(service.index.collection.documents)[0]
+        ].root
+        entered = {"a": threading.Event(), "b": threading.Event()}
+        release = {"a": threading.Event(), "b": threading.Event()}
+        b_waiting = threading.Event()
+        apply_op = service_module.apply_update_op
+
+        def gated_apply(index, op):
+            tag = op["tag"]
+            entered[tag].set()
+            assert release[tag].wait(timeout=30)
+            return apply_op(index, op)
+
+        class WatchedLock:
+            """The write lock, noting when writer B tries to take it."""
+
+            def __init__(self, lock):
+                self._lock = lock
+
+            def acquire(self, blocking=True, timeout=-1):
+                if threading.current_thread().name == "writer-b":
+                    b_waiting.set()
+                return self._lock.acquire(blocking, timeout)
+
+            def release(self):
+                self._lock.release()
+
+            def __enter__(self):
+                return self.acquire()
+
+            def __exit__(self, *exc):
+                self.release()
+
+        monkeypatch.setattr(service_module, "apply_update_op", gated_apply)
+        service._write_lock = WatchedLock(service._write_lock)
+        outcomes = {}
+
+        def writer(tag):
+            outcomes[tag] = service.update(
+                [{"op": "insert_element", "parent": root, "tag": tag}]
+            )
+
+        a = threading.Thread(
+            target=writer, args=("a",), name="writer-a", daemon=True
+        )
+        b = threading.Thread(
+            target=writer, args=("b",), name="writer-b", daemon=True
+        )
+        try:
+            a.start()
+            assert entered["a"].wait(timeout=30)  # A holds the lock
+            b.start()
+            assert b_waiting.wait(timeout=30)
+            release["a"].set()
+            a.join(timeout=30)
+            assert not a.is_alive(), "A's ack waited for B's commit"
+            assert outcomes["a"]["epoch"] == 1
+            assert entered["b"].wait(timeout=30)
+            assert b.is_alive() and "b" not in outcomes
+        finally:
+            release["a"].set()
+            release["b"].set()
+            a.join(timeout=30)
+            b.join(timeout=30)
+        assert outcomes["b"]["epoch"] == 2 == service.epoch
 
 
 # ---------------------------------------------------------------------------
