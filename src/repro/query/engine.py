@@ -56,9 +56,11 @@ class Probe(Protocol):
     ``{source: sorted indices into candidates it reaches}`` for every
     source, as ``index.intersect_many`` computes them. It is the only
     forward shape the executor sends. A probe may also define
-    ``backward(target, step_key, compute)``, which returns the
-    ``ancestors``-side materialisation ``compute()`` would — the
-    service layer's per-epoch probe cache implements both.
+    ``backward(targets, step_key, compute)``, the backward block:
+    ``{target: candidates that reach it}`` for every target, as
+    ``compute(targets)`` would return them in target order (it may
+    pass ``compute`` only the targets it does not hold). The service
+    layer's per-epoch probe cache implements both.
     """
 
     def many(

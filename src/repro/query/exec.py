@@ -26,7 +26,9 @@ check sends its one source. A block goes to ``index.intersect_many``,
 or to the engine's ``probe`` substitute (see
 :class:`~repro.query.engine.Probe`): its ``many`` answers blocks, and
 its optional ``backward`` lets the serving tier cache ``ancestors``-side
-materialisations across queries.
+materialisations across queries. Backward probes are blocks too:
+counting sends its whole backward frontier, the semi-join reduction
+each position's survivors, and a single lookup a block of one.
 """
 
 from __future__ import annotations
@@ -61,79 +63,89 @@ class ExecContext:
         self.index = index
         self.probe = probe
         self.elements = engine.collection.elements
-        self._forward: Dict[Tuple[ElementId, Tuple[str, bool]], List[int]] = {}
-        self._backward: Dict[Tuple[ElementId, Tuple[str, bool]], List[ElementId]] = {}
+        # probe memos, per step key: element → its answer
+        self._forward: Dict[Tuple[str, bool], Dict[ElementId, List[int]]] = {}
+        self._backward: Dict[Tuple[str, bool], Dict[ElementId, List[ElementId]]] = {}
         self._verdicts: Dict[Tuple[Predicate, ElementId], bool] = {}
 
     # -- probes ---------------------------------------------------------
     def forward_reach(self, source: ElementId, step: Step) -> List[int]:
         """Indices into ``step``'s candidate list reachable from
         ``source``, memoized; a miss is probed as a block of one."""
-        key = (source, (step.tag, step.similar))
-        cached = self._forward.get(key)
-        if cached is None:
-            self.prefetch_forward((source,), step)
-            cached = self._forward[key]
-        return cached
+        rows = self._forward.get((step.tag, step.similar))
+        row = rows.get(source) if rows is not None else None
+        if row is None:
+            row = self.prefetch_forward((source,), step)[source]
+        return row
 
     def prefetch_forward(
-        self, sources: Sequence[ElementId], step: Step
-    ) -> None:
+        self, sources: Iterable[ElementId], step: Step
+    ) -> Dict[ElementId, List[int]]:
         """Fill the forward memo for a whole block of sources in one
         batched probe: ``probe.many`` when a probe substitute is set
         (the serving tier's per-epoch cache answers hits and computes
         the misses in one ``intersect_many``), else
         ``index.intersect_many`` directly — either way the candidates
-        are grouped by center once for the whole block.
+        are grouped by center once for the whole block. Returns the
+        step's memo, which then holds every source.
         """
         key = (step.tag, step.similar)
-        missing = [
-            s for s in dict.fromkeys(sources)
-            if (s, key) not in self._forward
-        ]
-        if not missing:
-            return
-        cand_elems = self.engine._candidate_elems(step)
-        if self.probe is not None:
-            answers: Dict[ElementId, List[int]] = self.probe.many(
-                missing, key, cand_elems
-            )
-        else:
-            rows = self.index.intersect_many(missing, cand_elems)
-            answers = dict(zip(missing, rows))
-        for source in missing:
-            self._forward[(source, key)] = answers[source]
+        rows = self._forward.setdefault(key, {})
+        missing = [s for s in dict.fromkeys(sources) if s not in rows]
+        if missing:
+            cand_elems = self.engine._candidate_elems(step)
+            if self.probe is not None:
+                rows.update(self.probe.many(missing, key, cand_elems))
+            else:
+                rows.update(
+                    zip(missing, self.index.intersect_many(missing, cand_elems))
+                )
+        return rows
 
     def backward_reach(self, target: ElementId, step: Step) -> List[ElementId]:
         """Candidates of ``step`` that *reach* ``target`` — the
-        ``ancestors``-side probe (one materialisation per distinct
-        ``(target, step key)``, memoized; sorted for determinism).
+        ``ancestors``-side probe, memoized; a miss is probed as a block
+        of one."""
+        rows = self._backward.get((step.tag, step.similar))
+        row = rows.get(target) if rows is not None else None
+        if row is None:
+            row = self.prefetch_backward((target,), step)[target]
+        return row
 
-        Only the candidate intersection is retained — the raw ancestor
-        set is transient — so, like the forward cache, memory stays
-        bounded by true positives rather than by full reach sets.
-        When the probe object exposes ``backward``, the materialisation
-        is routed through it so the serving tier can cache it across
-        queries of the same epoch (these probes used to miss the probe
-        cache unconditionally)."""
-        step_key = (step.tag, step.similar)
-        key = (target, step_key)
-        cached = self._backward.get(key)
-        if cached is None:
-            def compute() -> List[ElementId]:
+    def prefetch_backward(
+        self, targets: Iterable[ElementId], step: Step
+    ) -> Dict[ElementId, List[ElementId]]:
+        """Fill the backward memo for a whole block of targets: one
+        ``ancestors`` materialisation per target, intersected with
+        ``step``'s candidates and sorted for determinism. Only that
+        intersection is kept — the raw ancestor set is transient — so,
+        like the forward memo, memory stays bounded by true positives.
+        With a probe substitute that defines ``backward``, the block
+        goes through it, so the serving tier answers cached targets
+        and computes only the misses. Returns the step's memo."""
+        key = (step.tag, step.similar)
+        rows = self._backward.setdefault(key, {})
+        missing = [t for t in dict.fromkeys(targets) if t not in rows]
+        if not missing:
+            return rows
+
+        def compute(block: List[ElementId]) -> List[List[ElementId]]:
+            cmap = self.engine._candidate_map(step)
+            found = []
+            for target in block:
                 ancestors: Set[ElementId] = self.index.ancestors(target)
-                cmap = self.engine._candidate_map(step)
                 if len(cmap) < len(ancestors):
-                    return sorted(e for e in cmap if e in ancestors)
-                return sorted(e for e in ancestors if e in cmap)
+                    found.append(sorted(e for e in cmap if e in ancestors))
+                else:
+                    found.append(sorted(e for e in ancestors if e in cmap))
+            return found
 
-            backward: Optional[object] = (
-                getattr(self.probe, "backward", None)
-                if self.probe is not None else None
-            )
-            cached = backward(target, step_key, compute) if backward else compute()
-            self._backward[key] = cached
-        return cached
+        backward = getattr(self.probe, "backward", None)
+        if backward is not None:
+            rows.update(backward(missing, key, compute))
+        else:
+            rows.update(zip(missing, compute(missing)))
+        return rows
 
     def sample_first_join(self, plan: PhysicalPlan) -> Tuple[int, int]:
         """``(heads, hits)`` for the planner's window term: the first
@@ -225,11 +237,11 @@ def _gate(
 def _scan(
     ctx: ExecContext, plan: PhysicalPlan, position: int
 ) -> Iterator[ElementId]:
-    """The admitted candidates of ``position``, in rank order."""
+    """The admitted candidates of ``position``, in rank order (lazily
+    admitted)."""
     admits = _gate(ctx, plan, position)
-    for element, _score in ctx.engine._candidates(plan.expr.steps[position]):
-        if admits is None or admits(element):
-            yield element
+    elements = ctx.engine._candidate_elems(plan.expr.steps[position])
+    return iter(elements) if admits is None else filter(admits, elements)
 
 
 def _successors(
@@ -288,6 +300,10 @@ def _reduce(
     allowed: Iterable[ElementId] = _scan(ctx, plan, seed)
     below: Dict[int, Dict[ElementId, List[ElementId]]] = {}
     for position in range(seed - 1, -1, -1):
+        if steps[position + 1].axis == "descendant":
+            # the whole position is known up front: one batched probe
+            allowed = list(allowed)
+            ctx.prefetch_backward(allowed, steps[position])
         admits = _gate(ctx, plan, position)
         joined: Dict[ElementId, List[ElementId]] = {}
         rejected: Set[ElementId] = set()
@@ -464,14 +480,13 @@ def run_count(plan: PhysicalPlan, ctx: ExecContext) -> int:
         step = steps[position]
         admits = _gate(ctx, plan, position)
         if op.op == "descendant":
-            if not backward:
-                # the whole frontier is known up front: one batched probe
-                ctx.prefetch_forward(list(frontier), step)
+            # the whole frontier is known up front: one batched probe
+            prefetch = ctx.prefetch_backward if backward else ctx.prefetch_forward
+            reach = prefetch(frontier, step)
             if op is plan.ops[-1] and admits is None:
-                reach = ctx.backward_reach if backward else ctx.forward_reach
                 cmap = ctx.engine._candidate_map(step)
                 return sum(
-                    multiplicity * (len(reach(element, step)) - (element in cmap))
+                    multiplicity * (len(reach[element]) - (element in cmap))
                     for element, multiplicity in frontier.items()
                 )
         grown: Dict[ElementId, int] = {}

@@ -11,7 +11,11 @@ computing it once and handing the answer to every waiter beats
 computing it N times — under the GIL the duplicates would not even
 overlap, they would serialise. :meth:`LRUCache.get_or_compute` is that
 "singleflight": the first caller computes, later callers with the same
-key wait and receive the same value (or the same exception).
+key wait and receive the same value (or the same exception). The
+per-epoch probe cache skips it: its entries are cheap, so it reads and
+writes whole blocks of keys under one lock (:meth:`LRUCache.get_many`,
+:meth:`LRUCache.put_many`) and two readers that miss the same key at
+once both compute it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,9 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from concurrent.futures import Future
-from typing import Any, Callable, Dict, Hashable, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple,
+)
 
 _MISSING = object()
 
@@ -67,6 +73,28 @@ class LRUCache:
             self.hits += 1
             return value
 
+    def get_many(
+        self, keys: Sequence[Hashable], default: Any = None
+    ) -> List[Any]:
+        """:meth:`get` of every key in order, under one lock: the values
+        (``default`` for a miss), with recency and counters exactly as
+        that sequence of calls leaves them."""
+        data = self._data
+        values = []
+        hits = 0
+        with self._lock:
+            for key in keys:
+                value = data.get(key, _MISSING)
+                if value is _MISSING:
+                    values.append(default)
+                else:
+                    data.move_to_end(key)
+                    hits += 1
+                    values.append(value)
+            self.hits += hits
+            self.misses += len(values) - hits
+        return values
+
     def peek(self, key: Hashable, default: Any = None) -> Any:
         """Like :meth:`get` but without touching recency or counters."""
         with self._lock:
@@ -75,13 +103,22 @@ class LRUCache:
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert/refresh ``key``, evicting LRU entries over capacity."""
+        self.put_many(((key, value),))
+
+    def put_many(self, items: Iterable[Tuple[Hashable, Any]]) -> None:
+        """Insert/refresh every ``(key, value)`` in order under one
+        lock, evicting LRU entries over capacity after each, as the
+        same sequence of :meth:`put` calls would."""
+        data = self._data
+        capacity = self.capacity
         with self._lock:
-            if key in self._data:
-                self._data.move_to_end(key)
-            self._data[key] = value
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
-                self.evictions += 1
+            for key, value in items:
+                if key in data:
+                    data.move_to_end(key)
+                data[key] = value
+                while len(data) > capacity:
+                    data.popitem(last=False)
+                    self.evictions += 1
 
     def get_or_compute(
         self, key: Hashable, compute: Callable[[], Any]

@@ -14,8 +14,9 @@ index:
    evaluate once, and every spelling of a query (whitespace, clause
    order) shares one entry;
 3. a per-epoch **probe cache** — descendant-step probes
-   (``source × candidate-list``, forward in frontier blocks, and
-   backward) are answered once per epoch across *different* queries.
+   (``source × candidate-list`` forward, ``ancestors``-side backward),
+   looked up and written a frontier block at a time, are answered once
+   per epoch across *different* queries.
 
 All three are one class, :class:`~repro.service.cache.LRUCache`.
 
@@ -49,6 +50,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.hopi import HopiIndex
@@ -73,13 +75,18 @@ class _EpochProbe:
     """The descendant probe of one epoch (a
     :class:`~repro.query.engine.Probe`).
 
-    * :meth:`many` answers a whole frontier block — cached sources
-      straight from the epoch's probe cache, the misses computed in
-      **one** ``index.intersect_many`` round-trip and written back, so
-      a block groups its candidates by center once.
+    Both hooks answer a block: they look every key up in the epoch's
+    probe cache under one lock (:meth:`LRUCache.get_many`), compute the
+    misses together and write them back under one lock
+    (:meth:`LRUCache.put_many`).
+
+    * :meth:`many` computes a forward block's misses in **one**
+      ``index.intersect_many`` round-trip, so a block groups its
+      candidates by center once.
     * :meth:`backward` caches ``ancestors``-side materialisations under
-      ``("bwd", target, step_key)`` in the same cache, single-flight:
-      concurrent misses on one target compute it once.
+      ``("bwd", target, step_key)``. There is no single flight: two
+      readers that miss one target at once both compute it, from the
+      same epoch and to the same answer.
 
     Keyed by ``(source, step_key)`` / ``("bwd", target, step_key)`` —
     sound because within an epoch the engine's memoized candidate list
@@ -95,30 +102,36 @@ class _EpochProbe:
         self, sources: Sequence[ElementId], step_key: StepKey,
         cand_elems: Sequence[ElementId],
     ) -> Dict[ElementId, List[int]]:
-        state = self._state
-        answers: Dict[ElementId, List[int]] = {}
-        missing: List[ElementId] = []
-        for source in sources:
-            cached = state.probes.get((source, step_key), _MISSING)
-            if cached is _MISSING:
-                missing.append(source)
-            else:
-                answers[source] = cached
-        if missing:
-            rows = state.index.intersect_many(missing, cand_elems)
-            for source, row in zip(missing, rows):
-                state.probes.put((source, step_key), row)
-                answers[source] = row
-        return answers
+        return self._block(
+            list(zip(sources, repeat(step_key))), sources,
+            lambda missing: self._state.index.intersect_many(
+                missing, cand_elems
+            ),
+        )
 
     def backward(
-        self, target: ElementId, step_key: StepKey,
-        compute: Callable[[], List[ElementId]],
-    ) -> List[ElementId]:
-        value, _ = self._state.probes.get_or_compute(
-            ("bwd", target, step_key), compute
+        self, targets: Sequence[ElementId], step_key: StepKey,
+        compute: Callable[[List[ElementId]], List[List[ElementId]]],
+    ) -> Dict[ElementId, List[ElementId]]:
+        return self._block(
+            list(zip(repeat("bwd"), targets, repeat(step_key))), targets,
+            compute,
         )
-        return value
+
+    def _block(
+        self, keys: List[Any], elements: Sequence[ElementId],
+        compute: Callable[[List[ElementId]], List[Any]],
+    ) -> Dict[ElementId, Any]:
+        probes = self._state.probes
+        values = probes.get_many(keys, _MISSING)
+        answers = dict(zip(elements, values))
+        misses = [i for i, value in enumerate(values) if value is _MISSING]
+        if misses:
+            missing = [elements[i] for i in misses]
+            rows = compute(missing)
+            probes.put_many(zip([keys[i] for i in misses], rows))
+            answers.update(zip(missing, rows))
+        return answers
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ oracles, serving the cover and serving the oracle cover.
 
 import gc
 import json
+import random
+import sys
 import threading
 import time
 import urllib.error
@@ -75,6 +77,15 @@ class TestLRUCache:
         assert "a" in cache and "c" in cache
         assert cache.evictions == 1
 
+    def test_put_refreshes_recency(self):
+        cache = LRUCache(2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        cache.put("a", 3)       # a re-put key is the most recent
+        cache.put("c", 4)
+        assert "b" not in cache
+        assert cache.peek("a") == 3 and cache.evictions == 1
+
     def test_peek_does_not_count(self):
         cache = LRUCache(2)
         cache.put("a", 1)
@@ -87,14 +98,126 @@ class TestLRUCache:
             LRUCache(0)
 
 
+class TestLRUCacheBlocks:
+    """``get_many`` / ``put_many`` are the same sequence of ``get`` /
+    ``put`` calls under one lock: same values, same counters, same
+    recency."""
+
+    @staticmethod
+    def counters(cache):
+        return cache.hits, cache.misses, cache.evictions
+
+    @staticmethod
+    def eviction_order(cache):
+        """The held keys, least recent first, read through the public
+        API: push fresh keys one at a time and note who leaves."""
+        held = [key for key in range(-50, 50) if key in cache]
+        order = []
+        for n in range(cache.capacity):
+            cache.put(("fresh", n), None)
+            order += [key for key in held if key not in order and key not in cache]
+        return order
+
+    def replay(self, capacity, blocks):
+        """Run ``blocks`` (``("get", keys)`` / ``("put", items)``) on a
+        block cache and on a per-key cache; both must agree."""
+        block, single = LRUCache(capacity), LRUCache(capacity)
+        for kind, arg in blocks:
+            if kind == "get":
+                got = block.get_many(arg, "absent")
+                assert got == [single.get(key, "absent") for key in arg]
+            else:
+                block.put_many(arg)
+                for key, value in arg:
+                    single.put(key, value)
+            assert self.counters(block) == self.counters(single)
+            assert len(block) == len(single)
+        counters = self.counters(block)
+        assert self.eviction_order(block) == self.eviction_order(single)
+        return counters
+
+    def test_blocks_equal_the_per_key_calls(self):
+        rng = random.Random(55)
+        blocks = []
+        for _ in range(200):
+            keys = [rng.randrange(12) for _ in range(rng.randrange(1, 7))]
+            if rng.random() < 0.5:
+                blocks.append(("get", keys))
+            else:
+                blocks.append(("put", [(key, rng.random()) for key in keys]))
+        hits, misses, evictions = self.replay(5, blocks)
+        assert hits and misses and evictions
+
+    def test_a_repeated_key_counts_and_refreshes_each_time(self):
+        counters = self.replay(3, [
+            ("put", [(1, "a"), (2, "b"), (3, "c")]),
+            ("get", [1, 1, 9, 9, 2, 1]),
+        ])
+        assert counters == (4, 2, 0)
+
+    def test_a_put_block_that_overflows_on_its_own_evicts_per_put(self):
+        # 3 evicts 1, and the re-put 1 evicts 2: two evictions, where
+        # one eviction after the whole block would have kept 2
+        counters = self.replay(2, [
+            ("put", [(1, "a"), (2, "b"), (3, "c"), (1, "d")]),
+            ("get", [1, 2, 3]),
+        ])
+        assert counters == (2, 1, 2)
+
+    def test_concurrent_blocks_lose_no_count(self):
+        """Four threads (more than the cores) read and write blocks of
+        their own keys under a short switch interval: every lookup is a
+        hit or a miss, and every key put is held or was evicted."""
+        cache = LRUCache(64)
+        rounds, width = 300, 8
+
+        def worker(n):
+            for r in range(rounds):
+                keys = [(n, r, i) for i in range(width)]
+                cache.get_many(keys)
+                cache.put_many((key, r) for key in keys)
+                cache.get_many(keys)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(n,), daemon=True)
+                for n in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert cache.hits + cache.misses == 4 * rounds * 2 * width
+        assert len(cache) + cache.evictions == 4 * rounds * width
+        assert len(cache) == cache.capacity
+
+    def test_empty_blocks_change_nothing(self):
+        cache = LRUCache(2)
+        cache.put(1, "a")
+        assert cache.get_many([]) == []
+        cache.put_many([])
+        assert self.counters(cache) == (0, 0, 0)
+        assert len(cache) == 1
+        assert self.replay(2, [
+            ("put", [(1, "a")]), ("get", []), ("put", []), ("get", [1]),
+        ]) == (1, 0, 0)
+
+
 # ---------------------------------------------------------------------------
 # in-flight coalescing
 # ---------------------------------------------------------------------------
 
 
 class TestCoalescingCache:
-    """``LRUCache.get_or_compute``: the single-flight path every
-    serving cache (plan, result, probe, rendered rows) goes through."""
+    """``LRUCache.get_or_compute``: the single-flight path the plan
+    and result caches go through. The per-epoch probe cache reads and
+    writes blocks (``get_many`` / ``put_many``) and keeps no single
+    flight; the rendered-row memo uses ``get`` / ``put``."""
 
     @staticmethod
     def wait_for(condition):
@@ -273,6 +396,75 @@ class TestServiceReads:
         second = service.stats()["probe_cache"]
         assert second["hits"] > 0
         assert second["misses"] == first["misses"]
+
+
+@pytest.fixture(scope="module")
+def erratum_index():
+    """``dblp_like`` with a rare ``erratum`` child on every tenth
+    document root: the selective tail the backward plans seed at."""
+    collection = dblp_like(40, seed=23)
+    for doc_id in sorted(collection.documents)[::10]:
+        collection.add_child(collection.documents[doc_id].root, "erratum")
+    return HopiIndex.build(collection)
+
+
+class TestProbeCacheBlocks:
+    """The epoch probe cache answers a block at a time: with a cache
+    small enough to evict inside one block, with the default one and
+    with no probe at all, every answer is the same."""
+
+    FORWARD, BACKWARD = ["seed", "forward"], ["seed", "backward"]
+    # each shape twice in a row, under a second window: a new
+    # result-cache key that finds what is left of the first's probes
+    SHAPES = [
+        ("count", "//article//author", FORWARD),
+        ("count", "//article//author limit 7", FORWARD),
+        ("count", "//cite//title", BACKWARD),
+        ("count", "//cite//title limit 7", BACKWARD),
+        ("query", "//*//cite offset 1", BACKWARD),
+        ("query", "//*//cite offset 2", BACKWARD),
+        ("query", "//*//erratum limit 5", BACKWARD),
+        ("query", "//*//erratum limit 6", BACKWARD),
+    ]
+
+    def test_an_evicting_cache_answers_like_the_default_and_no_probe(
+        self, erratum_index
+    ):
+        small = QueryService(erratum_index.copy(), probe_cache_size=16)
+        default = QueryService(erratum_index.copy())
+        engine = QueryEngine(erratum_index)
+        for kind, path, order in self.SHAPES:
+            mode = "count" if kind == "count" else "evaluate"
+            plan = default.explain(path, mode=mode)[1]
+            assert [op["direction"] for op in plan["order"]] == order, plan
+            if kind == "count":
+                want = engine.count(path)
+                assert want > 0, path
+                assert small.count(path)[1] == default.count(path)[1] == want
+            else:
+                want = signature(engine.evaluate(path))
+                assert want, path
+                assert signature(small.query(path).results) == want
+                assert signature(default.query(path).results) == want
+        evicting = small.stats()["probe_cache"]
+        assert evicting["evictions"] > 0 and evicting["hits"] > 0
+        assert default.stats()["probe_cache"]["evictions"] == 0
+
+    def test_a_count_window_adds_hits_not_misses(self, erratum_index):
+        """Two counts that differ only in ``limit`` are two result-cache
+        entries but one set of probes: the second adds no miss and one
+        hit per frontier element."""
+        service = QueryService(erratum_index.copy())
+        plan = service.explain("//article//author", mode="count")[1]
+        assert [op["direction"] for op in plan["order"]] == self.FORWARD
+        service.count("//article//author limit 5")
+        first = service.stats()["probe_cache"]
+        service.count("//article//author limit 6")
+        second = service.stats()["probe_cache"]
+        frontier = len(erratum_index.collection.tags()["article"])
+        assert frontier > 0
+        assert second["misses"] == first["misses"]
+        assert second["hits"] - first["hits"] == frontier
 
 
 # ---------------------------------------------------------------------------
