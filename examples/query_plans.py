@@ -44,7 +44,7 @@ def main() -> None:
 
     print("== 2. head-seeded vs planned: same answers, different wall ==")
     t0 = time.perf_counter()
-    forward = run_ranked(head_seeded, ExecContext(engine, index), 10**9)
+    forward = run_ranked(head_seeded, ExecContext(engine), 10**9)
     forward_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     planned = engine.evaluate("//*//erratum")

@@ -250,7 +250,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_results=args.max_results,
         similarity_threshold=args.similarity_threshold,
         result_cache_size=args.result_cache,
-        probe_cache_size=args.probe_cache,
         durable_store=durable_store,
     )
     server = AsyncServiceServer(
@@ -441,8 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="minimum ontology similarity for ~tag steps")
     p.add_argument("--result-cache", type=positive_int, default=4096,
                    help="entries in the (path, epoch) result LRU")
-    p.add_argument("--probe-cache", type=positive_int, default=8192,
-                   help="per-epoch descendant-probe LRU entries")
     p.add_argument("--max-requests", type=int, default=None,
                    help="exit after answering N requests (smoke tests/CI)")
     p.add_argument("--store", default=None, metavar="DIR",

@@ -23,10 +23,16 @@ What the planner buys: a ``//*//rare_tag`` query no longer materialises
 one binding per element of the unselective head — the plan seeds at
 the rare tail and probes *backward* over the cover's ``ancestors``
 side.
+
+An engine answers for one index, and the service builds one engine per
+published epoch, so the engine is where probe answers are kept: every
+execution reads and fills its per-step-key probe memos (see
+:data:`PROBE_MEMO_BOUND`).
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
@@ -44,23 +50,24 @@ Query = "str | PathExpression | PreparedQuery"
 
 #: Identity of a step's candidate list: ``(tag, similar)``. Two steps
 #: with the same key select the same candidates (wildcards use ``"*"``),
-#: which is what makes candidate memoization and cross-query probe
-#: caching sound.
+#: which is what makes candidate and probe memoization sound.
 StepKey = Tuple[str, bool]
 
+#: The most probe answers (forward and backward together) an engine
+#: keeps. A block that takes the memos past it drops them whole.
+PROBE_MEMO_BOUND = 8192
+
+
 class Probe(Protocol):
-    """A descendant-step probe substitute (the ``probe=`` argument of
-    :meth:`QueryEngine.evaluate` / :meth:`QueryEngine.count`).
+    """A forward probe substitute (the ``probe=`` argument of
+    :meth:`QueryEngine.evaluate` / :meth:`QueryEngine.count`), asked
+    only for the sources the engine's probe memo does not hold.
 
     ``many(sources, step_key, candidates)`` answers a frontier block:
     ``{source: sorted indices into candidates it reaches}`` for every
-    source, as ``index.intersect_many`` computes them. It is the only
-    forward shape the executor sends. A probe may also define
-    ``backward(targets, step_key, compute)``, the backward block:
-    ``{target: candidates that reach it}`` for every target, as
-    ``compute(targets)`` would return them in target order (it may
-    pass ``compute`` only the targets it does not hold). The service
-    layer's per-epoch probe cache implements both.
+    source, as ``index.intersect_many`` computes them; its answers go
+    into the memo. The seam stays only for ``perf/wl_read.py``'s
+    ``_CountingProbe``, which counts the candidates a read sends.
     """
 
     def many(
@@ -94,12 +101,19 @@ class QueryEngine:
     mutate no instance state beyond benign memo fills, so one engine
     can serve many threads at once — the service layer keeps a single
     engine per published index epoch and lets every reader share its
-    tag index and candidate memos. Both methods also take an explicit
-    ``index`` so pooled engines (e.g. one per published epoch over the
-    same collection) can share one engine's derived state.
+    tag index, candidate memos and probe memos.
+
+    The probe memos map a step key to ``{element → answer}``, forward
+    (indices into the step's candidate tuple that the element reaches)
+    and backward (the candidates that reach it). Lookups and fills are
+    plain dict operations with no lock: two readers that miss one
+    element at once both compute it, to the same answer. One lock
+    guards only the per-block counters (:meth:`probe_stats`) and the
+    drop at :data:`PROBE_MEMO_BOUND`, which rebinds fresh dicts and
+    never clears one in place — a running query may still hold it.
 
     Args:
-        index: the index to evaluate against by default.
+        index: the index every query is answered over.
         ontology: tag ontology for ``~tag`` steps.
         similarity_threshold: minimum ontology similarity for a tag to
             join a ``~tag`` candidate list.
@@ -108,7 +122,8 @@ class QueryEngine:
             least 1.
         previous: the engine of the generation this index was forked
             from; its candidate memos are adopted where they still hold
-            (see :meth:`_adopt`).
+            (see :meth:`_adopt`). Probe memos never are: their answers
+            depend on the labels, not only on the tag lists.
     """
 
     #: the per-step-key memos, all derived from one candidate list
@@ -141,6 +156,14 @@ class QueryEngine:
         self._candidate_elems_memo: Dict[StepKey, Tuple[ElementId, ...]] = {}
         self._parent_map_memo: Dict[StepKey, Dict[ElementId, List[ElementId]]] = {}
         self._anchored_count_memo: Dict[StepKey, int] = {}
+        # the probe memos, per step key: element → its answer
+        self._forward: Dict[StepKey, Dict[ElementId, List[int]]] = {}
+        self._backward: Dict[StepKey, Dict[ElementId, List[ElementId]]] = {}
+        self._probe_lock = threading.Lock()
+        self._probe_size = 0
+        self._probe_hits = 0
+        self._probe_misses = 0
+        self._probe_evictions = 0
         if previous is not None:
             self._adopt(previous)
 
@@ -186,6 +209,38 @@ class QueryEngine:
             for key in kept:
                 if key in memo:
                     mine[key] = memo[key]
+
+    def _count_probes(self, hits: int, misses: int) -> None:
+        """Count one prefetch block: ``hits`` distinct elements the
+        memo answered, ``misses`` it computed. Past
+        :data:`PROBE_MEMO_BOUND` both memos are dropped by rebinding."""
+        with self._probe_lock:
+            self._probe_hits += hits
+            self._probe_misses += misses
+            self._probe_size += misses
+            if self._probe_size > PROBE_MEMO_BOUND:
+                self._forward, self._backward = {}, {}
+                self._probe_evictions += self._probe_size
+                self._probe_size = 0
+
+    def probe_stats(self) -> Dict[str, object]:
+        """The probe memos' counters, in the key set of
+        :meth:`LRUCache.stats <repro.service.cache.LRUCache.stats>`
+        (nothing is computed by single flight, so ``coalesced`` and
+        ``inflight`` are 0)."""
+        with self._probe_lock:
+            hits, misses = self._probe_hits, self._probe_misses
+            size, evictions = self._probe_size, self._probe_evictions
+        return {
+            "size": size,
+            "capacity": PROBE_MEMO_BOUND,
+            "hits": hits,
+            "misses": misses,
+            "evictions": evictions,
+            "hit_rate": hits / (hits + misses) if hits + misses else None,
+            "coalesced": 0,
+            "inflight": 0,
+        }
 
     # ------------------------------------------------------------------
     # derived candidate state (shared by planner and operators)
@@ -290,12 +345,10 @@ class QueryEngine:
             return path.expr
         return parse_path(path) if isinstance(path, str) else path
 
-    def context(
-        self, index: Optional[HopiIndex] = None, probe: Optional[Probe] = None
-    ) -> ExecContext:
-        """A fresh execution context over ``index`` (default: the
-        engine's own), probing through ``probe`` when one is given."""
-        return ExecContext(self, index or self.index, probe)
+    def context(self, probe: Optional[Probe] = None) -> ExecContext:
+        """A fresh execution context, whose memo misses go to ``probe``
+        when one is given."""
+        return ExecContext(self, probe)
 
     def plan(self, path: Query, *, directional: bool = False) -> PhysicalPlan:
         """The physical plan :meth:`evaluate` would run for ``path``
@@ -315,29 +368,8 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # evaluation API
     # ------------------------------------------------------------------
-    def _pipeline(
-        self,
-        path: Query,
-        index: Optional[HopiIndex],
-        probe: Optional[Probe],
-        *,
-        directional: bool = False,
-    ) -> Tuple[PhysicalPlan, ExecContext]:
-        """The shared entry-point preamble: parse, build the execution
-        context, plan in it (the window term's sample lands in its
-        memo)."""
-        ctx = self.context(index, probe)
-        plan = plan_query(
-            self._lower(path), self, directional=directional, ctx=ctx
-        )
-        return plan, ctx
-
     def evaluate(
-        self,
-        path: Query,
-        *,
-        index: Optional[HopiIndex] = None,
-        probe: Optional[Probe] = None,
+        self, path: Query, *, probe: Optional[Probe] = None
     ) -> List[QueryResult]:
         """Evaluate a path expression, returning ranked results.
 
@@ -345,37 +377,28 @@ class QueryEngine:
             path: a path string (parsed on the fly), a pre-parsed
                 :class:`PathExpression`, or a :class:`PreparedQuery`
                 (its parsed expression reused).
-            index: evaluate against this index instead of the engine's
-                own (must cover the same collection — e.g. the
-                published epoch of a service).
-            probe: substitute descendant-step probe (see :class:`Probe`);
-                lets a serving tier cache probes across queries.
+            probe: substitute forward probe for memo misses (see
+                :class:`Probe`).
 
         Returns:
             Results sorted by descending score (ties broken by element
             ids for determinism), windowed by the expression's
             ``offset``/``limit``, truncated to ``max_results``.
         """
-        plan, ctx = self._pipeline(path, index, probe)
+        plan = plan_query(self._lower(path), self)
         offset = plan.expr.offset
         limit = self.max_results
         if plan.expr.limit is not None:
             limit = plan.expr.limit
         # one ranked path: an unwindowed call is the window
         # ``limit max_results`` (it was always truncated there)
-        top = run_ranked(plan, ctx, offset + limit)
+        top = run_ranked(plan, self.context(probe), offset + limit)
         return [
             QueryResult(bindings, -neg)
             for neg, bindings in top[offset:][: self.max_results]
         ]
 
-    def count(
-        self,
-        path: Query,
-        *,
-        index: Optional[HopiIndex] = None,
-        probe: Optional[Probe] = None,
-    ) -> int:
+    def count(self, path: Query, *, probe: Optional[Probe] = None) -> int:
         """The total number of matches, without ranking.
 
         Unlike ``len(evaluate(path))`` this skips scoring, sorting and
@@ -388,5 +411,5 @@ class QueryEngine:
         cost favours); the expression's ``offset``/``limit`` window is
         ignored — the count is a property of the match set.
         """
-        plan, ctx = self._pipeline(path, index, probe, directional=True)
-        return run_count(plan, ctx)
+        plan = plan_query(self._lower(path), self, directional=True)
+        return run_count(plan, self.context(probe))

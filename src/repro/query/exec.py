@@ -15,18 +15,17 @@ Two evaluators, one per endpoint:
   tuples — the reason :func:`~repro.query.planner.plan_query` plans
   counts ``directional``. An empty frontier ends it early.
 
-All per-execution memo state (forward probe answers, ``ancestors``
-materialisations, predicate verdicts) lives in one :class:`ExecContext`
-so a single query never repeats a probe, while nothing leaks across
-epochs. Every forward probe is a frontier block — Section 3.4's
-``LOUT ⋈ LIN`` join of a set of sources against a step's whole
-candidate list: descendant joins send ``FORWARD_BLOCK`` sources at a
-time, counting sends the whole frontier, and a ``[//tag]`` predicate
-check sends its one source. A block goes to ``index.intersect_many``,
-or to the engine's ``probe`` substitute (see
-:class:`~repro.query.engine.Probe`): its ``many`` answers blocks, and
-its optional ``backward`` lets the serving tier cache ``ancestors``-side
-materialisations across queries. Backward probes are blocks too:
+Probe answers live in the engine's per-step-key memos, which every
+execution over that engine (one per published epoch) reads and fills,
+so no query repeats a probe another one already made; only predicate
+verdicts are per execution, in :class:`ExecContext`. Every forward
+probe is a frontier block — Section 3.4's ``LOUT ⋈ LIN`` join of a set
+of sources against a step's whole candidate list: descendant joins
+send ``FORWARD_BLOCK`` sources at a time, counting sends the whole
+frontier, and a ``[//tag]`` predicate check sends its one source. A
+block's memo misses go to ``index.intersect_many``, or to the
+context's ``probe`` substitute (see
+:class:`~repro.query.engine.Probe`). Backward probes are blocks too:
 counting sends its whole backward frontier, the semi-join reduction
 each position's survivors, and a single lookup a block of one.
 """
@@ -36,7 +35,8 @@ from __future__ import annotations
 import itertools
 from bisect import insort
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set,
+    Tuple,
 )
 
 from repro.query.pathexpr import Predicate, Step
@@ -51,28 +51,24 @@ class ExecContext:
 
     Args:
         engine: the owning :class:`~repro.query.engine.QueryEngine`
-            (supplies candidate lists/maps and the parent maps).
-        index: the HOPI index to probe (an explicit epoch's index when
-            the service layer runs the pipeline).
-        probe: optional probe substitute (the serving tier's per-epoch
-            probe cache); ``None`` probes the index directly.
+            (supplies the index, candidate lists/maps, the parent maps
+            and the probe memos).
+        probe: optional forward probe substitute for memo misses;
+            ``None`` probes the index directly.
     """
 
-    def __init__(self, engine, index, probe=None) -> None:
+    def __init__(self, engine, probe=None) -> None:
         self.engine = engine
-        self.index = index
+        self.index = engine.index
         self.probe = probe
         self.elements = engine.collection.elements
-        # probe memos, per step key: element → its answer
-        self._forward: Dict[Tuple[str, bool], Dict[ElementId, List[int]]] = {}
-        self._backward: Dict[Tuple[str, bool], Dict[ElementId, List[ElementId]]] = {}
         self._verdicts: Dict[Tuple[Predicate, ElementId], bool] = {}
 
     # -- probes ---------------------------------------------------------
     def forward_reach(self, source: ElementId, step: Step) -> List[int]:
         """Indices into ``step``'s candidate list reachable from
         ``source``, memoized; a miss is probed as a block of one."""
-        rows = self._forward.get((step.tag, step.similar))
+        rows = self.engine._forward.get((step.tag, step.similar))
         row = rows.get(source) if rows is not None else None
         if row is None:
             row = self.prefetch_forward((source,), step)[source]
@@ -82,19 +78,16 @@ class ExecContext:
         self, sources: Iterable[ElementId], step: Step
     ) -> Dict[ElementId, List[int]]:
         """Fill the forward memo for a whole block of sources in one
-        batched probe: ``probe.many`` when a probe substitute is set
-        (the serving tier's per-epoch cache answers hits and computes
-        the misses in one ``intersect_many``), else
-        ``index.intersect_many`` directly — either way the candidates
-        are grouped by center once for the whole block. Returns the
+        batched probe of its misses: ``probe.many`` when a probe
+        substitute is set, else ``index.intersect_many`` — which groups
+        the candidates by center once for the whole block. Returns the
         step's memo, which then holds every source.
         """
-        key = (step.tag, step.similar)
-        rows = self._forward.setdefault(key, {})
-        missing = [s for s in dict.fromkeys(sources) if s not in rows]
+        rows, missing = self._misses(self.engine._forward, step, sources)
         if missing:
             cand_elems = self.engine._candidate_elems(step)
             if self.probe is not None:
+                key = (step.tag, step.similar)
                 rows.update(self.probe.many(missing, key, cand_elems))
             else:
                 rows.update(
@@ -106,7 +99,7 @@ class ExecContext:
         """Candidates of ``step`` that *reach* ``target`` — the
         ``ancestors``-side probe, memoized; a miss is probed as a block
         of one."""
-        rows = self._backward.get((step.tag, step.similar))
+        rows = self.engine._backward.get((step.tag, step.similar))
         row = rows.get(target) if rows is not None else None
         if row is None:
             row = self.prefetch_backward((target,), step)[target]
@@ -120,39 +113,36 @@ class ExecContext:
         ``step``'s candidates and sorted for determinism. Only that
         intersection is kept — the raw ancestor set is transient — so,
         like the forward memo, memory stays bounded by true positives.
-        With a probe substitute that defines ``backward``, the block
-        goes through it, so the serving tier answers cached targets
-        and computes only the misses. Returns the step's memo."""
-        key = (step.tag, step.similar)
-        rows = self._backward.setdefault(key, {})
-        missing = [t for t in dict.fromkeys(targets) if t not in rows]
-        if not missing:
-            return rows
-
-        def compute(block: List[ElementId]) -> List[List[ElementId]]:
+        Returns the step's memo."""
+        rows, missing = self._misses(self.engine._backward, step, targets)
+        if missing:
             cmap = self.engine._candidate_map(step)
-            found = []
-            for target in block:
+            for target in missing:
                 ancestors: Set[ElementId] = self.index.ancestors(target)
                 if len(cmap) < len(ancestors):
-                    found.append(sorted(e for e in cmap if e in ancestors))
+                    rows[target] = sorted(e for e in cmap if e in ancestors)
                 else:
-                    found.append(sorted(e for e in ancestors if e in cmap))
-            return found
-
-        backward = getattr(self.probe, "backward", None)
-        if backward is not None:
-            rows.update(backward(missing, key, compute))
-        else:
-            rows.update(zip(missing, compute(missing)))
+                    rows[target] = sorted(e for e in ancestors if e in cmap)
         return rows
+
+    def _misses(
+        self, memos: Dict[Tuple[str, bool], Dict[ElementId, Any]],
+        step: Step, elements: Iterable[ElementId],
+    ) -> Tuple[Dict[ElementId, Any], List[ElementId]]:
+        """``(the step's memo in memos, the distinct elements it does
+        not hold)`` for one prefetch block, counted on the engine."""
+        rows = memos.setdefault((step.tag, step.similar), {})
+        distinct = dict.fromkeys(elements)
+        missing = [e for e in distinct if e not in rows]
+        self.engine._count_probes(len(distinct) - len(missing), len(missing))
+        return rows, missing
 
     def sample_first_join(self, plan: PhysicalPlan) -> Tuple[int, int]:
         """``(heads, hits)`` for the planner's window term: the first
         ``FORWARD_BLOCK`` admitted heads of a plan seeded at 0, in rank
         order, and how many admitted candidates of step 1 they join to.
         The block is probed as :func:`run_ranked` probes its first
-        one, so a run in this context finds the answers memoised."""
+        one, so a run over the same engine finds the answers memoised."""
         heads = list(itertools.islice(_scan(self, plan, 0), FORWARD_BLOCK))
         step = plan.expr.steps[1]
         if step.axis == "descendant":

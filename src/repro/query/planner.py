@@ -27,17 +27,16 @@ are held it probes no further head, while a later seed first reduces
 every candidate of its scan backward. So when a windowed ranked plan
 of two steps would seed later, but seed 0's cost scaled down to one
 block could still beat it, the planner probes one block of seed 0's
-admitted heads through the join (the engine's execution context does
-it, so the run that follows finds those answers in its forward memo
-or the service's probe cache) and charges seed 0 only for the heads
-the observed fan-out says fill ``k``, rounded up to whole blocks. A
-sample with no hits leaves the cost as it was. The term only applies
-where the enumerator can stop: no descendant-hop discounts (a
-distance-aware index) and no ``~tag`` at step 1, whose scores could
-let a later head still beat the k-th. Longer chains keep the plain
-cost, because the first join's fan-out says nothing about how many
-results a head yields after the later joins. Count plans and
-limit-free plans never sample.
+admitted heads through the join (into the engine's forward probe
+memo, where the run that follows finds those answers) and charges
+seed 0 only for the heads the observed fan-out says fill ``k``,
+rounded up to whole blocks. A sample with no hits leaves the cost as
+it was. The term only applies where the enumerator can stop: no
+descendant-hop discounts (a distance-aware index) and no ``~tag`` at
+step 1, whose scores could let a later head still beat the k-th.
+Longer chains keep the plain cost, because the first join's fan-out
+says nothing about how many results a head yields after the later
+joins. Count plans and limit-free plans never sample.
 
 Join orders are restricted to *contiguous* prefixes growing around the
 seed step (a zig-zag order): every join still connects a bound
@@ -354,7 +353,6 @@ def plan_query(
     *,
     start: Optional[int] = None,
     directional: bool = False,
-    ctx=None,
 ) -> PhysicalPlan:
     """Choose a physical join order for ``path`` against ``engine``.
 
@@ -372,10 +370,6 @@ def plan_query(
             backward — required by the aggregated counting path, whose
             per-element multiplicity map only exists at a chain's open
             end.
-        ctx: the :class:`~repro.query.exec.ExecContext` the plan will
-            run in; the window term's sample probes through it, so the
-            run reuses those answers. ``None`` samples through a fresh
-            ``engine.context()``.
 
     Returns:
         The :class:`PhysicalPlan` seeded where the modeled total probe
@@ -404,10 +398,10 @@ def plan_query(
         and costs[0] * min(estimates[0], FORWARD_BLOCK) / estimates[0]
         < costs[seed]
     ):
-        if ctx is None:
-            ctx = engine.context()
-        if not ctx.index.is_distance_aware:
-            sampled = ctx.sample_first_join(
+        # the sample lands in the engine's probe memo, where the run
+        # finds it
+        if not engine.index.is_distance_aware:
+            sampled = engine.context().sample_first_join(
                 PhysicalPlan(expr, orders[0][0], estimates)
             )
             if sampled[1]:
@@ -437,13 +431,10 @@ class PreparedQuery:
         self.expr = parse_path(path) if isinstance(path, str) else path
         self.key: str = str(self.expr)
 
-    def bind(
-        self, engine, *, directional: bool = False, ctx=None
-    ) -> PhysicalPlan:
+    def bind(self, engine, *, directional: bool = False) -> PhysicalPlan:
         """Plan against one engine's current cardinalities (the parsed
-        expression is reused — no re-parse); ``ctx`` is
-        :func:`plan_query`'s."""
-        return plan_query(self.expr, engine, directional=directional, ctx=ctx)
+        expression is reused — no re-parse)."""
+        return plan_query(self.expr, engine, directional=directional)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"PreparedQuery({self.key!r})"

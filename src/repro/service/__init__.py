@@ -8,9 +8,9 @@ index:
 
 * :class:`repro.service.service.QueryService` — one published
   :class:`~repro.core.hopi.HopiIndex` serving many reader threads, with
-  a parsed-plan cache, a result cache keyed by ``(plan key, epoch)``
-  and a per-epoch probe cache that answers frontier blocks;
-* :mod:`repro.service.cache` — the one cache class behind all of them,
+  a parsed-plan cache and a result cache keyed by ``(plan key,
+  epoch)``; each epoch's query engine keeps that epoch's probe answers;
+* :mod:`repro.service.cache` — the one cache class behind both,
   an LRU with single-flight computation (concurrent misses on one key
   compute it once);
 * :mod:`repro.service.epoch` — the RCU-style epoch protocol: writers

@@ -418,7 +418,7 @@ class ServiceAPI:
         payload["cache"] = {
             "result": service._results.stats(),
             "plan": service._plans.stats(),
-            "probe": state.probes.stats(),
+            "probe": state.engine.probe_stats(),
         }
         # the ingestion-freshness gauge (docs ingested, publish-lag
         # percentiles)

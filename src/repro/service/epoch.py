@@ -23,7 +23,6 @@ from typing import Optional
 
 from repro.core.hopi import HopiIndex
 from repro.query.engine import QueryEngine
-from repro.service.cache import LRUCache
 
 
 @dataclass(frozen=True)
@@ -37,17 +36,14 @@ class EpochState:
         epoch: the index's change counter at publish time.
         index: the (immutable-by-contract) index of this generation.
         engine: the shared, re-entrant query engine bound to this
-            generation's collection; all reader threads use it.
-        probes: the per-epoch descendant-probe cache. Keyed by
-            ``(source, step_key)`` (forward) and ``("bwd", target,
-            step_key)`` (backward); never shared across epochs, so
+            generation's index; all reader threads use it, and its
+            probe memos hold this generation's probe answers only, so
             stale answers cannot leak through a swap.
     """
 
     epoch: int
     index: HopiIndex
     engine: QueryEngine
-    probes: LRUCache
 
 
 class EpochHolder:

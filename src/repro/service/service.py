@@ -13,12 +13,14 @@ index:
    single-flight coalescing — concurrent identical cold queries
    evaluate once, and every spelling of a query (whitespace, clause
    order) shares one entry;
-3. a per-epoch **probe cache** — descendant-step probes
-   (``source × candidate-list`` forward, ``ancestors``-side backward),
-   looked up and written a frontier block at a time, are answered once
-   per epoch across *different* queries.
+3. the epoch's **probe memos** — each epoch's
+   :class:`~repro.query.engine.QueryEngine` keeps every descendant-step
+   probe answer (``source × candidate-list`` forward,
+   ``ancestors``-side backward) it computes, so *different* queries of
+   one epoch share them; a new epoch's engine starts with none.
 
-All three are one class, :class:`~repro.service.cache.LRUCache`.
+The first two are one class, :class:`~repro.service.cache.LRUCache`,
+and ``/v1/stats`` reports the third in the same key set.
 
 :meth:`QueryService.cached_query` / :meth:`QueryService.cached_count`
 are the non-blocking face of the first two: they only peek, so the
@@ -50,8 +52,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.hopi import HopiIndex
 
@@ -59,7 +60,7 @@ from repro.core.hopi import HopiIndex
 # UpdateError is re-exported because the HTTP API and callers import it
 # from the service package
 from repro.core.ops import UpdateError, apply_update_op
-from repro.query.engine import QueryEngine, QueryResult, StepKey
+from repro.query.engine import QueryEngine, QueryResult
 from repro.query.ontology import TagOntology, default_ontology
 from repro.query.pathexpr import PathExpression
 from repro.query.planner import PreparedQuery
@@ -69,69 +70,6 @@ from repro.service.telemetry import percentile
 from repro.xmlmodel.model import ElementId
 
 _MISSING = object()
-
-
-class _EpochProbe:
-    """The descendant probe of one epoch (a
-    :class:`~repro.query.engine.Probe`).
-
-    Both hooks answer a block: they look every key up in the epoch's
-    probe cache under one lock (:meth:`LRUCache.get_many`), compute the
-    misses together and write them back under one lock
-    (:meth:`LRUCache.put_many`).
-
-    * :meth:`many` computes a forward block's misses in **one**
-      ``index.intersect_many`` round-trip, so a block groups its
-      candidates by center once.
-    * :meth:`backward` caches ``ancestors``-side materialisations under
-      ``("bwd", target, step_key)``. There is no single flight: two
-      readers that miss one target at once both compute it, from the
-      same epoch and to the same answer.
-
-    Keyed by ``(source, step_key)`` / ``("bwd", target, step_key)`` —
-    sound because within an epoch the engine's memoized candidate list
-    for a step key is fixed, so identical keys mean identical probes.
-    """
-
-    __slots__ = ("_state",)
-
-    def __init__(self, state: EpochState) -> None:
-        self._state = state
-
-    def many(
-        self, sources: Sequence[ElementId], step_key: StepKey,
-        cand_elems: Sequence[ElementId],
-    ) -> Dict[ElementId, List[int]]:
-        return self._block(
-            list(zip(sources, repeat(step_key))), sources,
-            lambda missing: self._state.index.intersect_many(
-                missing, cand_elems
-            ),
-        )
-
-    def backward(
-        self, targets: Sequence[ElementId], step_key: StepKey,
-        compute: Callable[[List[ElementId]], List[List[ElementId]]],
-    ) -> Dict[ElementId, List[ElementId]]:
-        return self._block(
-            list(zip(repeat("bwd"), targets, repeat(step_key))), targets,
-            compute,
-        )
-
-    def _block(
-        self, keys: List[Any], elements: Sequence[ElementId],
-        compute: Callable[[List[ElementId]], List[Any]],
-    ) -> Dict[ElementId, Any]:
-        probes = self._state.probes
-        values = probes.get_many(keys, _MISSING)
-        answers = dict(zip(elements, values))
-        misses = [i for i, value in enumerate(values) if value is _MISSING]
-        if misses:
-            missing = [elements[i] for i in misses]
-            rows = compute(missing)
-            probes.put_many(zip([keys[i] for i in misses], rows))
-            answers.update(zip(missing, rows))
-        return answers
 
 
 @dataclass(frozen=True)
@@ -191,7 +129,6 @@ class QueryService:
         similarity_threshold: forwarded to the query engine.
         max_results: ranked-result truncation per query.
         result_cache_size: entries in the ``(path, epoch)`` result LRU.
-        probe_cache_size: per-epoch descendant-probe LRU entries.
         plan_cache_size: parsed-path LRU entries.
         durable_store: optional
             :class:`~repro.storage.wal.DurableIndexStore` — when set,
@@ -208,7 +145,6 @@ class QueryService:
         similarity_threshold: float = 0.3,
         max_results: int = 1000,
         result_cache_size: int = 4096,
-        probe_cache_size: int = 8192,
         plan_cache_size: int = 1024,
         durable_store: Optional[Any] = None,
     ) -> None:
@@ -217,7 +153,6 @@ class QueryService:
         self._ontology = ontology or default_ontology()
         self._similarity_threshold = similarity_threshold
         self._max_results = max_results
-        self._probe_cache_size = probe_cache_size
         self._plans = LRUCache(plan_cache_size)
         self._results = LRUCache(result_cache_size)
         self._holder = EpochHolder(self._make_state(index.epoch, index))
@@ -248,7 +183,7 @@ class QueryService:
         With ``previous`` (the generation ``index`` was forked from),
         the new engine adopts its candidate memos wherever the tag
         lists are unchanged, so the first reads of the new epoch do
-        not recompute them."""
+        not recompute them; its probe memos start empty."""
         engine = QueryEngine(
             index,
             ontology=self._ontology,
@@ -256,12 +191,7 @@ class QueryService:
             max_results=self._max_results,
             previous=None if previous is None else previous.engine,
         )
-        return EpochState(
-            epoch=epoch,
-            index=index,
-            engine=engine,
-            probes=LRUCache(self._probe_cache_size),
-        )
+        return EpochState(epoch=epoch, index=index, engine=engine)
 
     def _count(self, name: str) -> None:
         with self._counter_lock:
@@ -316,9 +246,7 @@ class QueryService:
         key = ("query", prepared.key, state.epoch)
         results, source = self._results.get_or_compute(
             key,
-            lambda: state.engine.evaluate(
-                prepared, index=state.index, probe=_EpochProbe(state)
-            ),
+            lambda: state.engine.evaluate(prepared),
         )
         total = len(results)
         if offset:
@@ -345,9 +273,7 @@ class QueryService:
         key = ("count", prepared.key, state.epoch)
         n, _ = self._results.get_or_compute(
             key,
-            lambda: state.engine.count(
-                prepared, index=state.index, probe=_EpochProbe(state)
-            ),
+            lambda: state.engine.count(prepared),
         )
         self._count("count")
         return state.epoch, n
@@ -419,12 +345,9 @@ class QueryService:
         """
         state = self._holder.current
         prepared = self._prepare(path)
-        # the window term's sample probes through the epoch's cache,
-        # where the query that follows finds it
-        plan = prepared.bind(
-            state.engine, directional=(mode == "count"),
-            ctx=state.engine.context(state.index, _EpochProbe(state)),
-        )
+        # the window term's sample lands in the epoch engine's probe
+        # memo, where the query that follows finds it
+        plan = prepared.bind(state.engine, directional=(mode == "count"))
         payload = plan.describe(mode)
         payload["text"] = plan.explain(mode)
         self._count("explain")
@@ -591,5 +514,5 @@ class QueryService:
             "requests": counters,
             "result_cache": self._results.stats(),
             "plan_cache": self._plans.stats(),
-            "probe_cache": state.probes.stats(),
+            "probe_cache": state.engine.probe_stats(),
         }

@@ -88,7 +88,7 @@ def test_serve_shard_flags_in_help(capsys):
             main(argv)
         texts[argv[0]] = capsys.readouterr().out
     for flag in ("--shards", "--shard-workers", "--executor", "--join-shards",
-                 *REMOVED_BUILD_FLAGS):
+                 "--probe-cache", *REMOVED_BUILD_FLAGS):
         assert not any(flag in text for text in texts.values()), flag
     assert "worker" not in texts["--help"]
     commands = next(
@@ -133,7 +133,7 @@ def test_bad_build_sizes_are_usage_errors(corpus, tmp_path, capsys, argv):
     ["--max-inflight", "0"], ["--queue-depth", "-1"],
     ["--max-client-share", "0"], ["--max-client-share", "1.5"],
     ["--max-client-share", "half"], ["--result-cache", "0"],
-    ["--probe-cache", "-5"],
+    ["--probe-cache", "-5"],  # removed: any value is an unknown option
 ])
 def test_bad_serve_sizes_are_usage_errors(index_path, tmp_path, capsys, argv):
     """A bad admission or cache size is an argparse usage error (exit 2)

@@ -146,7 +146,7 @@ def test_cost_aware_plans_return_identical_answers(small_index):
         for start in range(len(expr.steps)):
             top = run_ranked(
                 plan_query(expr, engine, start=start),
-                ExecContext(engine, small_index), 10**9,
+                ExecContext(engine), 10**9,
             )
             assert [(b, -neg) for neg, b in top] == expected, (path, start)
 
@@ -334,37 +334,28 @@ def test_directional_plans_ignore_the_window(frozen_plan_engine, window):
 
 
 def test_window_term_probes_its_sample_once(frozen_plan_engine):
-    """The run reuses the sampled block: no source is sent twice, and a
-    ten-result window probes just that block."""
-    engine = frozen_plan_engine
-    index = engine.index
-
-    class CountingProbe:
-        def __init__(self):
-            self.sent = []
-
-        def many(self, sources, step_key, cand_elems):
-            self.sent.extend((s, step_key) for s in sources)
-            rows = index.intersect_many(list(sources), cand_elems)
-            return dict(zip(sources, rows))
-
-    probe = CountingProbe()
+    """The run reuses the sampled block: the planner's sample and the
+    run miss one ``FORWARD_BLOCK`` of sources between them, each once,
+    and a second context over the same engine adds no miss."""
+    # a fresh engine, so its probe memo holds nothing yet
+    engine = QueryEngine(frozen_plan_engine.index)
     path = "//cite//title limit 10"
-    got = engine.evaluate(path, probe=probe)
-    assert len(probe.sent) == len(set(probe.sent)) == FORWARD_BLOCK
-    # the planner samples through the run's context, whose memo the
-    # run then reads
-    probe = CountingProbe()
-    ctx = engine.context(probe=probe)
-    plan = plan_query(parse_path(path), engine, ctx=ctx)
-    assert len(probe.sent) == FORWARD_BLOCK
-    assert run_ranked(plan, ctx, 10) == run_ranked(
-        plan, engine.context(), 10
+
+    def misses():
+        return engine.probe_stats()["misses"]
+
+    got = engine.evaluate(path)
+    assert misses() == FORWARD_BLOCK
+    # the planner samples into the engine's memo, where a run finds it
+    plan = plan_query(parse_path(path), engine)
+    assert plan.sampled is not None and misses() == FORWARD_BLOCK
+    assert run_ranked(plan, engine.context(), 10) == run_ranked(
+        plan, ExecContext(engine), 10
     )
-    assert len(probe.sent) == FORWARD_BLOCK
+    assert misses() == FORWARD_BLOCK
     backward = run_ranked(
         plan_query(parse_path(path), engine, start=1),
-        ExecContext(engine, index), 10,
+        ExecContext(engine), 10,
     )
     assert [(r.bindings, r.score) for r in got] == [
         (b, -neg) for neg, b in backward
@@ -398,7 +389,7 @@ def test_windowed_top_k_is_the_same_for_every_seed(distance):
             for start in range(2):
                 top = run_ranked(
                     plan_query(windowed, engine, start=start),
-                    ExecContext(engine, index), offset + limit,
+                    ExecContext(engine), offset + limit,
                 )
                 assert got == [(b, -neg) for neg, b in top[offset:]], (
                     path, limit, offset, start,

@@ -7,7 +7,9 @@ tag lists are the same objects. The contract pinned here: after every
 maintenance op an inheriting engine answers ``evaluate`` and ``count``
 exactly like a fresh one, the memos of untouched tags are carried over
 as the same objects, and those of a changed tag — or, for ``*`` and
-``~tag`` keys, any changed list or tag set — are not.
+``~tag`` keys, any changed list or tag set — are not. No probe answer
+is carried over: each generation's engine starts with empty probe
+memos.
 """
 
 import sys
@@ -125,6 +127,10 @@ def test_an_inheriting_engine_answers_like_a_fresh_one(distance):
         apply_update_op(fork, op(fork) if callable(op) else op)
         inheriting = engine_for(fork, previous)
         fresh = engine_for(fork)
+        # probe answers depend on the labels: none is carried over
+        assert previous._forward or previous._backward, name
+        assert not inheriting._forward and not inheriting._backward, name
+        assert inheriting.probe_stats()["size"] == 0, name
         if kept == "all":
             kept = [k for k, v in previous._candidate_memo.items() if v]
         for key in kept:

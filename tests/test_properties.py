@@ -322,14 +322,14 @@ def test_planner_join_orders_sound(c, path, start_scaled, limit, offset):
         def ranked(seed):
             top = run_ranked(
                 plan_query(expr, engine, start=seed),
-                ExecContext(engine, index), 10**9,
+                ExecContext(engine), 10**9,
             )
             return [(b, -neg) for neg, b in top]
 
         def counted(seed):
             return run_count(
                 plan_query(expr, engine, start=seed),
-                ExecContext(engine, index),
+                ExecContext(engine),
             )
 
         forward = ranked(0)
@@ -340,7 +340,7 @@ def test_planner_join_orders_sound(c, path, start_scaled, limit, offset):
         for seed in range(last + 1):
             top = run_ranked(
                 plan_query(windowed, engine, start=seed),
-                ExecContext(engine, index), offset + limit,
+                ExecContext(engine), offset + limit,
             )
             assert [(b, -neg) for neg, b in top[offset:]] == (
                 forward[offset:offset + limit]

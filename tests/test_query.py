@@ -308,20 +308,20 @@ def test_candidates_memoized_per_tag_and_invalidated_on_refresh():
 
 
 def test_evaluate_against_explicit_index():
-    """Pooled engines: one engine's tag index, another index's cover
-    (here the oracle twin over the same collection)."""
+    """Two engines over one collection, one over the cover and one over
+    its oracle twin, answer alike."""
     from cover_oracle import oracle_index
 
     c = dblp_like(8, seed=5)
     index = HopiIndex.build(c, strategy="unpartitioned")
-    twin = oracle_index(index)
     engine = QueryEngine(index, max_results=10**9)
+    twin = QueryEngine(oracle_index(index), max_results=10**9)
     default = engine.evaluate("//article//cite")
-    explicit = engine.evaluate("//article//cite", index=twin)
+    explicit = twin.evaluate("//article//cite")
     assert [(r.bindings, r.score) for r in default] == [
         (r.bindings, r.score) for r in explicit
     ]
-    assert engine.count("//article//cite", index=twin) == len(default)
+    assert twin.count("//article//cite") == len(default)
 
 
 def test_evaluate_with_probe_substitute():

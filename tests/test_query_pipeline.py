@@ -193,7 +193,7 @@ def ranked_at(engine, expr, start, k=10**9, probe=None):
     expr = parse_path(expr) if isinstance(expr, str) else expr
     top = run_ranked(
         plan_query(expr, engine, start=start),
-        ExecContext(engine, engine.index, probe), k,
+        ExecContext(engine, probe), k,
     )
     return [(b, -neg) for neg, b in top]
 
@@ -203,7 +203,7 @@ def count_at(engine, expr, start):
     expr = parse_path(expr) if isinstance(expr, str) else expr
     return run_count(
         plan_query(expr, engine, start=start),
-        ExecContext(engine, engine.index),
+        ExecContext(engine),
     )
 
 
@@ -234,8 +234,10 @@ class TestDifferential:
         engine answers it without a probe: the legacy dialect against
         the frozen evaluator, descendant predicates (whose ``[//tag]``
         checks probe one source at a time) against the probe-less run."""
-        engine, _ = cover_engines
-        index = engine.index
+        # a fresh engine: the shared one may already hold every answer,
+        # and the probe is asked for memo misses only
+        index = cover_engines[0].index
+        engine = QueryEngine(index, max_results=10**9)
         calls = []
 
         class BlockProbe:
@@ -254,11 +256,12 @@ class TestDifferential:
             )
         assert calls, "the probe substitute must actually be exercised"
         calls.clear()
+        shared, engine = cover_engines[0], QueryEngine(index, max_results=10**9)
         for path in ["//article[//cite]//author", "//article[//cite]"]:
-            expected = as_pairs(engine.evaluate(path))
+            expected = as_pairs(shared.evaluate(path))
             assert expected, path
             assert as_pairs(engine.evaluate(path, probe=probe)) == expected, path
-            assert engine.count(path, probe=probe) == engine.count(path), path
+            assert engine.count(path, probe=probe) == shared.count(path), path
         assert any(key == ("cite", False) for _, key in calls), calls
 
     def test_truncation_matches_reference(self, cover_engines):
@@ -296,11 +299,11 @@ class TestPlannerSoundness:
             expr = parse_path(path)
             forward = run_count(
                 plan_query(expr, engine, start=0),
-                ExecContext(engine, engine.index),
+                ExecContext(engine),
             )
             backward = run_count(
                 plan_query(expr, engine, start=len(expr.steps) - 1),
-                ExecContext(engine, engine.index),
+                ExecContext(engine),
             )
             assert forward == backward == engine.count(path), path
 
@@ -310,7 +313,7 @@ class TestPlannerSoundness:
         plan = plan_query(expr, engine, start=1)  # middle seed: mixed
         if len({op.direction for op in plan.ops[1:]}) > 1:
             with pytest.raises(ValueError):
-                run_count(plan, ExecContext(engine, engine.index))
+                run_count(plan, ExecContext(engine))
 
     def test_selective_seeds_at_rare_tail(self):
         c = dblp_like(10, seed=3)
@@ -439,7 +442,7 @@ class TestRankedEnumeration:
         for start in range(len(expr.steps)):
             top = run_ranked(
                 plan_query(expr, engine, start=start),
-                ExecContext(engine, engine.index),
+                ExecContext(engine),
                 expr.offset + limit,
             )
             got = [(b, -neg) for neg, b in top[expr.offset:][:max_results]]
@@ -460,7 +463,7 @@ class TestRankedEnumeration:
             for k in (1, 3, 40):
                 top = run_ranked(
                     plan_query(expr, engine, start=last),
-                    ExecContext(engine, index), k,
+                    ExecContext(engine), k,
                 )
                 assert [(b, -neg) for neg, b in top] == expected[:k], (path, k)
 
@@ -490,8 +493,9 @@ class TestRankedEnumeration:
         for step_key, sources in probe.sources.items():
             assert len(sources) <= 2 * FORWARD_BLOCK, step_key
         # ... which is a fraction of what enumerating everything probes
+        # (on a fresh engine, whose memo holds none of the above)
         full = CountingProbe()
-        ranked_at(engine, path, 0, probe=full)
+        ranked_at(QueryEngine(index), path, 0, probe=full)
         assert len(full.sources[("article", False)]) > 2 * FORWARD_BLOCK
 
 

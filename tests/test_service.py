@@ -8,7 +8,6 @@ oracles, serving the cover and serving the oracle cover.
 
 import gc
 import json
-import random
 import sys
 import threading
 import time
@@ -21,6 +20,7 @@ import pytest
 import harness
 from harness import start_in_thread
 from repro.core.hopi import HopiIndex
+from repro.query import engine as engine_module
 from repro.query.engine import QueryEngine
 from repro.service import service as service_module
 from repro.service import (
@@ -98,116 +98,6 @@ class TestLRUCache:
             LRUCache(0)
 
 
-class TestLRUCacheBlocks:
-    """``get_many`` / ``put_many`` are the same sequence of ``get`` /
-    ``put`` calls under one lock: same values, same counters, same
-    recency."""
-
-    @staticmethod
-    def counters(cache):
-        return cache.hits, cache.misses, cache.evictions
-
-    @staticmethod
-    def eviction_order(cache):
-        """The held keys, least recent first, read through the public
-        API: push fresh keys one at a time and note who leaves."""
-        held = [key for key in range(-50, 50) if key in cache]
-        order = []
-        for n in range(cache.capacity):
-            cache.put(("fresh", n), None)
-            order += [key for key in held if key not in order and key not in cache]
-        return order
-
-    def replay(self, capacity, blocks):
-        """Run ``blocks`` (``("get", keys)`` / ``("put", items)``) on a
-        block cache and on a per-key cache; both must agree."""
-        block, single = LRUCache(capacity), LRUCache(capacity)
-        for kind, arg in blocks:
-            if kind == "get":
-                got = block.get_many(arg, "absent")
-                assert got == [single.get(key, "absent") for key in arg]
-            else:
-                block.put_many(arg)
-                for key, value in arg:
-                    single.put(key, value)
-            assert self.counters(block) == self.counters(single)
-            assert len(block) == len(single)
-        counters = self.counters(block)
-        assert self.eviction_order(block) == self.eviction_order(single)
-        return counters
-
-    def test_blocks_equal_the_per_key_calls(self):
-        rng = random.Random(55)
-        blocks = []
-        for _ in range(200):
-            keys = [rng.randrange(12) for _ in range(rng.randrange(1, 7))]
-            if rng.random() < 0.5:
-                blocks.append(("get", keys))
-            else:
-                blocks.append(("put", [(key, rng.random()) for key in keys]))
-        hits, misses, evictions = self.replay(5, blocks)
-        assert hits and misses and evictions
-
-    def test_a_repeated_key_counts_and_refreshes_each_time(self):
-        counters = self.replay(3, [
-            ("put", [(1, "a"), (2, "b"), (3, "c")]),
-            ("get", [1, 1, 9, 9, 2, 1]),
-        ])
-        assert counters == (4, 2, 0)
-
-    def test_a_put_block_that_overflows_on_its_own_evicts_per_put(self):
-        # 3 evicts 1, and the re-put 1 evicts 2: two evictions, where
-        # one eviction after the whole block would have kept 2
-        counters = self.replay(2, [
-            ("put", [(1, "a"), (2, "b"), (3, "c"), (1, "d")]),
-            ("get", [1, 2, 3]),
-        ])
-        assert counters == (2, 1, 2)
-
-    def test_concurrent_blocks_lose_no_count(self):
-        """Four threads (more than the cores) read and write blocks of
-        their own keys under a short switch interval: every lookup is a
-        hit or a miss, and every key put is held or was evicted."""
-        cache = LRUCache(64)
-        rounds, width = 300, 8
-
-        def worker(n):
-            for r in range(rounds):
-                keys = [(n, r, i) for i in range(width)]
-                cache.get_many(keys)
-                cache.put_many((key, r) for key in keys)
-                cache.get_many(keys)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [
-                threading.Thread(target=worker, args=(n,), daemon=True)
-                for n in range(4)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert cache.hits + cache.misses == 4 * rounds * 2 * width
-        assert len(cache) + cache.evictions == 4 * rounds * width
-        assert len(cache) == cache.capacity
-
-    def test_empty_blocks_change_nothing(self):
-        cache = LRUCache(2)
-        cache.put(1, "a")
-        assert cache.get_many([]) == []
-        cache.put_many([])
-        assert self.counters(cache) == (0, 0, 0)
-        assert len(cache) == 1
-        assert self.replay(2, [
-            ("put", [(1, "a")]), ("get", []), ("put", []), ("get", [1]),
-        ]) == (1, 0, 0)
-
-
 # ---------------------------------------------------------------------------
 # in-flight coalescing
 # ---------------------------------------------------------------------------
@@ -215,9 +105,8 @@ class TestLRUCacheBlocks:
 
 class TestCoalescingCache:
     """``LRUCache.get_or_compute``: the single-flight path the plan
-    and result caches go through. The per-epoch probe cache reads and
-    writes blocks (``get_many`` / ``put_many``) and keeps no single
-    flight; the rendered-row memo uses ``get`` / ``put``."""
+    and result caches go through. The rendered-row memo uses ``get`` /
+    ``put``."""
 
     @staticmethod
     def wait_for(condition):
@@ -373,10 +262,10 @@ class TestServiceReads:
         assert stats["requests"]["query"] == 2
 
     def test_backward_probes_hit_cache_on_second_run(self, arrays_index):
-        """Backward (ancestors-side) probes land in the per-epoch cache
-        under ``("bwd", target, step_key)`` keys, so a second
-        backward-heavy query in the same epoch reuses them instead of
-        recomputing every ancestor intersection.
+        """Backward (ancestors-side) probes land in the epoch engine's
+        backward memo, so a second backward-heavy query in the same
+        epoch reuses them instead of recomputing every ancestor
+        intersection.
 
         What is pinned is reuse, not volume: the windowed second run
         may stop early and issue fewer probes than the first run
@@ -409,9 +298,9 @@ def erratum_index():
 
 
 class TestProbeCacheBlocks:
-    """The epoch probe cache answers a block at a time: with a cache
-    small enough to evict inside one block, with the default one and
-    with no probe at all, every answer is the same."""
+    """The epoch engine's probe memo answers a block at a time: with a
+    bound small enough to drop the memo inside one query, with the
+    default one and on a fresh engine, every answer is the same."""
 
     FORWARD, BACKWARD = ["seed", "forward"], ["seed", "backward"]
     # each shape twice in a row, under a second window: a new
@@ -428,23 +317,31 @@ class TestProbeCacheBlocks:
     ]
 
     def test_an_evicting_cache_answers_like_the_default_and_no_probe(
-        self, erratum_index
+        self, erratum_index, monkeypatch
     ):
-        small = QueryService(erratum_index.copy(), probe_cache_size=16)
+        small = QueryService(erratum_index.copy())
         default = QueryService(erratum_index.copy())
-        engine = QueryEngine(erratum_index)
+
+        def evicting(call, path):
+            """``call(path)`` with the memo bound at 16 answers."""
+            with monkeypatch.context() as patch:
+                patch.setattr(engine_module, "PROBE_MEMO_BOUND", 16)
+                return call(path)
+
         for kind, path, order in self.SHAPES:
             mode = "count" if kind == "count" else "evaluate"
             plan = default.explain(path, mode=mode)[1]
             assert [op["direction"] for op in plan["order"]] == order, plan
+            fresh = QueryEngine(erratum_index)
             if kind == "count":
-                want = engine.count(path)
+                want = fresh.count(path)
                 assert want > 0, path
-                assert small.count(path)[1] == default.count(path)[1] == want
+                assert evicting(small.count, path)[1] == want
+                assert default.count(path)[1] == want
             else:
-                want = signature(engine.evaluate(path))
+                want = signature(fresh.evaluate(path))
                 assert want, path
-                assert signature(small.query(path).results) == want
+                assert signature(evicting(small.query, path).results) == want
                 assert signature(default.query(path).results) == want
         evicting = small.stats()["probe_cache"]
         assert evicting["evictions"] > 0 and evicting["hits"] > 0
@@ -465,6 +362,56 @@ class TestProbeCacheBlocks:
         assert frontier > 0
         assert second["misses"] == first["misses"]
         assert second["hits"] - first["hits"] == frontier
+
+    def test_readers_racing_a_dropping_memo_answer_alike(
+        self, erratum_index, monkeypatch
+    ):
+        """Four readers (more than the cores) share one epoch's engine
+        under a tiny switch interval, with the memo bound at 16 answers,
+        so one reader drops the memo while others are still reading the
+        dicts it held: every answer equals the single-threaded one, no
+        reader raises and the counters lose no update."""
+        calls = [(kind, path) for kind, path, _ in self.SHAPES]
+        calls += [("count", "//article[//cite]//author")]
+
+        def answer(engine, call):
+            kind, path = call
+            if kind == "count":
+                return engine.count(path)
+            return signature(engine.evaluate(path))
+
+        want = {call: answer(QueryEngine(erratum_index), call) for call in calls}
+        monkeypatch.setattr(engine_module, "PROBE_MEMO_BOUND", 16)
+        engine = QueryService(erratum_index.copy())._holder.current.engine
+        wrong, errors = [], []
+
+        def reader(n):
+            try:
+                for i in range(6 * len(calls)):
+                    call = calls[(n + i) % len(calls)]
+                    if answer(engine, call) != want[call]:
+                        wrong.append(call)
+            except BaseException as exc:  # reported by the assertion below
+                errors.append(exc)
+                raise
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=reader, args=(n,)) for n in range(4)]
+        try:
+            for thread in threads:
+                thread.start()
+        finally:
+            for thread in threads:
+                thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert not wrong, wrong
+        # every miss is held or was dropped: no counter update was lost
+        stats = engine.probe_stats()
+        assert stats["evictions"] > 0
+        assert stats["evictions"] + stats["size"] == stats["misses"]
 
 
 # ---------------------------------------------------------------------------
