@@ -13,8 +13,10 @@ self-hop is applied by every query. Two flavours:
 
 This is the one label representation of the system:
 
-* every node label is interned to a dense ``int32`` id
-  (:class:`repro.core.interner.NodeInterner`);
+* a node is a non-negative ``int`` (an element id) and indexes every
+  per-node table directly: ``Lin(v)`` is ``_lin[v]``, ``v``'s rank
+  ``_rank[v]``. A removed or never-seen id is not in the universe and
+  its rows are ``None``;
 * ``Lin``/``Lout`` are **sorted** ``array('i')`` center-id rows (distance
   covers carry an aligned ``array('i')`` of distances), and the
   **backward indexes** (``center -> nodes carrying it``, Section 3.4's
@@ -34,8 +36,8 @@ This is the one label representation of the system:
 * :meth:`to_csr`/:meth:`from_csr` convert labels to/from the CSR layout
   (``indptr`` + flat data arrays) so snapshots round-trip through
   ``array.tobytes`` without per-row Python overhead;
-* one **rank** per interned id (an ``array('q')`` beside the tables,
-  0 where none is stored) is the vertex order every PLL labelling of
+* one **rank** per id (an ``array('q')`` beside the tables, 0 where
+  none is stored) is the vertex order every PLL labelling of
   this cover follows: the build stores its sort key, inserts store one
   for their new vertices, and a Theorem-3 region re-label sorts by it
   (:meth:`ranks`).
@@ -48,12 +50,11 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from itertools import chain
+from itertools import chain, compress
 from operator import is_
 from typing import (
     Callable,
     Dict,
-    Hashable,
     Iterable,
     Iterator,
     List,
@@ -64,9 +65,8 @@ from typing import (
     Tuple,
 )
 
-from repro.core.interner import NodeInterner
-
-Node = Hashable
+#: a vertex: a non-negative element id
+Node = int
 
 #: typecodes: int32 label/center data, int64 CSR offsets and ranks
 ID_TYPECODE = "i"
@@ -83,6 +83,14 @@ def rank_array(keys: Sequence[int]) -> array:
         return array(RANK_TYPECODE, keys)
     except OverflowError:
         return array(RANK_TYPECODE, [min(k, RANK_MAX) for k in keys])
+
+
+def _first_moved(ids: Sequence[int]) -> int:
+    """The first position of the strictly ascending non-negative
+    ``ids`` that is not its own id (``len(ids)`` when none is): every
+    position below it is."""
+    return bisect_left(range(len(ids)), True, key=lambda p: ids[p] != p)
+
 
 #: How many distinct candidate-tuple center maps to keep per generation.
 _CAND_CACHE_LIMIT = 16
@@ -167,44 +175,10 @@ def galloping_min_plus(
     return best
 
 
-class _NodeSetView:
-    """Read-only set-like view of a cover's active node universe,
-    externalised through the interner."""
-
-    __slots__ = ("_cover",)
-
-    def __init__(self, cover) -> None:
-        self._cover = cover
-
-    def __contains__(self, label: Node) -> bool:
-        iid = self._cover.interner.get(label)
-        return iid is not None and iid in self._cover._nodes
-
-    def __len__(self) -> int:
-        return len(self._cover._nodes)
-
-    def __iter__(self) -> Iterator[Node]:
-        label = self._cover.interner.label
-        return (label(i) for i in self._cover._nodes)
-
-    def __eq__(self, other) -> bool:
-        try:
-            return set(self) == set(other)
-        except TypeError:  # pragma: no cover - defensive
-            return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"_NodeSetView({set(self)!r})"
-
-
 #: A center map with what it was built from: ``(candidates, center map,
-#: active candidate ids, their Lin rows, inactive candidate ids)``. The
-#: rows are ``None`` when a candidate label was never interned (such a
-#: map is not inherited); the strong reference in slot 0 keeps an
-#: ``id()`` key unambiguous.
-_CandEntry = Tuple[
-    tuple, Dict[int, List[int]], List[int], Optional[tuple], Set[int]
-]
+#: active candidate ids, their Lin rows, inactive candidates)``. The
+#: strong reference in slot 0 keeps an ``id()`` key unambiguous.
+_CandEntry = Tuple[tuple, Dict[int, List[int]], List[int], tuple, Set[int]]
 
 
 class _ProbeCache:
@@ -230,8 +204,11 @@ class _ProbeCache:
 class _CoverBase:
     """State and machinery shared by both cover flavours.
 
-    Label tables are lists indexed by internal id (``None`` = empty) so
-    the dense ids double as direct offsets — no hashing on hot paths.
+    Label tables are lists indexed by node id (``None`` = empty), so a
+    node is its own offset — no hashing on hot paths. Every reader
+    checks a node against the universe (or the tables' length) before
+    it indexes a table, so a negative, unknown or non-``int`` node
+    answers "not connected" / empty.
     Every mutator sets ``self._probe_cache = None`` first: the batch
     probes' memo (:class:`_ProbeCache`) describes exactly one immutable
     generation of the tables. What a :meth:`cow_copy` fork inherits
@@ -243,14 +220,13 @@ class _CoverBase:
     _TABLE_NAMES: Tuple[str, ...] = ("_lin", "_lout", "_inv_lin", "_inv_lout")
 
     def __init__(self, nodes: Iterable[Node] = ()) -> None:
-        self.interner = NodeInterner()
         self._nodes: Set[int] = set()
         self._lin: List[Optional[array]] = []
         self._lout: List[Optional[array]] = []
         self._inv_lin: List[Optional[array]] = []
         self._inv_lout: List[Optional[array]] = []
         # COW bookkeeping: None outside forks; after cow_copy(), a dict
-        # mapping id(table) -> iids whose rows this instance privately
+        # mapping id(table) -> ids whose rows this instance privately
         # owns (all other rows may be shared with the fork sibling)
         self._cow: Optional[Dict[int, Set[int]]] = None
         # the batch probes' memo; None until the first batch probe
@@ -258,8 +234,8 @@ class _CoverBase:
         self._probe_cache: Optional[_ProbeCache] = None
         # the center maps inherited at cow_copy(), checked before reuse
         self._inherited: Dict[int, _CandEntry] = {}
-        # rank per interned id, 0 = none stored; may be shorter than
-        # the interner (the ids past its end have none)
+        # rank per id, 0 = none stored; may be shorter than the tables
+        # (the ids past its end have none)
         self._rank = array(RANK_TYPECODE)
         self.add_nodes(nodes)
 
@@ -287,11 +263,10 @@ class _CoverBase:
         """A copy-on-write fork sharing unchanged label rows with
         ``self``; equivalent to :meth:`copy` for every observable
         purpose, at O(nodes) pointer copies instead of O(cover size)
-        row copies. Outer tables and the interner are copied at pointer
-        level; the sorted ``array('i')`` rows stay shared until either
-        side mutates them (the first in-place change privatises the
-        row). The fork starts with no probe cache; ``self`` keeps its
-        own.
+        row copies. Outer tables are copied at pointer level; the
+        sorted ``array('i')`` rows stay shared until either side
+        mutates them (the first in-place change privatises the row).
+        The fork starts with no probe cache; ``self`` keeps its own.
 
         The fork inherits the center maps ``self`` built or reused in
         its own generation or, when it probed no tuple since its own
@@ -299,9 +274,8 @@ class _CoverBase:
         generation's maps at most, and a tuple a generation does not
         probe is not carried past the fork after it. In the first case
         ``self`` lets go of what it inherited, which no fork can take
-        any more. Maps over a never-interned label are not carried."""
+        any more."""
         clone = type(self)()
-        clone.interner = self.interner.copy()
         clone._nodes = set(self._nodes)
         clone._rank = self._rank[:]
         for name in self._TABLE_NAMES:
@@ -311,13 +285,10 @@ class _CoverBase:
         cache = self._probe_cache
         # dict.copy() first: readers may add to a published cover's cache
         if cache is not None and cache.cand:
-            carried = cache.cand.copy()
+            clone._inherited = cache.cand.copy()
             self._inherited = {}
         else:
-            carried = self._inherited.copy()
-        clone._inherited = {
-            key: entry for key, entry in carried.items() if entry[3] is not None
-        }
+            clone._inherited = self._inherited.copy()
         return clone
 
     def copy(self):
@@ -325,7 +296,6 @@ class _CoverBase:
         (subclasses clone as their own type; the copy starts with no
         probe cache and inherits no center maps)."""
         clone = type(self)()
-        clone.interner = self.interner.copy()
         clone._nodes = set(self._nodes)
         clone._rank = self._rank[:]
         for name in self._TABLE_NAMES:
@@ -337,7 +307,7 @@ class _CoverBase:
     def __getstate__(self) -> Dict[str, object]:
         # pickling deep-copies every row, so the unpickled instance owns
         # all of them; the id()-keyed ownership map would be stale, and
-        # so would the probe cache's id()-keyed translations: the copy
+        # so would the probe cache's id()-keyed entries: the copy
         # starts without one, and inherits nothing
         state = self.__dict__.copy()
         state["_cow"] = None
@@ -347,46 +317,54 @@ class _CoverBase:
 
     # -- id plumbing ----------------------------------------------------
     def _tables(self) -> Tuple[List[Optional[array]], ...]:
-        """Every per-node table that must grow with the interner
-        (:attr:`_TABLE_NAMES`, spelled out: this runs once per new id)."""
+        """Every per-node table, all of one length
+        (:attr:`_TABLE_NAMES`, spelled out: this runs on every write)."""
         return (self._lin, self._lout, self._inv_lin, self._inv_lout)
 
-    def _intern(self, label: Node) -> int:
-        iid = self.interner.intern(label)
-        if iid >= len(self._lin):
-            grow = iid + 1 - len(self._lin)
+    def _grow(self, *ids: int) -> None:
+        """Extend every table to hold ``ids``: ``None`` rows up to the
+        largest. Raises ``TypeError`` for a non-``int`` id and
+        ``ValueError`` for a negative one, before anything changes."""
+        top = len(self._lin) - 1
+        for x in ids:
+            if type(x) is not int:
+                raise TypeError(f"cover nodes are int element ids, not {x!r}")
+            if x > top:
+                top = x
+            elif x < 0:
+                raise ValueError(f"cover nodes are non-negative, not {x}")
+        grow = top + 1 - len(self._lin)
+        if grow > 0:
+            fill = [None] * grow
             for table in self._tables():
-                table.extend([None] * grow)
-        return iid
+                table.extend(fill)
 
-    def _row(self, table: List[Optional[array]], iid: int) -> Optional[array]:
-        return table[iid] if iid < len(table) else None
+    def _has_slot(self, x: Node) -> bool:
+        """Whether ``x`` is an id the tables hold a row for."""
+        return type(x) is int and 0 <= x < len(self._lin)
+
+    def _row(self, table: List[Optional[array]], x: Node) -> Optional[array]:
+        """``table[x]``, or ``None`` when ``x`` has no row slot."""
+        return table[x] if self._has_slot(x) else None
 
     # -- universe -------------------------------------------------------
     @property
-    def nodes(self) -> _NodeSetView:
-        return _NodeSetView(self)
+    def nodes(self) -> Set[Node]:
+        """The active node universe (the cover's own set: read only)."""
+        return self._nodes
 
     def add_node(self, v: Node) -> None:
         """Register ``v`` in the node universe (idempotent)."""
         self._probe_cache = None
-        self._nodes.add(self._intern(v))
+        self._grow(v)
+        self._nodes.add(v)
 
     def add_nodes(self, nodes: Iterable[Node]) -> None:
         """Register every node of ``nodes`` in the universe."""
         self._probe_cache = None
-        self._nodes.update(self._intern_all(nodes))
-
-    def _intern_all(self, labels: Iterable[Node]) -> List[int]:
-        """The ids of ``labels``, interning new ones (the tables grow
-        once, not once per new id)."""
-        intern = self.interner.intern
-        ids = [intern(v) for v in labels]
-        grow = len(self.interner) - len(self._lin)
-        if grow > 0:
-            for table in self._tables():
-                table.extend([None] * grow)
-        return ids
+        nodes = list(nodes)
+        self._grow(*nodes)
+        self._nodes.update(nodes)
 
     # -- the stored vertex order ----------------------------------------
     def ranks(
@@ -402,20 +380,18 @@ class _CoverBase:
         PLL labelling takes a higher rank first, equal ranks by node id.
         """
         rank = self._rank
-        ids = self.interner.translate(nodes)
-        if keys is not None and -1 in ids:
-            ids = self._intern_all(nodes)
         n = len(rank)
-        out = [rank[i] if 0 <= i < n else 0 for i in ids]
+        out = [rank[x] if type(x) is int and 0 <= x < n else 0 for x in nodes]
         if keys is None or 0 not in out:
             return out
-        grow = len(self.interner) - n
+        blank = [j for j, r in enumerate(out) if not r]
+        missing = [nodes[j] for j in blank]
+        self._grow(*missing)
+        grow = len(self._lin) - n
         if grow > 0:
             rank.frombytes(bytes(grow * rank.itemsize))
-        blank = [j for j, r in enumerate(out) if not r]
-        fresh = rank_array(keys([nodes[j] for j in blank]))
-        for j, key in zip(blank, fresh):
-            out[j] = rank[ids[j]] = key
+        for j, x, key in zip(blank, missing, rank_array(keys(missing))):
+            out[j] = rank[x] = key
         return out
 
     # -- backward indexes -----------------------------------------------
@@ -453,17 +429,18 @@ class _CoverBase:
         self._discard(True, node, center)
 
     def _discard(self, out: bool, node: Node, center: Node) -> None:
-        ni, ci = self.interner.get(node), self.interner.get(center)
-        if ni is not None and ci is not None and self._drop_center(out, ni, ci):
+        if (
+            self._has_slot(node) and self._has_slot(center)
+            and self._drop_center(out, node, center)
+        ):
             self._probe_cache = None
-            self._inv_discard(self._inv_lout if out else self._inv_lin, ci, ni)
+            self._inv_discard(self._inv_lout if out else self._inv_lin, center, node)
 
     def remove_nodes(self, removed: Set[Node]) -> None:
         """Drop nodes from the universe, their labels, and every label
         entry that uses them as a center (document deletion support)."""
         self._probe_cache = None
-        get = self.interner.get
-        ids = [iid for iid in map(get, removed) if iid is not None]
+        ids = [x for x in removed if self._has_slot(x)]
         self._nodes.difference_update(ids)
         for iid in ids:
             self._write_row(False, iid, ())
@@ -478,136 +455,108 @@ class _CoverBase:
         """Theorem 3's label surgery; returns the change in entries.
 
         ``fresh`` is the cover the re-labelled region got on its own
-        (same flavour, its universe the region). Every region node's
-        ``Lout`` is **replaced** by the fresh one — the region is closed
-        under reachability, so every connection out of it is one
-        ``fresh`` covers — and the ``Lin`` of every region node and
-        surviving ``descendants`` node gains the fresh centers, a
-        descendant's after dropping the ancestor ``seeds`` (on a
-        distance cover the shorter distance wins). It all runs on
-        interned ids: ``fresh``'s ids map to this cover's through one
-        translation list. Rows that come out equal stay the objects a
-        COW sibling may share.
+        (same flavour, its universe the region, on this cover's ids).
+        Every region node's ``Lout`` is **replaced** by the fresh one —
+        the region is closed under reachability, so every connection
+        out of it is one ``fresh`` covers — and the ``Lin`` of every
+        region node and surviving ``descendants`` node gains the fresh
+        centers, a descendant's after dropping the ancestor ``seeds``
+        (on a distance cover the shorter distance wins). Rows that come
+        out equal stay the objects a COW sibling may share.
         """
         self._probe_cache = None
-        to_host = self._intern_all(fresh.interner)
-        get = self.interner.get
-        drop = {get(x) for x in seeds}
-        below = {get(x) for x in descendants}
+        region = fresh._nodes
+        self._grow(*region)
         lout, fresh_lout, fresh_lin = self._lout, fresh._lout, fresh._lin
-        write, translated, merge = self._write_row, fresh._translated, self._merge_lin
+        write, entries, merge = self._write_row, fresh._entries, self._merge_lin
         delta = 0
-        gained = {}  # host id -> the fresh Lin row, where there is one
-        for i, h in enumerate(to_host):
-            if fresh_lout[i] or lout[h]:
-                delta += write(True, h, translated(True, i, to_host))
-            if fresh_lin[i]:
-                gained[h] = translated(False, i, to_host)
+        gained = {}  # node -> its fresh Lin row, where there is one
+        for x in region:
+            if fresh_lout[x] or lout[x]:
+                delta += write(True, x, entries(True, x))
+            if fresh_lin[x]:
+                gained[x] = entries(False, x)
         keep = frozenset()
-        for h in below.union(gained):
-            delta += merge(h, drop if h in below else keep, gained.get(h, ()))
+        for x in descendants.union(gained):
+            delta += merge(x, seeds if x in descendants else keep, gained.get(x, ()))
         return delta
 
     # -- disjoint merge --------------------------------------------------
     def absorb_disjoint(self, other) -> None:
         """:meth:`union`, optimised for node-disjoint covers.
 
-        When none of ``other``'s labels are interned here yet (partition
-        covers joined into a fresh merged cover), every internal id
-        shifts by one constant, so label rows and backward-index rows
-        move as block copies with sortedness preserved. Anything else
-        takes :meth:`union` (identical result).
+        When none of ``other``'s nodes is known here yet (partition
+        covers joined into a fresh merged cover), every row of
+        ``other`` is copied to the same id, and its backward-index rows
+        with it. Anything else takes :meth:`union` (identical result).
         """
         self._probe_cache = None
-        fresh = type(other) is type(self) and not any(
-            self.interner.get(lab) is not None for lab in other.interner
-        )
-        if fresh:
-            offset = len(self.interner)
-            for lab in other.interner:
-                self._intern(lab)
-            self._nodes.update(i + offset for i in other._nodes)
-            for dst, src in (
-                (self._lin, other._lin),
-                (self._lout, other._lout),
-                (self._inv_lin, other._inv_lin),
-                (self._inv_lout, other._inv_lout),
-            ):
-                for i, row in enumerate(src):
-                    if row:
-                        dst[offset + i] = array(
-                            ID_TYPECODE, (c + offset for c in row)
-                        )
-            self._absorb_extra(other, offset)
+        theirs = other._stored_ids() if type(other) is type(self) else None
+        if theirs is None or any(map(self._holds, theirs)):
+            self.union(other)
             return
-        self.union(other)
+        self._grow(*theirs)
+        for name in self._TABLE_NAMES:
+            dst = getattr(self, name)
+            src = getattr(other, name)
+            for x in theirs:
+                row = src[x]
+                if row:
+                    dst[x] = row[:]
+        self._nodes.update(other._nodes)
 
-    def _absorb_extra(self, other, offset: int) -> None:
-        """Hook for subclass tables carrying non-id payloads (distances
-        move verbatim — only id columns are offset-remapped)."""
+    def _holds(self, x: int) -> bool:
+        """Whether the id ``x`` is active here or holds a row."""
+        if x in self._nodes:
+            return True
+        return x < len(self._lin) and any(table[x] for table in self._tables())
 
-    def _externalize(self, ids: Iterable[int]) -> Set[Node]:
-        label = self.interner.label
-        return {label(i) for i in ids}
+    def _stored_ids(self) -> List[int]:
+        """The ascending ids that are active or hold a row: the ones a
+        snapshot lists."""
+        ids = set(self._nodes)
+        span = range(len(self._lin))
+        for table in self._tables():
+            ids.update(compress(span, table))
+        return sorted(ids)
 
     def nodes_with_lin_center(self, center: Node) -> Set[Node]:
         """Backward-index lookup: nodes whose ``Lin`` holds ``center``."""
-        ci = self.interner.get(center)
-        row = self._row(self._inv_lin, ci) if ci is not None else None
-        return self._externalize(row) if row else set()
+        return set(self._row(self._inv_lin, center) or ())
 
     def nodes_with_lout_center(self, center: Node) -> Set[Node]:
         """Backward-index lookup: nodes whose ``Lout`` holds ``center``."""
-        ci = self.interner.get(center)
-        row = self._row(self._inv_lout, ci) if ci is not None else None
-        return self._externalize(row) if row else set()
+        return set(self._row(self._inv_lout, center) or ())
 
     # -- batched / enumeration queries ----------------------------------
-    def _descendant_ids(self, ui: int) -> Set[int]:
-        """Internal ids of all descendants of ``ui`` (including it)."""
-        result: Set[int] = {ui}
-        row = self._row(self._inv_lin, ui)
-        if row:
-            result.update(row)
-        lout = self._row(self._lout, ui)
-        if lout:
-            result.update(lout)
-            inv = self._inv_lin
-            for c in lout:
-                row = inv[c]
-                if row:
-                    result.update(row)
-        return result
-
-    def _ancestor_ids(self, vi: int) -> Set[int]:
-        result: Set[int] = {vi}
-        row = self._row(self._inv_lout, vi)
-        if row:
-            result.update(row)
-        lin = self._row(self._lin, vi)
-        if lin:
-            result.update(lin)
-            inv = self._inv_lout
-            for c in lin:
-                row = inv[c]
-                if row:
-                    result.update(row)
-        return result
-
     def descendants(self, u: Node) -> Set[Node]:
         """All ``d`` with ``u ->* d`` (including ``u``), via the backward
         index."""
-        ui = self.interner.get(u)
-        if ui is None or ui not in self._nodes:
-            return set()
-        return self._externalize(self._descendant_ids(ui))
+        return self._closure(u, self._lout, self._inv_lin)
 
     def ancestors(self, v: Node) -> Set[Node]:
         """All ``a`` with ``a ->* v`` (including ``v``)."""
-        vi = self.interner.get(v)
-        if vi is None or vi not in self._nodes:
+        return self._closure(v, self._lin, self._inv_lout)
+
+    def _closure(
+        self, x: Node, own: List[Optional[array]], inv: List[Optional[array]]
+    ) -> Set[Node]:
+        """``{x}``, the nodes ``inv[x]`` lists, and those of ``inv[c]``
+        for every ``c`` of ``own[x]``: one direction of ``x``'s reach."""
+        if x not in self._nodes:
             return set()
-        return self._externalize(self._ancestor_ids(vi))
+        result: Set[Node] = {x}
+        row = inv[x]
+        if row:
+            result.update(row)
+        centers = own[x]
+        if centers:
+            result.update(centers)
+            for c in centers:
+                row = inv[c]
+                if row:
+                    result.update(row)
+        return result
 
     # -- batch probes ----------------------------------------------------
     def _center_map(self, candidates: Sequence[Node]) -> Dict[int, List[int]]:
@@ -615,8 +564,8 @@ class _CoverBase:
         j`` of the ``candidates`` whose ``Lin(c_j) ∪ {c_j}`` holds the
         center.
 
-        Only active candidates take part, so a never-interned label and
-        a removed node are reached by nothing, as in :meth:`connected`.
+        Only active candidates take part, so an unknown id and a removed
+        node are reached by nothing, as in :meth:`connected`.
         A **tuple** is immutable, so its map is cached per generation by
         object identity — the query engine memoises one candidate tuple
         per step key, so repeated probes (and every source of an
@@ -626,13 +575,11 @@ class _CoverBase:
 
         A map inherited through :meth:`cow_copy` is reused when every
         candidate active then is active now with the very ``Lin`` row
-        object it had, and no inactive one became active (maps over a
-        never-interned label are not inherited: interning one would
-        change its id). That is sound because of the copy-on-write
-        invariant: a row shared at fork time is never changed in place
-        — whichever side changes it copies it first (:meth:`_owned`)
-        and every other writer assigns a fresh row — so the same row
-        object means the same centers, and interned ids never change.
+        object it had, and no inactive one became active. That is sound
+        because of the copy-on-write invariant: a row shared at fork
+        time is never changed in place — whichever side changes it
+        copies it first (:meth:`_owned`) and every other writer assigns
+        a fresh row — so the same row object means the same centers.
         """
         if self._probe_cache is None:
             self._probe_cache = _ProbeCache()
@@ -658,8 +605,7 @@ class _CoverBase:
                 self._inherited.pop(key, None)
         groups: Dict[int, List[int]] = {}
         get = groups.get
-        ids = self.interner.translate(candidates)
-        for j, i in enumerate(ids):
+        for j, i in enumerate(candidates):
             if i not in nodes:
                 continue
             for w in lin[i] or ():
@@ -674,9 +620,9 @@ class _CoverBase:
             elif hits[-1] != j:  # unless a self-entry in Lin(c_j) put j there
                 hits.append(j)
         if cacheable:
-            active = list(filter(nodes.__contains__, ids))
-            inactive = set(ids).difference(nodes)
-            rows = None if -1 in inactive else tuple(map(lin.__getitem__, active))
+            active = list(filter(nodes.__contains__, candidates))
+            inactive = set(candidates).difference(nodes)
+            rows = tuple(map(lin.__getitem__, active))
             self._keep(cache, (candidates, groups, active, rows, inactive))
         return groups
 
@@ -716,15 +662,8 @@ class _CoverBase:
         probe of the query executor: the candidates are grouped by
         center once for the whole batch."""
         groups = self._center_map(candidates)
-        get = self.interner.get
         nodes = self._nodes
-        out: List[List[int]] = []
-        for u in sources:
-            ui = get(u)
-            out.append(
-                self._reached(groups, ui) if ui is not None and ui in nodes else []
-            )
-        return out
+        return [self._reached(groups, u) if u in nodes else [] for u in sources]
 
     # -- statistics ------------------------------------------------------
     @property
@@ -735,74 +674,132 @@ class _CoverBase:
         )
 
     # -- CSR conversion --------------------------------------------------
-    def _pack_table(self, table: List[Optional[array]]) -> Tuple[array, array]:
-        """Flatten a label table into ``(indptr, data)`` CSR arrays."""
-        n = len(self.interner)
+    @staticmethod
+    def _pack_table(
+        table: List[Optional[array]],
+        ids: Sequence[int],
+        to: Optional[Sequence[int]] = None,
+        cut: int = 0,
+    ) -> Tuple[array, array]:
+        """Flatten the rows of ``ids`` into ``(indptr, data)`` CSR
+        arrays. With ``to``, a row holding a value of at least ``cut``
+        has its values mapped through ``to`` (a sorted row below
+        ``cut`` maps to itself)."""
         indptr = array(OFFSET_TYPECODE, (0,))
         data = array(ID_TYPECODE)
-        for iid in range(n):
-            row = table[iid] if iid < len(table) else None
+        for x in ids:
+            row = table[x]
             if row:
-                data.extend(row)
+                data.extend(
+                    row if to is None or row[-1] < cut else map(to.__getitem__, row)
+                )
             indptr.append(len(data))
         return indptr, data
 
     @staticmethod
-    def _unpack_table(indptr: array, data: array) -> List[Optional[array]]:
-        table: List[Optional[array]] = []
-        for iid in range(len(indptr) - 1):
-            lo, hi = indptr[iid], indptr[iid + 1]
-            table.append(data[lo:hi] if hi > lo else None)
+    def _unpack_table(
+        indptr: array,
+        data: array,
+        ids: Sequence[int],
+        to: Optional[Sequence[int]] = None,
+        cut: int = 0,
+    ) -> List[Optional[array]]:
+        """The rows of CSR arrays, row ``p`` at ``ids[p]``; with ``to``
+        and ``cut``, values mapped as :meth:`_pack_table` maps them."""
+        table: List[Optional[array]] = [None] * (ids[-1] + 1 if ids else 0)
+        for p, x in enumerate(ids):
+            lo, hi = indptr[p], indptr[p + 1]
+            if hi > lo:
+                row = data[lo:hi]
+                if to is not None and row[-1] >= cut:
+                    row = array(ID_TYPECODE, map(to.__getitem__, row))
+                table[x] = row
         return table
 
     def to_csr(self) -> Dict[str, object]:
-        """CSR snapshot payload (see :mod:`repro.storage.snapshot`);
-        ``rank`` is the rank table, which is not CSR."""
+        """CSR snapshot payload (see :mod:`repro.storage.snapshot`).
+
+        ``nodes`` lists the ids that are active or hold a row,
+        ascending; a row's position there is its stored id, and so are
+        the centers and the ``active`` entries. ``rank`` is aligned with
+        ``nodes`` and stops where the rank table does."""
+        ids = self._stored_ids()
+        moved = _first_moved(ids)  # ids[:moved] are their own positions
+        # the position of every id, and the first id that is not one
+        pos = list(range(len(self._lin)))
+        for p in range(moved, len(ids)):
+            pos[ids[p]] = p
+        cut = ids[moved] if moved < len(ids) else len(pos)
+        rank, active = self._rank, sorted(self._nodes)
+        ranked = bisect_left(ids, len(rank))
+        stored = rank[:min(moved, ranked)]
+        stored.extend(map(rank.__getitem__, ids[moved:ranked]))
+        k = bisect_left(active, cut)
+        stored_active = array(ID_TYPECODE, active[:k])
+        stored_active.extend(map(pos.__getitem__, active[k:]))
         payload: Dict[str, object] = {
             "distance": self.is_distance_aware,
-            "labels": self.interner.labels(),
-            "active": array(ID_TYPECODE, sorted(self._nodes)),
-            "rank": self._rank[:],
+            "nodes": ids,
+            "active": stored_active,
+            "rank": stored,
         }
         for name in ("lin", "lout", "inv_lin", "inv_lout"):
-            payload[name] = self._pack_table(getattr(self, f"_{name}"))
+            payload[name] = self._pack_table(getattr(self, f"_{name}"), ids, pos, cut)
         return payload
 
     @classmethod
     def from_csr(cls, payload: Mapping[str, object]):
         """Rebuild a cover from a :meth:`to_csr` payload (block copies);
-        one without a ``rank`` stores no ranks."""
+        one without a ``rank`` stores no ranks.
+
+        Raises:
+            ValueError: ``nodes`` is not strictly ascending and
+                non-negative.
+        """
+        ids = payload["nodes"]
+        if any(map(int.__ge__, ids, ids[1:])) or (ids and ids[0] < 0):
+            raise ValueError("snapshot nodes must be ascending non-negative ids")
+        moved = _first_moved(ids)
+        to = ids if moved < len(ids) else None
         tables = {
-            name: cls._unpack_table(*payload[name])
+            name: cls._unpack_table(*payload[name], ids, to, moved)
             for name in ("lin", "lout", "inv_lin", "inv_lout")
         }
         if cls.is_distance_aware:
             for name in ("lin", "lout"):
                 tables[f"{name}_dist"] = cls._unpack_table(
-                    payload[name][0], payload[f"{name}_dist"]
+                    payload[name][0], payload[f"{name}_dist"], ids
                 )
-        cover = cls._from_tables(
-            NodeInterner.from_labels(payload["labels"]), payload["active"], **tables
+        return cls._from_tables(
+            ids, payload["active"], array(RANK_TYPECODE, payload.get("rank", ())),
+            **tables,
         )
-        cover._rank = array(RANK_TYPECODE, payload.get("rank", ()))
-        return cover
 
     @classmethod
     def _from_tables(
         cls,
-        interner: NodeInterner,
+        ids: Sequence[int],
         active: Iterable[int],
+        rank: array,
         **tables: List[Optional[array]],
     ):
-        """A cover over ``interner``'s labels with universe ``active``
-        (ids), handed its finished per-node tables: one keyword per
+        """A cover handed its finished per-node tables: one keyword per
         :attr:`_TABLE_NAMES` entry, without the leading underscore, each
-        a list of sorted rows (``None`` when empty)."""
+        a list of sorted rows (``None`` when empty) indexed by node id.
+        ``active`` (ascending) and ``rank`` go by position into ``ids``,
+        the strictly ascending node ids the tables hold."""
         new = cls()
-        new.interner = interner
-        new._nodes = set(active)
         for name in cls._TABLE_NAMES:
             setattr(new, name, tables[name[1:]])
+        moved = _first_moved(ids)  # the positions below it are their ids
+        k = bisect_left(active, moved)
+        new._nodes = set(active[:k])
+        new._nodes.update(map(ids.__getitem__, active[k:]))
+        new._rank = rank[:moved]
+        if len(rank) > moved:
+            new._rank.frombytes(bytes((ids[len(rank) - 1] + 1 - moved) * rank.itemsize))
+            for p in range(moved, len(rank)):
+                new._rank[ids[p]] = rank[p]
         return new
 
 
@@ -827,17 +824,16 @@ class TwoHopCover(_CoverBase):
         if node == center:
             return False
         self._probe_cache = None
-        ni = self._intern(node)
-        ci = self._intern(center)
-        self._nodes.add(ni)
-        row = self._lin[ni]
+        self._grow(node, center)
+        self._nodes.add(node)
+        row = self._lin[node]
         if row is None:
-            self._lin[ni] = array(ID_TYPECODE, (ci,))
-        elif sorted_contains(row, ci):
+            self._lin[node] = array(ID_TYPECODE, (center,))
+        elif sorted_contains(row, center):
             return False
         else:
-            sorted_insert(self._owned(self._lin, ni), ci)
-        self._inv_add(self._inv_lin, ci, ni)
+            sorted_insert(self._owned(self._lin, node), center)
+        self._inv_add(self._inv_lin, center, node)
         return True
 
     def add_lout(self, node: Node, center: Node) -> bool:
@@ -848,17 +844,16 @@ class TwoHopCover(_CoverBase):
         if node == center:
             return False
         self._probe_cache = None
-        ni = self._intern(node)
-        ci = self._intern(center)
-        self._nodes.add(ni)
-        row = self._lout[ni]
+        self._grow(node, center)
+        self._nodes.add(node)
+        row = self._lout[node]
         if row is None:
-            self._lout[ni] = array(ID_TYPECODE, (ci,))
-        elif sorted_contains(row, ci):
+            self._lout[node] = array(ID_TYPECODE, (center,))
+        elif sorted_contains(row, center):
             return False
         else:
-            sorted_insert(self._owned(self._lout, ni), ci)
-        self._inv_add(self._inv_lout, ci, ni)
+            sorted_insert(self._owned(self._lout, node), center)
+        self._inv_add(self._inv_lout, center, node)
         return True
 
     def set_lin(self, node: Node, centers: Iterable[Node]) -> None:
@@ -871,8 +866,9 @@ class TwoHopCover(_CoverBase):
 
     def _set_label(self, out: bool, node: Node, centers: Iterable[Node]) -> None:
         self._probe_cache = None
-        ni = self._intern(node)
-        self._write_row(out, ni, {self._intern(c) for c in centers if c != node})
+        centers = {c for c in centers if c != node}
+        self._grow(node, *centers)
+        self._write_row(out, node, centers)
 
     # -- id-level row hooks of remove_nodes / splice_region --------------
     def _write_row(self, out: bool, ni: int, centers: Iterable[int]) -> int:
@@ -900,11 +896,9 @@ class TwoHopCover(_CoverBase):
         sorted_remove(self._owned(table, ni), ci)
         return True
 
-    def _translated(self, out: bool, i: int, to_host: List[int]) -> Sequence[int]:
-        """Row ``i`` of ``Lout`` / ``Lin`` with its ids mapped by
-        ``to_host``."""
-        row = (self._lout if out else self._lin)[i]
-        return list(map(to_host.__getitem__, row)) if row else ()
+    def _entries(self, out: bool, x: int) -> Sequence[int]:
+        """Row ``x`` of ``Lout`` / ``Lin`` as :meth:`_write_row` takes it."""
+        return (self._lout if out else self._lin)[x] or ()
 
     def _merge_lin(self, ni: int, drop, gained: Sequence[int]) -> int:
         """``Lin(ni) := Lin(ni) \\ drop ∪ gained``; the entry change."""
@@ -933,35 +927,27 @@ class TwoHopCover(_CoverBase):
     # ------------------------------------------------------------------
     def lin_of(self, node: Node) -> Set[Node]:
         """``Lin(node)``: centers (reachability) or ``{center: dist}``."""
-        ni = self.interner.get(node)
-        row = self._row(self._lin, ni) if ni is not None else None
-        return self._externalize(row) if row else set()
+        return set(self._row(self._lin, node) or ())
 
     def lout_of(self, node: Node) -> Set[Node]:
         """``Lout(node)``: centers (reachability) or ``{center: dist}``."""
-        ni = self.interner.get(node)
-        row = self._row(self._lout, ni) if ni is not None else None
-        return self._externalize(row) if row else set()
+        return set(self._row(self._lout, node) or ())
 
     def connected(self, u: Node, v: Node) -> bool:
         """``u ->* v``? Implements ``(Lout(u) ∪ {u}) ∩ (Lin(v) ∪ {v})``:
         the paper's main SQL query plus the "simple additional queries"
         that compensate for self-entries not being stored, as one
         galloping intersection over the label rows."""
-        get = self.interner.get
-        ui, vi = get(u), get(v)
-        if ui is None or vi is None:
-            return False
         nodes = self._nodes
-        if ui not in nodes or vi not in nodes:
+        if u not in nodes or v not in nodes:
             return False
-        if ui == vi:
+        if u == v:
             return True
-        lout = self._row(self._lout, ui) or ()
-        lin = self._row(self._lin, vi) or ()
-        if lout and sorted_contains(lout, vi):
+        lout = self._lout[u] or ()
+        lin = self._lin[v] or ()
+        if lout and sorted_contains(lout, v):
             return True
-        if lin and sorted_contains(lin, ui):
+        if lin and sorted_contains(lin, u):
             return True
         return galloping_intersects(lout, lin)
 
@@ -970,17 +956,10 @@ class TwoHopCover(_CoverBase):
     # ------------------------------------------------------------------
     def entries(self) -> Iterator[Tuple[str, Node, Node]]:
         """All label entries as ``(kind, node, center)``."""
-        label = self.interner.label
-        for ni, row in enumerate(self._lin):
-            if row:
-                node = label(ni)
-                for ci in row:
-                    yield ("in", node, label(ci))
-        for ni, row in enumerate(self._lout):
-            if row:
-                node = label(ni)
-                for ci in row:
-                    yield ("out", node, label(ci))
+        for kind, table in (("in", self._lin), ("out", self._lout)):
+            for node in compress(range(len(table)), table):
+                for center in table[node]:
+                    yield (kind, node, center)
 
     @classmethod
     def from_entries(
@@ -988,28 +967,16 @@ class TwoHopCover(_CoverBase):
     ) -> "TwoHopCover":
         """Batch constructor: a cover over ``nodes`` holding ``entries``
         (``(kind, node, center)`` rows in any order, e.g. another
-        cover's :meth:`entries`; no self-entries). Rows are grouped per node and sorted once
-        instead of paying one sorted insert per entry."""
-        # intern in sorted node order when possible: label-sorted
-        # interners make snapshot blobs deterministic
-        try:
-            ordered = sorted(nodes)
-        except TypeError:  # mixed/unorderable node types
-            ordered = nodes
-        new = cls(ordered)
+        cover's :meth:`entries`; no self-entries). Rows are grouped per
+        node and sorted once instead of paying one sorted insert per
+        entry."""
+        new = cls(nodes)
         lin_rows: Dict[int, List[int]] = {}
         lout_rows: Dict[int, List[int]] = {}
-        intern = new._intern
-        ids = {label: iid for iid, label in enumerate(new.interner)}
         for kind, node, center in entries:
             rows = lin_rows if kind == "in" else lout_rows
-            ni = ids.get(node)
-            if ni is None:
-                ni = ids[node] = intern(node)
-            ci = ids.get(center)
-            if ci is None:
-                ci = ids[center] = intern(center)
-            rows.setdefault(ni, []).append(ci)
+            rows.setdefault(node, []).append(center)
+        new._grow(*chain(lin_rows, lout_rows, *lin_rows.values(), *lout_rows.values()))
         new._nodes.update(lin_rows, lout_rows)
         inv_lin_rows: Dict[int, List[int]] = {}
         inv_lout_rows: Dict[int, List[int]] = {}
@@ -1073,15 +1040,6 @@ class DistanceTwoHopCover(_CoverBase):
     def _tables(self) -> Tuple[List[Optional[array]], ...]:
         return super()._tables() + (self._lin_dist, self._lout_dist)
 
-    def _absorb_extra(self, other, offset: int) -> None:
-        for dst, src in (
-            (self._lin_dist, other._lin_dist),
-            (self._lout_dist, other._lout_dist),
-        ):
-            for i, row in enumerate(src):
-                if row:
-                    dst[offset + i] = row[:]
-
     # ------------------------------------------------------------------
     # label mutation
     # ------------------------------------------------------------------
@@ -1097,24 +1055,23 @@ class DistanceTwoHopCover(_CoverBase):
         if node == center:
             return False
         self._probe_cache = None
-        ni = self._intern(node)
-        ci = self._intern(center)
-        self._nodes.add(ni)
-        centers = table[ni]
+        self._grow(node, center)
+        self._nodes.add(node)
+        centers = table[node]
         if centers is None:
-            table[ni] = array(ID_TYPECODE, (ci,))
-            dists[ni] = array(ID_TYPECODE, (dist,))
-            self._inv_add(inv, ci, ni)
+            table[node] = array(ID_TYPECODE, (center,))
+            dists[node] = array(ID_TYPECODE, (dist,))
+            self._inv_add(inv, center, node)
             return True
-        i = bisect_left(centers, ci)
-        if i < len(centers) and centers[i] == ci:
-            if dist < dists[ni][i]:
-                self._owned(dists, ni)[i] = dist
+        i = bisect_left(centers, center)
+        if i < len(centers) and centers[i] == center:
+            if dist < dists[node][i]:
+                self._owned(dists, node)[i] = dist
                 return True
             return False
-        self._owned(table, ni).insert(i, ci)
-        self._owned(dists, ni).insert(i, dist)
-        self._inv_add(inv, ci, ni)
+        self._owned(table, node).insert(i, center)
+        self._owned(dists, node).insert(i, dist)
+        self._inv_add(inv, center, node)
         return True
 
     def add_lin(self, node: Node, center: Node, dist: int) -> bool:
@@ -1139,11 +1096,9 @@ class DistanceTwoHopCover(_CoverBase):
 
     def _set_label(self, out: bool, node: Node, entries: Mapping[Node, int]) -> None:
         self._probe_cache = None
-        ni = self._intern(node)
-        intern = self._intern
-        self._write_row(
-            out, ni, [(intern(c), d) for c, d in entries.items() if c != node]
-        )
+        entries = {c: d for c, d in entries.items() if c != node}
+        self._grow(node, *entries)
+        self._write_row(out, node, entries.items())
 
     # -- id-level row hooks of remove_nodes / splice_region --------------
     def _side(self, out: bool):
@@ -1185,14 +1140,12 @@ class DistanceTwoHopCover(_CoverBase):
         del self._owned(dists, ni)[i]
         return True
 
-    def _translated(
-        self, out: bool, i: int, to_host: List[int]
-    ) -> Sequence[Tuple[int, int]]:
-        """Row ``i`` of ``Lout`` / ``Lin`` as ``(center, distance)``
-        pairs, the ids mapped by ``to_host``."""
+    def _entries(self, out: bool, x: int) -> Sequence[Tuple[int, int]]:
+        """Row ``x`` of ``Lout`` / ``Lin`` as ``(center, distance)``
+        pairs, as :meth:`_write_row` takes it."""
         table, dists, _ = self._side(out)
-        row = table[i]
-        return list(zip(map(to_host.__getitem__, row), dists[i])) if row else ()
+        row = table[x]
+        return list(zip(row, dists[x])) if row else ()
 
     def _merge_lin(self, ni: int, drop, gained: Sequence[Tuple[int, int]]) -> int:
         """``Lin(ni) := Lin(ni) \\ drop ∪ gained``, the shorter distance
@@ -1223,52 +1176,38 @@ class DistanceTwoHopCover(_CoverBase):
     # ------------------------------------------------------------------
     def lin_of(self, node: Node) -> Dict[Node, int]:
         """``Lin(node)``: centers (reachability) or ``{center: dist}``."""
-        ni = self.interner.get(node)
-        centers = self._row(self._lin, ni) if ni is not None else None
-        if not centers:
-            return {}
-        label = self.interner.label
-        dists = self._lin_dist[ni]
-        return {label(c): d for c, d in zip(centers, dists)}
+        centers = self._row(self._lin, node)
+        return dict(zip(centers, self._lin_dist[node])) if centers else {}
 
     def lout_of(self, node: Node) -> Dict[Node, int]:
         """``Lout(node)``: centers (reachability) or ``{center: dist}``."""
-        ni = self.interner.get(node)
-        centers = self._row(self._lout, ni) if ni is not None else None
-        if not centers:
-            return {}
-        label = self.interner.label
-        dists = self._lout_dist[ni]
-        return {label(c): d for c, d in zip(centers, dists)}
+        centers = self._row(self._lout, node)
+        return dict(zip(centers, self._lout_dist[node])) if centers else {}
 
     def distance(self, u: Node, v: Node) -> Optional[int]:
         """``MIN(LOUT.DIST + LIN.DIST)`` over common centers via one
         galloping merge, extended by the implicit self-entries."""
-        get = self.interner.get
-        ui, vi = get(u), get(v)
-        if ui is None or vi is None:
-            return None
         nodes = self._nodes
-        if ui not in nodes or vi not in nodes:
+        if u not in nodes or v not in nodes:
             return None
-        if ui == vi:
+        if u == v:
             return 0
         best: Optional[int] = None
-        lout = self._row(self._lout, ui)
-        lin = self._row(self._lin, vi)
+        lout = self._lout[u]
+        lin = self._lin[v]
         if lout:
-            i = bisect_left(lout, vi)
-            if i < len(lout) and lout[i] == vi:  # center = v (din 0)
-                best = self._lout_dist[ui][i]
+            i = bisect_left(lout, v)
+            if i < len(lout) and lout[i] == v:  # center = v (din 0)
+                best = self._lout_dist[u][i]
         if lin:
-            i = bisect_left(lin, ui)
-            if i < len(lin) and lin[i] == ui:  # center = u (dout 0)
-                d = self._lin_dist[vi][i]
+            i = bisect_left(lin, u)
+            if i < len(lin) and lin[i] == u:  # center = u (dout 0)
+                d = self._lin_dist[v][i]
                 if best is None or d < best:
                     best = d
         if lout and lin:
             d = galloping_min_plus(
-                lout, self._lout_dist[ui], lin, self._lin_dist[vi]
+                lout, self._lout_dist[u], lin, self._lin_dist[v]
             )
             if d is not None and (best is None or d < best):
                 best = d
@@ -1292,19 +1231,13 @@ class DistanceTwoHopCover(_CoverBase):
     # ------------------------------------------------------------------
     def entries(self) -> Iterator[Tuple[str, Node, Node, int]]:
         """All label entries as ``(kind, node, center, dist)``."""
-        label = self.interner.label
-        for ni, row in enumerate(self._lin):
-            if row:
-                node = label(ni)
-                dists = self._lin_dist[ni]
-                for ci, d in zip(row, dists):
-                    yield ("in", node, label(ci), d)
-        for ni, row in enumerate(self._lout):
-            if row:
-                node = label(ni)
-                dists = self._lout_dist[ni]
-                for ci, d in zip(row, dists):
-                    yield ("out", node, label(ci), d)
+        for kind, table, dists in (
+            ("in", self._lin, self._lin_dist),
+            ("out", self._lout, self._lout_dist),
+        ):
+            for node in compress(range(len(table)), table):
+                for center, d in zip(table[node], dists[node]):
+                    yield (kind, node, center, d)
 
     @classmethod
     def from_entries(
@@ -1318,27 +1251,14 @@ class DistanceTwoHopCover(_CoverBase):
         minimum distance, as :meth:`add_lin` does. Rows are grouped per
         node and sorted once — O(k log k) per label instead of O(k^2)
         repeated sorted inserts."""
-        # sorted interning: see TwoHopCover.from_entries
-        try:
-            ordered = sorted(nodes)
-        except TypeError:  # mixed/unorderable node types
-            ordered = nodes
-        new = cls(ordered)
+        new = cls(nodes)
         lin_rows: Dict[int, Dict[int, int]] = {}
         lout_rows: Dict[int, Dict[int, int]] = {}
-        intern = new._intern
-        ids = {label: iid for iid, label in enumerate(new.interner)}
         for kind, node, center, dist in entries:
-            rows = lin_rows if kind == "in" else lout_rows
-            ni = ids.get(node)
-            if ni is None:
-                ni = ids[node] = intern(node)
-            ci = ids.get(center)
-            if ci is None:
-                ci = ids[center] = intern(center)
-            row = rows.setdefault(ni, {})
-            if dist < row.get(ci, dist + 1):
-                row[ci] = dist
+            row = (lin_rows if kind == "in" else lout_rows).setdefault(node, {})
+            if dist < row.get(center, dist + 1):
+                row[center] = dist
+        new._grow(*chain(lin_rows, lout_rows, *lin_rows.values(), *lout_rows.values()))
         new._nodes.update(lin_rows, lout_rows)
         for rows, table, dists, inv in (
             (lin_rows, new._lin, new._lin_dist, new._inv_lin),
@@ -1359,8 +1279,9 @@ class DistanceTwoHopCover(_CoverBase):
         """CSR snapshot payload: the id tables plus distance blocks
         aligned with the ``lin`` / ``lout`` data."""
         payload = super().to_csr()
-        payload["lin_dist"] = self._pack_table(self._lin_dist)[1]
-        payload["lout_dist"] = self._pack_table(self._lout_dist)[1]
+        ids = payload["nodes"]
+        payload["lin_dist"] = self._pack_table(self._lin_dist, ids)[1]
+        payload["lout_dist"] = self._pack_table(self._lout_dist, ids)[1]
         return payload
 
     def verify_against(self, dclosure, nodes: Optional[Iterable[Node]] = None) -> None:

@@ -57,7 +57,6 @@ from repro.core.center_graph import densest_subgraph, initial_density_upper_boun
 from repro.core.cover import (
     ID_TYPECODE, RANK_TYPECODE, DistanceTwoHopCover, TwoHopCover, rank_array,
 )
-from repro.core.interner import NodeInterner
 from repro.graph.closure import TransitiveClosure, condensation_closure
 from repro.graph.condensation import Condensation, tarjan_components
 from repro.graph.digraph import DiGraph
@@ -299,9 +298,9 @@ def build_pll_cover(
 ):
     """Pruned landmark labelling of an arbitrary digraph (cycles allowed).
 
-    The labelling runs in the cover's own id space: ``nodes`` are
-    de-duplicated and interned in sorted order, and a vertex's BFS index
-    is its interner id. Vertices are taken by
+    ``nodes`` are de-duplicated and sorted, and a vertex's BFS index is
+    its position there; the cover gets each row at the vertex's own id
+    (a skip when the nodes are ``0..n-1``). Vertices are taken by
     ``(out + 1) * (in + 1) * multiplier[v]`` descending (a vertex the
     sparse ``multiplier`` does not list counts 1), ties broken by node
     id, unless ``order`` lists them (every vertex once, first labelled
@@ -438,13 +437,14 @@ def _pll_cover(
     trees: Sequence[int] = (),
 ) -> Tuple[TwoHopCover, int]:
     """The labelling of :func:`build_pll_cover` over the graph ``succ``
-    / ``pred`` (rows of interned ids, free of duplicates and
-    self-loops) on ``labels`` and their ids ``index``: the cover, handed
-    its finished tables (and without ``order`` its ranks), and its
-    number of label entries. ``trees`` (ascending ids, without
-    ``order``) are the vertices of components that are trees of unit
-    multiplier whose parents' ids are below their children's:
-    :func:`_label_trees` labels them and the searches skip them."""
+    / ``pred`` (rows of positions, free of duplicates and self-loops)
+    on the ascending nodes ``labels`` and their positions ``index``:
+    the cover, handed its finished tables (and without ``order`` its
+    ranks), and its number of label entries. ``trees`` (ascending
+    positions, without ``order``) are the vertices of components that
+    are trees of unit multiplier whose parents are below their
+    children: :func:`_label_trees` labels them and the searches skip
+    them."""
     n = len(labels)
     # label rows as lazily created lists (of center ids, or for distance
     # of (center id, distance) pairs), each turned into an array at the
@@ -595,10 +595,19 @@ def _pll_cover(
                     dists[x] = array(ID_TYPECODE, [d for _, d in row])
                 else:
                     table[x] = array(ID_TYPECODE, row)
+    if n and labels[0] < 0:
+        raise ValueError(f"cover nodes are non-negative, not {labels[0]}")
+    if n and labels[-1] != n - 1:  # each row goes to its vertex's id
+        at = labels.__getitem__
+        for name, table in tables.items():
+            spread: List[Optional[array]] = [None] * (labels[-1] + 1)
+            centers = not name.endswith("_dist")
+            for x, row in zip(labels, table):
+                if row:
+                    spread[x] = array(ID_TYPECODE, map(at, row)) if centers else row
+            tables[name] = spread
     factory = DistanceTwoHopCover if distance else TwoHopCover
-    cover = factory._from_tables(NodeInterner._adopt(labels, index), range(n), **tables)
-    cover._rank = rank
-    return cover, entries
+    return factory._from_tables(labels, range(n), rank, **tables), entries
 
 
 def _label_trees(

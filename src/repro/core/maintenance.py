@@ -34,10 +34,11 @@ a from-scratch rebuild.
   stored vertex order (:meth:`~repro.core.cover.TwoHopCover.ranks`:
   the build's, with inserted vertices placed among it) where the paper
   re-covers it by its partitioned join. The cover splices the fresh
-  labels in on interned ids (``splice_region``): every region node's
+  labels in row by row (``splice_region``): every region node's
   ``Lout`` is replaced (the region is closed under reachability, so the
-  fresh labels cover every connection out of it); ``Lin`` labels gain the fresh centers, and
-  those of surviving descendants first drop the ancestors. Only rows
+  fresh labels cover every connection out of it); ``Lin`` labels gain
+  the fresh centers, and those of surviving descendants first drop the
+  ancestors. Only rows
   that change are rewritten. Every delete reports its entry delta from
   the rows it touched, never from a scan of the whole cover, and reads
   the link map and the document-level graph the collection keeps
@@ -248,8 +249,8 @@ def insert_document(
     partitions" — the document's standalone cover, built by
     :func:`~repro.core.cover_builder.build_pll_cover` on its own graph
     (which has no inter-document links, so the product's rank rule is
-    its degree order), is unioned in and each incident inter-document
-    link is integrated with the link rule. The document's elements
+    its degree order), gives the document's rows, and each incident
+    inter-document link is integrated with the link rule. The document's elements
     keep the ranks the local labelling stored, the key of their degrees
     in the document's own graph.
 
@@ -261,11 +262,15 @@ def insert_document(
     local = build_pll_cover(
         doc.elements, list(doc.graph_edges()), distance=_is_distance(cover)
     )
-    # the document's elements are new to the cover, so every local
-    # entry is a new one
-    cover.union(local)
-    cover.ranks(sorted(doc.elements), local.ranks)
-    added = local.size
+    # the document's elements are new to the cover: their rows are the
+    # local ones, and every local entry is a new one
+    nodes = sorted(doc.elements)
+    cover.add_nodes(nodes)
+    for x in nodes:
+        cover.set_lin(x, local.lin_of(x))
+        cover.set_lout(x, local.lout_of(x))
+    cover.ranks(nodes, local.ranks)
+    added = _label_entries(local, nodes)
     for u, v in collection.incident_inter_links(doc_id):
         added += _integrate_link(cover, u, v)
     return MaintenanceReport(

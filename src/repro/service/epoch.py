@@ -17,9 +17,7 @@ all.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.core.hopi import HopiIndex
 from repro.query.engine import QueryEngine

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Deque, Dict, Sequence, Union
 
 #: latencies kept per endpoint (a sliding window, not all-time)
 DEFAULT_WINDOW = 2048

@@ -11,22 +11,25 @@ Layout (all little-endian)::
     magic  b"HOPICSR1"
     flags  uint32 (bit 0: distance-aware)
     then a sequence of length-prefixed sections:
-        nodes      int64[]  external element ids, interner order
-        active     int32[]  internal ids of the active node universe
+        nodes      int64[]  element ids, strictly ascending: the active
+                            ones and every one a row names; a position
+                            here is the stored id every later section uses
+        active     int32[]  stored ids of the active node universe
         lin_ptr    int64[]  CSR offsets, len = nodes + 1
-        lin_dat    int32[]  concatenated sorted Lin center ids
+        lin_dat    int32[]  concatenated sorted Lin centers (stored ids)
         lout_ptr / lout_dat
         ilin_ptr / ilin_dat    backward index (center -> nodes)
         ilout_ptr / ilout_dat
         lin_dist   int32[]  (distance covers only, aligned with lin_dat)
         lout_dist  int32[]
     optionally one more section (:func:`dump_ranked_snapshot`):
-        rank       int64[]  the stored vertex rank per internal id, 0 = none;
+        rank       int64[]  the stored vertex rank per stored id, 0 = none;
                             may be shorter than nodes (the rest have none)
 
-Snapshots require integer node labels (element ids always are). The
-durable store (:mod:`repro.storage.wal`) keeps its cover in one with
-the rank section, so maintenance after a restart labels in the order
+A ``nodes`` section that is not strictly ascending and non-negative is
+refused with ``ValueError``. The durable store
+(:mod:`repro.storage.wal`) keeps its cover in one with the rank
+section, so maintenance after a restart labels in the order
 it would have used before; :func:`save_snapshot` and
 :func:`snapshot_to_bytes` write none (their bytes are the labels
 alone), and a snapshot without one loads as a cover that stores no
@@ -94,25 +97,20 @@ def dump_ranked_snapshot(fh: BinaryIO, cover: Cover) -> None:
 
 
 def _payload(cover: Cover) -> dict:
-    """``cover.to_csr()``, checked to be writable."""
+    """``cover.to_csr()``, checked to be a cover's."""
     if not isinstance(cover, (TwoHopCover, DistanceTwoHopCover)):
         raise TypeError(
             f"snapshots hold repro.core.cover covers, not {type(cover).__name__}"
         )
-    payload = cover.to_csr()
-    labels = payload["labels"]
-    if not all(isinstance(x, int) for x in labels):
-        raise TypeError("snapshot node labels must be integers (element ids)")
-    return payload
+    return cover.to_csr()
 
 
 def _dump_payload(fh: BinaryIO, payload: dict) -> None:
     """Write every section of a checked payload but the rank section."""
-    labels = payload["labels"]
     flags = _FLAG_DISTANCE if payload["distance"] else 0
     fh.write(MAGIC)
     fh.write(struct.pack("<I", flags))
-    _write_array(fh, array("q", labels))
+    _write_array(fh, array("q", payload["nodes"]))
     _write_array(fh, payload["active"])
     for key in ("lin", "lout", "inv_lin", "inv_lout"):
         indptr, data = payload[key]
@@ -130,18 +128,14 @@ def read_snapshot(fh: BinaryIO, *, name: str = "<stream>") -> Cover:
     if magic != MAGIC:
         raise ValueError(f"{name}: not a HOPI CSR snapshot")
     (flags,) = struct.unpack("<I", fh.read(4))
-    labels = list(_read_array(fh))
+    nodes = list(_read_array(fh))
     active = _read_array(fh)
     blocks = {}
     for key in ("lin", "lout", "inv_lin", "inv_lout"):
         indptr = _read_array(fh)
         data = _read_array(fh)
         blocks[key] = (indptr, data)
-    payload = {
-        "labels": labels,
-        "active": active,
-        **blocks,
-    }
+    payload = {"nodes": nodes, "active": active, **blocks}
     payload["distance"] = bool(flags & _FLAG_DISTANCE)
     if payload["distance"]:
         payload["lin_dist"] = _read_array(fh)
@@ -157,8 +151,8 @@ def save_snapshot(path: Union[str, Path], cover: Cover) -> int:
     """Write a cover to ``path``; returns bytes written.
 
     The encoding is fully serialised *before* the target is opened, so
-    a validation error (not a cover, non-integer labels) never truncates
-    an existing snapshot file.
+    a validation error (not a cover) never truncates an existing
+    snapshot file.
     """
     data = snapshot_to_bytes(cover)
     path = Path(path)
@@ -183,11 +177,11 @@ def snapshot_to_bytes(cover: Cover) -> bytes:
 def canonical_snapshot_bytes(cover) -> bytes:
     """A byte-deterministic snapshot encoding of any cover.
 
-    Plain snapshots serialise the cover's interner order, which depends
-    on construction history (union order, maintenance). Here the cover
-    is re-represented with nodes interned in sorted order and entries
-    inserted in sorted order, so **any two covers with equal node
-    universes and label-entry sets encode to identical bytes** —
+    Plain snapshots also list the inactive ids that hold a row, which
+    depends on construction history. Here
+    the cover is re-represented from its universe and its entries
+    alone, inserted in sorted order, so **any two covers with equal
+    node universes and label-entry sets encode to identical bytes** —
     regardless of how they were built (and for the test oracle too:
     only ``nodes`` / ``entries()`` are read). The test suites rely on
     this to diff whole covers with one byte comparison.

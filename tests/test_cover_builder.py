@@ -42,7 +42,8 @@ def test_star_center_is_efficient():
     # K ancestors -> hub -> K descendants: the greedy algorithm should
     # label everything with the hub, giving size 2K instead of K^2.
     k = 10
-    edges = [(i, "hub") for i in range(k)] + [("hub", 100 + i) for i in range(k)]
+    hub = 50
+    edges = [(i, hub) for i in range(k)] + [(hub, 100 + i) for i in range(k)]
     g = DiGraph(edges)
     cover = build_cover(g)
     cover.verify_against(transitive_closure(g))

@@ -324,9 +324,8 @@ def test_rewriting_an_unchanged_label_keeps_the_shared_row(distance):
     for x in labelled:
         fork.cover.set_lin(x, cover.lin_of(x))
         fork.cover.set_lout(x, cover.lout_of(x))
-        iid = cover.interner.get(x)
         for name in tables:
-            assert getattr(fork.cover, name)[iid] is getattr(cover, name)[iid]
+            assert getattr(fork.cover, name)[x] is getattr(cover, name)[x]
     assert snap(fork) == snap(index) == baseline
 
 

@@ -51,7 +51,7 @@ def test_min_plus_matches_the_set_oracle(a, b, seed):
 def _assert_rows_agree(cover, rng, samples=40):
     """Random ``Lout`` × ``Lin`` row pairs of the cover: the gallop says
     exactly what the set oracle says."""
-    span = len(cover.interner)
+    span = len(cover._lin)
     if span == 0:
         return
     for _ in range(samples):

@@ -121,6 +121,33 @@ def test_remove_document(figure1):
     assert ids[4] not in c.elements
 
 
+def test_element_ids_are_never_recycled(figure1, tmp_path):
+    """A new element's id is above every id the collection ever handed
+    out, after the document holding the highest ids is removed: in the
+    collection itself, a fork, a subcollection without that document,
+    and the collection an index file round trip loads. The cover indexes
+    its tables by element id and relies on it."""
+    from repro.core.hopi import HopiIndex
+    from repro.storage import load_index, persist_index
+
+    c, ids = figure1
+    handed = max(c.elements)
+    assert c.remove_document("d3") == {ids[7], ids[8], ids[9]}
+    assert max(c.elements) < handed
+    path = str(tmp_path / "index.db")
+    persist_index(HopiIndex.build(c), path)
+    for make in (
+        c.fork,
+        lambda: c.subcollection(["d1"]),
+        lambda: load_index(path).collection,
+        lambda: c,
+    ):
+        copy = make()
+        root = copy.new_document("d4", "r")
+        kid = copy.add_child(root.eid, "e")
+        assert handed < root.eid < kid.eid
+
+
 def test_subcollection_partition(figure1):
     c, ids = figure1
     sub = c.subcollection(["d1", "d2"])

@@ -95,12 +95,12 @@ def test_pll_writes_the_tables_from_entries_builds(graph, distance):
     nodes, edges, order = graph
     cover = build_pll_cover(nodes, edges, distance=distance, order=order)
     batch = type(cover).from_entries(nodes, cover.entries())
-    assert cover.interner.labels() == batch.interner.labels() == sorted(set(nodes))
+    assert sorted(cover.nodes) == sorted(batch.nodes) == sorted(set(nodes))
     assert cover._nodes == batch._nodes
     for name in cover._TABLE_NAMES:
         table = getattr(cover, name)
         assert table == getattr(batch, name), name
-        assert len(table) == len(set(nodes))
+        assert len(table) == max(nodes) + 1
         for row in table:
             assert row is None or len(row) > 0
         if not name.endswith("_dist"):
@@ -464,3 +464,14 @@ def test_paper_builds_are_independent_of_the_hash_seed():
     outputs = _stdout_under_hash_seeds(_PAPER_HASH_SEED_SCRIPT, ("0", "3"))
     assert len(outputs[0].splitlines()) == 13
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("nodes, error", [
+    ([-1, 1], ValueError), ([-2, 5, 9], ValueError), (["a", "b"], TypeError),
+])
+def test_pll_refuses_what_a_cover_cannot_hold(nodes, error):
+    """Vertices are non-negative ``int`` ids, each row at its own id: a
+    negative or non-``int`` vertex is refused, never written at another
+    slot (``[-1, 1]`` is two ids long, as ``0..1`` is)."""
+    with pytest.raises(error):
+        build_pll_cover(nodes, [(nodes[0], nodes[1])])

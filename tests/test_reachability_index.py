@@ -4,7 +4,8 @@ application of transitive-closure compression beyond XML (Section 8).
 The same builders and link rule HOPI uses run on any
 :class:`~repro.graph.digraph.DiGraph`: ``build_cover`` /
 ``build_distance_cover`` index it, and ``insert_link`` /
-``insert_link_distance`` integrate a new edge.
+``insert_link_distance`` integrate a new edge. A cover's nodes are
+ints, so a graph of named vertices numbers them.
 """
 
 import random
@@ -16,10 +17,20 @@ from repro.core.join import insert_link, insert_link_distance
 from repro.graph import DiGraph, distance_closure, transitive_closure
 
 
+#: the call graph's functions: a function's vertex is its index here
+FUNCTIONS = ["main", "parse", "lex", "emit", "write", "error", "optimize"]
+F = {name: i for i, name in enumerate(FUNCTIONS)}
+
+
+def _names(vertices):
+    return {FUNCTIONS[v] for v in vertices}
+
+
 @pytest.fixture
 def call_graph():
     return DiGraph(
-        [
+        (F[u], F[v])
+        for u, v in [
             ("main", "parse"),
             ("parse", "lex"),
             ("main", "emit"),
@@ -47,42 +58,42 @@ def _verify(graph, cover):
 
 def test_reachable(call_graph):
     cover = build_cover(call_graph)
-    assert cover.connected("main", "lex")
-    assert cover.connected("main", "error")
-    assert not cover.connected("lex", "main")
-    assert cover.connected("write", "write")
+    assert cover.connected(F["main"], F["lex"])
+    assert cover.connected(F["main"], F["error"])
+    assert not cover.connected(F["lex"], F["main"])
+    assert cover.connected(F["write"], F["write"])
     _verify(call_graph, cover)
 
 
 def test_descendants_ancestors(call_graph):
     cover = build_cover(call_graph)
-    assert cover.descendants("parse") == {"parse", "lex", "error"}
-    assert cover.ancestors("error") == {"error", "parse", "emit", "main"}
+    assert _names(cover.descendants(F["parse"])) == {"parse", "lex", "error"}
+    assert _names(cover.ancestors(F["error"])) == {"error", "parse", "emit", "main"}
 
 
 def test_distance_mode(call_graph):
     cover = build_distance_cover(call_graph)
-    assert cover.distance("main", "lex") == 2
-    assert cover.distance("main", "error") == 2
-    assert cover.distance("lex", "main") is None
+    assert cover.distance(F["main"], F["lex"]) == 2
+    assert cover.distance(F["main"], F["error"]) == 2
+    assert cover.distance(F["lex"], F["main"]) is None
     _verify(call_graph, cover)
 
 
 def test_add_edge_and_node(call_graph):
     cover = build_cover(call_graph)
-    call_graph.add_node("optimize")
-    cover.add_node("optimize")
-    assert not cover.connected("emit", "optimize")
-    assert cover.connected("optimize", "optimize")
-    _add_edge(call_graph, cover, "emit", "optimize")
-    assert cover.connected("main", "optimize")
+    call_graph.add_node(F["optimize"])
+    cover.add_node(F["optimize"])
+    assert not cover.connected(F["emit"], F["optimize"])
+    assert cover.connected(F["optimize"], F["optimize"])
+    _add_edge(call_graph, cover, F["emit"], F["optimize"])
+    assert cover.connected(F["main"], F["optimize"])
     _verify(call_graph, cover)
 
 
 def test_add_edge_distance(call_graph):
     cover = build_distance_cover(call_graph)
-    _add_edge(call_graph, cover, "main", "error")  # shortcut
-    assert cover.distance("main", "error") == 1
+    _add_edge(call_graph, cover, F["main"], F["error"])  # shortcut
+    assert cover.distance(F["main"], F["error"]) == 1
     _verify(call_graph, cover)
 
 
@@ -97,11 +108,9 @@ def test_cyclic_graph():
 
 
 def test_size_compresses_dense_closure():
-    # layered DAG with quadratic closure
+    # layered DAG with quadratic closure: a_i = i, mid = k, b_i = k + 1 + i
     k = 8
-    edges = [(f"a{i}", "mid") for i in range(k)] + [
-        ("mid", f"b{i}") for i in range(k)
-    ]
+    edges = [(i, k) for i in range(k)] + [(k, k + 1 + i) for i in range(k)]
     assert build_cover(DiGraph(edges)).size <= 3 * k  # vs k*k connections
 
 

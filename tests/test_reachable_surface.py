@@ -13,6 +13,9 @@ node (f-string expressions included) or a string argument of
 ``getattr``, ``hasattr`` or ``setattr``. Words in docstrings and
 comments, and imports, do not count. The check errs towards passing: a
 use of a name shared by two definitions counts for both.
+
+A second guard reads each module's imports the same way: a name a
+module imports and never reads is dead weight on every import of it.
 """
 
 import ast
@@ -31,12 +34,6 @@ ALLOWED = {
     "DiGraph.has_edge": "edge membership the graph, skeleton and model tests assert with",
     "TwoHopCover.from_entries": "batch constructor the PLL and array-cover tests compare built tables with",
     "DistanceTwoHopCover.from_entries": "batch constructor the PLL and array-cover tests compare built tables with",
-    # Theorem 3 splices whole rows on interned ids (splice_region); the
-    # node-level row writers stay the mutator the frozen oracle shares
-    "TwoHopCover.set_lin": "node-level row writer the cover and copy-on-write tests drive",
-    "TwoHopCover.set_lout": "node-level row writer the cover and copy-on-write tests drive",
-    "DistanceTwoHopCover.set_lin": "node-level row writer the cover and copy-on-write tests drive",
-    "DistanceTwoHopCover.set_lout": "node-level row writer the cover and copy-on-write tests drive",
 }
 
 
@@ -104,3 +101,35 @@ def test_allow_list_names_only_real_unreferenced_definitions():
     for qualified in ALLOWED:
         assert qualified in definitions, f"{qualified} is not defined"
         assert not counts[definitions[qualified]], f"{qualified} now has a caller"
+
+
+def unread_imports(tree: ast.Module):
+    """The names ``tree`` binds by an import and never reads: no
+    ``Name`` node (an attribute chain's root is one) and no ``__all__``
+    entry. ``from __future__`` imports bind nothing."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            read.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """Package ``__init__`` modules re-export what they import, so they
+    are not read."""
+    unread = [
+        f"{path.relative_to(REPO_ROOT)}:{line}: {name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "__init__.py"
+        for line, name in unread_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not unread, f"imported and never read: {unread}"

@@ -1,11 +1,23 @@
 """Tests for the CSR snapshot format."""
 
+import hashlib
+import io
+from array import array
+from pathlib import Path
+
 import pytest
 
 from cover_oracle import SetTwoHopCover
 from repro.core.cover import DistanceTwoHopCover, TwoHopCover
 from repro.core.hopi import HopiIndex
 from repro.storage import load_snapshot, save_snapshot
+from repro.storage.snapshot import (
+    MAGIC,
+    canonical_snapshot_bytes,
+    dump_ranked_snapshot,
+    read_snapshot,
+    snapshot_to_bytes,
+)
 from repro.xmlmodel.generator import dblp_like
 
 
@@ -69,10 +81,100 @@ def test_save_rejects_set_covers_directly(tmp_path):
 
 
 def test_save_rejects_non_integer_labels(tmp_path):
-    cover = TwoHopCover(["a", "b"])
-    cover.add_lout("a", "b")
-    with pytest.raises(TypeError):
-        save_snapshot(tmp_path / "bad.snap", cover)
+    """A cover's nodes are non-negative ``int`` element ids, so no
+    snapshot can hold another label: every writer refuses ``"a"`` with
+    ``TypeError`` and ``-1`` with ``ValueError`` and leaves the cover
+    unchanged, and readers answer such a node as one the cover lacks."""
+    cover = TwoHopCover([1, 2])
+    cover.add_lout(1, 2)
+    before = snapshot_to_bytes(cover)
+    writers = (
+        cover.add_node,
+        lambda x: cover.add_nodes([3, x]),
+        lambda x: cover.add_lout(1, x),
+        lambda x: cover.add_lin(x, 2),
+        lambda x: cover.set_lout(1, {2, x}),
+        lambda x: cover.ranks([3, x], lambda missing: [1] * len(missing)),
+    )
+    for bad, error in (("a", TypeError), (-1, ValueError)):
+        for write in writers:
+            with pytest.raises(error):
+                write(bad)
+            assert cover.nodes == {1, 2} and len(cover._lin) == 3
+            assert snapshot_to_bytes(cover) == before
+        assert not cover.connected(bad, 2) and not cover.connected(1, bad)
+        assert cover.lin_of(bad) == cover.descendants(bad) == set()
+    save_snapshot(tmp_path / "ok.snap", cover)
+    assert sorted(load_snapshot(tmp_path / "ok.snap").entries()) == [("out", 1, 2)]
+
+
+#: A durable store's ``cover.snap`` (epoch, then a ranked snapshot)
+#: written before the cover's tables were indexed by element id: a
+#: ``dblp`` corpus of 6 documents (``repro generate dblp -n 6 --seed
+#: 7``), then 12 ``rw`` update batches (``perf/ops.py``
+#: ``UpdateStream(3, ...).rw_batches(12)``: document, element and edge
+#: inserts and two document deletes). Its ``nodes`` section lists the
+#: deleted documents' ids 120-131 too, with no rows.
+RW_STORE_COVER = Path(__file__).parent / "data" / "rw-store-cover.snap"
+
+#: what that writer's own loader read from the file
+RW_STORE_CANONICAL_SHA256 = (
+    "8d7d4a532eb0b17f29acb434f8c04ed4dd63759d3c73b8eddabbfe43801c48d2"
+)
+RW_STORE_RANKS = [
+    840, 2, 2, 2, 6, 10, 12, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 11520,
+    2, 2, 2, 4, 10, 8, 80, 80, 2, 2, 2, 2, 2, 2, 2, 2, 8288, 2, 2, 2, 6,
+    10, 12, 222, 148, 80, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 12528, 2, 2,
+    2, 4, 10, 8, 464, 148, 80, 232, 2, 2, 2, 2, 2, 2, 2, 2, 616, 2, 2,
+    2, 8, 10, 12, 308, 308, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 616, 2,
+    2, 2, 4, 10, 12, 616, 308, 80, 148, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
+    2, 3, 2, 6, 2, 2, 3, 2, 6, 2, 2, 3, 2, 8, 2, 2, 2, 3, 2, 6, 2, 2,
+]
+
+
+def _read_store_cover(blob: bytes):
+    fh = io.BytesIO(blob)
+    fh.read(8)  # the epoch
+    return read_snapshot(fh)
+
+
+def test_a_store_cover_written_with_removed_ids_still_loads():
+    """The stored cover loads with the same entries and ranks its
+    writer's loader saw, and survives a save and load, which now list
+    only the ids that are active or hold a row (the positions of the
+    ids above the removed ones shift, and loading maps them back)."""
+    cover = _read_store_cover(RW_STORE_COVER.read_bytes())
+    nodes = sorted(cover.nodes)
+    assert len(nodes) == 141 and nodes[-1] == 152
+    assert set(range(120, 132)).isdisjoint(nodes)
+    canonical = canonical_snapshot_bytes(cover)
+    assert hashlib.sha256(canonical).hexdigest() == RW_STORE_CANONICAL_SHA256
+    assert cover.ranks(nodes) == RW_STORE_RANKS
+    buf = io.BytesIO()
+    buf.write(bytes(8))
+    dump_ranked_snapshot(buf, cover)
+    again = _read_store_cover(buf.getvalue())
+    assert canonical_snapshot_bytes(again) == canonical
+    assert again.ranks(nodes) == RW_STORE_RANKS
+    assert [again.connected_many(u, nodes) for u in nodes] == [
+        cover.connected_many(u, nodes) for u in nodes
+    ]
+
+
+@pytest.mark.parametrize("nodes", [[1, 0, 2], [0, 2, 2], [-1, 0, 1]])
+def test_load_rejects_a_nodes_section_out_of_order(tmp_path, nodes):
+    """A ``nodes`` section must be strictly ascending and non-negative:
+    a hand-permuted, repeating or negative one is refused."""
+    cover = TwoHopCover([0, 1, 2])
+    cover.add_lout(0, 1)
+    cover.add_lin(2, 1)
+    blob = snapshot_to_bytes(cover)
+    head = len(MAGIC) + 4 + 9  # magic, flags, the section's header
+    assert array("q", blob[head:head + 24]).tolist() == [0, 1, 2]
+    path = tmp_path / "permuted.snap"
+    path.write_bytes(blob[:head] + array("q", nodes).tobytes() + blob[head + 24:])
+    with pytest.raises(ValueError):
+        load_snapshot(path)
 
 
 def test_load_rejects_garbage(tmp_path):
@@ -113,8 +215,6 @@ def test_failed_save_leaves_existing_snapshot_intact(tmp_path):
 
 def test_snapshot_bytes_roundtrip_matches_file(tmp_path):
     """snapshot_to_bytes is the same encoding as the file."""
-    from repro.storage.snapshot import snapshot_to_bytes
-
     cover = TwoHopCover([1, 2, 3])
     cover.add_lout(1, 2)
     cover.add_lin(3, 2)
