@@ -27,12 +27,13 @@ This is the one label representation of the system:
   ``Lin(v)`` over the mutable rows (:func:`galloping_intersects`);
 * ``intersect_many`` is Section 3.4's ``LOUT ⋈ LIN`` join on the
   center, batched (``connected_many`` is its one-source flag view):
-  the candidates are grouped by center once (``center → indices j``
-  with the center in ``Lin(c_j) ∪ {c_j}``), and a source reaches the
-  union of the groups of ``{u} ∪ Lout(u)``. What it memoises lives in a
-  :class:`_ProbeCache` that the next mutation drops; a :meth:`cow_copy`
-  fork inherits its parent's center maps and reuses each one whose
-  candidates' ``Lin`` rows are still the same objects;
+  the candidates are grouped by center once (:meth:`center_map`:
+  ``center → indices j`` with the center in ``Lin(c_j) ∪ {c_j}``), and
+  a source reaches the union of the groups of ``{u} ∪ Lout(u)``
+  (:meth:`reach_many`). The cover keeps nothing between calls: the
+  query engine of an epoch keeps the center maps, and a later epoch's
+  engine reuses one while :meth:`basis_holds` says its basis still
+  does;
 * :meth:`to_csr`/:meth:`from_csr` convert labels to/from the CSR layout
   (``indptr`` + flat data arrays) so snapshots round-trip through
   ``array.tobytes`` without per-row Python overhead;
@@ -91,9 +92,6 @@ def _first_moved(ids: Sequence[int]) -> int:
     position below it is."""
     return bisect_left(range(len(ids)), True, key=lambda p: ids[p] != p)
 
-
-#: How many distinct candidate-tuple center maps to keep per generation.
-_CAND_CACHE_LIMIT = 16
 
 #: the empty label row (read only)
 _NO_ROW = array(ID_TYPECODE)
@@ -175,30 +173,12 @@ def galloping_min_plus(
     return best
 
 
-#: A center map with what it was built from: ``(candidates, center map,
-#: active candidate ids, their Lin rows, inactive candidates)``. The
-#: strong reference in slot 0 keeps an ``id()`` key unambiguous.
-_CandEntry = Tuple[tuple, Dict[int, List[int]], List[int], tuple, Set[int]]
+#: ``center id → ascending candidate indices`` (:meth:`_CoverBase.center_map`)
+CenterMap = Dict[int, List[int]]
 
-
-class _ProbeCache:
-    """What the batch probes memoise for one generation of the tables.
-
-    The owning cover drops the whole object on its next mutation,
-    which is what makes the caches sound; nothing in it is a view of a
-    label row, so the rows stay resizable while it lives.
-
-    Attributes:
-        cand: ``id(candidates)`` → :data:`_CandEntry` for candidate
-            *tuples*, the map as :meth:`_CoverBase._center_map` builds
-            it. A :meth:`_CoverBase.cow_copy` fork inherits these
-            entries.
-    """
-
-    __slots__ = ("cand",)
-
-    def __init__(self) -> None:
-        self.cand: Dict[int, _CandEntry] = {}
+#: What a center map was built from: ``(active candidates, their Lin
+#: row objects, inactive candidates)`` (:meth:`_CoverBase.basis_holds`)
+Basis = Tuple[List[int], tuple, Set[int]]
 
 
 class _CoverBase:
@@ -208,12 +188,7 @@ class _CoverBase:
     node is its own offset — no hashing on hot paths. Every reader
     checks a node against the universe (or the tables' length) before
     it indexes a table, so a negative, unknown or non-``int`` node
-    answers "not connected" / empty.
-    Every mutator sets ``self._probe_cache = None`` first: the batch
-    probes' memo (:class:`_ProbeCache`) describes exactly one immutable
-    generation of the tables. What a :meth:`cow_copy` fork inherits
-    (``_inherited``) outlives its mutations: :meth:`_center_map` checks
-    each entry against the current rows before reusing it.
+    answers "not connected" / empty. Readers write nothing.
     """
 
     #: per-node tables mirrored by :meth:`cow_copy` (subclasses extend)
@@ -229,11 +204,6 @@ class _CoverBase:
         # mapping id(table) -> ids whose rows this instance privately
         # owns (all other rows may be shared with the fork sibling)
         self._cow: Optional[Dict[int, Set[int]]] = None
-        # the batch probes' memo; None until the first batch probe
-        # after a mutation
-        self._probe_cache: Optional[_ProbeCache] = None
-        # the center maps inherited at cow_copy(), checked before reuse
-        self._inherited: Dict[int, _CandEntry] = {}
         # rank per id, 0 = none stored; may be shorter than the tables
         # (the ids past its end have none)
         self._rank = array(RANK_TYPECODE)
@@ -265,16 +235,9 @@ class _CoverBase:
         purpose, at O(nodes) pointer copies instead of O(cover size)
         row copies. Outer tables are copied at pointer level; the
         sorted ``array('i')`` rows stay shared until either side
-        mutates them (the first in-place change privatises the row).
-        The fork starts with no probe cache; ``self`` keeps its own.
-
-        The fork inherits the center maps ``self`` built or reused in
-        its own generation or, when it probed no tuple since its own
-        fork, what ``self`` inherited: never both, so a fork holds one
-        generation's maps at most, and a tuple a generation does not
-        probe is not carried past the fork after it. In the first case
-        ``self`` lets go of what it inherited, which no fork can take
-        any more."""
+        mutates them (the first in-place change privatises the row), so
+        a row object both sides hold has the same centers on both:
+        what :meth:`basis_holds` relies on."""
         clone = type(self)()
         clone._nodes = set(self._nodes)
         clone._rank = self._rank[:]
@@ -282,19 +245,11 @@ class _CoverBase:
             setattr(clone, name, list(getattr(self, name)))
         self._cow = {id(t): set() for t in self._tables()}
         clone._cow = {id(t): set() for t in clone._tables()}
-        cache = self._probe_cache
-        # dict.copy() first: readers may add to a published cover's cache
-        if cache is not None and cache.cand:
-            clone._inherited = cache.cand.copy()
-            self._inherited = {}
-        else:
-            clone._inherited = self._inherited.copy()
         return clone
 
     def copy(self):
         """A structurally independent deep copy of the cover
-        (subclasses clone as their own type; the copy starts with no
-        probe cache and inherits no center maps)."""
+        (subclasses clone as their own type)."""
         clone = type(self)()
         clone._nodes = set(self._nodes)
         clone._rank = self._rank[:]
@@ -306,13 +261,9 @@ class _CoverBase:
 
     def __getstate__(self) -> Dict[str, object]:
         # pickling deep-copies every row, so the unpickled instance owns
-        # all of them; the id()-keyed ownership map would be stale, and
-        # so would the probe cache's id()-keyed entries: the copy
-        # starts without one, and inherits nothing
+        # all of them; the id()-keyed ownership map would be stale
         state = self.__dict__.copy()
         state["_cow"] = None
-        state["_probe_cache"] = None
-        state["_inherited"] = {}
         return state
 
     # -- id plumbing ----------------------------------------------------
@@ -355,13 +306,11 @@ class _CoverBase:
 
     def add_node(self, v: Node) -> None:
         """Register ``v`` in the node universe (idempotent)."""
-        self._probe_cache = None
         self._grow(v)
         self._nodes.add(v)
 
     def add_nodes(self, nodes: Iterable[Node]) -> None:
         """Register every node of ``nodes`` in the universe."""
-        self._probe_cache = None
         nodes = list(nodes)
         self._grow(*nodes)
         self._nodes.update(nodes)
@@ -433,13 +382,11 @@ class _CoverBase:
             self._has_slot(node) and self._has_slot(center)
             and self._drop_center(out, node, center)
         ):
-            self._probe_cache = None
             self._inv_discard(self._inv_lout if out else self._inv_lin, center, node)
 
     def remove_nodes(self, removed: Set[Node]) -> None:
         """Drop nodes from the universe, their labels, and every label
         entry that uses them as a center (document deletion support)."""
-        self._probe_cache = None
         ids = [x for x in removed if self._has_slot(x)]
         self._nodes.difference_update(ids)
         for iid in ids:
@@ -464,7 +411,6 @@ class _CoverBase:
         (on a distance cover the shorter distance wins). Rows that come
         out equal stay the objects a COW sibling may share.
         """
-        self._probe_cache = None
         region = fresh._nodes
         self._grow(*region)
         lout, fresh_lout, fresh_lin = self._lout, fresh._lout, fresh._lin
@@ -490,7 +436,6 @@ class _CoverBase:
         ``other`` is copied to the same id, and its backward-index rows
         with it. Anything else takes :meth:`union` (identical result).
         """
-        self._probe_cache = None
         theirs = other._stored_ids() if type(other) is type(self) else None
         if theirs is None or any(map(self._holds, theirs)):
             self.union(other)
@@ -559,51 +504,24 @@ class _CoverBase:
         return result
 
     # -- batch probes ----------------------------------------------------
-    def _center_map(self, candidates: Sequence[Node]) -> Dict[int, List[int]]:
-        """The ``LIN`` side of the join: ``center id → ascending indices
-        j`` of the ``candidates`` whose ``Lin(c_j) ∪ {c_j}`` holds the
-        center.
-
-        Only active candidates take part, so an unknown id and a removed
-        node are reached by nothing, as in :meth:`connected`.
-        A **tuple** is immutable, so its map is cached per generation by
-        object identity — the query engine memoises one candidate tuple
-        per step key, so repeated probes (and every source of an
-        ``intersect_many`` block) map it once. Any other sequence may
-        have been mutated in place since the last call and is mapped
-        every time.
-
-        A map inherited through :meth:`cow_copy` is reused when every
-        candidate active then is active now with the very ``Lin`` row
-        object it had, and no inactive one became active. That is sound
-        because of the copy-on-write invariant: a row shared at fork
-        time is never changed in place — whichever side changes it
-        copies it first (:meth:`_owned`) and every other writer assigns
-        a fresh row — so the same row object means the same centers.
-        """
-        if self._probe_cache is None:
-            self._probe_cache = _ProbeCache()
-        cache = self._probe_cache.cand
-        cacheable = type(candidates) is tuple
+    def center_map(self, candidates: Sequence[Node]) -> Tuple[CenterMap, Basis]:
+        """The ``LIN`` side of the join, :meth:`_groups`, with the
+        :data:`Basis` it was built from. The cover keeps neither: a
+        caller that keeps the map may reuse it on a later generation of
+        the cover while :meth:`basis_holds`."""
         nodes, lin = self._nodes, self._lin
-        if cacheable:
-            key = id(candidates)
-            entry = cache.get(key)
-            if entry is not None and entry[0] is candidates:
-                return entry[1]
-            entry = self._inherited.get(key)
-            if entry is not None and entry[0] is candidates:
-                if (
-                    nodes.issuperset(entry[2])
-                    and nodes.isdisjoint(entry[4])
-                    and all(map(is_, map(lin.__getitem__, entry[2]), entry[3]))
-                ):
-                    self._keep(cache, entry)
-                    return entry[1]
-                # all but dead (a replaced row is never put back): let go
-                # of the old map and rows now, not when this cover dies
-                self._inherited.pop(key, None)
-        groups: Dict[int, List[int]] = {}
+        active = list(filter(nodes.__contains__, candidates))
+        basis = (active, tuple(map(lin.__getitem__, active)),
+                 set(candidates).difference(nodes))
+        return self._groups(candidates), basis
+
+    def _groups(self, candidates: Sequence[Node]) -> CenterMap:
+        """``center id → ascending indices j`` of the ``candidates``
+        whose ``Lin(c_j) ∪ {c_j}`` holds the center. Only active
+        candidates take part, so an unknown id and a removed node are
+        reached by nothing, as in :meth:`connected`."""
+        nodes, lin = self._nodes, self._lin
+        groups: CenterMap = {}
         get = groups.get
         for j, i in enumerate(candidates):
             if i not in nodes:
@@ -619,32 +537,47 @@ class _CoverBase:
                 groups[i] = [j]
             elif hits[-1] != j:  # unless a self-entry in Lin(c_j) put j there
                 hits.append(j)
-        if cacheable:
-            active = list(filter(nodes.__contains__, candidates))
-            inactive = set(candidates).difference(nodes)
-            rows = tuple(map(lin.__getitem__, active))
-            self._keep(cache, (candidates, groups, active, rows, inactive))
         return groups
 
-    @staticmethod
-    def _keep(cache: Dict[int, _CandEntry], entry: _CandEntry) -> None:
-        """Cache ``entry`` under its tuple's ``id()``, at most
-        :data:`_CAND_CACHE_LIMIT` of them."""
-        if len(cache) >= _CAND_CACHE_LIMIT:
-            cache.clear()
-        cache[id(entry[0])] = entry
+    def basis_holds(self, basis: Basis) -> bool:
+        """Whether a map :meth:`center_map` built from ``basis`` (on
+        this cover or on one it was forked from) is this cover's map
+        too: every candidate active then is active now with the very
+        ``Lin`` row object it had, and no inactive one became active.
 
-    def _reached(self, groups: Dict[int, List[int]], ui: int) -> List[int]:
-        """The ``LOUT`` side: the sorted candidate indices the active
-        source ``ui`` reaches, the union of the groups of
-        ``{ui} ∪ Lout(ui)``. A fresh list; the groups stay cached."""
-        found = [
-            hits for hits in map(groups.get, chain((ui,), self._lout[ui] or ()))
-            if hits
-        ]
-        if len(found) == 1:
-            return found[0][:]
-        return sorted(set().union(*found)) if found else []
+        That is sound because of the copy-on-write invariant: a row
+        shared at fork time is never changed in place — whichever side
+        changes it copies it first (:meth:`_owned`) and every other
+        writer assigns a fresh row — so the same row object means the
+        same centers. The basis holds the rows, so their ids stay
+        unambiguous.
+        """
+        active, rows, inactive = basis
+        nodes, lin = self._nodes, self._lin
+        return (
+            nodes.issuperset(active) and nodes.isdisjoint(inactive)
+            and all(map(is_, map(lin.__getitem__, active), rows))
+        )
+
+    def reach_many(self, groups: CenterMap, sources: Sequence[Node]) -> List[List[int]]:
+        """The ``LOUT`` side: for each source, the sorted candidate
+        indices of ``groups`` it reaches, the union of the groups of
+        ``{u} ∪ Lout(u)`` (``[]`` for an inactive source). Fresh
+        lists; ``groups`` is only read."""
+        nodes, lout = self._nodes, self._lout
+        out = []
+        for u in sources:
+            if u not in nodes:
+                out.append([])
+                continue
+            found = [
+                hits for hits in map(groups.get, chain((u,), lout[u] or ())) if hits
+            ]
+            if len(found) == 1:
+                out.append(found[0][:])
+            else:
+                out.append(sorted(set().union(*found)) if found else [])
+        return out
 
     def connected_many(self, u: Node, candidates: Sequence[Node]) -> List[bool]:
         """Batched ``[connected(u, c) for c in candidates]``: the flags
@@ -658,12 +591,9 @@ class _CoverBase:
         self, sources: Sequence[Node], candidates: Sequence[Node]
     ) -> List[List[int]]:
         """For each source, the sorted **indices** into ``candidates``
-        it reaches — the one batch probe kernel, behind every forward
-        probe of the query executor: the candidates are grouped by
-        center once for the whole batch."""
-        groups = self._center_map(candidates)
-        nodes = self._nodes
-        return [self._reached(groups, u) if u in nodes else [] for u in sources]
+        it reaches: the candidates are grouped by center once for the
+        whole batch (:meth:`_groups`), on every call."""
+        return self.reach_many(self._groups(candidates), sources)
 
     # -- statistics ------------------------------------------------------
     @property
@@ -823,7 +753,6 @@ class TwoHopCover(_CoverBase):
         """
         if node == center:
             return False
-        self._probe_cache = None
         self._grow(node, center)
         self._nodes.add(node)
         row = self._lin[node]
@@ -843,7 +772,6 @@ class TwoHopCover(_CoverBase):
         """
         if node == center:
             return False
-        self._probe_cache = None
         self._grow(node, center)
         self._nodes.add(node)
         row = self._lout[node]
@@ -865,7 +793,6 @@ class TwoHopCover(_CoverBase):
         self._set_label(True, node, centers)
 
     def _set_label(self, out: bool, node: Node, centers: Iterable[Node]) -> None:
-        self._probe_cache = None
         centers = {c for c in centers if c != node}
         self._grow(node, *centers)
         self._write_row(out, node, centers)
@@ -875,8 +802,7 @@ class TwoHopCover(_CoverBase):
         """Make ``Lout(ni)`` (``out``) or ``Lin(ni)`` the sorted row of
         the distinct ids ``centers``, the backward index in step, and
         return the change in entries. An equal row is left alone: it
-        stays the object a COW sibling may share. The caller drops the
-        probe cache."""
+        stays the object a COW sibling may share."""
         table, inv = (self._lout, self._inv_lout) if out else (self._lin, self._inv_lin)
         row = array(ID_TYPECODE, sorted(centers))
         old = table[ni] or _NO_ROW
@@ -1054,7 +980,6 @@ class DistanceTwoHopCover(_CoverBase):
     ) -> bool:
         if node == center:
             return False
-        self._probe_cache = None
         self._grow(node, center)
         self._nodes.add(node)
         centers = table[node]
@@ -1095,7 +1020,6 @@ class DistanceTwoHopCover(_CoverBase):
         self._set_label(True, node, entries)
 
     def _set_label(self, out: bool, node: Node, entries: Mapping[Node, int]) -> None:
-        self._probe_cache = None
         entries = {c: d for c, d in entries.items() if c != node}
         self._grow(node, *entries)
         self._write_row(out, node, entries.items())

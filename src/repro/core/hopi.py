@@ -210,14 +210,12 @@ class HopiIndex:
 
     def intersect_many(self, sources, candidates) -> List[List[int]]:
         """For each source, the sorted indices into ``candidates`` it
-        reaches — the query executor's one forward probe, Section 3.4's
-        ``LOUT ⋈ LIN`` join. The cover groups the candidates by the
-        centers of their ``Lin`` rows once for the whole block and
-        answers each source with one lookup per entry of
-        ``{u} ∪ Lout(u)``. A candidate *tuple* is grouped once (cached
-        by identity), and a :meth:`cow_copy` fork reuses the grouping
-        while the candidates' ``Lin`` rows are the objects it was built
-        from; any other sequence is grouped on every call."""
+        reaches: Section 3.4's ``LOUT ⋈ LIN`` join. The cover groups
+        the candidates by the centers of their ``Lin`` rows once for the
+        whole block, on every call, and answers each source with one
+        lookup per entry of ``{u} ∪ Lout(u)``. The query engine runs the
+        same join but keeps each step's grouping for its epoch (and the
+        next, while the candidates' ``Lin`` rows are unchanged)."""
         return self.cover.intersect_many(sources, candidates)
 
     def distance(self, u: ElementId, v: ElementId) -> Optional[int]:

@@ -99,7 +99,17 @@ def _apply_insert_document(
             refs[str(child["ref"])] = e.eid
     # the new document's elements exist only in the collection so
     # far; insert_document builds its local cover and unions it in
+    elements = shadow.collection.elements
     for source, target in op.get("links", ()):
-        shadow.collection.add_link(resolve(source), resolve(target))
+        link = resolve(source), resolve(target)
+        if not any(x in elements and elements[x].doc == doc_id for x in link):
+            # insert_document integrates only the new document's own
+            # links: one between two other documents would be acked
+            # and never reach the cover
+            raise UpdateError(
+                f"link {list(link)} has no endpoint in the new document "
+                f"{doc_id!r}; link other documents with 'insert_edge'"
+            )
+        shadow.collection.add_link(*link)
     report = shadow.insert_document(doc_id)
     return {"op": "insert_document", "elements": refs, **asdict(report)}

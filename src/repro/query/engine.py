@@ -25,9 +25,11 @@ the rare tail and probes *backward* over the cover's ``ancestors``
 side.
 
 An engine answers for one index, and the service builds one engine per
-published epoch, so the engine is where probe answers are kept: every
-execution reads and fills its per-step-key probe memos (see
-:data:`PROBE_MEMO_BOUND`).
+published epoch, so the engine is where everything derived from the
+index is kept — the cover keeps nothing. Per step key it holds one
+:class:`StepMemo` (the candidates, what is derived from them and the
+cover's center map for them) and the probe answers every execution
+reads and fills (see :data:`PROBE_MEMO_BOUND`).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
+from repro.core.cover import Basis, CenterMap
 from repro.core.hopi import HopiIndex
 from repro.query.exec import ExecContext, run_count, run_ranked
 from repro.query.ontology import TagOntology, default_ontology
@@ -76,6 +79,74 @@ class Probe(Protocol):
     ) -> Dict[ElementId, List[int]]: ...
 
 
+class StepMemo:
+    """What an engine derives from one step key's candidate list.
+
+    ``candidates`` are ``(element, tag score)`` pairs in rank order
+    ``(-score, element id)`` and ``elems`` their elements (a tuple: the
+    probe batch shape), both made with the record; :meth:`scores`,
+    :meth:`parents` and :meth:`anchored` are made on first use. None
+    changes once made, so readers share them without a lock.
+
+    ``center_map`` is the cover's ``(groups, basis)`` for ``elems``
+    (:meth:`~repro.core.cover.TwoHopCover.center_map`), set by this
+    engine's first forward probe of the step. ``carried`` is one an
+    earlier epoch's engine used, which that first probe reuses if its
+    basis still holds here.
+    """
+
+    __slots__ = (
+        "candidates", "elems", "_scores", "_parents", "_anchored",
+        "center_map", "carried",
+    )
+
+    def __init__(self, candidates: List[Tuple[ElementId, float]]) -> None:
+        self.candidates = candidates
+        self.elems: Tuple[ElementId, ...] = tuple(e for e, _ in candidates)
+        self._scores: Optional[Dict[ElementId, float]] = None
+        self._parents: Optional[Dict[ElementId, List[ElementId]]] = None
+        self._anchored: Optional[int] = None
+        self.center_map: Optional[Tuple[CenterMap, Basis]] = None
+        self.carried: Optional[Tuple[CenterMap, Basis]] = None
+
+    def scores(self) -> Dict[ElementId, float]:
+        """``element → tag score`` (each element is in at most one
+        similar tag list, so it is unambiguous)."""
+        if self._scores is None:
+            self._scores = dict(self.candidates)
+        return self._scores
+
+    def parents(self, elements) -> Dict[ElementId, List[ElementId]]:
+        """``parent → candidate children`` in rank order, the parents
+        read from ``elements`` (the collection's element table)."""
+        if self._parents is None:
+            parents: Dict[ElementId, List[ElementId]] = {}
+            for e in self.elems:
+                parent = elements[e].parent
+                if parent is not None:
+                    parents.setdefault(parent, []).append(e)
+            self._parents = parents
+        return self._parents
+
+    def anchored(self, elements) -> int:
+        """How many candidates are document roots (the planner's
+        estimate for an anchored position 0)."""
+        if self._anchored is None:
+            self._anchored = sum(1 for e in self.elems if elements[e].parent is None)
+        return self._anchored
+
+    def carry(self, used: bool) -> "StepMemo":
+        """This record for the next epoch's engine: the same derived
+        state, carrying the center map this engine used or, when this
+        engine ``used`` no map at all, the one it carried."""
+        memo = StepMemo.__new__(StepMemo)
+        memo.candidates, memo.elems = self.candidates, self.elems
+        memo._scores, memo._parents = self._scores, self._parents
+        memo._anchored, memo.center_map = self._anchored, None
+        memo.carried = self.center_map if used else self.carried
+        return memo
+
+
 @dataclass(frozen=True)
 class QueryResult:
     """One ranked match of a path expression.
@@ -101,7 +172,9 @@ class QueryEngine:
     mutate no instance state beyond benign memo fills, so one engine
     can serve many threads at once — the service layer keeps a single
     engine per published index epoch and lets every reader share its
-    tag index, candidate memos and probe memos.
+    tag index, step memos and probe memos. Two readers that make one
+    step's record or center map at once make equal ones; one of each
+    is kept.
 
     The probe memos map a step key to ``{element → answer}``, forward
     (indices into the step's candidate tuple that the element reaches)
@@ -120,17 +193,12 @@ class QueryEngine:
         max_results: ranked-result truncation per query (applied after
             the expression's own ``offset``/``limit`` window), at
             least 1.
-        previous: the engine of the generation this index was forked
-            from; its candidate memos are adopted where they still hold
-            (see :meth:`_adopt`). Probe memos never are: their answers
+        previous: the engine of the generation this index was
+            ``cow_copy()`` forked from, whose index no longer changes;
+            its step memos are adopted where they still hold (see
+            :meth:`_adopt`). Probe memos never are: their answers
             depend on the labels, not only on the tag lists.
     """
-
-    #: the per-step-key memos, all derived from one candidate list
-    _MEMOS = (
-        "_candidate_memo", "_candidate_map_memo", "_candidate_elems_memo",
-        "_parent_map_memo", "_anchored_count_memo",
-    )
 
     def __init__(
         self,
@@ -149,13 +217,7 @@ class QueryEngine:
         self.similarity_threshold = similarity_threshold
         self.max_results = max_results
         self._tag_index: Dict[str, List[ElementId]] = self.collection.tags()
-        # per-(tag, similar) memos; concurrent fills of the same key
-        # compute the same value, so the races are benign under the GIL
-        self._candidate_memo: Dict[StepKey, List[Tuple[ElementId, float]]] = {}
-        self._candidate_map_memo: Dict[StepKey, Dict[ElementId, float]] = {}
-        self._candidate_elems_memo: Dict[StepKey, Tuple[ElementId, ...]] = {}
-        self._parent_map_memo: Dict[StepKey, Dict[ElementId, List[ElementId]]] = {}
-        self._anchored_count_memo: Dict[StepKey, int] = {}
+        self._memos: Dict[StepKey, StepMemo] = {}
         # the probe memos, per step key: element → its answer
         self._forward: Dict[StepKey, Dict[ElementId, List[int]]] = {}
         self._backward: Dict[StepKey, Dict[ElementId, List[ElementId]]] = {}
@@ -168,15 +230,15 @@ class QueryEngine:
             self._adopt(previous)
 
     def _adopt(self, previous: "QueryEngine") -> None:
-        """Take over ``previous``'s memos for every step key whose
-        candidates cannot have changed.
+        """Take over ``previous``'s step memos for every step key whose
+        candidates cannot have changed (:meth:`StepMemo.carry`).
 
         :meth:`Collection.tags() <repro.xmlmodel.model.Collection.tags>`
         hands out lists that later maintenance never mutates in place
         (a change copies the list first), so a tag list that is the
         same *object* in both tag indexes holds the same ids; and an
         element's tag and parent never change, so every memo derived
-        from those ids — candidates, elements, map, parent map,
+        from those ids — candidates, elements, scores, parent map,
         anchored count — still holds. A ``(tag, False)`` key is adopted
         when its tag's list is the same object; ``*`` and ``~tag`` keys
         read several lists and the tag set, so only when every list is
@@ -184,6 +246,13 @@ class QueryEngine:
         are not carried over (they cost nothing to recompute, and this
         keeps what is carried bounded by the collection's tags). Nothing
         is adopted across a different ontology or threshold.
+
+        A record carries the center map the previous engine used or, if
+        that engine used none (no read between two publishes), the one
+        it carried: never both, so what is carried is one generation's
+        maps at most, and a map that a generation which probed did not
+        use goes no further. :meth:`_reach_many` checks a carried map
+        against this engine's cover on first use.
         """
         if (
             previous.ontology is not self.ontology
@@ -194,21 +263,16 @@ class QueryEngine:
         unchanged = old.keys() == new.keys() and all(
             ids is old[tag] for tag, ids in new.items()
         )
-        # one atomic C-level copy each: readers of the previous epoch
-        # may still be filling these dicts
-        theirs = {name: getattr(previous, name).copy() for name in self._MEMOS}
-        kept = [
-            key for key, candidates in theirs["_candidate_memo"].items()
-            if candidates and (
+        # one atomic C-level copy: readers of the previous epoch may
+        # still be filling the dict
+        theirs = previous._memos.copy()
+        used = any(memo.center_map is not None for memo in theirs.values())
+        for key, memo in theirs.items():
+            if memo.candidates and (
                 unchanged if key[0] == "*" or key[1]
                 else new.get(key[0]) is old.get(key[0])
-            )
-        ]
-        for name, memo in theirs.items():
-            mine = getattr(self, name)
-            for key in kept:
-                if key in memo:
-                    mine[key] = memo[key]
+            ):
+                self._memos[key] = memo.carry(used)
 
     def _count_probes(self, hits: int, misses: int) -> None:
         """Count one prefetch block: ``hits`` distinct elements the
@@ -245,95 +309,68 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # derived candidate state (shared by planner and operators)
     # ------------------------------------------------------------------
+    def _memo(self, step: Step) -> StepMemo:
+        """The step key's record, made on first use.
+
+        A path like ``//a//b//a`` (or a workload of many queries sharing
+        element tests) makes each record once per engine — and the
+        service builds one engine per published epoch, so no record
+        outlives the collection state it was made from unless
+        :meth:`_adopt` proves it still holds. ``[predicate]`` filters
+        are *not* applied here — they are per-element and evaluated
+        lazily by the operators, so the record stays shareable across
+        queries.
+        """
+        key: StepKey = (step.tag, step.similar)
+        memo = self._memos.get(key)
+        if memo is None:
+            memo = self._memos.setdefault(key, StepMemo(self._match(step)))
+        return memo
+
     def _candidates(self, step: Step) -> List[Tuple[ElementId, float]]:
         """Elements matching a step's element test with their tag score,
         in rank order ``(-score, element id)`` — every list the
         operators derive from this one (probe answers, parent maps)
-        inherits the order the ranked enumerator walks in.
+        inherits the order the ranked enumerator walks in. Callers must
+        not mutate the returned list."""
+        return self._memo(step).candidates
 
-        Memoized per ``(tag, similar)``: a path like ``//a//b//a`` (or a
-        workload of many queries sharing element tests) computes each
-        candidate list once per engine — and the service builds one
-        engine per published epoch, so no memo outlives the collection
-        state it was computed from. Callers must
-        not mutate the returned list. ``[predicate]`` filters are *not*
-        applied here — they are per-element and evaluated lazily by the
-        operators, so the memo stays shareable across queries.
-        """
-        key: StepKey = (step.tag, step.similar)
-        memo = self._candidate_memo.get(key)
-        if memo is not None:
-            return memo
+    def _match(self, step: Step) -> List[Tuple[ElementId, float]]:
+        """:meth:`_candidates`, computed from the tag index."""
         if step.tag == "*":
-            matches = [
+            return [
                 (e, 1.0) for e in sorted(
                     e for ids in self._tag_index.values() for e in ids
                 )
             ]
-        elif not step.similar:
+        if not step.similar:
             # the tag index lists ids ascending
-            matches = [(e, 1.0) for e in self._tag_index.get(step.tag, [])]
-        else:
-            matches = []
-            for tag, score in self.ontology.similar_tags(
-                step.tag, self._tag_index.keys(), threshold=self.similarity_threshold
-            ):
-                matches.extend((e, score) for e in self._tag_index[tag])
-            matches.sort(key=lambda match: (-match[1], match[0]))
-        self._candidate_memo[key] = matches
+            return [(e, 1.0) for e in self._tag_index.get(step.tag, [])]
+        matches = []
+        for tag, score in self.ontology.similar_tags(
+            step.tag, self._tag_index.keys(), threshold=self.similarity_threshold
+        ):
+            matches.extend((e, score) for e in self._tag_index[tag])
+        matches.sort(key=lambda match: (-match[1], match[0]))
         return matches
 
-    def _candidate_elems(self, step: Step) -> Tuple[ElementId, ...]:
-        """Just the elements of :meth:`_candidates` (probe batch shape).
-
-        A memoised **tuple**: the cover caches a candidate sequence's
-        center map by object identity only for tuples (immutable,
-        so identity implies equal content), and this one object is what
-        every probe of the step passes down."""
-        key: StepKey = (step.tag, step.similar)
-        memo = self._candidate_elems_memo.get(key)
-        if memo is None:
-            memo = tuple(e for e, _ in self._candidates(step))
-            self._candidate_elems_memo[key] = memo
-        return memo
-
-    def _candidate_map(self, step: Step) -> Dict[ElementId, float]:
-        """``element → tag score`` for a step (membership tests and
-        scoring; each element appears in at most one similar tag list,
-        so the mapping is unambiguous)."""
-        key: StepKey = (step.tag, step.similar)
-        memo = self._candidate_map_memo.get(key)
-        if memo is None:
-            memo = dict(self._candidates(step))
-            self._candidate_map_memo[key] = memo
-        return memo
-
-    def _parent_map(self, step: Step) -> Dict[ElementId, List[ElementId]]:
-        """``parent → candidate children`` for a child step/predicate."""
-        key: StepKey = (step.tag, step.similar)
-        memo = self._parent_map_memo.get(key)
-        if memo is None:
-            memo = {}
-            for e, _score in self._candidates(step):
-                parent = self.collection.elements[e].parent
-                if parent is not None:
-                    memo.setdefault(parent, []).append(e)
-            self._parent_map_memo[key] = memo
-        return memo
-
-    def _anchored_count(self, step: Step) -> int:
-        """How many of a step's candidates are document roots (the
-        planner's cardinality estimate for an anchored position 0)."""
-        key: StepKey = (step.tag, step.similar)
-        memo = self._anchored_count_memo.get(key)
-        if memo is None:
-            elements = self.collection.elements
-            memo = sum(
-                1 for e, _ in self._candidates(step)
-                if elements[e].parent is None
-            )
-            self._anchored_count_memo[key] = memo
-        return memo
+    def _reach_many(
+        self, sources: Sequence[ElementId], step: Step
+    ) -> List[List[int]]:
+        """For each source, the sorted indices into the step's ``elems``
+        it reaches: ``index.intersect_many`` with the step's center map
+        kept. The engine's first probe of the step reuses the carried
+        map if its basis still holds on this cover (checked here, once,
+        so publishing never pays for it), and builds one otherwise."""
+        memo = self._memo(step)
+        cover = self.index.cover
+        cmap = memo.center_map
+        if cmap is None:
+            cmap = memo.carried
+            if cmap is None or not cover.basis_holds(cmap[1]):
+                cmap = cover.center_map(memo.elems)
+            memo.center_map, memo.carried = cmap, None
+        return cover.reach_many(cmap[0], sources)
 
     # ------------------------------------------------------------------
     # planning API

@@ -23,9 +23,11 @@ probe is a frontier block — Section 3.4's ``LOUT ⋈ LIN`` join of a set
 of sources against a step's whole candidate list: descendant joins
 send ``FORWARD_BLOCK`` sources at a time, counting sends the whole
 frontier, and a ``[//tag]`` predicate check sends its one source. A
-block's memo misses go to ``index.intersect_many``, or to the
-context's ``probe`` substitute (see
-:class:`~repro.query.engine.Probe`). Backward probes are blocks too:
+block's memo misses go to the cover's ``LOUT`` side against the step's
+center map, which the engine keeps with the step's record
+(:meth:`QueryEngine._reach_many <repro.query.engine.QueryEngine._reach_many>`,
+``index.intersect_many``'s answers), or to the context's ``probe``
+substitute (see :class:`~repro.query.engine.Probe`). Backward probes are blocks too:
 counting sends its whole backward frontier, the semi-join reduction
 each position's survivors, and a single lookup a block of one.
 """
@@ -51,8 +53,7 @@ class ExecContext:
 
     Args:
         engine: the owning :class:`~repro.query.engine.QueryEngine`
-            (supplies the index, candidate lists/maps, the parent maps
-            and the probe memos).
+            (supplies the index, the step memos and the probe memos).
         probe: optional forward probe substitute for memo misses;
             ``None`` probes the index directly.
     """
@@ -79,20 +80,17 @@ class ExecContext:
     ) -> Dict[ElementId, List[int]]:
         """Fill the forward memo for a whole block of sources in one
         batched probe of its misses: ``probe.many`` when a probe
-        substitute is set, else ``index.intersect_many`` — which groups
-        the candidates by center once for the whole block. Returns the
-        step's memo, which then holds every source.
+        substitute is set, else the engine's ``_reach_many`` over the
+        step's kept center map. Returns the step's memo, which then
+        holds every source.
         """
         rows, missing = self._misses(self.engine._forward, step, sources)
         if missing:
-            cand_elems = self.engine._candidate_elems(step)
             if self.probe is not None:
-                key = (step.tag, step.similar)
-                rows.update(self.probe.many(missing, key, cand_elems))
+                key, elems = (step.tag, step.similar), self.engine._memo(step).elems
+                rows.update(self.probe.many(missing, key, elems))
             else:
-                rows.update(
-                    zip(missing, self.index.intersect_many(missing, cand_elems))
-                )
+                rows.update(zip(missing, self.engine._reach_many(missing, step)))
         return rows
 
     def backward_reach(self, target: ElementId, step: Step) -> List[ElementId]:
@@ -116,7 +114,7 @@ class ExecContext:
         Returns the step's memo."""
         rows, missing = self._misses(self.engine._backward, step, targets)
         if missing:
-            cmap = self.engine._candidate_map(step)
+            cmap = self.engine._memo(step).scores()
             for target in missing:
                 ancestors: Set[ElementId] = self.index.ancestors(target)
                 if len(cmap) < len(ancestors):
@@ -182,11 +180,10 @@ class ExecContext:
         Early-exits on the first full match."""
         step = steps[i]
         if step.axis == "child":
-            matches: Sequence[ElementId] = self.engine._parent_map(step).get(
-                source, ()
-            )
+            parents = self.engine._memo(step).parents(self.elements)
+            matches: Sequence[ElementId] = parents.get(source, ())
         else:
-            cand_elems = self.engine._candidate_elems(step)
+            cand_elems = self.engine._memo(step).elems
             matches = [
                 cand_elems[j]
                 for j in self.forward_reach(source, step)
@@ -230,7 +227,7 @@ def _scan(
     """The admitted candidates of ``position``, in rank order (lazily
     admitted)."""
     admits = _gate(ctx, plan, position)
-    elements = ctx.engine._candidate_elems(plan.expr.steps[position])
+    elements = ctx.engine._memo(plan.expr.steps[position]).elems
     return iter(elements) if admits is None else filter(admits, elements)
 
 
@@ -242,8 +239,8 @@ def _successors(
     or the ``descendants``-side probe, never ``element`` itself."""
     step = plan.expr.steps[position]
     if step.axis == "child":
-        return ctx.engine._parent_map(step).get(element, ())
-    cand_elems = ctx.engine._candidate_elems(step)
+        return ctx.engine._memo(step).parents(ctx.elements).get(element, ())
+    cand_elems = ctx.engine._memo(step).elems
     return [
         cand_elems[j] for j in ctx.forward_reach(element, step)
         if cand_elems[j] != element
@@ -261,7 +258,7 @@ def _predecessors(
     step = steps[position]
     if steps[position + 1].axis == "child":
         parent = ctx.elements[element].parent
-        if parent is None or parent not in ctx.engine._candidate_map(step):
+        if parent is None or parent not in ctx.engine._memo(step).scores():
             return ()
         return (parent,)
     return [a for a in ctx.backward_reach(element, step) if a != element]
@@ -312,7 +309,7 @@ def _reduce(
         below[position] = joined
         step = steps[position]
         if step.similar:
-            cmap = ctx.engine._candidate_map(step)
+            cmap = ctx.engine._memo(step).scores()
             allowed = sorted(joined, key=lambda e: (-cmap[e], e))
         else:
             allowed = sorted(joined)
@@ -354,7 +351,7 @@ def run_ranked(
     steps = plan.expr.steps
     last = len(steps) - 1
     seed = plan.ops[0].position
-    cmaps = [ctx.engine._candidate_map(step) for step in steps]
+    cmaps = [ctx.engine._memo(step).scores() for step in steps]
     # the seed scan and the reduction admit their own elements
     gates = {
         position: _gate(ctx, plan, position)
@@ -474,7 +471,7 @@ def run_count(plan: PhysicalPlan, ctx: ExecContext) -> int:
             prefetch = ctx.prefetch_backward if backward else ctx.prefetch_forward
             reach = prefetch(frontier, step)
             if op is plan.ops[-1] and admits is None:
-                cmap = ctx.engine._candidate_map(step)
+                cmap = ctx.engine._memo(step).scores()
                 return sum(
                     multiplicity * (len(reach[element]) - (element in cmap))
                     for element, multiplicity in frontier.items()

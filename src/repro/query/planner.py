@@ -277,7 +277,7 @@ def estimate_cardinalities(expr: PathExpression, engine) -> Tuple[int, ...]:
     estimates: List[int] = []
     for i, step in enumerate(expr.steps):
         if i == 0 and step.axis == "child":
-            estimates.append(engine._anchored_count(step))
+            estimates.append(engine._memo(step).anchored(engine.collection.elements))
         else:
             estimates.append(len(engine._candidates(step)))
     return tuple(estimates)

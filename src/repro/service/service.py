@@ -181,9 +181,10 @@ class QueryService:
         ``index``; raising here leaves the published state untouched.
 
         With ``previous`` (the generation ``index`` was forked from),
-        the new engine adopts its candidate memos wherever the tag
-        lists are unchanged, so the first reads of the new epoch do
-        not recompute them; its probe memos start empty."""
+        the new engine adopts its step memos wherever the tag lists
+        are unchanged, with the center maps the last engine used, so
+        the first reads of the new epoch do not recompute them; its
+        probe memos start empty."""
         engine = QueryEngine(
             index,
             ontology=self._ontology,

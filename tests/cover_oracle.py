@@ -6,7 +6,7 @@ This is the reference implementation of the label semantics
 classes that used to ship as the ``sets`` representation, moved here
 when the array cover became the only representation under ``src/``.
 Labels are plain sets / dicts over raw node ids — no interning, no
-sorted arrays, no probe caches, no kernels, no
+sorted arrays, no center grouping, no kernels, no
 copy-on-write — so it shares no probe or mutation code with the product
 class. It keeps the full mutator and query surface, which lets the
 Section-6 maintenance algorithms (which construct ``type(cover)``) run
@@ -57,22 +57,22 @@ def oracle_index(index):
 #: What a test matrix can put behind a :class:`HopiIndex`, under the
 #: ids its rows have always carried: ``sets`` — the oracle; ``arrays`` —
 #: the cover with no batch probe run yet (galloping ``connected``);
-#: ``vector`` — the same cover with its batch-probe caches populated by a
-#: ``connected_many`` before the test body runs, so forks, copies,
-#: pickles and mutations start from a parent that holds them.
+#: ``vector`` — the same cover after a ``connected_many`` over every
+#: element ran before the test body, which leaves the cover as it was
+#: (a cover keeps nothing a probe computes), so forks, copies, pickles
+#: and mutations start from a parent a reader has used.
 COVER_STATES = ("arrays", "sets", "vector")
 
 
 def index_in_state(index, state: str):
-    """``index`` (freshly built, hence with no probe cache) put into
-    ``state``."""
-    assert index.cover._probe_cache is None
+    """``index`` (freshly built) put into ``state``."""
     if state == "sets":
         return oracle_index(index)
     if state == "vector":
+        before = {name: id(value) for name, value in vars(index.cover).items()}
         elements = tuple(sorted(index.collection.elements))
         index.connected_many(elements[0], elements)
-        assert index.cover._probe_cache is not None
+        assert {name: id(value) for name, value in vars(index.cover).items()} == before
     return index
 
 
@@ -323,6 +323,17 @@ class SetTwoHopCover:
             [i for i, c in enumerate(candidates) if self.connected(u, c)]
             for u in sources
         ]
+
+    # the center-map protocol of the query engine, literally: the map
+    # is the candidates, and no basis ever holds on another cover
+    def center_map(self, candidates: Sequence[Node]):
+        return tuple(candidates), None
+
+    def basis_holds(self, basis) -> bool:
+        return False
+
+    def reach_many(self, candidates, sources: Sequence[Node]) -> List[List[int]]:
+        return self.intersect_many(sources, candidates)
 
     def descendants(self, u: Node) -> Set[Node]:
         """All ``d`` with ``u ->* d`` (including ``u``), via the backward index."""
@@ -589,6 +600,17 @@ class SetDistanceCover:
             [i for i, c in enumerate(candidates) if self.connected(u, c)]
             for u in sources
         ]
+
+    # the center-map protocol of the query engine, literally: the map
+    # is the candidates, and no basis ever holds on another cover
+    def center_map(self, candidates: Sequence[Node]):
+        return tuple(candidates), None
+
+    def basis_holds(self, basis) -> bool:
+        return False
+
+    def reach_many(self, candidates, sources: Sequence[Node]) -> List[List[int]]:
+        return self.intersect_many(sources, candidates)
 
     def descendants(self, u: Node) -> Set[Node]:
         """All ``d`` with ``u ->* d`` (including ``u``)."""

@@ -285,7 +285,7 @@ def test_from_entries_equals_one_add_at_a_time_on_repeated_entries(distance):
 
 
 # ---------------------------------------------------------------------------
-# the probe-cache lifecycle
+# probes leave the cover as it was
 # ---------------------------------------------------------------------------
 
 
@@ -295,7 +295,6 @@ def _probed_index():
     roots = sorted(d.root for d in collection.documents.values())
     authors = sorted(collection.tags()["author"])
     index.connected_many(roots[0], authors)
-    assert index.cover._probe_cache is not None
     return index, roots, authors
 
 
@@ -309,6 +308,11 @@ def _probe_answers(cover):
     )
 
 
+def _state(cover):
+    """Every attribute of the cover, by object identity."""
+    return {name: id(value) for name, value in vars(cover).items()}
+
+
 def _point_answers(cover):
     everyone = sorted(cover.nodes)
     rows = [[cover.connected(u, v) for v in everyone] for u in everyone]
@@ -319,9 +323,11 @@ def _point_answers(cover):
     "flavour", ["TwoHopCover", "DistanceTwoHopCover", "cow_copy"]
 )
 def test_every_mutator_drops_the_probe_caches(flavour):
-    """Each mutator drops the batch probes' caches and can still resize
-    every row the probe just read (no buffer view of a label row
-    outlives a probe); the next probe answers like ``connected()``."""
+    """The cover keeps nothing a probe computes, so a mutator has no
+    cache to drop: a probe leaves every attribute the object it was,
+    each mutator can still resize every row the probe just read (no
+    buffer view of a label row outlives a probe), and the next probe
+    answers like ``connected()``."""
     cls = DistanceTwoHopCover if flavour == "DistanceTwoHopCover" else TwoHopCover
     d = (1,) if cls.is_distance_aware else ()
     cover = cls(range(5))
@@ -347,12 +353,12 @@ def test_every_mutator_drops_the_probe_caches(flavour):
         lambda: cover.absorb_disjoint(cls([11])),
     ]
     for mutate in mutations:
+        before = _state(cover)
         _probe_answers(cover)
-        assert cover._probe_cache is not None
+        assert _state(cover) == before
         mutate()
-        assert cover._probe_cache is None
         assert _probe_answers(cover) == _point_answers(cover)
-    # a no-op discard changes nothing and may keep the caches
+    # a no-op discard changes nothing
     cover.connected_many(0, (1, 2))
     cover.discard_lin(0, 4)
     assert cover.connected_many(0, (1, 2)) == [True, True]
@@ -376,8 +382,8 @@ def test_a_stored_self_entry_is_reached_once(cls):
 
 
 def test_sealed_cover_pickles_and_deepcopies_unsealed():
-    """A cover's probe cache is keyed by ``id()``; its copies start
-    without one."""
+    """A pickled or deep-copied cover, copied after a batch probe ran,
+    holds the same bytes and answers the batch probes alike."""
     index, roots, authors = _probed_index()
     expected = [index.connected_many(r, authors) for r in roots]
     blob = canonical_snapshot_bytes(index.cover)
@@ -385,18 +391,17 @@ def test_sealed_cover_pickles_and_deepcopies_unsealed():
         pickle.loads(pickle.dumps(index.cover)),
         copy.deepcopy(index.cover),
     ):
-        assert clone._probe_cache is None
         assert canonical_snapshot_bytes(clone) == blob
         assert [clone.connected_many(r, authors) for r in roots] == expected
-    assert index.cover._probe_cache is not None  # the original keeps its own
     assert pickle.loads(pickle.dumps(index)).connected_many(
         roots[0], authors
     ) == expected[0]
 
 
 def test_a_mutated_candidate_list_is_translated_again():
-    """Only tuples are cached by identity: a list changed in place
-    between two calls must be answered for what it holds *now*."""
+    """Nothing is grouped ahead of a call: a list changed in place
+    between two calls is answered for what it holds *now*, and a tuple
+    of the same content alike."""
     index, roots, authors = _probed_index()
     oracle = lambda cands: [index.connected(roots[0], c) for c in cands]  # noqa: E731
     cands = list(authors)
@@ -409,21 +414,5 @@ def test_a_mutated_candidate_list_is_translated_again():
         [i for i, c in enumerate(cands) if index.connected(r, c)]
         for r in roots[:3]
     ]
-    # a tuple is translated once per generation and answers identically
     frozen = tuple(cands)
     assert index.connected_many(roots[0], frozen) == oracle(cands)
-    assert id(frozen) in index.cover._probe_cache.cand
-    assert id(cands) not in index.cover._probe_cache.cand
-    assert index.connected_many(roots[0], frozen) == oracle(cands)
-
-
-def test_a_fork_starts_unsealed_and_the_parent_keeps_its_seal():
-    index, roots, authors = _probed_index()
-    expected = index.connected_many(roots[0], authors)
-    parent_cache = index.cover._probe_cache
-    fork = index.cow_copy()
-    assert fork.cover._probe_cache is None
-    fork.insert_element(roots[0], "author")
-    assert index.cover._probe_cache is parent_cache
-    assert index.connected_many(roots[0], authors) == expected
-    assert fork.connected_many(roots[0], authors) == expected

@@ -37,9 +37,6 @@ class FakeEngine:
     def _candidates(self, step):
         return [(i, 1.0) for i in range(self._counts[step.tag])]
 
-    def _anchored_count(self, step):
-        return self._counts[step.tag]
-
 
 @pytest.fixture(scope="module")
 def small_index():

@@ -28,6 +28,9 @@ from repro.core.cover import DistanceTwoHopCover, TwoHopCover
 from repro.core.hopi import HopiIndex
 from repro.graph.closure import distance_closure, transitive_closure
 from repro.graph.traversal import descendants as graph_descendants
+from repro.query.engine import QueryEngine
+from repro.query.ontology import default_ontology
+from repro.query.pathexpr import parse_path
 from repro.storage.snapshot import canonical_snapshot_bytes
 from repro.xmlmodel.generator import dblp_like
 from repro.xmlmodel.model import Collection
@@ -84,9 +87,8 @@ def assert_equivalent(sets_index: HopiIndex, arrays_index: HopiIndex) -> None:
         if distance:
             for v in nodes:
                 assert sets_index.distance(u, v) == arrays_index.distance(u, v), (u, v)
-    # ... and the point probe of a copy that never ran a batch probe
+    # ... and the point probe of a copy
     fresh = arrays_index.cover.copy()
-    assert fresh._probe_cache is None
     for u in nodes[:: max(len(nodes) // 8, 1)]:
         assert [fresh.connected(u, v) for v in nodes] == [
             sets_index.connected(u, v) for v in nodes
@@ -145,14 +147,14 @@ def test_every_backend_answers_the_descendant_step_identically():
     """The batch shape the query engine issues for each ``//a//b`` step
     — a document root probed against every element of the most frequent
     tag — gets bit-identical answers from everything that can answer
-    it: the oracle and the cover (a list mapped per call, a tuple's
-    cached center map, the block probe)."""
+    it: the oracle and the cover (a list and a tuple, the block probe,
+    and the block through the engine's kept center map)."""
     collection = dblp_like(30, seed=7)
     index = HopiIndex.build(
         collection, strategy="recursive", partitioner="node_weight",
         partition_limit=max(collection.num_elements // 16, 1),
     )
-    _, members = max(collection.tags().items(), key=lambda kv: (len(kv[1]), kv[0]))
+    tag, members = max(collection.tags().items(), key=lambda kv: (len(kv[1]), kv[0]))
     candidates = sorted(members)
     roots = sorted(d.root for d in collection.documents.values())
     oracle = oracle_index(index)
@@ -166,6 +168,13 @@ def test_every_backend_answers_the_descendant_step_identically():
         yield "block", [
             [i in hits for i in range(len(frozen))]
             for hits in map(set, index.intersect_many(roots, frozen))
+        ]
+        step = parse_path(f"//{tag}").steps[0]
+        engine = engine_for(index)
+        assert engine._memo(step).elems == frozen
+        yield "engine", [
+            [i in hits for i in range(len(frozen))]
+            for hits in map(set, engine._reach_many(roots, step))
         ]
 
     for how, got in answers():
@@ -288,41 +297,48 @@ def _assert_groups(cover, candidates, groups) -> None:
     assert groups == expected
 
 
-def _assert_center_maps(cover) -> None:
-    """The probe cache holds one thing: per candidate tuple, its center
-    map with what it was built from — the active candidates, their
-    ``Lin`` rows (the very objects) and the inactive candidates. Every
-    inherited map that ``_center_map`` accepts is recomputed too."""
-    cache = cover._probe_cache
-    assert cache is not None and type(cache).__slots__ == ("cand",)
-    assert cache.cand
-    nodes = cover._nodes
-    for key, (candidates, groups, active, rows, inactive) in list(cache.cand.items()):
-        assert type(candidates) is tuple and key == id(candidates)
-        assert active == [i for i in candidates if i in nodes]
-        assert inactive == set(candidates) - nodes
-        assert len(rows) == len(active)
-        assert all(row is cover._lin[i] for i, row in zip(active, rows))
-        _assert_groups(cover, candidates, groups)
-    for candidates, groups, *_ in list(cover._inherited.values()):
-        if cover._center_map(candidates) is groups:
-            _assert_groups(cover, candidates, groups)
+def _assert_center_map(cover, candidates, cmap) -> None:
+    """``cmap`` is the center map of ``candidates`` on ``cover`` with
+    what it was built from: the active candidates, their ``Lin`` rows
+    (the very objects) and the inactive candidates."""
+    groups, (active, rows, inactive) = cmap
+    nodes = cover.nodes
+    assert active == [i for i in candidates if i in nodes]
+    assert inactive == set(candidates) - nodes
+    assert len(rows) == len(active)
+    assert all(row is cover._lin[i] for i, row in zip(active, rows))
+    _assert_groups(cover, candidates, groups)
+
+
+def _assert_center_maps(engine) -> None:
+    """Every center map an engine's step records hold is the map of the
+    record's elements on the engine's cover, built or carried."""
+    maps = [(m.elems, m.center_map) for m in engine._memos.values() if m.center_map]
+    assert maps
+    for elems, cmap in maps:
+        _assert_center_map(engine.index.cover, elems, cmap)
 
 
 @pytest.mark.parametrize("distance", [False, True])
 def test_portable_seal_matches_the_oracle(distance):
     """The batch probes have one kernel everywhere, the center join
     in pure Python: the same answers as the oracle after the build and
-    after every step of a maintenance script, with the probe cache
-    holding exactly the center maps of the candidate tuples probed."""
+    after every step of a maintenance script, with the center map of a
+    candidate tuple (unknown ids in it too) built from exactly the
+    basis it reports."""
     sets_index, arrays_index = build_pair(2, cyclic=not distance, distance=distance)
-    assert_equivalent(sets_index, arrays_index)
-    _assert_center_maps(arrays_index.cover)
+
+    def check():
+        assert_equivalent(sets_index, arrays_index)
+        cover = arrays_index.cover
+        probed = tuple(sorted(arrays_index.collection.elements)) + (-1, 10**6, "ghost")
+        _assert_center_map(cover, probed, cover.center_map(probed))
+
+    check()
     for op in _maintenance_script(sets_index, random.Random(77), n_ops=6):
         _apply(sets_index, op)
         _apply(arrays_index, op)
-        assert_equivalent(sets_index, arrays_index)
-        _assert_center_maps(arrays_index.cover)
+        check()
     arrays_index.verify()
 
 
@@ -367,97 +383,135 @@ def _fork_ops(index):
     ]
 
 
+#: the step keys the center-map tests probe, one step each
+STEPS = [
+    parse_path(path).steps[0]
+    for path in ("//author", "//cite", "//title", "//article", "//*", "//~article")
+]
+
+#: one ontology for every engine, as the service keeps: engines adopt
+#: step memos only from an engine with the same one
+ONTOLOGY = default_ontology()
+
+
+def engine_for(index, previous=None):
+    return QueryEngine(index, ontology=ONTOLOGY, previous=previous)
+
+
 @pytest.mark.parametrize("distance", [False, True])
 def test_a_fork_reuses_a_center_map_exactly_when_its_rows_are_unchanged(distance):
-    """A published cover's center maps through ``cow_copy`` and every
-    maintenance op: behind a rolled-back trial, then on the second fork
-    of a chain of two trials (the first never probed), then one epoch
-    later. Each fork answers ``intersect_many`` over the parent's
-    tuples like a ``copy()`` that inherited nothing, and reuses a map
-    (the same ``groups`` object) exactly when every candidate kept its
-    activity and, if active, the very ``Lin`` row object it had (an id
-    no element holds yet is inactive until an insert takes it), and the
-    cover was not rebuilt. A map that fails the check is dropped from
-    what the fork inherited, and a parent that probed lets go of what
-    it inherited once it is forked."""
+    """A published epoch's center maps through ``cow_copy`` and every
+    maintenance op, carried from engine to engine as the service builds
+    them: behind a rolled-back trial, then on the second fork of a chain
+    of two (the first engine never probed), then one epoch later. Each
+    engine's forward probes answer like a fresh engine's over a
+    ``copy()``, and it reuses a map (the same ``(groups, basis)``
+    object) exactly when its step record was adopted and every
+    candidate kept the very ``Lin`` row object it had. The cover's
+    ``basis_holds`` is that rule for any candidate tuple, where activity
+    moves too (an id no element holds yet is inactive until an insert
+    takes it). An engine that probed lets go of what it carried."""
     collection = dblp_like(12, seed=3)
     published = HopiIndex.build(collection, distance=distance)
     tags = collection.tags()
     ghost = max(collection.elements) + 1  # the id the next insert takes
     roots = tuple(sorted(d.root for d in collection.documents.values()))
     lone = tuple(r for r in roots if not published.cover.lin_of(r))
-    tuples = [tuple(sorted(tags[t])) for t in ("author", "cite", "title", "article")]
+    tuples = [tuple(sorted(tags[t])) for t in ("author", "cite")]
     tuples += [roots, lone, tuple(sorted(collection.elements)), roots + (ghost,)]
 
-    def probe(index):
-        sources = sorted(index.collection.elements)[::2] + [ghost, "nowhere"]
-        return [index.intersect_many(sources, t) for t in tuples]
+    def probe(engine):
+        sources = sorted(engine.collection.elements)[::2] + [ghost, "nowhere"]
+        return [engine._reach_many(sources, step) for step in STEPS]
 
-    before = probe(published)
+    base_engine = engine_for(published)
+    before = probe(base_engine)
+    kept = {key: m.center_map for key, m in base_engine._memos.items()}
     seen = set()
 
-    def check(fork, base, name, inherits=True):
-        fresh = HopiIndex(fork.collection, fork.cover.copy())
-        assert fresh.cover._inherited == {}
-        assert probe(fork) == probe(fresh), name
-        was, now = base.cover, fork.cover
+    def check(fork, engine, base, name):
+        fresh = engine_for(HopiIndex(fork.collection, fork.cover.copy()))
+        assert probe(engine) == probe(fresh), name
+        was, now = base.index.cover, fork.cover
+        for step in STEPS:
+            key = (step.tag, step.similar)
+            theirs, mine = base._memos[key], engine._memos[key]
+            adopted = mine.candidates is theirs.candidates
+            rows = adopted and any(now._lin[i] is not was._lin[i] for i in mine.elems)
+            reused = mine.center_map is theirs.center_map
+            assert reused == (adopted and not rows), (name, key)
+            assert mine.carried is None, (name, key)
+            outcome = "reused" if reused else "rows" if adopted else "list"
+            seen.add("engine " + outcome)
+        _assert_center_maps(engine)
         for t in tuples:
-            moved = any((i in was._nodes) != (i in now._nodes) for i in t)
-            rows = any(now._lin[i] is not was._lin[i] for i in t if i in was._nodes)
-            reused = now._probe_cache.cand[id(t)][1] is was._probe_cache.cand[id(t)][1]
-            assert reused == (inherits and not (moved or rows)), (name, t[:4])
-            assert (id(t) in now._inherited) == reused, (name, t[:4])
-            if inherits and not (moved and rows):
+            groups, basis = was.center_map(t)
+            moved = any((i in was.nodes) != (i in now.nodes) for i in t)
+            rows = any(now._lin[i] is not was._lin[i] for i in t if i in was.nodes)
+            holds = now.basis_holds(basis)
+            assert holds == (not (moved or rows)), (name, t[:4])
+            if holds:
+                assert now.center_map(t)[0] == groups, (name, t[:4])
+            if not (moved and rows):
                 seen.add("rows" if rows else "activity" if moved
                          else "ghost" if ghost in t else "reused")
-        _assert_center_maps(now)
 
     for name, op in _fork_ops(published):
         junk = published.cow_copy()
         op(junk)
-        probe(junk)  # a failed batch's trial, discarded
+        probe(engine_for(junk, previous=base_engine))  # a failed batch's trial
         first = published.cow_copy()
         op(first)
+        first_engine = engine_for(first, previous=base_engine)  # never probes
         second = first.cow_copy()
-        check(second, published, name, inherits=name != "rebuild")
-        assert first.cover._inherited or name == "rebuild"  # never probed
+        second_engine = engine_for(second, previous=first_engine)
+        check(second, second_engine, base_engine, name)
         later = second.cow_copy()
-        assert second.cover._inherited == {}
-        check(later, second, name + " +1 epoch")
-        assert probe(published) == before, name
-    assert seen == {"rows", "activity", "ghost", "reused"}
-
-
-class _Marker:
-    """A candidate no cover holds, which can be weakly referenced: a
-    tuple that carries one lives only as long as whatever holds the
-    tuple."""
-
-    __slots__ = ("__weakref__",)
+        check(later, engine_for(later, previous=second_engine), second_engine,
+              name + " +1 epoch")
+        assert probe(base_engine) == before, name
+        assert {key: m.center_map for key, m in base_engine._memos.items()} == kept
+    assert seen == {"engine reused", "engine rows", "engine list",
+                    "rows", "activity", "ghost", "reused"}
 
 
 @pytest.mark.parametrize("cls", [TwoHopCover, DistanceTwoHopCover])
-def test_a_tuple_no_generation_probes_dies_two_forks_later(cls):
-    """The carry is never cumulative: a fork inherits what its parent
-    probed, so a tuple probed in one generation only is not kept alive
-    by the fork of the fork once the generations between are gone. A
-    fork of a parent that probed nothing still carries it one step."""
-    d = (1,) if cls.is_distance_aware else ()
-    gen0 = cls(range(5))
-    gen0.add_lout(0, 1, *d)
-    gen0.add_lin(2, 1, *d)
-    probed = (1, 2, _Marker())
-    alive = weakref.ref(probed[2])
-    assert gen0.connected_many(0, probed) == [True, True, False]
-    idle = gen0.cow_copy().cow_copy()  # the middle fork probed nothing
-    assert [e[0] for e in idle._inherited.values()] == [probed]
+def test_a_map_no_generation_uses_dies_two_publishes_later(cls):
+    """The carry is never cumulative: an engine carries the maps the
+    last one used, so a map only one generation used is not kept alive
+    two publishes later once the generations between are gone — here
+    the ``Lin`` row its basis pins, which the next generation replaced.
+    The engine after one no read reached still carries it."""
+    distance = cls.is_distance_aware
+    gen0 = HopiIndex.build(dblp_like(6, seed=3), distance=distance)
+    assert type(gen0.cover) is cls
+    author, title = parse_path("//author//title").steps
+    key = (author.tag, author.similar)
+    engine0 = engine_for(gen0)
+    engine0._reach_many([0], author)
+    a = next(i for i in engine0._memos[key].elems if gen0.cover._lin[i])
+    alive = weakref.ref(gen0.cover._lin[a])
+    idle = engine_for(gen0.cow_copy(), previous=engine0)  # never probes
+    assert engine_for(gen0.cow_copy(), previous=idle)._memos[key].carried is (
+        engine0._memos[key].center_map
+    )
     gen1 = gen0.cow_copy()
-    assert gen1.connected_many(0, (3,)) == [False]
+    center = gen0.cover._lin[a][0]
+    gen1.cover.discard_lin(a, center)  # the same centers on a new row object
+    dist = (gen0.cover.lin_of(a)[center],) if distance else ()
+    gen1.cover.add_lin(a, center, *dist)
+    assert gen1.cover.lin_of(a) == gen0.cover.lin_of(a)
+    engine1 = engine_for(gen1, previous=engine0)
+    engine1._reach_many([0], title)  # probes another step only
     gen2 = gen1.cow_copy()
-    del gen0, gen1, idle, probed
+    engine2 = engine_for(gen2, previous=engine1)
+    assert engine2._memos[key].carried is None
+    del gen0, engine0, idle, gen1, engine1
     gc.collect()
     assert alive() is None
-    assert gen2.connected_many(0, (2,)) == [True]
+    sources = sorted(gen2.collection.elements)
+    assert engine2._reach_many(sources, author) == engine_for(gen2)._reach_many(
+        sources, author)
 
 
 def _batch_answers(index, sources, candidates):
@@ -479,8 +533,8 @@ def test_batch_probes_are_the_point_probe(n_docs, links, rng, distance):
     pair by pair, for candidate tuples and lists with duplicates, labels
     the cover never interned and nodes it removed, and for sources
     outside the cover: after the build, then on a ``cow_copy()`` fork
-    whose caches were warm through a Theorem-3 delete and inserts. The
-    parent answers as it did before the fork."""
+    probed before each of a Theorem-3 delete and inserts. The parent
+    answers as it did before the fork."""
     c = random_collections.random_collection(n_docs=n_docs, inter_links=links, rng=rng)
     gone = sorted(c.elements_of(rng.choice(sorted(c.documents))))
     c.remove_document(c.elements[gone[0]].doc)
@@ -517,10 +571,8 @@ def test_batch_probes_are_the_point_probe(n_docs, links, rng, distance):
         lambda index: index.insert_edge(anchor, rng.choice(sorted(index.collection.elements))),
     ]
     for mutate in mutations:
-        _batch_answers(fork, sources, frozen)  # warms the fork's cache
-        assert fork.cover._probe_cache is not None
+        _batch_answers(fork, sources, frozen)  # probed before the op
         mutate(fork)
-        assert fork.cover._probe_cache is None
         fresh = sorted(fork.collection.elements)
         more_sources, more = fresh[:: max(len(fresh) // 10, 1)], tuple(fresh) + frozen
         for candidates in (frozen, listed, more, list(more)):
@@ -549,8 +601,8 @@ def _disconnecting_link(collection):
 
 
 def _assert_probes_answer_like_bfs(index):
-    """``connected_many`` and ``intersect_many`` (through whatever the
-    probe cache holds) against a BFS of the current element graph."""
+    """``connected_many`` and ``intersect_many`` against a BFS of the
+    current element graph."""
     graph = index.collection.element_graph()
     nodes = tuple(sorted(index.collection.elements))
     block = index.intersect_many(nodes, nodes)
@@ -566,7 +618,7 @@ def _assert_probes_answer_like_bfs(index):
        st.booleans(), st.booleans())
 def test_the_id_splice_is_the_node_splice(n_docs, links, rng, distance, force_general):
     """A Theorem-3 document delete and a re-covering ``delete_edge`` on a
-    ``cow_copy()`` fork whose batch-probe cache is warm: the fork ends
+    ``cow_copy()`` fork probed before each op: the fork ends
     entry for entry where the frozen oracle ends with its node-level
     splice, the parent's bytes never move, and the batch probes answer
     like BFS after each op. The collections have document-level cycles,
@@ -583,7 +635,6 @@ def test_the_id_splice_is_the_node_splice(n_docs, links, rng, distance, force_ge
     parent = HopiIndex.build(c, distance=distance)
     nodes = tuple(sorted(c.elements))
     parent.connected_many(nodes[0], nodes)
-    assert parent.cover._probe_cache is not None
     baseline = canonical_snapshot_bytes(parent.cover)
     fork, oracle = parent.cow_copy(), oracle_index(parent)
     docs = sorted(c.documents)
@@ -592,8 +643,7 @@ def test_the_id_splice_is_the_node_splice(n_docs, links, rng, distance, force_ge
     victim = rng.choice(docs if force_general else general)
 
     def apply(op):
-        _assert_probes_answer_like_bfs(fork)  # warms the fork's cache
-        assert fork.cover._probe_cache is not None
+        _assert_probes_answer_like_bfs(fork)  # probed before the op
         report, expected = op(fork), op(oracle)
         assert report.separating is expected.separating is False
         assert report.entries_delta == expected.entries_delta

@@ -1,15 +1,17 @@
-"""Candidate memos a new generation's engine inherits from the last one.
+"""Step memos a new generation's engine inherits from the last one.
 
 The service builds one :class:`QueryEngine` per published epoch and
-hands it the previous epoch's engine, whose candidate, element, map,
-parent-map and anchored-count memos it adopts for every step key whose
-tag lists are the same objects. The contract pinned here: after every
-maintenance op an inheriting engine answers ``evaluate`` and ``count``
-exactly like a fresh one, the memos of untouched tags are carried over
-as the same objects, and those of a changed tag — or, for ``*`` and
-``~tag`` keys, any changed list or tag set — are not. No probe answer
-is carried over: each generation's engine starts with empty probe
-memos.
+hands it the previous epoch's engine, whose per-step-key records
+(candidates, elements, scores, parent map, anchored count) it adopts
+for every step key whose tag lists are the same objects. The contract
+pinned here: after every maintenance op an inheriting engine answers
+``evaluate`` and ``count`` exactly like a fresh one, the records of
+untouched tags carry their state over as the same objects, and those of
+a changed tag — or, for ``*`` and ``~tag`` keys, any changed list or tag
+set — are not. No probe answer is carried over: each generation's
+engine starts with empty probe memos. Reads write nothing to the
+cover: whatever a query derives stays in its engine. The center maps
+records carry are pinned in ``tests/test_equivalence.py``.
 """
 
 import sys
@@ -50,6 +52,11 @@ def engine_for(index, previous=None):
     return QueryEngine(
         index, ontology=ONTOLOGY, max_results=10**9, previous=previous
     )
+
+
+#: what a record derives from its candidate list (the last three on
+#: first use)
+FIELDS = ("candidates", "elems", "_scores", "_parents", "_anchored")
 
 
 def answers(engine):
@@ -132,16 +139,16 @@ def test_an_inheriting_engine_answers_like_a_fresh_one(distance):
         assert not inheriting._forward and not inheriting._backward, name
         assert inheriting.probe_stats()["size"] == 0, name
         if kept == "all":
-            kept = [k for k, v in previous._candidate_memo.items() if v]
+            kept = [k for k, v in previous._memos.items() if v.candidates]
         for key in kept:
-            assert previous._candidate_memo.get(key), (name, key)
-            for memo in QueryEngine._MEMOS:
-                theirs = getattr(previous, memo).get(key)
-                if theirs is not None:
-                    assert getattr(inheriting, memo)[key] is theirs, (name, key, memo)
+            theirs = previous._memos[key]
+            assert theirs.candidates, (name, key)
+            for field in FIELDS:
+                assert getattr(inheriting._memos[key], field) is getattr(
+                    theirs, field), (name, key, field)
         for key in dropped:
-            assert key in previous._candidate_memo, (name, key)
-            assert key not in inheriting._candidate_memo, (name, key)
+            assert key in previous._memos, (name, key)
+            assert key not in inheriting._memos, (name, key)
         assert answers(inheriting) == answers(fresh), name
         index, previous = fork, inheriting
 
@@ -166,7 +173,7 @@ def test_nothing_is_adopted_across_ontologies():
     answers(previous)
     other = QueryEngine(index.cow_copy(), previous=previous)
     assert other.ontology is not previous.ontology
-    assert not other._candidate_memo
+    assert not other._memos
 
 
 def test_the_service_hands_each_epoch_the_last_engines_memos():
@@ -179,10 +186,10 @@ def test_the_service_hands_each_epoch_the_last_engines_memos():
     service.update([{"op": "insert_element", "parent": root, "tag": "author"}])
     after = service._holder.current.engine
     assert after is not before
-    assert after._candidate_memo[("cite", False)] is (
-        before._candidate_memo[("cite", False)]
+    assert after._memos[("cite", False)].candidates is (
+        before._memos[("cite", False)].candidates
     )
-    assert ("author", False) not in after._candidate_memo
+    assert ("author", False) not in after._memos
     fresh = QueryEngine(service.index)
     for path in ("//article//author", "//cite//title limit 5"):
         assert service.query(path).results == fresh.evaluate(path)
@@ -236,3 +243,28 @@ def test_publishes_race_readers_filling_the_memos():
     fresh = QueryEngine(service.index)
     for path in paths:
         assert service.count(path)[1] == fresh.count(path), path
+
+
+def cover_state(cover):
+    """Every attribute of the cover, by object identity."""
+    return {name: id(value) for name, value in vars(cover).items()}
+
+
+@pytest.mark.parametrize("distance", [False, True])
+def test_reads_never_write_the_cover(distance):
+    """Ranked, windowed and count reads of a published epoch, and of the
+    next one whose engine carries the last one's center maps, leave the
+    cover's attributes the very objects they were."""
+    service = QueryService(HopiIndex.build(dblp_like(10, seed=9), distance=distance))
+    paths = ["//article//author", "//*//cite limit 7", "//cite//title limit 10",
+             "//article[//cite]//title", "/article/title offset 2", "//~article"]
+    root = min(d.root for d in service.index.collection.documents.values())
+    for epoch in range(2):
+        if epoch:
+            service.update([{"op": "insert_element", "parent": root, "tag": "note"}])
+        engine = service._holder.current.engine
+        before = cover_state(engine.index.cover)
+        for path in paths:
+            engine.evaluate(path)
+            engine.count(path)
+        assert cover_state(engine.index.cover) == before, epoch

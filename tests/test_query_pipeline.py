@@ -640,15 +640,15 @@ class TestRefresh:
         step = expr.steps[1]
         engine = service._holder.current.engine
         service.query("//article//author")
-        before_map = engine._candidate_map(step)
-        before_parents = engine._parent_map(step)
+        before_map = engine._memo(step).scores()
+        before_parents = engine._memo(step).parents(engine.collection.elements)
         doc = sorted(c.documents)[0]
         deleted = set(c.documents[doc].elements)
         service.update([{"op": "delete_document", "doc_id": doc}])
         fresh = service._holder.current.engine
         assert fresh is not engine
-        assert fresh._candidate_map(step) is not before_map
-        assert fresh._parent_map(step) is not before_parents
+        assert fresh._memo(step).scores() is not before_map
+        assert fresh._memo(step).parents(fresh.collection.elements) is not before_parents
         after = service.query("//article//author").results
         assert after and not any(
             e in deleted for r in after for e in r.bindings

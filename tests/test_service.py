@@ -498,6 +498,32 @@ class TestServiceUpdates:
         for e in service.index.collection.elements:
             assert e in service.index.cover.nodes
 
+    def test_insert_document_rejects_a_link_between_other_documents(self, tmp_path):
+        """``insert_document`` integrates only the new document's own
+        links: one joining two other documents would be acknowledged
+        and never reach the cover, so the batch is refused — no epoch,
+        no WAL record — and a link with an endpoint in the new
+        document still goes through."""
+        from repro.storage.wal import DurableIndexStore
+
+        index = HopiIndex.build(dblp_like(20, seed=3))
+        store = DurableIndexStore(str(tmp_path / "store"), checkpoint_interval=100)
+        store.initialize(index)
+        service = QueryService(index, durable_store=store)
+        assert service.index.collection.elements[0].doc != (
+            service.index.collection.elements[16].doc)
+        op = {"op": "insert_document", "doc_id": "new", "children": [],
+              "links": [[0, 16]]}
+        with pytest.raises(UpdateError, match="no endpoint in the new document"):
+            service.update([op])
+        assert service.epoch == 0
+        assert store.wal.record_count() == 0
+        assert "new" not in service.index.collection.documents
+        assert not service.index.connected(0, 16)
+        report = service.update([dict(op, links=[[0, "root"], ["root", 16]])])
+        assert (report["epoch"], store.wal.record_count()) == (1, 1)
+        assert service.index.connected(0, 16)
+
     def test_negative_limit_rejected(self, arrays_index):
         service = QueryService(arrays_index.copy())
         with pytest.raises(ValueError, match="non-negative"):
