@@ -35,8 +35,10 @@ This is the one label representation of the system:
   engine reuses one while :meth:`basis_holds` says its basis still
   does;
 * :meth:`to_csr`/:meth:`from_csr` convert labels to/from the CSR layout
-  (``indptr`` + flat data arrays) so snapshots round-trip through
-  ``array.tobytes`` without per-row Python overhead;
+  (``indptr`` + flat data arrays), one row per table slot at its id, so
+  snapshots round-trip through ``array.tobytes`` without per-row Python
+  overhead or any id mapping; only a payload written before, whose
+  ``nodes`` lists just the held ids, is mapped by position on load;
 * one **rank** per id (an ``array('q')`` beside the tables, 0 where
   none is stored) is the vertex order every PLL labelling of
   this cover follows: the build stores its sort key, inserts store one
@@ -84,13 +86,6 @@ def rank_array(keys: Sequence[int]) -> array:
         return array(RANK_TYPECODE, keys)
     except OverflowError:
         return array(RANK_TYPECODE, [min(k, RANK_MAX) for k in keys])
-
-
-def _first_moved(ids: Sequence[int]) -> int:
-    """The first position of the strictly ascending non-negative
-    ``ids`` that is not its own id (``len(ids)`` when none is): every
-    position below it is."""
-    return bisect_left(range(len(ids)), True, key=lambda p: ids[p] != p)
 
 
 #: the empty label row (read only)
@@ -436,8 +431,14 @@ class _CoverBase:
         ``other`` is copied to the same id, and its backward-index rows
         with it. Anything else takes :meth:`union` (identical result).
         """
-        theirs = other._stored_ids() if type(other) is type(self) else None
-        if theirs is None or any(map(self._holds, theirs)):
+        if type(other) is not type(self):
+            self.union(other)
+            return
+        theirs = set(other._nodes)
+        span = range(len(other._lin))
+        for table in other._tables():
+            theirs.update(compress(span, table))
+        if any(map(self._holds, theirs)):
             self.union(other)
             return
         self._grow(*theirs)
@@ -455,15 +456,6 @@ class _CoverBase:
         if x in self._nodes:
             return True
         return x < len(self._lin) and any(table[x] for table in self._tables())
-
-    def _stored_ids(self) -> List[int]:
-        """The ascending ids that are active or hold a row: the ones a
-        snapshot lists."""
-        ids = set(self._nodes)
-        span = range(len(self._lin))
-        for table in self._tables():
-            ids.update(compress(span, table))
-        return sorted(ids)
 
     def nodes_with_lin_center(self, center: Node) -> Set[Node]:
         """Backward-index lookup: nodes whose ``Lin`` holds ``center``."""
@@ -605,82 +597,47 @@ class _CoverBase:
 
     # -- CSR conversion --------------------------------------------------
     @staticmethod
-    def _pack_table(
-        table: List[Optional[array]],
-        ids: Sequence[int],
-        to: Optional[Sequence[int]] = None,
-        cut: int = 0,
-    ) -> Tuple[array, array]:
-        """Flatten the rows of ``ids`` into ``(indptr, data)`` CSR
-        arrays. With ``to``, a row holding a value of at least ``cut``
-        has its values mapped through ``to`` (a sorted row below
-        ``cut`` maps to itself)."""
+    def _pack_table(table: List[Optional[array]]) -> Tuple[array, array]:
+        """Flatten ``table`` into ``(indptr, data)`` CSR arrays, one row
+        per slot: row ``x`` at position ``x``."""
         indptr = array(OFFSET_TYPECODE, (0,))
         data = array(ID_TYPECODE)
-        for x in ids:
-            row = table[x]
+        for row in table:
             if row:
-                data.extend(
-                    row if to is None or row[-1] < cut else map(to.__getitem__, row)
-                )
+                data.extend(row)
             indptr.append(len(data))
         return indptr, data
 
     @staticmethod
-    def _unpack_table(
-        indptr: array,
-        data: array,
-        ids: Sequence[int],
-        to: Optional[Sequence[int]] = None,
-        cut: int = 0,
-    ) -> List[Optional[array]]:
-        """The rows of CSR arrays, row ``p`` at ``ids[p]``; with ``to``
-        and ``cut``, values mapped as :meth:`_pack_table` maps them."""
-        table: List[Optional[array]] = [None] * (ids[-1] + 1 if ids else 0)
-        for p, x in enumerate(ids):
-            lo, hi = indptr[p], indptr[p + 1]
-            if hi > lo:
-                row = data[lo:hi]
-                if to is not None and row[-1] >= cut:
-                    row = array(ID_TYPECODE, map(to.__getitem__, row))
-                table[x] = row
-        return table
+    def _unpack_table(indptr: array, data: array) -> List[Optional[array]]:
+        """The rows of CSR arrays, row ``p`` at position ``p`` (``None``
+        when empty)."""
+        return [
+            data[lo:hi] if hi > lo else None
+            for lo, hi in zip(indptr, indptr[1:])
+        ]
 
     def to_csr(self) -> Dict[str, object]:
-        """CSR snapshot payload (see :mod:`repro.storage.snapshot`).
-
-        ``nodes`` lists the ids that are active or hold a row,
-        ascending; a row's position there is its stored id, and so are
-        the centers and the ``active`` entries. ``rank`` is aligned with
-        ``nodes`` and stops where the rank table does."""
-        ids = self._stored_ids()
-        moved = _first_moved(ids)  # ids[:moved] are their own positions
-        # the position of every id, and the first id that is not one
-        pos = list(range(len(self._lin)))
-        for p in range(moved, len(ids)):
-            pos[ids[p]] = p
-        cut = ids[moved] if moved < len(ids) else len(pos)
-        rank, active = self._rank, sorted(self._nodes)
-        ranked = bisect_left(ids, len(rank))
-        stored = rank[:min(moved, ranked)]
-        stored.extend(map(rank.__getitem__, ids[moved:ranked]))
-        k = bisect_left(active, cut)
-        stored_active = array(ID_TYPECODE, active[:k])
-        stored_active.extend(map(pos.__getitem__, active[k:]))
+        """CSR snapshot payload (see :mod:`repro.storage.snapshot`): one
+        row per table slot, so ``nodes`` is ``0..n-1`` and a row's
+        position is its id. ``active`` lists the active ids ascending
+        and ``rank`` is the rank table as stored."""
         payload: Dict[str, object] = {
             "distance": self.is_distance_aware,
-            "nodes": ids,
-            "active": stored_active,
-            "rank": stored,
+            "nodes": list(range(len(self._lin))),
+            "active": array(ID_TYPECODE, sorted(self._nodes)),
+            "rank": self._rank[:],
         }
         for name in ("lin", "lout", "inv_lin", "inv_lout"):
-            payload[name] = self._pack_table(getattr(self, f"_{name}"), ids, pos, cut)
+            payload[name] = self._pack_table(getattr(self, f"_{name}"))
         return payload
 
     @classmethod
     def from_csr(cls, payload: Mapping[str, object]):
         """Rebuild a cover from a :meth:`to_csr` payload (block copies);
-        one without a ``rank`` stores no ranks.
+        one without a ``rank`` stores no ranks. A payload whose
+        ``nodes`` is not ``0..n-1`` (written before rows sat at their
+        ids) goes by position into ``nodes`` and is mapped to ids.
 
         Raises:
             ValueError: ``nodes`` is not strictly ascending and
@@ -689,47 +646,66 @@ class _CoverBase:
         ids = payload["nodes"]
         if any(map(int.__ge__, ids, ids[1:])) or (ids and ids[0] < 0):
             raise ValueError("snapshot nodes must be ascending non-negative ids")
-        moved = _first_moved(ids)
-        to = ids if moved < len(ids) else None
         tables = {
-            name: cls._unpack_table(*payload[name], ids, to, moved)
+            name: cls._unpack_table(*payload[name])
             for name in ("lin", "lout", "inv_lin", "inv_lout")
         }
         if cls.is_distance_aware:
             for name in ("lin", "lout"):
                 tables[f"{name}_dist"] = cls._unpack_table(
-                    payload[name][0], payload[f"{name}_dist"], ids
+                    payload[name][0], payload[f"{name}_dist"]
                 )
-        return cls._from_tables(
+        return cls._from_positions(
             ids, payload["active"], array(RANK_TYPECODE, payload.get("rank", ())),
             **tables,
         )
 
     @classmethod
-    def _from_tables(
+    def _from_positions(
         cls,
         ids: Sequence[int],
         active: Iterable[int],
         rank: array,
         **tables: List[Optional[array]],
     ):
+        """:meth:`_from_tables` for tables, ``active`` and ``rank`` that
+        go by position into ``ids`` (strictly ascending, non-negative):
+        the one position→id remap. Row ``p`` moves to ``ids[p]``, a
+        center or active entry ``p`` becomes ``ids[p]``, and ``rank[p]``
+        is the rank of ``ids[p]``. When ``ids`` is ``0..n-1`` the
+        positions are the ids and nothing moves."""
+        if not ids or ids[-1] == len(ids) - 1:
+            return cls._from_tables(active, rank, **tables)
+        at = ids.__getitem__
+        size = ids[-1] + 1
+        for name, table in tables.items():
+            spread: List[Optional[array]] = [None] * size
+            centers = not name.endswith("_dist")
+            for x, row in zip(ids, table):
+                if row:
+                    spread[x] = array(ID_TYPECODE, map(at, row)) if centers else row
+            tables[name] = spread
+        by_id = array(RANK_TYPECODE)
+        if rank:
+            by_id.frombytes(bytes((ids[len(rank) - 1] + 1) * by_id.itemsize))
+            for x, r in zip(ids, rank):
+                by_id[x] = r
+        return cls._from_tables(map(at, active), by_id, **tables)
+
+    @classmethod
+    def _from_tables(
+        cls, active: Iterable[int], rank: array, **tables: List[Optional[array]]
+    ):
         """A cover handed its finished per-node tables: one keyword per
         :attr:`_TABLE_NAMES` entry, without the leading underscore, each
-        a list of sorted rows (``None`` when empty) indexed by node id.
-        ``active`` (ascending) and ``rank`` go by position into ``ids``,
-        the strictly ascending node ids the tables hold."""
+        a list of sorted rows (``None`` when empty) indexed by node id,
+        all of one length. ``active`` are the active ids and ``rank``
+        the rank table, indexed by id."""
         new = cls()
         for name in cls._TABLE_NAMES:
             setattr(new, name, tables[name[1:]])
-        moved = _first_moved(ids)  # the positions below it are their ids
-        k = bisect_left(active, moved)
-        new._nodes = set(active[:k])
-        new._nodes.update(map(ids.__getitem__, active[k:]))
-        new._rank = rank[:moved]
-        if len(rank) > moved:
-            new._rank.frombytes(bytes((ids[len(rank) - 1] + 1 - moved) * rank.itemsize))
-            for p in range(moved, len(rank)):
-                new._rank[ids[p]] = rank[p]
+        new._nodes = set(active)
+        new._rank = rank
         return new
 
 
@@ -1203,9 +1179,8 @@ class DistanceTwoHopCover(_CoverBase):
         """CSR snapshot payload: the id tables plus distance blocks
         aligned with the ``lin`` / ``lout`` data."""
         payload = super().to_csr()
-        ids = payload["nodes"]
-        payload["lin_dist"] = self._pack_table(self._lin_dist, ids)[1]
-        payload["lout_dist"] = self._pack_table(self._lout_dist, ids)[1]
+        payload["lin_dist"] = self._pack_table(self._lin_dist)[1]
+        payload["lout_dist"] = self._pack_table(self._lout_dist)[1]
         return payload
 
     def verify_against(self, dclosure, nodes: Optional[Iterable[Node]] = None) -> None:

@@ -597,17 +597,9 @@ def _pll_cover(
                     table[x] = array(ID_TYPECODE, row)
     if n and labels[0] < 0:
         raise ValueError(f"cover nodes are non-negative, not {labels[0]}")
-    if n and labels[-1] != n - 1:  # each row goes to its vertex's id
-        at = labels.__getitem__
-        for name, table in tables.items():
-            spread: List[Optional[array]] = [None] * (labels[-1] + 1)
-            centers = not name.endswith("_dist")
-            for x, row in zip(labels, table):
-                if row:
-                    spread[x] = array(ID_TYPECODE, map(at, row)) if centers else row
-            tables[name] = spread
     factory = DistanceTwoHopCover if distance else TwoHopCover
-    return factory._from_tables(labels, range(n), rank, **tables), entries
+    # each row goes to its vertex's id (a skip when the nodes are 0..n-1)
+    return factory._from_positions(labels, range(n), rank, **tables), entries
 
 
 def _label_trees(

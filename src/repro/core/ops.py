@@ -35,13 +35,11 @@ def apply_update_op(shadow: HopiIndex, op: Dict[str, Any]) -> Dict[str, Any]:
         raise UpdateError(f"operation must be a dict with an 'op' key: {op!r}")
     kind = op["op"]
     if kind == "insert_element":
-        eid = shadow.insert_element(int(op["parent"]), str(op["tag"]))
+        eid = shadow.insert_element(_element(shadow, op, "parent"), str(op["tag"]))
         return {"op": kind, "element": eid}
-    if kind in ("insert_edge", "insert_link"):
-        report = shadow.insert_edge(int(op["source"]), int(op["target"]))
-        return {"op": kind, **asdict(report)}
-    if kind in ("delete_edge", "delete_link"):
-        report = shadow.delete_edge(int(op["source"]), int(op["target"]))
+    if kind in ("insert_edge", "insert_link", "delete_edge", "delete_link"):
+        write = shadow.insert_edge if kind.startswith("insert") else shadow.delete_edge
+        report = write(_element(shadow, op, "source"), _element(shadow, op, "target"))
         return {"op": kind, **asdict(report)}
     if kind == "delete_document":
         doc_id = str(op["doc_id"])
@@ -58,6 +56,15 @@ def apply_update_op(shadow: HopiIndex, op: Dict[str, Any]) -> Dict[str, Any]:
         shadow.rebuild()
         return {"op": kind, "cover_size": shadow.cover.size}
     raise UpdateError(f"unknown operation {kind!r}")
+
+
+def _element(shadow: HopiIndex, op: Dict[str, Any], field: str) -> ElementId:
+    """``op[field]``, an element the collection holds; an unknown id is
+    an :class:`UpdateError` naming the op, the field and the id."""
+    eid = int(op[field])
+    if eid not in shadow.collection.elements:
+        raise UpdateError(f"{op['op']} {field} {eid}: no element {eid}")
+    return eid
 
 
 def _apply_insert_document(
@@ -102,7 +109,12 @@ def _apply_insert_document(
     elements = shadow.collection.elements
     for source, target in op.get("links", ()):
         link = resolve(source), resolve(target)
-        if not any(x in elements and elements[x].doc == doc_id for x in link):
+        for x in link:
+            if x not in elements:
+                raise UpdateError(
+                    f"insert_document link {[source, target]}: no element {x}"
+                )
+        if not any(elements[x].doc == doc_id for x in link):
             # insert_document integrates only the new document's own
             # links: one between two other documents would be acked
             # and never reach the cover

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 #: an intra-document link: (local source ref, local target ref)
 LocalLink = Tuple[str, str]
@@ -249,7 +249,8 @@ class DirectorySource(Source):
 
     Files parse through the repo's own recursive-descent parser; link
     attributes follow the XLink convention of
-    :func:`~repro.xmlmodel.parser.load_collection`: ``href="#anchor"``
+    :func:`~repro.xmlmodel.parser.load_collection` (its
+    ``HREF_ATTRIBUTES`` and ``ID_ATTRIBUTE``): ``href="#anchor"``
     becomes an intra-document link to the element whose ``id`` matches,
     ``xlink:href="docname"`` an inter-document link to that document's
     root. Cross-document anchor references (``docname#anchor``) and
@@ -258,24 +259,16 @@ class DirectorySource(Source):
     discovers what it discovers.
     """
 
-    def __init__(
-        self,
-        path: Union[str, Path],
-        *,
-        href_attributes: Sequence[str] = ("xlink:href", "href"),
-        id_attribute: str = "id",
-    ) -> None:
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         if not self.path.is_dir():
             raise ValueError(f"not a directory: {self.path}")
-        self.href_attributes = tuple(href_attributes)
-        self.id_attribute = id_attribute
         self._files = sorted(self.path.rglob("*.xml"))
         self.spec = f"dir:{self.path}"
         self.total = len(self._files)
 
     def stream(self, cursor: int = 0) -> Iterator[DocRecord]:
-        from repro.xmlmodel.parser import parse_document
+        from repro.xmlmodel.parser import HREF_ATTRIBUTES, ID_ATTRIBUTE, parse_document
 
         for file in self._files[cursor:]:
             parsed = parse_document(file.read_text())
@@ -289,9 +282,9 @@ class DirectorySource(Source):
             queue = [(parsed, "root")]
             while queue:
                 node, ref = queue.pop(0)
-                if self.id_attribute in node.attributes:
-                    anchors[node.attributes[self.id_attribute]] = ref
-                for attr in self.href_attributes:
+                if ID_ATTRIBUTE in node.attributes:
+                    anchors[node.attributes[ID_ATTRIBUTE]] = ref
+                for attr in HREF_ATTRIBUTES:
                     if attr in node.attributes:
                         hrefs.append((ref, node.attributes[attr]))
                         break

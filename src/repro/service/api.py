@@ -406,15 +406,10 @@ class ServiceAPI:
         """
         payload = self.telemetry.snapshot()
         service = self.service
+        health = service.healthz()
+        for key in ("epoch", "epoch_age_seconds", "uptime_seconds", "swaps"):
+            payload[key] = health[key]
         state = service._holder.current
-        # read before the clock: a publish racing in between would
-        # otherwise make the age negative
-        published_at = service._published_at
-        now = time.time()
-        payload["epoch"] = state.epoch
-        payload["epoch_age_seconds"] = now - published_at
-        payload["uptime_seconds"] = now - service._started
-        payload["swaps"] = service._holder.swaps
         payload["cache"] = {
             "result": service._results.stats(),
             "plan": service._plans.stats(),

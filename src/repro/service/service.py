@@ -71,6 +71,9 @@ from repro.xmlmodel.model import ElementId
 
 _MISSING = object()
 
+#: parsed-path LRU entries
+_PLAN_CACHE_SIZE = 1024
+
 
 @dataclass(frozen=True)
 class QueryResponse:
@@ -129,7 +132,6 @@ class QueryService:
         similarity_threshold: forwarded to the query engine.
         max_results: ranked-result truncation per query.
         result_cache_size: entries in the ``(path, epoch)`` result LRU.
-        plan_cache_size: parsed-path LRU entries.
         durable_store: optional
             :class:`~repro.storage.wal.DurableIndexStore` — when set,
             every committed ``/update`` batch is WAL-logged before its
@@ -145,7 +147,6 @@ class QueryService:
         similarity_threshold: float = 0.3,
         max_results: int = 1000,
         result_cache_size: int = 4096,
-        plan_cache_size: int = 1024,
         durable_store: Optional[Any] = None,
     ) -> None:
         # one ontology object for every epoch's engine, so each can
@@ -153,7 +154,7 @@ class QueryService:
         self._ontology = ontology or default_ontology()
         self._similarity_threshold = similarity_threshold
         self._max_results = max_results
-        self._plans = LRUCache(plan_cache_size)
+        self._plans = LRUCache(_PLAN_CACHE_SIZE)
         self._results = LRUCache(result_cache_size)
         self._holder = EpochHolder(self._make_state(index.epoch, index))
         self._write_lock = threading.Lock()

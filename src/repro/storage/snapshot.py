@@ -11,22 +11,24 @@ Layout (all little-endian)::
     magic  b"HOPICSR1"
     flags  uint32 (bit 0: distance-aware)
     then a sequence of length-prefixed sections:
-        nodes      int64[]  element ids, strictly ascending: the active
-                            ones and every one a row names; a position
-                            here is the stored id every later section uses
-        active     int32[]  stored ids of the active node universe
+        nodes      int64[]  the stored ids, strictly ascending: every
+                            table slot, 0..n-1, so row p is id p
+        active     int32[]  the active ids, ascending
         lin_ptr    int64[]  CSR offsets, len = nodes + 1
-        lin_dat    int32[]  concatenated sorted Lin centers (stored ids)
+        lin_dat    int32[]  concatenated sorted Lin centers (ids)
         lout_ptr / lout_dat
         ilin_ptr / ilin_dat    backward index (center -> nodes)
         ilout_ptr / ilout_dat
         lin_dist   int32[]  (distance covers only, aligned with lin_dat)
         lout_dist  int32[]
     optionally one more section (:func:`dump_ranked_snapshot`):
-        rank       int64[]  the stored vertex rank per stored id, 0 = none;
-                            may be shorter than nodes (the rest have none)
+        rank       int64[]  the stored vertex rank per id, 0 = none; may
+                            be shorter than nodes (the rest have none)
 
-A ``nodes`` section that is not strictly ascending and non-negative is
+A file written before rows sat at their ids lists only the ids that
+are active or hold a row in ``nodes``; there a position is the stored
+id every later section uses, and loading maps it to its id. A
+``nodes`` section that is not strictly ascending and non-negative is
 refused with ``ValueError``. The durable store
 (:mod:`repro.storage.wal`) keeps its cover in one with the rank
 section, so maintenance after a restart labels in the order
@@ -177,10 +179,11 @@ def snapshot_to_bytes(cover: Cover) -> bytes:
 def canonical_snapshot_bytes(cover) -> bytes:
     """A byte-deterministic snapshot encoding of any cover.
 
-    Plain snapshots also list the inactive ids that hold a row, which
-    depends on construction history. Here
-    the cover is re-represented from its universe and its entries
-    alone, inserted in sorted order, so **any two covers with equal
+    Plain snapshots write every table slot, and a cover's slots and
+    backward rows depend on its construction history (a removed id
+    keeps an empty slot). Here the cover is re-represented from its
+    universe and its entries alone, inserted in sorted order, so its
+    slots run to the largest id they name and **any two covers with equal
     node universes and label-entry sets encode to identical bytes** —
     regardless of how they were built (and for the test oracle too:
     only ``nodes`` / ``entries()`` are read). The test suites rely on

@@ -14,17 +14,19 @@ module closes that gap with the classic write-ahead protocol:
    identity against a fork of the last checkpointed collection (see
    :meth:`~repro.storage.db.SQLiteCoverStore.write_index`). The live
    cover is then written whole to ``cover.snap``, a CSR snapshot
-   (:mod:`repro.storage.snapshot`) tagged with the epoch and followed
-   by the cover's stored vertex ranks, fsynced and renamed into place;
+   (:mod:`repro.storage.snapshot`, a row per slot, a removed id's
+   empty one included) tagged with the epoch and followed by the
+   cover's stored vertex ranks, fsynced and renamed into place;
    only then is the WAL reset;
 3. on restart, :meth:`DurableIndexStore.recover` loads the collection
    from ``index.db`` and its cover from ``cover.snap`` when the two
-   carry the same epoch, else (a crash between the two writes, or a
-   store an older version wrote) by the product build. It then replays
-   only WAL records *newer than the snapshot epoch* — replay is
-   idempotent because records carry the epoch they produced. A fork of
-   the loaded collection becomes the base, so the next checkpoint
-   writes only the replayed rows.
+   carry the same epoch (a ``cover.snap`` in the positional layout
+   of earlier versions loads too), else (a crash between the two
+   writes, or a store an older version wrote) by the product build.
+   It then replays only WAL records *newer than the snapshot epoch* —
+   replay is idempotent because records carry the epoch they
+   produced. A fork of the loaded collection becomes the base, so the
+   next checkpoint writes only the replayed rows.
 
 ``index.db`` alone is a plain index file: :func:`~repro.storage.db.load_index`
 rebuilds its cover. ``cover.snap`` keeps the cover maintenance grew, so

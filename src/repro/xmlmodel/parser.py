@@ -26,6 +26,12 @@ _ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
 _REVERSE_TEXT = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
 _NAME_END = set(" \t\r\n/>=")
 
+#: The link convention of the paper's datasets (XLink / ID-IDREF): the
+#: attributes that make an element a link source, first present wins,
+#: and the one that makes it a link anchor
+HREF_ATTRIBUTES = ("xlink:href", "href")
+ID_ATTRIBUTE = "id"
+
 
 class XMLSyntaxError(ValueError):
     """Raised on malformed input; carries the byte offset of the error."""
@@ -289,12 +295,7 @@ def _serialize_into(
     parts.append(f"</{elem.tag}>{nl}")
 
 
-def load_collection(
-    documents: Dict[str, str],
-    *,
-    href_attributes: Tuple[str, ...] = ("xlink:href", "href"),
-    id_attribute: str = "id",
-) -> Collection:
+def load_collection(documents: Dict[str, str]) -> Collection:
     """Parse XML strings into a linked :class:`Collection`.
 
     Link resolution follows the XLink/ID-IDREF convention the paper's
@@ -309,8 +310,6 @@ def load_collection(
 
     Args:
         documents: mapping document id -> XML source text.
-        href_attributes: attribute names treated as link sources.
-        id_attribute: attribute name treated as a link anchor.
     """
     collection = Collection()
     anchors: Dict[Tuple[str, str], ElementId] = {}
@@ -326,9 +325,9 @@ def load_collection(
         stack: List[Tuple[ParsedElement, ElementId]] = [(parsed, root.eid)]
         while stack:
             node, eid = stack.pop()
-            if id_attribute in node.attributes:
-                anchors[(doc_id, node.attributes[id_attribute])] = eid
-            for attr in href_attributes:
+            if ID_ATTRIBUTE in node.attributes:
+                anchors[(doc_id, node.attributes[ID_ATTRIBUTE])] = eid
+            for attr in HREF_ATTRIBUTES:
                 if attr in node.attributes:
                     pending.append((eid, doc_id, node.attributes[attr]))
                     break

@@ -204,30 +204,47 @@ def test_distance_self_hop_disjuncts():
 # ---------------------------------------------------------------------------
 
 
+def _dense_and_gapped(cls, entries):
+    """A cover over ``0..6`` holding ``entries``, and a copy with the
+    ids 1 and 2 removed: a gap in the middle of its tables."""
+    cover = cls(range(7))
+    for kind, *entry in entries:
+        (cover.add_lout if kind == "out" else cover.add_lin)(*entry)
+    gapped = cover.copy()
+    gapped.remove_nodes({1, 2})
+    return cover, gapped
+
+
 def test_csr_roundtrip_reachability():
-    cover = TwoHopCover(range(5))
-    cover.add_lout(0, 2)
-    cover.add_lin(3, 2)
-    cover.add_lin(4, 0)
-    back = TwoHopCover.from_csr(cover.to_csr())
-    assert back.size == cover.size
-    assert set(back.nodes) == set(cover.nodes)
-    for u in range(5):
-        for v in range(5):
-            assert back.connected(u, v) == cover.connected(u, v)
-        assert back.descendants(u) == cover.descendants(u)
-        assert back.ancestors(u) == cover.ancestors(u)
+    """A cover with removed ids writes their empty slots too, and loads
+    back with the gap where it was."""
+    for cover in _dense_and_gapped(TwoHopCover, [
+        ("out", 0, 2), ("in", 3, 2), ("in", 4, 0), ("out", 5, 6), ("in", 6, 1),
+    ]):
+        payload = cover.to_csr()
+        assert payload["nodes"] == list(range(7))
+        back = TwoHopCover.from_csr(payload)
+        assert back.size == cover.size
+        assert set(back.nodes) == set(cover.nodes)
+        for u in range(7):
+            for v in range(7):
+                assert back.connected(u, v) == cover.connected(u, v)
+            assert back.descendants(u) == cover.descendants(u)
+            assert back.ancestors(u) == cover.ancestors(u)
 
 
 def test_csr_roundtrip_distance():
-    cover = DistanceTwoHopCover(range(5))
-    cover.add_lout(0, 2, 1)
-    cover.add_lin(3, 2, 2)
-    cover.add_lin(4, 0, 5)
-    back = DistanceTwoHopCover.from_csr(cover.to_csr())
-    for u in range(5):
-        for v in range(5):
-            assert back.distance(u, v) == cover.distance(u, v)
+    for cover in _dense_and_gapped(DistanceTwoHopCover, [
+        ("out", 0, 2, 1), ("in", 3, 2, 2), ("in", 4, 0, 5), ("out", 5, 6, 3),
+        ("in", 6, 1, 4),
+    ]):
+        payload = cover.to_csr()
+        assert payload["nodes"] == list(range(7))
+        back = DistanceTwoHopCover.from_csr(payload)
+        assert set(back.nodes) == set(cover.nodes)
+        for u in range(7):
+            for v in range(7):
+                assert back.distance(u, v) == cover.distance(u, v)
 
 
 def test_from_cover_preserves_entries():

@@ -1017,6 +1017,36 @@ class TestHTTP:
         assert service.index.cover.size == size_before
         assert service.stats()["swaps"] == 0
 
+    @pytest.mark.parametrize("op, message", [
+        ({"op": "insert_document", "doc_id": "new", "links": [["root", 999999]]},
+         "insert_document link ['root', 999999]: no element 999999"),
+        ({"op": "insert_element", "parent": 999999, "tag": "note"},
+         "insert_element parent 999999: no element 999999"),
+        ({"op": "insert_edge", "source": 0, "target": 999999},
+         "insert_edge target 999999: no element 999999"),
+        ({"op": "delete_edge", "source": 999999, "target": 0},
+         "delete_edge source 999999: no element 999999"),
+    ], ids=["insert_document", "insert_element", "insert_edge", "delete_edge"])
+    def test_an_op_naming_no_element_is_a_400_naming_the_field(
+        self, tmp_path, op, message
+    ):
+        """An op that names an element the collection lacks is refused
+        with a message naming the op, the field and the id: no epoch,
+        no WAL record."""
+        from repro.storage.wal import DurableIndexStore
+
+        index = HopiIndex.build(dblp_like(10, seed=3))
+        store = DurableIndexStore(str(tmp_path / "store"), checkpoint_interval=100)
+        store.initialize(index)
+        service = QueryService(index, durable_store=store)
+        with start_in_thread(service) as handle:
+            with pytest.raises(urllib.error.HTTPError) as err:
+                post_json(f"{handle.base_url}/v1/update", {"ops": [op]})
+        assert err.value.code == 400
+        assert json.loads(err.value.read())["error"]["message"] == message
+        assert service.epoch == 0
+        assert store.wal.record_count() == 0
+
     def test_concurrent_http_clients(self, http_service):
         service, base = http_service
         errors = []

@@ -6,6 +6,8 @@ from array import array
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cover_oracle import SetTwoHopCover
 from repro.core.cover import DistanceTwoHopCover, TwoHopCover
@@ -117,9 +119,11 @@ def test_save_rejects_non_integer_labels(tmp_path):
 #: deleted documents' ids 120-131 too, with no rows.
 RW_STORE_COVER = Path(__file__).parent / "data" / "rw-store-cover.snap"
 
-#: what that writer's own loader read from the file
-RW_STORE_CANONICAL_SHA256 = (
-    "8d7d4a532eb0b17f29acb434f8c04ed4dd63759d3c73b8eddabbfe43801c48d2"
+#: what the positional loader read from the file: the SHA-256 of
+#: ``repr((sorted(cover.nodes), sorted(cover.entries())))``, which no
+#: snapshot layout enters
+RW_STORE_CONTENT_SHA256 = (
+    "c7f489a7314be854e7283d39439394c9b6cb32577f534d81c636c8eeb8f3d720"
 )
 RW_STORE_RANKS = [
     840, 2, 2, 2, 6, 10, 12, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 11520,
@@ -138,27 +142,109 @@ def _read_store_cover(blob: bytes):
     return read_snapshot(fh)
 
 
+def _content_sha256(cover) -> str:
+    return hashlib.sha256(
+        repr((sorted(cover.nodes), sorted(cover.entries()))).encode()
+    ).hexdigest()
+
+
 def test_a_store_cover_written_with_removed_ids_still_loads():
-    """The stored cover loads with the same entries and ranks its
-    writer's loader saw, and survives a save and load, which now list
-    only the ids that are active or hold a row (the positions of the
-    ids above the removed ones shift, and loading maps them back)."""
+    """The stored cover loads with the same entries and ranks the
+    positional loader saw, and survives a save and load, which now
+    write a row per slot, the removed ids' empty ones included."""
     cover = _read_store_cover(RW_STORE_COVER.read_bytes())
     nodes = sorted(cover.nodes)
     assert len(nodes) == 141 and nodes[-1] == 152
     assert set(range(120, 132)).isdisjoint(nodes)
+    assert _content_sha256(cover) == RW_STORE_CONTENT_SHA256
     canonical = canonical_snapshot_bytes(cover)
-    assert hashlib.sha256(canonical).hexdigest() == RW_STORE_CANONICAL_SHA256
     assert cover.ranks(nodes) == RW_STORE_RANKS
     buf = io.BytesIO()
     buf.write(bytes(8))
     dump_ranked_snapshot(buf, cover)
+    assert cover.to_csr()["nodes"] == list(range(153))
     again = _read_store_cover(buf.getvalue())
     assert canonical_snapshot_bytes(again) == canonical
+    assert _content_sha256(again) == RW_STORE_CONTENT_SHA256
     assert again.ranks(nodes) == RW_STORE_RANKS
     assert [again.connected_many(u, nodes) for u in nodes] == [
         cover.connected_many(u, nodes) for u in nodes
     ]
+
+
+_GAPPED_BASES = {}
+
+
+def _gapped_base(distance: bool) -> HopiIndex:
+    """A small index, built once per flavour."""
+    if distance not in _GAPPED_BASES:
+        _GAPPED_BASES[distance] = HopiIndex.build(
+            dblp_like(8, seed=5), distance=distance
+        )
+    return _GAPPED_BASES[distance]
+
+
+def _positional_payload(cover) -> dict:
+    """``cover.to_csr()`` in the layout written before rows sat at their
+    ids: ``nodes`` lists only the ids that are active or hold a row,
+    and the rows, centers, ``active`` and ``rank`` go by position in
+    it (``rank`` stops where the rank table does)."""
+    tables = ("lin", "lout", "inv_lin", "inv_lout")
+    held = set(cover.nodes)
+    for name in tables:
+        held.update(x for x, row in enumerate(getattr(cover, f"_{name}")) if row)
+    ids = sorted(held)
+    pos = {x: p for p, x in enumerate(ids)}
+
+    def pack(table, values):
+        indptr, data = array("q", [0]), array("i")
+        for x in ids:
+            data.extend(map(values, table[x] or ()))
+            indptr.append(len(data))
+        return indptr, data
+
+    payload = {
+        "distance": cover.is_distance_aware,
+        "nodes": ids,
+        "active": array("i", sorted(map(pos.__getitem__, cover.nodes))),
+        "rank": array("q", [cover._rank[x] for x in ids if x < len(cover._rank)]),
+    }
+    for name in tables:
+        payload[name] = pack(getattr(cover, f"_{name}"), pos.__getitem__)
+    if cover.is_distance_aware:
+        for name in ("lin", "lout"):
+            payload[f"{name}_dist"] = pack(getattr(cover, f"_{name}_dist"), int)[1]
+    return payload
+
+
+@pytest.mark.parametrize("distance", [False, True], ids=["reach", "distance"])
+@settings(
+    max_examples=12, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(picks=st.lists(st.integers(0, 7), min_size=1, max_size=3, unique=True))
+def test_a_cover_with_gaps_is_written_in_its_id_space(distance, picks):
+    """After document deletes, separating or not, a snapshot writes one
+    row per table slot (``nodes`` is ``0..n-1``) and loads to the same
+    universe, entries and ranks (a removed id's included), and the same
+    cover written in the positional layout of earlier snapshots loads
+    to the same universe, entries and active ranks."""
+    index = _gapped_base(distance).copy()
+    docs = sorted(index.collection.documents)
+    for pick in picks:
+        index.delete_document(docs[pick])
+    cover = index.cover
+    slots = range(len(cover._lin))
+    payload = cover.to_csr()
+    assert payload["nodes"] == list(slots)
+    canonical = canonical_snapshot_bytes(cover)
+    nodes = sorted(cover.nodes)
+    back = type(cover).from_csr(payload)
+    old = type(cover).from_csr(_positional_payload(cover))
+    for loaded, ranked in ((back, slots), (old, nodes)):
+        assert canonical_snapshot_bytes(loaded) == canonical
+        assert loaded.nodes == cover.nodes
+        assert loaded.ranks(ranked) == cover.ranks(ranked)
 
 
 @pytest.mark.parametrize("nodes", [[1, 0, 2], [0, 2, 2], [-1, 0, 1]])
