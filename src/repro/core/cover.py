@@ -184,6 +184,11 @@ class _CoverBase:
     checks a node against the universe (or the tables' length) before
     it indexes a table, so a negative, unknown or non-``int`` node
     answers "not connected" / empty. Readers write nothing.
+
+    A row object may be held by several slots of one cover (the product
+    build gives a sibling group one ``Lin`` row) or by a fork sibling
+    (:meth:`cow_copy`); whoever writes copies first (:meth:`_owned`),
+    so no row held twice is ever changed in place.
     """
 
     #: per-node tables mirrored by :meth:`cow_copy` (subclasses extend)
@@ -195,9 +200,11 @@ class _CoverBase:
         self._lout: List[Optional[array]] = []
         self._inv_lin: List[Optional[array]] = []
         self._inv_lout: List[Optional[array]] = []
-        # COW bookkeeping: None outside forks; after cow_copy(), a dict
-        # mapping id(table) -> ids whose rows this instance privately
-        # owns (all other rows may be shared with the fork sibling)
+        # COW bookkeeping: None while this instance owns every row;
+        # after _disown() (a fork, a build that shares rows, an
+        # unpickle), a dict mapping id(table) -> ids whose rows this
+        # instance privately owns (every other row may be held by
+        # another slot or by the fork sibling)
         self._cow: Optional[Dict[int, Set[int]]] = None
         # rank per id, 0 = none stored; may be shorter than the tables
         # (the ids past its end have none)
@@ -208,9 +215,10 @@ class _CoverBase:
     def _owned(self, table: List[Optional[array]], iid: int) -> Optional[array]:
         """``table[iid]`` as a privately owned, mutable row.
 
-        Under COW a row still shared with the fork sibling is copied
-        (and recorded as owned) before being returned; ``None`` rows
-        pass through untouched (callers assign fresh arrays, which are
+        A row not recorded as owned may be held by other slots of this
+        cover or by a fork sibling, so it is copied (and the copy
+        recorded as owned) before being returned; ``None`` rows pass
+        through untouched (callers assign fresh arrays, which are
         private by construction).
         """
         row = table[iid]
@@ -224,22 +232,30 @@ class _CoverBase:
             owned.add(iid)
         return row
 
+    def _disown(self) -> None:
+        """Record no row as owned: each may be held by another slot or a
+        fork sibling, so the next in-place write to any slot copies its
+        row first (:meth:`_owned`)."""
+        self._cow = {id(t): set() for t in self._tables()}
+
     def cow_copy(self):
         """A copy-on-write fork sharing unchanged label rows with
         ``self``; equivalent to :meth:`copy` for every observable
         purpose, at O(nodes) pointer copies instead of O(cover size)
-        row copies. Outer tables are copied at pointer level; the
-        sorted ``array('i')`` rows stay shared until either side
-        mutates them (the first in-place change privatises the row), so
-        a row object both sides hold has the same centers on both:
-        what :meth:`basis_holds` relies on."""
+        row copies. Outer tables are copied at pointer level and both
+        sides own no row afterwards (:meth:`_disown`): the sorted
+        ``array('i')`` rows stay shared until either side mutates them
+        (whoever writes copies first), so a row object both sides hold
+        has the same centers on both: what :meth:`basis_holds` relies
+        on. A row several slots of ``self`` already held stays so on
+        both sides, under the same rule."""
         clone = type(self)()
         clone._nodes = set(self._nodes)
         clone._rank = self._rank[:]
         for name in self._TABLE_NAMES:
             setattr(clone, name, list(getattr(self, name)))
-        self._cow = {id(t): set() for t in self._tables()}
-        clone._cow = {id(t): set() for t in clone._tables()}
+        self._disown()
+        clone._disown()
         return clone
 
     def copy(self):
@@ -255,11 +271,16 @@ class _CoverBase:
         return clone
 
     def __getstate__(self) -> Dict[str, object]:
-        # pickling deep-copies every row, so the unpickled instance owns
-        # all of them; the id()-keyed ownership map would be stale
+        # the id()-keyed ownership map would be stale in the copy
         state = self.__dict__.copy()
-        state["_cow"] = None
+        del state["_cow"]
         return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # pickle's memo (and deepcopy's) keeps a row several slots hold
+        # one object in the copy too, so the copy owns none of its rows
+        self.__dict__.update(state)
+        self._disown()
 
     # -- id plumbing ----------------------------------------------------
     def _tables(self) -> Tuple[List[Optional[array]], ...]:
@@ -537,12 +558,12 @@ class _CoverBase:
         too: every candidate active then is active now with the very
         ``Lin`` row object it had, and no inactive one became active.
 
-        That is sound because of the copy-on-write invariant: a row
-        shared at fork time is never changed in place — whichever side
-        changes it copies it first (:meth:`_owned`) and every other
-        writer assigns a fresh row — so the same row object means the
-        same centers. The basis holds the rows, so their ids stay
-        unambiguous.
+        That is sound because of the row invariant: a row object held
+        by several slots of one cover, or by a fork sibling too, is
+        never changed in place — whoever writes copies it first
+        (:meth:`_owned`) and every other writer assigns a fresh row —
+        so the same row object means the same centers. The basis holds
+        the rows, so their ids stay unambiguous.
         """
         active, rows, inactive = basis
         nodes, lin = self._nodes, self._lin
@@ -700,7 +721,9 @@ class _CoverBase:
         :attr:`_TABLE_NAMES` entry, without the leading underscore, each
         a list of sorted rows (``None`` when empty) indexed by node id,
         all of one length. ``active`` are the active ids and ``rank``
-        the rank table, indexed by id."""
+        the rank table, indexed by id. The cover owns every row: a
+        caller whose tables hold a row in several slots calls
+        :meth:`_disown` on it."""
         new = cls()
         for name in cls._TABLE_NAMES:
             setattr(new, name, tables[name[1:]])

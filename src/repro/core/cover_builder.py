@@ -34,10 +34,10 @@ partitions and no join. :func:`build_collection_pll_cover`, the product
 build, runs it on a collection's element graph read straight from the
 documents. A link-free document (no intra-document link, no element
 an inter-document link endpoint) is a tree component of that graph,
-and one closed-form pass writes its labels instead of searches: PLL
-labels are canonical, a pair being covered by the highest-ranked
-vertex on its path, and a tree path is unique, so the pass writes
-exactly the entries the searches would. The greedy builder above stays
+and one closed-form walk over its ``children`` writes its labels
+instead of searches: PLL labels are canonical, a pair being covered by
+the highest-ranked vertex on its path, and a tree path is unique, so
+the walk writes exactly the entries the searches would. The greedy builder above stays
 as the reproduction and as the differential oracle.
 """
 
@@ -60,7 +60,7 @@ from repro.core.cover import (
 from repro.graph.closure import TransitiveClosure, condensation_closure
 from repro.graph.condensation import Condensation, tarjan_components
 from repro.graph.digraph import DiGraph
-from repro.xmlmodel.model import Collection
+from repro.xmlmodel.model import Collection, Document
 
 Node = Hashable
 
@@ -269,10 +269,12 @@ def build_cover(
 
 
 def _collector_paused(build):
-    """Run ``build`` with the cyclic collector off. A PLL build's tens
-    of thousands of adjacency and label lists form no cycles, and most
-    die with the call: a collector pass over them (on a 20k-element
-    tree, one over the whole heap) is pure waste."""
+    """Run ``build`` with the cyclic collector off. A PLL build's
+    adjacency lists and label lists form no cycles, and most die with
+    the call; the label arrays that outlive it are few where the tree
+    pass shares one ``Lin`` row per sibling group. A collector pass
+    over them mid-build (on a 20k-element tree, one over the whole
+    heap) is pure waste."""
 
     @functools.wraps(build)
     def paused(*args, **kwargs):
@@ -314,11 +316,12 @@ def build_pll_cover(
     its BFS depth) is skipped and not expanded; a BFS whose every first
     step is skipped so is never launched. The vertices one BFS
     labels, sorted, are ``w``'s row of the backward index, so the cover
-    is handed over as finished tables. For a fixed order the labels do
-    not depend on the order in which edges are listed. Without
-    ``order``, each vertex's key ``(out + 1) * (in + 1) * multiplier``
-    is stored as its rank (:meth:`~repro.core.cover.TwoHopCover.ranks`),
-    the order later maintenance keeps.
+    is handed over as finished tables, each row its own array. For a
+    fixed order the labels do not depend on the order in which edges
+    are listed. Without ``order``, each vertex's key ``(out + 1) * (in
+    + 1) * multiplier`` is stored as its rank
+    (:meth:`~repro.core.cover.TwoHopCover.ranks`), the order later
+    maintenance keeps.
 
     Args:
         nodes: every vertex (isolated ones included; duplicates are
@@ -336,9 +339,12 @@ def build_pll_cover(
         entries (self entries are never stored).
     """
     labels = sorted(set(nodes))
+    if labels and labels[0] < 0:
+        raise ValueError(f"cover nodes are non-negative, not {labels[0]}")
+    n = len(labels)
     index = {v: i for i, v in enumerate(labels)}
-    succ: List[Sequence[int]] = [()] * len(labels)
-    pred: List[Sequence[int]] = [()] * len(labels)
+    succ: List[Sequence[int]] = [()] * n
+    pred: List[Sequence[int]] = [()] * n
     if isinstance(edges, Mapping):
         for u, targets in edges.items():
             ui = index[u]
@@ -353,8 +359,21 @@ def build_pll_cover(
                 ui, vi = index[u], index[v]
                 _append(succ, ui, vi)
                 _append(pred, vi, ui)
-    cover, _ = _pll_cover(labels, index, succ, pred, distance, multiplier, order)
-    return cover
+    if order is None:
+        key = [(s + 1) * (p + 1) for s, p in zip(map(len, succ), map(len, pred))]
+        for v, factor in (multiplier or {}).items():
+            key[index[v]] *= factor
+        # a reversed sort is stable too: ties go by position, so by id
+        ranked = sorted(range(n), key=key.__getitem__, reverse=True)
+        rank = rank_array(key)
+    else:
+        ranked = [index[v] for v in order]
+        rank = array(RANK_TYPECODE)  # the caller's order has no keys to store
+    tables = _empty_tables(n, distance)
+    _search(ranked, succ, pred, tables, distance)
+    factory = DistanceTwoHopCover if distance else TwoHopCover
+    # each row goes to its vertex's id (a skip when the nodes are 0..n-1)
+    return factory._from_positions(labels, range(n), rank, **tables)
 
 
 @_collector_paused
@@ -366,53 +385,74 @@ def build_collection_pll_cover(
     multiplier=reach_multiplier(collection))`` builds, byte for byte,
     ranks included, and its number of label entries.
 
-    The element graph is read straight from each document's
-    ``children`` and ``intra_links`` and the collection's
+    Element ids index every working list directly, as they index the
+    cover's tables: a gap a deleted document left is a ``None`` row of
+    rank 0, exactly where the edge-list build's position→id remap puts
+    nothing, so no id→position map is made.
+
+    A link-free document (no intra-link, no inter-link endpoint) is a
+    component of the element graph, and a tree: one walk over its
+    ``children`` reads each vertex's parent and key and writes its
+    labels in closed form (:func:`_label_trees`). PLL labels are
+    canonical: a pair is covered by the highest-ranked vertex on its
+    path, and in a tree that path is unique, so the closed form and the
+    searches write the same entries. Only the linked documents' elements
+    get adjacency rows, keys from them and searches; their graph is read
+    from their ``children`` and ``intra_links`` and the collection's
     ``inter_links``: no edge tuples. An intra-link parallel to a tree
     edge and a self-loop are dropped, as the edge-list form drops them.
 
-    A link-free document is a component of that graph, and a tree, so
-    its labels are written in closed form (:func:`_label_trees`) and
-    searched by no BFS. PLL labels are canonical: a pair is covered by
-    the highest-ranked vertex on its path, and in a tree that path is
-    unique, so the closed form and the searches write the same entries.
+    The tree pass hands every child a parent outranks one shared row,
+    so the cover comes out with no row owned (as both sides of a
+    :meth:`~repro.core.cover.TwoHopCover.cow_copy` do): whatever writes
+    a slot first copies its row.
     """
     elements = collection.elements
-    labels = sorted(elements)
-    index = {v: i for i, v in enumerate(labels)}
-    succ: List[Sequence[int]] = [()] * len(labels)
-    pred: List[Sequence[int]] = [()] * len(labels)
-    intra = []
-    for doc in collection.documents.values():
-        for parent, kids in doc.children.items():
-            if kids:
-                p = index[parent]
-                row = succ[p] = [index[k] for k in kids]
-                up = (p,)
-                for k in row:
-                    pred[k] = up
-        intra.append(doc.intra_links)
-    for u, v in chain(chain.from_iterable(intra), collection.inter_links):
-        if u != v and elements[v].parent != u:
-            ui, vi = index[u], index[v]
-            _append(succ, ui, vi)
-            _append(pred, vi, ui)
-    linked = set()
+    ids = sorted(elements)  # one near-linear pass: ids come nearly sorted
+    if ids and ids[0] < 0:
+        raise ValueError(f"cover nodes are non-negative, not {ids[0]}")
+    n = ids[-1] + 1 if ids else 0
+    ends = set()
     for u, v in collection.inter_links:
-        linked.add(elements[u].doc)
-        linked.add(elements[v].doc)
-    free = [
-        doc for doc_id, doc in collection.documents.items()
-        if not doc.intra_links and doc_id not in linked
-    ]
-    if len(free) == len(collection.documents):
-        trees: Sequence[int] = range(len(labels))
-    else:
-        trees = sorted(index[e] for doc in free for e in doc.elements)
-    return _pll_cover(
-        labels, index, succ, pred, distance, reach_multiplier(collection), None,
-        trees,
-    )
+        ends.add(elements[u].doc)
+        ends.add(elements[v].doc)
+    free, linked = [], []
+    for doc_id, doc in collection.documents.items():
+        (linked if doc.intra_links or doc_id in ends else free).append(doc)
+    key = [0] * n  # a gap's rank is 0
+    tables = _empty_tables(n, distance)
+    entries = _label_trees(free, key, tables)
+    if linked:
+        succ: List[Sequence[int]] = [()] * n
+        pred: List[Sequence[int]] = [()] * n
+        searched = []
+        for doc in linked:
+            searched += doc.children
+            for parent, kids in doc.children.items():
+                if kids:
+                    succ[parent] = kids[:]
+                    up = (parent,)
+                    for k in kids:
+                        pred[k] = up
+        links = chain(chain.from_iterable(doc.intra_links for doc in linked),
+                      collection.inter_links)
+        for u, v in links:
+            if u != v and elements[v].parent != u:
+                _append(succ, u, v)
+                _append(pred, v, u)
+        for x in searched:
+            key[x] = (len(succ[x]) + 1) * (len(pred[x]) + 1)
+        for v, factor in reach_multiplier(collection).items():
+            key[v] *= factor
+        # ids ascending first: a reversed sort is stable too, so ties
+        # go by id
+        searched.sort()
+        ranked = sorted(searched, key=key.__getitem__, reverse=True)
+        entries += _search(ranked, succ, pred, tables, distance)
+    factory = DistanceTwoHopCover if distance else TwoHopCover
+    cover = factory._from_tables(elements, rank_array(key), **tables)
+    cover._disown()
+    return cover, entries
 
 
 def _append(rows: List[Sequence[int]], i: int, x: int) -> None:
@@ -426,58 +466,38 @@ def _append(rows: List[Sequence[int]], i: int, x: int) -> None:
         rows[i] = [*row, x]
 
 
-def _pll_cover(
-    labels: List[Node],
-    index: Dict[Node, int],
+def _empty_tables(n: int, distance: bool) -> Dict[str, List[Optional[array]]]:
+    """A cover's per-node tables (``_from_tables`` keywords) over ``n``
+    slots, every row ``None``."""
+    names = ("lin", "lout", "inv_lin", "inv_lout")
+    if distance:
+        names += ("lin_dist", "lout_dist")
+    return {name: [None] * n for name in names}
+
+
+def _search(
+    ranked: Sequence[int],
     succ: List[Sequence[int]],
     pred: List[Sequence[int]],
+    tables: Dict[str, List[Optional[array]]],
     distance: bool,
-    multiplier: Optional[Mapping[Node, int]],
-    order: Optional[Sequence[Node]],
-    trees: Sequence[int] = (),
-) -> Tuple[TwoHopCover, int]:
-    """The labelling of :func:`build_pll_cover` over the graph ``succ``
-    / ``pred`` (rows of positions, free of duplicates and self-loops)
-    on the ascending nodes ``labels`` and their positions ``index``:
-    the cover, handed its finished tables (and without ``order`` its
-    ranks), and its number of label entries. ``trees`` (ascending
-    positions, without ``order``) are the vertices of components that
-    are trees of unit multiplier whose parents are below their
-    children: :func:`_label_trees` labels them and the searches skip
-    them."""
-    n = len(labels)
+) -> int:
+    """The pruned searches of :func:`build_pll_cover` from the vertices
+    ``ranked``, in that order, over the graph ``succ`` / ``pred`` (rows
+    of slots, free of duplicates and self-loops): each vertex's finished
+    label and backward-index rows written into ``tables``, and their
+    number of entries returned. Every vertex a search reaches is in
+    ``ranked``."""
+    lin, lout = tables["lin"], tables["lout"]
     # label rows as lazily created lists (of center ids, or for distance
     # of (center id, distance) pairs), each turned into an array at the
-    # end; the tree pass writes finished arrays
-    lin: List[Optional[list]] = [None] * n
-    lout: List[Optional[list]] = [None] * n
-    inv_lin: List[Optional[array]] = [None] * n
-    inv_lout: List[Optional[array]] = [None] * n
-    tables = {"lin": lin, "lout": lout, "inv_lin": inv_lin, "inv_lout": inv_lout}
-    if distance:
-        tables["lin_dist"] = [None] * n
-        tables["lout_dist"] = [None] * n
+    # end
     entries = 0
-    searched: Sequence[int] = range(n)
-    if order is None:
-        key = [(s + 1) * (p + 1) for s, p in zip(map(len, succ), map(len, pred))]
-        for v, factor in (multiplier or {}).items():
-            key[index[v]] *= factor
-        if trees:
-            entries = _label_trees(trees, pred, key, tables)
-            searched = sorted(set(searched).difference(trees)) if len(trees) < n else ()
-        # ids follow node order, and a reversed sort is stable too: ties
-        # go by id
-        ranked = sorted(searched, key=key.__getitem__, reverse=True)
-        rank = rank_array(key)
-    else:
-        ranked = [index[v] for v in order]
-        rank = array(RANK_TYPECODE)  # the caller's order has no keys to store
-    seen = [-1] * n
+    seen = [-1] * len(succ)
     stamp = 0
     directions = (
-        (succ, lout, lin, inv_lin),   # forward: into Lin
-        (pred, lin, lout, inv_lout),  # backward: into Lout
+        (succ, lout, lin, tables["inv_lin"]),   # forward: into Lin
+        (pred, lin, lout, tables["inv_lout"]),  # backward: into Lout
     )
     for w in ranked:
         for adjacency, own, far, inv in directions:
@@ -586,7 +606,7 @@ def _pll_cover(
     for name, table in (("lin", lin), ("lout", lout)):
         if distance:
             dists = tables[name + "_dist"]
-        for x in searched:
+        for x in ranked:
             row = table[x]
             if row:
                 row.sort()
@@ -595,82 +615,83 @@ def _pll_cover(
                     dists[x] = array(ID_TYPECODE, [d for _, d in row])
                 else:
                     table[x] = array(ID_TYPECODE, row)
-    if n and labels[0] < 0:
-        raise ValueError(f"cover nodes are non-negative, not {labels[0]}")
-    factory = DistanceTwoHopCover if distance else TwoHopCover
-    # each row goes to its vertex's id (a skip when the nodes are 0..n-1)
-    return factory._from_positions(labels, range(n), rank, **tables), entries
+    return entries
 
 
 def _label_trees(
-    trees: Sequence[int],
-    pred: List[Sequence[int]],
-    key: List[int],
-    tables: Dict[str, List[Optional[array]]],
+    docs: Iterable[Document], key: List[int], tables: Dict[str, List[Optional[array]]]
 ) -> int:
-    """Write the PLL labels of the tree vertices ``trees`` (ascending
-    ids) into ``tables`` as finished arrays, and return their number of
-    entries.
+    """Write the PLL labels of the link-free documents ``docs``, trees
+    whose elements are slots of ``key`` and ``tables``, into ``tables``
+    as finished arrays and each vertex's key into ``key``; return their
+    number of entries.
 
-    A parent's id is below its children's (a collection numbers
-    elements as it creates them), so an ancestor ``a`` of ``x``
-    outranks it iff ``key[a] >= key[x]`` (ties go to the lower id).
-    ``Lin(x)`` is then the chain of ancestors that outrank every vertex
-    below them on the way to ``x``: ``Lin(p) + [p]`` when the parent
-    ``p`` outranks ``x``, else the prefix of ``Lin(p)`` that outranks
-    ``x``. And ``x`` joins ``Lout(u)`` of every ancestor ``u`` below
-    the nearest one that outranks it. Parents are visited first, so
-    every row comes out sorted; each is its own array. A distance is a
-    depth difference."""
+    One walk over each document's ``children``, which lists the
+    elements in the order the collection created them, so parents
+    first and ids ascending, gives each vertex its parent and its key
+    ``(children + 1) * (2 if parent else 1)``. A parent's id is below
+    its children's, so an ancestor ``a`` of ``x`` outranks it iff
+    ``key[a] >= key[x]`` (ties go to the lower id). ``Lin(x)`` is then
+    the chain of ancestors that outrank every vertex below them on the
+    way to ``x``: ``Lin(p) + [p]`` when the parent ``p`` outranks ``x``,
+    else the prefix of ``Lin(p)`` that outranks ``x``. And ``x`` joins
+    ``Lout(u)`` of every ancestor ``u`` below the nearest one that
+    outranks it. Every row comes out sorted. All the children a parent
+    outranks hold its one ``Lin(p) + [p]`` array (and in a distance
+    cover one distance row: siblings share a depth), so the cover that
+    takes these tables must own none of its rows; every other row is
+    its own array. A distance is a depth difference."""
     lin, lout = tables["lin"], tables["lout"]
     inv_lin, inv_lout = tables["inv_lin"], tables["inv_lout"]
-    # Lin(p) + [p], made for p's first child that p outranks and copied
-    # for the others; p is a center from then on
+    up = [-1] * len(key)  # each tree vertex's parent
+    # Lin(p) + [p], made for p's first child that p outranks and held by
+    # the others; p is a center from then on
     grown: List[Optional[array]] = [None] * len(key)
     centers = []
     sources = []  # the vertices with a Lout row
-    for x in trees:
-        above = pred[x]
-        if not above:
-            continue
-        p = above[0]
-        kx = key[x]
-        if key[p] >= kx:
-            row = grown[p]
-            if row is None:
+    for doc in docs:
+        for x, kids in doc.children.items():
+            for k in kids:
+                up[k] = x
+            p = up[x]
+            if p < 0:  # the root
+                key[x] = len(kids) + 1
+                continue
+            kx = key[x] = 2 * len(kids) + 2
+            if key[p] >= kx:
+                row = grown[p]
+                if row is None:
+                    head = lin[p]
+                    tail = array(ID_TYPECODE, (p,))
+                    row = grown[p] = head + tail if head else tail
+                    inv_lin[p] = []
+                    centers.append(p)
+                lin[x] = row
+            else:
                 head = lin[p]
-                tail = array(ID_TYPECODE, (p,))
-                row = lin[x] = grown[p] = head + tail if head else tail
-                inv_lin[p] = []
-                centers.append(p)
-            else:
-                lin[x] = row[:]
-        else:
-            head = lin[p]
-            j = len(head) if head else 0
-            while j and key[head[j - 1]] < kx:
-                j -= 1
-            if j:
-                row = lin[x] = head[:j]
-                stop = row[-1]
-            else:
-                row = ()
-                stop = -1
-            walked = []
-            u = p
-            while u != stop:
-                walked.append(u)
-                if lout[u] is None:
-                    lout[u] = [x]
-                    sources.append(u)
+                j = len(head) if head else 0
+                while j and key[head[j - 1]] < kx:
+                    j -= 1
+                if j:
+                    row = lin[x] = head[:j]
+                    stop = row[-1]
                 else:
-                    lout[u].append(x)
-                above = pred[u]
-                u = above[0] if above else -1
-            walked.reverse()
-            inv_lout[x] = array(ID_TYPECODE, walked)
-        for c in row:
-            inv_lin[c].append(x)
+                    row = ()
+                    stop = -1
+                walked = []
+                u = p
+                while u != stop:
+                    walked.append(u)
+                    if lout[u] is None:
+                        lout[u] = [x]
+                        sources.append(u)
+                    else:
+                        lout[u].append(x)
+                    u = up[u]
+                walked.reverse()
+                inv_lout[x] = array(ID_TYPECODE, walked)
+            for c in row:
+                inv_lin[c].append(x)
     entries = 0
     for c in centers:
         entries += len(inv_lin[c])
@@ -680,15 +701,23 @@ def _label_trees(
         lout[u] = array(ID_TYPECODE, lout[u])
     if "lin_dist" in tables:
         depth = [0] * len(key)
-        for x in trees:
-            if pred[x]:
-                depth[x] = depth[pred[x][0]] + 1
-        for table, dists in ((lin, tables["lin_dist"]), (lout, tables["lout_dist"])):
-            for x in trees:
-                row = table[x]
-                if row:
-                    d = depth[x]
-                    dists[x] = array(ID_TYPECODE, [abs(d - depth[c]) for c in row])
+        for x, p in enumerate(up):  # ids ascending: parents first
+            if p >= 0:
+                depth[x] = depth[p] + 1
+        shared = {}
+        for p in centers:
+            d = depth[p] + 1
+            shared[p] = array(ID_TYPECODE, [d - depth[c] for c in grown[p]])
+        lin_dist, lout_dist = tables["lin_dist"], tables["lout_dist"]
+        for x, p in enumerate(up):
+            row = lin[x]
+            if row:
+                lin_dist[x] = shared[p] if row is grown[p] else array(
+                    ID_TYPECODE, [depth[x] - depth[c] for c in row]
+                )
+        for u in sources:
+            d = depth[u]
+            lout_dist[u] = array(ID_TYPECODE, [depth[x] - d for x in lout[u]])
     return entries
 
 

@@ -27,7 +27,8 @@ from repro.core.cover import (
 )
 from repro.core.hopi import HopiIndex
 from repro.storage.snapshot import canonical_snapshot_bytes
-from repro.xmlmodel.generator import dblp_like
+from repro.xmlmodel.generator import dblp_like, inex_like
+from shared_rows import assert_shared_rows_unowned, lin_groups
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +401,10 @@ def test_a_stored_self_entry_is_reached_once(cls):
 
 def test_sealed_cover_pickles_and_deepcopies_unsealed():
     """A pickled or deep-copied cover, copied after a batch probe ran,
-    holds the same bytes and answers the batch probes alike."""
+    holds the same bytes and answers the batch probes alike. Pickle's
+    memo and deepcopy's keep a row several slots hold one object in the
+    copy, so the copy owns none of its rows: writing one sibling of a
+    sibling group leaves the others' rows as they were."""
     index, roots, authors = _probed_index()
     expected = [index.connected_many(r, authors) for r in roots]
     blob = canonical_snapshot_bytes(index.cover)
@@ -413,6 +417,24 @@ def test_sealed_cover_pickles_and_deepcopies_unsealed():
     assert pickle.loads(pickle.dumps(index)).connected_many(
         roots[0], authors
     ) == expected[0]
+    for distance in (False, True):
+        cover = HopiIndex.build(inex_like(3, seed=5), distance=distance).cover
+        group = lin_groups(cover)[0]
+        for clone in (pickle.loads(pickle.dumps(cover)), copy.deepcopy(cover)):
+            assert canonical_snapshot_bytes(clone) == canonical_snapshot_bytes(cover)
+            assert group in lin_groups(clone)
+            assert_shared_rows_unowned(clone)
+            target = group[0]
+            center = next(x for x in sorted(clone.nodes)
+                          if x != target and x not in clone.lin_of(target))
+            if distance:
+                clone.add_lin(target, center, 1)
+            else:
+                clone.add_lin(target, center)
+            assert center in clone.lin_of(target)
+            for x in group[1:]:
+                assert clone.lin_of(x) == cover.lin_of(x), x
+            assert_shared_rows_unowned(clone)
 
 
 def test_a_mutated_candidate_list_is_translated_again():

@@ -9,7 +9,7 @@ import hashlib
 import os
 import subprocess
 import sys
-from itertools import product
+from itertools import chain, product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 import acyclic
 from random_collections import random_collection
+from shared_rows import assert_shared_rows_unowned, shared_slots
+from repro.core import cover_builder
 from repro.core.cover_builder import build_cover, build_pll_cover, reach_multiplier
 from repro.core.distance import build_distance_cover
 from repro.core.hopi import HopiIndex
@@ -180,12 +182,16 @@ def test_the_product_build_is_the_edge_list_build(n_docs, links, rng, distance):
     """The product build reads the element graph straight from the
     collection, and labels link-free documents in closed form. It
     writes the bytes, ranks and tables ``build_pll_cover`` writes from
-    the element graph's edge list, each row its own array, and counts
-    its entries, on collections with an intra-link parallel to a tree
-    edge, a self-loop intra-link, a document-level cycle, the id gaps a
-    deleted document leaves, and link-free documents next to linked
-    ones: a chain, a star, equal keys among siblings and two levels
-    apart, and a document grown interleaved with a linked one."""
+    the element graph's edge list, and counts its entries, on
+    collections with an intra-link parallel to a tree edge, a self-loop
+    intra-link, a document-level cycle, the id gaps a deleted document
+    leaves, and link-free documents next to linked ones: a chain, a
+    star, equal keys among siblings and two levels apart, and a
+    document grown interleaved with a linked one. The children a parent
+    outranks share its ``Lin(p) + [p]`` row (the star's leaves do), and
+    every row two slots hold is owned by neither, so the next write to
+    any of them copies it; the edge-list build gives each row its own
+    array."""
     c = random_collection(n_docs=n_docs, inter_links=links, rng=rng)
     c.remove_document(rng.choice(sorted(c.documents)))
     x = rng.choice(sorted(c.elements))
@@ -218,11 +224,55 @@ def test_the_product_build_is_the_edge_list_build(n_docs, links, rng, distance):
     assert index.stats.cover_size == expected.size
     nodes = sorted(c.elements)
     assert cover.ranks(nodes) == expected.ranks(nodes)
-    rows = []
     for name in cover._TABLE_NAMES:
         assert getattr(cover, name) == getattr(expected, name), name
-        rows += filter(None, getattr(cover, name))
-    assert len(set(map(id, rows))) == len(rows)
+    star = c.documents["star"]
+    assert ("_lin", min(star.children[star.root])) in chain(*shared_slots(cover))
+    assert_shared_rows_unowned(cover)
+    assert not shared_slots(expected)
+
+
+@pytest.mark.parametrize("distance", [False, True])
+def test_only_the_linked_documents_are_searched(monkeypatch, distance):
+    """The product build gives adjacency rows, keys from them and
+    searches to the linked documents' elements only, across the id gap
+    a deleted linked document leaves; a link-free collection launches
+    no search. The link-free documents' sibling groups share one ``Lin``
+    row and, in the distance flavour, one distance row, and the bytes
+    are the edge-list build's."""
+    searches = []
+    real = cover_builder._search
+
+    def spy(ranked, succ, pred, tables, distance):
+        searches.append((sorted(ranked), succ, pred))
+        return real(ranked, succ, pred, tables, distance)
+
+    monkeypatch.setattr(cover_builder, "_search", spy)
+    c = _mixed()
+    c.remove_document("dblp3")
+    assert len(c.elements) < max(c.elements) + 1
+    free = _link_free(c)
+    cover = HopiIndex.build(c, distance=distance).cover
+    (ranked, succ, pred), = searches
+    assert ranked == sorted(
+        e for d, doc in c.documents.items() if d not in free for e in doc.elements
+    )
+    trees = [e for d in free for e in c.documents[d].elements]
+    assert not any(succ[e] or pred[e] for e in trees)
+    edges = list(c.inter_links)
+    for doc in c.documents.values():
+        edges += doc.graph_edges()
+    expected = build_pll_cover(
+        list(c.elements), edges, distance=distance, multiplier=reach_multiplier(c)
+    )
+    assert snapshot_to_bytes(cover) == snapshot_to_bytes(expected)
+    shared = {name for slots in shared_slots(cover) for name, _ in slots}
+    assert shared == ({"_lin", "_lin_dist"} if distance else {"_lin"})
+    assert all(x in trees for slots in shared_slots(cover) for _, x in slots)
+    assert_shared_rows_unowned(cover)
+    searches.clear()
+    HopiIndex.build(inex_like(3, seed=5), distance=distance)
+    assert searches == []
 
 
 def _reference_multiplier(c):
@@ -379,6 +429,7 @@ _HASH_SEED_SCRIPT = """
 import hashlib
 from acyclic import is_acyclic
 from random_collections import random_collection
+from shared_rows import assert_shared_rows_unowned, shared_slots
 from repro.core.hopi import HopiIndex
 from repro.storage.snapshot import snapshot_to_bytes
 from repro.xmlmodel.generator import dblp_like
@@ -395,6 +446,7 @@ for c in (dblp_like(30, seed=5), cyclic):
 _PAPER_HASH_SEED_SCRIPT = """
 import hashlib
 from random_collections import random_collection
+from shared_rows import assert_shared_rows_unowned, shared_slots
 from repro.core.hopi import HopiIndex
 from repro.storage.snapshot import canonical_snapshot_bytes
 from repro.xmlmodel.generator import dblp_like
